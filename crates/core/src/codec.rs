@@ -24,6 +24,17 @@ impl PayloadWriter {
         }
     }
 
+    /// Continue an encoding in a buffer the caller already holds:
+    /// everything written is appended to `buf`, which [`finish`] hands
+    /// back. Lets [`MobileObject::encode`] implementations write straight
+    /// into the buffer they were given.
+    ///
+    /// [`finish`]: PayloadWriter::finish
+    /// [`MobileObject::encode`]: crate::object::MobileObject::encode
+    pub fn appending(buf: Vec<u8>) -> Self {
+        PayloadWriter { buf }
+    }
+
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
         self
@@ -53,6 +64,18 @@ impl PayloadWriter {
     pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
         self.u32(b.len() as u32);
         self.buf.extend_from_slice(b);
+        self
+    }
+
+    /// Length-prefixed byte block that `fill` appends in place — the same
+    /// bytes as [`PayloadWriter::bytes`] of what it writes, without
+    /// building the block elsewhere first.
+    pub fn bytes_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
+        let at = self.buf.len();
+        self.u32(0);
+        fill(&mut self.buf);
+        let n = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
         self
     }
 
@@ -177,6 +200,20 @@ mod tests {
         let mut r2 = PayloadReader::new(&buf);
         assert!(r2.u64().is_ok());
         assert_eq!(r2.u8(), Err(Truncated));
+    }
+
+    #[test]
+    fn in_place_block_matches_copied_block() {
+        let mut copied = PayloadWriter::new();
+        copied.u8(9).bytes(b"payload").u32(7);
+        let mut in_place = PayloadWriter::appending(vec![0xAA]);
+        in_place
+            .u8(9)
+            .bytes_with(|b| b.extend_from_slice(b"payload"))
+            .u32(7);
+        let out = in_place.finish();
+        assert_eq!(out[0], 0xAA, "appending keeps what the buffer held");
+        assert_eq!(&out[1..], &copied.finish()[..]);
     }
 
     #[test]

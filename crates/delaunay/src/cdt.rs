@@ -30,9 +30,17 @@ impl TriMesh {
     /// `start` (which must contain `v`). Works for interior and boundary
     /// stars.
     pub fn star_of(&self, v: VId, start: TId) -> Vec<TId> {
+        let mut out = Vec::with_capacity(8);
+        self.star_into(v, start, &mut out);
+        out
+    }
+
+    /// [`TriMesh::star_of`] into a caller-owned buffer (cleared first), so
+    /// hot loops reuse one allocation.
+    pub fn star_into(&self, v: VId, start: TId, out: &mut Vec<TId>) {
         debug_assert!(self.is_alive(start));
         debug_assert!(self.tri(start).index_of(v).is_some());
-        let mut out = Vec::with_capacity(8);
+        out.clear();
         // Rotate CCW: cross the edge opposite v[(i+1)%3] (the edge that
         // contains v and the previous vertex).
         let mut t = start;
@@ -45,7 +53,7 @@ impl TriMesh {
                 break;
             }
             if n == start {
-                return out; // full cycle
+                return; // full cycle
             }
             t = n;
         }
@@ -62,7 +70,6 @@ impl TriMesh {
             out.push(n);
             t = n;
         }
-        out
     }
 
     /// Force the segment `va`–`vb` into the triangulation as a constrained

@@ -45,8 +45,8 @@ impl TriMesh {
             Location::Outside(_) => InsertOutcome::Outside,
             Location::Inside(t) => {
                 let v = self.add_vertex(p, flags);
-                let stack = self.split_tri_1_3(t, v);
-                self.legalize(v, stack);
+                self.split_tri_1_3(t, v);
+                self.legalize(v);
                 self.hint = self.any_tri_of_recent(v);
                 InsertOutcome::Inserted(v)
             }
@@ -80,8 +80,8 @@ impl TriMesh {
                     return match self.locate_from(p, er.t, WalkMode::Free) {
                         Location::Inside(t) => {
                             let v = self.add_vertex(p, flags);
-                            let stack = self.split_tri_1_3(t, v);
-                            self.legalize(v, stack);
+                            self.split_tri_1_3(t, v);
+                            self.legalize(v);
                             self.hint = self.any_tri_of_recent(v);
                             InsertOutcome::Inserted(v)
                         }
@@ -96,8 +96,8 @@ impl TriMesh {
                     flags.set(VFlags::BOUNDARY);
                 }
                 let v = self.add_vertex(p, flags);
-                let stack = self.split_edge_2_4(er, v);
-                self.legalize(v, stack);
+                self.split_edge_2_4(er, v);
+                self.legalize(v);
                 self.hint = self.any_tri_of_recent(v);
                 InsertOutcome::Inserted(v)
             }
@@ -117,9 +117,10 @@ impl TriMesh {
         self.hint
     }
 
-    /// Split triangle `t` into three at interior vertex `v`. Returns the
-    /// edges to legalize (each is the edge opposite `v` in a new triangle).
-    fn split_tri_1_3(&mut self, t: TId, v: VId) -> Vec<EdgeRef> {
+    /// Split triangle `t` into three at interior vertex `v`. Leaves the
+    /// edges to legalize (each is the edge opposite `v` in a new triangle)
+    /// on the scratch stack.
+    fn split_tri_1_3(&mut self, t: TId, v: VId) {
         let old = *self.tri(t);
         let [a, b, c] = old.v;
         // Old neighbors and constrained flags by opposite-vertex index.
@@ -165,11 +166,12 @@ impl TriMesh {
                 }
             }
         }
-        vec![
+        debug_assert!(self.stack.is_empty());
+        self.stack.extend([
             EdgeRef { t: t1, e: 2 },
             EdgeRef { t: t2, e: 2 },
             EdgeRef { t: t3, e: 2 },
-        ]
+        ]);
     }
 
     /// Would splitting edge `er` at point `p` produce only CCW triangles?
@@ -203,8 +205,9 @@ impl TriMesh {
 
     /// Split the edge `er` at vertex `v` which lies exactly on it. Handles
     /// interior edges (2→4), hull edges (1→2), and constrained edges (the
-    /// flag is inherited by both halves). Returns edges to legalize.
-    fn split_edge_2_4(&mut self, er: EdgeRef, v: VId) -> Vec<EdgeRef> {
+    /// flag is inherited by both halves). Leaves the edges to legalize on
+    /// the scratch stack.
+    fn split_edge_2_4(&mut self, er: EdgeRef, v: VId) {
         let t = er.t;
         let old_t = *self.tri(t);
         let e = er.e;
@@ -238,7 +241,9 @@ impl TriMesh {
         self.tri_mut(t1).set_constrained(2, seg_flag);
         self.tri_mut(t2).set_constrained(2, seg_flag);
 
-        let mut stack = vec![EdgeRef { t: t1, e: 1 }, EdgeRef { t: t2, e: 0 }];
+        debug_assert!(self.stack.is_empty());
+        self.stack
+            .extend([EdgeRef { t: t1, e: 1 }, EdgeRef { t: t2, e: 0 }]);
 
         match twin {
             None => {
@@ -282,14 +287,14 @@ impl TriMesh {
                 self.link(t2, 2, t3, 2);
                 self.link(t1, 2, t4, 2);
 
-                stack.push(EdgeRef { t: t3, e: 1 });
-                stack.push(EdgeRef { t: t4, e: 0 });
+                self.stack.push(EdgeRef { t: t3, e: 1 });
+                self.stack.push(EdgeRef { t: t4, e: 0 });
             }
         }
         #[cfg(debug_assertions)]
         {
             use pumg_geometry::{orient2d, Orientation};
-            for er2 in &stack {
+            for er2 in &self.stack {
                 let [x, y, z] = self.tri_points(er2.t);
                 if orient2d(x, y, z) != Orientation::CounterClockwise {
                     panic!(
@@ -299,7 +304,6 @@ impl TriMesh {
                 }
             }
         }
-        stack
     }
 
     /// Point an outer neighbor at a rebuilt triangle: the neighbor used to
@@ -326,11 +330,11 @@ impl TriMesh {
         }
     }
 
-    /// Lawson legalization: each stacked edge is opposite the new vertex
-    /// `v`; flip while the Delaunay criterion is violated, never crossing
-    /// constrained edges.
-    fn legalize(&mut self, v: VId, mut stack: Vec<EdgeRef>) {
-        while let Some(er) = stack.pop() {
+    /// Lawson legalization: each edge on the scratch stack is opposite the
+    /// new vertex `v`; flip while the Delaunay criterion is violated, never
+    /// crossing constrained edges. Drains the stack.
+    fn legalize(&mut self, v: VId) {
+        while let Some(er) = self.stack.pop() {
             if !self.is_alive(er.t) {
                 continue;
             }
@@ -360,8 +364,8 @@ impl TriMesh {
             ];
             if incircle(a, b, c, self.point(q)) > 0 {
                 let (e1, e2) = self.flip(er);
-                stack.push(e1);
-                stack.push(e2);
+                self.stack.push(e1);
+                self.stack.push(e2);
             }
         }
     }

@@ -41,5 +41,5 @@ pub mod wire;
 
 pub use builder::MeshBuilder;
 pub use mesh::{EdgeRef, TriMesh, VFlags, NO_TRI, NO_VERT};
-pub use refine::{refine, RefineParams, RefineReport};
+pub use refine::{refine, refine_since, RefineParams, RefineReport};
 pub use sizing::SizingField;

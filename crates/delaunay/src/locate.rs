@@ -34,6 +34,17 @@ pub enum WalkMode {
     StopAtConstrained,
 }
 
+/// "No edge": the walk did not enter the triangle through any edge.
+const NO_EDGE: usize = 3;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: cap on walk steps before the exhaustive fallback, so a
+    /// regression test can force the fallback on a tiny mesh.
+    static MAX_STEPS_OVERRIDE: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
 impl TriMesh {
     /// Locate `p`, walking from the internal hint triangle.
     pub fn locate(&mut self, p: Point2) -> Location {
@@ -53,23 +64,32 @@ impl TriMesh {
         loc
     }
 
-    /// Locate `p` starting the walk at triangle `start`.
+    /// Bound on walk steps: a straight walk visits each triangle at most
+    /// once; 4x slack, then switch to the exhaustive fallback.
+    fn max_walk_steps(&self) -> usize {
+        #[cfg(test)]
+        if let Some(n) = MAX_STEPS_OVERRIDE.with(|c| c.get()) {
+            return n;
+        }
+        4 * self.num_tris() + 16
+    }
+
+    /// Locate `p` starting the walk at triangle `start`. Allocation-free.
     pub fn locate_from(&self, p: Point2, start: TId, mode: WalkMode) -> Location {
         debug_assert!(self.is_alive(start));
         let mut t = start;
+        let mut entered = NO_EDGE;
         let mut steps = 0usize;
-        // Bound: a straight walk visits each triangle at most once; 4x
-        // slack, then switch to the exhaustive fallback.
-        let max_steps = 4 * self.num_tris() + 16;
+        let max_steps = self.max_walk_steps();
         loop {
-            match self.classify_in_tri(p, t) {
+            match self.classify_in_tri(p, t, entered) {
                 Classify::Inside => return Location::Inside(t),
                 Classify::OnEdge(e) => return Location::OnEdge(EdgeRef { t, e }),
                 Classify::OnVertex(v) => return Location::OnVertex(t, v),
-                Classify::Exit(candidates) => {
+                Classify::Exit(exits, n_exits) => {
                     // Alternate between the candidate exit edges to avoid
                     // cycling on degenerate configurations.
-                    let pick = candidates[steps % candidates.len()];
+                    let pick = exits[steps % n_exits];
                     let tri = self.tri(t);
                     if mode == WalkMode::StopAtConstrained && tri.is_constrained(pick) {
                         return Location::Outside(EdgeRef { t, e: pick });
@@ -78,47 +98,94 @@ impl TriMesh {
                     if n == NO_TRI {
                         return Location::Outside(EdgeRef { t, e: pick });
                     }
+                    // `p` is strictly right of the edge just crossed, hence
+                    // strictly left of it as seen from `n`: the exact
+                    // predicate need not be asked again.
+                    entered = self.tri(n).nbr_index_of(t).unwrap_or(NO_EDGE);
                     t = n;
                 }
             }
             steps += 1;
             if steps > max_steps {
-                return self.locate_exhaustive(p, mode);
+                return self.locate_exhaustive(p, start, mode);
             }
         }
     }
 
-    /// O(n) fallback: test every live triangle.
-    fn locate_exhaustive(&self, p: Point2, _mode: WalkMode) -> Location {
-        let mut hull_exit = None;
-        for t in self.tri_ids() {
-            match self.classify_in_tri(p, t) {
+    /// O(n) fallback for a walk that ran out of steps. In `Free` mode every
+    /// live triangle is tested. In `StopAtConstrained` mode only the
+    /// triangles reachable from `start` without crossing a constrained
+    /// edge are: a hit on the far side of a segment is exactly what that
+    /// mode exists to refuse, so a point hidden behind a segment is
+    /// reported `Outside` at a constrained edge of the reachable component
+    /// that has the point beyond it — what the walk itself reports.
+    #[cold]
+    fn locate_exhaustive(&self, p: Point2, start: TId, mode: WalkMode) -> Location {
+        let candidates: Vec<TId> = match mode {
+            WalkMode::Free => self.tri_ids().collect(),
+            WalkMode::StopAtConstrained => self.unconstrained_component(start),
+        };
+        let mut blocked = None;
+        for t in candidates {
+            match self.classify_in_tri(p, t, NO_EDGE) {
                 Classify::Inside => return Location::Inside(t),
                 Classify::OnEdge(e) => return Location::OnEdge(EdgeRef { t, e }),
                 Classify::OnVertex(v) => return Location::OnVertex(t, v),
-                Classify::Exit(cands) => {
-                    // Remember some hull edge for the Outside report.
-                    if hull_exit.is_none() {
-                        for &e in &cands {
-                            if self.tri(t).nbr[e] == NO_TRI {
-                                hull_exit = Some(EdgeRef { t, e });
-                            }
-                        }
+                Classify::Exit(exits, n_exits) => {
+                    // Remember some boundary edge for the Outside report.
+                    if blocked.is_none() {
+                        let tri = self.tri(t);
+                        blocked = exits[..n_exits]
+                            .iter()
+                            .rev()
+                            .find(|&&e| {
+                                tri.nbr[e] == NO_TRI
+                                    || (mode == WalkMode::StopAtConstrained
+                                        && tri.is_constrained(e))
+                            })
+                            .map(|&e| EdgeRef { t, e });
                     }
                 }
             }
         }
-        Location::Outside(hull_exit.unwrap_or(EdgeRef { t: 0, e: 0 }))
+        Location::Outside(blocked.unwrap_or(EdgeRef { t: 0, e: 0 }))
     }
 
-    /// Exact classification of `p` against triangle `t`.
-    fn classify_in_tri(&self, p: Point2, t: TId) -> Classify {
+    /// The live triangles reachable from `start` without crossing a
+    /// constrained edge, in breadth-first order.
+    fn unconstrained_component(&self, start: TId) -> Vec<TId> {
+        let mut seen = vec![false; self.arena_len()];
+        seen[start as usize] = true;
+        let mut out = vec![start];
+        let mut i = 0;
+        while i < out.len() {
+            let tri = self.tri(out[i]);
+            i += 1;
+            for e in 0..3 {
+                let n = tri.nbr[e];
+                if n != NO_TRI && !tri.is_constrained(e) && !seen[n as usize] {
+                    seen[n as usize] = true;
+                    out.push(n);
+                }
+            }
+        }
+        out
+    }
+
+    /// Exact classification of `p` against triangle `t`. `entered` is the
+    /// edge of `t` the walk came in through (`p` is known to be strictly
+    /// on its inner side), or `NO_EDGE`.
+    #[inline]
+    fn classify_in_tri(&self, p: Point2, t: TId, entered: usize) -> Classify {
         let tri = self.tri(t);
         let pts = self.tri_points(t);
         let mut collinear_edge = None;
         let mut exits = [0usize; 3];
         let mut n_exits = 0;
         for e in 0..3 {
+            if e == entered {
+                continue;
+            }
             let a = pts[(e + 1) % 3];
             let b = pts[(e + 2) % 3];
             match orient2d(a, b, p) {
@@ -131,9 +198,7 @@ impl TriMesh {
             }
         }
         if n_exits > 0 {
-            let mut cands = Vec::with_capacity(n_exits);
-            cands.extend_from_slice(&exits[..n_exits]);
-            return Classify::Exit(cands);
+            return Classify::Exit(exits, n_exits);
         }
         match collinear_edge {
             None => Classify::Inside,
@@ -157,7 +222,8 @@ enum Classify {
     Inside,
     OnEdge(usize),
     OnVertex(VId),
-    Exit(Vec<usize>),
+    /// The exit edges (`p` strictly outside) and how many of them.
+    Exit([usize; 3], usize),
 }
 
 #[cfg(test)]
@@ -260,5 +326,85 @@ mod tests {
             m.locate_from(p(0.9, 0.9), 0, WalkMode::Free),
             Location::Inside(1)
         );
+    }
+
+    /// Forces the walk's step-count fallback for the duration of a test.
+    struct StepCap;
+
+    impl StepCap {
+        fn set(n: usize) -> StepCap {
+            MAX_STEPS_OVERRIDE.with(|c| c.set(Some(n)));
+            StepCap
+        }
+    }
+
+    impl Drop for StepCap {
+        fn drop(&mut self) {
+            MAX_STEPS_OVERRIDE.with(|c| c.set(None));
+        }
+    }
+
+    /// A strip of four triangles `t0 | t1 ‖ t2 | t3` with the middle edge
+    /// (b, d) constrained.
+    fn walled_strip() -> TriMesh {
+        let mut m = TriMesh::new();
+        let a = m.add_vertex(p(0.0, 0.0), VFlags::default());
+        let b = m.add_vertex(p(1.0, 0.0), VFlags::default());
+        let c = m.add_vertex(p(0.0, 1.0), VFlags::default());
+        let d = m.add_vertex(p(1.0, 1.0), VFlags::default());
+        let e = m.add_vertex(p(2.0, 0.0), VFlags::default());
+        let f = m.add_vertex(p(2.0, 1.0), VFlags::default());
+        let t0 = m.add_tri([a, b, c]);
+        let t1 = m.add_tri([b, d, c]);
+        let t2 = m.add_tri([b, e, d]);
+        let t3 = m.add_tri([e, f, d]);
+        m.link(t0, 0, t1, 1);
+        m.link(t1, 2, t2, 1);
+        m.link(t2, 0, t3, 1);
+        m.tri_mut(t1).set_constrained(2, true);
+        m.tri_mut(t2).set_constrained(1, true);
+        m.validate().unwrap();
+        m
+    }
+
+    #[test]
+    fn exhaustive_fallback_honours_walk_mode() {
+        let m = walled_strip();
+        // Inside t3, behind the wall seen from t0.
+        let hidden = p(1.8, 0.9);
+        // One free step, then the fallback.
+        let _cap = StepCap::set(0);
+        // Free mode: the fallback may look anywhere.
+        assert_eq!(
+            m.locate_from(hidden, 0, WalkMode::Free),
+            Location::Inside(3)
+        );
+        // StopAtConstrained: the fallback must not return a location on the
+        // far side of the segment (refinement would insert a hidden
+        // circumcenter there); it reports the wall instead.
+        match m.locate_from(hidden, 0, WalkMode::StopAtConstrained) {
+            Location::Outside(er) => {
+                assert!(m.tri(er.t).is_constrained(er.e), "blocking edge {er:?}");
+                assert_eq!((er.t, er.e), (1, 2));
+            }
+            other => panic!("fallback crossed the constrained edge: {other:?}"),
+        }
+        // A point on the near side is still found by the fallback.
+        assert_eq!(
+            m.locate_from(p(0.9, 0.9), 0, WalkMode::StopAtConstrained),
+            Location::Inside(1)
+        );
+    }
+
+    #[test]
+    fn walk_and_fallback_agree_without_walls() {
+        let mut m = walled_strip();
+        m.tri_mut(1).set_constrained(2, false);
+        m.tri_mut(2).set_constrained(1, false);
+        let q = p(1.8, 0.9);
+        let walked = m.locate_from(q, 0, WalkMode::StopAtConstrained);
+        let _cap = StepCap::set(0);
+        assert_eq!(m.locate_from(q, 0, WalkMode::StopAtConstrained), walked);
+        assert_eq!(walked, Location::Inside(3));
     }
 }

@@ -107,11 +107,24 @@ pub struct TriMesh {
     pub(crate) n_alive: usize,
     /// Point-location hint: the last triangle touched.
     pub(crate) hint: TId,
+    /// Scratch: the legalization stack the split routines fill and
+    /// `legalize` drains. Empty between insertions; kept only so that its
+    /// capacity is reused. Not mesh state — never encoded, compared, or
+    /// charged to [`TriMesh::mem_footprint`].
+    pub(crate) stack: Vec<EdgeRef>,
 }
 
 impl TriMesh {
     pub fn new() -> Self {
         TriMesh::default()
+    }
+
+    /// Reserve room for `vertices` more vertices and `tris` more triangles,
+    /// so that adding them does not reallocate the arenas.
+    pub fn reserve(&mut self, vertices: usize, tris: usize) {
+        self.pts.reserve(vertices);
+        self.vflags.reserve(vertices);
+        self.tris.reserve(tris);
     }
 
     // ----- vertices ------------------------------------------------------

@@ -79,6 +79,11 @@ pub struct RefineReport {
     /// Bad triangles remaining at the end of the pass (0 unless a region
     /// restriction or a cap stopped the pass early).
     pub remaining_bad: usize,
+    /// Watermark for a follow-up [`refine_since`]: the mesh's vertex count
+    /// at the end of a pass that left nothing undone — every triangle
+    /// good, no split skipped or abandoned, the cap not hit — and 0
+    /// otherwise (the follow-up must then look at everything).
+    pub settled: VId,
 }
 
 impl RefineReport {
@@ -90,7 +95,35 @@ impl RefineReport {
 
 /// Refine the whole mesh; see [`refine_region`].
 pub fn refine(mesh: &mut TriMesh, params: &RefineParams) -> RefineReport {
-    refine_region(mesh, params, |_| true)
+    run(mesh, params, |_| true, 0)
+}
+
+/// Refine the mesh, inserting only points that satisfy `allow`.
+///
+/// Returns a report; `remaining_bad > 0` means triangles are still bad but
+/// could not be fixed within the region/caps.
+pub fn refine_region(
+    mesh: &mut TriMesh,
+    params: &RefineParams,
+    allow: impl Fn(Point2) -> bool,
+) -> RefineReport {
+    run(mesh, params, allow, 0)
+}
+
+/// [`refine`] for a mesh that an earlier pass with the same `params` left
+/// settled and that has since only had points *inserted*: looks only at
+/// the triangles incident to a vertex `>= since`, where `since` is that
+/// pass's [`RefineReport::settled`].
+///
+/// Every triangle an insertion creates or rewrites contains the inserted
+/// vertex, so these are exactly the triangles that changed; all others
+/// were good then and are the same triangles now, and a good triangle is a
+/// no-op on the work stack. Seeding the changed ones in the same
+/// ascending-id order therefore processes the same bad triangles in the
+/// same sequence and inserts the same Steiner points as a full pass —
+/// the result is identical bit for bit. `since == 0` *is* the full pass.
+pub fn refine_since(mesh: &mut TriMesh, params: &RefineParams, since: VId) -> RefineReport {
+    run(mesh, params, |_| true, since)
 }
 
 /// One unit of refinement work.
@@ -106,39 +139,71 @@ struct Pass<'a, F: Fn(Point2) -> bool> {
     allow: F,
     min_len_sq: f64,
     work: Vec<Work>,
+    /// Scratch for [`Pass::find_encroached_by`]: the would-be cavity.
+    cavity: Vec<TId>,
+    /// Scratch for [`Pass::push_star`].
+    star: Vec<TId>,
+    /// A wanted segment split was abandoned for a reason no counter records.
+    abandoned_split: bool,
     report: RefineReport,
 }
 
-/// Refine the mesh, inserting only points that satisfy `allow`.
-///
-/// Returns a report; `remaining_bad > 0` means triangles are still bad but
-/// could not be fixed within the region/caps.
-pub fn refine_region(
+/// Does `t` have a vertex created at or after the watermark?
+#[inline]
+fn touched(mesh: &TriMesh, t: TId, since: VId) -> bool {
+    mesh.tri(t).v.iter().any(|&v| v >= since)
+}
+
+fn run(
     mesh: &mut TriMesh,
     params: &RefineParams,
     allow: impl Fn(Point2) -> bool,
+    since: VId,
 ) -> RefineReport {
     let mut pass = Pass {
         params,
         allow,
         min_len_sq: params.min_edge_len * params.min_edge_len,
         work: Vec::new(),
+        cavity: Vec::new(),
+        star: Vec::new(),
+        abandoned_split: false,
         report: RefineReport::default(),
     };
+    debug_assert!(
+        mesh.tri_ids()
+            .all(|t| touched(mesh, t, since) || pass.bad_circumcenter(mesh, t).is_none()),
+        "refine_since: a triangle older than the watermark is bad"
+    );
 
-    // Seed: all segments (encroachment check) then all triangles.
+    // Seed in ascending id order: each changed triangle that is bad (a good
+    // one would be popped, measured and dropped — or be stale by then),
+    // then its segments. A segment is also seeded from its unchanged side
+    // when the triangle across it changed: the new apex may encroach it.
     for t in mesh.tri_ids() {
-        pass.work.push(Work::Tri(t, mesh.tri(t).v));
+        let tri = mesh.tri(t);
+        let changed = touched(mesh, t, since);
+        if changed && pass.bad_circumcenter(mesh, t).is_some() {
+            pass.work.push(Work::Tri(t, tri.v));
+        }
+        if tri.constrained == 0 {
+            continue;
+        }
         for e in 0..3 {
-            if mesh.tri(t).is_constrained(e) {
+            let across = tri.nbr[e];
+            if tri.is_constrained(e)
+                && (changed || (across != NO_TRI && touched(mesh, across, since)))
+            {
                 let er = EdgeRef { t, e };
                 pass.work.push(Work::Seg(er, mesh.edge_verts(er)));
             }
         }
     }
 
+    let mut capped = false;
     while let Some(w) = pass.work.pop() {
         if pass.report.points_added() >= params.max_inserted {
+            capped = true;
             break;
         }
         match w {
@@ -148,21 +213,37 @@ pub fn refine_region(
     }
 
     // Count what is still bad (for region-restricted or capped passes).
-    let ids: Vec<TId> = mesh.tri_ids().collect();
-    for t in ids {
-        let [a, b, c] = mesh.tri_points(t);
-        let q = TriangleQuality::of(a, b, c);
-        let Some(cc) = circumcenter(a, b, c) else {
-            continue;
-        };
-        if q.is_skinny(params.max_ratio) || q.is_oversized(params.sizing.size_at(cc)) {
+    for t in mesh.tri_ids() {
+        if touched(mesh, t, since) && pass.bad_circumcenter(mesh, t).is_some() {
             pass.report.remaining_bad += 1;
         }
+    }
+    let r = &mut pass.report;
+    let nothing_undone = !capped
+        && !pass.abandoned_split
+        && r.remaining_bad == 0
+        && r.skipped_region == 0
+        && r.skipped_min_len == 0;
+    if nothing_undone {
+        r.settled = mesh.num_vertices() as VId;
     }
     pass.report
 }
 
 impl<F: Fn(Point2) -> bool> Pass<'_, F> {
+    /// The circumcenter and squared shortest edge of `t` if it is bad —
+    /// skinny, or oversized at its circumcenter; `None` for a good (or
+    /// exactly degenerate, hence unactionable) triangle.
+    #[inline]
+    fn bad_circumcenter(&self, mesh: &TriMesh, t: TId) -> Option<(Point2, f64)> {
+        let [a, b, c] = mesh.tri_points(t);
+        let q = TriangleQuality::of(a, b, c);
+        let cc = circumcenter(a, b, c)?;
+        let skinny = q.is_skinny(self.params.max_ratio);
+        let oversized = q.is_oversized(self.params.sizing.size_at(cc));
+        (skinny || oversized).then_some((cc, q.shortest_edge_sq))
+    }
+
     /// Is the segment `er` still present with the same endpoints?
     fn seg_is_current(&self, mesh: &TriMesh, er: EdgeRef, key: (VId, VId)) -> bool {
         mesh.is_alive(er.t) && mesh.tri(er.t).is_constrained(er.e) && mesh.edge_verts(er) == key
@@ -211,6 +292,7 @@ impl<F: Fn(Point2) -> bool> Pass<'_, F> {
         }
         let mid = pa.midpoint(pb);
         if mid == pa || mid == pb {
+            self.abandoned_split = true;
             return None;
         }
         if !(self.allow)(mid) {
@@ -229,7 +311,10 @@ impl<F: Fn(Point2) -> bool> Pass<'_, F> {
                 self.push_star(mesh, v);
                 Some(v)
             }
-            _ => None,
+            _ => {
+                self.abandoned_split = true;
+                None
+            }
         }
     }
 
@@ -237,17 +322,10 @@ impl<F: Fn(Point2) -> bool> Pass<'_, F> {
         if !mesh.is_alive(t) || mesh.tri(t).v != key {
             return;
         }
-        let [a, b, c] = mesh.tri_points(t);
-        let q = TriangleQuality::of(a, b, c);
-        let Some(cc) = circumcenter(a, b, c) else {
-            return; // exactly degenerate; cannot act on it
-        };
-        let skinny = q.is_skinny(self.params.max_ratio);
-        let oversized = q.is_oversized(self.params.sizing.size_at(cc));
-        if !skinny && !oversized {
+        let Some((cc, shortest_edge_sq)) = self.bad_circumcenter(mesh, t) else {
             return;
-        }
-        if q.shortest_edge_sq < self.min_len_sq {
+        };
+        if shortest_edge_sq < self.min_len_sq {
             self.report.skipped_min_len += 1;
             return;
         }
@@ -306,19 +384,20 @@ impl<F: Fn(Point2) -> bool> Pass<'_, F> {
     /// Compute the would-be insertion cavity of `cc` (triangles whose
     /// circumcircle contains `cc`, flood-filled without crossing
     /// constraints) and return the first constrained boundary edge whose
-    /// diametral circle strictly contains `cc`.
-    fn find_encroached_by(&self, mesh: &TriMesh, cc: Point2, loc: Location) -> Option<EdgeRef> {
+    /// diametral circle strictly contains `cc`. The cavity is a handful of
+    /// triangles, so membership is a linear scan of the scratch buffer.
+    fn find_encroached_by(&mut self, mesh: &TriMesh, cc: Point2, loc: Location) -> Option<EdgeRef> {
         use pumg_geometry::incircle;
         let seed = match loc {
             Location::Inside(t) => t,
             Location::OnEdge(er) => er.t,
             _ => return None,
         };
-        let mut cavity = vec![seed];
-        let mut seen = std::collections::HashSet::from([seed]);
+        self.cavity.clear();
+        self.cavity.push(seed);
         let mut i = 0;
-        while i < cavity.len() {
-            let t = cavity[i];
+        while i < self.cavity.len() {
+            let t = self.cavity[i];
             i += 1;
             let tri = *mesh.tri(t);
             for e in 0..3 {
@@ -332,13 +411,12 @@ impl<F: Fn(Point2) -> bool> Pass<'_, F> {
                     }
                     continue;
                 }
-                if n == NO_TRI || seen.contains(&n) {
+                if n == NO_TRI || self.cavity.contains(&n) {
                     continue;
                 }
                 let [x, y, z] = mesh.tri_points(n);
                 if incircle(x, y, z, cc) > 0 {
-                    seen.insert(n);
-                    cavity.push(n);
+                    self.cavity.push(n);
                 }
             }
         }
@@ -356,7 +434,8 @@ impl<F: Fn(Point2) -> bool> Pass<'_, F> {
                 None => return,
             }
         };
-        for t in mesh.star_of(v, start) {
+        mesh.star_into(v, start, &mut self.star);
+        for &t in &self.star {
             self.work.push(Work::Tri(t, mesh.tri(t).v));
             for e in 0..3 {
                 if mesh.tri(t).is_constrained(e) {

@@ -37,6 +37,7 @@ pub enum SizingField {
 
 impl SizingField {
     /// Target circumradius at `p`. Always positive for well-formed fields.
+    #[inline]
     pub fn size_at(&self, p: Point2) -> f64 {
         match self {
             SizingField::Uniform(h) => *h,

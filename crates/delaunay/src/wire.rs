@@ -117,42 +117,49 @@ pub fn decode_points(buf: &[u8]) -> Result<(Vec<Point2>, Vec<VFlags>), WireError
 impl TriMesh {
     /// Serialize the live part of the mesh (compacting ids).
     pub fn encode(&self) -> Vec<u8> {
-        // Remap referenced vertices, order-preserving.
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// [`TriMesh::encode`] appended to a caller-owned buffer, so an object
+    /// that embeds a mesh serializes it in place instead of copying it in.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        // Referenced vertices are renumbered in order of first reference and
+        // live triangles in arena order; a vertex record is written the
+        // moment its vertex is first met, so one pass over the triangles
+        // produces the whole vertex section. Its count is patched in after.
         let mut vmap = vec![NO_VERT; self.num_vertices()];
-        let mut verts = Vec::new();
-        let live: Vec<_> = self.tri_ids().collect();
-        for &t in &live {
+        let mut tmap = vec![NO_TRI; self.arena_len()];
+        let nt = self.num_tris();
+        buf.reserve(12 + self.num_vertices() * 17 + nt * 25);
+        put_u32(buf, MESH_MAGIC);
+        let nv_at = buf.len();
+        put_u32(buf, 0);
+        put_u32(buf, nt as u32);
+        let mut nv = 0u32;
+        for (i, t) in self.tri_ids().enumerate() {
+            tmap[t as usize] = i as u32;
             for &v in &self.tri(t).v {
                 if vmap[v as usize] == NO_VERT {
-                    vmap[v as usize] = verts.len() as u32;
-                    verts.push(v);
+                    vmap[v as usize] = nv;
+                    nv += 1;
+                    let p = self.point(v);
+                    put_f64(buf, p.x);
+                    put_f64(buf, p.y);
+                    buf.push(self.vflags(v).0);
                 }
             }
         }
-        // Remap triangles, order-preserving.
-        let mut tmap = vec![NO_TRI; self.arena_len()];
-        for (i, &t) in live.iter().enumerate() {
-            tmap[t as usize] = i as u32;
-        }
-
-        let mut buf = Vec::with_capacity(16 + verts.len() * 17 + live.len() * 25);
-        put_u32(&mut buf, MESH_MAGIC);
-        put_u32(&mut buf, verts.len() as u32);
-        put_u32(&mut buf, live.len() as u32);
-        for &v in &verts {
-            let p = self.point(v);
-            put_f64(&mut buf, p.x);
-            put_f64(&mut buf, p.y);
-            buf.push(self.vflags(v).0);
-        }
-        for &t in &live {
+        buf[nv_at..nv_at + 4].copy_from_slice(&nv.to_le_bytes());
+        for t in self.tri_ids() {
             let tri = self.tri(t);
             for &v in &tri.v {
-                put_u32(&mut buf, vmap[v as usize]);
+                put_u32(buf, vmap[v as usize]);
             }
             for &n in &tri.nbr {
                 put_u32(
-                    &mut buf,
+                    buf,
                     if n == NO_TRI {
                         NO_TRI
                     } else {
@@ -162,7 +169,6 @@ impl TriMesh {
             }
             buf.push(tri.constrained);
         }
-        buf
     }
 
     /// Inverse of [`TriMesh::encode`].
@@ -174,6 +180,9 @@ impl TriMesh {
         let nv = r.u32()? as usize;
         let nt = r.u32()? as usize;
         let mut mesh = TriMesh::new();
+        // Size the arenas once — but never beyond what the remaining bytes
+        // can hold, so a hostile header cannot force an allocation.
+        mesh.reserve(nv.min(r.remaining() / 17), nt.min(r.remaining() / 25));
         for _ in 0..nv {
             let x = r.f64()?;
             let y = r.f64()?;

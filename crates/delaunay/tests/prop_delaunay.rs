@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use pumg_delaunay::builder::MeshBuilder;
 use pumg_delaunay::mesh::{TriMesh, VFlags};
-use pumg_delaunay::refine::{refine, RefineParams};
+use pumg_delaunay::refine::{refine, refine_since, RefineParams};
 use pumg_geometry::Point2;
 
 fn interior_points(n: usize, w: f64, h: f64) -> impl Strategy<Value = Vec<Point2>> {
@@ -113,5 +113,49 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// `refine_since` seeded with what the insertions touched must equal a
+    /// full `refine` byte for byte — on a carved domain (every segment on
+    /// the hull) and on one with interior chords (segments with a triangle
+    /// on each side, where a new apex can encroach from the far side).
+    #[test]
+    fn refine_since_equals_full_refine(
+        pts in interior_points(60, 2.0, 2.0),
+        chords in 0usize..3,
+        hole in any::<bool>(),
+        size in 0.06..0.2f64,
+    ) {
+        let mut b = MeshBuilder::rectangle(0.0, 0.0, 2.0, 2.0);
+        for i in 0..chords {
+            let y = 0.3 + 0.25 * i as f64;
+            let p0 = b.add_point(Point2::new(0.2, y));
+            let p1 = b.add_point(Point2::new(1.8, y));
+            b.add_segment(p0, p1);
+        }
+        if hole {
+            b = b.with_circular_hole(Point2::new(1.0, 1.4), 0.3, 12);
+        }
+        let mut base = b.build().unwrap();
+        let params = RefineParams::with_uniform_size(size);
+        let first = refine(&mut base, &params);
+        // An unsettled first pass hands out watermark 0, which makes the
+        // follow-up a full pass: equal by construction, nothing to learn.
+        prop_assume!(first.settled > 0);
+        prop_assert_eq!(first.settled as usize, base.num_vertices());
+
+        let mut incremental = base.clone();
+        let mut full = base;
+        for &p in &pts {
+            let a = incremental.insert_point(p, VFlags::default());
+            let b = full.insert_point(p, VFlags::default());
+            prop_assert_eq!(a, b);
+        }
+        let r_inc = refine_since(&mut incremental, &params, first.settled);
+        let r_full = refine(&mut full, &params);
+        prop_assert_eq!(r_inc, r_full);
+        prop_assert_eq!(incremental.encode(), full.encode());
+        prop_assert_eq!(incremental.arena_len(), full.arena_len());
+        prop_assert!(incremental.validate().is_ok());
     }
 }

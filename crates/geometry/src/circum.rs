@@ -23,6 +23,7 @@ pub fn triangle_area2(a: Point2, b: Point2, c: Point2) -> f64 {
 ///
 /// Returns `None` when the triangle is (numerically) degenerate: the
 /// determinant underflows to zero and no finite center exists.
+#[inline]
 pub fn circumcenter(a: Point2, b: Point2, c: Point2) -> Option<Point2> {
     let bp = b - a;
     let cp = c - a;
@@ -40,6 +41,7 @@ pub fn circumcenter(a: Point2, b: Point2, c: Point2) -> Option<Point2> {
 
 /// Squared circumradius of triangle `(a, b, c)`; `f64::INFINITY` for a
 /// degenerate triangle.
+#[inline]
 pub fn circumradius_sq(a: Point2, b: Point2, c: Point2) -> f64 {
     match circumcenter(a, b, c) {
         Some(cc) => cc.dist_sq(a),
@@ -48,6 +50,7 @@ pub fn circumradius_sq(a: Point2, b: Point2, c: Point2) -> f64 {
 }
 
 /// Squared length of the shortest edge of triangle `(a, b, c)`.
+#[inline]
 pub fn shortest_edge_sq(a: Point2, b: Point2, c: Point2) -> f64 {
     a.dist_sq(b).min(b.dist_sq(c)).min(c.dist_sq(a))
 }
@@ -67,6 +70,7 @@ pub struct TriangleQuality {
 
 impl TriangleQuality {
     /// Measure triangle `(a, b, c)`.
+    #[inline]
     pub fn of(a: Point2, b: Point2, c: Point2) -> TriangleQuality {
         let r2 = circumradius_sq(a, b, c);
         let e2 = shortest_edge_sq(a, b, c);

@@ -37,6 +37,11 @@ const ICC_ERRBOUND_A: f64 = (10.0 + 96.0 * EPSILON) * EPSILON;
 /// `| ax-cx  ay-cy |`
 /// `| bx-cx  by-cy |`,
 /// exactly rounded.
+///
+/// The filtered evaluation is `#[inline]` so callers in other crates pay
+/// no call for the common case; the expansion-arithmetic fallback stays
+/// out of line ([`orient2d_slow`]).
+#[inline]
 pub fn orient2d(a: Point2, b: Point2, c: Point2) -> Orientation {
     let detleft = (a.x - c.x) * (b.y - c.y);
     let detright = (a.y - c.y) * (b.x - c.x);
@@ -61,6 +66,13 @@ pub fn orient2d(a: Point2, b: Point2, c: Point2) -> Orientation {
         return sign_to_orientation(det);
     }
 
+    orient2d_slow(a, b, c)
+}
+
+/// The filter could not certify the sign: decide it exactly.
+#[cold]
+#[inline(never)]
+fn orient2d_slow(a: Point2, b: Point2, c: Point2) -> Orientation {
     sign_to_orientation(orient2d_exact(a, b, c) as f64)
 }
 
@@ -100,6 +112,10 @@ fn sign_to_orientation(det: f64) -> Orientation {
 ///
 /// If `(a, b, c)` is clockwise the sign is inverted, matching the standard
 /// determinant definition.
+///
+/// `#[inline]` for the same reason as [`orient2d`]; the exact fallback is
+/// [`incircle_exact`], kept cold and out of line.
+#[inline]
 pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> i32 {
     let adx = a.x - d.x;
     let bdx = b.x - d.x;
@@ -144,6 +160,8 @@ pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> i32 {
 /// The translations `a − d` etc. are performed with error-free
 /// transformations, so the entire computation is exact even though it is
 /// expressed on translated points.
+#[cold]
+#[inline(never)]
 fn incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> i32 {
     // Each translated coordinate is an exact 2-component expansion.
     let adx = diff_expansion(a.x, d.x);

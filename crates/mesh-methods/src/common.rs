@@ -61,14 +61,26 @@ impl MethodResult {
 
 // ----- point-set payloads ---------------------------------------------------
 
-/// Encode a point batch (the data unit UPDR/NUPDR ship between blocks).
-pub fn encode_point_batch(pts: &[Point2]) -> Vec<u8> {
-    let mut w = PayloadWriter::with_capacity(8 + pts.len() * 16);
+/// The body of a point batch: count, then coordinates.
+fn write_points(w: &mut PayloadWriter, pts: &[Point2]) {
     w.u32(pts.len() as u32);
     for p in pts {
         w.f64(p.x).f64(p.y);
     }
+}
+
+/// Encode a point batch (the data unit UPDR/NUPDR ship between blocks).
+pub fn encode_point_batch(pts: &[Point2]) -> Vec<u8> {
+    let mut w = PayloadWriter::with_capacity(8 + pts.len() * 16);
+    write_points(&mut w, pts);
     w.finish()
+}
+
+/// Append a point batch as a length-prefixed block — the same bytes as
+/// `w.bytes(&encode_point_batch(pts))`, written in place.
+pub fn put_point_batch(w: &mut PayloadWriter, pts: &[Point2]) {
+    w.u32((4 + pts.len() * 16) as u32);
+    write_points(w, pts);
 }
 
 /// Inverse of [`encode_point_batch`].
@@ -334,6 +346,10 @@ mod tests {
         assert_eq!(buf.len(), point_batch_bytes(2) - 4);
         assert_eq!(decode_point_batch(&buf).unwrap(), pts);
         assert!(decode_point_batch(&buf[..buf.len() - 1]).is_err());
+        let (mut copied, mut in_place) = (PayloadWriter::new(), PayloadWriter::new());
+        copied.bytes(&buf);
+        put_point_batch(&mut in_place, &pts);
+        assert_eq!(in_place.finish(), copied.finish());
     }
 
     #[test]

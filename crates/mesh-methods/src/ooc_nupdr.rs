@@ -20,8 +20,8 @@
 //! mobile message** that pre-collects the leaf and its buffer in-core.
 
 use crate::common::{
-    decode_point_batch, encode_point_batch, get_bbox, get_workload, put_bbox, put_workload,
-    MethodResult,
+    decode_point_batch, encode_point_batch, get_bbox, get_workload, put_bbox, put_point_batch,
+    put_workload, MethodResult,
 };
 use crate::domain::Workload;
 use crate::nupdr::{build_leaves, leaf_task, LeafInfo, NupdrParams};
@@ -169,19 +169,19 @@ impl MobileObject for LeafObj {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        let mut w = PayloadWriter::with_capacity(64 + 16 * self.points.len());
+        let mut w = PayloadWriter::appending(std::mem::take(buf));
         w.u32(self.idx);
         put_bbox(&mut w, &self.bbox);
         put_bbox(&mut w, &self.region);
         put_workload(&mut w, &self.workload);
         self.opts.encode(&mut w);
-        w.bytes(&encode_point_batch(&self.points));
+        put_point_batch(&mut w, &self.points);
         w.ptrs(&self.buffer_ptrs);
         w.ptr(self.queue_ptr);
         w.u64(self.elems).u64(self.verts);
         w.u32(self.expected);
-        w.bytes(&encode_point_batch(&self.collected));
-        buf.extend_from_slice(&w.finish());
+        put_point_batch(&mut w, &self.collected);
+        *buf = w.finish();
     }
 
     fn footprint(&self) -> usize {
@@ -368,7 +368,7 @@ impl MobileObject for QueueObj {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::appending(std::mem::take(buf));
         put_workload(&mut w, &self.workload);
         self.opts.encode(&mut w);
         w.ptrs(&self.leaf_ptrs);
@@ -396,7 +396,7 @@ impl MobileObject for QueueObj {
         }
         w.u32(self.active);
         w.u64(self.dispatched_tasks);
-        buf.extend_from_slice(&w.finish());
+        *buf = w.finish();
     }
 
     fn footprint(&self) -> usize {

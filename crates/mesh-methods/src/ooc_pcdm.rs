@@ -73,11 +73,11 @@ impl MobileObject for SubObj {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        let mut w = PayloadWriter::with_capacity(self.sd.mesh.mem_footprint() / 2);
+        let mut w = PayloadWriter::appending(std::mem::take(buf));
         put_workload(&mut w, &self.workload);
         w.u64(self.sd.idx as u64);
         put_bbox(&mut w, &self.sd.cell);
-        w.bytes(&self.sd.mesh.encode());
+        w.bytes_with(|b| self.sd.mesh.encode_into(b));
         w.u32(self.sd.known.len() as u32);
         let mut known: Vec<_> = self.sd.known.iter().copied().collect();
         known.sort_unstable();
@@ -94,7 +94,7 @@ impl MobileObject for SubObj {
                 }
             }
         }
-        buf.extend_from_slice(&w.finish());
+        *buf = w.finish();
     }
 
     fn footprint(&self) -> usize {

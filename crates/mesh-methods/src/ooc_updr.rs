@@ -21,12 +21,12 @@
 //! mesh is byte-identical across modes and schedules.
 
 use crate::common::{
-    decode_point_batch, encode_point_batch, fnv1a, get_bbox, get_workload, put_bbox, put_workload,
-    MethodResult,
+    decode_point_batch, encode_point_batch, fnv1a, get_bbox, get_workload, put_bbox,
+    put_point_batch, put_workload, MethodResult,
 };
 use crate::domain::Workload;
 use crate::updr::{
-    block_counts, block_phase1, block_phase3, buffer_points_for, decompose, Block, UpdrParams,
+    block_counts, block_phase1, block_phase3, buffer_batches, decompose, Block, UpdrParams,
 };
 use mrts::codec::{PayloadReader, PayloadWriter};
 use mrts::config::{MrtsConfig, SchedMode};
@@ -35,6 +35,7 @@ use mrts::des::DesRuntime;
 use mrts::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use mrts::object::{MobileObject, ObjectDecodeError};
 use mrts::sched::PhaseGate;
+use pumg_delaunay::mesh::VId;
 use pumg_delaunay::TriMesh;
 use pumg_geometry::{BBox, Point2};
 use std::any::Any;
@@ -63,6 +64,10 @@ pub struct BlockObj {
     pub neighbor_ptrs: Vec<MobilePtr>,
     pub neighbor_regions: Vec<BBox>,
     pub mesh: Option<TriMesh>,
+    /// Phase 1's refinement watermark for `mesh` (see
+    /// [`block_phase1`]). In-memory knowledge only: not on the wire, 0
+    /// after a reload, and phase 3 then re-examines the whole mesh.
+    pub settled: VId,
     /// Dependency-driven (DAG) phase progression, vs. coordinator barriers.
     pub dag: bool,
     /// This block ran phase 2 (shipped its buffer points).
@@ -120,6 +125,7 @@ impl BlockObj {
             neighbor_ptrs,
             neighbor_regions,
             mesh,
+            settled: 0,
             dag,
             shipped,
             gate,
@@ -137,8 +143,7 @@ impl MobileObject for BlockObj {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        let cap = self.mesh.as_ref().map_or(256, |m| m.mem_footprint());
-        let mut w = PayloadWriter::with_capacity(cap);
+        let mut w = PayloadWriter::appending(std::mem::take(buf));
         w.u32(self.idx);
         put_bbox(&mut w, &self.cell);
         put_bbox(&mut w, &self.region);
@@ -153,15 +158,15 @@ impl MobileObject for BlockObj {
                 w.u8(0);
             }
             Some(m) => {
-                w.u8(1).bytes(&m.encode());
+                w.u8(1).bytes_with(|b| m.encode_into(b));
             }
         }
         w.u8(self.dag as u8).u8(self.shipped as u8);
         self.gate.encode(&mut w);
         w.u32(self.expected);
-        w.bytes(&encode_point_batch(&self.received));
+        put_point_batch(&mut w, &self.received);
         w.u64(self.elems).u64(self.verts);
-        buf.extend_from_slice(&w.finish());
+        *buf = w.finish();
     }
 
     fn footprint(&self) -> usize {
@@ -293,7 +298,9 @@ fn h_c_done3(obj: &mut dyn MobileObject, _ctx: &mut Ctx, payload: &[u8]) {
 /// coordinator (barrier mode) or to the in-neighborhood (DAG mode).
 fn h_b_p1(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
     let b = block_mut(obj);
-    b.mesh = block_phase1(&b.workload, &b.block());
+    let (mesh, settled) = block_phase1(&b.workload, &b.block()).unzip();
+    b.mesh = mesh;
+    b.settled = settled.unwrap_or(0);
     if b.dag {
         let mut w = PayloadWriter::new();
         w.u8(1);
@@ -331,12 +338,12 @@ fn h_b_p2(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
 /// empty batch still counts — receivers count arrivals against the known
 /// neighbor count; UPDR's communication is fully structured).
 fn do_phase2(b: &mut BlockObj, ctx: &mut Ctx) {
-    for (i, &np) in b.neighbor_ptrs.iter().enumerate() {
-        let pts = match &b.mesh {
-            Some(m) => buffer_points_for(m, &b.cell, &b.neighbor_regions[i]),
-            None => Vec::new(),
-        };
-        ctx.send(np, H_B_PTS, encode_point_batch(&pts));
+    let batches = match &b.mesh {
+        Some(m) => buffer_batches(m, &b.cell, &b.neighbor_regions),
+        None => vec![Vec::new(); b.neighbor_ptrs.len()],
+    };
+    for (&np, pts) in b.neighbor_ptrs.iter().zip(&batches) {
+        ctx.send(np, H_B_PTS, encode_point_batch(pts));
     }
     b.shipped = true;
     if b.expected == 0 {
@@ -366,7 +373,7 @@ fn finish_phase3(b: &mut BlockObj, ctx: &mut Ctx) {
     let block = b.block();
     let received = std::mem::take(&mut b.received);
     if let Some(mesh) = b.mesh.as_mut() {
-        block_phase3(&b.workload, &block, mesh, &received);
+        block_phase3(&b.workload, &block, mesh, b.settled, &received);
         let (t, v) = block_counts(mesh, &block, &b.workload.domain.bbox());
         b.elems = t;
         b.verts = v;
@@ -442,6 +449,7 @@ fn make_block(params: &UpdrParams, lay: &Layout, b: &Block, dag: bool) -> BlockO
         neighbor_ptrs: b.neighbors.iter().map(|&x| lay.ptrs[x]).collect(),
         neighbor_regions: b.neighbors.iter().map(|&x| lay.blocks[x].region).collect(),
         mesh: None,
+        settled: 0,
         dag,
         shipped: false,
         gate: PhaseGate::new(b.neighbors.len(), GATE_PHASES),
@@ -647,7 +655,7 @@ mod tests {
     fn block_obj_roundtrip() {
         let p = params(1500, 2);
         let blocks = decompose(&p);
-        let mesh = block_phase1(&p.workload, &blocks[0]);
+        let (mesh, settled) = block_phase1(&p.workload, &blocks[0]).unzip();
         let mut gate = PhaseGate::new(1, GATE_PHASES);
         gate.on_commit(1);
         let obj = BlockObj {
@@ -659,6 +667,7 @@ mod tests {
             neighbor_ptrs: vec![MobilePtr::new(ObjectId::new(1, 1))],
             neighbor_regions: vec![blocks[1].region],
             mesh,
+            settled: settled.unwrap_or(0),
             dag: true,
             shipped: true,
             gate,

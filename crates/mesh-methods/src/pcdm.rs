@@ -14,8 +14,8 @@ use crate::common::{point_batch_bytes, ClusterSim, MethodError, MethodResult};
 use crate::domain::Workload;
 use crate::region::mesh_region;
 use mrts::config::NetModel;
-use pumg_delaunay::mesh::VFlags;
-use pumg_delaunay::refine::{refine, RefineParams};
+use pumg_delaunay::mesh::{VFlags, VId};
+use pumg_delaunay::refine::{refine_since, RefineParams};
 use pumg_delaunay::TriMesh;
 use pumg_geometry::{BBox, Point2};
 use std::collections::HashSet;
@@ -49,6 +49,13 @@ pub struct Subdomain {
     pub idx: usize,
     pub cell: BBox,
     pub mesh: TriMesh,
+    /// Refinement watermark of `mesh`
+    /// ([`RefineReport::settled`](pumg_delaunay::RefineReport::settled)
+    /// of the last [`Subdomain::refine_step`]); between steps the mesh only
+    /// gains points ([`Subdomain::insert_splits`]), so the next step looks
+    /// only at what those changed. In-memory knowledge only: 0 for a
+    /// fresh or reloaded subdomain.
+    pub(crate) settled: VId,
     /// Interface points already shared (or original) per side.
     pub(crate) known: HashSet<(u64, u64)>,
     /// Neighbor subdomain index per side (W, E, S, N).
@@ -69,6 +76,7 @@ impl Subdomain {
             idx,
             cell,
             mesh,
+            settled: 0,
             known,
             neighbors,
         }
@@ -100,7 +108,7 @@ impl Subdomain {
     pub fn refine_step(&mut self, workload: &Workload) -> [Vec<Point2>; SIDES] {
         let mut params = RefineParams::with_sizing(workload.sizing.field());
         params.min_edge_len = workload.sizing.min_size() * 0.05;
-        refine(&mut self.mesh, &params);
+        self.settled = refine_since(&mut self.mesh, &params, self.settled).settled;
         let mut out: [Vec<Point2>; SIDES] = Default::default();
         for (side, out_side) in out.iter_mut().enumerate() {
             if self.neighbors[side].is_none() {
@@ -167,6 +175,7 @@ pub fn build_subdomains(params: &PcdmParams) -> Vec<Subdomain> {
                 idx: subs.len(),
                 cell,
                 mesh,
+                settled: 0,
                 known: HashSet::new(),
                 neighbors: [None; SIDES],
             };

@@ -18,7 +18,7 @@ use crate::common::{point_batch_bytes, ClusterSim, MethodError, MethodResult};
 use crate::domain::{DomainSpec, SizingSpec, Workload};
 use crate::region::{count_owned_triangles, mesh_region};
 use mrts::config::NetModel;
-use pumg_delaunay::mesh::VFlags;
+use pumg_delaunay::mesh::{VFlags, VId};
 use pumg_delaunay::refine::RefineParams;
 use pumg_delaunay::TriMesh;
 use pumg_geometry::{BBox, Point2};
@@ -154,40 +154,64 @@ fn refine_params(sizing: &SizingSpec) -> RefineParams {
 
 /// Phase 1 kernel: mesh and refine the block's whole region — the paper's
 /// "mesh A ∪ Z" step (the buffer zone is meshed by both sides and remeshed
-/// after the exchange). Returns `None` when the region misses the domain.
-pub fn block_phase1(workload: &Workload, block: &Block) -> Option<TriMesh> {
+/// after the exchange). Returns the mesh and the refinement watermark
+/// ([`RefineReport::settled`](pumg_delaunay::RefineReport::settled)) that
+/// lets [`block_phase3`] look only at what the exchange changed; `None`
+/// when the region misses the domain.
+pub fn block_phase1(workload: &Workload, block: &Block) -> Option<(TriMesh, VId)> {
     let mut mesh = mesh_region(&workload.domain, &block.region)?;
-    pumg_delaunay::refine::refine(&mut mesh, &refine_params(&workload.sizing));
-    Some(mesh)
+    let report = pumg_delaunay::refine::refine(&mut mesh, &refine_params(&workload.sizing));
+    Some((mesh, report.settled))
 }
 
-/// Phase 2 kernel: the owned vertices that fall inside a neighbor's meshed
-/// region (its buffer zone) — the batch shipped to that neighbor.
-pub fn buffer_points_for(mesh: &TriMesh, own_cell: &BBox, neighbor_region: &BBox) -> Vec<Point2> {
-    let mut out = Vec::new();
+/// Phase 2 kernel: for each neighbor, the owned vertices that fall inside
+/// its meshed region (its buffer zone) — the batch shipped to it. One pass
+/// over the vertices the live triangles reference serves every neighbor.
+pub fn buffer_batches(
+    mesh: &TriMesh,
+    own_cell: &BBox,
+    neighbor_regions: &[BBox],
+) -> Vec<Vec<Point2>> {
+    let mut referenced = vec![false; mesh.num_vertices()];
     for t in mesh.tri_ids() {
         for &v in &mesh.tri(t).v {
-            let p = mesh.point(v);
-            if mesh.vflags(v).is(VFlags::SUPER) {
-                continue;
-            }
-            if own_cell.contains(p) && neighbor_region.contains(p) {
-                out.push(p);
+            referenced[v as usize] = true;
+        }
+    }
+    let mut out = vec![Vec::new(); neighbor_regions.len()];
+    for v in (0..mesh.num_vertices() as VId).filter(|&v| referenced[v as usize]) {
+        let p = mesh.point(v);
+        if mesh.vflags(v).is(VFlags::SUPER) || !own_cell.contains(p) {
+            continue;
+        }
+        for (batch, region) in out.iter_mut().zip(neighbor_regions) {
+            if region.contains(p) {
+                batch.push(p);
             }
         }
     }
-    out.sort_by(|a, b| {
-        (a.x, a.y)
-            .partial_cmp(&(b.x, b.y))
-            .expect("refinement coordinates are finite")
-    });
-    out.dedup();
+    for batch in &mut out {
+        batch.sort_by(|a, b| {
+            (a.x, a.y)
+                .partial_cmp(&(b.x, b.y))
+                .expect("refinement coordinates are finite")
+        });
+        batch.dedup();
+    }
     out
 }
 
 /// Phase 3 kernel: integrate the received buffer points ("remesh Z") and
-/// restore quality.
-pub fn block_phase3(workload: &Workload, _block: &Block, mesh: &mut TriMesh, received: &[Point2]) {
+/// restore quality. `settled` is the block's phase-1 watermark, or 0 when
+/// it is not known (a block reloaded from its wire form): refinement then
+/// re-examines every triangle, with the same result.
+pub fn block_phase3(
+    workload: &Workload,
+    _block: &Block,
+    mesh: &mut TriMesh,
+    settled: VId,
+    received: &[Point2],
+) {
     // Insertion order affects which Steiner points refinement later picks;
     // sort so the result is independent of message arrival order (the
     // baseline and the MRTS port then produce identical meshes).
@@ -197,7 +221,7 @@ pub fn block_phase3(workload: &Workload, _block: &Block, mesh: &mut TriMesh, rec
     for &p in &received {
         mesh.insert_point(p, VFlags::default());
     }
-    pumg_delaunay::refine::refine(mesh, &refine_params(&workload.sizing));
+    pumg_delaunay::refine::refine_since(mesh, &refine_params(&workload.sizing), settled);
 }
 
 /// Count the block's owned triangles and vertices.
@@ -253,10 +277,10 @@ pub fn updr_incore_scaled(
     let domain_bbox = params.workload.domain.bbox();
 
     // Phase 1: independent meshing of region = cell ∪ buffer.
-    let mut meshes: Vec<Option<TriMesh>> = Vec::with_capacity(blocks.len());
+    let mut meshes: Vec<Option<(TriMesh, VId)>> = Vec::with_capacity(blocks.len());
     for b in &blocks {
         let mesh = sim.run_on(pe_of(b.idx), || block_phase1(&params.workload, b));
-        if let Some(m) = &mesh {
+        if let Some((m, _)) = &mesh {
             sim.alloc(m.mem_footprint() as u64)?;
         }
         meshes.push(mesh);
@@ -266,9 +290,15 @@ pub fn updr_incore_scaled(
     // Phase 2: structured buffer-point exchange.
     let mut inbox: Vec<Vec<Point2>> = vec![Vec::new(); blocks.len()];
     for b in &blocks {
-        let Some(mesh) = &meshes[b.idx] else { continue };
-        for &n in &b.neighbors {
-            let pts = buffer_points_for(mesh, &b.cell, &blocks[n].region);
+        let Some((mesh, _)) = &meshes[b.idx] else {
+            continue;
+        };
+        let regions: Vec<BBox> = b.neighbors.iter().map(|&n| blocks[n].region).collect();
+        for (&n, pts) in b
+            .neighbors
+            .iter()
+            .zip(buffer_batches(mesh, &b.cell, &regions))
+        {
             if !pts.is_empty() {
                 sim.send(pe_of(b.idx), pe_of(n), point_batch_bytes(pts.len()));
                 inbox[n].extend_from_slice(&pts);
@@ -281,13 +311,13 @@ pub fn updr_incore_scaled(
     let mut elements = 0u64;
     let mut vertices = 0u64;
     for b in &blocks {
-        let Some(mesh) = meshes[b.idx].as_mut() else {
+        let Some((mesh, settled)) = meshes[b.idx].as_mut() else {
             continue;
         };
         let before = mesh.mem_footprint() as u64;
         let received = std::mem::take(&mut inbox[b.idx]);
         sim.run_on(pe_of(b.idx), || {
-            block_phase3(&params.workload, b, mesh, &received)
+            block_phase3(&params.workload, b, mesh, *settled, &received)
         });
         sim.free(before);
         sim.alloc(mesh.mem_footprint() as u64)?;
@@ -362,10 +392,10 @@ mod tests {
         let p = small_square(3000, 2);
         let blocks = decompose(&p);
         for b in &blocks {
-            let mut mesh = block_phase1(&p.workload, b).unwrap();
+            let (mut mesh, settled) = block_phase1(&p.workload, b).unwrap();
             mesh.validate().unwrap();
             // After phase 3 with empty input the mesh remains valid.
-            block_phase3(&p.workload, b, &mut mesh, &[]);
+            block_phase3(&p.workload, b, &mut mesh, settled, &[]);
             mesh.validate().unwrap();
         }
     }
@@ -406,10 +436,11 @@ mod tests {
         // and the receiver's region.
         let p = small_square(3000, 2);
         let blocks = decompose(&p);
-        let mesh = block_phase1(&p.workload, &blocks[0]).unwrap();
-        let pts = buffer_points_for(&mesh, &blocks[0].cell, &blocks[1].region);
+        let (mesh, _) = block_phase1(&p.workload, &blocks[0]).unwrap();
+        let batches = buffer_batches(&mesh, &blocks[0].cell, &[blocks[1].region]);
+        let pts = &batches[0];
         assert!(!pts.is_empty(), "adjacent blocks must exchange something");
-        for q in &pts {
+        for q in pts {
             assert!(blocks[0].cell.contains(*q));
             assert!(blocks[1].region.contains(*q));
         }

@@ -200,7 +200,8 @@ pub enum RuntimeEvent {
         inflight_bytes: usize,
         window_bytes: usize,
     },
-    /// The node's spill log compacted; live payload must be preserved
+    /// The node's spill log ran a cleaning pass (unlinked dead segments,
+    /// possibly relocated live records); live payload must be preserved
     /// exactly.
     Compaction {
         node: NodeId,
@@ -219,8 +220,9 @@ pub enum RuntimeEvent {
         oid: ObjectId,
         cluster: u64,
     },
-    /// A compaction rewrote live records in locality-curve order:
-    /// `curve_ordered` of `live_objects` records carried a curve rank.
+    /// A cleaning pass relocated `curve_ordered` ranked records to the
+    /// log head in locality-curve order; `live_objects` is the log's live
+    /// record count.
     CompactionReorder {
         node: NodeId,
         curve_ordered: usize,

@@ -47,8 +47,9 @@ pub enum SpillBackend {
     /// syscall per spill operation. This was the only layout before the
     /// overlap subsystem; kept for comparison benchmarks.
     PerObjectFile,
-    /// Segmented append-only log (`SegmentStore`): writes coalesce into
-    /// segment-sized batches, dead records are reclaimed by compaction.
+    /// Segmented append-only log (`SegmentStore`): small writes coalesce
+    /// into segment-sized batches, large ones get a segment each, dead
+    /// records are reclaimed segment by segment.
     SegmentLog,
 }
 
@@ -100,10 +101,15 @@ pub struct MrtsConfig {
     /// `spill_dir`-backed runs only).
     pub spill_backend: SpillBackend,
     /// Segment log: bytes buffered per segment before it is sealed with a
-    /// single write syscall.
+    /// single write syscall. A record of at least half this size is not
+    /// buffered: it is written directly as a segment of its own.
     pub segment_bytes: usize,
-    /// Segment log: compact once dead records exceed this fraction of all
-    /// stored bytes.
+    /// Segment log: once dead bytes (dead records, headers, tombstones)
+    /// exceed this fraction of the log, a cleaning pass unlinks the
+    /// segments that died whole and, if the log is still over, relocates
+    /// the live records of the emptiest ones until garbage is down to
+    /// half this fraction. Bounds the segment files to
+    /// `live / (1 - frac)` plus about one segment; `1.0` never cleans.
     pub segment_garbage_frac: f64,
     /// Disable the spill fast path (dirty tracking, clean-eviction
     /// elision, batched eviction writes, pooled spill buffers) and spill

@@ -299,8 +299,8 @@ impl LocalityMap {
     }
 
     /// Curve ranks for the spill keys in `spill_key_of` (an `(oid,
-    /// spill_key)` iterator): what the SegmentStore needs to rewrite live
-    /// records in curve order during compaction.
+    /// spill_key)` iterator): what the SegmentStore needs to relocate live
+    /// records in curve order during a cleaning pass.
     pub fn ranks_for<I: IntoIterator<Item = (ObjectId, u64)>>(
         &self,
         spill_key_of: I,

@@ -111,7 +111,8 @@ pub struct NodeStats {
     /// a sequential (curve-ordered) layout keeps this low relative to
     /// `segment_reads`.
     pub segment_switches: usize,
-    /// Compactions that rewrote live records in locality-curve order.
+    /// Spill-log cleaning passes that relocated ranked live records in
+    /// locality-curve order.
     pub compaction_reorders: usize,
     /// FNV-1a digest of this node's final locality ordering (0 when the
     /// locality layer is off or learned no adjacency). Equal digests mean

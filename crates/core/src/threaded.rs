@@ -1610,8 +1610,8 @@ impl Worker {
 
     /// Ship the locality-curve ranks of all spilled objects to the store
     /// when the ordering changed or enough new spill keys appeared since
-    /// the last shipment — compaction then rewrites live records in curve
-    /// order.
+    /// the last shipment — a cleaning pass then relocates live records in
+    /// curve order.
     fn push_ranks_if_stale(&mut self) {
         let gen = self.locality.generation();
         if gen == 0 {
@@ -1724,10 +1724,13 @@ impl Worker {
                 continue;
             }
             // A hinted (cluster-prefetched) load is look-ahead by nature:
-            // nothing queued demands it, so it must respect the window,
+            // while nothing queued demands it, it must respect the window,
             // the pacing, and degraded-mode shedding even when the node
-            // happens to be idle.
-            let look_ahead = !self.ready.is_empty() || hinted;
+            // happens to be idle. Once a message has queued up behind it,
+            // it is a demand load like any other: on an idle node nothing
+            // will ever free the headroom pacing waits for, and a parked
+            // entry keeps `idle()` false forever.
+            let look_ahead = !self.ready.is_empty() || (hinted && !demanded);
             // A hint with nothing queued behind it is pure opportunism: if
             // it cannot issue under the current gates it must be dropped,
             // not parked — nothing else will ever change an idle node's
@@ -3012,14 +3015,12 @@ impl Worker {
                 used: self.ooc.used()
             }
         );
-        // Materialize all objects for extraction.
+        // Materialize all objects for extraction. Every load is requested
+        // before the first completion is awaited, so the whole I/O pool
+        // works on them; completions come back in any order.
         let mut out: HashMap<ObjectId, ExtractedObject> = HashMap::new();
-        let keys: Vec<ObjectId> = self.table.keys().copied().collect();
-        for oid in keys {
-            let e = self
-                .table
-                .remove(&oid)
-                .expect("tracked object has a table entry");
+        let mut loading: HashMap<ObjectId, (u8, bool)> = HashMap::new();
+        for (oid, e) in self.table.drain() {
             let (priority, locked) = (e.priority, e.locked);
             match e.state {
                 TState::InCore(obj) => {
@@ -3036,32 +3037,45 @@ impl Worker {
                     // Loading cannot remain (outstanding_io drained), but
                     // both carry a spill key.
                     let key = e.spill_key.expect("spilled object has a key");
-                    self.io_tx.send(IoReq::Load { key, oid }).ok();
-                    match self.io_rx.recv() {
-                        Ok(IoDone::Loaded { obj, .. }) => {
-                            out.insert(
-                                oid,
-                                ExtractedObject {
-                                    obj,
-                                    priority,
-                                    locked,
-                                },
-                            );
-                        }
-                        Ok(IoDone::LoadFailed {
-                            error, attempts, ..
-                        }) if self.fatal.is_none() => {
-                            self.fatal = Some(MrtsError::LoadFailed {
-                                node: self.node,
-                                oid,
-                                attempts,
-                                source: error,
-                            });
-                        }
-                        _ => {}
+                    if self.io_tx.send(IoReq::Load { key, oid }).is_ok() {
+                        loading.insert(oid, (priority, locked));
                     }
                 }
                 TState::Moved(_) => {}
+            }
+        }
+        while !loading.is_empty() {
+            match self.io_rx.recv() {
+                Ok(IoDone::Loaded { oid, obj, .. }) => {
+                    if let Some((priority, locked)) = loading.remove(&oid) {
+                        out.insert(
+                            oid,
+                            ExtractedObject {
+                                obj,
+                                priority,
+                                locked,
+                            },
+                        );
+                    }
+                }
+                Ok(IoDone::LoadFailed {
+                    oid,
+                    error,
+                    attempts,
+                    ..
+                }) => {
+                    loading.remove(&oid);
+                    if self.fatal.is_none() {
+                        self.fatal = Some(MrtsError::LoadFailed {
+                            node: self.node,
+                            oid,
+                            attempts,
+                            source: error,
+                        });
+                    }
+                }
+                Ok(_) => {}
+                Err(_) => break, // pool gone; nothing more will arrive
             }
         }
         for _ in 0..self.cfg.io_threads {

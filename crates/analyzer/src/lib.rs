@@ -9,9 +9,8 @@
 //!    threaded engine, map to a DES event (`EvKind` variant or an I/O
 //!    completion) so the two engines cannot drift apart, and reach an
 //!    audit-event emission; every `RunStats` counter that is incremented
-//!    anywhere in the runtime must be reported both by the gate summary
-//!    (`RunStats::summary` or a helper it calls) and by the
-//!    `overlap_smoke` benchmark JSON. This catches the
+//!    anywhere in the runtime must be reported by the gate summary
+//!    (`RunStats::summary` or a helper it calls). This catches the
 //!    "`overlap_fraction_pct = 0` because nobody ever surfaced the
 //!    counter" class of bug at analysis time. Every record/replay
 //!    `Decision` variant must likewise be constructed on the record

@@ -21,9 +21,6 @@ pub enum FileRole {
     Replay,
     /// Declares the counter struct and the summary renderer.
     Stats,
-    /// A reporting surface (benchmark JSON emitter): every incremented
-    /// counter must be mentioned here.
-    Report,
     /// Scanned for lock acquisition order.
     LockScan,
     /// Scanned for runtime-path `unwrap()`.
@@ -124,8 +121,8 @@ impl Workspace {
         Ok(())
     }
 
-    /// The real MRTS tree: engines, stats, reporting benchmark, fabric,
-    /// and every core source file for the unwrap/counter sweeps.
+    /// The real MRTS tree: engines, stats, fabric, and every core source
+    /// file for the unwrap/counter sweeps.
     pub fn mrts(root: &Path) -> Result<Workspace, String> {
         use FileRole::*;
         let mut ws = Workspace::bare();
@@ -143,11 +140,7 @@ impl Workspace {
                 "threaded.rs" => vec![ThreadedEngine, LockScan, UnwrapScan, CounterScan],
                 "des.rs" => vec![DesEngine, UnwrapScan, CounterScan],
                 "replay.rs" => vec![Replay, UnwrapScan, CounterScan],
-                // stats.rs is also a Report surface: the shared
-                // `counters_json_fields` block is what the benchmark
-                // JSON emitters render, so the canonical counter list
-                // itself is the reporting surface.
-                "stats.rs" => vec![Stats, Report, UnwrapScan],
+                "stats.rs" => vec![Stats, UnwrapScan],
                 "service.rs" => vec![Service, UnwrapScan, CounterScan],
                 _ => vec![UnwrapScan, CounterScan],
             };
@@ -172,10 +165,6 @@ impl Workspace {
         for p in method_files {
             ws.load(&p, vec![UnwrapScan])?;
         }
-        ws.load(
-            &root.join("crates/bench/src/bin/overlap_smoke.rs"),
-            vec![Report],
-        )?;
         Ok(ws)
     }
 

@@ -8,9 +8,8 @@
 //!   (`audit_emit!` / `RuntimeEvent`), directly or through functions it
 //!   calls, unless the tag is on the no-audit exempt list.
 //! * Every integer `NodeStats` counter that is incremented anywhere in
-//!   the runtime must surface both in the gate summary
-//!   (`RunStats::summary` or a helper it calls) and in the benchmark
-//!   report files.
+//!   the runtime must surface in the gate summary (`RunStats::summary`
+//!   or a helper it calls).
 //! * Every record/replay `Decision` variant must be constructed on the
 //!   record path **and** matched by a replay arm in the threaded engine
 //!   — a variant recorded but never replayed (or vice versa) means the
@@ -678,16 +677,6 @@ fn check_counters(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
     }
     let summary_set: HashSet<&str> = summary_tokens.iter().map(|s| s.as_str()).collect();
 
-    // Reported by the benchmark JSON emitters?
-    let mut report_set: HashSet<String> = HashSet::new();
-    for f in ws.files_with(FileRole::Report) {
-        crate::model::walk_fns(&f.ast.items, false, &mut |fun, _| {
-            for t in &fun.body {
-                report_set.insert(t.text.trim_matches('"').to_string());
-            }
-        });
-    }
-
     for (name, decl) in &counters {
         if !incremented.contains(name.as_str()) {
             continue; // dead counters are clippy's problem, not ours
@@ -701,17 +690,6 @@ fn check_counters(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
                     "counter `{name}` is incremented but never surfaced by \
                      {}::summary (or a helper it calls)",
                     ws.summary_impl
-                ),
-            });
-        }
-        if !report_set.contains(name.as_str()) {
-            out.push(Violation {
-                check: Check::Protocol,
-                file: decl.file.clone(),
-                line: decl.line,
-                msg: format!(
-                    "counter `{name}` is incremented but missing from the \
-                     benchmark report JSON"
                 ),
             });
         }

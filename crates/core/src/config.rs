@@ -40,19 +40,6 @@ impl NetModel {
     }
 }
 
-/// On-disk layout of the threaded engine's spill store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpillBackend {
-    /// One file per object (`FileStore`): a `create`/`open`/`remove`
-    /// syscall per spill operation. This was the only layout before the
-    /// overlap subsystem; kept for comparison benchmarks.
-    PerObjectFile,
-    /// Segmented append-only log (`SegmentStore`): small writes coalesce
-    /// into segment-sized batches, large ones get a segment each, dead
-    /// records are reclaimed segment by segment.
-    SegmentLog,
-}
-
 /// Configuration of an MRTS instance.
 #[derive(Clone, Debug)]
 pub struct MrtsConfig {
@@ -81,25 +68,22 @@ pub struct MrtsConfig {
     pub net: NetModel,
     /// Disk model (DES mode charging).
     pub disk: DiskModel,
-    /// Spill directory for the threaded mode's file-backed store; `None`
-    /// spills to memory (still exercising serialization).
+    /// Spill directory for the threaded mode's segment log (`SegmentStore`:
+    /// small writes coalesce into segment-sized batches, large ones get a
+    /// segment each, dead records are reclaimed segment by segment);
+    /// `None` spills to memory (still exercising serialization).
     pub spill_dir: Option<std::path::PathBuf>,
     /// Width of the storage pipeline: I/O worker threads per node in the
     /// threaded engine (pack/unpack run there, off the worker thread) and
     /// modeled parallel disk channels in the DES engine.
     pub io_threads: usize,
     /// Prefetch window, object axis: at most this many look-ahead loads
-    /// in flight per node. `usize::MAX` removes the pacing entirely
-    /// (every queued-but-on-disk object loads immediately, the pre-overlap
-    /// behaviour); `0` disables look-ahead (loads issue only on demand,
-    /// when the node has no resident work left).
+    /// in flight per node. `0` disables look-ahead (loads issue only on
+    /// demand, when the node has no resident work left).
     pub prefetch_window_objects: usize,
     /// Prefetch window, byte axis: at most this many packed bytes of
     /// look-ahead loads in flight per node.
     pub prefetch_window_bytes: usize,
-    /// On-disk layout of the spill store (threaded engine,
-    /// `spill_dir`-backed runs only).
-    pub spill_backend: SpillBackend,
     /// Segment log: bytes buffered per segment before it is sealed with a
     /// single write syscall. A record of at least half this size is not
     /// buffered: it is written directly as a segment of its own.
@@ -111,15 +95,6 @@ pub struct MrtsConfig {
     /// half this fraction. Bounds the segment files to
     /// `live / (1 - frac)` plus about one segment; `1.0` never cleans.
     pub segment_garbage_frac: f64,
-    /// Disable the spill fast path (dirty tracking, clean-eviction
-    /// elision, batched eviction writes, pooled spill buffers) and spill
-    /// the pre-fast-path way: every eviction re-packs and re-writes its
-    /// object, one store per victim, one fresh buffer per pack. Kept as
-    /// the baseline for `spill_bench` and as an escape hatch.
-    pub legacy_spill: bool,
-    /// Deterministic storage fault schedule; `None` runs fault-free. When
-    /// set, every node's spill store is wrapped in a
-    /// [`crate::fault::FaultyStore`] seeded with `plan.seed + node`.
     /// Charge a synthetic, size-proportional compute cost instead of
     /// measured wall time on the virtual-time engine. The DES normally
     /// charges *measured* compute (the paper's methodology), which makes
@@ -130,6 +105,9 @@ pub struct MrtsConfig {
     /// job service's chaos sweep), wrong for performance regeneration
     /// (the paper's tables need measured compute).
     pub deterministic_compute: bool,
+    /// Deterministic storage fault schedule; `None` runs fault-free. When
+    /// set, every node's spill store is wrapped in a
+    /// [`crate::fault::FaultyStore`] seeded with `plan.seed + node`.
     pub fault: Option<FaultPlan>,
     /// Retry/backoff policy for storage operations in both engines (also
     /// paces message retransmission in the reliable-delivery layer).
@@ -146,8 +124,7 @@ pub struct MrtsConfig {
     /// objects along a deterministic BFS curve over it, and use that
     /// ordering for cluster-biased eviction, cluster prefetch, and
     /// curve-ordered segment compaction. `false` restores the
-    /// placement-blind behaviour (the measured baseline of
-    /// `locality_bench`).
+    /// placement-blind behaviour.
     pub locality: bool,
     /// Locality cluster size in objects: the curve is cut into clusters of
     /// this many consecutive objects; eviction prefers taking a whole
@@ -166,13 +143,6 @@ pub struct MrtsConfig {
     /// completion for the logged key) before declaring a divergence and
     /// falling back to live execution. See `mrts::replay`.
     pub replay_wait: Duration,
-    /// How phase-structured method drivers release work (see
-    /// `mrts::sched`). [`SchedMode::Dag`] (the default) lets a block
-    /// enter phase `p` as soon as its buffer-zone in-neighbors committed
-    /// phase `p - 1`; [`SchedMode::Barriers`] restores the
-    /// bulk-synchronous coordinator barrier between phases and is kept as
-    /// the benchmark baseline (`with_barriers()`).
-    pub sched: SchedMode,
     /// Cross-node work stealing: an idle node asks a loaded peer for a
     /// ready task (an unpinned object with queued work), which migrates
     /// over the regular install path. Off by default — stealing pays off
@@ -184,15 +154,6 @@ pub struct MrtsConfig {
     /// eagerly (lower idle time, more migration traffic); large values
     /// only steal under sustained starvation.
     pub steal_patience: u32,
-}
-
-/// Work-release discipline for the phase-structured methods.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Region-dependency DAG: per-block readiness, no global barrier.
-    Dag,
-    /// Bulk-synchronous phases behind a coordinator barrier (baseline).
-    Barriers,
 }
 
 impl Default for MrtsConfig {
@@ -212,10 +173,8 @@ impl Default for MrtsConfig {
             io_threads: 2,
             prefetch_window_objects: 4,
             prefetch_window_bytes: 4 << 20,
-            spill_backend: SpillBackend::SegmentLog,
             segment_bytes: 1 << 20,
             segment_garbage_frac: 0.5,
-            legacy_spill: false,
             deterministic_compute: false,
             fault: None,
             retry: RetryPolicy::default(),
@@ -224,7 +183,6 @@ impl Default for MrtsConfig {
             locality_cluster_objects: 8,
             locality_prefetch_mates: 2,
             replay_wait: Duration::from_secs(2),
-            sched: SchedMode::Dag,
             work_stealing: false,
             steal_patience: 2,
         }
@@ -278,26 +236,6 @@ impl MrtsConfig {
         self
     }
 
-    /// Pre-overlap I/O shape: one FIFO I/O thread, one file per spilled
-    /// object, no look-ahead pacing (loads issue the moment a message
-    /// reaches an on-disk object). Used as the baseline in comparison
-    /// benchmarks.
-    pub fn with_legacy_io(mut self) -> Self {
-        self.io_threads = 1;
-        self.prefetch_window_objects = usize::MAX;
-        self.prefetch_window_bytes = usize::MAX;
-        self.spill_backend = SpillBackend::PerObjectFile;
-        self
-    }
-
-    /// Disable the spill fast path: re-pack and re-write every eviction
-    /// victim individually, with per-op buffer allocation (the
-    /// pre-fast-path shape). Baseline for `spill_bench`.
-    pub fn with_legacy_spill(mut self) -> Self {
-        self.legacy_spill = true;
-        self
-    }
-
     /// Inject the faults of `plan` into every node's spill store.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -319,7 +257,7 @@ impl MrtsConfig {
 
     /// Disable the locality-aware spill layout (adjacency-learned curve
     /// ordering, cluster eviction, cluster prefetch, curve-ordered
-    /// compaction). The measured baseline of `locality_bench`.
+    /// compaction).
     pub fn with_no_locality(mut self) -> Self {
         self.locality = false;
         self
@@ -340,13 +278,6 @@ impl MrtsConfig {
     /// Override the replay-mode divergence-detection wait.
     pub fn with_replay_wait(mut self, wait: Duration) -> Self {
         self.replay_wait = wait;
-        self
-    }
-
-    /// Restore the bulk-synchronous phase barriers (the pre-DAG
-    /// behaviour); kept as the measured baseline of `dag_bench`.
-    pub fn with_barriers(mut self) -> Self {
-        self.sched = SchedMode::Barriers;
         self
     }
 
@@ -510,34 +441,15 @@ mod tests {
     }
 
     #[test]
-    fn overlap_knobs_default_and_legacy() {
+    fn overlap_knobs() {
         let c = MrtsConfig::default();
         assert_eq!(c.io_threads, 2);
         assert_eq!(c.prefetch_window_objects, 4);
-        assert_eq!(c.spill_backend, SpillBackend::SegmentLog);
-        let l = MrtsConfig::out_of_core(2, 1 << 16).with_legacy_io();
-        l.validate().unwrap();
-        assert_eq!(l.io_threads, 1);
-        assert_eq!(l.prefetch_window_objects, usize::MAX);
-        assert_eq!(l.spill_backend, SpillBackend::PerObjectFile);
         let w = MrtsConfig::default()
             .with_prefetch_window(8, 1 << 22)
             .with_io_threads(3);
         assert_eq!(w.prefetch_window_objects, 8);
         assert_eq!(w.io_threads, 3);
-    }
-
-    #[test]
-    fn spill_fast_path_default_and_escape_hatch() {
-        // Fast path on by default; with_legacy_spill() turns only the
-        // spill fast path off, leaving the overlap pipeline intact.
-        let c = MrtsConfig::default();
-        assert!(!c.legacy_spill);
-        let l = MrtsConfig::out_of_core(2, 1 << 16).with_legacy_spill();
-        l.validate().unwrap();
-        assert!(l.legacy_spill);
-        assert_eq!(l.spill_backend, SpillBackend::SegmentLog);
-        assert_eq!(l.io_threads, 2);
     }
 
     #[test]
@@ -559,13 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn sched_defaults_and_knobs() {
-        let c = MrtsConfig::default();
-        assert_eq!(c.sched, SchedMode::Dag);
-        assert!(!c.work_stealing);
-        let b = MrtsConfig::in_core(4).with_barriers();
-        b.validate().unwrap();
-        assert_eq!(b.sched, SchedMode::Barriers);
+    fn work_stealing_knobs() {
+        assert!(!MrtsConfig::default().work_stealing);
         let s = MrtsConfig::in_core(4)
             .with_work_stealing()
             .with_steal_patience(5);

@@ -898,14 +898,12 @@ impl DesRuntime {
     /// the window could not see. Mates enter `pending_loads` with a
     /// prefetch hint, so the pump treats them as wanted look-ahead work —
     /// still bounded by the prefetch window and pacing, and shed first
-    /// under disk pressure. Disabled when locality is off and under the
-    /// legacy (unpaced or zero-width) window shapes, which predate
-    /// prefetch pacing entirely.
+    /// under disk pressure. Disabled when locality is off or there is no
+    /// look-ahead (window 0).
     fn cluster_prefetch(&mut self, node: NodeId, anchor: ObjectId) {
         if !self.cfg.locality
             || self.cfg.locality_prefetch_mates == 0
             || self.cfg.prefetch_window_objects == 0
-            || self.cfg.prefetch_window_objects == usize::MAX
         {
             return;
         }
@@ -965,9 +963,6 @@ impl DesRuntime {
         }
         let window_objs = self.cfg.prefetch_window_objects;
         let window_bytes = self.cfg.prefetch_window_bytes;
-        // `usize::MAX` objects = the pre-overlap shape: issue immediately,
-        // never pace against the budget.
-        let unpaced = window_objs == usize::MAX;
         let mut idle_evictable: Option<usize> = None;
         let mut i = 0;
         while i < self.nodes[node as usize].pending_loads.len() {
@@ -1013,16 +1008,14 @@ impl DesRuntime {
                 {
                     break;
                 }
-                if !unpaced {
-                    let need = n.ooc.needed_for_admission(footprint);
-                    if need > 0 {
-                        let avail = *idle_evictable
-                            .get_or_insert_with(|| self.idle_evictable_bytes(node, at));
-                        if need > avail {
-                            // Paced: admission would thrash queued objects.
-                            i += 1;
-                            continue;
-                        }
+                let need = n.ooc.needed_for_admission(footprint);
+                if need > 0 {
+                    let avail =
+                        *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes(node, at));
+                    if need > avail {
+                        // Paced: admission would thrash queued objects.
+                        i += 1;
+                        continue;
                     }
                 }
             } else if n.inflight_loads > 0 && n.inflight_loads >= window_objs {
@@ -1634,7 +1627,6 @@ impl DesRuntime {
         allow_queued: bool,
         except: Option<ObjectId>,
     ) {
-        let legacy = self.cfg.legacy_spill;
         let locality = self.cfg.locality;
         if locality {
             self.nodes[node as usize].locality.maybe_rebuild();
@@ -1657,7 +1649,7 @@ impl DesRuntime {
                 meta: e.meta,
                 priority: e.priority,
                 queued_msgs: e.queue.len(),
-                clean: !legacy && e.is_clean(),
+                clean: e.is_clean(),
                 cluster: if locality {
                     n.locality.cluster_of(oid)
                 } else {
@@ -1669,19 +1661,19 @@ impl DesRuntime {
         let victims = self.nodes[node as usize]
             .ooc
             .pick_victims(&mut candidates, need);
-        // Fast path: clean victims are elided (their on-disk bytes are
-        // current), and the dirty remainder coalesces into one batched
+        // Clean victims are elided (their on-disk bytes are current), and
+        // the dirty remainder coalesces into one batched
         // append — only the first store pays the seek component.
         let mut stored = 0usize;
         for oid in victims {
             if self.try_elide(node, oid) {
                 continue;
             }
-            if self.spill(node, oid, at, !legacy && stored > 0) {
+            if self.spill(node, oid, at, stored > 0) {
                 stored += 1;
             }
         }
-        if !legacy && stored >= 2 {
+        if stored >= 2 {
             self.nodes[node as usize].stats.spill_batches += 1;
         }
     }
@@ -1689,12 +1681,8 @@ impl DesRuntime {
     /// Clean-eviction elision: drop the resident copy of an object whose
     /// on-disk bytes are already current — no re-pack, no disk charge, and
     /// `disk_ready_at` stays at the (past) completion of the original
-    /// store. Returns `false` (caller must spill) under the legacy path or
-    /// when the object is dirty.
+    /// store. Returns `false` (caller must spill) when the object is dirty.
     fn try_elide(&mut self, node: NodeId, oid: ObjectId) -> bool {
-        if self.cfg.legacy_spill {
-            return false;
-        }
         let has_queue = {
             let n = &mut self.nodes[node as usize];
             let e = n
@@ -1762,16 +1750,10 @@ impl DesRuntime {
         };
         // Real serialization, charged as compute. The object is kept alive
         // until the store succeeds so a failed spill can reinstate it.
-        // The fast path packs into the node's reusable buffer; legacy
-        // allocates fresh every time, as the old code did.
-        let legacy = self.cfg.legacy_spill;
+        // Packs into the node's reusable buffer.
         let t0 = Instant::now();
-        let mut bytes = if legacy {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.nodes[node as usize].pack_buf)
-        };
-        let pool_hit = !legacy && bytes.capacity() > 0;
+        let mut bytes = std::mem::take(&mut self.nodes[node as usize].pack_buf);
+        let pool_hit = bytes.capacity() > 0;
         Registry::pack_into(obj.as_ref(), &mut bytes);
         let pack = self.compute_charge(t0.elapsed(), bytes.len());
         let packed_len = bytes.len();
@@ -1819,9 +1801,7 @@ impl DesRuntime {
         let injected = self.drain_store_faults(node);
         penalty += self.fault_penalty(injected);
 
-        if !legacy {
-            self.nodes[node as usize].pack_buf = std::mem::take(&mut bytes);
-        }
+        self.nodes[node as usize].pack_buf = bytes;
 
         if outcome.is_err() {
             // Graceful degradation: put the object back, charge the wasted

@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use crate::codec::{PayloadReader, PayloadWriter};
     pub use crate::compute::ExecutorKind;
-    pub use crate::config::{MrtsConfig, NetModel, SchedMode};
+    pub use crate::config::{MrtsConfig, NetModel};
     pub use crate::ctx::Ctx;
     pub use crate::des::DesRuntime;
     pub use crate::fault::{FaultKind, FaultPlan, FaultyStore, MrtsError, RetryPolicy};

@@ -1,11 +1,11 @@
-//! Dependency-driven scheduling: the region DAG that retires the global
-//! phase barriers.
+//! Dependency-driven scheduling: a region DAG in place of global phase
+//! barriers.
 //!
-//! The phase-structured mesh methods (UPDR-style) used to release work in
-//! bulk-synchronous rounds: every block waited at a coordinator barrier
-//! for the slowest block before any block could enter the next phase, so
-//! node idle time grew with imbalance and node count. This module models
-//! the same phase ordering as a *dependency DAG* over `(block, phase)`
+//! Released in bulk-synchronous rounds, the phase-structured mesh methods
+//! (UPDR-style) would have every block wait at a coordinator barrier for
+//! the slowest block before any block could enter the next phase, so node
+//! idle time grows with imbalance and node count. This module models the
+//! same phase ordering as a *dependency DAG* over `(block, phase)`
 //! pairs: block `b` may enter phase `p` the moment `b` and every
 //! buffer-zone neighbor of `b` have committed phase `p - 1` — no global
 //! synchronization. The DAG is layered by phase, hence acyclic by

@@ -299,26 +299,6 @@ impl ServiceStats {
             self.degraded_mode_transitions
         )
     }
-
-    /// The counters as JSON object fields (no braces), for bench
-    /// artifacts — same shape as [`RunStats::counters_json_fields`].
-    pub fn json_fields(&self, indent: &str) -> String {
-        let mut out = String::new();
-        for (name, v) in [
-            ("jobs_admitted", self.jobs_admitted),
-            ("jobs_rejected", self.jobs_rejected),
-            ("jobs_retried", self.jobs_retried),
-            ("jobs_recovered", self.jobs_recovered),
-            ("jobs_quarantined", self.jobs_quarantined),
-            ("jobs_completed", self.jobs_completed),
-            ("queue_depth_peak", self.queue_depth_peak),
-            ("shed_events", self.shed_events),
-            ("degraded_mode_transitions", self.degraded_mode_transitions),
-        ] {
-            out.push_str(&format!("{indent}\"{name}\": {v},\n"));
-        }
-        out
-    }
 }
 
 /// The service-level health state (distinct from per-node
@@ -1453,7 +1433,6 @@ mod tests {
             degraded_mode_transitions: 9,
         };
         let line = s.summary();
-        let json = s.json_fields("  ");
         for name in [
             "jobs_admitted",
             "jobs_rejected",
@@ -1467,7 +1446,6 @@ mod tests {
         ] {
             let label = name.strip_prefix("jobs_").unwrap_or(name);
             assert!(line.contains(label), "summary misses {name}: {line}");
-            assert!(json.contains(name), "json misses {name}: {json}");
         }
     }
 

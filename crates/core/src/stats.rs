@@ -305,8 +305,8 @@ impl RunStats {
 
     /// Fraction of the run's node-time spent starved: Σ idle over nodes ÷
     /// (makespan × node count), in [0, 1]. 0.0 when nothing was measured.
-    /// This is the imbalance metric the DAG scheduler targets — under the
-    /// barrier discipline it grows with node count on graded inputs.
+    /// This is the imbalance metric the DAG scheduler and work stealing
+    /// target.
     pub fn idle_fraction(&self) -> f64 {
         if self.nodes.is_empty() || self.total.is_zero() {
             return 0.0;
@@ -317,10 +317,9 @@ impl RunStats {
 
     /// Every counter this run tracks, flattened to `(field name, total
     /// over nodes)` pairs and grouped by subsystem. This is the single
-    /// source [`RunStats::summary`], the JSON reports (via
-    /// [`RunStats::counters_json_fields`]), and the job service's
-    /// per-job/service scopes all render from, so the scopes cannot
-    /// drift: a counter added here appears everywhere at once.
+    /// source [`RunStats::summary`] and the job service's per-job/service
+    /// scopes render from, so the scopes cannot drift: a counter added
+    /// here appears everywhere at once.
     pub fn counter_groups(&self) -> Vec<CounterGroup> {
         let t = |f: fn(&NodeStats) -> usize| self.total_of(f) as u64;
         vec![
@@ -422,20 +421,6 @@ impl RunStats {
                 ],
             },
         ]
-    }
-
-    /// Render every counter (all groups, active or not) as JSON object
-    /// fields: one `"name": value,` line per counter, prefixed by
-    /// `indent` and terminated by `,\n`. Callers open the object, append
-    /// this block, then their derived/bench-specific fields.
-    pub fn counters_json_fields(&self, indent: &str) -> String {
-        let mut s = String::new();
-        for g in self.counter_groups() {
-            for (name, v) in &g.counters {
-                s.push_str(&format!("{indent}\"{name}\": {v},\n"));
-            }
-        }
-        s
     }
 
     /// One-line human-readable summary rendered from
@@ -718,11 +703,11 @@ mod tests {
     }
 
     /// The no-drift guard for satellite scopes: every counter named in
-    /// `counter_groups` must appear in both the JSON field block and (with
-    /// its group active) the one-line summary — per-job and service-level
-    /// reports render through the same groups, so this pins all of them.
+    /// `counter_groups` must appear (with its group active) in the
+    /// one-line summary — per-job and service-level reports render
+    /// through the same groups, so this pins all of them.
     #[test]
-    fn json_fields_and_summary_render_every_counter() {
+    fn summary_renders_every_counter() {
         let mut s = stats_with(100, &[(50, 10, 20)]);
         // One nonzero counter per group forces every group active.
         s.nodes[0].loads = 1;
@@ -733,15 +718,10 @@ mod tests {
         s.nodes[0].decisions_recorded = 1;
         s.nodes[0].idle_ticks = 1;
         s.nodes[0].messages_dropped = 1;
-        let json = s.counters_json_fields("  ");
         let text = s.summary();
         for g in s.counter_groups() {
             assert!(g.active(), "group {} should be active", g.name);
             for (name, _) in &g.counters {
-                assert!(
-                    json.contains(&format!("\"{name}\": ")),
-                    "counter {name} missing from JSON fields"
-                );
                 assert!(
                     text.contains(&format!(" {name}=")),
                     "counter {name} missing from summary"

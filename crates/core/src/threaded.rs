@@ -3,10 +3,10 @@
 //! This mode is the shape of the paper's actual deployment: every node runs
 //! a control loop draining one-sided active messages from the
 //! [`armci_sim`] fabric, executing message handlers, spilling mobile
-//! objects through a per-node I/O thread pool (a real [`SegmentStore`] or
-//! [`FileStore`] when a spill directory is configured), and participating
-//! in **Safra's ring-token termination detection**. Handlers may spawn
-//! child tasks on the node's computing-layer pool (work-stealing or FIFO).
+//! objects through a per-node I/O thread pool (a real [`SegmentStore`]
+//! when a spill directory is configured), and participating in **Safra's
+//! ring-token termination detection**. Handlers may spawn child tasks on
+//! the node's computing-layer pool (work-stealing or FIFO).
 //!
 //! ## I/O–compute overlap
 //!
@@ -35,7 +35,7 @@
 #[allow(unused_imports)]
 use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, WorkStealingPool};
-use crate::config::{MrtsConfig, SpillBackend};
+use crate::config::MrtsConfig;
 use crate::ctx::{Ctx, Effect};
 use crate::directory::Directory;
 use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, RetryPolicy};
@@ -50,7 +50,7 @@ use crate::relnet::{ReliableReceiver, ReliableSender, Safra, TimerAction};
 use crate::replay::{Decision, DecisionLog, IoKind, STEAL_DENIED};
 use crate::sched::VictimCursor;
 use crate::stats::{NodeStats, RunStats};
-use crate::storage::{FileStore, MemStore, SegmentStore, StorageBackend};
+use crate::storage::{MemStore, SegmentStore, StorageBackend};
 use armci_sim::{ActiveMessage, Endpoint, Fabric, NetworkModel};
 use crossbeam_channel as channel;
 use std::collections::{HashMap, VecDeque};
@@ -1328,7 +1328,6 @@ impl Worker {
     }
 
     fn evict_bytes(&mut self, need: usize, allow_queued: bool) {
-        let legacy = self.cfg.legacy_spill;
         let locality = self.cfg.locality;
         if locality {
             self.locality.maybe_rebuild();
@@ -1349,9 +1348,7 @@ impl Worker {
                 meta: e.meta,
                 priority: e.priority,
                 queued_msgs: e.queue.len(),
-                // Legacy spill ignores dirty tracking; forcing `false`
-                // keeps the victim ordering byte-for-byte the old one.
-                clean: !legacy && e.is_clean(),
+                clean: e.is_clean(),
                 cluster: if locality {
                     self.locality.cluster_of(oid)
                 } else {
@@ -1364,14 +1361,14 @@ impl Worker {
             })
             .collect();
         let victims = self.ooc.pick_victims(&mut candidates, need);
-        if legacy || victims.len() <= 1 {
+        if victims.len() <= 1 {
             for oid in victims {
                 self.spill(oid);
             }
             return;
         }
-        // Fast path, multiple victims: elide the clean ones and coalesce
-        // the dirty remainder into one batched store.
+        // Multiple victims: elide the clean ones and coalesce the dirty
+        // remainder into one batched store.
         let mut dirty = Vec::new();
         for oid in victims {
             if !self.try_elide(oid) {
@@ -1387,12 +1384,9 @@ impl Worker {
 
     /// Clean-eviction elision: drop the resident copy of a clean object
     /// without re-packing or re-writing — the on-disk bytes are already
-    /// current. Returns `false` (caller must store) when the fast path is
-    /// disabled or the object is dirty.
+    /// current. Returns `false` (caller must store) when the object is
+    /// dirty.
     fn try_elide(&mut self, oid: ObjectId) -> bool {
-        if self.cfg.legacy_spill {
-            return false;
-        }
         let (footprint, packed_len) = {
             let e = self
                 .table
@@ -1577,12 +1571,10 @@ impl Worker {
     /// (the hint only keeps them wanted despite their empty queues), so
     /// the prefetch budget and degraded-mode shedding apply unchanged.
     fn cluster_prefetch(&mut self, anchor: ObjectId) {
-        // Pointless without look-ahead (window 0) and off-contract in the
-        // legacy unpaced shape (usize::MAX), which predates prefetching.
+        // Pointless without look-ahead (window 0).
         if !self.cfg.locality
             || self.cfg.locality_prefetch_mates == 0
             || self.cfg.prefetch_window_objects == 0
-            || self.cfg.prefetch_window_objects == usize::MAX
         {
             return;
         }
@@ -1681,9 +1673,6 @@ impl Worker {
         }
         let window_objs = self.cfg.prefetch_window_objects;
         let window_bytes = self.cfg.prefetch_window_bytes;
-        // `usize::MAX` objects = the pre-overlap shape: issue immediately,
-        // never pace against the budget.
-        let unpaced = window_objs == usize::MAX;
         let mut idle_evictable: Option<usize> = None;
         let mut i = 0;
         while i < self.pending_loads.len() {
@@ -1756,20 +1745,17 @@ impl Worker {
                 {
                     break;
                 }
-                if !unpaced {
-                    let need = self.ooc.needed_for_admission(footprint);
-                    if need > 0 {
-                        let avail =
-                            *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes());
-                        if need > avail {
-                            // Paced: admission would thrash queued objects.
-                            if hint_only {
-                                self.cancel_hint(oid, i);
-                                continue;
-                            }
-                            i += 1;
+                let need = self.ooc.needed_for_admission(footprint);
+                if need > 0 {
+                    let avail = *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes());
+                    if need > avail {
+                        // Paced: admission would thrash queued objects.
+                        if hint_only {
+                            self.cancel_hint(oid, i);
                             continue;
                         }
+                        i += 1;
+                        continue;
                     }
                 }
             } else if self.inflight_load_objs > 0 && self.inflight_load_objs >= window_objs {
@@ -3190,8 +3176,7 @@ struct WorkerResult {
 }
 
 /// Bounded pool of reusable pack buffers shared by one node's I/O pool
-/// workers. `max = 0` disables pooling (the legacy-spill escape hatch):
-/// every `get` misses and every `put` drops the buffer.
+/// workers: at most `max` idle buffers are kept, the rest are dropped.
 struct BufferPool {
     bufs: crate::sync::Mutex<Vec<Vec<u8>>>,
     max: usize,
@@ -3227,15 +3212,14 @@ impl BufferPool {
 /// behind a mutex. Pack/unpack run on the pool **outside** the store lock,
 /// so serialization of one object overlaps the disk op of another and the
 /// node's control thread never blocks on either. Pack buffers are drawn
-/// from a bounded [`BufferPool`] (capacity `pool_max`) and recycled after
-/// each store — and load result buffers feed back into it.
+/// from a bounded [`BufferPool`] and recycled after each store — and load
+/// result buffers feed back into it.
 fn spawn_io_pool(
     node: NodeId,
     store: Box<dyn StorageBackend>,
     registry: std::sync::Arc<Registry>,
     n_threads: usize,
     retry: RetryPolicy,
-    pool_max: usize,
     audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
 ) -> (
     channel::Sender<IoReq>,
@@ -3245,7 +3229,7 @@ fn spawn_io_pool(
     let (req_tx, req_rx) = channel::unbounded::<IoReq>();
     let (done_tx, done_rx) = channel::unbounded::<IoDone>();
     let store = crate::sync::Arc::new(crate::sync::Mutex::new(store));
-    let pool = std::sync::Arc::new(BufferPool::new(pool_max));
+    let pool = std::sync::Arc::new(BufferPool::new(n_threads * 2 + 2));
     let mut handles = Vec::with_capacity(n_threads);
     for t in 0..n_threads {
         let req_rx = req_rx.clone();
@@ -3757,20 +3741,15 @@ impl ThreadedRuntime {
             let store: Box<dyn StorageBackend> = match &self.cfg.spill_dir {
                 Some(dir) => {
                     let node_dir = dir.join(format!("node-{i}"));
-                    match self.cfg.spill_backend {
-                        SpillBackend::SegmentLog => Box::new(
-                            SegmentStore::open(
-                                node_dir,
-                                self.cfg.segment_bytes,
-                                self.cfg.segment_garbage_frac,
-                            )
-                            .expect("spill dir")
-                            .cleanup_on_drop(true),
-                        ),
-                        SpillBackend::PerObjectFile => {
-                            Box::new(FileStore::new(node_dir).expect("spill dir"))
-                        }
-                    }
+                    Box::new(
+                        SegmentStore::open(
+                            node_dir,
+                            self.cfg.segment_bytes,
+                            self.cfg.segment_garbage_frac,
+                        )
+                        .expect("spill dir")
+                        .cleanup_on_drop(true),
+                    )
                 }
                 None => Box::new(MemStore::new()),
             };
@@ -3794,20 +3773,12 @@ impl ThreadedRuntime {
             let pool_audit = self.audit.clone();
             #[cfg(not(any(feature = "audit", debug_assertions)))]
             let pool_audit: Option<std::sync::Arc<dyn crate::audit::EventSink>> = None;
-            // Legacy spill disables buffer pooling (capacity 0: every get
-            // allocates, every put drops).
-            let pool_max = if self.cfg.legacy_spill {
-                0
-            } else {
-                self.cfg.io_threads * 2 + 2
-            };
             let (io_tx, io_rx, handles) = spawn_io_pool(
                 i as NodeId,
                 store,
                 registry.clone(),
                 self.cfg.io_threads,
                 self.cfg.retry,
-                pool_max,
                 pool_audit,
             );
             io_handles.extend(handles);

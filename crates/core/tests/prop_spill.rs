@@ -1,9 +1,9 @@
-//! Property tests for the spill fast path: random handler / evict / load
-//! / migrate schedules must leave application state byte-identical
-//! whether evictions go through the legacy always-rewrite path or the
-//! fast path (clean-eviction elision + batched stores + pooled buffers),
-//! and the per-object version counters backing dirty tracking must never
-//! run backwards.
+//! Property tests for the spill path (clean-eviction elision + batched
+//! stores + pooled buffers): random handler / evict / load / migrate
+//! schedules under a tight budget must leave application state
+//! byte-identical to an unlimited-budget run that never spills, and the
+//! per-object version counters backing dirty tracking must never run
+//! backwards.
 
 use mrts::audit::{EventLog, FailMode, InvariantChecker, RuntimeEvent};
 use mrts::codec::{PayloadReader, PayloadWriter};
@@ -139,14 +139,7 @@ fn post_plan<F: FnMut(MobilePtr, HandlerId, Vec<u8>)>(plan: &Plan, ptrs: &[Mobil
 }
 
 /// Run the plan on the DES engine; return (sum, packed bytes per object).
-fn run_des(plan: &Plan, legacy: bool) -> (u64, BTreeMap<ObjectId, Vec<u8>>) {
-    // A budget holding roughly two padded objects forces heavy eviction
-    // traffic through whichever spill path is configured.
-    let budget = (2 * (plan.pad + 64)).max(256);
-    let mut cfg = MrtsConfig::out_of_core(plan.nodes, budget);
-    if legacy {
-        cfg = cfg.with_legacy_spill();
-    }
+fn run_des(plan: &Plan, cfg: MrtsConfig) -> (u64, BTreeMap<ObjectId, Vec<u8>>) {
     let mut rt = DesRuntime::new(cfg);
     rt.register_type(TAG, Acc::decode);
     rt.register_handler(H_ADD, "add", h_add);
@@ -180,8 +173,8 @@ fn run_des(plan: &Plan, legacy: bool) -> (u64, BTreeMap<ObjectId, Vec<u8>>) {
 
 static SPILL_CASE: AtomicU64 = AtomicU64::new(0);
 
-/// Run the plan on the threaded engine with the fast path and an event
-/// log; return (sum, elided-unload events).
+/// Run the plan on the threaded engine with an event log; return (sum,
+/// elided-unload events).
 fn run_threaded(plan: &Plan, tweak: impl Fn(&mut MrtsConfig)) -> (u64, Vec<RuntimeEvent>) {
     let budget = (2 * (plan.pad + 64)).max(256);
     let mut cfg = MrtsConfig::out_of_core(plan.nodes, budget);
@@ -230,26 +223,28 @@ fn run_threaded(plan: &Plan, tweak: impl Fn(&mut MrtsConfig)) -> (u64, Vec<Runti
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fast-path runs (elision + batching + pooled buffers) must finish
-    /// with every object byte-identical to the legacy path: same sums,
-    /// same packed representation, no invariant violations. An elided
-    /// eviction whose on-disk bytes were stale would surface here as a
-    /// byte difference after the next reload.
+    /// Spilling runs (elision + batching + pooled buffers) must finish
+    /// with every object byte-identical to a run that never spills: same
+    /// sums, same packed representation, no invariant violations. An
+    /// elided eviction whose on-disk bytes were stale would surface here
+    /// as a byte difference after the next reload.
     #[test]
-    fn fast_path_end_state_matches_legacy_byte_for_byte(plan in plan_strategy()) {
-        let (fast_sum, fast_bytes) = run_des(&plan, false);
-        let (legacy_sum, legacy_bytes) = run_des(&plan, true);
-        prop_assert_eq!(fast_sum, expected_sum(&plan));
-        prop_assert_eq!(legacy_sum, expected_sum(&plan));
+    fn spilled_end_state_matches_in_core_byte_for_byte(plan in plan_strategy()) {
+        // A budget holding roughly two padded objects forces heavy
+        // eviction traffic.
+        let budget = (2 * (plan.pad + 64)).max(256);
+        let (ooc_sum, ooc_bytes) = run_des(&plan, MrtsConfig::out_of_core(plan.nodes, budget));
+        let (core_sum, core_bytes) = run_des(&plan, MrtsConfig::in_core(plan.nodes));
+        prop_assert_eq!(ooc_sum, expected_sum(&plan));
+        prop_assert_eq!(core_sum, expected_sum(&plan));
         prop_assert_eq!(
-            fast_bytes.len(), legacy_bytes.len(),
+            ooc_bytes.len(), core_bytes.len(),
             "object population diverged"
         );
-        for (oid, fast) in &fast_bytes {
-            let legacy = &legacy_bytes[oid];
+        for (oid, ooc) in &ooc_bytes {
             prop_assert_eq!(
-                fast, legacy,
-                "object {:?} not byte-identical across spill paths", oid
+                ooc, &core_bytes[oid],
+                "object {:?} not byte-identical to the in-core run", oid
             );
         }
     }
@@ -259,12 +254,12 @@ proptest! {
     // The threaded engine spins up real threads and spill files per case.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The threaded engine under the fast path: application state exact,
+    /// The threaded engine under eviction pressure: application state exact,
     /// audit clean (the checker cross-validates every elision against its
     /// own version model), and the version stamps on elided evictions
     /// never run backwards for any object.
     #[test]
-    fn threaded_fast_path_versions_never_run_backwards(plan in plan_strategy()) {
+    fn threaded_elision_versions_never_run_backwards(plan in plan_strategy()) {
         let (sum, elisions) = run_threaded(&plan, |_| {});
         prop_assert_eq!(sum, expected_sum(&plan));
         let mut last: BTreeMap<ObjectId, u64> = BTreeMap::new();
@@ -292,14 +287,14 @@ proptest! {
 /// invariant checker's version model and the final state check). The
 /// elision race is probabilistic in the threaded engine, so the scenario
 /// retries a few times — seeing zero elisions across all attempts would
-/// mean the fast path stopped firing.
+/// mean elision stopped firing.
 #[test]
 fn thrash_elides_and_reconstitutes_exactly() {
     let mut elided_total = 0;
     for attempt in 0..10 {
         // Enough objects that loads queue up behind one I/O thread and
         // several sit in core, loaded but not yet run — the clean window
-        // the elision fast path exploits.
+        // elision exploits.
         let plan = Plan {
             nodes: 1,
             objects: 8,

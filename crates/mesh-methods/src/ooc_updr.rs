@@ -2,23 +2,15 @@
 //!
 //! Each block is a mobile object carrying its *entire region mesh* between
 //! phases — these are the large objects that exercise the storage layer.
-//! A small coordinator object reproduces UPDR's structured communication;
-//! phase progression runs in either of two scheduling modes
-//! ([`mrts::config::SchedMode`]):
-//!
-//! * **Dag** (default): dependency-driven. Each block embeds a
-//!   [`PhaseGate`] over its buffer-zone neighborhood and broadcasts a
-//!   commit notification when it finishes phase 1; a block enters phase 2
-//!   the moment it and every neighbor have committed — no global
-//!   synchronization, so a slow block delays only its own neighborhood.
-//! * **Barriers**: the original bulk-synchronous structure — the
-//!   coordinator releases phase 2 only when *every* block finished
-//!   phase 1. Kept as the measured baseline (`MrtsConfig::with_barriers`).
-//!
-//! Phase 3 entry was already dependency-driven in both modes (a block
-//! integrates when all neighbor point batches arrived), and
+//! A small coordinator object starts the run and aggregates the final
+//! counts; phase progression is dependency-driven. Each block embeds a
+//! [`PhaseGate`] over its buffer-zone neighborhood and broadcasts a commit
+//! notification when it finishes phase 1; a block enters phase 2 the
+//! moment it and every neighbor have committed — no global
+//! synchronization, so a slow block delays only its own neighborhood.
+//! Phase 3 starts when all neighbor point batches arrived, and
 //! `block_phase3` sorts the received points canonically, so the final
-//! mesh is byte-identical across modes and schedules.
+//! mesh is byte-identical across schedules and engines.
 
 use crate::common::{
     decode_point_batch, encode_point_batch, fnv1a, get_bbox, get_workload, put_bbox,
@@ -29,7 +21,7 @@ use crate::updr::{
     block_counts, block_phase1, block_phase3, buffer_batches, decompose, Block, UpdrParams,
 };
 use mrts::codec::{PayloadReader, PayloadWriter};
-use mrts::config::{MrtsConfig, SchedMode};
+use mrts::config::MrtsConfig;
 use mrts::ctx::Ctx;
 use mrts::des::DesRuntime;
 use mrts::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
@@ -43,10 +35,8 @@ use std::any::Any;
 pub const BLOCK_TAG: TypeTag = TypeTag(0x301);
 pub const COORD_TAG: TypeTag = TypeTag(0x302);
 pub const H_C_START: HandlerId = HandlerId(0x310);
-pub const H_C_DONE1: HandlerId = HandlerId(0x311);
 pub const H_C_DONE3: HandlerId = HandlerId(0x312);
 pub const H_B_P1: HandlerId = HandlerId(0x320);
-pub const H_B_P2: HandlerId = HandlerId(0x321);
 pub const H_B_PTS: HandlerId = HandlerId(0x322);
 pub const H_B_COMMIT: HandlerId = HandlerId(0x323);
 
@@ -68,8 +58,6 @@ pub struct BlockObj {
     /// [`block_phase1`]). In-memory knowledge only: not on the wire, 0
     /// after a reload, and phase 3 then re-examines the whole mesh.
     pub settled: VId,
-    /// Dependency-driven (DAG) phase progression, vs. coordinator barriers.
-    pub dag: bool,
     /// This block ran phase 2 (shipped its buffer points).
     pub shipped: bool,
     /// Commit notifications heard from the in-neighborhood.
@@ -109,7 +97,6 @@ impl BlockObj {
                     .map_err(|_| ObjectDecodeError::Invalid("TriMesh wire encoding"))?,
             ),
         };
-        let dag = r.u8()? != 0;
         let shipped = r.u8()? != 0;
         let gate = PhaseGate::decode(&mut r)?;
         let expected = r.u32()?;
@@ -126,7 +113,6 @@ impl BlockObj {
             neighbor_regions,
             mesh,
             settled: 0,
-            dag,
             shipped,
             gate,
             expected,
@@ -161,7 +147,7 @@ impl MobileObject for BlockObj {
                 w.u8(1).bytes_with(|b| m.encode_into(b));
             }
         }
-        w.u8(self.dag as u8).u8(self.shipped as u8);
+        w.u8(self.shipped as u8);
         self.gate.encode(&mut w);
         w.u32(self.expected);
         put_point_batch(&mut w, &self.received);
@@ -181,14 +167,11 @@ impl MobileObject for BlockObj {
     }
 }
 
-/// The phase coordinator: start, (barrier-mode) phase release, and final
-/// count aggregation.
+/// The phase coordinator: start and final count aggregation.
 pub struct CoordObj {
     pub block_ptrs: Vec<MobilePtr>,
     pub pending: u32,
     pub phase: u8,
-    /// Dependency-driven mode: blocks self-advance; no DONE1 traffic.
-    pub dag: bool,
     pub elems: u64,
     pub verts: u64,
 }
@@ -199,14 +182,12 @@ impl CoordObj {
         let block_ptrs = r.ptrs()?;
         let pending = r.u32()?;
         let phase = r.u8()?;
-        let dag = r.u8()? != 0;
         let elems = r.u64()?;
         let verts = r.u64()?;
         Ok(Box::new(CoordObj {
             block_ptrs,
             pending,
             phase,
-            dag,
             elems,
             verts,
         }))
@@ -223,7 +204,6 @@ impl MobileObject for CoordObj {
         w.ptrs(&self.block_ptrs);
         w.u32(self.pending)
             .u8(self.phase)
-            .u8(self.dag as u8)
             .u64(self.elems)
             .u64(self.verts);
         buf.extend_from_slice(&w.finish());
@@ -254,29 +234,13 @@ fn coord_mut(obj: &mut dyn MobileObject) -> &mut CoordObj {
 }
 
 /// Coordinator: kick off phase 1 on every block. `pending` counts the
-/// barrier arrivals (DONE1) in barrier mode, the final reports (DONE3) in
-/// DAG mode.
+/// final reports (DONE3) still outstanding.
 fn h_c_start(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
     let c = coord_mut(obj);
     c.phase = 1;
     c.pending = c.block_ptrs.len() as u32;
     for &b in &c.block_ptrs {
         ctx.send(b, H_B_P1, Vec::new());
-    }
-}
-
-/// Coordinator, barrier mode only: a block finished phase 1; when all
-/// have, release phase 2 (the global synchronization point the DAG mode
-/// retires).
-fn h_c_done1(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
-    let c = coord_mut(obj);
-    c.pending = c.pending.saturating_sub(1);
-    if c.pending == 0 {
-        c.phase = 2;
-        c.pending = c.block_ptrs.len() as u32;
-        for &b in &c.block_ptrs {
-            ctx.send(b, H_B_P2, Vec::new());
-        }
     }
 }
 
@@ -294,31 +258,27 @@ fn h_c_done3(obj: &mut dyn MobileObject, _ctx: &mut Ctx, payload: &[u8]) {
     }
 }
 
-/// Block phase 1: mesh and refine the region, then commit — to the
-/// coordinator (barrier mode) or to the in-neighborhood (DAG mode).
+/// Block phase 1: mesh and refine the region, then commit to the
+/// in-neighborhood.
 fn h_b_p1(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
     let b = block_mut(obj);
     let (mesh, settled) = block_phase1(&b.workload, &b.block()).unzip();
     b.mesh = mesh;
     b.settled = settled.unwrap_or(0);
-    if b.dag {
-        let mut w = PayloadWriter::new();
-        w.u8(1);
-        let commit = w.finish();
-        for &np in &b.neighbor_ptrs {
-            ctx.send(np, H_B_COMMIT, commit.clone());
-        }
-        // Own commit counts locally; the gate may already be saturated by
-        // fast neighbors, in which case phase 2 starts right here.
-        if b.gate.on_commit(1) {
-            do_phase2(b, ctx);
-        }
-    } else {
-        ctx.send(b.coord, H_C_DONE1, Vec::new());
+    let mut w = PayloadWriter::new();
+    w.u8(1);
+    let commit = w.finish();
+    for &np in &b.neighbor_ptrs {
+        ctx.send(np, H_B_COMMIT, commit.clone());
+    }
+    // Own commit counts locally; the gate may already be saturated by
+    // fast neighbors, in which case phase 2 starts right here.
+    if b.gate.on_commit(1) {
+        do_phase2(b, ctx);
     }
 }
 
-/// Block, DAG mode: a neighbor committed a phase. Entering `phase + 1`
+/// Block: a neighbor committed a phase. Entering `phase + 1`
 /// requires `|N(b)| + 1` commits of `phase` (the neighbors' plus our own).
 fn h_b_commit(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     let mut r = PayloadReader::new(payload);
@@ -327,11 +287,6 @@ fn h_b_commit(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     if b.gate.on_commit(ph) && ph == 1 {
         do_phase2(b, ctx);
     }
-}
-
-/// Block, barrier mode: the coordinator released phase 2.
-fn h_b_p2(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
-    do_phase2(block_mut(obj), ctx);
 }
 
 /// Block phase 2: ship owned buffer-zone points to every neighbor (an
@@ -351,8 +306,8 @@ fn do_phase2(b: &mut BlockObj, ctx: &mut Ctx) {
     }
 }
 
-/// Block: buffer points arrived from one neighbor. In DAG mode a fast
-/// neighbor's batch may land before this block entered phase 2 itself;
+/// Block: buffer points arrived from one neighbor. A fast neighbor's
+/// batch may land before this block entered phase 2 itself;
 /// `expected` starts at the full neighbor count so early arrivals are
 /// simply counted, and phase 3 additionally waits for `shipped`.
 fn h_b_pts(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
@@ -367,8 +322,8 @@ fn h_b_pts(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
 
 /// Phase 3: integrate the exchanged points, restore quality, report.
 /// `block_phase3` sorts the received points into a canonical order, so the
-/// result is independent of arrival order — and therefore of scheduling
-/// mode, message timing, and work stealing.
+/// result is independent of arrival order — and therefore of message
+/// timing and work stealing.
 fn finish_phase3(b: &mut BlockObj, ctx: &mut Ctx) {
     let block = b.block();
     let received = std::mem::take(&mut b.received);
@@ -388,10 +343,8 @@ pub fn register(rt: &mut DesRuntime) {
     rt.register_type(BLOCK_TAG, BlockObj::decode);
     rt.register_type(COORD_TAG, CoordObj::decode);
     rt.register_handler(H_C_START, "updr_start", h_c_start);
-    rt.register_handler(H_C_DONE1, "updr_done1", h_c_done1);
     rt.register_handler(H_C_DONE3, "updr_done3", h_c_done3);
     rt.register_handler(H_B_P1, "updr_phase1", h_b_p1);
-    rt.register_handler(H_B_P2, "updr_phase2", h_b_p2);
     rt.register_handler(H_B_PTS, "updr_points", h_b_pts);
     rt.register_handler(H_B_COMMIT, "updr_commit", h_b_commit);
 }
@@ -402,10 +355,8 @@ pub fn register_threaded(rt: &mut mrts::threaded::ThreadedRuntime) {
     rt.register_type(BLOCK_TAG, BlockObj::decode);
     rt.register_type(COORD_TAG, CoordObj::decode);
     rt.register_handler(H_C_START, "updr_start", h_c_start);
-    rt.register_handler(H_C_DONE1, "updr_done1", h_c_done1);
     rt.register_handler(H_C_DONE3, "updr_done3", h_c_done3);
     rt.register_handler(H_B_P1, "updr_phase1", h_b_p1);
-    rt.register_handler(H_B_P2, "updr_phase2", h_b_p2);
     rt.register_handler(H_B_PTS, "updr_points", h_b_pts);
     rt.register_handler(H_B_COMMIT, "updr_commit", h_b_commit);
 }
@@ -439,7 +390,7 @@ fn layout(params: &UpdrParams, nodes: usize) -> Layout {
     }
 }
 
-fn make_block(params: &UpdrParams, lay: &Layout, b: &Block, dag: bool) -> BlockObj {
+fn make_block(params: &UpdrParams, lay: &Layout, b: &Block) -> BlockObj {
     BlockObj {
         idx: b.idx as u32,
         cell: b.cell,
@@ -450,7 +401,6 @@ fn make_block(params: &UpdrParams, lay: &Layout, b: &Block, dag: bool) -> BlockO
         neighbor_regions: b.neighbors.iter().map(|&x| lay.blocks[x].region).collect(),
         mesh: None,
         settled: 0,
-        dag,
         shipped: false,
         gate: PhaseGate::new(b.neighbors.len(), GATE_PHASES),
         expected: b.neighbors.len() as u32,
@@ -460,19 +410,18 @@ fn make_block(params: &UpdrParams, lay: &Layout, b: &Block, dag: bool) -> BlockO
     }
 }
 
-fn make_coord(lay: &Layout, dag: bool) -> CoordObj {
+fn make_coord(lay: &Layout) -> CoordObj {
     CoordObj {
         block_ptrs: lay.ptrs.clone(),
         pending: 0,
         phase: 0,
-        dag,
         elems: 0,
         verts: 0,
     }
 }
 
 /// Order-independent digest of the final meshes, for mesh-identity checks
-/// across scheduling modes and engines: FNV-1a over each block's canonical
+/// across schedules and engines: FNV-1a over each block's canonical
 /// form (see [`block_digest_part`]), folded in block order.
 fn fold_digest(parts: &mut [(u32, u64)]) -> u64 {
     parts.sort_unstable_by_key(|&(idx, _)| idx);
@@ -525,17 +474,16 @@ pub fn oupdr_run(params: &UpdrParams, cfg: MrtsConfig) -> MethodResult {
 
 /// [`oupdr_run`], also returning the mesh digest (see [`fold_digest`]).
 pub fn oupdr_run_with_digest(params: &UpdrParams, cfg: MrtsConfig) -> (MethodResult, u64) {
-    let dag = matches!(cfg.sched, SchedMode::Dag);
     let mut rt = DesRuntime::new(cfg.clone());
     register(&mut rt);
 
     let lay = layout(params, cfg.nodes);
     for b in &lay.blocks {
         let node = (b.idx % cfg.nodes) as NodeId;
-        let created = rt.create_object(node, Box::new(make_block(params, &lay, b, dag)), 128);
+        let created = rt.create_object(node, Box::new(make_block(params, &lay, b)), 128);
         assert_eq!(created, lay.ptrs[b.idx]);
     }
-    let created = rt.create_object(0, Box::new(make_coord(&lay, dag)), 255);
+    let created = rt.create_object(0, Box::new(make_coord(&lay)), 255);
     assert_eq!(created, lay.coord_ptr);
     rt.lock_object(lay.coord_ptr);
 
@@ -578,7 +526,6 @@ pub fn oupdr_setup_threaded(
     params: &UpdrParams,
     cfg: MrtsConfig,
 ) -> (mrts::threaded::ThreadedRuntime, MobilePtr) {
-    let dag = matches!(cfg.sched, SchedMode::Dag);
     let nodes = cfg.nodes;
     let mut rt = mrts::threaded::ThreadedRuntime::new(cfg);
     register_threaded(&mut rt);
@@ -586,10 +533,10 @@ pub fn oupdr_setup_threaded(
     let lay = layout(params, nodes);
     for b in &lay.blocks {
         let node = (b.idx % nodes) as NodeId;
-        let created = rt.create_object(node, Box::new(make_block(params, &lay, b, dag)), 128);
+        let created = rt.create_object(node, Box::new(make_block(params, &lay, b)), 128);
         assert_eq!(created, lay.ptrs[b.idx]);
     }
-    let created = rt.create_object(0, Box::new(make_coord(&lay, dag)), 255);
+    let created = rt.create_object(0, Box::new(make_coord(&lay)), 255);
     assert_eq!(created, lay.coord_ptr);
     rt.lock_object(lay.coord_ptr);
     rt.post(lay.coord_ptr, H_C_START, Vec::new());
@@ -668,7 +615,6 @@ mod tests {
             neighbor_regions: vec![blocks[1].region],
             mesh,
             settled: settled.unwrap_or(0),
-            dag: true,
             shipped: true,
             gate,
             expected: 2,
@@ -688,7 +634,7 @@ mod tests {
         );
         assert_eq!(back.received, obj.received);
         assert_eq!(back.expected, 2);
-        assert!(back.dag && back.shipped);
+        assert!(back.shipped);
         assert_eq!(back.gate, obj.gate);
         back.mesh.as_ref().unwrap().validate().unwrap();
     }
@@ -701,19 +647,6 @@ mod tests {
         assert_eq!(
             port.elements, base.elements,
             "identical kernels and deterministic phases must agree"
-        );
-    }
-
-    #[test]
-    fn oupdr_dag_and_barrier_meshes_are_byte_identical() {
-        let p = params(3000, 3);
-        let (dag, dag_digest) = oupdr_run_with_digest(&p, MrtsConfig::in_core(3));
-        let (bar, bar_digest) = oupdr_run_with_digest(&p, MrtsConfig::in_core(3).with_barriers());
-        assert_eq!(dag.elements, bar.elements);
-        assert_eq!(dag.vertices, bar.vertices);
-        assert_eq!(
-            dag_digest, bar_digest,
-            "canonical phase-3 integration makes the mesh schedule-independent"
         );
     }
 
@@ -779,6 +712,54 @@ mod tests {
     }
 
     #[test]
+    fn oupdr_des_work_stealing_out_of_core_preserves_mesh() {
+        // Graded 8x8 grid on 8 nodes at a quarter of the in-core peak:
+        // elements concentrate toward the origin, so the block-per-node
+        // partition is imbalanced, blocks spill between phases and
+        // messages queue on evicted objects — the only place DES
+        // stealing finds ready work. Deterministic compute makes the
+        // schedule, and with it the steal-request count, a pure function
+        // of the inputs.
+        use crate::domain::{h_for_elements, DomainSpec, SizingSpec};
+        let domain = DomainSpec::unit_square();
+        let h_min = h_for_elements(domain.area(), 12_000) / 1.6;
+        let p = UpdrParams::new(
+            Workload {
+                domain,
+                sizing: SizingSpec::Graded {
+                    focus: Point2::new(0.0, 0.0),
+                    h_min,
+                    h_max: h_min * 4.0,
+                    radius: 1.4,
+                },
+            },
+            8,
+        );
+        let mut in_core = MrtsConfig::in_core(8);
+        in_core.deterministic_compute = true;
+        let (core, core_digest) = oupdr_run_with_digest(&p, in_core);
+        let budget = (core.stats.peak_mem() / 4).max(60_000);
+        let mut steal = MrtsConfig::out_of_core(8, budget).with_work_stealing();
+        steal.deterministic_compute = true;
+        let (stolen, steal_digest) = oupdr_run_with_digest(&p, steal);
+        assert_eq!(stolen.elements, core.elements);
+        assert_eq!(
+            steal_digest, core_digest,
+            "out-of-core stealing must mesh like the in-core reference"
+        );
+        assert!(
+            stolen.stats.total_of(|n| n.stores) > 0,
+            "must spill: {}",
+            stolen.stats.summary()
+        );
+        assert!(
+            stolen.stats.total_of(|n| n.steal_requests as usize) > 0,
+            "no node starved into stealing: {}",
+            stolen.stats.summary()
+        );
+    }
+
+    #[test]
     fn oupdr_out_of_core_spills_and_matches() {
         let p = params(4000, 3);
         let base = updr_incore(&p, 2, 1 << 30).unwrap();
@@ -816,11 +797,6 @@ mod tests {
         ] {
             assert_eq!(v, 0, "fault-free run charged net counter {name} = {v}");
         }
-        // The legacy escape hatch must still mesh identically.
-        let legacy = oupdr_run(&p, MrtsConfig::out_of_core(2, budget).with_legacy_spill());
-        assert_eq!(legacy.elements, ooc.elements);
-        assert_eq!(legacy.stats.total_of(|n| n.evictions_elided), 0);
-        assert_eq!(legacy.stats.total_of(|n| n.spill_batches), 0);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! these tests keep the behavior pinned under plain `cargo test`.
 
 use pumg::methods::domain::Workload;
+use pumg::methods::mesh_job::opcdm_digest;
 use pumg::methods::ooc_pcdm::{
     opcdm_collect_threaded, opcdm_run, opcdm_run_threaded, opcdm_run_threaded_with, opcdm_run_with,
-    opcdm_setup_threaded, register_threaded, SubObj, H_REFINE,
+    opcdm_setup_threaded, register, register_threaded, SubObj, H_REFINE,
 };
 use pumg::methods::pcdm::PcdmParams;
 use pumg::mrts::audit::{EventLog, FailMode, InvariantChecker, RaceDetector, RuntimeEvent};
@@ -364,15 +365,30 @@ fn load_exhaustion_is_typed_error_threaded() {
 // finer workload and refines again. The crashed path persists the
 // checkpoint segmented on disk, "dies" (drops the runtime), reads the
 // checkpoint back — past a torn tail — and must finish with the mesh the
-// uninterrupted path produced.
+// uninterrupted path produced. Retune and refine are both posted before
+// the run starts (a refine sent from inside the retune handler would race
+// the neighbors' splits). Asynchronous OPCDM on OS threads is still not
+// bit-reproducible by construction, so the kill-recovery
+// comparison runs phase 2 on the virtual-time engine under
+// `deterministic_compute`, where the schedule is a pure function of the
+// checkpoint.
 // ---------------------------------------------------------------------------
 
 const H_RETUNE: HandlerId = HandlerId(0x902);
 
-fn h_retune(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
+fn h_retune(obj: &mut dyn MobileObject, _ctx: &mut Ctx, _payload: &[u8]) {
     let so = obj.as_any_mut().downcast_mut::<SubObj>().unwrap();
     so.workload = Workload::uniform_square(9_000);
-    ctx.send(ctx.self_ptr(), H_REFINE, Vec::new());
+}
+
+/// The messages that start phase 2: per subdomain, retune then refine.
+/// Posted before the run, the per-object FIFO delivers both ahead of any
+/// neighbor's splits.
+fn phase2_posts(cp: &Checkpoint) -> impl Iterator<Item = (MobilePtr, HandlerId)> + '_ {
+    cp.objects.iter().flat_map(|e| {
+        let ptr = MobilePtr::new(e.oid);
+        [(ptr, H_RETUNE), (ptr, H_REFINE)]
+    })
 }
 
 /// Phase 2 from a checkpoint on a cluster of `nodes` workers. Homes wrap
@@ -385,8 +401,8 @@ fn run_phase2_on(cp: &Checkpoint, spill: PathBuf, nodes: usize) -> (u64, u64) {
     register_threaded(&mut rt);
     rt.register_handler(H_RETUNE, "retune", h_retune);
     cp.restore_into_threaded(&mut rt);
-    for e in &cp.objects {
-        rt.post(MobilePtr::new(e.oid), H_RETUNE, Vec::new());
+    for (ptr, handler) in phase2_posts(cp) {
+        rt.post(ptr, handler, Vec::new());
     }
     rt.run();
     let counts = opcdm_collect_threaded(&rt);
@@ -396,6 +412,28 @@ fn run_phase2_on(cp: &Checkpoint, spill: PathBuf, nodes: usize) -> (u64, u64) {
 
 fn run_phase2(cp: &Checkpoint, spill: PathBuf) -> (u64, u64) {
     run_phase2_on(cp, spill, 2)
+}
+
+/// Phase 2 on the virtual-time engine with a reproducible schedule:
+/// `(canonical mesh digest, elements)`.
+fn run_phase2_deterministic(cp: &Checkpoint) -> (u64, u64) {
+    let mut cfg = MrtsConfig::out_of_core(2, 300_000);
+    cfg.deterministic_compute = true;
+    let mut rt = DesRuntime::new(cfg);
+    register(&mut rt);
+    rt.register_handler(H_RETUNE, "retune", h_retune);
+    let mut rt = cp.restore_into(rt);
+    for (ptr, handler) in phase2_posts(cp) {
+        rt.post(ptr, handler, Vec::new());
+    }
+    rt.run();
+    let mut elements = 0u64;
+    rt.for_each_object(|_, obj| {
+        if let Some(so) = obj.as_any().downcast_ref::<SubObj>() {
+            elements += so.sd.mesh.num_tris() as u64;
+        }
+    });
+    (opcdm_digest(&mut rt), elements)
 }
 
 #[test]
@@ -410,7 +448,7 @@ fn kill_between_phases_recovers_identical_mesh() {
     assert!(!cp.objects.is_empty());
 
     // Uninterrupted path: the in-memory checkpoint is the phase barrier.
-    let uninterrupted = run_phase2(&cp, tmp("kill-a"));
+    let uninterrupted = run_phase2_deterministic(&cp);
 
     // Crashed path: persist, kill the runtime, restart from disk.
     let ckpt_dir = tmp("kill-ckpt");
@@ -434,7 +472,7 @@ fn kill_between_phases_recovers_identical_mesh() {
 
     let recovered = Checkpoint::read_segmented(&ckpt_dir).unwrap();
     assert_eq!(recovered, cp, "recovered checkpoint must match the capture");
-    let restarted = run_phase2(&recovered, tmp("kill-b"));
+    let restarted = run_phase2_deterministic(&recovered);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     assert_eq!(
@@ -443,7 +481,7 @@ fn kill_between_phases_recovers_identical_mesh() {
     );
     // Phase 2 actually refined past phase 1's mesh.
     let phase1: u64 = cp.objects.len() as u64;
-    assert!(restarted.0 > phase1, "phase 2 must have refined the mesh");
+    assert!(restarted.1 > phase1, "phase 2 must have refined the mesh");
 }
 
 // ---------------------------------------------------------------------------
@@ -785,8 +823,8 @@ fn node_crash_rehomes_from_checkpoint_onto_survivors() {
     rt.register_handler(H_RETUNE, "retune", h_retune);
     rt.register_handler(H_CHAT, "chat", h_chat);
     cp.restore_into_threaded(&mut rt);
-    for e in &cp.objects {
-        rt.post(MobilePtr::new(e.oid), H_RETUNE, Vec::new());
+    for (ptr, handler) in phase2_posts(&cp) {
+        rt.post(ptr, handler, Vec::new());
     }
     let on_node = |n: u8| {
         cp.objects

@@ -161,22 +161,6 @@ fn wider_disk_pipeline_never_slows_the_des() {
 }
 
 #[test]
-fn threaded_legacy_io_path_stays_correct() {
-    // The pre-overlap shape (single FIFO I/O thread, per-object spill
-    // files, unpaced loads) remains as the benchmark baseline and must
-    // still produce the reference mesh.
-    let p = PcdmParams::new(Workload::uniform_square(6_000), 2);
-    let des = opcdm_run(&p, MrtsConfig::in_core(2));
-    let mut cfg = MrtsConfig::out_of_core(2, 300_000).with_legacy_io();
-    cfg.spill_dir = Some(std::env::temp_dir().join(format!("mrts-legacy-{}", std::process::id())));
-    let spill = cfg.spill_dir.clone().unwrap();
-    let threaded = opcdm_run_threaded(&p, cfg);
-    assert_eq!(des.elements, threaded.elements);
-    assert_eq!(des.vertices, threaded.vertices);
-    let _ = std::fs::remove_dir_all(spill);
-}
-
-#[test]
 fn more_nodes_means_less_virtual_time() {
     // Node-level scaling in the virtual-time model: same OOC workload on
     // more nodes finishes sooner (the sub-linear scaling of the paper).

@@ -27,7 +27,7 @@ fn main() {
         ("table7", table7),
         ("ablation_swap", ablation_swap),
         ("ablation_thresholds", ablation_thresholds),
-        ("ablation_multicast", ablation_multicast),
+        ("ablation_onupdr", ablation_onupdr),
     ];
     for (name, f) in experiments {
         eprintln!("  {name} ...");

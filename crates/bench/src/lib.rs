@@ -736,13 +736,12 @@ pub fn ablation_thresholds(scale: Scale) -> Table {
     t
 }
 
-/// Multicast + optimization ablation: ONUPDR variants (paper Section III
-/// "Findings").
-pub fn ablation_multicast(scale: Scale) -> Table {
+/// Optimization ablation: ONUPDR variants (paper Section III "Findings").
+pub fn ablation_onupdr(scale: Scale) -> Table {
     let p = NupdrParams::new(graded_workload(scale.sz(40_000)));
     let budget = mem_per_pe(scale.sz(10_000), 4) as usize;
     let mut t = Table::new(
-        "Ablation — ONUPDR optimizations and the multicast mobile message (4 PEs, out-of-core)",
+        "Ablation — ONUPDR optimizations (4 PEs, out-of-core)",
         &["variant", "time (s)", "loads", "stores", "comm %"],
     );
     let variants: Vec<(&str, OnupdrOpts)> = vec![
@@ -758,14 +757,6 @@ pub fn ablation_multicast(scale: Scale) -> Table {
             o.max_active = 4;
             o
         }),
-        (
-            "multicast collect",
-            OnupdrOpts {
-                max_active: 4,
-                multicast: true,
-                ..Default::default()
-            },
-        ),
         (
             "no buffer locking",
             OnupdrOpts {

@@ -6,8 +6,7 @@
 //! [`RuntimeEvent`] for every semantically meaningful transition of a
 //! mobile object: creation, load/unload (spill), pin/unpin, message
 //! post/delivery/forward, directory updates, migration out/in, in-place
-//! resize, multicast delivery, budget snapshots, and
-//! termination/shutdown. Any [`EventSink`] can observe the stream; the
+//! resize, budget snapshots, and termination/shutdown. Any [`EventSink`] can observe the stream; the
 //! two shipped sinks are:
 //!
 //! * [`EventLog`] — records everything, for offline inspection;
@@ -37,38 +36,36 @@
 //!    object's (current or in-flight) location without revisiting a
 //!    node, and no object is forwarded without making progress
 //!    (a livelock streak cap backstops the walk).
-//! 6. **Multicast delivers only to resident targets** — every target of
-//!    a `McDeliver` is in-core on that node.
-//! 7. **Termination only at quiescence** — at `Terminate` no posted
+//! 6. **Termination only at quiescence** — at `Terminate` no posted
 //!    message is undelivered and no migration is in flight.
-//! 8. **Accounting balances at shutdown** — each node's reported `used`
+//! 7. **Accounting balances at shutdown** — each node's reported `used`
 //!    equals both the event-ledger total and the sum of in-core object
 //!    footprints.
 //!
-//! 9. **Prefetch stays inside its window** — every look-ahead load is
+//! 8. **Prefetch stays inside its window** — every look-ahead load is
 //!    issued against an on-disk object, and the in-flight totals it
 //!    announces never exceed the configured window caps.
-//! 10. **Compaction preserves every live object** — a spill-log
-//!     compaction reports identical live object counts and live bytes
-//!     before and after the rewrite.
-//! 11. **Degraded mode stops evictions** — `Degraded` enter/exit events
+//! 9. **Compaction preserves every live object** — a spill-log
+//!    compaction reports identical live object counts and live bytes
+//!    before and after the rewrite.
+//! 10. **Degraded mode stops evictions** — `Degraded` enter/exit events
 //!     alternate per node, and no object is unloaded on a node while it
 //!     is degraded (a full disk must not be written to).
-//! 12. **Elided evictions reference current on-disk bytes** — an
+//! 11. **Elided evictions reference current on-disk bytes** — an
 //!     `ElidedUnload` (a clean eviction that skipped the re-write) must
 //!     name an object whose last stored version equals its current
 //!     mutation version, and the checker's independent model of the
 //!     on-disk version (bumped at `Deliver`/`MigrateIn`, recorded at
 //!     `Unload`, invalidated by migration) must agree.
-//! 13. **Handlers execute exactly once per post** — even under duplicated
+//! 12. **Handlers execute exactly once per post** — even under duplicated
 //!     transmissions, every `Deliver` consumes an outstanding `Post`; a
 //!     duplicate that escaped receiver-side dedup drives the outstanding
 //!     count negative and is flagged.
-//! 14. **Steals respect pinning and residency** — a `StealGrant` hands
+//! 13. **Steals respect pinning and residency** — a `StealGrant` hands
 //!     over an object that is present (in-core or on this node's disk)
 //!     and unpinned on the granting node; the migration it triggers is
 //!     then held to invariants 3 and 5 like any other.
-//! 15. **Jobs never interfere** — on the separate [`ServiceEvent`]
+//! 14. **Jobs never interfere** — on the separate [`ServiceEvent`]
 //!     stream, the node domains granted to concurrently active jobs are
 //!     pairwise disjoint, and a quarantined job is never readmitted.
 //!
@@ -119,7 +116,7 @@ pub enum RuntimeEvent {
     /// copy was dropped because the on-disk bytes are already current.
     /// `version` is the object's mutation version at eviction time and
     /// `stored_version` the version the engine last wrote to disk; the
-    /// checker requires them to match its own model (invariant 12).
+    /// checker requires them to match its own model (invariant 11).
     ElidedUnload {
         node: NodeId,
         oid: ObjectId,
@@ -172,11 +169,6 @@ pub enum RuntimeEvent {
         oid: ObjectId,
         old: usize,
         new: usize,
-    },
-    /// A multicast delivered to all its local `targets` at once.
-    McDeliver {
-        node: NodeId,
-        targets: Vec<ObjectId>,
     },
     /// A memory-accounting snapshot. `enforced` snapshots follow an
     /// admission decision and are held to the budget invariant;
@@ -281,7 +273,7 @@ pub enum RuntimeEvent {
     StealRequest { node: NodeId, thief: NodeId },
     /// `node` answered a steal request by granting `oid` to thief `to`.
     /// The handover must be legal: `oid` present on `node` (in-core or
-    /// on its disk) and unpinned (invariant 14). The migration that ships
+    /// on its disk) and unpinned (invariant 13). The migration that ships
     /// it emits `MigrateOut`/`MigrateIn` as usual.
     StealGrant {
         node: NodeId,
@@ -366,7 +358,6 @@ pub enum Invariant {
     QueueLostInMigration,
     BudgetExceeded,
     ForwardingCycle,
-    MulticastNonResident,
     EarlyTermination,
     AccountingImbalance,
     /// A look-ahead load overran the configured prefetch window.
@@ -454,7 +445,7 @@ struct CheckState {
     /// (delivery or install); a runaway streak means a routing livelock.
     forward_streak: HashMap<ObjectId, u32>,
     /// Active job → granted node domain (service-level stream). Domains
-    /// of concurrently active jobs must be disjoint (invariant 15).
+    /// of concurrently active jobs must be disjoint (invariant 14).
     job_domains: HashMap<u64, Vec<NodeId>>,
     /// Jobs the service has quarantined — they may never be readmitted.
     job_quarantined: HashSet<u64>,
@@ -670,7 +661,7 @@ impl EventSink for InvariantChecker {
                             ),
                         ));
                     }
-                    // Invariant 12: the skipped write is only legal when
+                    // Invariant 11: the skipped write is only legal when
                     // the on-disk bytes are current — per the engine's
                     // own bookkeeping *and* the checker's model.
                     if version != stored_version {
@@ -891,17 +882,6 @@ impl EventSink for InvariantChecker {
                     format!("{oid:?} resized on node {node} while not in-core there"),
                 )),
             },
-            RuntimeEvent::McDeliver { node, targets } => {
-                for t in targets {
-                    match st.objs.get(t) {
-                        Some(o) if o.residency == Residency::InCore && o.loc == *node => {}
-                        _ => found.push((
-                            Invariant::MulticastNonResident,
-                            format!("multicast delivered on node {node} but target {t:?} is not resident there"),
-                        )),
-                    }
-                }
-            }
             RuntimeEvent::Budget {
                 node,
                 used,
@@ -1176,7 +1156,7 @@ impl ServiceEventSink for ServiceLog {
 }
 
 impl ServiceEventSink for InvariantChecker {
-    /// Invariant 15: **jobs never interfere** — the node domains of
+    /// Invariant 14: **jobs never interfere** — the node domains of
     /// concurrently active jobs are pairwise disjoint, and a quarantined
     /// job is never readmitted. Lifecycle-impossible transitions (retry of
     /// an inactive job, double completion, id reuse) fall under

@@ -1,7 +1,7 @@
 //! Runtime configuration.
 
 use crate::compute::ExecutorKind;
-use crate::fault::{FaultPlan, RetryPolicy};
+use crate::fault::FaultPlan;
 use crate::netfault::NetFaultPlan;
 use crate::policy::PolicyKind;
 use crate::storage::DiskModel;
@@ -77,13 +77,6 @@ pub struct MrtsConfig {
     /// threaded engine (pack/unpack run there, off the worker thread) and
     /// modeled parallel disk channels in the DES engine.
     pub io_threads: usize,
-    /// Prefetch window, object axis: at most this many look-ahead loads
-    /// in flight per node. `0` disables look-ahead (loads issue only on
-    /// demand, when the node has no resident work left).
-    pub prefetch_window_objects: usize,
-    /// Prefetch window, byte axis: at most this many packed bytes of
-    /// look-ahead loads in flight per node.
-    pub prefetch_window_bytes: usize,
     /// Segment log: bytes buffered per segment before it is sealed with a
     /// single write syscall. A record of at least half this size is not
     /// buffered: it is written directly as a segment of its own.
@@ -109,9 +102,6 @@ pub struct MrtsConfig {
     /// set, every node's spill store is wrapped in a
     /// [`crate::fault::FaultyStore`] seeded with `plan.seed + node`.
     pub fault: Option<FaultPlan>,
-    /// Retry/backoff policy for storage operations in both engines (also
-    /// paces message retransmission in the reliable-delivery layer).
-    pub retry: RetryPolicy,
     /// Deterministic network fault schedule; `None` runs over a reliable
     /// fabric. When set, the threaded engine activates its
     /// reliable-delivery layer (sequence numbers, acks, retransmits,
@@ -126,34 +116,12 @@ pub struct MrtsConfig {
     /// curve-ordered segment compaction. `false` restores the
     /// placement-blind behaviour.
     pub locality: bool,
-    /// Locality cluster size in objects: the curve is cut into clusters of
-    /// this many consecutive objects; eviction prefers taking a whole
-    /// cluster, and a demand load prefetches the rest of the faulted
-    /// object's cluster.
-    pub locality_cluster_objects: usize,
-    /// How many of the faulted object's cluster mates a demand load
-    /// prefetches — the nearest on the curve, not the whole cluster.
-    /// Under a tight budget, whole-cluster prefetch loads mates so far
-    /// ahead of the access front that they are evicted again before use;
-    /// curve distance bounds that waste. `0` keeps cluster eviction and
-    /// curve compaction but disables the prefetch hook.
-    pub locality_prefetch_mates: usize,
-    /// Replay-mode patience: how long a replaying worker waits for the
-    /// next recorded event (a fabric frame from the logged edge, an I/O
-    /// completion for the logged key) before declaring a divergence and
-    /// falling back to live execution. See `mrts::replay`.
-    pub replay_wait: Duration,
     /// Cross-node work stealing: an idle node asks a loaded peer for a
     /// ready task (an unpinned object with queued work), which migrates
     /// over the regular install path. Off by default — stealing pays off
     /// on imbalanced (graded/NUPDR) inputs at node counts where idle
     /// fraction dominates, and is deliberately opt-in elsewhere.
     pub work_stealing: bool,
-    /// Steal patience: how many consecutive idle observations a node
-    /// accumulates before it issues a steal request. Small values steal
-    /// eagerly (lower idle time, more migration traffic); large values
-    /// only steal under sustained starvation.
-    pub steal_patience: u32,
 }
 
 impl Default for MrtsConfig {
@@ -171,20 +139,13 @@ impl Default for MrtsConfig {
             disk: DiskModel::cluster_disk(),
             spill_dir: None,
             io_threads: 2,
-            prefetch_window_objects: 4,
-            prefetch_window_bytes: 4 << 20,
             segment_bytes: 1 << 20,
             segment_garbage_frac: 0.5,
             deterministic_compute: false,
             fault: None,
-            retry: RetryPolicy::default(),
             net_fault: None,
             locality: true,
-            locality_cluster_objects: 8,
-            locality_prefetch_mates: 2,
-            replay_wait: Duration::from_secs(2),
             work_stealing: false,
-            steal_patience: 2,
         }
     }
 }
@@ -223,13 +184,6 @@ impl MrtsConfig {
         self
     }
 
-    /// Bound the prefetch window (look-ahead loads in flight per node).
-    pub fn with_prefetch_window(mut self, objects: usize, bytes: usize) -> Self {
-        self.prefetch_window_objects = objects;
-        self.prefetch_window_bytes = bytes;
-        self
-    }
-
     /// Set the storage-pipeline width (I/O threads / disk channels).
     pub fn with_io_threads(mut self, n: usize) -> Self {
         self.io_threads = n;
@@ -239,12 +193,6 @@ impl MrtsConfig {
     /// Inject the faults of `plan` into every node's spill store.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
-        self
-    }
-
-    /// Override the storage retry/backoff policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -263,33 +211,9 @@ impl MrtsConfig {
         self
     }
 
-    /// Override the locality cluster size (objects per curve cluster).
-    pub fn with_locality_cluster(mut self, objects: usize) -> Self {
-        self.locality_cluster_objects = objects;
-        self
-    }
-
-    /// Override how many nearest cluster mates a demand load prefetches.
-    pub fn with_locality_prefetch_mates(mut self, mates: usize) -> Self {
-        self.locality_prefetch_mates = mates;
-        self
-    }
-
-    /// Override the replay-mode divergence-detection wait.
-    pub fn with_replay_wait(mut self, wait: Duration) -> Self {
-        self.replay_wait = wait;
-        self
-    }
-
     /// Enable cross-node work stealing for idle nodes.
     pub fn with_work_stealing(mut self) -> Self {
         self.work_stealing = true;
-        self
-    }
-
-    /// Set the steal patience (idle observations before a steal request).
-    pub fn with_steal_patience(mut self, patience: u32) -> Self {
-        self.steal_patience = patience;
         self
     }
 
@@ -323,21 +247,6 @@ impl MrtsConfig {
         }
         if !(0.0..=1.0).contains(&self.segment_garbage_frac) || self.segment_garbage_frac == 0.0 {
             return Err("segment_garbage_frac must be in (0, 1]".into());
-        }
-        if self.retry.max_attempts == 0 {
-            return Err("retry.max_attempts must be > 0".into());
-        }
-        if self.locality_cluster_objects == 0 {
-            return Err("locality_cluster_objects must be > 0".into());
-        }
-        if self.retry.base_delay > self.retry.max_delay {
-            return Err("retry.base_delay must not exceed retry.max_delay".into());
-        }
-        if self.replay_wait.is_zero() {
-            return Err("replay_wait must be > 0".into());
-        }
-        if self.steal_patience == 0 {
-            return Err("steal_patience must be > 0".into());
         }
         if let Some(f) = &self.fault {
             for (name, rate) in [
@@ -444,11 +353,7 @@ mod tests {
     fn overlap_knobs() {
         let c = MrtsConfig::default();
         assert_eq!(c.io_threads, 2);
-        assert_eq!(c.prefetch_window_objects, 4);
-        let w = MrtsConfig::default()
-            .with_prefetch_window(8, 1 << 22)
-            .with_io_threads(3);
-        assert_eq!(w.prefetch_window_objects, 8);
+        let w = MrtsConfig::default().with_io_threads(3);
         assert_eq!(w.io_threads, 3);
     }
 
@@ -456,35 +361,17 @@ mod tests {
     fn locality_default_and_escape_hatch() {
         let c = MrtsConfig::default();
         assert!(c.locality);
-        assert_eq!(c.locality_cluster_objects, 8);
         let off = MrtsConfig::out_of_core(2, 1 << 16).with_no_locality();
         off.validate().unwrap();
         assert!(!off.locality);
-        let sized = MrtsConfig::default().with_locality_cluster(16);
-        assert_eq!(sized.locality_cluster_objects, 16);
-        assert!(MrtsConfig {
-            locality_cluster_objects: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
     fn work_stealing_knobs() {
         assert!(!MrtsConfig::default().work_stealing);
-        let s = MrtsConfig::in_core(4)
-            .with_work_stealing()
-            .with_steal_patience(5);
+        let s = MrtsConfig::in_core(4).with_work_stealing();
         s.validate().unwrap();
         assert!(s.work_stealing);
-        assert_eq!(s.steal_patience, 5);
-        assert!(MrtsConfig {
-            steal_patience: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::compute::{ParallelReport, Task, TaskBackend};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
-use crate::msg::MulticastInfo;
 use crate::object::MobileObject;
 
 /// A runtime mutation requested by a handler.
@@ -23,13 +22,6 @@ pub enum Effect {
         handler: HandlerId,
         payload: Vec<u8>,
         immediate: bool,
-    },
-    /// Post a multicast mobile message (collect all targets on one node
-    /// in-core, then deliver to the first `deliver_to`).
-    Multicast {
-        info: MulticastInfo,
-        handler: HandlerId,
-        payload: Vec<u8>,
     },
     /// Create a new mobile object on this node.
     Create {
@@ -61,9 +53,6 @@ impl std::fmt::Debug for Effect {
                 payload.len(),
                 if *immediate { ", immediate" } else { "" }
             ),
-            Effect::Multicast { info, handler, .. } => {
-                write!(f, "Multicast({} targets, {handler:?})", info.targets.len())
-            }
             Effect::Create { id, priority, .. } => write!(f, "Create({id:?}, prio={priority})"),
             Effect::Lock(p) => write!(f, "Lock({p:?})"),
             Effect::Unlock(p) => write!(f, "Unlock({p:?})"),
@@ -138,27 +127,6 @@ impl<'a> Ctx<'a> {
             handler,
             payload,
             immediate: true,
-        });
-    }
-
-    /// Post a multicast mobile message: the runtime collects all `targets`
-    /// on one node, loads them in-core, then delivers to the first
-    /// `deliver_to` of them.
-    pub fn multicast(
-        &mut self,
-        targets: Vec<MobilePtr>,
-        deliver_to: u32,
-        handler: HandlerId,
-        payload: Vec<u8>,
-    ) {
-        assert!(deliver_to as usize <= targets.len());
-        self.effects.push(Effect::Multicast {
-            info: MulticastInfo {
-                targets,
-                deliver_to,
-            },
-            handler,
-            payload,
         });
     }
 
@@ -291,15 +259,5 @@ mod tests {
         // Empty batch records nothing.
         ctx.run_tasks(vec![]);
         assert_eq!(ctx.parallel_reports.len(), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn multicast_deliver_count_validated() {
-        let mut seq = 0;
-        let mut backend = SequentialBackend;
-        let mut ctx = test_ctx(&mut seq, &mut backend);
-        let p = MobilePtr::new(ObjectId::new(0, 1));
-        ctx.multicast(vec![p], 2, HandlerId(0), vec![]);
     }
 }

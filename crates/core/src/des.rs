@@ -30,12 +30,12 @@ use crate::compute::SequentialBackend;
 use crate::config::MrtsConfig;
 use crate::ctx::{Ctx, Effect};
 use crate::directory::Directory;
-use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError};
+use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
-use crate::locality::LocalityMap;
-use crate::msg::{Message, MulticastInfo};
+use crate::locality::{LocalityMap, CLUSTER_OBJECTS, PREFETCH_MATES};
+use crate::msg::Message;
 use crate::object::{MobileObject, Registry};
-use crate::ooc::{EvictCandidate, OocManager};
+use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WINDOW_OBJECTS};
 use crate::policy::AccessMeta;
 use crate::stats::{NodeStats, RunStats};
 use crate::storage::{MemStore, StorageBackend};
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 /// Size in bytes charged for a directory-update service message.
 const DIR_UPDATE_BYTES: usize = 32;
-/// Size charged for control messages (migrate requests, multicast starts).
+/// Size charged for control messages (migrate and steal requests).
 const CTL_BYTES: usize = 64;
 
 enum EntryState {
@@ -97,13 +97,6 @@ impl Entry {
     }
 }
 
-struct McPending {
-    info: MulticastInfo,
-    handler: HandlerId,
-    payload: Vec<u8>,
-    waiting: Vec<ObjectId>,
-}
-
 struct NodeState {
     table: HashMap<ObjectId, Entry>,
     ooc: OocManager,
@@ -118,7 +111,6 @@ struct NodeState {
     stats: NodeStats,
     next_obj_seq: u64,
     next_spill_key: u64,
-    multicasts: Vec<McPending>,
     /// Queued-but-on-disk objects awaiting a load slot, in arrival order.
     pending_loads: VecDeque<ObjectId>,
     /// Loads currently occupying disk channels, for the prefetch window.
@@ -156,12 +148,6 @@ enum EvKind {
         /// `version + 1`, mirroring the audit checker's model.
         version: u64,
         queue: VecDeque<Message>,
-    },
-    /// Start collecting a multicast at the coordinator.
-    McStart {
-        info: MulticastInfo,
-        handler: HandlerId,
-        payload: Vec<u8>,
     },
     /// Metadata operation routed to the object's owner.
     Meta(ObjectId, MetaOp),
@@ -264,12 +250,11 @@ impl DesRuntime {
                 stats: NodeStats::default(),
                 next_obj_seq: 0,
                 next_spill_key: 0,
-                multicasts: Vec::new(),
                 pending_loads: VecDeque::new(),
                 inflight_loads: 0,
                 inflight_load_bytes: 0,
                 pack_buf: Vec::new(),
-                locality: LocalityMap::new(cfg.locality_cluster_objects),
+                locality: LocalityMap::new(CLUSTER_OBJECTS),
                 last_anchor_key: 0,
             })
             .collect();
@@ -573,7 +558,7 @@ impl DesRuntime {
                             attempt,
                         }
                     );
-                    arrive += self.fault_penalty(self.cfg.retry.delay(attempt, seq) + transfer);
+                    arrive += self.fault_penalty(ENGINE_RETRY.delay(attempt, seq) + transfer);
                     continue;
                 }
                 if d.duplicate {
@@ -722,11 +707,6 @@ impl DesRuntime {
                 version,
                 queue,
             } => self.on_install(node, oid, bytes, priority, locked, version, queue),
-            EvKind::McStart {
-                info,
-                handler,
-                payload,
-            } => self.on_mc_start(node, info, handler, payload),
             EvKind::Meta(oid, op) => self.on_meta(node, oid, op),
             EvKind::StealReq(thief) => self.on_steal_req(node, thief),
             #[allow(unused_variables)] // `victim` feeds the audit emission
@@ -898,13 +878,9 @@ impl DesRuntime {
     /// the window could not see. Mates enter `pending_loads` with a
     /// prefetch hint, so the pump treats them as wanted look-ahead work —
     /// still bounded by the prefetch window and pacing, and shed first
-    /// under disk pressure. Disabled when locality is off or there is no
-    /// look-ahead (window 0).
+    /// under disk pressure. Disabled when locality is off.
     fn cluster_prefetch(&mut self, node: NodeId, anchor: ObjectId) {
-        if !self.cfg.locality
-            || self.cfg.locality_prefetch_mates == 0
-            || self.cfg.prefetch_window_objects == 0
-        {
+        if !self.cfg.locality {
             return;
         }
         self.nodes[node as usize].locality.maybe_rebuild();
@@ -913,11 +889,10 @@ impl DesRuntime {
         };
         let forward = key >= self.nodes[node as usize].last_anchor_key;
         self.nodes[node as usize].last_anchor_key = key;
-        let companions = self.nodes[node as usize].locality.companions_toward(
-            anchor,
-            self.cfg.locality_prefetch_mates,
-            forward,
-        );
+        let companions =
+            self.nodes[node as usize]
+                .locality
+                .companions_toward(anchor, PREFETCH_MATES, forward);
         for mate in companions {
             let n = &mut self.nodes[node as usize];
             let Some(e) = n.table.get_mut(&mate) else {
@@ -953,16 +928,14 @@ impl DesRuntime {
     /// engine's pump (see [`crate::threaded`]). A look-ahead load (virtual
     /// cores busy beyond `at`) stays inside the window and is paced so it
     /// never displaces an object with queued messages; urgent loads
-    /// (migration or multicast waiting) bypass the window. Because the DES
-    /// has no idle polling loop, the pump guarantees that a non-empty
-    /// queue always has at least one load in flight — a fully deferred
-    /// queue with nothing in flight would silently drop work.
+    /// (migration waiting) bypass the window. Because the DES has no idle
+    /// polling loop, the pump guarantees that a non-empty queue always
+    /// has at least one load in flight — a fully deferred queue with
+    /// nothing in flight would silently drop work.
     fn pump_loads(&mut self, node: NodeId, at: Duration) {
         if self.nodes[node as usize].pending_loads.is_empty() {
             return;
         }
-        let window_objs = self.cfg.prefetch_window_objects;
-        let window_bytes = self.cfg.prefetch_window_bytes;
         let mut idle_evictable: Option<usize> = None;
         let mut i = 0;
         while i < self.nodes[node as usize].pending_loads.len() {
@@ -1000,11 +973,11 @@ impl DesRuntime {
                     i += 1;
                     continue;
                 }
-                if n.inflight_loads >= window_objs {
+                if n.inflight_loads >= PREFETCH_WINDOW_OBJECTS {
                     break;
                 }
                 if n.inflight_loads > 0
-                    && n.inflight_load_bytes.saturating_add(packed_len) > window_bytes
+                    && n.inflight_load_bytes.saturating_add(packed_len) > PREFETCH_WINDOW_BYTES
                 {
                     break;
                 }
@@ -1018,9 +991,8 @@ impl DesRuntime {
                         continue;
                     }
                 }
-            } else if n.inflight_loads > 0 && n.inflight_loads >= window_objs {
-                // Demand loads keep the pipe bounded too, but at least one
-                // is always in flight so the node cannot stall.
+            } else if n.inflight_loads >= PREFETCH_WINDOW_OBJECTS {
+                // Demand loads keep the pipe bounded too.
                 break;
             }
             self.nodes[node as usize].pending_loads.remove(i);
@@ -1095,9 +1067,9 @@ impl DesRuntime {
                         node,
                         oid,
                         inflight_objects: n.inflight_loads,
-                        window_objects: self.cfg.prefetch_window_objects,
+                        window_objects: PREFETCH_WINDOW_OBJECTS,
                         inflight_bytes: n.inflight_load_bytes,
-                        window_bytes: self.cfg.prefetch_window_bytes,
+                        window_bytes: PREFETCH_WINDOW_BYTES,
                     }
                 );
             }
@@ -1169,7 +1141,6 @@ impl DesRuntime {
         // bounded backoff charged to the virtual disk channel. Exhaustion
         // is unrecoverable (the object exists nowhere else): abort the run
         // with a typed error.
-        let retry = self.cfg.retry;
         let mut attempt = 0u32;
         let mut penalty = Duration::ZERO;
         let bytes = loop {
@@ -1179,7 +1150,7 @@ impl DesRuntime {
                 Err(source) => {
                     let injected = self.drain_store_faults(node);
                     penalty += self.fault_penalty(injected);
-                    if attempt >= retry.max_attempts {
+                    if attempt >= ENGINE_RETRY.max_attempts {
                         let n = &mut self.nodes[node as usize];
                         n.stats.io_gave_up += 1;
                         n.stats.disk += penalty;
@@ -1192,7 +1163,7 @@ impl DesRuntime {
                         return;
                     }
                     penalty += self.fault_penalty(
-                        self.cfg.disk.op_time(packed_len) + retry.delay(attempt, key),
+                        self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
                     );
                     self.nodes[node as usize].stats.io_retries += 1;
                     audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
@@ -1269,7 +1240,6 @@ impl DesRuntime {
                 None => break,
             }
         }
-        self.mc_note_available(node, oid);
     }
 
     // ----- handler execution --------------------------------------------------
@@ -1415,39 +1385,6 @@ impl DesRuntime {
                         // matching the threaded engine.
                         self.forward(at, node, msg, EvKind::Msg);
                     }
-                }
-                Effect::Multicast {
-                    info,
-                    handler,
-                    payload,
-                } => {
-                    // Coordinate at the (believed) location of the first
-                    // target.
-                    let coord = {
-                        let first = info.targets[0].id;
-                        let local = self.nodes[node as usize].table.contains_key(&first);
-                        if local {
-                            self.owner_of(first)
-                        } else {
-                            let d = self.nodes[node as usize].dir.lookup(first);
-                            if d == node {
-                                self.home_of(first)
-                            } else {
-                                d
-                            }
-                        }
-                    };
-                    self.ship(
-                        at,
-                        node,
-                        coord,
-                        CTL_BYTES + 8 * info.targets.len(),
-                        EvKind::McStart {
-                            info,
-                            handler,
-                            payload,
-                        },
-                    );
                 }
                 Effect::Create { id, obj, priority } => {
                     let footprint = obj.footprint();
@@ -1777,7 +1714,6 @@ impl DesRuntime {
         // backoff delay to the virtual channel. A torn write is repaired by
         // the retry overwriting the same key (nothing can load the key
         // while its spill is still in progress — per-object ordering).
-        let retry = self.cfg.retry;
         let mut attempt = 0u32;
         let mut penalty = Duration::ZERO;
         let outcome = loop {
@@ -1787,11 +1723,11 @@ impl DesRuntime {
                 Err(e) => {
                     let injected = self.drain_store_faults(node);
                     penalty += self.fault_penalty(injected);
-                    if attempt >= retry.max_attempts || is_out_of_space(&e) {
+                    if attempt >= ENGINE_RETRY.max_attempts || is_out_of_space(&e) {
                         break Err(e);
                     }
                     penalty += self.fault_penalty(
-                        self.cfg.disk.op_time(packed_len) + retry.delay(attempt, key),
+                        self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
                     );
                     self.nodes[node as usize].stats.io_retries += 1;
                     audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
@@ -1882,7 +1818,7 @@ impl DesRuntime {
         true
     }
 
-    // ----- migration & multicast -------------------------------------------------
+    // ----- migration --------------------------------------------------------
 
     // ----- work stealing ----------------------------------------------------
 
@@ -2003,7 +1939,6 @@ impl DesRuntime {
             Some(Ok(true)) => {
                 if node == dest {
                     // Already where it should be.
-                    self.mc_note_available(node, oid);
                     return;
                 }
                 self.do_migrate(node, oid, dest);
@@ -2183,123 +2118,6 @@ impl DesRuntime {
         // Replay the messages that traveled with the object.
         for msg in queue {
             self.push_event(self.now, node, EvKind::Msg(msg));
-        }
-        self.mc_note_available(node, oid);
-    }
-
-    fn on_mc_start(
-        &mut self,
-        node: NodeId,
-        info: MulticastInfo,
-        handler: HandlerId,
-        payload: Vec<u8>,
-    ) {
-        let mut waiting = Vec::new();
-        let now = self.now;
-        for t in &info.targets {
-            let oid = t.id;
-            let status = self.nodes[node as usize]
-                .table
-                .get(&oid)
-                .map(|e| match &e.state {
-                    EntryState::Moved(f) => Err(*f),
-                    EntryState::InCore(_) | EntryState::Executing => Ok(true),
-                    _ => Ok(false),
-                });
-            match status {
-                Some(Ok(true)) => {
-                    // Present: pin it until delivery.
-                    self.nodes[node as usize]
-                        .table
-                        .get_mut(&oid)
-                        .expect("tracked object has a table entry")
-                        .locked = true;
-                    audit_emit!(self.audit, RuntimeEvent::Pin { node, oid });
-                }
-                Some(Ok(false)) => {
-                    waiting.push(oid);
-                    self.nodes[node as usize]
-                        .table
-                        .get_mut(&oid)
-                        .expect("tracked object has a table entry")
-                        .locked = true;
-                    audit_emit!(self.audit, RuntimeEvent::Pin { node, oid });
-                    self.queue_load(node, oid);
-                }
-                Some(Err(f)) => {
-                    waiting.push(oid);
-                    self.ship(now, node, f, CTL_BYTES, EvKind::MigrateReq(oid, node));
-                }
-                None => {
-                    waiting.push(oid);
-                    let owner = {
-                        let d = self.nodes[node as usize].dir.lookup(oid);
-                        if d == node {
-                            self.home_of(oid)
-                        } else {
-                            d
-                        }
-                    };
-                    self.ship(now, node, owner, CTL_BYTES, EvKind::MigrateReq(oid, node));
-                }
-            }
-        }
-        let pending = McPending {
-            info,
-            handler,
-            payload,
-            waiting,
-        };
-        if pending.waiting.is_empty() {
-            self.mc_deliver(node, pending);
-        } else {
-            self.nodes[node as usize].multicasts.push(pending);
-        }
-    }
-
-    /// An object became available in-core on `node`: progress any waiting
-    /// multicasts.
-    fn mc_note_available(&mut self, node: NodeId, oid: ObjectId) {
-        let mut ready = Vec::new();
-        {
-            let n = &mut self.nodes[node as usize];
-            let mut i = 0;
-            while i < n.multicasts.len() {
-                let mc = &mut n.multicasts[i];
-                mc.waiting.retain(|&w| w != oid);
-                if mc.waiting.is_empty() {
-                    ready.push(n.multicasts.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        for mc in ready {
-            self.mc_deliver(node, mc);
-        }
-    }
-
-    fn mc_deliver(&mut self, node: NodeId, mc: McPending) {
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::McDeliver {
-                node,
-                targets: mc.info.targets.iter().map(|t| t.id).collect(),
-            }
-        );
-        // Deliver to the first `deliver_to` targets; unlock everyone.
-        for (i, t) in mc.info.targets.iter().enumerate() {
-            if (i as u32) < mc.info.deliver_to {
-                audit_emit!(self.audit, RuntimeEvent::Post { node, oid: t.id });
-                let msg = Message::new(*t, mc.handler, mc.payload.clone());
-                self.push_event(self.now, node, EvKind::Msg(msg));
-            }
-        }
-        for t in &mc.info.targets {
-            if let Some(e) = self.nodes[node as usize].table.get_mut(&t.id) {
-                e.locked = false;
-                audit_emit!(self.audit, RuntimeEvent::Unpin { node, oid: t.id });
-            }
         }
     }
 

@@ -344,14 +344,18 @@ pub struct RetryPolicy {
     pub jitter_seed: u64,
 }
 
+/// Retry/backoff policy for storage operations in both engines (also
+/// paces message retransmission in the reliable-delivery layer).
+pub const ENGINE_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_delay: Duration::from_micros(200),
+    max_delay: Duration::from_millis(10),
+    jitter_seed: 0,
+};
+
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_micros(200),
-            max_delay: Duration::from_millis(10),
-            jitter_seed: 0,
-        }
+        ENGINE_RETRY
     }
 }
 

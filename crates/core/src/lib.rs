@@ -6,8 +6,8 @@
 //! messages** executed by registered handlers, an **out-of-core layer**
 //! that spills objects (and their message queues) to disk under memory
 //! pressure, a **control layer** with a lazily-updated distributed object
-//! directory, migration and multicast messages, and a **computing layer**
-//! wrapping two task-parallel backends (work-stealing / global FIFO).
+//! directory and migration, and a **computing layer** wrapping two
+//! task-parallel backends (work-stealing / global FIFO).
 //!
 //! The runtime executes in either of two modes sharing one semantics:
 //!

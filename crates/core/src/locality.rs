@@ -33,6 +33,19 @@ pub type ClusterId = u64;
 /// Rank reported for objects that are not on the curve (sorts last).
 pub const UNRANKED: u64 = u64::MAX;
 
+/// Locality cluster size in objects, as both engines build their map:
+/// the curve is cut into clusters of this many consecutive objects;
+/// eviction prefers taking a whole cluster, and a demand load prefetches
+/// from the faulted object's cluster.
+pub const CLUSTER_OBJECTS: usize = 8;
+
+/// How many of the faulted object's cluster mates a demand load
+/// prefetches — the nearest on the curve, not the whole cluster. Under a
+/// tight budget, whole-cluster prefetch loads mates so far ahead of the
+/// access front that they are evicted again before use; curve distance
+/// bounds that waste.
+pub const PREFETCH_MATES: usize = 2;
+
 /// Rebuilds are elided until at least this many new edges accumulate.
 const REBUILD_MIN_NEW_EDGES: usize = 16;
 

@@ -10,22 +10,19 @@
 use crate::codec::{PayloadReader, PayloadWriter, Truncated};
 use crate::ids::{HandlerId, MobilePtr, NodeId};
 
-/// Hard cap on the decoded `route` length and multicast target count.
-/// Routes grow by one hop per forward and targets are application-sized;
-/// anything beyond this is a corrupt or hostile frame, rejected before any
-/// length-driven allocation loop runs.
+/// Hard cap on the decoded `route` length. Routes grow by one hop per
+/// forward; anything beyond this is a corrupt or hostile frame, rejected
+/// before any length-driven allocation loop runs.
 pub const MAX_ROUTE_LEN: usize = 1 << 12;
 
 /// Typed [`Message::decode`] failure: distinguishes a short buffer from a
-/// frame whose announced lengths exceed [`MAX_ROUTE_LEN`].
+/// frame whose announced route length exceeds [`MAX_ROUTE_LEN`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsgDecodeError {
     /// The buffer ended before the frame was complete.
     Truncated,
     /// The route length field exceeds [`MAX_ROUTE_LEN`].
     RouteTooLong(usize),
-    /// The multicast target count exceeds [`MAX_ROUTE_LEN`].
-    TargetsTooLong(usize),
 }
 
 impl From<Truncated> for MsgDecodeError {
@@ -50,23 +47,11 @@ impl std::fmt::Display for MsgDecodeError {
             MsgDecodeError::RouteTooLong(n) => {
                 write!(f, "route length {n} exceeds cap {MAX_ROUTE_LEN}")
             }
-            MsgDecodeError::TargetsTooLong(n) => {
-                write!(f, "multicast target count {n} exceeds cap {MAX_ROUTE_LEN}")
-            }
         }
     }
 }
 
 impl std::error::Error for MsgDecodeError {}
-
-/// Multicast extension (the paper's experimental *multicast mobile
-/// message*): the runtime first collects all `targets` on one node and
-/// in-core, then delivers the message to the first `deliver_to` of them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MulticastInfo {
-    pub targets: Vec<MobilePtr>,
-    pub deliver_to: u32,
-}
 
 /// An in-flight or queued application message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,8 +62,6 @@ pub struct Message {
     /// Nodes this message was forwarded through (for lazy directory
     /// updates once it reaches the object).
     pub route: Vec<NodeId>,
-    /// Set on the *coordinator copy* of a multicast message.
-    pub multicast: Option<MulticastInfo>,
 }
 
 impl Message {
@@ -88,18 +71,13 @@ impl Message {
             handler,
             payload,
             route: Vec::new(),
-            multicast: None,
         }
     }
 
     /// Approximate bytes on the wire (for transfer-time charging); an
     /// upper bound on [`Message::encode`]'s output length.
     pub fn wire_size(&self) -> usize {
-        let mc = self
-            .multicast
-            .as_ref()
-            .map_or(1, |m| 9 + 8 * m.targets.len());
-        8 + 4 + 4 + self.payload.len() + 4 * self.route.len() + mc + 16
+        8 + 4 + 4 + self.payload.len() + 4 * self.route.len() + 16
     }
 
     /// Encode for transport over the fabric.
@@ -109,14 +87,6 @@ impl Message {
         w.u32(self.route.len() as u32);
         for &n in &self.route {
             w.u32(n as u32);
-        }
-        match &self.multicast {
-            None => {
-                w.u8(0);
-            }
-            Some(mc) => {
-                w.u8(1).u32(mc.deliver_to).ptrs(&mc.targets);
-            }
         }
         let buf = w.finish();
         debug_assert!(
@@ -128,8 +98,8 @@ impl Message {
         buf
     }
 
-    /// Inverse of [`Message::encode`]. Length fields beyond
-    /// [`MAX_ROUTE_LEN`] are rejected up front — the decoder never loops
+    /// Inverse of [`Message::encode`]. A route length beyond
+    /// [`MAX_ROUTE_LEN`] is rejected up front — the decoder never loops
     /// on an attacker-controlled count larger than the cap.
     pub fn decode(buf: &[u8]) -> Result<Message, MsgDecodeError> {
         let mut r = PayloadReader::new(buf);
@@ -144,30 +114,11 @@ impl Message {
         for _ in 0..n_route {
             route.push(r.u32()? as NodeId);
         }
-        let multicast = match r.u8()? {
-            0 => None,
-            _ => {
-                let deliver_to = r.u32()?;
-                let n_targets = r.u32()? as usize;
-                if n_targets > MAX_ROUTE_LEN {
-                    return Err(MsgDecodeError::TargetsTooLong(n_targets));
-                }
-                let mut targets = Vec::with_capacity(n_targets);
-                for _ in 0..n_targets {
-                    targets.push(r.ptr()?);
-                }
-                Some(MulticastInfo {
-                    targets,
-                    deliver_to,
-                })
-            }
-        };
         Ok(Message {
             to,
             handler,
             payload,
             route,
-            multicast,
         })
     }
 }
@@ -189,13 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_with_route_and_multicast() {
+    fn encode_decode_with_route() {
         let mut m = Message::new(ptr(0, 1), HandlerId(1), vec![]);
         m.route = vec![3, 1, 4];
-        m.multicast = Some(MulticastInfo {
-            targets: vec![ptr(0, 1), ptr(1, 2), ptr(2, 3)],
-            deliver_to: 1,
-        });
         let back = Message::decode(&m.encode()).unwrap();
         assert_eq!(back, m);
     }
@@ -220,25 +167,6 @@ mod tests {
         assert_eq!(
             Message::decode(&buf),
             Err(MsgDecodeError::RouteTooLong(u32::MAX as usize))
-        );
-    }
-
-    #[test]
-    fn decode_rejects_oversized_multicast_count() {
-        let mut m = Message::new(ptr(0, 1), HandlerId(1), vec![]);
-        m.multicast = Some(MulticastInfo {
-            targets: vec![ptr(0, 1)],
-            deliver_to: 1,
-        });
-        let mut buf = m.encode();
-        // Multicast tail: ... route count (4, = 0) + flag (1) +
-        // deliver_to (4) + target count (4) + targets. The count field is
-        // 12 bytes before the single 8-byte target at the end.
-        let off = buf.len() - 8 - 4;
-        buf[off..off + 4].copy_from_slice(&0x0010_0000u32.to_le_bytes());
-        assert_eq!(
-            Message::decode(&buf),
-            Err(MsgDecodeError::TargetsTooLong(0x0010_0000))
         );
     }
 

@@ -20,6 +20,14 @@
 use crate::ids::ObjectId;
 use crate::policy::{AccessMeta, PolicyKind};
 
+/// Prefetch window, object axis: at most this many look-ahead loads in
+/// flight per node.
+pub const PREFETCH_WINDOW_OBJECTS: usize = 4;
+
+/// Prefetch window, byte axis: at most this many packed bytes of
+/// look-ahead loads in flight per node.
+pub const PREFETCH_WINDOW_BYTES: usize = 4 << 20;
+
 /// A view of one in-core object offered as an eviction candidate.
 #[derive(Clone, Copy, Debug)]
 pub struct EvictCandidate {

@@ -48,6 +48,12 @@ use std::path::Path;
 /// a megabyte per node) while bounding a runaway recording.
 pub const DEFAULT_LOG_BYTE_CAP: usize = 32 << 20;
 
+/// Replay-mode patience: how long a replaying worker waits for the next
+/// recorded event (a fabric frame from the logged edge, an I/O completion
+/// for the logged key) before declaring a divergence and falling back to
+/// live execution.
+pub const REPLAY_WAIT: std::time::Duration = std::time::Duration::from_secs(2);
+
 // ---------------------------------------------------------------------------
 // Decisions
 // ---------------------------------------------------------------------------
@@ -557,7 +563,7 @@ const E_DIR_UPDATE: u8 = 9;
 const E_MIGRATE_OUT: u8 = 10;
 const E_MIGRATE_IN: u8 = 11;
 const E_RESIZE: u8 = 12;
-const E_MC_DELIVER: u8 = 13;
+// 13 is retired: it decodes as `BadEventTag`, and no new variant reuses it.
 const E_BUDGET: u8 = 14;
 const E_PREFETCH: u8 = 15;
 const E_COMPACTION: u8 = 16;
@@ -633,7 +639,6 @@ pub fn event_node(ev: &RuntimeEvent) -> NodeId {
         | MigrateOut { node, .. }
         | MigrateIn { node, .. }
         | Resize { node, .. }
-        | McDeliver { node, .. }
         | Budget { node, .. }
         | Prefetch { node, .. }
         | Compaction { node, .. }
@@ -777,14 +782,6 @@ pub fn encode_event(ev: &RuntimeEvent, out: &mut Vec<u8>) {
             node_oid(out, *node, *oid);
             put_varint(out, *old as u64);
             put_varint(out, *new as u64);
-        }
-        McDeliver { node, targets } => {
-            out.push(E_MC_DELIVER);
-            put_varint(out, u64::from(*node));
-            put_varint(out, targets.len() as u64);
-            for t in targets {
-                put_varint(out, t.0);
-            }
         }
         Budget {
             node,
@@ -992,17 +989,6 @@ pub fn decode_event(buf: &[u8], pos: &mut usize) -> Result<RuntimeEvent, ReplayD
             old: get_varint(buf, pos)? as usize,
             new: get_varint(buf, pos)? as usize,
         },
-        E_MC_DELIVER => {
-            let n = get_varint(buf, pos)?;
-            if n > buf.len() as u64 {
-                return Err(ReplayDecodeError::CountTooLarge { at, count: n });
-            }
-            let mut targets = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                targets.push(ObjectId(get_varint(buf, pos)?));
-            }
-            McDeliver { node, targets }
-        }
         E_BUDGET => Budget {
             node,
             used: get_varint(buf, pos)? as usize,
@@ -1596,10 +1582,6 @@ mod tests {
                 dest: 1,
                 kind: NetFaultKind::Reorder,
             },
-            RuntimeEvent::McDeliver {
-                node: 1,
-                targets: vec![ObjectId(3), ObjectId(4)],
-            },
             RuntimeEvent::StealRequest { node: 1, thief: 0 },
             RuntimeEvent::StealGrant {
                 node: 1,
@@ -1621,6 +1603,11 @@ mod tests {
             assert_eq!(decode_event(&bytes, &mut pos).unwrap(), ev);
             assert_eq!(pos, bytes.len(), "codec must consume exactly");
         }
+        // Tag 13 is retired and must stay undecodable.
+        assert_eq!(
+            decode_event(&[13, 0], &mut 0),
+            Err(ReplayDecodeError::BadEventTag { at: 0, tag: 13 })
+        );
     }
 
     #[test]
@@ -1631,9 +1618,9 @@ mod tests {
         // Node 0: Create, Post, Deliver, NetFault on control; Fault on pool.
         assert_eq!(c.nodes[0].control.len(), 4);
         assert_eq!(c.nodes[0].pool.len(), 1);
-        // Node 1: McDeliver, the three steal events, Terminate, Shutdown
-        // — all control-lane (steals are worker-thread decisions).
-        assert_eq!(c.nodes[1].control.len(), 6);
+        // Node 1: the three steal events, Terminate, Shutdown — all
+        // control-lane (steals are worker-thread decisions).
+        assert_eq!(c.nodes[1].control.len(), 5);
         assert!(c.nodes[1].pool.is_empty());
     }
 

@@ -16,7 +16,7 @@
 //! one job can touch another; the service emits
 //! [`ServiceEvent::JobAdmitted`] for every grant and the
 //! [`crate::audit::InvariantChecker`] enforces domain disjointness
-//! online (invariant 15, [`crate::audit::Invariant::CrossJobInterference`]).
+//! online (invariant 14, [`crate::audit::Invariant::CrossJobInterference`]).
 //!
 //! ## Admission control
 //!

@@ -15,9 +15,9 @@
 //!
 //! * **Message-driven prefetch** — a message arriving for an on-disk
 //!   object queues a look-ahead load instead of stalling; loads are
-//!   issued under a bounded prefetch window (`prefetch_window_objects` /
-//!   `prefetch_window_bytes`) so the disk streams the next objects in
-//!   while handlers drain the current ones.
+//!   issued under a bounded prefetch window
+//!   ([`PREFETCH_WINDOW_OBJECTS`] / [`PREFETCH_WINDOW_BYTES`]) so the disk
+//!   streams the next objects in while handlers drain the current ones.
 //! * **Resident-first scheduling** — the node keeps executing in-core
 //!   objects while loads are in flight, and a look-ahead load is paced:
 //!   it is issued only when admission can be paid for by evicting *idle*
@@ -38,16 +38,16 @@ use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, Wor
 use crate::config::MrtsConfig;
 use crate::ctx::{Ctx, Effect};
 use crate::directory::Directory;
-use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, RetryPolicy};
+use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
-use crate::locality::LocalityMap;
-use crate::msg::{Message, MulticastInfo};
+use crate::locality::{LocalityMap, CLUSTER_OBJECTS, PREFETCH_MATES};
+use crate::msg::Message;
 use crate::netfault::{NetFaultKind, NetFaultPlan};
 use crate::object::{MobileObject, Registry};
-use crate::ooc::{EvictCandidate, OocManager};
+use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WINDOW_OBJECTS};
 use crate::policy::AccessMeta;
 use crate::relnet::{ReliableReceiver, ReliableSender, Safra, TimerAction};
-use crate::replay::{Decision, DecisionLog, IoKind, STEAL_DENIED};
+use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT, STEAL_DENIED};
 use crate::sched::VictimCursor;
 use crate::stats::{NodeStats, RunStats};
 use crate::storage::{MemStore, SegmentStore, StorageBackend};
@@ -61,7 +61,6 @@ const AM_MSG: u32 = 1;
 const AM_DIR_UPDATE: u32 = 2;
 const AM_MIGRATE_REQ: u32 = 3;
 const AM_INSTALL: u32 = 4;
-const AM_MC_START: u32 = 5;
 const AM_META: u32 = 6;
 const AM_TOKEN: u32 = 7;
 const AM_EXIT: u32 = 8;
@@ -274,16 +273,6 @@ struct ReplayState {
     /// exhaustion): the worker fell back to live execution. Buffered
     /// items are always consumed before the channels.
     live: bool,
-    /// How long a replaying worker waits for the recorded next event
-    /// before declaring a divergence ([`MrtsConfig::replay_wait`]).
-    wait: Duration,
-}
-
-struct McWait {
-    info: MulticastInfo,
-    handler: HandlerId,
-    payload: Vec<u8>,
-    waiting: Vec<ObjectId>,
 }
 
 /// Reliable-delivery state for one node, active only when
@@ -361,7 +350,6 @@ struct Worker {
     stats: NodeStats,
     next_obj_seq: u64,
     next_spill_key: u64,
-    multicasts: Vec<McWait>,
     safra: Safra,
     done: bool,
     /// Reliable-delivery layer; `Some` only under a net-fault plan.
@@ -380,7 +368,7 @@ struct Worker {
     /// Round-robin victim selection for work stealing.
     victim_cursor: VictimCursor,
     /// Consecutive empty idle polls; a steal fires only after
-    /// `cfg.steal_patience` of them, so transient gaps don't migrate work.
+    /// [`Self::STEAL_PATIENCE`] of them, so transient gaps don't migrate work.
     empty_polls: u32,
     /// Consecutive denials since the last successful steal or local
     /// handler run; at `n_nodes - 1` every peer said no and requests stop
@@ -588,7 +576,7 @@ impl Worker {
                         st.fabric_buf.push_front(m);
                         self.replay_diverge(st);
                     } else {
-                        let deadline = Instant::now() + st.wait;
+                        let deadline = Instant::now() + REPLAY_WAIT;
                         loop {
                             match self.ep.recv_timeout(Duration::from_micros(500)) {
                                 Some(m) if m.src == src => {
@@ -668,7 +656,7 @@ impl Worker {
                         st.cursor += 1;
                         return st.io_buf.remove(i);
                     }
-                    let deadline = Instant::now() + st.wait;
+                    let deadline = Instant::now() + REPLAY_WAIT;
                     loop {
                         if let Ok(d) = self.io_rx.recv_timeout(Duration::from_micros(500)) {
                             if io_done_key(&d) == (kind, oid) {
@@ -705,7 +693,7 @@ impl Worker {
             let net = self.net.as_mut().expect("net layer");
             let (seq, frame) = net.tx.next_frame(dest, tag, &payload);
             net.timers
-                .insert((dest, seq), Instant::now() + self.cfg.retry.delay(1, seq));
+                .insert((dest, seq), Instant::now() + ENGINE_RETRY.delay(1, seq));
             (seq, frame)
         };
         self.transmit(dest, tag, seq, frame, 0);
@@ -836,7 +824,7 @@ impl Worker {
     /// exhausts it.
     fn net_attempt_limit(&self) -> u32 {
         let plan = &self.net.as_ref().expect("net layer").plan;
-        self.cfg.retry.max_attempts.max(4) + 2 * plan.max_drops_per_msg + 4
+        ENGINE_RETRY.max_attempts + 2 * plan.max_drops_per_msg + 4
     }
 
     /// Drive the reliable layer's timers: flush deferred (delayed)
@@ -897,7 +885,7 @@ impl Worker {
                 match &action {
                     TimerAction::Retransmit { attempt, .. } => {
                         net.timers
-                            .insert((dest, seq), now + self.cfg.retry.delay(attempt + 1, seq));
+                            .insert((dest, seq), now + ENGINE_RETRY.delay(attempt + 1, seq));
                     }
                     TimerAction::Acked | TimerAction::GiveUp { .. } => {
                         net.timers.remove(&(dest, seq));
@@ -983,7 +971,7 @@ impl Worker {
                             TimerAction::Retransmit { attempt, .. } => {
                                 net.timers.insert(
                                     (dest, seq),
-                                    Instant::now() + self.cfg.retry.delay(attempt + 1, seq),
+                                    Instant::now() + ENGINE_RETRY.delay(attempt + 1, seq),
                                 );
                             }
                             TimerAction::Acked | TimerAction::GiveUp { .. } => {
@@ -1189,11 +1177,6 @@ impl Worker {
                 self.on_migrate_req(oid, dest);
             }
             AM_INSTALL => self.on_install(payload),
-            AM_MC_START => {
-                let msg = Message::decode(payload).expect("valid mc message");
-                let info = msg.multicast.clone().expect("mc info");
-                self.on_mc_start(info, msg.handler, msg.payload);
-            }
             AM_META => {
                 let oid = ObjectId(u64::from_le_bytes(
                     payload[..8]
@@ -1571,11 +1554,7 @@ impl Worker {
     /// (the hint only keeps them wanted despite their empty queues), so
     /// the prefetch budget and degraded-mode shedding apply unchanged.
     fn cluster_prefetch(&mut self, anchor: ObjectId) {
-        // Pointless without look-ahead (window 0).
-        if !self.cfg.locality
-            || self.cfg.locality_prefetch_mates == 0
-            || self.cfg.prefetch_window_objects == 0
-        {
+        if !self.cfg.locality {
             return;
         }
         self.locality.maybe_rebuild();
@@ -1584,9 +1563,9 @@ impl Worker {
         };
         let forward = key >= self.last_anchor_key;
         self.last_anchor_key = key;
-        for oid in
-            self.locality
-                .companions_toward(anchor, self.cfg.locality_prefetch_mates, forward)
+        for oid in self
+            .locality
+            .companions_toward(anchor, PREFETCH_MATES, forward)
         {
             let Some(e) = self.table.get_mut(&oid) else {
                 continue;
@@ -1646,12 +1625,6 @@ impl Worker {
             .sum()
     }
 
-    /// Issue queued loads. A **look-ahead** load (the node still has
-    /// resident work) stays inside the prefetch window and is paced so it
-    /// never displaces an object with queued messages; a **demand** load
-    /// (nothing resident to run) or an urgent one (migration or multicast
-    /// waiting on the object) always makes progress. Entries whose reason
-    /// to load evaporated are cancelled here.
     /// Drop the pending hint-only load at `idx`: a cluster prefetch that
     /// cannot issue right now is stale by the time conditions change, and
     /// keeping it queued wedges termination (`idle()` requires an empty
@@ -1667,12 +1640,16 @@ impl Worker {
         self.stats.prefetch_cancels += 1;
     }
 
+    /// Issue queued loads. A **look-ahead** load (the node still has
+    /// resident work) stays inside the prefetch window and is paced so it
+    /// never displaces an object with queued messages; a **demand** load
+    /// (nothing resident to run) or an urgent one (migration waiting on
+    /// the object) always makes progress. Entries whose reason to load
+    /// evaporated are cancelled here.
     fn pump_loads(&mut self) {
         if self.pending_loads.is_empty() {
             return;
         }
-        let window_objs = self.cfg.prefetch_window_objects;
-        let window_bytes = self.cfg.prefetch_window_bytes;
         let mut idle_evictable: Option<usize> = None;
         let mut i = 0;
         while i < self.pending_loads.len() {
@@ -1737,11 +1714,11 @@ impl Worker {
                     i += 1;
                     continue;
                 }
-                if self.inflight_load_objs >= window_objs {
+                if self.inflight_load_objs >= PREFETCH_WINDOW_OBJECTS {
                     break;
                 }
                 if self.inflight_load_objs > 0
-                    && self.inflight_load_bytes.saturating_add(packed_len) > window_bytes
+                    && self.inflight_load_bytes.saturating_add(packed_len) > PREFETCH_WINDOW_BYTES
                 {
                     break;
                 }
@@ -1758,9 +1735,8 @@ impl Worker {
                         continue;
                     }
                 }
-            } else if self.inflight_load_objs > 0 && self.inflight_load_objs >= window_objs {
-                // Demand loads keep the pipe bounded too, but at least one
-                // is always in flight so the node cannot stall.
+            } else if self.inflight_load_objs >= PREFETCH_WINDOW_OBJECTS {
+                // Demand loads keep the pipe bounded too.
                 break;
             }
             self.pending_loads.remove(i);
@@ -1811,9 +1787,9 @@ impl Worker {
                     node: self.node,
                     oid,
                     inflight_objects: self.inflight_load_objs,
-                    window_objects: self.cfg.prefetch_window_objects,
+                    window_objects: PREFETCH_WINDOW_OBJECTS,
                     inflight_bytes: self.inflight_load_bytes,
-                    window_bytes: self.cfg.prefetch_window_bytes,
+                    window_bytes: PREFETCH_WINDOW_BYTES,
                 }
             );
         }
@@ -1922,11 +1898,8 @@ impl Worker {
                     );
                     if let Some(dest) = pending {
                         migrations.push((oid, dest));
-                    } else {
-                        if !self.table[&oid].queue.is_empty() {
-                            self.ready.push_back(oid);
-                        }
-                        self.mc_note_available(oid);
+                    } else if !self.table[&oid].queue.is_empty() {
+                        self.ready.push_back(oid);
                     }
                 }
                 if self.ooc.enter_degraded() {
@@ -2005,7 +1978,6 @@ impl Worker {
                 if !self.table[&oid].queue.is_empty() {
                     self.ready.push_back(oid);
                 }
-                self.mc_note_available(oid);
             }
             IoDone::LoadFailed {
                 oid,
@@ -2132,7 +2104,6 @@ impl Worker {
                 if !self.table[&oid].queue.is_empty() {
                     self.ready.push_back(oid);
                 }
-                self.mc_note_available(oid);
             }
         }
     }
@@ -2267,21 +2238,6 @@ impl Worker {
                         self.am(dest, AM_MSG, msg.encode());
                     }
                 }
-                Effect::Multicast {
-                    info,
-                    handler,
-                    payload,
-                } => {
-                    let first = info.targets[0].id;
-                    if self.entry_present(first) {
-                        self.on_mc_start(info, handler, payload);
-                    } else {
-                        let coord = self.dir_next_hop(first);
-                        let mut msg = Message::new(info.targets[0], handler, payload);
-                        msg.multicast = Some(info);
-                        self.am(coord, AM_MC_START, msg.encode());
-                    }
-                }
                 Effect::Create { id, obj, priority } => {
                     let footprint = obj.footprint();
                     self.admit(footprint);
@@ -2389,7 +2345,7 @@ impl Worker {
         }
     }
 
-    // ----- migration & multicast ------------------------------------------------
+    // ----- migration --------------------------------------------------------
 
     fn on_migrate_req(&mut self, oid: ObjectId, dest: NodeId) {
         if !self.entry_present(oid) {
@@ -2410,7 +2366,6 @@ impl Worker {
             return;
         }
         if dest == self.node {
-            self.mc_note_available(oid);
             return;
         }
         match self.table[&oid].state {
@@ -2510,6 +2465,12 @@ impl Worker {
     }
 
     // ----- work stealing ----------------------------------------------------
+
+    /// Steal patience: how many consecutive idle observations a node
+    /// accumulates before it issues a steal request. Small values steal
+    /// eagerly (lower idle time, more migration traffic); large values
+    /// only steal under sustained starvation.
+    const STEAL_PATIENCE: u32 = 2;
 
     /// Can `oid` be handed to a thief right now? Mirrors the audit
     /// checker's legality rule: resident here, not pinned, not already
@@ -2611,7 +2572,7 @@ impl Worker {
     }
 
     /// Thief side: fire one steal request if this node has been idle for
-    /// `cfg.steal_patience` empty polls and peers remain untried. Whether
+    /// [`Self::STEAL_PATIENCE`] empty polls and peers remain untried. Whether
     /// (and whom) to ask is recorded as a [`Decision`] so a replay steals
     /// at exactly the recorded points — and nowhere else.
     fn maybe_steal(&mut self) {
@@ -2624,7 +2585,7 @@ impl Worker {
             || self.outstanding_io > 0
             || !self.pending_loads.is_empty()
             || (self.deny_streak as usize) >= self.n_nodes - 1
-            || self.empty_polls < self.cfg.steal_patience
+            || self.empty_polls < Self::STEAL_PATIENCE
         {
             return;
         }
@@ -2730,115 +2691,6 @@ impl Worker {
         }
         for m in queue {
             self.route_msg(m);
-        }
-        self.mc_note_available(oid);
-    }
-
-    fn on_mc_start(&mut self, info: MulticastInfo, handler: HandlerId, payload: Vec<u8>) {
-        let mut waiting = Vec::new();
-        for t in &info.targets {
-            let oid = t.id;
-            if self.entry_present(oid) {
-                match self.table[&oid].state {
-                    TState::InCore(_) => {
-                        self.table
-                            .get_mut(&oid)
-                            .expect("tracked object has a table entry")
-                            .locked = true;
-                        audit_emit!(
-                            self.audit,
-                            RuntimeEvent::Pin {
-                                node: self.node,
-                                oid
-                            }
-                        );
-                    }
-                    _ => {
-                        waiting.push(oid);
-                        self.table
-                            .get_mut(&oid)
-                            .expect("tracked object has a table entry")
-                            .locked = true;
-                        audit_emit!(
-                            self.audit,
-                            RuntimeEvent::Pin {
-                                node: self.node,
-                                oid
-                            }
-                        );
-                        self.queue_load(oid);
-                    }
-                }
-            } else {
-                waiting.push(oid);
-                let owner = self.dir_next_hop(oid);
-                let mut p = Vec::with_capacity(10);
-                p.extend_from_slice(&oid.0.to_le_bytes());
-                p.extend_from_slice(&self.node.to_le_bytes());
-                self.am(owner, AM_MIGRATE_REQ, p);
-            }
-        }
-        let mc = McWait {
-            info,
-            handler,
-            payload,
-            waiting,
-        };
-        if mc.waiting.is_empty() {
-            self.mc_deliver(mc);
-        } else {
-            self.multicasts.push(mc);
-        }
-    }
-
-    fn mc_note_available(&mut self, oid: ObjectId) {
-        let mut ready = Vec::new();
-        let mut i = 0;
-        while i < self.multicasts.len() {
-            let mc = &mut self.multicasts[i];
-            mc.waiting.retain(|&w| w != oid);
-            if mc.waiting.is_empty() {
-                ready.push(self.multicasts.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        for mc in ready {
-            self.mc_deliver(mc);
-        }
-    }
-
-    fn mc_deliver(&mut self, mc: McWait) {
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::McDeliver {
-                node: self.node,
-                targets: mc.info.targets.iter().map(|t| t.id).collect()
-            }
-        );
-        for (i, t) in mc.info.targets.iter().enumerate() {
-            if (i as u32) < mc.info.deliver_to {
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::Post {
-                        node: self.node,
-                        oid: t.id
-                    }
-                );
-                self.route_msg(Message::new(*t, mc.handler, mc.payload.clone()));
-            }
-        }
-        for t in &mc.info.targets {
-            if let Some(e) = self.table.get_mut(&t.id) {
-                e.locked = false;
-            }
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::Unpin {
-                    node: self.node,
-                    oid: t.id
-                }
-            );
         }
     }
 
@@ -3219,13 +3071,13 @@ fn spawn_io_pool(
     store: Box<dyn StorageBackend>,
     registry: std::sync::Arc<Registry>,
     n_threads: usize,
-    retry: RetryPolicy,
     audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
 ) -> (
     channel::Sender<IoReq>,
     channel::Receiver<IoDone>,
     Vec<std::thread::JoinHandle<()>>,
 ) {
+    let retry = ENGINE_RETRY;
     let (req_tx, req_rx) = channel::unbounded::<IoReq>();
     let (done_tx, done_rx) = channel::unbounded::<IoDone>();
     let store = crate::sync::Arc::new(crate::sync::Mutex::new(store));
@@ -3778,7 +3630,6 @@ impl ThreadedRuntime {
                 store,
                 registry.clone(),
                 self.cfg.io_threads,
-                self.cfg.retry,
                 pool_audit,
             );
             io_handles.extend(handles);
@@ -3813,7 +3664,7 @@ impl ThreadedRuntime {
                 pending_loads: VecDeque::new(),
                 inflight_load_objs: 0,
                 inflight_load_bytes: 0,
-                locality: LocalityMap::new(self.cfg.locality_cluster_objects),
+                locality: LocalityMap::new(CLUSTER_OBJECTS),
                 ranks_gen: 0,
                 ranks_keys: 0,
                 last_anchor_key: 0,
@@ -3821,7 +3672,6 @@ impl ThreadedRuntime {
                 stats: NodeStats::default(),
                 next_obj_seq: 0,
                 next_spill_key: 0,
-                multicasts: Vec::new(),
                 safra: Safra::new(),
                 done: false,
                 net: self.cfg.net_fault.map(|plan| NetLayer {
@@ -3845,7 +3695,6 @@ impl ThreadedRuntime {
                         fabric_buf: VecDeque::new(),
                         io_buf: VecDeque::new(),
                         live: false,
-                        wait: self.cfg.replay_wait,
                     })),
                     None if self.record_decisions => ReplayRole::Record(Vec::new()),
                     None => ReplayRole::Off,

@@ -5,9 +5,9 @@
 //! * **race-detector tests** drive the vector-clock engine with and
 //!   without happens-before edges;
 //! * **end-to-end tests** attach a fail-fast checker to real DES and
-//!   threaded runs (in-core, out-of-core, migration, multicast) and
-//!   assert the engines' own event streams are violation-free, including
-//!   under seeded schedule permutation.
+//!   threaded runs (in-core, out-of-core, migration) and assert the
+//!   engines' own event streams are violation-free, including under
+//!   seeded schedule permutation.
 #![cfg(any(feature = "audit", debug_assertions))]
 
 use mrts::audit::{EventLog, FailMode, Invariant, InvariantChecker, RaceDetector, RuntimeEvent};
@@ -267,35 +267,6 @@ fn forward_streak_resets_on_delivery() {
 }
 
 #[test]
-fn flags_multicast_with_nonresident_target() {
-    let c = checker();
-    c.record(&RuntimeEvent::Create {
-        node: 0,
-        oid: oid(1),
-        footprint: 100,
-    });
-    c.record(&RuntimeEvent::Create {
-        node: 0,
-        oid: oid(2),
-        footprint: 100,
-    });
-    c.record(&RuntimeEvent::Unload {
-        node: 0,
-        oid: oid(2),
-        footprint: 100,
-    });
-    c.record(&RuntimeEvent::McDeliver {
-        node: 0,
-        targets: vec![oid(1), oid(2)],
-    });
-    assert!(
-        kinds(&c).contains(&Invariant::MulticastNonResident),
-        "{:?}",
-        c.violations()
-    );
-}
-
-#[test]
 fn flags_termination_with_undelivered_messages() {
     let c = checker();
     c.record(&RuntimeEvent::Create {
@@ -456,7 +427,6 @@ const CELL_TAG: TypeTag = TypeTag(1);
 const H_BUMP: HandlerId = HandlerId(1);
 const H_RING: HandlerId = HandlerId(2);
 const H_MOVE: HandlerId = HandlerId(3);
-const H_MC: HandlerId = HandlerId(4);
 
 struct Cell {
     value: u64,
@@ -537,22 +507,11 @@ fn h_move(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     ctx.migrate(ctx.self_ptr(), dest);
 }
 
-fn h_mc(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
-    let targets = cell_mut(obj).neighbors.clone();
-    let mut r = PayloadReader::new(payload);
-    let bump = r.u64().unwrap();
-    let deliver_to = targets.len() as u32;
-    let mut w = PayloadWriter::new();
-    w.u64(bump);
-    ctx.multicast(targets, deliver_to, H_BUMP, w.finish());
-}
-
 fn register_des(rt: &mut DesRuntime) {
     rt.register_type(CELL_TAG, Cell::decode);
     rt.register_handler(H_BUMP, "bump", h_bump);
     rt.register_handler(H_RING, "ring", h_ring);
     rt.register_handler(H_MOVE, "move", h_move);
-    rt.register_handler(H_MC, "mc", h_mc);
 }
 
 fn register_threaded(rt: &mut ThreadedRuntime) {
@@ -560,7 +519,6 @@ fn register_threaded(rt: &mut ThreadedRuntime) {
     rt.register_handler(H_BUMP, "bump", h_bump);
     rt.register_handler(H_RING, "ring", h_ring);
     rt.register_handler(H_MOVE, "move", h_move);
-    rt.register_handler(H_MC, "mc", h_mc);
 }
 
 fn u64_payload(v: u64) -> Vec<u8> {
@@ -640,27 +598,6 @@ fn des_migration_run_satisfies_all_invariants() {
     rt.with_object(p, |o| {
         assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 5);
     });
-    chk.assert_clean();
-}
-
-#[test]
-fn des_multicast_run_satisfies_all_invariants() {
-    let chk = Arc::new(InvariantChecker::new(FailMode::Panic));
-    let mut rt = DesRuntime::new(MrtsConfig::in_core(3));
-    register_des(&mut rt);
-    rt.attach_audit(chk.clone());
-    let a = rt.create_object(1, Cell::new(16), 128);
-    let b = rt.create_object(2, Cell::new(16), 128);
-    let mut root_cell = Cell::new(16);
-    root_cell.neighbors.extend([a, b]);
-    let root = rt.create_object(0, root_cell, 128);
-    rt.post(root, H_MC, u64_payload(10));
-    rt.run();
-    for p in [a, b] {
-        rt.with_object(p, |o| {
-            assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 10);
-        });
-    }
     chk.assert_clean();
 }
 

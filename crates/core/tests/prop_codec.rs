@@ -3,7 +3,7 @@
 
 use mrts::codec::{PayloadReader, PayloadWriter};
 use mrts::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
-use mrts::msg::{Message, MsgDecodeError, MulticastInfo, MAX_ROUTE_LEN};
+use mrts::msg::{Message, MsgDecodeError, MAX_ROUTE_LEN};
 use proptest::prelude::*;
 
 fn arb_ptr() -> impl Strategy<Value = MobilePtr> {
@@ -16,18 +16,10 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<u32>(),
         prop::collection::vec(any::<u8>(), 0..256),
         prop::collection::vec(any::<u16>(), 0..8),
-        prop::option::of((prop::collection::vec(arb_ptr(), 1..8), any::<bool>())),
     )
-        .prop_map(|(to, h, payload, route, mc)| {
+        .prop_map(|(to, h, payload, route)| {
             let mut m = Message::new(to, HandlerId(h), payload);
             m.route = route.into_iter().map(|r| r as NodeId).collect();
-            m.multicast = mc.map(|(targets, first_only)| {
-                let deliver_to = if first_only { 1 } else { targets.len() as u32 };
-                MulticastInfo {
-                    targets,
-                    deliver_to,
-                }
-            });
             m
         })
 }
@@ -67,23 +59,6 @@ proptest! {
         prop_assert_eq!(
             Message::decode(&w.finish()),
             Err(MsgDecodeError::RouteTooLong(n as usize))
-        );
-    }
-
-    /// Same cap, multicast arm: a hostile target count draws the typed
-    /// error even though the buffer ends right after the count field.
-    #[test]
-    fn oversized_multicast_count_is_a_typed_error(
-        m in arb_message(),
-        n in (MAX_ROUTE_LEN as u32 + 1)..=u32::MAX,
-    ) {
-        let mut w = PayloadWriter::new();
-        w.ptr(m.to).u32(m.handler.0).bytes(&m.payload);
-        w.u32(0); // empty route
-        w.u8(1).u32(1).u32(n); // multicast flag, deliver_to, hostile count
-        prop_assert_eq!(
-            Message::decode(&w.finish()),
-            Err(MsgDecodeError::TargetsTooLong(n as usize))
         );
     }
 

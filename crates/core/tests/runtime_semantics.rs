@@ -358,40 +358,6 @@ fn des_migration_moves_object_and_messages_follow() {
     });
 }
 
-#[test]
-fn des_multicast_collects_and_delivers() {
-    let mut rt = DesRuntime::new(MrtsConfig::in_core(3));
-    register_des(&mut rt);
-    // Three cells on three nodes; a coordinator cell multicasts to all,
-    // delivering to the first only.
-    let a = rt.create_object(0, Cell::new(16), 128);
-    let b = rt.create_object(1, Cell::new(16), 128);
-    let c = rt.create_object(2, Cell::new(16), 128);
-    fn h_mc(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
-        let mut r = PayloadReader::new(payload);
-        let targets = r.ptrs().unwrap();
-        ctx.multicast(targets, 1, H_BUMP, {
-            let mut w = PayloadWriter::new();
-            w.u64(10);
-            w.finish()
-        });
-    }
-    rt.register_handler(HandlerId(98), "mc", h_mc);
-    let mut w = PayloadWriter::new();
-    w.ptrs(&[a, b, c]);
-    rt.post(a, HandlerId(98), w.finish());
-    rt.run();
-    // Only `a` (the first target) received the bump...
-    rt.with_object(a, |o| {
-        assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 10)
-    });
-    rt.with_object(b, |o| {
-        assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 0)
-    });
-    // ...and all three now live on node 0 (collected by migration).
-    assert_eq!(rt.num_objects(), 3);
-}
-
 // ----- threaded engine ---------------------------------------------------------
 
 #[test]

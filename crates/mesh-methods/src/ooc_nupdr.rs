@@ -16,8 +16,7 @@
 //!
 //! Togglable optimizations from the paper ([`OnupdrOpts`]): direct handler
 //! calls for in-core objects, locking buffer leaves during collection,
-//! priority hints for dispatched leaves, and the experimental **multicast
-//! mobile message** that pre-collects the leaf and its buffer in-core.
+//! and priority hints for dispatched leaves.
 
 use crate::common::{
     decode_point_batch, encode_point_batch, get_bbox, get_workload, put_bbox, put_point_batch,
@@ -54,9 +53,6 @@ pub struct OnupdrOpts {
     pub lock_buffers: bool,
     /// Raise the swapping priority of dispatched leaves and their buffers.
     pub priorities: bool,
-    /// Use the experimental multicast mobile message to pre-collect the
-    /// leaf and its buffer in-core before refining.
-    pub multicast: bool,
     /// Maximum concurrently dispatched leaves (0 = number of nodes).
     pub max_active: u32,
     /// Child tasks per leaf refinement (1 = sequential handler; 4 splits
@@ -71,7 +67,6 @@ impl Default for OnupdrOpts {
             direct_calls: true,
             lock_buffers: true,
             priorities: true,
-            multicast: false,
             max_active: 0,
             intra_tasks: 1,
         }
@@ -85,7 +80,6 @@ impl OnupdrOpts {
             direct_calls: false,
             lock_buffers: false,
             priorities: false,
-            multicast: false,
             max_active: 0,
             intra_tasks: 1,
         }
@@ -95,7 +89,6 @@ impl OnupdrOpts {
         w.u8(self.direct_calls as u8)
             .u8(self.lock_buffers as u8)
             .u8(self.priorities as u8)
-            .u8(self.multicast as u8)
             .u32(self.max_active)
             .u8(self.intra_tasks);
     }
@@ -105,7 +98,6 @@ impl OnupdrOpts {
             direct_calls: r.u8()? != 0,
             lock_buffers: r.u8()? != 0,
             priorities: r.u8()? != 0,
-            multicast: r.u8()? != 0,
             max_active: r.u32()?,
             intra_tasks: r.u8()?,
         })
@@ -349,15 +341,7 @@ impl QueueObj {
                     ctx.set_priority(self.leaf_ptrs[b as usize], 200);
                 }
             }
-            if self.opts.multicast {
-                let mut targets = vec![leaf];
-                for &b in &self.buffers[idx as usize] {
-                    targets.push(self.leaf_ptrs[b as usize]);
-                }
-                ctx.multicast(targets, 1, H_L_CONSTRUCT, Vec::new());
-            } else {
-                ctx.send(leaf, H_L_CONSTRUCT, Vec::new());
-            }
+            ctx.send(leaf, H_L_CONSTRUCT, Vec::new());
         }
     }
 }
@@ -1016,17 +1000,6 @@ mod tests {
         ] {
             assert_eq!(v, 0, "fault-free run charged net counter {name} = {v}");
         }
-    }
-
-    #[test]
-    fn onupdr_multicast_variant_works() {
-        let p = graded_square(2500);
-        let opts = OnupdrOpts {
-            multicast: true,
-            ..Default::default()
-        };
-        let r = onupdr_run(&p, MrtsConfig::out_of_core(2, 200_000), opts);
-        assert!(r.elements > 500);
     }
 
     #[test]

@@ -673,9 +673,7 @@ mod tests {
         // request lands), so only requests are asserted — the mesh
         // digest proves any steals that did happen were harmless.
         let p = params(2500, 2);
-        let cfg = MrtsConfig::in_core(6)
-            .with_work_stealing()
-            .with_steal_patience(1);
+        let cfg = MrtsConfig::in_core(6).with_work_stealing();
         let (_plain, plain_digest) = oupdr_run_threaded_with(&p, MrtsConfig::in_core(6), |_| {});
 
         let (mut rt, _coord) = oupdr_setup_threaded(&p, cfg.clone());

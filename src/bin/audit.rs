@@ -134,9 +134,8 @@ fn lint_and_test() -> bool {
 #[cfg(any(feature = "audit", debug_assertions))]
 mod invariant_sweep {
     //! A self-contained MRTS workload (ring of growing cells under memory
-    //! pressure, a migration, a multicast) run with the fail-fast
-    //! invariant checker attached, across several schedule seeds, on both
-    //! engines.
+    //! pressure, a migration) run with the fail-fast invariant checker
+    //! attached, across several schedule seeds, on both engines.
 
     use mrts::audit::{FailMode, InvariantChecker, RaceDetector};
     use mrts::codec::{PayloadReader, PayloadWriter};

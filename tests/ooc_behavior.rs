@@ -125,10 +125,7 @@ fn prefetch_pacing_respects_budget_under_pressure() {
     // against the same budget as demand loads).
     let p = PcdmParams::new(Workload::uniform_square(8_000), 3);
     let budget = 70_000usize;
-    let r = opcdm_run(
-        &p,
-        MrtsConfig::out_of_core(2, budget).with_prefetch_window(8, 1 << 20),
-    );
+    let r = opcdm_run(&p, MrtsConfig::out_of_core(2, budget));
     assert!(r.stats.total_of(|n| n.stores) > 0);
     assert!(
         r.stats.peak_mem() < 3 * budget,

@@ -4,6 +4,14 @@
 //! byte-identical to an unlimited-budget run that never spills, and the
 //! per-object version counters backing dirty tracking must never run
 //! backwards.
+//!
+//! The same `Plan` also drives the **cross-engine differential test**:
+//! one random schedule (add / forward / walk / migrate / grow / lock /
+//! unlock / set-priority over 1–3 nodes and 4–24 objects, budgets from
+//! "everything fits" down to about two objects, locality on and off) runs
+//! through the virtual-time engine, the threaded engine and an
+//! unlimited-budget reference, and all three must end with every object
+//! byte-identical, both audit streams clean, inside a wall-clock bound.
 
 use mrts::audit::{EventLog, FailMode, InvariantChecker, RuntimeEvent};
 use mrts::codec::{PayloadReader, PayloadWriter};
@@ -14,11 +22,16 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const TAG: TypeTag = TypeTag(0xAB);
 const H_ADD: HandlerId = HandlerId(1);
 const H_FWD: HandlerId = HandlerId(2);
 const H_MIG: HandlerId = HandlerId(3);
+const H_WALK: HandlerId = HandlerId(4);
+const H_GROW: HandlerId = HandlerId(5);
+const H_PIN: HandlerId = HandlerId(6);
+const H_PRIO: HandlerId = HandlerId(7);
 
 struct Acc {
     sum: u64,
@@ -82,7 +95,50 @@ fn h_mig(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     ctx.migrate(me, dest);
 }
 
-#[derive(Clone, Debug)]
+/// Add `v`, then pass the message on to the next object of the walk.
+/// Walks are the send-adjacency the locality map builds its clusters
+/// from (see [`Plan::walk_stops`]).
+fn h_walk(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
+    let mut r = PayloadReader::new(payload);
+    let v = r.u64().unwrap();
+    let left = r.u32().unwrap();
+    obj.as_any_mut().downcast_mut::<Acc>().unwrap().sum += v;
+    if left > 0 {
+        let next = r.ptr().unwrap();
+        let mut w = PayloadWriter::new();
+        w.u64(v).u32(left - 1);
+        for _ in 1..left {
+            w.ptr(r.ptr().unwrap());
+        }
+        ctx.send(next, H_WALK, w.finish());
+    }
+}
+
+/// Resize in place: the object grows by the payload's byte count (a
+/// constant fill, so grows commute and the end state is schedule-free).
+fn h_grow(obj: &mut dyn MobileObject, _ctx: &mut Ctx, payload: &[u8]) {
+    let mut r = PayloadReader::new(payload);
+    let bytes = r.u32().unwrap() as usize;
+    let acc = obj.as_any_mut().downcast_mut::<Acc>().unwrap();
+    acc.pad.resize(acc.pad.len() + bytes, 0xA5);
+}
+
+/// Lock (payload 1) or unlock (payload 0) self.
+fn h_pin(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
+    let me = ctx.self_ptr();
+    if payload[0] != 0 {
+        ctx.lock(me);
+    } else {
+        ctx.unlock(me);
+    }
+}
+
+fn h_prio(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
+    let me = ctx.self_ptr();
+    ctx.set_priority(me, payload[0]);
+}
+
+#[derive(Clone, Debug, Default)]
 struct Plan {
     nodes: usize,
     objects: usize,
@@ -90,21 +146,82 @@ struct Plan {
     adds: Vec<(usize, u64)>,
     fwds: Vec<(usize, usize, u64, u32)>,
     migs: Vec<(usize, usize)>,
+    /// `(first object, further stops per round, rounds, value)`.
+    walks: Vec<(usize, usize, usize, u64)>,
+    /// `(object, bytes)`.
+    grows: Vec<(usize, usize)>,
+    /// `(object, lock?)`.
+    pins: Vec<(usize, bool)>,
+    prios: Vec<(usize, u8)>,
+    /// Per-node budget in initial-object footprints.
+    budget_objs: usize,
+    locality: bool,
+}
+
+impl Plan {
+    /// The objects a walk visits, in order: from `first` in strides of
+    /// `nodes` — objects are dealt round-robin, so a walk stays on one
+    /// home node and teaches *that* node's locality map a chain of
+    /// neighbours — repeated `rounds` times, so later rounds fault on
+    /// objects whose clustermates are already known.
+    fn walk_stops(&self, first: usize, more: usize, rounds: usize) -> Vec<usize> {
+        let chain: Vec<usize> = (first..self.objects)
+            .step_by(self.nodes)
+            .take(more + 1)
+            .collect();
+        (0..rounds).flat_map(|_| chain.iter().copied()).collect()
+    }
+
+    fn budget(&self) -> usize {
+        self.budget_objs * (self.pad + 64)
+    }
+
+    /// The plan's configuration under `budget` (`None` = unlimited).
+    fn cfg(&self, budget: Option<usize>) -> MrtsConfig {
+        let mut cfg = match budget {
+            Some(b) => MrtsConfig::out_of_core(self.nodes, b),
+            None => MrtsConfig::in_core(self.nodes),
+        };
+        cfg.deterministic_compute = true;
+        cfg.locality = self.locality;
+        cfg
+    }
 }
 
 fn plan_strategy() -> impl Strategy<Value = Plan> {
-    (2usize..4, 2usize..8, 256usize..4096).prop_flat_map(|(nodes, objects, pad)| {
+    (1usize..4, 4usize..25, 256usize..4096).prop_flat_map(|(nodes, objects, pad)| {
         let adds = prop::collection::vec((0..objects, 1u64..100), 0..24);
         let fwds = prop::collection::vec((0..objects, 0..objects, 1u64..50, 0u32..6), 0..8);
         let migs = prop::collection::vec((0..objects, 0..nodes), 0..6);
-        (Just(nodes), Just(objects), Just(pad), adds, fwds, migs).prop_map(
-            |(nodes, objects, pad, adds, fwds, migs)| Plan {
-                nodes,
-                objects,
-                pad,
-                adds,
-                fwds,
-                migs,
+        let walks = prop::collection::vec((0..objects, 1..objects, 1usize..5, 1u64..50), 1..6);
+        let grows = prop::collection::vec((0..objects, 1usize..2048), 0..8);
+        let pins = prop::collection::vec((0..objects, any::<bool>()), 0..6);
+        let prios = prop::collection::vec((0..objects, any::<u8>()), 0..4);
+        // From about two objects per node up to "everything fits".
+        let shape = (
+            Just(nodes),
+            Just(objects),
+            Just(pad),
+            2..objects + 8,
+            any::<bool>(),
+        );
+        (shape, (adds, fwds, migs), (walks, grows, pins, prios)).prop_map(
+            |(shape, (adds, fwds, migs), (walks, grows, pins, prios))| {
+                let (nodes, objects, pad, budget_objs, locality) = shape;
+                Plan {
+                    nodes,
+                    objects,
+                    pad,
+                    adds,
+                    fwds,
+                    migs,
+                    walks,
+                    grows,
+                    pins,
+                    prios,
+                    budget_objs,
+                    locality,
+                }
             },
         )
     })
@@ -117,7 +234,12 @@ fn expected_sum(plan: &Plan) -> u64 {
         .iter()
         .map(|&(_, _, v, hops)| v * (hops as u64 + 1))
         .sum();
-    adds + fwds + plan.migs.len() as u64
+    let walks: u64 = plan
+        .walks
+        .iter()
+        .map(|&(first, more, rounds, v)| v * plan.walk_stops(first, more, rounds).len() as u64)
+        .sum();
+    adds + fwds + walks + plan.migs.len() as u64
 }
 
 fn post_plan<F: FnMut(MobilePtr, HandlerId, Vec<u8>)>(plan: &Plan, ptrs: &[MobilePtr], mut f: F) {
@@ -136,49 +258,91 @@ fn post_plan<F: FnMut(MobilePtr, HandlerId, Vec<u8>)>(plan: &Plan, ptrs: &[Mobil
         w.u32(dest as u32);
         f(ptrs[o], H_MIG, w.finish());
     }
+    for &(first, more, rounds, v) in &plan.walks {
+        let stops = plan.walk_stops(first, more, rounds);
+        let mut w = PayloadWriter::new();
+        w.u64(v).u32(stops.len() as u32 - 1);
+        for &o in &stops[1..] {
+            w.ptr(ptrs[o]);
+        }
+        f(ptrs[first], H_WALK, w.finish());
+    }
+    for &(o, bytes) in &plan.grows {
+        let mut w = PayloadWriter::new();
+        w.u32(bytes as u32);
+        f(ptrs[o], H_GROW, w.finish());
+    }
+    for &(o, lock) in &plan.pins {
+        f(ptrs[o], H_PIN, vec![u8::from(lock)]);
+    }
+    for &(o, prio) in &plan.prios {
+        f(ptrs[o], H_PRIO, vec![prio]);
+    }
 }
 
-/// Run the plan on the DES engine; return (sum, packed bytes per object).
-fn run_des(plan: &Plan, cfg: MrtsConfig) -> (u64, BTreeMap<ObjectId, Vec<u8>>) {
-    let mut rt = DesRuntime::new(cfg);
-    rt.register_type(TAG, Acc::decode);
-    rt.register_handler(H_ADD, "add", h_add);
-    rt.register_handler(H_FWD, "fwd", h_fwd);
-    rt.register_handler(H_MIG, "mig", h_mig);
-    let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
-    rt.attach_audit(checker.clone());
-    let ptrs: Vec<MobilePtr> = (0..plan.objects)
+const HANDLERS: [(HandlerId, &str, mrts::object::HandlerFn); 7] = [
+    (H_ADD, "add", h_add),
+    (H_FWD, "fwd", h_fwd),
+    (H_MIG, "mig", h_mig),
+    (H_WALK, "walk", h_walk),
+    (H_GROW, "grow", h_grow),
+    (H_PIN, "pin", h_pin),
+    (H_PRIO, "prio", h_prio),
+];
+
+/// What one engine run leaves behind: the application sum and every
+/// object's packed bytes.
+type EndState = (u64, BTreeMap<ObjectId, Vec<u8>>);
+
+fn new_accs(
+    plan: &Plan,
+    mut create: impl FnMut(NodeId, Box<dyn MobileObject>) -> MobilePtr,
+) -> Vec<MobilePtr> {
+    (0..plan.objects)
         .map(|i| {
-            rt.create_object(
+            create(
                 (i % plan.nodes) as NodeId,
                 Box::new(Acc {
                     sum: 0,
                     pad: vec![0x5A; plan.pad],
                 }),
-                128,
             )
         })
-        .collect();
-    post_plan(plan, &ptrs, |p, h, payload| rt.post(p, h, payload));
-    let _ = rt.run();
-    checker.assert_clean();
+        .collect()
+}
+
+fn end_state(visit: impl FnOnce(&mut dyn FnMut(ObjectId, &dyn MobileObject))) -> EndState {
     let mut sum = 0;
     let mut bytes = BTreeMap::new();
-    rt.for_each_object(|oid, o| {
+    visit(&mut |oid, o| {
         sum += o.as_any().downcast_ref::<Acc>().unwrap().sum;
         bytes.insert(oid, Registry::pack(o));
     });
     (sum, bytes)
 }
 
+/// Run the plan on the DES engine under an invariant checker.
+fn run_des(plan: &Plan, cfg: MrtsConfig) -> EndState {
+    let mut rt = DesRuntime::new(cfg);
+    rt.register_type(TAG, Acc::decode);
+    for (id, name, f) in HANDLERS {
+        rt.register_handler(id, name, f);
+    }
+    let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
+    rt.attach_audit(checker.clone());
+    let ptrs = new_accs(plan, |node, obj| rt.create_object(node, obj, 128));
+    post_plan(plan, &ptrs, |p, h, payload| rt.post(p, h, payload));
+    let _ = rt.run();
+    checker.assert_clean();
+    end_state(|f| rt.for_each_object(f))
+}
+
 static SPILL_CASE: AtomicU64 = AtomicU64::new(0);
 
-/// Run the plan on the threaded engine with an event log; return (sum,
-/// elided-unload events).
-fn run_threaded(plan: &Plan, tweak: impl Fn(&mut MrtsConfig)) -> (u64, Vec<RuntimeEvent>) {
-    let budget = (2 * (plan.pad + 64)).max(256);
-    let mut cfg = MrtsConfig::out_of_core(plan.nodes, budget);
-    tweak(&mut cfg);
+/// Run the plan on the threaded engine (real spill files) under an
+/// invariant checker and an event log; returns the end state and the
+/// elided-unload events.
+fn run_threaded(plan: &Plan, mut cfg: MrtsConfig) -> (EndState, Vec<RuntimeEvent>) {
     cfg.spill_dir = Some(std::env::temp_dir().join(format!(
         "mrts-propspill-{}-{}",
         std::process::id(),
@@ -187,37 +351,42 @@ fn run_threaded(plan: &Plan, tweak: impl Fn(&mut MrtsConfig)) -> (u64, Vec<Runti
     let spill = cfg.spill_dir.clone().unwrap();
     let mut rt = ThreadedRuntime::new(cfg);
     rt.register_type(TAG, Acc::decode);
-    rt.register_handler(H_ADD, "add", h_add);
-    rt.register_handler(H_FWD, "fwd", h_fwd);
-    rt.register_handler(H_MIG, "mig", h_mig);
+    for (id, name, f) in HANDLERS {
+        rt.register_handler(id, name, f);
+    }
     let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
     let log = Arc::new(EventLog::new());
-    rt.attach_audit(checker.clone());
-    rt.attach_audit(log.clone());
-    let ptrs: Vec<MobilePtr> = (0..plan.objects)
-        .map(|i| {
-            rt.create_object(
-                (i % plan.nodes) as NodeId,
-                Box::new(Acc {
-                    sum: 0,
-                    pad: vec![0x5A; plan.pad],
-                }),
-                128,
-            )
-        })
-        .collect();
+    rt.attach_audit(Arc::new(FanOut::new(vec![checker.clone(), log.clone()])));
+    let ptrs = new_accs(plan, |node, obj| rt.create_object(node, obj, 128));
     post_plan(plan, &ptrs, |p, h, payload| rt.post(p, h, payload));
     let _ = rt.run();
     checker.assert_clean();
-    let mut sum = 0;
-    rt.for_each_object(|_, o| sum += o.as_any().downcast_ref::<Acc>().unwrap().sum);
+    let end = end_state(|f| rt.for_each_object(f));
     let _ = std::fs::remove_dir_all(spill);
     let elisions = log
         .snapshot()
         .into_iter()
         .filter(|e| matches!(e, RuntimeEvent::ElidedUnload { .. }))
         .collect();
-    (sum, elisions)
+    (end, elisions)
+}
+
+/// Wall-clock bound on one engine run of one case. Plans are a few dozen
+/// sub-millisecond handlers; a run that is still going after this long
+/// has wedged (a parked load keeping a node non-idle, a drain loop that
+/// never empties), and joining it would hang the suite instead of
+/// failing the case.
+const CASE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// Run `f` on its own thread; `None` if it has not finished in
+/// [`CASE_DEADLINE`] (the stuck thread is abandoned — the failing test
+/// ends the process).
+fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(CASE_DEADLINE).ok()
 }
 
 proptest! {
@@ -233,8 +402,8 @@ proptest! {
         // A budget holding roughly two padded objects forces heavy
         // eviction traffic.
         let budget = (2 * (plan.pad + 64)).max(256);
-        let (ooc_sum, ooc_bytes) = run_des(&plan, MrtsConfig::out_of_core(plan.nodes, budget));
-        let (core_sum, core_bytes) = run_des(&plan, MrtsConfig::in_core(plan.nodes));
+        let (ooc_sum, ooc_bytes) = run_des(&plan, plan.cfg(Some(budget)));
+        let (core_sum, core_bytes) = run_des(&plan, plan.cfg(None));
         prop_assert_eq!(ooc_sum, expected_sum(&plan));
         prop_assert_eq!(core_sum, expected_sum(&plan));
         prop_assert_eq!(
@@ -260,7 +429,8 @@ proptest! {
     /// never run backwards for any object.
     #[test]
     fn threaded_elision_versions_never_run_backwards(plan in plan_strategy()) {
-        let (sum, elisions) = run_threaded(&plan, |_| {});
+        let budget = (2 * (plan.pad + 64)).max(256);
+        let ((sum, _), elisions) = run_threaded(&plan, plan.cfg(Some(budget)));
         prop_assert_eq!(sum, expected_sum(&plan));
         let mut last: BTreeMap<ObjectId, u64> = BTreeMap::new();
         for ev in &elisions {
@@ -276,6 +446,45 @@ proptest! {
                         oid, prev, version
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Three engine runs per case, one of them with real threads and files.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cross-engine differential: one schedule, three runs — the
+    /// virtual-time engine and the threaded engine under the plan's
+    /// budget, and an unlimited-budget reference that never touches the
+    /// out-of-core layer. All three must terminate inside the deadline
+    /// with clean audit streams (asserted inside the runners) and leave
+    /// every object byte-identical. Whatever the out-of-core layer decides
+    /// — evict, elide, batch, prefetch, cancel — and whichever engine
+    /// drives it, the application cannot tell.
+    #[test]
+    fn engines_agree_byte_for_byte_under_any_budget(plan in plan_strategy()) {
+        let budget = plan.budget();
+        let (p, cfg) = (plan.clone(), plan.cfg(None));
+        let reference = bounded(move || run_des(&p, cfg));
+        let (p, cfg) = (plan.clone(), plan.cfg(Some(budget)));
+        let des = bounded(move || run_des(&p, cfg));
+        let (p, cfg) = (plan.clone(), plan.cfg(Some(budget)));
+        let threaded = bounded(move || run_threaded(&p, cfg).0);
+        prop_assert!(reference.is_some(), "unlimited-budget run did not terminate");
+        prop_assert!(des.is_some(), "DES run did not terminate under budget {}", budget);
+        prop_assert!(threaded.is_some(), "threaded run did not terminate under budget {}", budget);
+        let (ref_sum, ref_bytes) = reference.unwrap();
+        prop_assert_eq!(ref_sum, expected_sum(&plan));
+        for (engine, (sum, bytes)) in [("des", des.unwrap()), ("threaded", threaded.unwrap())] {
+            prop_assert_eq!(sum, ref_sum, "{} sum diverged", engine);
+            prop_assert_eq!(bytes.len(), ref_bytes.len(), "{} object population diverged", engine);
+            for (oid, b) in &bytes {
+                prop_assert_eq!(
+                    b, &ref_bytes[oid],
+                    "{}: object {:?} not byte-identical to the unlimited-budget run", engine, oid
+                );
             }
         }
     }
@@ -301,11 +510,13 @@ fn thrash_elides_and_reconstitutes_exactly() {
             pad: 8 * 1024,
             adds: (0..96).map(|i| (i % 8, 1 + i as u64)).collect(),
             fwds: (0..16).map(|i| (i % 8, (i + 3) % 8, 5, 5)).collect(),
-            migs: vec![],
+            budget_objs: 2,
+            locality: true,
+            ..Plan::default()
         };
-        let (sum, elisions) = run_threaded(&plan, |cfg| {
-            cfg.io_threads = 1;
-        });
+        let mut cfg = MrtsConfig::out_of_core(plan.nodes, plan.budget());
+        cfg.io_threads = 1;
+        let ((sum, _), elisions) = run_threaded(&plan, cfg);
         assert_eq!(
             sum,
             expected_sum(&plan),

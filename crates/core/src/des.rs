@@ -924,6 +924,20 @@ impl DesRuntime {
             .sum()
     }
 
+    /// Drop the pending hint-only load at `idx` (see
+    /// [`DesRuntime::pump_loads`]).
+    fn cancel_hint(&mut self, node: NodeId, oid: ObjectId, idx: usize) {
+        let n = &mut self.nodes[node as usize];
+        n.pending_loads.remove(idx);
+        let e = n
+            .table
+            .get_mut(&oid)
+            .expect("tracked object has a table entry");
+        e.load_queued = false;
+        e.prefetch_hint = false;
+        n.stats.prefetch_cancels += 1;
+    }
+
     /// Issue queued loads under the prefetch window; mirrors the threaded
     /// engine's pump (see [`crate::threaded`]). A look-ahead load (virtual
     /// cores busy beyond `at`) stays inside the window and is paced so it
@@ -940,7 +954,7 @@ impl DesRuntime {
         let mut i = 0;
         while i < self.nodes[node as usize].pending_loads.len() {
             let oid = self.nodes[node as usize].pending_loads[i];
-            let (wants, urgent, hinted, footprint, packed_len) = {
+            let (wants, urgent, hinted, demanded, footprint, packed_len) = {
                 let e = self.nodes[node as usize]
                     .table
                     .get(&oid)
@@ -948,7 +962,14 @@ impl DesRuntime {
                 let urgent = e.pending_migration.is_some() || e.locked;
                 let wants = matches!(e.state, EntryState::OnDisk)
                     && (urgent || !e.queue.is_empty() || e.prefetch_hint);
-                (wants, urgent, e.prefetch_hint, e.footprint, e.packed_len)
+                (
+                    wants,
+                    urgent,
+                    e.prefetch_hint,
+                    !e.queue.is_empty(),
+                    e.footprint,
+                    e.packed_len,
+                )
             };
             if !wants {
                 self.nodes[node as usize].pending_loads.remove(i);
@@ -963,13 +984,22 @@ impl DesRuntime {
                 continue;
             }
             let n = &self.nodes[node as usize];
-            // A cluster-prefetch hint is look-ahead by definition: nothing
-            // demands the object yet, so it must obey window and pacing.
-            let look_ahead = n.core_free.iter().any(|&c| c > at) || hinted;
+            // A cluster-prefetch hint is look-ahead only while nothing
+            // queued demands the object; once a message has queued up
+            // behind it, it is a demand load like any other.
+            let look_ahead = n.core_free.iter().any(|&c| c > at) || (hinted && !demanded);
+            // A hint with nothing queued behind it is pure opportunism: if
+            // it cannot issue under the current gates it is dropped, not
+            // parked.
+            let hint_only = hinted && !urgent && !demanded;
             if look_ahead && !urgent {
                 if n.ooc.is_degraded() {
                     // Disk pressure: shed prefetch entirely; only demand
                     // and urgent loads keep flowing.
+                    if hint_only {
+                        self.cancel_hint(node, oid, i);
+                        continue;
+                    }
                     i += 1;
                     continue;
                 }
@@ -987,6 +1017,10 @@ impl DesRuntime {
                         *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes(node, at));
                     if need > avail {
                         // Paced: admission would thrash queued objects.
+                        if hint_only {
+                            self.cancel_hint(node, oid, i);
+                            continue;
+                        }
                         i += 1;
                         continue;
                     }

@@ -1632,20 +1632,26 @@ impl DesRuntime {
         let victims = self.nodes[node as usize]
             .ooc
             .pick_victims(&mut candidates, need);
-        // Clean victims are elided (their on-disk bytes are current), and
-        // the dirty remainder coalesces into one batched
-        // append — only the first store pays the seek component.
-        let mut stored = 0usize;
+        // As in the threaded engine: clean victims are elided first (their
+        // on-disk bytes are current), then the dirty remainder is taken out
+        // of core as one batch — accounted when issued — and only then do
+        // the stores execute, coalesced into one append (only the first
+        // pays the seek component).
+        let mut dirty = Vec::new();
         for oid in victims {
-            if self.try_elide(node, oid) {
-                continue;
-            }
-            if self.spill(node, oid, at, stored > 0) {
-                stored += 1;
+            if !self.try_elide(node, oid) {
+                dirty.push(oid);
             }
         }
-        if stored >= 2 {
+        let batch: Vec<(u64, ObjectId, Box<dyn MobileObject>)> = dirty
+            .into_iter()
+            .filter_map(|oid| self.spill_issue(node, oid))
+            .collect();
+        if batch.len() >= 2 {
             self.nodes[node as usize].stats.spill_batches += 1;
+        }
+        for (i, (key, oid, obj)) in batch.into_iter().enumerate() {
+            self.spill_store(node, key, oid, obj, at, i > 0);
         }
     }
 
@@ -1696,29 +1702,78 @@ impl DesRuntime {
         true
     }
 
-    /// Serialize an in-core object to the (modeled) disk. Store failures
-    /// are retried with bounded backoff; exhaustion (or `ENOSPC`)
-    /// reinstates the object in-core and enters degraded mode instead of
-    /// panicking — the object never left memory.
-    ///
-    /// `coalesce` marks a store that joins an earlier one from the same
-    /// eviction round in a single batched append: it is charged transfer
-    /// time only (the seek component was paid by the first store). Returns
-    /// `true` iff bytes actually reached the modeled disk.
-    fn spill(&mut self, node: NodeId, oid: ObjectId, at: Duration, coalesce: bool) -> bool {
-        let obj = {
-            let e = self.nodes[node as usize]
+    /// Take an in-core object out of core for a store: the eviction is
+    /// accounted here, when it is issued (`evictions`, `stores`, the
+    /// `Unload` event, the budget, the stored version), as in the threaded
+    /// engine. Returns the spill key and the object for
+    /// [`DesRuntime::spill_store`]; `None` if the object is not in core.
+    fn spill_issue(
+        &mut self,
+        node: NodeId,
+        oid: ObjectId,
+    ) -> Option<(u64, ObjectId, Box<dyn MobileObject>)> {
+        #[allow(unused_variables)] // `footprint` feeds the audit emission
+        let (key, obj, footprint, has_queue) = {
+            let n = &mut self.nodes[node as usize];
+            let e = n
                 .table
                 .get_mut(&oid)
                 .expect("tracked object has a table entry");
-            match std::mem::replace(&mut e.state, EntryState::OnDisk) {
+            let obj = match std::mem::replace(&mut e.state, EntryState::OnDisk) {
                 EntryState::InCore(o) => o,
                 other => {
                     e.state = other;
-                    return false;
+                    return None;
                 }
-            }
+            };
+            let key = *e.spill_key.get_or_insert_with(|| {
+                let k = n.next_spill_key;
+                n.next_spill_key += 1;
+                k
+            });
+            // The object cannot mutate while out of core, so the version
+            // at issue is the version the packed bytes carry.
+            e.stored_version = Some(e.version);
+            n.stats.evictions += 1;
+            n.stats.stores += 1;
+            n.ooc.note_out(e.footprint);
+            n.ooc.note_spilled(e.footprint);
+            (key, obj, e.footprint, !e.queue.is_empty())
         };
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::Unload {
+                node,
+                oid,
+                footprint
+            }
+        );
+        // An object evicted with queued messages still owes work: its
+        // messages were spilled with it, so queue the reload (the pump
+        // issues it; `disk_ready_at` keeps it after the store completes).
+        if has_queue {
+            self.queue_load(node, oid);
+        }
+        Some((key, oid, obj))
+    }
+
+    /// Serialize an issued object to the (modeled) disk. Store failures
+    /// are retried with bounded backoff; exhaustion (or `ENOSPC`)
+    /// reinstates the object in-core — balancing the eager `Unload` with
+    /// a `Load` — and enters degraded mode instead of panicking.
+    ///
+    /// `coalesce` marks a store that joins an earlier one from the same
+    /// eviction round in a single batched append: it is charged transfer
+    /// time only (the seek component was paid by the first store).
+    fn spill_store(
+        &mut self,
+        node: NodeId,
+        key: u64,
+        oid: ObjectId,
+        obj: Box<dyn MobileObject>,
+        at: Duration,
+        coalesce: bool,
+    ) {
         // Real serialization, charged as compute. The object is kept alive
         // until the store succeeds so a failed spill can reinstate it.
         // Packs into the node's reusable buffer.
@@ -1728,22 +1783,14 @@ impl DesRuntime {
         Registry::pack_into(obj.as_ref(), &mut bytes);
         let pack = self.compute_charge(t0.elapsed(), bytes.len());
         let packed_len = bytes.len();
-
-        let key = {
+        {
             let n = &mut self.nodes[node as usize];
             n.stats.comp += pack;
-            let e = n
-                .table
+            n.table
                 .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            let key = *e.spill_key.get_or_insert_with(|| {
-                let k = n.next_spill_key;
-                n.next_spill_key += 1;
-                k
-            });
-            e.packed_len = packed_len;
-            key
-        };
+                .expect("tracked object has a table entry")
+                .packed_len = packed_len;
+        }
         // Retry loop: each failed attempt charges one disk op plus the
         // backoff delay to the virtual channel. A torn write is repaired by
         // the retry overwriting the same key (nothing can load the key
@@ -1777,15 +1824,20 @@ impl DesRuntime {
             // Graceful degradation: put the object back, charge the wasted
             // disk time, and stop evicting until a probe succeeds. The
             // on-disk copy (if any) may be torn: mark it stale.
+            let footprint = obj.footprint();
             let n = &mut self.nodes[node as usize];
             n.stats.io_gave_up += 1;
+            let tick = n.ooc.tick();
+            n.ooc.note_in(footprint);
             let e = n
                 .table
                 .get_mut(&oid)
                 .expect("tracked object has a table entry");
             debug_assert!(matches!(e.state, EntryState::OnDisk));
             e.state = EntryState::InCore(obj);
+            e.footprint = footprint;
             e.stored_version = None;
+            e.meta.touch(tick);
             if !penalty.is_zero() {
                 let ch = (0..n.disk_free.len())
                     .min_by_key(|&i| n.disk_free[i])
@@ -1795,12 +1847,22 @@ impl DesRuntime {
                 n.stats.disk += penalty;
                 self.end_time = self.end_time.max(end);
             }
+            // Balance the eager `Unload`.
+            audit_emit!(
+                self.audit,
+                RuntimeEvent::Load {
+                    node,
+                    oid,
+                    footprint
+                }
+            );
             if self.nodes[node as usize].ooc.enter_degraded() {
                 self.nodes[node as usize].stats.degraded_entries += 1;
                 self.nodes[node as usize].stats.degraded_mode_transitions += 1;
                 audit_emit!(self.audit, RuntimeEvent::Degraded { node, on: true });
             }
-            return false;
+            self.audit_budget(node, false);
+            return;
         }
         drop(obj);
         let n = &mut self.nodes[node as usize];
@@ -1819,37 +1881,13 @@ impl DesRuntime {
         let end = start + dur;
         n.disk_free[ch] = end;
         n.stats.disk += dur;
-        n.stats.stores += 1;
         n.stats.bytes_to_disk += packed_len as u64;
-        n.stats.evictions += 1;
         n.stats.buffer_pool_hits += usize::from(pool_hit);
-        let (footprint, has_queue) = {
-            let e = n
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            e.disk_ready_at = end;
-            e.stored_version = Some(e.version);
-            (e.footprint, !e.queue.is_empty())
-        };
-        n.ooc.note_out(footprint);
-        n.ooc.note_spilled(footprint);
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::Unload {
-                node,
-                oid,
-                footprint
-            }
-        );
+        n.table
+            .get_mut(&oid)
+            .expect("tracked object has a table entry")
+            .disk_ready_at = end;
         self.end_time = self.end_time.max(end);
-        // An object evicted with queued messages still owes work: its
-        // messages were spilled with it, so queue the reload (the pump
-        // issues it; `disk_ready_at` keeps it after the store completes).
-        if has_queue {
-            self.queue_load(node, oid);
-        }
-        true
     }
 
     // ----- migration --------------------------------------------------------

@@ -14,10 +14,11 @@
 //! * unloading/loading an object occupies one of the node's `io_threads`
 //!   virtual disk channels for `seek + bytes/bandwidth`; the disk runs
 //!   concurrently with the cores, which is where the paper's
-//!   computation/I/O *overlap* comes from. Loads are issued through the
-//!   same prefetch-window pump as the threaded engine: a message for an
-//!   on-disk object queues a look-ahead load, paced against the memory
-//!   budget so prefetch never displaces objects with queued work.
+//!   computation/I/O *overlap* comes from. What to evict, load and
+//!   prefetch is decided by each node's `NodeCore` (`node.rs`) — the
+//!   same state machine the threaded engine runs; this engine is its
+//!   driver, executing the core's I/O commands synchronously on the
+//!   virtual channels.
 //!
 //! The result is a deterministic simulation whose reported quantities
 //! (per-PE speed, overheads, comp/comm/disk shares, overlap) have the same
@@ -32,12 +33,10 @@ use crate::ctx::{Ctx, Effect};
 use crate::directory::Directory;
 use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
-use crate::locality::{LocalityMap, CLUSTER_OBJECTS, PREFETCH_MATES};
 use crate::msg::Message;
+use crate::node::{Entry, IoCmd, NodeCore, State};
 use crate::object::{MobileObject, Registry};
-use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WINDOW_OBJECTS};
-use crate::policy::AccessMeta;
-use crate::stats::{NodeStats, RunStats};
+use crate::stats::RunStats;
 use crate::storage::{MemStore, StorageBackend};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -48,58 +47,11 @@ const DIR_UPDATE_BYTES: usize = 32;
 /// Size charged for control messages (migrate and steal requests).
 const CTL_BYTES: usize = 64;
 
-enum EntryState {
-    InCore(Box<dyn MobileObject>),
-    OnDisk,
-    Loading,
-    /// Temporarily taken out for handler execution.
-    Executing,
-    /// Migrated away; forward messages to the node.
-    Moved(NodeId),
-}
-
-struct Entry {
-    state: EntryState,
-    queue: VecDeque<Message>,
-    meta: AccessMeta,
-    priority: u8,
-    locked: bool,
-    footprint: usize,
-    packed_len: usize,
-    spill_key: Option<u64>,
-    /// Virtual time at which this object's previous handler finishes.
-    obj_free_at: Duration,
-    /// Virtual time at which the on-disk bytes become valid.
-    disk_ready_at: Duration,
-    /// Set when the object must be shipped to another node once available.
-    pending_migration: Option<NodeId>,
-    /// The object sits in the node's `pending_loads` queue awaiting issue.
-    load_queued: bool,
-    /// Queued by cluster prefetch rather than by demand: keeps the entry
-    /// "wanted" in `pump_loads` even though its message queue is empty.
-    prefetch_hint: bool,
-    /// Mutation counter: bumped after every handler run and on migration
-    /// install, never on read-only loads.
-    version: u64,
-    /// The [`Entry::version`] the on-disk bytes correspond to, if any.
-    stored_version: Option<u64>,
-}
-
-impl Entry {
-    fn is_in_core(&self) -> bool {
-        matches!(self.state, EntryState::InCore(_))
-    }
-
-    /// The on-disk bytes are current: a spill key exists and no handler has
-    /// mutated the object since the last successful store completed.
-    fn is_clean(&self) -> bool {
-        self.spill_key.is_some() && self.stored_version == Some(self.version)
-    }
-}
-
 struct NodeState {
-    table: HashMap<ObjectId, Entry>,
-    ooc: OocManager,
+    /// The out-of-core layer: object table, budget, locality, load queue
+    /// and prefetch window, node statistics. This engine is its driver on
+    /// virtual disk channels (see [`DesRuntime::flush`]).
+    core: NodeCore,
     dir: Directory,
     /// A [`MemStore`] in fault-free runs; wrapped in a
     /// [`FaultyStore`] when the config carries a fault plan.
@@ -108,24 +60,10 @@ struct NodeState {
     /// Earliest-free time per virtual disk channel (`io_threads` of them —
     /// the modeled I/O parallelism of the storage pipeline).
     disk_free: Vec<Duration>,
-    stats: NodeStats,
     next_obj_seq: u64,
-    next_spill_key: u64,
-    /// Queued-but-on-disk objects awaiting a load slot, in arrival order.
-    pending_loads: VecDeque<ObjectId>,
-    /// Loads currently occupying disk channels, for the prefetch window.
-    inflight_loads: usize,
-    inflight_load_bytes: usize,
     /// Reusable pack buffer for spills (the virtual-time analogue of the
     /// threaded engine's I/O-pool buffer pool).
     pack_buf: Vec<u8>,
-    /// Buffer-zone adjacency learned from sends; drives cluster eviction
-    /// and prefetch. Pure function of the edge set, so both engines agree.
-    locality: LocalityMap,
-    /// Curve key of the most recent demand anchor; successive anchors
-    /// estimate which way the access front is moving along the curve, so
-    /// cluster prefetch pulls mates ahead of the front, not behind it.
-    last_anchor_key: u64,
 }
 
 #[derive(Debug)]
@@ -224,13 +162,7 @@ impl DesRuntime {
         cfg.validate().expect("invalid MrtsConfig");
         let nodes = (0..cfg.nodes)
             .map(|i| NodeState {
-                table: HashMap::new(),
-                ooc: OocManager::new(
-                    cfg.mem_budget,
-                    cfg.hard_threshold_mult,
-                    cfg.soft_threshold_frac,
-                    cfg.policy,
-                ),
+                core: NodeCore::new(i as NodeId, &cfg),
                 dir: Directory::new(),
                 store: match cfg.fault {
                     // Per-node seed offset: each node draws its own fault
@@ -247,15 +179,8 @@ impl DesRuntime {
                 },
                 core_free: vec![Duration::ZERO; cfg.cores_per_node],
                 disk_free: vec![Duration::ZERO; cfg.io_threads],
-                stats: NodeStats::default(),
                 next_obj_seq: 0,
-                next_spill_key: 0,
-                pending_loads: VecDeque::new(),
-                inflight_loads: 0,
-                inflight_load_bytes: 0,
                 pack_buf: Vec::new(),
-                locality: LocalityMap::new(CLUSTER_OBJECTS),
-                last_anchor_key: 0,
             })
             .collect();
         let n = cfg.nodes;
@@ -285,6 +210,9 @@ impl DesRuntime {
     /// compile the instrumentation out entirely.
     #[cfg(any(feature = "audit", debug_assertions))]
     pub fn attach_audit(&mut self, sink: std::sync::Arc<dyn crate::audit::EventSink>) {
+        for n in &mut self.nodes {
+            n.core.audit = Some(sink.clone());
+        }
         self.audit = Some(sink);
     }
 
@@ -336,30 +264,13 @@ impl DesRuntime {
         let id = ObjectId::new(node, n.next_obj_seq);
         n.next_obj_seq += 1;
         let footprint = obj.footprint();
-        self.admit(node, footprint, Duration::ZERO);
-        let n = &mut self.nodes[node as usize];
-        let tick = n.ooc.tick();
-        n.ooc.note_in(footprint);
-        n.table.insert(
-            id,
-            Entry {
-                state: EntryState::InCore(obj),
-                queue: VecDeque::new(),
-                meta: AccessMeta::new(tick),
-                priority,
-                locked: false,
-                footprint,
-                packed_len: 0,
-                spill_key: None,
-                obj_free_at: Duration::ZERO,
-                disk_ready_at: Duration::ZERO,
-                pending_migration: None,
-                load_queued: false,
-                prefetch_hint: false,
-                version: 0,
-                stored_version: None,
-            },
-        );
+        self.nodes[node as usize]
+            .core
+            .admit(footprint, Duration::ZERO);
+        self.flush(node, Duration::ZERO);
+        self.nodes[node as usize]
+            .core
+            .insert_resident(id, obj, priority, false, 0, Duration::ZERO);
         audit_emit!(
             self.audit,
             RuntimeEvent::Create {
@@ -368,18 +279,14 @@ impl DesRuntime {
                 footprint
             }
         );
-        self.audit_budget(node, true);
+        self.nodes[node as usize].core.audit_budget(true);
         MobilePtr::new(id)
     }
 
     /// Pin an object before the run.
     pub fn lock_object(&mut self, ptr: MobilePtr) {
         let node = self.owner_of(ptr.id);
-        let e = self.nodes[node as usize]
-            .table
-            .get_mut(&ptr.id)
-            .expect("tracked object has a table entry");
-        e.locked = true;
+        self.nodes[node as usize].core.entry_mut(ptr.id).locked = true;
         audit_emit!(self.audit, RuntimeEvent::Pin { node, oid: ptr.id });
     }
 
@@ -405,9 +312,9 @@ impl DesRuntime {
         // Follow Moved tombstones from the home node.
         let mut n = self.home_of(oid);
         for _ in 0..self.cfg.nodes + 1 {
-            match self.nodes[n as usize].table.get(&oid) {
+            match self.nodes[n as usize].core.table.get(&oid) {
                 Some(Entry {
-                    state: EntryState::Moved(f),
+                    state: State::Moved(f),
                     ..
                 }) => n = *f,
                 Some(_) => return n,
@@ -473,27 +380,6 @@ impl DesRuntime {
         }));
     }
 
-    /// Emit a memory-accounting snapshot for the invariant checker.
-    /// `enforced` marks snapshots taken right after an admission decision
-    /// (held to the budget invariant); reload completions are
-    /// accounting-only (the engine deliberately overshoots there, see
-    /// [`DesRuntime::admit_for_load`]).
-    #[allow(unused_variables)]
-    fn audit_budget(&self, node: NodeId, enforced: bool) {
-        #[cfg(any(feature = "audit", debug_assertions))]
-        if let Some(sink) = self.audit.as_ref() {
-            let ooc = &self.nodes[node as usize].ooc;
-            sink.record(&RuntimeEvent::Budget {
-                node,
-                used: ooc.used(),
-                budget: ooc.budget(),
-                hard_reserve: ooc.hard_reserve(),
-                // Degraded mode deliberately overshoots the budget.
-                enforced: enforced && !ooc.is_degraded(),
-            });
-        }
-    }
-
     /// Send a message (or control traffic) from `from` to `to_node`,
     /// charging both sides. Local sends are free.
     ///
@@ -520,9 +406,9 @@ impl DesRuntime {
             return;
         }
         let transfer = self.cfg.net.transfer_time(bytes);
-        self.nodes[from as usize].stats.comm += transfer;
-        self.nodes[to_node as usize].stats.comm += transfer;
-        self.nodes[from as usize].stats.bytes_sent += bytes as u64;
+        self.nodes[from as usize].core.stats.comm += transfer;
+        self.nodes[to_node as usize].core.stats.comm += transfer;
+        self.nodes[from as usize].core.stats.bytes_sent += bytes as u64;
         let mut arrive = at + transfer;
         if let Some(plan) = self.cfg.net_fault {
             let seq_slot = self.net_seq.entry((from, to_node)).or_insert(0);
@@ -535,11 +421,11 @@ impl DesRuntime {
                     // The sender's ack timeout recovers the loss: charge
                     // the backoff plus a fresh transfer for the
                     // retransmission.
-                    self.nodes[from as usize].stats.messages_dropped += 1;
-                    self.nodes[from as usize].stats.retransmits += 1;
-                    self.nodes[from as usize].stats.comm += transfer;
-                    self.nodes[to_node as usize].stats.comm += transfer;
-                    self.nodes[from as usize].stats.bytes_sent += bytes as u64;
+                    self.nodes[from as usize].core.stats.messages_dropped += 1;
+                    self.nodes[from as usize].core.stats.retransmits += 1;
+                    self.nodes[from as usize].core.stats.comm += transfer;
+                    self.nodes[to_node as usize].core.stats.comm += transfer;
+                    self.nodes[from as usize].core.stats.bytes_sent += bytes as u64;
                     audit_emit!(
                         self.audit,
                         RuntimeEvent::NetFault {
@@ -565,7 +451,7 @@ impl DesRuntime {
                     // The duplicate copy reaches the receiver, whose
                     // sequence-number dedup suppresses it: the handler
                     // will run exactly once.
-                    self.nodes[to_node as usize].stats.dup_suppressed += 1;
+                    self.nodes[to_node as usize].core.stats.dup_suppressed += 1;
                     audit_emit!(
                         self.audit,
                         RuntimeEvent::NetFault {
@@ -601,7 +487,7 @@ impl DesRuntime {
                 break;
             }
             // Every delivered data message is positively acknowledged.
-            self.nodes[to_node as usize].stats.acks_sent += 1;
+            self.nodes[to_node as usize].core.stats.acks_sent += 1;
         }
         self.push_event(arrive, to_node, node_kind);
     }
@@ -642,16 +528,12 @@ impl DesRuntime {
                 self.audit,
                 RuntimeEvent::Shutdown {
                     node,
-                    used: self.nodes[node as usize].ooc.used()
+                    used: self.nodes[node as usize].core.ooc.used()
                 }
             );
         }
-        // The curve digest is a pure function of the learned edge set:
-        // both engines must agree on it for the same application.
-        if self.cfg.locality {
-            for n in &mut self.nodes {
-                n.stats.locality_digest = n.locality.digest();
-            }
+        for n in &mut self.nodes {
+            n.core.seal_stats();
         }
         Ok(self.collect_stats())
     }
@@ -675,10 +557,7 @@ impl DesRuntime {
                 .nodes
                 .iter()
                 .map(|n| {
-                    let mut s = n.stats.clone();
-                    // Peak footprint comes from the budget manager's own
-                    // high-water mark — the single source of truth.
-                    s.peak_mem = n.ooc.peak_used;
+                    let mut s = n.core.stats.clone();
                     // Virtual-time idleness: the makespan minus this
                     // node's compute time — the span it spent waiting on
                     // the disk, the network, or a phase's stragglers.
@@ -728,10 +607,10 @@ impl DesRuntime {
         // on-disk objects, evictions of queued objects, completed loads
         // freeing window slots); issue what the window allows.
         let now = self.now;
-        self.pump_loads(node, now);
+        self.pump(node, now);
         // A degraded node re-probes its backend on every event it handles;
         // the first healthy probe restores normal eviction.
-        if self.nodes[node as usize].ooc.is_degraded() {
+        if self.nodes[node as usize].core.ooc.is_degraded() {
             self.probe_degraded(node, now);
         }
     }
@@ -742,11 +621,9 @@ impl DesRuntime {
     fn probe_degraded(&mut self, node: NodeId, at: Duration) {
         let ok = self.nodes[node as usize].store.probe().is_ok();
         self.drain_store_faults(node);
-        if ok && self.nodes[node as usize].ooc.exit_degraded() {
-            self.nodes[node as usize].stats.degraded_mode_transitions += 1;
-            audit_emit!(self.audit, RuntimeEvent::Degraded { node, on: false });
-            self.enforce_budget(node, at, None);
-            self.soft_swap(node, at);
+        if ok {
+            self.nodes[node as usize].core.leave_degraded(at);
+            self.flush(node, at);
         }
     }
 
@@ -758,7 +635,7 @@ impl DesRuntime {
         let mut latency = Duration::ZERO;
         for r in &reports {
             latency += r.delay;
-            self.nodes[node as usize].stats.faults_injected += 1;
+            self.nodes[node as usize].core.stats.faults_injected += 1;
             audit_emit!(
                 self.audit,
                 RuntimeEvent::Fault {
@@ -779,9 +656,9 @@ impl DesRuntime {
         kind_builder: fn(Message) -> EvKind,
     ) {
         let oid = msg.to.id;
-        let hint = match self.nodes[node as usize].table.get(&oid) {
+        let hint = match self.nodes[node as usize].core.table.get(&oid) {
             Some(Entry {
-                state: EntryState::Moved(f),
+                state: State::Moved(f),
                 ..
             }) => *f,
             _ => self.nodes[node as usize].dir.lookup(oid),
@@ -795,7 +672,7 @@ impl DesRuntime {
             panic!("message for unknown object {oid:?} stuck at node {node}");
         }
         msg.route.push(node);
-        self.nodes[node as usize].stats.msgs_forwarded += 1;
+        self.nodes[node as usize].core.stats.msgs_forwarded += 1;
         audit_emit!(
             self.audit,
             RuntimeEvent::Forward {
@@ -810,11 +687,7 @@ impl DesRuntime {
 
     fn on_msg(&mut self, node: NodeId, msg: Message) {
         let oid = msg.to.id;
-        let present = matches!(
-            self.nodes[node as usize].table.get(&oid),
-            Some(e) if !matches!(e.state, EntryState::Moved(_))
-        );
-        if !present {
+        if !self.nodes[node as usize].core.holds(oid) {
             let now = self.now;
             self.forward(now, node, msg, EvKind::Msg);
             return;
@@ -834,343 +707,185 @@ impl DesRuntime {
                 }
             }
         }
-        let entry = self.nodes[node as usize]
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
+        let core = &mut self.nodes[node as usize].core;
+        let entry = core.entry_mut(oid);
         match entry.state {
-            EntryState::InCore(_) | EntryState::Executing => {
+            State::InCore(_) | State::Executing => {
                 self.execute(node, oid, msg);
             }
-            EntryState::Loading => {
+            State::Loading => {
                 entry.queue.push_back(msg);
             }
-            EntryState::OnDisk => {
+            State::OnDisk => {
                 entry.queue.push_back(msg);
-                self.queue_load(node, oid);
+                core.queue_load(oid);
             }
-            EntryState::Moved(_) => unreachable!(),
+            State::Moved(_) => unreachable!(),
         }
     }
 
-    /// Note that `oid` (on disk) has pending work; the load is issued by
-    /// [`DesRuntime::pump_loads`] under the prefetch window.
-    fn queue_load(&mut self, node: NodeId, oid: ObjectId) {
-        let e = self.nodes[node as usize]
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
-        if e.load_queued || !matches!(e.state, EntryState::OnDisk) {
-            return;
-        }
-        e.load_queued = true;
-        self.nodes[node as usize].pending_loads.push_back(oid);
-    }
+    // ----- out-of-core: driving the node core ----------------------------------
 
-    /// A demanded load of `anchor` completed as a miss (no virtual core
-    /// was busy — the node stalled): queue the anchor's nearest on-disk
-    /// cluster mates behind it, only on the side of the curve the demand
-    /// front is moving toward (mates behind the front were just used and
-    /// would be evicted before their next use). Triggering on demand
-    /// misses rather than on every load keeps the speculation bounded:
-    /// queue-visible work is already covered by the look-ahead window,
-    /// and a miss is precisely the signal that the front moved somewhere
-    /// the window could not see. Mates enter `pending_loads` with a
-    /// prefetch hint, so the pump treats them as wanted look-ahead work —
-    /// still bounded by the prefetch window and pacing, and shed first
-    /// under disk pressure. Disabled when locality is off.
-    fn cluster_prefetch(&mut self, node: NodeId, anchor: ObjectId) {
-        if !self.cfg.locality {
-            return;
-        }
-        self.nodes[node as usize].locality.maybe_rebuild();
-        let Some(key) = self.nodes[node as usize].locality.key_of(anchor) else {
-            return;
-        };
-        let forward = key >= self.nodes[node as usize].last_anchor_key;
-        self.nodes[node as usize].last_anchor_key = key;
-        let companions =
-            self.nodes[node as usize]
-                .locality
-                .companions_toward(anchor, PREFETCH_MATES, forward);
-        for mate in companions {
-            let n = &mut self.nodes[node as usize];
-            let Some(e) = n.table.get_mut(&mate) else {
-                continue;
-            };
-            if e.load_queued || !matches!(e.state, EntryState::OnDisk) {
-                continue;
-            }
-            e.load_queued = true;
-            e.prefetch_hint = true;
-            n.pending_loads.push_back(mate);
-        }
-    }
-
-    /// Bytes reclaimable by evicting only objects with no pending work —
-    /// the only victims a look-ahead load is allowed to displace.
-    fn idle_evictable_bytes(&self, node: NodeId, at: Duration) -> usize {
-        self.nodes[node as usize]
-            .table
-            .values()
-            .filter(|e| {
-                e.is_in_core()
-                    && !e.locked
-                    && e.obj_free_at <= at
-                    && e.pending_migration.is_none()
-                    && e.queue.is_empty()
-            })
-            .map(|e| e.footprint)
-            .sum()
-    }
-
-    /// Drop the pending hint-only load at `idx` (see
-    /// [`DesRuntime::pump_loads`]).
-    fn cancel_hint(&mut self, node: NodeId, oid: ObjectId, idx: usize) {
+    /// Issue queued loads (see [`NodeCore::pump_loads`]): a load is
+    /// look-ahead while a virtual core is busy beyond `at`. Nothing polls
+    /// in virtual time — the pump only runs when an event arrives — so a
+    /// non-empty queue with nothing in flight would never be pumped again:
+    /// the front entry is forced through ([`NodeCore::force_front_load`]).
+    fn pump(&mut self, node: NodeId, at: Duration) {
         let n = &mut self.nodes[node as usize];
-        n.pending_loads.remove(idx);
-        let e = n
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
-        e.load_queued = false;
-        e.prefetch_hint = false;
-        n.stats.prefetch_cancels += 1;
-    }
-
-    /// Issue queued loads under the prefetch window; mirrors the threaded
-    /// engine's pump (see [`crate::threaded`]). A look-ahead load (virtual
-    /// cores busy beyond `at`) stays inside the window and is paced so it
-    /// never displaces an object with queued messages; urgent loads
-    /// (migration waiting) bypass the window. Because the DES has no idle
-    /// polling loop, the pump guarantees that a non-empty queue always
-    /// has at least one load in flight — a fully deferred queue with
-    /// nothing in flight would silently drop work.
-    fn pump_loads(&mut self, node: NodeId, at: Duration) {
-        if self.nodes[node as usize].pending_loads.is_empty() {
+        if !n.core.has_pending_loads() {
             return;
         }
-        let mut idle_evictable: Option<usize> = None;
-        let mut i = 0;
-        while i < self.nodes[node as usize].pending_loads.len() {
-            let oid = self.nodes[node as usize].pending_loads[i];
-            let (wants, urgent, hinted, demanded, footprint, packed_len) = {
-                let e = self.nodes[node as usize]
-                    .table
-                    .get(&oid)
-                    .expect("tracked object has a table entry");
-                let urgent = e.pending_migration.is_some() || e.locked;
-                let wants = matches!(e.state, EntryState::OnDisk)
-                    && (urgent || !e.queue.is_empty() || e.prefetch_hint);
-                (
-                    wants,
-                    urgent,
-                    e.prefetch_hint,
-                    !e.queue.is_empty(),
-                    e.footprint,
-                    e.packed_len,
-                )
-            };
-            if !wants {
-                self.nodes[node as usize].pending_loads.remove(i);
-                let n = &mut self.nodes[node as usize];
-                let e = n
-                    .table
-                    .get_mut(&oid)
-                    .expect("tracked object has a table entry");
-                e.load_queued = false;
-                e.prefetch_hint = false;
-                n.stats.prefetch_cancels += 1;
-                continue;
-            }
-            let n = &self.nodes[node as usize];
-            // A cluster-prefetch hint is look-ahead only while nothing
-            // queued demands the object; once a message has queued up
-            // behind it, it is a demand load like any other.
-            let look_ahead = n.core_free.iter().any(|&c| c > at) || (hinted && !demanded);
-            // A hint with nothing queued behind it is pure opportunism: if
-            // it cannot issue under the current gates it is dropped, not
-            // parked.
-            let hint_only = hinted && !urgent && !demanded;
-            if look_ahead && !urgent {
-                if n.ooc.is_degraded() {
-                    // Disk pressure: shed prefetch entirely; only demand
-                    // and urgent loads keep flowing.
-                    if hint_only {
-                        self.cancel_hint(node, oid, i);
-                        continue;
-                    }
-                    i += 1;
-                    continue;
-                }
-                if n.inflight_loads >= PREFETCH_WINDOW_OBJECTS {
-                    break;
-                }
-                if n.inflight_loads > 0
-                    && n.inflight_load_bytes.saturating_add(packed_len) > PREFETCH_WINDOW_BYTES
-                {
-                    break;
-                }
-                let need = n.ooc.needed_for_admission(footprint);
-                if need > 0 {
-                    let avail =
-                        *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes(node, at));
-                    if need > avail {
-                        // Paced: admission would thrash queued objects.
-                        if hint_only {
-                            self.cancel_hint(node, oid, i);
-                            continue;
-                        }
-                        i += 1;
-                        continue;
-                    }
-                }
-            } else if n.inflight_loads >= PREFETCH_WINDOW_OBJECTS {
-                // Demand loads keep the pipe bounded too.
-                break;
-            }
-            self.nodes[node as usize].pending_loads.remove(i);
-            self.nodes[node as usize]
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry")
-                .load_queued = false;
-            self.issue_load(node, oid, at, look_ahead && !urgent);
-            // Issuing may have evicted; recompute pacing headroom lazily.
-            idle_evictable = None;
-        }
-        // Progress guarantee: force the front entry through if everything
-        // was deferred and nothing is in flight (no future Loaded event
-        // would ever pump again).
-        if self.nodes[node as usize].inflight_loads == 0 {
-            if let Some(oid) = self.nodes[node as usize].pending_loads.pop_front() {
-                self.nodes[node as usize]
-                    .table
-                    .get_mut(&oid)
-                    .expect("tracked object has a table entry")
-                    .load_queued = false;
-                self.issue_load(node, oid, at, false);
-            }
-        }
+        let busy = n.core_free.iter().any(|&c| c > at);
+        n.core.pump_loads(busy, at);
+        n.core.force_front_load(at);
+        self.flush(node, at);
     }
 
-    /// Begin loading an on-disk object on the earliest-free virtual disk
-    /// channel.
-    fn issue_load(&mut self, node: NodeId, oid: ObjectId, at: Duration, look_ahead: bool) {
-        let (packed_len, footprint, hinted) = {
-            let e = self.nodes[node as usize]
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            debug_assert!(matches!(e.state, EntryState::OnDisk));
-            e.state = EntryState::Loading;
-            let hinted = std::mem::replace(&mut e.prefetch_hint, false);
-            (e.packed_len, e.footprint, hinted)
-        };
-        {
-            let n = &mut self.nodes[node as usize];
-            n.inflight_loads += 1;
-            n.inflight_load_bytes += packed_len;
-            if look_ahead {
-                n.stats.prefetch_issued += 1;
-            }
-            if hinted {
-                n.stats.cluster_prefetches += 1;
-            }
+    /// Perform the I/O the core asked for since the last flush, at virtual
+    /// time `at`, synchronously on the node's virtual disk channels.
+    /// Called after every core transition that can evict or load.
+    fn flush(&mut self, node: NodeId, at: Duration) {
+        if self.nodes[node as usize].core.cmds.is_empty() {
+            return;
         }
-        if hinted {
-            #[cfg(any(feature = "audit", debug_assertions))]
-            {
-                let cluster = self.nodes[node as usize]
-                    .locality
-                    .cluster_of(oid)
-                    .unwrap_or(0);
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::ClusterPrefetch { node, oid, cluster }
-                );
-            }
-        }
-        if look_ahead {
-            #[cfg(any(feature = "audit", debug_assertions))]
-            {
-                let n = &self.nodes[node as usize];
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::Prefetch {
-                        node,
-                        oid,
-                        inflight_objects: n.inflight_loads,
-                        window_objects: PREFETCH_WINDOW_OBJECTS,
-                        inflight_bytes: n.inflight_load_bytes,
-                        window_bytes: PREFETCH_WINDOW_BYTES,
+        let mut cmds = std::mem::take(&mut self.nodes[node as usize].core.cmds);
+        for cmd in cmds.drain(..) {
+            match cmd {
+                // Nothing to model: no bytes move, and `disk_ready_at`
+                // stays at the (past) completion of the original store.
+                IoCmd::Elided(_) => {}
+                IoCmd::SetRanks(ranks) => self.nodes[node as usize].store.set_key_ranks(&ranks),
+                IoCmd::Store(items) => {
+                    // One batched append: only the first store pays the
+                    // seek component.
+                    for (i, (key, oid, obj)) in items.into_iter().enumerate() {
+                        self.exec_store(node, key, oid, obj, at, i > 0);
                     }
-                );
+                }
+                IoCmd::Load {
+                    oid, packed_len, ..
+                } => {
+                    // The bytes are read (and faults injected) when the
+                    // load completes; see `on_loaded`.
+                    let ready = self.nodes[node as usize].core.entry(oid).disk_ready_at;
+                    let dur = self.cfg.disk.op_time(packed_len);
+                    let end = self.occupy_disk(node, at.max(ready), dur);
+                    self.push_event(end, node, EvKind::Loaded(oid));
+                }
             }
         }
-        // Admit the (approximate) footprint before the load begins.
-        self.admit_for_load(node, footprint, at);
+        let core = &mut self.nodes[node as usize].core;
+        debug_assert!(core.cmds.is_empty(), "commands appended during a flush");
+        core.cmds = cmds;
+    }
+
+    /// Occupy the node's earliest-free virtual disk channel for `dur`,
+    /// starting no earlier than `not_before`; returns the completion time.
+    fn occupy_disk(&mut self, node: NodeId, not_before: Duration, dur: Duration) -> Duration {
         let n = &mut self.nodes[node as usize];
-        let dur = self.cfg.disk.op_time(packed_len);
         let ch = (0..n.disk_free.len())
             .min_by_key(|&i| n.disk_free[i])
             .expect("node has at least one disk channel");
-        let e = n
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
-        let start = at.max(n.disk_free[ch]).max(e.disk_ready_at);
-        let end = start + dur;
+        let end = not_before.max(n.disk_free[ch]) + dur;
         n.disk_free[ch] = end;
-        n.stats.disk += dur;
-        n.stats.loads += 1;
-        n.stats.bytes_from_disk += packed_len as u64;
+        n.core.stats.disk += dur;
         self.end_time = self.end_time.max(end);
-        self.push_event(end, node, EvKind::Loaded(oid));
+        end
+    }
+
+    /// Serialize one evicted object to the (modeled) disk. Store failures
+    /// are retried with bounded backoff; exhaustion (or `ENOSPC`) hands
+    /// the object back to the core ([`NodeCore::store_failed`]) instead of
+    /// panicking.
+    ///
+    /// `coalesce` marks a store that joins an earlier one from the same
+    /// batch in a single append: it is charged transfer time only (the
+    /// seek component was paid by the first store).
+    fn exec_store(
+        &mut self,
+        node: NodeId,
+        key: u64,
+        oid: ObjectId,
+        obj: Box<dyn MobileObject>,
+        at: Duration,
+        coalesce: bool,
+    ) {
+        // Real serialization, charged as compute. The object is kept alive
+        // until the store succeeds so a failed store can reinstate it.
+        // Packs into the node's reusable buffer.
+        let t0 = Instant::now();
+        let mut bytes = std::mem::take(&mut self.nodes[node as usize].pack_buf);
+        let pool_hit = bytes.capacity() > 0;
+        Registry::pack_into(obj.as_ref(), &mut bytes);
+        let pack = self.compute_charge(t0.elapsed(), bytes.len());
+        let packed_len = bytes.len();
+        self.nodes[node as usize].core.stats.comp += pack;
+        // Retry loop: each failed attempt charges one disk op plus the
+        // backoff delay to the virtual channel. A torn write is repaired by
+        // the retry overwriting the same key (nothing can load the key
+        // while its store is still in progress — per-object ordering).
+        let mut attempt = 0u32;
+        let mut penalty = Duration::ZERO;
+        let outcome = loop {
+            attempt += 1;
+            match self.nodes[node as usize].store.store(key, &bytes) {
+                Ok(()) => break Ok(()),
+                Err(e) => {
+                    let injected = self.drain_store_faults(node);
+                    penalty += self.fault_penalty(injected);
+                    if attempt >= ENGINE_RETRY.max_attempts || is_out_of_space(&e) {
+                        break Err(e);
+                    }
+                    penalty += self.fault_penalty(
+                        self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
+                    );
+                    self.nodes[node as usize].core.stats.io_retries += 1;
+                    audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
+                }
+            }
+        };
+        let injected = self.drain_store_faults(node);
+        penalty += self.fault_penalty(injected);
+        self.nodes[node as usize].pack_buf = bytes;
+
+        if outcome.is_err() {
+            // Charge the wasted disk time. The object can only have
+            // queued messages if its queue is being drained in place
+            // (resident objects execute on arrival), and that drain finds
+            // it back in core — nothing to re-deliver here.
+            self.nodes[node as usize].core.stats.io_gave_up += 1;
+            if !penalty.is_zero() {
+                self.occupy_disk(node, at, penalty);
+            }
+            self.nodes[node as usize].core.store_failed(oid, obj);
+            return;
+        }
+        drop(obj);
+        // A coalesced store appends to the same segment the batch's first
+        // store opened: charge transfer time only, refunding the seek.
+        let op = self.cfg.disk.op_time(packed_len);
+        let dur = if coalesce {
+            op.saturating_sub(self.cfg.disk.seek) + penalty
+        } else {
+            op + penalty
+        };
+        let end = self.occupy_disk(node, at, dur);
+        let core = &mut self.nodes[node as usize].core;
+        core.stats.buffer_pool_hits += usize::from(pool_hit);
+        // A reload of this object must start after its bytes are valid.
+        core.entry_mut(oid).disk_ready_at = end;
+        core.store_landed(oid, packed_len);
     }
 
     fn on_loaded(&mut self, node: NodeId, oid: ObjectId) {
         let (key, packed_len) = {
-            let e = self.nodes[node as usize]
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            debug_assert!(matches!(e.state, EntryState::Loading));
+            let e = self.nodes[node as usize].core.entry(oid);
             (
                 e.spill_key.expect("loading object has a spill key"),
                 e.packed_len,
             )
         };
-        let mut cluster_prefetch_after = false;
-        {
-            let now = self.now;
-            let n = &mut self.nodes[node as usize];
-            n.inflight_loads -= 1;
-            n.inflight_load_bytes = n.inflight_load_bytes.saturating_sub(packed_len);
-            // Overlap classification: a load completing while a virtual
-            // core is still busy was masked by computation.
-            let hit = n.core_free.iter().any(|&c| c > now);
-            if hit {
-                n.stats.prefetch_hits += 1;
-            } else {
-                n.stats.prefetch_misses += 1;
-            }
-            // Demand accounting for read amplification: bytes were wanted
-            // if anything is actually waiting on this object. A cluster
-            // prefetch that nothing touched stays out of the numerator.
-            let e = n.table.get(&oid).expect("tracked object has a table entry");
-            let demanded = !e.queue.is_empty() || e.pending_migration.is_some() || e.locked;
-            if demanded {
-                n.stats.bytes_demanded += packed_len as u64;
-            }
-            // A demanded load that stalled the node is the access front
-            // arriving somewhere look-ahead did not predict — pull the
-            // anchor's cluster mates behind it before the front stalls
-            // on them too.
-            if !hit && demanded {
-                cluster_prefetch_after = true;
-            }
-        }
         // Read the spilled bytes back, retrying transient faults with
         // bounded backoff charged to the virtual disk channel. Exhaustion
         // is unrecoverable (the object exists nowhere else): abort the run
@@ -1186,8 +901,8 @@ impl DesRuntime {
                     penalty += self.fault_penalty(injected);
                     if attempt >= ENGINE_RETRY.max_attempts {
                         let n = &mut self.nodes[node as usize];
-                        n.stats.io_gave_up += 1;
-                        n.stats.disk += penalty;
+                        n.core.load_failed(oid);
+                        n.core.stats.disk += penalty;
                         self.fatal = Some(MrtsError::LoadFailed {
                             node,
                             oid,
@@ -1199,7 +914,7 @@ impl DesRuntime {
                     penalty += self.fault_penalty(
                         self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
                     );
-                    self.nodes[node as usize].stats.io_retries += 1;
+                    self.nodes[node as usize].core.stats.io_retries += 1;
                     audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
                 }
             }
@@ -1207,15 +922,7 @@ impl DesRuntime {
         let injected = self.drain_store_faults(node);
         penalty += self.fault_penalty(injected);
         if !penalty.is_zero() {
-            let now = self.now;
-            let n = &mut self.nodes[node as usize];
-            let ch = (0..n.disk_free.len())
-                .min_by_key(|&i| n.disk_free[i])
-                .expect("node has at least one disk channel");
-            let end = now.max(n.disk_free[ch]) + penalty;
-            n.disk_free[ch] = end;
-            n.stats.disk += penalty;
-            self.end_time = self.end_time.max(end);
+            self.occupy_disk(node, self.now, penalty);
         }
         debug_assert_eq!(bytes.len(), packed_len);
         // Real unpack, charged as compute.
@@ -1225,54 +932,26 @@ impl DesRuntime {
             .unpack(&bytes)
             .expect("spill bytes were packed by this runtime from a registered type");
         let unpack = self.compute_charge(t0.elapsed(), bytes.len());
-        let footprint = obj.footprint();
-        {
-            let n = &mut self.nodes[node as usize];
-            n.stats.comp += unpack;
-            let tick = n.ooc.tick();
-            let e = n
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            e.meta.touch(tick);
-            // `admit` charged the stale footprint estimate; fix up.
-            let old_fp = e.footprint;
-            e.footprint = footprint;
-            e.state = EntryState::InCore(obj);
-            n.ooc.note_in(footprint);
-            let _ = old_fp;
-        }
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::Load {
-                node,
-                oid,
-                footprint
-            }
-        );
-        self.audit_budget(node, false);
-        if cluster_prefetch_after {
-            self.cluster_prefetch(node, oid);
-        }
+        let now = self.now;
+        let n = &mut self.nodes[node as usize];
+        n.core.stats.comp += unpack;
+        // Overlap classification: a load completing while a virtual core
+        // is still busy was masked by computation.
+        let miss = !n.core_free.iter().any(|&c| c > now);
+        n.core.complete_load(oid, obj, packed_len, miss);
         // A pending migration takes precedence over queued work.
-        let pending_mig = self.nodes[node as usize].table[&oid].pending_migration;
-        if let Some(dest) = pending_mig {
+        if let Some(dest) = n.core.entry(oid).pending_migration {
             self.do_migrate(node, oid, dest);
             return;
         }
         // Drain queued messages in arrival order.
-        loop {
-            let next = {
-                let e = self.nodes[node as usize]
-                    .table
-                    .get_mut(&oid)
-                    .expect("tracked object has a table entry");
-                e.queue.pop_front()
-            };
-            match next {
-                Some(msg) => self.execute(node, oid, msg),
-                None => break,
-            }
+        while let Some(msg) = self.nodes[node as usize]
+            .core
+            .entry_mut(oid)
+            .queue
+            .pop_front()
+        {
+            self.execute(node, oid, msg);
         }
     }
 
@@ -1281,24 +960,14 @@ impl DesRuntime {
     fn execute(&mut self, node: NodeId, oid: ObjectId, msg: Message) {
         let handler = self.registry.handler(msg.handler);
         // Take the object out for the duration of the call.
-        let (mut obj, old_footprint, arrival_floor) = {
-            let e = self.nodes[node as usize]
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            let state = std::mem::replace(&mut e.state, EntryState::Executing);
-            let obj = match state {
-                EntryState::InCore(o) => o,
-                other => {
-                    e.state = other;
-                    // Object got evicted/migrated between queueing and now;
-                    // requeue through the normal path.
-                    self.on_msg(node, msg);
-                    return;
-                }
-            };
-            (obj, e.footprint, e.obj_free_at)
+        let core = &mut self.nodes[node as usize].core;
+        let Some((mut obj, old_footprint)) = core.begin_handler(oid) else {
+            // Object got evicted/migrated between queueing and now;
+            // requeue through the normal path.
+            self.on_msg(node, msg);
+            return;
         };
+        let arrival_floor = core.entry(oid).obj_free_at;
         audit_emit!(self.audit, RuntimeEvent::Deliver { node, oid });
 
         let mut next_seq = self.nodes[node as usize].next_obj_seq;
@@ -1339,59 +1008,28 @@ impl DesRuntime {
             let start = self.now.max(arrival_floor).max(n.core_free[core]);
             let end = start + vdur;
             n.core_free[core] = end;
-            n.stats.comp += vdur;
-            n.stats.handlers_run += 1;
-            n.stats.msgs_local += usize::from(msg.route.is_empty());
-            n.stats.msgs_remote += usize::from(!msg.route.is_empty());
+            n.core.stats.comp += vdur;
+            n.core.stats.handlers_run += 1;
+            n.core.stats.msgs_local += usize::from(msg.route.is_empty());
+            n.core.stats.msgs_remote += usize::from(!msg.route.is_empty());
             end
         };
         self.end_time = self.end_time.max(end);
 
-        // Put the object back; update accounting for growth/shrink.
-        let new_footprint = obj.footprint();
-        {
-            let n = &mut self.nodes[node as usize];
-            let tick = n.ooc.tick();
-            let e = n
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            e.state = EntryState::InCore(obj);
-            e.obj_free_at = end;
-            e.meta.touch(tick);
-            e.footprint = new_footprint;
-            // The handler may have mutated the object: any on-disk copy is
-            // now stale, which the version counter records.
-            e.version += 1;
-            n.ooc.note_resize(old_footprint, new_footprint);
-        }
-        if old_footprint != new_footprint {
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::Resize {
-                    node,
-                    oid,
-                    old: old_footprint,
-                    new: new_footprint
-                }
-            );
-        }
-
-        // Sends between mobile objects trace the buffer-zone adjacency the
-        // locality curve is built from; learn them before they dispatch.
-        if self.cfg.locality {
-            for eff in &effects {
-                if let Effect::Send { to, .. } = eff {
-                    self.nodes[node as usize].locality.note_edge(oid, to.id);
-                }
-            }
-        }
+        // Put the object back (busy until `end`); its sends teach the
+        // locality curve before they dispatch.
+        self.nodes[node as usize]
+            .core
+            .finish_handler(oid, obj, old_footprint, &effects, end);
         self.apply_effects(node, end, effects);
 
         // Hard budget enforcement (handlers grow objects in place), then
-        // advisory soft-threshold swapping.
-        self.enforce_budget(node, end, Some(oid));
-        self.soft_swap(node, end);
+        // advisory soft-threshold swapping. The object itself is protected:
+        // it may be mid-drain in `on_loaded`.
+        let core = &mut self.nodes[node as usize].core;
+        core.enforce_budget(Some(oid), end);
+        core.soft_swap(end);
+        self.flush(node, end);
     }
 
     fn apply_effects(&mut self, node: NodeId, at: Duration, effects: Vec<Effect>) {
@@ -1405,10 +1043,7 @@ impl DesRuntime {
                 } => {
                     audit_emit!(self.audit, RuntimeEvent::Post { node, oid: to.id });
                     let msg = Message::new(to, handler, payload);
-                    let local = matches!(
-                        self.nodes[node as usize].table.get(&to.id),
-                        Some(e) if !matches!(e.state, EntryState::Moved(_))
-                    );
+                    let local = self.nodes[node as usize].core.holds(to.id);
                     if local {
                         self.push_event(at, node, EvKind::Msg(msg));
                     } else {
@@ -1422,30 +1057,11 @@ impl DesRuntime {
                 }
                 Effect::Create { id, obj, priority } => {
                     let footprint = obj.footprint();
-                    self.admit(node, footprint, at);
-                    let n = &mut self.nodes[node as usize];
-                    let tick = n.ooc.tick();
-                    n.ooc.note_in(footprint);
-                    n.table.insert(
-                        id,
-                        Entry {
-                            state: EntryState::InCore(obj),
-                            queue: VecDeque::new(),
-                            meta: AccessMeta::new(tick),
-                            priority,
-                            locked: false,
-                            footprint,
-                            packed_len: 0,
-                            spill_key: None,
-                            obj_free_at: at,
-                            disk_ready_at: Duration::ZERO,
-                            pending_migration: None,
-                            load_queued: false,
-                            prefetch_hint: false,
-                            version: 0,
-                            stored_version: None,
-                        },
-                    );
+                    self.nodes[node as usize].core.admit(footprint, at);
+                    self.flush(node, at);
+                    self.nodes[node as usize]
+                        .core
+                        .insert_resident(id, obj, priority, false, 0, at);
                     audit_emit!(
                         self.audit,
                         RuntimeEvent::Create {
@@ -1454,7 +1070,7 @@ impl DesRuntime {
                             footprint
                         }
                     );
-                    self.audit_budget(node, true);
+                    self.nodes[node as usize].core.audit_budget(true);
                 }
                 Effect::Lock(p) => self.route_meta(node, at, p.id, MetaOp::Lock),
                 Effect::Unlock(p) => self.route_meta(node, at, p.id, MetaOp::Unlock),
@@ -1463,10 +1079,7 @@ impl DesRuntime {
                 }
                 Effect::Migrate(p, dest) => {
                     let oid = p.id;
-                    let local = matches!(
-                        self.nodes[node as usize].table.get(&oid),
-                        Some(e) if !matches!(e.state, EntryState::Moved(_))
-                    );
+                    let local = self.nodes[node as usize].core.holds(oid);
                     if local {
                         self.push_event(at, node, EvKind::MigrateReq(oid, dest));
                     } else {
@@ -1486,10 +1099,7 @@ impl DesRuntime {
     }
 
     fn route_meta(&mut self, node: NodeId, at: Duration, oid: ObjectId, op: MetaOp) {
-        let local = matches!(
-            self.nodes[node as usize].table.get(&oid),
-            Some(e) if !matches!(e.state, EntryState::Moved(_))
-        );
+        let local = self.nodes[node as usize].core.holds(oid);
         if local {
             self.push_event(at, node, EvKind::Meta(oid, op));
         } else {
@@ -1506,10 +1116,7 @@ impl DesRuntime {
     }
 
     fn on_meta(&mut self, node: NodeId, oid: ObjectId, op: MetaOp) {
-        let present = matches!(
-            self.nodes[node as usize].table.get(&oid),
-            Some(e) if !matches!(e.state, EntryState::Moved(_))
-        );
+        let present = self.nodes[node as usize].core.holds(oid);
         if !present {
             let owner = {
                 let d = self.nodes[node as usize].dir.lookup(oid);
@@ -1525,10 +1132,7 @@ impl DesRuntime {
             self.ship(self.now, node, owner, CTL_BYTES, EvKind::Meta(oid, op));
             return;
         }
-        let e = self.nodes[node as usize]
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
+        let e = self.nodes[node as usize].core.entry_mut(oid);
         match op {
             MetaOp::Lock => {
                 e.locked = true;
@@ -1542,356 +1146,6 @@ impl DesRuntime {
         }
     }
 
-    // ----- out-of-core mechanics ------------------------------------------------
-
-    /// Make room for `incoming` bytes on `node` (hard-threshold admission
-    /// for created/installed objects; may displace objects with queued
-    /// work — their reload is scheduled so nothing is lost).
-    fn admit(&mut self, node: NodeId, incoming: usize, at: Duration) {
-        let need = self.nodes[node as usize].ooc.needed_for_admission(incoming);
-        if need > 0 {
-            self.evict_bytes(node, need, at, true, None);
-        }
-    }
-
-    /// Admission for a disk *load*. Never displaces objects with queued
-    /// messages: a displaced-queued object immediately schedules its own
-    /// reload, and two loads displacing each other's queued objects is a
-    /// livelock. Prefer briefly overshooting the budget instead.
-    fn admit_for_load(&mut self, node: NodeId, incoming: usize, at: Duration) {
-        let need = self.nodes[node as usize].ooc.needed_for_admission(incoming);
-        if need > 0 {
-            self.evict_bytes(node, need, at, false, None);
-        }
-    }
-
-    /// Post-handler budget enforcement: objects grow during handlers
-    /// (meshes refine in place), which no admission path sees. `except`
-    /// protects the object whose message queue is currently being drained
-    /// (evicting it mid-drain would reorder its messages).
-    fn enforce_budget(&mut self, node: NodeId, at: Duration, except: Option<ObjectId>) {
-        let n = &self.nodes[node as usize];
-        // Degraded: the store is rejecting writes, so evicting would only
-        // burn retries; knowingly overshoot until the backend recovers.
-        if !n.ooc.enabled() || n.ooc.is_degraded() {
-            return;
-        }
-        let over = n.ooc.used().saturating_sub(n.ooc.budget());
-        if over > 0 {
-            self.evict_bytes(node, over, at, true, except);
-        }
-    }
-
-    /// Soft-threshold advisory swap of idle objects.
-    fn soft_swap(&mut self, node: NodeId, at: Duration) {
-        let excess = self.nodes[node as usize].ooc.soft_excess();
-        if excess > 0 {
-            self.evict_bytes(node, excess, at, false, None);
-        }
-    }
-
-    fn evict_bytes(
-        &mut self,
-        node: NodeId,
-        need: usize,
-        at: Duration,
-        allow_queued: bool,
-        except: Option<ObjectId>,
-    ) {
-        let locality = self.cfg.locality;
-        if locality {
-            self.nodes[node as usize].locality.maybe_rebuild();
-        }
-        let n = &self.nodes[node as usize];
-        let mut candidates: Vec<EvictCandidate> = n
-            .table
-            .iter()
-            .filter(|(&oid, e)| {
-                e.is_in_core()
-                    && !e.locked
-                    && e.obj_free_at <= at
-                    && e.pending_migration.is_none()
-                    && (allow_queued || e.queue.is_empty())
-                    && Some(oid) != except
-            })
-            .map(|(&oid, e)| EvictCandidate {
-                oid,
-                footprint: e.footprint,
-                meta: e.meta,
-                priority: e.priority,
-                queued_msgs: e.queue.len(),
-                clean: e.is_clean(),
-                cluster: if locality {
-                    n.locality.cluster_of(oid)
-                } else {
-                    None
-                },
-                lkey: n.locality.key_of(oid).unwrap_or(crate::locality::UNRANKED),
-            })
-            .collect();
-        let victims = self.nodes[node as usize]
-            .ooc
-            .pick_victims(&mut candidates, need);
-        // As in the threaded engine: clean victims are elided first (their
-        // on-disk bytes are current), then the dirty remainder is taken out
-        // of core as one batch — accounted when issued — and only then do
-        // the stores execute, coalesced into one append (only the first
-        // pays the seek component).
-        let mut dirty = Vec::new();
-        for oid in victims {
-            if !self.try_elide(node, oid) {
-                dirty.push(oid);
-            }
-        }
-        let batch: Vec<(u64, ObjectId, Box<dyn MobileObject>)> = dirty
-            .into_iter()
-            .filter_map(|oid| self.spill_issue(node, oid))
-            .collect();
-        if batch.len() >= 2 {
-            self.nodes[node as usize].stats.spill_batches += 1;
-        }
-        for (i, (key, oid, obj)) in batch.into_iter().enumerate() {
-            self.spill_store(node, key, oid, obj, at, i > 0);
-        }
-    }
-
-    /// Clean-eviction elision: drop the resident copy of an object whose
-    /// on-disk bytes are already current — no re-pack, no disk charge, and
-    /// `disk_ready_at` stays at the (past) completion of the original
-    /// store. Returns `false` (caller must spill) when the object is dirty.
-    fn try_elide(&mut self, node: NodeId, oid: ObjectId) -> bool {
-        let has_queue = {
-            let n = &mut self.nodes[node as usize];
-            let e = n
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            if !e.is_in_core() || !e.is_clean() {
-                return false;
-            }
-            let obj = match std::mem::replace(&mut e.state, EntryState::OnDisk) {
-                EntryState::InCore(o) => o,
-                _ => unreachable!(),
-            };
-            drop(obj);
-            let footprint = e.footprint;
-            let avoided = e.packed_len as u64;
-            let has_queue = !e.queue.is_empty();
-            n.ooc.note_out(footprint);
-            n.ooc.note_spilled(footprint);
-            n.stats.evictions += 1;
-            n.stats.evictions_elided += 1;
-            n.stats.bytes_write_avoided += avoided;
-            has_queue
-        };
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::ElidedUnload {
-                node,
-                oid,
-                footprint: self.nodes[node as usize].table[&oid].footprint,
-                version: self.nodes[node as usize].table[&oid].version,
-                stored_version: self.nodes[node as usize].table[&oid]
-                    .stored_version
-                    .expect("clean object has a stored version"),
-            }
-        );
-        if has_queue {
-            self.queue_load(node, oid);
-        }
-        true
-    }
-
-    /// Take an in-core object out of core for a store: the eviction is
-    /// accounted here, when it is issued (`evictions`, `stores`, the
-    /// `Unload` event, the budget, the stored version), as in the threaded
-    /// engine. Returns the spill key and the object for
-    /// [`DesRuntime::spill_store`]; `None` if the object is not in core.
-    fn spill_issue(
-        &mut self,
-        node: NodeId,
-        oid: ObjectId,
-    ) -> Option<(u64, ObjectId, Box<dyn MobileObject>)> {
-        #[allow(unused_variables)] // `footprint` feeds the audit emission
-        let (key, obj, footprint, has_queue) = {
-            let n = &mut self.nodes[node as usize];
-            let e = n
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            let obj = match std::mem::replace(&mut e.state, EntryState::OnDisk) {
-                EntryState::InCore(o) => o,
-                other => {
-                    e.state = other;
-                    return None;
-                }
-            };
-            let key = *e.spill_key.get_or_insert_with(|| {
-                let k = n.next_spill_key;
-                n.next_spill_key += 1;
-                k
-            });
-            // The object cannot mutate while out of core, so the version
-            // at issue is the version the packed bytes carry.
-            e.stored_version = Some(e.version);
-            n.stats.evictions += 1;
-            n.stats.stores += 1;
-            n.ooc.note_out(e.footprint);
-            n.ooc.note_spilled(e.footprint);
-            (key, obj, e.footprint, !e.queue.is_empty())
-        };
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::Unload {
-                node,
-                oid,
-                footprint
-            }
-        );
-        // An object evicted with queued messages still owes work: its
-        // messages were spilled with it, so queue the reload (the pump
-        // issues it; `disk_ready_at` keeps it after the store completes).
-        if has_queue {
-            self.queue_load(node, oid);
-        }
-        Some((key, oid, obj))
-    }
-
-    /// Serialize an issued object to the (modeled) disk. Store failures
-    /// are retried with bounded backoff; exhaustion (or `ENOSPC`)
-    /// reinstates the object in-core — balancing the eager `Unload` with
-    /// a `Load` — and enters degraded mode instead of panicking.
-    ///
-    /// `coalesce` marks a store that joins an earlier one from the same
-    /// eviction round in a single batched append: it is charged transfer
-    /// time only (the seek component was paid by the first store).
-    fn spill_store(
-        &mut self,
-        node: NodeId,
-        key: u64,
-        oid: ObjectId,
-        obj: Box<dyn MobileObject>,
-        at: Duration,
-        coalesce: bool,
-    ) {
-        // Real serialization, charged as compute. The object is kept alive
-        // until the store succeeds so a failed spill can reinstate it.
-        // Packs into the node's reusable buffer.
-        let t0 = Instant::now();
-        let mut bytes = std::mem::take(&mut self.nodes[node as usize].pack_buf);
-        let pool_hit = bytes.capacity() > 0;
-        Registry::pack_into(obj.as_ref(), &mut bytes);
-        let pack = self.compute_charge(t0.elapsed(), bytes.len());
-        let packed_len = bytes.len();
-        {
-            let n = &mut self.nodes[node as usize];
-            n.stats.comp += pack;
-            n.table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry")
-                .packed_len = packed_len;
-        }
-        // Retry loop: each failed attempt charges one disk op plus the
-        // backoff delay to the virtual channel. A torn write is repaired by
-        // the retry overwriting the same key (nothing can load the key
-        // while its spill is still in progress — per-object ordering).
-        let mut attempt = 0u32;
-        let mut penalty = Duration::ZERO;
-        let outcome = loop {
-            attempt += 1;
-            match self.nodes[node as usize].store.store(key, &bytes) {
-                Ok(()) => break Ok(()),
-                Err(e) => {
-                    let injected = self.drain_store_faults(node);
-                    penalty += self.fault_penalty(injected);
-                    if attempt >= ENGINE_RETRY.max_attempts || is_out_of_space(&e) {
-                        break Err(e);
-                    }
-                    penalty += self.fault_penalty(
-                        self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
-                    );
-                    self.nodes[node as usize].stats.io_retries += 1;
-                    audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
-                }
-            }
-        };
-        let injected = self.drain_store_faults(node);
-        penalty += self.fault_penalty(injected);
-
-        self.nodes[node as usize].pack_buf = bytes;
-
-        if outcome.is_err() {
-            // Graceful degradation: put the object back, charge the wasted
-            // disk time, and stop evicting until a probe succeeds. The
-            // on-disk copy (if any) may be torn: mark it stale.
-            let footprint = obj.footprint();
-            let n = &mut self.nodes[node as usize];
-            n.stats.io_gave_up += 1;
-            let tick = n.ooc.tick();
-            n.ooc.note_in(footprint);
-            let e = n
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            debug_assert!(matches!(e.state, EntryState::OnDisk));
-            e.state = EntryState::InCore(obj);
-            e.footprint = footprint;
-            e.stored_version = None;
-            e.meta.touch(tick);
-            if !penalty.is_zero() {
-                let ch = (0..n.disk_free.len())
-                    .min_by_key(|&i| n.disk_free[i])
-                    .expect("node has at least one disk channel");
-                let end = at.max(n.disk_free[ch]) + penalty;
-                n.disk_free[ch] = end;
-                n.stats.disk += penalty;
-                self.end_time = self.end_time.max(end);
-            }
-            // Balance the eager `Unload`.
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::Load {
-                    node,
-                    oid,
-                    footprint
-                }
-            );
-            if self.nodes[node as usize].ooc.enter_degraded() {
-                self.nodes[node as usize].stats.degraded_entries += 1;
-                self.nodes[node as usize].stats.degraded_mode_transitions += 1;
-                audit_emit!(self.audit, RuntimeEvent::Degraded { node, on: true });
-            }
-            self.audit_budget(node, false);
-            return;
-        }
-        drop(obj);
-        let n = &mut self.nodes[node as usize];
-        // A coalesced store appends to the same segment the batch's first
-        // store opened: charge transfer time only, refunding the seek.
-        let op = self.cfg.disk.op_time(packed_len);
-        let dur = if coalesce {
-            op.saturating_sub(self.cfg.disk.seek) + penalty
-        } else {
-            op + penalty
-        };
-        let ch = (0..n.disk_free.len())
-            .min_by_key(|&i| n.disk_free[i])
-            .expect("node has at least one disk channel");
-        let start = at.max(n.disk_free[ch]);
-        let end = start + dur;
-        n.disk_free[ch] = end;
-        n.stats.disk += dur;
-        n.stats.bytes_to_disk += packed_len as u64;
-        n.stats.buffer_pool_hits += usize::from(pool_hit);
-        n.table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry")
-            .disk_ready_at = end;
-        self.end_time = self.end_time.max(end);
-    }
-
-    // ----- migration --------------------------------------------------------
-
     // ----- work stealing ----------------------------------------------------
 
     /// Stealable work on `node`: queued-but-not-resident objects (the only
@@ -1903,8 +1157,8 @@ impl DesRuntime {
     fn steal_candidates(&self, node: NodeId) -> (usize, Option<ObjectId>) {
         let mut count = 0usize;
         let mut best: Option<(usize, ObjectId)> = None;
-        for (&oid, e) in &self.nodes[node as usize].table {
-            let ok = matches!(e.state, EntryState::OnDisk | EntryState::Loading)
+        for (&oid, e) in &self.nodes[node as usize].core.table {
+            let ok = matches!(e.state, State::OnDisk | State::Loading)
                 && !e.locked
                 && e.pending_migration.is_none()
                 && !e.queue.is_empty();
@@ -1945,8 +1199,8 @@ impl DesRuntime {
         });
         let Some(thief) = thief else { return };
         self.thief_waiting[thief as usize] = true;
-        self.nodes[thief as usize].stats.idle_ticks += 1;
-        self.nodes[thief as usize].stats.steal_requests += 1;
+        self.nodes[thief as usize].core.stats.idle_ticks += 1;
+        self.nodes[thief as usize].core.stats.steal_requests += 1;
         self.ship(self.now, thief, node, CTL_BYTES, EvKind::StealReq(thief));
     }
 
@@ -1975,14 +1229,17 @@ impl DesRuntime {
         }
     }
 
+    // ----- migration --------------------------------------------------------
+
     fn on_migrate_req(&mut self, node: NodeId, oid: ObjectId, dest: NodeId) {
         let entry_state = self.nodes[node as usize]
+            .core
             .table
             .get(&oid)
             .map(|e| match e.state {
-                EntryState::Moved(f) => Err(f),
-                EntryState::InCore(_) | EntryState::Executing => Ok(true),
-                EntryState::OnDisk | EntryState::Loading => Ok(false),
+                State::Moved(f) => Err(f),
+                State::InCore(_) | State::Executing => Ok(true),
+                State::OnDisk | State::Loading => Ok(false),
             });
         match entry_state {
             None => {
@@ -2018,13 +1275,10 @@ impl DesRuntime {
             Some(Ok(false)) => {
                 // Load it first, then ship (urgent: bypasses the window).
                 {
-                    let e = self.nodes[node as usize]
-                        .table
-                        .get_mut(&oid)
-                        .expect("tracked object has a table entry");
+                    let e = self.nodes[node as usize].core.entry_mut(oid);
                     e.pending_migration = Some(dest);
                 }
-                self.queue_load(node, oid);
+                self.nodes[node as usize].core.queue_load(oid);
             }
         }
     }
@@ -2033,14 +1287,11 @@ impl DesRuntime {
     /// tombstone; its queued messages travel along.
     fn do_migrate(&mut self, node: NodeId, oid: ObjectId, dest: NodeId) {
         let (obj, queue, priority, locked, footprint, free_at, version) = {
-            let e = self.nodes[node as usize]
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
+            let e = self.nodes[node as usize].core.entry_mut(oid);
             e.pending_migration = None;
-            let state = std::mem::replace(&mut e.state, EntryState::Moved(dest));
+            let state = std::mem::replace(&mut e.state, State::Moved(dest));
             let obj = match state {
-                EntryState::InCore(o) => o,
+                State::InCore(o) => o,
                 other => {
                     e.state = other;
                     return;
@@ -2062,9 +1313,9 @@ impl DesRuntime {
         drop(obj);
         {
             let n = &mut self.nodes[node as usize];
-            n.stats.comp += pack;
-            n.stats.migrations += 1;
-            n.ooc.note_out(footprint);
+            n.core.stats.comp += pack;
+            n.core.stats.migrations += 1;
+            n.core.ooc.note_out(footprint);
         }
         audit_emit!(
             self.audit,
@@ -2129,7 +1380,7 @@ impl DesRuntime {
         // node's behalf is its answer: count the stolen task.
         if self.thief_waiting[node as usize] {
             self.thief_waiting[node as usize] = false;
-            self.nodes[node as usize].stats.tasks_stolen += 1;
+            self.nodes[node as usize].core.stats.tasks_stolen += 1;
         }
         let t0 = Instant::now();
         let obj = self
@@ -2138,37 +1389,17 @@ impl DesRuntime {
             .expect("migration bytes were packed by the sending node from a registered type");
         let unpack = self.compute_charge(t0.elapsed(), bytes.len());
         let footprint = obj.footprint();
-        self.admit(node, footprint, self.now);
-        {
-            let n = &mut self.nodes[node as usize];
-            n.stats.comp += unpack;
-            let tick = n.ooc.tick();
-            n.ooc.note_in(footprint);
-            n.dir.update(oid, node);
-            n.table.insert(
-                oid,
-                Entry {
-                    state: EntryState::InCore(obj),
-                    queue: VecDeque::new(),
-                    meta: AccessMeta::new(tick),
-                    priority,
-                    locked,
-                    footprint,
-                    packed_len: bytes.len(),
-                    spill_key: None,
-                    obj_free_at: self.now,
-                    disk_ready_at: Duration::ZERO,
-                    pending_migration: None,
-                    load_queued: false,
-                    prefetch_hint: false,
-                    // Install counts as a mutation (the checker model bumps
-                    // on MigrateIn); any spill key left behind on the old
-                    // node is invalid here anyway.
-                    version: version + 1,
-                    stored_version: None,
-                },
-            );
-        }
+        let now = self.now;
+        self.nodes[node as usize].core.admit(footprint, now);
+        self.flush(node, now);
+        let n = &mut self.nodes[node as usize];
+        n.core.stats.comp += unpack;
+        n.dir.update(oid, node);
+        // Install counts as a mutation (the checker model bumps on
+        // MigrateIn); any spill key left behind on the old node is invalid
+        // here anyway.
+        n.core
+            .insert_resident(oid, obj, priority, locked, version + 1, now);
         audit_emit!(
             self.audit,
             RuntimeEvent::MigrateIn {
@@ -2186,7 +1417,7 @@ impl DesRuntime {
                 loc: node
             }
         );
-        self.audit_budget(node, true);
+        self.nodes[node as usize].core.audit_budget(true);
         // Replay the messages that traveled with the object.
         for msg in queue {
             self.push_event(self.now, node, EvKind::Msg(msg));
@@ -2216,12 +1447,13 @@ impl DesRuntime {
         let node = self.owner_of(ptr.id);
         let n = &mut self.nodes[node as usize];
         let e = n
+            .core
             .table
             .get_mut(&ptr.id)
             .unwrap_or_else(|| panic!("no object {:?}", ptr.id));
         match &e.state {
-            EntryState::InCore(obj) => f(obj.as_ref()),
-            EntryState::OnDisk | EntryState::Loading => {
+            State::InCore(obj) => f(obj.as_ref()),
+            State::OnDisk | State::Loading => {
                 let key = e.spill_key.expect("on-disk object has a key");
                 let bytes = Self::load_stubborn(n.store.as_mut(), key);
                 let obj = self
@@ -2230,8 +1462,8 @@ impl DesRuntime {
                     .expect("spill bytes were packed by this runtime from a registered type");
                 f(obj.as_ref())
             }
-            EntryState::Executing => unreachable!("no handler is running post-run"),
-            EntryState::Moved(_) => unreachable!("owner_of follows tombstones"),
+            State::Executing => unreachable!("no handler is running post-run"),
+            State::Moved(_) => unreachable!("owner_of follows tombstones"),
         }
     }
 
@@ -2239,9 +1471,10 @@ impl DesRuntime {
     pub fn for_each_object(&mut self, mut f: impl FnMut(ObjectId, &dyn MobileObject)) {
         for node in 0..self.nodes.len() {
             let oids: Vec<ObjectId> = self.nodes[node]
+                .core
                 .table
                 .iter()
-                .filter(|(_, e)| !matches!(e.state, EntryState::Moved(_)))
+                .filter(|(_, e)| !matches!(e.state, State::Moved(_)))
                 .map(|(&oid, _)| oid)
                 .collect();
             for oid in oids {
@@ -2266,29 +1499,17 @@ impl DesRuntime {
             .unpack(packed)
             .expect("checkpoint entries hold pack output of registered types");
         let footprint = obj.footprint();
-        self.admit(node, footprint, Duration::ZERO);
-        let n = &mut self.nodes[node as usize];
-        let tick = n.ooc.tick();
-        n.ooc.note_in(footprint);
-        let prev = n.table.insert(
+        self.nodes[node as usize]
+            .core
+            .admit(footprint, Duration::ZERO);
+        self.flush(node, Duration::ZERO);
+        let prev = self.nodes[node as usize].core.insert_resident(
             oid,
-            Entry {
-                state: EntryState::InCore(obj),
-                queue: VecDeque::new(),
-                meta: AccessMeta::new(tick),
-                priority,
-                locked,
-                footprint,
-                packed_len: packed.len(),
-                spill_key: None,
-                obj_free_at: Duration::ZERO,
-                disk_ready_at: Duration::ZERO,
-                pending_migration: None,
-                load_queued: false,
-                prefetch_hint: false,
-                version: 0,
-                stored_version: None,
-            },
+            obj,
+            priority,
+            locked,
+            0,
+            Duration::ZERO,
         );
         assert!(prev.is_none(), "checkpoint restore collided with {oid:?}");
         audit_emit!(
@@ -2299,7 +1520,7 @@ impl DesRuntime {
                 footprint
             }
         );
-        self.audit_budget(node, false);
+        self.nodes[node as usize].core.audit_budget(false);
     }
 
     /// Raise per-node object-id allocation watermarks (restore path).
@@ -2314,6 +1535,7 @@ impl DesRuntime {
         // restored id of its own home.
         for node in 0..self.nodes.len() {
             let max_seq = self.nodes[node]
+                .core
                 .table
                 .keys()
                 .filter(|oid| oid.home() as usize == node)
@@ -2339,21 +1561,21 @@ impl DesRuntime {
             // into the restored runtime's install order, which schedules
             // work): sort so two captures of the same state encode
             // identically, matching the threaded engine's checkpoint.
-            let mut oids: Vec<ObjectId> = self.nodes[node].table.keys().copied().collect();
+            let mut oids: Vec<ObjectId> = self.nodes[node].core.table.keys().copied().collect();
             oids.sort_unstable_by_key(|o| o.0);
             for oid in oids {
                 let n = &mut self.nodes[node];
-                let e = n.table.get(&oid).expect("tracked object has a table entry");
+                let e = n.core.entry(oid);
                 let (priority, locked) = (e.priority, e.locked);
                 let queued: Vec<Message> = e.queue.iter().cloned().collect();
                 let packed = match &e.state {
-                    EntryState::InCore(obj) => Registry::pack(obj.as_ref()),
-                    EntryState::OnDisk | EntryState::Loading => {
+                    State::InCore(obj) => Registry::pack(obj.as_ref()),
+                    State::OnDisk | State::Loading => {
                         let key = e.spill_key.expect("spilled object has key");
                         Self::load_stubborn(n.store.as_mut(), key)
                     }
-                    EntryState::Executing => unreachable!("quiescent"),
-                    EntryState::Moved(_) => continue,
+                    State::Executing => unreachable!("quiescent"),
+                    State::Moved(_) => continue,
                 };
                 out.push(crate::checkpoint::CheckpointEntry {
                     node: node as NodeId,
@@ -2378,8 +1600,8 @@ impl DesRuntime {
     ) -> Vec<crate::balance::BalanceItem> {
         let mut out = Vec::new();
         for (node, n) in self.nodes.iter().enumerate() {
-            for (&oid, e) in &n.table {
-                if matches!(e.state, EntryState::Moved(_)) {
+            for (&oid, e) in &n.core.table {
+                if matches!(e.state, State::Moved(_)) {
                     continue;
                 }
                 let weight = match by {
@@ -2410,9 +1632,10 @@ impl DesRuntime {
         self.nodes
             .iter()
             .map(|n| {
-                n.table
+                n.core
+                    .table
                     .values()
-                    .filter(|e| !matches!(e.state, EntryState::Moved(_)))
+                    .filter(|e| !matches!(e.state, State::Moved(_)))
                     .count()
             })
             .sum()

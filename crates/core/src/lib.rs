@@ -37,6 +37,7 @@ pub mod ids;
 pub mod locality;
 pub mod msg;
 pub mod netfault;
+mod node;
 pub mod object;
 pub mod ooc;
 pub mod policy;

@@ -59,26 +59,26 @@ pub const REPLAY_WAIT: std::time::Duration = std::time::Duration::from_secs(2);
 // ---------------------------------------------------------------------------
 
 /// Which I/O completion variant a recorded [`Decision::IoDone`] released
-/// (mirrors the threaded engine's internal `IoDone` enum).
+/// (mirrors the threaded engine's internal `IoDone` enum). Every store is
+/// a batch — an eviction of one object is a batch of one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoKind {
-    Stored,
     StoredBatch,
     StoreBatchFailed,
     Loaded,
-    StoreFailed,
     LoadFailed,
     Probed,
 }
 
 impl IoKind {
+    // Wire tags 0 and 4 (the single-object `Stored` / `StoreFailed`
+    // completions) are retired: they decode as `BadIoKind`, and no new
+    // kind reuses them.
     pub fn from_u8(b: u8) -> Option<IoKind> {
         Some(match b {
-            0 => IoKind::Stored,
             1 => IoKind::StoredBatch,
             2 => IoKind::StoreBatchFailed,
             3 => IoKind::Loaded,
-            4 => IoKind::StoreFailed,
             5 => IoKind::LoadFailed,
             6 => IoKind::Probed,
             _ => return None,
@@ -87,11 +87,9 @@ impl IoKind {
 
     pub fn as_u8(self) -> u8 {
         match self {
-            IoKind::Stored => 0,
             IoKind::StoredBatch => 1,
             IoKind::StoreBatchFailed => 2,
             IoKind::Loaded => 3,
-            IoKind::StoreFailed => 4,
             IoKind::LoadFailed => 5,
             IoKind::Probed => 6,
         }
@@ -1494,6 +1492,23 @@ mod tests {
         let (bytes, truncated) = log.encode(DEFAULT_LOG_BYTE_CAP);
         assert!(!truncated);
         assert_eq!(DecisionLog::decode(&bytes).unwrap(), log);
+        // Every live io-completion kind round-trips through its wire tag;
+        // tags 0 and 4 are retired and must stay undecodable.
+        for tag in 0..=7u8 {
+            match IoKind::from_u8(tag) {
+                Some(kind) => assert_eq!(kind.as_u8(), tag),
+                None => assert!(matches!(tag, 0 | 4 | 7), "tag {tag} lost its kind"),
+            }
+        }
+        for retired in [0u8, 4] {
+            assert_eq!(
+                decode_decision_run(&[D_IO_DONE, retired, 0], &mut 0, &mut Vec::new()),
+                Err(ReplayDecodeError::BadIoKind {
+                    at: 1,
+                    kind: retired
+                })
+            );
+        }
     }
 
     #[test]

@@ -8,23 +8,23 @@
 //! ring-token termination detection**. Handlers may spawn child tasks on
 //! the node's computing-layer pool (work-stealing or FIFO).
 //!
-//! ## I/O–compute overlap
+//! ## Out-of-core layer
 //!
-//! The storage pipeline is built to mask disk latency behind computation,
-//! the paper's headline mechanism:
+//! What to evict, elide, spill, load and prefetch — and when — is decided
+//! by the node's `NodeCore` (`node.rs`), the same state machine the
+//! virtual-time engine runs. A worker is its **driver**: after every core
+//! transition it drains the core's I/O commands into the node's I/O pool
+//! (`flush_io`) and feeds the pool's completions back (`on_io`). The
+//! pieces of the overlap pipeline that are this engine's own:
 //!
-//! * **Message-driven prefetch** — a message arriving for an on-disk
-//!   object queues a look-ahead load instead of stalling; loads are
-//!   issued under a bounded prefetch window
-//!   ([`PREFETCH_WINDOW_OBJECTS`] / [`PREFETCH_WINDOW_BYTES`]) so the disk
-//!   streams the next objects in while handlers drain the current ones.
-//! * **Resident-first scheduling** — the node keeps executing in-core
-//!   objects while loads are in flight, and a look-ahead load is paced:
-//!   it is issued only when admission can be paid for by evicting *idle*
-//!   objects, so prefetch never displaces anything with queued work.
+//! * **Busy means "has ready work"** — a queued load is look-ahead while
+//!   the node's ready queue is non-empty, and a load that completes with
+//!   ready work remaining was masked by computation. The node keeps
+//!   executing in-core objects while loads are in flight.
 //! * **Non-blocking storage ops** — `io_threads` workers share the spill
 //!   store; object pack/unpack runs on them, off the node's control
-//!   thread, and the segmented spill log coalesces writes.
+//!   thread, and every eviction round lands as one batched append on the
+//!   segmented spill log.
 //!
 //! Statistics are wall-clock: computation is time spent inside handlers
 //! (and packing/unpacking, wherever it runs), disk is the I/O pool's
@@ -40,12 +40,10 @@ use crate::ctx::{Ctx, Effect};
 use crate::directory::Directory;
 use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
-use crate::locality::{LocalityMap, CLUSTER_OBJECTS, PREFETCH_MATES};
 use crate::msg::Message;
 use crate::netfault::{NetFaultKind, NetFaultPlan};
+use crate::node::{Entry, IoCmd, NodeCore, State};
 use crate::object::{MobileObject, Registry};
-use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WINDOW_OBJECTS};
-use crate::policy::AccessMeta;
 use crate::relnet::{ReliableReceiver, ReliableSender, Safra, TimerAction};
 use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT, STEAL_DENIED};
 use crate::sched::VictimCursor;
@@ -77,65 +75,12 @@ const META_LOCK: u8 = 0;
 const META_UNLOCK: u8 = 1;
 const META_PRIO: u8 = 2;
 
-enum TState {
-    InCore(Box<dyn MobileObject>),
-    OnDisk,
-    Loading,
-    Moved(NodeId),
-}
-
-struct TEntry {
-    state: TState,
-    queue: VecDeque<Message>,
-    meta: AccessMeta,
-    priority: u8,
-    locked: bool,
-    footprint: usize,
-    packed_len: usize,
-    spill_key: Option<u64>,
-    pending_migration: Option<NodeId>,
-    /// The object sits in `pending_loads` awaiting issue.
-    load_queued: bool,
-    /// Queued by cluster prefetch (a demand load faulted on a clustermate)
-    /// rather than by pending work of its own; keeps the entry alive in
-    /// `pending_loads` despite an empty queue, and is counted/cleared when
-    /// the load issues.
-    prefetch_hint: bool,
-    /// The object's latest spill is still in the I/O pool: a load for its
-    /// key must wait until the store lands (the pool is not FIFO).
-    store_inflight: bool,
-    /// Mutation version: bumped after every handler run and on migration
-    /// install, never by a read-only load. The dirty-tracking basis for
-    /// clean-eviction elision.
-    version: u64,
-    /// The mutation version the on-disk bytes correspond to (`None` until
-    /// the first store lands, and after any store failure).
-    stored_version: Option<u64>,
-}
-
-impl TEntry {
-    /// On-disk bytes current: a spill key exists, the last store landed,
-    /// and no handler has mutated the object since that store. Evicting a
-    /// clean object needs no re-pack and no write.
-    fn is_clean(&self) -> bool {
-        self.spill_key.is_some()
-            && !self.store_inflight
-            && self.stored_version == Some(self.version)
-    }
-}
-
 enum IoReq {
-    /// Pack `obj` on the I/O thread and persist it under `key`.
-    Store {
-        key: u64,
-        obj: Box<dyn MobileObject>,
-        oid: ObjectId,
-    },
     /// Pack every object on the I/O thread and persist the batch through
     /// one [`StorageBackend::store_batch`] call — a single coalesced
     /// append (one syscall, one sync decision) on the segment log.
     StoreBatch {
-        items: Vec<(u64, Box<dyn MobileObject>, ObjectId)>,
+        items: Vec<(u64, ObjectId, Box<dyn MobileObject>)>,
     },
     Load {
         key: u64,
@@ -151,19 +96,6 @@ enum IoReq {
 }
 
 enum IoDone {
-    Stored {
-        oid: ObjectId,
-        packed_len: usize,
-        io_dur: Duration,
-        pack_dur: Duration,
-        retries: u32,
-        faults: usize,
-        /// The pack buffer came from the I/O pool's buffer pool.
-        pool_hit: bool,
-        /// Compactions triggered by this store that rewrote live records
-        /// in locality-curve order.
-        reorders: usize,
-    },
     /// A whole [`IoReq::StoreBatch`] landed; `items` are per-object
     /// `(oid, packed_len)` in batch order.
     StoredBatch {
@@ -177,9 +109,10 @@ enum IoDone {
         /// in locality-curve order.
         reorders: usize,
     },
-    /// A batch store failed as a whole (a prefix may have landed, but no
-    /// record is trusted); every object is reconstituted for the control
-    /// thread to reinstate in-core.
+    /// A batch store was rejected as a whole after exhausting the retry
+    /// policy, or with `ENOSPC` (a prefix may have landed, but no record
+    /// is trusted); every object is reconstituted from its packed bytes
+    /// for the control thread to reinstate in-core.
     StoreBatchFailed {
         items: Vec<(ObjectId, Box<dyn MobileObject>)>,
         io_dur: Duration,
@@ -200,17 +133,6 @@ enum IoDone {
         /// [`StorageBackend::take_read_stats`].
         seg_reads: u64,
         seg_switches: u64,
-    },
-    /// The store rejected the object after exhausting the retry policy
-    /// (or reported `ENOSPC`). `obj` is reconstituted from the packed
-    /// bytes so the control thread can reinstate it in-core.
-    StoreFailed {
-        oid: ObjectId,
-        obj: Box<dyn MobileObject>,
-        io_dur: Duration,
-        pack_dur: Duration,
-        retries: u32,
-        faults: usize,
     },
     /// A spilled object could not be read back — unrecoverable (the
     /// object exists nowhere else).
@@ -233,7 +155,6 @@ enum IoDone {
 /// first object; health probes carry no key).
 fn io_done_key(d: &IoDone) -> (IoKind, u64) {
     match d {
-        IoDone::Stored { oid, .. } => (IoKind::Stored, oid.0),
         IoDone::StoredBatch { items, .. } => (
             IoKind::StoredBatch,
             items.first().map_or(0, |(oid, _)| oid.0),
@@ -243,7 +164,6 @@ fn io_done_key(d: &IoDone) -> (IoKind, u64) {
             items.first().map_or(0, |(oid, _)| oid.0),
         ),
         IoDone::Loaded { oid, .. } => (IoKind::Loaded, oid.0),
-        IoDone::StoreFailed { oid, .. } => (IoKind::StoreFailed, oid.0),
         IoDone::LoadFailed { oid, .. } => (IoKind::LoadFailed, oid.0),
         IoDone::Probed { .. } => (IoKind::Probed, 0),
     }
@@ -319,37 +239,17 @@ struct Worker {
     cfg: MrtsConfig,
     registry: std::sync::Arc<Registry>,
     ep: Endpoint,
-    table: HashMap<ObjectId, TEntry>,
-    ooc: OocManager,
+    /// The out-of-core layer: object table, budget, locality, load queue
+    /// and prefetch window, node statistics and the audit sink. This
+    /// worker is its driver (see [`Worker::flush_io`], [`Worker::on_io`]).
+    core: NodeCore,
     dir: Directory,
     ready: VecDeque<ObjectId>,
     io_tx: channel::Sender<IoReq>,
     io_rx: channel::Receiver<IoDone>,
     outstanding_io: usize,
-    /// Queued-but-on-disk objects awaiting a load slot, in arrival order.
-    pending_loads: VecDeque<ObjectId>,
-    /// Loads currently in the I/O pool, for the prefetch window.
-    inflight_load_objs: usize,
-    inflight_load_bytes: usize,
-    /// Adjacency-learned locality ordering (see `mrts::locality`); fed
-    /// from handler sends, consumed by eviction, cluster prefetch, and
-    /// rank shipping to the spill store. Unused when `cfg.locality` is
-    /// off.
-    locality: LocalityMap,
-    /// Ordering generation last shipped to the store via
-    /// [`IoReq::SetRanks`], plus the `next_spill_key` watermark at that
-    /// shipment (spill keys are assigned monotonically, so the watermark
-    /// bounds how many keys are new since).
-    ranks_gen: u64,
-    ranks_keys: usize,
-    /// Curve key of the most recent demand anchor; successive anchors
-    /// estimate which way the access front is moving along the curve, so
-    /// cluster prefetch pulls mates ahead of the front, not behind it.
-    last_anchor_key: u64,
     backend: Box<dyn TaskBackend>,
-    stats: NodeStats,
     next_obj_seq: u64,
-    next_spill_key: u64,
     safra: Safra,
     done: bool,
     /// Reliable-delivery layer; `Some` only under a net-fault plan.
@@ -376,34 +276,17 @@ struct Worker {
     /// steal requests forever and Safra could never terminate).
     deny_streak: u32,
     #[cfg(any(feature = "audit", debug_assertions))]
-    audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
-    #[cfg(any(feature = "audit", debug_assertions))]
     race: Option<std::sync::Arc<crate::audit::RaceDetector>>,
 }
 
+/// The threaded engine's *now* for the node core. Handlers have returned
+/// by the time the control loop consults the core, so no object is ever
+/// still busy "until later": every time is zero.
+const NOW: Duration = Duration::ZERO;
+
 impl Worker {
     fn comm_charge(&mut self, bytes: usize) {
-        self.stats.comm += self.cfg.net.transfer_time(bytes);
-    }
-
-    /// Snapshot this node's memory accounting for the invariant checker.
-    /// `enforced = false` on paths where the engine deliberately overshoots
-    /// the budget (reloads, bootstrap) before evicting back down.
-    #[allow(unused_variables)]
-    fn audit_budget(&self, enforced: bool) {
-        #[cfg(any(feature = "audit", debug_assertions))]
-        {
-            if let Some(sink) = self.audit.as_ref() {
-                sink.record(&RuntimeEvent::Budget {
-                    node: self.node,
-                    used: self.ooc.used(),
-                    budget: self.ooc.budget(),
-                    hard_reserve: self.ooc.hard_reserve(),
-                    // Degraded mode deliberately overshoots the budget.
-                    enforced: enforced && !self.ooc.is_degraded(),
-                });
-            }
-        }
+        self.core.stats.comm += self.cfg.net.transfer_time(bytes);
     }
 
     /// Happens-before edge out: stamp this node's vector clock onto the
@@ -494,17 +377,13 @@ impl Worker {
         }
     }
 
-    fn entry_present(&self, oid: ObjectId) -> bool {
-        matches!(self.table.get(&oid), Some(e) if !matches!(e.state, TState::Moved(_)))
-    }
-
     // ----- record/replay sequencing (see mrts::replay) ----------------------
 
     /// Append one decision in record mode; no-op otherwise.
     fn record_decision(&mut self, d: Decision) {
         if let ReplayRole::Record(log) = &mut self.replay {
             log.push(d);
-            self.stats.decisions_recorded += 1;
+            self.core.stats.decisions_recorded += 1;
         }
     }
 
@@ -513,7 +392,7 @@ impl Worker {
     fn replay_diverge(&mut self, st: &mut ReplayState) {
         if !st.live {
             st.live = true;
-            self.stats.replay_divergences += 1;
+            self.core.stats.replay_divergences += 1;
         }
     }
 
@@ -707,9 +586,9 @@ impl Worker {
         let plan = self.net.as_ref().expect("net layer").plan;
         let d = plan.decide(self.node, dest, seq, attempt);
         if d.drop {
-            self.stats.messages_dropped += 1;
+            self.core.stats.messages_dropped += 1;
             audit_emit!(
-                self.audit,
+                self.core.audit,
                 RuntimeEvent::NetFault {
                     node: self.node,
                     dest,
@@ -720,7 +599,7 @@ impl Worker {
         }
         if d.duplicate {
             audit_emit!(
-                self.audit,
+                self.core.audit,
                 RuntimeEvent::NetFault {
                     node: self.node,
                     dest,
@@ -739,7 +618,7 @@ impl Worker {
                 NetFaultKind::Delay
             };
             audit_emit!(
-                self.audit,
+                self.core.audit,
                 RuntimeEvent::NetFault {
                     node: self.node,
                     dest,
@@ -764,7 +643,7 @@ impl Worker {
         let seq = u64::from_le_bytes(am.payload[..8].try_into().expect("seq prefix"));
         // Ack every arrival, duplicates included: the previous ack may
         // have raced the sender's retransmit timer.
-        self.stats.acks_sent += 1;
+        self.core.stats.acks_sent += 1;
         self.comm_charge(8);
         self.ep.am_send(src, AM_ACK, seq.to_le_bytes().to_vec());
         let accepted = self.net.as_mut().expect("net layer").rx.accept(
@@ -774,9 +653,9 @@ impl Worker {
             am.payload[8..].to_vec(),
         );
         if !accepted {
-            self.stats.dup_suppressed += 1;
+            self.core.stats.dup_suppressed += 1;
             audit_emit!(
-                self.audit,
+                self.core.audit,
                 RuntimeEvent::DupSuppressed {
                     node: self.node,
                     src,
@@ -913,9 +792,9 @@ impl Worker {
                     frame,
                     attempt,
                 } => {
-                    self.stats.retransmits += 1;
+                    self.core.stats.retransmits += 1;
                     audit_emit!(
-                        self.audit,
+                        self.core.audit,
                         RuntimeEvent::Retransmit {
                             node: self.node,
                             dest,
@@ -996,9 +875,9 @@ impl Worker {
                             frame,
                             attempt,
                         } => {
-                            self.stats.retransmits += 1;
+                            self.core.stats.retransmits += 1;
                             audit_emit!(
-                                self.audit,
+                                self.core.audit,
                                 RuntimeEvent::Retransmit {
                                     node: self.node,
                                     dest,
@@ -1034,9 +913,9 @@ impl Worker {
                 let msg = Message::decode(&frame[8..]).expect("valid message");
                 let oid = msg.to.id;
                 if self.dir.invalidate(oid) {
-                    self.stats.hints_invalidated += 1;
+                    self.core.stats.hints_invalidated += 1;
                     audit_emit!(
-                        self.audit,
+                        self.core.audit,
                         RuntimeEvent::HintInvalidated {
                             node: self.node,
                             oid,
@@ -1047,13 +926,13 @@ impl Worker {
                 // A forwarding tombstone pointing at the dead peer is just
                 // as stale as a directory hint.
                 if matches!(
-                    self.table.get(&oid),
-                    Some(TEntry { state: TState::Moved(f), .. }) if *f == dest
+                    self.core.table.get(&oid),
+                    Some(Entry { state: State::Moved(f), .. }) if *f == dest
                 ) {
-                    self.table.remove(&oid);
+                    self.core.table.remove(&oid);
                 }
                 let next = self.dir_next_hop(oid);
-                if self.entry_present(oid) {
+                if self.core.holds(oid) {
                     // The object came back to us while the send was in
                     // flight; deliver locally.
                     self.route_msg(msg);
@@ -1084,7 +963,7 @@ impl Worker {
             }
         }
         self.done = true;
-        audit_emit!(self.audit, RuntimeEvent::Terminate { node: self.node });
+        audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
     }
 
     // ----- message dispatch -------------------------------------------------
@@ -1127,7 +1006,7 @@ impl Worker {
             }
             AM_EXIT => {
                 self.done = true;
-                audit_emit!(self.audit, RuntimeEvent::Terminate { node: self.node });
+                audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
             }
             other => self.dispatch_data(other, &am.payload),
         }
@@ -1155,7 +1034,7 @@ impl Worker {
                 );
                 self.dir.update(oid, loc);
                 audit_emit!(
-                    self.audit,
+                    self.core.audit,
                     RuntimeEvent::DirUpdate {
                         node: self.node,
                         oid,
@@ -1208,7 +1087,7 @@ impl Worker {
                 // The deny is logged thief-side, where the round-trip
                 // resolves; the checker treats it as pure observability.
                 audit_emit!(
-                    self.audit,
+                    self.core.audit,
                     RuntimeEvent::StealDeny {
                         node: victim,
                         to: self.node
@@ -1221,20 +1100,20 @@ impl Worker {
 
     fn route_msg(&mut self, mut msg: Message) {
         let oid = msg.to.id;
-        if !self.entry_present(oid) {
+        if !self.core.holds(oid) {
             // Forward along the last-known-location chain.
-            let next = match self.table.get(&oid) {
-                Some(TEntry {
-                    state: TState::Moved(f),
+            let next = match self.core.table.get(&oid) {
+                Some(Entry {
+                    state: State::Moved(f),
                     ..
                 }) => *f,
                 _ => self.dir_next_hop(oid),
             };
             assert_ne!(next, self.node, "message stuck for {oid:?}");
             msg.route.push(self.node);
-            self.stats.msgs_forwarded += 1;
+            self.core.stats.msgs_forwarded += 1;
             audit_emit!(
-                self.audit,
+                self.core.audit,
                 RuntimeEvent::Forward {
                     node: self.node,
                     oid,
@@ -1255,580 +1134,89 @@ impl Worker {
                 }
             }
         }
-        let e = self
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
+        let e = self.core.entry_mut(oid);
         let was_empty = e.queue.is_empty();
         e.queue.push_back(msg);
         match e.state {
-            TState::InCore(_) => {
+            State::InCore(_) => {
                 if was_empty {
                     self.ready.push_back(oid);
                 }
             }
-            TState::OnDisk => self.queue_load(oid),
-            TState::Loading | TState::Moved(_) => {}
+            State::OnDisk => self.core.queue_load(oid),
+            State::Loading | State::Moved(_) => {}
+            State::Executing => unreachable!("handlers finish before the next message is routed"),
         }
     }
 
-    // ----- out-of-core -------------------------------------------------------
+    // ----- out-of-core: driving the node core ---------------------------------
 
-    fn admit(&mut self, incoming: usize) {
-        let need = self.ooc.needed_for_admission(incoming);
-        if need > 0 {
-            self.evict_bytes(need, true);
-        }
-    }
-
-    /// Load admission never displaces queued objects (see the DES engine:
-    /// mutual displacement of queued objects is an evict/reload livelock).
-    fn admit_for_load(&mut self, incoming: usize) {
-        let need = self.ooc.needed_for_admission(incoming);
-        if need > 0 {
-            self.evict_bytes(need, false);
-        }
-    }
-
-    /// Post-handler budget enforcement (objects grow in place).
-    fn enforce_budget(&mut self) {
-        // Degraded: the store is rejecting writes, so evicting would only
-        // burn retries; knowingly overshoot until the backend recovers.
-        if !self.ooc.enabled() || self.ooc.is_degraded() {
+    /// Perform the I/O the core asked for since the last flush: hand
+    /// stores and loads to the I/O pool (pack and unpack run there, off
+    /// this control thread) and keep the run queue and the race detector
+    /// in step with objects that left core. Called after every core
+    /// transition that can evict or load.
+    fn flush_io(&mut self) {
+        if self.core.cmds.is_empty() {
             return;
         }
-        let over = self.ooc.used().saturating_sub(self.ooc.budget());
-        if over > 0 {
-            self.evict_bytes(over, true);
-        }
-    }
-
-    fn soft_swap(&mut self) {
-        let excess = self.ooc.soft_excess();
-        if excess > 0 {
-            self.evict_bytes(excess, false);
-        }
-    }
-
-    fn evict_bytes(&mut self, need: usize, allow_queued: bool) {
-        let locality = self.cfg.locality;
-        if locality {
-            self.locality.maybe_rebuild();
-            self.push_ranks_if_stale();
-        }
-        let mut candidates: Vec<EvictCandidate> = self
-            .table
-            .iter()
-            .filter(|(_, e)| {
-                matches!(e.state, TState::InCore(_))
-                    && !e.locked
-                    && e.pending_migration.is_none()
-                    && (allow_queued || e.queue.is_empty())
-            })
-            .map(|(&oid, e)| EvictCandidate {
-                oid,
-                footprint: e.footprint,
-                meta: e.meta,
-                priority: e.priority,
-                queued_msgs: e.queue.len(),
-                clean: e.is_clean(),
-                cluster: if locality {
-                    self.locality.cluster_of(oid)
-                } else {
-                    None
-                },
-                lkey: self
-                    .locality
-                    .key_of(oid)
-                    .unwrap_or(crate::locality::UNRANKED),
-            })
-            .collect();
-        let victims = self.ooc.pick_victims(&mut candidates, need);
-        if victims.len() <= 1 {
-            for oid in victims {
-                self.spill(oid);
-            }
-            return;
-        }
-        // Multiple victims: elide the clean ones and coalesce the dirty
-        // remainder into one batched store.
-        let mut dirty = Vec::new();
-        for oid in victims {
-            if !self.try_elide(oid) {
-                dirty.push(oid);
-            }
-        }
-        match dirty.len() {
-            0 => {}
-            1 => self.spill(dirty[0]),
-            _ => self.spill_batch(dirty),
-        }
-    }
-
-    /// Clean-eviction elision: drop the resident copy of a clean object
-    /// without re-packing or re-writing — the on-disk bytes are already
-    /// current. Returns `false` (caller must store) when the object is
-    /// dirty.
-    fn try_elide(&mut self, oid: ObjectId) -> bool {
-        let (footprint, packed_len) = {
-            let e = self
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            if !matches!(e.state, TState::InCore(_)) || !e.is_clean() {
-                return false;
-            }
-            let obj = match std::mem::replace(&mut e.state, TState::OnDisk) {
-                TState::InCore(o) => o,
-                _ => unreachable!(),
-            };
-            drop(obj);
-            (e.footprint, e.packed_len)
-        };
-        self.ooc.note_out(footprint);
-        self.ooc.note_spilled(footprint);
-        self.race_access(oid);
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::ElidedUnload {
-                node: self.node,
-                oid,
-                footprint,
-                version: self.table[&oid].version,
-                stored_version: self.table[&oid]
-                    .stored_version
-                    .expect("clean object has a stored version"),
-            }
-        );
-        self.stats.evictions += 1;
-        self.stats.evictions_elided += 1;
-        self.stats.bytes_write_avoided += packed_len as u64;
-        self.ready.retain(|&r| r != oid);
-        if !self.table[&oid].queue.is_empty() {
-            self.queue_load(oid);
-        }
-        true
-    }
-
-    fn spill(&mut self, oid: ObjectId) {
-        if self.try_elide(oid) {
-            return;
-        }
-        let e = self
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
-        let obj = match std::mem::replace(&mut e.state, TState::OnDisk) {
-            TState::InCore(o) => o,
-            other => {
-                e.state = other;
-                return;
-            }
-        };
-        let key = {
-            let next = &mut self.next_spill_key;
-            let e = self
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            e.store_inflight = true;
-            // The object cannot mutate while out of core, so the version
-            // at send time is the version the packed bytes will carry.
-            e.stored_version = Some(e.version);
-            *e.spill_key.get_or_insert_with(|| {
-                let k = *next;
-                *next += 1;
-                k
-            })
-        };
-        let footprint = self.table[&oid].footprint;
-        self.ooc.note_out(footprint);
-        self.ooc.note_spilled(footprint);
-        self.race_access(oid);
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::Unload {
-                node: self.node,
-                oid,
-                footprint
-            }
-        );
-        self.stats.evictions += 1;
-        self.stats.stores += 1;
-        self.outstanding_io += 1;
-        // Pack happens on the I/O pool, off this control thread.
-        self.io_tx
-            .send(IoReq::Store { key, obj, oid })
-            .expect("I/O pool outlives the worker");
-        // Drop the object from the ready list if it was there.
-        self.ready.retain(|&r| r != oid);
-        // An object evicted with queued messages still owes work: queue
-        // the reload (it issues once the store lands).
-        if !self.table[&oid].queue.is_empty() {
-            self.queue_load(oid);
-        }
-    }
-
-    /// Spill several dirty victims through one coalesced batch write: one
-    /// store op (a single append on the segment log), one sync decision,
-    /// one I/O-pool round trip — instead of one of each per victim.
-    fn spill_batch(&mut self, victims: Vec<ObjectId>) {
-        let mut items: Vec<(u64, Box<dyn MobileObject>, ObjectId)> =
-            Vec::with_capacity(victims.len());
-        for oid in victims {
-            let next = &mut self.next_spill_key;
-            let e = self
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            let obj = match std::mem::replace(&mut e.state, TState::OnDisk) {
-                TState::InCore(o) => o,
-                other => {
-                    e.state = other;
-                    continue;
-                }
-            };
-            e.store_inflight = true;
-            e.stored_version = Some(e.version);
-            let key = *e.spill_key.get_or_insert_with(|| {
-                let k = *next;
-                *next += 1;
-                k
-            });
-            let footprint = e.footprint;
-            self.ooc.note_out(footprint);
-            self.ooc.note_spilled(footprint);
-            self.race_access(oid);
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::Unload {
-                    node: self.node,
-                    oid,
-                    footprint
-                }
-            );
-            self.stats.evictions += 1;
-            self.stats.stores += 1;
-            self.ready.retain(|&r| r != oid);
-            if !self.table[&oid].queue.is_empty() {
-                self.queue_load(oid);
-            }
-            items.push((key, obj, oid));
-        }
-        if items.is_empty() {
-            return;
-        }
-        if items.len() >= 2 {
-            self.stats.spill_batches += 1;
-        }
-        self.outstanding_io += 1;
-        self.io_tx
-            .send(IoReq::StoreBatch { items })
-            .expect("I/O pool outlives the worker");
-    }
-
-    /// Note that `oid` (on disk) has pending work; the load is issued by
-    /// [`Worker::pump_loads`] under the prefetch window.
-    fn queue_load(&mut self, oid: ObjectId) {
-        let e = self
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
-        if e.load_queued || !matches!(e.state, TState::OnDisk) {
-            return;
-        }
-        e.load_queued = true;
-        self.pending_loads.push_back(oid);
-    }
-
-    /// Cluster prefetch: a demanded load of `anchor` just completed as a
-    /// miss (the node stalled on it), so enqueue the anchor's nearest
-    /// on-disk clustermates as hinted look-ahead loads — only on the side
-    /// of the curve the demand front is moving toward (mates behind the
-    /// front were just used; prefetching them is guaranteed waste under a
-    /// tight budget). Triggering on demand misses rather than on every
-    /// load keeps the speculation bounded: queue-visible work is already
-    /// covered by the ordinary look-ahead window, and a miss is precisely
-    /// the signal that the front moved somewhere that window could not
-    /// see. The mates flow through [`Worker::pump_loads`] window/pacing
-    /// (the hint only keeps them wanted despite their empty queues), so
-    /// the prefetch budget and degraded-mode shedding apply unchanged.
-    fn cluster_prefetch(&mut self, anchor: ObjectId) {
-        if !self.cfg.locality {
-            return;
-        }
-        self.locality.maybe_rebuild();
-        let Some(key) = self.locality.key_of(anchor) else {
-            return;
-        };
-        let forward = key >= self.last_anchor_key;
-        self.last_anchor_key = key;
-        for oid in self
-            .locality
-            .companions_toward(anchor, PREFETCH_MATES, forward)
-        {
-            let Some(e) = self.table.get_mut(&oid) else {
-                continue;
-            };
-            if e.load_queued || !matches!(e.state, TState::OnDisk) {
-                continue;
-            }
-            e.load_queued = true;
-            e.prefetch_hint = true;
-            self.pending_loads.push_back(oid);
-        }
-    }
-
-    /// Ship the locality-curve ranks of all spilled objects to the store
-    /// when the ordering changed or enough new spill keys appeared since
-    /// the last shipment — a cleaning pass then relocates live records in
-    /// curve order.
-    fn push_ranks_if_stale(&mut self) {
-        let gen = self.locality.generation();
-        if gen == 0 {
-            return;
-        }
-        // O(1) staleness gate before the table scan: `next_spill_key`
-        // only grows, so it bounds how many spill keys can be new since
-        // the last shipment.
-        if gen == self.ranks_gen && (self.next_spill_key as usize) < self.ranks_keys + 32 {
-            return;
-        }
-        let ranks = self.locality.ranks_for(
-            self.table
-                .iter()
-                .filter_map(|(&oid, e)| e.spill_key.map(|k| (oid, k))),
-        );
-        self.ranks_gen = gen;
-        self.ranks_keys = self.next_spill_key as usize;
-        if ranks.is_empty() {
-            return;
-        }
-        // Fire-and-forget: no IoDone reply, no outstanding_io accounting.
-        self.io_tx
-            .send(IoReq::SetRanks(ranks))
-            .expect("I/O pool outlives the worker");
-    }
-
-    /// Bytes reclaimable by evicting only objects with no pending work —
-    /// the only victims a look-ahead load is allowed to displace.
-    fn idle_evictable_bytes(&self) -> usize {
-        self.table
-            .values()
-            .filter(|e| {
-                matches!(e.state, TState::InCore(_))
-                    && !e.locked
-                    && e.pending_migration.is_none()
-                    && e.queue.is_empty()
-            })
-            .map(|e| e.footprint)
-            .sum()
-    }
-
-    /// Drop the pending hint-only load at `idx`: a cluster prefetch that
-    /// cannot issue right now is stale by the time conditions change, and
-    /// keeping it queued wedges termination (`idle()` requires an empty
-    /// `pending_loads`).
-    fn cancel_hint(&mut self, oid: ObjectId, idx: usize) {
-        self.pending_loads.remove(idx);
-        let e = self
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
-        e.load_queued = false;
-        e.prefetch_hint = false;
-        self.stats.prefetch_cancels += 1;
-    }
-
-    /// Issue queued loads. A **look-ahead** load (the node still has
-    /// resident work) stays inside the prefetch window and is paced so it
-    /// never displaces an object with queued messages; a **demand** load
-    /// (nothing resident to run) or an urgent one (migration waiting on
-    /// the object) always makes progress. Entries whose reason to load
-    /// evaporated are cancelled here.
-    fn pump_loads(&mut self) {
-        if self.pending_loads.is_empty() {
-            return;
-        }
-        let mut idle_evictable: Option<usize> = None;
-        let mut i = 0;
-        while i < self.pending_loads.len() {
-            let oid = self.pending_loads[i];
-            let (wants, store_inflight, urgent, hinted, demanded, footprint, packed_len) = {
-                let e = self
-                    .table
-                    .get(&oid)
-                    .expect("tracked object has a table entry");
-                let urgent = e.pending_migration.is_some() || e.locked;
-                let wants = matches!(e.state, TState::OnDisk)
-                    && (urgent || !e.queue.is_empty() || e.prefetch_hint);
-                (
-                    wants,
-                    e.store_inflight,
-                    urgent,
-                    e.prefetch_hint,
-                    !e.queue.is_empty(),
-                    e.footprint,
-                    e.packed_len,
-                )
-            };
-            if !wants {
-                self.pending_loads.remove(i);
-                let e = self
-                    .table
-                    .get_mut(&oid)
-                    .expect("tracked object has a table entry");
-                e.load_queued = false;
-                e.prefetch_hint = false;
-                self.stats.prefetch_cancels += 1;
-                continue;
-            }
-            if store_inflight {
-                // Per-key ordering: the pool is not FIFO, so the load must
-                // wait for this object's store to land.
-                i += 1;
-                continue;
-            }
-            // A hinted (cluster-prefetched) load is look-ahead by nature:
-            // while nothing queued demands it, it must respect the window,
-            // the pacing, and degraded-mode shedding even when the node
-            // happens to be idle. Once a message has queued up behind it,
-            // it is a demand load like any other: on an idle node nothing
-            // will ever free the headroom pacing waits for, and a parked
-            // entry keeps `idle()` false forever.
-            let look_ahead = !self.ready.is_empty() || (hinted && !demanded);
-            // A hint with nothing queued behind it is pure opportunism: if
-            // it cannot issue under the current gates it must be dropped,
-            // not parked — nothing else will ever change an idle node's
-            // pacing headroom, and `idle()` refuses to terminate while
-            // `pending_loads` is non-empty.
-            let hint_only = hinted && !urgent && !demanded;
-            if look_ahead && !urgent {
-                if self.ooc.is_degraded() {
-                    // Disk pressure: shed prefetch entirely; only demand
-                    // and urgent loads keep flowing.
-                    if hint_only {
-                        self.cancel_hint(oid, i);
-                        continue;
+        let mut cmds = std::mem::take(&mut self.core.cmds);
+        for cmd in cmds.drain(..) {
+            match cmd {
+                IoCmd::Elided(oid) => self.left_core(oid),
+                IoCmd::Store(items) => {
+                    for (_, oid, _) in &items {
+                        self.left_core(*oid);
                     }
-                    i += 1;
-                    continue;
+                    self.outstanding_io += 1;
+                    self.io_tx
+                        .send(IoReq::StoreBatch { items })
+                        .expect("I/O pool outlives the worker");
                 }
-                if self.inflight_load_objs >= PREFETCH_WINDOW_OBJECTS {
-                    break;
+                IoCmd::Load { key, oid, .. } => {
+                    self.outstanding_io += 1;
+                    self.io_tx
+                        .send(IoReq::Load { key, oid })
+                        .expect("I/O pool outlives the worker");
                 }
-                if self.inflight_load_objs > 0
-                    && self.inflight_load_bytes.saturating_add(packed_len) > PREFETCH_WINDOW_BYTES
-                {
-                    break;
+                IoCmd::SetRanks(ranks) => {
+                    // Fire-and-forget: no IoDone reply, no outstanding_io
+                    // accounting.
+                    self.io_tx
+                        .send(IoReq::SetRanks(ranks))
+                        .expect("I/O pool outlives the worker");
                 }
-                let need = self.ooc.needed_for_admission(footprint);
-                if need > 0 {
-                    let avail = *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes());
-                    if need > avail {
-                        // Paced: admission would thrash queued objects.
-                        if hint_only {
-                            self.cancel_hint(oid, i);
-                            continue;
-                        }
-                        i += 1;
-                        continue;
-                    }
-                }
-            } else if self.inflight_load_objs >= PREFETCH_WINDOW_OBJECTS {
-                // Demand loads keep the pipe bounded too.
-                break;
             }
-            self.pending_loads.remove(i);
-            self.table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry")
-                .load_queued = false;
-            self.issue_load(oid, look_ahead && !urgent);
-            // Issuing may have evicted; recompute pacing headroom lazily.
-            idle_evictable = None;
+        }
+        self.core.cmds = cmds;
+    }
+
+    /// `oid` was evicted: its bytes were touched (dropped or handed to the
+    /// pool), and it is no longer runnable.
+    fn left_core(&mut self, oid: ObjectId) {
+        self.race_access(oid);
+        self.ready.retain(|&r| r != oid);
+    }
+
+    /// `oid` is back in core (loaded, or reinstated after a failed
+    /// store): ship it if a migration was waiting on it, otherwise make it
+    /// runnable.
+    fn resume(&mut self, oid: ObjectId) {
+        let e = self.core.entry(oid);
+        if let Some(dest) = e.pending_migration {
+            self.do_migrate(oid, dest);
+        } else if !e.queue.is_empty() {
+            self.ready.push_back(oid);
         }
     }
 
-    fn issue_load(&mut self, oid: ObjectId, look_ahead: bool) {
-        let (key, footprint, packed_len, hinted) = {
-            let e = self
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            debug_assert!(matches!(e.state, TState::OnDisk));
-            e.state = TState::Loading;
-            let hinted = std::mem::replace(&mut e.prefetch_hint, false);
-            (
-                e.spill_key.expect("on-disk object has spill key"),
-                e.footprint,
-                e.packed_len,
-                hinted,
-            )
-        };
-        self.inflight_load_objs += 1;
-        self.inflight_load_bytes += packed_len;
-        if hinted {
-            self.stats.cluster_prefetches += 1;
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::ClusterPrefetch {
-                    node: self.node,
-                    oid,
-                    cluster: self.locality.cluster_of(oid).unwrap_or(0),
-                }
-            );
-        }
-        if look_ahead {
-            self.stats.prefetch_issued += 1;
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::Prefetch {
-                    node: self.node,
-                    oid,
-                    inflight_objects: self.inflight_load_objs,
-                    window_objects: PREFETCH_WINDOW_OBJECTS,
-                    inflight_bytes: self.inflight_load_bytes,
-                    window_bytes: PREFETCH_WINDOW_BYTES,
-                }
-            );
-        }
-        self.admit_for_load(footprint);
-        self.stats.loads += 1;
-        self.stats.bytes_from_disk += packed_len as u64;
-        self.outstanding_io += 1;
-        self.io_tx
-            .send(IoReq::Load { key, oid })
-            .expect("I/O pool outlives the worker");
-    }
-
+    /// Feed one I/O-pool completion back into the core. The pool's own
+    /// measurements (busy time, pack/unpack time, retries, injected
+    /// faults) are this engine's to count; what the completion *means* for
+    /// residency is the core's.
     fn on_io(&mut self, done: IoDone) {
         self.outstanding_io -= 1;
         match done {
-            IoDone::Stored {
-                oid,
-                packed_len,
-                io_dur,
-                pack_dur,
-                retries,
-                faults,
-                pool_hit,
-                reorders,
-            } => {
-                self.stats.disk += io_dur;
-                self.stats.comp += pack_dur;
-                self.stats.bytes_to_disk += packed_len as u64;
-                self.stats.io_retries += retries as usize;
-                self.stats.faults_injected += faults;
-                self.stats.buffer_pool_hits += usize::from(pool_hit);
-                self.stats.compaction_reorders += reorders;
-                let e = self
-                    .table
-                    .get_mut(&oid)
-                    .expect("tracked object has a table entry");
-                e.store_inflight = false;
-                e.packed_len = packed_len;
-            }
             IoDone::StoredBatch {
                 items,
                 io_dur,
@@ -1838,20 +1226,14 @@ impl Worker {
                 pool_hits,
                 reorders,
             } => {
-                self.stats.disk += io_dur;
-                self.stats.comp += pack_dur;
-                self.stats.io_retries += retries as usize;
-                self.stats.faults_injected += faults;
-                self.stats.buffer_pool_hits += pool_hits;
-                self.stats.compaction_reorders += reorders;
+                self.core.stats.disk += io_dur;
+                self.core.stats.comp += pack_dur;
+                self.core.stats.io_retries += retries as usize;
+                self.core.stats.faults_injected += faults;
+                self.core.stats.buffer_pool_hits += pool_hits;
+                self.core.stats.compaction_reorders += reorders;
                 for (oid, packed_len) in items {
-                    self.stats.bytes_to_disk += packed_len as u64;
-                    let e = self
-                        .table
-                        .get_mut(&oid)
-                        .expect("tracked object has a table entry");
-                    e.store_inflight = false;
-                    e.packed_len = packed_len;
+                    self.core.store_landed(oid, packed_len);
                 }
             }
             IoDone::StoreBatchFailed {
@@ -1861,122 +1243,21 @@ impl Worker {
                 retries,
                 faults,
             } => {
-                self.stats.disk += io_dur;
-                self.stats.comp += pack_dur;
-                self.stats.io_retries += retries as usize;
-                self.stats.faults_injected += faults;
-                self.stats.io_gave_up += 1;
-                // Whole-batch failure: reinstate every object in-core. A
-                // prefix of the batch may have landed, but no record is
-                // trusted — all objects are marked dirty so no later
-                // elision can reference the torn batch.
-                let mut migrations = Vec::new();
+                self.core.stats.disk += io_dur;
+                self.core.stats.comp += pack_dur;
+                self.core.stats.io_retries += retries as usize;
+                self.core.stats.faults_injected += faults;
+                self.core.stats.io_gave_up += 1;
+                // Whole-batch failure: a prefix of the batch may have
+                // landed, but no record is trusted — every object goes
+                // back in core, marked dirty, before any of them moves on.
+                let oids: Vec<ObjectId> = items.iter().map(|(oid, _)| *oid).collect();
                 for (oid, obj) in items {
-                    let footprint = obj.footprint();
-                    let tick = self.ooc.tick();
-                    self.ooc.note_in(footprint);
-                    let pending = {
-                        let e = self
-                            .table
-                            .get_mut(&oid)
-                            .expect("tracked object has a table entry");
-                        e.store_inflight = false;
-                        e.stored_version = None;
-                        e.state = TState::InCore(obj);
-                        e.footprint = footprint;
-                        e.meta.touch(tick);
-                        e.pending_migration
-                    };
+                    self.core.store_failed(oid, obj);
                     self.race_access(oid);
-                    audit_emit!(
-                        self.audit,
-                        RuntimeEvent::Load {
-                            node: self.node,
-                            oid,
-                            footprint
-                        }
-                    );
-                    if let Some(dest) = pending {
-                        migrations.push((oid, dest));
-                    } else if !self.table[&oid].queue.is_empty() {
-                        self.ready.push_back(oid);
-                    }
                 }
-                if self.ooc.enter_degraded() {
-                    self.stats.degraded_entries += 1;
-                    self.stats.degraded_mode_transitions += 1;
-                    audit_emit!(
-                        self.audit,
-                        RuntimeEvent::Degraded {
-                            node: self.node,
-                            on: true
-                        }
-                    );
-                }
-                self.audit_budget(false);
-                for (oid, dest) in migrations {
-                    self.do_migrate(oid, dest);
-                }
-            }
-            IoDone::StoreFailed {
-                oid,
-                obj,
-                io_dur,
-                pack_dur,
-                retries,
-                faults,
-            } => {
-                self.stats.disk += io_dur;
-                self.stats.comp += pack_dur;
-                self.stats.io_retries += retries as usize;
-                self.stats.faults_injected += faults;
-                self.stats.io_gave_up += 1;
-                // Graceful degradation: reinstate the object in-core (it
-                // was reconstituted from the packed bytes), balance the
-                // eager Unload with a Load, and stop evicting until a
-                // probe finds the backend healthy again.
-                let footprint = obj.footprint();
-                let tick = self.ooc.tick();
-                self.ooc.note_in(footprint);
-                let pending = {
-                    let e = self
-                        .table
-                        .get_mut(&oid)
-                        .expect("tracked object has a table entry");
-                    e.store_inflight = false;
-                    e.stored_version = None;
-                    e.state = TState::InCore(obj);
-                    e.footprint = footprint;
-                    e.meta.touch(tick);
-                    e.pending_migration
-                };
-                self.race_access(oid);
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::Load {
-                        node: self.node,
-                        oid,
-                        footprint
-                    }
-                );
-                if self.ooc.enter_degraded() {
-                    self.stats.degraded_entries += 1;
-                    self.stats.degraded_mode_transitions += 1;
-                    audit_emit!(
-                        self.audit,
-                        RuntimeEvent::Degraded {
-                            node: self.node,
-                            on: true
-                        }
-                    );
-                }
-                self.audit_budget(false);
-                if let Some(dest) = pending {
-                    self.do_migrate(oid, dest);
-                    return;
-                }
-                if !self.table[&oid].queue.is_empty() {
-                    self.ready.push_back(oid);
+                for oid in oids {
+                    self.resume(oid);
                 }
             }
             IoDone::LoadFailed {
@@ -1986,12 +1267,9 @@ impl Worker {
                 retries,
                 faults,
             } => {
-                self.stats.io_retries += retries as usize;
-                self.stats.faults_injected += faults;
-                self.stats.io_gave_up += 1;
-                let packed_len = self.table[&oid].packed_len;
-                self.inflight_load_objs -= 1;
-                self.inflight_load_bytes = self.inflight_load_bytes.saturating_sub(packed_len);
+                self.core.stats.io_retries += retries as usize;
+                self.core.stats.faults_injected += faults;
+                self.core.load_failed(oid);
                 // Unrecoverable: the object exists nowhere else. Record the
                 // typed error and bring the whole computation down.
                 if self.fatal.is_none() {
@@ -2008,24 +1286,14 @@ impl Worker {
                     }
                 }
                 self.done = true;
-                audit_emit!(self.audit, RuntimeEvent::Terminate { node: self.node });
+                audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
             }
             IoDone::Probed { ok, faults } => {
                 self.probe_inflight = false;
-                self.stats.faults_injected += faults;
-                if ok && self.ooc.exit_degraded() {
-                    self.stats.degraded_mode_transitions += 1;
-                    audit_emit!(
-                        self.audit,
-                        RuntimeEvent::Degraded {
-                            node: self.node,
-                            on: false
-                        }
-                    );
-                    // Shed the footprint overshoot accumulated while
-                    // evictions were suspended.
-                    self.enforce_budget();
-                    self.soft_swap();
+                self.core.stats.faults_injected += faults;
+                if ok {
+                    self.core.leave_degraded(NOW);
+                    self.flush_io();
                 }
             }
             IoDone::Loaded {
@@ -2039,71 +1307,18 @@ impl Worker {
                 seg_reads,
                 seg_switches,
             } => {
-                self.stats.disk += io_dur;
-                self.stats.comp += unpack_dur;
-                self.stats.io_retries += retries as usize;
-                self.stats.faults_injected += faults;
-                self.stats.segment_reads += seg_reads as usize;
-                self.stats.segment_switches += seg_switches as usize;
-                self.inflight_load_objs -= 1;
-                self.inflight_load_bytes = self.inflight_load_bytes.saturating_sub(packed_len);
+                self.core.stats.disk += io_dur;
+                self.core.stats.comp += unpack_dur;
+                self.core.stats.io_retries += retries as usize;
+                self.core.stats.faults_injected += faults;
+                self.core.stats.segment_reads += seg_reads as usize;
+                self.core.stats.segment_switches += seg_switches as usize;
                 // Overlap classification: a load that completes while
                 // resident work remains was masked by computation.
                 let miss = self.ready.is_empty();
-                if miss {
-                    self.stats.prefetch_misses += 1;
-                } else {
-                    self.stats.prefetch_hits += 1;
-                }
-                // Read-amplification accounting: the load was *demanded*
-                // if the object has actual work waiting (queued messages,
-                // a pending migration, or a lock); a cluster-prefetched
-                // load that nothing asked for yet counts only in
-                // `bytes_from_disk`, making waste visible.
-                let demanded = {
-                    let e = &self.table[&oid];
-                    !e.queue.is_empty() || e.pending_migration.is_some() || e.locked
-                };
-                if demanded {
-                    self.stats.bytes_demanded += packed_len as u64;
-                }
-                let footprint = obj.footprint();
-                let tick = self.ooc.tick();
-                self.ooc.note_in(footprint);
-                let pending = {
-                    let e = self
-                        .table
-                        .get_mut(&oid)
-                        .expect("tracked object has a table entry");
-                    e.state = TState::InCore(obj);
-                    e.footprint = footprint;
-                    e.meta.touch(tick);
-                    e.pending_migration
-                };
+                self.core.complete_load(oid, obj, packed_len, miss);
                 self.race_access(oid);
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::Load {
-                        node: self.node,
-                        oid,
-                        footprint
-                    }
-                );
-                self.audit_budget(false);
-                // A demanded load that stalled the node is the access
-                // front arriving somewhere look-ahead did not predict —
-                // pull the anchor's cluster mates behind it before the
-                // front stalls on them too.
-                if miss && demanded {
-                    self.cluster_prefetch(oid);
-                }
-                if let Some(dest) = pending {
-                    self.do_migrate(oid, dest);
-                    return;
-                }
-                if !self.table[&oid].queue.is_empty() {
-                    self.ready.push_back(oid);
-                }
+                self.resume(oid);
             }
         }
     }
@@ -2118,8 +1333,8 @@ impl Worker {
                 None => return false,
                 Some(oid) => {
                     let ok = matches!(
-                        self.table.get(&oid),
-                        Some(e) if matches!(e.state, TState::InCore(_)) && !e.queue.is_empty()
+                        self.core.table.get(&oid),
+                        Some(e) if matches!(e.state, State::InCore(_)) && !e.queue.is_empty()
                     );
                     if ok {
                         break oid;
@@ -2127,21 +1342,19 @@ impl Worker {
                 }
             }
         };
-        let (mut obj, msg, old_footprint) = {
-            let e = self
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            let obj = match std::mem::replace(&mut e.state, TState::Loading) {
-                TState::InCore(o) => o,
-                _ => unreachable!(),
-            };
-            let msg = e.queue.pop_front().expect("queue checked non-empty");
-            (obj, msg, e.footprint)
-        };
+        let (mut obj, old_footprint) = self
+            .core
+            .begin_handler(oid)
+            .expect("ready object checked in core");
+        let msg = self
+            .core
+            .entry_mut(oid)
+            .queue
+            .pop_front()
+            .expect("queue checked non-empty");
         self.race_access(oid);
         audit_emit!(
-            self.audit,
+            self.core.audit,
             RuntimeEvent::Deliver {
                 node: self.node,
                 oid
@@ -2155,62 +1368,30 @@ impl Worker {
         let t0 = Instant::now();
         handler(obj.as_mut(), &mut ctx, &msg.payload);
         let dur = t0.elapsed();
-        self.stats.comp += dur;
+        self.core.stats.comp += dur;
         // Handler time with storage ops in flight is measured I/O–compute
         // overlap (the paper's headline quantity).
         if self.outstanding_io > 0 {
-            self.stats.overlapped += dur;
+            self.core.stats.overlapped += dur;
         }
         let effects = std::mem::take(&mut ctx.effects);
         drop(ctx);
         self.next_obj_seq = next_seq;
-        self.stats.handlers_run += 1;
-        self.stats.msgs_local += usize::from(msg.route.is_empty());
-        self.stats.msgs_remote += usize::from(!msg.route.is_empty());
+        self.core.stats.handlers_run += 1;
+        self.core.stats.msgs_local += usize::from(msg.route.is_empty());
+        self.core.stats.msgs_remote += usize::from(!msg.route.is_empty());
 
-        let new_footprint = obj.footprint();
-        let tick = self.ooc.tick();
-        {
-            let e = self
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
-            e.state = TState::InCore(obj);
-            e.meta.touch(tick);
-            e.footprint = new_footprint;
-            // Dirty tracking: the handler may have mutated the object, so
-            // any spilled bytes are stale from here on.
-            e.version += 1;
-        }
-        self.ooc.note_resize(old_footprint, new_footprint);
-        if old_footprint != new_footprint {
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::Resize {
-                    node: self.node,
-                    oid,
-                    old: old_footprint,
-                    new: new_footprint
-                }
-            );
-        }
-        if !self.table[&oid].queue.is_empty() {
+        self.core
+            .finish_handler(oid, obj, old_footprint, &effects, NOW);
+        if !self.core.entry(oid).queue.is_empty() {
             self.ready.push_back(oid);
         }
-
-        // Locality learning: an object-to-object send is exactly the
-        // buffer-zone adjacency (subdomains talk to their mesh neighbors),
-        // so each send contributes an edge to the curve ordering.
-        if self.cfg.locality {
-            for eff in &effects {
-                if let Effect::Send { to, .. } = eff {
-                    self.locality.note_edge(oid, to.id);
-                }
-            }
-        }
         self.apply_effects(effects);
-        self.enforce_budget();
-        self.soft_swap();
+        // Hard budget enforcement (handlers grow objects in place), then
+        // advisory soft-threshold swapping.
+        self.core.enforce_budget(None, NOW);
+        self.core.soft_swap(NOW);
+        self.flush_io();
         true
     }
 
@@ -2224,14 +1405,14 @@ impl Worker {
                     immediate: _,
                 } => {
                     audit_emit!(
-                        self.audit,
+                        self.core.audit,
                         RuntimeEvent::Post {
                             node: self.node,
                             oid: to.id
                         }
                     );
                     let msg = Message::new(to, handler, payload);
-                    if self.entry_present(to.id) {
+                    if self.core.holds(to.id) {
                         self.route_msg(msg);
                     } else {
                         let dest = self.dir_next_hop(to.id);
@@ -2240,43 +1421,24 @@ impl Worker {
                 }
                 Effect::Create { id, obj, priority } => {
                     let footprint = obj.footprint();
-                    self.admit(footprint);
-                    let tick = self.ooc.tick();
-                    self.ooc.note_in(footprint);
-                    self.table.insert(
-                        id,
-                        TEntry {
-                            state: TState::InCore(obj),
-                            queue: VecDeque::new(),
-                            meta: AccessMeta::new(tick),
-                            priority,
-                            locked: false,
-                            footprint,
-                            packed_len: 0,
-                            spill_key: None,
-                            pending_migration: None,
-                            load_queued: false,
-                            prefetch_hint: false,
-                            store_inflight: false,
-                            version: 0,
-                            stored_version: None,
-                        },
-                    );
+                    self.core.admit(footprint, NOW);
+                    self.flush_io();
+                    self.core.insert_resident(id, obj, priority, false, 0, NOW);
                     audit_emit!(
-                        self.audit,
+                        self.core.audit,
                         RuntimeEvent::Create {
                             node: self.node,
                             oid: id,
                             footprint
                         }
                     );
-                    self.audit_budget(true);
+                    self.core.audit_budget(true);
                 }
                 Effect::Lock(p) => self.meta_op(p.id, META_LOCK, 0),
                 Effect::Unlock(p) => self.meta_op(p.id, META_UNLOCK, 0),
                 Effect::SetPriority(p, v) => self.meta_op(p.id, META_PRIO, v),
                 Effect::Migrate(p, dest) => {
-                    if self.entry_present(p.id) {
+                    if self.core.holds(p.id) {
                         self.on_migrate_req(p.id, dest);
                     } else {
                         let owner = self.dir_next_hop(p.id);
@@ -2291,7 +1453,7 @@ impl Worker {
     }
 
     fn meta_op(&mut self, oid: ObjectId, op: u8, arg: u8) {
-        if self.entry_present(oid) {
+        if self.core.holds(oid) {
             self.on_meta(oid, op, arg);
         } else {
             let owner = self.dir_next_hop(oid);
@@ -2304,7 +1466,7 @@ impl Worker {
     }
 
     fn on_meta(&mut self, oid: ObjectId, op: u8, arg: u8) {
-        if !self.entry_present(oid) {
+        if !self.core.holds(oid) {
             let owner = self.dir_next_hop(oid);
             if owner == self.node {
                 return;
@@ -2316,10 +1478,7 @@ impl Worker {
             self.am(owner, AM_META, payload);
             return;
         }
-        let e = self
-            .table
-            .get_mut(&oid)
-            .expect("tracked object has a table entry");
+        let e = self.core.entry_mut(oid);
         match op {
             META_LOCK => e.locked = true,
             META_UNLOCK => e.locked = false,
@@ -2328,14 +1487,14 @@ impl Worker {
         }
         match op {
             META_LOCK => audit_emit!(
-                self.audit,
+                self.core.audit,
                 RuntimeEvent::Pin {
                     node: self.node,
                     oid
                 }
             ),
             META_UNLOCK => audit_emit!(
-                self.audit,
+                self.core.audit,
                 RuntimeEvent::Unpin {
                     node: self.node,
                     oid
@@ -2348,10 +1507,10 @@ impl Worker {
     // ----- migration --------------------------------------------------------
 
     fn on_migrate_req(&mut self, oid: ObjectId, dest: NodeId) {
-        if !self.entry_present(oid) {
-            let next = match self.table.get(&oid) {
-                Some(TEntry {
-                    state: TState::Moved(f),
+        if !self.core.holds(oid) {
+            let next = match self.core.table.get(&oid) {
+                Some(Entry {
+                    state: State::Moved(f),
                     ..
                 }) => *f,
                 _ => self.dir_next_hop(oid),
@@ -2368,34 +1527,24 @@ impl Worker {
         if dest == self.node {
             return;
         }
-        match self.table[&oid].state {
-            TState::InCore(_) => self.do_migrate(oid, dest),
-            TState::OnDisk => {
-                self.table
-                    .get_mut(&oid)
-                    .expect("tracked object has a table entry")
-                    .pending_migration = Some(dest);
-                self.queue_load(oid);
+        match self.core.entry(oid).state {
+            State::InCore(_) => self.do_migrate(oid, dest),
+            State::OnDisk => {
+                self.core.entry_mut(oid).pending_migration = Some(dest);
+                self.core.queue_load(oid);
             }
-            TState::Loading => {
-                self.table
-                    .get_mut(&oid)
-                    .expect("tracked object has a table entry")
-                    .pending_migration = Some(dest);
-            }
-            TState::Moved(_) => unreachable!(),
+            State::Loading => self.core.entry_mut(oid).pending_migration = Some(dest),
+            State::Executing => unreachable!("handlers finish before the next request is served"),
+            State::Moved(_) => unreachable!(),
         }
     }
 
     fn do_migrate(&mut self, oid: ObjectId, dest: NodeId) {
         let (obj, queue, priority, locked, footprint, version) = {
-            let e = self
-                .table
-                .get_mut(&oid)
-                .expect("tracked object has a table entry");
+            let e = self.core.entry_mut(oid);
             e.pending_migration = None;
-            let obj = match std::mem::replace(&mut e.state, TState::Moved(dest)) {
-                TState::InCore(o) => o,
+            let obj = match std::mem::replace(&mut e.state, State::Moved(dest)) {
+                State::InCore(o) => o,
                 other => {
                     e.state = other;
                     return;
@@ -2414,14 +1563,14 @@ impl Worker {
         self.race_access(oid);
         let t0 = Instant::now();
         let packed = Registry::pack(obj.as_ref());
-        self.stats.comp += t0.elapsed();
+        self.core.stats.comp += t0.elapsed();
         drop(obj);
-        self.ooc.note_out(footprint);
-        self.stats.migrations += 1;
+        self.core.ooc.note_out(footprint);
+        self.core.stats.migrations += 1;
         // Emitted before the install message ships so the checker sees the
         // departure strictly before the arrival.
         audit_emit!(
-            self.audit,
+            self.core.audit,
             RuntimeEvent::MigrateOut {
                 node: self.node,
                 oid,
@@ -2448,7 +1597,7 @@ impl Worker {
         self.am(dest, AM_INSTALL, w.finish());
         self.dir.update(oid, dest);
         audit_emit!(
-            self.audit,
+            self.core.audit,
             RuntimeEvent::DirUpdate {
                 node: self.node,
                 oid,
@@ -2477,8 +1626,8 @@ impl Worker {
     /// migrating — plus "actually has work", or the steal is pointless.
     fn steal_grantable(&self, oid: ObjectId) -> bool {
         matches!(
-            self.table.get(&oid),
-            Some(e) if matches!(e.state, TState::InCore(_))
+            self.core.table.get(&oid),
+            Some(e) if matches!(e.state, State::InCore(_))
                 && !e.locked
                 && e.pending_migration.is_none()
                 && !e.queue.is_empty()
@@ -2491,8 +1640,8 @@ impl Worker {
     /// result (replay depends on this being a pure function of state).
     fn steal_candidate(&self) -> Option<ObjectId> {
         let mut best: Option<(usize, ObjectId)> = None;
-        for (&oid, e) in &self.table {
-            let ok = matches!(e.state, TState::InCore(_))
+        for (&oid, e) in &self.core.table {
+            let ok = matches!(e.state, State::InCore(_))
                 && !e.locked
                 && e.pending_migration.is_none()
                 && !e.queue.is_empty();
@@ -2518,7 +1667,7 @@ impl Worker {
     /// divergence and falls back live).
     fn on_steal_req(&mut self, thief: NodeId) {
         audit_emit!(
-            self.audit,
+            self.core.audit,
             RuntimeEvent::StealRequest {
                 node: self.node,
                 thief
@@ -2556,7 +1705,7 @@ impl Worker {
                 // here, so the checker validates the legality of the grant
                 // against the pre-migration state.
                 audit_emit!(
-                    self.audit,
+                    self.core.audit,
                     RuntimeEvent::StealGrant {
                         node: self.node,
                         oid,
@@ -2583,7 +1732,7 @@ impl Worker {
             || self.steal_inflight.is_some()
             || !self.ready.is_empty()
             || self.outstanding_io > 0
-            || !self.pending_loads.is_empty()
+            || self.core.has_pending_loads()
             || (self.deny_streak as usize) >= self.n_nodes - 1
             || self.empty_polls < Self::STEAL_PATIENCE
         {
@@ -2609,7 +1758,7 @@ impl Worker {
         };
         let Some(victim) = victim else { return };
         self.record_decision(Decision::StealRequest { victim });
-        self.stats.steal_requests += 1;
+        self.core.stats.steal_requests += 1;
         self.steal_inflight = Some(victim);
         self.am(victim, AM_STEAL_REQ, self.node.to_le_bytes().to_vec());
     }
@@ -2636,37 +1785,18 @@ impl Worker {
             .registry
             .unpack(packed)
             .expect("install bytes were packed by the sending node from a registered type");
-        self.stats.comp += t0.elapsed();
+        self.core.stats.comp += t0.elapsed();
         let footprint = obj.footprint();
-        self.admit(footprint);
-        let tick = self.ooc.tick();
-        self.ooc.note_in(footprint);
-        self.table.insert(
-            oid,
-            TEntry {
-                state: TState::InCore(obj),
-                queue: VecDeque::new(),
-                meta: AccessMeta::new(tick),
-                priority,
-                locked,
-                footprint,
-                packed_len: packed.len(),
-                spill_key: None,
-                pending_migration: None,
-                load_queued: false,
-                prefetch_hint: false,
-                store_inflight: false,
-                // Installing is a mutation (matches the checker's
-                // `MigrateIn` bump); any bytes spilled on the old node
-                // are unreachable here.
-                version: version + 1,
-                stored_version: None,
-            },
-        );
+        self.core.admit(footprint, NOW);
+        self.flush_io();
+        // Installing is a mutation (matches the checker's `MigrateIn`
+        // bump); any bytes spilled on the old node are unreachable here.
+        self.core
+            .insert_resident(oid, obj, priority, locked, version + 1, NOW);
         self.dir.update(oid, self.node);
         self.race_access(oid);
         audit_emit!(
-            self.audit,
+            self.core.audit,
             RuntimeEvent::MigrateIn {
                 node: self.node,
                 oid,
@@ -2675,18 +1805,18 @@ impl Worker {
             }
         );
         audit_emit!(
-            self.audit,
+            self.core.audit,
             RuntimeEvent::DirUpdate {
                 node: self.node,
                 oid,
                 loc: self.node
             }
         );
-        self.audit_budget(true);
+        self.core.audit_budget(true);
         // An install that lands while a steal request is pending is its
         // answer: count the stolen task and re-arm the thief.
         if self.steal_inflight.take().is_some() {
-            self.stats.tasks_stolen += 1;
+            self.core.stats.tasks_stolen += 1;
             self.deny_streak = 0;
         }
         for m in queue {
@@ -2699,7 +1829,7 @@ impl Worker {
     fn idle(&self) -> bool {
         self.ready.is_empty()
             && self.outstanding_io == 0
-            && self.pending_loads.is_empty()
+            && !self.core.has_pending_loads()
             // A thief awaiting a steal answer is not quiet: the granted
             // install (or the deny) is still in flight toward it.
             && self.steal_inflight.is_none()
@@ -2730,7 +1860,7 @@ impl Worker {
         if self.n_nodes == 1 {
             // Idle with no peers and no in-flight work: done.
             self.done = true;
-            audit_emit!(self.audit, RuntimeEvent::Terminate { node: self.node });
+            audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
             return;
         }
         if self.node == 0 {
@@ -2746,7 +1876,7 @@ impl Worker {
                         self.am(n, AM_EXIT, vec![]);
                     }
                     self.done = true;
-                    audit_emit!(self.audit, RuntimeEvent::Terminate { node: self.node });
+                    audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
                     return;
                 }
                 // Unclean probe: whiten and try again.
@@ -2763,7 +1893,7 @@ impl Worker {
     /// While degraded, keep one health probe of the spill store in the
     /// I/O pool; its completion decides whether to exit degraded mode.
     fn maybe_probe(&mut self) {
-        if self.ooc.is_degraded() && !self.probe_inflight && !self.done {
+        if self.core.ooc.is_degraded() && !self.probe_inflight && !self.done {
             self.probe_inflight = true;
             self.outstanding_io += 1;
             self.io_tx.send(IoReq::Probe).ok();
@@ -2797,7 +1927,8 @@ impl Worker {
             }
             // 4. Issue queued loads under the prefetch window, so the disk
             //    streams while step() executes resident work.
-            self.pump_loads();
+            self.core.pump_loads(!self.ready.is_empty(), NOW);
+            self.flush_io();
             self.maybe_probe();
             // 5. Execute one handler.
             if self.step() {
@@ -2823,7 +1954,7 @@ impl Worker {
             }
             let t_idle = Instant::now();
             let am = self.recv_fabric(true);
-            self.stats.idle += t_idle.elapsed();
+            self.core.stats.idle += t_idle.elapsed();
             match am {
                 Some(am) => {
                     self.empty_polls = 0;
@@ -2833,7 +1964,7 @@ impl Worker {
                     }
                 }
                 None => {
-                    self.stats.idle_ticks += 1;
+                    self.core.stats.idle_ticks += 1;
                     self.empty_polls += 1;
                 }
             }
@@ -2844,13 +1975,14 @@ impl Worker {
                 Some(done) => self.on_io(done),
                 None => break, // pool gone; nothing more will arrive
             }
-            self.pump_loads();
+            self.core.pump_loads(!self.ready.is_empty(), NOW);
+            self.flush_io();
         }
         audit_emit!(
-            self.audit,
+            self.core.audit,
             RuntimeEvent::Shutdown {
                 node: self.node,
-                used: self.ooc.used()
+                used: self.core.ooc.used()
             }
         );
         // Materialize all objects for extraction. Every load is requested
@@ -2858,10 +1990,10 @@ impl Worker {
         // works on them; completions come back in any order.
         let mut out: HashMap<ObjectId, ExtractedObject> = HashMap::new();
         let mut loading: HashMap<ObjectId, (u8, bool)> = HashMap::new();
-        for (oid, e) in self.table.drain() {
+        for (oid, e) in self.core.table.drain() {
             let (priority, locked) = (e.priority, e.locked);
             match e.state {
-                TState::InCore(obj) => {
+                State::InCore(obj) => {
                     out.insert(
                         oid,
                         ExtractedObject {
@@ -2871,7 +2003,7 @@ impl Worker {
                         },
                     );
                 }
-                TState::OnDisk | TState::Loading => {
+                State::OnDisk | State::Loading => {
                     // Loading cannot remain (outstanding_io drained), but
                     // both carry a spill key.
                     let key = e.spill_key.expect("spilled object has a key");
@@ -2879,7 +2011,8 @@ impl Worker {
                         loading.insert(oid, (priority, locked));
                     }
                 }
-                TState::Moved(_) => {}
+                State::Executing => unreachable!("no handler outlives the control loop"),
+                State::Moved(_) => {}
             }
         }
         while !loading.is_empty() {
@@ -2919,17 +2052,12 @@ impl Worker {
         for _ in 0..self.cfg.io_threads {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
-        // Peak footprint comes from the budget manager's own high-water
-        // mark — the single source of truth for in-core accounting.
-        self.stats.peak_mem = self.ooc.peak_used;
-        if self.cfg.locality {
-            self.stats.locality_digest = self.locality.digest();
-        }
+        self.core.seal_stats();
         let decisions = self.finish_replay(true);
         WorkerResult {
             node: self.node,
             objects: out,
-            stats: self.stats,
+            stats: self.core.stats,
             next_seq: self.next_obj_seq,
             fatal: self.fatal,
             decisions,
@@ -2945,7 +2073,7 @@ impl Worker {
             ReplayRole::Record(log) => log,
             ReplayRole::Replay(st) => {
                 if count_residual && !st.live && st.cursor < st.log.len() {
-                    self.stats.replay_divergences += 1;
+                    self.core.stats.replay_divergences += 1;
                 }
                 Vec::new()
             }
@@ -2961,7 +2089,7 @@ impl Worker {
     /// checkpoint subsystem's job (see `crate::checkpoint` and
     /// `tests/chaos.rs`).
     fn run_dead(mut self) -> WorkerResult {
-        audit_emit!(self.audit, RuntimeEvent::Terminate { node: self.node });
+        audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
         // A replaying worker's sequencer may already hold frames or
         // completions pulled off the channels; a crashed node discards
         // them like everything else (including a buffered exit, which
@@ -2994,14 +2122,14 @@ impl Worker {
         for _ in 0..self.cfg.io_threads {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
-        self.stats.peak_mem = self.ooc.peak_used;
+        self.core.stats.peak_mem = self.core.ooc.peak_used;
         // A crash truncates the schedule by design: residual recorded
         // decisions past the kill point are not a divergence.
         let decisions = self.finish_replay(false);
         WorkerResult {
             node: self.node,
             objects: HashMap::new(),
-            stats: self.stats,
+            stats: self.core.stats,
             next_seq: self.next_obj_seq,
             fatal: None,
             decisions,
@@ -3095,89 +2223,17 @@ fn spawn_io_pool(
             .spawn(move || {
                 while let Ok(req) = req_rx.recv() {
                     match req {
-                        IoReq::Store { key, obj, oid } => {
-                            let t0 = Instant::now();
-                            let (mut bytes, pool_hit) = pool.get();
-                            Registry::pack_into(obj.as_ref(), &mut bytes);
-                            let pack_dur = t0.elapsed();
-                            drop(obj);
-                            let packed_len = bytes.len();
-                            let t1 = Instant::now();
-                            let mut retries = 0u32;
-                            let mut faults = 0usize;
-                            let mut reorders = 0usize;
-                            let mut attempt = 0u32;
-                            // Retry with real backoff sleeps (outside the
-                            // store lock). A torn write is repaired by the
-                            // retry overwriting the same key: per-key
-                            // ordering means no load races this store.
-                            let outcome = loop {
-                                attempt += 1;
-                                let (res, fr, cr) = {
-                                    let mut s = store.lock();
-                                    let res = s.store(key, &bytes);
-                                    // Drained unconditionally so the backend's
-                                    // report buffers never accumulate.
-                                    (res, s.take_fault_reports(), s.take_compaction_reports())
-                                };
-                                faults += fr.len();
-                                reorders += count_reorders(&cr);
-                                emit_faults(node, &fr, &audit);
-                                emit_compactions(node, &cr, &audit);
-                                match res {
-                                    Ok(()) => break Ok(()),
-                                    Err(e) => {
-                                        if attempt >= retry.max_attempts || is_out_of_space(&e) {
-                                            break Err(e);
-                                        }
-                                        retries += 1;
-                                        emit_retry(node, oid, attempt, &audit);
-                                        std::thread::sleep(retry.delay(attempt, key));
-                                    }
-                                }
-                            };
-                            let io_dur = t1.elapsed();
-                            let done = match outcome {
-                                Ok(()) => {
-                                    let done = IoDone::Stored {
-                                        oid,
-                                        packed_len,
-                                        io_dur,
-                                        pack_dur,
-                                        retries,
-                                        faults,
-                                        pool_hit,
-                                        reorders,
-                                    };
-                                    pool.put(bytes);
-                                    done
-                                }
-                                Err(_) => IoDone::StoreFailed {
-                                    // The store rejected it: rebuild the
-                                    // object from the packed bytes so the
-                                    // control thread can reinstate it.
-                                    oid,
-                                    obj: registry
-                                        .unpack(&bytes)
-                                        .expect("store holds pack output of registered types"),
-                                    io_dur,
-                                    pack_dur,
-                                    retries,
-                                    faults,
-                                },
-                            };
-                            done_tx.send(done).ok();
-                        }
                         IoReq::StoreBatch { items } => {
                             // Pack every object into a pooled buffer, then
                             // land the whole batch through one
                             // `store_batch` call under one lock hold: a
-                            // single coalesced append on the segment log.
+                            // single coalesced append on the segment log
+                            // (an eviction of one object is a batch of one).
                             let t0 = Instant::now();
                             let mut pool_hits = 0usize;
                             let mut packed: Vec<(u64, Vec<u8>, ObjectId)> =
                                 Vec::with_capacity(items.len());
-                            for (key, obj, oid) in items {
+                            for (key, oid, obj) in items {
                                 let (mut buf, hit) = pool.get();
                                 pool_hits += usize::from(hit);
                                 Registry::pack_into(obj.as_ref(), &mut buf);
@@ -3191,6 +2247,10 @@ fn spawn_io_pool(
                             let mut faults = 0usize;
                             let mut reorders = 0usize;
                             let mut attempt = 0u32;
+                            // Retry with real backoff sleeps (outside the
+                            // store lock). A torn write is repaired by the
+                            // retry overwriting the same keys: per-key
+                            // ordering means no load races these stores.
                             let outcome = loop {
                                 attempt += 1;
                                 let pairs: Vec<(u64, &[u8])> =
@@ -3198,6 +2258,8 @@ fn spawn_io_pool(
                                 let (res, fr, cr) = {
                                     let mut s = store.lock();
                                     let res = s.store_batch(&pairs);
+                                    // Drained unconditionally so the backend's
+                                    // report buffers never accumulate.
                                     (res, s.take_fault_reports(), s.take_compaction_reports())
                                 };
                                 faults += fr.len();
@@ -3235,6 +2297,9 @@ fn spawn_io_pool(
                                     }
                                 }
                                 Err(_) => IoDone::StoreBatchFailed {
+                                    // The store rejected the batch: rebuild
+                                    // the objects from the packed bytes so
+                                    // the control thread can reinstate them.
                                     items: packed
                                         .iter()
                                         .map(|(_, b, oid)| {
@@ -3643,35 +2708,26 @@ impl ThreadedRuntime {
                     ExecutorKind::Fifo => Box::new(FifoPool::new(self.cfg.cores_per_node)),
                 }
             };
+            #[allow(unused_mut)] // mutated only when auditing is compiled in
+            let mut core = NodeCore::new(i as NodeId, &self.cfg);
+            #[cfg(any(feature = "audit", debug_assertions))]
+            {
+                core.audit = self.audit.clone();
+            }
             workers.push(Worker {
                 node: i as NodeId,
                 n_nodes: n,
                 cfg: self.cfg.clone(),
                 registry: registry.clone(),
                 ep,
-                table: HashMap::new(),
-                ooc: OocManager::new(
-                    self.cfg.mem_budget,
-                    self.cfg.hard_threshold_mult,
-                    self.cfg.soft_threshold_frac,
-                    self.cfg.policy,
-                ),
+                core,
                 dir: Directory::new(),
                 ready: VecDeque::new(),
                 io_tx,
                 io_rx,
                 outstanding_io: 0,
-                pending_loads: VecDeque::new(),
-                inflight_load_objs: 0,
-                inflight_load_bytes: 0,
-                locality: LocalityMap::new(CLUSTER_OBJECTS),
-                ranks_gen: 0,
-                ranks_keys: 0,
-                last_anchor_key: 0,
                 backend,
-                stats: NodeStats::default(),
                 next_obj_seq: 0,
-                next_spill_key: 0,
                 safra: Safra::new(),
                 done: false,
                 net: self.cfg.net_fault.map(|plan| NetLayer {
@@ -3704,8 +2760,6 @@ impl ThreadedRuntime {
                 empty_polls: 0,
                 deny_streak: 0,
                 #[cfg(any(feature = "audit", debug_assertions))]
-                audit: self.audit.clone(),
-                #[cfg(any(feature = "audit", debug_assertions))]
                 race: self.race.clone(),
             });
         }
@@ -3721,52 +2775,31 @@ impl ThreadedRuntime {
                     locked,
                 } => {
                     let w = &mut workers[node as usize];
-                    let footprint = obj.footprint();
-                    let tick = w.ooc.tick();
-                    w.ooc.note_in(footprint);
                     w.next_obj_seq = w.next_obj_seq.max(id.seq() + 1);
-                    w.table.insert(
-                        id,
-                        TEntry {
-                            state: TState::InCore(obj),
-                            queue: VecDeque::new(),
-                            meta: AccessMeta::new(tick),
-                            priority,
-                            locked,
-                            footprint,
-                            packed_len: 0,
-                            spill_key: None,
-                            pending_migration: None,
-                            load_queued: false,
-                            prefetch_hint: false,
-                            store_inflight: false,
-                            version: 0,
-                            stored_version: None,
-                        },
-                    );
+                    w.core.insert_resident(id, obj, priority, locked, 0, NOW);
                     if locked {
-                        audit_emit!(w.audit, RuntimeEvent::Pin { node, oid: id });
+                        audit_emit!(w.core.audit, RuntimeEvent::Pin { node, oid: id });
                     }
                     audit_emit!(
-                        w.audit,
+                        w.core.audit,
                         RuntimeEvent::Create {
                             node,
                             oid: id,
-                            footprint
+                            footprint: w.core.entry(id).footprint
                         }
                     );
                     // Bootstrap creation bypasses admission (threads are not
                     // running yet), so the budget may legitimately overshoot.
-                    w.audit_budget(false);
+                    w.core.audit_budget(false);
                 }
                 BootAction::Lock(p) => {
                     // Modulo: after a restore onto fewer nodes, homes wrap
                     // (matches `Worker::home_of` and the restore placement).
                     let h = p.id.home() as usize % n;
                     let w = &mut workers[h];
-                    w.table.get_mut(&p.id).expect("boot lock target").locked = true;
+                    w.core.entry_mut(p.id).locked = true;
                     audit_emit!(
-                        w.audit,
+                        w.core.audit,
                         RuntimeEvent::Pin {
                             node: h as NodeId,
                             oid: p.id
@@ -3776,7 +2809,7 @@ impl ThreadedRuntime {
                 BootAction::Post(to, handler, payload) => {
                     let w = &mut workers[to.id.home() as usize % n];
                     audit_emit!(
-                        w.audit,
+                        w.core.audit,
                         RuntimeEvent::Post {
                             node: w.node,
                             oid: to.id

@@ -15,6 +15,12 @@ pub enum FileRole {
     ThreadedEngine,
     /// Declares the DES event enum and its dispatch arms.
     DesEngine,
+    /// The out-of-core state machine both engines drive (`node.rs`). The
+    /// engines call into it for every residency transition, and the audit
+    /// events of those transitions are emitted there — so its functions
+    /// join each engine's call graph when the protocol checker follows a
+    /// dispatch arm to an audit emission.
+    NodeCore,
     /// Declares the record/replay `Decision` enum; every variant must be
     /// constructed on the record path and matched on the replay path of
     /// the threaded engine.
@@ -139,6 +145,7 @@ impl Workspace {
             let roles = match name {
                 "threaded.rs" => vec![ThreadedEngine, LockScan, UnwrapScan, CounterScan],
                 "des.rs" => vec![DesEngine, UnwrapScan, CounterScan],
+                "node.rs" => vec![NodeCore, UnwrapScan, CounterScan],
                 "replay.rs" => vec![Replay, UnwrapScan, CounterScan],
                 "stats.rs" => vec![Stats, UnwrapScan],
                 "service.rs" => vec![Service, UnwrapScan, CounterScan],
@@ -205,6 +212,23 @@ pub fn walk_fns<'a>(
 /// Whether an attribute set marks test-only code.
 pub fn attrs_are_test(attrs: &[String]) -> bool {
     attrs.iter().any(|a| a.contains("test"))
+}
+
+/// The call graph the protocol checker walks from a dispatch arm of
+/// `engine`: the engine file's own functions, plus those of every
+/// [`FileRole::NodeCore`] file (an engine function shadows a core
+/// function of the same name).
+pub fn engine_call_graph<'a>(
+    ws: &'a Workspace,
+    engine: &'a SourceFile,
+) -> std::collections::HashMap<&'a str, &'a syn::ItemFn> {
+    let mut fns = fn_map(&engine.ast);
+    for core in ws.files_with(FileRole::NodeCore) {
+        for (name, fun) in fn_map(&core.ast) {
+            fns.entry(name).or_insert(fun);
+        }
+    }
+    fns
 }
 
 /// All functions of a file keyed by name (first definition wins), for

@@ -6,7 +6,8 @@
 //!   silently drift apart.
 //! * Every dispatch arm must reach an audit-event emission
 //!   (`audit_emit!` / `RuntimeEvent`), directly or through functions it
-//!   calls, unless the tag is on the no-audit exempt list.
+//!   calls — in the engine file or in the node core both engines drive —
+//!   unless the tag is on the no-audit exempt list.
 //! * Every integer `NodeStats` counter that is incremented anywhere in
 //!   the runtime must surface in the gate summary (`RunStats::summary`
 //!   or a helper it calls).
@@ -18,7 +19,7 @@
 //!   transition and matched by the supervisor, and every incremented
 //!   `ServiceStats` counter must surface in `ServiceStats::summary`.
 
-use crate::model::{fn_map, FileRole, Workspace};
+use crate::model::{engine_call_graph, fn_map, FileRole, Workspace};
 use crate::{Check, Violation};
 use std::collections::{HashMap, HashSet};
 use syn::{Item, Token};
@@ -91,8 +92,8 @@ fn check_tags_and_variants(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
         let mut dispatched = false;
         let mut audited = false;
         for f in ws.files_with(FileRole::ThreadedEngine) {
-            let fns = fn_map(&f.ast);
-            for fun in fns.values() {
+            let reach = engine_call_graph(ws, f);
+            for fun in fn_map(&f.ast).values() {
                 for (i, t) in fun.body.iter().enumerate() {
                     if t.text != *tag {
                         continue;
@@ -106,7 +107,7 @@ fn check_tags_and_variants(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
                     }
                     dispatched = true;
                     if let Some(arm) = arm_tokens(&fun.body, i) {
-                        if arm_reaches_audit(arm, &fns, CALL_DEPTH, &mut HashSet::new()) {
+                        if arm_reaches_audit(arm, &reach, CALL_DEPTH, &mut HashSet::new()) {
                             audited = true;
                         }
                     }
@@ -137,8 +138,8 @@ fn check_tags_and_variants(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
         let mut dispatched = false;
         let mut audited = false;
         for f in ws.files_with(FileRole::DesEngine) {
-            let fns = fn_map(&f.ast);
-            for fun in fns.values() {
+            let reach = engine_call_graph(ws, f);
+            for fun in fn_map(&f.ast).values() {
                 for (i, t) in fun.body.iter().enumerate() {
                     // Look for `EvKind :: Variant [payload-pattern] =>`.
                     if t.text != *variant
@@ -160,7 +161,7 @@ fn check_tags_and_variants(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
                     }
                     dispatched = true;
                     if let Some(arm) = arm_tokens(&fun.body, j - 1) {
-                        if arm_reaches_audit(arm, &fns, CALL_DEPTH, &mut HashSet::new()) {
+                        if arm_reaches_audit(arm, &reach, CALL_DEPTH, &mut HashSet::new()) {
                             audited = true;
                         }
                     }
@@ -302,7 +303,7 @@ fn tokens_have_audit(toks: &[Token]) -> bool {
 }
 
 /// Does this arm emit an audit event, directly or via functions it
-/// calls (same file, up to `depth` levels)?
+/// calls (the engine's call graph, up to `depth` levels)?
 fn arm_reaches_audit<'a>(
     toks: &'a [Token],
     fns: &HashMap<&str, &'a syn::ItemFn>,

@@ -285,6 +285,65 @@ fn dispatch(tag: u32, st: &mut NodeStats) {
     );
 }
 
+/// The engines emit the audit events of residency transitions from the
+/// node core they both drive: an arm whose only emission sits in a
+/// `NodeCore`-role file must count as audited — and must be flagged again
+/// when the core stops emitting.
+#[test]
+fn audit_reached_only_through_the_node_core_counts_and_its_loss_is_flagged() {
+    const DES_VIA_CORE: &str = r#"
+pub enum EvKind {
+    Ping(u32),
+}
+
+fn on_ping(core: &mut NodeCore, n: u32) {
+    core.complete_ping(n);
+}
+
+fn step(core: &mut NodeCore, ev: EvKind) {
+    match ev {
+        EvKind::Ping(n) => on_ping(core, n),
+    }
+}
+"#;
+    const CORE_AUDITS: &str = r#"
+fn audit_emit(kind: u32) {
+    let _ = kind;
+}
+
+impl NodeCore {
+    fn complete_ping(&mut self, n: u32) {
+        audit_emit(n);
+    }
+}
+"#;
+    const CORE_SILENT: &str = r#"
+impl NodeCore {
+    fn complete_ping(&mut self, n: u32) {
+        let _ = n;
+    }
+}
+"#;
+    let tree = |core_src: &'static str| {
+        let mut files = clean_files();
+        files
+            .iter_mut()
+            .find(|(n, _, _)| *n == "fix/des.rs")
+            .expect("fixture slot exists")
+            .1 = DES_VIA_CORE;
+        files.push(("fix/node.rs", core_src, &[FileRole::NodeCore][..]));
+        ws_with(&files)
+    };
+    let (report, m) = msgs(&tree(CORE_AUDITS));
+    assert!(report.pass(), "emission in the node core must count: {m:?}");
+    let (_, m) = msgs(&tree(CORE_SILENT));
+    assert!(
+        m.iter()
+            .any(|v| v.contains("no dispatch arm for EvKind::Ping reaches an audit emission")),
+        "silent node core not flagged: {m:?}"
+    );
+}
+
 #[test]
 fn incremented_but_unreported_counter_is_flagged() {
     // `pings` is still incremented by the threaded fixture, but the

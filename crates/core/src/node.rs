@@ -948,3 +948,277 @@ impl NodeCore {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! The sans-I/O shape lets the residency rules be tested with no
+    //! threads and no store: drive a `NodeCore`, read the command buffer.
+
+    use super::*;
+    use crate::ids::{HandlerId, MobilePtr, TypeTag};
+    use std::any::Any;
+
+    struct Blob(usize);
+
+    impl MobileObject for Blob {
+        fn type_tag(&self) -> TypeTag {
+            TypeTag(1)
+        }
+        fn encode(&self, _buf: &mut Vec<u8>) {}
+        fn footprint(&self) -> usize {
+            self.0
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    const T0: Duration = Duration::ZERO;
+
+    fn oid(seq: u64) -> ObjectId {
+        ObjectId::new(0, seq)
+    }
+
+    fn core(budget: usize) -> NodeCore {
+        NodeCore::new(0, &MrtsConfig::out_of_core(1, budget))
+    }
+
+    fn resident(c: &mut NodeCore, seq: u64, footprint: usize) -> ObjectId {
+        c.insert_resident(oid(seq), Box::new(Blob(footprint)), 128, false, 0, T0);
+        oid(seq)
+    }
+
+    /// An object already on disk, clean, whose image is `packed_len` bytes.
+    fn on_disk(c: &mut NodeCore, seq: u64, footprint: usize, packed_len: usize) -> ObjectId {
+        let id = resident(c, seq, footprint);
+        c.ooc.note_out(footprint);
+        let e = c.entry_mut(id);
+        e.state = State::OnDisk;
+        e.spill_key = Some(1000 + seq);
+        e.stored_version = Some(e.version);
+        e.packed_len = packed_len;
+        id
+    }
+
+    fn post(c: &mut NodeCore, id: ObjectId) {
+        c.entry_mut(id)
+            .queue
+            .push_back(Message::new(MobilePtr::new(id), HandlerId(1), Vec::new()));
+    }
+
+    /// What cluster prefetch does to a mate: queue it with a hint.
+    fn hint(c: &mut NodeCore, id: ObjectId) {
+        let e = c.entry_mut(id);
+        e.load_queued = true;
+        e.prefetch_hint = true;
+        c.pending_loads.push_back(id);
+    }
+
+    fn loads(c: &NodeCore) -> Vec<ObjectId> {
+        c.cmds
+            .iter()
+            .filter_map(|cmd| match cmd {
+                IoCmd::Load { oid, .. } => Some(*oid),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn stores(c: &NodeCore) -> Vec<Vec<ObjectId>> {
+        c.cmds
+            .iter()
+            .filter_map(|cmd| match cmd {
+                IoCmd::Store(items) => Some(items.iter().map(|(_, oid, _)| *oid).collect()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A node whose only resident object has queued work (so nothing is
+    /// idle-evictable and every look-ahead load is paced) plus one hinted
+    /// on-disk object that does not fit beside it.
+    fn paced_hint() -> (NodeCore, ObjectId) {
+        let mut c = core(1000);
+        let r = resident(&mut c, 1, 600);
+        post(&mut c, r);
+        let h = on_disk(&mut c, 2, 600, 100);
+        hint(&mut c, h);
+        (c, h)
+    }
+
+    #[test]
+    fn hinted_load_with_a_queued_message_issues_as_demand_on_an_idle_node() {
+        let (mut c, h) = paced_hint();
+        post(&mut c, h);
+        c.pump_loads(false, T0);
+        assert_eq!(
+            loads(&c),
+            vec![h],
+            "a demanded load must not wait on pacing"
+        );
+        assert!(!c.has_pending_loads());
+        assert_eq!(c.stats.prefetch_issued, 0, "classified as demand");
+        assert_eq!(c.stats.cluster_prefetches, 1, "still counted as a hint hit");
+        assert_eq!(c.stats.prefetch_cancels, 0);
+        // Load admission never displaces the queued resident object: the
+        // budget is overshot instead.
+        assert!(stores(&c).is_empty());
+        assert!(c.entry(oid(1)).is_in_core());
+    }
+
+    /// The PR 15 termination wedge: a hint-only entry that cannot issue
+    /// must leave the queue, or the node never reports idle. Fails under
+    /// `look_ahead = busy || hinted` with park-instead-of-cancel.
+    #[test]
+    fn hint_only_load_that_is_paced_or_shed_is_cancelled_not_parked() {
+        let (mut c, h) = paced_hint();
+        c.pump_loads(false, T0);
+        assert!(!c.has_pending_loads(), "a parked hint wedges termination");
+        assert_eq!(c.stats.prefetch_cancels, 1);
+        assert!(c.cmds.is_empty());
+        assert!(matches!(c.entry(h).state, State::OnDisk));
+        assert!(!c.entry(h).load_queued && !c.entry(h).prefetch_hint);
+
+        // Same under disk pressure, with room to spare.
+        let mut c = core(10_000);
+        let h = on_disk(&mut c, 1, 600, 100);
+        hint(&mut c, h);
+        assert!(c.ooc.enter_degraded());
+        c.pump_loads(false, T0);
+        assert!(!c.has_pending_loads());
+        assert_eq!(c.stats.prefetch_cancels, 1);
+        assert!(c.cmds.is_empty());
+    }
+
+    #[test]
+    fn look_ahead_obeys_both_windows_and_demand_only_the_object_window() {
+        let mb = 1 << 20;
+        let queue_six = |packed_len: usize| {
+            let mut c = core(usize::MAX / 4);
+            for seq in 0..6 {
+                let id = on_disk(&mut c, seq, 64, packed_len);
+                post(&mut c, id);
+                c.queue_load(id);
+            }
+            c
+        };
+        // Small images: the object window binds, busy or not.
+        for busy in [true, false] {
+            let mut c = queue_six(1024);
+            c.pump_loads(busy, T0);
+            assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS);
+            c.pump_loads(busy, T0);
+            assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS, "window is full");
+        }
+        // 1.5 MB images: look-ahead stops at the byte window (3.0 + 1.5 >
+        // 4 MB), demand loads fill the object window regardless.
+        let mut c = queue_six(3 * mb / 2);
+        c.pump_loads(true, T0);
+        assert_eq!(loads(&c).len(), 2);
+        assert!(c.inflight_load_bytes <= PREFETCH_WINDOW_BYTES);
+        assert_eq!(c.stats.prefetch_issued, 2);
+        let mut c = queue_six(3 * mb / 2);
+        c.pump_loads(false, T0);
+        assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS);
+        assert_eq!(c.stats.prefetch_issued, 0);
+        // A completion frees a slot.
+        let first = loads(&c)[0];
+        c.complete_load(first, Box::new(Blob(64)), 3 * mb / 2, true);
+        c.pump_loads(false, T0);
+        assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS + 1);
+    }
+
+    #[test]
+    fn load_admission_spares_queued_objects_and_enforcement_spares_the_excepted_one() {
+        let mut c = core(1000);
+        let (a, b, idle) = (
+            resident(&mut c, 1, 300),
+            resident(&mut c, 2, 300),
+            resident(&mut c, 3, 300),
+        );
+        post(&mut c, a);
+        post(&mut c, b);
+        // 900 used + 600 incoming: 500 over, but only `idle` may go.
+        c.admit_for_load(600, T0);
+        assert_eq!(stores(&c), vec![vec![idle]]);
+        assert!(c.entry(a).is_in_core() && c.entry(b).is_in_core());
+
+        // Over budget by growth; `a` is the only candidate left besides
+        // `b`, and it is excepted.
+        let mut c = core(500);
+        let (a, b) = (resident(&mut c, 1, 300), resident(&mut c, 2, 300));
+        c.enforce_budget(Some(a), T0);
+        assert_eq!(stores(&c), vec![vec![b]]);
+        assert!(c.entry(a).is_in_core());
+        c.enforce_budget(Some(a), T0);
+        assert_eq!(stores(&c).len(), 1, "nothing else may be evicted");
+        assert!(c.entry(a).is_in_core());
+    }
+
+    #[test]
+    fn eviction_elides_the_clean_and_batches_the_dirty_into_one_store() {
+        let mut c = core(1000);
+        let (a, b) = (resident(&mut c, 1, 300), resident(&mut c, 2, 300));
+        // `clean` went out and came back untouched: its image is current.
+        let clean = on_disk(&mut c, 3, 300, 77);
+        post(&mut c, clean);
+        c.queue_load(clean);
+        c.pump_loads(false, T0);
+        c.complete_load(clean, Box::new(Blob(300)), 77, true);
+        c.entry_mut(clean).queue.clear();
+        c.cmds.clear();
+
+        c.admit(1000, T0);
+        assert_eq!(stores(&c).len(), 1, "one batched store");
+        let mut batch = stores(&c).remove(0);
+        batch.sort();
+        assert_eq!(batch, vec![a, b], "only the dirty victims are written");
+        assert!(c
+            .cmds
+            .iter()
+            .any(|cmd| matches!(cmd, IoCmd::Elided(id) if *id == clean)));
+        assert_eq!(c.stats.evictions, 3);
+        assert_eq!(c.stats.evictions_elided, 1);
+        assert_eq!(c.stats.bytes_write_avoided, 77);
+        assert_eq!(c.stats.stores, 2);
+        assert_eq!(c.stats.spill_batches, 1);
+        assert_eq!(c.ooc.used(), 0);
+    }
+
+    #[test]
+    fn failed_store_reinstates_marks_dirty_and_enters_degraded_once() {
+        let mut c = core(500);
+        let (a, b) = (resident(&mut c, 1, 300), resident(&mut c, 2, 300));
+        c.admit(500, T0);
+        let Some(IoCmd::Store(items)) = c.cmds.pop() else {
+            panic!("expected one store")
+        };
+        assert_eq!(items.len(), 2);
+        assert_eq!(c.ooc.used(), 0);
+        for (_, id, obj) in items {
+            c.store_failed(id, obj);
+        }
+        for id in [a, b] {
+            let e = c.entry(id);
+            assert!(e.is_in_core());
+            assert_eq!(e.stored_version, None, "a torn image is never trusted");
+            assert!(!e.is_clean() && !e.store_inflight);
+        }
+        assert_eq!(c.ooc.used(), 600);
+        assert!(c.ooc.is_degraded());
+        assert_eq!(c.stats.degraded_entries, 1);
+        assert_eq!(c.stats.degraded_mode_transitions, 1);
+        // Degraded: admission stops demanding evictions.
+        c.admit(500, T0);
+        c.enforce_budget(None, T0);
+        assert!(c.cmds.is_empty());
+        // A healthy probe sheds the overshoot again.
+        c.leave_degraded(T0);
+        assert_eq!(c.stats.degraded_mode_transitions, 2);
+        assert!(!stores(&c).is_empty());
+        assert!(c.ooc.used() <= 500);
+    }
+}

@@ -60,6 +60,11 @@ struct NodeState {
     /// Earliest-free time per virtual disk channel (`io_threads` of them —
     /// the modeled I/O parallelism of the storage pipeline).
     disk_free: Vec<Duration>,
+    /// Per spilled object, the virtual time at which its on-disk bytes
+    /// become valid (the end of its store). Disk-model state: set by
+    /// [`DesRuntime::exec_store`], consumed by the reload, which must not
+    /// start earlier.
+    disk_ready_at: HashMap<ObjectId, Duration>,
     next_obj_seq: u64,
     /// Reusable pack buffer for spills (the virtual-time analogue of the
     /// threaded engine's I/O-pool buffer pool).
@@ -179,6 +184,7 @@ impl DesRuntime {
                 },
                 core_free: vec![Duration::ZERO; cfg.cores_per_node],
                 disk_free: vec![Duration::ZERO; cfg.io_threads],
+                disk_ready_at: HashMap::new(),
                 next_obj_seq: 0,
                 pack_buf: Vec::new(),
             })
@@ -752,8 +758,8 @@ impl DesRuntime {
         let mut cmds = std::mem::take(&mut self.nodes[node as usize].core.cmds);
         for cmd in cmds.drain(..) {
             match cmd {
-                // Nothing to model: no bytes move, and `disk_ready_at`
-                // stays at the (past) completion of the original store.
+                // Nothing to model: no bytes move, and the stored copy
+                // became valid before the load that brought the object in.
                 IoCmd::Elided(_) => {}
                 IoCmd::SetRanks(ranks) => self.nodes[node as usize].store.set_key_ranks(&ranks),
                 IoCmd::Store(items) => {
@@ -768,9 +774,9 @@ impl DesRuntime {
                 } => {
                     // The bytes are read (and faults injected) when the
                     // load completes; see `on_loaded`.
-                    let ready = self.nodes[node as usize].core.entry(oid).disk_ready_at;
+                    let ready = self.nodes[node as usize].disk_ready_at.remove(&oid);
                     let dur = self.cfg.disk.op_time(packed_len);
-                    let end = self.occupy_disk(node, at.max(ready), dur);
+                    let end = self.occupy_disk(node, at.max(ready.unwrap_or_default()), dur);
                     self.push_event(end, node, EvKind::Loaded(oid));
                 }
             }
@@ -871,11 +877,11 @@ impl DesRuntime {
             op + penalty
         };
         let end = self.occupy_disk(node, at, dur);
-        let core = &mut self.nodes[node as usize].core;
-        core.stats.buffer_pool_hits += usize::from(pool_hit);
+        let n = &mut self.nodes[node as usize];
+        n.core.stats.buffer_pool_hits += usize::from(pool_hit);
         // A reload of this object must start after its bytes are valid.
-        core.entry_mut(oid).disk_ready_at = end;
-        core.store_landed(oid, packed_len);
+        n.disk_ready_at.insert(oid, end);
+        n.core.store_landed(oid, packed_len);
     }
 
     fn on_loaded(&mut self, node: NodeId, oid: ObjectId) {
@@ -1043,8 +1049,7 @@ impl DesRuntime {
                 } => {
                     audit_emit!(self.audit, RuntimeEvent::Post { node, oid: to.id });
                     let msg = Message::new(to, handler, payload);
-                    let local = self.nodes[node as usize].core.holds(to.id);
-                    if local {
+                    if self.nodes[node as usize].core.holds(to.id) {
                         self.push_event(at, node, EvKind::Msg(msg));
                     } else {
                         // Route like any misdirected message: the sender
@@ -1079,8 +1084,7 @@ impl DesRuntime {
                 }
                 Effect::Migrate(p, dest) => {
                     let oid = p.id;
-                    let local = self.nodes[node as usize].core.holds(oid);
-                    if local {
+                    if self.nodes[node as usize].core.holds(oid) {
                         self.push_event(at, node, EvKind::MigrateReq(oid, dest));
                     } else {
                         let owner = {
@@ -1099,8 +1103,7 @@ impl DesRuntime {
     }
 
     fn route_meta(&mut self, node: NodeId, at: Duration, oid: ObjectId, op: MetaOp) {
-        let local = self.nodes[node as usize].core.holds(oid);
-        if local {
+        if self.nodes[node as usize].core.holds(oid) {
             self.push_event(at, node, EvKind::Meta(oid, op));
         } else {
             let owner = {
@@ -1116,8 +1119,7 @@ impl DesRuntime {
     }
 
     fn on_meta(&mut self, node: NodeId, oid: ObjectId, op: MetaOp) {
-        let present = self.nodes[node as usize].core.holds(oid);
-        if !present {
+        if !self.nodes[node as usize].core.holds(oid) {
             let owner = {
                 let d = self.nodes[node as usize].dir.lookup(oid);
                 if d == node {

@@ -9,7 +9,10 @@
 //! directory and migration, and a **computing layer** wrapping two
 //! task-parallel backends (work-stealing / global FIFO).
 //!
-//! The runtime executes in either of two modes sharing one semantics:
+//! The runtime executes in either of two modes sharing one semantics —
+//! and one out-of-core layer: the private `node` module's `NodeCore`
+//! decides what to evict, elide, spill, load and prefetch, performs no
+//! I/O itself, and is driven by both engines:
 //!
 //! * [`des::DesRuntime`] — deterministic **virtual-time** execution: the
 //!   application really runs (single host thread), while node parallelism,

@@ -19,8 +19,8 @@
 //! I/O it wants done to [`NodeCore::cmds`] as [`IoCmd`]s, in the order
 //! they must be performed. An engine is a **driver**: it drains the
 //! command buffer into its own notion of a disk — an I/O thread pool, or
-//! virtual disk channels — and feeds completions back through
-//! [`NodeCore::complete_load`], [`NodeCore::store_landed`] and
+//! virtual disks charged in virtual time — and feeds completions back
+//! through [`NodeCore::complete_load`], [`NodeCore::store_landed`] and
 //! [`NodeCore::store_failed`]. Statistics and audit events for these
 //! transitions are recorded here, so the two engines cannot count or
 //! report them differently.
@@ -87,9 +87,6 @@ pub(crate) struct Entry {
     /// Time at which this object's previous handler finishes; it cannot
     /// be evicted before.
     pub(crate) obj_free_at: Duration,
-    /// Time at which the on-disk bytes become valid (kept by drivers that
-    /// model disk time; the core never reads it).
-    pub(crate) disk_ready_at: Duration,
 }
 
 impl Entry {
@@ -121,7 +118,7 @@ pub(crate) enum IoCmd {
         packed_len: usize,
     },
     /// Install the locality-curve rank per spill key in the store
-    /// (fire-and-forget; see `StorageBackend::set_key_ranks`).
+    /// (fire-and-forget; the store's `set_key_ranks`).
     SetRanks(Vec<(u64, u64)>),
     /// No I/O: the resident copy of a clean object was dropped. Drivers
     /// that track residency outside the table (a run queue, a race
@@ -143,7 +140,7 @@ pub(crate) struct NodeCore {
     /// from handler sends, consumed by eviction, cluster prefetch, and
     /// rank shipping to the spill store. A pure function of the edge set,
     /// so both engines agree on it.
-    pub(crate) locality: LocalityMap,
+    locality: LocalityMap,
     /// Ordering generation last shipped to the store via
     /// [`IoCmd::SetRanks`], plus the `next_spill_key` watermark at that
     /// shipment (spill keys are assigned monotonically, so the watermark
@@ -256,7 +253,6 @@ impl NodeCore {
                 version,
                 stored_version: None,
                 obj_free_at: now,
-                disk_ready_at: Duration::ZERO,
             },
         )
     }

@@ -2122,7 +2122,7 @@ impl Worker {
         for _ in 0..self.cfg.io_threads {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
-        self.core.stats.peak_mem = self.core.ooc.peak_used;
+        self.core.seal_stats();
         // A crash truncates the schedule by design: residual recorded
         // decisions past the kill point are not a divergence.
         let decisions = self.finish_replay(false);

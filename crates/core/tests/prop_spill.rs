@@ -380,13 +380,23 @@ const CASE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Run `f` on its own thread; `None` if it has not finished in
 /// [`CASE_DEADLINE`] (the stuck thread is abandoned — the failing test
-/// ends the process).
+/// ends the process). A runner that panics — an audit violation, a
+/// runtime `expect` — is not a wedge: its panic is re-raised here so the
+/// case fails with that message, not with "did not terminate".
 fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+    use std::sync::mpsc::RecvTimeoutError;
     let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
+    let runner = std::thread::spawn(move || {
         let _ = tx.send(f());
     });
-    rx.recv_timeout(CASE_DEADLINE).ok()
+    match rx.recv_timeout(CASE_DEADLINE) {
+        Ok(v) => Some(v),
+        Err(RecvTimeoutError::Timeout) => None,
+        Err(RecvTimeoutError::Disconnected) => match runner.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("runner dropped its sender without sending or panicking"),
+        },
+    }
 }
 
 proptest! {
@@ -528,4 +538,12 @@ fn thrash_elides_and_reconstitutes_exactly() {
         }
     }
     panic!("no eviction was ever elided across 10 thrash runs");
+}
+
+/// A runner that panics must fail the case with its own message; only a
+/// run that outlives the deadline reads as "did not terminate".
+#[test]
+#[should_panic(expected = "audit violation in the runner")]
+fn bounded_reraises_a_runner_panic_instead_of_reporting_a_hang() {
+    let _: Option<()> = bounded(|| panic!("audit violation in the runner"));
 }

@@ -556,9 +556,6 @@ mod chaos_sweep {
                 counters(&r.stats),
                 r.elements
             ));
-            if !chk.violations().is_empty() {
-                say(format!("  violations: {:?}", chk.violations()));
-            }
         }
 
         let _ = std::fs::create_dir_all("target");

@@ -1267,13 +1267,13 @@ impl DesRuntime {
             Some(Err(f)) => {
                 self.ship(self.now, node, f, CTL_BYTES, EvKind::MigrateReq(oid, dest));
             }
-            Some(Ok(true)) => {
-                if node == dest {
-                    // Already where it should be.
-                    return;
-                }
-                self.do_migrate(node, oid, dest);
-            }
+            // Already where it should be, whatever its residency: loading
+            // a spilled object only to ship it to itself would leave a
+            // tombstone pointing at this node (a message arriving before
+            // the install sticks) and count a migration that moved
+            // nothing.
+            Some(Ok(_)) if node == dest => {}
+            Some(Ok(true)) => self.do_migrate(node, oid, dest),
             Some(Ok(false)) => {
                 // Load it first, then ship (urgent: bypasses the window).
                 {

@@ -6,10 +6,11 @@
 //! backwards.
 //!
 //! The same `Plan` also drives the **cross-engine differential test**:
-//! one random schedule (add / forward / walk / migrate / grow / lock /
-//! unlock / set-priority over 1–3 nodes and 4–24 objects, budgets from
-//! "everything fits" down to about two objects, locality on and off) runs
-//! through the virtual-time engine, the threaded engine and an
+//! one random schedule (add / forward / walk / migrate — to a random
+//! node, to the node the object is already on, and pinned in the same
+//! handler — / grow / lock / unlock / set-priority over 1–3 nodes and 4–24
+//! objects, budgets from "everything fits" down to about two objects,
+//! locality and work stealing on and off) runs through the virtual-time engine, the threaded engine and an
 //! unlimited-budget reference, and all three must end with every object
 //! byte-identical, both audit streams clean, inside a wall-clock bound.
 
@@ -86,12 +87,23 @@ fn h_fwd(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     }
 }
 
-/// Migrate self to the node in the payload (and count the visit).
+/// Payload destination meaning "the node this handler runs on".
+const STAY: u32 = u32::MAX;
+
+/// Migrate self to the node in the payload ([`STAY`]: to the current
+/// owner, which must be a no-op) and count the visit; a non-zero flag
+/// byte locks self first, so the object ships pinned.
 fn h_mig(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     let mut r = PayloadReader::new(payload);
-    let dest = r.u32().unwrap() as NodeId;
+    let dest = match r.u32().unwrap() {
+        STAY => ctx.node(),
+        d => d as NodeId,
+    };
     obj.as_any_mut().downcast_mut::<Acc>().unwrap().sum += 1;
     let me = ctx.self_ptr();
+    if r.u8().unwrap() != 0 {
+        ctx.lock(me);
+    }
     ctx.migrate(me, dest);
 }
 
@@ -146,6 +158,10 @@ struct Plan {
     adds: Vec<(usize, u64)>,
     fwds: Vec<(usize, usize, u64, u32)>,
     migs: Vec<(usize, usize)>,
+    /// Objects asked to migrate to wherever they already are.
+    self_migs: Vec<usize>,
+    /// `(object, dest)`: lock, then migrate, in one handler.
+    pinned_migs: Vec<(usize, usize)>,
     /// `(first object, further stops per round, rounds, value)`.
     walks: Vec<(usize, usize, usize, u64)>,
     /// `(object, bytes)`.
@@ -156,6 +172,7 @@ struct Plan {
     /// Per-node budget in initial-object footprints.
     budget_objs: usize,
     locality: bool,
+    work_stealing: bool,
 }
 
 impl Plan {
@@ -184,6 +201,7 @@ impl Plan {
         };
         cfg.deterministic_compute = true;
         cfg.locality = self.locality;
+        cfg.work_stealing = self.work_stealing;
         cfg
     }
 }
@@ -193,6 +211,8 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
         let adds = prop::collection::vec((0..objects, 1u64..100), 0..24);
         let fwds = prop::collection::vec((0..objects, 0..objects, 1u64..50, 0u32..6), 0..8);
         let migs = prop::collection::vec((0..objects, 0..nodes), 0..6);
+        let self_migs = prop::collection::vec(0..objects, 0..3);
+        let pinned_migs = prop::collection::vec((0..objects, 0..nodes), 0..3);
         let walks = prop::collection::vec((0..objects, 1..objects, 1usize..5, 1u64..50), 1..6);
         let grows = prop::collection::vec((0..objects, 1usize..2048), 0..8);
         let pins = prop::collection::vec((0..objects, any::<bool>()), 0..6);
@@ -203,11 +223,13 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
             Just(objects),
             Just(pad),
             2..objects + 8,
-            any::<bool>(),
+            (any::<bool>(), any::<bool>()),
         );
+        let migs = (migs, self_migs, pinned_migs);
         (shape, (adds, fwds, migs), (walks, grows, pins, prios)).prop_map(
             |(shape, (adds, fwds, migs), (walks, grows, pins, prios))| {
-                let (nodes, objects, pad, budget_objs, locality) = shape;
+                let (nodes, objects, pad, budget_objs, (locality, work_stealing)) = shape;
+                let (migs, self_migs, pinned_migs) = migs;
                 Plan {
                     nodes,
                     objects,
@@ -215,12 +237,15 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
                     adds,
                     fwds,
                     migs,
+                    self_migs,
+                    pinned_migs,
                     walks,
                     grows,
                     pins,
                     prios,
                     budget_objs,
                     locality,
+                    work_stealing,
                 }
             },
         )
@@ -239,7 +264,8 @@ fn expected_sum(plan: &Plan) -> u64 {
         .iter()
         .map(|&(first, more, rounds, v)| v * plan.walk_stops(first, more, rounds).len() as u64)
         .sum();
-    adds + fwds + walks + plan.migs.len() as u64
+    let migs = plan.migs.len() + plan.self_migs.len() + plan.pinned_migs.len();
+    adds + fwds + walks + migs as u64
 }
 
 fn post_plan<F: FnMut(MobilePtr, HandlerId, Vec<u8>)>(plan: &Plan, ptrs: &[MobilePtr], mut f: F) {
@@ -253,9 +279,12 @@ fn post_plan<F: FnMut(MobilePtr, HandlerId, Vec<u8>)>(plan: &Plan, ptrs: &[Mobil
         w.u64(v).u32(hops).ptr(ptrs[b]);
         f(ptrs[a], H_FWD, w.finish());
     }
-    for &(o, dest) in &plan.migs {
+    let migs = (plan.migs.iter()).map(|&(o, dest)| (o, dest as u32, false));
+    let self_migs = plan.self_migs.iter().map(|&o| (o, STAY, false));
+    let pinned_migs = (plan.pinned_migs.iter()).map(|&(o, dest)| (o, dest as u32, true));
+    for (o, dest, lock) in migs.chain(self_migs).chain(pinned_migs) {
         let mut w = PayloadWriter::new();
-        w.u32(dest as u32);
+        w.u32(dest).u8(u8::from(lock));
         f(ptrs[o], H_MIG, w.finish());
     }
     for &(first, more, rounds, v) in &plan.walks {

@@ -314,6 +314,20 @@ impl DesRuntime {
         (oid.home() as usize % self.nodes.len()) as NodeId
     }
 
+    /// Where `node` sends traffic for an object it does not hold: its
+    /// directory hint — wrapped like the home, since a restored directory
+    /// may name a node this cluster no longer has — unless the hint is
+    /// this node itself, then the home.
+    fn dir_next_hop(&self, node: NodeId, oid: ObjectId) -> NodeId {
+        let d = self.nodes[node as usize].dir.lookup(oid);
+        let d = (d as usize % self.nodes.len()) as NodeId;
+        if d == node {
+            self.home_of(oid)
+        } else {
+            d
+        }
+    }
+
     fn owner_of(&self, oid: ObjectId) -> NodeId {
         // Follow Moved tombstones from the home node.
         let mut n = self.home_of(oid);
@@ -662,17 +676,12 @@ impl DesRuntime {
         kind_builder: fn(Message) -> EvKind,
     ) {
         let oid = msg.to.id;
-        let hint = match self.nodes[node as usize].core.table.get(&oid) {
+        let next = match self.nodes[node as usize].core.table.get(&oid) {
             Some(Entry {
                 state: State::Moved(f),
                 ..
             }) => *f,
-            _ => self.nodes[node as usize].dir.lookup(oid),
-        };
-        let next = if hint == node {
-            self.home_of(oid)
-        } else {
-            hint
+            _ => self.dir_next_hop(node, oid),
         };
         if next == node {
             panic!("message for unknown object {oid:?} stuck at node {node}");
@@ -1087,14 +1096,7 @@ impl DesRuntime {
                     if self.nodes[node as usize].core.holds(oid) {
                         self.push_event(at, node, EvKind::MigrateReq(oid, dest));
                     } else {
-                        let owner = {
-                            let d = self.nodes[node as usize].dir.lookup(oid);
-                            if d == node {
-                                self.home_of(oid)
-                            } else {
-                                d
-                            }
-                        };
+                        let owner = self.dir_next_hop(node, oid);
                         self.ship(at, node, owner, CTL_BYTES, EvKind::MigrateReq(oid, dest));
                     }
                 }
@@ -1106,28 +1108,14 @@ impl DesRuntime {
         if self.nodes[node as usize].core.holds(oid) {
             self.push_event(at, node, EvKind::Meta(oid, op));
         } else {
-            let owner = {
-                let d = self.nodes[node as usize].dir.lookup(oid);
-                if d == node {
-                    self.home_of(oid)
-                } else {
-                    d
-                }
-            };
+            let owner = self.dir_next_hop(node, oid);
             self.ship(at, node, owner, CTL_BYTES, EvKind::Meta(oid, op));
         }
     }
 
     fn on_meta(&mut self, node: NodeId, oid: ObjectId, op: MetaOp) {
         if !self.nodes[node as usize].core.holds(oid) {
-            let owner = {
-                let d = self.nodes[node as usize].dir.lookup(oid);
-                if d == node {
-                    self.home_of(oid)
-                } else {
-                    d
-                }
-            };
+            let owner = self.dir_next_hop(node, oid);
             if owner == node {
                 return; // object destroyed; drop silently
             }
@@ -1246,14 +1234,7 @@ impl DesRuntime {
         match entry_state {
             None => {
                 // Not here: forward along the directory.
-                let owner = {
-                    let d = self.nodes[node as usize].dir.lookup(oid);
-                    if d == node {
-                        self.home_of(oid)
-                    } else {
-                        d
-                    }
-                };
+                let owner = self.dir_next_hop(node, oid);
                 if owner != node {
                     self.ship(
                         self.now,

@@ -1411,13 +1411,12 @@ impl Worker {
                             oid: to.id
                         }
                     );
-                    let msg = Message::new(to, handler, payload);
-                    if self.core.holds(to.id) {
-                        self.route_msg(msg);
-                    } else {
-                        let dest = self.dir_next_hop(to.id);
-                        self.am(dest, AM_MSG, msg.encode());
-                    }
+                    // One send rule: a message that leaves the node is
+                    // routed like any misdirected one, so the sender joins
+                    // the route — the delivery-time lazy update teaches it
+                    // the object's location, and `route.first()` is the
+                    // true source node.
+                    self.route_msg(Message::new(to, handler, payload));
                 }
                 Effect::Create { id, obj, priority } => {
                     let footprint = obj.footprint();

@@ -2,7 +2,7 @@
 //! [`mrts::directory::Directory`] level, and the paper's lazy-update
 //! scheme end to end — a message forwarded along a k-hop tombstone chain
 //! must trigger one location-update service message per hop, after which
-//! later sends go direct.
+//! later sends go direct — on both engines.
 
 #![cfg(any(feature = "audit", debug_assertions))]
 
@@ -196,6 +196,103 @@ fn k_hop_chain_generates_one_update_per_hop() {
         rt.with_object(x, |o| o.as_any().downcast_ref::<Cell>().unwrap().value),
         2
     );
+}
+
+// ----- The same scheme on the threaded engine ---------------------------
+
+const H_MOVE_THEN_TELL: HandlerId = HandlerId(4);
+const H_RELAY: HandlerId = HandlerId(5);
+const H_MARK: HandlerId = HandlerId(6);
+
+fn ptr_and_count(ptr: MobilePtr, n: u64) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    w.ptr(ptr).u64(n);
+    w.finish()
+}
+
+/// Migrate self to the payload's node, then start the payload's relay on
+/// its probes (the migration is applied first, so it has left this node
+/// before the relay hears of it).
+fn h_move_then_tell(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
+    let mut r = PayloadReader::new(payload);
+    let (dest, relay) = (r.u64().unwrap() as NodeId, r.ptr().unwrap());
+    ctx.migrate(ctx.self_ptr(), dest);
+    ctx.send(relay, H_RELAY, ptr_and_count(ctx.self_ptr(), 2));
+}
+
+/// Probe the target once per remaining count, each probe sent only after
+/// the previous one was answered.
+fn h_relay(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
+    let mut r = PayloadReader::new(payload);
+    let (target, left) = (r.ptr().unwrap(), r.u64().unwrap());
+    if left > 0 {
+        ctx.send(target, H_MARK, ptr_and_count(ctx.self_ptr(), left - 1));
+    }
+}
+
+/// Append the probe's source node to the cell as a base-16 digit
+/// (`node + 1`), then answer the relay. The lazy updates of this delivery
+/// leave before the answer does, on the same FIFO edge.
+fn h_mark(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
+    let cell = obj.as_any_mut().downcast_mut::<Cell>().unwrap();
+    cell.value = cell.value * 16 + ctx.src_node() as u64 + 1;
+    let mut r = PayloadReader::new(payload);
+    let (relay, left) = (r.ptr().unwrap(), r.u64().unwrap());
+    ctx.send(relay, H_RELAY, ptr_and_count(ctx.self_ptr(), left));
+}
+
+/// `x`, homed on node 1, migrates to node 2; a relay on node 0 then
+/// probes it twice, the second probe after the first was answered.
+/// Returns x's id, the run's statistics, the audit log and x's final
+/// value (one base-16 digit per probe: source node + 1).
+fn threaded_two_probes_after_a_migration() -> (ObjectId, RunStats, Arc<EventLog>, u64) {
+    let log = Arc::new(EventLog::new());
+    let mut rt = ThreadedRuntime::new(MrtsConfig::in_core(3));
+    rt.register_type(CELL_TAG, Cell::decode);
+    rt.register_handler(H_MOVE_THEN_TELL, "move-then-tell", h_move_then_tell);
+    rt.register_handler(H_RELAY, "relay", h_relay);
+    rt.register_handler(H_MARK, "mark", h_mark);
+    rt.attach_audit(log.clone());
+    let relay = rt.create_object(0, Box::new(Cell { value: 0 }), 128);
+    let x = rt.create_object(1, Box::new(Cell { value: 0 }), 128);
+    let mut w = PayloadWriter::new();
+    w.u64(2).ptr(relay);
+    rt.post(x, H_MOVE_THEN_TELL, w.finish());
+    let stats = rt.run();
+    let value = rt.with_object(x, |o| o.as_any().downcast_ref::<Cell>().unwrap().value);
+    (x.id, stats, log, value)
+}
+
+/// The sender of a remote message joins its route, so the delivery's lazy
+/// update reaches it: the first probe walks 0 → 1 (home, now a
+/// tombstone) → 2, the second goes 0 → 2 and node 1 forwards nothing
+/// more.
+#[test]
+fn threaded_second_send_goes_direct_after_one_lazy_update() {
+    let (x, stats, log, _) = threaded_two_probes_after_a_migration();
+    assert_eq!(forwards(&log, 0, x), vec![(0, 1), (1, 2), (0, 2)]);
+    // Node 1 put two messages on the fabric for objects it does not hold:
+    // x's own message to the relay, and the first probe. The second
+    // probe never reaches it.
+    assert_eq!(
+        stats.nodes[1].msgs_forwarded, 2,
+        "the stale home was asked again"
+    );
+    let learned = updates(&log, 0, x);
+    assert!(
+        learned.contains(&(0, 2)),
+        "the sender never learned the location: {learned:?}"
+    );
+}
+
+/// `Ctx::src_node` names the node the message was sent from, not the
+/// last hop that forwarded it and not the receiver.
+#[test]
+fn threaded_src_node_is_the_sender_across_forwarding() {
+    let (_, stats, _, value) = threaded_two_probes_after_a_migration();
+    assert_eq!(value, 0x11, "both probes came from node 0");
+    assert_eq!(stats.nodes[2].msgs_remote, 2);
+    assert_eq!(stats.nodes[2].msgs_local, 0);
 }
 
 // ----- Property: hint bookkeeping matches a reference model -------------

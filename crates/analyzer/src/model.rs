@@ -10,16 +10,16 @@ use std::path::{Path, PathBuf};
 /// What a source file contributes to the analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileRole {
-    /// Declares the `AM_*` wire tags and their dispatch arms (threaded
-    /// engine).
+    /// The threaded engine: declares and dispatches the control-ring
+    /// `AM_*` tags, records and replays `Decision`s.
     ThreadedEngine,
-    /// Declares the DES event enum and its dispatch arms.
-    DesEngine,
-    /// The out-of-core state machine both engines drive (`node.rs`). The
-    /// engines call into it for every residency transition, and the audit
-    /// events of those transitions are emitted there — so its functions
-    /// join each engine's call graph when the protocol checker follows a
-    /// dispatch arm to an audit emission.
+    /// The node state machine both engines drive (`node.rs`): declares the
+    /// `NetMsg` vocabulary, its `AM_*` tags and their decode arms, and the
+    /// one dispatch whose arms must reach an audit emission. The engines
+    /// call into it for every transition, and the audit events of those
+    /// transitions are emitted there — so its functions join the threaded
+    /// engine's call graph when the protocol checker follows a dispatch
+    /// arm to an audit emission.
     NodeCore,
     /// Declares the record/replay `Decision` enum; every variant must be
     /// constructed on the record path and matched on the replay path of
@@ -57,8 +57,8 @@ impl SourceFile {
 /// checkers may assume.
 pub struct Workspace {
     pub files: Vec<SourceFile>,
-    /// Name of the DES event enum (`EvKind`).
-    pub des_event_enum: String,
+    /// Name of the node-to-node message enum (`NetMsg`).
+    pub net_msg_enum: String,
     /// Name of the record/replay decision enum (`Decision`).
     pub decision_enum: String,
     /// Name of the per-node counter struct (`NodeStats`).
@@ -71,19 +71,10 @@ pub struct Workspace {
     /// Name of the service-level counter struct (`ServiceStats`); also
     /// the impl whose `summary` must surface its counters.
     pub service_stats_struct: String,
-    /// Threaded-only control-plane tags with no DES analog (the DES has
-    /// no physical fabric: no acks, no termination ring, no exit
-    /// broadcast).
-    pub tags_without_des_analog: Vec<String>,
-    /// DES event variants with no wire tag (I/O completions arrive as
-    /// `IoDone` messages in the threaded engine).
-    pub variants_without_threaded_analog: Vec<String>,
     /// Tags whose dispatch arms legitimately emit no audit event
     /// (pure bookkeeping: ack clears a retransmit slot, the ring token
     /// is control-plane traffic audited at termination instead).
     pub tags_without_audit: Vec<String>,
-    /// DES variants whose arms legitimately emit no audit event.
-    pub variants_without_audit: Vec<String>,
 }
 
 impl Workspace {
@@ -92,16 +83,13 @@ impl Workspace {
     pub fn bare() -> Workspace {
         Workspace {
             files: Vec::new(),
-            des_event_enum: "EvKind".into(),
+            net_msg_enum: "NetMsg".into(),
             decision_enum: "Decision".into(),
             stats_struct: "NodeStats".into(),
             summary_impl: "RunStats".into(),
             service_state_enum: "JobState".into(),
             service_stats_struct: "ServiceStats".into(),
-            tags_without_des_analog: vec!["AM_TOKEN".into(), "AM_EXIT".into(), "AM_ACK".into()],
-            variants_without_threaded_analog: vec!["Loaded".into()],
             tags_without_audit: vec!["AM_TOKEN".into(), "AM_ACK".into()],
-            variants_without_audit: Vec::new(),
         }
     }
 
@@ -144,7 +132,6 @@ impl Workspace {
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
             let roles = match name {
                 "threaded.rs" => vec![ThreadedEngine, LockScan, UnwrapScan, CounterScan],
-                "des.rs" => vec![DesEngine, UnwrapScan, CounterScan],
                 "node.rs" => vec![NodeCore, UnwrapScan, CounterScan],
                 "replay.rs" => vec![Replay, UnwrapScan, CounterScan],
                 "stats.rs" => vec![Stats, UnwrapScan],

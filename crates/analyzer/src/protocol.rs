@@ -1,13 +1,15 @@
 //! Checker 1: protocol exhaustiveness.
 //!
-//! * Every `AM_*` tag declared in the threaded engine must have a
-//!   dispatch arm there, and (unless exempt) a same-named event variant
-//!   in the DES engine — and vice versa — so the two engines cannot
-//!   silently drift apart.
-//! * Every dispatch arm must reach an audit-event emission
+//! * Every `AM_*` wire tag — the threaded engine's control ring and the
+//!   `NetMsg` tags of the node core — must have a dispatch arm (the
+//!   `NetMsg::decode` match, or the engine's own for its ring). That both
+//!   engines handle every message is no longer checked here: they share
+//!   one `NetMsg` enum, and the compiler's exhaustive `match` guarantees
+//!   it.
+//! * Every control-ring dispatch arm and, for every `NetMsg` variant, an
+//!   arm of the node core's dispatch must reach an audit-event emission
 //!   (`audit_emit!` / `RuntimeEvent`), directly or through functions it
-//!   calls — in the engine file or in the node core both engines drive —
-//!   unless the tag is on the no-audit exempt list.
+//!   calls, unless the tag is on the no-audit exempt list.
 //! * Every integer `NodeStats` counter that is incremented anywhere in
 //!   the runtime must surface in the gate summary (`RunStats::summary`
 //!   or a helper it calls).
@@ -32,21 +34,11 @@ pub fn check(
     ws: &Workspace,
     out: &mut Vec<Violation>,
 ) -> Result<(usize, usize, usize, usize), String> {
-    let tags = check_tags_and_variants(ws, out);
+    let tags = check_tags(ws, out);
     let counters = check_counters(ws, out);
     let decisions = check_decisions(ws, out);
     let service_states = check_service(ws, out);
     Ok((tags, counters, decisions, service_states))
-}
-
-fn norm_tag(tag: &str) -> String {
-    tag.trim_start_matches("AM_")
-        .replace('_', "")
-        .to_lowercase()
-}
-
-fn norm_variant(v: &str) -> String {
-    v.to_lowercase()
 }
 
 struct Decl {
@@ -54,74 +46,57 @@ struct Decl {
     line: u32,
 }
 
-fn check_tags_and_variants(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
+fn check_tags(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
+    // The files that speak the wire protocol: the threaded engine (its
+    // control ring) and the node core (the `NetMsg` vocabulary).
+    let wire = |f: &&crate::SourceFile| {
+        f.has_role(FileRole::ThreadedEngine) || f.has_role(FileRole::NodeCore)
+    };
+
     // ---- collect declarations -----------------------------------------
-    let mut tags: HashMap<String, Decl> = HashMap::new();
-    for f in ws.files_with(FileRole::ThreadedEngine) {
+    // tag -> (declaration, declared in the node core)
+    let mut tags: HashMap<String, (Decl, bool)> = HashMap::new();
+    let mut variants: HashMap<String, Decl> = HashMap::new();
+    for f in ws.files.iter().filter(wire) {
+        let decl = |line| Decl {
+            file: f.path.clone(),
+            line,
+        };
         collect_consts(&f.ast.items, &mut |c| {
             if c.ident.starts_with("AM_") {
-                tags.insert(
-                    c.ident.clone(),
-                    Decl {
-                        file: f.path.clone(),
-                        line: c.line,
-                    },
-                );
+                let in_core = f.has_role(FileRole::NodeCore);
+                tags.insert(c.ident.clone(), (decl(c.line), in_core));
             }
         });
-    }
-    let mut variants: HashMap<String, Decl> = HashMap::new();
-    for f in ws.files_with(FileRole::DesEngine) {
         collect_enums(&f.ast.items, &mut |e| {
-            if e.ident == ws.des_event_enum {
+            if e.ident == ws.net_msg_enum && f.has_role(FileRole::NodeCore) {
                 for v in &e.variants {
-                    variants.insert(
-                        v.ident.clone(),
-                        Decl {
-                            file: f.path.clone(),
-                            line: v.line,
-                        },
-                    );
+                    variants.insert(v.ident.clone(), decl(v.line));
                 }
             }
         });
     }
 
-    // ---- dispatch arms + audit reach ----------------------------------
-    for (tag, decl) in &tags {
-        let mut dispatched = false;
-        let mut audited = false;
-        for f in ws.files_with(FileRole::ThreadedEngine) {
-            let reach = engine_call_graph(ws, f);
-            for fun in fn_map(&f.ast).values() {
-                for (i, t) in fun.body.iter().enumerate() {
-                    if t.text != *tag {
-                        continue;
-                    }
-                    let next = fun.body.get(i + 1).map(|t| t.text.as_str());
-                    let prev = i.checked_sub(1).and_then(|j| fun.body.get(j));
-                    let is_arm = matches!(next, Some("=>") | Some("|"))
-                        || prev.is_some_and(|p| p.text == "==");
-                    if !is_arm {
-                        continue;
-                    }
-                    dispatched = true;
-                    if let Some(arm) = arm_tokens(&fun.body, i) {
-                        if arm_reaches_audit(arm, &reach, CALL_DEPTH, &mut HashSet::new()) {
-                            audited = true;
-                        }
-                    }
-                }
-            }
-        }
+    // ---- every tag: a dispatch arm; ring tags: audit reach -------------
+    for (tag, (decl, in_core)) in &tags {
+        let (dispatched, audited) = scan_arms(ws, ws.files.iter().filter(wire), |body, i| {
+            let next = body.get(i + 1).map(|t| t.text.as_str());
+            let prev = i.checked_sub(1).and_then(|j| body.get(j));
+            let is_arm = body[i].text == *tag
+                && (matches!(next, Some("=>") | Some("|")) || prev.is_some_and(|p| p.text == "=="));
+            is_arm.then_some(i)
+        });
+        // A node-core tag only decodes into a `NetMsg`; what handling it
+        // must audit is checked per variant below.
+        let exempt = *in_core || ws.tags_without_audit.iter().any(|t| t == tag);
         if !dispatched {
             out.push(Violation {
                 check: Check::Protocol,
                 file: decl.file.clone(),
                 line: decl.line,
-                msg: format!("tag {tag} has no dispatch arm in the threaded engine"),
+                msg: format!("tag {tag} has no dispatch arm"),
             });
-        } else if !audited && !ws.tags_without_audit.iter().any(|t| t == tag) {
+        } else if !audited && !exempt {
             out.push(Violation {
                 check: Check::Protocol,
                 file: decl.file.clone(),
@@ -134,104 +109,63 @@ fn check_tags_and_variants(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
         }
     }
 
+    // ---- every message: an audited arm in the node core ----------------
     for (variant, decl) in &variants {
-        let mut dispatched = false;
-        let mut audited = false;
-        for f in ws.files_with(FileRole::DesEngine) {
-            let reach = engine_call_graph(ws, f);
-            for fun in fn_map(&f.ast).values() {
-                for (i, t) in fun.body.iter().enumerate() {
-                    // Look for `EvKind :: Variant [payload-pattern] =>`.
-                    if t.text != *variant
-                        || i < 2
-                        || fun.body[i - 1].text != "::"
-                        || fun.body[i - 2].text != ws.des_event_enum
-                    {
-                        continue;
-                    }
-                    let mut j = i + 1;
-                    if matches!(
-                        fun.body.get(j).map(|t| t.text.as_str()),
-                        Some("(") | Some("{")
-                    ) {
-                        j = skip_group(&fun.body, j);
-                    }
-                    if fun.body.get(j).map(|t| t.text.as_str()) != Some("=>") {
-                        continue;
-                    }
-                    dispatched = true;
-                    if let Some(arm) = arm_tokens(&fun.body, j - 1) {
-                        if arm_reaches_audit(arm, &reach, CALL_DEPTH, &mut HashSet::new()) {
-                            audited = true;
-                        }
-                    }
-                }
+        let (_, audited) = scan_arms(ws, ws.files_with(FileRole::NodeCore), |body, i| {
+            // Look for `NetMsg :: Variant [payload-pattern] =>`.
+            if body[i].text != *variant
+                || i < 2
+                || body[i - 1].text != "::"
+                || body[i - 2].text != ws.net_msg_enum
+            {
+                return None;
             }
-        }
-        if !dispatched {
-            out.push(Violation {
-                check: Check::Protocol,
-                file: decl.file.clone(),
-                line: decl.line,
-                msg: format!(
-                    "{}::{variant} has no dispatch arm in the DES engine",
-                    ws.des_event_enum
-                ),
-            });
-        } else if !audited && !ws.variants_without_audit.iter().any(|v| v == variant) {
+            let mut j = i + 1;
+            if matches!(body.get(j).map(|t| t.text.as_str()), Some("(") | Some("{")) {
+                j = skip_group(body, j);
+            }
+            (body.get(j).map(|t| t.text.as_str()) == Some("=>")).then_some(j - 1)
+        });
+        if !audited {
             out.push(Violation {
                 check: Check::Protocol,
                 file: decl.file.clone(),
                 line: decl.line,
                 msg: format!(
                     "no dispatch arm for {}::{variant} reaches an audit emission",
-                    ws.des_event_enum
-                ),
-            });
-        }
-    }
-
-    // ---- cross-engine mapping -----------------------------------------
-    let variant_norms: HashSet<String> = variants.keys().map(|v| norm_variant(v)).collect();
-    let tag_norms: HashSet<String> = tags.keys().map(|t| norm_tag(t)).collect();
-    for (tag, decl) in &tags {
-        if ws.tags_without_des_analog.iter().any(|t| t == tag) {
-            continue;
-        }
-        if !variant_norms.contains(&norm_tag(tag)) {
-            out.push(Violation {
-                check: Check::Protocol,
-                file: decl.file.clone(),
-                line: decl.line,
-                msg: format!(
-                    "tag {tag} has no corresponding {} variant in the DES engine \
-                     (engines drifting apart?)",
-                    ws.des_event_enum
-                ),
-            });
-        }
-    }
-    for (variant, decl) in &variants {
-        if ws
-            .variants_without_threaded_analog
-            .iter()
-            .any(|v| v == variant)
-        {
-            continue;
-        }
-        if !tag_norms.contains(&norm_variant(variant)) {
-            out.push(Violation {
-                check: Check::Protocol,
-                file: decl.file.clone(),
-                line: decl.line,
-                msg: format!(
-                    "{}::{variant} has no corresponding AM_* tag in the threaded engine",
-                    ws.des_event_enum
+                    ws.net_msg_enum
                 ),
             });
         }
     }
     tags.len()
+}
+
+/// Scan `files` for match arms. `pattern_end(body, i)` says whether the
+/// token at `i` starts an arm of interest and, if so, where its pattern
+/// ends. Returns whether any such arm exists and whether any reaches an
+/// audit emission.
+fn scan_arms<'a>(
+    ws: &'a Workspace,
+    files: impl Iterator<Item = &'a crate::SourceFile>,
+    pattern_end: impl Fn(&[Token], usize) -> Option<usize>,
+) -> (bool, bool) {
+    let (mut found, mut audited) = (false, false);
+    for f in files {
+        let reach = engine_call_graph(ws, f);
+        for fun in fn_map(&f.ast).values() {
+            for i in 0..fun.body.len() {
+                let Some(end) = pattern_end(&fun.body, i) else {
+                    continue;
+                };
+                found = true;
+                audited |= arm_tokens(&fun.body, end).is_some_and(|arm| {
+                    arm_reaches_audit(arm, &reach, CALL_DEPTH, &mut HashSet::new())
+                });
+            }
+        }
+    }
+    (found, audited)
 }
 
 /// Tokens of the match arm whose `=>` follows position `i` (the last
@@ -620,11 +554,11 @@ fn check_counters(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
 
     // Incremented anywhere in the runtime? (`.field +=`)
     let mut incremented: HashSet<String> = HashSet::new();
-    for f in ws.files.iter().filter(|f| {
-        f.has_role(FileRole::CounterScan)
-            || f.has_role(FileRole::ThreadedEngine)
-            || f.has_role(FileRole::DesEngine)
-    }) {
+    for f in ws
+        .files
+        .iter()
+        .filter(|f| f.has_role(FileRole::CounterScan) || f.has_role(FileRole::ThreadedEngine))
+    {
         crate::model::walk_fns(&f.ast.items, false, &mut |fun, in_test| {
             if in_test {
                 return;

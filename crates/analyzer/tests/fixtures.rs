@@ -68,20 +68,35 @@ pub enum Decision {
 }
 "#;
 
-const DES_OK: &str = r#"
-pub enum EvKind {
-    Ping(u32),
+const CORE_OK: &str = r#"
+pub const AM_PONG: u32 = 2;
+
+pub enum NetMsg {
+    Pong(u32),
 }
 
 fn audit_emit(kind: u32) {
     let _ = kind;
 }
 
-fn step(ev: EvKind) {
-    match ev {
-        EvKind::Ping(n) => {
-            audit_emit(n);
+impl NetMsg {
+    fn decode(tag: u32) -> Option<NetMsg> {
+        match tag {
+            AM_PONG => Some(NetMsg::Pong(0)),
+            _ => None,
         }
+    }
+}
+
+impl NodeCore {
+    fn on_net(&mut self, msg: NetMsg) {
+        match msg {
+            NetMsg::Pong(n) => self.on_pong(n),
+        }
+    }
+
+    fn on_pong(&mut self, n: u32) {
+        audit_emit(n);
     }
 }
 "#;
@@ -173,7 +188,7 @@ fn clean_files() -> Vec<(&'static str, &'static str, &'static [FileRole])> {
             THREADED_OK,
             &[ThreadedEngine, CounterScan][..],
         ),
-        ("fix/des.rs", DES_OK, &[DesEngine][..]),
+        ("fix/node.rs", CORE_OK, &[NodeCore][..]),
         ("fix/replay.rs", REPLAY_OK, &[Replay][..]),
         ("fix/stats.rs", STATS_OK, &[Stats][..]),
         ("fix/service.rs", SERVICE_OK, &[Service][..]),
@@ -198,7 +213,7 @@ fn ws_with_broken(name: &str, src: &'static str) -> Workspace {
 fn clean_mini_tree_passes_and_every_checker_covers_something() {
     let (report, m) = msgs(&ws_with(&clean_files()));
     assert!(report.pass(), "clean fixture tree must be clean: {m:?}");
-    assert_eq!(report.tags_checked, 1, "protocol checker went vacuous");
+    assert_eq!(report.tags_checked, 2, "protocol checker went vacuous");
     assert_eq!(report.counters_checked, 1, "counter checker went vacuous");
     assert_eq!(report.decisions_checked, 2, "decision checker went vacuous");
     assert_eq!(
@@ -230,31 +245,50 @@ fn dispatch(tag: u32, st: &mut NodeStats) {
 "#,
     );
     let (report, m) = msgs(&ws);
-    assert_eq!(report.tags_checked, 1);
+    assert_eq!(report.tags_checked, 2);
     assert!(
-        m.iter()
-            .any(|v| v.contains("AM_PING has no dispatch arm in the threaded engine")),
+        m.iter().any(|v| v.contains("AM_PING has no dispatch arm")),
         "missing arm not flagged: {m:?}"
     );
 }
 
+/// The node core's half of the protocol: a `NetMsg` tag nobody decodes,
+/// and a `NetMsg` variant whose dispatch never audits, are both flagged.
+/// (That both engines *handle* every variant is the compiler's job: they
+/// match on the one enum.)
 #[test]
-fn missing_des_variant_is_flagged() {
+fn node_core_tag_without_decode_arm_and_unaudited_variant_are_flagged() {
     let ws = ws_with_broken(
-        "fix/des.rs",
+        "fix/node.rs",
         r#"
-pub enum EvKind {}
+pub const AM_PONG: u32 = 2;
 
-fn step(ev: EvKind) {
-    let _ = ev;
+pub enum NetMsg {
+    Pong(u32),
+}
+
+impl NodeCore {
+    fn on_net(&mut self, msg: NetMsg) {
+        match msg {
+            NetMsg::Pong(n) => self.on_pong(n),
+        }
+    }
+
+    fn on_pong(&mut self, n: u32) {
+        let _ = n;
+    }
 }
 "#,
     );
     let (_, m) = msgs(&ws);
     assert!(
+        m.iter().any(|v| v.contains("AM_PONG has no dispatch arm")),
+        "undecoded tag not flagged: {m:?}"
+    );
+    assert!(
         m.iter()
-            .any(|v| v.contains("AM_PING has no corresponding EvKind variant")),
-        "cross-engine drift not flagged: {m:?}"
+            .any(|v| v.contains("no dispatch arm for NetMsg::Pong reaches an audit emission")),
+        "unaudited variant not flagged: {m:?}"
     );
 }
 
@@ -291,18 +325,34 @@ fn dispatch(tag: u32, st: &mut NodeStats) {
 /// when the core stops emitting.
 #[test]
 fn audit_reached_only_through_the_node_core_counts_and_its_loss_is_flagged() {
-    const DES_VIA_CORE: &str = r#"
-pub enum EvKind {
-    Ping(u32),
+    const THREADED_VIA_CORE: &str = r#"
+pub const AM_PING: u32 = 1;
+
+fn handle_ping(core: &mut NodeCore, st: &mut NodeStats) {
+    core.complete_ping(1);
+    st.pings += 1;
 }
 
-fn on_ping(core: &mut NodeCore, n: u32) {
-    core.complete_ping(n);
+fn dispatch(tag: u32, core: &mut NodeCore, st: &mut NodeStats) {
+    match tag {
+        AM_PING => handle_ping(core, st),
+        _ => {}
+    }
 }
 
-fn step(core: &mut NodeCore, ev: EvKind) {
-    match ev {
-        EvKind::Ping(n) => on_ping(core, n),
+fn record_poll(log: &mut Vec<Decision>, got: bool) {
+    if got {
+        log.push(Decision::Step { n: 1 });
+    } else {
+        log.push(Decision::Halt);
+    }
+}
+
+fn replay_poll(d: Option<&Decision>) -> bool {
+    match d {
+        Some(Decision::Step { n }) => *n > 0,
+        Some(Decision::Halt) => false,
+        _ => false,
     }
 }
 "#;
@@ -326,12 +376,16 @@ impl NodeCore {
 "#;
     let tree = |core_src: &'static str| {
         let mut files = clean_files();
-        files
-            .iter_mut()
-            .find(|(n, _, _)| *n == "fix/des.rs")
-            .expect("fixture slot exists")
-            .1 = DES_VIA_CORE;
-        files.push(("fix/node.rs", core_src, &[FileRole::NodeCore][..]));
+        for (name, src) in [
+            ("fix/threaded.rs", THREADED_VIA_CORE),
+            ("fix/node.rs", core_src),
+        ] {
+            files
+                .iter_mut()
+                .find(|(n, _, _)| *n == name)
+                .expect("fixture slot exists")
+                .1 = src;
+        }
         ws_with(&files)
     };
     let (report, m) = msgs(&tree(CORE_AUDITS));
@@ -339,7 +393,7 @@ impl NodeCore {
     let (_, m) = msgs(&tree(CORE_SILENT));
     assert!(
         m.iter()
-            .any(|v| v.contains("no dispatch arm for EvKind::Ping reaches an audit emission")),
+            .any(|v| v.contains("no dispatch arm for AM_PING reaches an audit emission")),
         "silent node core not flagged: {m:?}"
     );
 }

@@ -40,6 +40,11 @@ impl PayloadWriter {
         self
     }
 
+    pub fn u16(&mut self, v: u16) -> &mut Self {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
@@ -117,6 +122,12 @@ impl<'a> PayloadReader<'a> {
 
     pub fn u8(&mut self) -> Result<u8, Truncated> {
         Ok(self.take(1)?[0])
+    }
+
+    pub fn u16(&mut self) -> Result<u16, Truncated> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("take(2) yields 2 bytes"),
+        ))
     }
 
     pub fn u32(&mut self) -> Result<u32, Truncated> {

@@ -29,17 +29,16 @@
 use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::SequentialBackend;
 use crate::config::MrtsConfig;
-use crate::ctx::{Ctx, Effect};
-use crate::directory::Directory;
+use crate::ctx::Ctx;
 use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
 use crate::msg::Message;
-use crate::node::{Entry, IoCmd, NodeCore, State};
+use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore, State};
 use crate::object::{MobileObject, Registry};
 use crate::stats::RunStats;
 use crate::storage::{MemStore, StorageBackend};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Size in bytes charged for a directory-update service message.
@@ -48,11 +47,11 @@ const DIR_UPDATE_BYTES: usize = 32;
 const CTL_BYTES: usize = 64;
 
 struct NodeState {
-    /// The out-of-core layer: object table, budget, locality, load queue
-    /// and prefetch window, node statistics. This engine is its driver on
-    /// virtual disk channels (see [`DesRuntime::flush`]).
+    /// The node's out-of-core and control layers: object table, budget,
+    /// locality, load queue and prefetch window, directory, routing,
+    /// migration, node statistics. This engine is its driver on virtual
+    /// disk channels and a virtual network (see [`DesRuntime::drain`]).
     core: NodeCore,
-    dir: Directory,
     /// A [`MemStore`] in fault-free runs; wrapped in a
     /// [`FaultyStore`] when the config carries a fault plan.
     store: Box<dyn StorageBackend>,
@@ -71,41 +70,17 @@ struct NodeState {
     pack_buf: Vec<u8>,
 }
 
-#[derive(Debug)]
 enum EvKind {
-    /// Application message arriving at a node.
-    Msg(Message),
+    /// A message arriving at a node (or looping back to its sender).
+    Net(NetMsg),
     /// A disk load completed.
     Loaded(ObjectId),
-    /// Lazy directory update.
-    DirUpdate(ObjectId, NodeId),
-    /// Request to ship an object to `dest`.
-    MigrateReq(ObjectId, NodeId),
-    /// A migrated object arriving (packed bytes + its message queue).
-    Install {
-        oid: ObjectId,
-        bytes: Vec<u8>,
-        priority: u8,
-        locked: bool,
-        /// Sender-side mutation counter; the receiver installs at
-        /// `version + 1`, mirroring the audit checker's model.
-        version: u64,
-        queue: VecDeque<Message>,
-    },
-    /// Metadata operation routed to the object's owner.
-    Meta(ObjectId, MetaOp),
-    /// An idle node (the payload) asking this node for one queued task.
-    StealReq(NodeId),
-    /// The named victim had nothing stealable. A grant has no event of
-    /// its own — the stolen object arrives as a regular `Install`.
-    StealDeny(NodeId),
 }
 
-#[derive(Debug, Clone, Copy)]
-enum MetaOp {
-    Lock,
-    Unlock,
-    SetPriority(u8),
+/// Virtual-time steal eligibility: resident objects execute on arrival,
+/// so only *non-resident* ones hold a backlog a thief could relieve.
+fn holds_backlog(e: &Entry) -> bool {
+    matches!(e.state, State::OnDisk | State::Loading)
 }
 
 struct Event {
@@ -155,9 +130,6 @@ pub struct DesRuntime {
     /// coming and is the virtual-time notion of "idle" work stealing keys
     /// off (the threaded engine's empty-poll streak, collapsed).
     pending_events: Vec<usize>,
-    /// A steal request has been fired on this node's behalf and its
-    /// answer (an `Install` or a `StealDeny`) has not arrived yet.
-    thief_waiting: Vec<bool>,
     #[cfg(any(feature = "audit", debug_assertions))]
     audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
 }
@@ -168,7 +140,6 @@ impl DesRuntime {
         let nodes = (0..cfg.nodes)
             .map(|i| NodeState {
                 core: NodeCore::new(i as NodeId, &cfg),
-                dir: Directory::new(),
                 store: match cfg.fault {
                     // Per-node seed offset: each node draws its own fault
                     // schedule, like distinct physical disks failing
@@ -203,7 +174,6 @@ impl DesRuntime {
             fatal: None,
             net_seq: HashMap::new(),
             pending_events: vec![0; n],
-            thief_waiting: vec![false; n],
             #[cfg(any(feature = "audit", debug_assertions))]
             audit: None,
         }
@@ -269,68 +239,29 @@ impl DesRuntime {
         let n = &mut self.nodes[node as usize];
         let id = ObjectId::new(node, n.next_obj_seq);
         n.next_obj_seq += 1;
-        let footprint = obj.footprint();
-        self.nodes[node as usize]
-            .core
-            .admit(footprint, Duration::ZERO);
+        n.core.create(id, obj, priority, Duration::ZERO);
         self.flush(node, Duration::ZERO);
-        self.nodes[node as usize]
-            .core
-            .insert_resident(id, obj, priority, false, 0, Duration::ZERO);
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::Create {
-                node,
-                oid: id,
-                footprint
-            }
-        );
-        self.nodes[node as usize].core.audit_budget(true);
         MobilePtr::new(id)
     }
 
     /// Pin an object before the run.
     pub fn lock_object(&mut self, ptr: MobilePtr) {
         let node = self.owner_of(ptr.id);
-        self.nodes[node as usize].core.entry_mut(ptr.id).locked = true;
-        audit_emit!(self.audit, RuntimeEvent::Pin { node, oid: ptr.id });
+        (self.nodes[node as usize].core).on_meta(ptr.id, MetaOp::Lock, Duration::ZERO);
     }
 
     /// Post an initial message (delivered at virtual time zero).
     pub fn post(&mut self, to: MobilePtr, handler: HandlerId, payload: Vec<u8>) {
         let node = self.owner_of(to.id);
         audit_emit!(self.audit, RuntimeEvent::Post { node, oid: to.id });
-        self.push_event(
-            Duration::ZERO,
-            node,
-            EvKind::Msg(Message::new(to, handler, payload)),
-        );
-    }
-
-    /// The routing fallback for an object with no directory hint: its home
-    /// node, wrapped into the current cluster size (checkpoints may be
-    /// restored onto fewer nodes than the ids were minted on).
-    fn home_of(&self, oid: ObjectId) -> NodeId {
-        (oid.home() as usize % self.nodes.len()) as NodeId
-    }
-
-    /// Where `node` sends traffic for an object it does not hold: its
-    /// directory hint — wrapped like the home, since a restored directory
-    /// may name a node this cluster no longer has — unless the hint is
-    /// this node itself, then the home.
-    fn dir_next_hop(&self, node: NodeId, oid: ObjectId) -> NodeId {
-        let d = self.nodes[node as usize].dir.lookup(oid);
-        let d = (d as usize % self.nodes.len()) as NodeId;
-        if d == node {
-            self.home_of(oid)
-        } else {
-            d
-        }
+        let msg = NetMsg::Msg(Message::new(to, handler, payload));
+        self.push_event(Duration::ZERO, node, EvKind::Net(msg));
     }
 
     fn owner_of(&self, oid: ObjectId) -> NodeId {
-        // Follow Moved tombstones from the home node.
-        let mut n = self.home_of(oid);
+        // Follow Moved tombstones from the home node (wrapped: a
+        // checkpoint may be restored onto fewer nodes than minted the id).
+        let mut n = (oid.home() as usize % self.nodes.len()) as NodeId;
         for _ in 0..self.cfg.nodes + 1 {
             match self.nodes[n as usize].core.table.get(&oid) {
                 Some(Entry {
@@ -591,34 +522,8 @@ impl DesRuntime {
     fn handle(&mut self, ev: Event) {
         let node = ev.node;
         match ev.kind {
-            EvKind::Msg(msg) => self.on_msg(node, msg),
+            EvKind::Net(msg) => self.on_net(node, msg),
             EvKind::Loaded(oid) => self.on_loaded(node, oid),
-            EvKind::DirUpdate(oid, loc) => {
-                self.nodes[node as usize].dir.update(oid, loc);
-                audit_emit!(self.audit, RuntimeEvent::DirUpdate { node, oid, loc });
-            }
-            EvKind::MigrateReq(oid, dest) => self.on_migrate_req(node, oid, dest),
-            EvKind::Install {
-                oid,
-                bytes,
-                priority,
-                locked,
-                version,
-                queue,
-            } => self.on_install(node, oid, bytes, priority, locked, version, queue),
-            EvKind::Meta(oid, op) => self.on_meta(node, oid, op),
-            EvKind::StealReq(thief) => self.on_steal_req(node, thief),
-            #[allow(unused_variables)] // `victim` feeds the audit emission
-            EvKind::StealDeny(victim) => {
-                self.thief_waiting[node as usize] = false;
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::StealDeny {
-                        node: victim,
-                        to: node
-                    }
-                );
-            }
         }
         // A node that still has queued work after this event may feed an
         // idle peer.
@@ -668,78 +573,66 @@ impl DesRuntime {
         latency
     }
 
-    fn forward(
-        &mut self,
-        at: Duration,
-        node: NodeId,
-        mut msg: Message,
-        kind_builder: fn(Message) -> EvKind,
-    ) {
-        let oid = msg.to.id;
-        let next = match self.nodes[node as usize].core.table.get(&oid) {
-            Some(Entry {
-                state: State::Moved(f),
-                ..
-            }) => *f,
-            _ => self.dir_next_hop(node, oid),
-        };
-        if next == node {
-            panic!("message for unknown object {oid:?} stuck at node {node}");
-        }
-        msg.route.push(node);
-        self.nodes[node as usize].core.stats.msgs_forwarded += 1;
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::Forward {
-                node,
-                oid,
-                to: next
+    // ----- driving the node core -----------------------------------------------
+
+    /// Hand one arrived message to the node's core and carry out what it
+    /// decided. A steal request is answered with this engine's pick (see
+    /// [`holds_backlog`]); a grant travels through the ordinary migration
+    /// path — load if spilled, then install at the thief.
+    fn on_net(&mut self, node: NodeId, msg: NetMsg) {
+        let now = self.now;
+        let core = &mut self.nodes[node as usize].core;
+        if let Some(thief) = core.on_net(msg, now, &self.registry) {
+            match core.steal_pick(holds_backlog) {
+                Some(oid) => core.grant_steal(oid, thief, now),
+                None => core.deny_steal(thief, now),
             }
-        );
-        let bytes = msg.wire_size();
-        self.ship(at, node, next, bytes, kind_builder(msg));
+        }
+        self.drain(node, now);
     }
 
-    fn on_msg(&mut self, node: NodeId, msg: Message) {
-        let oid = msg.to.id;
-        if !self.nodes[node as usize].core.holds(oid) {
-            let now = self.now;
-            self.forward(now, node, msg, EvKind::Msg);
-            return;
+    /// Carry out what `node`'s core decided since the last drain, in its
+    /// order: pack/unpack time is charged as compute, every message is
+    /// shipped at its modelled size (a local one becomes an event on the
+    /// same node), I/O runs on the virtual disk channels at `at`, and
+    /// objects that became runnable execute right away. Called after
+    /// every core transition that can produce any of them.
+    fn drain(&mut self, node: NodeId, at: Duration) {
+        let mut work = std::mem::take(&mut self.nodes[node as usize].core.codec_work);
+        for (wall, bytes) in work.drain(..) {
+            let charge = self.compute_charge(wall, bytes);
+            self.nodes[node as usize].core.stats.comp += charge;
         }
-        // Lazy directory updates along the route.
-        if !msg.route.is_empty() {
-            let route = msg.route.clone();
-            for hop in route {
-                if hop != node {
-                    self.ship(
-                        self.now,
-                        node,
-                        hop,
-                        DIR_UPDATE_BYTES,
-                        EvKind::DirUpdate(oid, node),
-                    );
-                }
-            }
+        self.nodes[node as usize].core.codec_work = work;
+        let mut out = std::mem::take(&mut self.nodes[node as usize].core.out);
+        for (dest, msg, not_before) in out.drain(..) {
+            let bytes = match &msg {
+                NetMsg::Msg(m) => m.wire_size(),
+                NetMsg::DirUpdate { .. } => DIR_UPDATE_BYTES,
+                NetMsg::Install(install) => install.packed.len(),
+                NetMsg::MigrateReq { .. }
+                | NetMsg::Meta { .. }
+                | NetMsg::StealReq { .. }
+                | NetMsg::StealDeny { .. } => CTL_BYTES,
+            };
+            self.ship(not_before, node, dest, bytes, EvKind::Net(msg));
         }
-        let core = &mut self.nodes[node as usize].core;
-        let entry = core.entry_mut(oid);
-        match entry.state {
-            State::InCore(_) | State::Executing => {
+        self.nodes[node as usize].core.out = out;
+        self.flush(node, at);
+        let mut runnable = std::mem::take(&mut self.nodes[node as usize].core.runnable);
+        for oid in runnable.drain(..) {
+            // Drain the object's queue in arrival order, for as long as it
+            // stays in core (a handler's own creations may evict it, and
+            // the eviction has then queued its reload).
+            while let Some(msg) = {
+                let e = self.nodes[node as usize].core.entry_mut(oid);
+                e.is_in_core().then(|| e.queue.pop_front()).flatten()
+            } {
                 self.execute(node, oid, msg);
             }
-            State::Loading => {
-                entry.queue.push_back(msg);
-            }
-            State::OnDisk => {
-                entry.queue.push_back(msg);
-                core.queue_load(oid);
-            }
-            State::Moved(_) => unreachable!(),
         }
+        self.nodes[node as usize].core.runnable = runnable;
     }
-
-    // ----- out-of-core: driving the node core ----------------------------------
 
     /// Issue queued loads (see [`NodeCore::pump_loads`]): a load is
     /// look-ahead while a virtual core is busy beyond `at`. Nothing polls
@@ -954,20 +847,8 @@ impl DesRuntime {
         // is still busy was masked by computation.
         let miss = !n.core_free.iter().any(|&c| c > now);
         n.core.complete_load(oid, obj, packed_len, miss);
-        // A pending migration takes precedence over queued work.
-        if let Some(dest) = n.core.entry(oid).pending_migration {
-            self.do_migrate(node, oid, dest);
-            return;
-        }
-        // Drain queued messages in arrival order.
-        while let Some(msg) = self.nodes[node as usize]
-            .core
-            .entry_mut(oid)
-            .queue
-            .pop_front()
-        {
-            self.execute(node, oid, msg);
-        }
+        n.core.resume(oid, now);
+        self.drain(node, now);
     }
 
     // ----- handler execution --------------------------------------------------
@@ -976,12 +857,9 @@ impl DesRuntime {
         let handler = self.registry.handler(msg.handler);
         // Take the object out for the duration of the call.
         let core = &mut self.nodes[node as usize].core;
-        let Some((mut obj, old_footprint)) = core.begin_handler(oid) else {
-            // Object got evicted/migrated between queueing and now;
-            // requeue through the normal path.
-            self.on_msg(node, msg);
-            return;
-        };
+        let (mut obj, old_footprint) = core
+            .begin_handler(oid)
+            .expect("runnable object checked in core");
         let arrival_floor = core.entry(oid).obj_free_at;
         audit_emit!(self.audit, RuntimeEvent::Deliver { node, oid });
 
@@ -1033,146 +911,24 @@ impl DesRuntime {
 
         // Put the object back (busy until `end`); its sends teach the
         // locality curve before they dispatch.
-        self.nodes[node as usize]
-            .core
-            .finish_handler(oid, obj, old_footprint, &effects, end);
-        self.apply_effects(node, end, effects);
-
+        let core = &mut self.nodes[node as usize].core;
+        core.finish_handler(oid, obj, old_footprint, &effects, end);
+        core.apply_effects(effects, end);
         // Hard budget enforcement (handlers grow objects in place), then
         // advisory soft-threshold swapping. The object itself is protected:
-        // it may be mid-drain in `on_loaded`.
-        let core = &mut self.nodes[node as usize].core;
+        // its queue may be mid-drain.
         core.enforce_budget(Some(oid), end);
         core.soft_swap(end);
-        self.flush(node, end);
-    }
-
-    fn apply_effects(&mut self, node: NodeId, at: Duration, effects: Vec<Effect>) {
-        for eff in effects {
-            match eff {
-                Effect::Send {
-                    to,
-                    handler,
-                    payload,
-                    immediate: _,
-                } => {
-                    audit_emit!(self.audit, RuntimeEvent::Post { node, oid: to.id });
-                    let msg = Message::new(to, handler, payload);
-                    if self.nodes[node as usize].core.holds(to.id) {
-                        self.push_event(at, node, EvKind::Msg(msg));
-                    } else {
-                        // Route like any misdirected message: the sender
-                        // joins the route, so the delivery-time lazy
-                        // update teaches it the object's location (and
-                        // `route.first()` stays the true source node),
-                        // matching the threaded engine.
-                        self.forward(at, node, msg, EvKind::Msg);
-                    }
-                }
-                Effect::Create { id, obj, priority } => {
-                    let footprint = obj.footprint();
-                    self.nodes[node as usize].core.admit(footprint, at);
-                    self.flush(node, at);
-                    self.nodes[node as usize]
-                        .core
-                        .insert_resident(id, obj, priority, false, 0, at);
-                    audit_emit!(
-                        self.audit,
-                        RuntimeEvent::Create {
-                            node,
-                            oid: id,
-                            footprint
-                        }
-                    );
-                    self.nodes[node as usize].core.audit_budget(true);
-                }
-                Effect::Lock(p) => self.route_meta(node, at, p.id, MetaOp::Lock),
-                Effect::Unlock(p) => self.route_meta(node, at, p.id, MetaOp::Unlock),
-                Effect::SetPriority(p, v) => {
-                    self.route_meta(node, at, p.id, MetaOp::SetPriority(v))
-                }
-                Effect::Migrate(p, dest) => {
-                    let oid = p.id;
-                    if self.nodes[node as usize].core.holds(oid) {
-                        self.push_event(at, node, EvKind::MigrateReq(oid, dest));
-                    } else {
-                        let owner = self.dir_next_hop(node, oid);
-                        self.ship(at, node, owner, CTL_BYTES, EvKind::MigrateReq(oid, dest));
-                    }
-                }
-            }
-        }
-    }
-
-    fn route_meta(&mut self, node: NodeId, at: Duration, oid: ObjectId, op: MetaOp) {
-        if self.nodes[node as usize].core.holds(oid) {
-            self.push_event(at, node, EvKind::Meta(oid, op));
-        } else {
-            let owner = self.dir_next_hop(node, oid);
-            self.ship(at, node, owner, CTL_BYTES, EvKind::Meta(oid, op));
-        }
-    }
-
-    fn on_meta(&mut self, node: NodeId, oid: ObjectId, op: MetaOp) {
-        if !self.nodes[node as usize].core.holds(oid) {
-            let owner = self.dir_next_hop(node, oid);
-            if owner == node {
-                return; // object destroyed; drop silently
-            }
-            self.ship(self.now, node, owner, CTL_BYTES, EvKind::Meta(oid, op));
-            return;
-        }
-        let e = self.nodes[node as usize].core.entry_mut(oid);
-        match op {
-            MetaOp::Lock => {
-                e.locked = true;
-                audit_emit!(self.audit, RuntimeEvent::Pin { node, oid });
-            }
-            MetaOp::Unlock => {
-                e.locked = false;
-                audit_emit!(self.audit, RuntimeEvent::Unpin { node, oid });
-            }
-            MetaOp::SetPriority(v) => e.priority = v,
-        }
+        self.drain(node, end);
     }
 
     // ----- work stealing ----------------------------------------------------
 
-    /// Stealable work on `node`: queued-but-not-resident objects (the only
-    /// place messages wait in virtual time — resident objects execute
-    /// immediately), unpinned and not already migrating. Returns how many
-    /// there are plus the pick: deepest queue, ties to the smallest id —
-    /// the same total order the threaded victim uses, so the two engines
-    /// steal the same object from the same state.
-    fn steal_candidates(&self, node: NodeId) -> (usize, Option<ObjectId>) {
-        let mut count = 0usize;
-        let mut best: Option<(usize, ObjectId)> = None;
-        for (&oid, e) in &self.nodes[node as usize].core.table {
-            let ok = matches!(e.state, State::OnDisk | State::Loading)
-                && !e.locked
-                && e.pending_migration.is_none()
-                && !e.queue.is_empty();
-            if !ok {
-                continue;
-            }
-            count += 1;
-            let len = e.queue.len();
-            let better = match best {
-                None => true,
-                Some((blen, boid)) => len > blen || (len == blen && oid.0 < boid.0),
-            };
-            if better {
-                best = Some((len, oid));
-            }
-        }
-        (count, best.map(|(_, oid)| oid))
-    }
-
     /// After each handled event: if this node has a backlog to spare and a
     /// peer has gone completely quiet, fire a steal request on the idle
     /// peer's behalf. The protocol still runs thief → victim and pays
-    /// control-message latency both ways, mirroring the threaded engine;
-    /// only the *trigger* is collapsed — virtual time can see "no events
+    /// control-message latency both ways, as on a real fabric; only the
+    /// *trigger* is this engine's — virtual time can see "no events
     /// scheduled" directly where a real thief counts empty polls.
     fn maybe_steal(&mut self, node: NodeId) {
         if !self.cfg.work_stealing || self.nodes.len() < 2 {
@@ -1180,231 +936,20 @@ impl DesRuntime {
         }
         // Keep at least one queued task at home: stealing the victim's
         // last one just moves the imbalance around.
-        let (backlog, _) = self.steal_candidates(node);
-        if backlog < 2 {
+        if self.nodes[node as usize].core.steal_backlog(holds_backlog) < 2 {
             return;
         }
         let thief = (0..self.nodes.len() as NodeId).find(|&t| {
-            t != node && self.pending_events[t as usize] == 0 && !self.thief_waiting[t as usize]
+            t != node
+                && self.pending_events[t as usize] == 0
+                && !self.nodes[t as usize].core.awaiting_steal()
         });
         let Some(thief) = thief else { return };
-        self.thief_waiting[thief as usize] = true;
-        self.nodes[thief as usize].core.stats.idle_ticks += 1;
-        self.nodes[thief as usize].core.stats.steal_requests += 1;
-        self.ship(self.now, thief, node, CTL_BYTES, EvKind::StealReq(thief));
-    }
-
-    /// Victim side: grant the candidate pick (the object travels through
-    /// the ordinary migration path — load if spilled, then install at the
-    /// thief) or send a deny so the thief is re-armed.
-    fn on_steal_req(&mut self, node: NodeId, thief: NodeId) {
-        audit_emit!(self.audit, RuntimeEvent::StealRequest { node, thief });
-        match self.steal_candidates(node).1 {
-            Some(oid) => {
-                // Emitted while the object is still tracked here, so the
-                // checker validates the grant against pre-migration state.
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::StealGrant {
-                        node,
-                        oid,
-                        to: thief
-                    }
-                );
-                self.on_migrate_req(node, oid, thief);
-            }
-            None => {
-                self.ship(self.now, node, thief, CTL_BYTES, EvKind::StealDeny(node));
-            }
-        }
-    }
-
-    // ----- migration --------------------------------------------------------
-
-    fn on_migrate_req(&mut self, node: NodeId, oid: ObjectId, dest: NodeId) {
-        let entry_state = self.nodes[node as usize]
-            .core
-            .table
-            .get(&oid)
-            .map(|e| match e.state {
-                State::Moved(f) => Err(f),
-                State::InCore(_) | State::Executing => Ok(true),
-                State::OnDisk | State::Loading => Ok(false),
-            });
-        match entry_state {
-            None => {
-                // Not here: forward along the directory.
-                let owner = self.dir_next_hop(node, oid);
-                if owner != node {
-                    self.ship(
-                        self.now,
-                        node,
-                        owner,
-                        CTL_BYTES,
-                        EvKind::MigrateReq(oid, dest),
-                    );
-                }
-            }
-            Some(Err(f)) => {
-                self.ship(self.now, node, f, CTL_BYTES, EvKind::MigrateReq(oid, dest));
-            }
-            // Already where it should be, whatever its residency: loading
-            // a spilled object only to ship it to itself would leave a
-            // tombstone pointing at this node (a message arriving before
-            // the install sticks) and count a migration that moved
-            // nothing.
-            Some(Ok(_)) if node == dest => {}
-            Some(Ok(true)) => self.do_migrate(node, oid, dest),
-            Some(Ok(false)) => {
-                // Load it first, then ship (urgent: bypasses the window).
-                {
-                    let e = self.nodes[node as usize].core.entry_mut(oid);
-                    e.pending_migration = Some(dest);
-                }
-                self.nodes[node as usize].core.queue_load(oid);
-            }
-        }
-    }
-
-    /// Pack and ship an in-core object to `dest`, leaving a Moved
-    /// tombstone; its queued messages travel along.
-    fn do_migrate(&mut self, node: NodeId, oid: ObjectId, dest: NodeId) {
-        let (obj, queue, priority, locked, footprint, free_at, version) = {
-            let e = self.nodes[node as usize].core.entry_mut(oid);
-            e.pending_migration = None;
-            let state = std::mem::replace(&mut e.state, State::Moved(dest));
-            let obj = match state {
-                State::InCore(o) => o,
-                other => {
-                    e.state = other;
-                    return;
-                }
-            };
-            (
-                obj,
-                std::mem::take(&mut e.queue),
-                e.priority,
-                e.locked,
-                e.footprint,
-                e.obj_free_at,
-                e.version,
-            )
-        };
-        let t0 = Instant::now();
-        let bytes = Registry::pack(obj.as_ref());
-        let pack = self.compute_charge(t0.elapsed(), bytes.len());
-        drop(obj);
-        {
-            let n = &mut self.nodes[node as usize];
-            n.core.stats.comp += pack;
-            n.core.stats.migrations += 1;
-            n.core.ooc.note_out(footprint);
-        }
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::MigrateOut {
-                node,
-                oid,
-                to: dest,
-                queued: queue.len(),
-                footprint
-            }
-        );
-        let at = self.now.max(free_at);
-        let nbytes = bytes.len();
-        self.ship(
-            at,
-            node,
-            dest,
-            nbytes,
-            EvKind::Install {
-                oid,
-                bytes,
-                priority,
-                locked,
-                version,
-                queue,
-            },
-        );
-        // Tell the home node where the object went (lazy update).
-        let home = self.home_of(oid);
-        if home != node && home != dest {
-            self.ship(
-                at,
-                node,
-                home,
-                DIR_UPDATE_BYTES,
-                EvKind::DirUpdate(oid, dest),
-            );
-        }
-        self.nodes[node as usize].dir.update(oid, dest);
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::DirUpdate {
-                node,
-                oid,
-                loc: dest
-            }
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the Install event's fields
-    fn on_install(
-        &mut self,
-        node: NodeId,
-        oid: ObjectId,
-        bytes: Vec<u8>,
-        priority: u8,
-        locked: bool,
-        version: u64,
-        queue: VecDeque<Message>,
-    ) {
-        // An install that lands while a steal request is pending on this
-        // node's behalf is its answer: count the stolen task.
-        if self.thief_waiting[node as usize] {
-            self.thief_waiting[node as usize] = false;
-            self.nodes[node as usize].core.stats.tasks_stolen += 1;
-        }
-        let t0 = Instant::now();
-        let obj = self
-            .registry
-            .unpack(&bytes)
-            .expect("migration bytes were packed by the sending node from a registered type");
-        let unpack = self.compute_charge(t0.elapsed(), bytes.len());
-        let footprint = obj.footprint();
         let now = self.now;
-        self.nodes[node as usize].core.admit(footprint, now);
-        self.flush(node, now);
-        let n = &mut self.nodes[node as usize];
-        n.core.stats.comp += unpack;
-        n.dir.update(oid, node);
-        // Install counts as a mutation (the checker model bumps on
-        // MigrateIn); any spill key left behind on the old node is invalid
-        // here anyway.
-        n.core
-            .insert_resident(oid, obj, priority, locked, version + 1, now);
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::MigrateIn {
-                node,
-                oid,
-                queued: queue.len(),
-                footprint
-            }
-        );
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::DirUpdate {
-                node,
-                oid,
-                loc: node
-            }
-        );
-        self.nodes[node as usize].core.audit_budget(true);
-        // Replay the messages that traveled with the object.
-        for msg in queue {
-            self.push_event(self.now, node, EvKind::Msg(msg));
-        }
+        let core = &mut self.nodes[thief as usize].core;
+        core.stats.idle_ticks += 1;
+        core.request_steal(node, now);
+        self.drain(thief, now);
     }
 
     // ----- inspection (post-run) ---------------------------------------------------
@@ -1607,7 +1152,8 @@ impl DesRuntime {
     pub(crate) fn request_migration(&mut self, ptr: MobilePtr, dest: NodeId) {
         let owner = self.owner_of(ptr.id);
         let at = self.now;
-        self.push_event(at, owner, EvKind::MigrateReq(ptr.id, dest));
+        let req = NetMsg::MigrateReq { oid: ptr.id, dest };
+        self.push_event(at, owner, EvKind::Net(req));
     }
 
     /// Number of live objects across all nodes.

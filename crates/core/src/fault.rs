@@ -406,6 +406,17 @@ pub enum MrtsError {
         /// Physical transmissions attempted for the abandoned message.
         attempts: u32,
     },
+    /// A frame arrived that is not part of the node-to-node vocabulary:
+    /// an unknown tag, or a payload its tag cannot parse. The fabric is
+    /// in-process, so this is a bug or memory damage, never line noise —
+    /// but it fails the run instead of panicking a worker thread.
+    BadFrame {
+        /// The node that received the frame.
+        node: NodeId,
+        /// The node it came from.
+        src: NodeId,
+        tag: u32,
+    },
 }
 
 impl std::fmt::Display for MrtsError {
@@ -429,6 +440,12 @@ impl std::fmt::Display for MrtsError {
                 f,
                 "node {node}: peer {dest} unreachable after {attempts} transmissions"
             ),
+            MrtsError::BadFrame { node, src, tag } => {
+                write!(
+                    f,
+                    "node {node}: undecodable frame from node {src}, tag {tag}"
+                )
+            }
         }
     }
 }
@@ -437,7 +454,9 @@ impl std::error::Error for MrtsError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MrtsError::LoadFailed { source, .. } => Some(source),
-            MrtsError::CheckpointCorrupt(_) | MrtsError::NodeUnreachable { .. } => None,
+            MrtsError::CheckpointCorrupt(_)
+            | MrtsError::NodeUnreachable { .. }
+            | MrtsError::BadFrame { .. } => None,
         }
     }
 }

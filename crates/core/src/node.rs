@@ -1,47 +1,256 @@
-//! The out-of-core layer of one node, sans I/O.
+//! One node of the runtime, sans I/O: the out-of-core layer and the
+//! control layer.
 //!
 //! [`NodeCore`] owns what a node needs to decide *when* and *what* to
 //! swap — the object table, the budget manager, the locality map, the
-//! queue of pending loads and the prefetch window — and implements every
-//! step of the residency pipeline once, for both engines:
+//! queue of pending loads and the prefetch window — and *where* an object
+//! is — the lazily updated directory and the forwarding tombstones in the
+//! table. It implements every step of both pipelines once, for both
+//! engines:
 //!
 //! ```text
 //! admit ─▶ evict ─┬─▶ elide (clean: drop the copy, no I/O)
 //!                 └─▶ spill (dirty: one batched store)
 //! message for an on-disk object ─▶ queue_load ─▶ pump_loads ─▶ issue_load
 //! load completed as a demand miss ─▶ cluster_prefetch ─▶ queue (hinted)
+//!
+//! handler effects ─▶ apply_effects ─▶ send ─┬─▶ held here: loop back
+//!                                           └─▶ forward: join the route, next_hop
+//! NetMsg off the wire ─▶ on_net ─┬─▶ Msg: deliver (lazy DirUpdate to every hop) / forward
+//!                                ├─▶ MigrateReq ─▶ do_migrate ─▶ Install + home DirUpdate
+//!                                ├─▶ Install: admit, insert, re-route the carried queue
+//!                                └─▶ DirUpdate / Meta / StealReq / StealDeny
 //! ```
 //!
-//! The core performs no I/O and reads no clock. Every method is a state
-//! transition that takes the caller's notion of *now* (virtual time in
-//! the discrete-event engine; always zero in the threaded engine, whose
-//! handlers are over by the time the control loop asks) and appends the
-//! I/O it wants done to [`NodeCore::cmds`] as [`IoCmd`]s, in the order
-//! they must be performed. An engine is a **driver**: it drains the
-//! command buffer into its own notion of a disk — an I/O thread pool, or
-//! virtual disks charged in virtual time — and feeds completions back
-//! through [`NodeCore::complete_load`], [`NodeCore::store_landed`] and
-//! [`NodeCore::store_failed`]. Statistics and audit events for these
-//! transitions are recorded here, so the two engines cannot count or
-//! report them differently.
+//! The core performs no I/O, sends nothing and reads no clock. Every
+//! method is a state transition that takes the caller's notion of *now*
+//! (virtual time in the discrete-event engine; always zero in the threaded
+//! engine, whose handlers are over by the time the control loop asks) and
+//! appends what it wants done to three buffers, each in the order it must
+//! be performed: disk operations to [`NodeCore::cmds`] as [`IoCmd`]s,
+//! messages to [`NodeCore::out`] as `(destination, NetMsg, not before)` —
+//! a destination equal to this node is a local send the driver loops back
+//! — and objects that just gained runnable work to
+//! [`NodeCore::runnable`]. An engine is a **driver**: it drains the
+//! buffers into its own notion of a disk, a network and a run queue — an
+//! I/O thread pool, the fabric and a ready deque, or virtual disks,
+//! `ship()` and immediate execution in virtual time — and feeds
+//! completions and arrivals back through [`NodeCore::complete_load`],
+//! [`NodeCore::store_landed`], [`NodeCore::store_failed`] and
+//! [`NodeCore::on_net`]. Statistics and audit events for all of these
+//! transitions are recorded here, so the two engines cannot count, route
+//! or report them differently.
 //!
-//! Messaging, the directory, migration, installation and work stealing
-//! still live in the drivers; they reach into [`NodeCore::table`] for the
-//! per-object state they share with this layer.
+//! Two rules of work stealing are the drivers', because they differ for a
+//! reason: *when* an idle node asks (empty polls of a real fabric vs. "no
+//! event scheduled" in virtual time) and *which* objects a victim may hand
+//! over (see [`NodeCore::steal_pick`]).
 
 #[allow(unused_imports)]
 use crate::audit::{audit_emit, RuntimeEvent};
+use crate::codec::{PayloadReader, PayloadWriter, Truncated};
 use crate::config::MrtsConfig;
 use crate::ctx::Effect;
+use crate::directory::Directory;
 use crate::ids::{NodeId, ObjectId};
 use crate::locality::{LocalityMap, CLUSTER_OBJECTS, PREFETCH_MATES, UNRANKED};
-use crate::msg::Message;
-use crate::object::MobileObject;
+use crate::msg::{Message, MsgDecodeError};
+use crate::object::{timed, MobileObject, Registry};
 use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WINDOW_OBJECTS};
 use crate::policy::AccessMeta;
 use crate::stats::NodeStats;
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
+
+// Wire tags of the data-plane active messages. The threaded engine's
+// control ring (token, exit, ack) keeps its own tags beside these.
+const AM_MSG: u32 = 1;
+const AM_DIR_UPDATE: u32 = 2;
+const AM_MIGRATE_REQ: u32 = 3;
+const AM_INSTALL: u32 = 4;
+const AM_META: u32 = 6;
+/// An idle node asking a peer for one ready task.
+const AM_STEAL_REQ: u32 = 10;
+/// The victim had nothing stealable. A grant has no tag of its own — the
+/// stolen object arrives as a regular `AM_INSTALL`.
+const AM_STEAL_DENY: u32 = 11;
+
+const META_LOCK: u8 = 0;
+const META_UNLOCK: u8 = 1;
+const META_PRIO: u8 = 2;
+
+/// Metadata operation routed to an object's owner.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MetaOp {
+    Lock,
+    Unlock,
+    SetPriority(u8),
+}
+
+impl MetaOp {
+    fn on(self, oid: ObjectId) -> NetMsg {
+        NetMsg::Meta { oid, op: self }
+    }
+}
+
+/// A migrating object: everything the destination needs to take over.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Install {
+    pub(crate) oid: ObjectId,
+    pub(crate) priority: u8,
+    pub(crate) locked: bool,
+    /// Sender-side mutation version; the receiver installs at
+    /// `version + 1` (installing counts as a mutation, mirroring the audit
+    /// checker's model), so its dirty tracking stays in sync.
+    pub(crate) version: u64,
+    pub(crate) packed: Vec<u8>,
+    /// The object's undelivered messages travel with it.
+    pub(crate) queue: VecDeque<Message>,
+}
+
+/// Everything one node says to another, in both engines: the threaded
+/// engine puts [`NetMsg::encode`] on the fabric under [`NetMsg::tag`], the
+/// virtual-time engine schedules the value itself as an event.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum NetMsg {
+    /// Application message for a mobile object.
+    Msg(Message),
+    /// Lazy directory update: `oid` was seen at `loc`.
+    DirUpdate { oid: ObjectId, loc: NodeId },
+    /// Request to ship an object to `dest`.
+    MigrateReq { oid: ObjectId, dest: NodeId },
+    /// Metadata operation routed to the object's owner.
+    Meta { oid: ObjectId, op: MetaOp },
+    /// A migrated (or stolen) object arriving.
+    Install(Install),
+    /// An idle node asking this node for one queued task.
+    StealReq { thief: NodeId },
+    /// The named victim had nothing stealable.
+    StealDeny { victim: NodeId },
+}
+
+/// A frame that is not a [`NetMsg`]: a tag this vocabulary does not have,
+/// or a payload its tag cannot parse.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WireError {
+    UnknownTag(u32),
+    Malformed,
+}
+
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Malformed
+    }
+}
+
+impl From<MsgDecodeError> for WireError {
+    fn from(_: MsgDecodeError) -> Self {
+        WireError::Malformed
+    }
+}
+
+impl NetMsg {
+    pub(crate) fn tag(&self) -> u32 {
+        match self {
+            NetMsg::Msg(_) => AM_MSG,
+            NetMsg::DirUpdate { .. } => AM_DIR_UPDATE,
+            NetMsg::MigrateReq { .. } => AM_MIGRATE_REQ,
+            NetMsg::Meta { .. } => AM_META,
+            NetMsg::Install(_) => AM_INSTALL,
+            NetMsg::StealReq { .. } => AM_STEAL_REQ,
+            NetMsg::StealDeny { .. } => AM_STEAL_DENY,
+        }
+    }
+
+    /// The payload that travels under [`NetMsg::tag`].
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = PayloadWriter::new();
+        match self {
+            NetMsg::Msg(m) => return m.encode(),
+            NetMsg::DirUpdate { oid, loc: node } | NetMsg::MigrateReq { oid, dest: node } => {
+                w.u64(oid.0).u16(*node);
+            }
+            NetMsg::Meta { oid, op } => {
+                let (code, arg) = match *op {
+                    MetaOp::Lock => (META_LOCK, 0),
+                    MetaOp::Unlock => (META_UNLOCK, 0),
+                    MetaOp::SetPriority(v) => (META_PRIO, v),
+                };
+                w.u64(oid.0).u8(code).u8(arg);
+            }
+            NetMsg::Install(i) => {
+                w = PayloadWriter::with_capacity(i.packed.len() + 64);
+                w.u64(i.oid.0)
+                    .u8(i.priority)
+                    .u8(u8::from(i.locked))
+                    .u64(i.version)
+                    .bytes(&i.packed)
+                    .u32(i.queue.len() as u32);
+                for m in &i.queue {
+                    w.bytes(&m.encode());
+                }
+            }
+            NetMsg::StealReq { thief: node } | NetMsg::StealDeny { victim: node } => {
+                w.u16(*node);
+            }
+        }
+        w.finish()
+    }
+
+    /// Inverse of [`NetMsg::encode`] for a frame received under `tag`.
+    pub(crate) fn decode(tag: u32, payload: &[u8]) -> Result<NetMsg, WireError> {
+        let mut r = PayloadReader::new(payload);
+        Ok(match tag {
+            AM_MSG => NetMsg::Msg(Message::decode(payload)?),
+            AM_DIR_UPDATE => NetMsg::DirUpdate {
+                oid: ObjectId(r.u64()?),
+                loc: r.u16()?,
+            },
+            AM_MIGRATE_REQ => NetMsg::MigrateReq {
+                oid: ObjectId(r.u64()?),
+                dest: r.u16()?,
+            },
+            AM_META => {
+                let oid = ObjectId(r.u64()?);
+                let op = match (r.u8()?, r.u8()?) {
+                    (META_LOCK, _) => MetaOp::Lock,
+                    (META_UNLOCK, _) => MetaOp::Unlock,
+                    (META_PRIO, v) => MetaOp::SetPriority(v),
+                    _ => return Err(WireError::Malformed),
+                };
+                NetMsg::Meta { oid, op }
+            }
+            AM_INSTALL => {
+                let oid = ObjectId(r.u64()?);
+                let (priority, locked, version) = (r.u8()?, r.u8()? != 0, r.u64()?);
+                let packed = r.bytes()?.to_vec();
+                let n_msgs = r.u32()? as usize;
+                // Every queued message takes at least its length prefix:
+                // a count the payload cannot hold is damage, not a reason
+                // to allocate.
+                if n_msgs > r.remaining() / 4 {
+                    return Err(WireError::Malformed);
+                }
+                let mut queue = VecDeque::with_capacity(n_msgs);
+                for _ in 0..n_msgs {
+                    queue.push_back(Message::decode(r.bytes()?)?);
+                }
+                NetMsg::Install(Install {
+                    oid,
+                    priority,
+                    locked,
+                    version,
+                    packed,
+                    queue,
+                })
+            }
+            AM_STEAL_REQ => NetMsg::StealReq { thief: r.u16()? },
+            AM_STEAL_DENY => NetMsg::StealDeny { victim: r.u16()? },
+            other => return Err(WireError::UnknownTag(other)),
+        })
+    }
+}
 
 /// Where an object's bytes are.
 pub(crate) enum State {
@@ -126,15 +335,22 @@ pub(crate) enum IoCmd {
     Elided(ObjectId),
 }
 
-/// The out-of-core state machine of one node. See the module docs.
+/// The out-of-core and control state machine of one node. See the module
+/// docs.
 pub(crate) struct NodeCore {
-    /// Labels this node's audit events.
-    #[cfg(any(feature = "audit", debug_assertions))]
     node: NodeId,
+    /// Nodes in this run: homes and directory hints wrap into it.
+    n_nodes: usize,
     /// `MrtsConfig::locality`: learn adjacency, evict and prefetch by
     /// cluster, ship curve ranks to the store.
     locality_on: bool,
     pub(crate) table: HashMap<ObjectId, Entry>,
+    /// Last known location of objects that are not here, updated lazily
+    /// by the deliveries of messages this node sent or forwarded.
+    dir: Directory,
+    /// A steal request of this node is out and unanswered (the answer is
+    /// an `Install` or a `StealDeny`); at most one in flight.
+    awaiting_steal: bool,
     pub(crate) ooc: OocManager,
     /// Adjacency-learned locality ordering (see `mrts::locality`); fed
     /// from handler sends, consumed by eviction, cluster prefetch, and
@@ -162,18 +378,31 @@ pub(crate) struct NodeCore {
     /// after every call that can append to it and hand the (empty) vector
     /// back so its capacity is reused.
     pub(crate) cmds: Vec<IoCmd>,
+    /// Messages the driver has yet to send, oldest first, as
+    /// `(destination, message, not before)`. A destination equal to this
+    /// node is a local send: the driver feeds it back to
+    /// [`NodeCore::on_net`]. Drained like `cmds`.
+    pub(crate) out: Vec<(NodeId, NetMsg, Duration)>,
+    /// Resident objects that went from "nothing to run" to "has queued
+    /// work" since the driver last looked, in that order.
+    pub(crate) runnable: Vec<ObjectId>,
+    /// Wall time and byte count of every pack and unpack the core did
+    /// (migration, install) since the driver last looked; the driver
+    /// charges them as compute in its own clock.
+    pub(crate) codec_work: Vec<(Duration, usize)>,
     #[cfg(any(feature = "audit", debug_assertions))]
     pub(crate) audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
 }
 
 impl NodeCore {
-    #[allow(unused_variables)] // `node` only labels audit events
     pub(crate) fn new(node: NodeId, cfg: &MrtsConfig) -> Self {
         NodeCore {
-            #[cfg(any(feature = "audit", debug_assertions))]
             node,
+            n_nodes: cfg.nodes,
             locality_on: cfg.locality,
             table: HashMap::new(),
+            dir: Directory::new(),
+            awaiting_steal: false,
             ooc: OocManager::new(
                 cfg.mem_budget,
                 cfg.hard_threshold_mult,
@@ -190,6 +419,9 @@ impl NodeCore {
             next_spill_key: 0,
             stats: NodeStats::default(),
             cmds: Vec::new(),
+            out: Vec::new(),
+            runnable: Vec::new(),
+            codec_work: Vec::new(),
             #[cfg(any(feature = "audit", debug_assertions))]
             audit: None,
         }
@@ -932,6 +1164,507 @@ impl NodeCore {
         }
     }
 
+    // ----- control layer: effects, routing, the directory --------------------
+
+    /// Interpret a handler's effects, in order, at `now` (the moment the
+    /// handler finished): sends go through the one [`NodeCore::send`] rule,
+    /// metadata and migration requests are addressed to the object's
+    /// owner, creations are admitted and tracked on the spot.
+    pub(crate) fn apply_effects(&mut self, effects: Vec<Effect>, now: Duration) {
+        for eff in effects {
+            match eff {
+                Effect::Send {
+                    to,
+                    handler,
+                    payload,
+                    immediate: _,
+                } => {
+                    audit_emit!(
+                        self.audit,
+                        RuntimeEvent::Post {
+                            node: self.node,
+                            oid: to.id
+                        }
+                    );
+                    self.send(Message::new(to, handler, payload), now);
+                }
+                Effect::Create { id, obj, priority } => self.create(id, obj, priority, now),
+                Effect::Lock(p) => self.send_to_owner(p.id, MetaOp::Lock.on(p.id), now),
+                Effect::Unlock(p) => self.send_to_owner(p.id, MetaOp::Unlock.on(p.id), now),
+                Effect::SetPriority(p, v) => {
+                    self.send_to_owner(p.id, MetaOp::SetPriority(v).on(p.id), now)
+                }
+                Effect::Migrate(p, dest) => {
+                    self.send_to_owner(p.id, NetMsg::MigrateReq { oid: p.id, dest }, now)
+                }
+            }
+        }
+    }
+
+    /// Admit, track and announce an object created on this node at `now`.
+    pub(crate) fn create(
+        &mut self,
+        oid: ObjectId,
+        obj: Box<dyn MobileObject>,
+        priority: u8,
+        now: Duration,
+    ) {
+        let footprint = obj.footprint();
+        self.admit(footprint, now);
+        self.insert_resident(oid, obj, priority, false, 0, now);
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::Create {
+                node: self.node,
+                oid,
+                footprint
+            }
+        );
+        self.audit_budget(true);
+    }
+
+    /// An object's home node in *this* run. After a checkpoint restore
+    /// onto fewer nodes than the capture ran with, ids homed on a lost
+    /// node wrap onto a survivor — the same modulo the restore placement
+    /// uses, so routing and placement agree.
+    fn home_of(&self, oid: ObjectId) -> NodeId {
+        (oid.home() as usize % self.n_nodes) as NodeId
+    }
+
+    /// Where traffic for `oid` goes from here: nowhere, if the object is
+    /// here; else to the forwarding tombstone it left behind if it
+    /// departed from this node, else to the directory hint (wrapped like
+    /// the home: a restored hint may name a node this run does not have),
+    /// else to its home. This node itself, for an object that is not here,
+    /// means there is nowhere left to look.
+    pub(crate) fn next_hop(&self, oid: ObjectId) -> NodeId {
+        match self.table.get(&oid).map(|e| &e.state) {
+            Some(State::Moved(to)) => return *to,
+            Some(_) => return self.node,
+            None => {}
+        }
+        let hint = (self.dir.lookup(oid) as usize % self.n_nodes) as NodeId;
+        if hint == self.node {
+            self.home_of(oid)
+        } else {
+            hint
+        }
+    }
+
+    /// The one send rule. A message for an object held here loops back
+    /// through the out-buffer with an empty route (it is local). One that
+    /// leaves the node is forwarded like any misdirected message, so the
+    /// sender is the first entry of its route: the delivery's lazy update
+    /// teaches the sender where the object is, and `route.first()` names
+    /// the true source node.
+    fn send(&mut self, msg: Message, now: Duration) {
+        if self.holds(msg.to.id) {
+            self.out.push((self.node, NetMsg::Msg(msg), now));
+        } else {
+            self.forward(msg, now);
+        }
+    }
+
+    /// Address control traffic about `oid` to this node if the object is
+    /// here (the driver loops it back), else to the next hop.
+    fn send_to_owner(&mut self, oid: ObjectId, msg: NetMsg, now: Duration) {
+        self.out.push((self.next_hop(oid), msg, now));
+    }
+
+    /// Pass a message for an object that is not here along the
+    /// last-known-location chain, recording this node on its route.
+    fn forward(&mut self, mut msg: Message, now: Duration) {
+        let oid = msg.to.id;
+        let next = self.next_hop(oid);
+        assert_ne!(
+            next, self.node,
+            "message for unknown object {oid:?} stuck at node {next}"
+        );
+        msg.route.push(self.node);
+        self.stats.msgs_forwarded += 1;
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::Forward {
+                node: self.node,
+                oid,
+                to: next
+            }
+        );
+        self.out.push((next, NetMsg::Msg(msg), now));
+    }
+
+    /// One message arrived at this node (off the wire, or looped back by
+    /// the driver): the single dispatch of the [`NetMsg`] vocabulary.
+    ///
+    /// Returns the thief of a steal request, which the driver must now
+    /// answer with [`NodeCore::grant_steal`] or [`NodeCore::deny_steal`]:
+    /// which objects are eligible differs per engine, and a replay
+    /// overrides the pick (see [`NodeCore::steal_pick`]).
+    #[must_use]
+    pub(crate) fn on_net(
+        &mut self,
+        msg: NetMsg,
+        now: Duration,
+        registry: &Registry,
+    ) -> Option<NodeId> {
+        match msg {
+            NetMsg::Msg(m) => self.deliver(m, now),
+            NetMsg::DirUpdate { oid, loc } => {
+                self.dir.update(oid, loc);
+                audit_emit!(
+                    self.audit,
+                    RuntimeEvent::DirUpdate {
+                        node: self.node,
+                        oid,
+                        loc
+                    }
+                );
+            }
+            NetMsg::MigrateReq { oid, dest } => self.on_migrate_req(oid, dest, now),
+            NetMsg::Meta { oid, op } => self.on_meta(oid, op, now),
+            NetMsg::Install(install) => self.on_install(install, now, registry),
+            NetMsg::StealReq { thief } => {
+                audit_emit!(
+                    self.audit,
+                    RuntimeEvent::StealRequest {
+                        node: self.node,
+                        thief
+                    }
+                );
+                return Some(thief);
+            }
+            NetMsg::StealDeny { victim } => {
+                debug_assert_ne!(victim, self.node, "a deny answers a request to a peer");
+                self.awaiting_steal = false;
+                // The deny is logged thief-side, where the round-trip
+                // resolves; the checker treats it as pure observability.
+                audit_emit!(
+                    self.audit,
+                    RuntimeEvent::StealDeny {
+                        node: victim,
+                        to: self.node
+                    }
+                );
+            }
+        }
+        None
+    }
+
+    /// A message reached this node. If its object is here, queue it — the
+    /// messages of an out-of-core object wait out of core with it — and
+    /// send one lazy directory update to every node the message passed
+    /// through; otherwise pass it on.
+    fn deliver(&mut self, msg: Message, now: Duration) {
+        let oid = msg.to.id;
+        if !self.holds(oid) {
+            return self.forward(msg, now);
+        }
+        for &hop in &msg.route {
+            if hop != self.node {
+                let loc = self.node;
+                self.out.push((hop, NetMsg::DirUpdate { oid, loc }, now));
+            }
+        }
+        let e = self.entry_mut(oid);
+        let had_work = !e.queue.is_empty();
+        e.queue.push_back(msg);
+        match e.state {
+            State::InCore(_) => {
+                if !had_work {
+                    self.runnable.push(oid);
+                }
+            }
+            State::OnDisk => self.queue_load(oid),
+            State::Loading => {}
+            State::Executing => unreachable!("handlers finish before the next message arrives"),
+            State::Moved(_) => unreachable!("held objects are not tombstones"),
+        }
+    }
+
+    /// Apply a metadata operation to an object held here; chase the
+    /// object if it is not.
+    pub(crate) fn on_meta(&mut self, oid: ObjectId, op: MetaOp, now: Duration) {
+        if !self.holds(oid) {
+            let next = self.next_hop(oid);
+            // Nowhere left to look: the object was destroyed. Drop it.
+            if next != self.node {
+                self.out.push((next, op.on(oid), now));
+            }
+            return;
+        }
+        let e = self
+            .table
+            .get_mut(&oid)
+            .expect("held object has a table entry");
+        match op {
+            MetaOp::Lock => {
+                e.locked = true;
+                audit_emit!(
+                    self.audit,
+                    RuntimeEvent::Pin {
+                        node: self.node,
+                        oid
+                    }
+                );
+            }
+            MetaOp::Unlock => {
+                e.locked = false;
+                audit_emit!(
+                    self.audit,
+                    RuntimeEvent::Unpin {
+                        node: self.node,
+                        oid
+                    }
+                );
+            }
+            MetaOp::SetPriority(v) => e.priority = v,
+        }
+    }
+
+    // ----- control layer: migration and installation -------------------------
+
+    fn on_migrate_req(&mut self, oid: ObjectId, dest: NodeId, now: Duration) {
+        if !self.holds(oid) {
+            let next = self.next_hop(oid);
+            if next != self.node {
+                self.out.push((next, NetMsg::MigrateReq { oid, dest }, now));
+            }
+            return;
+        }
+        // Already where it should be, whatever its residency: loading a
+        // spilled object only to ship it to itself would leave a tombstone
+        // pointing at this node and count a migration that moved nothing.
+        if dest == self.node {
+            return;
+        }
+        match self.entry(oid).state {
+            State::InCore(_) => self.do_migrate(oid, dest, now),
+            // Load it first (urgent: bypasses the prefetch window);
+            // `resume` ships it when it is back.
+            State::OnDisk => {
+                self.entry_mut(oid).pending_migration = Some(dest);
+                self.queue_load(oid);
+            }
+            State::Loading => self.entry_mut(oid).pending_migration = Some(dest),
+            State::Executing => unreachable!("handlers finish before the next request is served"),
+            State::Moved(_) => unreachable!("held objects are not tombstones"),
+        }
+    }
+
+    /// Pack and ship a resident object to `dest`, leaving a forwarding
+    /// tombstone; its queued messages travel along, and its home node is
+    /// told where it went.
+    fn do_migrate(&mut self, oid: ObjectId, dest: NodeId, now: Duration) {
+        let e = self.entry_mut(oid);
+        e.pending_migration = None;
+        let obj = match std::mem::replace(&mut e.state, State::Moved(dest)) {
+            State::InCore(o) => o,
+            other => {
+                e.state = other;
+                return;
+            }
+        };
+        let queue = std::mem::take(&mut e.queue);
+        let (priority, locked, footprint, version) = (e.priority, e.locked, e.footprint, e.version);
+        // The object's last handler may still be running in the driver's
+        // clock; it cannot leave before that.
+        let at = now.max(e.obj_free_at);
+        let (packed, wall) = timed(|| Registry::pack(obj.as_ref()));
+        drop(obj);
+        self.codec_work.push((wall, packed.len()));
+        self.ooc.note_out(footprint);
+        self.stats.migrations += 1;
+        // Emitted before the install leaves, so the checker sees the
+        // departure strictly before the arrival.
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::MigrateOut {
+                node: self.node,
+                oid,
+                to: dest,
+                queued: queue.len(),
+                footprint
+            }
+        );
+        let install = Install {
+            oid,
+            priority,
+            locked,
+            version,
+            packed,
+            queue,
+        };
+        self.out.push((dest, NetMsg::Install(install), at));
+        self.dir.update(oid, dest);
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::DirUpdate {
+                node: self.node,
+                oid,
+                loc: dest
+            }
+        );
+        let home = self.home_of(oid);
+        if home != self.node && home != dest {
+            self.out
+                .push((home, NetMsg::DirUpdate { oid, loc: dest }, at));
+        }
+    }
+
+    /// `oid` is back in core (loaded, or reinstated after a failed
+    /// store): a migration that was waiting on it wins over queued work —
+    /// the queue travels inside the install — otherwise it is runnable
+    /// if it has any.
+    pub(crate) fn resume(&mut self, oid: ObjectId, now: Duration) {
+        let e = self.entry(oid);
+        if let Some(dest) = e.pending_migration {
+            self.do_migrate(oid, dest, now);
+        } else if !e.queue.is_empty() {
+            self.runnable.push(oid);
+        }
+    }
+
+    fn on_install(&mut self, i: Install, now: Duration, registry: &Registry) {
+        // An install that lands while a steal request is out is its
+        // answer: count the stolen task.
+        if std::mem::take(&mut self.awaiting_steal) {
+            self.stats.tasks_stolen += 1;
+        }
+        let (obj, wall) = timed(|| registry.unpack(&i.packed));
+        let obj =
+            obj.expect("install bytes were packed by the sending node from a registered type");
+        self.codec_work.push((wall, i.packed.len()));
+        let (oid, footprint) = (i.oid, obj.footprint());
+        self.admit(footprint, now);
+        // Installing is a mutation (matches the checker's `MigrateIn`
+        // bump); any bytes spilled on the old node are unreachable here.
+        self.insert_resident(oid, obj, i.priority, i.locked, i.version + 1, now);
+        self.dir.update(oid, self.node);
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::MigrateIn {
+                node: self.node,
+                oid,
+                queued: i.queue.len(),
+                footprint
+            }
+        );
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::DirUpdate {
+                node: self.node,
+                oid,
+                loc: self.node
+            }
+        );
+        self.audit_budget(true);
+        // Re-route the messages that travelled with the object, in order.
+        for m in i.queue {
+            self.out.push((self.node, NetMsg::Msg(m), now));
+        }
+    }
+
+    /// The reliable layer gave up delivering `msg` to `dead`: whatever
+    /// pointed there is stale. Drop the directory hint and a tombstone
+    /// naming the dead peer, then re-route — locally if the object came
+    /// back while the send was in flight, else toward wherever the
+    /// remaining knowledge points. `false`: it points nowhere new.
+    pub(crate) fn reroute(&mut self, msg: Message, dead: NodeId, now: Duration) -> bool {
+        let oid = msg.to.id;
+        if self.dir.invalidate(oid) {
+            self.stats.hints_invalidated += 1;
+            audit_emit!(
+                self.audit,
+                RuntimeEvent::HintInvalidated {
+                    node: self.node,
+                    oid,
+                    loc: dead
+                }
+            );
+        }
+        if matches!(self.table.get(&oid), Some(e) if matches!(e.state, State::Moved(to) if to == dead))
+        {
+            self.table.remove(&oid);
+        }
+        let next = self.next_hop(oid);
+        if next == dead || (next == self.node && !self.holds(oid)) {
+            return false;
+        }
+        self.out.push((next, NetMsg::Msg(msg), now));
+        true
+    }
+
+    // ----- control layer: work stealing ---------------------------------------
+
+    /// The steal victim's rule. An object can be handed to a thief if it
+    /// is not pinned, not already migrating and actually has queued work
+    /// (or the steal is pointless) — the audit checker's legality rule —
+    /// and the driver's `eligible` holds. Eligibility is the driver's
+    /// because it is a fact about its clock: a real node's backlog sits in
+    /// the queues of *resident* objects, while in virtual time resident
+    /// objects execute on arrival and only *non-resident* ones hold a
+    /// backlog.
+    pub(crate) fn steal_grantable(&self, oid: ObjectId, eligible: impl Fn(&Entry) -> bool) -> bool {
+        self.table.get(&oid).is_some_and(|e| {
+            !e.locked && e.pending_migration.is_none() && !e.queue.is_empty() && eligible(e)
+        })
+    }
+
+    /// How many objects [`NodeCore::steal_grantable`] accepts.
+    pub(crate) fn steal_backlog(&self, eligible: impl Fn(&Entry) -> bool) -> usize {
+        (self.table.keys())
+            .filter(|&&oid| self.steal_grantable(oid, &eligible))
+            .count()
+    }
+
+    /// The grantable object with the deepest message queue, ties broken by
+    /// smallest id. A total order, so the hash map's iteration order
+    /// cannot leak into the result (replay depends on the pick being a
+    /// pure function of state) and both engines steal the same object from
+    /// the same state.
+    pub(crate) fn steal_pick(&self, eligible: impl Fn(&Entry) -> bool) -> Option<ObjectId> {
+        (self.table.iter())
+            .filter(|(&oid, _)| self.steal_grantable(oid, &eligible))
+            .max_by_key(|(&oid, e)| (e.queue.len(), Reverse(oid.0)))
+            .map(|(&oid, _)| oid)
+    }
+
+    /// Hand `oid` to `thief`: an ordinary migration (load first if
+    /// spilled), announced while the object is still tracked here so the
+    /// checker validates the grant against pre-migration state.
+    pub(crate) fn grant_steal(&mut self, oid: ObjectId, thief: NodeId, now: Duration) {
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::StealGrant {
+                node: self.node,
+                oid,
+                to: thief
+            }
+        );
+        self.on_migrate_req(oid, thief, now);
+    }
+
+    /// Nothing to hand over: re-arm the thief.
+    pub(crate) fn deny_steal(&mut self, thief: NodeId, now: Duration) {
+        let victim = self.node;
+        self.out.push((thief, NetMsg::StealDeny { victim }, now));
+    }
+
+    /// Thief side: ask `victim` for one task. *When* to ask is the
+    /// driver's call.
+    pub(crate) fn request_steal(&mut self, victim: NodeId, now: Duration) {
+        self.stats.steal_requests += 1;
+        self.awaiting_steal = true;
+        let thief = self.node;
+        self.out.push((victim, NetMsg::StealReq { thief }, now));
+    }
+
+    /// A steal request of this node is out and unanswered: the node is not
+    /// quiet, and must not ask again.
+    pub(crate) fn awaiting_steal(&self) -> bool {
+        self.awaiting_steal
+    }
+
     /// Close out the counters a run reports: the peak footprint comes
     /// from the budget manager's own high-water mark (the single source
     /// of truth for in-core accounting), and the curve digest is a pure
@@ -947,8 +1680,9 @@ impl NodeCore {
 
 #[cfg(test)]
 mod tests {
-    //! The sans-I/O shape lets the residency rules be tested with no
-    //! threads and no store: drive a `NodeCore`, read the command buffer.
+    //! The sans-I/O shape lets the residency and routing rules be tested
+    //! with no threads, no store and no fabric: drive a `NodeCore`, read
+    //! its command, message and runnable buffers.
 
     use super::*;
     use crate::ids::{HandlerId, MobilePtr, TypeTag};
@@ -960,7 +1694,9 @@ mod tests {
         fn type_tag(&self) -> TypeTag {
             TypeTag(1)
         }
-        fn encode(&self, _buf: &mut Vec<u8>) {}
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&(self.0 as u64).to_le_bytes());
+        }
         fn footprint(&self) -> usize {
             self.0
         }
@@ -1216,5 +1952,326 @@ mod tests {
         assert_eq!(c.stats.degraded_mode_transitions, 2);
         assert!(!stores(&c).is_empty());
         assert!(c.ooc.used() <= 500);
+    }
+    // ----- control layer --------------------------------------------------------
+
+    /// Node `node` of a four-node run, budget 1000.
+    fn core_at(node: NodeId) -> NodeCore {
+        NodeCore::new(node, &MrtsConfig::out_of_core(4, 1000))
+    }
+
+    fn blob_registry() -> Registry {
+        let mut r = Registry::new();
+        r.register_type(TypeTag(1), |buf| {
+            let mut r = PayloadReader::new(buf);
+            Ok(Box::new(Blob(r.u64()? as usize)))
+        });
+        r
+    }
+
+    fn msg_to(id: ObjectId, tag: u8, route: &[NodeId]) -> Message {
+        let mut m = Message::new(MobilePtr::new(id), HandlerId(1), vec![tag]);
+        m.route = route.to_vec();
+        m
+    }
+
+    /// Feed `msg` to the core as if it had just arrived.
+    fn arrive(c: &mut NodeCore, msg: NetMsg) -> Option<NodeId> {
+        c.on_net(msg, T0, &blob_registry())
+    }
+
+    /// Complete the load of `id` that the core just issued.
+    fn load_back(c: &mut NodeCore, id: ObjectId, footprint: usize) {
+        assert_eq!(loads(c), vec![id]);
+        c.cmds.clear();
+        let packed_len = c.entry(id).packed_len;
+        c.complete_load(id, Box::new(Blob(footprint)), packed_len, true);
+    }
+
+    #[test]
+    fn a_message_for_an_object_not_held_follows_the_tombstone_before_the_hint() {
+        let mut c = core_at(1);
+        let x = resident(&mut c, 7, 100);
+        assert_eq!(arrive(&mut c, NetMsg::MigrateReq { oid: x, dest: 2 }), None);
+        // A later lazy update names node 3; the tombstone still says 2.
+        arrive(&mut c, NetMsg::DirUpdate { oid: x, loc: 3 });
+        assert_eq!(c.dir.lookup(x), 3);
+        c.out.clear();
+        arrive(&mut c, NetMsg::Msg(msg_to(x, 0, &[0])));
+        assert_eq!(c.out, vec![(2, NetMsg::Msg(msg_to(x, 0, &[0, 1])), T0)]);
+        assert_eq!(c.stats.msgs_forwarded, 1);
+        assert!(c.runnable.is_empty());
+        // With no tombstone the hint decides; with neither, the home.
+        let y = ObjectId::new(0, 8);
+        arrive(&mut c, NetMsg::DirUpdate { oid: y, loc: 3 });
+        assert_eq!((c.next_hop(y), c.next_hop(ObjectId::new(0, 9))), (3, 0));
+    }
+
+    #[test]
+    fn delivery_sends_one_lazy_update_to_every_hop_but_itself() {
+        let mut c = core_at(2);
+        let x = resident(&mut c, 7, 100);
+        // The message passed through this node once before (the object
+        // was elsewhere then): no update to self.
+        arrive(&mut c, NetMsg::Msg(msg_to(x, 0, &[0, 2, 1])));
+        let update = NetMsg::DirUpdate { oid: x, loc: 2 };
+        assert_eq!(c.out, vec![(0, update.clone(), T0), (1, update, T0)]);
+        assert_eq!(c.runnable, vec![x]);
+        assert_eq!(c.stats.msgs_forwarded, 0);
+        // A second message finds queued work: not announced again, and a
+        // local one (empty route) teaches nobody.
+        c.out.clear();
+        arrive(&mut c, NetMsg::Msg(msg_to(x, 1, &[])));
+        assert!(c.out.is_empty());
+        assert_eq!(c.runnable, vec![x]);
+        assert_eq!(c.entry(x).queue.len(), 2);
+    }
+
+    /// Fails with the rule the virtual-time engine had: only a resident
+    /// object returned early, a spilled one was loaded and shipped to
+    /// itself.
+    #[test]
+    fn migrate_to_self_is_a_no_op_in_every_residency_state() {
+        let mut c = core_at(1);
+        let in_core = resident(&mut c, 1, 100);
+        let spilled = on_disk(&mut c, 2, 100, 10);
+        let loading = on_disk(&mut c, 3, 100, 10);
+        post(&mut c, loading);
+        c.queue_load(loading);
+        c.pump_loads(false, T0);
+        c.cmds.clear();
+        for id in [in_core, spilled, loading] {
+            assert_eq!(
+                arrive(&mut c, NetMsg::MigrateReq { oid: id, dest: 1 }),
+                None
+            );
+            assert_eq!(c.entry(id).pending_migration, None, "{id:?}");
+        }
+        assert!(!c.has_pending_loads(), "a load was queued");
+        assert!(c.cmds.is_empty() && c.out.is_empty() && c.codec_work.is_empty());
+        assert_eq!(c.stats.migrations, 0);
+        assert!(c.entry(in_core).is_in_core());
+        assert!(matches!(c.entry(spilled).state, State::OnDisk));
+        assert!(matches!(c.entry(loading).state, State::Loading));
+    }
+
+    #[test]
+    fn a_spilled_object_is_loaded_on_demand_and_shipped_before_its_queue_runs() {
+        let mut c = core_at(1);
+        let x = on_disk(&mut c, 7, 100, 10);
+        // Queued behind the request: it must travel, not run here.
+        arrive(&mut c, NetMsg::MigrateReq { oid: x, dest: 3 });
+        arrive(&mut c, NetMsg::Msg(msg_to(x, 5, &[])));
+        assert!(c.out.is_empty() && c.has_pending_loads());
+        // Busy node, full pacing: an urgent load issues anyway, as demand.
+        c.pump_loads(true, T0);
+        assert_eq!(c.stats.prefetch_issued, 0);
+        load_back(&mut c, x, 100);
+        c.resume(x, T0);
+        assert!(c.runnable.is_empty(), "the queue must not run here");
+        let [(3, NetMsg::Install(i), _), (0, NetMsg::DirUpdate { loc: 3, .. }, _)] = &c.out[..]
+        else {
+            panic!("expected the install, then the home's update: {:?}", c.out)
+        };
+        assert_eq!((i.oid, i.queue.len()), (x, 1));
+        assert_eq!(i.queue[0], msg_to(x, 5, &[]));
+        assert!(matches!(c.entry(x).state, State::Moved(3)));
+        assert_eq!((c.stats.migrations, c.ooc.used()), (1, 0));
+        assert_eq!(
+            c.codec_work.len(),
+            1,
+            "the pack is handed to the driver to charge"
+        );
+        // Without a pending migration, the same load makes it runnable.
+        let y = on_disk(&mut c, 8, 100, 10);
+        arrive(&mut c, NetMsg::Msg(msg_to(y, 0, &[])));
+        c.pump_loads(false, T0);
+        load_back(&mut c, y, 100);
+        c.resume(y, T0);
+        assert_eq!(c.runnable, vec![y]);
+    }
+
+    #[test]
+    fn install_admits_first_bumps_the_version_and_reroutes_the_queue_in_order() {
+        let mut c = core_at(2);
+        let old = resident(&mut c, 1, 600);
+        let x = ObjectId::new(0, 7);
+        let install = Install {
+            oid: x,
+            priority: 9,
+            locked: true,
+            version: 41,
+            packed: Registry::pack(&Blob(600)),
+            queue: VecDeque::from([msg_to(x, 1, &[0]), msg_to(x, 2, &[])]),
+        };
+        c.request_steal(1, T0);
+        c.out.clear();
+        assert_eq!(arrive(&mut c, NetMsg::Install(install)), None);
+        // 600 resident + 600 arriving against 1000: the resident one goes.
+        assert_eq!(stores(&c), vec![vec![old]]);
+        let e = c.entry(x);
+        assert!(e.is_in_core() && e.locked);
+        assert_eq!((e.version, e.priority, e.footprint), (42, 9, 600));
+        assert_eq!((c.dir.lookup(x), c.next_hop(x)), (2, 2));
+        // The carried queue loops back through the driver, in order, with
+        // the routes it had.
+        let carried = [msg_to(x, 1, &[0]), msg_to(x, 2, &[])].map(|m| (2, NetMsg::Msg(m), T0));
+        assert_eq!(c.out, carried);
+        assert!(c.runnable.is_empty());
+        // It answered the steal request that was out.
+        assert!(!c.awaiting_steal());
+        assert_eq!((c.stats.tasks_stolen, c.stats.steal_requests), (1, 1));
+    }
+
+    #[test]
+    fn next_hop_wraps_hints_and_homes_into_the_cluster() {
+        // Restored onto two nodes; the id was minted on node 5.
+        let mut c = NodeCore::new(0, &MrtsConfig::out_of_core(2, 1000));
+        let x = ObjectId::new(5, 1);
+        assert_eq!(c.next_hop(x), 1, "home 5 wraps to 1");
+        c.dir.update(x, 3);
+        assert_eq!(c.next_hop(x), 1, "hint 3 wraps to 1");
+        // A hint that wraps onto this node falls back to the home.
+        c.dir.update(x, 4);
+        assert_eq!(c.next_hop(x), 1);
+        // Control traffic for it leaves accordingly.
+        c.apply_effects(vec![Effect::Lock(MobilePtr::new(x))], T0);
+        assert_eq!(c.out, vec![(1, MetaOp::Lock.on(x), T0)]);
+    }
+
+    #[test]
+    fn steal_pick_is_deepest_queue_then_smallest_id_and_never_pinned_or_migrating() {
+        let mut c = core_at(0);
+        let depth = |c: &mut NodeCore, id, n| (0..n).for_each(|_| post(c, id));
+        // Resident: 9 and 4 tie at two messages; 5 is deeper but pinned,
+        // 6 is deeper but already migrating; 3 has nothing to steal.
+        for seq in [9, 4, 5, 6, 3] {
+            resident(&mut c, seq, 10);
+        }
+        depth(&mut c, oid(9), 2);
+        depth(&mut c, oid(4), 2);
+        depth(&mut c, oid(5), 3);
+        depth(&mut c, oid(6), 3);
+        c.entry_mut(oid(5)).locked = true;
+        c.entry_mut(oid(6)).pending_migration = Some(2);
+        // Spilled: 20 is deepest.
+        for (seq, n) in [(20, 4), (21, 1)] {
+            let id = on_disk(&mut c, seq, 10, 5);
+            depth(&mut c, id, n);
+        }
+        let spilled = |e: &Entry| matches!(e.state, State::OnDisk | State::Loading);
+        assert_eq!(c.steal_pick(Entry::is_in_core), Some(oid(4)));
+        assert_eq!(c.steal_backlog(Entry::is_in_core), 2);
+        assert_eq!(c.steal_pick(spilled), Some(oid(20)));
+        assert_eq!(c.steal_backlog(spilled), 2);
+        assert_eq!(c.steal_pick(|_| true), Some(oid(20)));
+        for pinned_or_migrating in [oid(5), oid(6)] {
+            assert!(!c.steal_grantable(pinned_or_migrating, |_| true));
+        }
+        assert!(!c.steal_grantable(oid(3), |_| true) && !c.steal_grantable(oid(99), |_| true));
+        // A grant is an ordinary migration; a denial is one message.
+        c.grant_steal(oid(4), 3, T0);
+        assert!(matches!(c.entry(oid(4)).state, State::Moved(3)));
+        assert!(matches!(&c.out[0], (3, NetMsg::Install(i), _) if i.queue.len() == 2));
+        c.out.clear();
+        c.deny_steal(3, T0);
+        assert_eq!(c.out, vec![(3, NetMsg::StealDeny { victim: 0 }, T0)]);
+    }
+
+    /// One sample per variant, chained through a `match` with no wildcard:
+    /// a new variant does not compile until it has a sample here, and so a
+    /// round trip and a wire literal below.
+    fn sample_after(prev: Option<&NetMsg>) -> Option<NetMsg> {
+        let oid = ObjectId::new(2, 17);
+        Some(match prev {
+            None => NetMsg::Msg(Message {
+                to: MobilePtr::new(oid),
+                handler: HandlerId(9),
+                payload: vec![1, 2, 3],
+                route: vec![3, 1],
+            }),
+            Some(NetMsg::Msg(_)) => NetMsg::DirUpdate { oid, loc: 0x0305 },
+            Some(NetMsg::DirUpdate { .. }) => NetMsg::MigrateReq { oid, dest: 4 },
+            Some(NetMsg::MigrateReq { .. }) => MetaOp::SetPriority(200).on(oid),
+            Some(NetMsg::Meta { .. }) => NetMsg::Install(Install {
+                oid,
+                priority: 7,
+                locked: true,
+                version: 0x0102,
+                packed: vec![0xAA, 0xBB],
+                queue: VecDeque::from([Message::new(MobilePtr::new(oid), HandlerId(9), vec![])]),
+            }),
+            Some(NetMsg::Install(_)) => NetMsg::StealReq { thief: 3 },
+            Some(NetMsg::StealReq { .. }) => NetMsg::StealDeny { victim: 258 },
+            Some(NetMsg::StealDeny { .. }) => return None,
+        })
+    }
+
+    /// The bytes the threaded engine put on the fabric before `NetMsg`
+    /// existed, written out by hand from the formats it built inline.
+    #[test]
+    fn every_variant_round_trips_and_keeps_its_wire_bytes() {
+        const OID: [u8; 8] = [17, 0, 0, 0, 0, 0, 2, 0];
+        let cat = |parts: &[&[u8]]| parts.concat();
+        let queued = cat(&[&OID, &[9, 0, 0, 0], &[0; 4], &[0; 4]]);
+        let wire: Vec<(u32, Vec<u8>)> = vec![
+            (
+                1,
+                cat(&[
+                    &OID,
+                    &[9, 0, 0, 0],
+                    &[3, 0, 0, 0, 1, 2, 3],
+                    &[2, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0],
+                ]),
+            ),
+            (2, cat(&[&OID, &[5, 3]])),
+            (3, cat(&[&OID, &[4, 0]])),
+            (6, cat(&[&OID, &[2, 200]])),
+            (
+                4,
+                cat(&[
+                    &OID,
+                    &[7, 1],
+                    &[2, 1, 0, 0, 0, 0, 0, 0],
+                    &[2, 0, 0, 0, 0xAA, 0xBB],
+                    &[1, 0, 0, 0],
+                    &[20, 0, 0, 0],
+                    &queued,
+                ]),
+            ),
+            (10, vec![3, 0]),
+            (11, vec![2, 1]),
+        ];
+        let samples: Vec<NetMsg> =
+            std::iter::successors(sample_after(None), |m| sample_after(Some(m))).collect();
+        assert_eq!(samples.len(), wire.len());
+        for (m, (tag, bytes)) in samples.iter().zip(&wire) {
+            assert_eq!((m.tag(), &m.encode()), (*tag, bytes), "{m:?}");
+            assert_eq!(NetMsg::decode(*tag, bytes).as_ref(), Ok(m));
+        }
+        let oid = ObjectId::new(2, 17);
+        for (op, code) in [(MetaOp::Lock, [0, 0]), (MetaOp::Unlock, [1, 0])] {
+            assert_eq!(op.on(oid).encode(), cat(&[&OID, &code]));
+            assert_eq!(NetMsg::decode(6, &cat(&[&OID, &code])), Ok(op.on(oid)));
+        }
+        // Not part of the vocabulary: the control ring's tags, a tag
+        // nobody has, damaged payloads. Errors, never panics.
+        for tag in [0, 5, 7, 8, 9, 12, u32::MAX] {
+            assert_eq!(NetMsg::decode(tag, &[]), Err(WireError::UnknownTag(tag)));
+        }
+        for (tag, bytes) in &wire {
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    NetMsg::decode(*tag, &bytes[..cut]),
+                    Err(WireError::Malformed)
+                );
+            }
+        }
+        assert_eq!(
+            NetMsg::decode(6, &cat(&[&OID, &[3, 0]])),
+            Err(WireError::Malformed)
+        );
+        let huge_queue = cat(&[&OID, &[7, 1], &[0; 8], &[0; 4], &[0xFF; 4]]);
+        assert_eq!(NetMsg::decode(4, &huge_queue), Err(WireError::Malformed));
     }
 }

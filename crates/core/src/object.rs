@@ -12,6 +12,7 @@ use crate::ctx::Ctx;
 use crate::ids::{HandlerId, TypeTag};
 use std::any::Any;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Typed failure of an object decode (spill reload, migration install,
 /// checkpoint restore). Mirrors [`crate::msg::MsgDecodeError`]: decoders
@@ -145,6 +146,16 @@ impl Registry {
         ));
         (self.decoder(tag)?)(&buf[4..])
     }
+}
+
+/// Run `f` and measure the wall time it took. Packing and unpacking are
+/// real work wherever they happen: the node core measures its own through
+/// this and hands the figures to its driver, which charges them as compute
+/// in its own clock — the core never reads a clock to decide anything.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed())
 }
 
 #[cfg(test)]

@@ -36,13 +36,12 @@
 use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, WorkStealingPool};
 use crate::config::MrtsConfig;
-use crate::ctx::{Ctx, Effect};
-use crate::directory::Directory;
+use crate::ctx::Ctx;
 use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
 use crate::msg::Message;
 use crate::netfault::{NetFaultKind, NetFaultPlan};
-use crate::node::{Entry, IoCmd, NodeCore, State};
+use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore, State};
 use crate::object::{MobileObject, Registry};
 use crate::relnet::{ReliableReceiver, ReliableSender, Safra, TimerAction};
 use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT, STEAL_DENIED};
@@ -54,26 +53,13 @@ use crossbeam_channel as channel;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-// Fabric active-message tags.
-const AM_MSG: u32 = 1;
-const AM_DIR_UPDATE: u32 = 2;
-const AM_MIGRATE_REQ: u32 = 3;
-const AM_INSTALL: u32 = 4;
-const AM_META: u32 = 6;
+// Control-ring tags. Everything else on the fabric is a [`NetMsg`], which
+// owns its tags and payload encodings.
 const AM_TOKEN: u32 = 7;
 const AM_EXIT: u32 = 8;
 /// Positive acknowledgement of one reliable-layer sequence number
 /// (net-fault runs only; see [`NetLayer`]).
 const AM_ACK: u32 = 9;
-/// An idle node asking a peer for one ready task (payload: thief id).
-const AM_STEAL_REQ: u32 = 10;
-/// The victim had nothing stealable (payload: victim id). A grant has no
-/// tag of its own — the stolen object arrives as a regular `AM_INSTALL`.
-const AM_STEAL_DENY: u32 = 11;
-
-const META_LOCK: u8 = 0;
-const META_UNLOCK: u8 = 1;
-const META_PRIO: u8 = 2;
 
 enum IoReq {
     /// Pack every object on the I/O thread and persist the batch through
@@ -239,11 +225,11 @@ struct Worker {
     cfg: MrtsConfig,
     registry: std::sync::Arc<Registry>,
     ep: Endpoint,
-    /// The out-of-core layer: object table, budget, locality, load queue
-    /// and prefetch window, node statistics and the audit sink. This
-    /// worker is its driver (see [`Worker::flush_io`], [`Worker::on_io`]).
+    /// The node's out-of-core and control layers: object table, budget,
+    /// locality, load queue and prefetch window, directory, routing,
+    /// migration, node statistics and the audit sink. This worker is its
+    /// driver (see [`Worker::drain`], [`Worker::on_net`], [`Worker::on_io`]).
     core: NodeCore,
-    dir: Directory,
     ready: VecDeque<ObjectId>,
     io_tx: channel::Sender<IoReq>,
     io_rx: channel::Receiver<IoDone>,
@@ -262,9 +248,6 @@ struct Worker {
     fatal: Option<MrtsError>,
     /// Record/replay role of this worker (see `mrts::replay`).
     replay: ReplayRole,
-    /// Victim of the steal request this node is awaiting an answer to
-    /// (`AM_INSTALL` or `AM_STEAL_DENY`); at most one in flight.
-    steal_inflight: Option<NodeId>,
     /// Round-robin victim selection for work stealing.
     victim_cursor: VictimCursor,
     /// Consecutive empty idle polls; a steal fires only after
@@ -356,24 +339,6 @@ impl Worker {
             if tag != AM_TOKEN && tag != AM_EXIT {
                 self.safra.on_send();
             }
-        }
-    }
-
-    /// An object's home node in *this* fabric. After a checkpoint restore
-    /// onto fewer nodes than the capture ran with, ids homed on a lost
-    /// node wrap onto a survivor — the same modulo the restore placement
-    /// uses, so routing and placement agree.
-    fn home_of(&self, oid: ObjectId) -> NodeId {
-        (oid.home() as usize % self.n_nodes) as NodeId
-    }
-
-    fn dir_next_hop(&self, oid: ObjectId) -> NodeId {
-        let d = self.dir.lookup(oid);
-        let d = (d as usize % self.n_nodes) as NodeId;
-        if d == self.node {
-            self.home_of(oid)
-        } else {
-            d
         }
     }
 
@@ -681,7 +646,7 @@ impl Worker {
         self.race_recv(src);
         self.safra.on_deliver();
         self.comm_charge(payload.len());
-        self.dispatch_data(tag, payload);
+        self.on_frame(src, tag, payload);
     }
 
     /// Crash this node if the plan's kill countdown has expired.
@@ -746,7 +711,6 @@ impl Worker {
             self.record_decision(Decision::FlushDeferred { dest, seq });
             self.ep.am_send(dest, tag, frame);
         }
-        let limit = self.net_attempt_limit();
         let due: Vec<(NodeId, u64)> = self
             .net
             .as_ref()
@@ -758,55 +722,57 @@ impl Worker {
             .collect();
         for (dest, seq) in due {
             self.record_decision(Decision::TimerExpire { dest, seq });
-            let action = {
-                let net = self.net.as_mut().expect("net layer");
-                let action = net.tx.on_timer(dest, seq, limit);
-                match &action {
-                    TimerAction::Retransmit { attempt, .. } => {
-                        net.timers
-                            .insert((dest, seq), now + ENGINE_RETRY.delay(attempt + 1, seq));
-                    }
-                    TimerAction::Acked | TimerAction::GiveUp { .. } => {
-                        net.timers.remove(&(dest, seq));
-                    }
-                }
-                action
-            };
-            match action {
-                TimerAction::Acked => {}
-                TimerAction::GiveUp {
-                    tag,
-                    frame,
-                    attempts,
-                } => {
-                    self.escalate(dest, tag, &frame, attempts);
-                    if self.done {
-                        // Both pump exits record their end marker, or a
-                        // replay desynchronizes right here.
-                        self.record_decision(Decision::PumpEnd);
-                        return;
-                    }
-                }
-                TimerAction::Retransmit {
-                    tag,
-                    frame,
-                    attempt,
-                } => {
-                    self.core.stats.retransmits += 1;
-                    audit_emit!(
-                        self.core.audit,
-                        RuntimeEvent::Retransmit {
-                            node: self.node,
-                            dest,
-                            seq,
-                            attempt
-                        }
-                    );
-                    self.transmit(dest, tag, seq, frame, attempt);
-                }
+            self.fire_timer(dest, seq, now);
+            if self.done {
+                // A give-up brought the run down. Both pump exits record
+                // their end marker, or a replay desynchronizes right here.
+                break;
             }
         }
         self.record_decision(Decision::PumpEnd);
+    }
+
+    /// One retransmit timer fired — by the wall clock, or at its recorded
+    /// point in a replay: ask the protocol state what that means and do
+    /// it (re-arm and retransmit, or give up and escalate).
+    fn fire_timer(&mut self, dest: NodeId, seq: u64, now: Instant) {
+        let limit = self.net_attempt_limit();
+        let net = self.net.as_mut().expect("net layer");
+        let action = net.tx.on_timer(dest, seq, limit);
+        match &action {
+            TimerAction::Retransmit { attempt, .. } => {
+                net.timers
+                    .insert((dest, seq), now + ENGINE_RETRY.delay(attempt + 1, seq));
+            }
+            TimerAction::Acked | TimerAction::GiveUp { .. } => {
+                net.timers.remove(&(dest, seq));
+            }
+        }
+        match action {
+            TimerAction::Acked => {}
+            TimerAction::GiveUp {
+                tag,
+                frame,
+                attempts,
+            } => self.escalate(dest, tag, &frame, attempts),
+            TimerAction::Retransmit {
+                tag,
+                frame,
+                attempt,
+            } => {
+                self.core.stats.retransmits += 1;
+                audit_emit!(
+                    self.core.audit,
+                    RuntimeEvent::Retransmit {
+                        node: self.node,
+                        dest,
+                        seq,
+                        attempt
+                    }
+                );
+                self.transmit(dest, tag, seq, frame, attempt);
+            }
+        }
     }
 
     /// Replay half of [`Worker::net_pump`]: consume recorded
@@ -814,7 +780,6 @@ impl Worker {
     /// recorded end marker, re-enacting each one against the reliable
     /// layer's (deterministically evolved) protocol state.
     fn replay_net_pump(&mut self, st: &mut ReplayState) {
-        let limit = self.net_attempt_limit();
         loop {
             match st.log.get(st.cursor) {
                 Some(Decision::PumpEnd) => {
@@ -843,51 +808,10 @@ impl Worker {
                 }
                 Some(&Decision::TimerExpire { dest, seq }) => {
                     st.cursor += 1;
-                    let action = {
-                        let net = self.net.as_mut().expect("net layer");
-                        let action = net.tx.on_timer(dest, seq, limit);
-                        match &action {
-                            TimerAction::Retransmit { attempt, .. } => {
-                                net.timers.insert(
-                                    (dest, seq),
-                                    Instant::now() + ENGINE_RETRY.delay(attempt + 1, seq),
-                                );
-                            }
-                            TimerAction::Acked | TimerAction::GiveUp { .. } => {
-                                net.timers.remove(&(dest, seq));
-                            }
-                        }
-                        action
-                    };
-                    match action {
-                        TimerAction::Acked => {}
-                        TimerAction::GiveUp {
-                            tag,
-                            frame,
-                            attempts,
-                        } => {
-                            // The recorded run stopped pumping here; its
-                            // PumpEnd marker is next and ends the loop.
-                            self.escalate(dest, tag, &frame, attempts);
-                        }
-                        TimerAction::Retransmit {
-                            tag,
-                            frame,
-                            attempt,
-                        } => {
-                            self.core.stats.retransmits += 1;
-                            audit_emit!(
-                                self.core.audit,
-                                RuntimeEvent::Retransmit {
-                                    node: self.node,
-                                    dest,
-                                    seq,
-                                    attempt
-                                }
-                            );
-                            self.transmit(dest, tag, seq, frame, attempt);
-                        }
-                    }
+                    // If this gives up and brings the run down, the
+                    // recorded run stopped pumping here too: its PumpEnd
+                    // marker is next and ends the loop.
+                    self.fire_timer(dest, seq, Instant::now());
                 }
                 // Log exhausted or a foreign decision mid-pump.
                 _ => {
@@ -900,63 +824,34 @@ impl Worker {
 
     /// A peer exhausted the retransmit budget — under the bounded-drop
     /// guarantee that means it is dead, or the hint that routed us there
-    /// is stale. Cancel the logical send (restoring the global Safra sum),
-    /// invalidate whatever routing state pointed at the peer, and either
-    /// re-route the message toward the object's home or declare the peer
-    /// unreachable.
+    /// is stale. Cancel the logical send (restoring the global Safra sum)
+    /// and either let the core re-route the message on what routing state
+    /// survives ([`NodeCore::reroute`]) or declare the peer unreachable.
     fn escalate(&mut self, dest: NodeId, tag: u32, frame: &[u8], attempts: u32) {
         self.safra.on_cancel();
-        match tag {
+        let rerouted = match NetMsg::decode(tag, &frame[8..]) {
             // A lazy hint push is an optimization; losing one is safe.
-            AM_DIR_UPDATE => {}
-            AM_MSG => {
-                let msg = Message::decode(&frame[8..]).expect("valid message");
-                let oid = msg.to.id;
-                if self.dir.invalidate(oid) {
-                    self.core.stats.hints_invalidated += 1;
-                    audit_emit!(
-                        self.core.audit,
-                        RuntimeEvent::HintInvalidated {
-                            node: self.node,
-                            oid,
-                            loc: dest
-                        }
-                    );
-                }
-                // A forwarding tombstone pointing at the dead peer is just
-                // as stale as a directory hint.
-                if matches!(
-                    self.core.table.get(&oid),
-                    Some(Entry { state: State::Moved(f), .. }) if *f == dest
-                ) {
-                    self.core.table.remove(&oid);
-                }
-                let next = self.dir_next_hop(oid);
-                if self.core.holds(oid) {
-                    // The object came back to us while the send was in
-                    // flight; deliver locally.
-                    self.route_msg(msg);
-                } else if next != dest && next != self.node {
-                    self.am(next, AM_MSG, msg.encode());
-                } else {
-                    self.fatal_unreachable(dest, attempts);
-                }
-            }
-            _ => self.fatal_unreachable(dest, attempts),
-        }
-    }
-
-    /// Unrecoverable: a peer is gone and an in-flight message cannot be
-    /// re-routed. Record the typed error and bring the whole computation
-    /// down (mirrors the unreadable-spill path).
-    fn fatal_unreachable(&mut self, dest: NodeId, attempts: u32) {
-        if self.fatal.is_none() {
-            self.fatal = Some(MrtsError::NodeUnreachable {
+            Ok(NetMsg::DirUpdate { .. }) => return,
+            Ok(NetMsg::Msg(msg)) => self.core.reroute(msg, dest, NOW),
+            _ => false,
+        };
+        if rerouted {
+            self.drain();
+        } else {
+            // Unrecoverable: the peer is gone and the in-flight message
+            // cannot be re-routed.
+            self.fail(MrtsError::NodeUnreachable {
                 node: self.node,
                 dest,
                 attempts,
             });
         }
+    }
+
+    /// Record the first unrecoverable error of this node and bring the
+    /// whole computation down: every peer gets an exit.
+    fn fail(&mut self, err: MrtsError) {
+        self.fatal.get_or_insert(err);
         for n in 0..self.n_nodes as NodeId {
             if n != self.node {
                 self.am(n, AM_EXIT, vec![]);
@@ -1008,148 +903,89 @@ impl Worker {
                 self.done = true;
                 audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
             }
-            other => self.dispatch_data(other, &am.payload),
+            other => self.on_frame(am.src, other, &am.payload),
         }
     }
 
-    /// Dispatch one data message (every tag except TOKEN/EXIT/ACK) to its
-    /// handler. Under the reliable layer this runs exactly once per
-    /// logical message, at in-order release.
-    fn dispatch_data(&mut self, tag: u32, payload: &[u8]) {
-        match tag {
-            AM_MSG => {
-                let msg = Message::decode(payload).expect("valid message");
-                self.route_msg(msg);
-            }
-            AM_DIR_UPDATE => {
-                let oid = ObjectId(u64::from_le_bytes(
-                    payload[..8]
-                        .try_into()
-                        .expect("dir-update payload is 10 bytes"),
-                ));
-                let loc = u16::from_le_bytes(
-                    payload[8..10]
-                        .try_into()
-                        .expect("dir-update payload is 10 bytes"),
-                );
-                self.dir.update(oid, loc);
-                audit_emit!(
-                    self.core.audit,
-                    RuntimeEvent::DirUpdate {
-                        node: self.node,
-                        oid,
-                        loc
-                    }
-                );
-            }
-            AM_MIGRATE_REQ => {
-                let oid = ObjectId(u64::from_le_bytes(
-                    payload[..8]
-                        .try_into()
-                        .expect("migrate-req payload is 10 bytes"),
-                ));
-                let dest = u16::from_le_bytes(
-                    payload[8..10]
-                        .try_into()
-                        .expect("migrate-req payload is 10 bytes"),
-                );
-                self.on_migrate_req(oid, dest);
-            }
-            AM_INSTALL => self.on_install(payload),
-            AM_META => {
-                let oid = ObjectId(u64::from_le_bytes(
-                    payload[..8]
-                        .try_into()
-                        .expect("meta payload starts with an 8-byte oid"),
-                ));
-                let op = payload[8];
-                let arg = payload[9];
-                self.on_meta(oid, op, arg);
-            }
-            AM_STEAL_REQ => {
-                let thief = u16::from_le_bytes(
-                    payload[..2]
-                        .try_into()
-                        .expect("steal-req payload is 2 bytes"),
-                );
-                self.on_steal_req(thief);
-            }
-            AM_STEAL_DENY => {
-                #[allow(unused_variables)] // consumed by the audit emission
-                let victim = u16::from_le_bytes(
-                    payload[..2]
-                        .try_into()
-                        .expect("steal-deny payload is 2 bytes"),
-                );
-                if self.steal_inflight.take().is_some() {
-                    self.deny_streak += 1;
-                }
-                // The deny is logged thief-side, where the round-trip
-                // resolves; the checker treats it as pure observability.
-                audit_emit!(
-                    self.core.audit,
-                    RuntimeEvent::StealDeny {
-                        node: victim,
-                        to: self.node
-                    }
-                );
-            }
-            other => panic!("unknown AM tag {other}"),
+    /// One data frame (every tag except TOKEN/EXIT/ACK). Under the reliable
+    /// layer this runs exactly once per logical message, at in-order
+    /// release. A frame outside the [`NetMsg`] vocabulary fails the run
+    /// with a typed error.
+    fn on_frame(&mut self, src: NodeId, tag: u32, payload: &[u8]) {
+        match NetMsg::decode(tag, payload) {
+            Ok(msg) => self.on_net(msg),
+            Err(_) => self.fail(MrtsError::BadFrame {
+                node: self.node,
+                src,
+                tag,
+            }),
         }
     }
 
-    fn route_msg(&mut self, mut msg: Message) {
-        let oid = msg.to.id;
-        if !self.core.holds(oid) {
-            // Forward along the last-known-location chain.
-            let next = match self.core.table.get(&oid) {
-                Some(Entry {
-                    state: State::Moved(f),
-                    ..
-                }) => *f,
-                _ => self.dir_next_hop(oid),
+    /// Hand one message to the core — off the fabric, or a local send
+    /// looped back — and carry out what it decided. What is this engine's
+    /// own: the race detector sees an install's unpack, the steal trigger
+    /// learns how its request was answered, and a steal request is
+    /// answered with this engine's pick.
+    fn on_net(&mut self, msg: NetMsg) {
+        let installed = match &msg {
+            NetMsg::Install(install) => Some(install.oid),
+            _ => None,
+        };
+        let was_asking = self.core.awaiting_steal();
+        let thief = self.core.on_net(msg, NOW, &self.registry);
+        if let Some(oid) = installed {
+            self.race_access(oid);
+        }
+        if was_asking && !self.core.awaiting_steal() {
+            // A grant re-arms the thief; a denial counts toward giving up.
+            self.deny_streak = match installed {
+                Some(_) => 0,
+                None => self.deny_streak + 1,
             };
-            assert_ne!(next, self.node, "message stuck for {oid:?}");
-            msg.route.push(self.node);
-            self.core.stats.msgs_forwarded += 1;
-            audit_emit!(
-                self.core.audit,
-                RuntimeEvent::Forward {
-                    node: self.node,
-                    oid,
-                    to: next
-                }
-            );
-            self.am(next, AM_MSG, msg.encode());
-            return;
         }
-        // Lazy directory updates for forwarded messages.
-        if !msg.route.is_empty() {
-            let mut upd = Vec::with_capacity(10);
-            upd.extend_from_slice(&oid.0.to_le_bytes());
-            upd.extend_from_slice(&self.node.to_le_bytes());
-            for hop in msg.route.clone() {
-                if hop != self.node {
-                    self.am(hop, AM_DIR_UPDATE, upd.clone());
-                }
-            }
+        if let Some(thief) = thief {
+            self.answer_steal(thief);
         }
-        let e = self.core.entry_mut(oid);
-        let was_empty = e.queue.is_empty();
-        e.queue.push_back(msg);
-        match e.state {
-            State::InCore(_) => {
-                if was_empty {
-                    self.ready.push_back(oid);
-                }
-            }
-            State::OnDisk => self.core.queue_load(oid),
-            State::Loading | State::Moved(_) => {}
-            State::Executing => unreachable!("handlers finish before the next message is routed"),
-        }
+        self.drain();
     }
 
-    // ----- out-of-core: driving the node core ---------------------------------
+    // ----- driving the node core ----------------------------------------------
+
+    /// Carry out what the core decided since the last drain, in its
+    /// order: pack/unpack time is charged as compute, newly runnable
+    /// objects join the ready queue, messages go on the fabric — a local
+    /// one loops straight back into [`Worker::on_net`], which drains what
+    /// *it* produces before the next entry is looked at, so local traffic
+    /// is handled depth-first and synchronously — and I/O goes to the
+    /// pool. Called after every core transition that can produce any of
+    /// them.
+    fn drain(&mut self) {
+        for (wall, _) in self.core.codec_work.drain(..) {
+            self.core.stats.comp += wall;
+        }
+        self.ready.extend(self.core.runnable.drain(..));
+        if !self.core.out.is_empty() {
+            let mut out = std::mem::take(&mut self.core.out);
+            for (dest, msg, _) in out.drain(..) {
+                if dest == self.node {
+                    self.on_net(msg);
+                    continue;
+                }
+                if let NetMsg::Install(install) = &msg {
+                    // The object was packed and is gone from this node.
+                    self.left_core(install.oid);
+                }
+                self.am(dest, msg.tag(), msg.encode());
+            }
+            debug_assert!(
+                self.core.out.is_empty(),
+                "loop-backs drain what they produce"
+            );
+            self.core.out = out;
+        }
+        self.flush_io();
+    }
 
     /// Perform the I/O the core asked for since the last flush: hand
     /// stores and loads to the I/O pool (pack and unpack run there, off
@@ -1191,23 +1027,12 @@ impl Worker {
         self.core.cmds = cmds;
     }
 
-    /// `oid` was evicted: its bytes were touched (dropped or handed to the
-    /// pool), and it is no longer runnable.
+    /// `oid` was evicted or migrated away: its bytes were touched
+    /// (dropped, handed to the pool, or packed), and it is no longer
+    /// runnable.
     fn left_core(&mut self, oid: ObjectId) {
         self.race_access(oid);
         self.ready.retain(|&r| r != oid);
-    }
-
-    /// `oid` is back in core (loaded, or reinstated after a failed
-    /// store): ship it if a migration was waiting on it, otherwise make it
-    /// runnable.
-    fn resume(&mut self, oid: ObjectId) {
-        let e = self.core.entry(oid);
-        if let Some(dest) = e.pending_migration {
-            self.do_migrate(oid, dest);
-        } else if !e.queue.is_empty() {
-            self.ready.push_back(oid);
-        }
     }
 
     /// Feed one I/O-pool completion back into the core. The pool's own
@@ -1257,8 +1082,9 @@ impl Worker {
                     self.race_access(oid);
                 }
                 for oid in oids {
-                    self.resume(oid);
+                    self.core.resume(oid, NOW);
                 }
+                self.drain();
             }
             IoDone::LoadFailed {
                 oid,
@@ -1270,23 +1096,13 @@ impl Worker {
                 self.core.stats.io_retries += retries as usize;
                 self.core.stats.faults_injected += faults;
                 self.core.load_failed(oid);
-                // Unrecoverable: the object exists nowhere else. Record the
-                // typed error and bring the whole computation down.
-                if self.fatal.is_none() {
-                    self.fatal = Some(MrtsError::LoadFailed {
-                        node: self.node,
-                        oid,
-                        attempts,
-                        source: error,
-                    });
-                }
-                for n in 0..self.n_nodes as NodeId {
-                    if n != self.node {
-                        self.am(n, AM_EXIT, vec![]);
-                    }
-                }
-                self.done = true;
-                audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
+                // Unrecoverable: the object exists nowhere else.
+                self.fail(MrtsError::LoadFailed {
+                    node: self.node,
+                    oid,
+                    attempts,
+                    source: error,
+                });
             }
             IoDone::Probed { ok, faults } => {
                 self.probe_inflight = false;
@@ -1318,7 +1134,8 @@ impl Worker {
                 let miss = self.ready.is_empty();
                 self.core.complete_load(oid, obj, packed_len, miss);
                 self.race_access(oid);
-                self.resume(oid);
+                self.core.resume(oid, NOW);
+                self.drain();
             }
         }
     }
@@ -1386,230 +1203,14 @@ impl Worker {
         if !self.core.entry(oid).queue.is_empty() {
             self.ready.push_back(oid);
         }
-        self.apply_effects(effects);
+        self.core.apply_effects(effects, NOW);
+        self.drain();
         // Hard budget enforcement (handlers grow objects in place), then
         // advisory soft-threshold swapping.
         self.core.enforce_budget(None, NOW);
         self.core.soft_swap(NOW);
         self.flush_io();
         true
-    }
-
-    fn apply_effects(&mut self, effects: Vec<Effect>) {
-        for eff in effects {
-            match eff {
-                Effect::Send {
-                    to,
-                    handler,
-                    payload,
-                    immediate: _,
-                } => {
-                    audit_emit!(
-                        self.core.audit,
-                        RuntimeEvent::Post {
-                            node: self.node,
-                            oid: to.id
-                        }
-                    );
-                    // One send rule: a message that leaves the node is
-                    // routed like any misdirected one, so the sender joins
-                    // the route — the delivery-time lazy update teaches it
-                    // the object's location, and `route.first()` is the
-                    // true source node.
-                    self.route_msg(Message::new(to, handler, payload));
-                }
-                Effect::Create { id, obj, priority } => {
-                    let footprint = obj.footprint();
-                    self.core.admit(footprint, NOW);
-                    self.flush_io();
-                    self.core.insert_resident(id, obj, priority, false, 0, NOW);
-                    audit_emit!(
-                        self.core.audit,
-                        RuntimeEvent::Create {
-                            node: self.node,
-                            oid: id,
-                            footprint
-                        }
-                    );
-                    self.core.audit_budget(true);
-                }
-                Effect::Lock(p) => self.meta_op(p.id, META_LOCK, 0),
-                Effect::Unlock(p) => self.meta_op(p.id, META_UNLOCK, 0),
-                Effect::SetPriority(p, v) => self.meta_op(p.id, META_PRIO, v),
-                Effect::Migrate(p, dest) => {
-                    if self.core.holds(p.id) {
-                        self.on_migrate_req(p.id, dest);
-                    } else {
-                        let owner = self.dir_next_hop(p.id);
-                        let mut payload = Vec::with_capacity(10);
-                        payload.extend_from_slice(&p.id.0.to_le_bytes());
-                        payload.extend_from_slice(&dest.to_le_bytes());
-                        self.am(owner, AM_MIGRATE_REQ, payload);
-                    }
-                }
-            }
-        }
-    }
-
-    fn meta_op(&mut self, oid: ObjectId, op: u8, arg: u8) {
-        if self.core.holds(oid) {
-            self.on_meta(oid, op, arg);
-        } else {
-            let owner = self.dir_next_hop(oid);
-            let mut payload = Vec::with_capacity(10);
-            payload.extend_from_slice(&oid.0.to_le_bytes());
-            payload.push(op);
-            payload.push(arg);
-            self.am(owner, AM_META, payload);
-        }
-    }
-
-    fn on_meta(&mut self, oid: ObjectId, op: u8, arg: u8) {
-        if !self.core.holds(oid) {
-            let owner = self.dir_next_hop(oid);
-            if owner == self.node {
-                return;
-            }
-            let mut payload = Vec::with_capacity(10);
-            payload.extend_from_slice(&oid.0.to_le_bytes());
-            payload.push(op);
-            payload.push(arg);
-            self.am(owner, AM_META, payload);
-            return;
-        }
-        let e = self.core.entry_mut(oid);
-        match op {
-            META_LOCK => e.locked = true,
-            META_UNLOCK => e.locked = false,
-            META_PRIO => e.priority = arg,
-            _ => unreachable!(),
-        }
-        match op {
-            META_LOCK => audit_emit!(
-                self.core.audit,
-                RuntimeEvent::Pin {
-                    node: self.node,
-                    oid
-                }
-            ),
-            META_UNLOCK => audit_emit!(
-                self.core.audit,
-                RuntimeEvent::Unpin {
-                    node: self.node,
-                    oid
-                }
-            ),
-            _ => {}
-        }
-    }
-
-    // ----- migration --------------------------------------------------------
-
-    fn on_migrate_req(&mut self, oid: ObjectId, dest: NodeId) {
-        if !self.core.holds(oid) {
-            let next = match self.core.table.get(&oid) {
-                Some(Entry {
-                    state: State::Moved(f),
-                    ..
-                }) => *f,
-                _ => self.dir_next_hop(oid),
-            };
-            if next == self.node {
-                return;
-            }
-            let mut payload = Vec::with_capacity(10);
-            payload.extend_from_slice(&oid.0.to_le_bytes());
-            payload.extend_from_slice(&dest.to_le_bytes());
-            self.am(next, AM_MIGRATE_REQ, payload);
-            return;
-        }
-        if dest == self.node {
-            return;
-        }
-        match self.core.entry(oid).state {
-            State::InCore(_) => self.do_migrate(oid, dest),
-            State::OnDisk => {
-                self.core.entry_mut(oid).pending_migration = Some(dest);
-                self.core.queue_load(oid);
-            }
-            State::Loading => self.core.entry_mut(oid).pending_migration = Some(dest),
-            State::Executing => unreachable!("handlers finish before the next request is served"),
-            State::Moved(_) => unreachable!(),
-        }
-    }
-
-    fn do_migrate(&mut self, oid: ObjectId, dest: NodeId) {
-        let (obj, queue, priority, locked, footprint, version) = {
-            let e = self.core.entry_mut(oid);
-            e.pending_migration = None;
-            let obj = match std::mem::replace(&mut e.state, State::Moved(dest)) {
-                State::InCore(o) => o,
-                other => {
-                    e.state = other;
-                    return;
-                }
-            };
-            (
-                obj,
-                std::mem::take(&mut e.queue),
-                e.priority,
-                e.locked,
-                e.footprint,
-                e.version,
-            )
-        };
-        self.ready.retain(|&r| r != oid);
-        self.race_access(oid);
-        let t0 = Instant::now();
-        let packed = Registry::pack(obj.as_ref());
-        self.core.stats.comp += t0.elapsed();
-        drop(obj);
-        self.core.ooc.note_out(footprint);
-        self.core.stats.migrations += 1;
-        // Emitted before the install message ships so the checker sees the
-        // departure strictly before the arrival.
-        audit_emit!(
-            self.core.audit,
-            RuntimeEvent::MigrateOut {
-                node: self.node,
-                oid,
-                to: dest,
-                queued: queue.len(),
-                footprint
-            }
-        );
-
-        // Install payload: oid, priority, locked, mutation version, packed
-        // object, queued messages. The version travels with the object so
-        // the receiver's dirty tracking stays in sync with the checker's
-        // model (install counts as a mutation on arrival).
-        let mut w = crate::codec::PayloadWriter::with_capacity(packed.len() + 64);
-        w.u64(oid.0)
-            .u8(priority)
-            .u8(locked as u8)
-            .u64(version)
-            .bytes(&packed);
-        w.u32(queue.len() as u32);
-        for m in &queue {
-            w.bytes(&m.encode());
-        }
-        self.am(dest, AM_INSTALL, w.finish());
-        self.dir.update(oid, dest);
-        audit_emit!(
-            self.core.audit,
-            RuntimeEvent::DirUpdate {
-                node: self.node,
-                oid,
-                loc: dest
-            }
-        );
-        let home = self.home_of(oid);
-        if home != self.node && home != dest {
-            let mut upd = Vec::with_capacity(10);
-            upd.extend_from_slice(&oid.0.to_le_bytes());
-            upd.extend_from_slice(&dest.to_le_bytes());
-            self.am(home, AM_DIR_UPDATE, upd);
-        }
     }
 
     // ----- work stealing ----------------------------------------------------
@@ -1620,59 +1221,15 @@ impl Worker {
     /// only steal under sustained starvation.
     const STEAL_PATIENCE: u32 = 2;
 
-    /// Can `oid` be handed to a thief right now? Mirrors the audit
-    /// checker's legality rule: resident here, not pinned, not already
-    /// migrating — plus "actually has work", or the steal is pointless.
-    fn steal_grantable(&self, oid: ObjectId) -> bool {
-        matches!(
-            self.core.table.get(&oid),
-            Some(e) if matches!(e.state, State::InCore(_))
-                && !e.locked
-                && e.pending_migration.is_none()
-                && !e.queue.is_empty()
-        )
-    }
-
-    /// Deterministic victim-side candidate pick: the grantable object with
-    /// the deepest message queue, ties broken by smallest id. Selection by
-    /// total order, so the hash map's iteration order cannot leak into the
-    /// result (replay depends on this being a pure function of state).
-    fn steal_candidate(&self) -> Option<ObjectId> {
-        let mut best: Option<(usize, ObjectId)> = None;
-        for (&oid, e) in &self.core.table {
-            let ok = matches!(e.state, State::InCore(_))
-                && !e.locked
-                && e.pending_migration.is_none()
-                && !e.queue.is_empty();
-            if !ok {
-                continue;
-            }
-            let len = e.queue.len();
-            let better = match best {
-                None => true,
-                Some((blen, boid)) => len > blen || (len == blen && oid.0 < boid.0),
-            };
-            if better {
-                best = Some((len, oid));
-            }
-        }
-        best.map(|(_, oid)| oid)
-    }
-
-    /// Victim side of the steal protocol. The grant-or-deny choice is a
-    /// recorded [`Decision`]: the live pick depends on this node's queue
-    /// depths at arrival, which a replay cannot reconstruct, so the log
-    /// overrides it (a recorded grant that is no longer grantable is a
-    /// divergence and falls back live).
-    fn on_steal_req(&mut self, thief: NodeId) {
-        audit_emit!(
-            self.core.audit,
-            RuntimeEvent::StealRequest {
-                node: self.node,
-                thief
-            }
-        );
-        let mut pick = self.steal_candidate();
+    /// Victim side of the steal protocol: pick and answer. This engine's
+    /// backlog sits in the queues of resident objects, so those are the
+    /// eligible ones. The grant-or-deny choice is a recorded [`Decision`]:
+    /// the live pick depends on this node's queue depths at arrival, which
+    /// a replay cannot reconstruct, so the log overrides it (a recorded
+    /// grant that is no longer grantable is a divergence and falls back
+    /// live).
+    fn answer_steal(&mut self, thief: NodeId) {
+        let mut pick = self.core.steal_pick(Entry::is_in_core);
         if matches!(self.replay, ReplayRole::Replay(_)) {
             let ReplayRole::Replay(mut st) = std::mem::replace(&mut self.replay, ReplayRole::Off)
             else {
@@ -1684,7 +1241,7 @@ impl Worker {
                         st.cursor += 1;
                         if oid == STEAL_DENIED {
                             pick = None;
-                        } else if self.steal_grantable(ObjectId(oid)) {
+                        } else if (self.core).steal_grantable(ObjectId(oid), Entry::is_in_core) {
                             pick = Some(ObjectId(oid));
                         } else {
                             self.replay_diverge(&mut st);
@@ -1699,23 +1256,8 @@ impl Worker {
             oid: pick.map_or(STEAL_DENIED, |o| o.0),
         });
         match pick {
-            Some(oid) => {
-                // Emitted while the object is still resident and unpinned
-                // here, so the checker validates the legality of the grant
-                // against the pre-migration state.
-                audit_emit!(
-                    self.core.audit,
-                    RuntimeEvent::StealGrant {
-                        node: self.node,
-                        oid,
-                        to: thief
-                    }
-                );
-                self.do_migrate(oid, thief);
-            }
-            None => {
-                self.am(thief, AM_STEAL_DENY, self.node.to_le_bytes().to_vec());
-            }
+            Some(oid) => self.core.grant_steal(oid, thief, NOW),
+            None => self.core.deny_steal(thief, NOW),
         }
     }
 
@@ -1728,7 +1270,7 @@ impl Worker {
             || self.n_nodes < 2
             || self.done
             || self.dead
-            || self.steal_inflight.is_some()
+            || self.core.awaiting_steal()
             || !self.ready.is_empty()
             || self.outstanding_io > 0
             || self.core.has_pending_loads()
@@ -1757,70 +1299,8 @@ impl Worker {
         };
         let Some(victim) = victim else { return };
         self.record_decision(Decision::StealRequest { victim });
-        self.core.stats.steal_requests += 1;
-        self.steal_inflight = Some(victim);
-        self.am(victim, AM_STEAL_REQ, self.node.to_le_bytes().to_vec());
-    }
-
-    fn on_install(&mut self, payload: &[u8]) {
-        let mut r = crate::codec::PayloadReader::new(payload);
-        let oid = ObjectId(r.u64().expect("install payload well-formed"));
-        let priority = r.u8().expect("install payload well-formed");
-        let locked = r.u8().expect("install payload well-formed") != 0;
-        let version = r.u64().expect("install payload well-formed");
-        // Unpack straight from the payload's borrowed bytes — no
-        // intermediate copy of the packed object.
-        let packed = r.bytes().expect("install payload well-formed");
-        let n_msgs = r.u32().expect("install payload well-formed");
-        let mut queue = VecDeque::with_capacity(n_msgs as usize);
-        for _ in 0..n_msgs {
-            queue.push_back(
-                Message::decode(r.bytes().expect("install payload well-formed"))
-                    .expect("embedded message decodes"),
-            );
-        }
-        let t0 = Instant::now();
-        let obj = self
-            .registry
-            .unpack(packed)
-            .expect("install bytes were packed by the sending node from a registered type");
-        self.core.stats.comp += t0.elapsed();
-        let footprint = obj.footprint();
-        self.core.admit(footprint, NOW);
-        self.flush_io();
-        // Installing is a mutation (matches the checker's `MigrateIn`
-        // bump); any bytes spilled on the old node are unreachable here.
-        self.core
-            .insert_resident(oid, obj, priority, locked, version + 1, NOW);
-        self.dir.update(oid, self.node);
-        self.race_access(oid);
-        audit_emit!(
-            self.core.audit,
-            RuntimeEvent::MigrateIn {
-                node: self.node,
-                oid,
-                queued: n_msgs as usize,
-                footprint
-            }
-        );
-        audit_emit!(
-            self.core.audit,
-            RuntimeEvent::DirUpdate {
-                node: self.node,
-                oid,
-                loc: self.node
-            }
-        );
-        self.core.audit_budget(true);
-        // An install that lands while a steal request is pending is its
-        // answer: count the stolen task and re-arm the thief.
-        if self.steal_inflight.take().is_some() {
-            self.core.stats.tasks_stolen += 1;
-            self.deny_streak = 0;
-        }
-        for m in queue {
-            self.route_msg(m);
-        }
+        self.core.request_steal(victim, NOW);
+        self.drain();
     }
 
     // ----- termination ------------------------------------------------------------
@@ -1831,7 +1311,7 @@ impl Worker {
             && !self.core.has_pending_loads()
             // A thief awaiting a steal answer is not quiet: the granted
             // install (or the deny) is still in flight toward it.
-            && self.steal_inflight.is_none()
+            && !self.core.awaiting_steal()
             // Under faults a node with an unacked message, a deferred
             // transmission, or a held-back frame is *not* quiet: Safra must
             // never see it idle, or termination could be declared with a
@@ -2720,7 +2200,6 @@ impl ThreadedRuntime {
                 registry: registry.clone(),
                 ep,
                 core,
-                dir: Directory::new(),
                 ready: VecDeque::new(),
                 io_tx,
                 io_rx,
@@ -2754,7 +2233,6 @@ impl ThreadedRuntime {
                     None if self.record_decisions => ReplayRole::Record(Vec::new()),
                     None => ReplayRole::Off,
                 },
-                steal_inflight: None,
                 victim_cursor: VictimCursor::new(),
                 empty_polls: 0,
                 deny_streak: 0,
@@ -2793,17 +2271,9 @@ impl ThreadedRuntime {
                 }
                 BootAction::Lock(p) => {
                     // Modulo: after a restore onto fewer nodes, homes wrap
-                    // (matches `Worker::home_of` and the restore placement).
-                    let h = p.id.home() as usize % n;
-                    let w = &mut workers[h];
-                    w.core.entry_mut(p.id).locked = true;
-                    audit_emit!(
-                        w.core.audit,
-                        RuntimeEvent::Pin {
-                            node: h as NodeId,
-                            oid: p.id
-                        }
-                    );
+                    // (matches `NodeCore::next_hop` and the restore placement).
+                    let w = &mut workers[p.id.home() as usize % n];
+                    w.core.on_meta(p.id, MetaOp::Lock, NOW);
                 }
                 BootAction::Post(to, handler, payload) => {
                     let w = &mut workers[to.id.home() as usize % n];
@@ -2814,8 +2284,7 @@ impl ThreadedRuntime {
                             oid: to.id
                         }
                     );
-                    let msg = Message::new(to, handler, payload);
-                    w.route_msg(msg);
+                    w.on_net(NetMsg::Msg(Message::new(to, handler, payload)));
                 }
             }
         }

@@ -5,10 +5,11 @@
 //! -- --analyze`) fails if any are found:
 //!
 //! 1. **Protocol exhaustiveness** ([`protocol`]): every active-message
-//!    tag (`AM_*` const in `threaded.rs`) must be dispatched in the
-//!    threaded engine, map to a DES event (`EvKind` variant or an I/O
-//!    completion) so the two engines cannot drift apart, and reach an
-//!    audit-event emission; every `RunStats` counter that is incremented
+//!    tag (`AM_*` const in `threaded.rs` or `node.rs`) must have a
+//!    dispatch arm, and every control-ring arm and every `NetMsg` variant's
+//!    arm in the node core must reach an audit-event emission (that both
+//!    engines handle every `NetMsg` is the compiler's exhaustive `match`);
+//!    every `RunStats` counter that is incremented
 //!    anywhere in the runtime must be reported by the gate summary
 //!    (`RunStats::summary` or a helper it calls). This catches the
 //!    "`overlap_fraction_pct = 0` because nobody ever surfaced the

@@ -10,15 +10,23 @@
 //!   parallel makespan (see [`crate::compute::ExecutorKind::makespan`]);
 //! * a message from node *i* to node *j* becomes visible at
 //!   `send_time + latency + bytes/bandwidth`; both nodes accrue
-//!   communication busy time;
+//!   communication busy time. Which node that is, who learns the object's
+//!   location on delivery, how an object migrates and installs is decided
+//!   by each node's `NodeCore` (`node.rs`); this engine ships the
+//!   `NetMsg`s it emits at their modelled sizes and executes objects it
+//!   reports runnable right away;
 //! * unloading/loading an object occupies one of the node's `io_threads`
 //!   virtual disk channels for `seek + bytes/bandwidth`; the disk runs
 //!   concurrently with the cores, which is where the paper's
 //!   computation/I/O *overlap* comes from. What to evict, load and
-//!   prefetch is decided by each node's `NodeCore` (`node.rs`) — the
-//!   same state machine the threaded engine runs; this engine is its
-//!   driver, executing the core's I/O commands synchronously on the
-//!   virtual channels.
+//!   prefetch is the core's decision too — the same state machine the
+//!   threaded engine runs; this engine is its driver, executing the
+//!   core's I/O commands synchronously on the virtual channels.
+//!
+//! Two work-stealing rules are this engine's own: a steal fires on behalf
+//! of a peer that has *no event scheduled* (virtual time can see idleness
+//! directly), and a victim hands over *non-resident* objects with queued
+//! work — resident ones execute on arrival, so only those hold a backlog.
 //!
 //! The result is a deterministic simulation whose reported quantities
 //! (per-PE speed, overheads, comp/comm/disk shares, overlap) have the same
@@ -250,12 +258,13 @@ impl DesRuntime {
         (self.nodes[node as usize].core).on_meta(ptr.id, MetaOp::Lock, Duration::ZERO);
     }
 
-    /// Post an initial message (delivered at virtual time zero).
+    /// Post an initial message (delivered at virtual time zero, or "now"
+    /// between the runs of a multi-phase driver).
     pub fn post(&mut self, to: MobilePtr, handler: HandlerId, payload: Vec<u8>) {
         let node = self.owner_of(to.id);
-        audit_emit!(self.audit, RuntimeEvent::Post { node, oid: to.id });
-        let msg = NetMsg::Msg(Message::new(to, handler, payload));
-        self.push_event(Duration::ZERO, node, EvKind::Net(msg));
+        let msg = Message::new(to, handler, payload);
+        self.nodes[node as usize].core.send(msg, Duration::ZERO);
+        self.drain(node, Duration::ZERO);
     }
 
     fn owner_of(&self, oid: ObjectId) -> NodeId {
@@ -598,12 +607,10 @@ impl DesRuntime {
     /// objects that became runnable execute right away. Called after
     /// every core transition that can produce any of them.
     fn drain(&mut self, node: NodeId, at: Duration) {
-        let mut work = std::mem::take(&mut self.nodes[node as usize].core.codec_work);
-        for (wall, bytes) in work.drain(..) {
-            let charge = self.compute_charge(wall, bytes);
-            self.nodes[node as usize].core.stats.comp += charge;
-        }
-        self.nodes[node as usize].core.codec_work = work;
+        let work = std::mem::take(&mut self.nodes[node as usize].core.codec_work);
+        let charge = work.iter().map(|&(wall, n)| self.compute_charge(wall, n));
+        let charge: Duration = charge.sum();
+        self.nodes[node as usize].core.stats.comp += charge;
         let mut out = std::mem::take(&mut self.nodes[node as usize].core.out);
         for (dest, msg, not_before) in out.drain(..) {
             let bytes = match &msg {
@@ -624,11 +631,10 @@ impl DesRuntime {
             // Drain the object's queue in arrival order, for as long as it
             // stays in core (a handler's own creations may evict it, and
             // the eviction has then queued its reload).
-            while let Some(msg) = {
-                let e = self.nodes[node as usize].core.entry_mut(oid);
-                e.is_in_core().then(|| e.queue.pop_front()).flatten()
-            } {
-                self.execute(node, oid, msg);
+            while let Some((obj, old_footprint, msg)) =
+                self.nodes[node as usize].core.begin_handler(oid)
+            {
+                self.execute(node, oid, obj, old_footprint, msg);
             }
         }
         self.nodes[node as usize].core.runnable = runnable;
@@ -853,15 +859,18 @@ impl DesRuntime {
 
     // ----- handler execution --------------------------------------------------
 
-    fn execute(&mut self, node: NodeId, oid: ObjectId, msg: Message) {
+    /// Run one handler on an object the core has taken out
+    /// ([`NodeCore::begin_handler`]) and charge it to a virtual core.
+    fn execute(
+        &mut self,
+        node: NodeId,
+        oid: ObjectId,
+        mut obj: Box<dyn MobileObject>,
+        old_footprint: usize,
+        msg: Message,
+    ) {
         let handler = self.registry.handler(msg.handler);
-        // Take the object out for the duration of the call.
-        let core = &mut self.nodes[node as usize].core;
-        let (mut obj, old_footprint) = core
-            .begin_handler(oid)
-            .expect("runnable object checked in core");
-        let arrival_floor = core.entry(oid).obj_free_at;
-        audit_emit!(self.audit, RuntimeEvent::Deliver { node, oid });
+        let arrival_floor = self.nodes[node as usize].core.entry(oid).obj_free_at;
 
         let mut next_seq = self.nodes[node as usize].next_obj_seq;
         let mut backend = SequentialBackend;
@@ -902,9 +911,6 @@ impl DesRuntime {
             let end = start + vdur;
             n.core_free[core] = end;
             n.core.stats.comp += vdur;
-            n.core.stats.handlers_run += 1;
-            n.core.stats.msgs_local += usize::from(msg.route.is_empty());
-            n.core.stats.msgs_remote += usize::from(!msg.route.is_empty());
             end
         };
         self.end_time = self.end_time.max(end);
@@ -942,7 +948,7 @@ impl DesRuntime {
         let thief = (0..self.nodes.len() as NodeId).find(|&t| {
             t != node
                 && self.pending_events[t as usize] == 0
-                && !self.nodes[t as usize].core.awaiting_steal()
+                && !self.nodes[t as usize].core.awaiting_steal
         });
         let Some(thief) = thief else { return };
         let now = self.now;

@@ -10,9 +10,11 @@
 //! task-parallel backends (work-stealing / global FIFO).
 //!
 //! The runtime executes in either of two modes sharing one semantics —
-//! and one out-of-core layer: the private `node` module's `NodeCore`
-//! decides what to evict, elide, spill, load and prefetch, performs no
-//! I/O itself, and is driven by both engines:
+//! and one implementation of the out-of-core and control layers: the
+//! private `node` module's `NodeCore` decides what to evict, elide, spill,
+//! load and prefetch, routes messages, keeps the directory, migrates and
+//! installs objects behind one `NetMsg` vocabulary, performs no I/O and
+//! sends nothing itself, and is driven by both engines:
 //!
 //! * [`des::DesRuntime`] — deterministic **virtual-time** execution: the
 //!   application really runs (single host thread), while node parallelism,

@@ -349,8 +349,9 @@ pub(crate) struct NodeCore {
     /// by the deliveries of messages this node sent or forwarded.
     dir: Directory,
     /// A steal request of this node is out and unanswered (the answer is
-    /// an `Install` or a `StealDeny`); at most one in flight.
-    awaiting_steal: bool,
+    /// an `Install` or a `StealDeny`): the node is not quiet, and must not
+    /// ask again. Set by [`NodeCore::request_steal`].
+    pub(crate) awaiting_steal: bool,
     pub(crate) ooc: OocManager,
     /// Adjacency-learned locality ordering (see `mrts::locality`); fed
     /// from handler sends, consumed by eviction, cluster prefetch, and
@@ -1100,21 +1101,30 @@ impl NodeCore {
 
     // ----- handler execution --------------------------------------------------
 
-    /// Take a resident object out for the duration of a handler call.
-    /// Returns the object and its footprint before the call, or `None`
-    /// (nothing changed) if the object is not in core.
+    /// Take a resident object out to handle its next queued message.
+    /// Returns the object, its footprint before the call and the message
+    /// — the delivery is announced and counted here — or `None` (nothing
+    /// changed) if the object is not in core or has nothing queued.
     pub(crate) fn begin_handler(
         &mut self,
         oid: ObjectId,
-    ) -> Option<(Box<dyn MobileObject>, usize)> {
-        let e = self.entry_mut(oid);
-        match std::mem::replace(&mut e.state, State::Executing) {
-            State::InCore(obj) => Some((obj, e.footprint)),
-            other => {
-                e.state = other;
-                None
+    ) -> Option<(Box<dyn MobileObject>, usize, Message)> {
+        let e = self.table.get_mut(&oid).filter(|e| e.is_in_core())?;
+        let msg = e.queue.pop_front()?;
+        let State::InCore(obj) = std::mem::replace(&mut e.state, State::Executing) else {
+            unreachable!("checked in core above")
+        };
+        self.stats.handlers_run += 1;
+        self.stats.msgs_local += usize::from(msg.route.is_empty());
+        self.stats.msgs_remote += usize::from(!msg.route.is_empty());
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::Deliver {
+                node: self.node,
+                oid
             }
-        }
+        );
+        Some((obj, e.footprint, msg))
     }
 
     /// Put the object back after its handler ran until `free_at`: account
@@ -1178,16 +1188,7 @@ impl NodeCore {
                     handler,
                     payload,
                     immediate: _,
-                } => {
-                    audit_emit!(
-                        self.audit,
-                        RuntimeEvent::Post {
-                            node: self.node,
-                            oid: to.id
-                        }
-                    );
-                    self.send(Message::new(to, handler, payload), now);
-                }
+                } => self.send(Message::new(to, handler, payload), now),
                 Effect::Create { id, obj, priority } => self.create(id, obj, priority, now),
                 Effect::Lock(p) => self.send_to_owner(p.id, MetaOp::Lock.on(p.id), now),
                 Effect::Unlock(p) => self.send_to_owner(p.id, MetaOp::Unlock.on(p.id), now),
@@ -1251,13 +1252,21 @@ impl NodeCore {
         }
     }
 
-    /// The one send rule. A message for an object held here loops back
-    /// through the out-buffer with an empty route (it is local). One that
-    /// leaves the node is forwarded like any misdirected message, so the
-    /// sender is the first entry of its route: the delivery's lazy update
-    /// teaches the sender where the object is, and `route.first()` names
-    /// the true source node.
-    fn send(&mut self, msg: Message, now: Duration) {
+    /// The one send rule, for a message posted on this node (by a handler,
+    /// or by the application before the run). A message for an object
+    /// held here loops back through the out-buffer with an empty route (it
+    /// is local). One that leaves the node is forwarded like any
+    /// misdirected message, so the sender is the first entry of its
+    /// route: the delivery's lazy update teaches the sender where the
+    /// object is, and `route.first()` names the true source node.
+    pub(crate) fn send(&mut self, msg: Message, now: Duration) {
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::Post {
+                node: self.node,
+                oid: msg.to.id
+            }
+        );
         if self.holds(msg.to.id) {
             self.out.push((self.node, NetMsg::Msg(msg), now));
         } else {
@@ -1657,12 +1666,6 @@ impl NodeCore {
         self.awaiting_steal = true;
         let thief = self.node;
         self.out.push((victim, NetMsg::StealReq { thief }, now));
-    }
-
-    /// A steal request of this node is out and unanswered: the node is not
-    /// quiet, and must not ask again.
-    pub(crate) fn awaiting_steal(&self) -> bool {
-        self.awaiting_steal
     }
 
     /// Close out the counters a run reports: the peak footprint comes
@@ -2119,7 +2122,7 @@ mod tests {
         assert_eq!(c.out, carried);
         assert!(c.runnable.is_empty());
         // It answered the steal request that was out.
-        assert!(!c.awaiting_steal());
+        assert!(!c.awaiting_steal);
         assert_eq!((c.stats.tasks_stolen, c.stats.steal_requests), (1, 1));
     }
 

@@ -8,15 +8,26 @@
 //! ring-token termination detection**. Handlers may spawn child tasks on
 //! the node's computing-layer pool (work-stealing or FIFO).
 //!
-//! ## Out-of-core layer
+//! ## Driving the node core
 //!
-//! What to evict, elide, spill, load and prefetch — and when — is decided
-//! by the node's `NodeCore` (`node.rs`), the same state machine the
-//! virtual-time engine runs. A worker is its **driver**: after every core
-//! transition it drains the core's I/O commands into the node's I/O pool
-//! (`flush_io`) and feeds the pool's completions back (`on_io`). The
-//! pieces of the overlap pipeline that are this engine's own:
+//! What to evict, elide, spill, load and prefetch, where a message goes,
+//! who learns an object's location, how an object migrates and installs —
+//! all of it is decided by the node's `NodeCore` (`node.rs`), the same
+//! state machine the virtual-time engine runs. A worker is its **driver**:
+//! after every core transition it drains the core's buffers (`drain`) —
+//! I/O commands into the node's I/O pool, messages onto the fabric through
+//! the one `NetMsg::encode`/`decode` pair (a local send loops straight
+//! back into the core), runnable objects into the ready queue — and feeds
+//! the pool's completions (`on_io`) and the fabric's frames (`on_net`)
+//! back. What is this engine's own:
 //!
+//! * **The fabric side of messaging** — Safra's counters, the reliable
+//!   ack/retransmit layer, the race detector's happens-before stamps and
+//!   record/replay all sit in `am` and the receive path, below `NetMsg`.
+//! * **When to steal, and what a victim may give** — a node asks after
+//!   `STEAL_PATIENCE` empty polls of the fabric, and a victim
+//!   hands over *resident* objects with queued work (its backlog); a
+//!   replay overrides the victim's pick with the recorded one.
 //! * **Busy means "has ready work"** — a queued load is look-ahead while
 //!   the node's ready queue is non-empty, and a load that completes with
 //!   ready work remaining was masked by computation. The node keeps
@@ -932,12 +943,12 @@ impl Worker {
             NetMsg::Install(install) => Some(install.oid),
             _ => None,
         };
-        let was_asking = self.core.awaiting_steal();
+        let was_asking = self.core.awaiting_steal;
         let thief = self.core.on_net(msg, NOW, &self.registry);
         if let Some(oid) = installed {
             self.race_access(oid);
         }
-        if was_asking && !self.core.awaiting_steal() {
+        if was_asking && !self.core.awaiting_steal {
             // A grant re-arms the thief; a denial counts toward giving up.
             self.deny_streak = match installed {
                 Some(_) => 0,
@@ -1145,38 +1156,17 @@ impl Worker {
     /// Execute one queued message of one ready object. Returns false if no
     /// work was available.
     fn step(&mut self) -> bool {
-        let oid = loop {
-            match self.ready.pop_front() {
-                None => return false,
-                Some(oid) => {
-                    let ok = matches!(
-                        self.core.table.get(&oid),
-                        Some(e) if matches!(e.state, State::InCore(_)) && !e.queue.is_empty()
-                    );
-                    if ok {
-                        break oid;
-                    }
-                }
+        // Entries gone stale since they were queued (evicted, migrated,
+        // drained through an earlier entry) are skipped.
+        let (oid, (mut obj, old_footprint, msg)) = loop {
+            let Some(oid) = self.ready.pop_front() else {
+                return false;
+            };
+            if let Some(taken) = self.core.begin_handler(oid) {
+                break (oid, taken);
             }
         };
-        let (mut obj, old_footprint) = self
-            .core
-            .begin_handler(oid)
-            .expect("ready object checked in core");
-        let msg = self
-            .core
-            .entry_mut(oid)
-            .queue
-            .pop_front()
-            .expect("queue checked non-empty");
         self.race_access(oid);
-        audit_emit!(
-            self.core.audit,
-            RuntimeEvent::Deliver {
-                node: self.node,
-                oid
-            }
-        );
 
         let handler = self.registry.handler(msg.handler);
         let src = *msg.route.first().unwrap_or(&self.node);
@@ -1194,10 +1184,6 @@ impl Worker {
         let effects = std::mem::take(&mut ctx.effects);
         drop(ctx);
         self.next_obj_seq = next_seq;
-        self.core.stats.handlers_run += 1;
-        self.core.stats.msgs_local += usize::from(msg.route.is_empty());
-        self.core.stats.msgs_remote += usize::from(!msg.route.is_empty());
-
         self.core
             .finish_handler(oid, obj, old_footprint, &effects, NOW);
         if !self.core.entry(oid).queue.is_empty() {
@@ -1270,7 +1256,7 @@ impl Worker {
             || self.n_nodes < 2
             || self.done
             || self.dead
-            || self.core.awaiting_steal()
+            || self.core.awaiting_steal
             || !self.ready.is_empty()
             || self.outstanding_io > 0
             || self.core.has_pending_loads()
@@ -1311,7 +1297,7 @@ impl Worker {
             && !self.core.has_pending_loads()
             // A thief awaiting a steal answer is not quiet: the granted
             // install (or the deny) is still in flight toward it.
-            && !self.core.awaiting_steal()
+            && !self.core.awaiting_steal
             // Under faults a node with an unacked message, a deferred
             // transmission, or a held-back frame is *not* quiet: Safra must
             // never see it idle, or termination could be declared with a
@@ -2277,14 +2263,8 @@ impl ThreadedRuntime {
                 }
                 BootAction::Post(to, handler, payload) => {
                     let w = &mut workers[to.id.home() as usize % n];
-                    audit_emit!(
-                        w.core.audit,
-                        RuntimeEvent::Post {
-                            node: w.node,
-                            oid: to.id
-                        }
-                    );
-                    w.on_net(NetMsg::Msg(Message::new(to, handler, payload)));
+                    w.core.send(Message::new(to, handler, payload), NOW);
+                    w.drain();
                 }
             }
         }

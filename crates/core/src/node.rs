@@ -1613,16 +1613,20 @@ impl NodeCore {
     /// the queues of *resident* objects, while in virtual time resident
     /// objects execute on arrival and only *non-resident* ones hold a
     /// backlog.
-    pub(crate) fn steal_grantable(&self, oid: ObjectId, eligible: impl Fn(&Entry) -> bool) -> bool {
-        self.table.get(&oid).is_some_and(|e| {
-            !e.locked && e.pending_migration.is_none() && !e.queue.is_empty() && eligible(e)
-        })
+    fn may_steal(e: &Entry, eligible: &impl Fn(&Entry) -> bool) -> bool {
+        !e.locked && e.pending_migration.is_none() && !e.queue.is_empty() && eligible(e)
     }
 
-    /// How many objects [`NodeCore::steal_grantable`] accepts.
+    /// Whether `oid` may be handed over right now (a replay asks this
+    /// about the object its recorded run granted).
+    pub(crate) fn steal_grantable(&self, oid: ObjectId, eligible: impl Fn(&Entry) -> bool) -> bool {
+        (self.table.get(&oid)).is_some_and(|e| Self::may_steal(e, &eligible))
+    }
+
+    /// How many objects could be handed over.
     pub(crate) fn steal_backlog(&self, eligible: impl Fn(&Entry) -> bool) -> usize {
-        (self.table.keys())
-            .filter(|&&oid| self.steal_grantable(oid, &eligible))
+        (self.table.values())
+            .filter(|e| Self::may_steal(e, &eligible))
             .count()
     }
 
@@ -1633,8 +1637,8 @@ impl NodeCore {
     /// the same state.
     pub(crate) fn steal_pick(&self, eligible: impl Fn(&Entry) -> bool) -> Option<ObjectId> {
         (self.table.iter())
-            .filter(|(&oid, _)| self.steal_grantable(oid, &eligible))
-            .max_by_key(|(&oid, e)| (e.queue.len(), Reverse(oid.0)))
+            .filter(|(_, e)| Self::may_steal(e, &eligible))
+            .max_by_key(|(oid, e)| (e.queue.len(), Reverse(oid.0)))
             .map(|(&oid, _)| oid)
     }
 

@@ -35,7 +35,6 @@ use crate::des::DesRuntime;
 use crate::fault::MrtsError;
 use crate::ids::{MobilePtr, NodeId, ObjectId};
 use crate::msg::Message;
-use crate::object::Registry;
 use crate::storage::{SegmentStore, StorageBackend};
 use crate::threaded::ThreadedRuntime;
 use std::path::Path;
@@ -316,7 +315,9 @@ impl ThreadedRuntime {
     /// result state at distributed termination (quiescence), so there are
     /// no queued messages to capture — entry queues are empty by
     /// construction. Entries are sorted by object id so two captures of
-    /// the same state encode identically.
+    /// the same state encode identically. A spilled object's packed bytes
+    /// are copied from its node's store, not decoded and packed again.
+    /// Panics if one stays unreadable under the engines' retry policy.
     pub fn checkpoint(&self) -> Checkpoint {
         let mut objects: Vec<CheckpointEntry> = self
             .result_entries()
@@ -326,7 +327,9 @@ impl ThreadedRuntime {
                 oid,
                 priority: e.priority,
                 locked: e.locked,
-                packed: Registry::pack(e.obj.as_ref()),
+                packed: self
+                    .packed_result(oid, e)
+                    .unwrap_or_else(|e| panic!("MRTS checkpoint failed: {e}")),
                 queued: Vec::new(),
             })
             .collect();

@@ -38,7 +38,9 @@ use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::SequentialBackend;
 use crate::config::MrtsConfig;
 use crate::ctx::Ctx;
-use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
+use crate::fault::{
+    is_out_of_space, load_spilled, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY,
+};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
 use crate::msg::Message;
 use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore, State};
@@ -960,49 +962,66 @@ impl DesRuntime {
 
     // ----- inspection (post-run) ---------------------------------------------------
 
-    /// Post-run extraction read. There is no virtual clock left to charge
-    /// and a fault plan keeps injecting after the run completes, so retry
-    /// hard: the transient-fault counter advances per attempt, making 64
-    /// consecutive failures astronomically unlikely under any sane plan.
-    fn load_stubborn(store: &mut dyn StorageBackend, key: u64) -> Vec<u8> {
-        let mut last: Option<std::io::Error> = None;
-        for _ in 0..64 {
-            match store.load(key) {
-                Ok(b) => return b,
-                Err(e) => last = Some(e),
-            }
-        }
-        panic!("spilled object {key} unreadable after 64 attempts: {last:?}")
+    /// Packed bytes of the spilled object `oid` of `node`, read from the
+    /// node's store post-run (uncharged: there is no virtual clock left).
+    fn load_packed(&mut self, node: NodeId, oid: ObjectId, key: u64) -> Result<Vec<u8>, MrtsError> {
+        let store = &mut self.nodes[node as usize].store;
+        load_spilled(node, oid, key, || store.load(key))
     }
 
     /// Visit an object wherever it is (following migrations, loading from
     /// the spill store if needed — uncharged; for result extraction).
+    /// Panics if a spilled object is unreadable; see
+    /// [`DesRuntime::try_with_object`].
     pub fn with_object<R>(&mut self, ptr: MobilePtr, f: impl FnOnce(&dyn MobileObject) -> R) -> R {
+        self.try_with_object(ptr, f)
+            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
+    }
+
+    /// [`DesRuntime::with_object`], surfacing a spilled object that stays
+    /// unreadable under the engines' retry policy as
+    /// [`MrtsError::LoadFailed`].
+    pub fn try_with_object<R>(
+        &mut self,
+        ptr: MobilePtr,
+        f: impl FnOnce(&dyn MobileObject) -> R,
+    ) -> Result<R, MrtsError> {
         let node = self.owner_of(ptr.id);
-        let n = &mut self.nodes[node as usize];
-        let e = n
+        let e = self.nodes[node as usize]
             .core
             .table
-            .get_mut(&ptr.id)
+            .get(&ptr.id)
             .unwrap_or_else(|| panic!("no object {:?}", ptr.id));
         match &e.state {
-            State::InCore(obj) => f(obj.as_ref()),
+            State::InCore(obj) => Ok(f(obj.as_ref())),
             State::OnDisk | State::Loading => {
                 let key = e.spill_key.expect("on-disk object has a key");
-                let bytes = Self::load_stubborn(n.store.as_mut(), key);
+                let bytes = self.load_packed(node, ptr.id, key)?;
                 let obj = self
                     .registry
                     .unpack(&bytes)
                     .expect("spill bytes were packed by this runtime from a registered type");
-                f(obj.as_ref())
+                Ok(f(obj.as_ref()))
             }
             State::Executing => unreachable!("no handler is running post-run"),
             State::Moved(_) => unreachable!("owner_of follows tombstones"),
         }
     }
 
-    /// Visit every live object (post-run; arbitrary order).
-    pub fn for_each_object(&mut self, mut f: impl FnMut(ObjectId, &dyn MobileObject)) {
+    /// Visit every live object (post-run; arbitrary order). Panics if a
+    /// spilled object is unreadable; see
+    /// [`DesRuntime::try_for_each_object`].
+    pub fn for_each_object(&mut self, f: impl FnMut(ObjectId, &dyn MobileObject)) {
+        self.try_for_each_object(f)
+            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
+    }
+
+    /// [`DesRuntime::for_each_object`], stopping at the first spilled
+    /// object that stays unreadable ([`MrtsError::LoadFailed`]).
+    pub fn try_for_each_object(
+        &mut self,
+        mut f: impl FnMut(ObjectId, &dyn MobileObject),
+    ) -> Result<(), MrtsError> {
         for node in 0..self.nodes.len() {
             let oids: Vec<ObjectId> = self.nodes[node]
                 .core
@@ -1012,9 +1031,10 @@ impl DesRuntime {
                 .map(|(&oid, _)| oid)
                 .collect();
             for oid in oids {
-                self.with_object(MobilePtr::new(oid), |obj| f(oid, obj));
+                self.try_with_object(MobilePtr::new(oid), |obj| f(oid, obj))?;
             }
         }
+        Ok(())
     }
 
     // ----- checkpoint support (see crate::checkpoint) ------------------------
@@ -1098,15 +1118,15 @@ impl DesRuntime {
             let mut oids: Vec<ObjectId> = self.nodes[node].core.table.keys().copied().collect();
             oids.sort_unstable_by_key(|o| o.0);
             for oid in oids {
-                let n = &mut self.nodes[node];
-                let e = n.core.entry(oid);
+                let e = self.nodes[node].core.entry(oid);
                 let (priority, locked) = (e.priority, e.locked);
                 let queued: Vec<Message> = e.queue.iter().cloned().collect();
                 let packed = match &e.state {
                     State::InCore(obj) => Registry::pack(obj.as_ref()),
                     State::OnDisk | State::Loading => {
                         let key = e.spill_key.expect("spilled object has key");
-                        Self::load_stubborn(n.store.as_mut(), key)
+                        self.load_packed(node as NodeId, oid, key)
+                            .unwrap_or_else(|e| panic!("MRTS checkpoint failed: {e}"))
                     }
                     State::Executing => unreachable!("quiescent"),
                     State::Moved(_) => continue,

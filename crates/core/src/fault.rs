@@ -378,6 +378,36 @@ impl RetryPolicy {
     }
 }
 
+/// Read a spilled object's packed bytes after the run — result extraction
+/// and checkpoint capture, in both engines. `attempt_load` is one try
+/// against the node's store; a fault plan keeps injecting once the run is
+/// over, so a failure is retried under [`ENGINE_RETRY`] (every attempt
+/// draws afresh) and exhaustion surfaces as the [`MrtsError::LoadFailed`]
+/// a load inside the run would have raised.
+pub(crate) fn load_spilled(
+    node: NodeId,
+    oid: ObjectId,
+    key: u64,
+    mut attempt_load: impl FnMut() -> io::Result<Vec<u8>>,
+) -> Result<Vec<u8>, MrtsError> {
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        match attempt_load() {
+            Ok(bytes) => return Ok(bytes),
+            Err(source) if attempts >= ENGINE_RETRY.max_attempts => {
+                return Err(MrtsError::LoadFailed {
+                    node,
+                    oid,
+                    attempts,
+                    source,
+                })
+            }
+            Err(_) => std::thread::sleep(ENGINE_RETRY.delay(attempts, key)),
+        }
+    }
+}
+
 /// Typed runtime failure: what the engines return instead of panicking
 /// when recovery is impossible.
 #[derive(Debug)]

@@ -231,6 +231,10 @@ impl Drop for FileStore {
 /// value marks a tombstone (a remove, no payload follows).
 const TOMBSTONE: u32 = u32::MAX;
 const REC_HDR: usize = 12;
+/// Open read handles a [`SegmentStore`] keeps (least recently read closed
+/// first). A store outlives the run that filled it and may be read across
+/// every segment it ever sealed; its descriptors must not follow.
+const HANDLE_CACHE: usize = 16;
 
 fn record_header(key: u64, len: u32) -> [u8; REC_HDR] {
     let mut h = [0u8; REC_HDR];
@@ -293,8 +297,9 @@ pub struct SegmentStore {
     active_id: u64,
     index: HashMap<u64, RecordLoc>,
     segments: BTreeMap<u64, SegmentMeta>,
-    /// Cached read handles for sealed segments.
-    handles: HashMap<u64, fs::File>,
+    /// Read handles of the sealed segments read most recently, oldest
+    /// first: at most [`HANDLE_CACHE`], whatever the log's length or age.
+    handles: Vec<(u64, fs::File)>,
     /// Bytes of current records, headers included.
     live_bytes: u64,
     /// All bytes in the log, staged or on disk: live records, dead ones,
@@ -331,7 +336,7 @@ impl SegmentStore {
             active_id: 0,
             index: HashMap::new(),
             segments: BTreeMap::new(),
-            handles: HashMap::new(),
+            handles: Vec::new(),
             live_bytes: 0,
             total_bytes: 0,
             segment_bytes: segment_bytes.max(1),
@@ -564,13 +569,17 @@ impl SegmentStore {
             buf.copy_from_slice(staged);
             return Ok(());
         }
-        let path = self.segment_path(loc.seg);
-        let f = match self.handles.entry(loc.seg) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(fs::File::open(path)?),
+        let mut f = match self.handles.iter().position(|(seg, _)| *seg == loc.seg) {
+            Some(i) => self.handles.remove(i).1,
+            None => fs::File::open(self.segment_path(loc.seg))?,
         };
         f.seek(SeekFrom::Start(loc.off as u64))?;
-        f.read_exact(buf)
+        f.read_exact(buf)?;
+        if self.handles.len() == HANDLE_CACHE {
+            self.handles.remove(0);
+        }
+        self.handles.push((loc.seg, f));
+        Ok(())
     }
 
     fn over_trigger(&self, garbage: u64, total: u64) -> bool {
@@ -672,7 +681,7 @@ impl SegmentStore {
         }
         for seg in victims {
             fs::remove_file(self.segment_path(seg))?;
-            self.handles.remove(&seg);
+            self.handles.retain(|(s, _)| *s != seg);
             let m = self
                 .segments
                 .remove(&seg)
@@ -708,16 +717,18 @@ impl StorageBackend for SegmentStore {
     }
 
     /// Batched eviction path: small records enter the active segment
-    /// back-to-back with one roll decision and one cleaning check at the
-    /// end — a multi-victim eviction of small objects costs at most one
-    /// write syscall. Each record keeps its own header, so per-object
-    /// offsets land in the index exactly as with individual stores and
-    /// replay is unchanged.
+    /// back-to-back with one cleaning check at the end — a multi-victim
+    /// eviction of small objects costs one write syscall per segment it
+    /// fills. The segment rolls as soon as it is full, so what is staged
+    /// and what a sealed file holds stay within `segment_bytes` plus one
+    /// record however large the batch. Each record keeps its own header,
+    /// so per-object offsets land in the index exactly as with individual
+    /// stores and replay is unchanged.
     fn store_batch(&mut self, items: &[(u64, &[u8])]) -> io::Result<()> {
         for (key, data) in items {
             self.put(*key, data)?;
+            self.roll_if_full()?;
         }
-        self.roll_if_full()?;
         self.maybe_clean()
     }
 
@@ -899,8 +910,7 @@ mod tests {
     #[test]
     fn segmentstore_batch_is_one_coalesced_append() {
         // Segment sized so eight 100-byte records fit exactly one segment:
-        // stored individually they'd still coalesce, but the batch must
-        // seal at most one file even though it crosses the threshold.
+        // the batch seals it with one write, as individual stores would.
         let mut s = SegmentStore::new_temp("batch", 8 * 112, 0.95).unwrap();
         let payloads: Vec<Vec<u8>> = (0..8u64).map(|k| vec![k as u8; 100]).collect();
         let items: Vec<(u64, &[u8])> = payloads
@@ -909,7 +919,7 @@ mod tests {
             .map(|(k, p)| (k as u64, p.as_slice()))
             .collect();
         s.store_batch(&items).unwrap();
-        assert_eq!(s.sealed_segments(), 1, "one roll per batch");
+        assert_eq!(s.sealed_segments(), 1, "eight records fill one segment");
         assert_eq!(s.len(), 8);
         // Per-object offsets were recorded: every record reads back.
         for (k, p) in &items {
@@ -922,6 +932,49 @@ mod tests {
         assert_eq!(s.load(3).unwrap(), b"updated");
         assert_eq!(s.load(9).unwrap(), b"new");
         assert_eq!(s.len(), 9);
+    }
+
+    #[test]
+    fn segmentstore_batch_rolls_every_segment() {
+        // A batch sixteen segments long: staged records (a quarter of a
+        // segment each) must seal a file whenever the segment fills, not
+        // once at the end of the batch.
+        const SEG: usize = 4096;
+        let mut s = SegmentStore::new_temp("batch-roll", SEG, 0.95).unwrap();
+        let payloads: Vec<Vec<u8>> = (0..64u64).map(|k| vec![k as u8; SEG / 4]).collect();
+        let items: Vec<(u64, &[u8])> = payloads
+            .iter()
+            .enumerate()
+            .map(|(k, p)| (k as u64, p.as_slice()))
+            .collect();
+        s.store_batch(&items).unwrap();
+        let limit = (SEG + REC_HDR + SEG / 4) as u64;
+        assert!(s.staged_bytes() as u64 <= limit);
+        assert!(s.sealed_segments() >= 12, "{} files", s.sealed_segments());
+        for e in fs::read_dir(&s.dir).unwrap() {
+            let e = e.unwrap();
+            let len = e.metadata().unwrap().len();
+            assert!(len <= limit, "{:?} holds {len} bytes", e.file_name());
+        }
+        for (k, p) in &items {
+            assert_eq!(&s.load(*k).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn segmentstore_handle_cache_is_bounded() {
+        // One record per sealed segment (each is over half a segment and
+        // becomes a file of its own), read back twice in two orders.
+        let mut s = SegmentStore::new_temp("handles", 64, 0.95).unwrap();
+        for key in 0..200u64 {
+            s.store(key, &[key as u8; 64]).unwrap();
+        }
+        assert_eq!(s.sealed_segments(), 200);
+        for key in (0..200u64).chain((0..200).rev()) {
+            assert_eq!(s.load(key).unwrap(), vec![key as u8; 64]);
+            assert!(s.handles.len() <= HANDLE_CACHE, "{} open", s.handles.len());
+        }
+        assert_eq!(s.handles.len(), HANDLE_CACHE);
     }
 
     /// Bytes in sealed segment files.

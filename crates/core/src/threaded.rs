@@ -34,8 +34,14 @@
 //!   executing in-core objects while loads are in flight.
 //! * **Non-blocking storage ops** — `io_threads` workers share the spill
 //!   store; object pack/unpack runs on them, off the node's control
-//!   thread, and every eviction round lands as one batched append on the
-//!   segmented spill log.
+//!   thread, and an eviction round lands as batched appends on the
+//!   segmented spill log, one request per few segments of footprint.
+//! * **The post-run state** — a worker's control loop ends without
+//!   loading anything back: it hands over its resident objects and the
+//!   spill key of every other one, and the runtime keeps each node's
+//!   store until it is dropped or run again. The result accessors read a
+//!   spilled object from its store, decode, visit and drop it, so the
+//!   process's memory follows the budget after `run()` as it does inside.
 //!
 //! Statistics are wall-clock: computation is time spent inside handlers
 //! (and packing/unpacking, wherever it runs), disk is the I/O pool's
@@ -48,7 +54,9 @@ use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, WorkStealingPool};
 use crate::config::MrtsConfig;
 use crate::ctx::Ctx;
-use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
+use crate::fault::{
+    is_out_of_space, load_spilled, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY,
+};
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
 use crate::msg::Message;
 use crate::netfault::{NetFaultKind, NetFaultPlan};
@@ -272,6 +280,10 @@ struct Worker {
     #[cfg(any(feature = "audit", debug_assertions))]
     race: Option<std::sync::Arc<crate::audit::RaceDetector>>,
 }
+
+/// Footprint of one [`IoReq::StoreBatch`], in spill-log segments: an
+/// eviction larger than this goes to the pool as several requests.
+const STORE_REQ_SEGMENTS: usize = 4;
 
 /// The threaded engine's *now* for the node core. Handlers have returned
 /// by the time the control loop consults the core, so no object is ever
@@ -1012,13 +1024,24 @@ impl Worker {
             match cmd {
                 IoCmd::Elided(oid) => self.left_core(oid),
                 IoCmd::Store(items) => {
-                    for (_, oid, _) in &items {
-                        self.left_core(*oid);
+                    // One request per few segments of footprint (one
+                    // object at least), each answered on its own: the pack
+                    // buffers a pool thread holds at once follow
+                    // `segment_bytes`, not the size of the eviction.
+                    let limit = STORE_REQ_SEGMENTS * self.cfg.segment_bytes;
+                    let mut batch = Vec::new();
+                    let mut bytes = 0;
+                    for (key, oid, obj) in items {
+                        self.left_core(oid);
+                        let footprint = self.core.entry(oid).footprint;
+                        if !batch.is_empty() && bytes + footprint > limit {
+                            self.send_store(std::mem::take(&mut batch));
+                            bytes = 0;
+                        }
+                        bytes += footprint;
+                        batch.push((key, oid, obj));
                     }
-                    self.outstanding_io += 1;
-                    self.io_tx
-                        .send(IoReq::StoreBatch { items })
-                        .expect("I/O pool outlives the worker");
+                    self.send_store(batch);
                 }
                 IoCmd::Load { key, oid, .. } => {
                     self.outstanding_io += 1;
@@ -1036,6 +1059,13 @@ impl Worker {
             }
         }
         self.core.cmds = cmds;
+    }
+
+    fn send_store(&mut self, items: Vec<(u64, ObjectId, Box<dyn MobileObject>)>) {
+        self.outstanding_io += 1;
+        self.io_tx
+            .send(IoReq::StoreBatch { items })
+            .expect("I/O pool outlives the worker");
     }
 
     /// `oid` was evicted or migrated away: its bytes were touched
@@ -1434,7 +1464,8 @@ impl Worker {
                 }
             }
         }
-        // Drain outstanding I/O so every object is materializable.
+        // Drain outstanding I/O: every store has landed (or failed back
+        // into core) before the table is handed over.
         while self.outstanding_io > 0 {
             match self.recv_io(true) {
                 Some(done) => self.on_io(done),
@@ -1450,78 +1481,43 @@ impl Worker {
                 used: self.core.ooc.used()
             }
         );
-        // Materialize all objects for extraction. Every load is requested
-        // before the first completion is awaited, so the whole I/O pool
-        // works on them; completions come back in any order.
-        let mut out: HashMap<ObjectId, ExtractedObject> = HashMap::new();
-        let mut loading: HashMap<ObjectId, (u8, bool)> = HashMap::new();
-        for (oid, e) in self.core.table.drain() {
-            let (priority, locked) = (e.priority, e.locked);
-            match e.state {
-                State::InCore(obj) => {
-                    out.insert(
-                        oid,
-                        ExtractedObject {
-                            obj,
-                            priority,
-                            locked,
-                        },
-                    );
-                }
-                State::OnDisk | State::Loading => {
+        // Nothing is loaded for extraction: what is on disk stays there,
+        // and the runtime reads it from this node's store on demand.
+        let node = self.node;
+        let objects = self
+            .core
+            .table
+            .drain()
+            .filter_map(|(oid, e)| {
+                let at = match e.state {
+                    State::InCore(obj) => Residence::InCore(obj),
                     // Loading cannot remain (outstanding_io drained), but
                     // both carry a spill key.
-                    let key = e.spill_key.expect("spilled object has a key");
-                    if self.io_tx.send(IoReq::Load { key, oid }).is_ok() {
-                        loading.insert(oid, (priority, locked));
+                    State::OnDisk | State::Loading => {
+                        Residence::Spilled(e.spill_key.expect("spilled object has a key"))
                     }
-                }
-                State::Executing => unreachable!("no handler outlives the control loop"),
-                State::Moved(_) => {}
-            }
-        }
-        while !loading.is_empty() {
-            match self.io_rx.recv() {
-                Ok(IoDone::Loaded { oid, obj, .. }) => {
-                    if let Some((priority, locked)) = loading.remove(&oid) {
-                        out.insert(
-                            oid,
-                            ExtractedObject {
-                                obj,
-                                priority,
-                                locked,
-                            },
-                        );
-                    }
-                }
-                Ok(IoDone::LoadFailed {
+                    State::Executing => unreachable!("no handler outlives the control loop"),
+                    State::Moved(_) => return None,
+                };
+                Some((
                     oid,
-                    error,
-                    attempts,
-                    ..
-                }) => {
-                    loading.remove(&oid);
-                    if self.fatal.is_none() {
-                        self.fatal = Some(MrtsError::LoadFailed {
-                            node: self.node,
-                            oid,
-                            attempts,
-                            source: error,
-                        });
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => break, // pool gone; nothing more will arrive
-            }
-        }
+                    ResultEntry {
+                        at,
+                        priority: e.priority,
+                        locked: e.locked,
+                        node,
+                    },
+                ))
+            })
+            .collect();
         for _ in 0..self.cfg.io_threads {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
         self.core.seal_stats();
         let decisions = self.finish_replay(true);
         WorkerResult {
-            node: self.node,
-            objects: out,
+            node,
+            objects,
             stats: self.core.stats,
             next_seq: self.next_obj_seq,
             fatal: self.fatal,
@@ -1593,7 +1589,7 @@ impl Worker {
         let decisions = self.finish_replay(false);
         WorkerResult {
             node: self.node,
-            objects: HashMap::new(),
+            objects: Vec::new(),
             stats: self.core.stats,
             next_seq: self.next_obj_seq,
             fatal: None,
@@ -1602,23 +1598,19 @@ impl Worker {
     }
 }
 
-/// An object recovered from a worker at shutdown, with the metadata a
-/// checkpoint needs.
-struct ExtractedObject {
-    obj: Box<dyn MobileObject>,
-    priority: u8,
-    locked: bool,
-}
-
 struct WorkerResult {
     node: NodeId,
-    objects: HashMap<ObjectId, ExtractedObject>,
+    objects: Vec<(ObjectId, ResultEntry)>,
     stats: NodeStats,
     next_seq: u64,
     fatal: Option<MrtsError>,
     /// This worker's decision stream (record mode only; empty otherwise).
     decisions: Vec<Decision>,
 }
+
+/// One node's spill store, shared by its I/O pool during the run and read
+/// by the runtime's result accessors after it.
+type SharedStore = crate::sync::Arc<crate::sync::Mutex<Box<dyn StorageBackend>>>;
 
 /// Bounded pool of reusable pack buffers shared by one node's I/O pool
 /// workers: at most `max` idle buffers are kept, the rest are dropped.
@@ -1658,7 +1650,8 @@ impl BufferPool {
 /// so serialization of one object overlaps the disk op of another and the
 /// node's control thread never blocks on either. Pack buffers are drawn
 /// from a bounded [`BufferPool`] and recycled after each store — and load
-/// result buffers feed back into it.
+/// result buffers feed back into it. The store is handed back as well: it
+/// outlives the pool, and the runtime reads spilled results from it.
 fn spawn_io_pool(
     node: NodeId,
     store: Box<dyn StorageBackend>,
@@ -1669,6 +1662,7 @@ fn spawn_io_pool(
     channel::Sender<IoReq>,
     channel::Receiver<IoDone>,
     Vec<std::thread::JoinHandle<()>>,
+    SharedStore,
 ) {
     let retry = ENGINE_RETRY;
     let (req_tx, req_rx) = channel::unbounded::<IoReq>();
@@ -1869,7 +1863,7 @@ fn spawn_io_pool(
             .expect("spawn io thread");
         handles.push(handle);
     }
-    (req_tx, done_rx, handles)
+    (req_tx, done_rx, handles, store)
 }
 
 /// Forward injected-fault reports from the I/O pool to the audit sink
@@ -1962,13 +1956,45 @@ enum BootAction {
     Post(MobilePtr, HandlerId, Vec<u8>),
 }
 
+/// Where an object was when its node's control loop ended.
+pub(crate) enum Residence {
+    InCore(Box<dyn MobileObject>),
+    /// In the node's spill store, under this key.
+    Spilled(u64),
+}
+
 /// Post-run object record kept by [`ThreadedRuntime`]; the placement and
 /// metadata feed [`crate::checkpoint::Checkpoint`] capture.
 pub(crate) struct ResultEntry {
-    pub(crate) obj: Box<dyn MobileObject>,
+    pub(crate) at: Residence,
     pub(crate) priority: u8,
     pub(crate) locked: bool,
     pub(crate) node: NodeId,
+}
+
+/// Packed bytes of a spilled post-run result, from its node's store.
+fn load_packed(
+    stores: &[SharedStore],
+    node: NodeId,
+    oid: ObjectId,
+    key: u64,
+) -> Result<Vec<u8>, MrtsError> {
+    let store = &stores[node as usize];
+    load_spilled(node, oid, key, || store.lock().load(key))
+}
+
+/// A spilled post-run result, read from its node's store and decoded.
+fn read_spilled(
+    stores: &[SharedStore],
+    registry: &Registry,
+    node: NodeId,
+    oid: ObjectId,
+    key: u64,
+) -> Result<Box<dyn MobileObject>, MrtsError> {
+    let bytes = load_packed(stores, node, oid, key)?;
+    Ok(registry
+        .unpack(&bytes)
+        .expect("store holds pack output of registered types"))
 }
 
 /// The threaded MRTS engine. Mirrors [`crate::des::DesRuntime`]'s API:
@@ -1979,8 +2005,14 @@ pub struct ThreadedRuntime {
     registry: Registry,
     boot: Vec<BootAction>,
     next_seq: Vec<u64>,
-    /// Post-run: all objects by id, with the metadata a checkpoint needs.
+    /// Post-run: every object of the last run by id — resident, or the
+    /// spill key it sits under in its node's store — with the metadata a
+    /// checkpoint needs.
     results: HashMap<ObjectId, ResultEntry>,
+    /// Post-run: the last run's spill store per node. Kept until the next
+    /// run or drop (which removes a spill directory), so spilled results
+    /// are read where they lie and never all decoded at once.
+    stores: Vec<SharedStore>,
     /// Record every worker's nondeterministic decisions next run.
     record_decisions: bool,
     /// Replay the next run against this recorded decision log.
@@ -2003,6 +2035,7 @@ impl ThreadedRuntime {
             boot: Vec::new(),
             next_seq: vec![0; nodes],
             results: HashMap::new(),
+            stores: Vec::new(),
             record_decisions: false,
             replay_log: None,
             captured: None,
@@ -2117,6 +2150,12 @@ impl ThreadedRuntime {
         // A replay log is consumed by the run it drives.
         let replay_log = self.replay_log.take();
 
+        // The result state describes one run. The last run's stores go
+        // (and their spill directories with them) before new ones open
+        // under the same paths.
+        self.results.clear();
+        self.stores.clear();
+
         let mut workers: Vec<Worker> = Vec::with_capacity(n);
         let mut io_handles = Vec::with_capacity(n);
         for (i, ep) in endpoints.into_iter().enumerate() {
@@ -2155,7 +2194,7 @@ impl ThreadedRuntime {
             let pool_audit = self.audit.clone();
             #[cfg(not(any(feature = "audit", debug_assertions)))]
             let pool_audit: Option<std::sync::Arc<dyn crate::audit::EventSink>> = None;
-            let (io_tx, io_rx, handles) = spawn_io_pool(
+            let (io_tx, io_rx, handles, store) = spawn_io_pool(
                 i as NodeId,
                 store,
                 registry.clone(),
@@ -2163,6 +2202,7 @@ impl ThreadedRuntime {
                 pool_audit,
             );
             io_handles.extend(handles);
+            self.stores.push(store);
             let backend: Box<dyn TaskBackend> = if self.cfg.cores_per_node <= 1 {
                 Box::new(SequentialBackend)
             } else {
@@ -2287,17 +2327,7 @@ impl ThreadedRuntime {
             captured.nodes[r.node as usize] = r.decisions;
             nodes_stats[r.node as usize] = r.stats;
             self.next_seq[r.node as usize] = self.next_seq[r.node as usize].max(r.next_seq);
-            for (oid, x) in r.objects {
-                self.results.insert(
-                    oid,
-                    ResultEntry {
-                        obj: x.obj,
-                        priority: x.priority,
-                        locked: x.locked,
-                        node: r.node,
-                    },
-                );
-            }
+            self.results.extend(r.objects);
             if fatal.is_none() {
                 fatal = r.fatal;
             }
@@ -2326,20 +2356,81 @@ impl ThreadedRuntime {
         }
     }
 
-    /// Inspect an object after the run.
+    /// Inspect an object after the run. A spilled object is read from its
+    /// node's store, decoded, visited and dropped. Panics if it is
+    /// unreadable; see [`ThreadedRuntime::try_with_object`].
     pub fn with_object<R>(&self, ptr: MobilePtr, f: impl FnOnce(&dyn MobileObject) -> R) -> R {
+        self.try_with_object(ptr, f)
+            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
+    }
+
+    /// [`ThreadedRuntime::with_object`], surfacing a spilled object that
+    /// stays unreadable under the engines' retry policy as
+    /// [`MrtsError::LoadFailed`].
+    pub fn try_with_object<R>(
+        &self,
+        ptr: MobilePtr,
+        f: impl FnOnce(&dyn MobileObject) -> R,
+    ) -> Result<R, MrtsError> {
         let entry = self
             .results
             .get(&ptr.id)
             .unwrap_or_else(|| panic!("no object {:?}", ptr.id));
-        f(entry.obj.as_ref())
+        match &entry.at {
+            Residence::InCore(obj) => Ok(f(obj.as_ref())),
+            Residence::Spilled(key) => {
+                let obj = read_spilled(&self.stores, &self.registry, entry.node, ptr.id, *key)?;
+                Ok(f(obj.as_ref()))
+            }
+        }
     }
 
-    /// Visit every object that survived the run.
-    pub fn for_each_object(&self, mut f: impl FnMut(ObjectId, &dyn MobileObject)) {
-        for (oid, entry) in &self.results {
-            f(*oid, entry.obj.as_ref());
+    /// Visit every object that survived the run (arbitrary order).
+    /// Spilled objects stream through: `io_threads` readers load and
+    /// decode ahead of the visit, each holding one object, so at most
+    /// `io_threads + 1` decoded spilled objects exist at any time. Panics
+    /// if one is unreadable; see [`ThreadedRuntime::try_for_each_object`].
+    pub fn for_each_object(&self, f: impl FnMut(ObjectId, &dyn MobileObject)) {
+        self.try_for_each_object(f)
+            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
+    }
+
+    /// [`ThreadedRuntime::for_each_object`], stopping at the first spilled
+    /// object that stays unreadable ([`MrtsError::LoadFailed`]).
+    pub fn try_for_each_object(
+        &self,
+        mut f: impl FnMut(ObjectId, &dyn MobileObject),
+    ) -> Result<(), MrtsError> {
+        let mut spilled = Vec::new();
+        for (&oid, entry) in &self.results {
+            match &entry.at {
+                Residence::InCore(obj) => f(oid, obj.as_ref()),
+                Residence::Spilled(key) => spilled.push((oid, entry.node, *key)),
+            }
         }
+        let readers = self.cfg.io_threads.min(spilled.len());
+        let (stores, registry) = (&self.stores, &self.registry);
+        // A rendezvous channel: a reader that has decoded its object waits
+        // for the visitor before it reads the next.
+        let (tx, rx) = std::sync::mpsc::sync_channel(0);
+        std::thread::scope(|scope| {
+            for r in 0..readers {
+                let (tx, spilled) = (tx.clone(), &spilled);
+                scope.spawn(move || {
+                    for &(oid, node, key) in spilled.iter().skip(r).step_by(readers) {
+                        let obj = read_spilled(stores, registry, node, oid, key);
+                        if tx.send((oid, obj)).is_err() {
+                            break; // the visit stopped at an error
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for (oid, obj) in rx {
+                f(oid, obj?.as_ref());
+            }
+            Ok(())
+        })
     }
 
     pub fn num_objects(&self) -> usize {
@@ -2355,6 +2446,20 @@ impl ThreadedRuntime {
     /// Post-run results with metadata, for checkpoint capture.
     pub(crate) fn result_entries(&self) -> &HashMap<ObjectId, ResultEntry> {
         &self.results
+    }
+
+    /// The packed form of one post-run result: a resident object is
+    /// packed, a spilled one's bytes are copied from the store as they
+    /// are (the same bytes — pack output is what the store holds).
+    pub(crate) fn packed_result(
+        &self,
+        oid: ObjectId,
+        entry: &ResultEntry,
+    ) -> Result<Vec<u8>, MrtsError> {
+        match &entry.at {
+            Residence::InCore(obj) => Ok(Registry::pack(obj.as_ref())),
+            Residence::Spilled(key) => load_packed(&self.stores, entry.node, oid, *key),
+        }
     }
 
     /// Per-node object-sequence watermarks observed at shutdown.

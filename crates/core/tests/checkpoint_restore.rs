@@ -198,3 +198,41 @@ fn locked_and_priority_flags_survive() {
     assert!(back.objects[0].locked);
     assert_eq!(back.objects[0].priority, 250);
 }
+
+#[test]
+fn threaded_checkpoint_copies_spilled_bytes_from_the_store() {
+    // The same run twice: in core, every entry is packed from the resident
+    // object; out of core, most entries' bytes are copied from the spill
+    // store as they lie there. The two captures must not differ by a byte.
+    let capture = |cfg: MrtsConfig| {
+        let mut rt = mrts::threaded::ThreadedRuntime::new(cfg);
+        rt.register_type(TAG, Acc::decode);
+        rt.register_handler(H_ADD, "add", h_add);
+        for i in 0..12u64 {
+            let p = rt.create_object(
+                (i % 2) as NodeId,
+                Box::new(Acc {
+                    sum: 0,
+                    pad: vec![i as u8; 2048],
+                }),
+                (100 + i) as u8,
+            );
+            if i == 3 {
+                rt.lock_object(p);
+            }
+            rt.post(p, H_ADD, add(i + 1));
+            rt.post(p, H_ADD, add(10 * i));
+        }
+        let stats = rt.run();
+        (rt.checkpoint(), stats.total_of(|n| n.stores))
+    };
+    let dir = std::env::temp_dir().join(format!("mrts-cp-spilled-{}", std::process::id()));
+    let mut ooc = MrtsConfig::out_of_core(2, 5 << 10);
+    ooc.spill_dir = Some(dir.clone());
+    let (spilled, stores) = capture(ooc);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stores >= 6, "only {stores} stores: the run stayed in core");
+    let (resident, _) = capture(MrtsConfig::in_core(2));
+    assert_eq!(spilled.objects.len(), 12);
+    assert_eq!(spilled.encode(), resident.encode());
+}

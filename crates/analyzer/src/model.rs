@@ -71,10 +71,11 @@ pub struct Workspace {
     /// Name of the service-level counter struct (`ServiceStats`); also
     /// the impl whose `summary` must surface its counters.
     pub service_stats_struct: String,
-    /// Tags whose dispatch arms legitimately emit no audit event
-    /// (pure bookkeeping: ack clears a retransmit slot, the ring token
-    /// is control-plane traffic audited at termination instead).
-    pub tags_without_audit: Vec<String>,
+    /// Tags and `NetMsg` variants whose dispatch arms legitimately emit
+    /// no audit event: pure bookkeeping (an ack clears a retransmit slot),
+    /// control-plane traffic audited at termination instead (the ring
+    /// token), or an answer its sender announced (a steal denial).
+    pub arms_without_audit: Vec<String>,
 }
 
 impl Workspace {
@@ -89,7 +90,7 @@ impl Workspace {
             summary_impl: "RunStats".into(),
             service_state_enum: "JobState".into(),
             service_stats_struct: "ServiceStats".into(),
-            tags_without_audit: vec!["AM_TOKEN".into(), "AM_ACK".into()],
+            arms_without_audit: vec!["AM_TOKEN".into(), "AM_ACK".into(), "StealDeny".into()],
         }
     }
 

@@ -9,14 +9,15 @@
 //! * Every control-ring dispatch arm and, for every `NetMsg` variant, an
 //!   arm of the node core's dispatch must reach an audit-event emission
 //!   (`audit_emit!` / `RuntimeEvent`), directly or through functions it
-//!   calls, unless the tag is on the no-audit exempt list.
+//!   calls, unless the tag or variant is on the no-audit exempt list.
 //! * Every integer `NodeStats` counter that is incremented anywhere in
 //!   the runtime must surface in the gate summary (`RunStats::summary`
 //!   or a helper it calls).
 //! * Every record/replay `Decision` variant must be constructed on the
 //!   record path **and** matched by a replay arm in the threaded engine
-//!   — a variant recorded but never replayed (or vice versa) means the
-//!   sequencer silently skips a nondeterminism source.
+//!   (where its input gateway lives) — a variant recorded but never
+//!   replayed (or vice versa) means the gateway silently skips a
+//!   nondeterminism source.
 //! * Every job-service `JobState` variant must be constructed by some
 //!   transition and matched by the supervisor, and every incremented
 //!   `ServiceStats` counter must surface in `ServiceStats::summary`.
@@ -88,7 +89,7 @@ fn check_tags(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
         });
         // A node-core tag only decodes into a `NetMsg`; what handling it
         // must audit is checked per variant below.
-        let exempt = *in_core || ws.tags_without_audit.iter().any(|t| t == tag);
+        let exempt = *in_core || ws.arms_without_audit.contains(tag);
         if !dispatched {
             out.push(Violation {
                 check: Check::Protocol,
@@ -126,7 +127,7 @@ fn check_tags(ws: &Workspace, out: &mut Vec<Violation>) -> usize {
             }
             (body.get(j).map(|t| t.text.as_str()) == Some("=>")).then_some(j - 1)
         });
-        if !audited {
+        if !audited && !ws.arms_without_audit.contains(variant) {
             out.push(Violation {
                 check: Check::Protocol,
                 file: decl.file.clone(),

@@ -1307,8 +1307,8 @@ impl NodeCore {
     ///
     /// Returns the thief of a steal request, which the driver must now
     /// answer with [`NodeCore::grant_steal`] or [`NodeCore::deny_steal`]:
-    /// which objects are eligible differs per engine, and a replay
-    /// overrides the pick (see [`NodeCore::steal_pick`]).
+    /// which objects are eligible differs per engine (see
+    /// [`NodeCore::steal_pick`]).
     #[must_use]
     pub(crate) fn on_net(
         &mut self,
@@ -1344,16 +1344,8 @@ impl NodeCore {
             }
             NetMsg::StealDeny { victim } => {
                 debug_assert_ne!(victim, self.node, "a deny answers a request to a peer");
+                // Announced by the victim when it denied (`deny_steal`).
                 self.awaiting_steal = false;
-                // The deny is logged thief-side, where the round-trip
-                // resolves; the checker treats it as pure observability.
-                audit_emit!(
-                    self.audit,
-                    RuntimeEvent::StealDeny {
-                        node: victim,
-                        to: self.node
-                    }
-                );
             }
         }
         None
@@ -1617,12 +1609,6 @@ impl NodeCore {
         !e.locked && e.pending_migration.is_none() && !e.queue.is_empty() && eligible(e)
     }
 
-    /// Whether `oid` may be handed over right now (a replay asks this
-    /// about the object its recorded run granted).
-    pub(crate) fn steal_grantable(&self, oid: ObjectId, eligible: impl Fn(&Entry) -> bool) -> bool {
-        (self.table.get(&oid)).is_some_and(|e| Self::may_steal(e, &eligible))
-    }
-
     /// How many objects could be handed over.
     pub(crate) fn steal_backlog(&self, eligible: impl Fn(&Entry) -> bool) -> usize {
         (self.table.values())
@@ -1657,9 +1643,18 @@ impl NodeCore {
         self.on_migrate_req(oid, thief, now);
     }
 
-    /// Nothing to hand over: re-arm the thief.
+    /// Nothing to hand over: re-arm the thief. Announced here, by the
+    /// victim in its own program order, like the grant — every event a
+    /// core emits carries its own node.
     pub(crate) fn deny_steal(&mut self, thief: NodeId, now: Duration) {
         let victim = self.node;
+        audit_emit!(
+            self.audit,
+            RuntimeEvent::StealDeny {
+                node: victim,
+                to: thief
+            }
+        );
         self.out.push((thief, NetMsg::StealDeny { victim }, now));
     }
 
@@ -2172,10 +2167,6 @@ mod tests {
         assert_eq!(c.steal_pick(spilled), Some(oid(20)));
         assert_eq!(c.steal_backlog(spilled), 2);
         assert_eq!(c.steal_pick(|_| true), Some(oid(20)));
-        for pinned_or_migrating in [oid(5), oid(6)] {
-            assert!(!c.steal_grantable(pinned_or_migrating, |_| true));
-        }
-        assert!(!c.steal_grantable(oid(3), |_| true) && !c.steal_grantable(oid(99), |_| true));
         // A grant is an ordinary migration; a denial is one message.
         c.grant_steal(oid(4), 3, T0);
         assert!(matches!(c.entry(oid(4)).state, State::Moved(3)));
@@ -2183,6 +2174,58 @@ mod tests {
         c.out.clear();
         c.deny_steal(3, T0);
         assert_eq!(c.out, vec![(3, NetMsg::StealDeny { victim: 0 }, T0)]);
+    }
+
+    /// Every event a core emits carries its own node: the replay stream
+    /// files events into per-node lanes, and one filed under a peer from
+    /// this node's thread races the peer's own emissions. Fails with the
+    /// thief announcing the victim's deny when it arrives.
+    #[cfg(any(feature = "audit", debug_assertions))]
+    #[test]
+    fn steal_answers_are_announced_by_the_node_that_gives_them() {
+        use crate::audit::EventLog;
+        let mut cores = [core_at(0), core_at(1)];
+        let logs = [0, 1].map(|_| std::sync::Arc::new(EventLog::new()));
+        for (c, log) in cores.iter_mut().zip(&logs) {
+            c.audit = Some(log.clone());
+        }
+        let [victim, thief] = &mut cores;
+        let x = resident(victim, 7, 100);
+        // Nothing queued: denied. One message queued: granted.
+        for queued in [false, true] {
+            if queued {
+                post(victim, x);
+            }
+            thief.request_steal(0, T0);
+            let (to, request, _) = thief.out.remove(0);
+            assert_eq!(to, 0);
+            let asker = arrive(victim, request).expect("a steal request names its thief");
+            match victim.steal_pick(Entry::is_in_core) {
+                Some(pick) => victim.grant_steal(pick, asker, T0),
+                None => victim.deny_steal(asker, T0),
+            }
+            for (dest, answer, _) in std::mem::take(&mut victim.out) {
+                if dest == 1 {
+                    arrive(thief, answer);
+                }
+            }
+            assert!(!thief.awaiting_steal);
+        }
+        assert_eq!(
+            (thief.stats.steal_requests, thief.stats.tasks_stolen),
+            (2, 1)
+        );
+        for (node, log) in logs.iter().enumerate() {
+            let events = log.snapshot();
+            let denies = events
+                .iter()
+                .filter(|ev| matches!(ev, RuntimeEvent::StealDeny { .. }))
+                .count();
+            assert_eq!(denies, usize::from(node == 0), "{events:?}");
+            for ev in &events {
+                assert_eq!(crate::replay::event_node(ev), node as NodeId, "{ev:?}");
+            }
+        }
     }
 
     /// One sample per variant, chained through a `match` with no wildcard:

@@ -22,12 +22,16 @@
 //! back. What is this engine's own:
 //!
 //! * **The fabric side of messaging** — Safra's counters, the reliable
-//!   ack/retransmit layer, the race detector's happens-before stamps and
-//!   record/replay all sit in `am` and the receive path, below `NetMsg`.
+//!   ack/retransmit layer and the race detector's happens-before stamps
+//!   all sit in `am` and the receive path, below `NetMsg`.
+//! * **One input gateway** — every nondeterministic read (the next
+//!   fabric frame, the next I/O completion, the due reliable-layer
+//!   timers) goes through `Inputs`, which records or replays its answers
+//!   (`mrts::replay`); the worker acts on them the same way in every mode.
 //! * **When to steal, and what a victim may give** — a node asks after
-//!   `STEAL_PATIENCE` empty polls of the fabric, and a victim
-//!   hands over *resident* objects with queued work (its backlog); a
-//!   replay overrides the victim's pick with the recorded one.
+//!   `STEAL_PATIENCE` empty polls of the fabric, and a victim hands over
+//!   *resident* objects with queued work (its backlog). Both are
+//!   functions of the inputs, so a replay re-derives them.
 //! * **Busy means "has ready work"** — a queued load is look-ahead while
 //!   the node's ready queue is non-empty, and a load that completes with
 //!   ready work remaining was masked by computation. The node keeps
@@ -63,7 +67,7 @@ use crate::netfault::{NetFaultKind, NetFaultPlan};
 use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore, State};
 use crate::object::{MobileObject, Registry};
 use crate::relnet::{ReliableReceiver, ReliableSender, Safra, TimerAction};
-use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT, STEAL_DENIED};
+use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT};
 use crate::sched::VictimCursor;
 use crate::stats::{NodeStats, RunStats};
 use crate::storage::{MemStore, SegmentStore, StorageBackend};
@@ -174,30 +178,265 @@ fn io_done_key(d: &IoDone) -> (IoKind, u64) {
     }
 }
 
-/// Per-worker record/replay role (see `mrts::replay`). `Off` is the
-/// default and costs one enum-discriminant check per channel poll.
-enum ReplayRole {
+/// Record/replay mode of a worker's [`Inputs`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Live answers, nothing logged (the default).
     Off,
-    /// Append every nondeterministic decision to the log.
-    Record(Vec<Decision>),
-    /// Substitute recorded decisions for live nondeterminism.
-    Replay(Box<ReplayState>),
+    /// Live answers, each one logged.
+    Record,
+    /// Answers from the log, for as long as it can be followed.
+    Replay,
 }
 
-/// Sequencer state for one replaying worker: the recorded decision
-/// stream plus holding buffers for events that arrived before the log
-/// says they may be observed.
-struct ReplayState {
+/// What the reliable layer's pump must act on now.
+#[derive(Clone, Copy)]
+enum Due {
+    /// Transmit the deferred frame `(dest, seq)`.
+    Flush(NodeId, u64),
+    /// The retransmit timer of `(dest, seq)` expired.
+    Timer(NodeId, u64),
+}
+
+/// Fabric and I/O poll granularity of an idle or replay wait.
+const POLL_WAIT: Duration = Duration::from_micros(500);
+
+/// A worker's one input gateway (see `mrts::replay`). Every read whose
+/// answer is nondeterministic goes through it: which fabric frame is
+/// next, which I/O completion is next, which deferred flushes and
+/// retransmit timers are due. Live, the channels and the wall clock
+/// answer, and record mode logs each answer; in replay mode the log
+/// answers. The worker acts on every answer with the same code in all
+/// three modes, and what else it decides — when to steal and what to
+/// grant included — is a function of these answers and its own state.
+struct Inputs {
+    mode: Mode,
+    /// Record: the answers so far. Replay: the answers to give.
     log: Vec<Decision>,
     cursor: usize,
-    /// Fabric frames received while waiting for a different edge.
-    fabric_buf: VecDeque<ActiveMessage>,
-    /// I/O completions received while waiting for a different key.
-    io_buf: VecDeque<IoDone>,
-    /// The schedule could not be followed (mismatch, timeout, or log
-    /// exhaustion): the worker fell back to live execution. Buffered
-    /// items are always consumed before the channels.
+    /// Replay: frames and completions that arrived before the log
+    /// called for them.
+    held_frames: VecDeque<ActiveMessage>,
+    held_io: VecDeque<IoDone>,
+    /// Replay fell back to live answers (the log could not be followed,
+    /// or the run is over); held items are answered first.
     live: bool,
+    divergences: usize,
+}
+
+impl Inputs {
+    fn new(mode: Mode, log: Vec<Decision>) -> Inputs {
+        Inputs {
+            mode,
+            log,
+            cursor: 0,
+            held_frames: VecDeque::new(),
+            held_io: VecDeque::new(),
+            live: false,
+            divergences: 0,
+        }
+    }
+
+    /// Replay: take the next logged answer (`None`: the log is exhausted).
+    fn logged(&mut self) -> Option<Decision> {
+        self.cursor += 1;
+        self.log.get(self.cursor - 1).copied()
+    }
+
+    /// The log can no longer be followed: count it once and answer live
+    /// from here on.
+    fn diverge(&mut self) {
+        if !self.live {
+            self.live = true;
+            self.divergences += 1;
+        }
+    }
+
+    /// Which fabric frame is next: a non-blocking poll, or (`idle`) one
+    /// that waits briefly.
+    fn fabric(&mut self, ep: &mut Endpoint, idle: bool) -> Option<ActiveMessage> {
+        let poll = |ep: &mut Endpoint| {
+            if idle {
+                ep.recv_timeout(POLL_WAIT)
+            } else {
+                ep.try_recv()
+            }
+        };
+        match self.mode {
+            Mode::Off => poll(ep),
+            Mode::Record => {
+                let am = poll(ep);
+                self.log.push(match &am {
+                    Some(m) => Decision::FabricRecv {
+                        src: m.src,
+                        tag: m.handler,
+                    },
+                    None => Decision::FabricEmpty,
+                });
+                am
+            }
+            Mode::Replay => {
+                if !self.live {
+                    match self.logged() {
+                        // Frames the recorded run had not yet seen may sit
+                        // in the channel; they stay there.
+                        Some(Decision::FabricEmpty) => return None,
+                        Some(Decision::FabricRecv { src, tag }) => {
+                            // Per-edge FIFO: the next frame from `src` is
+                            // the recorded one.
+                            let held = &mut self.held_frames;
+                            match await_held(held, || ep.recv_timeout(POLL_WAIT), |m| m.src == src)
+                            {
+                                Some(m) if m.handler == tag => return Some(m),
+                                Some(m) => held.push_front(m),
+                                None => {}
+                            }
+                        }
+                        _ => {}
+                    }
+                    self.diverge();
+                }
+                self.held_frames.pop_front().or_else(|| poll(ep))
+            }
+        }
+    }
+
+    /// Which I/O completion is next: a non-blocking poll, or
+    /// (`blocking`, the post-termination drain) a wait for one — which
+    /// never answers `IoEmpty`.
+    fn io(&mut self, rx: &channel::Receiver<IoDone>, blocking: bool) -> Option<IoDone> {
+        let poll = || {
+            if blocking {
+                rx.recv().ok()
+            } else {
+                rx.try_recv().ok()
+            }
+        };
+        match self.mode {
+            Mode::Off => poll(),
+            Mode::Record => {
+                let done = poll();
+                match &done {
+                    Some(d) => {
+                        let (kind, oid) = io_done_key(d);
+                        self.log.push(Decision::IoDone { kind, oid });
+                    }
+                    None if !blocking => self.log.push(Decision::IoEmpty),
+                    None => {}
+                }
+                done
+            }
+            Mode::Replay => {
+                if !self.live {
+                    match self.logged() {
+                        Some(Decision::IoEmpty) if !blocking => return None,
+                        Some(Decision::IoDone { kind, oid }) => {
+                            let key = |d: &IoDone| io_done_key(d) == (kind, oid);
+                            let next = await_held(
+                                &mut self.held_io,
+                                || rx.recv_timeout(POLL_WAIT).ok(),
+                                key,
+                            );
+                            if next.is_some() {
+                                return next;
+                            }
+                        }
+                        _ => {}
+                    }
+                    self.diverge();
+                }
+                self.held_io.pop_front().or_else(poll)
+            }
+        }
+    }
+
+    /// Which deferred flushes and retransmit timers are due at `now`,
+    /// flushes first; each logged answer list ends with `PumpEnd`.
+    fn due(&mut self, net: &NetLayer, now: Instant) -> Vec<Due> {
+        match self.mode {
+            Mode::Off => net.due_by_clock(now),
+            Mode::Record => {
+                let due = net.due_by_clock(now);
+                for &d in &due {
+                    self.log.push(match d {
+                        Due::Flush(dest, seq) => Decision::FlushDeferred { dest, seq },
+                        Due::Timer(dest, seq) => Decision::TimerExpire { dest, seq },
+                    });
+                }
+                self.log.push(Decision::PumpEnd);
+                due
+            }
+            Mode::Replay => {
+                let mut due = Vec::new();
+                while !self.live {
+                    match self.logged() {
+                        Some(Decision::PumpEnd) => return due,
+                        Some(Decision::FlushDeferred { dest, seq })
+                            if net.deferred_at(dest, seq).is_some() =>
+                        {
+                            due.push(Due::Flush(dest, seq))
+                        }
+                        Some(Decision::TimerExpire { dest, seq }) => {
+                            due.push(Due::Timer(dest, seq))
+                        }
+                        // Exhausted, a foreign decision, or a flush of a
+                        // frame that is not deferred.
+                        _ => self.diverge(),
+                    }
+                }
+                net.due_by_clock(now)
+            }
+        }
+    }
+
+    /// The worker stopped: fold the counters into `stats` and hand back
+    /// what was recorded. Answers are live from here on, held items
+    /// first. Answers the replayed log still holds mean the recorded run
+    /// did more than this one — one last divergence, unless the node
+    /// `crashed` (a crash truncates the schedule by design).
+    fn finish(&mut self, stats: &mut NodeStats, crashed: bool) -> Vec<Decision> {
+        match self.mode {
+            Mode::Record => {
+                self.mode = Mode::Off;
+                stats.decisions_recorded += self.log.len();
+                return std::mem::take(&mut self.log);
+            }
+            Mode::Replay if !crashed && self.cursor < self.log.len() => self.diverge(),
+            _ => {}
+        }
+        self.live = true;
+        stats.replay_divergences += self.divergences;
+        Vec::new()
+    }
+}
+
+/// Replay's wait for the item the log names: the first held one that
+/// `matches`, else the first such arrival from `poll` within
+/// [`REPLAY_WAIT`], holding back every other arrival. `None`: it never
+/// came.
+fn await_held<T>(
+    held: &mut VecDeque<T>,
+    mut poll: impl FnMut() -> Option<T>,
+    matches: impl Fn(&T) -> bool,
+) -> Option<T> {
+    if let Some(i) = held.iter().position(&matches) {
+        return held.remove(i);
+    }
+    let deadline = Instant::now() + REPLAY_WAIT;
+    while Instant::now() < deadline {
+        match poll() {
+            Some(x) if matches(&x) => return Some(x),
+            Some(x) => held.push_back(x),
+            None => {}
+        }
+    }
+    None
+}
+
+/// The reliable-layer sequence number a frame carries in its first
+/// eight bytes.
+fn frame_seq(frame: &[u8]) -> u64 {
+    u64::from_le_bytes(frame[..8].try_into().expect("seq prefix"))
 }
 
 /// Reliable-delivery state for one node, active only when
@@ -238,6 +477,25 @@ struct NetLayer {
     kill_at: Option<u64>,
 }
 
+impl NetLayer {
+    /// Where the deferred transmission of `(dest, seq)` sits.
+    fn deferred_at(&self, dest: NodeId, seq: u64) -> Option<usize> {
+        (self.deferred.iter()).position(|(_, d, _, frame)| *d == dest && frame_seq(frame) == seq)
+    }
+
+    /// Deferred frames and retransmit timers whose time has come by the
+    /// wall clock, flushes first.
+    fn due_by_clock(&self, now: Instant) -> Vec<Due> {
+        let flushes = (self.deferred.iter())
+            .filter(|(t, ..)| *t <= now)
+            .map(|(_, dest, _, frame)| Due::Flush(*dest, frame_seq(frame)));
+        let timers = (self.timers.iter())
+            .filter(|(_, t)| **t <= now)
+            .map(|(&(dest, seq), _)| Due::Timer(dest, seq));
+        flushes.chain(timers).collect()
+    }
+}
+
 struct Worker {
     node: NodeId,
     n_nodes: usize,
@@ -265,8 +523,8 @@ struct Worker {
     probe_inflight: bool,
     /// First unrecoverable storage failure seen by this node.
     fatal: Option<MrtsError>,
-    /// Record/replay role of this worker (see `mrts::replay`).
-    replay: ReplayRole,
+    /// Every nondeterministic read, recorded or replayed.
+    inputs: Inputs,
     /// Round-robin victim selection for work stealing.
     victim_cursor: VictimCursor,
     /// Consecutive empty idle polls; a steal fires only after
@@ -365,192 +623,6 @@ impl Worker {
         }
     }
 
-    // ----- record/replay sequencing (see mrts::replay) ----------------------
-
-    /// Append one decision in record mode; no-op otherwise.
-    fn record_decision(&mut self, d: Decision) {
-        if let ReplayRole::Record(log) = &mut self.replay {
-            log.push(d);
-            self.core.stats.decisions_recorded += 1;
-        }
-    }
-
-    /// The schedule can no longer be followed: count it once and fall
-    /// back to live execution for the rest of the run.
-    fn replay_diverge(&mut self, st: &mut ReplayState) {
-        if !st.live {
-            st.live = true;
-            self.core.stats.replay_divergences += 1;
-        }
-    }
-
-    /// Raw fabric poll: the control loop's non-blocking drain, or the
-    /// brief idle wait of step 6.
-    fn fabric_poll_raw(&mut self, idle: bool) -> Option<ActiveMessage> {
-        if idle {
-            self.ep.recv_timeout(Duration::from_micros(500))
-        } else {
-            self.ep.try_recv()
-        }
-    }
-
-    /// One fabric poll, virtualized for record/replay: in record mode
-    /// the outcome (which edge won, or nothing ripe) is logged; in
-    /// replay mode the recorded outcome is substituted — the sequencer
-    /// waits for the recorded edge's next frame, buffering others.
-    fn recv_fabric(&mut self, idle: bool) -> Option<ActiveMessage> {
-        if matches!(self.replay, ReplayRole::Replay(_)) {
-            let ReplayRole::Replay(mut st) = std::mem::replace(&mut self.replay, ReplayRole::Off)
-            else {
-                unreachable!("matched Replay above")
-            };
-            let out = self.replay_recv_fabric(&mut st, idle);
-            self.replay = ReplayRole::Replay(st);
-            return out;
-        }
-        let am = self.fabric_poll_raw(idle);
-        if matches!(self.replay, ReplayRole::Record(_)) {
-            match &am {
-                Some(m) => self.record_decision(Decision::FabricRecv {
-                    src: m.src,
-                    tag: m.handler,
-                }),
-                None => self.record_decision(Decision::FabricEmpty),
-            }
-        }
-        am
-    }
-
-    fn replay_recv_fabric(&mut self, st: &mut ReplayState, idle: bool) -> Option<ActiveMessage> {
-        if !st.live {
-            match st.log.get(st.cursor) {
-                Some(Decision::FabricEmpty) => {
-                    // Frames may already sit in the channel that the
-                    // recorded run had not yet observed; leave them there.
-                    st.cursor += 1;
-                    return None;
-                }
-                Some(&Decision::FabricRecv { src, tag }) => {
-                    // Per-edge FIFO: the next frame from `src` is exactly
-                    // the recorded one.
-                    if let Some(i) = st.fabric_buf.iter().position(|m| m.src == src) {
-                        let m = st.fabric_buf.remove(i).expect("position() index in bounds");
-                        if m.handler == tag {
-                            st.cursor += 1;
-                            return Some(m);
-                        }
-                        // Same edge, different tag: genuinely diverged.
-                        st.fabric_buf.push_front(m);
-                        self.replay_diverge(st);
-                    } else {
-                        let deadline = Instant::now() + REPLAY_WAIT;
-                        loop {
-                            match self.ep.recv_timeout(Duration::from_micros(500)) {
-                                Some(m) if m.src == src => {
-                                    if m.handler == tag {
-                                        st.cursor += 1;
-                                        return Some(m);
-                                    }
-                                    st.fabric_buf.push_back(m);
-                                    self.replay_diverge(st);
-                                    break;
-                                }
-                                Some(m) => st.fabric_buf.push_back(m),
-                                None => {}
-                            }
-                            if Instant::now() >= deadline {
-                                self.replay_diverge(st);
-                                break;
-                            }
-                        }
-                    }
-                }
-                // Log exhausted, or a non-fabric decision at a fabric
-                // poll: the schedule cannot be followed further.
-                _ => self.replay_diverge(st),
-            }
-        }
-        // Live fallback: always drain the holding buffer first.
-        if let Some(m) = st.fabric_buf.pop_front() {
-            return Some(m);
-        }
-        self.fabric_poll_raw(idle)
-    }
-
-    /// One I/O-completion poll, virtualized for record/replay. The
-    /// post-termination drain blocks (`blocking = true`); the control
-    /// loop's drain does not, and only the non-blocking form records
-    /// `IoEmpty`.
-    fn recv_io(&mut self, blocking: bool) -> Option<IoDone> {
-        if matches!(self.replay, ReplayRole::Replay(_)) {
-            let ReplayRole::Replay(mut st) = std::mem::replace(&mut self.replay, ReplayRole::Off)
-            else {
-                unreachable!("matched Replay above")
-            };
-            let out = self.replay_recv_io(&mut st, blocking);
-            self.replay = ReplayRole::Replay(st);
-            return out;
-        }
-        let done = if blocking {
-            self.io_rx.recv().ok()
-        } else {
-            self.io_rx.try_recv().ok()
-        };
-        if matches!(self.replay, ReplayRole::Record(_)) {
-            match &done {
-                Some(d) => {
-                    let (kind, oid) = io_done_key(d);
-                    self.record_decision(Decision::IoDone { kind, oid });
-                }
-                None if !blocking => self.record_decision(Decision::IoEmpty),
-                None => {}
-            }
-        }
-        done
-    }
-
-    fn replay_recv_io(&mut self, st: &mut ReplayState, blocking: bool) -> Option<IoDone> {
-        if !st.live {
-            match st.log.get(st.cursor) {
-                // A blocking drain never recorded an empty poll; seeing
-                // one here is a divergence handled by the catch-all.
-                Some(Decision::IoEmpty) if !blocking => {
-                    st.cursor += 1;
-                    return None;
-                }
-                Some(&Decision::IoDone { kind, oid }) => {
-                    if let Some(i) = st.io_buf.iter().position(|d| io_done_key(d) == (kind, oid)) {
-                        st.cursor += 1;
-                        return st.io_buf.remove(i);
-                    }
-                    let deadline = Instant::now() + REPLAY_WAIT;
-                    loop {
-                        if let Ok(d) = self.io_rx.recv_timeout(Duration::from_micros(500)) {
-                            if io_done_key(&d) == (kind, oid) {
-                                st.cursor += 1;
-                                return Some(d);
-                            }
-                            st.io_buf.push_back(d);
-                        }
-                        if Instant::now() >= deadline {
-                            self.replay_diverge(st);
-                            break;
-                        }
-                    }
-                }
-                _ => self.replay_diverge(st),
-            }
-        }
-        if let Some(d) = st.io_buf.pop_front() {
-            return Some(d);
-        }
-        if blocking {
-            self.io_rx.recv().ok()
-        } else {
-            self.io_rx.try_recv().ok()
-        }
-    }
-
     // ----- reliable delivery (net-fault runs) -------------------------------
 
     /// Assign the next sequence number on the `self → dest` edge, record
@@ -628,7 +700,7 @@ impl Worker {
     /// or out of order.
     fn on_net_arrival(&mut self, am: ActiveMessage) {
         let src = am.src;
-        let seq = u64::from_le_bytes(am.payload[..8].try_into().expect("seq prefix"));
+        let seq = frame_seq(&am.payload);
         // Ack every arrival, duplicates included: the previous ack may
         // have raced the sender's retransmit timer.
         self.core.stats.acks_sent += 1;
@@ -694,70 +766,36 @@ impl Worker {
         ENGINE_RETRY.max_attempts + 2 * plan.max_drops_per_msg + 4
     }
 
-    /// Drive the reliable layer's timers: flush deferred (delayed)
-    /// transmissions that have come due and retransmit unacked messages
-    /// whose backoff deadline passed, escalating once a peer exhausts the
-    /// retry budget.
+    /// Drive the reliable layer's timers: flush the deferred (delayed)
+    /// transmissions and fire the retransmit timers the input gateway
+    /// says are due, escalating once a peer exhausts the retry budget.
     fn net_pump(&mut self) {
-        if self.net.is_none() || self.dead || self.done {
+        let Some(net) = self.net.as_ref() else { return };
+        if self.dead || self.done {
             return;
         }
-        // Replay: fire deferred flushes and timers at the logged points
-        // instead of consulting the wall clock.
-        if matches!(self.replay, ReplayRole::Replay(_)) {
-            let ReplayRole::Replay(mut st) = std::mem::replace(&mut self.replay, ReplayRole::Off)
-            else {
-                unreachable!("matched Replay above")
-            };
-            let mut handled = false;
-            if !st.live {
-                self.replay_net_pump(&mut st);
-                handled = !st.live;
-            }
-            self.replay = ReplayRole::Replay(st);
-            if handled {
-                return;
-            }
-            // Diverged (now or earlier): fall through to the live pump.
-        }
         let now = Instant::now();
-        loop {
-            let due = {
-                let net = self.net.as_mut().expect("net layer");
-                match net.deferred.iter().position(|(t, ..)| *t <= now) {
-                    Some(i) => net.deferred.swap_remove(i),
-                    None => break,
+        for due in self.inputs.due(net, now) {
+            match due {
+                Due::Flush(dest, seq) => {
+                    let net = self.net.as_mut().expect("net layer");
+                    if let Some(i) = net.deferred_at(dest, seq) {
+                        let (_, dest, tag, frame) = net.deferred.swap_remove(i);
+                        self.ep.am_send(dest, tag, frame);
+                    }
                 }
-            };
-            let (_, dest, tag, frame) = due;
-            let seq = u64::from_le_bytes(frame[..8].try_into().expect("seq prefix"));
-            self.record_decision(Decision::FlushDeferred { dest, seq });
-            self.ep.am_send(dest, tag, frame);
-        }
-        let due: Vec<(NodeId, u64)> = self
-            .net
-            .as_ref()
-            .expect("net layer")
-            .timers
-            .iter()
-            .filter(|(_, t)| **t <= now)
-            .map(|(&k, _)| k)
-            .collect();
-        for (dest, seq) in due {
-            self.record_decision(Decision::TimerExpire { dest, seq });
-            self.fire_timer(dest, seq, now);
-            if self.done {
-                // A give-up brought the run down. Both pump exits record
-                // their end marker, or a replay desynchronizes right here.
-                break;
+                Due::Timer(dest, seq) => {
+                    self.fire_timer(dest, seq, now);
+                    if self.done {
+                        break; // a give-up brought the run down
+                    }
+                }
             }
         }
-        self.record_decision(Decision::PumpEnd);
     }
 
-    /// One retransmit timer fired — by the wall clock, or at its recorded
-    /// point in a replay: ask the protocol state what that means and do
-    /// it (re-arm and retransmit, or give up and escalate).
+    /// One retransmit timer is due: ask the protocol state what that
+    /// means and do it (re-arm and retransmit, or give up and escalate).
     fn fire_timer(&mut self, dest: NodeId, seq: u64, now: Instant) {
         let limit = self.net_attempt_limit();
         let net = self.net.as_mut().expect("net layer");
@@ -794,53 +832,6 @@ impl Worker {
                     }
                 );
                 self.transmit(dest, tag, seq, frame, attempt);
-            }
-        }
-    }
-
-    /// Replay half of [`Worker::net_pump`]: consume recorded
-    /// `FlushDeferred` / `TimerExpire` decisions up to the pump's
-    /// recorded end marker, re-enacting each one against the reliable
-    /// layer's (deterministically evolved) protocol state.
-    fn replay_net_pump(&mut self, st: &mut ReplayState) {
-        loop {
-            match st.log.get(st.cursor) {
-                Some(Decision::PumpEnd) => {
-                    st.cursor += 1;
-                    return;
-                }
-                Some(&Decision::FlushDeferred { dest, seq }) => {
-                    let net = self.net.as_mut().expect("net layer");
-                    let pos = net.deferred.iter().position(|(_, d, _, frame)| {
-                        *d == dest
-                            && frame
-                                .get(..8)
-                                .is_some_and(|b| b == seq.to_le_bytes().as_slice())
-                    });
-                    match pos {
-                        Some(i) => {
-                            let (_, d, tag, frame) = net.deferred.swap_remove(i);
-                            st.cursor += 1;
-                            self.ep.am_send(d, tag, frame);
-                        }
-                        None => {
-                            self.replay_diverge(st);
-                            return;
-                        }
-                    }
-                }
-                Some(&Decision::TimerExpire { dest, seq }) => {
-                    st.cursor += 1;
-                    // If this gives up and brings the run down, the
-                    // recorded run stopped pumping here too: its PumpEnd
-                    // marker is next and ends the loop.
-                    self.fire_timer(dest, seq, Instant::now());
-                }
-                // Log exhausted or a foreign decision mid-pump.
-                _ => {
-                    self.replay_diverge(st);
-                    return;
-                }
             }
         }
     }
@@ -1239,48 +1230,20 @@ impl Worker {
 
     /// Victim side of the steal protocol: pick and answer. This engine's
     /// backlog sits in the queues of resident objects, so those are the
-    /// eligible ones. The grant-or-deny choice is a recorded [`Decision`]:
-    /// the live pick depends on this node's queue depths at arrival, which
-    /// a replay cannot reconstruct, so the log overrides it (a recorded
-    /// grant that is no longer grantable is a divergence and falls back
-    /// live).
+    /// eligible ones. The pick is a total order over the core's state,
+    /// which the inputs determine, so a replay picks the same object.
     fn answer_steal(&mut self, thief: NodeId) {
-        let mut pick = self.core.steal_pick(Entry::is_in_core);
-        if matches!(self.replay, ReplayRole::Replay(_)) {
-            let ReplayRole::Replay(mut st) = std::mem::replace(&mut self.replay, ReplayRole::Off)
-            else {
-                unreachable!("matched Replay above")
-            };
-            if !st.live {
-                match st.log.get(st.cursor) {
-                    Some(&Decision::StealGrant { oid }) => {
-                        st.cursor += 1;
-                        if oid == STEAL_DENIED {
-                            pick = None;
-                        } else if (self.core).steal_grantable(ObjectId(oid), Entry::is_in_core) {
-                            pick = Some(ObjectId(oid));
-                        } else {
-                            self.replay_diverge(&mut st);
-                        }
-                    }
-                    _ => self.replay_diverge(&mut st),
-                }
-            }
-            self.replay = ReplayRole::Replay(st);
-        }
-        self.record_decision(Decision::StealGrant {
-            oid: pick.map_or(STEAL_DENIED, |o| o.0),
-        });
-        match pick {
+        match self.core.steal_pick(Entry::is_in_core) {
             Some(oid) => self.core.grant_steal(oid, thief, NOW),
             None => self.core.deny_steal(thief, NOW),
         }
     }
 
     /// Thief side: fire one steal request if this node has been idle for
-    /// [`Self::STEAL_PATIENCE`] empty polls and peers remain untried. Whether
-    /// (and whom) to ask is recorded as a [`Decision`] so a replay steals
-    /// at exactly the recorded points — and nowhere else.
+    /// [`Self::STEAL_PATIENCE`] empty polls and peers remain untried. The
+    /// empty polls are logged inputs and the victim comes from a
+    /// round-robin cursor, so a replay steals at exactly the recorded
+    /// points, from the recorded victims.
     fn maybe_steal(&mut self) {
         if !self.cfg.work_stealing
             || self.n_nodes < 2
@@ -1295,26 +1258,9 @@ impl Worker {
         {
             return;
         }
-        let victim = if let ReplayRole::Replay(st) = &mut self.replay {
-            if st.live {
-                self.victim_cursor.next_victim(self.node, self.n_nodes)
-            } else {
-                // Faithful replay: steal only where the record did. A
-                // missing decision here is not a divergence — the recorded
-                // run simply didn't steal at this poll.
-                match st.log.get(st.cursor) {
-                    Some(&Decision::StealRequest { victim }) => {
-                        st.cursor += 1;
-                        Some(victim)
-                    }
-                    _ => None,
-                }
-            }
-        } else {
-            self.victim_cursor.next_victim(self.node, self.n_nodes)
+        let Some(victim) = self.victim_cursor.next_victim(self.node, self.n_nodes) else {
+            return;
         };
-        let Some(victim) = victim else { return };
-        self.record_decision(Decision::StealRequest { victim });
         self.core.request_steal(victim, NOW);
         self.drain();
     }
@@ -1398,7 +1344,7 @@ impl Worker {
     fn run(mut self) -> WorkerResult {
         while !self.done {
             // 1. Drain the fabric.
-            while let Some(am) = self.recv_fabric(false) {
+            while let Some(am) = self.inputs.fabric(&mut self.ep, false) {
                 self.on_fabric(am);
                 if self.done || self.dead {
                     break;
@@ -1417,7 +1363,7 @@ impl Worker {
                 break;
             }
             // 3. Drain I/O completions.
-            while let Some(done) = self.recv_io(false) {
+            while let Some(done) = self.inputs.io(&self.io_rx, false) {
                 self.on_io(done);
             }
             // 4. Issue queued loads under the prefetch window, so the disk
@@ -1448,7 +1394,7 @@ impl Worker {
                 break;
             }
             let t_idle = Instant::now();
-            let am = self.recv_fabric(true);
+            let am = self.inputs.fabric(&mut self.ep, true);
             self.core.stats.idle += t_idle.elapsed();
             match am {
                 Some(am) => {
@@ -1467,7 +1413,7 @@ impl Worker {
         // Drain outstanding I/O: every store has landed (or failed back
         // into core) before the table is handed over.
         while self.outstanding_io > 0 {
-            match self.recv_io(true) {
+            match self.inputs.io(&self.io_rx, true) {
                 Some(done) => self.on_io(done),
                 None => break, // pool gone; nothing more will arrive
             }
@@ -1514,7 +1460,7 @@ impl Worker {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
         self.core.seal_stats();
-        let decisions = self.finish_replay(true);
+        let decisions = self.inputs.finish(&mut self.core.stats, false);
         WorkerResult {
             node,
             objects,
@@ -1522,23 +1468,6 @@ impl Worker {
             next_seq: self.next_obj_seq,
             fatal: self.fatal,
             decisions,
-        }
-    }
-
-    /// Close out the record/replay role at worker shutdown: hand the
-    /// recorded decisions back, and in replay mode flag unconsumed
-    /// residual decisions (the recorded run did more than we did) as one
-    /// final divergence.
-    fn finish_replay(&mut self, count_residual: bool) -> Vec<Decision> {
-        match std::mem::replace(&mut self.replay, ReplayRole::Off) {
-            ReplayRole::Record(log) => log,
-            ReplayRole::Replay(st) => {
-                if count_residual && !st.live && st.cursor < st.log.len() {
-                    self.core.stats.replay_divergences += 1;
-                }
-                Vec::new()
-            }
-            ReplayRole::Off => Vec::new(),
         }
     }
 
@@ -1551,42 +1480,29 @@ impl Worker {
     /// `tests/chaos.rs`).
     fn run_dead(mut self) -> WorkerResult {
         audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
-        // A replaying worker's sequencer may already hold frames or
-        // completions pulled off the channels; a crashed node discards
-        // them like everything else (including a buffered exit, which
-        // would otherwise never be seen again).
-        let mut buffered_exit = false;
-        if let ReplayRole::Replay(st) = &mut self.replay {
-            self.outstanding_io = self.outstanding_io.saturating_sub(st.io_buf.len());
-            st.io_buf.clear();
-            buffered_exit = st.fabric_buf.iter().any(|m| m.handler == AM_EXIT);
-            st.fabric_buf.clear();
-        }
-        if !buffered_exit {
-            loop {
-                // Keep the I/O pool from backing up while we linger.
-                while self.io_rx.try_recv().is_ok() {
-                    self.outstanding_io = self.outstanding_io.saturating_sub(1);
-                }
-                match self.ep.recv_timeout(Duration::from_millis(2)) {
-                    Some(am) if am.handler == AM_EXIT => break,
-                    _ => {} // discarded unanswered — the node is gone
-                }
+        // A crash truncates the schedule by design: nothing more is
+        // logged, and what the log still holds is not a divergence. Held
+        // frames and completions are answered first, then live ones.
+        let decisions = self.inputs.finish(&mut self.core.stats, true);
+        loop {
+            // Keep the I/O pool from backing up while we linger.
+            while self.inputs.io(&self.io_rx, false).is_some() {
+                self.outstanding_io = self.outstanding_io.saturating_sub(1);
             }
-        }
-        while self.outstanding_io > 0 {
-            if self.io_rx.recv().is_err() {
+            // Anything but the exit is discarded unanswered — the node is
+            // gone.
+            let am = self.inputs.fabric(&mut self.ep, true);
+            if am.is_some_and(|am| am.handler == AM_EXIT) {
                 break;
             }
+        }
+        while self.outstanding_io > 0 && self.inputs.io(&self.io_rx, true).is_some() {
             self.outstanding_io -= 1;
         }
         for _ in 0..self.cfg.io_threads {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
         self.core.seal_stats();
-        // A crash truncates the schedule by design: residual recorded
-        // decisions past the kill point are not a divergence.
-        let decisions = self.finish_replay(false);
         WorkerResult {
             node: self.node,
             objects: Vec::new(),
@@ -2246,18 +2162,14 @@ impl ThreadedRuntime {
                 dead: false,
                 probe_inflight: false,
                 fatal: None,
-                replay: match &replay_log {
-                    Some(log) => ReplayRole::Replay(Box::new(ReplayState {
-                        // A node absent from the log replays an empty
-                        // schedule: immediate divergence + live fallback.
-                        log: log.nodes.get(i).cloned().unwrap_or_default(),
-                        cursor: 0,
-                        fabric_buf: VecDeque::new(),
-                        io_buf: VecDeque::new(),
-                        live: false,
-                    })),
-                    None if self.record_decisions => ReplayRole::Record(Vec::new()),
-                    None => ReplayRole::Off,
+                inputs: match &replay_log {
+                    // A node absent from the log replays an empty
+                    // schedule: immediate divergence + live fallback.
+                    Some(log) => {
+                        Inputs::new(Mode::Replay, log.nodes.get(i).cloned().unwrap_or_default())
+                    }
+                    None if self.record_decisions => Inputs::new(Mode::Record, Vec::new()),
+                    None => Inputs::new(Mode::Off, Vec::new()),
                 },
                 victim_cursor: VictimCursor::new(),
                 empty_polls: 0,

@@ -1,8 +1,11 @@
-//! Property tests for the record/replay decision-log codec: round
-//! trips, byte-cap truncation, cut-anywhere truncation tolerance, and
-//! robustness of the strict decoder against arbitrary (hostile) bytes.
+//! Property tests for the record/replay codecs — the decision log and
+//! the replay artifact around it: round trips, byte-cap truncation,
+//! cut-anywhere truncation tolerance, and robustness of the strict
+//! decoders against arbitrary (hostile) bytes.
 
-use mrts::replay::{Decision, DecisionLog, IoKind, DEFAULT_LOG_BYTE_CAP};
+use mrts::replay::{
+    CanonicalStream, Decision, DecisionLog, IoKind, NodeLanes, ReplayArtifact, DEFAULT_LOG_BYTE_CAP,
+};
 use proptest::prelude::*;
 
 fn arb_decision() -> impl Strategy<Value = Decision> {
@@ -38,6 +41,36 @@ fn arb_decision() -> impl Strategy<Value = Decision> {
 fn arb_log() -> impl Strategy<Value = DecisionLog> {
     prop::collection::vec(prop::collection::vec(arb_decision(), 0..64), 0..5)
         .prop_map(|nodes| DecisionLog { nodes })
+}
+
+/// Any text, multi-byte characters included (an audit lane is `Debug`
+/// text).
+fn arb_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u32>(), 0..12).prop_map(|cs| {
+        cs.into_iter()
+            .map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{FFFD}'))
+            .collect()
+    })
+}
+
+fn arb_artifact() -> impl Strategy<Value = ReplayArtifact> {
+    let lane = || prop::collection::vec(arb_text(), 0..6);
+    (
+        arb_text(),
+        any::<u64>(),
+        arb_log(),
+        prop::collection::vec((lane(), lane()), 0..4),
+    )
+        .prop_map(|(harness, seed, decisions, lanes)| ReplayArtifact {
+            harness,
+            seed,
+            decisions,
+            recorded: CanonicalStream {
+                nodes: (lanes.into_iter())
+                    .map(|(control, pool)| NodeLanes { control, pool })
+                    .collect(),
+            },
+        })
 }
 
 fn is_prefix_of(shorter: &DecisionLog, longer: &DecisionLog) -> bool {
@@ -88,11 +121,42 @@ proptest! {
         }
     }
 
-    /// The strict decoder is total over arbitrary bytes: a typed error
-    /// or a valid log, never a panic.
+    #[test]
+    fn artifact_roundtrips(art in arb_artifact()) {
+        let bytes = art.encode(DEFAULT_LOG_BYTE_CAP);
+        let back = ReplayArtifact::decode(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(back, art);
+    }
+
+    /// Every field is counted or length-prefixed, so an artifact cut
+    /// anywhere short of its end is a typed error — never a panic, and
+    /// never a shorter artifact.
+    #[test]
+    fn truncated_artifact_is_a_typed_error(art in arb_artifact(), cut_frac in 0.0f64..1.0) {
+        let bytes = art.encode(DEFAULT_LOG_BYTE_CAP);
+        let cut = (bytes.len() as f64 * cut_frac) as usize;
+        prop_assert!(ReplayArtifact::decode(&bytes[..cut]).is_err());
+    }
+
+    /// The strict decoders are total over arbitrary bytes: a typed error
+    /// or a valid value, never a panic.
     #[test]
     fn hostile_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = DecisionLog::decode(&bytes);
         let _ = DecisionLog::decode_lossy(&bytes);
+        let _ = ReplayArtifact::decode(&bytes);
+        // The same noise as the canonical stream of an artifact whose
+        // header, harness, seed and log are valid: an empty stream
+        // encodes as its one count byte, which the noise replaces.
+        let empty = ReplayArtifact {
+            harness: "h".into(),
+            seed: 0,
+            decisions: DecisionLog::new(1),
+            recorded: CanonicalStream::default(),
+        };
+        let mut framed = empty.encode(DEFAULT_LOG_BYTE_CAP);
+        framed.pop();
+        framed.extend_from_slice(&bytes);
+        let _ = ReplayArtifact::decode(&framed);
     }
 }

@@ -54,6 +54,7 @@
 //! its decision log and reports the first divergence between recorded
 //! and live audit streams, and `--replay-smoke` proves byte-identical
 //! replay (plus perturbation probes) over a batch of chaos-net seeds.
+//! The default gate ends with the quick (3-seed) replay smoke.
 
 use std::process::{Command, ExitCode};
 
@@ -1277,8 +1278,8 @@ mod replay_harness {
             CHAOS_NET_THREADED => {
                 MrtsConfig::out_of_core(nodes, BUDGET).with_net_faults(chaos_net_plan(seed))
             }
-            // Work stealing stays on here so the smoke proves the steal
-            // decisions (`StealRequest`/`StealGrant`) replay faithfully.
+            // Work stealing stays on here so the smoke proves steals
+            // replay without log entries: they derive from the inputs.
             REPLAY_SMOKE => MrtsConfig::out_of_core(nodes, BUDGET)
                 .with_net_faults(chaos_net_plan(seed))
                 .with_io_threads(1)
@@ -1424,6 +1425,11 @@ mod replay_harness {
         report.is_clean() && seq_div == 0
     }
 
+    /// The default run's leg: the quick smoke.
+    pub fn gate_smoke() -> bool {
+        smoke(true)
+    }
+
     /// `--replay-smoke`: record chaos-net schedules (single pool thread),
     /// replay each, and require byte-identical canonical streams with
     /// zero sequencer divergences — plus two perturbation probes proving
@@ -1434,6 +1440,7 @@ mod replay_harness {
         let mut ok = true;
         let mut kept: Option<(DecisionLog, CanonicalStream)> = None;
         let mut divergence_text = String::new();
+        let mut steal_requests = 0;
         for seed in 0..seeds {
             let rec_label = format!("rsmoke-rec{seed}");
             let cfg = harness_config(REPLAY_SMOKE, seed, &rec_label, DEFAULT_NODES)
@@ -1458,14 +1465,18 @@ mod replay_harness {
                 && report.events_compared > 0
                 && (rep.elements, rep.vertices) == (rec.elements, rec.vertices);
             ok &= clean;
+            let requests = rec.stats.total_of(|n| n.steal_requests as usize);
+            steal_requests += requests;
             println!(
                 "    seed {seed}: {} ({} decisions, {} events byte-compared, {} sequencer \
-                 divergences, mesh {})",
+                 divergences, mesh {}, steals {}/{} requested/stolen)",
                 if clean { "ok" } else { "FAIL" },
                 n_decisions,
                 report.events_compared,
                 seq_div,
-                rep.elements
+                rep.elements,
+                requests,
+                rec.stats.total_of(|n| n.tasks_stolen as usize)
             );
             if !clean {
                 divergence_text.push_str(&format!("seed {seed}:\n{report}"));
@@ -1482,6 +1493,11 @@ mod replay_harness {
             }
         }
 
+        // Vacuity guard: the steal path must have run somewhere.
+        if steal_requests == 0 {
+            println!("    FAIL: no seed issued a steal request (vacuous)");
+            ok = false;
+        }
         let Some((decisions, recorded)) = kept else {
             println!("    FAIL: no schedule recorded — probes skipped");
             write_divergence_report(&divergence_text);
@@ -1597,6 +1613,12 @@ mod replay_harness {
         );
         false
     }
+
+    /// The default run's leg: skipped like the other sweeps.
+    pub fn gate_smoke() -> bool {
+        println!("==> replay smoke skipped (instrumentation compiled out)");
+        true
+    }
 }
 
 fn main() -> ExitCode {
@@ -1677,6 +1699,7 @@ fn main() -> ExitCode {
             && chaos_sweep::run(true, None, 2)
             && chaos_net_sweep::run(true, None, 2)
             && chaos_service_sweep::run(true, None)
+            && replay_harness::gate_smoke()
     };
     if ok {
         println!("audit: all gates passed");

@@ -6,17 +6,18 @@
 //! thread both lanes of the canonical audit stream must come back
 //! byte-identical. A deliberately perturbed stream must be pinpointed
 //! at the exact first-divergence index, and a perturbed decision log
-//! must be caught by the sequencer. Finally, a threaded run under
-//! replay must still produce the mesh the DES engine produces.
+//! must be caught by the sequencer. A threaded run under replay must
+//! still produce the mesh the DES engine produces, and a run whose steals
+//! are granted must replay them — logged nowhere — to the same objects.
 
 use pumg::methods::domain::Workload;
 use pumg::methods::ooc_pcdm::{opcdm_collect_threaded, opcdm_run, opcdm_setup_threaded};
 use pumg::methods::pcdm::PcdmParams;
-use pumg::mrts::audit::EventLog;
-use pumg::mrts::config::MrtsConfig;
 use pumg::mrts::netfault::NetFaultPlan;
-use pumg::mrts::replay::{canonicalize, compare, CanonicalStream, Decision, DecisionLog};
-use pumg::mrts::stats::RunStats;
+use pumg::mrts::prelude::*;
+use pumg::mrts::replay::{canonicalize, compare, CanonicalStream};
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -182,4 +183,101 @@ fn threaded_under_replay_matches_des_mesh() {
     assert_eq!(rep_stats.total_of(|n| n.replay_divergences), 0);
     assert_eq!((des.elements, des.vertices), rec_mesh);
     assert_eq!((des.elements, des.vertices), rep_mesh);
+}
+
+const TRAIL_TAG: TypeTag = TypeTag(77);
+const H_VISIT: HandlerId = HandlerId(77);
+
+/// Which node ran each of the object's messages: a steal replayed
+/// differently changes the object's bytes.
+struct Trail(Vec<u8>);
+
+impl MobileObject for Trail {
+    fn type_tag(&self) -> TypeTag {
+        TRAIL_TAG
+    }
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.0);
+    }
+    fn footprint(&self) -> usize {
+        64 + self.0.len()
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn h_visit(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
+    std::thread::sleep(Duration::from_millis(1));
+    let trail = obj.as_any_mut().downcast_mut::<Trail>().expect("a trail");
+    trail.0.push(ctx.node() as u8);
+}
+
+/// All the work starts on node 0 — 16 unpinned objects with four ~1 ms
+/// messages each — and node 1 holds nothing, so it steals.
+fn steal_run(replay: Option<DecisionLog>) -> (Run, BTreeMap<ObjectId, Vec<u8>>) {
+    let cfg = MrtsConfig::in_core(NODES)
+        .with_work_stealing()
+        .with_io_threads(1);
+    let mut rt = ThreadedRuntime::new(cfg);
+    rt.register_type(TRAIL_TAG, |buf| Ok(Box::new(Trail(buf.to_vec()))));
+    rt.register_handler(H_VISIT, "visit", h_visit);
+    let log = Arc::new(EventLog::new());
+    rt.attach_audit(log.clone());
+    for _ in 0..16 {
+        let p = rt.create_object(0, Box::new(Trail(Vec::new())), 128);
+        for _ in 0..4 {
+            rt.post(p, H_VISIT, Vec::new());
+        }
+    }
+    match replay {
+        Some(d) => rt.replay_decisions(d),
+        None => rt.record_decisions(),
+    }
+    let stats = rt.run();
+    let mut objects = BTreeMap::new();
+    rt.for_each_object(|oid, obj| {
+        let mut bytes = Vec::new();
+        obj.encode(&mut bytes);
+        objects.insert(oid, bytes);
+    });
+    let run = Run {
+        elements: 0,
+        vertices: 0,
+        stats,
+        decisions: rt
+            .take_decision_log()
+            .unwrap_or_else(|| DecisionLog::new(NODES)),
+        stream: canonicalize(&log.snapshot(), NODES),
+    };
+    (run, objects)
+}
+
+#[test]
+fn granted_steals_replay_without_log_entries() {
+    let (rec, rec_objects) = steal_run(None);
+    assert!(
+        rec.stats.total_of(|n| n.tasks_stolen as usize) > 0,
+        "no steal was granted: {}",
+        rec.stats.summary()
+    );
+    assert!(rec_objects.values().any(|trail| trail.contains(&1)));
+    println!(
+        "steals requested/granted: {}/{}",
+        rec.stats.total_of(|n| n.steal_requests as usize),
+        rec.stats.total_of(|n| n.tasks_stolen as usize)
+    );
+    let (rep, rep_objects) = steal_run(Some(rec.decisions));
+    assert_eq!(
+        rep.stats.total_of(|n| n.replay_divergences),
+        0,
+        "{}",
+        rep.stats.summary()
+    );
+    let report = compare(&rec.stream, &rep.stream);
+    assert!(report.events_compared > 0 && report.is_clean(), "{report}");
+    assert_eq!(rep_objects, rec_objects, "the steals replayed differently");
 }

@@ -7,13 +7,12 @@
 //! go back to every node the message passed through — the lazy update
 //! scheme the paper found to be a good accuracy/overhead compromise.
 
-use crate::ids::{NodeId, ObjectId};
-use std::collections::HashMap;
+use crate::ids::{NodeId, ObjectId, ObjectMap};
 
 /// One node's view of where remote objects live.
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    hints: HashMap<ObjectId, NodeId>,
+    hints: ObjectMap<NodeId>,
     pub updates_applied: usize,
     /// Hints dropped because delivery to the hinted location kept
     /// failing (self-healing; see [`Directory::invalidate`]).

@@ -18,8 +18,8 @@
 //! ordering for the same mesh, which the cross-engine digest property
 //! test pins.
 
-use crate::ids::ObjectId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::ids::{ObjectId, ObjectMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Position of an object on the locality curve (0-based, dense).
 pub type LocalityKey = u64;
@@ -67,15 +67,15 @@ const REBUILD_MIN_NEW_EDGES: usize = 16;
 /// the mesh rather than jumping.
 pub struct LocalityMap {
     cluster_objects: usize,
-    /// Undirected adjacency. The outer map is a `HashMap` because
+    /// Undirected adjacency. The outer map is a hash map because
     /// `note_edge` sits on the per-send hot path; rebuilds sort the keys
     /// before traversal, and the neighbor sets stay `BTreeSet` so every
     /// expansion iterates in id order — determinism is unaffected.
-    adj: HashMap<ObjectId, BTreeSet<ObjectId>>,
+    adj: ObjectMap<BTreeSet<ObjectId>>,
     /// Curve position per object (lookup only; never iterated for decisions).
-    keys: HashMap<ObjectId, LocalityKey>,
+    keys: ObjectMap<LocalityKey>,
     /// Cluster id per object (lookup only; never iterated for decisions).
-    cluster: HashMap<ObjectId, ClusterId>,
+    cluster: ObjectMap<ClusterId>,
     /// Members of each cluster in curve order.
     members: Vec<Vec<ObjectId>>,
     /// Undirected edges currently in `adj`.
@@ -90,9 +90,9 @@ impl LocalityMap {
     pub fn new(cluster_objects: usize) -> Self {
         LocalityMap {
             cluster_objects: cluster_objects.max(1),
-            adj: HashMap::new(),
-            keys: HashMap::new(),
-            cluster: HashMap::new(),
+            adj: ObjectMap::default(),
+            keys: ObjectMap::default(),
+            cluster: ObjectMap::default(),
             members: Vec::new(),
             edges: 0,
             built_edges: 0,

@@ -52,7 +52,7 @@ use crate::codec::{PayloadReader, PayloadWriter, Truncated};
 use crate::config::MrtsConfig;
 use crate::ctx::Effect;
 use crate::directory::Directory;
-use crate::ids::{NodeId, ObjectId};
+use crate::ids::{NodeId, ObjectId, ObjectMap};
 use crate::locality::{LocalityMap, CLUSTER_OBJECTS, PREFETCH_MATES, UNRANKED};
 use crate::msg::{Message, MsgDecodeError};
 use crate::object::{timed, MobileObject, Registry};
@@ -60,7 +60,7 @@ use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WIN
 use crate::policy::AccessMeta;
 use crate::stats::NodeStats;
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 // Wire tags of the data-plane active messages. The threaded engine's
@@ -344,7 +344,7 @@ pub(crate) struct NodeCore {
     /// `MrtsConfig::locality`: learn adjacency, evict and prefetch by
     /// cluster, ship curve ranks to the store.
     locality_on: bool,
-    pub(crate) table: HashMap<ObjectId, Entry>,
+    pub(crate) table: ObjectMap<Entry>,
     /// Last known location of objects that are not here, updated lazily
     /// by the deliveries of messages this node sent or forwarded.
     dir: Directory,
@@ -401,7 +401,7 @@ impl NodeCore {
             node,
             n_nodes: cfg.nodes,
             locality_on: cfg.locality,
-            table: HashMap::new(),
+            table: ObjectMap::default(),
             dir: Directory::new(),
             awaiting_steal: false,
             ooc: OocManager::new(

@@ -237,96 +237,185 @@ impl OocManager {
     /// then the swapping scheme's score, with clean objects (valid on-disk
     /// bytes) preferred at equal score. Returns the chosen object ids (in
     /// eviction order); may free less than `need` if candidates run out.
+    ///
+    /// When any candidate carries a locality cluster, each victim pulls
+    /// its *idle* clustermates (no queued messages) right after it, in
+    /// curve-key order, so the batched store writes the cluster as one
+    /// contiguous run — the layout cluster prefetch reads back
+    /// sequentially. A pull may only reach mates inside the *horizon*:
+    /// twice as far down the eviction order as the straight policy would
+    /// have gone. It reorders evictions there so mates batch on disk;
+    /// pulling a mate the policy considers hot would evict an object about
+    /// to be touched, trading one contiguous write for an extra load
+    /// (measured: it loses more than the layout wins).
     pub fn pick_victims(&self, candidates: &mut [EvictCandidate], need: usize) -> Vec<ObjectId> {
         if need == 0 || candidates.is_empty() {
             return Vec::new();
         }
-        let now = self.clock;
-        // Explicit lexicographic comparator: scores are f64 and a NaN
-        // anywhere in a tuple `partial_cmp` would collapse the whole key
-        // to `Equal`, silently disabling the ordering. `total_cmp` keeps
-        // the sort total (NaN orders after every finite score); the final
-        // oid tie-breaker keeps victim choice independent of the hash-map
-        // iteration order the candidates arrive in.
+        let (policy, now) = (self.policy, self.clock);
+        let mut order: Vec<Rank> = (candidates.iter().enumerate())
+            .map(|(at, c)| Rank {
+                queued: c.queued_msgs > 0,
+                priority: c.priority,
+                score: total_order_bits(policy.score(&c.meta, now)),
+                dirty: !c.clean,
+                oid: c.oid,
+                at,
+            })
+            .collect();
+        let clustered = candidates.iter().any(|c| c.cluster.is_some());
+        // Evictions usually shed a handful of objects out of a large
+        // resident set, so a full sort is wasted work: partition the k
+        // best victims to the front (O(n) typical), sort only that small
+        // prefix, and double k until the prefix holds the straight walk —
+        // and, with clusters, the whole horizon.
+        let n = order.len();
+        let mut k = 8.min(n);
+        let walk = loop {
+            if k < n {
+                order.select_nth_unstable(k - 1);
+            }
+            order[..k].sort_unstable();
+            match walk_len(&order[..k], candidates, need) {
+                Some(h) if !clustered || 2 * h <= k => break Some(h),
+                walk if k == n => break walk,
+                _ => k = (k * 2).min(n),
+            }
+        };
+        let order = &order[..k];
+        if !clustered {
+            return order[..walk.unwrap_or(k)].iter().map(|r| r.oid).collect();
+        }
+        let horizon = walk.map_or(k, |h| (2 * h).min(k));
+        // Idle candidates inside the horizon that sit on a cluster, as
+        // (cluster, curve key, oid, position in `order`): sorted, each
+        // cluster's mates are one run in curve-key order.
+        let mut mates: Vec<(u64, u64, ObjectId, usize)> = (order[..horizon].iter().enumerate())
+            .filter_map(|(pos, r)| {
+                let c = &candidates[r.at];
+                let cl = c.cluster.filter(|_| c.queued_msgs == 0)?;
+                Some((cl, c.lkey, c.oid, pos))
+            })
+            .collect();
+        mates.sort_unstable();
+        let mut taken = vec![false; k];
+        let mut out = Vec::new();
+        let mut freed = 0usize;
+        for pos in 0..k {
+            if freed >= need {
+                break;
+            }
+            if taken[pos] {
+                continue;
+            }
+            let run = match candidates[order[pos].at].cluster {
+                Some(cl) => {
+                    let from = &mates[mates.partition_point(|m| m.0 < cl)..];
+                    &from[..from.partition_point(|m| m.0 == cl)]
+                }
+                None => &[][..],
+            };
+            for p in std::iter::once(pos).chain(run.iter().map(|m| m.3)) {
+                if freed >= need {
+                    break;
+                }
+                if !taken[p] {
+                    taken[p] = true;
+                    out.push(order[p].oid);
+                    freed += candidates[order[p].at].footprint;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// One candidate's place in the eviction order, computed once per pick.
+/// The derived order is the field order: idle before queued, lower
+/// priority first, then the swapping scheme's score, then clean before
+/// dirty (its eviction elides the pack and the write), then the smaller
+/// id — a total order, so victim choice is independent of the hash-map
+/// iteration order the candidates arrive in.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank {
+    queued: bool,
+    priority: u8,
+    /// The score as bits that order like `f64::total_cmp`: a NaN cannot
+    /// collapse the order to `Equal` (it sorts after every finite score).
+    score: u64,
+    dirty: bool,
+    oid: ObjectId,
+    /// Index into the candidate slice; never decides, ids are unique.
+    at: usize,
+}
+
+/// `x`'s bits, remapped so unsigned comparison agrees with `total_cmp`.
+fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
+}
+
+/// How many leading candidates of `order` the straight policy takes to
+/// free `need` bytes; `None` if all of them together fall short.
+fn walk_len(order: &[Rank], candidates: &[EvictCandidate], need: usize) -> Option<usize> {
+    let mut freed = 0usize;
+    (order.iter())
+        .position(|r| {
+            freed += candidates[r.at].footprint;
+            freed >= need
+        })
+        .map(|i| i + 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Reference victim selection: the full-sort implementation that
+    /// `pick_victims` replaced — the comparator re-scores both sides of
+    /// every comparison, the unclustered walk takes a prefix of the fully
+    /// sorted order, the clustered walk pulls mates through a per-cluster
+    /// index. `pick_victims` must choose exactly what this chooses.
+    fn full_sort_pick(
+        m: &OocManager,
+        candidates: &mut [EvictCandidate],
+        need: usize,
+    ) -> Vec<ObjectId> {
+        if need == 0 || candidates.is_empty() {
+            return Vec::new();
+        }
+        let now = m.now();
         let cmp = |a: &EvictCandidate, b: &EvictCandidate| {
             (a.queued_msgs > 0)
                 .cmp(&(b.queued_msgs > 0))
                 .then_with(|| a.priority.cmp(&b.priority))
                 .then_with(|| {
-                    self.policy
+                    m.policy()
                         .score(&a.meta, now)
-                        .total_cmp(&self.policy.score(&b.meta, now))
+                        .total_cmp(&m.policy().score(&b.meta, now))
                 })
-                // Equal swap-scheme rank: prefer the clean object — its
-                // eviction elides the pack and the write entirely.
                 .then_with(|| b.clean.cmp(&a.clean))
                 .then_with(|| a.oid.cmp(&b.oid))
         };
-        // Locality clusters present? Bias eviction toward whole clusters
-        // so members land contiguously in the same segment.
-        if candidates.iter().any(|c| c.cluster.is_some()) {
-            return self.pick_victims_clustered(candidates, need, cmp);
-        }
-        // Evictions usually shed a handful of objects out of a large
-        // resident set, so a full sort is wasted work: partition the k
-        // best victims to the front (O(n) typical), sort only that small
-        // prefix, and double k when their combined footprint still falls
-        // short of `need`.
-        let n = candidates.len();
-        let mut k = 8.min(n);
-        loop {
-            if k < n {
-                candidates.select_nth_unstable_by(k - 1, cmp);
-            }
-            candidates[..k].sort_unstable_by(cmp);
-            let mut out = Vec::new();
-            let mut freed = 0usize;
-            for c in candidates[..k].iter() {
-                if freed >= need {
-                    break;
-                }
-                out.push(c.oid);
-                freed += c.footprint;
-            }
-            if freed >= need || k == n {
-                return out;
-            }
-            k = (k * 2).min(n);
-        }
-    }
-
-    /// Cluster-aware victim selection: walk candidates in normal eviction
-    /// order, but after taking a victim, pull its *idle* clustermates
-    /// (no queued messages) next, in curve-key order — the subsequent
-    /// batched store then writes the cluster as one contiguous run, which
-    /// is exactly the layout cluster prefetch reads back sequentially.
-    fn pick_victims_clustered(
-        &self,
-        candidates: &mut [EvictCandidate],
-        need: usize,
-        cmp: impl Fn(&EvictCandidate, &EvictCandidate) -> std::cmp::Ordering,
-    ) -> Vec<ObjectId> {
-        candidates.sort_unstable_by(&cmp);
-        // Eligibility horizon: how far down the eviction order the straight
-        // policy would have reached, doubled. A cluster pull may only
-        // *reorder* evictions inside that horizon so mates batch together
-        // on disk — pulling a mate the policy considers hot would evict an
-        // object about to be touched, trading one contiguous write for an
-        // extra load (measured: it loses more than the layout wins).
+        candidates.sort_unstable_by(cmp);
         let mut horizon = 0usize;
-        {
-            let mut freed = 0usize;
-            for c in candidates.iter() {
-                if freed >= need {
-                    break;
-                }
-                freed += c.footprint;
-                horizon += 1;
+        let mut freed = 0usize;
+        for c in candidates.iter() {
+            if freed >= need {
+                break;
             }
+            freed += c.footprint;
+            horizon += 1;
+        }
+        if candidates.iter().all(|c| c.cluster.is_none()) {
+            return candidates[..horizon].iter().map(|c| c.oid).collect();
         }
         let horizon = (horizon * 2).min(candidates.len());
-        // Cluster → candidate indices within the horizon (in eviction
-        // order; re-sorted by curve key below when a cluster is pulled).
         let mut by_cluster: std::collections::HashMap<u64, Vec<usize>> =
             std::collections::HashMap::new();
         for (i, c) in candidates.iter().enumerate().take(horizon) {
@@ -347,15 +436,10 @@ impl OocManager {
             taken[i] = true;
             out.push(candidates[i].oid);
             freed += candidates[i].footprint;
-            let Some(cl) = candidates[i].cluster else {
+            let Some(mates) = candidates[i].cluster.and_then(|cl| by_cluster.get(&cl)) else {
                 continue;
             };
-            let Some(mates) = by_cluster.get(&cl) else {
-                continue;
-            };
-            let mut mates: Vec<usize> = mates
-                .iter()
-                .copied()
+            let mut mates: Vec<usize> = (mates.iter().copied())
                 .filter(|&j| !taken[j] && candidates[j].queued_msgs == 0)
                 .collect();
             mates.sort_unstable_by_key(|&j| (candidates[j].lkey, candidates[j].oid));
@@ -370,11 +454,64 @@ impl OocManager {
         }
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// One generated candidate: (footprint, last access, access count,
+    /// priority class, queued messages, clean) and (cluster, curve key).
+    type RawCandidate = ((usize, u64, u64, u8, usize, bool), (u64, u64));
+
+    fn raw_candidate() -> impl Strategy<Value = RawCandidate> {
+        (
+            // Small ranges make ties in priority, score and curve key common.
+            (
+                1usize..600,
+                0u64..12,
+                1u64..6,
+                0u8..3,
+                0usize..3,
+                any::<bool>(),
+            ),
+            (0u64..5, 0u64..8),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Rank-once partial selection chooses exactly the victims, in
+        /// exactly the order, of the full-sort reference: every swapping
+        /// scheme, ties everywhere, clusters present and absent, `need`
+        /// from zero to past everything the candidates hold.
+        #[test]
+        fn pick_victims_matches_full_sort_reference(
+            raw in prop::collection::vec(raw_candidate(), 0..80),
+            policy in 0usize..5,
+            clusters in any::<bool>(),
+            need_pct in 0usize..130,
+        ) {
+            let mut m = OocManager::new(1 << 20, 2.0, 0.5, PolicyKind::ALL[policy]);
+            for _ in 0..16 {
+                m.tick();
+            }
+            let mut cands: Vec<EvictCandidate> = (raw.iter().enumerate())
+                .map(|(i, &((fp, last, count, prio, queued, clean), (cl, lkey)))| {
+                    // Scrambled ids over three homes: arrival order is not id order.
+                    let mut c = cand((i as u64 * 7919) % 1009, fp, last, count, 127 * prio, queued);
+                    c.oid = ObjectId::new((i % 3) as u16, c.oid.seq());
+                    c.meta.birth = last.saturating_sub(count);
+                    c.clean = clean;
+                    // Cluster 0 stands for "not on the curve".
+                    c.cluster = (clusters && cl > 0).then_some(cl);
+                    c.lkey = lkey;
+                    c
+                })
+                .collect();
+            let total: usize = cands.iter().map(|c| c.footprint).sum();
+            let need = total * need_pct / 100;
+            let want = full_sort_pick(&m, &mut cands.clone(), need);
+            let got = m.pick_victims(&mut cands, need);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn cand(
         seq: u64,

@@ -53,7 +53,9 @@ pub struct OnupdrOpts {
     pub lock_buffers: bool,
     /// Raise the swapping priority of dispatched leaves and their buffers.
     pub priorities: bool,
-    /// Maximum concurrently dispatched leaves (0 = number of nodes).
+    /// Maximum concurrently dispatched leaves — the dispatch window, which
+    /// slides along the queue's order; the [`ConflictSet`] still keeps
+    /// adjacent leaves apart inside it. 0 = `nodes × (1 + mean |BUF|)`.
     pub max_active: u32,
     /// Child tasks per leaf refinement (1 = sequential handler; 4 splits
     /// the leaf into quadrants refined by the computing layer in parallel
@@ -273,14 +275,6 @@ impl QueueObj {
         }))
     }
 
-    fn max_active(&self, nodes: usize) -> u32 {
-        if self.opts.max_active > 0 {
-            self.opts.max_active
-        } else {
-            nodes as u32
-        }
-    }
-
     fn leaf_owning(&self, p: Point2) -> Option<u32> {
         // The bboxes partition the domain box; linear scan is fine at the
         // leaf counts we run (the paper's quadtree lives here too, in the
@@ -311,13 +305,12 @@ impl QueueObj {
         self.busy.can_run(idx as usize, &self.footprint_of(idx))
     }
 
-    /// Dispatch leaves while workers are available (the master loop of the
-    /// NUPDR algorithm, restructured as message handling). A dispatched
+    /// Dispatch leaves while the dispatch window has room (the master loop
+    /// of the NUPDR algorithm, restructured as message handling). A dispatched
     /// leaf and its whole buffer are marked busy — the paper's "buffer
     /// zone BUF of the leaf is also removed from the queue".
     fn dispatch(&mut self, ctx: &mut Ctx) {
-        let cap = self.max_active(1);
-        while self.active < cap {
+        while self.active < self.opts.max_active {
             // Find the first queued leaf without conflicts.
             let Some(pos) = (0..self.queue.len()).find(|&i| self.dispatchable(self.queue[i]))
             else {
@@ -651,40 +644,51 @@ fn split_bbox(b: &BBox, k: usize) -> Vec<BBox> {
 
 // ----- runner --------------------------------------------------------------------
 
-/// Run ONUPDR on the virtual-time MRTS engine.
-pub fn onupdr_run(params: &NupdrParams, cfg: MrtsConfig, opts: OnupdrOpts) -> MethodResult {
-    let mut rt = DesRuntime::new(cfg.clone());
-    register(&mut rt);
+/// The default dispatch window: `nodes × (1 + mean |BUF|)` leaves in
+/// flight. A dispatched leaf runs on its home node, not on a free worker,
+/// and its buffer collection (`construct → contribute ×|BUF| → addpts
+/// ×|BUF|`) waits behind refinements running elsewhere; a window of one
+/// leaf per node leaves the nodes idle for much of the run. This window
+/// covers each node's leaf plus a buffer's worth of collections; wider
+/// ones only lock more leaf ∪ buffer sets (measured on 2 nodes: see
+/// DESIGN.md, "ONUPDR dispatch window").
+fn dispatch_window(nodes: usize, leaves: &[LeafInfo]) -> u32 {
+    let buffered: usize = leaves.iter().map(|l| l.buffer.len()).sum();
+    let mean_buffer = buffered as f64 / leaves.len() as f64;
+    ((nodes as f64 * (1.0 + mean_buffer)).round() as u32).max(1)
+}
 
+/// One object to create: `(node, object, priority)` and the pointer its
+/// creation must return.
+type Placed = (NodeId, Box<dyn MobileObject>, u8, MobilePtr);
+
+/// ONUPDR's objects in creation order — leaf i on node i % nodes, then the
+/// queue object on node 0 — and the queue's pointer. `opts.max_active ==
+/// 0` takes the [`dispatch_window`].
+fn initial_objects(
+    params: &NupdrParams,
+    nodes: usize,
+    mut opts: OnupdrOpts,
+) -> (Vec<Placed>, MobilePtr) {
     let (_tree, leaves) = build_leaves(params);
     let n = leaves.len();
     assert!(n > 0, "no leaves intersect the domain");
-    let nodes = cfg.nodes;
-
-    // Predictable placement: leaf i on node i % nodes; the queue object is
-    // created last on node 0.
+    if opts.max_active == 0 {
+        opts.max_active = dispatch_window(nodes, &leaves);
+    }
     let mut counters = vec![0u64; nodes];
     let leaf_ptrs: Vec<MobilePtr> = (0..n)
         .map(|i| {
-            let node = (i % nodes) as NodeId;
             let seq = counters[i % nodes];
             counters[i % nodes] += 1;
-            MobilePtr::new(ObjectId::new(node, seq))
+            MobilePtr::new(ObjectId::new((i % nodes) as NodeId, seq))
         })
         .collect();
     let queue_ptr = MobilePtr::new(ObjectId::new(0, counters[0]));
-
-    // Queue dispatch width: nodes by default.
-    let mut opts = opts;
-    if opts.max_active == 0 {
-        opts.max_active = nodes as u32;
-    }
-
-    for leaf in &leaves {
-        let node = (leaf.idx % nodes) as NodeId;
-        let created = rt.create_object(
-            node,
-            Box::new(LeafObj {
+    let mut objects: Vec<Placed> = leaves
+        .iter()
+        .map(|leaf| {
+            let obj = LeafObj {
                 idx: leaf.idx as u32,
                 bbox: leaf.bbox,
                 region: leaf.region,
@@ -697,52 +701,59 @@ pub fn onupdr_run(params: &NupdrParams, cfg: MrtsConfig, opts: OnupdrOpts) -> Me
                 verts: 0,
                 expected: 0,
                 collected: Vec::new(),
-            }),
-            128,
-        );
-        assert_eq!(created, leaf_ptrs[leaf.idx]);
+            };
+            let node = (leaf.idx % nodes) as NodeId;
+            (
+                node,
+                Box::new(obj) as Box<dyn MobileObject>,
+                128,
+                leaf_ptrs[leaf.idx],
+            )
+        })
+        .collect();
+    let queue = QueueObj {
+        workload: params.workload,
+        opts,
+        bboxes: leaves.iter().map(|l| l.bbox).collect(),
+        buffers: leaves
+            .iter()
+            .map(|l| l.buffer.iter().map(|&b| b as u32).collect())
+            .collect(),
+        leaf_ptrs,
+        queue: VecDeque::new(),
+        in_queue: vec![false; n],
+        stale: vec![0; n],
+        busy: ConflictSet::new(n),
+        active: 0,
+        dispatched_tasks: 0,
+    };
+    objects.push((0, Box::new(queue), 255, queue_ptr));
+    (objects, queue_ptr)
+}
+
+/// Run ONUPDR on the virtual-time MRTS engine.
+pub fn onupdr_run(params: &NupdrParams, cfg: MrtsConfig, opts: OnupdrOpts) -> MethodResult {
+    let (objects, queue_ptr) = initial_objects(params, cfg.nodes, opts);
+    let mut rt = DesRuntime::new(cfg);
+    register(&mut rt);
+    for (node, obj, priority, ptr) in objects {
+        assert_eq!(rt.create_object(node, obj, priority), ptr);
     }
-    let created = rt.create_object(
-        0,
-        Box::new(QueueObj {
-            workload: params.workload,
-            opts,
-            leaf_ptrs: leaf_ptrs.clone(),
-            bboxes: leaves.iter().map(|l| l.bbox).collect(),
-            buffers: leaves
-                .iter()
-                .map(|l| l.buffer.iter().map(|&b| b as u32).collect())
-                .collect(),
-            queue: VecDeque::new(),
-            in_queue: vec![false; n],
-            stale: vec![0; n],
-            busy: ConflictSet::new(n),
-            active: 0,
-            dispatched_tasks: 0,
-        }),
-        255,
-    );
-    assert_eq!(created, queue_ptr);
     // The queue object is small, receives and sends many messages: locked
     // in memory (paper optimization #1).
     rt.lock_object(queue_ptr);
-
     rt.post(queue_ptr, H_Q_KICK, Vec::new());
 
     let stats = rt.run();
 
     let mut elements = 0u64;
     let mut vertices = 0u64;
-    let mut tasks = 0u64;
     rt.for_each_object(|_, obj| {
         if let Some(l) = obj.as_any().downcast_ref::<LeafObj>() {
             elements += l.elems;
             vertices += l.verts;
-        } else if let Some(q) = obj.as_any().downcast_ref::<QueueObj>() {
-            tasks = q.dispatched_tasks;
         }
     });
-    let _ = tasks;
     MethodResult {
         elements,
         vertices,
@@ -780,72 +791,12 @@ pub fn onupdr_setup_threaded(
     cfg: MrtsConfig,
     opts: OnupdrOpts,
 ) -> mrts::threaded::ThreadedRuntime {
-    let nodes = cfg.nodes;
+    let (objects, queue_ptr) = initial_objects(params, cfg.nodes, opts);
     let mut rt = mrts::threaded::ThreadedRuntime::new(cfg);
     register_threaded(&mut rt);
-
-    let (_tree, leaves) = build_leaves(params);
-    let n = leaves.len();
-    assert!(n > 0, "no leaves intersect the domain");
-    let mut counters = vec![0u64; nodes];
-    let leaf_ptrs: Vec<MobilePtr> = (0..n)
-        .map(|i| {
-            let node = (i % nodes) as NodeId;
-            let seq = counters[i % nodes];
-            counters[i % nodes] += 1;
-            MobilePtr::new(ObjectId::new(node, seq))
-        })
-        .collect();
-    let queue_ptr = MobilePtr::new(ObjectId::new(0, counters[0]));
-
-    let mut opts = opts;
-    if opts.max_active == 0 {
-        opts.max_active = nodes as u32;
+    for (node, obj, priority, ptr) in objects {
+        assert_eq!(rt.create_object(node, obj, priority), ptr);
     }
-
-    for leaf in &leaves {
-        let node = (leaf.idx % nodes) as NodeId;
-        let created = rt.create_object(
-            node,
-            Box::new(LeafObj {
-                idx: leaf.idx as u32,
-                bbox: leaf.bbox,
-                region: leaf.region,
-                workload: params.workload,
-                opts,
-                points: Vec::new(),
-                buffer_ptrs: leaf.buffer.iter().map(|&b| leaf_ptrs[b]).collect(),
-                queue_ptr,
-                elems: 0,
-                verts: 0,
-                expected: 0,
-                collected: Vec::new(),
-            }),
-            128,
-        );
-        assert_eq!(created, leaf_ptrs[leaf.idx]);
-    }
-    let created = rt.create_object(
-        0,
-        Box::new(QueueObj {
-            workload: params.workload,
-            opts,
-            leaf_ptrs: leaf_ptrs.clone(),
-            bboxes: leaves.iter().map(|l| l.bbox).collect(),
-            buffers: leaves
-                .iter()
-                .map(|l| l.buffer.iter().map(|&b| b as u32).collect())
-                .collect(),
-            queue: VecDeque::new(),
-            in_queue: vec![false; n],
-            stale: vec![0; n],
-            busy: ConflictSet::new(n),
-            active: 0,
-            dispatched_tasks: 0,
-        }),
-        255,
-    );
-    assert_eq!(created, queue_ptr);
     rt.lock_object(queue_ptr);
     rt.post(queue_ptr, H_Q_KICK, Vec::new());
     rt
@@ -999,6 +950,50 @@ mod tests {
             ("acks_sent", ooc.stats.total_of(|n| n.acks_sent)),
         ] {
             assert_eq!(v, 0, "fault-free run charged net counter {name} = {v}");
+        }
+    }
+
+    /// The dispatch window locks up to `nodes × (1 + mean |BUF|)` leaf ∪
+    /// buffer sets at once. At the smallest budget the benchmark gives
+    /// ONUPDR — a 64 KB floor plus 7 B per element — every threaded run
+    /// must still finish; a run that stops making progress fails here
+    /// instead of hanging the suite.
+    #[test]
+    fn onupdr_threaded_finishes_at_tiny_budgets() {
+        const RUNS: usize = 20;
+        const ELEMENTS: u64 = 5_000;
+        let mut p = graded_square(ELEMENTS);
+        if let SizingSpec::Graded { h_min, h_max, .. } = &mut p.workload.sizing {
+            // The benchmark's grading: finer focus, more leaves.
+            *h_min *= 1.6 / 2.5;
+            *h_max = *h_min * 4.0;
+        }
+        let budget = (64 << 10) + 7 * ELEMENTS as usize;
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Detached on purpose when the watchdog fires: a wedged run
+        // cannot be joined, and the failing test ends the process.
+        std::thread::spawn(move || {
+            for _ in 0..RUNS {
+                let r = onupdr_run_threaded(
+                    &p,
+                    MrtsConfig::out_of_core(2, budget),
+                    OnupdrOpts::default(),
+                );
+                if tx.send(r).is_err() {
+                    return;
+                }
+            }
+        });
+        for run in 0..RUNS {
+            let r = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("run {run} of {RUNS} made no progress in 60 s"));
+            assert!(
+                r.elements > ELEMENTS / 2 && r.stats.total_of(|n| n.stores) > 0,
+                "run {run}: {} elements, {}",
+                r.elements,
+                r.stats.summary()
+            );
         }
     }
 

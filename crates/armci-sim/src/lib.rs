@@ -22,6 +22,9 @@
 //! Everything is deterministic when the network model is
 //! [`NetworkModel::instant`] and the threads are driven deterministically.
 
+// Runtime code says why a value cannot be absent (`.expect`); tests unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -100,15 +103,21 @@ impl Ord for TimedMsg {
     }
 }
 
+// Every lock in this file is a leaf: each hold is one block that takes no
+// other lock and sends nothing; `region()` releases `regions` before the
+// caller locks the region it returns.
+
 #[derive(Default)]
 struct Inbox {
+    /// Leaf lock.
     heap: Mutex<BinaryHeap<Reverse<TimedMsg>>>,
     cond: Condvar,
 }
 
 #[derive(Default)]
 struct BarrierState {
-    count: Mutex<(usize, u64)>, // (waiting, generation)
+    /// Leaf lock: (waiting, generation).
+    count: Mutex<(usize, u64)>,
     cond: Condvar,
 }
 
@@ -123,13 +132,16 @@ pub struct TrafficStats {
     pub gets: usize,
 }
 
+/// Each region's memory sits behind its own leaf lock.
 type RegionMap = HashMap<(NodeId, u64), Arc<Mutex<Vec<u8>>>>;
 
 struct Shared {
     n: usize,
     model: NetworkModel,
     inboxes: Vec<Inbox>,
+    /// Leaf lock: held only to insert or clone out one region.
     regions: Mutex<RegionMap>,
+    /// Leaf lock: the global-lock table.
     locks: Mutex<HashMap<u64, NodeId>>,
     locks_cond: Condvar,
     barrier: BarrierState,

@@ -28,6 +28,9 @@
 //! parallel mesh generation methods of the paper) and `DESIGN.md` at the
 //! workspace root for the system inventory.
 
+// Runtime code says why a value cannot be absent (`.expect`); tests unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod audit;
 pub mod balance;
 pub mod checkpoint;

@@ -2228,6 +2228,72 @@ mod tests {
         }
     }
 
+    /// Every arm of `on_net` announces what it did: per variant, a state in
+    /// which its arm has something to announce and the event it must then
+    /// emit, named through a `match` with no wildcard, so a new variant
+    /// does not compile until it has a row here. A steal denial is
+    /// announced by the victim when it denies (see the test above): the
+    /// arm that receives it emits nothing.
+    #[cfg(any(feature = "audit", debug_assertions))]
+    #[test]
+    fn every_arm_of_on_net_announces_what_it_did() {
+        use crate::audit::EventLog;
+        /// The kind of event an arm must emit; `None`: nothing.
+        type Announces = Option<fn(&RuntimeEvent) -> bool>;
+        let elsewhere = ObjectId::new(0, 9);
+        let mut next = sample_after(None);
+        while let Some(sample) = next {
+            let mut c = core_at(1);
+            let x = resident(&mut c, 7, 100);
+            let log = std::sync::Arc::new(EventLog::new());
+            c.audit = Some(log.clone());
+            let (msg, announces): (NetMsg, Announces) = match &sample {
+                NetMsg::Msg(_) => (
+                    NetMsg::Msg(msg_to(elsewhere, 0, &[])),
+                    Some(|ev| matches!(ev, RuntimeEvent::Forward { .. })),
+                ),
+                NetMsg::DirUpdate { .. } => (
+                    NetMsg::DirUpdate {
+                        oid: elsewhere,
+                        loc: 3,
+                    },
+                    Some(|ev| matches!(ev, RuntimeEvent::DirUpdate { .. })),
+                ),
+                NetMsg::MigrateReq { .. } => (
+                    NetMsg::MigrateReq { oid: x, dest: 2 },
+                    Some(|ev| matches!(ev, RuntimeEvent::MigrateOut { .. })),
+                ),
+                NetMsg::Meta { .. } => (
+                    MetaOp::Lock.on(x),
+                    Some(|ev| matches!(ev, RuntimeEvent::Pin { .. })),
+                ),
+                NetMsg::Install(_) => (
+                    NetMsg::Install(Install {
+                        oid: elsewhere,
+                        priority: 0,
+                        locked: false,
+                        version: 0,
+                        packed: Registry::pack(&Blob(100)),
+                        queue: VecDeque::new(),
+                    }),
+                    Some(|ev| matches!(ev, RuntimeEvent::MigrateIn { .. })),
+                ),
+                NetMsg::StealReq { .. } => (
+                    NetMsg::StealReq { thief: 0 },
+                    Some(|ev| matches!(ev, RuntimeEvent::StealRequest { .. })),
+                ),
+                NetMsg::StealDeny { .. } => (NetMsg::StealDeny { victim: 0 }, None),
+            };
+            let _ = arrive(&mut c, msg.clone());
+            let events = log.snapshot();
+            match announces {
+                Some(announced) => assert!(events.iter().any(announced), "{msg:?}: {events:?}"),
+                None => assert!(events.is_empty(), "{msg:?}: {events:?}"),
+            }
+            next = sample_after(Some(&sample));
+        }
+    }
+
     /// One sample per variant, chained through a `match` with no wildcard:
     /// a new variant does not compile until it has a sample here, and so a
     /// round trip and a wire literal below.

@@ -508,8 +508,8 @@ fn decode_decision_run(
 // ---------------------------------------------------------------------------
 
 /// The node a runtime event is attributed to. Total: every variant
-/// carries its node (the analyzer-checked canonical stream depends on
-/// it).
+/// carries its node, and this `match` names every variant, so the
+/// canonical stream's per-node lanes cannot miss one.
 pub fn event_node(ev: &RuntimeEvent) -> NodeId {
     use RuntimeEvent::*;
     match ev {

@@ -6,7 +6,7 @@
 //! layer: a supervisor owning a pool of `pool_nodes` simulated nodes
 //! (each with `node_budget` bytes of memory), an admission-controlled
 //! submission queue, and a per-job lifecycle state machine
-//! ([`JobState`], checked for exhaustiveness by the static analyzer).
+//! ([`JobState`], matched without a wildcard by the supervisor).
 //!
 //! ## Fault domains
 //!
@@ -231,9 +231,9 @@ impl std::fmt::Display for AdmissionError {
     }
 }
 
-/// The job lifecycle. The static analyzer proves every variant is both
-/// constructed by some transition and consumed by some supervisor match
-/// arm — an unreachable or unschedulable state is a build failure.
+/// The job lifecycle. The supervisor's matches name every variant, so a
+/// new state does not build until it is scheduled, and a unit test
+/// (`every_job_state_is_reached`) fails until some transition enters it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobState {
     /// Admitted, waiting for a domain grant.
@@ -262,8 +262,8 @@ impl JobState {
 }
 
 /// Service-level counters. Like the per-run [`RunStats`], every counter
-/// incremented anywhere in the service must be surfaced by
-/// [`ServiceStats::summary`] — the analyzer enforces it.
+/// is surfaced by [`ServiceStats::summary`]; a unit test reads the field
+/// names from `Debug` and fails on one the summary leaves out.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     pub jobs_admitted: u64,
@@ -1433,20 +1433,62 @@ mod tests {
             degraded_mode_transitions: 9,
         };
         let line = s.summary();
-        for name in [
-            "jobs_admitted",
-            "jobs_rejected",
-            "jobs_retried",
-            "jobs_recovered",
-            "jobs_quarantined",
-            "jobs_completed",
-            "queue_depth_peak",
-            "shed_events",
-            "degraded_mode_transitions",
-        ] {
+        let debug = format!("{s:?}");
+        let fields = crate::stats::integer_fields(&debug);
+        assert_eq!(fields.len(), debug.matches(':').count(), "{debug}");
+        for (name, value) in fields {
             let label = name.strip_prefix("jobs_").unwrap_or(name);
-            assert!(line.contains(label), "summary misses {name}: {line}");
+            assert!(
+                line.contains(&format!("{label}={value}")),
+                "summary misses {name}: {line}"
+            );
         }
+    }
+
+    /// Every lifecycle state is entered: a poison job (backoff, then
+    /// quarantine), a job whose node is killed between phases (recovery,
+    /// then completion) and an infeasible submission, each state counted
+    /// through a `match` with no wildcard.
+    #[test]
+    fn every_job_state_is_reached() {
+        let c = cfg(4);
+        let dir = c.replay_dir.clone();
+        let svc = JobService::new(c);
+        let mut seen = [false; 7];
+        let mut observe = |svc: &JobService| {
+            for (_, _, state, _, _) in svc.jobs() {
+                seen[match state {
+                    JobState::Queued => 0,
+                    JobState::Running { .. } => 1,
+                    JobState::Backoff { .. } => 2,
+                    JobState::Recovering { .. } => 3,
+                    JobState::Completed => 4,
+                    JobState::Quarantined => 5,
+                    JobState::Rejected => 6,
+                }] = true;
+            }
+        };
+        svc.submit(JobSpec::new("poison", 1, 1 << 20), StubJob::flaky(1, 99))
+            .expect("admitted");
+        let killed = svc
+            .submit(JobSpec::new("killed", 2, 1 << 20), StubJob::ok(3, 0))
+            .expect("admitted");
+        svc.submit(JobSpec::new("wide", 8, 1), StubJob::ok(1, 0))
+            .expect_err("infeasible");
+        observe(&svc);
+        let mut kill_pending = true;
+        while svc.step_serial() {
+            observe(&svc);
+            // Parked between its first and second phase: its domain dies.
+            if kill_pending && svc.job_phase_stats(killed).len() == 1 {
+                let node = lock(&svc.state).records[&killed].domain[0];
+                svc.kill_node(node);
+                kill_pending = false;
+                observe(&svc);
+            }
+        }
+        assert_eq!(seen, [true; 7]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -497,6 +497,21 @@ pub fn node_idx(n: NodeId) -> usize {
     n as usize
 }
 
+/// `(field, value)` for every field of a flat struct's `Debug` text that
+/// prints as an unsigned integer: how the counter tests name every
+/// counter without keeping a list by hand.
+#[cfg(test)]
+pub(crate) fn integer_fields(debug: &str) -> Vec<(&str, u64)> {
+    let body = debug.split_once('{').map_or("", |(_, b)| b);
+    body.trim_end_matches('}')
+        .split(',')
+        .filter_map(|field| {
+            let (name, value) = field.split_once(':')?;
+            Some((name.trim(), value.trim().parse().ok()?))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,6 +743,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every integer field of `NodeStats` is a counter `counter_groups`
+    /// reports, so one added later cannot be forgotten. The locality
+    /// digest is an identity, not a count.
+    #[test]
+    fn counter_groups_name_every_integer_field() {
+        let debug = format!("{:?}", NodeStats::default());
+        let mut fields: Vec<&str> = integer_fields(&debug)
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|&name| name != "locality_digest")
+            .collect();
+        let mut named: Vec<&str> = (empty_stats(1).counter_groups().iter())
+            .flat_map(|g| g.counters.iter().map(|&(name, _)| name))
+            .collect();
+        fields.sort_unstable();
+        named.sort_unstable();
+        assert_eq!(fields, named);
     }
 
     #[test]

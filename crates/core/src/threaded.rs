@@ -1525,12 +1525,14 @@ struct WorkerResult {
 }
 
 /// One node's spill store, shared by its I/O pool during the run and read
-/// by the runtime's result accessors after it.
+/// by the runtime's result accessors after it. A leaf lock: each hold is
+/// one block that takes no other lock and sends on no channel.
 type SharedStore = crate::sync::Arc<crate::sync::Mutex<Box<dyn StorageBackend>>>;
 
 /// Bounded pool of reusable pack buffers shared by one node's I/O pool
 /// workers: at most `max` idle buffers are kept, the rest are dropped.
 struct BufferPool {
+    /// Leaf lock: held only to pop or push one buffer.
     bufs: crate::sync::Mutex<Vec<Vec<u8>>>,
     max: usize,
 }

@@ -644,9 +644,10 @@ fn event_log_captures_lifecycle_of_a_run() {
 fn threaded_run_is_clean_and_race_free() {
     let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
     let det = Arc::new(RaceDetector::new(3));
+    let log = Arc::new(EventLog::new());
     let mut rt = ThreadedRuntime::new(MrtsConfig::in_core(3));
     register_threaded(&mut rt);
-    rt.attach_audit(chk.clone());
+    rt.attach_audit(Arc::new(FanOut::new(vec![chk.clone(), log.clone()])));
     rt.attach_race_detector(det.clone());
     let cells: Vec<MobilePtr> = (0..3)
         .map(|n| rt.create_object(n as NodeId, Cell::new(128), 128))
@@ -670,6 +671,16 @@ fn threaded_run_is_clean_and_race_free() {
     assert!(chk.events_seen() > 0, "instrumentation emitted nothing");
     assert!(chk.violations().is_empty(), "{:?}", chk.violations());
     det.assert_race_free();
+    // Node 0 announces termination when its probe comes back clean, the
+    // others when its exit reaches them: the checker's quiescence check
+    // rides on each node's one announcement.
+    let mut terminated = [0; 3];
+    for ev in log.snapshot() {
+        if let RuntimeEvent::Terminate { node } = ev {
+            terminated[node as usize] += 1;
+        }
+    }
+    assert_eq!(terminated, [1; 3]);
     for p in cells {
         rt.with_object(p, |o| {
             assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 3);

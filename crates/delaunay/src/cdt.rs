@@ -47,7 +47,7 @@ impl TriMesh {
         loop {
             out.push(t);
             let tri = self.tri(t);
-            let i = tri.index_of(v).unwrap();
+            let i = tri.index_of(v).expect("every triangle of v's star has v");
             let n = tri.nbr[(i + 1) % 3];
             if n == NO_TRI {
                 break;
@@ -61,7 +61,7 @@ impl TriMesh {
         let mut t = start;
         loop {
             let tri = self.tri(t);
-            let i = tri.index_of(v).unwrap();
+            let i = tri.index_of(v).expect("every triangle of v's star has v");
             let n = tri.nbr[(i + 2) % 3];
             if n == NO_TRI {
                 break;
@@ -96,7 +96,9 @@ impl TriMesh {
         let mut through: Option<VId> = None;
         for t in self.star_of(va, start) {
             let tri = self.tri(t);
-            let i = tri.index_of(va).unwrap();
+            let i = tri
+                .index_of(va)
+                .expect("every triangle of va's star has va");
             let x = tri.v[(i + 1) % 3];
             let y = tri.v[(i + 2) % 3];
             let px = self.point(x);
@@ -185,7 +187,7 @@ impl TriMesh {
                 Orientation::CounterClockwise => {
                     // w joins the upper chain; exit through edge (w, last
                     // lower vertex).
-                    let y_cur = *lower.last().unwrap();
+                    let y_cur = *lower.last().expect("the lower chain starts at x0");
                     upper.push(w);
                     let e = self
                         .find_edge(n, w, y_cur)
@@ -193,7 +195,7 @@ impl TriMesh {
                     er = EdgeRef { t: n, e };
                 }
                 Orientation::Clockwise => {
-                    let x_cur = *upper.last().unwrap();
+                    let x_cur = *upper.last().expect("the upper chain starts at y0");
                     lower.push(w);
                     let e = self
                         .find_edge(n, x_cur, w)

@@ -30,6 +30,10 @@
 //! assert!(mesh.validate().is_ok());
 //! ```
 
+// The kernel runs inside every handler: it says why a value cannot be
+// absent (`.expect`); tests unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod builder;
 pub mod cdt;
 pub mod insert;

@@ -428,7 +428,9 @@ impl TriMesh {
                     continue;
                 }
                 let ntri = self.tri(n);
-                let j = ntri.nbr_index_of(t).unwrap();
+                let j = ntri
+                    .nbr_index_of(t)
+                    .expect("neighbour links are symmetric (`validate` holds)");
                 let opp = ntri.v[j];
                 if incircle(a, b, c, self.point(opp)) > 0 {
                     return Err(format!(

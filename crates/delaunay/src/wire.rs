@@ -58,14 +58,14 @@ impl<'a> Reader<'a> {
         let end = self.pos + 4;
         let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
-        Ok(u32::from_le_bytes(s.try_into().unwrap()))
+        Ok(u32::from_le_bytes(s.try_into().expect("a 4-byte slice")))
     }
 
     pub fn u64(&mut self) -> Result<u64, WireError> {
         let end = self.pos + 8;
         let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
-        Ok(u64::from_le_bytes(s.try_into().unwrap()))
+        Ok(u64::from_le_bytes(s.try_into().expect("an 8-byte slice")))
     }
 
     pub fn f64(&mut self) -> Result<f64, WireError> {

@@ -23,6 +23,10 @@
 //! for NUPDR, and point-set data distribution for UPDR/NUPDR with
 //! conformity by Delaunay uniqueness over shared buffer points.
 
+// Handlers run inside the engines: they say why a value cannot be absent
+// (`.expect`); tests unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod common;
 pub mod domain;
 pub mod mesh_job;

@@ -42,10 +42,10 @@
 //! at non-default widths skip replay-artifact persistence, since an
 //! artifact must be reproducible from its harness id + seed alone.
 //!
-//! `--analyze` runs only the `mrts-analyzer` static-analysis pass
-//! (protocol exhaustiveness, lock-order graph, runtime unwrap ban)
-//! against the workspace source; the default gate also runs it between
-//! the test suite and the invariant sweep.
+//! Source-level rules ride on steps 2 and 4: the runtime crates deny
+//! `clippy::unwrap_used` outside tests, and unit tests pin that every
+//! `NetMsg` arm is audited, every counter reported, and every replay
+//! `Decision` and `JobState` reached (DESIGN.md §12).
 //!
 //! Record/replay: both chaos sweeps record every threaded schedule's
 //! nondeterministic decisions and, on failure, persist a self-describing
@@ -79,44 +79,6 @@ fn cargo(args: &[&str]) -> bool {
         }
         Err(e) => {
             eprintln!("audit: could not spawn cargo: {e}");
-            false
-        }
-    }
-}
-
-/// Run the source-level static analysis (protocol exhaustiveness,
-/// lock-order graph, runtime unwrap ban) over the workspace tree.
-fn static_analysis() -> bool {
-    println!("==> mrts-analyzer (protocol / lock-order / unwrap-ban)");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    match mrts_analyzer::analyze_tree(root) {
-        Ok(report) => {
-            println!(
-                "    {} tags, {} counters, {} decisions, {} service states, {} locks, \
-                 {} fns scanned",
-                report.tags_checked,
-                report.counters_checked,
-                report.decisions_checked,
-                report.service_states_checked,
-                report.locks_seen,
-                report.fns_scanned
-            );
-            for v in &report.violations {
-                eprintln!("    {v}");
-            }
-            if report.pass() {
-                println!("    analysis clean");
-                true
-            } else {
-                eprintln!(
-                    "audit: static analysis found {} violation(s)",
-                    report.violations.len()
-                );
-                false
-            }
-        }
-        Err(e) => {
-            eprintln!("audit: static analysis could not run: {e}");
             false
         }
     }
@@ -1627,7 +1589,6 @@ fn main() -> ExitCode {
     let mut chaos_net = false;
     let mut chaos_service = false;
     let mut quick = false;
-    let mut analyze = false;
     let mut replay_smoke = false;
     let mut seed: Option<u64> = None;
     let mut nodes: Option<usize> = None;
@@ -1639,7 +1600,6 @@ fn main() -> ExitCode {
             "--chaos-net" => chaos_net = true,
             "--chaos-service" => chaos_service = true,
             "--quick" => quick = true,
-            "--analyze" => analyze = true,
             "--replay-smoke" => replay_smoke = true,
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => seed = Some(v),
@@ -1665,7 +1625,7 @@ fn main() -> ExitCode {
             bad => {
                 eprintln!(
                     "audit: unknown flag {bad} (expected --chaos, --chaos-net, \
-                     --chaos-service, --analyze, --replay-smoke, --replay <path>, \
+                     --chaos-service, --replay-smoke, --replay <path>, \
                      --seed <n>, --nodes <n> and/or --quick)"
                 );
                 return ExitCode::FAILURE;
@@ -1684,8 +1644,6 @@ fn main() -> ExitCode {
         replay_harness::replay_artifact_cmd(&path)
     } else if replay_smoke {
         replay_harness::smoke(quick)
-    } else if analyze {
-        static_analysis()
     } else if chaos_service {
         chaos_service_sweep::run(quick, nodes)
     } else if chaos_net {
@@ -1694,7 +1652,6 @@ fn main() -> ExitCode {
         chaos_sweep::run(quick, seed, nodes.unwrap_or(2))
     } else {
         lint_and_test()
-            && static_analysis()
             && invariant_sweep::run()
             && chaos_sweep::run(true, None, 2)
             && chaos_net_sweep::run(true, None, 2)

@@ -78,13 +78,29 @@ fn run_once(seed: u64, label: &str, replay: Option<DecisionLog>) -> Run {
 
 #[test]
 fn recorded_chaos_net_schedule_replays_byte_identically() {
-    let rec = run_once(11, "e2e-rec", None);
+    let rec = run_once(26, "e2e-rec", None);
+    // Seed 26's plan delays the first frame node 0 sends and drops the
+    // first two node 1 sends, so every run defers, flushes and times out:
+    // out of core, the recording asks every question the input gateway
+    // has. A decision kind nobody records (or replays) fails here, and a
+    // new kind does not compile until it is counted.
+    let mut kinds = [0usize; 7];
+    for d in rec.decisions.nodes.iter().flatten() {
+        kinds[match d {
+            Decision::FabricRecv { .. } => 0,
+            Decision::FabricEmpty => 1,
+            Decision::IoDone { .. } => 2,
+            Decision::IoEmpty => 3,
+            Decision::FlushDeferred { .. } => 4,
+            Decision::TimerExpire { .. } => 5,
+            Decision::PumpEnd => 6,
+        }] += 1;
+    }
     assert!(
-        rec.stats.total_of(|n| n.decisions_recorded) > 0,
-        "recording was vacuous: {}",
-        rec.stats.summary()
+        kinds.iter().all(|&n| n > 0),
+        "decision kinds recorded: {kinds:?}"
     );
-    let rep = run_once(11, "e2e-rep", Some(rec.decisions.clone()));
+    let rep = run_once(26, "e2e-rep", Some(rec.decisions.clone()));
     assert_eq!(
         rep.stats.total_of(|n| n.replay_divergences),
         0,

@@ -30,7 +30,6 @@
 //! phases. Virtual clocks restart from zero in the restored runtime.
 
 use crate::codec::{PayloadReader, PayloadWriter, Truncated};
-use crate::config::MrtsConfig;
 use crate::des::DesRuntime;
 use crate::fault::MrtsError;
 use crate::ids::{MobilePtr, NodeId, ObjectId};
@@ -297,15 +296,6 @@ impl DesRuntime {
     pub fn checkpoint(&mut self) -> Checkpoint {
         let (objects, next_seq) = self.snapshot_objects();
         Checkpoint { objects, next_seq }
-    }
-
-    /// Convenience: checkpoint, then rebuild under a new configuration.
-    /// Types/handlers must be re-registered by the caller on the result.
-    pub fn migrate_to_config(mut self, cfg: MrtsConfig) -> (Checkpoint, DesRuntime) {
-        let cp = self.checkpoint();
-        let rt = DesRuntime::new(cfg);
-        let restored = cp.restore_into(rt);
-        (cp, restored)
     }
 }
 

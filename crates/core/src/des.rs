@@ -218,10 +218,6 @@ impl DesRuntime {
         &self.cfg
     }
 
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
     /// Register an object type decoder.
     pub fn register_type(&mut self, tag: crate::ids::TypeTag, decode: crate::object::DecodeFn) {
         self.registry.register_type(tag, decode);
@@ -1143,43 +1139,6 @@ impl DesRuntime {
         }
         let next_seq = self.nodes.iter().map(|n| n.next_obj_seq).collect();
         (out, next_seq)
-    }
-
-    // ----- load-balancing support (see crate::balance) ----------------------
-
-    /// Observe all live objects for the balancer.
-    pub(crate) fn observe_balance_items(
-        &self,
-        by: crate::balance::BalanceBy,
-    ) -> Vec<crate::balance::BalanceItem> {
-        let mut out = Vec::new();
-        for (node, n) in self.nodes.iter().enumerate() {
-            for (&oid, e) in &n.core.table {
-                if matches!(e.state, State::Moved(_)) {
-                    continue;
-                }
-                let weight = match by {
-                    crate::balance::BalanceBy::Footprint => e.footprint as u64,
-                    crate::balance::BalanceBy::QueuedWork => e.queue.len() as u64,
-                };
-                out.push(crate::balance::BalanceItem {
-                    oid,
-                    node: node as NodeId,
-                    weight,
-                    locked: e.locked,
-                });
-            }
-        }
-        out.sort_by_key(|i| i.oid);
-        out
-    }
-
-    /// Request an object migration (processed by the next [`DesRuntime::run`]).
-    pub(crate) fn request_migration(&mut self, ptr: MobilePtr, dest: NodeId) {
-        let owner = self.owner_of(ptr.id);
-        let at = self.now;
-        let req = NetMsg::MigrateReq { oid: ptr.id, dest };
-        self.push_event(at, owner, EvKind::Net(req));
     }
 
     /// Number of live objects across all nodes.

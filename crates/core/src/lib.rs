@@ -32,7 +32,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod audit;
-pub mod balance;
 pub mod checkpoint;
 pub mod codec;
 pub mod compute;
@@ -55,7 +54,6 @@ pub mod sched;
 pub mod service;
 pub mod stats;
 pub mod storage;
-pub mod sync;
 pub mod threaded;
 
 /// The commonly used names in one import.

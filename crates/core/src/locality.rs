@@ -116,11 +116,6 @@ impl LocalityMap {
         self.edges += 1;
     }
 
-    /// Number of undirected edges learned so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
     /// Bumped on every rebuild.
     pub fn generation(&self) -> u64 {
         self.generation

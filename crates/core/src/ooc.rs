@@ -68,24 +68,11 @@ pub struct OocManager {
     /// Degraded (disk-pressure) mode: the spill store is refusing writes
     /// (`ENOSPC` or persistent failure), so eviction is pointless — the
     /// manager stops demanding evictions and reports no soft pressure
-    /// until the engine probes the backend healthy again.
-    degraded: DegradedState,
-}
-
-/// First-class degraded-mode state of one node's out-of-core manager.
-/// Entry and exit are engine-driven (store failure → enter, successful
-/// probe → exit); each direction of the transition is counted in
-/// `NodeStats::degraded_mode_transitions` so recovery is observable from
-/// stats alone, not only from the audit stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DegradedState {
-    /// Store healthy: admission demands evictions, advisory swapping runs.
-    #[default]
-    Normal,
-    /// Store refusing writes: admission is unconditional (deliberate
-    /// budget overshoot), eviction and soft pressure are suspended.
-    /// Carries the manager clock at entry, for diagnostics.
-    Degraded { since_tick: u64 },
+    /// (admission is unconditional, a deliberate budget overshoot) until
+    /// the engine probes the backend healthy again. Entry and exit are
+    /// engine-driven; each transition is counted in
+    /// `NodeStats::degraded_mode_transitions`.
+    degraded: bool,
 }
 
 impl OocManager {
@@ -99,33 +86,22 @@ impl OocManager {
             largest_spilled: 0,
             clock: 0,
             peak_used: 0,
-            degraded: DegradedState::Normal,
+            degraded: false,
         }
     }
 
     /// Enter degraded mode. Returns `true` on the transition (callers emit
     /// the audit event and bump stats exactly once).
     pub fn enter_degraded(&mut self) -> bool {
-        if matches!(self.degraded, DegradedState::Degraded { .. }) {
-            return false;
-        }
-        self.degraded = DegradedState::Degraded {
-            since_tick: self.clock,
-        };
-        true
+        !std::mem::replace(&mut self.degraded, true)
     }
 
     /// Leave degraded mode. Returns `true` on the transition.
     pub fn exit_degraded(&mut self) -> bool {
-        std::mem::replace(&mut self.degraded, DegradedState::Normal) != DegradedState::Normal
+        std::mem::replace(&mut self.degraded, false)
     }
 
     pub fn is_degraded(&self) -> bool {
-        self.degraded != DegradedState::Normal
-    }
-
-    /// The typed degraded-mode state (see [`DegradedState`]).
-    pub fn degraded_state(&self) -> DegradedState {
         self.degraded
     }
 

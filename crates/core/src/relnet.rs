@@ -3,16 +3,19 @@
 //!
 //! [`ReliableSender`], [`ReliableReceiver`] and [`Safra`] hold *all* of
 //! the protocol-visible state of the ack/retransmit/dedup layer and of
-//! Safra's termination ring; `threaded.rs` owns only the physical
-//! concerns wrapped around them (fault injection, backoff timers,
-//! deferred transmissions). Because the types are deterministic (BTree
-//! containers, no clocks), the loom suite (`tests/loom.rs`, built with
-//! `--cfg loom`) can drive the exact production state machines from
-//! concurrent model-checked threads and exhaustively verify:
+//! Safra's termination ring, and [`Safra::on_idle`] makes the ring's one
+//! decision; `threaded.rs` owns only the physical concerns wrapped around
+//! them (fault injection, backoff timers, deferred transmissions, the
+//! sends themselves). The types are plain data (BTree containers, no
+//! clocks), so `tests/relnet_explore.rs` clones, hashes and compares them
+//! to enumerate every delivery order, drop and duplicate of a small
+//! 3-node run and checks:
 //!
 //! * exactly-once, per-edge-FIFO release under duplication + reordering;
 //! * retransmit give-up restoring the global Safra sum *before* the
-//!   ring can observe quiescence.
+//!   ring can observe quiescence;
+//! * termination declared only once every message is released or
+//!   cancelled.
 //!
 //! Invariant the two sides maintain together: at any instant,
 //! `sum over nodes of Safra.counter == logical sends not yet released
@@ -24,14 +27,14 @@ use std::collections::BTreeMap;
 
 /// Sender half of the reliable edge: per-destination sequence numbers
 /// plus the unacknowledged-frame buffer.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ReliableSender {
     send_seq: BTreeMap<NodeId, u64>,
     unacked: BTreeMap<(NodeId, u64), Pending>,
 }
 
 /// One logical message awaiting acknowledgement.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Pending {
     pub tag: u32,
     /// Full frame including the 8-byte little-endian sequence prefix,
@@ -126,18 +129,13 @@ impl ReliableSender {
     pub fn outstanding(&self) -> usize {
         self.unacked.len()
     }
-
-    /// Keys of every outstanding frame (for the caller's timer wheel).
-    pub fn outstanding_keys(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.unacked.keys().copied()
-    }
 }
 
 /// Receiver half: duplicate suppression plus in-order (per-source)
 /// release. Frames are *held* above the release watermark so handler
 /// execution is exactly-once and FIFO per edge no matter how the fabric
 /// duplicated or reordered the physical transmissions.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ReliableReceiver {
     /// Next sequence number to release, per source.
     expected: BTreeMap<NodeId, u64>,
@@ -192,7 +190,7 @@ impl ReliableReceiver {
 /// ([`Safra::on_cancel`]) subtracts the send exactly like a delivery
 /// would — and blackens the node, so the probe round that overlapped
 /// the cancellation can never report clean.
-#[derive(Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Safra {
     pub counter: i64,
     pub color_black: bool,
@@ -202,22 +200,22 @@ pub struct Safra {
     pub initiated: bool,
 }
 
-impl Default for Safra {
-    fn default() -> Safra {
-        Safra::new()
-    }
+/// What an idle node does on the ring, decided by [`Safra::on_idle`].
+/// The caller sends the token or broadcasts the exit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RingStep {
+    /// Nothing to do: the token is elsewhere.
+    Wait,
+    /// Send the token `(black, q)` to ring successor `to`.
+    Pass { to: NodeId, black: bool, q: i64 },
+    /// Node 0 holds a clean probe (or there are no peers): the
+    /// computation is quiescent.
+    Terminate,
 }
 
 impl Safra {
     pub fn new() -> Safra {
-        Safra {
-            counter: 0,
-            color_black: false,
-            has_token: false,
-            token_black: false,
-            token_q: 0,
-            initiated: false,
-        }
+        Safra::default()
     }
 
     /// A logical data message was sent to a peer.
@@ -246,16 +244,49 @@ impl Safra {
         self.token_q = q;
     }
 
+    /// The ring step of an idle `node` out of `n_nodes` (the caller
+    /// checks idleness). Node 0 starts a probe, or judges the returned
+    /// one: clean means terminate, dirty means start another. Every
+    /// other node holding the token forwards it.
+    pub fn on_idle(&mut self, node: NodeId, n_nodes: usize) -> RingStep {
+        if n_nodes == 1 {
+            return RingStep::Terminate;
+        }
+        if node != 0 {
+            if !self.has_token {
+                return RingStep::Wait;
+            }
+            let (black, q) = self.forward_token();
+            let to = ((node as usize + 1) % n_nodes) as NodeId;
+            return RingStep::Pass { to, black, q };
+        }
+        if self.initiated {
+            if !self.has_token {
+                return RingStep::Wait;
+            }
+            self.has_token = false;
+            if self.probe_clean() {
+                return RingStep::Terminate;
+            }
+        }
+        self.start_probe();
+        RingStep::Pass {
+            to: 1,
+            black: false,
+            q: 0,
+        }
+    }
+
     /// Node 0, holding a returned probe: does it prove global
     /// quiescence? (The caller must separately be idle.)
-    pub fn probe_clean(&self) -> bool {
+    fn probe_clean(&self) -> bool {
         !self.token_black && !self.color_black && self.token_q + self.counter == 0
     }
 
     /// An intermediate idle node forwards the token: consume it, fold in
     /// this node's color and counter, whiten, and return `(black, q)`
     /// for the next hop.
-    pub fn forward_token(&mut self) -> (bool, i64) {
+    fn forward_token(&mut self) -> (bool, i64) {
         self.has_token = false;
         let black = self.token_black || self.color_black;
         let q = self.token_q + self.counter;
@@ -264,8 +295,9 @@ impl Safra {
     }
 
     /// Node 0 starts (or restarts) a probe round: consume any held
-    /// token, whiten, and send a fresh white token with `q = 0`.
-    pub fn start_probe(&mut self) {
+    /// token and whiten. The caller sends the fresh token, white with
+    /// `q = 0`.
+    fn start_probe(&mut self) {
         self.initiated = true;
         self.has_token = false;
         self.color_black = false;
@@ -345,12 +377,17 @@ mod tests {
         a.on_cancel();
         assert_eq!(a.counter + b.counter, 0, "sum restored");
         assert!(a.color_black, "cancel taints the current probe round");
-        // A probe round after the cancel: a is whitened by forwarding,
-        // the round it tainted reports dirty, the next reports clean.
-        a.start_probe();
-        b.on_token(false, 0);
-        let (black, q) = b.forward_token();
+        // A probe round after the cancel: a is whitened by starting it,
+        // and the round comes back clean.
+        let RingStep::Pass { to: 1, black, q } = a.on_idle(0, 2) else {
+            panic!("node 0 starts a probe");
+        };
+        assert_eq!(b.on_idle(1, 2), RingStep::Wait, "no token yet");
+        b.on_token(black, q);
+        let RingStep::Pass { to: 0, black, q } = b.on_idle(1, 2) else {
+            panic!("node 1 forwards the token home");
+        };
         a.on_token(black, q);
-        assert!(a.probe_clean());
+        assert_eq!(a.on_idle(0, 2), RingStep::Terminate);
     }
 }

@@ -301,9 +301,10 @@ impl ServiceStats {
     }
 }
 
-/// The service-level health state (distinct from per-node
-/// [`crate::ooc::DegradedState`]: a node recovers by probing its own
-/// disk; the service recovers by observing fault-free completions).
+/// The service-level health state (distinct from a node's degraded mode,
+/// [`crate::ooc::OocManager::is_degraded`]: a node recovers by probing
+/// its own disk; the service recovers by observing fault-free
+/// completions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ServiceHealth {
     Normal,
@@ -387,7 +388,6 @@ struct JobRecord {
     virtual_spent: Duration,
     /// Cumulative backoff delay charged by the retry policy.
     backoff_total: Duration,
-    last_stats: Option<RunStats>,
     /// Engine stats of every committed phase, in commit order (failed
     /// attempts carry no stats and discarded doomed results are not
     /// committed). Lets callers total counters across a multi-phase job
@@ -505,7 +505,6 @@ impl JobService {
                 doomed: None,
                 virtual_spent: Duration::ZERO,
                 backoff_total: Duration::ZERO,
-                last_stats: None,
                 phase_stats: Vec::new(),
                 outcome: None,
                 failure: verdict.as_ref().err().map(|e| e.to_string()),
@@ -657,19 +656,6 @@ impl JobService {
     /// Cumulative backoff the retry policy charged this job.
     pub fn backoff_total(&self, id: JobId) -> Option<Duration> {
         lock(&self.state).records.get(&id).map(|r| r.backoff_total)
-    }
-
-    /// Per-job scope of the shared counter block: the job's last
-    /// committed [`RunStats`] (the satellite-6 refactor renders these
-    /// with the same [`crate::stats::CounterGroup`] machinery as the
-    /// whole-process summary, so per-job and service stats cannot drift).
-    pub fn job_stats(&self, id: JobId) -> Option<RunStats> {
-        lock(&self.state).records.get(&id).and_then(|r| {
-            r.outcome
-                .as_ref()
-                .map(|o| o.stats.clone())
-                .or_else(|| r.last_stats.clone())
-        })
     }
 
     /// Engine stats of every phase the job committed, in commit order.
@@ -990,8 +976,7 @@ fn commit(
             rec.checkpoint = Some(checkpoint);
             rec.phase += 1;
             rec.virtual_spent += stats.total;
-            rec.phase_stats.push(stats.clone());
-            rec.last_stats = Some(stats);
+            rec.phase_stats.push(stats);
             let spent = rec.virtual_spent;
             if let Some(deadline) = rec.spec.deadline {
                 if spent > deadline {

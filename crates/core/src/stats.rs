@@ -13,7 +13,6 @@
 //! which at least two resources were busy simultaneously. We implement the
 //! latter (clamped at 0).
 
-use crate::ids::NodeId;
 use std::time::Duration;
 
 /// Busy-time accumulators and counters for one node.
@@ -490,11 +489,6 @@ pub fn empty_stats(n: usize) -> RunStats {
         nodes: vec![NodeStats::default(); n],
         measured_overlap: false,
     }
-}
-
-/// Identifier helper for per-node indexing.
-pub fn node_idx(n: NodeId) -> usize {
-    n as usize
 }
 
 /// `(field, value)` for every field of a flat struct's `Debug` text that

@@ -66,7 +66,7 @@ use crate::msg::Message;
 use crate::netfault::{NetFaultKind, NetFaultPlan};
 use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore, State};
 use crate::object::{MobileObject, Registry};
-use crate::relnet::{ReliableReceiver, ReliableSender, Safra, TimerAction};
+use crate::relnet::{ReliableReceiver, ReliableSender, RingStep, Safra, TimerAction};
 use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT};
 use crate::sched::VictimCursor;
 use crate::stats::{NodeStats, RunStats};
@@ -459,7 +459,7 @@ struct NetLayer {
     plan: NetFaultPlan,
     /// Protocol state, sender half: sequence assignment plus the
     /// unacknowledged-frame buffer (see [`crate::relnet`]; the same
-    /// state machine the loom suite model-checks).
+    /// state machine `tests/relnet_explore.rs` enumerates).
     tx: ReliableSender,
     /// Protocol state, receiver half: dedup plus in-order release.
     rx: ReliableReceiver,
@@ -1290,44 +1290,22 @@ impl Worker {
         self.am(to, AM_TOKEN, payload);
     }
 
-    /// Safra's algorithm: node 0 initiates white tokens carrying a running
-    /// message-count sum; a probe that returns white with
-    /// `q + counter_0 == 0` to a white, idle node 0 proves global
-    /// quiescence.
+    /// Safra's algorithm, when idle: [`Safra::on_idle`] decides the ring
+    /// step; this sends the token or, on quiescence, the exit.
     fn try_pass_token(&mut self) {
         if !self.idle() {
             return;
         }
-        if self.n_nodes == 1 {
-            // Idle with no peers and no in-flight work: done.
-            self.done = true;
-            audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
-            return;
-        }
-        if self.node == 0 {
-            if !self.safra.initiated {
-                self.safra.start_probe();
-                self.send_token(1, false, 0);
-                return;
-            }
-            if self.safra.has_token {
-                self.safra.has_token = false;
-                if self.safra.probe_clean() {
-                    for n in 1..self.n_nodes as NodeId {
-                        self.am(n, AM_EXIT, vec![]);
-                    }
-                    self.done = true;
-                    audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
-                    return;
+        match self.safra.on_idle(self.node, self.n_nodes) {
+            RingStep::Wait => {}
+            RingStep::Pass { to, black, q } => self.send_token(to, black, q),
+            RingStep::Terminate => {
+                for n in 1..self.n_nodes as NodeId {
+                    self.am(n, AM_EXIT, vec![]);
                 }
-                // Unclean probe: whiten and try again.
-                self.safra.start_probe();
-                self.send_token(1, false, 0);
+                self.done = true;
+                audit_emit!(self.core.audit, RuntimeEvent::Terminate { node: self.node });
             }
-        } else if self.safra.has_token {
-            let (black, q) = self.safra.forward_token();
-            let next = ((self.node as usize + 1) % self.n_nodes) as NodeId;
-            self.send_token(next, black, q);
         }
     }
 
@@ -1527,20 +1505,20 @@ struct WorkerResult {
 /// One node's spill store, shared by its I/O pool during the run and read
 /// by the runtime's result accessors after it. A leaf lock: each hold is
 /// one block that takes no other lock and sends on no channel.
-type SharedStore = crate::sync::Arc<crate::sync::Mutex<Box<dyn StorageBackend>>>;
+type SharedStore = std::sync::Arc<parking_lot::Mutex<Box<dyn StorageBackend>>>;
 
 /// Bounded pool of reusable pack buffers shared by one node's I/O pool
 /// workers: at most `max` idle buffers are kept, the rest are dropped.
 struct BufferPool {
     /// Leaf lock: held only to pop or push one buffer.
-    bufs: crate::sync::Mutex<Vec<Vec<u8>>>,
+    bufs: parking_lot::Mutex<Vec<Vec<u8>>>,
     max: usize,
 }
 
 impl BufferPool {
     fn new(max: usize) -> Self {
         BufferPool {
-            bufs: crate::sync::Mutex::new(Vec::new()),
+            bufs: parking_lot::Mutex::new(Vec::new()),
             max,
         }
     }
@@ -1585,7 +1563,7 @@ fn spawn_io_pool(
     let retry = ENGINE_RETRY;
     let (req_tx, req_rx) = channel::unbounded::<IoReq>();
     let (done_tx, done_rx) = channel::unbounded::<IoDone>();
-    let store = crate::sync::Arc::new(crate::sync::Mutex::new(store));
+    let store = std::sync::Arc::new(parking_lot::Mutex::new(store));
     let pool = std::sync::Arc::new(BufferPool::new(n_threads * 2 + 2));
     let mut handles = Vec::with_capacity(n_threads);
     for t in 0..n_threads {

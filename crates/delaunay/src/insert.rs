@@ -12,7 +12,10 @@
 
 use crate::locate::{Location, WalkMode};
 use crate::mesh::{EdgeRef, TId, TriMesh, VFlags, VId, NO_TRI};
-use pumg_geometry::incircle;
+use pumg_geometry::{incircle, BBox, Point2};
+
+/// Live triangles per cell of [`TriMesh::insert_points`]'s start grid.
+const TRIS_PER_CELL: f64 = 8.0;
 
 /// Result of [`TriMesh::insert_point`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,6 +34,86 @@ impl TriMesh {
     pub fn insert_point(&mut self, p: pumg_geometry::Point2, flags: VFlags) -> InsertOutcome {
         let loc = self.locate(p);
         self.insert_at_location(p, loc, flags)
+    }
+
+    /// Insert `pts` in order. Returns the outcomes of, and leaves the same
+    /// mesh — arena, location hint and `encode()` bytes — as, calling
+    /// [`TriMesh::insert_point`] on each point in turn; only the walks are
+    /// shorter when the points are many and scattered.
+    ///
+    /// Each walk starts from the point's cell of a transient grid over the
+    /// points' bounding box (about [`TRIS_PER_CELL`] live triangles per
+    /// cell, each cell holding a triangle with a corner in it, refreshed
+    /// after every insertion) instead of from wherever the previous
+    /// insertion ended. Only a walk that ends strictly [`Location::Inside`]
+    /// is used: the triangle strictly containing a point is unique, so it
+    /// is what the hint walk finds too — provided that walk cannot leave the
+    /// mesh early, which holds when the mesh is convex. Every other result
+    /// (and a point off the grid or in an empty cell) takes
+    /// [`TriMesh::insert_point`], which walks from the hint. The grid is
+    /// built only when every hull edge lies on the hull's bounding
+    /// rectangle ([`TriMesh::rectangular_hull`]); on any other mesh —
+    /// carved, holed, L-shaped — walks from different starts can disagree
+    /// (`Outside` against `Inside`), so the whole call is the plain loop.
+    pub fn insert_points(&mut self, pts: &[Point2], flags: VFlags) -> Vec<InsertOutcome> {
+        let mut grid = match pts {
+            [] => None,
+            _ => self
+                .rectangular_hull()
+                .map(|hull| StartGrid::new(self, hull, pts)),
+        };
+        let mut out = Vec::with_capacity(pts.len());
+        for &p in pts {
+            let Some(start) = grid.as_mut().and_then(|g| g.start_of(p)) else {
+                out.push(self.insert_point(p, flags));
+                continue;
+            };
+            let walk = self
+                .is_alive(*start)
+                .then(|| self.locate_from(p, *start, WalkMode::Free));
+            out.push(match walk {
+                Some(Location::Inside(t)) => {
+                    self.hint = t; // what `locate` leaves behind
+                    self.insert_at_location(p, Location::Inside(t), flags)
+                }
+                _ => self.insert_point(p, flags),
+            });
+            *start = self.hint;
+        }
+        out
+    }
+
+    /// The hull's bounding rectangle, if every hull edge lies on it — the
+    /// mesh then covers exactly that rectangle, convex and without holes.
+    /// `None` for any other shape and for an empty mesh.
+    ///
+    /// One pass: every hull edge must be horizontal or vertical, the
+    /// horizontal ones on at most two lines `y = c` and the vertical ones on
+    /// at most two lines `x = c`. A closed boundary drawn on two horizontal
+    /// and two vertical lines can turn only where they cross, so it is the
+    /// rectangle they bound; a hole would be a second such boundary.
+    pub(crate) fn rectangular_hull(&self) -> Option<BBox> {
+        let (mut xs, mut ys) = ([f64::NAN; 2], [f64::NAN; 2]);
+        for tri in self.tris.iter().filter(|t| !t.is_dead()) {
+            for e in (0..3).filter(|&e| tri.nbr[e] == NO_TRI) {
+                let a = self.point(tri.v[(e + 1) % 3]);
+                let b = self.point(tri.v[(e + 2) % 3]);
+                let on_a_line = if a.y == b.y {
+                    admit_line(&mut ys, a.y)
+                } else {
+                    a.x == b.x && admit_line(&mut xs, a.x)
+                };
+                if !on_a_line {
+                    return None;
+                }
+            }
+        }
+        // `min`/`max` skip a NaN: a missing line gives a zero-width side.
+        let rect = BBox::new(
+            Point2::new(xs[0].min(xs[1]), ys[0].min(ys[1])),
+            Point2::new(xs[0].max(xs[1]), ys[0].max(ys[1])),
+        );
+        (rect.width() > 0.0 && rect.height() > 0.0).then_some(rect)
     }
 
     /// Insert `p` at a previously computed location.
@@ -451,6 +534,79 @@ impl TriMesh {
     }
 }
 
+/// Record line `c` among at most two (a NaN slot is free); false if it
+/// would be a third.
+fn admit_line(lines: &mut [f64; 2], c: f64) -> bool {
+    if lines.contains(&c) {
+        return true;
+    }
+    match lines.iter_mut().find(|v| v.is_nan()) {
+        Some(free) => {
+            *free = c;
+            true
+        }
+        None => false,
+    }
+}
+
+/// Walk starts for [`TriMesh::insert_points`]: square cells over the part
+/// of the hull the points span, one triangle per cell (`NO_TRI` if none).
+struct StartGrid {
+    origin: Point2,
+    /// Cells per unit length.
+    scale: f64,
+    nx: usize,
+    ny: usize,
+    start: Vec<TId>,
+}
+
+impl StartGrid {
+    /// Cells of about [`TRIS_PER_CELL`] triangles of a mesh that covers
+    /// `hull`, each seeded with a live triangle whose first corner is in it.
+    fn new(mesh: &TriMesh, hull: BBox, pts: &[Point2]) -> StartGrid {
+        let span = BBox::of_points(pts);
+        let origin = Point2::new(span.min.x.max(hull.min.x), span.min.y.max(hull.min.y));
+        let far = Point2::new(span.max.x.min(hull.max.x), span.max.y.min(hull.max.y));
+        let cell_area = TRIS_PER_CELL * hull.width() * hull.height() / mesh.num_tris() as f64;
+        let scale = cell_area.sqrt().recip();
+        // `as` saturates (a NaN or negative span gives 0): at least one cell
+        // per axis, and on a hull thin enough to leave one row, no more
+        // cells than triangles.
+        let cells = |len: f64| ((len * scale) as usize).min(mesh.num_tris()) + 1;
+        let mut grid = StartGrid {
+            origin,
+            scale,
+            nx: cells(far.x - origin.x),
+            ny: cells(far.y - origin.y),
+            start: Vec::new(),
+        };
+        grid.start = vec![NO_TRI; grid.nx * grid.ny];
+        for t in mesh.tri_ids() {
+            if let Some(cell) = grid.cell(mesh.point(mesh.tri(t).v[0])) {
+                grid.start[cell] = t;
+            }
+        }
+        grid
+    }
+
+    /// The cell holding `p`, if `p` is on the grid.
+    fn cell(&self, p: Point2) -> Option<usize> {
+        let fx = (p.x - self.origin.x) * self.scale;
+        let fy = (p.y - self.origin.y) * self.scale;
+        if !(fx >= 0.0 && fy >= 0.0) {
+            return None;
+        }
+        let (ix, iy) = (fx as usize, fy as usize);
+        (ix < self.nx && iy < self.ny).then(|| iy * self.nx + ix)
+    }
+
+    /// The walk start stored for `p`'s cell, if `p` is on the grid.
+    fn start_of(&mut self, p: Point2) -> Option<&mut TId> {
+        let cell = self.cell(p)?;
+        Some(&mut self.start[cell])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,6 +747,61 @@ mod tests {
         m.validate().unwrap();
         m.validate_delaunay().unwrap();
         assert!((m.total_area() - 16.0).abs() < 1e-6);
+    }
+
+    fn refined(b: crate::builder::MeshBuilder) -> TriMesh {
+        let mut m = b.build().unwrap();
+        crate::refine::refine(&mut m, &crate::refine::RefineParams::with_uniform_size(0.1));
+        m
+    }
+
+    #[test]
+    fn rectangular_hull_accepts_only_a_rectangle() {
+        use crate::builder::MeshBuilder;
+        let rect = refined(MeshBuilder::rectangle(-1.0, 0.5, 2.0, 1.75));
+        assert_eq!(
+            rect.rectangular_hull(),
+            Some(BBox::new(p(-1.0, 0.5), p(2.0, 1.75)))
+        );
+        let holed = refined(
+            MeshBuilder::rectangle(0.0, 0.0, 2.0, 2.0).with_circular_hole(p(1.0, 1.0), 0.4, 12),
+        );
+        assert_eq!(holed.rectangular_hull(), None);
+        let mut skewed = square();
+        skewed.pts[2] = p(4.0, 5.0);
+        assert_eq!(skewed.rectangular_hull(), None);
+        assert_eq!(TriMesh::new().rectangular_hull(), None);
+    }
+
+    /// The grid path leaves what the per-point loop leaves, down to the
+    /// location hint — with duplicates, points on edges and points outside
+    /// in the mix.
+    #[test]
+    fn insert_points_matches_the_loop_including_the_hint() {
+        use rand::{Rng, SeedableRng};
+        let base = refined(crate::builder::MeshBuilder::rectangle(0.0, 0.0, 3.0, 2.0));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut pts: Vec<Point2> = (0..400)
+            .map(|_| p(rng.gen_range(-0.2..3.2), rng.gen_range(-0.2..2.2)))
+            .collect();
+        pts.extend((0..40).map(|i| base.point(i * 3)));
+        pts.extend([p(1.5, 0.0), p(0.0, 1.0), p(3.0, 0.25)]);
+        pts.sort_by_key(|a| (a.x.to_bits(), a.y.to_bits()));
+        let mut looped = base.clone();
+        let want: Vec<_> = pts
+            .iter()
+            .map(|&q| looped.insert_point(q, VFlags::default()))
+            .collect();
+        let mut batched = base;
+        assert!(batched.rectangular_hull().is_some());
+        assert_eq!(batched.insert_points(&pts, VFlags::default()), want);
+        assert_eq!(batched.hint, looped.hint);
+        assert_eq!(batched.encode(), looped.encode());
+        assert!(want.contains(&InsertOutcome::Outside));
+        assert!(want
+            .iter()
+            .any(|o| matches!(o, InsertOutcome::Duplicate(_))));
+        batched.validate().unwrap();
     }
 
     #[test]

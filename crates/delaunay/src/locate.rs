@@ -396,6 +396,53 @@ mod tests {
         );
     }
 
+    /// An L of four triangles: the right arm `t0`, `t1` under the notch
+    /// edge (2,1)–(1,1), and the upper arm `t2`, `t3`.
+    fn l_shape() -> TriMesh {
+        let mut m = TriMesh::new();
+        let v: Vec<VId> = [
+            (0.0, 0.0),
+            (2.0, 0.0),
+            (2.0, 1.0),
+            (1.0, 1.0),
+            (1.0, 2.0),
+            (0.0, 2.0),
+        ]
+        .iter()
+        .map(|&(x, y)| m.add_vertex(p(x, y), VFlags::default()))
+        .collect();
+        let t0 = m.add_tri([v[0], v[1], v[2]]);
+        let t1 = m.add_tri([v[2], v[3], v[0]]);
+        let t2 = m.add_tri([v[0], v[3], v[5]]);
+        let t3 = m.add_tri([v[3], v[4], v[5]]);
+        m.link(t0, 1, t1, 1);
+        m.link(t1, 0, t2, 2);
+        m.link(t2, 0, t3, 1);
+        m.validate().unwrap();
+        m
+    }
+
+    /// On a non-convex mesh the walk's answer depends on where it starts:
+    /// from the right arm it heads straight for the point and leaves through
+    /// the notch; from the upper arm it finds the triangle. This is why
+    /// `insert_points` starts walks away from the hint only on meshes whose
+    /// hull is a rectangle.
+    #[test]
+    fn walks_from_two_starts_disagree_on_a_non_convex_mesh() {
+        let m = l_shape();
+        let q = p(0.9, 1.9); // strictly inside t3
+        assert_eq!(m.locate_from(q, 2, WalkMode::Free), Location::Inside(3));
+        match m.locate_from(q, 0, WalkMode::Free) {
+            Location::Outside(er) => {
+                assert_eq!(m.tri(er.t).nbr[er.e], NO_TRI, "left through a hull edge");
+                let (a, b) = m.edge_verts(er);
+                assert_eq!((m.point(a), m.point(b)), (p(2.0, 1.0), p(1.0, 1.0)));
+            }
+            other => panic!("expected the walk from t0 to leave the mesh, got {other:?}"),
+        }
+        assert_eq!(m.rectangular_hull(), None);
+    }
+
     #[test]
     fn walk_and_fallback_agree_without_walls() {
         let mut m = walled_strip();

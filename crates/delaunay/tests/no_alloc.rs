@@ -123,6 +123,35 @@ fn insert_allocates_only_to_grow_scratch() {
     mesh.validate().unwrap();
 }
 
+/// A batch insertion allocates its outcome list and its start grid, plus
+/// the legalization stack's doublings — the same number for 1 k points as
+/// for 4 k, never one per point. The domain is a rectangle, because only a
+/// rectangle gets the grid; random interior points meet none of its
+/// cocircular corners' degeneracies.
+#[test]
+fn insert_points_allocates_a_bounded_number_of_times() {
+    let mut mesh = MeshBuilder::rectangle(0.0, 0.0, 1.0, 0.9).build().unwrap();
+    refine(&mut mesh, &RefineParams::with_uniform_size(0.02));
+    let mut pts = stream(3);
+    mesh.reserve(5_500, 11_000);
+    let warm: Vec<Point2> = (0..100).map(|_| pts()).collect();
+    mesh.insert_points(&warm, VFlags::default()); // sizes the scratch stack
+    let budget = 2 + doublings(64);
+    for n in [1_000, 4_000] {
+        let batch: Vec<Point2> = (0..n).map(|_| pts()).collect();
+        let before = mesh.num_vertices();
+        let allocs = allocations(|| {
+            std::hint::black_box(mesh.insert_points(&batch, VFlags::default()));
+        });
+        assert_eq!(mesh.num_vertices(), before + n, "every point is new");
+        assert!(
+            allocs <= budget,
+            "inserting {n} points in one batch allocated {allocs} times (budget {budget})"
+        );
+    }
+    mesh.validate().unwrap();
+}
+
 /// Fine sizing inside a window well away from the boundary, coarse
 /// elsewhere: the measured pass works in the interior only. Near segments
 /// refinement keeps meeting exactly collinear points (split midpoints, the

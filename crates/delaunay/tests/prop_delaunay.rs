@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use pumg_delaunay::builder::MeshBuilder;
-use pumg_delaunay::mesh::{TriMesh, VFlags};
+use pumg_delaunay::mesh::{EdgeRef, TriMesh, VFlags};
 use pumg_delaunay::refine::{refine, refine_since, RefineParams};
 use pumg_geometry::Point2;
 
@@ -14,6 +14,52 @@ fn interior_points(n: usize, w: f64, h: f64) -> impl Strategy<Value = Vec<Point2
         0..n,
     )
 }
+
+/// A `w × h` domain: 0 the rectangle, 1 the rectangle with a hole, 2 an L
+/// (the last two are what `insert_points` must not accelerate).
+fn domain(shape: u8, w: f64, h: f64) -> MeshBuilder {
+    match shape {
+        0 => MeshBuilder::rectangle(0.0, 0.0, w, h),
+        1 => MeshBuilder::rectangle(0.0, 0.0, w, h).with_circular_hole(
+            Point2::new(0.5 * w, 0.5 * h),
+            0.25 * w.min(h),
+            10,
+        ),
+        _ => {
+            let mut b = MeshBuilder::new();
+            b.add_polygon(&[
+                Point2::new(0.0, 0.0),
+                Point2::new(w, 0.0),
+                Point2::new(w, 0.5 * h),
+                Point2::new(0.5 * w, 0.5 * h),
+                Point2::new(0.5 * w, h),
+                Point2::new(0.0, h),
+            ]);
+            b
+        }
+    }
+}
+
+/// A query point: random in (a margin around) the unit square scaled to
+/// the domain, or snapped onto an existing vertex (kind 2) or the midpoint
+/// of an existing edge (kind 3) — the `Duplicate` and `OnEdge` cases.
+fn query(mesh: &TriMesh, w: f64, h: f64, (kind, x, y, pick): QuerySeed) -> Point2 {
+    match kind {
+        2 => mesh.point(pick.index(mesh.num_vertices()) as u32),
+        3 => {
+            let tris: Vec<_> = mesh.tri_ids().collect();
+            let t = tris[pick.index(tris.len())];
+            let (a, b) = mesh.edge_verts(EdgeRef {
+                t,
+                e: pick.index(3),
+            });
+            mesh.point(a).midpoint(mesh.point(b))
+        }
+        _ => Point2::new(x * w, y * h),
+    }
+}
+
+type QuerySeed = (u8, f64, f64, prop::sample::Index);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -157,5 +203,43 @@ proptest! {
         prop_assert_eq!(incremental.encode(), full.encode());
         prop_assert_eq!(incremental.arena_len(), full.arena_len());
         prop_assert!(incremental.validate().is_ok());
+    }
+
+    /// `insert_points` is an `insert_point` loop: the same outcomes, the
+    /// same bytes, and — because it leaves the same location hint — the
+    /// same refinement afterwards, on rectangles (the accelerated path) and
+    /// on holed and L-shaped domains (the guard's fallback).
+    #[test]
+    fn insert_points_equals_an_insert_point_loop(
+        shape in 0u8..3,
+        w in 1.0..3.0f64,
+        h in 1.0..3.0f64,
+        size in 0.08..0.25f64,
+        seeds in prop::collection::vec(
+            (0u8..4, -0.05..1.05f64, -0.05..1.05f64, any::<prop::sample::Index>()),
+            1..160,
+        ),
+        sorted in any::<bool>(),
+    ) {
+        let mut base = domain(shape, w, h).build().unwrap();
+        let params = RefineParams::with_uniform_size(size);
+        let settled = refine(&mut base, &params).settled;
+        let mut pts: Vec<Point2> = seeds.into_iter().map(|s| query(&base, w, h, s)).collect();
+        if sorted {
+            pts.sort_by_key(|a| (a.x.to_bits(), a.y.to_bits()));
+        }
+
+        let mut looped = base.clone();
+        let want: Vec<_> = pts.iter().map(|&p| looped.insert_point(p, VFlags::default())).collect();
+        let mut batched = base;
+        let got = batched.insert_points(&pts, VFlags::default());
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(batched.encode(), looped.encode());
+
+        let r_batched = refine_since(&mut batched, &params, settled);
+        let r_looped = refine_since(&mut looped, &params, settled);
+        prop_assert_eq!(r_batched, r_looped);
+        prop_assert_eq!(batched.encode(), looped.encode());
+        prop_assert!(batched.validate().is_ok());
     }
 }

@@ -326,9 +326,9 @@ fn h_b_pts(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
 /// timing and work stealing.
 fn finish_phase3(b: &mut BlockObj, ctx: &mut Ctx) {
     let block = b.block();
-    let received = std::mem::take(&mut b.received);
+    let mut received = std::mem::take(&mut b.received);
     if let Some(mesh) = b.mesh.as_mut() {
-        block_phase3(&b.workload, &block, mesh, b.settled, &received);
+        block_phase3(&b.workload, &block, mesh, b.settled, &mut received);
         let (t, v) = block_counts(mesh, &block, &b.workload.domain.bbox());
         b.elems = t;
         b.verts = v;

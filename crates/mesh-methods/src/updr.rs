@@ -204,23 +204,21 @@ pub fn buffer_batches(
 /// Phase 3 kernel: integrate the received buffer points ("remesh Z") and
 /// restore quality. `settled` is the block's phase-1 watermark, or 0 when
 /// it is not known (a block reloaded from its wire form): refinement then
-/// re-examines every triangle, with the same result.
+/// re-examines every triangle, with the same result. `received` is left
+/// sorted and deduplicated.
 pub fn block_phase3(
     workload: &Workload,
     _block: &Block,
     mesh: &mut TriMesh,
     settled: VId,
-    received: &[Point2],
+    received: &mut Vec<Point2>,
 ) {
     // Insertion order affects which Steiner points refinement later picks;
     // sort so the result is independent of message arrival order (the
     // baseline and the MRTS port then produce identical meshes).
-    let mut received: Vec<Point2> = received.to_vec();
     received.sort_by_key(|a| (a.x.to_bits(), a.y.to_bits()));
     received.dedup();
-    for &p in &received {
-        mesh.insert_point(p, VFlags::default());
-    }
+    mesh.insert_points(received, VFlags::default());
     pumg_delaunay::refine::refine_since(mesh, &refine_params(&workload.sizing), settled);
 }
 
@@ -315,9 +313,9 @@ pub fn updr_incore_scaled(
             continue;
         };
         let before = mesh.mem_footprint() as u64;
-        let received = std::mem::take(&mut inbox[b.idx]);
+        let mut received = std::mem::take(&mut inbox[b.idx]);
         sim.run_on(pe_of(b.idx), || {
-            block_phase3(&params.workload, b, mesh, *settled, &received)
+            block_phase3(&params.workload, b, mesh, *settled, &mut received)
         });
         sim.free(before);
         sim.alloc(mesh.mem_footprint() as u64)?;
@@ -395,7 +393,7 @@ mod tests {
             let (mut mesh, settled) = block_phase1(&p.workload, b).unwrap();
             mesh.validate().unwrap();
             // After phase 3 with empty input the mesh remains valid.
-            block_phase3(&p.workload, b, &mut mesh, settled, &[]);
+            block_phase3(&p.workload, b, &mut mesh, settled, &mut Vec::new());
             mesh.validate().unwrap();
         }
     }

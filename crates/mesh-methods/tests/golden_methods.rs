@@ -53,7 +53,7 @@ fn updr_golden(params: &UpdrParams) -> (usize, usize, u64, u64) {
         let Some((mesh, settled)) = meshes[b.idx].as_mut() else {
             continue;
         };
-        block_phase3(&params.workload, b, mesh, *settled, &inbox[b.idx]);
+        block_phase3(&params.workload, b, mesh, *settled, &mut inbox[b.idx]);
         mesh.validate().unwrap();
         tris += mesh.num_tris();
         verts += mesh.num_vertices();

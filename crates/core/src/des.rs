@@ -209,7 +209,8 @@ impl DesRuntime {
     /// passed through a seeded bijection ([`crate::audit::mix64`]), so
     /// each seed explores a different — but reproducible — legal schedule.
     /// The runtime invariants and application results must be identical
-    /// across seeds; the audit gate sweeps several. `None` restores FIFO.
+    /// across seeds; `tests/audit_invariants.rs` sweeps several. `None`
+    /// restores FIFO.
     pub fn set_schedule_seed(&mut self, seed: Option<u64>) {
         self.schedule_seed = seed;
     }

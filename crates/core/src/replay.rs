@@ -859,8 +859,8 @@ impl std::error::Error for ReplayLoadError {}
 /// recorded canonical audit stream to diff the replay against.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplayArtifact {
-    /// Harness identifier (e.g. `chaos-net-threaded`); the audit binary
-    /// maps it back to a configuration constructor.
+    /// Harness identifier (e.g. `chaos-net-threaded`); the umbrella
+    /// crate's `harness::harness_config` maps it back to a configuration.
     pub harness: String,
     /// Fault-plan seed of the recorded schedule.
     pub seed: u64,

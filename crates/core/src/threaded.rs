@@ -84,6 +84,15 @@ const AM_EXIT: u32 = 8;
 /// (net-fault runs only; see [`NetLayer`]).
 const AM_ACK: u32 = 9;
 
+/// Retransmissions of an unacknowledged frame after the fast ones, each
+/// [`PATIENT_BACKOFF`] apart, before its peer is declared unreachable.
+const PATIENT_RETRANSMITS: u32 = 4;
+/// Backoff of the patient retransmissions and of the final wait. A
+/// receiver acks only between handlers, so a live peer can stay silent for
+/// as long as its longest handler runs; giving up takes at least
+/// `(PATIENT_RETRANSMITS + 1) × PATIENT_BACKOFF` = 1.25 s (DESIGN.md §11).
+const PATIENT_BACKOFF: Duration = Duration::from_millis(250);
+
 enum IoReq {
     /// Pack every object on the I/O thread and persist the batch through
     /// one [`StorageBackend::store_batch`] call — a single coalesced
@@ -494,6 +503,30 @@ impl NetLayer {
             .map(|(&(dest, seq), _)| Due::Timer(dest, seq));
         flushes.chain(timers).collect()
     }
+
+    /// Retransmissions that follow [`ENGINE_RETRY`]'s fast backoff: enough
+    /// for the bounded-drop guarantee to land both a frame and its ack
+    /// with margin.
+    fn fast_retransmits(&self) -> u32 {
+        ENGINE_RETRY.max_attempts + 2 * self.plan.max_drops_per_msg
+    }
+
+    /// Retransmissions before a destination is declared unreachable: the
+    /// fast ones, then [`PATIENT_RETRANSMITS`] more, so only a peer silent
+    /// for longer than any handler runs ever exhausts it.
+    fn attempt_limit(&self) -> u32 {
+        self.fast_retransmits() + PATIENT_RETRANSMITS
+    }
+
+    /// Backoff before the timer of `seq` fires for the `attempt`-th time
+    /// (1-based).
+    fn backoff(&self, attempt: u32, seq: u64) -> Duration {
+        if attempt <= self.fast_retransmits() {
+            ENGINE_RETRY.delay(attempt, seq)
+        } else {
+            PATIENT_BACKOFF
+        }
+    }
 }
 
 struct Worker {
@@ -631,8 +664,8 @@ impl Worker {
         let (seq, frame) = {
             let net = self.net.as_mut().expect("net layer");
             let (seq, frame) = net.tx.next_frame(dest, tag, &payload);
-            net.timers
-                .insert((dest, seq), Instant::now() + ENGINE_RETRY.delay(1, seq));
+            let due = Instant::now() + net.backoff(1, seq);
+            net.timers.insert((dest, seq), due);
             (seq, frame)
         };
         self.transmit(dest, tag, seq, frame, 0);
@@ -757,15 +790,6 @@ impl Worker {
         self.dead
     }
 
-    /// Retransmissions before a destination is declared unreachable:
-    /// generous enough for the bounded-drop guarantee to land both the
-    /// frame and its ack with margin, so only a genuinely dead peer ever
-    /// exhausts it.
-    fn net_attempt_limit(&self) -> u32 {
-        let plan = &self.net.as_ref().expect("net layer").plan;
-        ENGINE_RETRY.max_attempts + 2 * plan.max_drops_per_msg + 4
-    }
-
     /// Drive the reliable layer's timers: flush the deferred (delayed)
     /// transmissions and fire the retransmit timers the input gateway
     /// says are due, escalating once a peer exhausts the retry budget.
@@ -797,13 +821,13 @@ impl Worker {
     /// One retransmit timer is due: ask the protocol state what that
     /// means and do it (re-arm and retransmit, or give up and escalate).
     fn fire_timer(&mut self, dest: NodeId, seq: u64, now: Instant) {
-        let limit = self.net_attempt_limit();
         let net = self.net.as_mut().expect("net layer");
+        let limit = net.attempt_limit();
         let action = net.tx.on_timer(dest, seq, limit);
         match &action {
             TimerAction::Retransmit { attempt, .. } => {
-                net.timers
-                    .insert((dest, seq), now + ENGINE_RETRY.delay(attempt + 1, seq));
+                let due = now + net.backoff(attempt + 1, seq);
+                net.timers.insert((dest, seq), due);
             }
             TimerAction::Acked | TimerAction::GiveUp { .. } => {
                 net.timers.remove(&(dest, seq));
@@ -1834,7 +1858,7 @@ fn emit_compactions(
 }
 
 /// Compactions in `reports` that rewrote live records in curve order
-/// (counted outside the audit gate — the stats counter must not depend on
+/// (counted outside the `audit` cfg — the stats counter must not depend on
 /// whether auditing is compiled in).
 fn count_reorders(reports: &[crate::storage::CompactionReport]) -> usize {
     reports.iter().filter(|r| r.curve_ordered > 0).count()

@@ -105,7 +105,7 @@ struct Fabric {
 }
 
 impl Fabric {
-    /// The reliable layer without faults, at `Worker::net_attempt_limit`
+    /// The reliable layer without faults, at `NetLayer::attempt_limit`
     /// under the default fault plan.
     fn reliable() -> Fabric {
         Fabric {

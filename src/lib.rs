@@ -4,6 +4,11 @@
 //! use a single dependency. See the individual crates for the real APIs:
 //! [`mrts`] (the runtime), [`pumg_delaunay`] (the mesher),
 //! [`pumg_methods`] (UPDR/NUPDR/PCDM and their out-of-core ports).
+//! [`harness`] names the chaos and replay schedules of the tests and the
+//! `replay` tool.
+
+#[cfg(debug_assertions)]
+pub mod harness;
 
 pub use armci_sim;
 pub use mrts;

@@ -1,24 +1,24 @@
-//! Chaos harness: seeded storage-fault schedules driven through both
-//! engines on a real mesh workload (OPCDM), checking that
+//! Chaos schedules: seeded storage faults (EIO, torn writes, latency
+//! spikes, ENOSPC windows) and fabric faults (drops, duplicates, delays,
+//! reorders, partition windows, a duplicate storm) driven through both
+//! engines on the harness mesh workload (OPCDM, `pumg::harness`), at 2
+//! nodes and at 16. They check that
 //!
-//! * no audit invariant is ever violated under injected faults,
+//! * no audit invariant is ever violated and no threaded run races,
 //! * the final mesh is the one the fault-free run produces (faults cost
-//!   time, never correctness),
+//!   time, never correctness), and handlers run exactly once,
 //! * a full disk degrades the run instead of killing it, and the run
 //!   recovers when space returns,
 //! * an unreadable spilled object surfaces as a typed error, not a panic,
 //! * a kill between mesh phases recovers from the on-disk checkpoint and
-//!   finishes with the identical mesh.
+//!   finishes with the identical mesh,
+//! * a peer busy in one long handler is alive, while a dead hint self-heals
+//!   and a dead home or a mid-run node crash is a typed error.
 //!
-//! Network chaos (the `netfault` module) gets the same treatment: seeded
-//! message drop/duplicate/delay/reorder schedules through both engines
-//! with byte-identical meshes, exactly-once handler execution under
-//! duplication, directory self-healing past a dead hint, and a mid-run
-//! node crash that re-homes from the checkpoint onto surviving nodes.
-//!
-//! The same schedules run in the audit gate (`--chaos` / `--chaos-net`);
-//! these tests keep the behavior pinned under plain `cargo test`.
+//! A failing threaded schedule is saved under `target/replay/`; the panic
+//! message names the `replay` command that re-executes it.
 
+use pumg::harness::{self, BUDGET, CHAOS_NET_THREADED, CHAOS_THREADED, DUP_STORM};
 use pumg::methods::domain::Workload;
 use pumg::methods::mesh_job::opcdm_digest;
 use pumg::methods::ooc_pcdm::{
@@ -26,7 +26,10 @@ use pumg::methods::ooc_pcdm::{
     opcdm_setup_threaded, register, register_threaded, SubObj, H_REFINE,
 };
 use pumg::methods::pcdm::PcdmParams;
-use pumg::mrts::audit::{EventLog, FailMode, InvariantChecker, RaceDetector, RuntimeEvent};
+use pumg::methods::MethodResult;
+use pumg::mrts::audit::{
+    EventLog, EventSink, FailMode, InvariantChecker, RaceDetector, RuntimeEvent,
+};
 use pumg::mrts::checkpoint::Checkpoint;
 use pumg::mrts::codec::{PayloadReader, PayloadWriter};
 use pumg::mrts::config::MrtsConfig;
@@ -36,8 +39,10 @@ use pumg::mrts::fault::{FaultPlan, MrtsError};
 use pumg::mrts::ids::{HandlerId, MobilePtr, ObjectId, TypeTag};
 use pumg::mrts::netfault::NetFaultPlan;
 use pumg::mrts::object::{MobileObject, ObjectDecodeError};
+use pumg::mrts::stats::RunStats;
 use pumg::mrts::threaded::ThreadedRuntime;
 use std::any::Any;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,141 +51,171 @@ fn tmp(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mrts-chaos-{label}-{}", std::process::id()))
 }
 
-fn small() -> PcdmParams {
-    PcdmParams::new(Workload::uniform_square(6_000), 2)
+/// The fault-free mesh of the harness workload on the virtual-time engine.
+fn des_reference(nodes: usize) -> (u64, u64) {
+    let r = opcdm_run(
+        &harness::params(nodes),
+        MrtsConfig::out_of_core(nodes, BUDGET),
+    );
+    (r.elements, r.vertices)
 }
 
-/// Mixed transient schedule: EIO on stores and loads, torn writes,
-/// latency spikes — everything the retry layer must absorb.
-fn mixed_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(0xC0FF_EE00 ^ seed)
-        .with_eio(60)
-        .with_torn_writes(40)
-        .with_latency(80, Duration::from_micros(300))
+/// The fault-free mesh of the harness workload on the threaded engine.
+fn threaded_reference(nodes: usize) -> (u64, u64) {
+    let mut cfg = MrtsConfig::out_of_core(nodes, BUDGET);
+    cfg.spill_dir = Some(harness::spill_dir());
+    let dir = cfg.spill_dir.clone();
+    let r = opcdm_run_threaded(&harness::params(nodes), cfg);
+    let _ = std::fs::remove_dir_all(dir.expect("spill dir set"));
+    (r.elements, r.vertices)
+}
+
+/// The harness workload on the virtual-time engine under `cfg`, with the
+/// invariant checker attached; `what` names the schedule in failures.
+fn des_run(nodes: usize, cfg: MrtsConfig, what: &str) -> MethodResult {
+    let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
+    let sink = chk.clone();
+    let r = opcdm_run_with(&harness::params(nodes), cfg, move |rt| {
+        rt.attach_audit(sink)
+    });
+    assert!(
+        chk.violations().is_empty(),
+        "{what} violated invariants: {:?}",
+        chk.violations()
+    );
+    r
+}
+
+/// Record threaded harness schedule `seed` at `nodes` with the invariant
+/// checker and race detector attached. A violation, a race or a mesh other
+/// than `want` fails the test, after the schedule is saved for the
+/// `replay` tool.
+fn threaded_schedule(harness_id: &str, seed: u64, nodes: usize, want: (u64, u64)) -> RunStats {
+    let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
+    let det = Arc::new(RaceDetector::new(nodes));
+    let cfg = harness::harness_config(harness_id, seed, nodes).expect("known harness id");
+    let sink: Arc<dyn EventSink> = chk.clone();
+    let r = harness::record_run(cfg, &[sink], Some(det.clone()));
+    let mut wrong = Vec::new();
+    if let Some(e) = &r.error {
+        wrong.push(format!("run failed: {e}"));
+    }
+    if !chk.violations().is_empty() {
+        wrong.push(format!("invariant violations {:?}", chk.violations()));
+    }
+    if !det.races().is_empty() {
+        wrong.push(format!("races {:?}", det.races()));
+    }
+    if r.mesh() != want {
+        wrong.push(format!("mesh {:?}, fault-free {want:?}", r.mesh()));
+    }
+    if !wrong.is_empty() {
+        let path = harness::persist_artifact(harness_id, seed, &r);
+        panic!(
+            "{harness_id} seed {seed} at {nodes} nodes: {}\n\
+             re-execute: cargo run -p pumg --bin replay -- {path}",
+            wrong.join("; ")
+        );
+    }
+    r.stats
+}
+
+// ---------------------------------------------------------------------------
+// Storage chaos.
+// ---------------------------------------------------------------------------
+
+/// Transient storage-fault schedules on the virtual-time engine: the
+/// fault-free mesh, and no retry budget ever exhausted.
+fn des_storage_chaos(nodes: usize, seeds: Range<u64>, reference: (u64, u64)) {
+    let mut faults = 0usize;
+    for seed in seeds {
+        let what = format!("DES storage seed {seed} at {nodes} nodes");
+        let cfg = MrtsConfig::out_of_core(nodes, BUDGET).with_faults(harness::des_chaos_plan(seed));
+        let r = des_run(nodes, cfg, &what);
+        assert_eq!(
+            (r.elements, r.vertices),
+            reference,
+            "{what}: faults changed the mesh"
+        );
+        assert_eq!(
+            r.stats.total_of(|n| n.io_gave_up),
+            0,
+            "{what}: a transient schedule must never exhaust retries"
+        );
+        assert!(
+            r.stats.nodes.iter().all(|n| n.stores > 0),
+            "{what}: a node never spilled, so its faults never fired"
+        );
+        faults += r.stats.total_of(|n| n.faults_injected);
+    }
+    assert!(faults > 0, "no storage fault injected — vacuous");
+}
+
+/// ENOSPC windows `(seed, first failing store op, length)` on the
+/// virtual-time engine: every run enters degraded mode, spills again once
+/// space returns, and keeps the mesh within 3 %. Degraded windows pause
+/// eviction, which reorders refinement, so the mesh may differ slightly.
+fn des_enospc(nodes: usize, windows: &[(u64, u64, u64)], reference: (u64, u64)) {
+    let elements = reference.0;
+    for &(seed, at, len) in windows {
+        let what = format!("ENOSPC seed {seed} window {at}+{len} at {nodes} nodes");
+        let plan = FaultPlan::new(seed).with_enospc_window(at, len);
+        let r = des_run(
+            nodes,
+            MrtsConfig::out_of_core(nodes, BUDGET).with_faults(plan),
+            &what,
+        );
+        assert!(
+            r.stats.total_of(|n| n.degraded_entries) > 0,
+            "{what}: full disk never entered degraded mode"
+        );
+        let ratio = r.elements as f64 / elements as f64;
+        assert!(
+            (0.97..1.03).contains(&ratio),
+            "{what}: degraded run changed the mesh materially: {} vs {elements}",
+            r.elements
+        );
+        assert!(
+            r.stats.total_of(|n| n.stores) > 0,
+            "{what}: never spilled after recovery"
+        );
+    }
+}
+
+/// Transient storage-fault schedules on the threaded engine.
+fn threaded_storage_chaos(nodes: usize, seeds: Range<u64>) {
+    let want = threaded_reference(nodes);
+    let mut faults = 0usize;
+    for seed in seeds {
+        let stats = threaded_schedule(CHAOS_THREADED, seed, nodes, want);
+        assert!(
+            stats.nodes.iter().all(|n| n.stores > 0),
+            "seed {seed} at {nodes} nodes: a node never spilled, so its faults never fired"
+        );
+        faults += stats.total_of(|n| n.faults_injected);
+    }
+    assert!(faults > 0, "no storage fault injected — vacuous");
 }
 
 #[test]
 fn des_chaos_schedules_preserve_mesh_and_invariants() {
-    let budget = 70_000usize;
-    let reference = opcdm_run(&small(), MrtsConfig::out_of_core(2, budget));
-    let mut faults_total = 0usize;
-    for seed in 0..12u64 {
-        let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
-        let sink = chk.clone();
-        let r = opcdm_run_with(
-            &small(),
-            MrtsConfig::out_of_core(2, budget).with_faults(mixed_plan(seed)),
-            move |rt| rt.attach_audit(sink),
-        );
-        assert!(
-            chk.violations().is_empty(),
-            "seed {seed} violated invariants: {:?}",
-            chk.violations()
-        );
-        assert_eq!(
-            (r.elements, r.vertices),
-            (reference.elements, reference.vertices),
-            "seed {seed}: faults changed the mesh"
-        );
-        assert!(
-            r.stats.total_of(|n| n.io_gave_up) == 0,
-            "seed {seed}: transient schedule must never exhaust retries"
-        );
-        faults_total += r.stats.total_of(|n| n.faults_injected);
-    }
-    assert!(faults_total > 0, "sweep injected no faults — vacuous");
+    des_storage_chaos(2, 0..14, des_reference(2));
 }
 
 #[test]
 fn threaded_chaos_schedules_preserve_mesh_and_invariants() {
-    let budget = 70_000usize;
-    let reference = {
-        let mut cfg = MrtsConfig::out_of_core(2, budget);
-        cfg.spill_dir = Some(tmp("t-ref"));
-        let r = opcdm_run_threaded(&small(), cfg);
-        let _ = std::fs::remove_dir_all(tmp("t-ref"));
-        r
-    };
-    let mut faults_total = 0usize;
-    for seed in 0..6u64 {
-        // Load EIO stays well under the exhaustion knee (p^4 per op) so a
-        // transient schedule can never turn into a fatal LoadFailed.
-        let plan = FaultPlan::new(0xBAD_D15C ^ seed)
-            .with_eio(120)
-            .with_torn_writes(80)
-            .with_latency(60, Duration::from_micros(200));
-        let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
-        let det = Arc::new(RaceDetector::new(2));
-        let dir = tmp(&format!("t-{seed}"));
-        let mut cfg = MrtsConfig::out_of_core(2, budget).with_faults(plan);
-        cfg.spill_dir = Some(dir.clone());
-        let (sink, races) = (chk.clone(), det.clone());
-        let r = opcdm_run_threaded_with(&small(), cfg, move |rt| {
-            rt.attach_audit(sink);
-            rt.attach_race_detector(races);
-        });
-        let _ = std::fs::remove_dir_all(dir);
-        assert!(
-            chk.violations().is_empty(),
-            "seed {seed} violated invariants: {:?}",
-            chk.violations()
-        );
-        assert!(
-            det.races().is_empty(),
-            "seed {seed} raced: {:?}",
-            det.races()
-        );
-        assert_eq!(
-            (r.elements, r.vertices),
-            (reference.elements, reference.vertices),
-            "seed {seed}: faults changed the mesh"
-        );
-        faults_total += r.stats.total_of(|n| n.faults_injected);
-    }
-    assert!(faults_total > 0, "sweep injected no faults — vacuous");
+    threaded_storage_chaos(2, 0..6);
 }
 
 #[test]
 fn enospc_window_degrades_and_recovers_des() {
-    let budget = 70_000usize;
-    let reference = opcdm_run(&small(), MrtsConfig::out_of_core(2, budget));
-    for seed in [1u64, 2] {
-        let plan = FaultPlan::new(seed).with_enospc_window(4, 6);
-        let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
-        let sink = chk.clone();
-        let r = opcdm_run_with(
-            &small(),
-            MrtsConfig::out_of_core(2, budget).with_faults(plan),
-            move |rt| rt.attach_audit(sink),
-        );
-        assert!(
-            chk.violations().is_empty(),
-            "seed {seed}: {:?}",
-            chk.violations()
-        );
-        assert!(
-            r.stats.total_of(|n| n.degraded_entries) > 0,
-            "seed {seed}: full disk never entered degraded mode"
-        );
-        // Degraded windows pause eviction, which reorders refinement;
-        // the mesh stays equally valid but may differ slightly.
-        let ratio = r.elements as f64 / reference.elements as f64;
-        assert!(
-            (0.97..1.03).contains(&ratio),
-            "seed {seed}: degraded run changed the mesh materially: {} vs {}",
-            r.elements,
-            reference.elements
-        );
-        assert!(
-            r.stats.total_of(|n| n.stores) > 0,
-            "seed {seed}: never spilled after recovery"
-        );
-    }
+    // Windows open at the first store op and mid-run.
+    let windows = [(1, 0, 8), (2, 0, 8), (3, 0, 8), (1, 4, 6), (2, 4, 6)];
+    des_enospc(2, &windows, des_reference(2));
 }
 
 #[test]
 fn enospc_window_degrades_and_recovers_threaded() {
-    let budget = 70_000usize;
     // The threaded engine's spill count varies with thread interleaving;
     // open the window on the second store so any run that spills at all
     // walks into the full disk.
@@ -188,10 +223,10 @@ fn enospc_window_degrades_and_recovers_threaded() {
     let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
     let det = Arc::new(RaceDetector::new(2));
     let dir = tmp("t-enospc");
-    let mut cfg = MrtsConfig::out_of_core(2, budget).with_faults(plan);
+    let mut cfg = MrtsConfig::out_of_core(2, BUDGET).with_faults(plan);
     cfg.spill_dir = Some(dir.clone());
     let (sink, races) = (chk.clone(), det.clone());
-    let r = opcdm_run_threaded_with(&small(), cfg, move |rt| {
+    let r = opcdm_run_threaded_with(&harness::params(2), cfg, move |rt| {
         rt.attach_audit(sink);
         rt.attach_race_detector(races);
     });
@@ -203,6 +238,20 @@ fn enospc_window_degrades_and_recovers_threaded() {
         "full disk never entered degraded mode"
     );
     assert!(r.elements > 0);
+}
+
+#[test]
+fn des_chaos_schedules_at_16_nodes() {
+    let reference = des_reference(16);
+    des_storage_chaos(16, 0..4, reference);
+    // From store op 0: at 16 nodes a node's store-op count may stay in the
+    // low single digits, and a window nobody enters fails as vacuous.
+    des_enospc(16, &[(1, 0, 8)], reference);
+}
+
+#[test]
+fn threaded_chaos_schedules_at_16_nodes() {
+    threaded_storage_chaos(16, 0..2);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,48 +538,28 @@ fn kill_between_phases_recovers_identical_mesh() {
 // reliable-delivery layer (sequence numbers + acks + bounded-exponential
 // retransmit) must absorb every seeded drop/dup/delay/reorder schedule
 // without changing the mesh, executing a handler twice, or declaring
-// termination with a message still in flight.
+// termination with a message still in flight. Both engines run
+// `harness::chaos_net_plan`.
 // ---------------------------------------------------------------------------
 
-/// Mixed fabric schedule: drops under the bounded-drop guarantee, dups
-/// for the receiver dedup, delays and reorders for the in-order release.
-fn net_plan(seed: u64) -> NetFaultPlan {
-    NetFaultPlan::new(0x6E7F_A017 ^ seed)
-        .with_drops(80)
-        .with_dups(60)
-        .with_delay(50, Duration::from_micros(300))
-        .with_reorder(40)
-}
-
-#[test]
-fn des_net_chaos_schedules_preserve_mesh_and_counters() {
-    let budget = 70_000usize;
-    let reference = opcdm_run(&small(), MrtsConfig::out_of_core(2, budget));
+/// Fabric-fault schedules on the virtual-time engine. A clean checker run
+/// includes clean termination: no termination with a message in flight.
+fn des_net_chaos(nodes: usize, seeds: Range<u64>, reference: (u64, u64)) {
     let (mut dropped, mut dups, mut acks) = (0usize, 0usize, 0usize);
-    for seed in 0..12u64 {
-        let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
-        let sink = chk.clone();
-        let r = opcdm_run_with(
-            &small(),
-            MrtsConfig::out_of_core(2, budget).with_net_faults(net_plan(seed)),
-            move |rt| rt.attach_audit(sink),
-        );
-        // A clean checker run includes clean termination: Safra never
-        // declared with an unacked message still in flight.
-        assert!(
-            chk.violations().is_empty(),
-            "seed {seed} violated invariants: {:?}",
-            chk.violations()
-        );
+    for seed in seeds {
+        let what = format!("DES fabric seed {seed} at {nodes} nodes");
+        let cfg =
+            MrtsConfig::out_of_core(nodes, BUDGET).with_net_faults(harness::chaos_net_plan(seed));
+        let r = des_run(nodes, cfg, &what);
         assert_eq!(
             (r.elements, r.vertices),
-            (reference.elements, reference.vertices),
-            "seed {seed}: fabric faults changed the mesh"
+            reference,
+            "{what}: fabric faults changed the mesh"
         );
         assert_eq!(
             r.stats.total_of(|n| n.messages_dropped),
             r.stats.total_of(|n| n.retransmits),
-            "seed {seed}: every drop is recovered by exactly one retransmit"
+            "{what}: every drop is recovered by exactly one retransmit"
         );
         dropped += r.stats.total_of(|n| n.messages_dropped);
         dups += r.stats.total_of(|n| n.dup_suppressed);
@@ -541,53 +570,45 @@ fn des_net_chaos_schedules_preserve_mesh_and_counters() {
     assert!(acks > 0, "delivered data messages must be acknowledged");
 }
 
-#[test]
-fn threaded_net_chaos_schedules_preserve_mesh_and_counters() {
-    let budget = 70_000usize;
-    let reference = {
-        let mut cfg = MrtsConfig::out_of_core(2, budget);
-        cfg.spill_dir = Some(tmp("net-ref"));
-        let r = opcdm_run_threaded(&small(), cfg);
-        let _ = std::fs::remove_dir_all(tmp("net-ref"));
-        r
-    };
-    let (mut dropped, mut retrans, mut dups, mut acks) = (0usize, 0usize, 0usize, 0usize);
-    for seed in 0..6u64 {
-        let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
-        let det = Arc::new(RaceDetector::new(2));
-        let dir = tmp(&format!("net-{seed}"));
-        let mut cfg = MrtsConfig::out_of_core(2, budget).with_net_faults(net_plan(seed));
-        cfg.spill_dir = Some(dir.clone());
-        let (sink, races) = (chk.clone(), det.clone());
-        let r = opcdm_run_threaded_with(&small(), cfg, move |rt| {
-            rt.attach_audit(sink);
-            rt.attach_race_detector(races);
-        });
-        let _ = std::fs::remove_dir_all(dir);
-        assert!(
-            chk.violations().is_empty(),
-            "seed {seed} violated invariants: {:?}",
-            chk.violations()
-        );
-        assert!(
-            det.races().is_empty(),
-            "seed {seed} raced: {:?}",
-            det.races()
+/// Partition windows on the virtual-time engine: sequence numbers 1‥6 of
+/// every edge are dropped on every attempt the bounded-drop guarantee
+/// allows, then the fabric heals. The window sits low because the mesh
+/// workload exchanges only a handful of remote messages per edge.
+fn des_partitions(nodes: usize, seeds: &[u64], reference: (u64, u64)) {
+    for &seed in seeds {
+        let what = format!("partition seed {seed} at {nodes} nodes");
+        let plan = NetFaultPlan::new(0x9A27 ^ seed).with_partition(1, 6);
+        let r = des_run(
+            nodes,
+            MrtsConfig::out_of_core(nodes, BUDGET).with_net_faults(plan),
+            &what,
         );
         assert_eq!(
             (r.elements, r.vertices),
-            (reference.elements, reference.vertices),
-            "seed {seed}: fabric faults changed the mesh"
+            reference,
+            "{what}: the partition changed the mesh"
         );
+        assert!(
+            r.stats.total_of(|n| n.messages_dropped) > 0,
+            "{what}: the partition dropped nothing — vacuous"
+        );
+    }
+}
+
+/// Fabric-fault schedules on the threaded engine.
+fn threaded_net_chaos(nodes: usize, seeds: Range<u64>, want: (u64, u64)) {
+    let (mut dropped, mut retrans, mut dups, mut acks) = (0usize, 0usize, 0usize, 0usize);
+    for seed in seeds {
+        let stats = threaded_schedule(CHAOS_NET_THREADED, seed, nodes, want);
         assert_eq!(
-            r.stats.total_of(|n| n.hints_invalidated),
+            stats.total_of(|n| n.hints_invalidated),
             0,
-            "seed {seed}: no node died, so no hint may be invalidated"
+            "seed {seed} at {nodes} nodes: no node died, so no hint may be invalidated"
         );
-        dropped += r.stats.total_of(|n| n.messages_dropped);
-        retrans += r.stats.total_of(|n| n.retransmits);
-        dups += r.stats.total_of(|n| n.dup_suppressed);
-        acks += r.stats.total_of(|n| n.acks_sent);
+        dropped += stats.total_of(|n| n.messages_dropped);
+        retrans += stats.total_of(|n| n.retransmits);
+        dups += stats.total_of(|n| n.dup_suppressed);
+        acks += stats.total_of(|n| n.acks_sent);
     }
     assert!(dropped > 0, "sweep dropped no messages — vacuous");
     assert!(
@@ -602,33 +623,84 @@ fn threaded_net_chaos_schedules_preserve_mesh_and_counters() {
 /// dedup must make every handler run exactly once. A double execution
 /// drives the checker's outstanding-delivery count negative
 /// (`Invariant::DuplicateDelivery`), and a mutated mesh would diverge.
-#[test]
-fn duplicate_storm_executes_handlers_exactly_once() {
-    let budget = 70_000usize;
-    let reference = {
-        let mut cfg = MrtsConfig::out_of_core(2, budget);
-        cfg.spill_dir = Some(tmp("dup-ref"));
-        let r = opcdm_run_threaded(&small(), cfg);
-        let _ = std::fs::remove_dir_all(tmp("dup-ref"));
-        r
-    };
-    let plan = NetFaultPlan::new(0xD0D0).with_dups(500);
-    let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
-    let dir = tmp("dup-storm");
-    let mut cfg = MrtsConfig::out_of_core(2, budget).with_net_faults(plan);
-    cfg.spill_dir = Some(dir.clone());
-    let sink = chk.clone();
-    let r = opcdm_run_threaded_with(&small(), cfg, move |rt| rt.attach_audit(sink));
-    let _ = std::fs::remove_dir_all(dir);
-    assert!(chk.violations().is_empty(), "{:?}", chk.violations());
+fn duplicate_storm(nodes: usize, want: (u64, u64)) {
+    let stats = threaded_schedule(DUP_STORM, 0, nodes, want);
     assert!(
-        r.stats.total_of(|n| n.dup_suppressed) > 0,
+        stats.total_of(|n| n.dup_suppressed) > 0,
         "a 500‰ dup storm must exercise the dedup path"
     );
-    assert_eq!(
-        (r.elements, r.vertices),
-        (reference.elements, reference.vertices),
-        "duplicated transmissions changed the mesh"
+}
+
+#[test]
+fn des_net_chaos_schedules_preserve_mesh_and_counters() {
+    des_net_chaos(2, 0..20, des_reference(2));
+}
+
+#[test]
+fn des_partition_windows_heal() {
+    des_partitions(2, &[1, 2, 3], des_reference(2));
+}
+
+#[test]
+fn threaded_net_chaos_schedules_preserve_mesh_and_counters() {
+    threaded_net_chaos(2, 0..20, threaded_reference(2));
+}
+
+#[test]
+fn duplicate_storm_executes_handlers_exactly_once() {
+    duplicate_storm(2, threaded_reference(2));
+}
+
+#[test]
+fn des_net_chaos_schedules_at_16_nodes() {
+    let reference = des_reference(16);
+    des_net_chaos(16, 0..4, reference);
+    des_partitions(16, &[1], reference);
+}
+
+#[test]
+fn threaded_net_chaos_schedules_at_16_nodes() {
+    let want = threaded_reference(16);
+    threaded_net_chaos(16, 0..2, want);
+    duplicate_storm(16, want);
+}
+
+// ---------------------------------------------------------------------------
+// A busy peer is alive. A receiver acks only between handlers, so a peer
+// inside one long handler is silent; the sender must keep retransmitting
+// for longer than any handler runs before it declares the peer dead.
+// ---------------------------------------------------------------------------
+
+const H_NAP: HandlerId = HandlerId(0x904);
+
+/// Sleep for the payload's milliseconds, then poke the pad's peer.
+fn h_nap(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
+    let mut r = PayloadReader::new(payload);
+    std::thread::sleep(Duration::from_millis(r.u64().unwrap()));
+    if let Some(peer) = obj.as_any().downcast_ref::<Pad>().unwrap().peer {
+        ctx.send(peer, H_NAP, ping_payload(0));
+    }
+}
+
+#[test]
+fn busy_peer_is_not_declared_unreachable() {
+    // A quiet plan: the reliable layer is on, no fault is injected.
+    let cfg = MrtsConfig::in_core(2).with_net_faults(NetFaultPlan::new(1));
+    let mut rt = ThreadedRuntime::new(cfg);
+    rt.register_type(PAD_TAG, Pad::decode);
+    rt.register_handler(H_NAP, "nap", h_nap);
+    let pad = |peer| Box::new(Pad { peer, data: vec![] });
+    let busy = rt.create_object(1, pad(None), 128);
+    let sender = rt.create_object(0, pad(Some(busy)), 128);
+    // Node 1 is inside a 300 ms handler when node 0 sends to it at 50 ms.
+    rt.post(busy, H_NAP, ping_payload(300));
+    rt.post(sender, H_NAP, ping_payload(50));
+    let stats = rt
+        .try_run()
+        .expect("a peer busy in one long handler is alive");
+    assert!(
+        stats.total_of(|n| n.retransmits) > 0,
+        "the sender never waited on the busy peer — vacuous"
     );
 }
 

@@ -4,18 +4,17 @@
 //! completion, deferred flush, and retransmit timer routed through the
 //! decision log) and re-executed under the log; with a single I/O pool
 //! thread both lanes of the canonical audit stream must come back
-//! byte-identical. A deliberately perturbed stream must be pinpointed
-//! at the exact first-divergence index, and a perturbed decision log
-//! must be caught by the sequencer. A threaded run under replay must
+//! byte-identical — for ten seeds with work stealing on, whose steals
+//! replay without log entries. A deliberately perturbed stream must be
+//! pinpointed at the exact first-divergence index, and a perturbed decision
+//! log must be caught by the sequencer. A threaded run under replay must
 //! still produce the mesh the DES engine produces, and a run whose steals
 //! are granted must replay them — logged nowhere — to the same objects.
 
-use pumg::methods::domain::Workload;
-use pumg::methods::ooc_pcdm::{opcdm_collect_threaded, opcdm_run, opcdm_setup_threaded};
-use pumg::methods::pcdm::PcdmParams;
-use pumg::mrts::netfault::NetFaultPlan;
+use pumg::harness::{self, RunOutcome, CHAOS_NET_THREADED, REPLAY_SMOKE};
+use pumg::methods::ooc_pcdm::opcdm_run;
 use pumg::mrts::prelude::*;
-use pumg::mrts::replay::{canonicalize, compare, CanonicalStream};
+use pumg::mrts::replay::{canonicalize, compare};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,62 +22,72 @@ use std::time::Duration;
 
 const NODES: usize = 2;
 
-fn params() -> PcdmParams {
-    PcdmParams::new(Workload::uniform_square(6_000), 2)
+/// A chaos-net schedule with one I/O pool thread, which makes the pool
+/// lane a deterministic sequence, so byte-identity is provable rather than
+/// merely multiset-equal.
+fn cfg(seed: u64) -> MrtsConfig {
+    harness::harness_config(CHAOS_NET_THREADED, seed, NODES)
+        .expect("known harness id")
+        .with_io_threads(1)
 }
 
-fn cfg(seed: u64, label: &str) -> MrtsConfig {
-    let plan = NetFaultPlan::new(0x6E7F_A017 ^ seed)
-        .with_drops(200)
-        .with_dups(150)
-        .with_delay(80, Duration::from_micros(300))
-        .with_reorder(60);
-    let mut cfg = MrtsConfig::out_of_core(NODES, 70_000)
-        .with_net_faults(plan)
-        // One pool thread makes the pool lane a deterministic sequence,
-        // so byte-identity is provable rather than merely multiset-equal.
-        .with_io_threads(1);
-    cfg.spill_dir =
-        Some(std::env::temp_dir().join(format!("mrts-replay-{label}-{}", std::process::id())));
-    cfg
+fn record(seed: u64) -> RunOutcome {
+    let run = harness::record_run(cfg(seed), &[], None);
+    assert_eq!(run.error, None, "seed {seed}");
+    run
 }
 
-struct Run {
-    elements: u64,
-    vertices: u64,
-    stats: RunStats,
-    decisions: DecisionLog,
-    stream: CanonicalStream,
+fn replay(seed: u64, decisions: DecisionLog) -> RunOutcome {
+    let run = harness::replay_run(cfg(seed), decisions);
+    assert_eq!(run.error, None, "seed {seed}");
+    run
 }
 
-fn run_once(seed: u64, label: &str, replay: Option<DecisionLog>) -> Run {
-    let cfg = cfg(seed, label);
-    let spill = cfg.spill_dir.clone().expect("spill dir set");
-    let log = Arc::new(EventLog::new());
-    let mut rt = opcdm_setup_threaded(&params(), cfg);
-    rt.attach_audit(log.clone());
-    match replay {
-        Some(d) => rt.replay_decisions(d),
-        None => rt.record_decisions(),
+#[test]
+fn ten_chaos_net_seeds_with_stealing_replay_byte_identically() {
+    let config = |seed| harness::harness_config(REPLAY_SMOKE, seed, NODES).expect("known harness");
+    let mut steal_requests = 0;
+    let mut kept = None;
+    for seed in 0..10 {
+        let rec = harness::record_run(config(seed), &[], None);
+        let recorded = rec.stats.total_of(|n| n.decisions_recorded);
+        assert!(recorded > 0, "seed {seed} recorded no decisions — vacuous");
+        steal_requests += rec.stats.total_of(|n| n.steal_requests as usize);
+        let rep = harness::replay_run(config(seed), rec.decisions.clone());
+        let report = compare(&rec.recorded, &rep.recorded);
+        let divergences = rep.stats.total_of(|n| n.replay_divergences);
+        let failed = rec.error.is_some() || rep.error.is_some();
+        if failed || !report.is_clean() || report.events_compared == 0 || divergences > 0 {
+            let path = harness::persist_artifact(REPLAY_SMOKE, seed, &rec);
+            panic!(
+                "seed {seed}: run errors {:?} / {:?}, {divergences} sequencer divergences\n\
+                 {report}re-execute: cargo run -p pumg --bin replay -- {path}",
+                rec.error, rep.error
+            );
+        }
+        assert_eq!(
+            rep.mesh(),
+            rec.mesh(),
+            "seed {seed}: replay changed the mesh"
+        );
+        kept.get_or_insert(rec);
     }
-    let stats = rt.run();
-    let (elements, vertices) = opcdm_collect_threaded(&rt);
-    let decisions = rt
-        .take_decision_log()
-        .unwrap_or_else(|| DecisionLog::new(NODES));
-    let _ = std::fs::remove_dir_all(spill);
-    Run {
-        elements,
-        vertices,
-        stats,
-        decisions,
-        stream: canonicalize(&log.snapshot(), NODES),
-    }
+    assert!(
+        steal_requests > 0,
+        "no seed issued a steal request — vacuous"
+    );
+    // Seed 0's artifact stays under target/replay/ as a known-clean input
+    // for the `replay` tool, and goes through the tool's own path here.
+    let path = harness::persist_artifact(REPLAY_SMOKE, 0, &kept.expect("ten seeds ran"));
+    let art = ReplayArtifact::load(path.as_ref()).expect("the saved artifact loads");
+    let (report, live) = harness::replay_artifact(&art).expect("known harness");
+    let divergences = live.stats.total_of(|n| n.replay_divergences);
+    assert!(report.is_clean() && divergences == 0, "{path}: {report}");
 }
 
 #[test]
 fn recorded_chaos_net_schedule_replays_byte_identically() {
-    let rec = run_once(26, "e2e-rec", None);
+    let rec = record(26);
     // Seed 26's plan delays the first frame node 0 sends and drops the
     // first two node 1 sends, so every run defers, flushes and times out:
     // out of core, the recording asks every question the input gateway
@@ -100,35 +109,35 @@ fn recorded_chaos_net_schedule_replays_byte_identically() {
         kinds.iter().all(|&n| n > 0),
         "decision kinds recorded: {kinds:?}"
     );
-    let rep = run_once(26, "e2e-rep", Some(rec.decisions.clone()));
+    let rep = replay(26, rec.decisions.clone());
     assert_eq!(
         rep.stats.total_of(|n| n.replay_divergences),
         0,
         "sequencer diverged: {}",
         rep.stats.summary()
     );
-    let report = compare(&rec.stream, &rep.stream);
+    let report = compare(&rec.recorded, &rep.recorded);
     assert!(report.events_compared > 0, "no events compared — vacuous");
     assert!(
         report.is_clean(),
         "audit streams must be byte-identical:\n{report}"
     );
-    assert_eq!((rec.elements, rec.vertices), (rep.elements, rep.vertices));
+    assert_eq!(rec.mesh(), rep.mesh());
 }
 
 #[test]
 fn perturbed_stream_reports_the_exact_first_divergence_index() {
-    let rec = run_once(12, "e2e-cut", None);
+    let rec = record(12);
     let node = rec
-        .stream
+        .recorded
         .nodes
         .iter()
         .position(|n| n.control.len() >= 2)
         .expect("a chaos-net run emits control events");
-    let idx = rec.stream.nodes[node].control.len() / 2;
-    let mut cut = rec.stream.clone();
+    let idx = rec.recorded.nodes[node].control.len() / 2;
+    let mut cut = rec.recorded.clone();
     cut.nodes[node].control.truncate(idx);
-    let report = compare(&cut, &rec.stream);
+    let report = compare(&cut, &rec.recorded);
     assert!(!report.is_clean(), "a shortened lane must diverge");
     let d = report
         .divergences
@@ -143,7 +152,7 @@ fn perturbed_stream_reports_the_exact_first_divergence_index() {
 
 #[test]
 fn perturbed_decision_log_is_caught_by_the_sequencer() {
-    let rec = run_once(13, "e2e-bad", None);
+    let rec = record(13);
     let mut bad = rec.decisions.clone();
     let tag = bad
         .nodes
@@ -155,15 +164,15 @@ fn perturbed_decision_log_is_caught_by_the_sequencer() {
         })
         .expect("a chaos-net run records fabric receives");
     *tag ^= 0x5A5A;
-    let rep = run_once(13, "e2e-bad-rep", Some(bad));
-    let report = compare(&rec.stream, &rep.stream);
+    let rep = replay(13, bad);
+    let report = compare(&rec.recorded, &rep.recorded);
     assert!(
         rep.stats.total_of(|n| n.replay_divergences) > 0 || !report.is_clean(),
         "a corrupted decision must be detected"
     );
     // Divergence is detection, not failure: the replay falls back to
     // live execution and must still finish the mesh.
-    assert_eq!((rep.elements, rep.vertices), (rec.elements, rec.vertices));
+    assert_eq!(rep.mesh(), rec.mesh());
 }
 
 #[test]
@@ -172,33 +181,18 @@ fn threaded_under_replay_matches_des_mesh() {
     // (tests/ooc_behavior.rs) survives replay: the same fault-free config
     // pair, with the threaded side re-executed under a recorded decision
     // log, still produces exactly the virtual-time engine's mesh.
-    let des = opcdm_run(&params(), MrtsConfig::in_core(NODES));
-    let parity_cfg = |label: &str| {
+    let des = opcdm_run(&harness::params(NODES), MrtsConfig::in_core(NODES));
+    let parity_cfg = || {
         let mut cfg = MrtsConfig::out_of_core(NODES, 300_000).with_io_threads(1);
-        cfg.spill_dir =
-            Some(std::env::temp_dir().join(format!("mrts-replay-{label}-{}", std::process::id())));
+        cfg.spill_dir = Some(harness::spill_dir());
         cfg
     };
-    let run = |cfg: MrtsConfig, replay: Option<DecisionLog>| {
-        let spill = cfg.spill_dir.clone().expect("spill dir set");
-        let mut rt = opcdm_setup_threaded(&params(), cfg);
-        match replay {
-            Some(d) => rt.replay_decisions(d),
-            None => rt.record_decisions(),
-        }
-        let stats = rt.run();
-        let mesh = opcdm_collect_threaded(&rt);
-        let decisions = rt.take_decision_log();
-        let _ = std::fs::remove_dir_all(spill);
-        (mesh, stats, decisions)
-    };
-    let (rec_mesh, rec_stats, decisions) = run(parity_cfg("e2e-des-rec"), None);
-    assert!(rec_stats.total_of(|n| n.decisions_recorded) > 0);
-    let decisions = decisions.expect("recording run yields a log");
-    let (rep_mesh, rep_stats, _) = run(parity_cfg("e2e-des-rep"), Some(decisions));
-    assert_eq!(rep_stats.total_of(|n| n.replay_divergences), 0);
-    assert_eq!((des.elements, des.vertices), rec_mesh);
-    assert_eq!((des.elements, des.vertices), rep_mesh);
+    let rec = harness::record_run(parity_cfg(), &[], None);
+    assert!(rec.stats.total_of(|n| n.decisions_recorded) > 0);
+    let rep = harness::replay_run(parity_cfg(), rec.decisions.clone());
+    assert_eq!(rep.stats.total_of(|n| n.replay_divergences), 0);
+    assert_eq!((des.elements, des.vertices), rec.mesh());
+    assert_eq!((des.elements, des.vertices), rep.mesh());
 }
 
 const TRAIL_TAG: TypeTag = TypeTag(77);
@@ -234,7 +228,7 @@ fn h_visit(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
 
 /// All the work starts on node 0 — 16 unpinned objects with four ~1 ms
 /// messages each — and node 1 holds nothing, so it steals.
-fn steal_run(replay: Option<DecisionLog>) -> (Run, BTreeMap<ObjectId, Vec<u8>>) {
+fn steal_run(replay: Option<DecisionLog>) -> (RunOutcome, BTreeMap<ObjectId, Vec<u8>>) {
     let cfg = MrtsConfig::in_core(NODES)
         .with_work_stealing()
         .with_io_threads(1);
@@ -260,14 +254,15 @@ fn steal_run(replay: Option<DecisionLog>) -> (Run, BTreeMap<ObjectId, Vec<u8>>) 
         obj.encode(&mut bytes);
         objects.insert(oid, bytes);
     });
-    let run = Run {
+    let run = RunOutcome {
         elements: 0,
         vertices: 0,
         stats,
+        error: None,
         decisions: rt
             .take_decision_log()
             .unwrap_or_else(|| DecisionLog::new(NODES)),
-        stream: canonicalize(&log.snapshot(), NODES),
+        recorded: canonicalize(&log.snapshot(), NODES),
     };
     (run, objects)
 }
@@ -293,7 +288,7 @@ fn granted_steals_replay_without_log_entries() {
         "{}",
         rep.stats.summary()
     );
-    let report = compare(&rec.stream, &rep.stream);
+    let report = compare(&rec.recorded, &rep.recorded);
     assert!(report.events_compared > 0 && report.is_clean(), "{report}");
     assert_eq!(rep_objects, rec_objects, "the steals replayed differently");
 }

@@ -10,10 +10,9 @@
 //! two shipped sinks are:
 //!
 //! * [`EventLog`] — records everything, for offline inspection;
-//! * [`InvariantChecker`] — validates the paper's runtime invariants
-//!   online and either panics at the first violation
-//!   ([`FailMode::Panic`]) or collects violations for later assertion
-//!   ([`FailMode::Collect`]).
+//! * [`InvariantChecker`] — validates the cross-node invariants online
+//!   and either panics at the first violation ([`FailMode::Panic`]) or
+//!   collects violations for later assertion ([`FailMode::Collect`]).
 //!
 //! Instrumentation is compiled in only under `debug_assertions` or the
 //! `audit` cargo feature; release builds without the feature carry **no
@@ -22,56 +21,44 @@
 //!
 //! ## Checked invariants
 //!
-//! 1. **Pinned objects are never evicted** — no `Unload` while pinned.
-//! 2. **Handlers run only on resident objects** — every `Deliver` finds
-//!    the object in-core on the delivering node.
-//! 3. **Message queues travel with objects** — the queued count announced
-//!    at `MigrateOut` equals the count observed at `MigrateIn`.
-//! 4. **Memory stays within budget** — at enforced budget snapshots,
-//!    `used ≤ budget + hard_reserve + pinned + largest-object` (the slack
-//!    terms cover the engine's deliberate overshoot when victims are
-//!    pinned and the one-object admission overshoot).
-//! 5. **Forwarding chains are acyclic and converge** — walking the
-//!    `Moved` tombstone graph from any directory hint terminates at the
-//!    object's (current or in-flight) location without revisiting a
-//!    node, and no object is forwarded without making progress
-//!    (a livelock streak cap backstops the walk).
-//! 6. **Termination only at quiescence** — at `Terminate` no posted
-//!    message is undelivered and no migration is in flight.
-//! 7. **Accounting balances at shutdown** — each node's reported `used`
-//!    equals both the event-ledger total and the sum of in-core object
-//!    footprints.
+//! Rules about one node's state are checked on that state by the node
+//! core (`node.rs`), at the transition that could break them, in every
+//! debug build, sink or no sink: 1 pinned objects are never evicted; 2 a
+//! handler's object stays out for execution until it finishes; 4 after an
+//! admission, `used ≤ budget + hard_reserve + pinned + largest-object`
+//! (the slack covers pinned victims and the one-object overshoot); 7
+//! `used` equals the sum of in-core footprints; 8 look-ahead loads stay
+//! inside the prefetch window; 10 no dirty eviction while the store
+//! rejects writes; 11 an elided eviction's on-disk image is current; 13 a
+//! steal grants an object held here, unpinned and not already leaving;
+//! and the per-node half of [`Invariant::EventOrder`] (loads issue only
+//! for on-disk objects and complete only for loading ones, only a store in
+//! flight can fail). A violation ends the run as
+//! [`crate::fault::MrtsError::Invariant`], naming the node, the transition
+//! and the object.
 //!
-//! 8. **Prefetch stays inside its window** — every look-ahead load is
-//!    issued against an on-disk object, and the in-flight totals it
-//!    announces never exceed the configured window caps.
-//! 9. **Compaction preserves every live object** — a spill-log
-//!    compaction reports identical live object counts and live bytes
-//!    before and after the rewrite.
-//! 10. **Degraded mode stops evictions** — `Degraded` enter/exit events
-//!     alternate per node, and no object is unloaded on a node while it
-//!     is degraded (a full disk must not be written to).
-//! 11. **Elided evictions reference current on-disk bytes** — an
-//!     `ElidedUnload` (a clean eviction that skipped the re-write) must
-//!     name an object whose last stored version equals its current
-//!     mutation version, and the checker's independent model of the
-//!     on-disk version (bumped at `Deliver`/`MigrateIn`, recorded at
-//!     `Unload`, invalidated by migration) must agree.
-//! 12. **Handlers execute exactly once per post** — even under duplicated
-//!     transmissions, every `Deliver` consumes an outstanding `Post`; a
-//!     duplicate that escaped receiver-side dedup drives the outstanding
-//!     count negative and is flagged.
-//! 13. **Steals respect pinning and residency** — a `StealGrant` hands
-//!     over an object that is present (in-core or on this node's disk)
-//!     and unpinned on the granting node; the migration it triggers is
-//!     then held to invariants 3 and 5 like any other.
-//! 14. **Jobs never interfere** — on the separate [`ServiceEvent`]
-//!     stream, the node domains granted to concurrently active jobs are
-//!     pairwise disjoint, and a quarantined job is never readmitted.
+//! What no single node can see, [`InvariantChecker`] checks on the event
+//! stream, over a model of each object's holder, the migrations in flight
+//! and the posted-but-undelivered messages:
 //!
-//! A catch-all, [`Invariant::EventOrder`], flags protocol-impossible
-//! streams (loading an in-core object, installing a migration that never
-//! departed, …) so that checker state never silently desynchronizes.
+//! 2. (cross-node half) a handler runs on the node that holds the object;
+//! 3. **message queues travel with objects** — the queued count announced
+//!    at `MigrateOut` equals the count observed at `MigrateIn`;
+//! 5. **forwarding chains are acyclic and converge** — the `Moved`
+//!    tombstone walk from any hint reaches the object's holder or
+//!    in-flight destination without revisiting a node, and a streak cap
+//!    backstops it against routing livelock;
+//! 6. **termination only at quiescence** — at `Terminate` no posted
+//!    message is undelivered and no migration is in flight;
+//! 12. **handlers execute exactly once per post** — a duplicate that
+//!     escaped receiver-side dedup drives the outstanding count negative;
+//! 14. **jobs never interfere** — on the separate [`ServiceEvent`] stream,
+//!     concurrently active jobs hold disjoint node domains, and a
+//!     quarantined job is never readmitted.
+//!
+//! Here [`Invariant::EventOrder`] flags stream-impossible sequences
+//! (installing a migration that never departed, departing from a node
+//! that does not hold the object, …), so the model never desynchronizes.
 
 use crate::ids::{NodeId, ObjectId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -115,8 +102,8 @@ pub enum RuntimeEvent {
     /// A clean in-core object was evicted without a write: the resident
     /// copy was dropped because the on-disk bytes are already current.
     /// `version` is the object's mutation version at eviction time and
-    /// `stored_version` the version the engine last wrote to disk; the
-    /// checker requires them to match its own model (invariant 11).
+    /// `stored_version` the version last written to disk; a legal
+    /// elision has them equal (invariant 11).
     ElidedUnload {
         node: NodeId,
         oid: ObjectId,
@@ -171,9 +158,8 @@ pub enum RuntimeEvent {
         new: usize,
     },
     /// A memory-accounting snapshot. `enforced` snapshots follow an
-    /// admission decision and are held to the budget invariant;
-    /// unenforced ones (bootstrap, reload completions) are
-    /// accounting-only.
+    /// admission decision (invariant 4); unenforced ones (bootstrap,
+    /// reload completions) are accounting-only.
     Budget {
         node: NodeId,
         used: usize,
@@ -350,7 +336,8 @@ pub enum FailMode {
     Collect,
 }
 
-/// The runtime invariants the checker enforces (see module docs).
+/// The runtime invariants (see module docs): the per-node ones are
+/// checked on the node core, the cross-node ones by [`InvariantChecker`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Invariant {
     PinnedEviction,
@@ -362,8 +349,6 @@ pub enum Invariant {
     AccountingImbalance,
     /// A look-ahead load overran the configured prefetch window.
     PrefetchWindowExceeded,
-    /// A spill-log compaction dropped (or duplicated) live objects.
-    CompactionLoss,
     /// An object was evicted on a node that had declared degraded mode.
     DegradedEviction,
     /// A clean eviction skipped its write while the on-disk bytes were
@@ -373,14 +358,14 @@ pub enum Invariant {
     /// duplicated transmission slipped past receiver-side dedup.
     DuplicateDelivery,
     /// A steal grant handed over an object that was pinned, absent, or
-    /// already in flight on the granting node.
+    /// already leaving the granting node.
     IllegalSteal,
     /// Two concurrently active jobs were granted overlapping node
     /// domains, or a quarantined job was resubmitted — either breaks the
     /// job service's fault-domain isolation guarantee.
     CrossJobInterference,
-    /// A protocol-impossible event for the tracked state (catch-all that
-    /// keeps the checker honest about its own model).
+    /// A protocol-impossible transition for the state it applies to
+    /// (catch-all that keeps each model honest).
     EventOrder,
 }
 
@@ -397,31 +382,6 @@ impl std::fmt::Display for Violation {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Residency {
-    InCore,
-    OnDisk,
-    /// Packed and in flight between nodes.
-    Migrating,
-}
-
-struct ObjInfo {
-    /// Last node the object was resident on (departure node while
-    /// migrating).
-    loc: NodeId,
-    residency: Residency,
-    pinned: bool,
-    footprint: usize,
-    /// Mutation version mirrored from the engines' dirty tracking:
-    /// bumped on every handler delivery and migration install, never on
-    /// a read-only load.
-    version: u64,
-    /// Version the on-disk bytes correspond to (`None` until the first
-    /// spill, and after any migration — bytes left behind on the old
-    /// node's store are unreachable there).
-    disk_version: Option<u64>,
-}
-
 struct MigRecord {
     to: NodeId,
     queued: usize,
@@ -429,9 +389,9 @@ struct MigRecord {
 
 #[derive(Default)]
 struct CheckState {
-    objs: HashMap<ObjectId, ObjInfo>,
-    /// Per-node in-core byte ledger maintained from events alone.
-    ledger: HashMap<NodeId, i64>,
+    /// Node each object was created on or last installed on (its
+    /// departure node while it migrates).
+    loc: HashMap<ObjectId, NodeId>,
     /// Departed-but-not-installed migrations, FIFO per object.
     in_flight: HashMap<ObjectId, VecDeque<MigRecord>>,
     /// The `Moved` tombstone graph: for each object, stale-location →
@@ -439,8 +399,6 @@ struct CheckState {
     moved_edges: HashMap<ObjectId, HashMap<NodeId, NodeId>>,
     /// Posted-but-undelivered message count (global).
     outstanding: i64,
-    /// Nodes currently in degraded mode (enter/exit must alternate).
-    degraded: HashSet<NodeId>,
     /// Consecutive forwards per object since it last made progress
     /// (delivery or install); a runaway streak means a routing livelock.
     forward_streak: HashMap<ObjectId, u32>,
@@ -455,7 +413,19 @@ struct CheckState {
     events: u64,
 }
 
-/// Online checker for the runtime invariants listed in the module docs.
+impl CheckState {
+    /// The node that holds `oid` now: where it was created or last
+    /// installed, unless it is in flight.
+    fn holder(&self, oid: ObjectId) -> Option<NodeId> {
+        if self.in_flight.get(&oid).is_some_and(|q| !q.is_empty()) {
+            return None;
+        }
+        self.loc.get(&oid).copied()
+    }
+}
+
+/// Online checker for the cross-node runtime invariants listed in the
+/// module docs.
 ///
 /// Thread-safe; attach one instance to a whole run (both engines) via
 /// `attach_audit` and call [`InvariantChecker::assert_clean`] afterwards
@@ -506,38 +476,46 @@ impl InvariantChecker {
             panic!("runtime invariants violated:\n  {}", list.join("\n  "));
         }
     }
+
+    /// Commit what one event turned up: panic on the first violation in
+    /// [`FailMode::Panic`], keep them all otherwise.
+    fn commit(&self, st: &mut CheckState, found: Vec<(Invariant, String)>) {
+        for (invariant, detail) in found {
+            if self.mode == FailMode::Panic {
+                panic!("MRTS invariant violated — {invariant:?}: {detail}");
+            }
+            st.violations.push(Violation { invariant, detail });
+        }
+    }
 }
 
 /// Walk the tombstone graph from `start`. The walk is clean when it
-/// reaches the object's resident location, any in-flight migration
-/// destination, or a node with no tombstone (the engine then re-routes
-/// via the home node). Revisiting a node is a forwarding cycle.
+/// reaches the object's holder, any in-flight migration destination, or a
+/// node with no tombstone (the engine then re-routes via the home node).
+/// Revisiting a node is a forwarding cycle; the detail lists the walk in
+/// visit order, so one schedule always yields the same text.
 fn walk_chain(st: &CheckState, oid: ObjectId, start: NodeId) -> Option<Violation> {
-    let resident = st
-        .objs
-        .get(&oid)
-        .filter(|o| o.residency != Residency::Migrating)
-        .map(|o| o.loc);
-    let dests: HashSet<NodeId> = st
-        .in_flight
-        .get(&oid)
-        .map(|q| q.iter().map(|r| r.to).collect())
-        .unwrap_or_default();
+    let holder = st.holder(oid);
+    let in_flight_to = |n: NodeId| {
+        st.in_flight
+            .get(&oid)
+            .is_some_and(|q| q.iter().any(|r| r.to == n))
+    };
     let mut cur = start;
-    let mut visited: HashSet<NodeId> = HashSet::new();
+    let mut path: Vec<NodeId> = Vec::new();
     loop {
-        if resident == Some(cur) || dests.contains(&cur) {
+        if holder == Some(cur) || in_flight_to(cur) {
             return None; // converged to where the object is (or will be)
         }
-        if !visited.insert(cur) {
-            let path: Vec<NodeId> = visited.into_iter().collect();
+        if path.contains(&cur) {
             return Some(Violation {
                 invariant: Invariant::ForwardingCycle,
                 detail: format!(
-                    "{oid:?}: tombstone walk from node {start} revisits node {cur} (seen {path:?})"
+                    "{oid:?}: tombstone walk from node {start} revisits node {cur} (path {path:?})"
                 ),
             });
         }
+        path.push(cur);
         match st.moved_edges.get(&oid).and_then(|m| m.get(&cur)) {
             Some(&next) => cur = next,
             None => return None, // chain end: engine falls back to the home node
@@ -547,228 +525,61 @@ fn walk_chain(st: &CheckState, oid: ObjectId, start: NodeId) -> Option<Violation
 
 impl EventSink for InvariantChecker {
     fn record(&self, ev: &RuntimeEvent) {
+        use Invariant::*;
         let mut guard = lock(&self.state);
         let st = &mut *guard;
         st.events += 1;
-        // Violations are gathered locally and committed at the end: state
-        // updates and checks interleave, and the borrow of an object entry
-        // must end before the violation list (also inside `st`) grows.
-        let mut found: Vec<(Invariant, String)> = Vec::new();
+        let mut found = Vec::new();
+        let mut flag = |invariant: Invariant, detail: String| found.push((invariant, detail));
         match ev {
-            RuntimeEvent::Create {
-                node,
-                oid,
-                footprint,
-            } => {
-                if st.objs.contains_key(oid) {
-                    found.push((Invariant::EventOrder, format!("{oid:?} created twice")));
+            RuntimeEvent::Create { node, oid, .. } => {
+                let earlier = st.loc.insert(*oid, *node);
+                if earlier.is_some() {
+                    flag(EventOrder, format!("{oid:?} created twice"));
                 }
-                st.objs.insert(
-                    *oid,
-                    ObjInfo {
-                        loc: *node,
-                        residency: Residency::InCore,
-                        pinned: false,
-                        footprint: *footprint,
-                        version: 0,
-                        disk_version: None,
-                    },
-                );
-                *st.ledger.entry(*node).or_insert(0) += *footprint as i64;
             }
-            RuntimeEvent::Load {
-                node,
-                oid,
-                footprint,
-            } => match st.objs.get_mut(oid) {
-                Some(o) if o.residency == Residency::OnDisk && o.loc == *node => {
-                    o.residency = Residency::InCore;
-                    o.footprint = *footprint;
-                    *st.ledger.entry(*node).or_insert(0) += *footprint as i64;
-                }
-                Some(o) => found.push((
-                    Invariant::EventOrder,
-                    format!(
-                        "{oid:?} loaded on node {node} but tracked {:?} at node {}",
-                        o.residency, o.loc
-                    ),
-                )),
-                None => found.push((
-                    Invariant::EventOrder,
-                    format!("{oid:?} loaded before creation"),
-                )),
-            },
-            RuntimeEvent::Unload {
-                node,
-                oid,
-                footprint,
-            } => match st.objs.get_mut(oid) {
-                Some(o) if o.residency == Residency::InCore && o.loc == *node => {
-                    if o.pinned {
-                        found.push((
-                            Invariant::PinnedEviction,
-                            format!("{oid:?} evicted from node {node} while pinned"),
-                        ));
-                    }
-                    if st.degraded.contains(node) {
-                        found.push((
-                            Invariant::DegradedEviction,
-                            format!("{oid:?} evicted from node {node} while it is degraded"),
-                        ));
-                    }
-                    if o.footprint != *footprint {
-                        found.push((
-                            Invariant::AccountingImbalance,
-                            format!("{oid:?} unloaded {footprint}B but tracked {}B", o.footprint),
-                        ));
-                    }
-                    o.residency = Residency::OnDisk;
-                    o.disk_version = Some(o.version);
-                    *st.ledger.entry(*node).or_insert(0) -= *footprint as i64;
-                }
-                Some(o) => found.push((
-                    Invariant::EventOrder,
-                    format!(
-                        "{oid:?} unloaded on node {node} but tracked {:?} at node {}",
-                        o.residency, o.loc
-                    ),
-                )),
-                None => found.push((
-                    Invariant::EventOrder,
-                    format!("{oid:?} unloaded before creation"),
-                )),
-            },
-            RuntimeEvent::ElidedUnload {
-                node,
-                oid,
-                footprint,
-                version,
-                stored_version,
-            } => match st.objs.get_mut(oid) {
-                Some(o) if o.residency == Residency::InCore && o.loc == *node => {
-                    if o.pinned {
-                        found.push((
-                            Invariant::PinnedEviction,
-                            format!("{oid:?} elided-evicted from node {node} while pinned"),
-                        ));
-                    }
-                    if o.footprint != *footprint {
-                        found.push((
-                            Invariant::AccountingImbalance,
-                            format!(
-                                "{oid:?} elided-unloaded {footprint}B but tracked {}B",
-                                o.footprint
-                            ),
-                        ));
-                    }
-                    // Invariant 11: the skipped write is only legal when
-                    // the on-disk bytes are current — per the engine's
-                    // own bookkeeping *and* the checker's model.
-                    if version != stored_version {
-                        found.push((
-                            Invariant::StaleElision,
-                            format!(
-                                "{oid:?} elided on node {node} at version {version} but its last stored version is {stored_version}"
-                            ),
-                        ));
-                    }
-                    if o.disk_version != Some(*version) {
-                        found.push((
-                            Invariant::StaleElision,
-                            format!(
-                                "{oid:?} elided on node {node} claiming on-disk version {version} but the checker tracks {:?}",
-                                o.disk_version
-                            ),
-                        ));
-                    }
-                    // No DegradedEviction check: an elision performs no
-                    // write, so a full disk is not at risk (the engines
-                    // stop evicting entirely while degraded anyway).
-                    o.residency = Residency::OnDisk;
-                    *st.ledger.entry(*node).or_insert(0) -= *footprint as i64;
-                }
-                Some(o) => found.push((
-                    Invariant::EventOrder,
-                    format!(
-                        "{oid:?} elided-unloaded on node {node} but tracked {:?} at node {}",
-                        o.residency, o.loc
-                    ),
-                )),
-                None => found.push((
-                    Invariant::EventOrder,
-                    format!("{oid:?} elided-unloaded before creation"),
-                )),
-            },
-            RuntimeEvent::Pin { node, oid } => match st.objs.get_mut(oid) {
-                Some(o) => o.pinned = true,
-                None => found.push((
-                    Invariant::EventOrder,
-                    format!("{oid:?} pinned on node {node} before creation"),
-                )),
-            },
-            RuntimeEvent::Unpin { node, oid } => match st.objs.get_mut(oid) {
-                Some(o) => o.pinned = false,
-                None => found.push((
-                    Invariant::EventOrder,
-                    format!("{oid:?} unpinned on node {node} before creation"),
-                )),
-            },
             RuntimeEvent::Post { .. } => st.outstanding += 1,
             RuntimeEvent::Deliver { node, oid } => {
                 st.outstanding -= 1;
                 if st.outstanding < 0 {
-                    found.push((
-                        Invariant::DuplicateDelivery,
+                    flag(
+                        DuplicateDelivery,
                         format!(
                             "handler ran against {oid:?} on node {node} with no outstanding post \
                              — a duplicated transmission slipped past dedup"
                         ),
-                    ));
+                    );
                 }
                 st.forward_streak.remove(oid);
-                match st.objs.get_mut(oid) {
-                    Some(o) if o.residency == Residency::InCore && o.loc == *node => {
-                        o.version += 1;
-                    }
-                    Some(o) => {
-                        o.version += 1;
-                        found.push((
-                            Invariant::NonResidentDelivery,
-                            format!(
-                                "handler ran against {oid:?} on node {node} but object is {:?} at node {}",
-                                o.residency, o.loc
-                            ),
-                        ))
-                    }
-                    None => found.push((
-                        Invariant::NonResidentDelivery,
-                        format!("handler ran against unknown {oid:?} on node {node}"),
-                    )),
+                let holder = st.holder(*oid);
+                if holder != Some(*node) {
+                    let at = format!("{oid:?} on node {node} but its holder is {holder:?}");
+                    flag(NonResidentDelivery, format!("handler ran against {at}"));
                 }
             }
             RuntimeEvent::Forward { node, oid, to } => {
                 if to == node {
-                    found.push((
-                        Invariant::ForwardingCycle,
+                    flag(
+                        ForwardingCycle,
                         format!("{oid:?} forwarded from node {node} to itself"),
-                    ));
+                    );
                 }
                 let streak = st.forward_streak.entry(*oid).or_insert(0);
                 *streak += 1;
-                let streak = *streak;
-                if streak == self.forward_streak_limit {
-                    found.push((
-                        Invariant::ForwardingCycle,
-                        format!("{oid:?} forwarded {streak} times without a delivery or install (routing livelock)"),
-                    ));
+                if *streak == self.forward_streak_limit {
+                    let why = "without a delivery or install (routing livelock)";
+                    flag(
+                        ForwardingCycle,
+                        format!("{oid:?} forwarded {streak} times {why}"),
+                    );
                 }
                 if let Some(v) = walk_chain(st, *oid, *to) {
-                    found.push((v.invariant, v.detail));
+                    flag(v.invariant, v.detail);
                 }
             }
             RuntimeEvent::DirUpdate { node: _, oid, loc } => {
                 if let Some(v) = walk_chain(st, *oid, *loc) {
-                    found.push((v.invariant, v.detail));
+                    flag(v.invariant, v.detail);
                 }
             }
             RuntimeEvent::MigrateOut {
@@ -776,34 +587,14 @@ impl EventSink for InvariantChecker {
                 oid,
                 to,
                 queued,
-                footprint,
+                ..
             } => {
-                match st.objs.get_mut(oid) {
-                    Some(o) if o.residency == Residency::InCore && o.loc == *node => {
-                        if o.footprint != *footprint {
-                            found.push((
-                                Invariant::AccountingImbalance,
-                                format!(
-                                    "{oid:?} departed with {footprint}B but tracked {}B",
-                                    o.footprint
-                                ),
-                            ));
-                        }
-                        o.residency = Residency::Migrating;
-                        o.disk_version = None;
-                        *st.ledger.entry(*node).or_insert(0) -= *footprint as i64;
-                    }
-                    Some(o) => found.push((
-                        Invariant::EventOrder,
-                        format!(
-                            "{oid:?} migrated out of node {node} but tracked {:?} at node {}",
-                            o.residency, o.loc
-                        ),
-                    )),
-                    None => found.push((
-                        Invariant::EventOrder,
-                        format!("{oid:?} migrated before creation"),
-                    )),
+                let holder = st.holder(*oid);
+                if holder != Some(*node) {
+                    flag(
+                        EventOrder,
+                        format!("{oid:?} migrated out of node {node} but its holder is {holder:?}"),
+                    );
                 }
                 st.moved_edges.entry(*oid).or_default().insert(*node, *to);
                 st.in_flight.entry(*oid).or_default().push_back(MigRecord {
@@ -812,183 +603,49 @@ impl EventSink for InvariantChecker {
                 });
             }
             RuntimeEvent::MigrateIn {
-                node,
-                oid,
-                queued,
-                footprint,
+                node, oid, queued, ..
             } => {
                 match st.in_flight.get_mut(oid).and_then(|q| q.pop_front()) {
                     Some(rec) => {
                         if rec.to != *node {
-                            found.push((
-                                Invariant::EventOrder,
+                            flag(
+                                EventOrder,
                                 format!(
                                     "{oid:?} installed on node {node} but was shipped to node {}",
                                     rec.to
                                 ),
-                            ));
+                            );
                         }
                         if rec.queued != *queued {
-                            found.push((
-                                Invariant::QueueLostInMigration,
-                                format!(
-                                    "{oid:?} departed with {} queued messages but installed with {queued}",
-                                    rec.queued
-                                ),
-                            ));
+                            let sent = rec.queued;
+                            flag(
+                                QueueLostInMigration,
+                                format!("{oid:?} departed with {sent} queued messages but installed with {queued}"),
+                            );
                         }
                     }
-                    None => found.push((
-                        Invariant::EventOrder,
+                    None => flag(
+                        EventOrder,
                         format!("{oid:?} installed on node {node} without a matching departure"),
-                    )),
+                    ),
                 }
                 st.forward_streak.remove(oid);
-                if let Some(o) = st.objs.get_mut(oid) {
-                    o.loc = *node;
-                    o.residency = Residency::InCore;
-                    o.footprint = *footprint;
-                    // Installing counts as a mutation (the version rides
-                    // in the payload), and any bytes spilled on the old
-                    // node are unreachable here.
-                    o.version += 1;
-                    o.disk_version = None;
-                }
+                st.loc.insert(*oid, *node);
                 // The object is here now: any stale tombstone on this node
                 // is overwritten by the engine.
                 if let Some(edges) = st.moved_edges.get_mut(oid) {
                     edges.remove(node);
                 }
-                *st.ledger.entry(*node).or_insert(0) += *footprint as i64;
-            }
-            RuntimeEvent::Resize {
-                node,
-                oid,
-                old,
-                new,
-            } => match st.objs.get_mut(oid) {
-                Some(o) if o.residency == Residency::InCore && o.loc == *node => {
-                    if o.footprint != *old {
-                        found.push((
-                            Invariant::AccountingImbalance,
-                            format!("{oid:?} resized from {old}B but tracked {}B", o.footprint),
-                        ));
-                    }
-                    o.footprint = *new;
-                    *st.ledger.entry(*node).or_insert(0) += *new as i64 - *old as i64;
-                }
-                _ => found.push((
-                    Invariant::EventOrder,
-                    format!("{oid:?} resized on node {node} while not in-core there"),
-                )),
-            },
-            RuntimeEvent::Budget {
-                node,
-                used,
-                budget,
-                hard_reserve,
-                enforced,
-            } => {
-                let ledger = st.ledger.get(node).copied().unwrap_or(0);
-                if ledger != *used as i64 {
-                    found.push((
-                        Invariant::AccountingImbalance,
-                        format!("node {node} reports {used}B in-core but the event ledger says {ledger}B"),
-                    ));
-                }
-                if *enforced {
-                    // Slack the engine is allowed: pinned objects cannot be
-                    // evicted, and admission may overshoot by the incoming
-                    // object itself (see `OocManager::needed_for_admission`).
-                    let (pinned, largest) = st
-                        .objs
-                        .values()
-                        .filter(|o| o.residency == Residency::InCore && o.loc == *node)
-                        .fold((0usize, 0usize), |(p, m), o| {
-                            (
-                                p + if o.pinned { o.footprint } else { 0 },
-                                m.max(o.footprint),
-                            )
-                        });
-                    let cap = budget
-                        .saturating_add(*hard_reserve)
-                        .saturating_add(pinned)
-                        .saturating_add(largest);
-                    if *used > cap {
-                        found.push((
-                            Invariant::BudgetExceeded,
-                            format!(
-                                "node {node} holds {used}B in-core, over budget {budget}B + reserve {hard_reserve}B + pinned {pinned}B + one-object slack {largest}B"
-                            ),
-                        ));
-                    }
-                }
-            }
-            RuntimeEvent::Prefetch {
-                node,
-                oid,
-                inflight_objects,
-                window_objects,
-                inflight_bytes,
-                window_bytes,
-            } => {
-                if inflight_objects > window_objects || inflight_bytes > window_bytes {
-                    found.push((
-                        Invariant::PrefetchWindowExceeded,
-                        format!(
-                            "node {node} prefetching {oid:?} with {inflight_objects} objects / {inflight_bytes}B in flight, window {window_objects} objects / {window_bytes}B"
-                        ),
-                    ));
-                }
-                match st.objs.get(oid) {
-                    Some(o) if o.residency == Residency::OnDisk && o.loc == *node => {}
-                    Some(o) => found.push((
-                        Invariant::EventOrder,
-                        format!(
-                            "{oid:?} prefetched on node {node} but tracked {:?} at node {}",
-                            o.residency, o.loc
-                        ),
-                    )),
-                    None => found.push((
-                        Invariant::EventOrder,
-                        format!("{oid:?} prefetched before creation"),
-                    )),
-                }
-            }
-            RuntimeEvent::Compaction {
-                node,
-                live_objects_before,
-                live_objects_after,
-                live_bytes_before,
-                live_bytes_after,
-                ..
-            } => {
-                if live_objects_before != live_objects_after {
-                    found.push((
-                        Invariant::CompactionLoss,
-                        format!(
-                            "node {node} compaction went from {live_objects_before} to {live_objects_after} live objects"
-                        ),
-                    ));
-                }
-                if live_bytes_before != live_bytes_after {
-                    found.push((
-                        Invariant::CompactionLoss,
-                        format!(
-                            "node {node} compaction went from {live_bytes_before}B to {live_bytes_after}B live"
-                        ),
-                    ));
-                }
             }
             RuntimeEvent::Terminate { node } => {
                 if st.outstanding != 0 {
-                    found.push((
-                        Invariant::EarlyTermination,
+                    flag(
+                        EarlyTermination,
                         format!(
                             "node {node} terminated with {} posted-but-undelivered messages",
                             st.outstanding
                         ),
-                    ));
+                    );
                 }
                 let in_flight: Vec<ObjectId> = st
                     .in_flight
@@ -997,92 +654,19 @@ impl EventSink for InvariantChecker {
                     .map(|(oid, _)| *oid)
                     .collect();
                 if !in_flight.is_empty() {
-                    found.push((
-                        Invariant::EarlyTermination,
+                    flag(
+                        EarlyTermination,
                         format!("node {node} terminated with migrations in flight: {in_flight:?}"),
-                    ));
+                    );
                 }
             }
-            RuntimeEvent::Shutdown { node, used } => {
-                let ledger = st.ledger.get(node).copied().unwrap_or(0);
-                if ledger != *used as i64 {
-                    found.push((
-                        Invariant::AccountingImbalance,
-                        format!("node {node} shut down reporting {used}B but the event ledger says {ledger}B"),
-                    ));
-                }
-                let live: usize = st
-                    .objs
-                    .values()
-                    .filter(|o| o.residency == Residency::InCore && o.loc == *node)
-                    .map(|o| o.footprint)
-                    .sum();
-                if live != *used {
-                    found.push((
-                        Invariant::AccountingImbalance,
-                        format!(
-                            "node {node} shut down reporting {used}B but in-core objects sum to {live}B"
-                        ),
-                    ));
-                }
-            }
-            // Fault/Retry, the network-fault events, and the locality
-            // events are observability events: they mark where a layer
-            // failed/recovered or why the spill path made a choice, but do
-            // not change the object-state model (the duplicate-delivery
-            // invariant is enforced at `Deliver`; the prefetch window is
-            // enforced at `Prefetch`, which cluster-prefetched loads also
-            // emit; compaction liveness is enforced at `Compaction`).
-            RuntimeEvent::Fault { .. }
-            | RuntimeEvent::Retry { .. }
-            | RuntimeEvent::NetFault { .. }
-            | RuntimeEvent::Retransmit { .. }
-            | RuntimeEvent::DupSuppressed { .. }
-            | RuntimeEvent::HintInvalidated { .. }
-            | RuntimeEvent::ClusterPrefetch { .. }
-            | RuntimeEvent::CompactionReorder { .. }
-            | RuntimeEvent::StealRequest { .. }
-            | RuntimeEvent::StealDeny { .. } => {}
-            RuntimeEvent::StealGrant { node, oid, to } => match st.objs.get(oid) {
-                Some(o) if o.pinned => found.push((
-                    Invariant::IllegalSteal,
-                    format!("{oid:?} granted to thief {to} while pinned on node {node}"),
-                )),
-                Some(o) if o.loc != *node || o.residency == Residency::Migrating => found.push((
-                    Invariant::IllegalSteal,
-                    format!(
-                        "{oid:?} granted by node {node} to thief {to} but tracked {:?} at node {}",
-                        o.residency, o.loc
-                    ),
-                )),
-                Some(_) => {}
-                None => found.push((
-                    Invariant::IllegalSteal,
-                    format!("{oid:?} granted to thief {to} before creation"),
-                )),
-            },
-            RuntimeEvent::Degraded { node, on } => {
-                if *on {
-                    if !st.degraded.insert(*node) {
-                        found.push((
-                            Invariant::EventOrder,
-                            format!("node {node} entered degraded mode twice"),
-                        ));
-                    }
-                } else if !st.degraded.remove(node) {
-                    found.push((
-                        Invariant::EventOrder,
-                        format!("node {node} left degraded mode without entering it"),
-                    ));
-                }
-            }
+            // Residency, budget, prefetch, steal and degraded-mode events
+            // are one node's business, checked on its core; fault,
+            // network and locality events mark where a layer failed,
+            // recovered or chose. None of them moves the model.
+            _ => {}
         }
-        for (invariant, detail) in found {
-            if self.mode == FailMode::Panic {
-                panic!("MRTS invariant violated — {invariant:?}: {detail}");
-            }
-            st.violations.push(Violation { invariant, detail });
-        }
+        self.commit(st, found);
     }
 }
 
@@ -1139,14 +723,6 @@ impl ServiceLog {
     pub fn snapshot(&self) -> Vec<ServiceEvent> {
         lock(&self.events).clone()
     }
-
-    pub fn len(&self) -> usize {
-        lock(&self.events).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl ServiceEventSink for ServiceLog {
@@ -1162,35 +738,37 @@ impl ServiceEventSink for InvariantChecker {
     /// an inactive job, double completion, id reuse) fall under
     /// [`Invariant::EventOrder`], as in the per-run stream.
     fn record_service(&self, ev: &ServiceEvent) {
+        use Invariant::{CrossJobInterference, EventOrder};
         let mut guard = lock(&self.state);
         let st = &mut *guard;
         st.events += 1;
-        let mut found: Vec<(Invariant, String)> = Vec::new();
+        let mut found = Vec::new();
+        let mut flag = |invariant: Invariant, detail: String| found.push((invariant, detail));
         match ev {
             ServiceEvent::JobAdmitted { job, nodes, budget } => {
                 if st.job_quarantined.contains(job) {
-                    found.push((
-                        Invariant::CrossJobInterference,
+                    flag(
+                        CrossJobInterference,
                         format!("quarantined job {job} was readmitted"),
-                    ));
+                    );
                 }
                 if st.job_completed.contains(job) {
-                    found.push((
-                        Invariant::EventOrder,
+                    flag(
+                        EventOrder,
                         format!("completed job {job} was readmitted (job ids are unique)"),
-                    ));
+                    );
                 }
                 if st.job_domains.contains_key(job) {
-                    found.push((
-                        Invariant::EventOrder,
+                    flag(
+                        EventOrder,
                         format!("job {job} admitted while already active"),
-                    ));
+                    );
                 }
                 if *budget == 0 {
-                    found.push((
-                        Invariant::EventOrder,
+                    flag(
+                        EventOrder,
                         format!("job {job} admitted with a zero memory budget"),
-                    ));
+                    );
                 }
                 for (other, domain) in &st.job_domains {
                     if *other == *job {
@@ -1202,69 +780,55 @@ impl ServiceEventSink for InvariantChecker {
                         .filter(|n| domain.contains(n))
                         .collect();
                     if !overlap.is_empty() {
-                        found.push((
-                            Invariant::CrossJobInterference,
+                        flag(
+                            CrossJobInterference,
                             format!(
                                 "job {job} granted nodes {overlap:?} already owned by \
                                  active job {other}"
                             ),
-                        ));
+                        );
                     }
                 }
                 st.job_domains.insert(*job, nodes.clone());
             }
             ServiceEvent::JobRetry { job, attempt } => {
                 if !st.job_domains.contains_key(job) {
-                    found.push((
-                        Invariant::EventOrder,
+                    flag(
+                        EventOrder,
                         format!("job {job} retried (attempt {attempt}) while not active"),
-                    ));
+                    );
                 }
             }
             ServiceEvent::JobQuarantined { job, attempts } => {
                 // Quarantine is legal straight from the queue (a domain
                 // that became unsatisfiable) — no active-domain check.
                 if st.job_completed.contains(job) {
-                    found.push((
-                        Invariant::EventOrder,
+                    flag(
+                        EventOrder,
                         format!("completed job {job} quarantined (after {attempts} attempts)"),
-                    ));
+                    );
                 }
                 if !st.job_quarantined.insert(*job) {
-                    found.push((
-                        Invariant::EventOrder,
-                        format!("job {job} quarantined twice"),
-                    ));
+                    flag(EventOrder, format!("job {job} quarantined twice"));
                 }
                 st.job_domains.remove(job);
             }
             ServiceEvent::JobRecovered { job, from } => match st.job_domains.remove(job) {
                 Some(domain) if domain.contains(from) => {}
-                Some(domain) => found.push((
-                    Invariant::EventOrder,
+                Some(domain) => flag(
+                    EventOrder,
                     format!("job {job} recovered from node {from} outside its domain {domain:?}"),
-                )),
-                None => found.push((
-                    Invariant::EventOrder,
-                    format!("job {job} recovered while not active"),
-                )),
+                ),
+                None => flag(EventOrder, format!("job {job} recovered while not active")),
             },
             ServiceEvent::JobCompleted { job } => {
                 if st.job_domains.remove(job).is_none() {
-                    found.push((
-                        Invariant::EventOrder,
-                        format!("job {job} completed while not active"),
-                    ));
+                    flag(EventOrder, format!("job {job} completed while not active"));
                 }
                 st.job_completed.insert(*job);
             }
         }
-        for (invariant, detail) in found {
-            if self.mode == FailMode::Panic {
-                panic!("MRTS invariant violated — {invariant:?}: {detail}");
-            }
-            st.violations.push(Violation { invariant, detail });
-        }
+        self.commit(st, found);
     }
 }
 
@@ -1459,6 +1023,25 @@ mod tests {
         ObjectId::new(0, seq)
     }
 
+    fn create(node: NodeId) -> RuntimeEvent {
+        RuntimeEvent::Create {
+            node,
+            oid: oid(1),
+            footprint: 100,
+        }
+    }
+
+    fn post(seq: u64) -> RuntimeEvent {
+        RuntimeEvent::Post {
+            node: 0,
+            oid: oid(seq),
+        }
+    }
+
+    fn deliver(node: NodeId) -> RuntimeEvent {
+        RuntimeEvent::Deliver { node, oid: oid(1) }
+    }
+
     #[test]
     fn mix64_is_injective_on_a_prefix() {
         let mut seen = HashSet::new();
@@ -1472,23 +1055,11 @@ mod tests {
     #[test]
     fn event_log_records_in_order() {
         let log = EventLog::new();
-        log.record(&RuntimeEvent::Post {
-            node: 0,
-            oid: oid(1),
-        });
-        log.record(&RuntimeEvent::Post {
-            node: 0,
-            oid: oid(2),
-        });
-        let evs = log.snapshot();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(
-            evs[0],
-            RuntimeEvent::Post {
-                node: 0,
-                oid: oid(1)
-            }
-        );
+        let events = [post(1), post(2)];
+        for ev in &events {
+            log.record(ev);
+        }
+        assert_eq!(log.snapshot(), events);
     }
 
     #[test]
@@ -1506,19 +1077,9 @@ mod tests {
     #[test]
     fn clean_lifecycle_has_no_violations() {
         let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Post {
-            node: 0,
-            oid: oid(1),
-        });
-        c.record(&RuntimeEvent::Deliver {
-            node: 0,
-            oid: oid(1),
-        });
+        c.record(&create(0));
+        c.record(&post(1));
+        c.record(&deliver(0));
         c.record(&RuntimeEvent::Unload {
             node: 0,
             oid: oid(1),
@@ -1539,26 +1100,13 @@ mod tests {
     #[test]
     fn duplicate_delivery_is_flagged() {
         let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Post {
-            node: 0,
-            oid: oid(1),
-        });
-        c.record(&RuntimeEvent::Deliver {
-            node: 0,
-            oid: oid(1),
-        });
+        c.record(&create(0));
+        c.record(&post(1));
+        c.record(&deliver(0));
         assert!(c.violations().is_empty(), "{:?}", c.violations());
         // The same message delivered again (dedup failed): one post, two
         // handler executions.
-        c.record(&RuntimeEvent::Deliver {
-            node: 0,
-            oid: oid(1),
-        });
+        c.record(&deliver(0));
         assert!(
             c.violations()
                 .iter()
@@ -1595,324 +1143,54 @@ mod tests {
         assert_eq!(c.events_seen(), 4);
     }
 
+    /// A forwarding cycle over four stale tombstones (left by installs
+    /// that landed elsewhere) reads the same in every checker: the detail
+    /// lists the walk in visit order, not a hash set's order.
     #[test]
-    fn elided_unload_requires_current_disk_bytes() {
-        let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Post {
-            node: 0,
-            oid: oid(1),
-        });
-        c.record(&RuntimeEvent::Deliver {
-            node: 0,
-            oid: oid(1),
-        }); // version -> 1
-        c.record(&RuntimeEvent::Unload {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        }); // disk_version = Some(1)
-        c.record(&RuntimeEvent::Load {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        // Reloaded but not mutated: eliding the re-write is legal.
-        c.record(&RuntimeEvent::ElidedUnload {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-            version: 1,
-            stored_version: 1,
-        });
-        assert!(c.violations().is_empty(), "{:?}", c.violations());
-        // A handler runs after the next reload: the disk bytes go stale,
-        // so a subsequent elision must be flagged.
-        c.record(&RuntimeEvent::Load {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Post {
-            node: 0,
-            oid: oid(1),
-        });
-        c.record(&RuntimeEvent::Deliver {
-            node: 0,
-            oid: oid(1),
-        }); // version -> 2
-        c.record(&RuntimeEvent::ElidedUnload {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-            version: 2,
-            stored_version: 1,
-        });
-        assert!(
-            c.violations()
+    fn forwarding_cycle_detail_is_the_same_in_every_checker() {
+        let detail = || {
+            let c = InvariantChecker::new(FailMode::Collect);
+            c.record(&create(9));
+            for (from, to) in [(1, 2), (2, 3), (3, 4), (4, 1)] {
+                let (oid, queued, footprint) = (oid(1), 0, 100);
+                c.record(&RuntimeEvent::MigrateOut {
+                    node: from,
+                    oid,
+                    to,
+                    queued,
+                    footprint,
+                });
+                c.record(&RuntimeEvent::MigrateIn {
+                    node: 9,
+                    oid,
+                    queued,
+                    footprint,
+                });
+            }
+            c.record(&RuntimeEvent::Forward {
+                node: 0,
+                oid: oid(1),
+                to: 1,
+            });
+            let violations = c.violations();
+            let mut cycles = violations
                 .iter()
-                .any(|v| v.invariant == Invariant::StaleElision),
-            "{:?}",
-            c.violations()
-        );
-    }
-
-    #[test]
-    fn steal_grant_legality_checked() {
-        let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::StealRequest { node: 0, thief: 1 });
-        // Legal grant: in-core, unpinned, on the granting node.
-        c.record(&RuntimeEvent::StealGrant {
-            node: 0,
-            oid: oid(1),
-            to: 1,
-        });
-        c.record(&RuntimeEvent::StealDeny { node: 0, to: 2 });
-        assert!(c.violations().is_empty(), "{:?}", c.violations());
-        // Pinned object: granting it is illegal.
-        c.record(&RuntimeEvent::Pin {
-            node: 0,
-            oid: oid(1),
-        });
-        c.record(&RuntimeEvent::StealGrant {
-            node: 0,
-            oid: oid(1),
-            to: 1,
-        });
-        assert!(c
-            .violations()
-            .iter()
-            .any(|v| v.invariant == Invariant::IllegalSteal));
-        // Wrong node: object lives on node 0, not node 2.
-        c.record(&RuntimeEvent::Unpin {
-            node: 0,
-            oid: oid(1),
-        });
-        c.record(&RuntimeEvent::StealGrant {
-            node: 2,
-            oid: oid(1),
-            to: 1,
-        });
-        assert_eq!(
-            c.violations()
-                .iter()
-                .filter(|v| v.invariant == Invariant::IllegalSteal)
-                .count(),
-            2,
-            "{:?}",
-            c.violations()
-        );
-    }
-
-    #[test]
-    fn migration_invalidates_elision_model() {
-        let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Unload {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        }); // disk_version = Some(0) on node 0's store
-        c.record(&RuntimeEvent::Load {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::MigrateOut {
-            node: 0,
-            oid: oid(1),
-            to: 1,
-            queued: 0,
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::MigrateIn {
-            node: 1,
-            oid: oid(1),
-            queued: 0,
-            footprint: 100,
-        }); // version -> 1, disk_version -> None
-        assert!(c.violations().is_empty(), "{:?}", c.violations());
-        // The old node's spilled bytes are unreachable on node 1: even a
-        // version-consistent elision claim must be rejected.
-        c.record(&RuntimeEvent::ElidedUnload {
-            node: 1,
-            oid: oid(1),
-            footprint: 100,
-            version: 1,
-            stored_version: 1,
-        });
-        assert!(
-            c.violations()
-                .iter()
-                .any(|v| v.invariant == Invariant::StaleElision),
-            "{:?}",
-            c.violations()
-        );
-    }
-
-    #[test]
-    fn prefetch_window_checked() {
-        let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Unload {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        // In-window prefetch of an on-disk object: clean.
-        c.record(&RuntimeEvent::Prefetch {
-            node: 0,
-            oid: oid(1),
-            inflight_objects: 2,
-            window_objects: 4,
-            inflight_bytes: 300,
-            window_bytes: 1000,
-        });
-        assert!(c.violations().is_empty(), "{:?}", c.violations());
-        // Byte axis overrun.
-        c.record(&RuntimeEvent::Prefetch {
-            node: 0,
-            oid: oid(1),
-            inflight_objects: 2,
-            window_objects: 4,
-            inflight_bytes: 2000,
-            window_bytes: 1000,
-        });
-        assert!(c
-            .violations()
-            .iter()
-            .any(|v| v.invariant == Invariant::PrefetchWindowExceeded));
-        // Prefetching an in-core object is a protocol error.
-        c.record(&RuntimeEvent::Load {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Prefetch {
-            node: 0,
-            oid: oid(1),
-            inflight_objects: 1,
-            window_objects: 4,
-            inflight_bytes: 100,
-            window_bytes: 1000,
-        });
-        assert!(c
-            .violations()
-            .iter()
-            .any(|v| v.invariant == Invariant::EventOrder));
-    }
-
-    #[test]
-    fn compaction_loss_detected() {
-        let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Compaction {
-            node: 0,
-            live_objects_before: 10,
-            live_objects_after: 10,
-            live_bytes_before: 5000,
-            live_bytes_after: 5000,
-            reclaimed_bytes: 2000,
-        });
-        assert!(c.violations().is_empty());
-        c.record(&RuntimeEvent::Compaction {
-            node: 0,
-            live_objects_before: 10,
-            live_objects_after: 9,
-            live_bytes_before: 5000,
-            live_bytes_after: 4500,
-            reclaimed_bytes: 2000,
-        });
-        let v = c.violations();
-        assert_eq!(
-            v.iter()
-                .filter(|v| v.invariant == Invariant::CompactionLoss)
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn degraded_mode_blocks_evictions_and_balances() {
-        let c = InvariantChecker::new(FailMode::Collect);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        // Fault/Retry are informational.
-        c.record(&RuntimeEvent::Fault {
-            node: 0,
-            kind: crate::fault::FaultKind::TransientEio,
-            key: 1,
-        });
-        c.record(&RuntimeEvent::Retry {
-            node: 0,
-            oid: oid(1),
-            attempt: 1,
-        });
-        c.record(&RuntimeEvent::Degraded { node: 0, on: true });
-        assert!(c.violations().is_empty(), "{:?}", c.violations());
-        // Evicting while degraded is the violation this mode exists to
-        // prevent.
-        c.record(&RuntimeEvent::Unload {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        assert!(c
-            .violations()
-            .iter()
-            .any(|v| v.invariant == Invariant::DegradedEviction));
-        c.record(&RuntimeEvent::Degraded { node: 0, on: false });
-        // Unbalanced transitions are protocol errors.
-        c.record(&RuntimeEvent::Degraded { node: 0, on: false });
-        c.record(&RuntimeEvent::Degraded { node: 1, on: true });
-        c.record(&RuntimeEvent::Degraded { node: 1, on: true });
-        assert_eq!(
-            c.violations()
-                .iter()
-                .filter(|v| v.invariant == Invariant::EventOrder)
-                .count(),
-            2,
-            "{:?}",
-            c.violations()
-        );
+                .filter(|v| v.invariant == Invariant::ForwardingCycle);
+            let cycle = cycles.next().expect("a forwarding cycle");
+            assert!(cycles.next().is_none(), "{violations:?}");
+            cycle.detail.clone()
+        };
+        let first = detail();
+        assert!(first.ends_with("(path [1, 2, 3, 4])"), "{first}");
+        assert_eq!(first, detail());
     }
 
     #[test]
     #[should_panic(expected = "MRTS invariant violated")]
     fn panic_mode_fails_fast() {
         let c = InvariantChecker::new(FailMode::Panic);
-        c.record(&RuntimeEvent::Create {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
-        c.record(&RuntimeEvent::Pin {
-            node: 0,
-            oid: oid(1),
-        });
-        c.record(&RuntimeEvent::Unload {
-            node: 0,
-            oid: oid(1),
-            footprint: 100,
-        });
+        c.record(&create(0));
+        // A handler with no post behind it.
+        c.record(&deliver(0));
     }
 }

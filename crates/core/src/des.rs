@@ -464,19 +464,26 @@ impl DesRuntime {
 
     /// Like [`DesRuntime::run`], but surfaces unrecoverable storage
     /// failures (a spilled object unreadable after exhausting the retry
-    /// policy) as [`MrtsError`] instead of panicking. The run stops at the
-    /// failing event; the heap retains the unprocessed remainder.
+    /// policy) and, in debug builds, broken invariants as [`MrtsError`]
+    /// instead of panicking. The run stops at the failing event; the heap
+    /// retains the unprocessed remainder.
     pub fn try_run(&mut self) -> Result<RunStats, MrtsError> {
         self.ran = true;
-        while let Some(Reverse(ev)) = self.events.pop() {
+        loop {
+            // A broken invariant ends the run like any fatal error,
+            // including one broken while the run was being set up.
+            let broken = self.nodes.iter_mut().find_map(|n| n.core.violation.take());
+            if let Some(err) = self.fatal.take().or(broken.map(MrtsError::Invariant)) {
+                return Err(err);
+            }
+            let Some(Reverse(ev)) = self.events.pop() else {
+                break;
+            };
             debug_assert!(ev.at >= self.now, "time went backwards");
             self.now = ev.at;
             self.pending_events[ev.node as usize] =
                 self.pending_events[ev.node as usize].saturating_sub(1);
             self.handle(ev);
-            if let Some(err) = self.fatal.take() {
-                return Err(err);
-            }
         }
         // Quiescence: the event heap drained, so the computation
         // terminated — every node observes it.
@@ -493,6 +500,9 @@ impl DesRuntime {
         }
         for n in &mut self.nodes {
             n.core.seal_stats();
+            if let Some(v) = n.core.violation.take() {
+                return Err(MrtsError::Invariant(v));
+            }
         }
         Ok(self.collect_stats())
     }

@@ -447,6 +447,10 @@ pub enum MrtsError {
         src: NodeId,
         tag: u32,
     },
+    /// A node's state broke one of the runtime invariants at a transition
+    /// (debug builds check them on every node; see `crate::audit`). The
+    /// violation names the node, the transition and the object.
+    Invariant(crate::audit::Violation),
 }
 
 impl std::fmt::Display for MrtsError {
@@ -476,6 +480,7 @@ impl std::fmt::Display for MrtsError {
                     "node {node}: undecodable frame from node {src}, tag {tag}"
                 )
             }
+            MrtsError::Invariant(v) => write!(f, "invariant violated: {v}"),
         }
     }
 }
@@ -486,7 +491,8 @@ impl std::error::Error for MrtsError {
             MrtsError::LoadFailed { source, .. } => Some(source),
             MrtsError::CheckpointCorrupt(_)
             | MrtsError::NodeUnreachable { .. }
-            | MrtsError::BadFrame { .. } => None,
+            | MrtsError::BadFrame { .. }
+            | MrtsError::Invariant(_) => None,
         }
     }
 }

@@ -1345,6 +1345,12 @@ impl Worker {
 
     fn run(mut self) -> WorkerResult {
         while !self.done {
+            // 0. A transition since the last turn broke a per-node
+            //    invariant (debug builds): bring the run down with it.
+            if let Some(v) = self.core.violation.take() {
+                self.fail(MrtsError::Invariant(v));
+                break;
+            }
             // 1. Drain the fabric.
             while let Some(am) = self.inputs.fabric(&mut self.ep, false) {
                 self.on_fabric(am);
@@ -1429,6 +1435,12 @@ impl Worker {
                 used: self.core.ooc.used()
             }
         );
+        // Sealed while the table is still whole: debug builds check the
+        // books against it.
+        self.core.seal_stats();
+        if let Some(v) = self.core.violation.take() {
+            self.fatal.get_or_insert(MrtsError::Invariant(v));
+        }
         // Nothing is loaded for extraction: what is on disk stays there,
         // and the runtime reads it from this node's store on demand.
         let node = self.node;
@@ -1461,7 +1473,6 @@ impl Worker {
         for _ in 0..self.cfg.io_threads {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
-        self.core.seal_stats();
         let decisions = self.inputs.finish(&mut self.core.stats, false);
         WorkerResult {
             node,
@@ -2061,8 +2072,9 @@ impl ThreadedRuntime {
 
     /// Like [`ThreadedRuntime::run`], but surfaces unrecoverable storage
     /// failures (a spilled object unreadable after exhausting the retry
-    /// policy) as [`MrtsError`] instead of panicking. The failing node
-    /// broadcasts an exit to every peer, so all workers stop and join.
+    /// policy) and, in debug builds, broken invariants as [`MrtsError`]
+    /// instead of panicking. The failing node broadcasts an exit to every
+    /// peer, so all workers stop and join.
     pub fn try_run(&mut self) -> Result<RunStats, MrtsError> {
         let n = self.cfg.nodes;
         let endpoints = Fabric::new(n, NetworkModel::instant());

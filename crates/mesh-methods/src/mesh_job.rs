@@ -233,7 +233,11 @@ impl Job for MeshJob {
             }
         }
 
-        let stats = rt.try_run().map_err(JobFailure::Runtime)?;
+        // A broken invariant is a bug, not bad luck: quarantine, no retry.
+        let stats = rt.try_run().map_err(|e| match e {
+            MrtsError::Invariant(v) => JobFailure::Invariant(v.to_string()),
+            e => JobFailure::Runtime(e),
+        })?;
         let violations = checker.violations();
         if !violations.is_empty() {
             let joined: Vec<String> = violations.iter().map(|v| v.to_string()).collect();

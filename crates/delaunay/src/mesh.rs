@@ -120,11 +120,12 @@ impl TriMesh {
     }
 
     /// Reserve room for `vertices` more vertices and `tris` more triangles,
-    /// so that adding them does not reallocate the arenas.
+    /// so that adding them does not reallocate the arenas. The arenas grow
+    /// to exactly that room, never by doubling.
     pub fn reserve(&mut self, vertices: usize, tris: usize) {
-        self.pts.reserve(vertices);
-        self.vflags.reserve(vertices);
-        self.tris.reserve(tris);
+        self.pts.reserve_exact(vertices);
+        self.vflags.reserve_exact(vertices);
+        self.tris.reserve_exact(tris);
     }
 
     // ----- vertices ------------------------------------------------------

@@ -23,7 +23,7 @@ use crate::insert::InsertOutcome;
 use crate::locate::{Location, WalkMode};
 use crate::mesh::{EdgeRef, TId, TriMesh, VFlags, VId, NO_TRI};
 use crate::sizing::SizingField;
-use pumg_geometry::{circumcenter, Point2, TriangleQuality};
+use pumg_geometry::{circumcenter, shortest_edge_sq, Point2};
 
 /// Parameters of a refinement pass.
 #[derive(Clone, Debug)]
@@ -233,15 +233,22 @@ fn run(
 impl<F: Fn(Point2) -> bool> Pass<'_, F> {
     /// The circumcenter and squared shortest edge of `t` if it is bad —
     /// skinny, or oversized at its circumcenter; `None` for a good (or
-    /// exactly degenerate, hence unactionable) triangle.
+    /// exactly degenerate, hence unactionable) triangle. The circumcenter
+    /// is computed once; the tests are
+    /// [`TriangleQuality`](pumg_geometry::TriangleQuality)'s, on the same
+    /// squared quantities.
     #[inline]
     fn bad_circumcenter(&self, mesh: &TriMesh, t: TId) -> Option<(Point2, f64)> {
         let [a, b, c] = mesh.tri_points(t);
-        let q = TriangleQuality::of(a, b, c);
         let cc = circumcenter(a, b, c)?;
-        let skinny = q.is_skinny(self.params.max_ratio);
-        let oversized = q.is_oversized(self.params.sizing.size_at(cc));
-        (skinny || oversized).then_some((cc, q.shortest_edge_sq))
+        let r2 = cc.dist_sq(a);
+        let e2 = shortest_edge_sq(a, b, c);
+        let ratio_sq = if e2 > 0.0 { r2 / e2 } else { f64::INFINITY };
+        let max_ratio = self.params.max_ratio;
+        let size = self.params.sizing.size_at(cc);
+        let skinny = ratio_sq > max_ratio * max_ratio;
+        let oversized = r2 > size * size;
+        (skinny || oversized).then_some((cc, e2))
     }
 
     /// Is the segment `er` still present with the same endpoints?

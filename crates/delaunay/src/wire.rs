@@ -219,6 +219,15 @@ impl TriMesh {
     pub fn mem_footprint(&self) -> usize {
         self.num_vertices() * (16 + 1) + self.arena_len() * std::mem::size_of::<crate::mesh::Tri>()
     }
+
+    /// [`TriMesh::mem_footprint`] counted over the arenas' capacities
+    /// rather than their lengths: the bytes they hold allocated, reserved
+    /// slots included.
+    pub fn mem_capacity(&self) -> usize {
+        self.pts.capacity() * 16
+            + self.vflags.capacity()
+            + self.tris.capacity() * std::mem::size_of::<crate::mesh::Tri>()
+    }
 }
 
 #[cfg(test)]

@@ -155,8 +155,11 @@ impl MobileObject for BlockObj {
         *buf = w.finish();
     }
 
+    /// The mesh is charged by capacity: its arenas are reserved for the
+    /// final mesh (see `block_phase1`), and a budget that saw only the
+    /// used slots would miss the headroom.
     fn footprint(&self) -> usize {
-        256 + self.mesh.as_ref().map_or(0, |m| m.mem_footprint()) + 16 * self.received.len()
+        256 + self.mesh.as_ref().map_or(0, |m| m.mem_capacity()) + 16 * self.received.len()
     }
 
     fn as_any(&self) -> &dyn Any {

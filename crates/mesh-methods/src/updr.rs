@@ -15,7 +15,7 @@
 //! (the paper's `n/a` entries).
 
 use crate::common::{point_batch_bytes, ClusterSim, MethodError, MethodResult};
-use crate::domain::{DomainSpec, SizingSpec, Workload};
+use crate::domain::{elements_for_h, DomainSpec, SizingSpec, Workload};
 use crate::region::{count_owned_triangles, mesh_region};
 use mrts::config::NetModel;
 use pumg_delaunay::mesh::{VFlags, VId};
@@ -152,6 +152,55 @@ fn refine_params(sizing: &SizingSpec) -> RefineParams {
     p
 }
 
+/// A block's final triangles per triangle of the sizing estimate `E` over
+/// its region, and extra per triangle of `E` over its buffer zone (the
+/// region minus the cell, which phase 3 meshes again with the neighbours'
+/// points). Least-squares fit over 1 040 blocks at 15 scales (12 k–8.4 M
+/// elements, grids 2–16, square and pipe): a square-domain block lands
+/// within 0.97–1.05 of the fit, 0.98–1.02 above 10 k triangles.
+const TRIS_PER_E: f64 = 0.91;
+const TRIS_PER_BUFFER_E: f64 = 2.48;
+/// Final vertices beyond half the triangles, per triangle of `E` over the
+/// buffer zone (same fit: the region's border carries the extra vertices,
+/// and the buffer zone is a strip along it).
+const EXTRA_VERTS_PER_BUFFER_E: f64 = 0.26;
+/// Reserve above the fit: covers the spread above, so no square-domain
+/// block measured grows its arenas after phase 1. Pipe blocks that the
+/// wall clips (4.5–7 k triangles; 4 of 16 blocks at 200 k elements, 8 of
+/// 52 at 1 M, 4 of 204 at 3 M) carry more boundary than the fit and
+/// outgrow it once.
+const ARENA_HEADROOM: f64 = 1.08;
+/// Blocks estimated below this keep `Vec` growth: there the buffer zones
+/// are most of the region and the fit fails (final / `E` spans 1.23–1.76
+/// for the 1.4 k-triangle blocks of 24 k elements on grid 6), and their
+/// arenas stay small.
+const MIN_RESERVED_TRIS: f64 = 4096.0;
+
+/// Size `mesh`'s arenas once for `block`'s final mesh, so that neither
+/// refinement pass grows them by doubling. The estimate is the uniform
+/// sizing's triangle count over the area the mesh covers (region ∩
+/// domain), weighted up by the buffer zone's share of the region (see
+/// [`TRIS_PER_E`]). Graded sizing has no such estimate and keeps `Vec`
+/// growth. Only capacity changes — never arena numbering — so the mesh is
+/// the same bit for bit.
+fn reserve_final_mesh(mesh: &mut TriMesh, workload: &Workload, block: &Block) {
+    let SizingSpec::Uniform { h } = workload.sizing else {
+        return;
+    };
+    let e = elements_for_h(mesh.total_area(), h) as f64;
+    let region = block.region.width() * block.region.height();
+    let buffer_e = e * (1.0 - block.cell.width() * block.cell.height() / region);
+    let tris = (TRIS_PER_E * e + TRIS_PER_BUFFER_E * buffer_e) * ARENA_HEADROOM;
+    if tris < MIN_RESERVED_TRIS {
+        return;
+    }
+    let verts = tris / 2.0 + EXTRA_VERTS_PER_BUFFER_E * buffer_e * ARENA_HEADROOM;
+    mesh.reserve(
+        (verts as usize).saturating_sub(mesh.num_vertices()),
+        (tris as usize).saturating_sub(mesh.arena_len()),
+    );
+}
+
 /// Phase 1 kernel: mesh and refine the block's whole region — the paper's
 /// "mesh A ∪ Z" step (the buffer zone is meshed by both sides and remeshed
 /// after the exchange). Returns the mesh and the refinement watermark
@@ -160,6 +209,7 @@ fn refine_params(sizing: &SizingSpec) -> RefineParams {
 /// when the region misses the domain.
 pub fn block_phase1(workload: &Workload, block: &Block) -> Option<(TriMesh, VId)> {
     let mut mesh = mesh_region(&workload.domain, &block.region)?;
+    reserve_final_mesh(&mut mesh, workload, block);
     let report = pumg_delaunay::refine::refine(&mut mesh, &refine_params(&workload.sizing));
     Some((mesh, report.settled))
 }
@@ -205,14 +255,17 @@ pub fn buffer_batches(
 /// restore quality. `settled` is the block's phase-1 watermark, or 0 when
 /// it is not known (a block reloaded from its wire form): refinement then
 /// re-examines every triangle, with the same result. `received` is left
-/// sorted and deduplicated.
+/// sorted and deduplicated. The arenas are reserved for the final mesh
+/// first: a no-op after phase 1 in memory, one reallocation for a block
+/// reloaded from its (exactly sized) wire form.
 pub fn block_phase3(
     workload: &Workload,
-    _block: &Block,
+    block: &Block,
     mesh: &mut TriMesh,
     settled: VId,
     received: &mut Vec<Point2>,
 ) {
+    reserve_final_mesh(mesh, workload, block);
     // Insertion order affects which Steiner points refinement later picks;
     // sort so the result is independent of message arrival order (the
     // baseline and the MRTS port then produce identical meshes).

@@ -14,6 +14,7 @@
 
 use mrts::compute::ExecutorKind;
 use mrts::config::MrtsConfig;
+use mrts::des::Des;
 use mrts::policy::PolicyKind;
 use pumg_geometry::Point2;
 use pumg_methods::common::{MethodError, MethodResult};
@@ -273,7 +274,7 @@ pub fn fig5(scale: Scale) -> Table {
         let p = UpdrParams::new(Workload::uniform_square(s), sweep.grid);
         let b16 = updr_incore_scaled(&p, 16, m16, COMPUTE_SCALE);
         let b25 = updr_incore_scaled(&p, 25, m25, COMPUTE_SCALE);
-        let port = oupdr_run(&p, cfg_ooc(16, m16 as usize));
+        let port = oupdr_run::<Des>(&p, cfg_ooc(16, m16 as usize));
         t.row(vec![
             s.to_string(),
             port.elements.to_string(),
@@ -308,7 +309,7 @@ pub fn table1(scale: Scale) -> Table {
     for &s in &sizes {
         let p = UpdrParams::new(Workload::uniform_square(s), sweep.grid);
         let base = updr_incore_scaled(&p, 16, m16, COMPUTE_SCALE);
-        let port = oupdr_run(&p, cfg_ooc(16, m16 as usize));
+        let port = oupdr_run::<Des>(&p, cfg_ooc(16, m16 as usize));
         t.row(vec![
             port.elements.to_string(),
             maybe_secs(&base),
@@ -336,8 +337,8 @@ pub fn fig8(scale: Scale) -> Table {
     for &s in &[40_000u64, 80_000, 160_000, 320_000] {
         let s = scale.sz(s);
         let p = UpdrParams::new(Workload::uniform_square(s), grid);
-        let r8 = oupdr_run(&p, cfg_ooc(8, mem_per_pe(fit, 8) as usize));
-        let r16 = oupdr_run(&p, cfg_ooc(16, mem_per_pe(fit, 16) as usize));
+        let r8 = oupdr_run::<Des>(&p, cfg_ooc(8, mem_per_pe(fit, 8) as usize));
+        let r16 = oupdr_run::<Des>(&p, cfg_ooc(16, mem_per_pe(fit, 16) as usize));
         t.row(vec![
             r8.elements.to_string(),
             secs(&r8),
@@ -361,7 +362,7 @@ pub fn table4(scale: Scale) -> Table {
         let s = scale.sz(s);
         for pes in [8usize, 16] {
             let p = UpdrParams::new(Workload::uniform_square(s), grid);
-            let r = oupdr_run(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize));
+            let r = oupdr_run::<Des>(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize));
             t.row(vec![
                 r.elements.to_string(),
                 pes.to_string(),
@@ -408,7 +409,7 @@ pub fn fig6(scale: Scale) -> Table {
                 max_active: pes as u32,
                 ..Default::default()
             };
-            let r = onupdr_run(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
+            let r = onupdr_run::<Des>(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
             elements = r.elements;
             cells.push(secs(&r));
         }
@@ -439,7 +440,7 @@ pub fn table2(scale: Scale) -> Table {
             max_active: pes as u32,
             ..Default::default()
         };
-        let port = onupdr_run(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
+        let port = onupdr_run::<Des>(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
         t.row(vec![
             port.elements.to_string(),
             maybe_secs(&base),
@@ -467,7 +468,7 @@ pub fn fig9(scale: Scale) -> Table {
                 max_active: pes as u32,
                 ..Default::default()
             };
-            let r = onupdr_run(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
+            let r = onupdr_run::<Des>(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
             elements = r.elements;
             cells.push(secs(&r));
         }
@@ -491,7 +492,7 @@ pub fn table5(scale: Scale) -> Table {
                 max_active: pes as u32,
                 ..Default::default()
             };
-            let r = onupdr_run(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
+            let r = onupdr_run::<Des>(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize), opts);
             t.row(vec![
                 r.elements.to_string(),
                 pes.to_string(),
@@ -528,8 +529,8 @@ pub fn fig7(scale: Scale) -> Table {
         let p = PcdmParams::new(Workload::uniform_pipe(s), grid);
         let b16 = pcdm_incore_scaled(&p, 16, mem_per_pe(fit, 16), COMPUTE_SCALE);
         let b25 = pcdm_incore_scaled(&p, 25, mem_per_pe(fit, 16), COMPUTE_SCALE);
-        let o8 = opcdm_run(&p, cfg_ooc(8, mem_per_pe(fit, 8) as usize));
-        let o16 = opcdm_run(&p, cfg_ooc(16, mem_per_pe(fit, 16) as usize));
+        let o8 = opcdm_run::<Des>(&p, cfg_ooc(8, mem_per_pe(fit, 8) as usize));
+        let o16 = opcdm_run::<Des>(&p, cfg_ooc(16, mem_per_pe(fit, 16) as usize));
         t.row(vec![
             s.to_string(),
             o16.elements.to_string(),
@@ -560,7 +561,7 @@ pub fn table3(scale: Scale) -> Table {
         let s = scale.sz(s);
         let p = PcdmParams::new(Workload::uniform_pipe(s), grid);
         let base = pcdm_incore_scaled(&p, pes, mem_per_pe(fit, pes), COMPUTE_SCALE);
-        let port = opcdm_run(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize));
+        let port = opcdm_run::<Des>(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize));
         t.row(vec![
             port.elements.to_string(),
             maybe_secs(&base),
@@ -588,8 +589,8 @@ pub fn fig10(scale: Scale) -> Table {
     for &s in &[40_000u64, 80_000, 160_000, 320_000] {
         let s = scale.sz(s);
         let p = PcdmParams::new(Workload::uniform_pipe(s), grid);
-        let r8 = opcdm_run(&p, cfg_ooc(8, mem_per_pe(fit, 8) as usize));
-        let r16 = opcdm_run(&p, cfg_ooc(16, mem_per_pe(fit, 16) as usize));
+        let r8 = opcdm_run::<Des>(&p, cfg_ooc(8, mem_per_pe(fit, 8) as usize));
+        let r16 = opcdm_run::<Des>(&p, cfg_ooc(16, mem_per_pe(fit, 16) as usize));
         t.row(vec![
             r8.elements.to_string(),
             secs(&r8),
@@ -612,7 +613,7 @@ pub fn table6(scale: Scale) -> Table {
         let s = scale.sz(s);
         for pes in [8usize, 16] {
             let p = PcdmParams::new(Workload::uniform_pipe(s), grid);
-            let r = opcdm_run(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize));
+            let r = opcdm_run::<Des>(&p, cfg_ooc(pes, mem_per_pe(fit, pes) as usize));
             t.row(vec![
                 r.elements.to_string(),
                 pes.to_string(),
@@ -651,7 +652,7 @@ pub fn table7(scale: Scale) -> Table {
                 };
                 let mut cfg = MrtsConfig::in_core(1).with_cores(cores).with_executor(kind);
                 cfg.compute_scale = COMPUTE_SCALE;
-                onupdr_run(&p, cfg, opts)
+                onupdr_run::<Des>(&p, cfg, opts)
             };
             let r1 = run(1);
             let r4 = run(4);
@@ -685,13 +686,13 @@ pub fn ablation_swap(scale: Scale) -> Table {
     let budget_n = mem_per_pe(scale.sz(10_000), 4) as usize;
     let budget_p = mem_per_pe(scale.sz(15_000), 8) as usize;
     for policy in PolicyKind::ALL {
-        let u = oupdr_run(&updr_p, cfg_ooc(8, budget_u).with_policy(policy));
+        let u = oupdr_run::<Des>(&updr_p, cfg_ooc(8, budget_u).with_policy(policy));
         let opts = OnupdrOpts {
             max_active: 4,
             ..Default::default()
         };
-        let n = onupdr_run(&nupdr_p, cfg_ooc(4, budget_n).with_policy(policy), opts);
-        let c = opcdm_run(&pcdm_p, cfg_ooc(8, budget_p).with_policy(policy));
+        let n = onupdr_run::<Des>(&nupdr_p, cfg_ooc(4, budget_n).with_policy(policy), opts);
+        let c = opcdm_run::<Des>(&pcdm_p, cfg_ooc(8, budget_p).with_policy(policy));
         t.row(vec![
             policy.name().to_string(),
             secs(&u),
@@ -722,7 +723,7 @@ pub fn ablation_thresholds(scale: Scale) -> Table {
             let mut cfg = cfg_ooc(8, budget);
             cfg.hard_threshold_mult = hard;
             cfg.soft_threshold_frac = soft;
-            let r = oupdr_run(&p, cfg);
+            let r = oupdr_run::<Des>(&p, cfg);
             t.row(vec![
                 format!("{hard}"),
                 format!("{soft}"),
@@ -767,7 +768,7 @@ pub fn ablation_onupdr(scale: Scale) -> Table {
         ),
     ];
     for (name, opts) in variants {
-        let r = onupdr_run(&p, cfg_ooc(4, budget), opts);
+        let r = onupdr_run::<Des>(&p, cfg_ooc(4, budget), opts);
         t.row(vec![
             name.to_string(),
             secs(&r),

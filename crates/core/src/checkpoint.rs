@@ -4,12 +4,12 @@
 //! fault tolerance can be implemented with little effort on top of the
 //! out-of-core subsystem" — the machinery that serializes mobile objects
 //! (and their queued messages) for disk spill is exactly a checkpoint
-//! format. A [`Checkpoint`] captures every live object, its placement, pinning,
-//! priority, and queued messages; restoring rebuilds a runtime that
-//! continues from the captured state. Both engines are covered: the
-//! virtual-time [`DesRuntime`] and the threaded
-//! [`crate::threaded::ThreadedRuntime`] (capture at the quiescence
-//! barrier between mesh phases, restore into a fresh runtime).
+//! format. A [`Checkpoint`] ([`Runtime::checkpoint`]) captures every live
+//! object, its placement, pinning, priority, and queued messages;
+//! [`Checkpoint::restore_into`] rebuilds a runtime that continues from the
+//! captured state. Both are written once, for either engine (capture at
+//! the quiescence barrier between mesh phases, restore into a fresh
+//! runtime).
 //!
 //! Two on-disk shapes exist:
 //!
@@ -25,17 +25,16 @@
 //!
 //! Limitations (documented, not hidden): in-flight events (messages between
 //! nodes, active disk transfers) are *not* captured — a checkpoint must be
-//! taken at quiescence (after [`crate::des::DesRuntime::run`] returns),
+//! taken at quiescence (after [`Runtime::run`] returns),
 //! which is also when an application would naturally persist between
 //! phases. Virtual clocks restart from zero in the restored runtime.
 
 use crate::codec::{PayloadReader, PayloadWriter, Truncated};
-use crate::des::DesRuntime;
 use crate::fault::MrtsError;
 use crate::ids::{MobilePtr, NodeId, ObjectId};
 use crate::msg::Message;
+use crate::runtime::{home_of, Boot, Engine, Runtime};
 use crate::storage::{SegmentStore, StorageBackend};
-use crate::threaded::ThreadedRuntime;
 use std::path::Path;
 
 /// A serialized snapshot of all application state in a runtime.
@@ -162,7 +161,7 @@ impl Checkpoint {
 
     /// Write the checkpoint crash-consistently into `dir` on a
     /// [`SegmentStore`]: one record per entry (keyed by index), then the
-    /// manifest under [`manifest_key`]`(0)`, then `sync`. If the process dies
+    /// manifest under `manifest_key(0)`, then `sync`. If the process dies
     /// mid-write, replay tolerates the torn tail and
     /// [`Checkpoint::read_segmented`] reports the checkpoint as corrupt
     /// (missing manifest) rather than returning partial state.
@@ -231,102 +230,49 @@ impl Checkpoint {
         Ok(Checkpoint { objects, next_seq })
     }
 
-    /// Rebuild a [`ThreadedRuntime`] from this checkpoint. The runtime must
-    /// be freshly constructed with the same types/handlers registered;
-    /// objects are installed as bootstrap actions and come to life on the
-    /// next [`ThreadedRuntime::run`]. Placement follows the same rule as
-    /// [`Checkpoint::restore_into`]: the captured node if it exists under
-    /// the new configuration, otherwise home-modulo-cluster-size (the
-    /// router's cold-directory fallback). Restoring onto the same node
-    /// count is the supported, tested path; cross-shape restores work but
-    /// reshuffle migrated objects back toward their home nodes.
-    pub fn restore_into_threaded(&self, rt: &mut ThreadedRuntime) {
+    /// Rebuild a runtime's state from this checkpoint. `rt` must be
+    /// freshly constructed with the same types and handlers registered; its
+    /// configuration may differ (more or fewer nodes, other budgets). The
+    /// virtual-time engine installs the objects at once, the threaded one
+    /// when its next run boots. Each object goes back on its captured node
+    /// if that exists, else on its home node modulo the cluster size (the
+    /// router's cold-directory fallback); an object placed away from its
+    /// home is announced to the home's directory, so messages routed there
+    /// find it. Its queued messages are posted again, and every node's id
+    /// allocator starts past both its captured watermark and every
+    /// restored id of that home, wherever that object was placed.
+    pub fn restore_into<E: Engine>(&self, rt: &mut Runtime<E>) {
         let nodes = rt.config().nodes;
+        let mut next_seq = self.next_seq.clone();
+        next_seq.resize(nodes.max(next_seq.len()), 0);
         for e in &self.objects {
             let node = if (e.node as usize) < nodes {
                 e.node
             } else {
-                (e.oid.home() as usize % nodes) as NodeId
+                home_of(e.oid, nodes) as NodeId
             };
-            let obj = rt
-                .registry()
-                .unpack(&e.packed)
+            let obj = (rt.registry.unpack(&e.packed))
                 .expect("checkpoint entries hold pack output of registered types");
-            rt.boot_install(node, e.oid, obj, e.priority, e.locked);
+            E::boot(
+                rt,
+                Boot::Create {
+                    node,
+                    id: e.oid,
+                    obj,
+                    priority: e.priority,
+                    locked: e.locked,
+                },
+            );
             for m in &e.queued {
                 rt.post(MobilePtr::new(e.oid), m.handler, m.payload.clone());
             }
-        }
-        for (i, &s) in self.next_seq.iter().enumerate() {
-            if i < nodes {
-                rt.set_seq_watermark(i as NodeId, s);
+            let home = e.oid.home() as usize;
+            if home < next_seq.len() {
+                next_seq[home] = next_seq[home].max(e.oid.seq() + 1);
             }
         }
-    }
-
-    /// Rebuild a runtime from this checkpoint. The caller supplies the
-    /// configuration (which may differ — e.g. restore onto more nodes with
-    /// different budgets; objects whose node index exceeds the new node
-    /// count are placed round-robin) and must register the same types and
-    /// handlers before calling [`crate::des::DesRuntime::run`].
-    pub fn restore_into(&self, mut rt: DesRuntime) -> DesRuntime {
-        let nodes = rt.config().nodes;
-        for e in &self.objects {
-            // Placement must agree with the router's fallback (home node
-            // modulo cluster size) so posted messages find the object
-            // without directory warm-up.
-            let node = if (e.node as usize) < nodes {
-                e.node
-            } else {
-                (e.oid.home() as usize % nodes) as NodeId
-            };
-            rt.install_from_checkpoint(node, e.oid, &e.packed, e.priority, e.locked);
-            for m in &e.queued {
-                rt.post(MobilePtr::new(e.oid), m.handler, m.payload.clone());
-            }
-        }
-        rt.set_seq_watermarks(&self.next_seq);
-        rt
-    }
-}
-
-impl DesRuntime {
-    /// Capture all live application state. Must be called at quiescence
-    /// (before the first [`DesRuntime::run`] or after one returns).
-    pub fn checkpoint(&mut self) -> Checkpoint {
-        let (objects, next_seq) = self.snapshot_objects();
-        Checkpoint { objects, next_seq }
-    }
-}
-
-impl ThreadedRuntime {
-    /// Capture all live application state from the last completed
-    /// [`ThreadedRuntime::run`]. The threaded engine only reaches its
-    /// result state at distributed termination (quiescence), so there are
-    /// no queued messages to capture — entry queues are empty by
-    /// construction. Entries are sorted by object id so two captures of
-    /// the same state encode identically. A spilled object's packed bytes
-    /// are copied from its node's store, not decoded and packed again.
-    /// Panics if one stays unreadable under the engines' retry policy.
-    pub fn checkpoint(&self) -> Checkpoint {
-        let mut objects: Vec<CheckpointEntry> = self
-            .result_entries()
-            .iter()
-            .map(|(&oid, e)| CheckpointEntry {
-                node: e.node,
-                oid,
-                priority: e.priority,
-                locked: e.locked,
-                packed: self
-                    .packed_result(oid, e)
-                    .unwrap_or_else(|e| panic!("MRTS checkpoint failed: {e}")),
-                queued: Vec::new(),
-            })
-            .collect();
-        objects.sort_by_key(|e| e.oid.0);
-        Checkpoint {
-            objects,
-            next_seq: self.seq_watermarks().to_vec(),
+        for (s, &captured) in rt.next_seq.iter_mut().zip(&next_seq) {
+            *s = (*s).max(captured);
         }
     }
 }

@@ -38,13 +38,12 @@ use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::SequentialBackend;
 use crate::config::MrtsConfig;
 use crate::ctx::Ctx;
-use crate::fault::{
-    is_out_of_space, load_spilled, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY,
-};
-use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
+use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
+use crate::ids::{NodeId, ObjectId};
 use crate::msg::Message;
-use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore, State};
+use crate::node::{Entry, IoCmd, MetaOp, NetMsg, State};
 use crate::object::{MobileObject, Registry};
+use crate::runtime::{home_of, hooks::Hooks, shared_store, Boot, Engine, Runtime, SharedStore};
 use crate::stats::RunStats;
 use crate::storage::{MemStore, StorageBackend};
 use std::cmp::Reverse;
@@ -56,25 +55,23 @@ const DIR_UPDATE_BYTES: usize = 32;
 /// Size charged for control messages (migrate and steal requests).
 const CTL_BYTES: usize = 64;
 
+/// The virtual-time MRTS runtime: [`Runtime`] on the [`Des`] engine.
+pub type DesRuntime = Runtime<Des>;
+
+/// One node's virtual clocks. Its `NodeCore` (object table, budget,
+/// locality, load queue and prefetch window, directory, routing,
+/// migration, node statistics) and its spill store are the runtime's;
+/// this engine drives them on virtual disk channels and a virtual network
+/// (see `drain`).
 struct NodeState {
-    /// The node's out-of-core and control layers: object table, budget,
-    /// locality, load queue and prefetch window, directory, routing,
-    /// migration, node statistics. This engine is its driver on virtual
-    /// disk channels and a virtual network (see [`DesRuntime::drain`]).
-    core: NodeCore,
-    /// A [`MemStore`] in fault-free runs; wrapped in a
-    /// [`FaultyStore`] when the config carries a fault plan.
-    store: Box<dyn StorageBackend>,
     core_free: Vec<Duration>,
     /// Earliest-free time per virtual disk channel (`io_threads` of them —
     /// the modeled I/O parallelism of the storage pipeline).
     disk_free: Vec<Duration>,
     /// Per spilled object, the virtual time at which its on-disk bytes
     /// become valid (the end of its store). Disk-model state: set by
-    /// [`DesRuntime::exec_store`], consumed by the reload, which must not
-    /// start earlier.
+    /// `exec_store`, consumed by the reload, which must not start earlier.
     disk_ready_at: HashMap<ObjectId, Duration>,
-    next_obj_seq: u64,
     /// Reusable pack buffer for spills (the virtual-time analogue of the
     /// threaded engine's I/O-pool buffer pool).
     pack_buf: Vec<u8>,
@@ -117,21 +114,19 @@ impl Ord for Event {
     }
 }
 
-/// The virtual-time MRTS engine. See the module docs.
-pub struct DesRuntime {
-    cfg: MrtsConfig,
-    registry: Registry,
+/// The virtual-time engine's state: the event heap and every node's
+/// virtual clocks. See the module docs.
+pub struct Des {
     nodes: Vec<NodeState>,
     events: BinaryHeap<Reverse<Event>>,
     now: Duration,
     event_seq: u64,
     end_time: Duration,
-    ran: bool,
     /// When set, same-timestamp event tie-breaks are permuted through a
     /// seeded bijection (see [`DesRuntime::set_schedule_seed`]).
     schedule_seed: Option<u64>,
     /// Set when a spilled object could not be read back: the run aborts
-    /// and [`DesRuntime::try_run`] surfaces the typed error.
+    /// and `try_run` surfaces the typed error.
     fatal: Option<MrtsError>,
     /// Per-directed-edge logical message counter for the network fault
     /// model (sequence numbers the fault plan draws against).
@@ -140,17 +135,23 @@ pub struct DesRuntime {
     /// coming and is the virtual-time notion of "idle" work stealing keys
     /// off (the threaded engine's empty-poll streak, collapsed).
     pending_events: Vec<usize>,
-    #[cfg(any(feature = "audit", debug_assertions))]
-    audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
 }
 
-impl DesRuntime {
-    pub fn new(cfg: MrtsConfig) -> Self {
-        cfg.validate().expect("invalid MrtsConfig");
+impl Engine for Des {}
+
+impl Hooks for Des {
+    fn new(cfg: &MrtsConfig) -> (Self, Vec<SharedStore>) {
         let nodes = (0..cfg.nodes)
-            .map(|i| NodeState {
-                core: NodeCore::new(i as NodeId, &cfg),
-                store: match cfg.fault {
+            .map(|_| NodeState {
+                core_free: vec![Duration::ZERO; cfg.cores_per_node],
+                disk_free: vec![Duration::ZERO; cfg.io_threads],
+                disk_ready_at: HashMap::new(),
+                pack_buf: Vec::new(),
+            })
+            .collect();
+        let stores = (0..cfg.nodes)
+            .map(|i| {
+                shared_store(match cfg.fault {
                     // Per-node seed offset: each node draws its own fault
                     // schedule, like distinct physical disks failing
                     // independently.
@@ -162,46 +163,65 @@ impl DesRuntime {
                         },
                     )),
                     None => Box::new(MemStore::new()) as Box<dyn StorageBackend>,
-                },
-                core_free: vec![Duration::ZERO; cfg.cores_per_node],
-                disk_free: vec![Duration::ZERO; cfg.io_threads],
-                disk_ready_at: HashMap::new(),
-                next_obj_seq: 0,
-                pack_buf: Vec::new(),
+                })
             })
             .collect();
-        let n = cfg.nodes;
-        DesRuntime {
-            cfg,
-            registry: Registry::new(),
+        let engine = Des {
             nodes,
             events: BinaryHeap::new(),
             now: Duration::ZERO,
             event_seq: 0,
             end_time: Duration::ZERO,
-            ran: false,
             schedule_seed: None,
             fatal: None,
             net_seq: HashMap::new(),
-            pending_events: vec![0; n],
-            #[cfg(any(feature = "audit", debug_assertions))]
-            audit: None,
+            pending_events: vec![0; cfg.nodes],
+        };
+        (engine, stores)
+    }
+
+    /// Boot actions land at once, at virtual time zero (events issued
+    /// between runs are clamped to "now"): a creation is admitted — and
+    /// may evict — like a handler's, a post becomes an event.
+    fn boot(rt: &mut DesRuntime, action: Boot) {
+        const T0: Duration = Duration::ZERO;
+        match action {
+            Boot::Create {
+                node,
+                id,
+                obj,
+                priority,
+                locked,
+            } => {
+                let home = home_of(id, rt.cores.len());
+                if home != node as usize {
+                    rt.cores[home].learn_location(id, node);
+                }
+                rt.cores[node as usize].create(id, obj, priority, locked, true, T0);
+                rt.flush(node, T0);
+            }
+            Boot::Lock(ptr) => {
+                let node = rt.locate(ptr.id);
+                rt.cores[node as usize].on_meta(ptr.id, MetaOp::Lock, T0);
+            }
+            Boot::Post(msg) => {
+                let node = rt.locate(msg.to.id);
+                rt.cores[node as usize].send(msg, T0);
+                rt.drain(node, T0);
+            }
         }
     }
 
-    /// Attach a runtime-event sink (an
-    /// [`InvariantChecker`](crate::audit::InvariantChecker), an
-    /// [`EventLog`](crate::audit::EventLog), …). Available in debug builds
-    /// and under the `audit` feature; release builds without the feature
-    /// compile the instrumentation out entirely.
-    #[cfg(any(feature = "audit", debug_assertions))]
-    pub fn attach_audit(&mut self, sink: std::sync::Arc<dyn crate::audit::EventSink>) {
-        for n in &mut self.nodes {
-            n.core.audit = Some(sink.clone());
-        }
-        self.audit = Some(sink);
+    fn run(rt: &mut DesRuntime) -> Result<RunStats, MrtsError> {
+        rt.run_events()
     }
 
+    fn quiescent(rt: &DesRuntime) -> bool {
+        rt.engine.events.is_empty()
+    }
+}
+
+impl DesRuntime {
     /// Permute same-timestamp event ordering with a deterministic seed.
     ///
     /// Events at equal virtual time are normally processed in creation
@@ -212,75 +232,7 @@ impl DesRuntime {
     /// across seeds; `tests/audit_invariants.rs` sweeps several. `None`
     /// restores FIFO.
     pub fn set_schedule_seed(&mut self, seed: Option<u64>) {
-        self.schedule_seed = seed;
-    }
-
-    pub fn config(&self) -> &MrtsConfig {
-        &self.cfg
-    }
-
-    /// Register an object type decoder.
-    pub fn register_type(&mut self, tag: crate::ids::TypeTag, decode: crate::object::DecodeFn) {
-        self.registry.register_type(tag, decode);
-    }
-
-    /// Register a message handler.
-    pub fn register_handler(
-        &mut self,
-        id: HandlerId,
-        name: &'static str,
-        f: crate::object::HandlerFn,
-    ) {
-        self.registry.register_handler(id, name, f);
-    }
-
-    // ----- bootstrap API ---------------------------------------------------
-
-    /// Create a mobile object on `node` before (or between) runs.
-    pub fn create_object(
-        &mut self,
-        node: NodeId,
-        obj: Box<dyn MobileObject>,
-        priority: u8,
-    ) -> MobilePtr {
-        let n = &mut self.nodes[node as usize];
-        let id = ObjectId::new(node, n.next_obj_seq);
-        n.next_obj_seq += 1;
-        n.core.create(id, obj, priority, Duration::ZERO);
-        self.flush(node, Duration::ZERO);
-        MobilePtr::new(id)
-    }
-
-    /// Pin an object before the run.
-    pub fn lock_object(&mut self, ptr: MobilePtr) {
-        let node = self.owner_of(ptr.id);
-        (self.nodes[node as usize].core).on_meta(ptr.id, MetaOp::Lock, Duration::ZERO);
-    }
-
-    /// Post an initial message (delivered at virtual time zero, or "now"
-    /// between the runs of a multi-phase driver).
-    pub fn post(&mut self, to: MobilePtr, handler: HandlerId, payload: Vec<u8>) {
-        let node = self.owner_of(to.id);
-        let msg = Message::new(to, handler, payload);
-        self.nodes[node as usize].core.send(msg, Duration::ZERO);
-        self.drain(node, Duration::ZERO);
-    }
-
-    fn owner_of(&self, oid: ObjectId) -> NodeId {
-        // Follow Moved tombstones from the home node (wrapped: a
-        // checkpoint may be restored onto fewer nodes than minted the id).
-        let mut n = (oid.home() as usize % self.nodes.len()) as NodeId;
-        for _ in 0..self.cfg.nodes + 1 {
-            match self.nodes[n as usize].core.table.get(&oid) {
-                Some(Entry {
-                    state: State::Moved(f),
-                    ..
-                }) => n = *f,
-                Some(_) => return n,
-                None => return n,
-            }
-        }
-        n
+        self.engine.schedule_seed = seed;
     }
 
     /// Compute charge for a measured `wall` interval that processed
@@ -320,18 +272,18 @@ impl DesRuntime {
         // Posts issued between runs arrive "now", not at virtual time
         // zero — this keeps multi-phase drivers (post, run, post, run)
         // from scheduling into the past.
-        let at = at.max(self.now);
-        let raw = self.event_seq;
-        self.event_seq += 1;
+        let at = at.max(self.engine.now);
+        let raw = self.engine.event_seq;
+        self.engine.event_seq += 1;
         // The bijection keeps sequence numbers unique, so permuting them
         // only reshuffles same-timestamp ties, never drops an event.
-        let seq = match self.schedule_seed {
+        let seq = match self.engine.schedule_seed {
             Some(s) => crate::audit::mix64(s ^ raw),
             None => raw,
         };
-        self.end_time = self.end_time.max(at);
-        self.pending_events[node as usize] += 1;
-        self.events.push(Reverse(Event {
+        self.engine.end_time = self.engine.end_time.max(at);
+        self.engine.pending_events[node as usize] += 1;
+        self.engine.events.push(Reverse(Event {
             at,
             seq,
             node,
@@ -365,12 +317,12 @@ impl DesRuntime {
             return;
         }
         let transfer = self.cfg.net.transfer_time(bytes);
-        self.nodes[from as usize].core.stats.comm += transfer;
-        self.nodes[to_node as usize].core.stats.comm += transfer;
-        self.nodes[from as usize].core.stats.bytes_sent += bytes as u64;
+        self.cores[from as usize].stats.comm += transfer;
+        self.cores[to_node as usize].stats.comm += transfer;
+        self.cores[from as usize].stats.bytes_sent += bytes as u64;
         let mut arrive = at + transfer;
         if let Some(plan) = self.cfg.net_fault {
-            let seq_slot = self.net_seq.entry((from, to_node)).or_insert(0);
+            let seq_slot = self.engine.net_seq.entry((from, to_node)).or_insert(0);
             let seq = *seq_slot;
             *seq_slot += 1;
             let mut attempt = 0u32;
@@ -380,11 +332,11 @@ impl DesRuntime {
                     // The sender's ack timeout recovers the loss: charge
                     // the backoff plus a fresh transfer for the
                     // retransmission.
-                    self.nodes[from as usize].core.stats.messages_dropped += 1;
-                    self.nodes[from as usize].core.stats.retransmits += 1;
-                    self.nodes[from as usize].core.stats.comm += transfer;
-                    self.nodes[to_node as usize].core.stats.comm += transfer;
-                    self.nodes[from as usize].core.stats.bytes_sent += bytes as u64;
+                    self.cores[from as usize].stats.messages_dropped += 1;
+                    self.cores[from as usize].stats.retransmits += 1;
+                    self.cores[from as usize].stats.comm += transfer;
+                    self.cores[to_node as usize].stats.comm += transfer;
+                    self.cores[from as usize].stats.bytes_sent += bytes as u64;
                     audit_emit!(
                         self.audit,
                         RuntimeEvent::NetFault {
@@ -410,7 +362,7 @@ impl DesRuntime {
                     // The duplicate copy reaches the receiver, whose
                     // sequence-number dedup suppresses it: the handler
                     // will run exactly once.
-                    self.nodes[to_node as usize].core.stats.dup_suppressed += 1;
+                    self.cores[to_node as usize].stats.dup_suppressed += 1;
                     audit_emit!(
                         self.audit,
                         RuntimeEvent::NetFault {
@@ -446,61 +398,57 @@ impl DesRuntime {
                 break;
             }
             // Every delivered data message is positively acknowledged.
-            self.nodes[to_node as usize].core.stats.acks_sent += 1;
+            self.cores[to_node as usize].stats.acks_sent += 1;
         }
         self.push_event(arrive, to_node, node_kind);
     }
 
     // ----- main loop -----------------------------------------------------------
 
-    /// Run to quiescence; returns the run's statistics. The runtime can be
-    /// inspected afterwards ([`DesRuntime::with_object`]) and re-posted to
-    /// for a second phase. Panics if a spilled object became unreadable —
-    /// use [`DesRuntime::try_run`] to handle that as a typed error.
-    pub fn run(&mut self) -> RunStats {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("MRTS run failed: {e}"))
-    }
-
-    /// Like [`DesRuntime::run`], but surfaces unrecoverable storage
-    /// failures (a spilled object unreadable after exhausting the retry
-    /// policy) and, in debug builds, broken invariants as [`MrtsError`]
-    /// instead of panicking. The run stops at the failing event; the heap
-    /// retains the unprocessed remainder.
-    pub fn try_run(&mut self) -> Result<RunStats, MrtsError> {
-        self.ran = true;
+    /// Process events until the heap is empty (quiescence) or a fatal
+    /// error: a spilled object unreadable after exhausting the retry
+    /// policy or, in debug builds, a broken invariant. A failed run stops
+    /// at the failing event; the heap retains the unprocessed remainder.
+    /// The runtime can be inspected afterwards and re-posted to for a
+    /// second phase.
+    fn run_events(&mut self) -> Result<RunStats, MrtsError> {
         loop {
             // A broken invariant ends the run like any fatal error,
             // including one broken while the run was being set up.
-            let broken = self.nodes.iter_mut().find_map(|n| n.core.violation.take());
-            if let Some(err) = self.fatal.take().or(broken.map(MrtsError::Invariant)) {
+            let broken = self.cores.iter_mut().find_map(|c| c.violation.take());
+            if let Some(err) = self
+                .engine
+                .fatal
+                .take()
+                .or(broken.map(MrtsError::Invariant))
+            {
                 return Err(err);
             }
-            let Some(Reverse(ev)) = self.events.pop() else {
+            let Some(Reverse(ev)) = self.engine.events.pop() else {
                 break;
             };
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            self.now = ev.at;
-            self.pending_events[ev.node as usize] =
-                self.pending_events[ev.node as usize].saturating_sub(1);
+            debug_assert!(ev.at >= self.engine.now, "time went backwards");
+            self.engine.now = ev.at;
+            self.engine.pending_events[ev.node as usize] =
+                self.engine.pending_events[ev.node as usize].saturating_sub(1);
             self.handle(ev);
         }
         // Quiescence: the event heap drained, so the computation
         // terminated — every node observes it.
         #[cfg(any(feature = "audit", debug_assertions))]
-        for node in 0..self.nodes.len() as NodeId {
+        for node in 0..self.cores.len() as NodeId {
             audit_emit!(self.audit, RuntimeEvent::Terminate { node });
             audit_emit!(
                 self.audit,
                 RuntimeEvent::Shutdown {
                     node,
-                    used: self.nodes[node as usize].core.ooc.used()
+                    used: self.cores[node as usize].ooc.used()
                 }
             );
         }
-        for n in &mut self.nodes {
-            n.core.seal_stats();
-            if let Some(v) = n.core.violation.take() {
+        for c in &mut self.cores {
+            c.seal_stats();
+            if let Some(v) = c.violation.take() {
                 return Err(MrtsError::Invariant(v));
             }
         }
@@ -508,8 +456,8 @@ impl DesRuntime {
     }
 
     fn collect_stats(&self) -> RunStats {
-        let mut total = self.end_time;
-        for n in &self.nodes {
+        let mut total = self.engine.end_time;
+        for n in &self.engine.nodes {
             for &c in &n.core_free {
                 total = total.max(c);
             }
@@ -523,10 +471,10 @@ impl DesRuntime {
             // busy-excess estimate in `overlap_pct` applies instead.
             measured_overlap: false,
             nodes: self
-                .nodes
+                .cores
                 .iter()
-                .map(|n| {
-                    let mut s = n.core.stats.clone();
+                .map(|c| {
+                    let mut s = c.stats.clone();
                     // Virtual-time idleness: the makespan minus this
                     // node's compute time — the span it spent waiting on
                     // the disk, the network, or a phase's stragglers.
@@ -549,11 +497,11 @@ impl DesRuntime {
         // Every event may queue or unblock loads (messages arriving for
         // on-disk objects, evictions of queued objects, completed loads
         // freeing window slots); issue what the window allows.
-        let now = self.now;
+        let now = self.engine.now;
         self.pump(node, now);
         // A degraded node re-probes its backend on every event it handles;
         // the first healthy probe restores normal eviction.
-        if self.nodes[node as usize].core.ooc.is_degraded() {
+        if self.cores[node as usize].ooc.is_degraded() {
             self.probe_degraded(node, now);
         }
     }
@@ -562,10 +510,10 @@ impl DesRuntime {
     /// mode and immediately shed the footprint overshoot accumulated while
     /// evictions were suspended.
     fn probe_degraded(&mut self, node: NodeId, at: Duration) {
-        let ok = self.nodes[node as usize].store.probe().is_ok();
+        let ok = self.stores[node as usize].lock().probe().is_ok();
         self.drain_store_faults(node);
         if ok {
-            self.nodes[node as usize].core.leave_degraded(at);
+            self.cores[node as usize].leave_degraded(at);
             self.flush(node, at);
         }
     }
@@ -574,11 +522,11 @@ impl DesRuntime {
     /// events, and return the total injected latency (charged to the
     /// virtual disk channel by the caller).
     fn drain_store_faults(&mut self, node: NodeId) -> Duration {
-        let reports = self.nodes[node as usize].store.take_fault_reports();
+        let reports = self.stores[node as usize].lock().take_fault_reports();
         let mut latency = Duration::ZERO;
         for r in &reports {
             latency += r.delay;
-            self.nodes[node as usize].core.stats.faults_injected += 1;
+            self.cores[node as usize].stats.faults_injected += 1;
             audit_emit!(
                 self.audit,
                 RuntimeEvent::Fault {
@@ -598,8 +546,8 @@ impl DesRuntime {
     /// [`holds_backlog`]); a grant travels through the ordinary migration
     /// path — load if spilled, then install at the thief.
     fn on_net(&mut self, node: NodeId, msg: NetMsg) {
-        let now = self.now;
-        let core = &mut self.nodes[node as usize].core;
+        let now = self.engine.now;
+        let core = &mut self.cores[node as usize];
         if let Some(thief) = core.on_net(msg, now, &self.registry) {
             match core.steal_pick(holds_backlog) {
                 Some(oid) => core.grant_steal(oid, thief, now),
@@ -616,11 +564,11 @@ impl DesRuntime {
     /// objects that became runnable execute right away. Called after
     /// every core transition that can produce any of them.
     fn drain(&mut self, node: NodeId, at: Duration) {
-        let work = std::mem::take(&mut self.nodes[node as usize].core.codec_work);
+        let work = std::mem::take(&mut self.cores[node as usize].codec_work);
         let charge = work.iter().map(|&(wall, n)| self.compute_charge(wall, n));
         let charge: Duration = charge.sum();
-        self.nodes[node as usize].core.stats.comp += charge;
-        let mut out = std::mem::take(&mut self.nodes[node as usize].core.out);
+        self.cores[node as usize].stats.comp += charge;
+        let mut out = std::mem::take(&mut self.cores[node as usize].out);
         for (dest, msg, not_before) in out.drain(..) {
             let bytes = match &msg {
                 NetMsg::Msg(m) => m.wire_size(),
@@ -633,20 +581,19 @@ impl DesRuntime {
             };
             self.ship(not_before, node, dest, bytes, EvKind::Net(msg));
         }
-        self.nodes[node as usize].core.out = out;
+        self.cores[node as usize].out = out;
         self.flush(node, at);
-        let mut runnable = std::mem::take(&mut self.nodes[node as usize].core.runnable);
+        let mut runnable = std::mem::take(&mut self.cores[node as usize].runnable);
         for oid in runnable.drain(..) {
             // Drain the object's queue in arrival order, for as long as it
             // stays in core (a handler's own creations may evict it, and
             // the eviction has then queued its reload).
-            while let Some((obj, old_footprint, msg)) =
-                self.nodes[node as usize].core.begin_handler(oid)
+            while let Some((obj, old_footprint, msg)) = self.cores[node as usize].begin_handler(oid)
             {
                 self.execute(node, oid, obj, old_footprint, msg);
             }
         }
-        self.nodes[node as usize].core.runnable = runnable;
+        self.cores[node as usize].runnable = runnable;
     }
 
     /// Issue queued loads (see [`NodeCore::pump_loads`]): a load is
@@ -655,13 +602,16 @@ impl DesRuntime {
     /// non-empty queue with nothing in flight would never be pumped again:
     /// the front entry is forced through ([`NodeCore::force_front_load`]).
     fn pump(&mut self, node: NodeId, at: Duration) {
-        let n = &mut self.nodes[node as usize];
-        if !n.core.has_pending_loads() {
+        let core = &mut self.cores[node as usize];
+        if !core.has_pending_loads() {
             return;
         }
-        let busy = n.core_free.iter().any(|&c| c > at);
-        n.core.pump_loads(busy, at);
-        n.core.force_front_load(at);
+        let busy = self.engine.nodes[node as usize]
+            .core_free
+            .iter()
+            .any(|&c| c > at);
+        core.pump_loads(busy, at);
+        core.force_front_load(at);
         self.flush(node, at);
     }
 
@@ -669,16 +619,16 @@ impl DesRuntime {
     /// time `at`, synchronously on the node's virtual disk channels.
     /// Called after every core transition that can evict or load.
     fn flush(&mut self, node: NodeId, at: Duration) {
-        if self.nodes[node as usize].core.cmds.is_empty() {
+        if self.cores[node as usize].cmds.is_empty() {
             return;
         }
-        let mut cmds = std::mem::take(&mut self.nodes[node as usize].core.cmds);
+        let mut cmds = std::mem::take(&mut self.cores[node as usize].cmds);
         for cmd in cmds.drain(..) {
             match cmd {
                 // Nothing to model: no bytes move, and the stored copy
                 // became valid before the load that brought the object in.
                 IoCmd::Elided(_) => {}
-                IoCmd::SetRanks(ranks) => self.nodes[node as usize].store.set_key_ranks(&ranks),
+                IoCmd::SetRanks(ranks) => self.stores[node as usize].lock().set_key_ranks(&ranks),
                 IoCmd::Store(items) => {
                     // One batched append: only the first store pays the
                     // seek component.
@@ -691,14 +641,14 @@ impl DesRuntime {
                 } => {
                     // The bytes are read (and faults injected) when the
                     // load completes; see `on_loaded`.
-                    let ready = self.nodes[node as usize].disk_ready_at.remove(&oid);
+                    let ready = self.engine.nodes[node as usize].disk_ready_at.remove(&oid);
                     let dur = self.cfg.disk.op_time(packed_len);
                     let end = self.occupy_disk(node, at.max(ready.unwrap_or_default()), dur);
                     self.push_event(end, node, EvKind::Loaded(oid));
                 }
             }
         }
-        let core = &mut self.nodes[node as usize].core;
+        let core = &mut self.cores[node as usize];
         debug_assert!(core.cmds.is_empty(), "commands appended during a flush");
         core.cmds = cmds;
     }
@@ -706,14 +656,14 @@ impl DesRuntime {
     /// Occupy the node's earliest-free virtual disk channel for `dur`,
     /// starting no earlier than `not_before`; returns the completion time.
     fn occupy_disk(&mut self, node: NodeId, not_before: Duration, dur: Duration) -> Duration {
-        let n = &mut self.nodes[node as usize];
+        let n = &mut self.engine.nodes[node as usize];
         let ch = (0..n.disk_free.len())
             .min_by_key(|&i| n.disk_free[i])
             .expect("node has at least one disk channel");
         let end = not_before.max(n.disk_free[ch]) + dur;
         n.disk_free[ch] = end;
-        n.core.stats.disk += dur;
-        self.end_time = self.end_time.max(end);
+        self.cores[node as usize].stats.disk += dur;
+        self.engine.end_time = self.engine.end_time.max(end);
         end
     }
 
@@ -738,12 +688,12 @@ impl DesRuntime {
         // until the store succeeds so a failed store can reinstate it.
         // Packs into the node's reusable buffer.
         let t0 = Instant::now();
-        let mut bytes = std::mem::take(&mut self.nodes[node as usize].pack_buf);
+        let mut bytes = std::mem::take(&mut self.engine.nodes[node as usize].pack_buf);
         let pool_hit = bytes.capacity() > 0;
         Registry::pack_into(obj.as_ref(), &mut bytes);
         let pack = self.compute_charge(t0.elapsed(), bytes.len());
         let packed_len = bytes.len();
-        self.nodes[node as usize].core.stats.comp += pack;
+        self.cores[node as usize].stats.comp += pack;
         // Retry loop: each failed attempt charges one disk op plus the
         // backoff delay to the virtual channel. A torn write is repaired by
         // the retry overwriting the same key (nothing can load the key
@@ -752,7 +702,8 @@ impl DesRuntime {
         let mut penalty = Duration::ZERO;
         let outcome = loop {
             attempt += 1;
-            match self.nodes[node as usize].store.store(key, &bytes) {
+            let stored = self.stores[node as usize].lock().store(key, &bytes);
+            match stored {
                 Ok(()) => break Ok(()),
                 Err(e) => {
                     let injected = self.drain_store_faults(node);
@@ -763,25 +714,25 @@ impl DesRuntime {
                     penalty += self.fault_penalty(
                         self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
                     );
-                    self.nodes[node as usize].core.stats.io_retries += 1;
+                    self.cores[node as usize].stats.io_retries += 1;
                     audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
                 }
             }
         };
         let injected = self.drain_store_faults(node);
         penalty += self.fault_penalty(injected);
-        self.nodes[node as usize].pack_buf = bytes;
+        self.engine.nodes[node as usize].pack_buf = bytes;
 
         if outcome.is_err() {
             // Charge the wasted disk time. The object can only have
             // queued messages if its queue is being drained in place
             // (resident objects execute on arrival), and that drain finds
             // it back in core — nothing to re-deliver here.
-            self.nodes[node as usize].core.stats.io_gave_up += 1;
+            self.cores[node as usize].stats.io_gave_up += 1;
             if !penalty.is_zero() {
                 self.occupy_disk(node, at, penalty);
             }
-            self.nodes[node as usize].core.store_failed(oid, obj);
+            self.cores[node as usize].store_failed(oid, obj);
             return;
         }
         drop(obj);
@@ -794,16 +745,18 @@ impl DesRuntime {
             op + penalty
         };
         let end = self.occupy_disk(node, at, dur);
-        let n = &mut self.nodes[node as usize];
-        n.core.stats.buffer_pool_hits += usize::from(pool_hit);
+        let core = &mut self.cores[node as usize];
+        core.stats.buffer_pool_hits += usize::from(pool_hit);
         // A reload of this object must start after its bytes are valid.
-        n.disk_ready_at.insert(oid, end);
-        n.core.store_landed(oid, packed_len);
+        self.engine.nodes[node as usize]
+            .disk_ready_at
+            .insert(oid, end);
+        core.store_landed(oid, packed_len);
     }
 
     fn on_loaded(&mut self, node: NodeId, oid: ObjectId) {
         let (key, packed_len) = {
-            let e = self.nodes[node as usize].core.entry(oid);
+            let e = self.cores[node as usize].entry(oid);
             (
                 e.spill_key.expect("loading object has a spill key"),
                 e.packed_len,
@@ -817,16 +770,17 @@ impl DesRuntime {
         let mut penalty = Duration::ZERO;
         let bytes = loop {
             attempt += 1;
-            match self.nodes[node as usize].store.load(key) {
+            let loaded = self.stores[node as usize].lock().load(key);
+            match loaded {
                 Ok(b) => break b,
                 Err(source) => {
                     let injected = self.drain_store_faults(node);
                     penalty += self.fault_penalty(injected);
                     if attempt >= ENGINE_RETRY.max_attempts {
-                        let n = &mut self.nodes[node as usize];
-                        n.core.load_failed(oid);
-                        n.core.stats.disk += penalty;
-                        self.fatal = Some(MrtsError::LoadFailed {
+                        let core = &mut self.cores[node as usize];
+                        core.load_failed(oid);
+                        core.stats.disk += penalty;
+                        self.engine.fatal = Some(MrtsError::LoadFailed {
                             node,
                             oid,
                             attempts: attempt,
@@ -837,7 +791,7 @@ impl DesRuntime {
                     penalty += self.fault_penalty(
                         self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
                     );
-                    self.nodes[node as usize].core.stats.io_retries += 1;
+                    self.cores[node as usize].stats.io_retries += 1;
                     audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
                 }
             }
@@ -845,7 +799,7 @@ impl DesRuntime {
         let injected = self.drain_store_faults(node);
         penalty += self.fault_penalty(injected);
         if !penalty.is_zero() {
-            self.occupy_disk(node, self.now, penalty);
+            self.occupy_disk(node, self.engine.now, penalty);
         }
         debug_assert_eq!(bytes.len(), packed_len);
         // Real unpack, charged as compute.
@@ -855,14 +809,17 @@ impl DesRuntime {
             .unpack(&bytes)
             .expect("spill bytes were packed by this runtime from a registered type");
         let unpack = self.compute_charge(t0.elapsed(), bytes.len());
-        let now = self.now;
-        let n = &mut self.nodes[node as usize];
-        n.core.stats.comp += unpack;
+        let now = self.engine.now;
+        let core = &mut self.cores[node as usize];
+        core.stats.comp += unpack;
         // Overlap classification: a load completing while a virtual core
         // is still busy was masked by computation.
-        let miss = !n.core_free.iter().any(|&c| c > now);
-        n.core.complete_load(oid, obj, packed_len, miss);
-        n.core.resume(oid, now);
+        let miss = !self.engine.nodes[node as usize]
+            .core_free
+            .iter()
+            .any(|&c| c > now);
+        core.complete_load(oid, obj, packed_len, miss);
+        core.resume(oid, now);
         self.drain(node, now);
     }
 
@@ -879,9 +836,9 @@ impl DesRuntime {
         msg: Message,
     ) {
         let handler = self.registry.handler(msg.handler);
-        let arrival_floor = self.nodes[node as usize].core.entry(oid).obj_free_at;
+        let arrival_floor = self.cores[node as usize].entry(oid).obj_free_at;
 
-        let mut next_seq = self.nodes[node as usize].next_obj_seq;
+        let mut next_seq = self.next_seq[node as usize];
         let mut backend = SequentialBackend;
         let src_node = *msg.route.first().unwrap_or(&node);
         let mut ctx = Ctx::new(node, msg.to, src_node, &mut next_seq, &mut backend);
@@ -894,7 +851,7 @@ impl DesRuntime {
         let reports = std::mem::take(&mut ctx.parallel_reports);
         let effects = std::mem::take(&mut ctx.effects);
         drop(ctx);
-        self.nodes[node as usize].next_obj_seq = next_seq;
+        self.next_seq[node as usize] = next_seq;
         let tasks_wall: Duration = reports.iter().map(|r| r.wall).sum();
         let tasks_virtual: Duration = reports
             .iter()
@@ -912,21 +869,21 @@ impl DesRuntime {
 
         // Schedule on the earliest-free virtual core.
         let end = {
-            let n = &mut self.nodes[node as usize];
+            let n = &mut self.engine.nodes[node as usize];
             let core = (0..n.core_free.len())
                 .min_by_key(|&i| n.core_free[i])
                 .expect("node has at least one core");
-            let start = self.now.max(arrival_floor).max(n.core_free[core]);
+            let start = self.engine.now.max(arrival_floor).max(n.core_free[core]);
             let end = start + vdur;
             n.core_free[core] = end;
-            n.core.stats.comp += vdur;
+            self.cores[node as usize].stats.comp += vdur;
             end
         };
-        self.end_time = self.end_time.max(end);
+        self.engine.end_time = self.engine.end_time.max(end);
 
         // Put the object back (busy until `end`); its sends teach the
         // locality curve before they dispatch.
-        let core = &mut self.nodes[node as usize].core;
+        let core = &mut self.cores[node as usize];
         core.finish_handler(oid, obj, old_footprint, &effects, end);
         core.apply_effects(effects, end);
         // Hard budget enforcement (handlers grow objects in place), then
@@ -946,223 +903,24 @@ impl DesRuntime {
     /// *trigger* is this engine's — virtual time can see "no events
     /// scheduled" directly where a real thief counts empty polls.
     fn maybe_steal(&mut self, node: NodeId) {
-        if !self.cfg.work_stealing || self.nodes.len() < 2 {
+        if !self.cfg.work_stealing || self.engine.nodes.len() < 2 {
             return;
         }
         // Keep at least one queued task at home: stealing the victim's
         // last one just moves the imbalance around.
-        if self.nodes[node as usize].core.steal_backlog(holds_backlog) < 2 {
+        if self.cores[node as usize].steal_backlog(holds_backlog) < 2 {
             return;
         }
-        let thief = (0..self.nodes.len() as NodeId).find(|&t| {
+        let thief = (0..self.engine.nodes.len() as NodeId).find(|&t| {
             t != node
-                && self.pending_events[t as usize] == 0
-                && !self.nodes[t as usize].core.awaiting_steal
+                && self.engine.pending_events[t as usize] == 0
+                && !self.cores[t as usize].awaiting_steal
         });
         let Some(thief) = thief else { return };
-        let now = self.now;
-        let core = &mut self.nodes[thief as usize].core;
+        let now = self.engine.now;
+        let core = &mut self.cores[thief as usize];
         core.stats.idle_ticks += 1;
         core.request_steal(node, now);
         self.drain(thief, now);
-    }
-
-    // ----- inspection (post-run) ---------------------------------------------------
-
-    /// Packed bytes of the spilled object `oid` of `node`, read from the
-    /// node's store post-run (uncharged: there is no virtual clock left).
-    fn load_packed(&mut self, node: NodeId, oid: ObjectId, key: u64) -> Result<Vec<u8>, MrtsError> {
-        let store = &mut self.nodes[node as usize].store;
-        load_spilled(node, oid, key, || store.load(key))
-    }
-
-    /// Visit an object wherever it is (following migrations, loading from
-    /// the spill store if needed — uncharged; for result extraction).
-    /// Panics if a spilled object is unreadable; see
-    /// [`DesRuntime::try_with_object`].
-    pub fn with_object<R>(&mut self, ptr: MobilePtr, f: impl FnOnce(&dyn MobileObject) -> R) -> R {
-        self.try_with_object(ptr, f)
-            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
-    }
-
-    /// [`DesRuntime::with_object`], surfacing a spilled object that stays
-    /// unreadable under the engines' retry policy as
-    /// [`MrtsError::LoadFailed`].
-    pub fn try_with_object<R>(
-        &mut self,
-        ptr: MobilePtr,
-        f: impl FnOnce(&dyn MobileObject) -> R,
-    ) -> Result<R, MrtsError> {
-        let node = self.owner_of(ptr.id);
-        let e = self.nodes[node as usize]
-            .core
-            .table
-            .get(&ptr.id)
-            .unwrap_or_else(|| panic!("no object {:?}", ptr.id));
-        match &e.state {
-            State::InCore(obj) => Ok(f(obj.as_ref())),
-            State::OnDisk | State::Loading => {
-                let key = e.spill_key.expect("on-disk object has a key");
-                let bytes = self.load_packed(node, ptr.id, key)?;
-                let obj = self
-                    .registry
-                    .unpack(&bytes)
-                    .expect("spill bytes were packed by this runtime from a registered type");
-                Ok(f(obj.as_ref()))
-            }
-            State::Executing => unreachable!("no handler is running post-run"),
-            State::Moved(_) => unreachable!("owner_of follows tombstones"),
-        }
-    }
-
-    /// Visit every live object (post-run; arbitrary order). Panics if a
-    /// spilled object is unreadable; see
-    /// [`DesRuntime::try_for_each_object`].
-    pub fn for_each_object(&mut self, f: impl FnMut(ObjectId, &dyn MobileObject)) {
-        self.try_for_each_object(f)
-            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
-    }
-
-    /// [`DesRuntime::for_each_object`], stopping at the first spilled
-    /// object that stays unreadable ([`MrtsError::LoadFailed`]).
-    pub fn try_for_each_object(
-        &mut self,
-        mut f: impl FnMut(ObjectId, &dyn MobileObject),
-    ) -> Result<(), MrtsError> {
-        for node in 0..self.nodes.len() {
-            let oids: Vec<ObjectId> = self.nodes[node]
-                .core
-                .table
-                .iter()
-                .filter(|(_, e)| !matches!(e.state, State::Moved(_)))
-                .map(|(&oid, _)| oid)
-                .collect();
-            for oid in oids {
-                self.try_with_object(MobilePtr::new(oid), |obj| f(oid, obj))?;
-            }
-        }
-        Ok(())
-    }
-
-    // ----- checkpoint support (see crate::checkpoint) ------------------------
-
-    /// Install an object from a checkpoint entry (bootstrap-time).
-    pub(crate) fn install_from_checkpoint(
-        &mut self,
-        node: NodeId,
-        oid: ObjectId,
-        packed: &[u8],
-        priority: u8,
-        locked: bool,
-    ) {
-        let obj = self
-            .registry
-            .unpack(packed)
-            .expect("checkpoint entries hold pack output of registered types");
-        let footprint = obj.footprint();
-        self.nodes[node as usize]
-            .core
-            .admit(footprint, Duration::ZERO);
-        self.flush(node, Duration::ZERO);
-        let prev = self.nodes[node as usize].core.insert_resident(
-            oid,
-            obj,
-            priority,
-            locked,
-            0,
-            Duration::ZERO,
-        );
-        assert!(prev.is_none(), "checkpoint restore collided with {oid:?}");
-        audit_emit!(
-            self.audit,
-            RuntimeEvent::Create {
-                node,
-                oid,
-                footprint
-            }
-        );
-        self.nodes[node as usize].core.audit_budget(false);
-    }
-
-    /// Raise per-node object-id allocation watermarks (restore path).
-    pub(crate) fn set_seq_watermarks(&mut self, seq: &[u64]) {
-        for (i, &s) in seq.iter().enumerate() {
-            if let Some(n) = self.nodes.get_mut(i) {
-                n.next_obj_seq = n.next_obj_seq.max(s);
-            }
-        }
-        // Objects restored from a differently-sized cluster keep their
-        // original home ids; make sure every node's allocator clears every
-        // restored id of its own home.
-        for node in 0..self.nodes.len() {
-            let max_seq = self.nodes[node]
-                .core
-                .table
-                .keys()
-                .filter(|oid| oid.home() as usize == node)
-                .map(|oid| oid.seq() + 1)
-                .max()
-                .unwrap_or(0);
-            let n = &mut self.nodes[node];
-            n.next_obj_seq = n.next_obj_seq.max(max_seq);
-        }
-    }
-
-    /// Snapshot every live object (must be quiescent: no events pending).
-    pub(crate) fn snapshot_objects(
-        &mut self,
-    ) -> (Vec<crate::checkpoint::CheckpointEntry>, Vec<u64>) {
-        assert!(
-            self.events.is_empty(),
-            "checkpoint requires quiescence (run() completed)"
-        );
-        let mut out = Vec::new();
-        for node in 0..self.nodes.len() {
-            // Hash order would leak into the entry order (and from there
-            // into the restored runtime's install order, which schedules
-            // work): sort so two captures of the same state encode
-            // identically, matching the threaded engine's checkpoint.
-            let mut oids: Vec<ObjectId> = self.nodes[node].core.table.keys().copied().collect();
-            oids.sort_unstable_by_key(|o| o.0);
-            for oid in oids {
-                let e = self.nodes[node].core.entry(oid);
-                let (priority, locked) = (e.priority, e.locked);
-                let queued: Vec<Message> = e.queue.iter().cloned().collect();
-                let packed = match &e.state {
-                    State::InCore(obj) => Registry::pack(obj.as_ref()),
-                    State::OnDisk | State::Loading => {
-                        let key = e.spill_key.expect("spilled object has key");
-                        self.load_packed(node as NodeId, oid, key)
-                            .unwrap_or_else(|e| panic!("MRTS checkpoint failed: {e}"))
-                    }
-                    State::Executing => unreachable!("quiescent"),
-                    State::Moved(_) => continue,
-                };
-                out.push(crate::checkpoint::CheckpointEntry {
-                    node: node as NodeId,
-                    oid,
-                    priority,
-                    locked,
-                    packed,
-                    queued,
-                });
-            }
-        }
-        let next_seq = self.nodes.iter().map(|n| n.next_obj_seq).collect();
-        (out, next_seq)
-    }
-
-    /// Number of live objects across all nodes.
-    pub fn num_objects(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.core
-                    .table
-                    .values()
-                    .filter(|e| !matches!(e.state, State::Moved(_)))
-                    .count()
-            })
-            .sum()
     }
 }

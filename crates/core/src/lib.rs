@@ -9,20 +9,26 @@
 //! directory and migration, and a **computing layer** wrapping two
 //! task-parallel backends (work-stealing / global FIFO).
 //!
-//! The runtime executes in either of two modes sharing one semantics —
-//! and one implementation of the out-of-core and control layers: the
-//! private `node` module's `NodeCore` decides what to evict, elide, spill,
-//! load and prefetch, routes messages, keeps the directory, migrates and
-//! installs objects behind one `NetMsg` vocabulary, performs no I/O and
-//! sends nothing itself, and is driven by both engines:
+//! The runtime is one API, [`runtime::Runtime<E>`], over either of two
+//! clocks — and one implementation of the out-of-core and control layers:
+//! the private `node` module's `NodeCore` decides what to evict, elide,
+//! spill, load and prefetch, routes messages, keeps the directory,
+//! migrates and installs objects behind one `NetMsg` vocabulary, performs
+//! no I/O and sends nothing itself, and is driven by both engines.
+//! Bootstrap, result access, checkpoint and restore are written once, on
+//! `Runtime<E>`; the engine `E` only lands boot actions and runs:
 //!
-//! * [`des::DesRuntime`] — deterministic **virtual-time** execution: the
-//!   application really runs (single host thread), while node parallelism,
-//!   network and disk are charged on virtual clocks. This mode regenerates
-//!   the paper's evaluation on a machine with any number of cores.
-//! * [`threaded::ThreadedRuntime`] — real OS threads, one per simulated
-//!   node, on the [`armci_sim`] one-sided fabric, with real file-backed
-//!   spill; Safra's algorithm detects distributed termination.
+//! * [`des::DesRuntime`] (`Runtime<des::Des>`) — deterministic
+//!   **virtual-time** execution: the application really runs (single host
+//!   thread), while node parallelism, network and disk are charged on
+//!   virtual clocks. This mode regenerates the paper's evaluation on a
+//!   machine with any number of cores.
+//! * [`threaded::ThreadedRuntime`] (`Runtime<threaded::Threads>`) — real
+//!   OS threads, one per simulated node, exchanging active messages over
+//!   the in-process [`armci_sim`] fabric, with real file-backed spill;
+//!   Safra's algorithm detects distributed termination.
+//!
+//! Code generic over `E: `[`runtime::Engine`] runs on both.
 //!
 //! See the `pumg-methods` crate for complete applications (the out-of-core
 //! parallel mesh generation methods of the paper) and `DESIGN.md` at the
@@ -50,6 +56,7 @@ pub mod ooc;
 pub mod policy;
 pub mod relnet;
 pub mod replay;
+pub mod runtime;
 pub mod sched;
 pub mod service;
 pub mod stats;
@@ -66,13 +73,14 @@ pub mod prelude {
     pub use crate::compute::ExecutorKind;
     pub use crate::config::{MrtsConfig, NetModel};
     pub use crate::ctx::Ctx;
-    pub use crate::des::DesRuntime;
+    pub use crate::des::{Des, DesRuntime};
     pub use crate::fault::{FaultKind, FaultPlan, FaultyStore, MrtsError, RetryPolicy};
     pub use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
     pub use crate::netfault::{NetFaultKind, NetFaultPlan};
     pub use crate::object::{MobileObject, ObjectDecodeError, Registry};
     pub use crate::policy::PolicyKind;
     pub use crate::replay::{Decision, DecisionLog, DivergenceReport, ReplayArtifact};
+    pub use crate::runtime::{Engine, Runtime};
     pub use crate::sched::{ConflictSet, PhaseGate, RegionDag};
     pub use crate::service::{
         AdmissionError, Job, JobAttempt, JobFailure, JobId, JobOutcome, JobProgress, JobService,
@@ -80,5 +88,5 @@ pub mod prelude {
     };
     pub use crate::stats::RunStats;
     pub use crate::storage::DiskModel;
-    pub use crate::threaded::ThreadedRuntime;
+    pub use crate::threaded::{ThreadedRuntime, Threads};
 }

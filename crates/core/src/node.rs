@@ -1331,7 +1331,9 @@ impl NodeCore {
                     payload,
                     immediate: _,
                 } => self.send(Message::new(to, handler, payload), now),
-                Effect::Create { id, obj, priority } => self.create(id, obj, priority, now),
+                Effect::Create { id, obj, priority } => {
+                    self.create(id, obj, priority, false, true, now)
+                }
                 Effect::Lock(p) => self.send_to_owner(p.id, MetaOp::Lock.on(p.id), now),
                 Effect::Unlock(p) => self.send_to_owner(p.id, MetaOp::Unlock.on(p.id), now),
                 Effect::SetPriority(p, v) => {
@@ -1344,17 +1346,33 @@ impl NodeCore {
         }
     }
 
-    /// Admit, track and announce an object created on this node at `now`.
+    /// Track and announce an object created (or restored) on this node
+    /// at `now`, pinned if `locked`. With `admit`, room is made for it
+    /// first; without (the threaded engine's bootstrap, before its
+    /// workers run), the budget may overshoot.
     pub(crate) fn create(
         &mut self,
         oid: ObjectId,
         obj: Box<dyn MobileObject>,
         priority: u8,
+        locked: bool,
+        admit: bool,
         now: Duration,
     ) {
         let footprint = obj.footprint();
-        self.admit(footprint, now);
-        self.insert_resident(oid, obj, priority, false, 0, now);
+        if admit {
+            self.admit(footprint, now);
+        }
+        self.insert_resident(oid, obj, priority, locked, 0, now);
+        if locked {
+            audit_emit!(
+                self.audit,
+                RuntimeEvent::Pin {
+                    node: self.node,
+                    oid
+                }
+            );
+        }
         audit_emit!(
             self.audit,
             RuntimeEvent::Create {
@@ -1363,7 +1381,13 @@ impl NodeCore {
                 footprint
             }
         );
-        self.audit_budget(true);
+        self.audit_budget(admit);
+    }
+
+    /// Remember that `oid`, which is not here, lives on `node` (a restore
+    /// placed it away from this, its home node).
+    pub(crate) fn learn_location(&mut self, oid: ObjectId, node: NodeId) {
+        self.dir.update(oid, node);
     }
 
     /// An object's home node in *this* run. After a checkpoint restore
@@ -2478,7 +2502,7 @@ mod tests {
             let mut c = core(1000);
             let x = resident(&mut c, 1, 100);
             c.entry_mut(x).footprint = 90;
-            c.create(oid(2), Box::new(Blob(10)), 128, T0);
+            c.create(oid(2), Box::new(Blob(10)), 128, false, true, T0);
             let v = c.violation.take().expect("books out of balance");
             assert_eq!(v.invariant, Invariant::AccountingImbalance, "{v}");
             assert_eq!(

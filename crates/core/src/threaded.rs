@@ -1,7 +1,7 @@
 //! The threaded execution engine: one OS thread per simulated node.
 //!
 //! This mode is the shape of the paper's actual deployment: every node runs
-//! a control loop draining one-sided active messages from the
+//! a control loop draining active messages from the in-process
 //! [`armci_sim`] fabric, executing message handlers, spilling mobile
 //! objects through a per-node I/O thread pool (a real [`SegmentStore`]
 //! when a spill directory is configured), and participating in **Safra's
@@ -41,11 +41,15 @@
 //!   thread, and an eviction round lands as batched appends on the
 //!   segmented spill log, one request per few segments of footprint.
 //! * **The post-run state** — a worker's control loop ends without
-//!   loading anything back: it hands over its resident objects and the
-//!   spill key of every other one, and the runtime keeps each node's
-//!   store until it is dropped or run again. The result accessors read a
-//!   spilled object from its store, decode, visit and drop it, so the
-//!   process's memory follows the budget after `run()` as it does inside.
+//!   loading anything back: it hands its core (resident objects, and the
+//!   spill key of every other one) back to the [`Runtime`], which keeps
+//!   each node's store until it is dropped or run again. The shared
+//!   result accessors read a spilled object from its store, decode, visit
+//!   and drop it, so the process's memory follows the budget after
+//!   `run()` as it does inside.
+//! * **Deferred boot** — objects created, pinned or posted to before a
+//!   run are queued and applied by the run's workers before they start,
+//!   without admission (nothing is running yet to evict for).
 //!
 //! Statistics are wall-clock: computation is time spent inside handlers
 //! (and packing/unpacking, wherever it runs), disk is the I/O pool's
@@ -58,16 +62,14 @@ use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, WorkStealingPool};
 use crate::config::MrtsConfig;
 use crate::ctx::Ctx;
-use crate::fault::{
-    is_out_of_space, load_spilled, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY,
-};
-use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId};
-use crate::msg::Message;
+use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
+use crate::ids::{NodeId, ObjectId};
 use crate::netfault::{NetFaultKind, NetFaultPlan};
-use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore, State};
+use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore};
 use crate::object::{MobileObject, Registry};
 use crate::relnet::{ReliableReceiver, ReliableSender, RingStep, Safra, TimerAction};
 use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT};
+use crate::runtime::{home_of, hooks::Hooks, shared_store, Boot, Engine, Runtime, SharedStore};
 use crate::sched::VictimCursor;
 use crate::stats::{NodeStats, RunStats};
 use crate::storage::{MemStore, SegmentStore, StorageBackend};
@@ -1443,41 +1445,13 @@ impl Worker {
         }
         // Nothing is loaded for extraction: what is on disk stays there,
         // and the runtime reads it from this node's store on demand.
-        let node = self.node;
-        let objects = self
-            .core
-            .table
-            .drain()
-            .filter_map(|(oid, e)| {
-                let at = match e.state {
-                    State::InCore(obj) => Residence::InCore(obj),
-                    // Loading cannot remain (outstanding_io drained), but
-                    // both carry a spill key.
-                    State::OnDisk | State::Loading => {
-                        Residence::Spilled(e.spill_key.expect("spilled object has a key"))
-                    }
-                    State::Executing => unreachable!("no handler outlives the control loop"),
-                    State::Moved(_) => return None,
-                };
-                Some((
-                    oid,
-                    ResultEntry {
-                        at,
-                        priority: e.priority,
-                        locked: e.locked,
-                        node,
-                    },
-                ))
-            })
-            .collect();
         for _ in 0..self.cfg.io_threads {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
         let decisions = self.inputs.finish(&mut self.core.stats, false);
         WorkerResult {
-            node,
-            objects,
-            stats: self.core.stats,
+            node: self.node,
+            core: self.core,
             next_seq: self.next_obj_seq,
             fatal: self.fatal,
             decisions,
@@ -1516,10 +1490,11 @@ impl Worker {
             self.io_tx.send(IoReq::Shutdown).ok();
         }
         self.core.seal_stats();
+        // The node's objects are lost with it.
+        self.core.table.clear();
         WorkerResult {
             node: self.node,
-            objects: Vec::new(),
-            stats: self.core.stats,
+            core: self.core,
             next_seq: self.next_obj_seq,
             fatal: None,
             decisions,
@@ -1529,18 +1504,14 @@ impl Worker {
 
 struct WorkerResult {
     node: NodeId,
-    objects: Vec<(ObjectId, ResultEntry)>,
-    stats: NodeStats,
+    /// The node's core as the control loop left it: its table says where
+    /// each object is (resident, or the key it sits under in the store).
+    core: NodeCore,
     next_seq: u64,
     fatal: Option<MrtsError>,
     /// This worker's decision stream (record mode only; empty otherwise).
     decisions: Vec<Decision>,
 }
-
-/// One node's spill store, shared by its I/O pool during the run and read
-/// by the runtime's result accessors after it. A leaf lock: each hold is
-/// one block that takes no other lock and sends on no channel.
-type SharedStore = std::sync::Arc<parking_lot::Mutex<Box<dyn StorageBackend>>>;
 
 /// Bounded pool of reusable pack buffers shared by one node's I/O pool
 /// workers: at most `max` idle buffers are kept, the rest are dropped.
@@ -1598,7 +1569,7 @@ fn spawn_io_pool(
     let retry = ENGINE_RETRY;
     let (req_tx, req_rx) = channel::unbounded::<IoReq>();
     let (done_tx, done_rx) = channel::unbounded::<IoDone>();
-    let store = std::sync::Arc::new(parking_lot::Mutex::new(store));
+    let store = shared_store(store);
     let pool = std::sync::Arc::new(BufferPool::new(n_threads * 2 + 2));
     let mut handles = Vec::with_capacity(n_threads);
     for t in 0..n_threads {
@@ -1875,75 +1846,16 @@ fn count_reorders(reports: &[crate::storage::CompactionReport]) -> usize {
     reports.iter().filter(|r| r.curve_ordered > 0).count()
 }
 
-enum BootAction {
-    Create {
-        node: NodeId,
-        id: ObjectId,
-        obj: Box<dyn MobileObject>,
-        priority: u8,
-        locked: bool,
-    },
-    Lock(MobilePtr),
-    Post(MobilePtr, HandlerId, Vec<u8>),
-}
+/// The threaded MRTS runtime: [`Runtime`] on the [`Threads`] engine.
+pub type ThreadedRuntime = Runtime<Threads>;
 
-/// Where an object was when its node's control loop ended.
-pub(crate) enum Residence {
-    InCore(Box<dyn MobileObject>),
-    /// In the node's spill store, under this key.
-    Spilled(u64),
-}
-
-/// Post-run object record kept by [`ThreadedRuntime`]; the placement and
-/// metadata feed [`crate::checkpoint::Checkpoint`] capture.
-pub(crate) struct ResultEntry {
-    pub(crate) at: Residence,
-    pub(crate) priority: u8,
-    pub(crate) locked: bool,
-    pub(crate) node: NodeId,
-}
-
-/// Packed bytes of a spilled post-run result, from its node's store.
-fn load_packed(
-    stores: &[SharedStore],
-    node: NodeId,
-    oid: ObjectId,
-    key: u64,
-) -> Result<Vec<u8>, MrtsError> {
-    let store = &stores[node as usize];
-    load_spilled(node, oid, key, || store.lock().load(key))
-}
-
-/// A spilled post-run result, read from its node's store and decoded.
-fn read_spilled(
-    stores: &[SharedStore],
-    registry: &Registry,
-    node: NodeId,
-    oid: ObjectId,
-    key: u64,
-) -> Result<Box<dyn MobileObject>, MrtsError> {
-    let bytes = load_packed(stores, node, oid, key)?;
-    Ok(registry
-        .unpack(&bytes)
-        .expect("store holds pack output of registered types"))
-}
-
-/// The threaded MRTS engine. Mirrors [`crate::des::DesRuntime`]'s API:
-/// register types/handlers, create bootstrap objects, post initial
-/// messages, [`ThreadedRuntime::run`], then inspect results.
-pub struct ThreadedRuntime {
-    cfg: MrtsConfig,
-    registry: Registry,
-    boot: Vec<BootAction>,
-    next_seq: Vec<u64>,
-    /// Post-run: every object of the last run by id — resident, or the
-    /// spill key it sits under in its node's store — with the metadata a
-    /// checkpoint needs.
-    results: HashMap<ObjectId, ResultEntry>,
-    /// Post-run: the last run's spill store per node. Kept until the next
-    /// run or drop (which removes a spill directory), so spilled results
-    /// are read where they lie and never all decoded at once.
-    stores: Vec<SharedStore>,
+/// The threaded engine's state between runs: the queued boot actions and
+/// the record/replay and race-detection settings of the next run. See the
+/// module docs.
+pub struct Threads {
+    /// Boot actions for the next run, applied by its workers before they
+    /// start.
+    boot: Vec<Boot>,
     /// Record every worker's nondeterministic decisions next run.
     record_decisions: bool,
     /// Replay the next run against this recorded decision log.
@@ -1951,51 +1863,46 @@ pub struct ThreadedRuntime {
     /// The decision log captured by the last recorded run.
     captured: Option<DecisionLog>,
     #[cfg(any(feature = "audit", debug_assertions))]
-    audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
-    #[cfg(any(feature = "audit", debug_assertions))]
     race: Option<std::sync::Arc<crate::audit::RaceDetector>>,
 }
 
-impl ThreadedRuntime {
-    pub fn new(cfg: MrtsConfig) -> Self {
-        cfg.validate().expect("invalid MrtsConfig");
-        let nodes = cfg.nodes;
-        ThreadedRuntime {
-            cfg,
-            registry: Registry::new(),
+impl Engine for Threads {}
+
+impl Hooks for Threads {
+    /// No stores until a run opens them (under `spill_dir`, if set).
+    fn new(_cfg: &MrtsConfig) -> (Self, Vec<SharedStore>) {
+        let engine = Threads {
             boot: Vec::new(),
-            next_seq: vec![0; nodes],
-            results: HashMap::new(),
-            stores: Vec::new(),
             record_decisions: false,
             replay_log: None,
             captured: None,
             #[cfg(any(feature = "audit", debug_assertions))]
-            audit: None,
-            #[cfg(any(feature = "audit", debug_assertions))]
             race: None,
-        }
+        };
+        (engine, Vec::new())
     }
 
-    /// Attach a runtime-event sink (e.g. [`crate::audit::InvariantChecker`]
-    /// or [`crate::audit::EventLog`]). The sink is shared by every worker
-    /// thread, which linearizes the event stream; emissions are ordered so
-    /// that causally related events (a migration's departure and arrival,
-    /// a post and its delivery) reach the sink in causal order.
-    ///
-    /// Only available in debug builds or with the `audit` feature; release
-    /// builds without the feature compile the instrumentation out.
-    #[cfg(any(feature = "audit", debug_assertions))]
-    pub fn attach_audit(&mut self, sink: std::sync::Arc<dyn crate::audit::EventSink>) {
-        self.audit = Some(sink);
+    /// Boot actions wait for the next run.
+    fn boot(rt: &mut ThreadedRuntime, action: Boot) {
+        rt.engine.boot.push(action);
     }
 
+    fn run(rt: &mut ThreadedRuntime) -> Result<RunStats, MrtsError> {
+        rt.run_workers()
+    }
+
+    fn quiescent(rt: &ThreadedRuntime) -> bool {
+        rt.engine.boot.is_empty()
+    }
+}
+
+impl ThreadedRuntime {
     /// Attach a happens-before race detector sized for this runtime's node
     /// count. Every fabric send/receive contributes a vector-clock edge and
     /// every object access is checked against the last conflicting access.
     #[cfg(any(feature = "audit", debug_assertions))]
     pub fn attach_race_detector(&mut self, det: std::sync::Arc<crate::audit::RaceDetector>) {
-        self.race = Some(det);
+        self.engine.race = Some(det);
     }
 
     /// Record every nondeterministic decision of the next run: which
@@ -2005,7 +1912,7 @@ impl ThreadedRuntime {
     /// [`ThreadedRuntime::take_decision_log`]. Always available (the
     /// decision stream is engine state, not audit instrumentation).
     pub fn record_decisions(&mut self) {
-        self.record_decisions = true;
+        self.engine.record_decisions = true;
     }
 
     /// Replay the next run against a recorded decision log: every
@@ -2014,78 +1921,31 @@ impl ThreadedRuntime {
     /// timeout, log exhaustion) counts a `replay_divergences` and falls
     /// back to live execution rather than deadlocking.
     pub fn replay_decisions(&mut self, log: DecisionLog) {
-        self.replay_log = Some(log);
+        self.engine.replay_log = Some(log);
     }
 
     /// The decision log captured by the last run started after
     /// [`ThreadedRuntime::record_decisions`], if any.
     pub fn take_decision_log(&mut self) -> Option<DecisionLog> {
-        self.captured.take()
+        self.engine.captured.take()
     }
 
-    pub fn register_type(&mut self, tag: crate::ids::TypeTag, decode: crate::object::DecodeFn) {
-        self.registry.register_type(tag, decode);
-    }
-
-    pub fn register_handler(
-        &mut self,
-        id: HandlerId,
-        name: &'static str,
-        f: crate::object::HandlerFn,
-    ) {
-        self.registry.register_handler(id, name, f);
-    }
-
-    pub fn create_object(
-        &mut self,
-        node: NodeId,
-        obj: Box<dyn MobileObject>,
-        priority: u8,
-    ) -> MobilePtr {
-        let id = ObjectId::new(node, self.next_seq[node as usize]);
-        self.next_seq[node as usize] += 1;
-        self.boot.push(BootAction::Create {
-            node,
-            id,
-            obj,
-            priority,
-            locked: false,
-        });
-        MobilePtr::new(id)
-    }
-
-    pub fn lock_object(&mut self, ptr: MobilePtr) {
-        self.boot.push(BootAction::Lock(ptr));
-    }
-
-    pub fn post(&mut self, to: MobilePtr, handler: HandlerId, payload: Vec<u8>) {
-        self.boot.push(BootAction::Post(to, handler, payload));
-    }
-
-    /// Run to distributed termination; returns wall-clock statistics.
-    /// Panics if a spilled object became unreadable — use
-    /// [`ThreadedRuntime::try_run`] to handle that as a typed error.
-    pub fn run(&mut self) -> RunStats {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("MRTS run failed: {e}"))
-    }
-
-    /// Like [`ThreadedRuntime::run`], but surfaces unrecoverable storage
-    /// failures (a spilled object unreadable after exhausting the retry
-    /// policy) and, in debug builds, broken invariants as [`MrtsError`]
-    /// instead of panicking. The failing node broadcasts an exit to every
-    /// peer, so all workers stop and join.
-    pub fn try_run(&mut self) -> Result<RunStats, MrtsError> {
+    /// Run to distributed termination: one worker per node, started from
+    /// fresh cores and the queued boot actions. The failing node of a
+    /// failed run broadcasts an exit to every peer, so all workers stop
+    /// and join. Afterwards each node's core and store stay for the result
+    /// accessors until the next run or drop.
+    fn run_workers(&mut self) -> Result<RunStats, MrtsError> {
         let n = self.cfg.nodes;
         let endpoints = Fabric::new(n, NetworkModel::instant());
         let registry = std::sync::Arc::new(std::mem::take(&mut self.registry));
         // A replay log is consumed by the run it drives.
-        let replay_log = self.replay_log.take();
+        let replay_log = self.engine.replay_log.take();
 
         // The result state describes one run. The last run's stores go
         // (and their spill directories with them) before new ones open
         // under the same paths.
-        self.results.clear();
+        self.cores.clear();
         self.stores.clear();
 
         let mut workers: Vec<Worker> = Vec::with_capacity(n);
@@ -2163,7 +2023,7 @@ impl ThreadedRuntime {
                 io_rx,
                 outstanding_io: 0,
                 backend,
-                next_obj_seq: 0,
+                next_obj_seq: self.next_seq[i],
                 safra: Safra::new(),
                 done: false,
                 net: self.cfg.net_fault.map(|plan| NetLayer {
@@ -2184,62 +2044,47 @@ impl ThreadedRuntime {
                     Some(log) => {
                         Inputs::new(Mode::Replay, log.nodes.get(i).cloned().unwrap_or_default())
                     }
-                    None if self.record_decisions => Inputs::new(Mode::Record, Vec::new()),
+                    None if self.engine.record_decisions => Inputs::new(Mode::Record, Vec::new()),
                     None => Inputs::new(Mode::Off, Vec::new()),
                 },
                 victim_cursor: VictimCursor::new(),
                 empty_polls: 0,
                 deny_streak: 0,
                 #[cfg(any(feature = "audit", debug_assertions))]
-                race: self.race.clone(),
+                race: self.engine.race.clone(),
             });
         }
 
-        // Apply bootstrap actions.
-        for action in self.boot.drain(..) {
+        // Apply the boot actions. Homes wrap modulo the node count (a
+        // restore onto fewer nodes; matches `NodeCore::next_hop`).
+        for action in self.engine.boot.drain(..) {
             match action {
-                BootAction::Create {
+                Boot::Create {
                     node,
                     id,
                     obj,
                     priority,
                     locked,
                 } => {
-                    let w = &mut workers[node as usize];
-                    w.next_obj_seq = w.next_obj_seq.max(id.seq() + 1);
-                    w.core.insert_resident(id, obj, priority, locked, 0, NOW);
-                    if locked {
-                        audit_emit!(w.core.audit, RuntimeEvent::Pin { node, oid: id });
+                    let home = home_of(id, n);
+                    if home != node as usize {
+                        workers[home].core.learn_location(id, node);
                     }
-                    audit_emit!(
-                        w.core.audit,
-                        RuntimeEvent::Create {
-                            node,
-                            oid: id,
-                            footprint: w.core.entry(id).footprint
-                        }
-                    );
-                    // Bootstrap creation bypasses admission (threads are not
-                    // running yet), so the budget may legitimately overshoot.
-                    w.core.audit_budget(false);
+                    // Bootstrap creation bypasses admission (threads are
+                    // not running yet), so the budget may overshoot.
+                    let core = &mut workers[node as usize].core;
+                    core.create(id, obj, priority, locked, false, NOW);
                 }
-                BootAction::Lock(p) => {
-                    // Modulo: after a restore onto fewer nodes, homes wrap
-                    // (matches `NodeCore::next_hop` and the restore placement).
-                    let w = &mut workers[p.id.home() as usize % n];
+                Boot::Lock(p) => {
+                    let w = &mut workers[home_of(p.id, n)];
                     w.core.on_meta(p.id, MetaOp::Lock, NOW);
                 }
-                BootAction::Post(to, handler, payload) => {
-                    let w = &mut workers[to.id.home() as usize % n];
-                    w.core.send(Message::new(to, handler, payload), NOW);
+                Boot::Post(msg) => {
+                    let w = &mut workers[home_of(msg.to.id, n)];
+                    w.core.send(msg, NOW);
                     w.drain();
                 }
             }
-        }
-        // Sequence watermarks: a checkpoint restore may carry allocation
-        // counters past the highest installed id; never reuse ids.
-        for (i, w) in workers.iter_mut().enumerate() {
-            w.next_obj_seq = w.next_obj_seq.max(self.next_seq[i]);
         }
 
         let t0 = Instant::now();
@@ -2247,22 +2092,23 @@ impl ThreadedRuntime {
         for w in workers {
             joins.push(std::thread::spawn(move || w.run()));
         }
-        let mut nodes_stats = vec![NodeStats::default(); n];
+        let mut results: Vec<WorkerResult> = joins
+            .into_iter()
+            .map(|j| j.join().expect("worker panic"))
+            .collect();
+        let total = t0.elapsed();
+        results.sort_unstable_by_key(|r| r.node);
         let mut fatal: Option<MrtsError> = None;
         let mut captured = DecisionLog::new(n);
-        for j in joins {
-            let r = j.join().expect("worker panic");
+        for r in results {
             captured.nodes[r.node as usize] = r.decisions;
-            nodes_stats[r.node as usize] = r.stats;
-            self.next_seq[r.node as usize] = self.next_seq[r.node as usize].max(r.next_seq);
-            self.results.extend(r.objects);
-            if fatal.is_none() {
-                fatal = r.fatal;
-            }
+            let seq = &mut self.next_seq[r.node as usize];
+            *seq = (*seq).max(r.next_seq);
+            self.cores.push(r.core);
+            fatal = fatal.or(r.fatal);
         }
-        let total = t0.elapsed();
-        if self.record_decisions {
-            self.captured = Some(captured);
+        if self.engine.record_decisions {
+            self.engine.captured = Some(captured);
         }
         // The I/O pool threads hold registry clones for unpacking; join
         // them before reclaiming the registry.
@@ -2275,152 +2121,12 @@ impl ThreadedRuntime {
             Some(e) => Err(e),
             None => Ok(RunStats {
                 total,
-                nodes: nodes_stats,
+                nodes: self.cores.iter().map(|c| c.stats.clone()).collect(),
                 // Workers accumulate overlap directly (handler time with
                 // storage ops in flight), so `overlap_pct` reports the
                 // measurement instead of the busy-excess estimate.
                 measured_overlap: true,
             }),
         }
-    }
-
-    /// Inspect an object after the run. A spilled object is read from its
-    /// node's store, decoded, visited and dropped. Panics if it is
-    /// unreadable; see [`ThreadedRuntime::try_with_object`].
-    pub fn with_object<R>(&self, ptr: MobilePtr, f: impl FnOnce(&dyn MobileObject) -> R) -> R {
-        self.try_with_object(ptr, f)
-            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
-    }
-
-    /// [`ThreadedRuntime::with_object`], surfacing a spilled object that
-    /// stays unreadable under the engines' retry policy as
-    /// [`MrtsError::LoadFailed`].
-    pub fn try_with_object<R>(
-        &self,
-        ptr: MobilePtr,
-        f: impl FnOnce(&dyn MobileObject) -> R,
-    ) -> Result<R, MrtsError> {
-        let entry = self
-            .results
-            .get(&ptr.id)
-            .unwrap_or_else(|| panic!("no object {:?}", ptr.id));
-        match &entry.at {
-            Residence::InCore(obj) => Ok(f(obj.as_ref())),
-            Residence::Spilled(key) => {
-                let obj = read_spilled(&self.stores, &self.registry, entry.node, ptr.id, *key)?;
-                Ok(f(obj.as_ref()))
-            }
-        }
-    }
-
-    /// Visit every object that survived the run (arbitrary order).
-    /// Spilled objects stream through: `io_threads` readers load and
-    /// decode ahead of the visit, each holding one object, so at most
-    /// `io_threads + 1` decoded spilled objects exist at any time. Panics
-    /// if one is unreadable; see [`ThreadedRuntime::try_for_each_object`].
-    pub fn for_each_object(&self, f: impl FnMut(ObjectId, &dyn MobileObject)) {
-        self.try_for_each_object(f)
-            .unwrap_or_else(|e| panic!("MRTS result extraction failed: {e}"))
-    }
-
-    /// [`ThreadedRuntime::for_each_object`], stopping at the first spilled
-    /// object that stays unreadable ([`MrtsError::LoadFailed`]).
-    pub fn try_for_each_object(
-        &self,
-        mut f: impl FnMut(ObjectId, &dyn MobileObject),
-    ) -> Result<(), MrtsError> {
-        let mut spilled = Vec::new();
-        for (&oid, entry) in &self.results {
-            match &entry.at {
-                Residence::InCore(obj) => f(oid, obj.as_ref()),
-                Residence::Spilled(key) => spilled.push((oid, entry.node, *key)),
-            }
-        }
-        let readers = self.cfg.io_threads.min(spilled.len());
-        let (stores, registry) = (&self.stores, &self.registry);
-        // A rendezvous channel: a reader that has decoded its object waits
-        // for the visitor before it reads the next.
-        let (tx, rx) = std::sync::mpsc::sync_channel(0);
-        std::thread::scope(|scope| {
-            for r in 0..readers {
-                let (tx, spilled) = (tx.clone(), &spilled);
-                scope.spawn(move || {
-                    for &(oid, node, key) in spilled.iter().skip(r).step_by(readers) {
-                        let obj = read_spilled(stores, registry, node, oid, key);
-                        if tx.send((oid, obj)).is_err() {
-                            break; // the visit stopped at an error
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (oid, obj) in rx {
-                f(oid, obj?.as_ref());
-            }
-            Ok(())
-        })
-    }
-
-    pub fn num_objects(&self) -> usize {
-        self.results.len()
-    }
-
-    // ----- checkpoint support (see crate::checkpoint) ------------------------
-
-    pub fn config(&self) -> &MrtsConfig {
-        &self.cfg
-    }
-
-    /// Post-run results with metadata, for checkpoint capture.
-    pub(crate) fn result_entries(&self) -> &HashMap<ObjectId, ResultEntry> {
-        &self.results
-    }
-
-    /// The packed form of one post-run result: a resident object is
-    /// packed, a spilled one's bytes are copied from the store as they
-    /// are (the same bytes — pack output is what the store holds).
-    pub(crate) fn packed_result(
-        &self,
-        oid: ObjectId,
-        entry: &ResultEntry,
-    ) -> Result<Vec<u8>, MrtsError> {
-        match &entry.at {
-            Residence::InCore(obj) => Ok(Registry::pack(obj.as_ref())),
-            Residence::Spilled(key) => load_packed(&self.stores, entry.node, oid, *key),
-        }
-    }
-
-    /// Per-node object-sequence watermarks observed at shutdown.
-    pub(crate) fn seq_watermarks(&self) -> &[u64] {
-        &self.next_seq
-    }
-
-    /// Install an object from a checkpoint entry (bootstrap-time): it will
-    /// be created on `node` when the next [`ThreadedRuntime::run`] boots.
-    pub(crate) fn boot_install(
-        &mut self,
-        node: NodeId,
-        id: ObjectId,
-        obj: Box<dyn MobileObject>,
-        priority: u8,
-        locked: bool,
-    ) {
-        self.boot.push(BootAction::Create {
-            node,
-            id,
-            obj,
-            priority,
-            locked,
-        });
-    }
-
-    pub(crate) fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Raise a node's boot sequence watermark (checkpoint restore).
-    pub(crate) fn set_seq_watermark(&mut self, node: NodeId, seq: u64) {
-        let s = &mut self.next_seq[node as usize];
-        *s = (*s).max(seq);
     }
 }

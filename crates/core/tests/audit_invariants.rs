@@ -372,18 +372,21 @@ fn h_move(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     ctx.migrate(ctx.self_ptr(), dest);
 }
 
-fn register_des(rt: &mut DesRuntime) {
+/// A runtime with the cells' types and handlers registered and `sink`
+/// attached before the first create, so the checker sees every event.
+fn runtime<E: Engine>(cfg: MrtsConfig, sink: Arc<dyn mrts::audit::EventSink>) -> Runtime<E> {
+    let mut rt = Runtime::new(cfg);
     rt.register_type(CELL_TAG, Cell::decode);
     rt.register_handler(H_BUMP, "bump", h_bump);
     rt.register_handler(H_RING, "ring", h_ring);
     rt.register_handler(H_MOVE, "move", h_move);
+    rt.register_handler(H_GROW_RING, "grow_ring", h_grow_ring);
+    rt.attach_audit(sink);
+    rt
 }
 
-fn register_threaded(rt: &mut ThreadedRuntime) {
-    rt.register_type(CELL_TAG, Cell::decode);
-    rt.register_handler(H_BUMP, "bump", h_bump);
-    rt.register_handler(H_RING, "ring", h_ring);
-    rt.register_handler(H_MOVE, "move", h_move);
+fn value<E: Engine>(rt: &Runtime<E>, p: MobilePtr) -> u64 {
+    rt.with_object(p, |o| o.as_any().downcast_ref::<Cell>().unwrap().value)
 }
 
 fn u64_payload(v: u64) -> Vec<u8> {
@@ -392,19 +395,18 @@ fn u64_payload(v: u64) -> Vec<u8> {
     w.finish()
 }
 
-/// Wire `nodes` cells into a ring and kick off `hops` traversals. The
-/// ring pointers are baked in at creation (each node's first object has a
-/// deterministic id), so the wiring is schedule-independent.
-fn des_ring(
+/// Wire one 256-byte cell per node into a ring and kick off a `handler`
+/// token of `hops` hops from every cell. The ring pointers are baked in
+/// at creation (each node's first object has a deterministic id), so the
+/// wiring is schedule-independent.
+fn ring<E: Engine>(
     cfg: MrtsConfig,
+    handler: HandlerId,
     hops: u64,
     sink: Arc<dyn mrts::audit::EventSink>,
-) -> (DesRuntime, Vec<MobilePtr>) {
+) -> (Runtime<E>, Vec<MobilePtr>) {
     let nodes = cfg.nodes;
-    let mut rt = DesRuntime::new(cfg);
-    register_des(&mut rt);
-    // Attach before the first create so the checker sees every event.
-    rt.attach_audit(sink);
+    let mut rt = runtime::<E>(cfg, sink);
     let cells: Vec<MobilePtr> = (0..nodes)
         .map(|n| MobilePtr::new(ObjectId::new(n as NodeId, 0)))
         .collect();
@@ -413,9 +415,19 @@ fn des_ring(
         c.neighbors.push(cells[(i + 1) % cells.len()]);
         let created = rt.create_object(i as NodeId, c, 128);
         assert_eq!(created.id, p.id);
-        rt.post(p, H_RING, u64_payload(hops));
+        rt.post(p, handler, u64_payload(hops));
     }
     (rt, cells)
+}
+
+/// A message posted before the migration resolves must chase the object.
+fn migration<E: Engine>(mut rt: Runtime<E>, dest: u64, v: u64) {
+    let p = rt.create_object(0, Cell::new(64), 128);
+    rt.post(p, H_MOVE, u64_payload(dest));
+    rt.post(p, H_BUMP, u64_payload(v));
+    let stats = rt.run();
+    assert_eq!(stats.total_of(|n| n.migrations), 1);
+    assert_eq!(value(&rt, p), v);
 }
 
 /// The event stream announces every residency change the counters count:
@@ -441,7 +453,7 @@ fn assert_residency_events_match_counters(events: &[RuntimeEvent], stats: &RunSt
 #[test]
 fn des_in_core_run_satisfies_all_invariants() {
     let chk = Arc::new(InvariantChecker::new(FailMode::Panic));
-    let (mut rt, _) = des_ring(MrtsConfig::in_core(4), 12, chk.clone());
+    let (mut rt, _) = ring::<Des>(MrtsConfig::in_core(4), H_RING, 12, chk.clone());
     rt.run();
     assert!(chk.events_seen() > 0, "instrumentation emitted nothing");
     chk.assert_clean();
@@ -457,33 +469,21 @@ fn des_out_of_core_run_satisfies_all_invariants() {
     let chk = Arc::new(InvariantChecker::new(FailMode::Panic));
     let log = Arc::new(EventLog::new());
     let sink = Arc::new(FanOut::new(vec![chk.clone(), log.clone()]));
-    let (mut rt, cells) = des_ring(cfg, 10, sink);
+    let (mut rt, cells) = ring::<Des>(cfg, H_RING, 10, sink);
     let stats = rt.run();
     assert!(stats.total_of(|n| n.stores) > 0, "budget never pressured");
     chk.assert_clean();
     assert_residency_events_match_counters(&log.snapshot(), &stats);
     // The ring really ran: every cell was visited.
     for p in cells {
-        rt.with_object(p, |o| {
-            assert!(o.as_any().downcast_ref::<Cell>().unwrap().value > 0);
-        });
+        assert!(value(&rt, p) > 0);
     }
 }
 
 #[test]
 fn des_migration_run_satisfies_all_invariants() {
     let chk = Arc::new(InvariantChecker::new(FailMode::Panic));
-    let mut rt = DesRuntime::new(MrtsConfig::in_core(3));
-    register_des(&mut rt);
-    rt.attach_audit(chk.clone());
-    let p = rt.create_object(0, Cell::new(64), 128);
-    rt.post(p, H_MOVE, u64_payload(2));
-    // Posted before the migration resolves: must chase the object.
-    rt.post(p, H_BUMP, u64_payload(5));
-    rt.run();
-    rt.with_object(p, |o| {
-        assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 5);
-    });
+    migration(runtime::<Des>(MrtsConfig::in_core(3), chk.clone()), 2, 5);
     chk.assert_clean();
 }
 
@@ -494,14 +494,11 @@ fn schedule_permutation_preserves_results_and_invariants() {
         let chk = Arc::new(InvariantChecker::new(FailMode::Panic));
         let mut cfg = MrtsConfig::out_of_core(3, 400);
         cfg.soft_threshold_frac = 0.25;
-        let (mut rt, cells) = des_ring(cfg, 9, chk.clone());
+        let (mut rt, cells) = ring::<Des>(cfg, H_RING, 9, chk.clone());
         rt.set_schedule_seed(seed);
         rt.run();
         chk.assert_clean();
-        let values: Vec<u64> = cells
-            .iter()
-            .map(|&p| rt.with_object(p, |o| o.as_any().downcast_ref::<Cell>().unwrap().value))
-            .collect();
+        let values: Vec<u64> = cells.iter().map(|&p| value(&rt, p)).collect();
         match &reference {
             None => reference = Some(values),
             Some(want) => assert_eq!(
@@ -515,7 +512,7 @@ fn schedule_permutation_preserves_results_and_invariants() {
 #[test]
 fn event_log_captures_lifecycle_of_a_run() {
     let log = Arc::new(EventLog::new());
-    let (mut rt, _) = des_ring(MrtsConfig::in_core(2), 4, log.clone());
+    let (mut rt, _) = ring::<Des>(MrtsConfig::in_core(2), H_RING, 4, log.clone());
     rt.run();
     let events = log.snapshot();
     let has = |f: &dyn Fn(&RuntimeEvent) -> bool| events.iter().any(f);
@@ -531,28 +528,9 @@ fn threaded_run_is_clean_and_race_free() {
     let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
     let det = Arc::new(RaceDetector::new(3));
     let log = Arc::new(EventLog::new());
-    let mut rt = ThreadedRuntime::new(MrtsConfig::in_core(3));
-    register_threaded(&mut rt);
-    rt.attach_audit(Arc::new(FanOut::new(vec![chk.clone(), log.clone()])));
+    let sink = Arc::new(FanOut::new(vec![chk.clone(), log.clone()]));
+    let (mut rt, cells) = ring::<Threads>(MrtsConfig::in_core(3), H_RING, 3, sink);
     rt.attach_race_detector(det.clone());
-    let cells: Vec<MobilePtr> = (0..3)
-        .map(|n| rt.create_object(n as NodeId, Cell::new(128), 128))
-        .collect();
-    // Ring wiring must happen through messages in the threaded engine
-    // (no with_object_mut before run), so seed neighbors via a handler.
-    fn h_wire(obj: &mut dyn MobileObject, _ctx: &mut Ctx, payload: &[u8]) {
-        let mut r = PayloadReader::new(payload);
-        let ptrs = r.ptrs().unwrap();
-        cell_mut(obj).neighbors = ptrs;
-    }
-    rt.register_handler(HandlerId(9), "wire", h_wire);
-    for (i, &p) in cells.iter().enumerate() {
-        let next = cells[(i + 1) % cells.len()];
-        let mut w = PayloadWriter::new();
-        w.ptrs(&[next]);
-        rt.post(p, HandlerId(9), w.finish());
-        rt.post(p, H_BUMP, u64_payload(3));
-    }
     rt.run();
     assert!(chk.events_seen() > 0, "instrumentation emitted nothing");
     assert!(chk.violations().is_empty(), "{:?}", chk.violations());
@@ -567,11 +545,9 @@ fn threaded_run_is_clean_and_race_free() {
         }
     }
     assert_eq!(terminated, [1; 3]);
-    for p in cells {
-        rt.with_object(p, |o| {
-            assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 3);
-        });
-    }
+    // Three tokens of four visits each, one visit per hop to the next cell.
+    let values: Vec<u64> = cells.iter().map(|&p| value(&rt, p)).collect();
+    assert_eq!(values, [4; 3]);
 }
 
 /// Ring hop that also grows the cell, so the out-of-core layer has to
@@ -602,22 +578,9 @@ fn threaded_out_of_core_run_over_a_segment_log_is_clean_and_race_free() {
     cfg.segment_garbage_frac = 0.3;
     let spill = std::env::temp_dir().join(format!("mrts-segment-ring-{}", std::process::id()));
     cfg.spill_dir = Some(spill.clone());
-    let mut rt = ThreadedRuntime::new(cfg);
-    register_threaded(&mut rt);
-    rt.register_handler(H_GROW_RING, "grow_ring", h_grow_ring);
-    rt.attach_audit(Arc::new(FanOut::new(vec![chk.clone(), log.clone()])));
+    let sink = Arc::new(FanOut::new(vec![chk.clone(), log.clone()]));
+    let (mut rt, cells) = ring::<Threads>(cfg, H_GROW_RING, 15, sink);
     rt.attach_race_detector(det.clone());
-    // Each node's first object has a deterministic id, so the ring is
-    // wired at creation.
-    let cells: Vec<MobilePtr> = (0..3)
-        .map(|n| MobilePtr::new(ObjectId::new(n, 0)))
-        .collect();
-    for (i, &p) in cells.iter().enumerate() {
-        let mut c = Cell::new(256);
-        c.neighbors.push(cells[(i + 1) % cells.len()]);
-        assert_eq!(rt.create_object(i as NodeId, c, 128), p);
-        rt.post(p, H_GROW_RING, u64_payload(15));
-    }
     rt.post(cells[0], H_MOVE, u64_payload(2));
     let stats = rt.run();
     drop(rt);
@@ -635,17 +598,9 @@ fn threaded_out_of_core_run_over_a_segment_log_is_clean_and_race_free() {
 fn threaded_migration_run_is_clean_and_race_free() {
     let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
     let det = Arc::new(RaceDetector::new(2));
-    let mut rt = ThreadedRuntime::new(MrtsConfig::in_core(2));
-    register_threaded(&mut rt);
-    rt.attach_audit(chk.clone());
+    let mut rt = runtime::<Threads>(MrtsConfig::in_core(2), chk.clone());
     rt.attach_race_detector(det.clone());
-    let p = rt.create_object(0, Cell::new(64), 128);
-    rt.post(p, H_MOVE, u64_payload(1));
-    rt.post(p, H_BUMP, u64_payload(7));
-    rt.run();
+    migration(rt, 1, 7);
     assert!(chk.violations().is_empty(), "{:?}", chk.violations());
     det.assert_race_free();
-    rt.with_object(p, |o| {
-        assert_eq!(o.as_any().downcast_ref::<Cell>().unwrap().value, 7);
-    });
 }

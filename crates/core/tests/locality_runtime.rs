@@ -153,32 +153,25 @@ fn patch(i: usize, side: usize, ptrs: &[MobilePtr], pad: usize) -> Box<Patch> {
     })
 }
 
-fn run_des(side: usize, cfg: MrtsConfig, hops: u64, pad: usize) -> RunStats {
+/// A runtime with the grid's patches created round-robin, ready for a
+/// flood or a chain.
+fn grid<E: Engine>(side: usize, cfg: MrtsConfig, pad: usize) -> (Runtime<E>, Vec<MobilePtr>) {
     let nodes = cfg.nodes;
-    let mut rt = DesRuntime::new(cfg);
+    let mut rt = Runtime::<E>::new(cfg);
     rt.register_type(PATCH_TAG, Patch::decode);
     rt.register_handler(H_FLOOD, "flood", h_flood);
+    rt.register_handler(H_CHAIN, "chain", h_chain);
     let ptrs = grid_ptrs(side, nodes);
     for i in 0..side * side {
         let created = rt.create_object((i % nodes) as NodeId, patch(i, side, &ptrs, pad), 128);
         assert_eq!(created, ptrs[i]);
     }
-    for &p in &ptrs {
-        rt.post(p, H_FLOOD, flood_payload(hops));
-    }
-    rt.run()
+    (rt, ptrs)
 }
 
-fn run_threaded(side: usize, cfg: MrtsConfig, hops: u64, pad: usize) -> RunStats {
-    let nodes = cfg.nodes;
-    let mut rt = ThreadedRuntime::new(cfg);
-    rt.register_type(PATCH_TAG, Patch::decode);
-    rt.register_handler(H_FLOOD, "flood", h_flood);
-    let ptrs = grid_ptrs(side, nodes);
-    for i in 0..side * side {
-        let created = rt.create_object((i % nodes) as NodeId, patch(i, side, &ptrs, pad), 128);
-        assert_eq!(created, ptrs[i]);
-    }
+/// Flood `hops` rounds from every patch.
+fn run<E: Engine>(side: usize, cfg: MrtsConfig, hops: u64, pad: usize) -> RunStats {
+    let (mut rt, ptrs) = grid::<E>(side, cfg, pad);
     for &p in &ptrs {
         rt.post(p, H_FLOOD, flood_payload(hops));
     }
@@ -191,8 +184,8 @@ fn run_threaded(side: usize, cfg: MrtsConfig, hops: u64, pad: usize) -> RunStats
 #[test]
 fn locality_digest_agrees_across_engines() {
     for nodes in [1usize, 2] {
-        let d = run_des(6, MrtsConfig::in_core(nodes), 1, 0);
-        let t = run_threaded(6, MrtsConfig::in_core(nodes), 1, 0);
+        let d = run::<Des>(6, MrtsConfig::in_core(nodes), 1, 0);
+        let t = run::<Threads>(6, MrtsConfig::in_core(nodes), 1, 0);
         for node in 0..nodes {
             let dd = d.nodes[node].locality_digest;
             let td = t.nodes[node].locality_digest;
@@ -206,57 +199,24 @@ fn locality_digest_agrees_across_engines() {
 /// ordering cannot depend on HashMap iteration or thread timing).
 #[test]
 fn locality_digest_is_deterministic_across_runs() {
-    let a = run_threaded(6, MrtsConfig::in_core(2), 2, 0);
-    let b = run_threaded(6, MrtsConfig::in_core(2), 2, 0);
+    let a = run::<Threads>(6, MrtsConfig::in_core(2), 2, 0);
+    let b = run::<Threads>(6, MrtsConfig::in_core(2), 2, 0);
     for node in 0..2 {
         assert_eq!(a.nodes[node].locality_digest, b.nodes[node].locality_digest);
     }
 }
 
-/// Run a baton traversal (`laps` full laps of the ring) on the DES engine.
-fn run_des_chain(side: usize, cfg: MrtsConfig, laps: u64, pad: usize) -> RunStats {
-    let nodes = cfg.nodes;
-    let mut rt = DesRuntime::new(cfg);
-    rt.register_type(PATCH_TAG, Patch::decode);
-    rt.register_handler(H_CHAIN, "chain", h_chain);
-    let ptrs = grid_ptrs(side, nodes);
-    for i in 0..side * side {
-        let created = rt.create_object((i % nodes) as NodeId, patch(i, side, &ptrs, pad), 128);
-        assert_eq!(created, ptrs[i]);
-    }
-    rt.post(
-        ptrs[0],
-        H_CHAIN,
-        chain_payload(laps * ptrs.len() as u64, 0, &ptrs),
-    );
-    rt.run()
-}
-
-/// The same traversal on the threaded engine with real spill files.
-fn run_threaded_chain(side: usize, cfg: MrtsConfig, laps: u64, pad: usize) -> RunStats {
-    let nodes = cfg.nodes;
-    let mut rt = ThreadedRuntime::new(cfg);
-    rt.register_type(PATCH_TAG, Patch::decode);
-    rt.register_handler(H_CHAIN, "chain", h_chain);
-    let ptrs = grid_ptrs(side, nodes);
-    for i in 0..side * side {
-        let created = rt.create_object((i % nodes) as NodeId, patch(i, side, &ptrs, pad), 128);
-        assert_eq!(created, ptrs[i]);
-    }
-    rt.post(
-        ptrs[0],
-        H_CHAIN,
-        chain_payload(laps * ptrs.len() as u64, 0, &ptrs),
-    );
-    rt.run()
-}
-
-/// An out-of-core DES run traversing a spilling grid must drive the whole
-/// locality path: clusters form, demand misses occur (one object active at
-/// a time), and cluster prefetches issue behind them.
-#[test]
-fn des_ooc_run_issues_cluster_prefetches() {
-    let stats = run_des_chain(6, MrtsConfig::out_of_core(1, 24 * 1024), 3, 2048);
+/// An out-of-core run of a baton traversal (three full laps of the ring)
+/// over a spilling grid must drive the whole locality path: clusters
+/// form, demand misses occur (one object active at a time), and cluster
+/// prefetches issue behind them.
+fn ooc_chain_prefetches<E: Engine>(spill_dir: Option<std::path::PathBuf>) -> RunStats {
+    let mut cfg = MrtsConfig::out_of_core(1, 24 * 1024);
+    cfg.spill_dir = spill_dir;
+    let (mut rt, ptrs) = grid::<E>(6, cfg, 2048);
+    let visits = 3 * ptrs.len() as u64;
+    rt.post(ptrs[0], H_CHAIN, chain_payload(visits, 0, &ptrs));
+    let stats = rt.run();
     assert!(
         stats.total_of(|n| n.loads) > 0,
         "budget did not force any loads — test is vacuous"
@@ -266,24 +226,20 @@ fn des_ooc_run_issues_cluster_prefetches() {
         "no cluster prefetches on a spilling traversal workload"
     );
     assert!(stats.bytes_demanded() > 0);
+    stats
+}
+
+#[test]
+fn des_ooc_run_issues_cluster_prefetches() {
+    ooc_chain_prefetches::<Des>(None);
 }
 
 /// The same, on the threaded engine with real spill files.
 #[test]
 fn threaded_ooc_run_issues_cluster_prefetches() {
     let dir = std::env::temp_dir().join(format!("mrts-locality-test-{}", std::process::id()));
-    let mut cfg = MrtsConfig::out_of_core(1, 24 * 1024);
-    cfg.spill_dir = Some(dir.clone());
-    let stats = run_threaded_chain(6, cfg, 3, 2048);
+    let stats = ooc_chain_prefetches::<Threads>(Some(dir.clone()));
     let _ = std::fs::remove_dir_all(dir);
-    assert!(
-        stats.total_of(|n| n.loads) > 0,
-        "budget did not force any loads — test is vacuous"
-    );
-    assert!(
-        stats.total_of(|n| n.cluster_prefetches) > 0,
-        "no cluster prefetches on a spilling traversal workload"
-    );
     assert!(
         stats.total_of(|n| n.segment_reads) > 0,
         "segment read stats never rode back on IoDone"
@@ -294,20 +250,15 @@ fn threaded_ooc_run_issues_cluster_prefetches() {
 /// no cluster prefetches — in both engines.
 #[test]
 fn no_locality_escape_hatch_disables_the_layer() {
-    let d = run_des(
-        6,
-        MrtsConfig::out_of_core(1, 24 * 1024).with_no_locality(),
-        4,
-        2048,
-    );
-    assert_eq!(d.total_of(|n| n.cluster_prefetches), 0);
-    assert_eq!(d.nodes[0].locality_digest, 0);
-
+    fn check<E: Engine>(spill_dir: Option<std::path::PathBuf>) {
+        let mut cfg = MrtsConfig::out_of_core(1, 24 * 1024).with_no_locality();
+        cfg.spill_dir = spill_dir;
+        let stats = run::<E>(6, cfg, 4, 2048);
+        assert_eq!(stats.total_of(|n| n.cluster_prefetches), 0);
+        assert_eq!(stats.nodes[0].locality_digest, 0);
+    }
+    check::<Des>(None);
     let dir = std::env::temp_dir().join(format!("mrts-nolocality-test-{}", std::process::id()));
-    let mut cfg = MrtsConfig::out_of_core(1, 24 * 1024).with_no_locality();
-    cfg.spill_dir = Some(dir.clone());
-    let t = run_threaded(6, cfg, 4, 2048);
+    check::<Threads>(Some(dir.clone()));
     let _ = std::fs::remove_dir_all(dir);
-    assert_eq!(t.total_of(|n| n.cluster_prefetches), 0);
-    assert_eq!(t.nodes[0].locality_digest, 0);
 }

@@ -350,35 +350,19 @@ fn end_state(visit: impl FnOnce(&mut dyn FnMut(ObjectId, &dyn MobileObject))) ->
     (sum, bytes)
 }
 
-/// Run the plan on the DES engine under an invariant checker.
-fn run_des(plan: &Plan, cfg: MrtsConfig) -> EndState {
-    let mut rt = DesRuntime::new(cfg);
-    rt.register_type(TAG, Acc::decode);
-    for (id, name, f) in HANDLERS {
-        rt.register_handler(id, name, f);
-    }
-    let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
-    rt.attach_audit(checker.clone());
-    let ptrs = new_accs(plan, |node, obj| rt.create_object(node, obj, 128));
-    post_plan(plan, &ptrs, |p, h, payload| rt.post(p, h, payload));
-    let _ = rt.run();
-    checker.assert_clean();
-    end_state(|f| rt.for_each_object(f))
-}
-
 static SPILL_CASE: AtomicU64 = AtomicU64::new(0);
 
-/// Run the plan on the threaded engine (real spill files) under an
-/// invariant checker and an event log; returns the end state and the
-/// elided-unload events.
-fn run_threaded(plan: &Plan, mut cfg: MrtsConfig) -> (EndState, Vec<RuntimeEvent>) {
-    cfg.spill_dir = Some(std::env::temp_dir().join(format!(
+/// Run the plan on engine `E` (the threaded one on real spill files)
+/// under an invariant checker and an event log; returns the end state and
+/// the elided-unload events.
+fn run<E: Engine>(plan: &Plan, mut cfg: MrtsConfig) -> (EndState, Vec<RuntimeEvent>) {
+    let spill = std::env::temp_dir().join(format!(
         "mrts-propspill-{}-{}",
         std::process::id(),
         SPILL_CASE.fetch_add(1, Ordering::Relaxed)
-    )));
-    let spill = cfg.spill_dir.clone().unwrap();
-    let mut rt = ThreadedRuntime::new(cfg);
+    ));
+    cfg.spill_dir = Some(spill.clone());
+    let mut rt = Runtime::<E>::new(cfg);
     rt.register_type(TAG, Acc::decode);
     for (id, name, f) in HANDLERS {
         rt.register_handler(id, name, f);
@@ -391,6 +375,7 @@ fn run_threaded(plan: &Plan, mut cfg: MrtsConfig) -> (EndState, Vec<RuntimeEvent
     let _ = rt.run();
     checker.assert_clean();
     let end = end_state(|f| rt.for_each_object(f));
+    drop(rt);
     let _ = std::fs::remove_dir_all(spill);
     let elisions = log
         .snapshot()
@@ -441,8 +426,8 @@ proptest! {
         // A budget holding roughly two padded objects forces heavy
         // eviction traffic.
         let budget = (2 * (plan.pad + 64)).max(256);
-        let (ooc_sum, ooc_bytes) = run_des(&plan, plan.cfg(Some(budget)));
-        let (core_sum, core_bytes) = run_des(&plan, plan.cfg(None));
+        let (ooc_sum, ooc_bytes) = run::<Des>(&plan, plan.cfg(Some(budget))).0;
+        let (core_sum, core_bytes) = run::<Des>(&plan, plan.cfg(None)).0;
         prop_assert_eq!(ooc_sum, expected_sum(&plan));
         prop_assert_eq!(core_sum, expected_sum(&plan));
         prop_assert_eq!(
@@ -469,7 +454,7 @@ proptest! {
     #[test]
     fn threaded_elision_versions_never_run_backwards(plan in plan_strategy()) {
         let budget = (2 * (plan.pad + 64)).max(256);
-        let ((sum, _), elisions) = run_threaded(&plan, plan.cfg(Some(budget)));
+        let ((sum, _), elisions) = run::<Threads>(&plan, plan.cfg(Some(budget)));
         prop_assert_eq!(sum, expected_sum(&plan));
         let mut last: BTreeMap<ObjectId, u64> = BTreeMap::new();
         for ev in &elisions {
@@ -506,11 +491,11 @@ proptest! {
     fn engines_agree_byte_for_byte_under_any_budget(plan in plan_strategy()) {
         let budget = plan.budget();
         let (p, cfg) = (plan.clone(), plan.cfg(None));
-        let reference = bounded(move || run_des(&p, cfg));
+        let reference = bounded(move || run::<Des>(&p, cfg).0);
         let (p, cfg) = (plan.clone(), plan.cfg(Some(budget)));
-        let des = bounded(move || run_des(&p, cfg));
+        let des = bounded(move || run::<Des>(&p, cfg).0);
         let (p, cfg) = (plan.clone(), plan.cfg(Some(budget)));
-        let threaded = bounded(move || run_threaded(&p, cfg).0);
+        let threaded = bounded(move || run::<Threads>(&p, cfg).0);
         prop_assert!(reference.is_some(), "unlimited-budget run did not terminate");
         prop_assert!(des.is_some(), "DES run did not terminate under budget {}", budget);
         prop_assert!(threaded.is_some(), "threaded run did not terminate under budget {}", budget);
@@ -555,7 +540,7 @@ fn thrash_elides_and_reconstitutes_exactly() {
         };
         let mut cfg = MrtsConfig::out_of_core(plan.nodes, plan.budget());
         cfg.io_threads = 1;
-        let ((sum, _), elisions) = run_threaded(&plan, cfg);
+        let ((sum, _), elisions) = run::<Threads>(&plan, cfg);
         assert_eq!(
             sum,
             expected_sum(&plan),

@@ -42,7 +42,7 @@ impl TriMesh {
     /// shorter when the points are many and scattered.
     ///
     /// Each walk starts from the point's cell of a transient grid over the
-    /// points' bounding box (about [`TRIS_PER_CELL`] live triangles per
+    /// points' bounding box (about `TRIS_PER_CELL` live triangles per
     /// cell, each cell holding a triangle with a corner in it, refreshed
     /// after every insertion) instead of from wherever the previous
     /// insertion ended. Only a walk that ends strictly [`Location::Inside`]
@@ -52,7 +52,7 @@ impl TriMesh {
     /// (and a point off the grid or in an empty cell) takes
     /// [`TriMesh::insert_point`], which walks from the hint. The grid is
     /// built only when every hull edge lies on the hull's bounding
-    /// rectangle ([`TriMesh::rectangular_hull`]); on any other mesh —
+    /// rectangle (`TriMesh::rectangular_hull`); on any other mesh —
     /// carved, holed, L-shaped — walks from different starts can disagree
     /// (`Outside` against `Inside`), so the whole call is the plain loop.
     pub fn insert_points(&mut self, pts: &[Point2], flags: VFlags) -> Vec<InsertOutcome> {

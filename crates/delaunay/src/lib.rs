@@ -12,7 +12,7 @@
 //! * **Ruppert-style quality refinement** with encroached-segment splitting,
 //!   circumcenter insertion, pluggable sizing functions and an optional
 //!   spatial restriction predicate used by the parallel methods
-//!   ([`refine`], [`sizing`]),
+//!   ([`mod@refine`], [`sizing`]),
 //! * a convenience [`builder`] from a PSLG description to a refined mesh,
 //! * compact binary (de)serialization of meshes and point sets ([`wire`]) —
 //!   the payloads that the out-of-core runtime spills to disk and ships

@@ -40,7 +40,7 @@ const ICC_ERRBOUND_A: f64 = (10.0 + 96.0 * EPSILON) * EPSILON;
 ///
 /// The filtered evaluation is `#[inline]` so callers in other crates pay
 /// no call for the common case; the expansion-arithmetic fallback stays
-/// out of line ([`orient2d_slow`]).
+/// out of line (`orient2d_slow`).
 #[inline]
 pub fn orient2d(a: Point2, b: Point2, c: Point2) -> Orientation {
     let detleft = (a.x - c.x) * (b.y - c.y);
@@ -114,7 +114,7 @@ fn sign_to_orientation(det: f64) -> Orientation {
 /// determinant definition.
 ///
 /// `#[inline]` for the same reason as [`orient2d`]; the exact fallback is
-/// [`incircle_exact`], kept cold and out of line.
+/// `incircle_exact`, kept cold and out of line.
 #[inline]
 pub fn incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> i32 {
     let adx = a.x - d.x;

@@ -19,15 +19,15 @@
 //! (`chaos digest == fault-free digest`) meaningful.
 
 use crate::common::fnv1a;
-use crate::ooc_pcdm::{register, SubObj, H_REFINE};
-use crate::pcdm::{build_subdomains, PcdmParams, SIDES};
+use crate::ooc_pcdm::{create_subdomains, register, subdomain_ptrs, SubObj, H_REFINE};
+use crate::pcdm::PcdmParams;
 use mrts::audit::{FailMode, InvariantChecker};
 use mrts::config::MrtsConfig;
 use mrts::des::DesRuntime;
 use mrts::fault::{FaultPlan, MrtsError};
-use mrts::ids::{MobilePtr, NodeId};
 use mrts::netfault::NetFaultPlan;
 use mrts::object::MobileObject;
+use mrts::runtime::{Engine, Runtime};
 use mrts::service::{Job, JobAttempt, JobFailure, JobOutcome, JobProgress};
 use std::sync::Arc;
 
@@ -68,7 +68,7 @@ pub fn sub_digest_part(obj: &dyn MobileObject) -> Option<(u32, u64)> {
 /// FNV-1a over each subdomain's canonical form, folded in index order.
 /// Equal digests mean geometrically equal meshes regardless of which
 /// schedule, fault plan, or fault domain produced them.
-pub fn opcdm_digest(rt: &mut DesRuntime) -> u64 {
+pub fn opcdm_digest<E: Engine>(rt: &Runtime<E>) -> u64 {
     let mut parts: Vec<(u32, u64)> = Vec::new();
     rt.for_each_object(|_, obj| {
         if let Some(p) = sub_digest_part(obj) {
@@ -135,50 +135,6 @@ impl MeshJob {
         self.poison_invariant = true;
         self
     }
-
-    /// Predictable pointer layout for `n` subdomains over `nodes` nodes —
-    /// must match the round-robin placement in [`Self::setup`] and in the
-    /// checkpoint (placement is a pure function of `(idx, nodes)`, which
-    /// is why restoring onto a different fault domain of the same width
-    /// is transparent).
-    fn ptrs(n: usize, nodes: usize) -> Vec<MobilePtr> {
-        let mut counters = vec![0u64; nodes];
-        (0..n)
-            .map(|i| {
-                let node = (i % nodes) as NodeId;
-                let seq = counters[i % nodes];
-                counters[i % nodes] += 1;
-                MobilePtr::new(mrts::ids::ObjectId::new(node, seq))
-            })
-            .collect()
-    }
-
-    /// Create every subdomain object (no refinement posted yet).
-    fn setup(&self, rt: &mut DesRuntime, nodes: usize) -> Vec<MobilePtr> {
-        let subs = build_subdomains(&self.params);
-        let n = subs.len();
-        assert!(n > 0, "no subdomains intersect the domain");
-        let ptrs = Self::ptrs(n, nodes);
-        for sd in subs {
-            let i = sd.idx;
-            let node = (i % nodes) as NodeId;
-            let mut neighbor_ptrs = [None; SIDES];
-            for (np, nb) in neighbor_ptrs.iter_mut().zip(&sd.neighbors) {
-                *np = nb.map(|nb| ptrs[nb]);
-            }
-            let created = rt.create_object(
-                node,
-                Box::new(SubObj {
-                    sd,
-                    workload: self.params.workload,
-                    neighbor_ptrs,
-                }),
-                128,
-            );
-            assert_eq!(created, ptrs[i], "placement must match precomputed ptrs");
-        }
-        ptrs
-    }
 }
 
 impl Job for MeshJob {
@@ -218,10 +174,13 @@ impl Job for MeshJob {
         rt.attach_audit(checker.clone());
 
         let ptrs = match att.checkpoint.as_ref() {
-            None => self.setup(&mut rt, nodes),
+            None => create_subdomains(&mut rt, &self.params),
             Some(cp) => {
-                rt = cp.restore_into(rt);
-                Self::ptrs(cp.objects.len(), nodes)
+                cp.restore_into(&mut rt);
+                // The placement is a pure function of `(idx, nodes)`, which
+                // is why restoring onto a different fault domain of the same
+                // width is transparent.
+                subdomain_ptrs(cp.objects.len(), nodes)
             }
         };
         // Phase k seeds the slice idx % phases == k; splits cascade to
@@ -250,7 +209,7 @@ impl Job for MeshJob {
                 stats,
             })
         } else {
-            let digest = opcdm_digest(&mut rt);
+            let digest = opcdm_digest(&rt);
             let mut elements = 0u64;
             rt.for_each_object(|_, obj| {
                 if let Some(so) = obj.as_any().downcast_ref::<SubObj>() {

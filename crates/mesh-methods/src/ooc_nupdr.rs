@@ -28,10 +28,11 @@ use mrts::codec::Truncated;
 use mrts::codec::{PayloadReader, PayloadWriter};
 use mrts::config::MrtsConfig;
 use mrts::ctx::Ctx;
-use mrts::des::DesRuntime;
 use mrts::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use mrts::object::{MobileObject, ObjectDecodeError};
+use mrts::runtime::{Engine, Runtime};
 use mrts::sched::ConflictSet;
+use mrts::threaded::ThreadedRuntime;
 use pumg_geometry::{BBox, Point2};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -731,10 +732,27 @@ fn initial_objects(
     (objects, queue_ptr)
 }
 
-/// Run ONUPDR on the virtual-time MRTS engine.
-pub fn onupdr_run(params: &NupdrParams, cfg: MrtsConfig, opts: OnupdrOpts) -> MethodResult {
+/// Register ONUPDR's types and handlers (the handlers are
+/// engine-agnostic).
+pub fn register<E: Engine>(rt: &mut Runtime<E>) {
+    rt.register_type(LEAF_TAG, LeafObj::decode);
+    rt.register_type(QUEUE_TAG, QueueObj::decode);
+    rt.register_handler(H_Q_KICK, "nupdr_kick", h_q_kick);
+    rt.register_handler(H_Q_UPDATE, "nupdr_update", h_q_update);
+    rt.register_handler(H_L_CONSTRUCT, "nupdr_construct", h_l_construct);
+    rt.register_handler(H_L_CONTRIBUTE, "nupdr_contribute", h_l_contribute);
+    rt.register_handler(H_L_ADDPTS, "nupdr_addpts", h_l_addpts);
+}
+
+/// Build a runtime with ONUPDR registered, objects created, the queue
+/// locked in memory, and the kick posted — ready to run.
+pub fn onupdr_setup<E: Engine>(
+    params: &NupdrParams,
+    cfg: MrtsConfig,
+    opts: OnupdrOpts,
+) -> Runtime<E> {
     let (objects, queue_ptr) = initial_objects(params, cfg.nodes, opts);
-    let mut rt = DesRuntime::new(cfg);
+    let mut rt = Runtime::new(cfg);
     register(&mut rt);
     for (node, obj, priority, ptr) in objects {
         assert_eq!(rt.create_object(node, obj, priority), ptr);
@@ -743,72 +761,28 @@ pub fn onupdr_run(params: &NupdrParams, cfg: MrtsConfig, opts: OnupdrOpts) -> Me
     // in memory (paper optimization #1).
     rt.lock_object(queue_ptr);
     rt.post(queue_ptr, H_Q_KICK, Vec::new());
-
-    let stats = rt.run();
-
-    let mut elements = 0u64;
-    let mut vertices = 0u64;
-    rt.for_each_object(|_, obj| {
-        if let Some(l) = obj.as_any().downcast_ref::<LeafObj>() {
-            elements += l.elems;
-            vertices += l.verts;
-        }
-    });
-    MethodResult {
-        elements,
-        vertices,
-        stats,
-    }
+    rt
 }
 
-/// Register ONUPDR's types and handlers on a runtime.
-pub fn register(rt: &mut DesRuntime) {
-    rt.register_type(LEAF_TAG, LeafObj::decode);
-    rt.register_type(QUEUE_TAG, QueueObj::decode);
-    rt.register_handler(H_Q_KICK, "nupdr_kick", h_q_kick);
-    rt.register_handler(H_Q_UPDATE, "nupdr_update", h_q_update);
-    rt.register_handler(H_L_CONSTRUCT, "nupdr_construct", h_l_construct);
-    rt.register_handler(H_L_CONTRIBUTE, "nupdr_contribute", h_l_contribute);
-    rt.register_handler(H_L_ADDPTS, "nupdr_addpts", h_l_addpts);
-}
-
-/// Register ONUPDR's types and handlers on a threaded runtime (the
-/// handler functions are engine-agnostic).
-pub fn register_threaded(rt: &mut mrts::threaded::ThreadedRuntime) {
-    rt.register_type(LEAF_TAG, LeafObj::decode);
-    rt.register_type(QUEUE_TAG, QueueObj::decode);
-    rt.register_handler(H_Q_KICK, "nupdr_kick", h_q_kick);
-    rt.register_handler(H_Q_UPDATE, "nupdr_update", h_q_update);
-    rt.register_handler(H_L_CONSTRUCT, "nupdr_construct", h_l_construct);
-    rt.register_handler(H_L_CONTRIBUTE, "nupdr_contribute", h_l_contribute);
-    rt.register_handler(H_L_ADDPTS, "nupdr_addpts", h_l_addpts);
-}
-
-/// Build a threaded runtime with ONUPDR registered, objects created, the
-/// queue locked in memory, and the kick posted — ready to run.
+// The benchmark harness imports this by name; it goes with the next
+// benchmark change.
+/// [`onupdr_setup`] on the threaded engine.
 pub fn onupdr_setup_threaded(
     params: &NupdrParams,
     cfg: MrtsConfig,
     opts: OnupdrOpts,
-) -> mrts::threaded::ThreadedRuntime {
-    let (objects, queue_ptr) = initial_objects(params, cfg.nodes, opts);
-    let mut rt = mrts::threaded::ThreadedRuntime::new(cfg);
-    register_threaded(&mut rt);
-    for (node, obj, priority, ptr) in objects {
-        assert_eq!(rt.create_object(node, obj, priority), ptr);
-    }
-    rt.lock_object(queue_ptr);
-    rt.post(queue_ptr, H_Q_KICK, Vec::new());
-    rt
+) -> ThreadedRuntime {
+    onupdr_setup(params, cfg, opts)
 }
 
-/// Run ONUPDR on the threaded engine.
-pub fn onupdr_run_threaded(
+/// Run ONUPDR on engine `E`: [`mrts::des::Des`] (virtual time) or
+/// [`mrts::threaded::Threads`] (real OS threads).
+pub fn onupdr_run<E: Engine>(
     params: &NupdrParams,
     cfg: MrtsConfig,
     opts: OnupdrOpts,
 ) -> MethodResult {
-    let mut rt = onupdr_setup_threaded(params, cfg, opts);
+    let mut rt = onupdr_setup::<E>(params, cfg, opts);
     let stats = rt.run();
     let mut elements = 0u64;
     let mut vertices = 0u64;
@@ -830,6 +804,8 @@ mod tests {
     use super::*;
     use crate::domain::SizingSpec;
     use crate::nupdr::nupdr_incore;
+    use mrts::des::Des;
+    use mrts::threaded::Threads;
 
     fn graded_square(elements: u64) -> NupdrParams {
         let domain = crate::domain::DomainSpec::unit_square();
@@ -878,7 +854,7 @@ mod tests {
     fn onupdr_matches_baseline_shape() {
         let p = graded_square(3000);
         let base = nupdr_incore(&p, 2, 1 << 30).unwrap();
-        let port = onupdr_run(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
+        let port = onupdr_run::<Des>(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
         // Same kernels but different scheduling order: counts agree
         // approximately.
         let ratio = port.elements as f64 / base.elements as f64;
@@ -896,8 +872,8 @@ mod tests {
         // byte-identity across engines is not guaranteed (unlike OUPDR's
         // canonical phase-3 integration); counts must agree closely.
         let p = graded_square(3000);
-        let des = onupdr_run(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
-        let thr = onupdr_run_threaded(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
+        let des = onupdr_run::<Des>(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
+        let thr = onupdr_run::<Threads>(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
         let ratio = thr.elements as f64 / des.elements as f64;
         assert!(
             (0.8..1.25).contains(&ratio),
@@ -910,9 +886,9 @@ mod tests {
     #[test]
     fn onupdr_out_of_core_spills() {
         let p = graded_square(4000);
-        let in_core = onupdr_run(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
+        let in_core = onupdr_run::<Des>(&p, MrtsConfig::in_core(2), OnupdrOpts::default());
         let budget = (in_core.stats.peak_mem() / 4).max(50_000);
-        let ooc = onupdr_run(
+        let ooc = onupdr_run::<Des>(
             &p,
             MrtsConfig::out_of_core(2, budget),
             OnupdrOpts::default(),
@@ -974,7 +950,7 @@ mod tests {
         // cannot be joined, and the failing test ends the process.
         std::thread::spawn(move || {
             for _ in 0..RUNS {
-                let r = onupdr_run_threaded(
+                let r = onupdr_run::<Threads>(
                     &p,
                     MrtsConfig::out_of_core(2, budget),
                     OnupdrOpts::default(),
@@ -1000,7 +976,7 @@ mod tests {
     #[test]
     fn onupdr_unoptimized_variant_works() {
         let p = graded_square(2500);
-        let r = onupdr_run(&p, MrtsConfig::in_core(2), OnupdrOpts::unoptimized());
+        let r = onupdr_run::<Des>(&p, MrtsConfig::in_core(2), OnupdrOpts::unoptimized());
         assert!(r.elements > 500);
     }
 }

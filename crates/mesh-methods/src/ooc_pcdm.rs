@@ -1,4 +1,4 @@
-//! OPCDM — the out-of-core PCDM port on MRTS (the paper's [2]).
+//! OPCDM — the out-of-core PCDM port on MRTS (the paper's \[2\]).
 //!
 //! PCDM maps directly onto the mobile-object programming model: every
 //! subdomain is a mobile object holding its constrained mesh; a `refine`
@@ -17,9 +17,9 @@ use crate::pcdm::{build_subdomains, PcdmParams, Subdomain, SIDES};
 use mrts::codec::{PayloadReader, PayloadWriter};
 use mrts::config::MrtsConfig;
 use mrts::ctx::Ctx;
-use mrts::des::DesRuntime;
-use mrts::ids::{HandlerId, MobilePtr, NodeId, TypeTag};
+use mrts::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use mrts::object::{MobileObject, ObjectDecodeError};
+use mrts::runtime::{Engine, Runtime};
 use pumg_delaunay::mesh::VFlags;
 use pumg_delaunay::TriMesh;
 use std::any::Any;
@@ -141,145 +141,29 @@ fn h_splits(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     }
 }
 
-/// Register OPCDM's types and handlers on a virtual-time runtime.
-pub fn register(rt: &mut DesRuntime) {
+/// Register OPCDM's types and handlers (the handlers are
+/// engine-agnostic).
+pub fn register<E: Engine>(rt: &mut Runtime<E>) {
     rt.register_type(SUB_TAG, SubObj::decode);
     rt.register_handler(H_REFINE, "pcdm_refine", h_refine);
     rt.register_handler(H_SPLITS, "pcdm_splits", h_splits);
 }
 
-/// Register OPCDM's types and handlers on a threaded runtime (the handler
-/// functions are engine-agnostic).
-pub fn register_threaded(rt: &mut mrts::threaded::ThreadedRuntime) {
-    rt.register_type(SUB_TAG, SubObj::decode);
-    rt.register_handler(H_REFINE, "pcdm_refine", h_refine);
-    rt.register_handler(H_SPLITS, "pcdm_splits", h_splits);
+/// The pointers of `n` subdomains over `nodes` nodes: subdomain `i` is
+/// the `(i / nodes)`-th object created on node `i % nodes`.
+pub fn subdomain_ptrs(n: usize, nodes: usize) -> Vec<MobilePtr> {
+    let ptr = |i: usize| MobilePtr::new(ObjectId::new((i % nodes) as NodeId, (i / nodes) as u64));
+    (0..n).map(ptr).collect()
 }
 
-/// Build a threaded runtime with OPCDM registered, every subdomain
-/// created round-robin, and an initial `refine` posted to each — ready to
-/// run. Exposed so harnesses (chaos, checkpoint/restart) can attach audit
-/// sinks or take checkpoints around the run.
-pub fn opcdm_setup_threaded(
-    params: &PcdmParams,
-    cfg: MrtsConfig,
-) -> mrts::threaded::ThreadedRuntime {
-    let nodes = cfg.nodes;
-    let mut rt = mrts::threaded::ThreadedRuntime::new(cfg);
-    register_threaded(&mut rt);
-
+/// Create every subdomain object, subdomain `i` on node `i % nodes` as
+/// that node's next object, and return their pointers in subdomain order
+/// (no refinement posted yet).
+pub fn create_subdomains<E: Engine>(rt: &mut Runtime<E>, params: &PcdmParams) -> Vec<MobilePtr> {
+    let nodes = rt.config().nodes;
     let subs = build_subdomains(params);
-    let n = subs.len();
-    assert!(n > 0, "no subdomains intersect the domain");
-    let mut counters = vec![0u64; nodes];
-    let ptrs: Vec<MobilePtr> = (0..n)
-        .map(|i| {
-            let node = (i % nodes) as NodeId;
-            let seq = counters[i % nodes];
-            counters[i % nodes] += 1;
-            MobilePtr::new(mrts::ids::ObjectId::new(node, seq))
-        })
-        .collect();
-    for sd in subs {
-        let i = sd.idx;
-        let node = (i % nodes) as NodeId;
-        let mut neighbor_ptrs = [None; SIDES];
-        for (np, nb) in neighbor_ptrs.iter_mut().zip(&sd.neighbors) {
-            *np = nb.map(|nb| ptrs[nb]);
-        }
-        let created = rt.create_object(
-            node,
-            Box::new(SubObj {
-                sd,
-                workload: params.workload,
-                neighbor_ptrs,
-            }),
-            128,
-        );
-        assert_eq!(created, ptrs[i]);
-    }
-    for &p in &ptrs {
-        rt.post(p, H_REFINE, Vec::new());
-    }
-    rt
-}
-
-/// Count `(elements, vertices)` over a finished runtime's objects.
-pub fn opcdm_collect_threaded(rt: &mrts::threaded::ThreadedRuntime) -> (u64, u64) {
-    let mut elements = 0u64;
-    let mut vertices = 0u64;
-    rt.for_each_object(|_, obj| {
-        let so = obj
-            .as_any()
-            .downcast_ref::<SubObj>()
-            .expect("this method only creates SubObj objects");
-        elements += so.sd.mesh.num_tris() as u64;
-        vertices += (0..so.sd.mesh.num_vertices() as u32)
-            .filter(|&v| !so.sd.mesh.vflags(v).is(VFlags::SUPER))
-            .count() as u64;
-    });
-    (elements, vertices)
-}
-
-/// [`opcdm_run_threaded`] with a hook between setup and run (attach an
-/// invariant checker, a race detector, an event sink, …).
-pub fn opcdm_run_threaded_with(
-    params: &PcdmParams,
-    cfg: MrtsConfig,
-    hook: impl FnOnce(&mut mrts::threaded::ThreadedRuntime),
-) -> MethodResult {
-    let mut rt = opcdm_setup_threaded(params, cfg);
-    hook(&mut rt);
-    let stats = rt.run();
-    let (elements, vertices) = opcdm_collect_threaded(&rt);
-    MethodResult {
-        elements,
-        vertices,
-        stats,
-    }
-}
-
-/// Run OPCDM on the threaded engine (real OS threads + real spill files
-/// when `cfg.spill_dir` is set). Wall-clock statistics.
-pub fn opcdm_run_threaded(params: &PcdmParams, cfg: MrtsConfig) -> MethodResult {
-    opcdm_run_threaded_with(params, cfg, |_| {})
-}
-
-/// Run OPCDM on the virtual-time MRTS engine.
-pub fn opcdm_run(params: &PcdmParams, cfg: MrtsConfig) -> MethodResult {
-    opcdm_run_with(params, cfg, |_| {})
-}
-
-/// [`opcdm_run`] with a hook that runs before any object exists (attach
-/// an invariant checker — the DES engine emits Create events eagerly at
-/// `create_object`, so a sink attached later misses the births — or set a
-/// schedule seed, …).
-pub fn opcdm_run_with(
-    params: &PcdmParams,
-    cfg: MrtsConfig,
-    hook: impl FnOnce(&mut DesRuntime),
-) -> MethodResult {
-    let mut rt = DesRuntime::new(cfg.clone());
-    register(&mut rt);
-    hook(&mut rt);
-
-    let subs = build_subdomains(params);
-    let n = subs.len();
-    assert!(n > 0, "no subdomains intersect the domain");
-
-    // Pre-allocate pointers: subdomain i goes to node i % nodes and gets
-    // the i-th object slot there, so pointers are predictable.
-    let nodes = cfg.nodes;
-    let mut counters = vec![0u64; nodes];
-    let ptrs: Vec<MobilePtr> = (0..n)
-        .map(|i| {
-            let node = (i % nodes) as NodeId;
-            let seq = counters[i % nodes];
-            counters[i % nodes] += 1;
-            MobilePtr::new(mrts::ids::ObjectId::new(node, seq))
-        })
-        .collect();
-
+    assert!(!subs.is_empty(), "no subdomains intersect the domain");
+    let ptrs = subdomain_ptrs(subs.len(), nodes);
     for sd in subs {
         let i = sd.idx;
         let node = (i % nodes) as NodeId;
@@ -298,12 +182,31 @@ pub fn opcdm_run_with(
         );
         assert_eq!(created, ptrs[i], "placement must match precomputed ptrs");
     }
-    for &p in &ptrs {
+    ptrs
+}
+
+/// Build a runtime with OPCDM registered, `hook` applied (before any
+/// object exists: attach an invariant checker — the virtual-time engine
+/// emits Create events eagerly at `create_object`, so a sink attached
+/// later misses the births — a race detector, a schedule seed, …), every
+/// subdomain created and an initial `refine` posted to each — ready to
+/// run.
+pub fn opcdm_setup<E: Engine>(
+    params: &PcdmParams,
+    cfg: MrtsConfig,
+    hook: impl FnOnce(&mut Runtime<E>),
+) -> Runtime<E> {
+    let mut rt = Runtime::new(cfg);
+    register(&mut rt);
+    hook(&mut rt);
+    for p in create_subdomains(&mut rt, params) {
         rt.post(p, H_REFINE, Vec::new());
     }
+    rt
+}
 
-    let stats = rt.run();
-
+/// Count `(elements, vertices)` over a finished runtime's objects.
+pub fn opcdm_collect<E: Engine>(rt: &Runtime<E>) -> (u64, u64) {
     let mut elements = 0u64;
     let mut vertices = 0u64;
     rt.for_each_object(|_, obj| {
@@ -316,6 +219,18 @@ pub fn opcdm_run_with(
             .filter(|&v| !so.sd.mesh.vflags(v).is(VFlags::SUPER))
             .count() as u64;
     });
+    (elements, vertices)
+}
+
+/// Run OPCDM on engine `E` (see [`opcdm_setup`] for `hook`).
+pub fn opcdm_run_with<E: Engine>(
+    params: &PcdmParams,
+    cfg: MrtsConfig,
+    hook: impl FnOnce(&mut Runtime<E>),
+) -> MethodResult {
+    let mut rt = opcdm_setup(params, cfg, hook);
+    let stats = rt.run();
+    let (elements, vertices) = opcdm_collect(&rt);
     MethodResult {
         elements,
         vertices,
@@ -323,10 +238,18 @@ pub fn opcdm_run_with(
     }
 }
 
+/// Run OPCDM on engine `E`: [`mrts::des::Des`] (virtual time) or
+/// [`mrts::threaded::Threads`] (real OS threads, real spill files when
+/// `cfg.spill_dir` is set).
+pub fn opcdm_run<E: Engine>(params: &PcdmParams, cfg: MrtsConfig) -> MethodResult {
+    opcdm_run_with::<E>(params, cfg, |_| {})
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pcdm::pcdm_incore;
+    use mrts::des::Des;
 
     fn params(elements: u64, grid: usize) -> PcdmParams {
         PcdmParams::new(Workload::uniform_square(elements), grid)
@@ -362,7 +285,7 @@ mod tests {
     fn opcdm_in_core_matches_baseline_count() {
         let p = params(3000, 2);
         let base = pcdm_incore(&p, 4, 1 << 30).unwrap();
-        let port = opcdm_run(&p, MrtsConfig::in_core(4));
+        let port = opcdm_run::<Des>(&p, MrtsConfig::in_core(4));
         // Same method, same kernels: identical meshes.
         assert_eq!(port.elements, base.elements, "port must match baseline");
         assert!(port.stats.total > std::time::Duration::ZERO);
@@ -374,7 +297,7 @@ mod tests {
         let base = pcdm_incore(&p, 2, 1 << 30).unwrap();
         // A budget well below the aggregate mesh footprint forces spills.
         let per_node = base.stats.peak_mem().max(200_000) / 3;
-        let port = opcdm_run(&p, MrtsConfig::out_of_core(2, per_node));
+        let port = opcdm_run::<Des>(&p, MrtsConfig::out_of_core(2, per_node));
         // OOC queueing may reorder refine/split interleavings; counts stay
         // within a whisker of the in-core result.
         let ratio = port.elements as f64 / base.elements as f64;
@@ -419,38 +342,7 @@ mod tests {
     #[test]
     fn opcdm_conformity_across_objects() {
         let p = params(2500, 2);
-        let mut rt = DesRuntime::new(MrtsConfig::in_core(2));
-        register(&mut rt);
-        let subs = build_subdomains(&p);
-        let n = subs.len();
-        let mut counters = [0u64; 2];
-        let ptrs: Vec<MobilePtr> = (0..n)
-            .map(|i| {
-                let node = (i % 2) as NodeId;
-                let seq = counters[i % 2];
-                counters[i % 2] += 1;
-                MobilePtr::new(mrts::ids::ObjectId::new(node, seq))
-            })
-            .collect();
-        for sd in subs {
-            let i = sd.idx;
-            let mut neighbor_ptrs = [None; SIDES];
-            for (np, nb) in neighbor_ptrs.iter_mut().zip(&sd.neighbors) {
-                *np = nb.map(|nb| ptrs[nb]);
-            }
-            rt.create_object(
-                (i % 2) as NodeId,
-                Box::new(SubObj {
-                    sd,
-                    workload: p.workload,
-                    neighbor_ptrs,
-                }),
-                128,
-            );
-        }
-        for &pp in &ptrs {
-            rt.post(pp, H_REFINE, Vec::new());
-        }
+        let mut rt = opcdm_setup::<Des>(&p, MrtsConfig::in_core(2), |_| {});
         rt.run();
         // Collect interface point sets and check conformity.
         let mut sides: std::collections::HashMap<(usize, usize), Vec<(u64, u64)>> =

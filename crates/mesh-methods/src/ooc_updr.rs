@@ -1,4 +1,4 @@
-//! OUPDR — the out-of-core UPDR port on MRTS (the paper's [1]).
+//! OUPDR — the out-of-core UPDR port on MRTS (the paper's \[1\]).
 //!
 //! Each block is a mobile object carrying its *entire region mesh* between
 //! phases — these are the large objects that exercise the storage layer.
@@ -23,10 +23,11 @@ use crate::updr::{
 use mrts::codec::{PayloadReader, PayloadWriter};
 use mrts::config::MrtsConfig;
 use mrts::ctx::Ctx;
-use mrts::des::DesRuntime;
 use mrts::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use mrts::object::{MobileObject, ObjectDecodeError};
+use mrts::runtime::{Engine, Runtime};
 use mrts::sched::PhaseGate;
+use mrts::threaded::ThreadedRuntime;
 use pumg_delaunay::mesh::VId;
 use pumg_delaunay::TriMesh;
 use pumg_geometry::{BBox, Point2};
@@ -341,8 +342,9 @@ fn finish_phase3(b: &mut BlockObj, ctx: &mut Ctx) {
     ctx.send(b.coord, H_C_DONE3, w.finish());
 }
 
-/// Register OUPDR's types and handlers on a virtual-time runtime.
-pub fn register(rt: &mut DesRuntime) {
+/// Register OUPDR's types and handlers (the handlers are
+/// engine-agnostic).
+pub fn register<E: Engine>(rt: &mut Runtime<E>) {
     rt.register_type(BLOCK_TAG, BlockObj::decode);
     rt.register_type(COORD_TAG, CoordObj::decode);
     rt.register_handler(H_C_START, "updr_start", h_c_start);
@@ -352,20 +354,7 @@ pub fn register(rt: &mut DesRuntime) {
     rt.register_handler(H_B_COMMIT, "updr_commit", h_b_commit);
 }
 
-/// Register OUPDR's types and handlers on a threaded runtime (the handler
-/// functions are engine-agnostic).
-pub fn register_threaded(rt: &mut mrts::threaded::ThreadedRuntime) {
-    rt.register_type(BLOCK_TAG, BlockObj::decode);
-    rt.register_type(COORD_TAG, CoordObj::decode);
-    rt.register_handler(H_C_START, "updr_start", h_c_start);
-    rt.register_handler(H_C_DONE3, "updr_done3", h_c_done3);
-    rt.register_handler(H_B_P1, "updr_phase1", h_b_p1);
-    rt.register_handler(H_B_PTS, "updr_points", h_b_pts);
-    rt.register_handler(H_B_COMMIT, "updr_commit", h_b_commit);
-}
-
-/// The decomposition, pointer layout, and initial objects shared by both
-/// engines' setups.
+/// The decomposition, pointer layout, and initial objects.
 struct Layout {
     blocks: Vec<Block>,
     ptrs: Vec<MobilePtr>,
@@ -470,68 +459,19 @@ fn block_digest_part(obj: &dyn MobileObject) -> Option<(u32, u64)> {
     Some((b.idx, fnv1a(&bytes)))
 }
 
-/// Run OUPDR on the virtual-time MRTS engine.
-pub fn oupdr_run(params: &UpdrParams, cfg: MrtsConfig) -> MethodResult {
-    oupdr_run_with_digest(params, cfg).0
-}
-
-/// [`oupdr_run`], also returning the mesh digest (see [`fold_digest`]).
-pub fn oupdr_run_with_digest(params: &UpdrParams, cfg: MrtsConfig) -> (MethodResult, u64) {
-    let mut rt = DesRuntime::new(cfg.clone());
-    register(&mut rt);
-
-    let lay = layout(params, cfg.nodes);
-    for b in &lay.blocks {
-        let node = (b.idx % cfg.nodes) as NodeId;
-        let created = rt.create_object(node, Box::new(make_block(params, &lay, b)), 128);
-        assert_eq!(created, lay.ptrs[b.idx]);
-    }
-    let created = rt.create_object(0, Box::new(make_coord(&lay)), 255);
-    assert_eq!(created, lay.coord_ptr);
-    rt.lock_object(lay.coord_ptr);
-
-    rt.post(lay.coord_ptr, H_C_START, Vec::new());
-    let stats = rt.run();
-
-    let mut elements = 0;
-    let mut vertices = 0;
-    let mut phase = 0;
-    rt.with_object(lay.coord_ptr, |obj| {
-        let c = obj
-            .as_any()
-            .downcast_ref::<CoordObj>()
-            .expect("coordinator pointer resolves to a CoordObj");
-        elements = c.elems;
-        vertices = c.verts;
-        phase = c.phase;
-    });
-    assert_eq!(phase, 4, "run must complete all phases");
-    let mut parts = Vec::new();
-    rt.for_each_object(|_, obj| {
-        if let Some(p) = block_digest_part(obj) {
-            parts.push(p);
-        }
-    });
-    (
-        MethodResult {
-            elements,
-            vertices,
-            stats,
-        },
-        fold_digest(&mut parts),
-    )
-}
-
-/// Build a threaded runtime with OUPDR registered and the start message
-/// posted — ready to run. Exposed so harnesses (replay, chaos) can attach
-/// sinks or recorders around the run.
-pub fn oupdr_setup_threaded(
+/// Build a runtime with OUPDR registered, `hook` applied (before any
+/// object exists: attach sinks, recorders, a schedule seed), the blocks
+/// and the locked coordinator created and the start message posted —
+/// ready to run. Returns the coordinator's pointer too.
+pub fn oupdr_setup<E: Engine>(
     params: &UpdrParams,
     cfg: MrtsConfig,
-) -> (mrts::threaded::ThreadedRuntime, MobilePtr) {
+    hook: impl FnOnce(&mut Runtime<E>),
+) -> (Runtime<E>, MobilePtr) {
     let nodes = cfg.nodes;
-    let mut rt = mrts::threaded::ThreadedRuntime::new(cfg);
-    register_threaded(&mut rt);
+    let mut rt = Runtime::new(cfg);
+    register(&mut rt);
+    hook(&mut rt);
 
     let lay = layout(params, nodes);
     for b in &lay.blocks {
@@ -546,9 +486,9 @@ pub fn oupdr_setup_threaded(
     (rt, lay.coord_ptr)
 }
 
-/// Collect `(elements, vertices, phase, digest)` from a finished threaded
-/// runtime.
-pub fn oupdr_collect_threaded(rt: &mrts::threaded::ThreadedRuntime) -> (u64, u64, u8, u64) {
+/// Collect `(elements, vertices, phase, digest)` from a finished runtime
+/// (the digest folds each block's canonical digest in block order).
+pub fn oupdr_collect<E: Engine>(rt: &Runtime<E>) -> (u64, u64, u8, u64) {
     let mut elements = 0u64;
     let mut vertices = 0u64;
     let mut phase = 0u8;
@@ -565,16 +505,16 @@ pub fn oupdr_collect_threaded(rt: &mrts::threaded::ThreadedRuntime) -> (u64, u64
     (elements, vertices, phase, fold_digest(&mut parts))
 }
 
-/// [`oupdr_run_threaded`] with a hook between setup and run.
-pub fn oupdr_run_threaded_with(
+/// Run OUPDR on engine `E` (see [`oupdr_setup`] for `hook`); returns the
+/// result and the mesh digest.
+pub fn oupdr_run_with<E: Engine>(
     params: &UpdrParams,
     cfg: MrtsConfig,
-    hook: impl FnOnce(&mut mrts::threaded::ThreadedRuntime),
+    hook: impl FnOnce(&mut Runtime<E>),
 ) -> (MethodResult, u64) {
-    let (mut rt, _coord) = oupdr_setup_threaded(params, cfg);
-    hook(&mut rt);
+    let (mut rt, _coord) = oupdr_setup(params, cfg, hook);
     let stats = rt.run();
-    let (elements, vertices, phase, digest) = oupdr_collect_threaded(&rt);
+    let (elements, vertices, phase, digest) = oupdr_collect(&rt);
     assert_eq!(phase, 4, "run must complete all phases");
     (
         MethodResult {
@@ -586,16 +526,30 @@ pub fn oupdr_run_threaded_with(
     )
 }
 
-/// Run OUPDR on the threaded engine (real OS threads, real spill files
-/// when `cfg.spill_dir` is set).
-pub fn oupdr_run_threaded(params: &UpdrParams, cfg: MrtsConfig) -> MethodResult {
-    oupdr_run_threaded_with(params, cfg, |_| {}).0
+/// Run OUPDR on engine `E`: [`mrts::des::Des`] (virtual time) or
+/// [`mrts::threaded::Threads`] (real OS threads, real spill files when
+/// `cfg.spill_dir` is set).
+pub fn oupdr_run<E: Engine>(params: &UpdrParams, cfg: MrtsConfig) -> MethodResult {
+    oupdr_run_with::<E>(params, cfg, |_| {}).0
+}
+
+// The benchmark harness imports these two by name; they go with the next
+// benchmark change.
+/// [`oupdr_setup`] on the threaded engine, with no hook.
+pub fn oupdr_setup_threaded(params: &UpdrParams, cfg: MrtsConfig) -> (ThreadedRuntime, MobilePtr) {
+    oupdr_setup(params, cfg, |_| {})
+}
+/// [`oupdr_collect`] on the threaded engine.
+pub fn oupdr_collect_threaded(rt: &ThreadedRuntime) -> (u64, u64, u8, u64) {
+    oupdr_collect(rt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::updr::updr_incore;
+    use mrts::des::Des;
+    use mrts::threaded::Threads;
 
     fn params(elements: u64, grid: usize) -> UpdrParams {
         UpdrParams::new(Workload::uniform_square(elements), grid)
@@ -646,7 +600,7 @@ mod tests {
     fn oupdr_matches_baseline_count() {
         let p = params(3000, 2);
         let base = updr_incore(&p, 4, 1 << 30).unwrap();
-        let port = oupdr_run(&p, MrtsConfig::in_core(4));
+        let port = oupdr_run::<Des>(&p, MrtsConfig::in_core(4));
         assert_eq!(
             port.elements, base.elements,
             "identical kernels and deterministic phases must agree"
@@ -656,8 +610,8 @@ mod tests {
     #[test]
     fn oupdr_des_and_threaded_meshes_are_byte_identical() {
         let p = params(3000, 2);
-        let (des, des_digest) = oupdr_run_with_digest(&p, MrtsConfig::in_core(3));
-        let (thr, thr_digest) = oupdr_run_threaded_with(&p, MrtsConfig::in_core(3), |_| {});
+        let (des, des_digest) = oupdr_run_with::<Des>(&p, MrtsConfig::in_core(3), |_| {});
+        let (thr, thr_digest) = oupdr_run_with::<Threads>(&p, MrtsConfig::in_core(3), |_| {});
         assert_eq!(des.elements, thr.elements);
         assert_eq!(des.vertices, thr.vertices);
         assert_eq!(
@@ -677,12 +631,12 @@ mod tests {
         // digest proves any steals that did happen were harmless.
         let p = params(2500, 2);
         let cfg = MrtsConfig::in_core(6).with_work_stealing();
-        let (_plain, plain_digest) = oupdr_run_threaded_with(&p, MrtsConfig::in_core(6), |_| {});
+        let (_plain, plain_digest) = oupdr_run_with::<Threads>(&p, MrtsConfig::in_core(6), |_| {});
 
-        let (mut rt, _coord) = oupdr_setup_threaded(&p, cfg.clone());
+        let (mut rt, _coord) = oupdr_setup::<Threads>(&p, cfg.clone(), |_| {});
         rt.record_decisions();
         let stats = rt.run();
-        let (elements, _verts, phase, digest) = oupdr_collect_threaded(&rt);
+        let (elements, _verts, phase, digest) = oupdr_collect(&rt);
         assert_eq!(phase, 4);
         assert_eq!(digest, plain_digest, "stealing must not change the mesh");
         assert!(
@@ -694,10 +648,10 @@ mod tests {
         // The recorded schedule — steal decisions included — must replay
         // to the identical mesh without divergence.
         let log = rt.take_decision_log().expect("recording was enabled");
-        let (mut rt2, _coord) = oupdr_setup_threaded(&p, cfg);
+        let (mut rt2, _coord) = oupdr_setup::<Threads>(&p, cfg, |_| {});
         rt2.replay_decisions(log);
         let stats2 = rt2.run();
-        let (elements2, _verts2, phase2, digest2) = oupdr_collect_threaded(&rt2);
+        let (elements2, _verts2, phase2, digest2) = oupdr_collect(&rt2);
         assert_eq!(phase2, 4);
         assert_eq!(
             stats2.total_of(|n| n.replay_divergences),
@@ -738,11 +692,11 @@ mod tests {
         );
         let mut in_core = MrtsConfig::in_core(8);
         in_core.deterministic_compute = true;
-        let (core, core_digest) = oupdr_run_with_digest(&p, in_core);
+        let (core, core_digest) = oupdr_run_with::<Des>(&p, in_core, |_| {});
         let budget = (core.stats.peak_mem() / 4).max(60_000);
         let mut steal = MrtsConfig::out_of_core(8, budget).with_work_stealing();
         steal.deterministic_compute = true;
-        let (stolen, steal_digest) = oupdr_run_with_digest(&p, steal);
+        let (stolen, steal_digest) = oupdr_run_with::<Des>(&p, steal, |_| {});
         assert_eq!(stolen.elements, core.elements);
         assert_eq!(
             steal_digest, core_digest,
@@ -764,9 +718,9 @@ mod tests {
     fn oupdr_out_of_core_spills_and_matches() {
         let p = params(4000, 3);
         let base = updr_incore(&p, 2, 1 << 30).unwrap();
-        let in_core_port = oupdr_run(&p, MrtsConfig::in_core(2));
+        let in_core_port = oupdr_run::<Des>(&p, MrtsConfig::in_core(2));
         let budget = (in_core_port.stats.peak_mem() / 3).max(100_000);
-        let ooc = oupdr_run(&p, MrtsConfig::out_of_core(2, budget));
+        let ooc = oupdr_run::<Des>(&p, MrtsConfig::out_of_core(2, budget));
         assert_eq!(ooc.elements, base.elements);
         assert!(
             ooc.stats.total_of(|n| n.stores) > 0,
@@ -804,7 +758,7 @@ mod tests {
     fn oupdr_on_pipe_domain() {
         let p = UpdrParams::new(Workload::uniform_pipe(3000), 3);
         let base = updr_incore(&p, 2, 1 << 30).unwrap();
-        let port = oupdr_run(&p, MrtsConfig::in_core(2));
+        let port = oupdr_run::<Des>(&p, MrtsConfig::in_core(2));
         assert_eq!(port.elements, base.elements);
     }
 }

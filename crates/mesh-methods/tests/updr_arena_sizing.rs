@@ -14,9 +14,10 @@
 //!   reallocates each arena larger than 64 KiB at most once, and leaves it
 //!   within 1.2× of its length.
 
+use mrts::threaded::Threads;
 use pumg_delaunay::mesh::Tri;
 use pumg_methods::domain::Workload;
-use pumg_methods::ooc_updr::{oupdr_collect_threaded, oupdr_setup_threaded, BlockObj};
+use pumg_methods::ooc_updr::{oupdr_collect, oupdr_setup, BlockObj};
 use pumg_methods::updr::{block_phase1, block_phase3, buffer_batches, decompose, UpdrParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -151,9 +152,10 @@ fn chain_at(ptr: usize) -> Option<Chain> {
 fn in_core_oupdr_blocks_carry_little_slack() {
     for elements in [40_000, 60_000, 80_000] {
         let params = UpdrParams::new(Workload::uniform_square(elements), 2);
-        let (mut rt, _coord) = oupdr_setup_threaded(&params, mrts::config::MrtsConfig::in_core(2));
+        let cfg = mrts::config::MrtsConfig::in_core(2);
+        let (mut rt, _coord) = oupdr_setup::<Threads>(&params, cfg, |_| {});
         rt.run();
-        let (_elements, _vertices, phase, _digest) = oupdr_collect_threaded(&rt);
+        let (_elements, _vertices, phase, _digest) = oupdr_collect(&rt);
         assert_eq!(phase, 4, "{elements}: the run completes");
         let (mut held, mut used, mut blocks) = (0usize, 0usize, 0);
         rt.for_each_object(|_, obj| {

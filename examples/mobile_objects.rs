@@ -4,7 +4,8 @@
 //! object; step-tagged `ghost` messages carry edge values to the neighbors
 //! (the classic async stencil: a strip relaxes step *k* once it holds both
 //! neighbors' step-*k* ghosts, so neighbors may run at most one step
-//! apart). The same application code executes on both engines:
+//! apart). The same application code — one generic `run` — executes on
+//! both engines:
 //!
 //!  * the deterministic virtual-time engine (used by the benchmarks), and
 //!  * the threaded engine (one OS thread per node, real spill files,
@@ -20,10 +21,11 @@ use pumg::mrts::codec::{PayloadReader, PayloadWriter};
 use pumg::mrts::compute::ExecutorKind;
 use pumg::mrts::config::MrtsConfig;
 use pumg::mrts::ctx::Ctx;
-use pumg::mrts::des::DesRuntime;
+use pumg::mrts::des::Des;
 use pumg::mrts::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use pumg::mrts::object::{MobileObject, ObjectDecodeError};
-use pumg::mrts::threaded::ThreadedRuntime;
+use pumg::mrts::runtime::{Engine, Runtime};
+use pumg::mrts::threaded::Threads;
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -230,75 +232,49 @@ fn build_strips(strips: usize, cells_per_strip: usize, steps: u32) -> Vec<Strip>
         .collect()
 }
 
+/// Run the stencil on engine `E` with `cfg`; returns the run summary,
+/// the leftmost cell's temperature and the steps it completed.
+fn run<E: Engine>(cfg: MrtsConfig, strips: usize, cells: usize, steps: u32) -> (String, f64, u32) {
+    let nodes = cfg.nodes;
+    let ptrs: Vec<MobilePtr> = (0..strips)
+        .map(|i| MobilePtr::new(ObjectId::new((i % nodes) as NodeId, (i / nodes) as u64)))
+        .collect();
+    let mut rt = Runtime::<E>::new(cfg);
+    rt.register_type(STRIP_TAG, Strip::decode);
+    rt.register_handler(H_START, "start", h_start);
+    rt.register_handler(H_GHOST, "ghost", h_ghost);
+    for (i, mut s) in build_strips(strips, cells, steps).into_iter().enumerate() {
+        s.left = (i > 0).then(|| ptrs[i - 1]);
+        s.right = (i + 1 < strips).then(|| ptrs[i + 1]);
+        let created = rt.create_object((i % nodes) as NodeId, Box::new(s), 128);
+        assert_eq!(created, ptrs[i]);
+    }
+    for &p in &ptrs {
+        rt.post(p, H_START, Vec::new());
+    }
+    let stats = rt.run();
+    let (temp, done_steps) = rt.with_object(ptrs[0], |o| {
+        let s = o.as_any().downcast_ref::<Strip>().unwrap();
+        (s.cells[0], s.step)
+    });
+    (stats.summary(), temp, done_steps)
+}
+
 fn main() {
     let (nodes, strips, cells, steps) = (4usize, 16usize, 64usize, 200u32);
 
-    let run = |des: bool| -> (String, f64, u32) {
-        let ptrs: Vec<MobilePtr> = (0..strips)
-            .map(|i| MobilePtr::new(ObjectId::new((i % nodes) as NodeId, (i / nodes) as u64)))
-            .collect();
-        let built = build_strips(strips, cells, steps);
-        if des {
-            let mut rt = DesRuntime::new(MrtsConfig::out_of_core(nodes, 2048));
-            rt.register_type(STRIP_TAG, Strip::decode);
-            rt.register_handler(H_START, "start", h_start);
-            rt.register_handler(H_GHOST, "ghost", h_ghost);
-            for (i, mut s) in built.into_iter().enumerate() {
-                s.left = (i > 0).then(|| ptrs[i - 1]);
-                s.right = (i + 1 < strips).then(|| ptrs[i + 1]);
-                let created = rt.create_object((i % nodes) as NodeId, Box::new(s), 128);
-                assert_eq!(created, ptrs[i]);
-            }
-            for &p in &ptrs {
-                rt.post(p, H_START, Vec::new());
-            }
-            let stats = rt.run();
-            let mut temp = 0.0;
-            let mut done_steps = 0;
-            rt.with_object(ptrs[0], |o| {
-                let s = o.as_any().downcast_ref::<Strip>().unwrap();
-                temp = s.cells[0];
-                done_steps = s.step;
-            });
-            (stats.summary(), temp, done_steps)
-        } else {
-            let mut cfg = MrtsConfig::out_of_core(nodes, 2048).with_executor(ExecutorKind::Fifo);
-            cfg.spill_dir =
-                Some(std::env::temp_dir().join(format!("mrts-example-{}", std::process::id())));
-            let spill = cfg.spill_dir.clone().unwrap();
-            let mut rt = ThreadedRuntime::new(cfg);
-            rt.register_type(STRIP_TAG, Strip::decode);
-            rt.register_handler(H_START, "start", h_start);
-            rt.register_handler(H_GHOST, "ghost", h_ghost);
-            for (i, mut s) in built.into_iter().enumerate() {
-                s.left = (i > 0).then(|| ptrs[i - 1]);
-                s.right = (i + 1 < strips).then(|| ptrs[i + 1]);
-                let created = rt.create_object((i % nodes) as NodeId, Box::new(s), 128);
-                assert_eq!(created, ptrs[i]);
-            }
-            for &p in &ptrs {
-                rt.post(p, H_START, Vec::new());
-            }
-            let stats = rt.run();
-            let mut temp = 0.0;
-            let mut done_steps = 0;
-            rt.with_object(ptrs[0], |o| {
-                let s = o.as_any().downcast_ref::<Strip>().unwrap();
-                temp = s.cells[0];
-                done_steps = s.step;
-            });
-            let _ = std::fs::remove_dir_all(spill);
-            (stats.summary(), temp, done_steps)
-        }
-    };
-
-    let (summary, temp, done) = run(true);
+    let cfg = MrtsConfig::out_of_core(nodes, 2048);
+    let (summary, temp, done) = run::<Des>(cfg, strips, cells, steps);
     println!("virtual-time engine ({nodes} nodes, 2 KiB budget each):");
     println!("  {summary}");
     println!("  leftmost cell after {done}/{steps} steps: {temp:.6}");
     assert_eq!(done, steps);
 
-    let (summary2, temp2, done2) = run(false);
+    let mut cfg = MrtsConfig::out_of_core(nodes, 2048).with_executor(ExecutorKind::Fifo);
+    let spill = std::env::temp_dir().join(format!("mrts-example-{}", std::process::id()));
+    cfg.spill_dir = Some(spill.clone());
+    let (summary2, temp2, done2) = run::<Threads>(cfg, strips, cells, steps);
+    let _ = std::fs::remove_dir_all(spill);
     println!("\nthreaded engine ({nodes} OS threads, real spill files):");
     println!("  {summary2}");
     println!("  leftmost cell after {done2}/{steps} steps: {temp2:.6}");

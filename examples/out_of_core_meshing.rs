@@ -13,6 +13,7 @@ use pumg::methods::domain::Workload;
 use pumg::methods::nupdr::{nupdr_incore_scaled, NupdrParams};
 use pumg::methods::ooc_nupdr::{onupdr_run, OnupdrOpts};
 use pumg::mrts::config::MrtsConfig;
+use pumg::mrts::des::Des;
 
 fn main() {
     let elements = 120_000u64;
@@ -51,7 +52,7 @@ fn main() {
     //    512 KiB budget — a fraction of what the baseline needed.
     let mut cfg = MrtsConfig::out_of_core(2, 512 << 10);
     cfg.compute_scale = 32.0; // period-appropriate CPU speed (DESIGN.md §3)
-    let r = onupdr_run(&params, cfg, OnupdrOpts::default());
+    let r = onupdr_run::<Des>(&params, cfg, OnupdrOpts::default());
     println!(
         "ONUPDR out-of-core, 2 PEs (512 KiB each): {:>6} elements, T = {:>8.3} s, speed {:>9.0}/s/PE",
         r.elements,

@@ -12,6 +12,7 @@ use pumg::methods::domain::Workload;
 use pumg::methods::ooc_pcdm::opcdm_run;
 use pumg::methods::pcdm::PcdmParams;
 use pumg::mrts::config::MrtsConfig;
+use pumg::mrts::des::Des;
 
 fn main() {
     // 1. Sequential: mesh the paper's pipe cross-section at uniform sizing.
@@ -36,7 +37,7 @@ fn main() {
     // model the paper's 650 MHz-class nodes (DESIGN.md §3).
     let mut cfg = MrtsConfig::out_of_core(4, 300 << 10);
     cfg.compute_scale = 32.0;
-    let result = opcdm_run(&params, cfg);
+    let result = opcdm_run::<Des>(&params, cfg);
     println!("\nOPCDM on MRTS (4 nodes, 300 KiB budget each):");
     println!("  elements   {:>12}", result.elements);
     println!("  virtual T  {:>10.3} s", result.total_secs());

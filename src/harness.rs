@@ -13,7 +13,7 @@
 //! release builds compile out.
 
 use crate::methods::domain::Workload;
-use crate::methods::ooc_pcdm::{opcdm_collect_threaded, opcdm_setup_threaded};
+use crate::methods::ooc_pcdm::{opcdm_collect, opcdm_setup};
 use crate::methods::pcdm::PcdmParams;
 use crate::mrts::audit::{EventLog, EventSink, FanOut, RaceDetector};
 use crate::mrts::config::MrtsConfig;
@@ -24,6 +24,7 @@ use crate::mrts::replay::{
     DEFAULT_LOG_BYTE_CAP,
 };
 use crate::mrts::stats::RunStats;
+use crate::mrts::threaded::Threads;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -170,21 +171,22 @@ fn execute(
     let log = Arc::new(EventLog::new());
     let mut all: Vec<Arc<dyn EventSink>> = vec![log.clone()];
     all.extend(sinks.iter().cloned());
-    let mut rt = opcdm_setup_threaded(&params(nodes), cfg);
-    rt.attach_audit(Arc::new(FanOut::new(all)));
-    if let Some(d) = det {
-        rt.attach_race_detector(d);
-    }
-    match replay {
-        Some(decisions) => rt.replay_decisions(decisions),
-        None => rt.record_decisions(),
-    }
+    let mut rt = opcdm_setup::<Threads>(&params(nodes), cfg, |rt| {
+        rt.attach_audit(Arc::new(FanOut::new(all)));
+        if let Some(d) = det {
+            rt.attach_race_detector(d);
+        }
+        match replay {
+            Some(decisions) => rt.replay_decisions(decisions),
+            None => rt.record_decisions(),
+        }
+    });
     let (stats, error) = match rt.try_run() {
         Ok(stats) => (stats, None),
         Err(e) => (RunStats::default(), Some(e.to_string())),
     };
     let (elements, vertices) = match error {
-        None => opcdm_collect_threaded(&rt),
+        None => opcdm_collect(&rt),
         Some(_) => (0, 0),
     };
     let decisions = rt

@@ -21,10 +21,7 @@
 use pumg::harness::{self, BUDGET, CHAOS_NET_THREADED, CHAOS_THREADED, DUP_STORM};
 use pumg::methods::domain::Workload;
 use pumg::methods::mesh_job::opcdm_digest;
-use pumg::methods::ooc_pcdm::{
-    opcdm_collect_threaded, opcdm_run, opcdm_run_threaded, opcdm_run_threaded_with, opcdm_run_with,
-    opcdm_setup_threaded, register, register_threaded, SubObj, H_REFINE,
-};
+use pumg::methods::ooc_pcdm::{opcdm_run, opcdm_run_with, opcdm_setup, register, SubObj, H_REFINE};
 use pumg::methods::pcdm::PcdmParams;
 use pumg::methods::MethodResult;
 use pumg::mrts::audit::{
@@ -34,13 +31,14 @@ use pumg::mrts::checkpoint::Checkpoint;
 use pumg::mrts::codec::{PayloadReader, PayloadWriter};
 use pumg::mrts::config::MrtsConfig;
 use pumg::mrts::ctx::Ctx;
-use pumg::mrts::des::DesRuntime;
+use pumg::mrts::des::Des;
 use pumg::mrts::fault::{FaultPlan, MrtsError};
 use pumg::mrts::ids::{HandlerId, MobilePtr, ObjectId, TypeTag};
 use pumg::mrts::netfault::NetFaultPlan;
 use pumg::mrts::object::{MobileObject, ObjectDecodeError};
+use pumg::mrts::runtime::{Engine, Runtime};
 use pumg::mrts::stats::RunStats;
-use pumg::mrts::threaded::ThreadedRuntime;
+use pumg::mrts::threaded::{ThreadedRuntime, Threads};
 use std::any::Any;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -51,21 +49,12 @@ fn tmp(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mrts-chaos-{label}-{}", std::process::id()))
 }
 
-/// The fault-free mesh of the harness workload on the virtual-time engine.
-fn des_reference(nodes: usize) -> (u64, u64) {
-    let r = opcdm_run(
-        &harness::params(nodes),
-        MrtsConfig::out_of_core(nodes, BUDGET),
-    );
-    (r.elements, r.vertices)
-}
-
-/// The fault-free mesh of the harness workload on the threaded engine.
-fn threaded_reference(nodes: usize) -> (u64, u64) {
+/// The fault-free mesh of the harness workload on engine `E`.
+fn reference<E: Engine>(nodes: usize) -> (u64, u64) {
     let mut cfg = MrtsConfig::out_of_core(nodes, BUDGET);
     cfg.spill_dir = Some(harness::spill_dir());
     let dir = cfg.spill_dir.clone();
-    let r = opcdm_run_threaded(&harness::params(nodes), cfg);
+    let r = opcdm_run::<E>(&harness::params(nodes), cfg);
     let _ = std::fs::remove_dir_all(dir.expect("spill dir set"));
     (r.elements, r.vertices)
 }
@@ -75,7 +64,7 @@ fn threaded_reference(nodes: usize) -> (u64, u64) {
 fn des_run(nodes: usize, cfg: MrtsConfig, what: &str) -> MethodResult {
     let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
     let sink = chk.clone();
-    let r = opcdm_run_with(&harness::params(nodes), cfg, move |rt| {
+    let r = opcdm_run_with::<Des>(&harness::params(nodes), cfg, move |rt| {
         rt.attach_audit(sink)
     });
     assert!(
@@ -184,7 +173,7 @@ fn des_enospc(nodes: usize, windows: &[(u64, u64, u64)], reference: (u64, u64)) 
 
 /// Transient storage-fault schedules on the threaded engine.
 fn threaded_storage_chaos(nodes: usize, seeds: Range<u64>) {
-    let want = threaded_reference(nodes);
+    let want = reference::<Threads>(nodes);
     let mut faults = 0usize;
     for seed in seeds {
         let stats = threaded_schedule(CHAOS_THREADED, seed, nodes, want);
@@ -199,7 +188,7 @@ fn threaded_storage_chaos(nodes: usize, seeds: Range<u64>) {
 
 #[test]
 fn des_chaos_schedules_preserve_mesh_and_invariants() {
-    des_storage_chaos(2, 0..14, des_reference(2));
+    des_storage_chaos(2, 0..14, reference::<Des>(2));
 }
 
 #[test]
@@ -211,7 +200,7 @@ fn threaded_chaos_schedules_preserve_mesh_and_invariants() {
 fn enospc_window_degrades_and_recovers_des() {
     // Windows open at the first store op and mid-run.
     let windows = [(1, 0, 8), (2, 0, 8), (3, 0, 8), (1, 4, 6), (2, 4, 6)];
-    des_enospc(2, &windows, des_reference(2));
+    des_enospc(2, &windows, reference::<Des>(2));
 }
 
 #[test]
@@ -226,7 +215,7 @@ fn enospc_window_degrades_and_recovers_threaded() {
     let mut cfg = MrtsConfig::out_of_core(2, BUDGET).with_faults(plan);
     cfg.spill_dir = Some(dir.clone());
     let (sink, races) = (chk.clone(), det.clone());
-    let r = opcdm_run_threaded_with(&harness::params(2), cfg, move |rt| {
+    let r = opcdm_run_with::<Threads>(&harness::params(2), cfg, move |rt| {
         rt.attach_audit(sink);
         rt.attach_race_detector(races);
     });
@@ -242,7 +231,7 @@ fn enospc_window_degrades_and_recovers_threaded() {
 
 #[test]
 fn des_chaos_schedules_at_16_nodes() {
-    let reference = des_reference(16);
+    let reference = reference::<Des>(16);
     des_storage_chaos(16, 0..4, reference);
     // From store op 0: at 16 nodes a node's store-op count may stay in the
     // low single digits, and a window nobody enters fails as vacuous.
@@ -339,29 +328,23 @@ fn ping_payload(hops: u64) -> Vec<u8> {
     w.finish()
 }
 
-#[test]
-fn load_exhaustion_is_typed_error_des() {
-    let mut rt = DesRuntime::new(pad_cfg());
+/// Two pads ping each other through a one-node cluster that cannot hold
+/// both; the first reload fails for good.
+fn load_exhaustion<E: Engine>(spill_dir: Option<PathBuf>) {
+    let mut cfg = pad_cfg();
+    cfg.spill_dir = spill_dir;
+    let mut rt = Runtime::<E>::new(cfg);
     rt.register_type(PAD_TAG, Pad::decode);
     rt.register_handler(H_PING, "ping", h_ping);
     let a = MobilePtr::new(ObjectId::new(0, 0));
     let b = MobilePtr::new(ObjectId::new(0, 1));
-    rt.create_object(
-        0,
-        Box::new(Pad {
-            peer: Some(b),
-            data: vec![0x11; 2_500],
-        }),
-        128,
-    );
-    rt.create_object(
-        0,
-        Box::new(Pad {
-            peer: Some(a),
-            data: vec![0x22; 2_500],
-        }),
-        128,
-    );
+    for (peer, fill) in [(b, 0x11), (a, 0x22)] {
+        let pad = Pad {
+            peer: Some(peer),
+            data: vec![fill; 2_500],
+        };
+        rt.create_object(0, Box::new(pad), 128);
+    }
     rt.post(a, H_PING, ping_payload(6));
     match rt.try_run() {
         Err(MrtsError::LoadFailed { attempts, .. }) => {
@@ -372,40 +355,15 @@ fn load_exhaustion_is_typed_error_des() {
 }
 
 #[test]
+fn load_exhaustion_is_typed_error_des() {
+    load_exhaustion::<Des>(None);
+}
+
+#[test]
 fn load_exhaustion_is_typed_error_threaded() {
     let dir = tmp("exhaust");
-    let mut cfg = pad_cfg();
-    cfg.spill_dir = Some(dir.clone());
-    let mut rt = ThreadedRuntime::new(cfg);
-    rt.register_type(PAD_TAG, Pad::decode);
-    rt.register_handler(H_PING, "ping", h_ping);
-    let a = MobilePtr::new(ObjectId::new(0, 0));
-    let b = MobilePtr::new(ObjectId::new(0, 1));
-    rt.create_object(
-        0,
-        Box::new(Pad {
-            peer: Some(b),
-            data: vec![0x11; 2_500],
-        }),
-        128,
-    );
-    rt.create_object(
-        0,
-        Box::new(Pad {
-            peer: Some(a),
-            data: vec![0x22; 2_500],
-        }),
-        128,
-    );
-    rt.post(a, H_PING, ping_payload(6));
-    let res = rt.try_run();
+    load_exhaustion::<Threads>(Some(dir.clone()));
     let _ = std::fs::remove_dir_all(dir);
-    match res {
-        Err(MrtsError::LoadFailed { attempts, .. }) => {
-            assert!(attempts >= 1, "error must report the attempts made");
-        }
-        other => panic!("expected LoadFailed, got {other:?}"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -440,38 +398,16 @@ fn phase2_posts(cp: &Checkpoint) -> impl Iterator<Item = (MobilePtr, HandlerId)>
     })
 }
 
-/// Phase 2 from a checkpoint on a cluster of `nodes` workers. Homes wrap
-/// modulo the cluster size, so a checkpoint taken on two nodes restores
-/// cleanly onto one (the crash re-homing path).
-fn run_phase2_on(cp: &Checkpoint, spill: PathBuf, nodes: usize) -> (u64, u64) {
-    let mut cfg = MrtsConfig::out_of_core(nodes, 300_000);
-    cfg.spill_dir = Some(spill.clone());
-    let mut rt = ThreadedRuntime::new(cfg);
-    register_threaded(&mut rt);
-    rt.register_handler(H_RETUNE, "retune", h_retune);
-    cp.restore_into_threaded(&mut rt);
-    for (ptr, handler) in phase2_posts(cp) {
-        rt.post(ptr, handler, Vec::new());
-    }
-    rt.run();
-    let counts = opcdm_collect_threaded(&rt);
-    let _ = std::fs::remove_dir_all(spill);
-    counts
-}
-
-fn run_phase2(cp: &Checkpoint, spill: PathBuf) -> (u64, u64) {
-    run_phase2_on(cp, spill, 2)
-}
-
-/// Phase 2 on the virtual-time engine with a reproducible schedule:
-/// `(canonical mesh digest, elements)`.
-fn run_phase2_deterministic(cp: &Checkpoint) -> (u64, u64) {
-    let mut cfg = MrtsConfig::out_of_core(2, 300_000);
-    cfg.deterministic_compute = true;
-    let mut rt = DesRuntime::new(cfg);
+/// Phase 2 from a checkpoint under `cfg` on engine `E`: `(canonical mesh
+/// digest, elements)`. Homes wrap modulo the cluster size, so a checkpoint
+/// taken on two nodes restores cleanly onto one (the crash re-homing
+/// path).
+fn phase2<E: Engine>(cp: &Checkpoint, cfg: MrtsConfig) -> (u64, u64) {
+    let spill = cfg.spill_dir.clone();
+    let mut rt = Runtime::<E>::new(cfg);
     register(&mut rt);
     rt.register_handler(H_RETUNE, "retune", h_retune);
-    let mut rt = cp.restore_into(rt);
+    cp.restore_into(&mut rt);
     for (ptr, handler) in phase2_posts(cp) {
         rt.post(ptr, handler, Vec::new());
     }
@@ -482,7 +418,26 @@ fn run_phase2_deterministic(cp: &Checkpoint) -> (u64, u64) {
             elements += so.sd.mesh.num_tris() as u64;
         }
     });
-    (opcdm_digest(&mut rt), elements)
+    let digest = opcdm_digest(&rt);
+    drop(rt);
+    if let Some(dir) = spill {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    (digest, elements)
+}
+
+/// Phase 2 on `nodes` threaded workers spilling under `spill`.
+fn run_phase2_on(cp: &Checkpoint, spill: PathBuf, nodes: usize) -> (u64, u64) {
+    let mut cfg = MrtsConfig::out_of_core(nodes, 300_000);
+    cfg.spill_dir = Some(spill);
+    phase2::<Threads>(cp, cfg)
+}
+
+/// Phase 2 on the virtual-time engine with a reproducible schedule.
+fn run_phase2_deterministic(cp: &Checkpoint) -> (u64, u64) {
+    let mut cfg = MrtsConfig::out_of_core(2, 300_000);
+    cfg.deterministic_compute = true;
+    phase2::<Des>(cp, cfg)
 }
 
 #[test]
@@ -491,7 +446,7 @@ fn kill_between_phases_recovers_identical_mesh() {
     let spill1 = tmp("kill-p1");
     let mut cfg = MrtsConfig::out_of_core(2, 300_000);
     cfg.spill_dir = Some(spill1.clone());
-    let mut rt = opcdm_setup_threaded(&p, cfg);
+    let mut rt = opcdm_setup::<Threads>(&p, cfg, |_| {});
     rt.run();
     let cp = rt.checkpoint();
     assert!(!cp.objects.is_empty());
@@ -633,34 +588,34 @@ fn duplicate_storm(nodes: usize, want: (u64, u64)) {
 
 #[test]
 fn des_net_chaos_schedules_preserve_mesh_and_counters() {
-    des_net_chaos(2, 0..20, des_reference(2));
+    des_net_chaos(2, 0..20, reference::<Des>(2));
 }
 
 #[test]
 fn des_partition_windows_heal() {
-    des_partitions(2, &[1, 2, 3], des_reference(2));
+    des_partitions(2, &[1, 2, 3], reference::<Des>(2));
 }
 
 #[test]
 fn threaded_net_chaos_schedules_preserve_mesh_and_counters() {
-    threaded_net_chaos(2, 0..20, threaded_reference(2));
+    threaded_net_chaos(2, 0..20, reference::<Threads>(2));
 }
 
 #[test]
 fn duplicate_storm_executes_handlers_exactly_once() {
-    duplicate_storm(2, threaded_reference(2));
+    duplicate_storm(2, reference::<Threads>(2));
 }
 
 #[test]
 fn des_net_chaos_schedules_at_16_nodes() {
-    let reference = des_reference(16);
+    let reference = reference::<Des>(16);
     des_net_chaos(16, 0..4, reference);
     des_partitions(16, &[1], reference);
 }
 
 #[test]
 fn threaded_net_chaos_schedules_at_16_nodes() {
-    let want = threaded_reference(16);
+    let want = reference::<Threads>(16);
     threaded_net_chaos(16, 0..2, want);
     duplicate_storm(16, want);
 }
@@ -869,14 +824,14 @@ fn node_crash_rehomes_from_checkpoint_onto_survivors() {
     let spill1 = tmp("net-kill-p1");
     let mut cfg = MrtsConfig::out_of_core(2, 300_000);
     cfg.spill_dir = Some(spill1.clone());
-    let mut rt = opcdm_setup_threaded(&p, cfg);
+    let mut rt = opcdm_setup::<Threads>(&p, cfg, |_| {});
     rt.run();
     let cp = rt.checkpoint();
     drop(rt);
     let _ = std::fs::remove_dir_all(spill1);
     assert!(!cp.objects.is_empty());
 
-    let uninterrupted = run_phase2(&cp, tmp("net-kill-ref"));
+    let uninterrupted = run_phase2_on(&cp, tmp("net-kill-ref"), 2);
 
     // Crashed attempt: node 1 goes silent 25 handlers into phase 2 while
     // the fabric drops and duplicates. The heartbeat keeps both nodes
@@ -891,10 +846,10 @@ fn node_crash_rehomes_from_checkpoint_onto_survivors() {
     let mut cfg = MrtsConfig::out_of_core(2, 300_000).with_net_faults(plan);
     cfg.spill_dir = Some(spill2.clone());
     let mut rt = ThreadedRuntime::new(cfg);
-    register_threaded(&mut rt);
+    register(&mut rt);
     rt.register_handler(H_RETUNE, "retune", h_retune);
     rt.register_handler(H_CHAT, "chat", h_chat);
-    cp.restore_into_threaded(&mut rt);
+    cp.restore_into(&mut rt);
     for (ptr, handler) in phase2_posts(&cp) {
         rt.post(ptr, handler, Vec::new());
     }

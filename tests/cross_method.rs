@@ -10,6 +10,7 @@ use pumg::methods::ooc_updr::oupdr_run;
 use pumg::methods::pcdm::{pcdm_incore, PcdmParams};
 use pumg::methods::updr::{updr_incore, UpdrParams};
 use pumg::mrts::config::MrtsConfig;
+use pumg::mrts::des::Des;
 
 const BIG: u64 = 1 << 34; // "infinite" per-PE memory for baselines
 
@@ -67,7 +68,7 @@ fn ports_track_their_baselines_in_core() {
     // machinery, so the counts must match and the time must be close.
     let p = UpdrParams::new(Workload::uniform_square(3000), 2);
     let base = updr_incore(&p, 4, BIG).unwrap();
-    let port = oupdr_run(&p, MrtsConfig::in_core(4));
+    let port = oupdr_run::<Des>(&p, MrtsConfig::in_core(4));
     // Element counts track the baseline tightly but not bit-exactly: the
     // runtime's interface-point exchanges arrive in measured-duration
     // order, and Ruppert refinement is insertion-order sensitive, so a
@@ -103,7 +104,7 @@ fn out_of_core_ports_complete_where_baselines_die() {
         baseline.is_err(),
         "baseline should exhaust 2x{budget_per_node}B"
     );
-    let port = opcdm_run(&p, MrtsConfig::out_of_core(2, budget_per_node as usize));
+    let port = opcdm_run::<Des>(&p, MrtsConfig::out_of_core(2, budget_per_node as usize));
     assert!(port.elements > 10_000);
     assert!(
         port.stats.total_of(|n| n.stores) > 0,
@@ -115,9 +116,9 @@ fn out_of_core_ports_complete_where_baselines_die() {
 #[test]
 fn onupdr_out_of_core_tracks_in_core_counts() {
     let params = NupdrParams::new(graded(5000));
-    let incore = onupdr_run(&params, MrtsConfig::in_core(2), OnupdrOpts::default());
+    let incore = onupdr_run::<Des>(&params, MrtsConfig::in_core(2), OnupdrOpts::default());
     let budget = (incore.stats.peak_mem() / 4).max(60_000);
-    let ooc = onupdr_run(
+    let ooc = onupdr_run::<Des>(
         &params,
         MrtsConfig::out_of_core(2, budget),
         OnupdrOpts::default(),
@@ -142,7 +143,7 @@ fn speed_metric_roughly_flat_across_sizes() {
     let mut speeds = Vec::new();
     for elements in [2000u64, 4000, 8000] {
         let p = PcdmParams::new(Workload::uniform_square(elements), 2);
-        let r = opcdm_run(&p, MrtsConfig::in_core(4));
+        let r = opcdm_run::<Des>(&p, MrtsConfig::in_core(4));
         speeds.push(r.speed());
     }
     let max = speeds.iter().cloned().fold(0.0f64, f64::max);

@@ -2,12 +2,14 @@
 //! overlap, budgets, swap policies, threaded-engine parity.
 
 use pumg::methods::domain::Workload;
-use pumg::methods::ooc_pcdm::{opcdm_run, opcdm_run_threaded};
+use pumg::methods::ooc_pcdm::opcdm_run;
 use pumg::methods::ooc_updr::oupdr_run;
 use pumg::methods::pcdm::PcdmParams;
 use pumg::methods::updr::UpdrParams;
 use pumg::mrts::config::MrtsConfig;
+use pumg::mrts::des::Des;
 use pumg::mrts::policy::PolicyKind;
+use pumg::mrts::threaded::Threads;
 
 #[test]
 fn overlap_emerges_on_large_ooc_runs() {
@@ -21,7 +23,7 @@ fn overlap_emerges_on_large_ooc_runs() {
     let budget = 120_000usize;
     let mut cfg = MrtsConfig::out_of_core(4, budget);
     cfg.compute_scale = 32.0;
-    let r = oupdr_run(&p, cfg);
+    let r = oupdr_run::<Des>(&p, cfg);
     assert!(r.stats.disk_pct() > 3.0, "{}", r.stats.summary());
     assert!(
         r.stats.overlap_pct() > 0.0,
@@ -34,7 +36,7 @@ fn overlap_emerges_on_large_ooc_runs() {
 fn peak_memory_respects_budget_with_slack() {
     let p = UpdrParams::new(Workload::uniform_square(16_000), 6);
     let budget = 120_000usize;
-    let r = oupdr_run(&p, MrtsConfig::out_of_core(4, budget));
+    let r = oupdr_run::<Des>(&p, MrtsConfig::out_of_core(4, budget));
     assert!(r.stats.total_of(|n| n.stores) > 0);
     // The hard threshold may overshoot by roughly one largest object; 3x
     // is the failure line.
@@ -49,9 +51,9 @@ fn peak_memory_respects_budget_with_slack() {
 fn all_swap_policies_complete_correctly() {
     let p = PcdmParams::new(Workload::uniform_square(8_000), 3);
     let budget = 70_000usize;
-    let reference = opcdm_run(&p, MrtsConfig::in_core(2)).elements;
+    let reference = opcdm_run::<Des>(&p, MrtsConfig::in_core(2)).elements;
     for policy in PolicyKind::ALL {
-        let r = opcdm_run(&p, MrtsConfig::out_of_core(2, budget).with_policy(policy));
+        let r = opcdm_run::<Des>(&p, MrtsConfig::out_of_core(2, budget).with_policy(policy));
         // Out-of-core queueing can reorder refine/split handling, and
         // Delaunay refinement is order-dependent in its Steiner choices —
         // the meshes are equally valid but may differ by a few elements.
@@ -75,11 +77,11 @@ fn threaded_engine_produces_identical_mesh() {
     // The same OPCDM application on real OS threads with real spill files
     // must produce exactly the mesh the virtual-time engine produced.
     let p = PcdmParams::new(Workload::uniform_square(6_000), 2);
-    let des = opcdm_run(&p, MrtsConfig::in_core(2));
+    let des = opcdm_run::<Des>(&p, MrtsConfig::in_core(2));
     let mut cfg = MrtsConfig::out_of_core(2, 300_000);
     cfg.spill_dir = Some(std::env::temp_dir().join(format!("mrts-parity-{}", std::process::id())));
     let spill = cfg.spill_dir.clone().unwrap();
-    let threaded = opcdm_run_threaded(&p, cfg);
+    let threaded = opcdm_run::<Threads>(&p, cfg);
     assert_eq!(des.elements, threaded.elements);
     assert_eq!(des.vertices, threaded.vertices);
     let _ = std::fs::remove_dir_all(spill);
@@ -92,7 +94,7 @@ fn prefetch_overlaps_loads_with_compute() {
     let p = UpdrParams::new(Workload::uniform_square(24_000), 6);
     let mut cfg = MrtsConfig::out_of_core(4, 120_000);
     cfg.compute_scale = 32.0;
-    let r = oupdr_run(&p, cfg);
+    let r = oupdr_run::<Des>(&p, cfg);
     let stats = &r.stats;
     let loads = stats.total_of(|n| n.loads);
     assert!(
@@ -125,7 +127,7 @@ fn prefetch_pacing_respects_budget_under_pressure() {
     // against the same budget as demand loads).
     let p = PcdmParams::new(Workload::uniform_square(8_000), 3);
     let budget = 70_000usize;
-    let r = opcdm_run(&p, MrtsConfig::out_of_core(2, budget));
+    let r = opcdm_run::<Des>(&p, MrtsConfig::out_of_core(2, budget));
     assert!(r.stats.total_of(|n| n.stores) > 0);
     assert!(
         r.stats.peak_mem() < 3 * budget,
@@ -145,10 +147,10 @@ fn wider_disk_pipeline_never_slows_the_des() {
     // slower than one on the same deterministic OOC workload.
     let p = PcdmParams::new(Workload::uniform_square(8_000), 3);
     let budget = 70_000usize;
-    let t1 = opcdm_run(&p, MrtsConfig::out_of_core(2, budget).with_io_threads(1))
+    let t1 = opcdm_run::<Des>(&p, MrtsConfig::out_of_core(2, budget).with_io_threads(1))
         .stats
         .total;
-    let t2 = opcdm_run(&p, MrtsConfig::out_of_core(2, budget).with_io_threads(2))
+    let t2 = opcdm_run::<Des>(&p, MrtsConfig::out_of_core(2, budget).with_io_threads(2))
         .stats
         .total;
     assert!(
@@ -162,8 +164,8 @@ fn more_nodes_means_less_virtual_time() {
     // Node-level scaling in the virtual-time model: same OOC workload on
     // more nodes finishes sooner (the sub-linear scaling of the paper).
     let p = PcdmParams::new(Workload::uniform_square(16_000), 4);
-    let t2 = opcdm_run(&p, MrtsConfig::in_core(2)).stats.total;
-    let t8 = opcdm_run(&p, MrtsConfig::in_core(8)).stats.total;
+    let t2 = opcdm_run::<Des>(&p, MrtsConfig::in_core(2)).stats.total;
+    let t8 = opcdm_run::<Des>(&p, MrtsConfig::in_core(8)).stats.total;
     assert!(t8 < t2, "8 nodes ({t8:?}) must beat 2 nodes ({t2:?})");
     let speedup = t2.as_secs_f64() / t8.as_secs_f64();
     assert!(

@@ -181,7 +181,7 @@ fn threaded_under_replay_matches_des_mesh() {
     // (tests/ooc_behavior.rs) survives replay: the same fault-free config
     // pair, with the threaded side re-executed under a recorded decision
     // log, still produces exactly the virtual-time engine's mesh.
-    let des = opcdm_run(&harness::params(NODES), MrtsConfig::in_core(NODES));
+    let des = opcdm_run::<Des>(&harness::params(NODES), MrtsConfig::in_core(NODES));
     let parity_cfg = || {
         let mut cfg = MrtsConfig::out_of_core(NODES, 300_000).with_io_threads(1);
         cfg.spill_dir = Some(harness::spill_dir());

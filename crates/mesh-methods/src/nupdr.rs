@@ -10,7 +10,7 @@
 //! Data distribution follows the point-set model (see DESIGN.md §3): a
 //! leaf owns the Steiner points inside its box; a worker materializes the
 //! constrained triangulation of the leaf ∪ buffer region from those
-//! points, refines restricted to the leaf box, and returns the (possibly
+//! points, refines within the leaf's reach, and returns the (possibly
 //! grown) owned point set plus the circumcenters of remaining bad
 //! triangles — which the master maps to leaves and re-queues. Conformity
 //! between neighboring leaves follows from the uniqueness of the Delaunay
@@ -22,6 +22,7 @@ use crate::region::{count_owned_triangles, mesh_region};
 use mrts::config::NetModel;
 use pumg_delaunay::mesh::VFlags;
 use pumg_delaunay::refine::{refine_region, RefineParams};
+use pumg_delaunay::TriMesh;
 use pumg_geometry::{circumcenter, BBox, Point2, TriangleQuality};
 use pumg_quadtree::{NodeId as QNodeId, QuadTree};
 use std::collections::VecDeque;
@@ -151,28 +152,29 @@ pub fn leaf_task(
     let mut mesh = mesh_region(&workload.domain, &leaf.region)?;
     // Sort the carried points so the reconstruction is independent of the
     // order buffers were collected in (message arrival order differs
-    // between the baseline and the MRTS port).
+    // between the baseline and the MRTS port). Curve order keeps each walk
+    // short; the curve's frame is the domain's, shared by every leaf, so
+    // neighbours insert the points they share in the same order.
+    let domain_bbox = workload.domain.bbox();
     let mut pts: Vec<Point2> = input_points.collect();
-    pts.sort_by_key(|a| (a.x.to_bits(), a.y.to_bits()));
+    pts.sort_unstable_by_key(|a| (morton_key(*a, &domain_bbox), a.x.to_bits(), a.y.to_bits()));
     pts.dedup();
     for p in pts {
         mesh.insert_point(p, VFlags(VFlags::STEINER));
     }
     let bbox = leaf.bbox;
     let sizing = workload.sizing;
-    // Refine the whole region, but to a *scratch sizing* that matches the
-    // true field in and near the leaf and coarsens with distance:
-    // h'(p) = max(h(p), dist(p, leaf)/2). Only leaf-owned points persist;
-    // the coarse far-field points are deterministic scratch, so the leaf
-    // pays full cost only for its own area.
+    // Refine to a *scratch sizing* that matches the true field in and near
+    // the leaf and coarsens with distance: h'(p) = max(h(p), dist(p,
+    // leaf)/2). Only leaf-owned points persist; the coarse far-field points
+    // are deterministic scratch, so the leaf pays full cost only for its
+    // own area.
     let scratch = pumg_delaunay::sizing::SizingField::Custom(std::sync::Arc::new(move |p| {
         sizing.size_at(p).max(dist_to_bbox(p, &bbox) / 2.0)
     }));
     let mut params = RefineParams::with_sizing(scratch);
     params.min_edge_len = workload.sizing.min_size() * 0.05;
-    refine_region(&mut mesh, &params, |_| true);
 
-    let domain_bbox = workload.domain.bbox();
     let closed_x = bbox.max.x >= domain_bbox.max.x;
     let closed_y = bbox.max.y >= domain_bbox.max.y;
     let owns = |p: Point2| {
@@ -180,6 +182,30 @@ pub fn leaf_task(
         let y_ok = p.y >= bbox.min.y && (p.y < bbox.max.y || (closed_y && p.y <= bbox.max.y));
         x_ok && y_ok
     };
+    let min_edge_sq = params.min_edge_len * params.min_edge_len;
+    let owned_bad = |mesh: &TriMesh| {
+        mesh.tri_ids().filter(|&t| owns(mesh.centroid(t))).any(|t| {
+            let [a, b, c] = mesh.tri_points(t);
+            let q = TriangleQuality::of(a, b, c);
+            q.shortest_edge_sq >= min_edge_sq
+                && circumcenter(a, b, c).is_some_and(|cc| {
+                    q.is_skinny(params.max_ratio) || q.is_oversized(params.sizing.size_at(cc))
+                })
+        })
+    };
+    // Refine only within the leaf's reach: its extent, which the split
+    // rule keeps above 4h, covers the reporting band (2h) plus one
+    // circumcircle, so a point beyond it cannot change a refined owned
+    // triangle or a reported bad circumcenter. A leaf that starts from
+    // few points can still have an owned triangle whose fix lies beyond
+    // the reach; the reach then doubles until none is left (DESIGN.md,
+    // "NUPDR leaf reach").
+    let mut reach = bbox.max_extent();
+    while refine_region(&mut mesh, &params, |p| dist_to_bbox(p, &bbox) <= reach).skipped_region > 0
+        && owned_bad(&mesh)
+    {
+        reach *= 2.0;
+    }
 
     let mut owned_points = Vec::new();
     let mut owned_verts = 0;
@@ -226,6 +252,24 @@ pub fn leaf_task(
     })
 }
 
+/// Position of `p` on the Z-order (Morton) curve over `frame`: each
+/// coordinate quantized to 32 bits, the bits interleaved.
+fn morton_key(p: Point2, frame: &BBox) -> u64 {
+    fn quantize(v: f64, lo: f64, extent: f64) -> u64 {
+        (((v - lo) / extent).clamp(0.0, 1.0) * f64::from(u32::MAX)) as u64
+    }
+    fn spread(mut x: u64) -> u64 {
+        x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+        x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+        x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+        x = (x | x << 2) & 0x3333_3333_3333_3333;
+        (x | x << 1) & 0x5555_5555_5555_5555
+    }
+    let x = quantize(p.x, frame.min.x, frame.width());
+    let y = quantize(p.y, frame.min.y, frame.height());
+    spread(x) | spread(y) << 1
+}
+
 /// Distance from a point to a box (0 inside).
 pub fn dist_to_bbox(p: Point2, b: &BBox) -> f64 {
     let dx = (b.min.x - p.x).max(0.0).max(p.x - b.max.x);
@@ -251,6 +295,39 @@ pub fn nupdr_incore_scaled(
     mem_per_pe: u64,
     compute_scale: f64,
 ) -> Result<MethodResult, MethodError> {
+    master(params, pes, mem_per_pe, compute_scale).map(|(result, _)| result)
+}
+
+/// [`nupdr_incore`] that also returns every leaf's final owned point set,
+/// indexed like [`build_leaves`]'s list — the input of a union-mesh check.
+pub fn nupdr_incore_points(
+    params: &NupdrParams,
+    pes: usize,
+    mem_per_pe: u64,
+) -> Result<(MethodResult, Vec<Vec<Point2>>), MethodError> {
+    master(params, pes, mem_per_pe, 1.0)
+}
+
+/// The points of `new` that are not in `old`, in `new`'s order. Compares
+/// like `==` on points (`-0.0` is `0.0`) with one sorted copy of `old`.
+pub(crate) fn points_not_in(new: &[Point2], old: &[Point2]) -> Vec<Point2> {
+    // Adding +0.0 turns -0.0 into +0.0, so equal coordinates share bits.
+    let bits = |p: &Point2| ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits());
+    let mut old: Vec<(u64, u64)> = old.iter().map(bits).collect();
+    old.sort_unstable();
+    new.iter()
+        .copied()
+        .filter(|p| old.binary_search(&bits(p)).is_err())
+        .collect()
+}
+
+/// The master loop of the in-core baseline.
+fn master(
+    params: &NupdrParams,
+    pes: usize,
+    mem_per_pe: u64,
+    compute_scale: f64,
+) -> Result<(MethodResult, Vec<Vec<Point2>>), MethodError> {
     let (tree, leaves) = build_leaves(params);
     if leaves.is_empty() {
         return Err(MethodError::BadWorkload(
@@ -304,19 +381,14 @@ pub fn nupdr_incore_scaled(
         leaf_mem[li] = out.mesh_footprint as u64;
         sim.alloc(leaf_mem[li])?;
 
-        let new_points: Vec<Point2> = out
-            .owned_points
-            .iter()
-            .copied()
-            .filter(|p| !points[li].contains(p))
-            .collect();
+        let new_points = points_not_in(&out.owned_points, &points[li]);
         let grew = !new_points.is_empty();
         if grew {
             stale[li] = 0;
         } else {
             stale[li] += 1;
         }
-        points[li] = out.owned_points.clone();
+        points[li] = out.owned_points;
         elems[li] = out.owned_tris;
         verts[li] = out.owned_verts;
 
@@ -350,11 +422,12 @@ pub fn nupdr_incore_scaled(
         }
     }
 
-    Ok(MethodResult {
+    let result = MethodResult {
         elements: elems.iter().sum(),
         vertices: verts.iter().sum(),
         stats: sim.into_stats(),
-    })
+    };
+    Ok((result, points))
 }
 
 #[cfg(test)]
@@ -429,6 +502,58 @@ mod tests {
             out.owned_points.len(),
             out2.owned_points.len()
         );
+    }
+
+    /// `leaf_task` sorts and deduplicates what it is given, so the order
+    /// buffers arrive in (and a point carried twice) cannot change its
+    /// output: a leaf's second round, fed its own and its buffer's points,
+    /// gives byte-identical results from shuffled input.
+    #[test]
+    fn leaf_task_ignores_input_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let p = graded_square(4000);
+        let (_, leaves) = build_leaves(&p);
+        let leaf = leaves.iter().max_by_key(|l| l.buffer.len()).unwrap();
+        let mut input = Vec::new();
+        for &i in std::iter::once(&leaf.idx).chain(&leaf.buffer) {
+            let out = leaf_task(&p.workload, &leaves[i], std::iter::empty()).unwrap();
+            input.extend_from_slice(&out.owned_points);
+        }
+        assert!(input.len() > 100, "only {} carried points", input.len());
+        let mut shuffled = input.clone();
+        shuffled.extend_from_slice(&input[..input.len() / 3]);
+        let mut rng = StdRng::seed_from_u64(5);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let a = leaf_task(&p.workload, leaf, input.into_iter()).unwrap();
+        let b = leaf_task(&p.workload, leaf, shuffled.into_iter()).unwrap();
+        let bits = |pts: &[Point2]| -> Vec<(u64, u64)> {
+            pts.iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect()
+        };
+        assert_eq!(bits(&a.owned_points), bits(&b.owned_points));
+        assert_eq!(bits(&a.bad_ccs), bits(&b.bad_ccs));
+        assert_eq!(
+            (a.owned_tris, a.owned_verts, a.mesh_footprint),
+            (b.owned_tris, b.owned_verts, b.mesh_footprint)
+        );
+    }
+
+    #[test]
+    fn points_not_in_matches_a_linear_scan() {
+        let pt = |x: f64, y: f64| Point2::new(x, y);
+        let old = vec![pt(0.5, 0.5), pt(0.0, 1.0), pt(0.25, 0.75), pt(1.0, 0.0)];
+        let new = vec![
+            pt(0.9, 0.1),
+            pt(-0.0, 1.0),
+            pt(0.25, 0.75),
+            pt(0.1, 0.2),
+            pt(0.5, 0.5),
+            pt(0.3, 0.3),
+        ];
+        let linear: Vec<Point2> = new.iter().copied().filter(|p| !old.contains(p)).collect();
+        assert_eq!(points_not_in(&new, &old), linear);
+        assert_eq!(linear, vec![pt(0.9, 0.1), pt(0.1, 0.2), pt(0.3, 0.3)]);
     }
 
     #[test]

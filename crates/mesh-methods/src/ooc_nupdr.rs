@@ -23,7 +23,7 @@ use crate::common::{
     put_workload, MethodResult,
 };
 use crate::domain::Workload;
-use crate::nupdr::{build_leaves, leaf_task, LeafInfo, NupdrParams};
+use crate::nupdr::{build_leaves, leaf_task, points_not_in, LeafInfo, NupdrParams};
 use mrts::codec::Truncated;
 use mrts::codec::{PayloadReader, PayloadWriter};
 use mrts::config::MrtsConfig;
@@ -525,12 +525,7 @@ fn do_refine(l: &mut LeafObj, ctx: &mut Ctx) {
     let (grew, new_points, bad_ccs) = match out {
         None => (false, Vec::new(), Vec::new()),
         Some(out) => {
-            let new_points: Vec<Point2> = out
-                .owned_points
-                .iter()
-                .copied()
-                .filter(|p| !l.points.contains(p))
-                .collect();
+            let new_points = points_not_in(&out.owned_points, &l.points);
             l.points = out.owned_points;
             l.elems = out.owned_tris;
             l.verts = out.owned_verts;

@@ -45,7 +45,7 @@ impl VFlags {
 }
 
 /// One triangle of the arena.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tri {
     /// Vertices in CCW order; `v[0] == NO_VERT` marks a dead (freed) slot.
     pub v: [VId; 3],

@@ -12,11 +12,16 @@
 //! so the predicates' filters give up and the exact fallback builds its
 //! expansions on the heap. That path is cold by construction and not what
 //! this guard is about.
+//!
+//! The wire decoder is held to the other side of the same rule: a header
+//! whose counts the buffer cannot hold is rejected before any arena is
+//! allocated.
 
 use pumg_delaunay::builder::MeshBuilder;
 use pumg_delaunay::mesh::{TriMesh, VFlags};
 use pumg_delaunay::refine::{refine, RefineParams};
 use pumg_delaunay::sizing::SizingField;
+use pumg_delaunay::wire::WireError;
 use pumg_geometry::Point2;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -192,4 +197,20 @@ fn refine_allocates_only_to_grow_scratch() {
         "inserting {} circumcenters allocated {n} times (budget {budget})",
         report.inserted
     );
+}
+
+#[test]
+fn decode_rejects_a_hostile_header_before_allocating() {
+    // The 12-byte header of an empty mesh, then claims of huge counts.
+    let empty = TriMesh::new().encode();
+    let header: [u8; 12] = empty[..].try_into().unwrap();
+    for (nv, nt) in [(0, u32::MAX), (u32::MAX, 0), (u32::MAX, u32::MAX)] {
+        let mut buf = header;
+        buf[4..8].copy_from_slice(&nv.to_le_bytes());
+        buf[8..12].copy_from_slice(&nt.to_le_bytes());
+        let mut got = None;
+        let n = allocations(|| got = Some(TriMesh::decode(&buf).map(|_| ())));
+        assert_eq!(got, Some(Err(WireError::Truncated)));
+        assert_eq!(n, 0, "nv = {nv}, nt = {nt}: {n} allocations");
+    }
 }

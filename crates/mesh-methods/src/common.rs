@@ -61,39 +61,48 @@ impl MethodResult {
 
 // ----- point-set payloads ---------------------------------------------------
 
-/// The body of a point batch: count, then coordinates.
-fn write_points(w: &mut PayloadWriter, pts: &[Point2]) {
-    w.u32(pts.len() as u32);
-    for p in pts {
-        w.f64(p.x).f64(p.y);
+/// The body of a point batch, appended to `buf`: count, then coordinates,
+/// written as 16-byte records into a buffer grown once.
+fn write_points(buf: &mut Vec<u8>, pts: &[Point2]) {
+    let start = buf.len();
+    buf.resize(start + 4 + 16 * pts.len(), 0);
+    let (count, recs) = buf[start..].split_at_mut(4);
+    count.copy_from_slice(&(pts.len() as u32).to_le_bytes());
+    for (rec, p) in recs.chunks_exact_mut(16).zip(pts) {
+        rec[..8].copy_from_slice(&p.x.to_le_bytes());
+        rec[8..].copy_from_slice(&p.y.to_le_bytes());
     }
 }
 
 /// Encode a point batch (the data unit UPDR/NUPDR ship between blocks).
 pub fn encode_point_batch(pts: &[Point2]) -> Vec<u8> {
-    let mut w = PayloadWriter::with_capacity(8 + pts.len() * 16);
-    write_points(&mut w, pts);
-    w.finish()
+    let mut buf = Vec::new();
+    write_points(&mut buf, pts);
+    buf
 }
 
 /// Append a point batch as a length-prefixed block — the same bytes as
 /// `w.bytes(&encode_point_batch(pts))`, written in place.
 pub fn put_point_batch(w: &mut PayloadWriter, pts: &[Point2]) {
-    w.u32((4 + pts.len() * 16) as u32);
-    write_points(w, pts);
+    w.bytes_with(|buf| write_points(buf, pts));
 }
 
-/// Inverse of [`encode_point_batch`].
+/// Inverse of [`encode_point_batch`]. The count is checked against the
+/// bytes present before the output is allocated, which then has exactly
+/// that many points; trailing bytes are ignored.
 pub fn decode_point_batch(buf: &[u8]) -> Result<Vec<Point2>, Truncated> {
-    let mut r = PayloadReader::new(buf);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 22));
-    for _ in 0..n {
-        let x = r.f64()?;
-        let y = r.f64()?;
-        out.push(Point2::new(x, y));
-    }
-    Ok(out)
+    let (count, recs) = buf.split_first_chunk::<4>().ok_or(Truncated)?;
+    let n = u32::from_le_bytes(*count) as usize;
+    let recs = recs
+        .get(..n.checked_mul(16).ok_or(Truncated)?)
+        .ok_or(Truncated)?;
+    let f64_at = |rec: &[u8], at: usize| {
+        f64::from_le_bytes(rec[at..at + 8].try_into().expect("an 8-byte field"))
+    };
+    Ok(recs
+        .chunks_exact(16)
+        .map(|rec| Point2::new(f64_at(rec, 0), f64_at(rec, 8)))
+        .collect())
 }
 
 /// Wire size of a point batch (for comm charging in the baselines).
@@ -345,11 +354,55 @@ mod tests {
         let buf = encode_point_batch(&pts);
         assert_eq!(buf.len(), point_batch_bytes(2) - 4);
         assert_eq!(decode_point_batch(&buf).unwrap(), pts);
-        assert!(decode_point_batch(&buf[..buf.len() - 1]).is_err());
+        for len in 0..buf.len() {
+            assert_eq!(
+                decode_point_batch(&buf[..len]),
+                Err(Truncated),
+                "prefix of {len}"
+            );
+        }
+        // A count the bytes cannot hold is rejected up front.
+        for n in [3, 1 << 28, u32::MAX] {
+            let mut lying = buf.clone();
+            lying[..4].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(decode_point_batch(&lying), Err(Truncated), "count {n}");
+        }
         let (mut copied, mut in_place) = (PayloadWriter::new(), PayloadWriter::new());
         copied.bytes(&buf);
         put_point_batch(&mut in_place, &pts);
         assert_eq!(in_place.finish(), copied.finish());
+    }
+
+    /// The row-at-a-time writer the bulk one replaced, as the reference for
+    /// its bytes.
+    fn reference_point_batch(pts: &[Point2]) -> Vec<u8> {
+        let mut w = PayloadWriter::new();
+        w.u32(pts.len() as u32);
+        for p in pts {
+            w.f64(p.x).f64(p.y);
+        }
+        w.finish()
+    }
+
+    fn sample_points(n: usize) -> Vec<Point2> {
+        (0..n)
+            .map(|i| Point2::new(i as f64 * 0.25 - 3.0, 1.0 / (i as f64 + 0.5)))
+            .collect()
+    }
+
+    #[test]
+    fn point_batch_bytes_match_the_row_at_a_time_writer() {
+        for n in [0, 1, 2, 17] {
+            let pts = sample_points(n);
+            let buf = encode_point_batch(&pts);
+            assert_eq!(buf, reference_point_batch(&pts), "{n} points");
+            let back = decode_point_batch(&buf).unwrap();
+            assert_eq!((back.len(), back.capacity()), (n, n));
+            // Trailing bytes are ignored.
+            let mut longer = buf.clone();
+            longer.extend_from_slice(&[9; 20]);
+            assert_eq!(decode_point_batch(&longer).unwrap(), pts);
+        }
     }
 
     #[test]

@@ -241,6 +241,21 @@ impl FaultyStore {
         });
     }
 
+    /// Draw the faults of one load attempt: the same schedule whether it
+    /// goes through `load` or `load_into`.
+    fn load_faults(&mut self, key: u64) -> io::Result<()> {
+        let count = self.load_ops;
+        self.load_ops += 1;
+        if self.plan.key_matches(key)
+            && self.plan.draw(TAG_LOAD_EIO, count) < self.plan.load_eio_permille
+        {
+            self.report(FaultKind::TransientEio, FaultOp::Load, key, Duration::ZERO);
+            return Err(eio("load", key));
+        }
+        self.maybe_latency(TAG_LAT_LOAD, count, FaultOp::Load, key);
+        Ok(())
+    }
+
     fn maybe_latency(&mut self, tag: u64, count: u64, op: FaultOp, key: u64) {
         if self.plan.key_matches(key) && self.plan.draw(tag, count) < self.plan.latency_permille {
             let delay = self.plan.latency;
@@ -277,16 +292,13 @@ impl StorageBackend for FaultyStore {
     }
 
     fn load(&mut self, key: u64) -> io::Result<Vec<u8>> {
-        let count = self.load_ops;
-        self.load_ops += 1;
-        if self.plan.key_matches(key)
-            && self.plan.draw(TAG_LOAD_EIO, count) < self.plan.load_eio_permille
-        {
-            self.report(FaultKind::TransientEio, FaultOp::Load, key, Duration::ZERO);
-            return Err(eio("load", key));
-        }
-        self.maybe_latency(TAG_LAT_LOAD, count, FaultOp::Load, key);
+        self.load_faults(key)?;
         self.inner.load(key)
+    }
+
+    fn load_into(&mut self, key: u64, buf: &mut Vec<u8>) -> io::Result<()> {
+        self.load_faults(key)?;
+        self.inner.load_into(key, buf)
     }
 
     fn remove(&mut self, key: u64) -> io::Result<()> {
@@ -608,6 +620,36 @@ mod tests {
         assert!(s.probe().is_err());
         s.probe().unwrap();
         s.store(1, b"x").unwrap();
+    }
+
+    #[test]
+    fn load_into_draws_the_same_faults_as_load() {
+        let plan = FaultPlan::new(17)
+            .with_eio(300)
+            .with_latency(200, Duration::from_micros(5));
+        let run = |pooled: bool| {
+            let mut s = faulty(plan);
+            for key in 0..20u64 {
+                while s.store(key, &[key as u8; 16]).is_err() {}
+            }
+            s.take_fault_reports();
+            let mut buf = Vec::new();
+            let got: Vec<Option<Vec<u8>>> = (0..200u64)
+                .map(|i| match pooled {
+                    true => s.load_into(i % 20, &mut buf).ok().map(|()| buf.clone()),
+                    false => s.load(i % 20).ok(),
+                })
+                .collect();
+            let faults: Vec<(FaultKind, u64)> = s
+                .take_fault_reports()
+                .iter()
+                .map(|r| (r.kind, r.key))
+                .collect();
+            (got, faults)
+        };
+        let (loaded, load_faults) = run(false);
+        assert!(loaded.iter().any(Option::is_none), "some loads must fail");
+        assert_eq!(run(true), (loaded, load_faults));
     }
 
     #[test]

@@ -7,15 +7,27 @@
 //! threaded runtime) and an in-memory store ([`MemStore`], used by tests
 //! and by the discrete-event mode, which charges time through a
 //! [`DiskModel`] instead of performing physical I/O).
+//!
+//! The spill log keeps the file system's page churn off the spill path.
+//! A cleaning pass renames the segment files it retires to spares instead
+//! of unlinking them, and spares beyond the footprint
+//! `segment_garbage_frac` already allows are unlinked. A new segment
+//! overwrites a spare rather than creating a file, so no page is
+//! allocated, zeroed or freed for it. Every segment is written under a
+//! spare name and renamed once complete, so a segment file is never torn.
+//! [`StorageBackend::load_into`] reads into the caller's buffer; the
+//! threaded I/O pool passes recycled ones, so a load maps no fresh
+//! allocation either.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Report of one spill-log cleaning pass — including one that only
-/// unlinked dead segments — drained by the engine through
+/// retired dead segments — drained by the engine through
 /// [`StorageBackend::take_compaction_reports`] so the audit layer can
 /// check that no live object was lost.
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +61,13 @@ pub trait StorageBackend: Send {
         Ok(())
     }
     fn load(&mut self, key: u64) -> io::Result<Vec<u8>>;
+    /// Load `key` into `buf`, replacing what it held: the bytes `load`
+    /// returns, read into the caller's allocation where the backend can
+    /// (the I/O pool passes recycled buffers). Default: `load`.
+    fn load_into(&mut self, key: u64, buf: &mut Vec<u8>) -> io::Result<()> {
+        *buf = self.load(key)?;
+        Ok(())
+    }
     fn remove(&mut self, key: u64) -> io::Result<()>;
     /// Total bytes currently stored (for reporting).
     fn bytes_stored(&self) -> u64;
@@ -236,6 +255,24 @@ const REC_HDR: usize = 12;
 /// every segment it ever sealed; its descriptors must not follow.
 const HANDLE_CACHE: usize = 16;
 
+/// Write `parts` to `path` from offset 0, leaving a file exactly their
+/// length: an existing file of `old_len` bytes is overwritten in place
+/// (and cut if it was longer), otherwise a new one is created.
+fn fill_file(path: &Path, old_len: Option<u64>, parts: &[&[u8]]) -> io::Result<()> {
+    let mut f = match old_len {
+        Some(_) => fs::OpenOptions::new().write(true).open(path)?,
+        None => fs::File::create(path)?,
+    };
+    for part in parts {
+        f.write_all(part)?;
+    }
+    let len: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    if old_len.is_some_and(|old| old > len) {
+        f.set_len(len)?;
+    }
+    Ok(())
+}
+
 fn record_header(key: u64, len: u32) -> [u8; REC_HDR] {
     let mut h = [0u8; REC_HDR];
     h[..8].copy_from_slice(&key.to_le_bytes());
@@ -283,14 +320,25 @@ struct SegmentMeta {
 /// slice as a segment of its own. Overwrites and removes leave dead bytes
 /// behind; once they exceed `garbage_frac` of the log a **cleaning pass**
 /// reclaims space one segment at a time: sealed segments with no live
-/// record are unlinked outright, and only if that was not enough are the
+/// record are retired outright, and only if that was not enough are the
 /// live records of the emptiest segments moved to the log head, one
-/// record in memory at a time. Reopening a directory replays segments in
-/// id order — last record per key wins, tombstones delete, and a torn
-/// tail (partial record from an interrupted write) is ignored, so a
-/// crashed run loses at most its unsealed active segment; a pass seals
-/// what it moved before it unlinks anything, so a crash inside one loses
-/// nothing.
+/// record in memory at a time.
+///
+/// **Reuse.** A retired segment file is renamed to a spare
+/// (`free-<n>.log`) rather than unlinked, and after every store, batch
+/// and remove the oldest spares are unlinked until the log and its
+/// spares fit in `live / (1 − garbage_frac)` bytes, the footprint a pass
+/// already allows. A new segment overwrites a spare from offset 0 (a
+/// fresh file when none is left), so the file system neither allocates
+/// nor frees pages for it.
+///
+/// **Publish rule.** Every segment is written under its spare name and
+/// renamed to `seg-<id>.log` once complete, so a published segment is
+/// never torn. Reopening a directory deletes leftover spares and replays
+/// segments in id order — last record per key wins, tombstones delete,
+/// and a torn tail (left by older versions) is ignored — so a crashed run
+/// loses at most its unsealed active segment; a pass seals what it moved
+/// before it retires anything, so a crash inside one loses nothing.
 pub struct SegmentStore {
     dir: PathBuf,
     active: Vec<u8>,
@@ -319,9 +367,22 @@ pub struct SegmentStore {
     reads: u64,
     read_switches: u64,
     last_read_seg: Option<u64>,
-    /// Crash injection: fail a cleaning pass right before its unlink step.
+    /// Retired segment files kept for reuse: `(n, len)` of `free-<n>.log`,
+    /// oldest first, `n` the id the file was retired under. A new segment
+    /// takes the newest; trimming drops the oldest.
+    spares: VecDeque<(u64, u64)>,
+    spare_bytes: u64,
+    /// Segment files created rather than reused.
+    #[cfg(test)]
+    files_created: u64,
+    /// Crash injection: fail a cleaning pass right before it retires its
+    /// victims.
     #[cfg(test)]
     abort_before_unlink: bool,
+    /// Crash injection: fail a publish after the file is filled, before
+    /// its rename to a segment name.
+    #[cfg(test)]
+    abort_before_rename: bool,
 }
 
 impl SegmentStore {
@@ -347,8 +408,14 @@ impl SegmentStore {
             reads: 0,
             read_switches: 0,
             last_read_seg: None,
+            spares: VecDeque::new(),
+            spare_bytes: 0,
+            #[cfg(test)]
+            files_created: 0,
             #[cfg(test)]
             abort_before_unlink: false,
+            #[cfg(test)]
+            abort_before_rename: false,
         };
         s.replay()?;
         Ok(s)
@@ -397,6 +464,12 @@ impl SegmentStore {
         self.active.len()
     }
 
+    /// Bytes in spare files: retired segments kept for reuse, outside
+    /// the log's own accounting.
+    pub fn spare_bytes(&self) -> u64 {
+        self.spare_bytes
+    }
+
     /// The live keys currently in the log (unsorted). Checkpoint recovery
     /// uses this to enumerate the spilled objects a crashed run left
     /// behind.
@@ -412,6 +485,10 @@ impl SegmentStore {
 
     fn segment_path(&self, seg: u64) -> PathBuf {
         self.dir.join(format!("seg-{seg:08}.log"))
+    }
+
+    fn spare_path(&self, n: u64) -> PathBuf {
+        self.dir.join(format!("free-{n:08}.log"))
     }
 
     fn segment_id_of(name: &std::ffi::OsStr) -> Option<u64> {
@@ -431,12 +508,20 @@ impl SegmentStore {
     }
 
     /// Replay the on-disk segments in id order: last record per key wins,
-    /// tombstones delete, a torn tail ends that segment's replay.
+    /// tombstones delete, a torn tail ends that segment's replay. Spares
+    /// left by an earlier store are deleted: a crash may have left one
+    /// filled but unpublished.
     fn replay(&mut self) -> io::Result<()> {
-        let mut ids: Vec<u64> = fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| Self::segment_id_of(&e.file_name()))
-            .collect();
+        let mut ids = Vec::new();
+        for e in fs::read_dir(&self.dir)? {
+            let e = e?;
+            let name = e.file_name();
+            if let Some(seg) = Self::segment_id_of(&name) {
+                ids.push(seg);
+            } else if name.to_str().is_some_and(|n| n.starts_with("free-")) {
+                fs::remove_file(e.path())?;
+            }
+        }
         ids.sort_unstable();
         for &seg in &ids {
             let data = fs::read(self.segment_path(seg))?;
@@ -514,9 +599,7 @@ impl SegmentStore {
         let header = record_header(key, data.len() as u32);
         if REC_HDR + data.len() >= self.segment_bytes / 2 {
             self.roll()?;
-            let mut f = fs::File::create(self.segment_path(self.active_id))?;
-            f.write_all(&header)?;
-            f.write_all(data)?;
+            self.publish(&[&header, data])?;
             self.index_record(key, self.active_id, REC_HDR, data.len());
             self.active_id += 1;
         } else {
@@ -540,11 +623,64 @@ impl SegmentStore {
         if self.active.is_empty() {
             return Ok(());
         }
-        let mut f = fs::File::create(self.segment_path(self.active_id))?;
-        f.write_all(&self.active)?;
-        f.flush()?;
+        let active = std::mem::take(&mut self.active);
+        let published = self.publish(&[&active]);
+        self.active = active;
+        published?;
         self.active.clear();
         self.active_id += 1;
+        Ok(())
+    }
+
+    /// Write `parts` as segment `active_id`: into the newest spare,
+    /// overwritten from offset 0 and cut to length (else a new file,
+    /// `free-<active_id>.log`: spares carry retired ids, all below it),
+    /// then renamed to its segment name. A file that fails before the
+    /// rename is deleted; one left by a crash is deleted by the next
+    /// `open`.
+    fn publish(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        let (n, old_len) = match self.spares.pop_back() {
+            Some((n, len)) => {
+                self.spare_bytes -= len;
+                (n, Some(len))
+            }
+            None => {
+                #[cfg(test)]
+                {
+                    self.files_created += 1;
+                }
+                (self.active_id, None)
+            }
+        };
+        let path = self.spare_path(n);
+        let filled = fill_file(&path, old_len, parts);
+        #[cfg(test)]
+        {
+            if self.abort_before_rename {
+                return Err(io::Error::other("publish aborted before rename"));
+            }
+        }
+        let published = filled.and_then(|()| fs::rename(&path, self.segment_path(self.active_id)));
+        if published.is_err() {
+            let _ = fs::remove_file(&path);
+        }
+        published
+    }
+
+    /// Unlink the oldest spares until the log and its spares fit in the
+    /// footprint a cleaning pass allows, `live / (1 − garbage_frac)`:
+    /// after a pass has retired its victims, and whenever removes or
+    /// smaller overwrites shrink the live bytes.
+    fn trim_spares(&mut self) -> io::Result<()> {
+        let footprint = self.live_bytes as f64 / (1.0 - self.garbage_frac);
+        while (self.total_bytes + self.spare_bytes) as f64 > footprint {
+            let Some(&(n, len)) = self.spares.front() else {
+                break;
+            };
+            fs::remove_file(self.spare_path(n))?;
+            self.spares.pop_front();
+            self.spare_bytes -= len;
+        }
         Ok(())
     }
 
@@ -569,12 +705,11 @@ impl SegmentStore {
             buf.copy_from_slice(staged);
             return Ok(());
         }
-        let mut f = match self.handles.iter().position(|(seg, _)| *seg == loc.seg) {
+        let f = match self.handles.iter().position(|(seg, _)| *seg == loc.seg) {
             Some(i) => self.handles.remove(i).1,
             None => fs::File::open(self.segment_path(loc.seg))?,
         };
-        f.seek(SeekFrom::Start(loc.off as u64))?;
-        f.read_exact(buf)?;
+        f.read_exact_at(buf, loc.off as u64)?;
         if self.handles.len() == HANDLE_CACHE {
             self.handles.remove(0);
         }
@@ -587,12 +722,13 @@ impl SegmentStore {
     }
 
     /// One cleaning pass. Sealed segments without a live record are
-    /// unlinked as they are. If the log is still over the trigger without
+    /// retired as they are. If the log is still over the trigger without
     /// them, the live records of the emptiest remaining segments move to
     /// the log head in `(rank, key)` order, through one buffer, until
     /// garbage is down to half the trigger. What moved is sealed before
-    /// any old segment is unlinked, oldest first, so a reopen after a
-    /// crash at any point replays the same contents.
+    /// any old segment is retired (renamed to a spare), oldest first, so
+    /// a reopen after a crash at any point replays the same contents.
+    /// `maybe_clean` then trims the spares to the footprint.
     fn clean(&mut self) -> io::Result<()> {
         let objects = self.index.len();
         let live_before = self.bytes_stored();
@@ -680,13 +816,15 @@ impl SegmentStore {
             }
         }
         for seg in victims {
-            fs::remove_file(self.segment_path(seg))?;
+            fs::rename(self.segment_path(seg), self.spare_path(seg))?;
+            self.spares.push_back((seg, self.segments[&seg].total));
+            self.spare_bytes += self.segments[&seg].total;
             self.handles.retain(|(s, _)| *s != seg);
             let m = self
                 .segments
                 .remove(&seg)
                 .expect("victims come from the segment table");
-            debug_assert_eq!(m.live, 0, "an unlinked segment holds no live record");
+            debug_assert_eq!(m.live, 0, "a retired segment holds no live record");
             self.total_bytes -= m.total;
         }
         debug_assert_eq!(self.index.len(), objects);
@@ -705,7 +843,25 @@ impl SegmentStore {
         if self.over_trigger(self.garbage_bytes(), self.total_bytes) {
             self.clean()?;
         }
-        Ok(())
+        self.trim_spares()
+    }
+
+    /// Resolve a demanded load and count it in the sequential-read
+    /// tracker (the cleaner goes through `read_at` directly and must not
+    /// pollute the locality metrics).
+    fn demand(&mut self, key: u64) -> io::Result<RecordLoc> {
+        let loc = *self
+            .index
+            .get(&key)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no object {key}")))?;
+        self.reads += 1;
+        if self.last_read_seg != Some(loc.seg) {
+            if self.last_read_seg.is_some() {
+                self.read_switches += 1;
+            }
+            self.last_read_seg = Some(loc.seg);
+        }
+        Ok(loc)
     }
 }
 
@@ -733,23 +889,20 @@ impl StorageBackend for SegmentStore {
     }
 
     fn load(&mut self, key: u64) -> io::Result<Vec<u8>> {
-        let loc = *self
-            .index
-            .get(&key)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no object {key}")))?;
-        // Sequential-read tracking counts only externally demanded loads
-        // (the cleaner goes through `read_at` directly and must not
-        // pollute the locality metrics).
-        self.reads += 1;
-        if self.last_read_seg != Some(loc.seg) {
-            if self.last_read_seg.is_some() {
-                self.read_switches += 1;
-            }
-            self.last_read_seg = Some(loc.seg);
-        }
+        let loc = self.demand(key)?;
         let mut buf = vec![0u8; loc.len];
         self.read_at(loc, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Fills `buf` in place: a recycled buffer's pages are already
+    /// mapped, where `load` would fault in a fresh allocation. The read
+    /// overwrites every byte, so only growth beyond `buf`'s old length
+    /// is zeroed first.
+    fn load_into(&mut self, key: u64, buf: &mut Vec<u8>) -> io::Result<()> {
+        let loc = self.demand(key)?;
+        buf.resize(loc.len, 0);
+        self.read_at(loc, buf)
     }
 
     fn remove(&mut self, key: u64) -> io::Result<()> {
@@ -792,8 +945,12 @@ impl Drop for SegmentStore {
         if self.cleanup_on_drop {
             let _ = fs::remove_dir_all(&self.dir);
         } else {
-            // Clean shutdown persists the active segment.
+            // Clean shutdown persists the active segment; spares are
+            // only ever of use to this store.
             let _ = self.roll();
+            for (n, _) in std::mem::take(&mut self.spares) {
+                let _ = fs::remove_file(self.spare_path(n));
+            }
         }
     }
 }
@@ -836,6 +993,15 @@ impl DiskModel {
 mod tests {
     use super::*;
 
+    /// `load_into` returns what `load` does, also into a buffer that
+    /// holds longer, older bytes.
+    fn assert_load_into_agrees(store: &mut dyn StorageBackend, key: u64) {
+        let want = store.load(key).unwrap();
+        let mut buf = vec![0xEEu8; want.len() + 100];
+        store.load_into(key, &mut buf).unwrap();
+        assert_eq!(buf, want, "key {key}");
+    }
+
     fn backend_contract(store: &mut dyn StorageBackend) {
         assert!(store.is_empty());
         store.store(1, b"hello").unwrap();
@@ -844,17 +1010,22 @@ mod tests {
         assert_eq!(store.bytes_stored(), 1005);
         assert_eq!(store.load(1).unwrap(), b"hello");
         assert_eq!(store.load(2).unwrap(), vec![7u8; 1000]);
+        assert_load_into_agrees(store, 1);
+        assert_load_into_agrees(store, 2);
         // Overwrite.
         store.store(1, b"bye").unwrap();
         assert_eq!(store.load(1).unwrap(), b"bye");
+        assert_load_into_agrees(store, 1);
         assert_eq!(store.len(), 2);
         // Remove.
         store.remove(1).unwrap();
         assert_eq!(store.len(), 1);
         assert!(store.load(1).is_err());
+        assert!(store.load_into(1, &mut vec![1u8; 8]).is_err());
         assert!(store.remove(1).is_err());
         store.remove(2).unwrap();
         assert!(store.is_empty());
+        assert!(store.load_into(2, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -876,6 +1047,13 @@ mod tests {
         // Tiny segments: every operation rolls a file.
         let mut s = SegmentStore::new_temp("contract-roll", 1, 0.95).unwrap();
         backend_contract(&mut s);
+    }
+
+    #[test]
+    fn faultystore_contract() {
+        use crate::fault::{FaultPlan, FaultyStore};
+        let inner = SegmentStore::new_temp("contract-faulty", 1, 0.95).unwrap();
+        backend_contract(&mut FaultyStore::new(Box::new(inner), FaultPlan::new(1)));
     }
 
     #[test]
@@ -1248,6 +1426,206 @@ mod tests {
         }
         assert!(!s.take_compaction_reports().is_empty());
         assert_eq!(contents(&mut s), model);
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Whether every record of a segment file parses, up to its last byte.
+    fn parses_to_end(data: &[u8]) -> bool {
+        let mut off = 0;
+        while let Some((_, len)) = SegmentStore::parse_header(data, off) {
+            off += REC_HDR;
+            if len != TOMBSTONE {
+                off += len as usize;
+            }
+        }
+        off == data.len()
+    }
+
+    /// Only segment files in `dir`, each of which parses to its end.
+    fn assert_only_whole_segments(dir: &Path) {
+        for e in fs::read_dir(dir).unwrap() {
+            let e = e.unwrap();
+            let name = e.file_name();
+            assert!(
+                SegmentStore::segment_id_of(&name).is_some(),
+                "stray file {name:?}"
+            );
+            assert!(parses_to_end(&fs::read(e.path()).unwrap()), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn segmentstore_reuses_retired_files_within_the_footprint() {
+        const SEG: usize = 4 * (64 + REC_HDR);
+        let dir = fresh_dir("reuse");
+        let mut s = SegmentStore::open(dir.clone(), SEG, 0.5).unwrap();
+        let footprint_holds = |s: &SegmentStore| {
+            s.spare_bytes == 0 || (s.total_bytes + s.spare_bytes) <= 2 * s.live_bytes
+        };
+        // Rewriting in write order kills whole segments: every pass
+        // retires files, and later segments are written into them.
+        let mut most_spares = 0;
+        for round in 0..40u64 {
+            for key in 0..16u64 {
+                s.store(key, &[(round + key) as u8; 64]).unwrap();
+                most_spares = most_spares.max(s.spares.len());
+                assert!(footprint_holds(&s), "round {round} key {key}");
+                assert_eq!(
+                    disk_bytes(&s),
+                    s.total_bytes - s.staged_bytes() as u64 + s.spare_bytes
+                );
+            }
+        }
+        assert!(most_spares > 1, "{most_spares} spares at most");
+        assert!(
+            s.files_created < s.active_id / 2,
+            "{} files for {} segments",
+            s.files_created,
+            s.active_id
+        );
+        // A clean shutdown takes the spares with it.
+        for i in 0..64u64 {
+            if !s.spares.is_empty() {
+                break;
+            }
+            s.store(i % 16, &[(40 + i) as u8; 64]).unwrap();
+        }
+        assert!(!s.spares.is_empty());
+        let before = contents(&mut s);
+        drop(s);
+        assert_only_whole_segments(&dir);
+        let mut s = SegmentStore::open(dir.clone(), SEG, 0.5).unwrap();
+        assert_eq!(contents(&mut s), before);
+        // Removes shrink the live set, and the spares with it.
+        for key in 0..16u64 {
+            s.store(key, &[key as u8; 64]).unwrap();
+        }
+        assert!(!s.spares.is_empty());
+        for key in 0..12u64 {
+            s.remove(key).unwrap();
+            assert!(footprint_holds(&s), "remove {key}");
+        }
+        for key in 12..16u64 {
+            assert_eq!(s.load(key).unwrap(), vec![key as u8; 64]);
+        }
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segmentstore_crash_before_publish_keeps_previous_contents() {
+        const SEG: usize = 4 * (64 + REC_HDR);
+        let dir = fresh_dir("publish-crash");
+        let mut s = SegmentStore::open(dir.clone(), SEG, 0.5).unwrap();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        // Rewrite in write order up to the first pass: it retires whole
+        // segments, all but the first into spares.
+        for i in 0u64.. {
+            s.store(i % 16, &[i as u8; 64]).unwrap();
+            model.insert(i % 16, vec![i as u8; 64]);
+            if !s.take_compaction_reports().is_empty() {
+                break;
+            }
+        }
+        s.sync().unwrap();
+        let spares = s.spares.len();
+        assert!(spares > 0, "a pass kept a retired file for reuse");
+        // A direct record fills the newest spare; the crash comes before
+        // its rename.
+        s.abort_before_rename = true;
+        assert!(s.store(99, &[9u8; SEG]).is_err());
+        assert_eq!(s.spares.len(), spares - 1, "the spare was taken");
+        assert_eq!(
+            fs::read_dir(&dir).unwrap().count(),
+            s.sealed_segments() + spares,
+            "the filled file is left behind"
+        );
+        std::mem::forget(s);
+        let mut s = SegmentStore::open(dir.clone(), SEG, 0.5).unwrap();
+        assert_eq!(contents(&mut s), model);
+        assert_eq!(s.spare_bytes(), 0);
+        assert_only_whole_segments(&dir);
+        assert_eq!(s.garbage_bytes() + s.live_bytes, disk_bytes(&s));
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segmentstore_opens_clean_over_stray_spares() {
+        let dir = fresh_dir("stray");
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        {
+            let mut s = SegmentStore::open(dir.clone(), 256, 0.5).unwrap();
+            for key in 0..10u64 {
+                s.store(key, &[key as u8; 50]).unwrap();
+                model.insert(key, vec![key as u8; 50]);
+            }
+        }
+        // Spares a crashed store left: one under the name the reopened
+        // store's first new file takes (two segments hold the ten
+        // records), one under a retired id, an empty one.
+        fs::write(dir.join("free-00000002.log"), [0xAAu8; 700]).unwrap();
+        fs::write(dir.join("free-00000001.log"), record_header(3, 50)).unwrap();
+        fs::write(dir.join("free-00000009.log"), []).unwrap();
+        let mut s = SegmentStore::open(dir.clone(), 256, 0.5).unwrap();
+        assert_eq!(s.active_id, 2);
+        assert_only_whole_segments(&dir);
+        assert_eq!(s.spare_bytes(), 0);
+        assert_eq!(contents(&mut s), model);
+        assert_eq!(s.garbage_bytes() + s.live_bytes, disk_bytes(&s));
+        // New segments publish through the same names.
+        for key in 0..10u64 {
+            s.store(key, &[(key + 1) as u8; 200]).unwrap();
+            model.insert(key, vec![(key + 1) as u8; 200]);
+        }
+        drop(s);
+        assert_only_whole_segments(&dir);
+        let mut s = SegmentStore::open(dir.clone(), 256, 0.5).unwrap();
+        assert_eq!(contents(&mut s), model);
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segmentstore_load_into_matches_load_wherever_a_record_sits() {
+        const SEG: usize = 4 * (64 + REC_HDR);
+        let dir = fresh_dir("load-into");
+        let mut s = SegmentStore::open(dir.clone(), SEG, 0.3).unwrap();
+        for key in 0..16u64 {
+            s.store(key, &[key as u8; 64]).unwrap();
+        }
+        let before: HashMap<u64, u64> = s.index.iter().map(|(k, l)| (*k, l.seg)).collect();
+        // The overwrites of the rank test: one pass moves six records.
+        for key in [0u64, 1, 4, 5, 8, 9, 12] {
+            s.store(key, &[(16 + key) as u8; 64]).unwrap();
+        }
+        assert_eq!(s.take_compaction_reports().len(), 1);
+        s.store(16, &[16u8; 64]).unwrap();
+        let staged = s.index.values().filter(|l| l.seg == s.active_id).count();
+        let moved = (0..16u64)
+            .filter(|k| ![0, 1, 4, 5, 8, 9, 12].contains(k) && s.index[k].seg != before[k])
+            .count();
+        let sealed_in_place = (0..16u64).filter(|k| s.index[k].seg == before[k]).count();
+        assert!(staged > 0 && moved > 0 && sealed_in_place > 0);
+        for key in 0..17u64 {
+            assert_load_into_agrees(&mut s, key);
+        }
+        drop(s);
+        let mut s = SegmentStore::open(dir.clone(), SEG, 0.3).unwrap();
+        for key in 0..17u64 {
+            assert_load_into_agrees(&mut s, key);
+        }
+        // A record cut short on disk is an error, never a panic.
+        let loc = s.index[&13];
+        let f = fs::OpenOptions::new()
+            .write(true)
+            .open(s.segment_path(loc.seg))
+            .unwrap();
+        f.set_len((loc.off + loc.len / 2) as u64).unwrap();
+        let mut buf = vec![1u8; 4];
+        assert!(s.load_into(13, &mut buf).is_err());
+        assert!(s.load(13).is_err());
         drop(s);
         let _ = fs::remove_dir_all(&dir);
     }

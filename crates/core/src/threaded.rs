@@ -1513,8 +1513,9 @@ struct WorkerResult {
     decisions: Vec<Decision>,
 }
 
-/// Bounded pool of reusable pack buffers shared by one node's I/O pool
-/// workers: at most `max` idle buffers are kept, the rest are dropped.
+/// Bounded pool of reusable pack and load buffers shared by one node's
+/// I/O pool workers: at most `max` idle buffers are kept, the rest are
+/// dropped.
 struct BufferPool {
     /// Leaf lock: held only to pop or push one buffer.
     bufs: parking_lot::Mutex<Vec<Vec<u8>>>,
@@ -1529,8 +1530,8 @@ impl BufferPool {
         }
     }
 
-    /// A buffer to pack into, plus whether it came from the pool (its
-    /// capacity is reused — no fresh allocation on the hot path).
+    /// A buffer to pack or load into, plus whether it came from the pool
+    /// (its capacity is reused — no fresh allocation on the hot path).
     fn get(&self) -> (Vec<u8>, bool) {
         match self.bufs.lock().pop() {
             Some(b) => (b, true),
@@ -1538,8 +1539,10 @@ impl BufferPool {
         }
     }
 
-    fn put(&self, mut buf: Vec<u8>) {
-        buf.clear();
+    /// Return a buffer with its contents: `pack_into` clears what it
+    /// packs into, and a load overwrites all but what it has to grow, so
+    /// a buffer that keeps its length skips zeroing it again.
+    fn put(&self, buf: Vec<u8>) {
         let mut g = self.bufs.lock();
         if g.len() < self.max {
             g.push(buf);
@@ -1550,10 +1553,12 @@ impl BufferPool {
 /// Spawn the node's I/O pool: `n_threads` workers sharing one spill store
 /// behind a mutex. Pack/unpack run on the pool **outside** the store lock,
 /// so serialization of one object overlaps the disk op of another and the
-/// node's control thread never blocks on either. Pack buffers are drawn
-/// from a bounded [`BufferPool`] and recycled after each store — and load
-/// result buffers feed back into it. The store is handed back as well: it
-/// outlives the pool, and the runtime reads spilled results from it.
+/// node's control thread never blocks on either. Both directions draw
+/// their buffer from a bounded [`BufferPool`]: a store packs into it, a
+/// load reads into it (`StorageBackend::load_into`), and it goes back
+/// after the store lands or the load is unpacked. The store is handed
+/// back as well: it outlives the pool, and the runtime reads spilled
+/// results from it.
 fn spawn_io_pool(
     node: NodeId,
     store: Box<dyn StorageBackend>,
@@ -1679,6 +1684,7 @@ fn spawn_io_pool(
                             done_tx.send(done).ok();
                         }
                         IoReq::Load { key, oid } => {
+                            let (mut buf, _) = pool.get();
                             let t0 = Instant::now();
                             let mut retries = 0u32;
                             let mut faults = 0usize;
@@ -1689,14 +1695,15 @@ fn spawn_io_pool(
                                 attempt += 1;
                                 let (res, fr, rs) = {
                                     let mut s = store.lock();
-                                    (s.load(key), s.take_fault_reports(), s.take_read_stats())
+                                    let res = s.load_into(key, &mut buf);
+                                    (res, s.take_fault_reports(), s.take_read_stats())
                                 };
                                 faults += fr.len();
                                 seg_reads += rs.0;
                                 seg_switches += rs.1;
                                 emit_faults(node, &fr, &audit);
                                 match res {
-                                    Ok(b) => break Ok(b),
+                                    Ok(()) => break Ok(()),
                                     Err(e) => {
                                         if attempt >= retry.max_attempts {
                                             break Err(e);
@@ -1709,16 +1716,13 @@ fn spawn_io_pool(
                             };
                             let io_dur = t0.elapsed();
                             let done = match outcome {
-                                Ok(bytes) => {
-                                    let packed_len = bytes.len();
+                                Ok(()) => {
+                                    let packed_len = buf.len();
                                     let t1 = Instant::now();
                                     let obj = registry
-                                        .unpack(&bytes)
+                                        .unpack(&buf)
                                         .expect("store holds pack output of registered types");
                                     let unpack_dur = t1.elapsed();
-                                    // The loaded allocation feeds the pack
-                                    // buffer pool for future stores.
-                                    pool.put(bytes);
                                     IoDone::Loaded {
                                         oid,
                                         obj,
@@ -1739,6 +1743,7 @@ fn spawn_io_pool(
                                     faults,
                                 },
                             };
+                            pool.put(buf);
                             done_tx.send(done).ok();
                         }
                         IoReq::SetRanks(ranks) => {

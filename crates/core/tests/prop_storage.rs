@@ -4,8 +4,10 @@
 //! (`segment_bytes / 2`) and of `segment_bytes`, run against a `HashMap`
 //! model. After every operation the store must agree with the model on
 //! contents, `len` and `bytes_stored`; its garbage accounting must equal
-//! what is physically in the log minus the live records; and the segment
-//! files must stay within the space `segment_garbage_frac` promises.
+//! what is physically in the log minus the live records; the spare files
+//! it keeps for reuse must be what its own count says; and all its files,
+//! spares included, must stay within the space `segment_garbage_frac`
+//! promises.
 //! Reopening replays the files in id order, so it resolves every key to
 //! its last store only if ids followed append order across staged and
 //! direct records.
@@ -74,17 +76,26 @@ fn fresh_dir() -> PathBuf {
     dir
 }
 
-fn file_bytes(s: &SegmentStore) -> u64 {
-    std::fs::read_dir(s.dir())
-        .unwrap()
-        .map(|e| e.unwrap().metadata().unwrap().len())
-        .sum()
+/// Bytes of every file in the store's directory, and of the spares among
+/// them: every name that is not a `seg-*.log` segment.
+fn file_bytes(s: &SegmentStore) -> (u64, u64) {
+    let (mut files, mut spares) = (0, 0);
+    for e in std::fs::read_dir(s.dir()).unwrap() {
+        let e = e.unwrap();
+        let len = e.metadata().unwrap().len();
+        files += len;
+        let name = e.file_name().into_string().unwrap();
+        if !(name.starts_with("seg-") && name.ends_with(".log")) {
+            spares += len;
+        }
+    }
+    (files, spares)
 }
 
 fn check(s: &mut SegmentStore, model: &HashMap<u64, Vec<u8>>, frac: f64) -> Result<(), String> {
     let payload: u64 = model.values().map(|v| v.len() as u64).sum();
     let live = payload + REC_HDR * model.len() as u64;
-    let files = file_bytes(s);
+    let (files, spares) = file_bytes(s);
     if s.len() != model.len() || s.bytes_stored() != payload {
         return Err(format!(
             "store holds {} objects / {} bytes, model {} / {payload}",
@@ -93,11 +104,24 @@ fn check(s: &mut SegmentStore, model: &HashMap<u64, Vec<u8>>, frac: f64) -> Resu
             model.len()
         ));
     }
-    if s.garbage_bytes() + live != files + s.staged_bytes() as u64 {
+    if spares != s.spare_bytes() {
         return Err(format!(
-            "garbage {} + live {live} != files {files} + staged {}",
+            "{spares} bytes of spare files, the store counts {}",
+            s.spare_bytes()
+        ));
+    }
+    if s.garbage_bytes() + live + spares != files + s.staged_bytes() as u64 {
+        return Err(format!(
+            "garbage {} + live {live} + spares {spares} != files {files} + staged {}",
             s.garbage_bytes(),
             s.staged_bytes()
+        ));
+    }
+    // Spares are kept only inside the footprint a pass allows.
+    let total = s.garbage_bytes() + live;
+    if spares > 0 && spares as f64 > live as f64 / (1.0 - frac) - total as f64 {
+        return Err(format!(
+            "{spares} spare bytes beside a {total}-byte log of {live} live"
         ));
     }
     // Either garbage is within `frac` of the log, or a pass just ran and
@@ -179,6 +203,9 @@ proptest! {
                 }
                 Op::Load(key) => {
                     prop_assert_eq!(s.load(*key).ok(), model.get(key).cloned());
+                    let mut buf = vec![0xEE; 2 * SEGMENT];
+                    let filled = s.load_into(*key, &mut buf).ok().map(|()| buf);
+                    prop_assert_eq!(filled, model.get(key).cloned());
                 }
                 Op::Sync => {
                     s.sync().unwrap();

@@ -178,17 +178,6 @@ pub enum RuntimeEvent {
         inflight_bytes: usize,
         window_bytes: usize,
     },
-    /// The node's spill log ran a cleaning pass (unlinked dead segments,
-    /// possibly relocated live records); live payload must be preserved
-    /// exactly.
-    Compaction {
-        node: NodeId,
-        live_objects_before: usize,
-        live_objects_after: usize,
-        live_bytes_before: u64,
-        live_bytes_after: u64,
-        reclaimed_bytes: u64,
-    },
     /// A demand load on a cluster member triggered look-ahead loads for
     /// the rest of locality cluster `cluster`; `oid` is one of the
     /// prefetched companions (each companion gets its own event when its
@@ -197,14 +186,6 @@ pub enum RuntimeEvent {
         node: NodeId,
         oid: ObjectId,
         cluster: u64,
-    },
-    /// A cleaning pass relocated `curve_ordered` ranked records to the
-    /// log head in locality-curve order; `live_objects` is the log's live
-    /// record count.
-    CompactionReorder {
-        node: NodeId,
-        curve_ordered: usize,
-        live_objects: usize,
     },
     /// `node` decided (or was told) the computation terminated.
     Terminate { node: NodeId },

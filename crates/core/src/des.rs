@@ -21,7 +21,11 @@
 //!   computation/I/O *overlap* comes from. What to evict, load and
 //!   prefetch is the core's decision too — the same state machine the
 //!   threaded engine runs; this engine is its driver, executing the
-//!   core's I/O commands synchronously on the virtual channels.
+//!   core's I/O commands synchronously, one object at a time, through the
+//!   spill executor both engines share (`spill_io.rs`: retries, fault
+//!   and compaction reports, pooled buffers). Only the clock is this
+//!   engine's: retries, backoff and injected latency are charged to the
+//!   virtual channels, and packing and unpacking to the compute clock.
 //!
 //! Two work-stealing rules are this engine's own: a steal fires on behalf
 //! of a peer that has *no event scheduled* (virtual time can see idleness
@@ -38,12 +42,13 @@ use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::SequentialBackend;
 use crate::config::MrtsConfig;
 use crate::ctx::Ctx;
-use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
+use crate::fault::{FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{NodeId, ObjectId};
 use crate::msg::Message;
 use crate::node::{Entry, IoCmd, MetaOp, NetMsg, State};
-use crate::object::{MobileObject, Registry};
-use crate::runtime::{home_of, hooks::Hooks, shared_store, Boot, Engine, Runtime, SharedStore};
+use crate::object::MobileObject;
+use crate::runtime::{home_of, hooks::Hooks, Boot, Engine, Runtime};
+use crate::spill_io::{BufferPool, IoReport, SharedStore, SpillIo};
 use crate::stats::RunStats;
 use crate::storage::{MemStore, StorageBackend};
 use std::cmp::Reverse;
@@ -72,9 +77,9 @@ struct NodeState {
     /// become valid (the end of its store). Disk-model state: set by
     /// `exec_store`, consumed by the reload, which must not start earlier.
     disk_ready_at: HashMap<ObjectId, Duration>,
-    /// Reusable pack buffer for spills (the virtual-time analogue of the
-    /// threaded engine's I/O-pool buffer pool).
-    pack_buf: Vec<u8>,
+    /// Reusable pack and load buffer: one operation runs at a time, so
+    /// one buffer serves them all.
+    pool: BufferPool,
 }
 
 enum EvKind {
@@ -146,12 +151,12 @@ impl Hooks for Des {
                 core_free: vec![Duration::ZERO; cfg.cores_per_node],
                 disk_free: vec![Duration::ZERO; cfg.io_threads],
                 disk_ready_at: HashMap::new(),
-                pack_buf: Vec::new(),
+                pool: BufferPool::new(1),
             })
             .collect();
         let stores = (0..cfg.nodes)
             .map(|i| {
-                shared_store(match cfg.fault {
+                let store: Box<dyn StorageBackend> = match cfg.fault {
                     // Per-node seed offset: each node draws its own fault
                     // schedule, like distinct physical disks failing
                     // independently.
@@ -162,8 +167,11 @@ impl Hooks for Des {
                             ..plan
                         },
                     )),
-                    None => Box::new(MemStore::new()) as Box<dyn StorageBackend>,
-                })
+                    None => Box::new(MemStore::new()),
+                };
+                // Nothing waits in virtual time: the report's waits are
+                // charged to the disk channel.
+                SpillIo::new(i as NodeId, store, |_| {})
             })
             .collect();
         let engine = Des {
@@ -510,33 +518,20 @@ impl DesRuntime {
     /// mode and immediately shed the footprint overshoot accumulated while
     /// evictions were suspended.
     fn probe_degraded(&mut self, node: NodeId, at: Duration) {
-        let ok = self.stores[node as usize].lock().probe().is_ok();
-        self.drain_store_faults(node);
+        let (report, ok) = self.stores[node as usize].probe();
+        self.cores[node as usize].fold_io(&report);
         if ok {
             self.cores[node as usize].leave_degraded(at);
             self.flush(node, at);
         }
     }
 
-    /// Drain fault reports from a node's store: count them, emit audit
-    /// events, and return the total injected latency (charged to the
-    /// virtual disk channel by the caller).
-    fn drain_store_faults(&mut self, node: NodeId) -> Duration {
-        let reports = self.stores[node as usize].lock().take_fault_reports();
-        let mut latency = Duration::ZERO;
-        for r in &reports {
-            latency += r.delay;
-            self.cores[node as usize].stats.faults_injected += 1;
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::Fault {
-                    node,
-                    kind: r.kind,
-                    key: r.key
-                }
-            );
-        }
-        latency
+    /// Virtual disk time an operation lost to its faults: what it waited
+    /// (injected latency, retry backoff) plus one disk op per retried
+    /// attempt, through [`Self::fault_penalty`].
+    fn retry_penalty(&self, report: &IoReport, packed_len: usize) -> Duration {
+        let wasted = self.cfg.disk.op_time(packed_len) * report.retries;
+        self.fault_penalty(report.waited + wasted)
     }
 
     // ----- driving the node core -----------------------------------------------
@@ -667,10 +662,10 @@ impl DesRuntime {
         end
     }
 
-    /// Serialize one evicted object to the (modeled) disk. Store failures
-    /// are retried with bounded backoff; exhaustion (or `ENOSPC`) hands
-    /// the object back to the core ([`NodeCore::store_failed`]) instead of
-    /// panicking.
+    /// Serialize one evicted object to the (modeled) disk through the
+    /// spill executor. A store that exhausts the retry policy (or meets
+    /// `ENOSPC`) hands the object back to the core
+    /// ([`NodeCore::store_failed`]) instead of panicking.
     ///
     /// `coalesce` marks a store that joins an earlier one from the same
     /// batch in a single append: it is charged transfer time only (the
@@ -684,58 +679,30 @@ impl DesRuntime {
         at: Duration,
         coalesce: bool,
     ) {
-        // Real serialization, charged as compute. The object is kept alive
-        // until the store succeeds so a failed store can reinstate it.
-        // Packs into the node's reusable buffer.
-        let t0 = Instant::now();
-        let mut bytes = std::mem::take(&mut self.engine.nodes[node as usize].pack_buf);
-        let pool_hit = bytes.capacity() > 0;
-        Registry::pack_into(obj.as_ref(), &mut bytes);
-        let pack = self.compute_charge(t0.elapsed(), bytes.len());
-        let packed_len = bytes.len();
-        self.cores[node as usize].stats.comp += pack;
-        // Retry loop: each failed attempt charges one disk op plus the
-        // backoff delay to the virtual channel. A torn write is repaired by
-        // the retry overwriting the same key (nothing can load the key
-        // while its store is still in progress — per-object ordering).
-        let mut attempt = 0u32;
-        let mut penalty = Duration::ZERO;
-        let outcome = loop {
-            attempt += 1;
-            let stored = self.stores[node as usize].lock().store(key, &bytes);
-            match stored {
-                Ok(()) => break Ok(()),
-                Err(e) => {
-                    let injected = self.drain_store_faults(node);
-                    penalty += self.fault_penalty(injected);
-                    if attempt >= ENGINE_RETRY.max_attempts || is_out_of_space(&e) {
-                        break Err(e);
-                    }
-                    penalty += self.fault_penalty(
-                        self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
-                    );
-                    self.cores[node as usize].stats.io_retries += 1;
-                    audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
-                }
-            }
-        };
-        let injected = self.drain_store_faults(node);
-        penalty += self.fault_penalty(injected);
-        self.engine.nodes[node as usize].pack_buf = bytes;
-
-        if outcome.is_err() {
+        // Real serialization, charged as compute. The object is kept
+        // until the store lands, so a failed store reinstates it as it
+        // was.
+        let pool = &self.engine.nodes[node as usize].pool;
+        let stored =
+            self.stores[node as usize].store(pool, vec![(key, oid, obj)], &self.registry, true);
+        let packed_len = stored.packed[0].1;
+        let pack = self.compute_charge(stored.pack_dur, packed_len);
+        let penalty = self.retry_penalty(&stored.report, packed_len);
+        let core = &mut self.cores[node as usize];
+        core.stats.comp += pack;
+        core.fold_io(&stored.report);
+        if let Some(mut objs) = stored.rejected {
             // Charge the wasted disk time. The object can only have
             // queued messages if its queue is being drained in place
             // (resident objects execute on arrival), and that drain finds
             // it back in core — nothing to re-deliver here.
-            self.cores[node as usize].stats.io_gave_up += 1;
             if !penalty.is_zero() {
                 self.occupy_disk(node, at, penalty);
             }
+            let obj = objs.pop().expect("a batch of one");
             self.cores[node as usize].store_failed(oid, obj);
             return;
         }
-        drop(obj);
         // A coalesced store appends to the same segment the batch's first
         // store opened: charge transfer time only, refunding the seek.
         let op = self.cfg.disk.op_time(packed_len);
@@ -745,15 +712,17 @@ impl DesRuntime {
             op + penalty
         };
         let end = self.occupy_disk(node, at, dur);
-        let core = &mut self.cores[node as usize];
-        core.stats.buffer_pool_hits += usize::from(pool_hit);
         // A reload of this object must start after its bytes are valid.
         self.engine.nodes[node as usize]
             .disk_ready_at
             .insert(oid, end);
-        core.store_landed(oid, packed_len);
+        self.cores[node as usize].store_landed(oid, packed_len);
     }
 
+    /// Read a loaded object's bytes back through the spill executor,
+    /// retries and injected latency charged to the virtual disk channel.
+    /// Exhaustion is unrecoverable (the object exists nowhere else): the
+    /// run aborts with the typed error.
     fn on_loaded(&mut self, node: NodeId, oid: ObjectId) {
         let (key, packed_len) = {
             let e = self.cores[node as usize].entry(oid);
@@ -762,53 +731,28 @@ impl DesRuntime {
                 e.packed_len,
             )
         };
-        // Read the spilled bytes back, retrying transient faults with
-        // bounded backoff charged to the virtual disk channel. Exhaustion
-        // is unrecoverable (the object exists nowhere else): abort the run
-        // with a typed error.
-        let mut attempt = 0u32;
-        let mut penalty = Duration::ZERO;
-        let bytes = loop {
-            attempt += 1;
-            let loaded = self.stores[node as usize].lock().load(key);
-            match loaded {
-                Ok(b) => break b,
-                Err(source) => {
-                    let injected = self.drain_store_faults(node);
-                    penalty += self.fault_penalty(injected);
-                    if attempt >= ENGINE_RETRY.max_attempts {
-                        let core = &mut self.cores[node as usize];
-                        core.load_failed(oid);
-                        core.stats.disk += penalty;
-                        self.engine.fatal = Some(MrtsError::LoadFailed {
-                            node,
-                            oid,
-                            attempts: attempt,
-                            source,
-                        });
-                        return;
-                    }
-                    penalty += self.fault_penalty(
-                        self.cfg.disk.op_time(packed_len) + ENGINE_RETRY.delay(attempt, key),
-                    );
-                    self.cores[node as usize].stats.io_retries += 1;
-                    audit_emit!(self.audit, RuntimeEvent::Retry { node, oid, attempt });
-                }
+        let pool = &self.engine.nodes[node as usize].pool;
+        let loaded = self.stores[node as usize].load(pool, key, oid, &self.registry);
+        let penalty = self.retry_penalty(&loaded.report, packed_len);
+        // Real unpack, charged as compute.
+        let unpack = self.compute_charge(loaded.unpack_dur, packed_len);
+        self.cores[node as usize].fold_io(&loaded.report);
+        let obj = match loaded.outcome {
+            Ok((obj, len)) => {
+                debug_assert_eq!(len, packed_len);
+                obj
+            }
+            Err(err) => {
+                let core = &mut self.cores[node as usize];
+                core.load_failed(oid);
+                core.stats.disk += penalty;
+                self.engine.fatal = Some(err);
+                return;
             }
         };
-        let injected = self.drain_store_faults(node);
-        penalty += self.fault_penalty(injected);
         if !penalty.is_zero() {
             self.occupy_disk(node, self.engine.now, penalty);
         }
-        debug_assert_eq!(bytes.len(), packed_len);
-        // Real unpack, charged as compute.
-        let t0 = Instant::now();
-        let obj = self
-            .registry
-            .unpack(&bytes)
-            .expect("spill bytes were packed by this runtime from a registered type");
-        let unpack = self.compute_charge(t0.elapsed(), bytes.len());
         let now = self.engine.now;
         let core = &mut self.cores[node as usize];
         core.stats.comp += unpack;

@@ -8,9 +8,9 @@
 //! **seed-scheduled, deterministic faults** — transient `EIO`, torn
 //! (short) writes, an `ENOSPC` window, and latency spikes — so both
 //! engines can be driven through storage failures reproducibly. The
-//! recovery half lives in the engines (retry with [`RetryPolicy`],
-//! degraded mode in [`crate::ooc::OocManager`]) and in
-//! [`crate::checkpoint`] (crash/restart).
+//! recovery half lives in the spill executor both engines share (retry
+//! under [`ENGINE_RETRY`]), in degraded mode ([`crate::ooc::OocManager`])
+//! and in [`crate::checkpoint`] (crash/restart).
 //!
 //! Determinism contract: every injected fault is a pure function of the
 //! plan seed and a per-operation counter (`mix64(seed ^ op-tag ^ count)`),
@@ -56,8 +56,8 @@ pub struct FaultReport {
     pub kind: FaultKind,
     pub op: FaultOp,
     pub key: u64,
-    /// Added delay (zero for non-latency faults). The DES charges this to
-    /// the virtual disk channel; the threaded I/O pool really slept.
+    /// Added delay (zero for non-latency faults), reported rather than
+    /// slept: the spill executor waits it out on the engine's clock.
     pub delay: Duration,
 }
 
@@ -207,10 +207,6 @@ pub struct FaultyStore {
     plan: FaultPlan,
     store_ops: u64,
     load_ops: u64,
-    /// Really `thread::sleep` on latency faults (threaded engine); the
-    /// DES leaves this off and charges the reported delay to its virtual
-    /// disk channel instead.
-    real_sleep: bool,
     reports: Vec<FaultReport>,
 }
 
@@ -221,15 +217,8 @@ impl FaultyStore {
             plan,
             store_ops: 0,
             load_ops: 0,
-            real_sleep: false,
             reports: Vec::new(),
         }
-    }
-
-    /// Enable real sleeping on latency faults (threaded engine).
-    pub fn with_real_sleep(mut self, yes: bool) -> Self {
-        self.real_sleep = yes;
-        self
     }
 
     fn report(&mut self, kind: FaultKind, op: FaultOp, key: u64, delay: Duration) {
@@ -258,11 +247,7 @@ impl FaultyStore {
 
     fn maybe_latency(&mut self, tag: u64, count: u64, op: FaultOp, key: u64) {
         if self.plan.key_matches(key) && self.plan.draw(tag, count) < self.plan.latency_permille {
-            let delay = self.plan.latency;
-            if self.real_sleep {
-                std::thread::sleep(delay);
-            }
-            self.report(FaultKind::Latency, op, key, delay);
+            self.report(FaultKind::Latency, op, key, self.plan.latency);
         }
     }
 }
@@ -356,8 +341,9 @@ pub struct RetryPolicy {
     pub jitter_seed: u64,
 }
 
-/// Retry/backoff policy for storage operations in both engines (also
-/// paces message retransmission in the reliable-delivery layer).
+/// Retry/backoff policy of every spill-store operation, applied by the
+/// spill executor both engines share (also paces message retransmission
+/// in the reliable-delivery layer).
 pub const ENGINE_RETRY: RetryPolicy = RetryPolicy {
     max_attempts: 4,
     base_delay: Duration::from_micros(200),
@@ -387,36 +373,6 @@ impl RetryPolicy {
             mix64(self.jitter_seed ^ salt.wrapping_mul(0xA24B_AED4) ^ attempt as u64) % jitter_span
         };
         backoff + Duration::from_nanos(jitter)
-    }
-}
-
-/// Read a spilled object's packed bytes after the run — result extraction
-/// and checkpoint capture, in both engines. `attempt_load` is one try
-/// against the node's store; a fault plan keeps injecting once the run is
-/// over, so a failure is retried under [`ENGINE_RETRY`] (every attempt
-/// draws afresh) and exhaustion surfaces as the [`MrtsError::LoadFailed`]
-/// a load inside the run would have raised.
-pub(crate) fn load_spilled(
-    node: NodeId,
-    oid: ObjectId,
-    key: u64,
-    mut attempt_load: impl FnMut() -> io::Result<Vec<u8>>,
-) -> Result<Vec<u8>, MrtsError> {
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        match attempt_load() {
-            Ok(bytes) => return Ok(bytes),
-            Err(source) if attempts >= ENGINE_RETRY.max_attempts => {
-                return Err(MrtsError::LoadFailed {
-                    node,
-                    oid,
-                    attempts,
-                    source,
-                })
-            }
-            Err(_) => std::thread::sleep(ENGINE_RETRY.delay(attempts, key)),
-        }
     }
 }
 

@@ -59,6 +59,7 @@ pub mod replay;
 pub mod runtime;
 pub mod sched;
 pub mod service;
+mod spill_io;
 pub mod stats;
 pub mod storage;
 pub mod threaded;

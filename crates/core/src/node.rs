@@ -58,6 +58,7 @@ use crate::msg::{Message, MsgDecodeError};
 use crate::object::{timed, MobileObject, Registry};
 use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WINDOW_OBJECTS};
 use crate::policy::AccessMeta;
+use crate::spill_io::IoReport;
 use crate::stats::NodeStats;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -1167,12 +1168,49 @@ impl NodeCore {
 
     /// A load was abandoned after exhausting its retries. Unrecoverable
     /// for the run (the object exists nowhere else); this only releases
-    /// the window slot and counts the failure.
+    /// the window slot ([`NodeCore::fold_io`] counts the failure).
     pub(crate) fn load_failed(&mut self, oid: ObjectId) {
         let packed_len = self.entry(oid).packed_len;
         self.inflight_load_objs -= 1;
         self.inflight_load_bytes = self.inflight_load_bytes.saturating_sub(packed_len);
-        self.stats.io_gave_up += 1;
+    }
+
+    /// Fold what one spill operation met into the node's counters, and
+    /// announce it in attempt order: each attempt's `Fault`s, then its
+    /// `Retry` if it was retried. Called on the node's own thread, so the
+    /// events keep program order with the rest of the node's stream.
+    pub(crate) fn fold_io(&mut self, r: &IoReport) {
+        let s = &mut self.stats;
+        s.faults_injected += r.faults.len();
+        s.io_retries += r.retries as usize;
+        s.io_gave_up += usize::from(r.gave_up);
+        s.compaction_reorders += r.reorders;
+        s.segment_reads += r.seg_reads;
+        s.segment_switches += r.seg_switches;
+        s.buffer_pool_hits += r.pool_hits;
+        #[cfg(any(feature = "audit", debug_assertions))]
+        for attempt in 1..=r.retries + 1 {
+            for (_, f) in r.faults.iter().filter(|(a, _)| *a == attempt) {
+                audit_emit!(
+                    self.audit,
+                    RuntimeEvent::Fault {
+                        node: self.node,
+                        kind: f.kind,
+                        key: f.key
+                    }
+                );
+            }
+            if attempt <= r.retries {
+                audit_emit!(
+                    self.audit,
+                    RuntimeEvent::Retry {
+                        node: self.node,
+                        oid: r.oid,
+                        attempt
+                    }
+                );
+            }
+        }
     }
 
     /// The store of `oid` issued by an [`IoCmd::Store`] reached the disk
@@ -2618,6 +2656,53 @@ mod tests {
     /// does not compile until it has a row here. A steal denial is
     /// announced by the victim when it denies (see the test above): the
     /// arm that receives it emits nothing.
+    /// A spill operation's report lands in the counters, and its faults
+    /// and retries are announced attempt by attempt: each attempt's
+    /// faults, then its retry.
+    #[cfg(any(feature = "audit", debug_assertions))]
+    #[test]
+    fn fold_io_counts_and_announces_in_attempt_order() {
+        use crate::audit::EventLog;
+        use crate::fault::{FaultKind, FaultOp, FaultReport};
+        let fault = |kind| FaultReport {
+            kind,
+            op: FaultOp::Store,
+            key: 4,
+            delay: Duration::ZERO,
+        };
+        let mut c = core_at(1);
+        let log = std::sync::Arc::new(EventLog::new());
+        c.audit = Some(log.clone());
+        let mut r = IoReport::new(ObjectId::new(1, 4));
+        r.faults = vec![
+            (1, fault(FaultKind::TornWrite)),
+            (2, fault(FaultKind::TransientEio)),
+            (3, fault(FaultKind::Latency)),
+        ];
+        r.retries = 2;
+        (r.reorders, r.seg_reads, r.seg_switches, r.pool_hits) = (1, 3, 1, 2);
+        c.fold_io(&r);
+        let events: Vec<String> = (log.snapshot().iter()).map(|e| format!("{e:?}")).collect();
+        assert_eq!(
+            events,
+            [
+                "Fault { node: 1, kind: TornWrite, key: 4 }",
+                "Retry { node: 1, oid: obj:1:4, attempt: 1 }",
+                "Fault { node: 1, kind: TransientEio, key: 4 }",
+                "Retry { node: 1, oid: obj:1:4, attempt: 2 }",
+                "Fault { node: 1, kind: Latency, key: 4 }",
+            ]
+        );
+        let s = &c.stats;
+        assert_eq!((s.faults_injected, s.io_retries, s.io_gave_up), (3, 2, 0));
+        let (read, switched) = (s.segment_reads, s.segment_switches);
+        assert_eq!((s.compaction_reorders, read, switched), (1, 3, 1));
+        assert_eq!(s.buffer_pool_hits, 2);
+        r.gave_up = true;
+        c.fold_io(&r);
+        assert_eq!(c.stats.io_gave_up, 1);
+    }
+
     #[cfg(any(feature = "audit", debug_assertions))]
     #[test]
     fn every_arm_of_on_net_announces_what_it_did() {

@@ -24,14 +24,14 @@
 //!   index and a surrounding window.
 //!
 //! The comparison is over the **canonical** stream ([`canonicalize`]):
-//! events rendered as their `Debug` text, partitioned per node, and
-//! within a node into the control-thread lane (strictly ordered — the
-//! worker thread emits them in program order) and the I/O-pool lane
-//! (`Fault` / `Retry` / `Compaction` / `CompactionReorder`, emitted by
-//! pool threads and compared as a sorted multiset, since the shared sink
-//! interleaves pool threads arbitrarily). With `io_threads = 1` the pool
-//! multiset is fully deterministic too; wider pools replay the pool lane
-//! best-effort (see the determinism contract table in `DESIGN.md` §14).
+//! events rendered as their `Debug` text, one lane per node, in program
+//! order — every event of a node is emitted on its worker thread, the
+//! storage faults and retries of an I/O completion included, when the
+//! worker folds that completion in. Under a storage fault plan the lane
+//! is a deterministic sequence only with `io_threads = 1`: fault draws
+//! follow the store's operation counter, and which pool thread reaches it
+//! first is not virtualized (see the determinism contract table in
+//! `DESIGN.md` §14).
 //!
 //! Everything here is pure data + codecs; the gateway lives in
 //! [`crate::threaded`].
@@ -528,9 +528,7 @@ pub fn event_node(ev: &RuntimeEvent) -> NodeId {
         | Resize { node, .. }
         | Budget { node, .. }
         | Prefetch { node, .. }
-        | Compaction { node, .. }
         | ClusterPrefetch { node, .. }
-        | CompactionReorder { node, .. }
         | Terminate { node }
         | Shutdown { node, .. }
         | Fault { node, .. }
@@ -546,67 +544,33 @@ pub fn event_node(ev: &RuntimeEvent) -> NodeId {
     }
 }
 
-/// Is this event emitted by an I/O-pool thread (as opposed to the
-/// node's control thread)? Pool-lane events are compared as a sorted
-/// multiset — the shared sink interleaves pool threads arbitrarily.
-pub fn is_pool_event(ev: &RuntimeEvent) -> bool {
-    matches!(
-        ev,
-        RuntimeEvent::Fault { .. }
-            | RuntimeEvent::Retry { .. }
-            | RuntimeEvent::Compaction { .. }
-            | RuntimeEvent::CompactionReorder { .. }
-    )
-}
-
-/// One node's partitioned event streams, each event rendered as its
-/// `Debug` text: the derived rendering names every field, and
-/// `ObjectId`'s `obj:{home}:{seq}` is injective, so equal text is an
-/// equal event.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeLanes {
-    /// Control-thread events in emission (program) order.
-    pub control: Vec<String>,
-    /// I/O-pool-thread events as a sorted multiset.
-    pub pool: Vec<String>,
-}
-
-/// The canonical form of a run's audit stream: per-node, per-lane (see
-/// module docs). Two runs are byte-identical iff their canonical
-/// streams are equal.
+/// The canonical form of a run's audit stream: one lane per node, each
+/// event rendered as its `Debug` text, in program order (see module
+/// docs). The derived rendering names every field, and `ObjectId`'s
+/// `obj:{home}:{seq}` is injective, so equal text is an equal event; two
+/// runs are byte-identical iff their canonical streams are equal.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CanonicalStream {
-    pub nodes: Vec<NodeLanes>,
+    pub nodes: Vec<Vec<String>>,
 }
 
 impl CanonicalStream {
     pub fn total_events(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.control.len() + n.pool.len())
-            .sum()
+        self.nodes.iter().map(Vec::len).sum()
     }
 }
 
-/// Partition a shared-sink event log into the canonical per-node,
-/// per-lane form. The shared sink linearizes all threads, but each
-/// thread's own events keep program order, so per-node control lanes
-/// are deterministic; pool lanes are sorted into a multiset.
+/// Partition a shared-sink event log into the canonical per-node form.
+/// The shared sink linearizes all threads, but each node's events come
+/// from its one worker thread and keep program order.
 pub fn canonicalize(events: &[RuntimeEvent], n_nodes: usize) -> CanonicalStream {
-    let mut nodes = vec![NodeLanes::default(); n_nodes];
+    let mut nodes = vec![Vec::new(); n_nodes];
     for ev in events {
-        let Some(lanes) = nodes.get_mut(event_node(ev) as usize) else {
-            continue; // foreign event (e.g. a stale sink reused across runs)
-        };
-        let lane = if is_pool_event(ev) {
-            &mut lanes.pool
-        } else {
-            &mut lanes.control
-        };
-        lane.push(format!("{ev:?}"));
-    }
-    for lanes in &mut nodes {
-        lanes.pool.sort();
+        // A foreign event (e.g. a stale sink reused across runs) is
+        // skipped.
+        if let Some(lane) = nodes.get_mut(event_node(ev) as usize) {
+            lane.push(format!("{ev:?}"));
+        }
     }
     CanonicalStream { nodes }
 }
@@ -658,46 +622,24 @@ fn decode_lane(buf: &[u8], pos: &mut usize) -> Result<Vec<String>, ReplayDecodeE
 impl CanonicalStream {
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.nodes.len() as u64);
-        for lanes in &self.nodes {
-            encode_lane(&lanes.control, out);
-            encode_lane(&lanes.pool, out);
+        for lane in &self.nodes {
+            encode_lane(lane, out);
         }
     }
 
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<CanonicalStream, ReplayDecodeError> {
         let n = get_len(buf, pos)?;
         let nodes = (0..n)
-            .map(|_| {
-                let control = decode_lane(buf, pos)?;
-                let pool = decode_lane(buf, pos)?;
-                Ok(NodeLanes { control, pool })
-            })
+            .map(|_| decode_lane(buf, pos))
             .collect::<Result<_, _>>()?;
         Ok(CanonicalStream { nodes })
     }
 }
 
-/// Which lane a divergence was found in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lane {
-    Control,
-    Pool,
-}
-
-impl fmt::Display for Lane {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Lane::Control => write!(f, "control"),
-            Lane::Pool => write!(f, "pool"),
-        }
-    }
-}
-
-/// The first mismatch between a recorded and a live lane.
+/// The first mismatch between a node's recorded and live lane.
 #[derive(Clone, Debug)]
 pub struct Divergence {
     pub node: NodeId,
-    pub lane: Lane,
     /// Index of the first differing event in the lane.
     pub index: usize,
     /// Recorded event at `index` (`None`: the recorded lane ended here).
@@ -711,11 +653,7 @@ pub struct Divergence {
 
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "node {} [{} lane] diverges at event {}:",
-            self.node, self.lane, self.index
-        )?;
+        writeln!(f, "node {} diverges at event {}:", self.node, self.index)?;
         writeln!(f, "  expected: {}", or_end(self.expected.as_ref()))?;
         writeln!(f, "  actual:   {}", or_end(self.actual.as_ref()))?;
         for line in &self.window {
@@ -726,7 +664,7 @@ impl fmt::Display for Divergence {
 }
 
 /// Result of comparing a replayed run's canonical audit stream against
-/// the recorded one: at most one (first) divergence per node and lane.
+/// the recorded one: at most one (first) divergence per node.
 #[derive(Clone, Debug, Default)]
 pub struct DivergenceReport {
     pub divergences: Vec<Divergence>,
@@ -752,7 +690,7 @@ impl fmt::Display for DivergenceReport {
         }
         writeln!(
             f,
-            "replay DIVERGED ({} lane(s), {} events compared):",
+            "replay DIVERGED ({} node(s), {} events compared):",
             self.divergences.len(),
             self.events_compared
         )?;
@@ -768,13 +706,7 @@ fn or_end(ev: Option<&String>) -> &str {
     ev.map_or("<end of lane>", String::as_str)
 }
 
-fn compare_lane(
-    node: NodeId,
-    lane: Lane,
-    recorded: &[String],
-    live: &[String],
-    report: &mut DivergenceReport,
-) {
+fn compare_lane(node: NodeId, recorded: &[String], live: &[String], report: &mut DivergenceReport) {
     let common = recorded.len().min(live.len());
     let idx = (0..common).find(|&i| recorded[i] != live[i]);
     let idx = match idx {
@@ -799,7 +731,6 @@ fn compare_lane(
         .collect();
     report.divergences.push(Divergence {
         node,
-        lane,
         index: idx,
         expected: recorded.get(idx).cloned(),
         actual: live.get(idx).cloned(),
@@ -808,22 +739,14 @@ fn compare_lane(
 }
 
 /// Compare a live run's canonical stream against the recorded one and
-/// report the first divergence per node and lane.
+/// report the first divergence per node.
 pub fn compare(recorded: &CanonicalStream, live: &CanonicalStream) -> DivergenceReport {
     let mut report = DivergenceReport::default();
     let n = recorded.nodes.len().max(live.nodes.len());
-    let empty = NodeLanes::default();
     for i in 0..n {
-        let r = recorded.nodes.get(i).unwrap_or(&empty);
-        let l = live.nodes.get(i).unwrap_or(&empty);
-        compare_lane(
-            i as NodeId,
-            Lane::Control,
-            &r.control,
-            &l.control,
-            &mut report,
-        );
-        compare_lane(i as NodeId, Lane::Pool, &r.pool, &l.pool, &mut report);
+        let r = recorded.nodes.get(i).map_or(&[][..], Vec::as_slice);
+        let l = live.nodes.get(i).map_or(&[][..], Vec::as_slice);
+        compare_lane(i as NodeId, r, l, &mut report);
     }
     report
 }
@@ -833,8 +756,9 @@ pub fn compare(recorded: &CanonicalStream, live: &CanonicalStream) -> Divergence
 // ---------------------------------------------------------------------------
 
 const ART_MAGIC: &[u8; 8] = b"MRTSART1";
-/// Version 2: lanes are `Debug` text (version 1 held binary-coded events).
-const ART_VERSION: u32 = 2;
+/// Version 3: one lane per node (version 2 split each node into a control
+/// and a sorted I/O-pool lane; version 1 held binary-coded events).
+const ART_VERSION: u32 = 3;
 
 /// Load/save failure of a replay artifact or decision log.
 #[derive(Debug)]
@@ -1116,21 +1040,21 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_partitions_by_node_and_lane() {
+    fn canonicalize_partitions_by_node() {
         let events = sample_events();
         let c = canonicalize(&events, 2);
         assert_eq!(c.nodes.len(), 2);
-        // Node 0: Create, Post, Deliver, NetFault on control; Fault on pool.
-        assert_eq!(c.nodes[0].control.len(), 4);
-        assert_eq!(c.nodes[0].pool.len(), 1);
-        // Node 1: the three steal events, Terminate, Shutdown — all
-        // control-lane (steals are worker-thread decisions).
-        assert_eq!(c.nodes[1].control.len(), 5);
-        assert!(c.nodes[1].pool.is_empty());
+        // Node 0: Create, Post, Deliver, Fault, NetFault, in that order.
+        assert_eq!(c.nodes[0].len(), 5);
+        assert!(c.nodes[0][3].starts_with("Fault {"));
+        // Node 1: the three steal events, Terminate, Shutdown.
+        assert_eq!(c.nodes[1].len(), 5);
     }
 
+    /// Storage faults are compared in program order like every other
+    /// event: a swapped pair is a divergence.
     #[test]
-    fn pool_lane_is_order_insensitive() {
+    fn fault_events_are_compared_in_order() {
         let a = vec![
             RuntimeEvent::Fault {
                 node: 0,
@@ -1144,7 +1068,9 @@ mod tests {
             },
         ];
         let b: Vec<RuntimeEvent> = a.iter().rev().cloned().collect();
-        assert_eq!(canonicalize(&a, 1), canonicalize(&b, 1));
+        let report = compare(&canonicalize(&a, 1), &canonicalize(&b, 1));
+        assert_eq!(report.divergences.len(), 1);
+        assert_eq!(report.divergences[0].index, 0);
     }
 
     #[test]
@@ -1160,7 +1086,6 @@ mod tests {
         assert!(!report.is_clean());
         let d = &report.divergences[0];
         assert_eq!(d.node, 0);
-        assert_eq!(d.lane, Lane::Control);
         assert_eq!(d.index, 2);
         assert_eq!(
             d.expected.as_deref(),
@@ -1209,12 +1134,15 @@ mod tests {
         for cut in [13, bytes.len() / 2, bytes.len() - 1] {
             assert!(ReplayArtifact::decode(&bytes[..cut]).is_err());
         }
-        // Version 1 (binary-coded lanes) is not read back.
-        let mut v1 = bytes;
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            ReplayArtifact::decode(&v1),
-            Err(ReplayDecodeError::BadVersion(1))
-        );
+        // Versions 1 (binary-coded lanes) and 2 (split lanes) are not
+        // read back.
+        for old in [1u32, 2] {
+            let mut stale = bytes.clone();
+            stale[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                ReplayArtifact::decode(&stale),
+                Err(ReplayDecodeError::BadVersion(old))
+            );
+        }
     }
 }

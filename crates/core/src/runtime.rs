@@ -26,22 +26,13 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry};
 use crate::config::MrtsConfig;
-use crate::fault::{load_spilled, MrtsError};
+use crate::fault::MrtsError;
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use crate::msg::Message;
 use crate::node::{Entry, NodeCore, State};
 use crate::object::{DecodeFn, HandlerFn, MobileObject, Registry};
+use crate::spill_io::SharedStore;
 use crate::stats::RunStats;
-use crate::storage::StorageBackend;
-
-/// One node's spill store, shared by whatever performs its I/O during a
-/// run and read by the result accessors after it. A leaf lock: each hold
-/// is one block that takes no other lock and sends on no channel.
-pub(crate) type SharedStore = std::sync::Arc<parking_lot::Mutex<Box<dyn StorageBackend>>>;
-
-pub(crate) fn shared_store(store: Box<dyn StorageBackend>) -> SharedStore {
-    std::sync::Arc::new(parking_lot::Mutex::new(store))
-}
 
 /// Packed bytes of the spilled object `oid` of `node`, read from its
 /// store (uncharged: result extraction is outside every clock).
@@ -51,8 +42,9 @@ fn load_packed(
     oid: ObjectId,
     key: u64,
 ) -> Result<Vec<u8>, MrtsError> {
-    let store = &stores[node as usize];
-    load_spilled(node, oid, key, || store.lock().load(key))
+    let mut bytes = Vec::new();
+    stores[node as usize].read(key, oid, &mut bytes).1?;
+    Ok(bytes)
 }
 
 /// A spilled object, read from its node's store and decoded.

@@ -36,10 +36,14 @@
 //!   the node's ready queue is non-empty, and a load that completes with
 //!   ready work remaining was masked by computation. The node keeps
 //!   executing in-core objects while loads are in flight.
-//! * **Non-blocking storage ops** — `io_threads` workers share the spill
-//!   store; object pack/unpack runs on them, off the node's control
-//!   thread, and an eviction round lands as batched appends on the
-//!   segmented spill log, one request per few segments of footprint.
+//! * **Non-blocking storage ops** — `io_threads` workers run the node's
+//!   spill executor (`spill_io.rs`, shared with the virtual-time engine),
+//!   so object pack/unpack, retries and their backoff sleeps happen off
+//!   the node's control thread, and an eviction round lands as batched
+//!   appends on the segmented spill log, one request per few segments of
+//!   footprint. A completion carries the executor's report back; the
+//!   worker folds it into the core, which announces its storage faults
+//!   and retries then, on the worker's own thread.
 //! * **The post-run state** — a worker's control loop ends without
 //!   loading anything back: it hands its core (resident objects, and the
 //!   spill key of every other one) back to the [`Runtime`], which keeps
@@ -62,15 +66,16 @@ use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, WorkStealingPool};
 use crate::config::MrtsConfig;
 use crate::ctx::Ctx;
-use crate::fault::{is_out_of_space, FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
+use crate::fault::{FaultPlan, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{NodeId, ObjectId};
 use crate::netfault::{NetFaultKind, NetFaultPlan};
 use crate::node::{Entry, IoCmd, MetaOp, NetMsg, NodeCore};
 use crate::object::{MobileObject, Registry};
 use crate::relnet::{ReliableReceiver, ReliableSender, RingStep, Safra, TimerAction};
 use crate::replay::{Decision, DecisionLog, IoKind, REPLAY_WAIT};
-use crate::runtime::{home_of, hooks::Hooks, shared_store, Boot, Engine, Runtime, SharedStore};
+use crate::runtime::{home_of, hooks::Hooks, Boot, Engine, Runtime};
 use crate::sched::VictimCursor;
+use crate::spill_io::{BufferPool, IoReport, Loaded, SharedStore, SpillIo, Stored};
 use crate::stats::{NodeStats, RunStats};
 use crate::storage::{MemStore, SegmentStore, StorageBackend};
 use armci_sim::{ActiveMessage, Endpoint, Fabric, NetworkModel};
@@ -115,58 +120,15 @@ enum IoReq {
     Shutdown,
 }
 
+/// An I/O-pool completion: the spill executor's outcome, its report
+/// still to be folded into the node's counters and audit stream.
 enum IoDone {
-    /// A whole [`IoReq::StoreBatch`] landed; `items` are per-object
-    /// `(oid, packed_len)` in batch order.
-    StoredBatch {
-        items: Vec<(ObjectId, usize)>,
-        io_dur: Duration,
-        pack_dur: Duration,
-        retries: u32,
-        faults: usize,
-        pool_hits: usize,
-        /// Compactions triggered by this batch that rewrote live records
-        /// in locality-curve order.
-        reorders: usize,
-    },
-    /// A batch store was rejected as a whole after exhausting the retry
-    /// policy, or with `ENOSPC` (a prefix may have landed, but no record
-    /// is trusted); every object is reconstituted from its packed bytes
-    /// for the control thread to reinstate in-core.
-    StoreBatchFailed {
-        items: Vec<(ObjectId, Box<dyn MobileObject>)>,
-        io_dur: Duration,
-        pack_dur: Duration,
-        retries: u32,
-        faults: usize,
-    },
-    Loaded {
-        oid: ObjectId,
-        obj: Box<dyn MobileObject>,
-        packed_len: usize,
-        io_dur: Duration,
-        unpack_dur: Duration,
-        retries: u32,
-        faults: usize,
-        /// Sequential-read tracker drained from the store with this load:
-        /// `(loads served, segment switches)` — see
-        /// [`StorageBackend::take_read_stats`].
-        seg_reads: u64,
-        seg_switches: u64,
-    },
-    /// A spilled object could not be read back — unrecoverable (the
-    /// object exists nowhere else).
-    LoadFailed {
-        oid: ObjectId,
-        error: std::io::Error,
-        attempts: u32,
-        retries: u32,
-        faults: usize,
-    },
-    Probed {
-        ok: bool,
-        faults: usize,
-    },
+    /// An [`IoReq::StoreBatch`] landed, or was rejected as a whole.
+    Stored(Stored),
+    /// A load came back, or failed for good.
+    Loaded(Loaded),
+    /// A health probe: whether the store accepts writes again.
+    Probed(IoReport, bool),
 }
 
 /// The `(kind, key)` identity of an I/O completion, for decision
@@ -175,17 +137,11 @@ enum IoDone {
 /// first object; health probes carry no key).
 fn io_done_key(d: &IoDone) -> (IoKind, u64) {
     match d {
-        IoDone::StoredBatch { items, .. } => (
-            IoKind::StoredBatch,
-            items.first().map_or(0, |(oid, _)| oid.0),
-        ),
-        IoDone::StoreBatchFailed { items, .. } => (
-            IoKind::StoreBatchFailed,
-            items.first().map_or(0, |(oid, _)| oid.0),
-        ),
-        IoDone::Loaded { oid, .. } => (IoKind::Loaded, oid.0),
-        IoDone::LoadFailed { oid, .. } => (IoKind::LoadFailed, oid.0),
-        IoDone::Probed { .. } => (IoKind::Probed, 0),
+        IoDone::Stored(s) if s.rejected.is_none() => (IoKind::StoredBatch, s.report.oid.0),
+        IoDone::Stored(s) => (IoKind::StoreBatchFailed, s.report.oid.0),
+        IoDone::Loaded(l) if l.outcome.is_ok() => (IoKind::Loaded, l.report.oid.0),
+        IoDone::Loaded(l) => (IoKind::LoadFailed, l.report.oid.0),
+        IoDone::Probed(..) => (IoKind::Probed, 0),
     }
 }
 
@@ -1093,107 +1049,66 @@ impl Worker {
         self.ready.retain(|&r| r != oid);
     }
 
-    /// Feed one I/O-pool completion back into the core. The pool's own
-    /// measurements (busy time, pack/unpack time, retries, injected
-    /// faults) are this engine's to count; what the completion *means* for
-    /// residency is the core's.
+    /// Feed one I/O-pool completion back into the core. The pool's
+    /// measured busy and pack/unpack time are this engine's to charge;
+    /// what the spill executor met is folded by the core, and what the
+    /// completion *means* for residency is the core's.
     fn on_io(&mut self, done: IoDone) {
         self.outstanding_io -= 1;
+        let (report, codec) = match &done {
+            IoDone::Stored(stored) => (&stored.report, stored.pack_dur),
+            IoDone::Loaded(loaded) => (&loaded.report, loaded.unpack_dur),
+            IoDone::Probed(report, _) => (report, Duration::ZERO),
+        };
+        self.core.fold_io(report);
+        self.core.stats.disk += report.io_dur;
+        self.core.stats.comp += codec;
         match done {
-            IoDone::StoredBatch {
-                items,
-                io_dur,
-                pack_dur,
-                retries,
-                faults,
-                pool_hits,
-                reorders,
-            } => {
-                self.core.stats.disk += io_dur;
-                self.core.stats.comp += pack_dur;
-                self.core.stats.io_retries += retries as usize;
-                self.core.stats.faults_injected += faults;
-                self.core.stats.buffer_pool_hits += pool_hits;
-                self.core.stats.compaction_reorders += reorders;
-                for (oid, packed_len) in items {
-                    self.core.store_landed(oid, packed_len);
-                }
-            }
-            IoDone::StoreBatchFailed {
-                items,
-                io_dur,
-                pack_dur,
-                retries,
-                faults,
-            } => {
-                self.core.stats.disk += io_dur;
-                self.core.stats.comp += pack_dur;
-                self.core.stats.io_retries += retries as usize;
-                self.core.stats.faults_injected += faults;
-                self.core.stats.io_gave_up += 1;
+            IoDone::Stored(stored) => {
+                let Some(objs) = stored.rejected else {
+                    for (oid, packed_len) in stored.packed {
+                        self.core.store_landed(oid, packed_len);
+                    }
+                    return;
+                };
                 // Whole-batch failure: a prefix of the batch may have
                 // landed, but no record is trusted — every object goes
                 // back in core, marked dirty, before any of them moves on.
-                let oids: Vec<ObjectId> = items.iter().map(|(oid, _)| *oid).collect();
-                for (oid, obj) in items {
+                for (&(oid, _), obj) in stored.packed.iter().zip(objs) {
                     self.core.store_failed(oid, obj);
                     self.race_access(oid);
                 }
-                for oid in oids {
+                for (oid, _) in stored.packed {
                     self.core.resume(oid, NOW);
                 }
                 self.drain();
             }
-            IoDone::LoadFailed {
-                oid,
-                error,
-                attempts,
-                retries,
-                faults,
-            } => {
-                self.core.stats.io_retries += retries as usize;
-                self.core.stats.faults_injected += faults;
-                self.core.load_failed(oid);
-                // Unrecoverable: the object exists nowhere else.
-                self.fail(MrtsError::LoadFailed {
-                    node: self.node,
-                    oid,
-                    attempts,
-                    source: error,
-                });
+            IoDone::Loaded(loaded) => {
+                let oid = loaded.report.oid;
+                match loaded.outcome {
+                    Ok((obj, packed_len)) => {
+                        // Overlap classification: a load that completes
+                        // while resident work remains was masked by
+                        // computation.
+                        let miss = self.ready.is_empty();
+                        self.core.complete_load(oid, obj, packed_len, miss);
+                        self.race_access(oid);
+                        self.core.resume(oid, NOW);
+                        self.drain();
+                    }
+                    // Unrecoverable: the object exists nowhere else.
+                    Err(err) => {
+                        self.core.load_failed(oid);
+                        self.fail(err);
+                    }
+                }
             }
-            IoDone::Probed { ok, faults } => {
+            IoDone::Probed(_, ok) => {
                 self.probe_inflight = false;
-                self.core.stats.faults_injected += faults;
                 if ok {
                     self.core.leave_degraded(NOW);
                     self.flush_io();
                 }
-            }
-            IoDone::Loaded {
-                oid,
-                obj,
-                packed_len,
-                io_dur,
-                unpack_dur,
-                retries,
-                faults,
-                seg_reads,
-                seg_switches,
-            } => {
-                self.core.stats.disk += io_dur;
-                self.core.stats.comp += unpack_dur;
-                self.core.stats.io_retries += retries as usize;
-                self.core.stats.faults_injected += faults;
-                self.core.stats.segment_reads += seg_reads as usize;
-                self.core.stats.segment_switches += seg_switches as usize;
-                // Overlap classification: a load that completes while
-                // resident work remains was masked by computation.
-                let miss = self.ready.is_empty();
-                self.core.complete_load(oid, obj, packed_len, miss);
-                self.race_access(oid);
-                self.core.resume(oid, NOW);
-                self.drain();
             }
         }
     }
@@ -1513,342 +1428,57 @@ struct WorkerResult {
     decisions: Vec<Decision>,
 }
 
-/// Bounded pool of reusable pack and load buffers shared by one node's
-/// I/O pool workers: at most `max` idle buffers are kept, the rest are
-/// dropped.
-struct BufferPool {
-    /// Leaf lock: held only to pop or push one buffer.
-    bufs: parking_lot::Mutex<Vec<Vec<u8>>>,
-    max: usize,
-}
-
-impl BufferPool {
-    fn new(max: usize) -> Self {
-        BufferPool {
-            bufs: parking_lot::Mutex::new(Vec::new()),
-            max,
-        }
-    }
-
-    /// A buffer to pack or load into, plus whether it came from the pool
-    /// (its capacity is reused — no fresh allocation on the hot path).
-    fn get(&self) -> (Vec<u8>, bool) {
-        match self.bufs.lock().pop() {
-            Some(b) => (b, true),
-            None => (Vec::new(), false),
-        }
-    }
-
-    /// Return a buffer with its contents: `pack_into` clears what it
-    /// packs into, and a load overwrites all but what it has to grow, so
-    /// a buffer that keeps its length skips zeroing it again.
-    fn put(&self, buf: Vec<u8>) {
-        let mut g = self.bufs.lock();
-        if g.len() < self.max {
-            g.push(buf);
-        }
-    }
-}
-
-/// Spawn the node's I/O pool: `n_threads` workers sharing one spill store
-/// behind a mutex. Pack/unpack run on the pool **outside** the store lock,
-/// so serialization of one object overlaps the disk op of another and the
-/// node's control thread never blocks on either. Both directions draw
-/// their buffer from a bounded [`BufferPool`]: a store packs into it, a
-/// load reads into it (`StorageBackend::load_into`), and it goes back
-/// after the store lands or the load is unpacked. The store is handed
-/// back as well: it outlives the pool, and the runtime reads spilled
-/// results from it.
+/// Spawn the node's I/O pool: `n_threads` workers running the node's
+/// spill executor. Pack/unpack run on the pool **outside** the store
+/// lock, so serialization of one object overlaps the disk op of another
+/// and the node's control thread never blocks on either. Both directions
+/// draw their buffer from one bounded [`BufferPool`], which goes with the
+/// pool when the run ends.
 fn spawn_io_pool(
-    node: NodeId,
-    store: Box<dyn StorageBackend>,
+    io: SharedStore,
     registry: std::sync::Arc<Registry>,
     n_threads: usize,
-    audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
 ) -> (
     channel::Sender<IoReq>,
     channel::Receiver<IoDone>,
     Vec<std::thread::JoinHandle<()>>,
-    SharedStore,
 ) {
-    let retry = ENGINE_RETRY;
     let (req_tx, req_rx) = channel::unbounded::<IoReq>();
     let (done_tx, done_rx) = channel::unbounded::<IoDone>();
-    let store = shared_store(store);
     let pool = std::sync::Arc::new(BufferPool::new(n_threads * 2 + 2));
-    let mut handles = Vec::with_capacity(n_threads);
-    for t in 0..n_threads {
-        let req_rx = req_rx.clone();
-        let done_tx = done_tx.clone();
-        let store = store.clone();
-        let pool = pool.clone();
-        let registry = registry.clone();
-        let audit = audit.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("mrts-io-{t}"))
-            .spawn(move || {
+    let handles = (0..n_threads)
+        .map(|t| {
+            let (req_rx, done_tx) = (req_rx.clone(), done_tx.clone());
+            let (io, pool, registry) = (io.clone(), pool.clone(), registry.clone());
+            let serve = move || {
                 while let Ok(req) = req_rx.recv() {
-                    match req {
+                    let done = match req {
+                        // An eviction of one object is a batch of one.
                         IoReq::StoreBatch { items } => {
-                            // Pack every object into a pooled buffer, then
-                            // land the whole batch through one
-                            // `store_batch` call under one lock hold: a
-                            // single coalesced append on the segment log
-                            // (an eviction of one object is a batch of one).
-                            let t0 = Instant::now();
-                            let mut pool_hits = 0usize;
-                            let mut packed: Vec<(u64, Vec<u8>, ObjectId)> =
-                                Vec::with_capacity(items.len());
-                            for (key, oid, obj) in items {
-                                let (mut buf, hit) = pool.get();
-                                pool_hits += usize::from(hit);
-                                Registry::pack_into(obj.as_ref(), &mut buf);
-                                drop(obj);
-                                packed.push((key, buf, oid));
-                            }
-                            let pack_dur = t0.elapsed();
-                            let first = packed[0].2;
-                            let t1 = Instant::now();
-                            let mut retries = 0u32;
-                            let mut faults = 0usize;
-                            let mut reorders = 0usize;
-                            let mut attempt = 0u32;
-                            // Retry with real backoff sleeps (outside the
-                            // store lock). A torn write is repaired by the
-                            // retry overwriting the same keys: per-key
-                            // ordering means no load races these stores.
-                            let outcome = loop {
-                                attempt += 1;
-                                let pairs: Vec<(u64, &[u8])> =
-                                    packed.iter().map(|(k, b, _)| (*k, b.as_slice())).collect();
-                                let (res, fr, cr) = {
-                                    let mut s = store.lock();
-                                    let res = s.store_batch(&pairs);
-                                    // Drained unconditionally so the backend's
-                                    // report buffers never accumulate.
-                                    (res, s.take_fault_reports(), s.take_compaction_reports())
-                                };
-                                faults += fr.len();
-                                reorders += count_reorders(&cr);
-                                emit_faults(node, &fr, &audit);
-                                emit_compactions(node, &cr, &audit);
-                                match res {
-                                    Ok(()) => break Ok(()),
-                                    Err(e) => {
-                                        if attempt >= retry.max_attempts || is_out_of_space(&e) {
-                                            break Err(e);
-                                        }
-                                        retries += 1;
-                                        emit_retry(node, first, attempt, &audit);
-                                        std::thread::sleep(retry.delay(attempt, packed[0].0));
-                                    }
-                                }
-                            };
-                            let io_dur = t1.elapsed();
-                            let done = match outcome {
-                                Ok(()) => {
-                                    let mut out = Vec::with_capacity(packed.len());
-                                    for (_, buf, oid) in packed {
-                                        out.push((oid, buf.len()));
-                                        pool.put(buf);
-                                    }
-                                    IoDone::StoredBatch {
-                                        items: out,
-                                        io_dur,
-                                        pack_dur,
-                                        retries,
-                                        faults,
-                                        pool_hits,
-                                        reorders,
-                                    }
-                                }
-                                Err(_) => IoDone::StoreBatchFailed {
-                                    // The store rejected the batch: rebuild
-                                    // the objects from the packed bytes so
-                                    // the control thread can reinstate them.
-                                    items: packed
-                                        .iter()
-                                        .map(|(_, b, oid)| {
-                                            let obj = registry.unpack(b).expect(
-                                                "store holds pack output of registered types",
-                                            );
-                                            (*oid, obj)
-                                        })
-                                        .collect(),
-                                    io_dur,
-                                    pack_dur,
-                                    retries,
-                                    faults,
-                                },
-                            };
-                            done_tx.send(done).ok();
+                            IoDone::Stored(io.store(&pool, items, &registry, false))
                         }
                         IoReq::Load { key, oid } => {
-                            let (mut buf, _) = pool.get();
-                            let t0 = Instant::now();
-                            let mut retries = 0u32;
-                            let mut faults = 0usize;
-                            let mut seg_reads = 0u64;
-                            let mut seg_switches = 0u64;
-                            let mut attempt = 0u32;
-                            let outcome = loop {
-                                attempt += 1;
-                                let (res, fr, rs) = {
-                                    let mut s = store.lock();
-                                    let res = s.load_into(key, &mut buf);
-                                    (res, s.take_fault_reports(), s.take_read_stats())
-                                };
-                                faults += fr.len();
-                                seg_reads += rs.0;
-                                seg_switches += rs.1;
-                                emit_faults(node, &fr, &audit);
-                                match res {
-                                    Ok(()) => break Ok(()),
-                                    Err(e) => {
-                                        if attempt >= retry.max_attempts {
-                                            break Err(e);
-                                        }
-                                        retries += 1;
-                                        emit_retry(node, oid, attempt, &audit);
-                                        std::thread::sleep(retry.delay(attempt, key));
-                                    }
-                                }
-                            };
-                            let io_dur = t0.elapsed();
-                            let done = match outcome {
-                                Ok(()) => {
-                                    let packed_len = buf.len();
-                                    let t1 = Instant::now();
-                                    let obj = registry
-                                        .unpack(&buf)
-                                        .expect("store holds pack output of registered types");
-                                    let unpack_dur = t1.elapsed();
-                                    IoDone::Loaded {
-                                        oid,
-                                        obj,
-                                        packed_len,
-                                        io_dur,
-                                        unpack_dur,
-                                        retries,
-                                        faults,
-                                        seg_reads,
-                                        seg_switches,
-                                    }
-                                }
-                                Err(error) => IoDone::LoadFailed {
-                                    oid,
-                                    error,
-                                    attempts: attempt,
-                                    retries,
-                                    faults,
-                                },
-                            };
-                            pool.put(buf);
-                            done_tx.send(done).ok();
-                        }
-                        IoReq::SetRanks(ranks) => {
-                            // Fire-and-forget placement hint: no reply.
-                            store.lock().set_key_ranks(&ranks);
+                            IoDone::Loaded(io.load(&pool, key, oid, &registry))
                         }
                         IoReq::Probe => {
-                            let (ok, fr) = {
-                                let mut s = store.lock();
-                                (s.probe().is_ok(), s.take_fault_reports())
-                            };
-                            emit_faults(node, &fr, &audit);
-                            done_tx
-                                .send(IoDone::Probed {
-                                    ok,
-                                    faults: fr.len(),
-                                })
-                                .ok();
+                            let (report, ok) = io.probe();
+                            IoDone::Probed(report, ok)
+                        }
+                        // Fire-and-forget placement hint: no reply.
+                        IoReq::SetRanks(ranks) => {
+                            io.lock().set_key_ranks(&ranks);
+                            continue;
                         }
                         IoReq::Shutdown => break,
-                    }
+                    };
+                    done_tx.send(done).ok();
                 }
-            })
-            .expect("spawn io thread");
-        handles.push(handle);
-    }
-    (req_tx, done_rx, handles, store)
-}
-
-/// Forward injected-fault reports from the I/O pool to the audit sink
-/// (compiled out without the `audit` feature in release builds).
-#[allow(unused_variables)]
-fn emit_faults(
-    node: NodeId,
-    reports: &[crate::fault::FaultReport],
-    audit: &Option<std::sync::Arc<dyn crate::audit::EventSink>>,
-) {
-    #[cfg(any(feature = "audit", debug_assertions))]
-    {
-        if let Some(sink) = audit.as_ref() {
-            for r in reports {
-                sink.record(&RuntimeEvent::Fault {
-                    node,
-                    kind: r.kind,
-                    key: r.key,
-                });
-            }
-        }
-    }
-}
-
-/// Emit a retry event from an I/O pool thread.
-#[allow(unused_variables)]
-fn emit_retry(
-    node: NodeId,
-    oid: ObjectId,
-    attempt: u32,
-    audit: &Option<std::sync::Arc<dyn crate::audit::EventSink>>,
-) {
-    #[cfg(any(feature = "audit", debug_assertions))]
-    {
-        if let Some(sink) = audit.as_ref() {
-            sink.record(&RuntimeEvent::Retry { node, oid, attempt });
-        }
-    }
-}
-
-/// Forward compaction reports from the I/O pool to the audit sink. The
-/// emission body compiles out in release builds without the `audit`
-/// feature, but callers drain the reports either way.
-#[allow(unused_variables)]
-fn emit_compactions(
-    node: NodeId,
-    reports: &[crate::storage::CompactionReport],
-    audit: &Option<std::sync::Arc<dyn crate::audit::EventSink>>,
-) {
-    #[cfg(any(feature = "audit", debug_assertions))]
-    {
-        if let Some(sink) = audit.as_ref() {
-            for r in reports {
-                sink.record(&RuntimeEvent::Compaction {
-                    node,
-                    live_objects_before: r.live_objects_before,
-                    live_objects_after: r.live_objects_after,
-                    live_bytes_before: r.live_bytes_before,
-                    live_bytes_after: r.live_bytes_after,
-                    reclaimed_bytes: r.reclaimed_bytes,
-                });
-                if r.curve_ordered > 0 {
-                    sink.record(&RuntimeEvent::CompactionReorder {
-                        node,
-                        curve_ordered: r.curve_ordered,
-                        live_objects: r.live_objects_after,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Compactions in `reports` that rewrote live records in curve order
-/// (counted outside the `audit` cfg — the stats counter must not depend on
-/// whether auditing is compiled in).
-fn count_reorders(reports: &[crate::storage::CompactionReport]) -> usize {
-    reports.iter().filter(|r| r.curve_ordered > 0).count()
+            };
+            let thread = std::thread::Builder::new().name(format!("mrts-io-{t}"));
+            thread.spawn(serve).expect("spawn io thread")
+        })
+        .collect();
+    (req_tx, done_rx, handles)
 }
 
 /// The threaded MRTS runtime: [`Runtime`] on the [`Threads`] engine.
@@ -1972,32 +1602,22 @@ impl ThreadedRuntime {
                 None => Box::new(MemStore::new()),
             };
             // Per-node seed offset: each node draws its own fault schedule,
-            // like distinct physical disks failing independently. Latency
-            // spikes really sleep here (wall-clock engine).
+            // like distinct physical disks failing independently.
             let store: Box<dyn StorageBackend> = match self.cfg.fault {
-                Some(plan) => Box::new(
-                    FaultyStore::new(
-                        store,
-                        FaultPlan {
-                            seed: plan.seed.wrapping_add(i as u64),
-                            ..plan
-                        },
-                    )
-                    .with_real_sleep(true),
-                ),
+                Some(plan) => Box::new(FaultyStore::new(
+                    store,
+                    FaultPlan {
+                        seed: plan.seed.wrapping_add(i as u64),
+                        ..plan
+                    },
+                )),
                 None => store,
             };
-            #[cfg(any(feature = "audit", debug_assertions))]
-            let pool_audit = self.audit.clone();
-            #[cfg(not(any(feature = "audit", debug_assertions)))]
-            let pool_audit: Option<std::sync::Arc<dyn crate::audit::EventSink>> = None;
-            let (io_tx, io_rx, handles, store) = spawn_io_pool(
-                i as NodeId,
-                store,
-                registry.clone(),
-                self.cfg.io_threads,
-                pool_audit,
-            );
+            // Backoff and injected latency really sleep here (wall-clock
+            // engine), outside the store lock.
+            let store = SpillIo::new(i as NodeId, store, std::thread::sleep);
+            let (io_tx, io_rx, handles) =
+                spawn_io_pool(store.clone(), registry.clone(), self.cfg.io_threads);
             io_handles.extend(handles);
             self.stores.push(store);
             let backend: Box<dyn TaskBackend> = if self.cfg.cores_per_node <= 1 {

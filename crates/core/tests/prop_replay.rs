@@ -4,7 +4,8 @@
 //! decoders against arbitrary (hostile) bytes.
 
 use mrts::replay::{
-    CanonicalStream, Decision, DecisionLog, IoKind, NodeLanes, ReplayArtifact, DEFAULT_LOG_BYTE_CAP,
+    CanonicalStream, Decision, DecisionLog, IoKind, ReplayArtifact, ReplayDecodeError,
+    DEFAULT_LOG_BYTE_CAP,
 };
 use proptest::prelude::*;
 
@@ -59,17 +60,13 @@ fn arb_artifact() -> impl Strategy<Value = ReplayArtifact> {
         arb_text(),
         any::<u64>(),
         arb_log(),
-        prop::collection::vec((lane(), lane()), 0..4),
+        prop::collection::vec(lane(), 0..4),
     )
-        .prop_map(|(harness, seed, decisions, lanes)| ReplayArtifact {
+        .prop_map(|(harness, seed, decisions, nodes)| ReplayArtifact {
             harness,
             seed,
             decisions,
-            recorded: CanonicalStream {
-                nodes: (lanes.into_iter())
-                    .map(|(control, pool)| NodeLanes { control, pool })
-                    .collect(),
-            },
+            recorded: CanonicalStream { nodes },
         })
 }
 
@@ -158,5 +155,10 @@ proptest! {
         framed.pop();
         framed.extend_from_slice(&bytes);
         let _ = ReplayArtifact::decode(&framed);
+        // The same noise behind a version-2 header (a node's lanes split
+        // in two) is refused by version, before the noise is read.
+        let mut v2 = framed;
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        prop_assert_eq!(ReplayArtifact::decode(&v2), Err(ReplayDecodeError::BadVersion(2)));
     }
 }

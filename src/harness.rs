@@ -37,8 +37,8 @@ pub const CHAOS_NET_THREADED: &str = "chaos-net-threaded";
 /// Half of all transmissions duplicated, nothing else injected.
 pub const DUP_STORM: &str = "dup-storm";
 /// Fabric-fault schedules with one I/O pool thread and work stealing on:
-/// every lane of the canonical stream is a deterministic sequence, so a
-/// replay must come back byte-identical.
+/// the canonical stream is a deterministic sequence, so a replay must come
+/// back byte-identical.
 pub const REPLAY_SMOKE: &str = "replay-smoke";
 
 /// Per-node memory budget of every harness schedule.

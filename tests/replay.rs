@@ -3,15 +3,16 @@
 //! A chaos-net OPCDM schedule is recorded (every fabric poll, I/O
 //! completion, deferred flush, and retransmit timer routed through the
 //! decision log) and re-executed under the log; with a single I/O pool
-//! thread both lanes of the canonical audit stream must come back
-//! byte-identical — for ten seeds with work stealing on, whose steals
-//! replay without log entries. A deliberately perturbed stream must be
+//! thread the canonical audit stream must come back byte-identical — for
+//! ten seeds with work stealing on, whose steals replay without log
+//! entries, and for a storage-fault schedule, whose faults and retries
+//! replay in program order. A deliberately perturbed stream must be
 //! pinpointed at the exact first-divergence index, and a perturbed decision
 //! log must be caught by the sequencer. A threaded run under replay must
 //! still produce the mesh the DES engine produces, and a run whose steals
 //! are granted must replay them — logged nowhere — to the same objects.
 
-use pumg::harness::{self, RunOutcome, CHAOS_NET_THREADED, REPLAY_SMOKE};
+use pumg::harness::{self, RunOutcome, CHAOS_NET_THREADED, CHAOS_THREADED, REPLAY_SMOKE};
 use pumg::methods::ooc_pcdm::opcdm_run;
 use pumg::mrts::prelude::*;
 use pumg::mrts::replay::{canonicalize, compare};
@@ -22,13 +23,18 @@ use std::time::Duration;
 
 const NODES: usize = 2;
 
-/// A chaos-net schedule with one I/O pool thread, which makes the pool
-/// lane a deterministic sequence, so byte-identity is provable rather than
-/// merely multiset-equal.
-fn cfg(seed: u64) -> MrtsConfig {
-    harness::harness_config(CHAOS_NET_THREADED, seed, NODES)
+/// Harness `id`'s schedule `seed` with one I/O pool thread: storage fault
+/// draws follow the store's operation counter, so only a single pool
+/// thread makes them — and the whole stream — a deterministic sequence.
+fn harness_cfg(id: &str, seed: u64) -> MrtsConfig {
+    harness::harness_config(id, seed, NODES)
         .expect("known harness id")
         .with_io_threads(1)
+}
+
+/// A chaos-net schedule with one I/O pool thread.
+fn cfg(seed: u64) -> MrtsConfig {
+    harness_cfg(CHAOS_NET_THREADED, seed)
 }
 
 fn record(seed: u64) -> RunOutcome {
@@ -85,9 +91,33 @@ fn ten_chaos_net_seeds_with_stealing_replay_byte_identically() {
     assert!(report.is_clean() && divergences == 0, "{path}: {report}");
 }
 
+/// Record schedule `seed` of harness `id`, replay it under its decision
+/// log, and require zero sequencer divergences, a byte-identical audit
+/// stream and the recorded mesh. Returns the recording.
+fn replays_byte_identically(id: &str, seed: u64) -> RunOutcome {
+    let rec = harness::record_run(harness_cfg(id, seed), &[], None);
+    assert_eq!(rec.error, None, "{id} seed {seed}");
+    let rep = harness::replay_run(harness_cfg(id, seed), rec.decisions.clone());
+    assert_eq!(rep.error, None, "{id} seed {seed}");
+    assert_eq!(
+        rep.stats.total_of(|n| n.replay_divergences),
+        0,
+        "sequencer diverged: {}",
+        rep.stats.summary()
+    );
+    let report = compare(&rec.recorded, &rep.recorded);
+    assert!(report.events_compared > 0, "no events compared — vacuous");
+    assert!(
+        report.is_clean(),
+        "audit streams must be byte-identical:\n{report}"
+    );
+    assert_eq!(rec.mesh(), rep.mesh());
+    rec
+}
+
 #[test]
 fn recorded_chaos_net_schedule_replays_byte_identically() {
-    let rec = record(26);
+    let rec = replays_byte_identically(CHAOS_NET_THREADED, 26);
     // Seed 26's plan delays the first frame node 0 sends and drops the
     // first two node 1 sends, so every run defers, flushes and times out:
     // out of core, the recording asks every question the input gateway
@@ -109,20 +139,21 @@ fn recorded_chaos_net_schedule_replays_byte_identically() {
         kinds.iter().all(|&n| n > 0),
         "decision kinds recorded: {kinds:?}"
     );
-    let rep = replay(26, rec.decisions.clone());
-    assert_eq!(
-        rep.stats.total_of(|n| n.replay_divergences),
-        0,
-        "sequencer diverged: {}",
-        rep.stats.summary()
-    );
-    let report = compare(&rec.recorded, &rep.recorded);
-    assert!(report.events_compared > 0, "no events compared — vacuous");
+}
+
+/// Storage faults are announced on the worker thread as it folds each
+/// I/O completion in, so a storage-fault schedule's `Fault` and `Retry`
+/// events replay in program order with the rest of the stream.
+#[test]
+fn recorded_storage_fault_schedule_replays_byte_identically() {
+    let rec = replays_byte_identically(CHAOS_THREADED, 20);
+    let events = || rec.recorded.nodes.iter().flatten();
+    let count = |kind: &str| events().filter(|e| e.starts_with(kind)).count();
+    let (faults, retries) = (count("Fault {"), count("Retry {"));
     assert!(
-        report.is_clean(),
-        "audit streams must be byte-identical:\n{report}"
+        faults > 0 && retries > 0,
+        "{faults} faults, {retries} retries recorded — vacuous"
     );
-    assert_eq!(rec.mesh(), rep.mesh());
 }
 
 #[test]
@@ -132,11 +163,11 @@ fn perturbed_stream_reports_the_exact_first_divergence_index() {
         .recorded
         .nodes
         .iter()
-        .position(|n| n.control.len() >= 2)
-        .expect("a chaos-net run emits control events");
-    let idx = rec.recorded.nodes[node].control.len() / 2;
+        .position(|n| n.len() >= 2)
+        .expect("a chaos-net run emits events");
+    let idx = rec.recorded.nodes[node].len() / 2;
     let mut cut = rec.recorded.clone();
-    cut.nodes[node].control.truncate(idx);
+    cut.nodes[node].truncate(idx);
     let report = compare(&cut, &rec.recorded);
     assert!(!report.is_clean(), "a shortened lane must diverge");
     let d = report

@@ -14,19 +14,22 @@
 //! the private `node` module's `NodeCore` decides what to evict, elide,
 //! spill, load and prefetch, routes messages, keeps the directory,
 //! migrates and installs objects behind one `NetMsg` vocabulary, performs
-//! no I/O and sends nothing itself, and is driven by both engines.
-//! Bootstrap, result access, checkpoint and restore are written once, on
-//! `Runtime<E>`; the engine `E` only lands boot actions and runs:
+//! no I/O and sends nothing itself. One worker loop (the private `worker`
+//! module: Safra's termination ring, the reliable-delivery layer, work
+//! stealing) drives it under both clocks, through a gateway that answers
+//! every question about time. Bootstrap, result access, checkpoint and
+//! restore are written once, on `Runtime<E>`; the engine `E` only lands
+//! boot actions and runs:
 //!
 //! * [`des::DesRuntime`] (`Runtime<des::Des>`) — deterministic
-//!   **virtual-time** execution: the application really runs (single host
-//!   thread), while node parallelism, network and disk are charged on
-//!   virtual clocks. This mode regenerates the paper's evaluation on a
-//!   machine with any number of cores.
+//!   **virtual-time** execution: every node's worker really runs, stepped
+//!   on one host thread in virtual-time order, while handler, network and
+//!   disk costs are charged on virtual clocks. This mode regenerates the
+//!   paper's evaluation on a machine with any number of cores.
 //! * [`threaded::ThreadedRuntime`] (`Runtime<threaded::Threads>`) — real
-//!   OS threads, one per simulated node, exchanging active messages over
-//!   the in-process [`armci_sim`] fabric, with real file-backed spill;
-//!   Safra's algorithm detects distributed termination.
+//!   OS threads, one worker per simulated node, exchanging active
+//!   messages over the in-process [`armci_sim`] fabric, with real
+//!   file-backed spill and record/replay.
 //!
 //! Code generic over `E: `[`runtime::Engine`] runs on both.
 //!
@@ -63,6 +66,7 @@ mod spill_io;
 pub mod stats;
 pub mod storage;
 pub mod threaded;
+mod worker;
 
 /// The commonly used names in one import.
 pub mod prelude {

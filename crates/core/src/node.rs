@@ -24,27 +24,24 @@
 //!
 //! The core performs no I/O, sends nothing and reads no clock. Every
 //! method is a state transition that takes the caller's notion of *now*
-//! (virtual time in the discrete-event engine; always zero in the threaded
-//! engine, whose handlers are over by the time the control loop asks) and
-//! appends what it wants done to three buffers, each in the order it must
-//! be performed: disk operations to [`NodeCore::cmds`] as [`IoCmd`]s,
-//! messages to [`NodeCore::out`] as `(destination, NetMsg, not before)` —
-//! a destination equal to this node is a local send the driver loops back
-//! — and objects that just gained runnable work to
-//! [`NodeCore::runnable`]. An engine is a **driver**: it drains the
-//! buffers into its own notion of a disk, a network and a run queue — an
-//! I/O thread pool, the fabric and a ready deque, or virtual disks,
-//! `ship()` and immediate execution in virtual time — and feeds
-//! completions and arrivals back through [`NodeCore::complete_load`],
+//! (always zero from the worker loop, whose handlers are over by the time
+//! it asks) and appends what it wants done to three buffers, each in the
+//! order it must be performed: disk operations to [`NodeCore::cmds`] as
+//! [`IoCmd`]s, messages to [`NodeCore::out`] as `(destination, NetMsg,
+//! not before)` — a destination equal to this node is a local send the
+//! worker loops back — and objects that just gained runnable work to
+//! [`NodeCore::runnable`]. The one worker loop (`worker.rs`) drives it,
+//! under either clock: it drains the buffers into the node's
+//! spill executor, the fabric and a ready deque, and feeds completions
+//! and arrivals back through [`NodeCore::complete_load`],
 //! [`NodeCore::store_landed`], [`NodeCore::store_failed`] and
 //! [`NodeCore::on_net`]. Statistics and audit events for all of these
 //! transitions are recorded here, so the two engines cannot count, route
 //! or report them differently.
 //!
-//! Two rules of work stealing are the drivers', because they differ for a
-//! reason: *when* an idle node asks (empty polls of a real fabric vs. "no
-//! event scheduled" in virtual time) and *which* objects a victim may hand
-//! over (see [`NodeCore::steal_pick`]).
+//! *When* an idle node asks for work is its worker's call (empty polls,
+//! on either clock); *which* object a victim hands over is
+//! [`NodeCore::steal_pick`].
 
 #[allow(unused_imports)]
 use crate::audit::{audit_emit, RuntimeEvent};
@@ -340,11 +337,7 @@ pub(crate) enum IoCmd {
     Store(Vec<(u64, ObjectId, Box<dyn MobileObject>)>),
     /// Read `key` back and unpack it; answer with
     /// [`NodeCore::complete_load`] or [`NodeCore::load_failed`].
-    Load {
-        key: u64,
-        oid: ObjectId,
-        packed_len: usize,
-    },
+    Load { key: u64, oid: ObjectId },
     /// Install the locality-curve rank per spill key in the store
     /// (fire-and-forget; the store's `set_key_ranks`).
     SetRanks(Vec<(u64, u64)>),
@@ -357,7 +350,7 @@ pub(crate) enum IoCmd {
 /// The out-of-core and control state machine of one node. See the module
 /// docs.
 pub(crate) struct NodeCore {
-    node: NodeId,
+    pub(crate) node: NodeId,
     /// Nodes in this run: homes and directory hints wrap into it.
     n_nodes: usize,
     /// `MrtsConfig::locality`: learn adjacency, evict and prefetch by
@@ -1012,26 +1005,6 @@ impl NodeCore {
         }
     }
 
-    /// Progress guarantee for a driver that never polls. A driver with a
-    /// control loop pumps again on its next turn, when headroom or the
-    /// window may have changed; one that only pumps when an event arrives
-    /// (virtual time: nothing happens between events) must not leave a
-    /// non-empty queue with nothing in flight — no completion would ever
-    /// pump again, and the queued work would be silently dropped. Such a
-    /// driver calls this after every [`NodeCore::pump_loads`]: if nothing
-    /// is in flight, the front entry is forced through as a demand load.
-    pub(crate) fn force_front_load(&mut self, now: Duration) {
-        if self.inflight_load_objs > 0 {
-            return;
-        }
-        if let Some(oid) = self.pending_loads.pop_front() {
-            let e = self.entry_mut(oid);
-            debug_assert!(!e.store_inflight, "forced load would race its own store");
-            e.load_queued = false;
-            self.issue_load(oid, false, now);
-        }
-    }
-
     /// Begin loading an on-disk object: account it against the window,
     /// admit its (approximate) footprint, append the [`IoCmd::Load`].
     fn issue_load(&mut self, oid: ObjectId, look_ahead: bool, now: Duration) {
@@ -1094,11 +1067,7 @@ impl NodeCore {
         self.admit_for_load(footprint, now);
         self.stats.loads += 1;
         self.stats.bytes_from_disk += packed_len as u64;
-        self.cmds.push(IoCmd::Load {
-            key,
-            oid,
-            packed_len,
-        });
+        self.cmds.push(IoCmd::Load { key, oid });
     }
 
     // ----- completions --------------------------------------------------------
@@ -1510,9 +1479,8 @@ impl NodeCore {
     /// the driver): the single dispatch of the [`NetMsg`] vocabulary.
     ///
     /// Returns the thief of a steal request, which the driver must now
-    /// answer with [`NodeCore::grant_steal`] or [`NodeCore::deny_steal`]:
-    /// which objects are eligible differs per engine (see
-    /// [`NodeCore::steal_pick`]).
+    /// answer with [`NodeCore::grant_steal`] or [`NodeCore::deny_steal`]
+    /// (the pick is [`NodeCore::steal_pick`]).
     #[must_use]
     pub(crate) fn on_net(
         &mut self,
@@ -1801,33 +1769,18 @@ impl NodeCore {
 
     // ----- control layer: work stealing ---------------------------------------
 
-    /// The steal victim's rule. An object can be handed to a thief if it
-    /// is not pinned, not already migrating and actually has queued work
-    /// (or the steal is pointless) — the legality rule `grant_steal`
-    /// checks — and the driver's `eligible` holds. Eligibility is the
-    /// driver's because it is a fact about its clock: a real node's
-    /// backlog sits in the queues of *resident* objects, while in virtual
-    /// time resident objects execute on arrival and only *non-resident*
-    /// ones hold a backlog.
-    fn may_steal(e: &Entry, eligible: &impl Fn(&Entry) -> bool) -> bool {
-        !e.locked && e.pending_migration.is_none() && !e.queue.is_empty() && eligible(e)
-    }
-
-    /// How many objects could be handed over.
-    pub(crate) fn steal_backlog(&self, eligible: impl Fn(&Entry) -> bool) -> usize {
-        (self.table.values())
-            .filter(|e| Self::may_steal(e, &eligible))
-            .count()
-    }
-
-    /// The grantable object with the deepest message queue, ties broken by
-    /// smallest id. A total order, so the hash map's iteration order
-    /// cannot leak into the result (replay depends on the pick being a
-    /// pure function of state) and both engines steal the same object from
-    /// the same state.
-    pub(crate) fn steal_pick(&self, eligible: impl Fn(&Entry) -> bool) -> Option<ObjectId> {
+    /// The steal victim's rule: the *resident* object with the deepest
+    /// message queue, ties broken by smallest id, that is not pinned and
+    /// not already migrating (the legality rule `grant_steal` checks).
+    /// A node's backlog sits in the queues of resident objects; a spilled
+    /// one would have to load before it could leave. A total order, so
+    /// the hash map's iteration order cannot leak into the result (replay
+    /// depends on the pick being a pure function of state).
+    pub(crate) fn steal_pick(&self) -> Option<ObjectId> {
         (self.table.iter())
-            .filter(|(_, e)| Self::may_steal(e, &eligible))
+            .filter(|(_, e)| {
+                e.is_in_core() && !e.locked && e.pending_migration.is_none() && !e.queue.is_empty()
+            })
             .max_by_key(|(oid, e)| (e.queue.len(), Reverse(oid.0)))
             .map(|(&oid, _)| oid)
     }
@@ -2378,12 +2331,8 @@ mod tests {
             let id = on_disk(&mut c, seq, 10, 5);
             depth(&mut c, id, n);
         }
-        let spilled = |e: &Entry| matches!(e.state, State::OnDisk | State::Loading);
-        assert_eq!(c.steal_pick(Entry::is_in_core), Some(oid(4)));
-        assert_eq!(c.steal_backlog(Entry::is_in_core), 2);
-        assert_eq!(c.steal_pick(spilled), Some(oid(20)));
-        assert_eq!(c.steal_backlog(spilled), 2);
-        assert_eq!(c.steal_pick(|_| true), Some(oid(20)));
+        // Spilled ones are never picked, however deep.
+        assert_eq!(c.steal_pick(), Some(oid(4)));
         // A grant is an ordinary migration; a denial is one message.
         c.grant_steal(oid(4), 3, T0);
         assert!(matches!(c.entry(oid(4)).state, State::Moved(3)));
@@ -2622,7 +2571,7 @@ mod tests {
             let (to, request, _) = thief.out.remove(0);
             assert_eq!(to, 0);
             let asker = arrive(victim, request).expect("a steal request names its thief");
-            match victim.steal_pick(Entry::is_in_core) {
+            match victim.steal_pick() {
                 Some(pick) => victim.grant_steal(pick, asker, T0),
                 None => victim.deny_steal(asker, T0),
             }

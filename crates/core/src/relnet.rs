@@ -1,12 +1,12 @@
 //! The reliable-delivery and termination protocol core, extracted from
-//! the threaded engine as pure state machines.
+//! the worker loop as pure state machines.
 //!
 //! [`ReliableSender`], [`ReliableReceiver`] and [`Safra`] hold *all* of
 //! the protocol-visible state of the ack/retransmit/dedup layer and of
 //! Safra's termination ring, and [`Safra::on_idle`] makes the ring's one
-//! decision; `threaded.rs` owns only the physical concerns wrapped around
-//! them (fault injection, backoff timers, deferred transmissions, the
-//! sends themselves). The types are plain data (BTree containers, no
+//! decision; the worker loop (`worker.rs`) owns only the physical
+//! concerns wrapped around them (fault injection, backoff timers,
+//! deferred transmissions, the sends themselves). The types are plain data (BTree containers, no
 //! clocks), so `tests/relnet_explore.rs` clones, hashes and compares them
 //! to enumerate every delivery order, drop and duplicate of a small
 //! 3-node run and checks:

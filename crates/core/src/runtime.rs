@@ -31,8 +31,10 @@ use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use crate::msg::Message;
 use crate::node::{Entry, NodeCore, State};
 use crate::object::{DecodeFn, HandlerFn, MobileObject, Registry};
+use crate::replay::Decision;
 use crate::spill_io::SharedStore;
 use crate::stats::RunStats;
+use crate::worker::WorkerResult;
 
 /// Packed bytes of the spilled object `oid` of `node`, read from its
 /// store (uncharged: result extraction is outside every clock).
@@ -227,6 +229,26 @@ impl<E: Engine> Runtime<E> {
     /// panicking.
     pub fn try_run(&mut self) -> Result<RunStats, MrtsError> {
         E::run(self)
+    }
+
+    /// Take back what a run's workers hand over, in node order: each
+    /// node's core, its id allocator's high mark, and its recorded
+    /// decisions (to `decisions`). Returns the first node's fatal error.
+    pub(crate) fn collect(
+        &mut self,
+        results: Vec<WorkerResult>,
+        mut decisions: impl FnMut(NodeId, Vec<Decision>),
+    ) -> Option<MrtsError> {
+        let mut fatal = None;
+        for r in results {
+            debug_assert_eq!(r.node as usize, self.cores.len(), "results in node order");
+            let seq = &mut self.next_seq[r.node as usize];
+            *seq = (*seq).max(r.next_seq);
+            self.cores.push(r.core);
+            fatal = fatal.or(r.fatal);
+            decisions(r.node, r.decisions);
+        }
+        fatal
     }
 
     // ----- results -----------------------------------------------------------

@@ -14,15 +14,16 @@
 //! counters and audit stream on the control thread.
 //!
 //! What stays the caller's is time. [`SpillIo::new`] takes how to wait out
-//! a retry backoff or an injected latency: the threaded engine sleeps
-//! (outside the store lock), the virtual-time engine does not wait and
-//! charges [`IoReport::waited`] to its virtual disk channel instead. Each
-//! engine charges the measured pack, I/O and unpack durations its own way.
+//! a retry backoff or an injected latency: a live executor sleeps (outside
+//! the store lock), a virtual one does not wait and charges
+//! [`IoReport::waited`] to its virtual disk channel instead. Each clock
+//! charges the pack, I/O and unpack durations its own way.
 
-use crate::fault::{is_out_of_space, FaultReport, MrtsError, ENGINE_RETRY};
+use crate::config::MrtsConfig;
+use crate::fault::{is_out_of_space, FaultPlan, FaultReport, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{NodeId, ObjectId};
 use crate::object::{MobileObject, Registry};
-use crate::storage::StorageBackend;
+use crate::storage::{MemStore, SegmentStore, StorageBackend};
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,6 +31,43 @@ use std::time::{Duration, Instant};
 /// One node's spill store and its executor, shared by whatever performs
 /// the node's I/O during a run and read by the result accessors after it.
 pub(crate) type SharedStore = Arc<SpillIo>;
+
+/// Every node's spill store, on either clock: a segment log under
+/// `node-<i>` of the spill directory when `live` (in memory without one),
+/// in memory in virtual time. Under a storage fault plan each is wrapped
+/// in its own schedule (`plan.seed + node`, like distinct physical disks
+/// failing independently). A live executor sleeps out its waits; a
+/// virtual one only reports them.
+pub(crate) fn open_stores(cfg: &MrtsConfig, live: bool) -> Vec<SharedStore> {
+    (0..cfg.nodes)
+        .map(|i| {
+            let store: Box<dyn StorageBackend> = match &cfg.spill_dir {
+                Some(dir) if live => Box::new(
+                    SegmentStore::open(
+                        dir.join(format!("node-{i}")),
+                        cfg.segment_bytes,
+                        cfg.segment_garbage_frac,
+                    )
+                    .expect("spill dir")
+                    .cleanup_on_drop(true),
+                ),
+                _ => Box::new(MemStore::new()),
+            };
+            let store: Box<dyn StorageBackend> = match cfg.fault {
+                Some(plan) => Box::new(FaultyStore::new(
+                    store,
+                    FaultPlan {
+                        seed: plan.seed.wrapping_add(i as u64),
+                        ..plan
+                    },
+                )),
+                None => store,
+            };
+            let wait: fn(Duration) = if live { std::thread::sleep } else { |_| {} };
+            SpillIo::new(i as NodeId, store, wait)
+        })
+        .collect()
+}
 
 /// A node's spill store and the one definition of every operation on it
 /// (see the module docs). Public in a private module, like the engine

@@ -11,7 +11,7 @@
 //! take a ring step. The fabric decides each transmission's fate as it is
 //! sent, as the engine's fault plan does, and the explorer branches on
 //! every fate the bounds allow. The worker glue around the state machines
-//! is mirrored from `threaded.rs`; each mirror names the code it copies.
+//! is mirrored from `worker.rs`; each mirror names the code it copies.
 //!
 //! Fabrics, both the engine's:
 //! * **FIFO** — fault-free: per-edge FIFO, no acks, tokens in line with

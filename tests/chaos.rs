@@ -31,7 +31,7 @@ use pumg::mrts::checkpoint::Checkpoint;
 use pumg::mrts::codec::{PayloadReader, PayloadWriter};
 use pumg::mrts::config::MrtsConfig;
 use pumg::mrts::ctx::Ctx;
-use pumg::mrts::des::Des;
+use pumg::mrts::des::{Des, DesRuntime};
 use pumg::mrts::fault::{FaultPlan, MrtsError};
 use pumg::mrts::ids::{HandlerId, MobilePtr, ObjectId, TypeTag};
 use pumg::mrts::netfault::NetFaultPlan;
@@ -199,7 +199,7 @@ fn threaded_chaos_schedules_preserve_mesh_and_invariants() {
 #[test]
 fn enospc_window_degrades_and_recovers_des() {
     // Windows open at the first store op and mid-run.
-    let windows = [(1, 0, 8), (2, 0, 8), (3, 0, 8), (1, 4, 6), (2, 4, 6)];
+    let windows = [(1, 0, 8), (2, 0, 8), (3, 0, 8), (1, 2, 6), (2, 2, 6)];
     des_enospc(2, &windows, reference::<Des>(2));
 }
 
@@ -511,10 +511,12 @@ fn des_net_chaos(nodes: usize, seeds: Range<u64>, reference: (u64, u64)) {
             reference,
             "{what}: fabric faults changed the mesh"
         );
-        assert_eq!(
-            r.stats.total_of(|n| n.messages_dropped),
-            r.stats.total_of(|n| n.retransmits),
-            "{what}: every drop is recovered by exactly one retransmit"
+        // A drop costs one retransmit; a frame delayed past its backoff
+        // (or acked late by a busy receiver) costs one more, whose copy
+        // the receiver suppresses.
+        assert!(
+            r.stats.total_of(|n| n.retransmits) >= r.stats.total_of(|n| n.messages_dropped),
+            "{what}: every drop is recovered by a retransmit"
         );
         dropped += r.stats.total_of(|n| n.messages_dropped);
         dups += r.stats.total_of(|n| n.dup_suppressed);
@@ -667,7 +669,8 @@ fn busy_peer_is_not_declared_unreachable() {
 // the dead node, invalidate the hint, and re-route to X's home — where
 // the message is delivered. The final step sends to an object *homed* on
 // the dead node, for which no fallback exists: that is the typed
-// `NodeUnreachable` error.
+// `NodeUnreachable` error. The run is on the virtual clock, so both
+// give-ups wait out the retransmit budget in virtual time.
 // ---------------------------------------------------------------------------
 
 const SAGA_TAG: TypeTag = TypeTag(0x5A6);
@@ -749,7 +752,7 @@ fn h_saga(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
 fn stale_hint_self_heals_and_dead_home_is_typed_error() {
     let log = Arc::new(EventLog::new());
     let plan = NetFaultPlan::new(0xBEEF).with_kill_node(1, 1);
-    let mut rt = ThreadedRuntime::new(MrtsConfig::in_core(3).with_net_faults(plan));
+    let mut rt = DesRuntime::new(MrtsConfig::in_core(3).with_net_faults(plan));
     rt.attach_audit(log.clone());
     rt.register_type(SAGA_TAG, Saga::decode);
     rt.register_handler(H_SAGA, "saga", h_saga);
@@ -817,7 +820,8 @@ fn h_chat(_obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
 /// surface the typed error (not hang), and restoring the pre-crash
 /// checkpoint onto the surviving node alone — homes wrap modulo the
 /// smaller cluster — must finish with the exact mesh the uninterrupted
-/// two-node run produces.
+/// two-node run produces. The crashed attempt runs on the virtual clock,
+/// where the survivor's give-up costs virtual time, not wall time.
 #[test]
 fn node_crash_rehomes_from_checkpoint_onto_survivors() {
     let p = PcdmParams::new(Workload::uniform_square(4_000), 2);
@@ -842,10 +846,7 @@ fn node_crash_rehomes_from_checkpoint_onto_survivors() {
         .with_drops(60)
         .with_dups(40)
         .with_kill_node(1, 25);
-    let spill2 = tmp("net-kill-crash");
-    let mut cfg = MrtsConfig::out_of_core(2, 300_000).with_net_faults(plan);
-    cfg.spill_dir = Some(spill2.clone());
-    let mut rt = ThreadedRuntime::new(cfg);
+    let mut rt = DesRuntime::new(MrtsConfig::out_of_core(2, 300_000).with_net_faults(plan));
     register(&mut rt);
     rt.register_handler(H_RETUNE, "retune", h_retune);
     rt.register_handler(H_CHAT, "chat", h_chat);
@@ -865,7 +866,6 @@ fn node_crash_rehomes_from_checkpoint_onto_survivors() {
     rt.post(MobilePtr::new(on_node(0)), H_CHAT, w.finish());
     let crashed = rt.try_run();
     drop(rt);
-    let _ = std::fs::remove_dir_all(spill2);
     match crashed {
         Err(MrtsError::NodeUnreachable { dest: 1, .. }) => {}
         other => panic!("expected NodeUnreachable for the killed node, got {other:?}"),

@@ -11,9 +11,11 @@
 //! log must be caught by the sequencer. A threaded run under replay must
 //! still produce the mesh the DES engine produces, and a run whose steals
 //! are granted must replay them — logged nowhere — to the same objects.
+//! The virtual-time engine needs no log at all: a chaos-net schedule run
+//! there again gives the same stream, retransmits and all.
 
 use pumg::harness::{self, RunOutcome, CHAOS_NET_THREADED, CHAOS_THREADED, REPLAY_SMOKE};
-use pumg::methods::ooc_pcdm::opcdm_run;
+use pumg::methods::ooc_pcdm::{opcdm_run, opcdm_run_with};
 use pumg::mrts::prelude::*;
 use pumg::mrts::replay::{canonicalize, compare};
 use std::any::Any;
@@ -224,6 +226,42 @@ fn threaded_under_replay_matches_des_mesh() {
     assert_eq!(rep.stats.total_of(|n| n.replay_divergences), 0);
     assert_eq!((des.elements, des.vertices), rec.mesh());
     assert_eq!((des.elements, des.vertices), rep.mesh());
+}
+
+/// Chaos-net seeds on the virtual-time engine under
+/// `deterministic_compute`: the reliable layer's acks, retransmits and
+/// dedup run in virtual time, so every rerun of a seed yields the
+/// byte-identical canonical stream with no decision log.
+#[test]
+fn virtual_chaos_net_streams_are_identical_on_every_rerun() {
+    let run = |seed| {
+        let mut cfg = MrtsConfig::out_of_core(NODES, harness::BUDGET)
+            .with_net_faults(harness::chaos_net_plan(seed));
+        cfg.deterministic_compute = true;
+        let log = Arc::new(EventLog::new());
+        let sink = log.clone();
+        opcdm_run_with::<Des>(&harness::params(NODES), cfg, move |rt| {
+            rt.attach_audit(sink)
+        });
+        log.snapshot()
+    };
+    let (mut retransmits, mut dups) = (0, 0);
+    for seed in 0..4 {
+        let first = run(seed);
+        let count = |f: fn(&RuntimeEvent) -> bool| first.iter().filter(|e| f(e)).count();
+        retransmits += count(|e| matches!(e, RuntimeEvent::Retransmit { .. }));
+        dups += count(|e| matches!(e, RuntimeEvent::DupSuppressed { .. }));
+        let want = canonicalize(&first, NODES);
+        for rerun in 1..=2 {
+            let report = compare(&want, &canonicalize(&run(seed), NODES));
+            assert!(
+                report.is_clean() && report.events_compared == want.total_events(),
+                "seed {seed} rerun {rerun} diverged:\n{report}"
+            );
+        }
+    }
+    assert!(retransmits > 0, "no retransmit in any stream — vacuous");
+    assert!(dups > 0, "no suppressed duplicate in any stream — vacuous");
 }
 
 const TRAIL_TAG: TypeTag = TypeTag(77);

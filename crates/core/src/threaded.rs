@@ -180,13 +180,21 @@ impl Inputs {
 
     /// Which I/O completion is next: a non-blocking poll, or
     /// (`blocking`, the post-termination drain) a wait for one — which
-    /// never answers `IoEmpty`.
+    /// never answers `IoEmpty`. Only a panicking I/O thread ends the pool
+    /// while its worker runs; what it held will never land, so the worker
+    /// goes down with it.
     fn io(&mut self, rx: &channel::Receiver<IoDone>, blocking: bool) -> Option<IoDone> {
         let poll = || {
-            if blocking {
-                rx.recv().ok()
-            } else {
-                rx.try_recv().ok()
+            let got = match blocking {
+                true => rx.recv().map_err(|_| channel::TryRecvError::Disconnected),
+                false => rx.try_recv(),
+            };
+            match got {
+                Ok(done) => Some(done),
+                Err(channel::TryRecvError::Empty) => None,
+                Err(channel::TryRecvError::Disconnected) => {
+                    panic!("the node's I/O pool is gone: an I/O thread panicked")
+                }
             }
         };
         match self.mode {

@@ -135,13 +135,24 @@ pub(crate) trait Gateway {
     /// Put one frame on the fabric.
     fn send(&mut self, dest: NodeId, tag: u32, payload: Vec<u8>);
     /// Which I/O completion is next: a non-blocking poll, or (`blocking`,
-    /// the post-termination drain) a wait for one.
+    /// the post-termination drain) a wait for one. A blocking poll answers
+    /// `None` only in virtual time, where the completion has not arrived
+    /// yet; a live one waits for it.
     fn io(&mut self, blocking: bool) -> Option<IoDone>;
     /// Hand one request to the node's spill executor.
     fn submit(&mut self, req: IoReq);
     /// Which deferred flushes and retransmit timers of `net` are due now,
     /// flushes first.
     fn due(&mut self, net: &NetLayer) -> Vec<Due>;
+    /// When the next of `net`'s flushes or timers comes due, if any can
+    /// without a new input (the virtual engine's wake-up).
+    fn next_due(&self, net: &NetLayer) -> Option<Duration> {
+        net.next_deadline(|_, _| true)
+    }
+    /// The reliable layer sent logical frame `seq` to `dest`, `bytes`
+    /// long without its sequence number, whatever the fault plan does to
+    /// its transmissions.
+    fn sent(&mut self, _dest: NodeId, _seq: u64, _bytes: usize) {}
     /// The compute time to book for a stretch of work measured at `wall`
     /// that processed `bytes` bytes, with its child-task batches `tasks`.
     fn charge(&mut self, wall: Duration, bytes: usize, tasks: &[ParallelReport]) -> Duration;
@@ -156,6 +167,24 @@ fn frame_seq(frame: &[u8]) -> u64 {
     u64::from_le_bytes(frame[..8].try_into().expect("seq prefix"))
 }
 
+/// What a frame between two nodes of a net-fault run is to the reliable
+/// layer: a copy of data frame `seq`, an ack of `seq`, or the control ring.
+pub(crate) enum Wire {
+    Data(u64),
+    Ack(u64),
+    Ring,
+}
+
+impl Wire {
+    pub(crate) fn of(tag: u32, payload: &[u8]) -> Wire {
+        match tag {
+            AM_TOKEN | AM_EXIT => Wire::Ring,
+            AM_ACK => Wire::Ack(frame_seq(payload)),
+            _ => Wire::Data(frame_seq(payload)),
+        }
+    }
+}
+
 /// Reliable-delivery state for one node, active only when
 /// [`MrtsConfig::net_fault`] is set (fault-free runs bypass the layer
 /// entirely, so their fast path is untouched).
@@ -168,10 +197,11 @@ fn frame_seq(frame: &[u8]) -> u64 {
 /// per-source sequence order — restoring the per-edge FIFO the fault-free
 /// fabric provides, so handler execution under drop/duplicate/reorder
 /// faults is exactly-once and in-order, and the mesh comes out
-/// byte-identical. The token/exit control ring is deliberately out of
-/// scope: it models a reliable control plane and stays out of the race
-/// detector's channel FIFOs, whose stamp order faults would otherwise
-/// scramble (see `DESIGN.md` §11).
+/// byte-identical. Which deadlines have come, and which frames are lost,
+/// is the gateway's answer ([`Gateway::due`]). The token/exit control
+/// ring is deliberately out of scope: it models a reliable control plane
+/// and stays out of the race detector's channel FIFOs, whose stamp order
+/// faults would otherwise scramble (see `DESIGN.md` §11).
 pub(crate) struct NetLayer {
     plan: NetFaultPlan,
     /// Protocol state, sender half: sequence assignment plus the
@@ -217,11 +247,22 @@ impl NetLayer {
     /// by deadline (and edge and sequence number, so a tie never depends
     /// on the map's order).
     pub(crate) fn due_by_clock(&self, now: Duration) -> Vec<Due> {
+        self.due_where(|t| t <= now, |_, _| true)
+    }
+
+    /// [`Self::due_by_clock`] with the clock's two answers given: whether
+    /// a deadline has `come`, and whether the frame `(dest, seq)` is
+    /// `lost` (the timer of a frame that is not lost never fires).
+    pub(crate) fn due_where(
+        &self,
+        come: impl Fn(Duration) -> bool,
+        lost: impl Fn(NodeId, u64) -> bool,
+    ) -> Vec<Due> {
         let flushes = (self.deferred.iter())
-            .filter(|(t, ..)| *t <= now)
+            .filter(|(t, ..)| come(*t))
             .map(|(_, dest, _, frame)| Due::Flush(*dest, frame_seq(frame)));
         let mut timers: Vec<_> = (self.timers.iter())
-            .filter(|(_, t)| **t <= now)
+            .filter(|&(&(dest, seq), &t)| come(t) && lost(dest, seq))
             .map(|(&(dest, seq), &t)| (t, dest, seq))
             .collect();
         timers.sort_unstable();
@@ -231,10 +272,13 @@ impl NetLayer {
         flushes.chain(timers).collect()
     }
 
-    /// The earliest deferred flush or retransmit timer.
-    fn next_deadline(&self) -> Option<Duration> {
+    /// The earliest deferred flush, or retransmit timer of a `lost` frame.
+    pub(crate) fn next_deadline(&self, lost: impl Fn(NodeId, u64) -> bool) -> Option<Duration> {
         let flushes = self.deferred.iter().map(|(t, ..)| *t);
-        flushes.chain(self.timers.values().copied()).min()
+        let timers = (self.timers.iter())
+            .filter(|&(&(dest, seq), _)| lost(dest, seq))
+            .map(|(_, &t)| t);
+        flushes.chain(timers).min()
     }
 
     /// Retransmissions that follow [`ENGINE_RETRY`]'s fast backoff: enough
@@ -441,6 +485,7 @@ impl<G: Gateway> Worker<G> {
             net.timers.insert((dest, seq), now + net.backoff(1, seq));
             (seq, frame)
         };
+        self.gate.sent(dest, seq, payload.len());
         self.transmit(dest, tag, seq, frame, 0);
     }
 
@@ -1061,7 +1106,7 @@ impl<G: Gateway> Worker<G> {
             // node only discards.
             while self.outstanding_io > 0 {
                 let Some(done) = self.gate.io(true) else {
-                    return true; // not yet (virtual time: on arrival)
+                    return true; // virtual time: its arrival wakes this worker
                 };
                 if self.dead {
                     self.outstanding_io -= 1;
@@ -1189,7 +1234,7 @@ impl<G: Gateway> Worker<G> {
         }
         let polls = self.cfg.work_stealing || self.core.has_pending_loads();
         let poll = polls.then_some(now + POLL_WAIT);
-        let timer = self.net.as_ref().and_then(NetLayer::next_deadline);
+        let timer = self.net.as_ref().and_then(|net| self.gate.next_due(net));
         poll.into_iter().chain(timer).min()
     }
 

@@ -366,6 +366,37 @@ fn load_exhaustion_is_typed_error_threaded() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// An unpack that panics takes down the only I/O thread of the node that
+/// runs it. The reload it was serving never lands, so the run must fail
+/// instead of waiting on the pool forever.
+#[test]
+fn lost_io_pool_fails_the_run_instead_of_waiting_forever() {
+    fn refuse(_: &[u8]) -> Result<Box<dyn MobileObject>, ObjectDecodeError> {
+        panic!("unpack refused");
+    }
+    let dir = tmp("lost-pool");
+    let mut cfg = MrtsConfig::out_of_core(1, 3_000).with_io_threads(1);
+    cfg.spill_dir = Some(dir.clone());
+    let run = std::panic::catch_unwind(move || {
+        let mut rt = ThreadedRuntime::new(cfg);
+        rt.register_type(PAD_TAG, refuse);
+        rt.register_handler(H_PING, "ping", h_ping);
+        let a = MobilePtr::new(ObjectId::new(0, 0));
+        let b = MobilePtr::new(ObjectId::new(0, 1));
+        for (peer, fill) in [(b, 0x11), (a, 0x22)] {
+            let pad = Pad {
+                peer: Some(peer),
+                data: vec![fill; 2_500],
+            };
+            rt.create_object(0, Box::new(pad), 128);
+        }
+        rt.post(a, H_PING, ping_payload(6));
+        rt.try_run().is_ok()
+    });
+    let _ = std::fs::remove_dir_all(dir);
+    assert!(run.is_err(), "a run whose I/O pool died must not finish");
+}
+
 // ---------------------------------------------------------------------------
 // Kill-between-phases recovery: phase 1 meshes a coarse workload, the
 // checkpoint is the phase barrier, phase 2 retunes every subdomain to a
@@ -511,12 +542,10 @@ fn des_net_chaos(nodes: usize, seeds: Range<u64>, reference: (u64, u64)) {
             reference,
             "{what}: fabric faults changed the mesh"
         );
-        // A drop costs one retransmit; a frame delayed past its backoff
-        // (or acked late by a busy receiver) costs one more, whose copy
-        // the receiver suppresses.
-        assert!(
-            r.stats.total_of(|n| n.retransmits) >= r.stats.total_of(|n| n.messages_dropped),
-            "{what}: every drop is recovered by a retransmit"
+        assert_eq!(
+            r.stats.total_of(|n| n.messages_dropped),
+            r.stats.total_of(|n| n.retransmits),
+            "{what}: every drop is recovered by exactly one retransmit"
         );
         dropped += r.stats.total_of(|n| n.messages_dropped);
         dups += r.stats.total_of(|n| n.dup_suppressed);

@@ -1,12 +1,7 @@
 //! The supervised multi-job service under sustained chaos: a 16-node pool
 //! multiplexing 24 concurrent mesh jobs, each a fault domain with an
 //! independent storage/network fault stream derived from one base seed.
-//! Every storage-chaos job must reproduce its fault-free bytes, and every
-//! network-chaos job the bytes its own plan gives when the job runs alone:
-//! a drop costs a real retransmit in virtual time, and OPCDM's mesh
-//! follows the order in which split batches reach a subdomain, so only
-//! the fault plan, never a retry, a recovery or the pool around the job,
-//! may move its mesh. Poison jobs must
+//! Every chaos job must reproduce its fault-free bytes; poison jobs must
 //! quarantine with decodable replay artifacts; a mid-run node kill must
 //! recover the jobs homed there; an ENOSPC job must drive the service
 //! degraded (shedding load) and fault-free completions must bring it back.
@@ -113,54 +108,9 @@ fn fault_free_references() -> (Vec<(u64, u64)>, u64) {
     (refs, outcome(one_phase).elements)
 }
 
-/// Chaos job `i` of the fleet: a private storage-fault stream, and for
-/// odd `i` a private fabric-fault stream too. Fault streams are keyed by
-/// the fleet index: distinct per job, reproducible from (BASE_SEED, i)
-/// alone.
-fn chaos_job(i: usize) -> MeshJob {
-    let key = 100 + i as u64;
-    let storage = FaultPlan::for_job(BASE_SEED, key)
-        .with_eio(60)
-        .with_torn_writes(40);
-    let job = shape_job(i).with_fault(storage);
-    if i.is_multiple_of(2) {
-        return job;
-    }
-    let net = NetFaultPlan::for_job(BASE_SEED, key)
-        .with_drops(150)
-        .with_dups(100)
-        .with_reorder(60);
-    job.with_net_fault(net)
-}
-
-/// `(digest, elements)` of each network-chaos job of the fleet, run alone
-/// in a clean service: no retry, no recovery, no neighbours.
-fn solo_references() -> Vec<Option<(u64, u64)>> {
-    let svc = service(None);
-    let ids: Vec<_> = (0..CHAOS_JOBS)
-        .map(|i| {
-            (i % 2 == 1).then(|| {
-                svc.submit(spec(format!("solo-{i}")), Box::new(chaos_job(i)))
-                    .expect("solo job admitted")
-            })
-        })
-        .collect();
-    svc.drain_serial();
-    ids.into_iter()
-        .map(|id| {
-            id.map(|id| {
-                svc.outcome(id)
-                    .map(|o| (o.digest, o.elements))
-                    .expect("solo outcome")
-            })
-        })
-        .collect()
-}
-
 #[test]
 fn chaos_fleet_reproduces_fault_free_meshes() {
     let (refs, one_phase_elements) = fault_free_references();
-    let solo = solo_references();
 
     // Artifacts land in a dedicated directory so the quarantine checks
     // below see only this run's files.
@@ -179,12 +129,26 @@ fn chaos_fleet_reproduces_fault_free_meshes() {
             Box::new(single_phase_job().with_fault(enospc_plan)),
         )
         .expect("enospc job admitted");
+    // Fault streams are keyed by the fleet index: distinct per job,
+    // reproducible from (BASE_SEED, i) alone. Odd jobs add fabric faults.
     let chaos_jobs: Vec<(u64, usize)> = (0..CHAOS_JOBS)
         .map(|i| {
+            let key = 100 + i as u64;
+            let storage = FaultPlan::for_job(BASE_SEED, key)
+                .with_eio(60)
+                .with_torn_writes(40);
+            let mut job = shape_job(i).with_fault(storage);
+            if i % 2 == 1 {
+                let net = NetFaultPlan::for_job(BASE_SEED, key)
+                    .with_drops(150)
+                    .with_dups(100)
+                    .with_reorder(60);
+                job = job.with_net_fault(net);
+            }
             let id = svc
-                .submit(spec(format!("chaos-{i}")), Box::new(chaos_job(i)))
+                .submit(spec(format!("chaos-{i}")), Box::new(job))
                 .expect("chaos job admitted");
-            (id, i)
+            (id, i % SHAPES.len())
         })
         .collect();
     let flaky = svc
@@ -229,40 +193,21 @@ fn chaos_fleet_reproduces_fault_free_meshes() {
         );
     }
 
-    // Byte-identity: every storage-chaos job completed with its shape's
-    // fault-free digest, every network-chaos job with its solo digest,
-    // across retries, recoveries and its private fault stream.
+    // Byte-identity: every chaos job completed with its shape's fault-free
+    // digest, across retries, recoveries and its private fault stream.
     let mut faults = 0usize;
-    for &(id, i) in &chaos_jobs {
-        let shape = i % SHAPES.len();
+    for &(id, shape) in &chaos_jobs {
         let o = svc.outcome(id).unwrap_or_else(|| {
             panic!(
                 "job {id} (shape {shape}) did not complete: {:?}",
                 svc.job_state(id)
             )
         });
-        match solo[i] {
-            None => assert_eq!(
-                (o.digest, o.elements),
-                refs[shape],
-                "job {id} (shape {shape}) diverged from its fault-free mesh"
-            ),
-            Some(alone) => {
-                assert_eq!(
-                    (o.digest, o.elements),
-                    alone,
-                    "job {id} (shape {shape}) diverged from its mesh run alone"
-                );
-                let ratio = o.elements as f64 / refs[shape].1 as f64;
-                assert!(
-                    (0.97..1.03).contains(&ratio),
-                    "job {id} (shape {shape}): fabric faults changed the mesh materially: \
-                     {} vs fault-free {}",
-                    o.elements,
-                    refs[shape].1
-                );
-            }
-        }
+        assert_eq!(
+            (o.digest, o.elements),
+            refs[shape],
+            "job {id} (shape {shape}) diverged from its fault-free mesh"
+        );
         faults += o.stats.total_of(|n| n.faults_injected)
             + o.stats.total_of(|n| n.messages_dropped)
             + o.stats.total_of(|n| n.dup_suppressed);

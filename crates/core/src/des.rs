@@ -49,7 +49,7 @@ use crate::replay::Decision;
 use crate::runtime::{home_of, hooks::Hooks, Boot, Engine, Runtime};
 use crate::spill_io::{open_stores, BufferPool, SharedStore};
 use crate::stats::{NodeStats, RunStats};
-use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Wire, Worker};
+use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, Wire, Worker};
 use armci_sim::ActiveMessage;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -253,9 +253,11 @@ impl Gateway for Sim {
         self.world.borrow().clock[self.node as usize]
     }
 
-    fn fabric(&mut self, _idle: bool) -> Option<ActiveMessage> {
+    fn fabric(&mut self, _idle: bool) -> Recv {
         let mut w = self.world.borrow_mut();
-        let am = w.frames[self.node as usize].pop_front()?;
+        let Some(am) = w.frames[self.node as usize].pop_front() else {
+            return Recv::Empty;
+        };
         if let Some((key, data)) = self.wire(am.src, self.node, am.handler, &am.payload) {
             if let Some(n) = w.on_wire.get_mut(&key) {
                 *n -= 1;
@@ -272,7 +274,7 @@ impl Gateway for Sim {
                 }
             }
         }
-        Some(am)
+        Recv::Frame(am)
     }
 
     /// A copy of a reliable frame lands in its fault-free slot while that
@@ -304,26 +306,18 @@ impl Gateway for Sim {
         self.world.borrow_mut().done[self.node as usize].pop_front()
     }
 
+    /// The request runs now; pack and unpack are charged as compute.
     fn submit(&mut self, req: IoReq) {
-        match req {
-            IoReq::StoreBatch { items } => {
-                let mut stored = self.store.store(&self.pool, items, &self.registry, false);
-                let bytes = stored.packed.iter().map(|&(_, n)| n).sum();
-                stored.pack_dur = self.cost(stored.pack_dur, bytes);
-                self.complete(IoDone::Stored(stored), bytes);
-            }
-            IoReq::Load { key, oid } => {
-                let mut loaded = self.store.load(&self.pool, key, oid, &self.registry);
-                let bytes = loaded.outcome.as_ref().map_or(0, |&(_, n)| n);
-                loaded.unpack_dur = self.cost(loaded.unpack_dur, bytes);
-                self.complete(IoDone::Loaded(loaded), bytes);
-            }
-            IoReq::SetRanks(ranks) => self.store.lock().set_key_ranks(&ranks),
-            IoReq::Probe => {
-                let (report, ok) = self.store.probe();
-                self.complete(IoDone::Probed(report, ok), 0);
-            }
-        }
+        let Some(mut done) = req.run(&self.store, &self.pool, &self.registry) else {
+            return;
+        };
+        let (codec, bytes) = match &mut done {
+            IoDone::Stored(s) => (&mut s.pack_dur, s.packed.iter().map(|&(_, n)| n).sum()),
+            IoDone::Loaded(l) => (&mut l.unpack_dur, l.outcome.as_ref().map_or(0, |o| o.1)),
+            IoDone::Probed(..) => return self.complete(done, 0),
+        };
+        *codec = self.cost(*codec, bytes);
+        self.complete(done, bytes);
     }
 
     /// Under [`MrtsConfig::deterministic_compute`] recovery costs no

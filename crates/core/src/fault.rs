@@ -419,6 +419,14 @@ pub enum MrtsError {
     /// (debug builds check them on every node; see `crate::audit`). The
     /// violation names the node, the transition and the object.
     Invariant(crate::audit::Violation),
+    /// A replay left its decision log (`crate::replay`): at decision `index`
+    /// of `node`, the worker met `found` where the log says `expected`.
+    ReplayDiverged {
+        node: NodeId,
+        index: usize,
+        expected: Option<crate::replay::Decision>,
+        found: String,
+    },
 }
 
 impl std::fmt::Display for MrtsError {
@@ -449,6 +457,15 @@ impl std::fmt::Display for MrtsError {
                 )
             }
             MrtsError::Invariant(v) => write!(f, "invariant violated: {v}"),
+            MrtsError::ReplayDiverged {
+                node,
+                index,
+                expected,
+                found,
+            } => write!(
+                f,
+                "node {node}: replay diverged at decision {index}: expected {expected:?}, found {found}"
+            ),
         }
     }
 }
@@ -460,7 +477,8 @@ impl std::error::Error for MrtsError {
             MrtsError::CheckpointCorrupt(_)
             | MrtsError::NodeUnreachable { .. }
             | MrtsError::BadFrame { .. }
-            | MrtsError::Invariant(_) => None,
+            | MrtsError::Invariant(_)
+            | MrtsError::ReplayDiverged { .. } => None,
         }
     }
 }

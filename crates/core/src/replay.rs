@@ -8,49 +8,54 @@
 //! artifact by putting the worker's inputs behind one gateway that logs
 //! every answer (the contract of `SNIPPETS.md` snippet 3):
 //!
-//! * **Record mode** — every answer of a worker's input gateway (which
-//!   fabric frame is next, which I/O completion is next, which deferred
-//!   flushes and retransmit timers are due) appends a [`Decision`] to a
-//!   per-node log; the run's canonical audit stream is captured
+//! * **Record** — the live gateway (`threaded.rs`) appends every answer
+//!   it gives (which fabric frame is next, which I/O completion is next,
+//!   which deferred flushes and retransmit timers are due) to a per-node
+//!   log of [`Decision`]s; the run's canonical audit stream is captured
 //!   alongside it.
-//! * **Replay mode** — the gateway answers from the log: fabric messages
-//!   are released in the logged source order (per-edge FIFO makes "next
-//!   message from `src`" unambiguous), I/O completions are released when
-//!   the log says they landed, and deferred flushes and retransmit timers
-//!   fire at the logged points instead of by the wall clock. Everything
-//!   else — steals included — is a pure function of those inputs. The
-//!   replayed run's audit stream is then compared event-for-event against
-//!   the recorded one; the first mismatch per node is reported with its
-//!   index and a surrounding window.
+//! * **Replay** — a third gateway (`Replayed`) answers from the log, and
+//!   one thread steps every worker: no fabric, I/O pool or worker thread.
+//!   Frames wait in one FIFO per edge, a spill request runs when it is
+//!   issued, due flushes and timers are read off the log; only a frame
+//!   can be asked for before its sender has run ("later": another node
+//!   steps). Everything else — steals included — is a pure function of
+//!   these answers. Leaving the log — a mismatch, a log that runs out,
+//!   answers left when a node stops, a round in which no node moves —
+//!   fails the run with [`MrtsError::ReplayDiverged`]; there is no
+//!   fallback. The replayed audit stream is then compared event for event
+//!   with the recorded one, and the first mismatch per node is reported
+//!   with its index and a surrounding window.
 //!
 //! The comparison is over the **canonical** stream ([`canonicalize`]):
 //! events rendered as their `Debug` text, one lane per node, in program
-//! order — every event of a node is emitted on its worker thread, the
-//! storage faults and retries of an I/O completion included, when the
-//! worker folds that completion in. Under a storage fault plan the lane
-//! is a deterministic sequence only with `io_threads = 1`: fault draws
-//! follow the store's operation counter, and which pool thread reaches it
-//! first is not virtualized (see the determinism contract table in
-//! `DESIGN.md` §14).
-//!
-//! Everything here is pure data + codecs; the gateway lives in
-//! [`crate::threaded`].
+//! order — every event of a node is emitted by its worker, the storage
+//! faults and retries of an I/O completion included, when the worker
+//! folds that completion in. Under a storage fault plan the lane is a
+//! deterministic sequence only with `io_threads = 1`: fault draws follow
+//! the store's operation counter, and which pool thread reaches it first
+//! is not recorded (see the determinism contract table in `DESIGN.md`
+//! §14).
 
 use crate::audit::RuntimeEvent;
+use crate::fault::MrtsError;
 use crate::ids::NodeId;
+use crate::object::Registry;
+use crate::spill_io::{BufferPool, SharedStore};
+use crate::stats::NodeStats;
+use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, Worker, WorkerResult};
+use armci_sim::ActiveMessage;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Default byte cap for an encoded decision log: generous for any chaos
 /// schedule in the tree (a full OPCDM sweep schedule records well under
 /// a megabyte per node) while bounding a runaway recording.
 pub const DEFAULT_LOG_BYTE_CAP: usize = 32 << 20;
-
-/// Replay-mode patience: how long a replaying worker waits for the next
-/// recorded event (a fabric frame from the logged edge, an I/O completion
-/// for the logged key) before declaring a divergence and falling back to
-/// live execution.
-pub const REPLAY_WAIT: std::time::Duration = std::time::Duration::from_secs(2);
 
 // ---------------------------------------------------------------------------
 // Decisions
@@ -270,7 +275,7 @@ impl DecisionLog {
     /// idle control loop) are run-length encoded. When the cap is hit,
     /// whole tail decisions are dropped (never a partial record) and the
     /// truncation flag is set in the header; a truncated log replays as
-    /// far as it goes, then the workers fall back to live execution.
+    /// far as it goes, then diverges (`expected: None`).
     /// Returns the bytes and whether truncation occurred.
     pub fn encode(&self, cap: usize) -> (Vec<u8>, bool) {
         let mut out = Vec::with_capacity(1024);
@@ -307,103 +312,45 @@ impl DecisionLog {
 
     /// Strict decode: any malformed or truncated byte is a typed error.
     pub fn decode(buf: &[u8]) -> Result<DecisionLog, ReplayDecodeError> {
-        let (log, err) = Self::decode_inner(buf);
-        match err {
-            Some(e) => Err(e),
-            None => Ok(log),
-        }
-    }
-
-    /// Truncation-tolerant decode: salvages every complete decision
-    /// before the first malformed byte (a crash-truncated log is still a
-    /// replayable prefix). Returns the salvaged log and the error that
-    /// stopped the parse, if any.
-    pub fn decode_lossy(buf: &[u8]) -> (DecisionLog, Option<ReplayDecodeError>) {
-        Self::decode_inner(buf)
-    }
-
-    fn decode_inner(buf: &[u8]) -> (DecisionLog, Option<ReplayDecodeError>) {
-        let mut log = DecisionLog::default();
         if buf.len() < 8 || &buf[..8] != LOG_MAGIC {
-            return (log, Some(ReplayDecodeError::BadMagic));
+            return Err(ReplayDecodeError::BadMagic);
         }
         if buf.len() < 13 {
-            return (log, Some(ReplayDecodeError::Truncated { at: buf.len() }));
+            return Err(ReplayDecodeError::Truncated { at: buf.len() });
         }
         let version = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes checked"));
         if version != LOG_VERSION {
-            return (log, Some(ReplayDecodeError::BadVersion(version)));
+            return Err(ReplayDecodeError::BadVersion(version));
         }
         let mut pos = 13usize; // past magic + version + flags
-        let n_nodes = match get_varint(buf, &mut pos) {
-            Ok(n) => n,
-            Err(e) => return (log, Some(e)),
-        };
+        let n_nodes = get_varint(buf, &mut pos)?;
         // A node section is ≥ 1 byte; a count beyond the buffer is hostile.
         if n_nodes > buf.len() as u64 {
-            return (
-                log,
-                Some(ReplayDecodeError::CountTooLarge {
-                    at: pos,
-                    count: n_nodes,
-                }),
-            );
+            let count = n_nodes;
+            return Err(ReplayDecodeError::CountTooLarge { at: pos, count });
         }
+        let mut log = DecisionLog::default();
         for _ in 0..n_nodes {
-            let mut decisions = Vec::new();
-            let count = match get_varint(buf, &mut pos) {
-                Ok(c) => c,
-                Err(e) => {
-                    log.nodes.push(decisions);
-                    return (log, Some(e));
-                }
-            };
+            let count = get_varint(buf, &mut pos)?;
             // RLE means the decision count can far exceed the byte count;
             // bound it at 2^32 per node (far past any real recording)
             // rather than against the buffer length.
             if count > (1 << 32) {
-                log.nodes.push(decisions);
-                return (
-                    log,
-                    Some(ReplayDecodeError::CountTooLarge { at: pos, count }),
-                );
+                return Err(ReplayDecodeError::CountTooLarge { at: pos, count });
             }
+            let mut decisions = Vec::new();
             while (decisions.len() as u64) < count {
                 let at = pos;
-                match decode_decision_run(buf, &mut pos, &mut decisions) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        log.nodes.push(decisions);
-                        return (log, Some(e));
-                    }
-                }
+                decode_decision_run(buf, &mut pos, &mut decisions)?;
                 // A valid encoder never lets a run overshoot the declared
                 // count; a hostile one is rejected before the next record.
                 if decisions.len() as u64 > count {
-                    decisions.truncate(count as usize);
-                    log.nodes.push(decisions);
-                    return (log, Some(ReplayDecodeError::CountTooLarge { at, count }));
+                    return Err(ReplayDecodeError::CountTooLarge { at, count });
                 }
             }
             log.nodes.push(decisions);
         }
-        (log, None)
-    }
-
-    /// Write the encoded log (under `cap`) to `path`.
-    pub fn save(&self, path: &Path, cap: usize) -> std::io::Result<bool> {
-        let (bytes, truncated) = self.encode(cap);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, bytes)?;
-        Ok(truncated)
-    }
-
-    /// Read and strictly decode a log from `path`.
-    pub fn load(path: &Path) -> Result<DecisionLog, ReplayLoadError> {
-        let bytes = std::fs::read(path).map_err(ReplayLoadError::Io)?;
-        DecisionLog::decode(&bytes).map_err(ReplayLoadError::Decode)
+        Ok(log)
     }
 }
 
@@ -843,6 +790,262 @@ impl ReplayArtifact {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Replay: the gateway that answers from the log, and the stepper
+// ---------------------------------------------------------------------------
+
+/// The decision that names an I/O completion: its kind and key, which the
+/// executor's per-key ordering makes unique among in-flight operations
+/// (batches are identified by their first object; health probes carry no
+/// key).
+pub(crate) fn io_decision(d: &IoDone) -> Decision {
+    let (kind, oid) = match d {
+        IoDone::Stored(s) if s.rejected.is_none() => (IoKind::StoredBatch, s.report.oid.0),
+        IoDone::Stored(s) => (IoKind::StoreBatchFailed, s.report.oid.0),
+        IoDone::Loaded(l) if l.outcome.is_ok() => (IoKind::Loaded, l.report.oid.0),
+        IoDone::Loaded(l) => (IoKind::LoadFailed, l.report.oid.0),
+        IoDone::Probed(..) => (IoKind::Probed, 0),
+    };
+    Decision::IoDone { kind, oid }
+}
+
+/// What every gateway of one replay shares.
+#[derive(Default)]
+struct Shared {
+    /// Frames sent and not yet read, one FIFO per edge `src * n + dest`.
+    edges: Vec<VecDeque<ActiveMessage>>,
+    /// The first divergence of any node.
+    diverged: Option<MrtsError>,
+}
+
+/// A replay of one decision log over a run's workers: it builds each
+/// node's [`Replayed`] gateway, then steps the workers (see the module
+/// docs).
+pub(crate) struct Replay {
+    log: DecisionLog,
+    registry: Arc<Registry>,
+    shared: Rc<RefCell<Shared>>,
+}
+
+impl Replay {
+    /// A node the log does not cover replays an empty schedule.
+    pub(crate) fn new(mut log: DecisionLog, n: usize, registry: Arc<Registry>) -> Replay {
+        log.nodes.resize(n, Vec::new());
+        let shared = Rc::new(RefCell::new(Shared::default()));
+        shared.borrow_mut().edges.resize_with(n * n, VecDeque::new);
+        Replay {
+            log,
+            registry,
+            shared,
+        }
+    }
+
+    /// Node `node`'s gateway over its spill store.
+    pub(crate) fn gate(&mut self, node: usize, store: &SharedStore) -> Replayed {
+        Replayed {
+            node: node as NodeId,
+            n: self.log.nodes.len(),
+            log: std::mem::take(&mut self.log.nodes[node]),
+            cursor: 0,
+            crashed: false,
+            shared: self.shared.clone(),
+            done: VecDeque::new(),
+            store: store.clone(),
+            // One request runs at a time.
+            pool: BufferPool::new(1),
+            registry: self.registry.clone(),
+            epoch: Instant::now(),
+        }
+    }
+
+    /// Step the workers on this thread: each runs turns until one takes no
+    /// answer from the log (it waits for a frame not sent yet), or until
+    /// it stops or crashes, then the next node runs. A round in which no
+    /// node moves is a divergence, and so is any a gateway meets; the run
+    /// stops at the first. Returns every worker's hand-back, in node
+    /// order, and that divergence.
+    pub(crate) fn step(
+        self,
+        workers: Vec<Worker<Replayed>>,
+    ) -> (Vec<WorkerResult>, Option<MrtsError>) {
+        let mut slots: Vec<_> = workers.into_iter().map(Some).collect();
+        let mut results: Vec<_> = slots.iter().map(|_| None).collect();
+        let diverged = || self.shared.borrow().diverged.is_some();
+        while !diverged() && slots.iter().any(Option::is_some) {
+            let mut moved = false;
+            for (slot, result) in slots.iter_mut().zip(&mut results) {
+                while let Some(w) = slot.as_mut().filter(|_| !diverged()) {
+                    let cursor = w.gate.cursor;
+                    // A crashed node's last steps are silent: it only
+                    // discards what reaches it.
+                    if !w.turn() || w.gate.crashed {
+                        *result = slot.take().map(Worker::finish);
+                    } else if w.gate.cursor == cursor {
+                        break;
+                    }
+                    moved = true;
+                }
+            }
+            if !moved {
+                self.stalled(&slots);
+            }
+        }
+        // A diverged run stops where it is.
+        let results = (slots.into_iter().zip(results))
+            .map(|(slot, r)| r.or_else(|| slot.map(Worker::finish)))
+            .map(|r| r.expect("every worker stopped"));
+        let err = self.shared.borrow_mut().diverged.take();
+        (results.collect(), err)
+    }
+
+    /// No node can move: blame the first whose next frame no running node
+    /// can send (its own, or a stopped node's), else the first.
+    fn stalled(&self, slots: &[Option<Worker<Replayed>>]) {
+        let waiting: Vec<&Replayed> = slots.iter().flatten().map(|w| &w.gate).collect();
+        let stuck = |g: &&&Replayed| match g.log.get(g.cursor) {
+            Some(&Decision::FabricRecv { src, .. }) => {
+                src == g.node || slots[src as usize].is_none()
+            }
+            _ => true,
+        };
+        let g = waiting.iter().find(stuck).or(waiting.first());
+        g.expect("a running worker")
+            .diverge("no node can move".into(), ());
+    }
+}
+
+/// A worker's gateway during a replay (see the module docs): the node's
+/// log answers through a cursor, and the replay's edges carry its frames.
+pub(crate) struct Replayed {
+    node: NodeId,
+    n: usize,
+    log: Vec<Decision>,
+    /// The next logged answer.
+    cursor: usize,
+    /// Killed by the net-fault plan, which ends its recording.
+    crashed: bool,
+    shared: Rc<RefCell<Shared>>,
+    /// Completions of requests that ran, not yet read.
+    done: VecDeque<IoDone>,
+    store: SharedStore,
+    pool: BufferPool,
+    registry: Arc<Registry>,
+    /// The gateway's clock, which only feeds statistics.
+    epoch: Instant,
+}
+
+impl Replayed {
+    /// The logged answer due now; `None` once the log is used up, or once
+    /// the run has diverged.
+    fn peek(&self) -> Option<Decision> {
+        let diverged = self.shared.borrow().diverged.is_some();
+        self.log.get(self.cursor).copied().filter(|_| !diverged)
+    }
+
+    /// The worker met `found` where the logged answer was due: the run has
+    /// left its log (the first divergence of the run is kept). Hands
+    /// `answer` back to the worker, which the stepper stops after its turn.
+    fn diverge<T>(&self, found: String, answer: T) -> T {
+        let (node, index, expected) = (self.node, self.cursor, self.log.get(self.cursor).copied());
+        (self.shared.borrow_mut().diverged).get_or_insert(MrtsError::ReplayDiverged {
+            node,
+            index,
+            expected,
+            found,
+        });
+        answer
+    }
+}
+
+impl Gateway for Replayed {
+    fn now(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
+    fn fabric(&mut self, _idle: bool) -> Recv {
+        let answer = match self.peek() {
+            Some(Decision::FabricEmpty) => Recv::Empty,
+            Some(Decision::FabricRecv { src, tag }) => {
+                let mut shared = self.shared.borrow_mut();
+                let edge = &mut shared.edges[src as usize * self.n + self.node as usize];
+                match edge.front().map(|am| am.handler) {
+                    None => return Recv::Later,
+                    Some(t) if t == tag => Recv::Frame(edge.pop_front().expect("a front frame")),
+                    Some(t) => {
+                        drop(shared);
+                        return self.diverge(format!("tag {t} from node {src}"), Recv::Later);
+                    }
+                }
+            }
+            _ => return self.diverge("a fabric read".into(), Recv::Later),
+        };
+        self.cursor += 1;
+        answer
+    }
+
+    fn send(&mut self, dest: NodeId, tag: u32, payload: Vec<u8>) {
+        let src = self.node;
+        let am = ActiveMessage {
+            src,
+            handler: tag,
+            payload,
+        };
+        let edge = src as usize * self.n + dest as usize;
+        self.shared.borrow_mut().edges[edge].push_back(am);
+    }
+
+    fn io(&mut self, blocking: bool) -> Option<IoDone> {
+        let at = match self.peek() {
+            Some(Decision::IoEmpty) if !blocking => None,
+            Some(logged @ Decision::IoDone { .. }) => {
+                let at = self.done.iter().position(|d| io_decision(d) == logged);
+                if at.is_none() {
+                    let pending: Vec<_> = self.done.iter().map(io_decision).collect();
+                    return self.diverge(format!("completions {pending:?}"), None);
+                }
+                at
+            }
+            _ => return self.diverge("an I/O read".into(), None),
+        };
+        self.cursor += 1;
+        at.and_then(|at| self.done.remove(at))
+    }
+
+    /// The request runs now: its completion is there when the log names it.
+    fn submit(&mut self, req: IoReq) {
+        self.done
+            .extend(req.run(&self.store, &self.pool, &self.registry));
+    }
+
+    fn due(&mut self, net: &NetLayer) -> Vec<Due> {
+        let mut due = Vec::new();
+        loop {
+            let next = match self.peek() {
+                Some(Decision::PumpEnd) => break,
+                Some(Decision::FlushDeferred { dest, seq })
+                    if net.deferred_at(dest, seq).is_some() =>
+                {
+                    Due::Flush(dest, seq)
+                }
+                Some(Decision::TimerExpire { dest, seq }) => Due::Timer(dest, seq),
+                _ => return self.diverge("a due flush or timer read".into(), Vec::new()),
+            };
+            self.cursor += 1;
+            due.push(next);
+        }
+        self.cursor += 1;
+        due
+    }
+
+    fn finish(&mut self, _stats: &mut NodeStats, crashed: bool) -> Vec<Decision> {
+        self.crashed = crashed;
+        if !crashed && self.cursor < self.log.len() {
+            self.diverge("the worker stopped".into(), ());
+        }
+        Vec::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -941,18 +1144,16 @@ mod tests {
         assert_eq!(back.nodes[0][..], log.nodes[0][..back.nodes[0].len()]);
     }
 
+    /// A torn log is not replayed in part: every cut short of the end is
+    /// a typed error.
     #[test]
-    fn truncated_log_decodes_lossy_to_a_prefix() {
-        let log = sample_log();
-        let (bytes, _) = log.encode(DEFAULT_LOG_BYTE_CAP);
-        for cut in 13..bytes.len() {
-            let (partial, err) = DecisionLog::decode_lossy(&bytes[..cut]);
-            assert!(err.is_some(), "cut at {cut} decoded clean");
-            // Salvaged decisions are a prefix of the real per-node logs.
-            for (full, part) in log.nodes.iter().zip(&partial.nodes) {
-                assert!(part.len() <= full.len());
-                assert_eq!(&full[..part.len()], &part[..]);
-            }
+    fn every_proper_prefix_of_a_log_is_a_typed_error() {
+        let (bytes, _) = sample_log().encode(DEFAULT_LOG_BYTE_CAP);
+        for cut in 0..bytes.len() {
+            assert!(
+                DecisionLog::decode(&bytes[..cut]).is_err(),
+                "cut at {cut} decoded"
+            );
         }
     }
 

@@ -121,10 +121,10 @@ pub struct NodeStats {
     /// (fabric receive order, I/O completion order, reliable-layer
     /// timer firings). Zero outside record mode. See `mrts::replay`.
     pub decisions_recorded: usize,
-    /// Points at which a replaying node could not follow its recorded
-    /// schedule and fell back to live execution (at most one per node,
-    /// plus one for residual unconsumed decisions at shutdown). Zero
-    /// means the recorded schedule was re-executed exactly.
+    /// Always zero: a replay that leaves its log fails with
+    /// `MrtsError::ReplayDiverged` instead. Kept only because the
+    /// benchmark's report (`perfbench/src/workloads.rs`) reads it; it goes
+    /// with the next change to the benchmark (ROADMAP item 1).
     pub replay_divergences: usize,
     /// Time this node spent starved: the threaded engine measures the
     /// idle-path fabric waits of its control loop; the DES charges each

@@ -23,11 +23,13 @@
 //!
 //! Every input whose answer depends on time — the next fabric frame, the
 //! next I/O completion, the due reliable-layer timers, the clock itself and
-//! what a handler costs — comes through one [`Gateway`]. Two implement it:
-//! the live gateway (`threaded.rs`: an OS thread per worker, an I/O thread
-//! pool, the wall clock, record/replay) and the virtual one (`des.rs`: one
-//! event heap steps every worker on one thread in virtual-time order). The
-//! worker acts on every answer with the same code under both.
+//! what a handler costs — comes through one [`Gateway`]. Three implement
+//! it: the live gateway (`threaded.rs`: an OS thread per worker, an I/O
+//! thread pool, the wall clock, recording), the virtual one (`des.rs`: one
+//! event heap steps every worker on one thread in virtual-time order) and
+//! the replayed one (`replay.rs`: a recorded log answers, one thread steps
+//! every worker). The worker acts on every answer with the same code under
+//! all three.
 
 #[allow(unused_imports)]
 use crate::audit::{audit_emit, RuntimeEvent};
@@ -42,7 +44,7 @@ use crate::object::{MobileObject, Registry};
 use crate::relnet::{ReliableReceiver, ReliableSender, RingStep, Safra, TimerAction};
 use crate::replay::Decision;
 use crate::sched::VictimCursor;
-use crate::spill_io::{IoReport, Loaded, Stored};
+use crate::spill_io::{BufferPool, IoReport, Loaded, SpillIo, Stored};
 use crate::stats::NodeStats;
 use armci_sim::ActiveMessage;
 use std::collections::{HashMap, VecDeque};
@@ -105,6 +107,26 @@ pub(crate) enum IoReq {
     Probe,
 }
 
+impl IoReq {
+    /// Run the request on the node's spill executor `io` (for the I/O pool,
+    /// the virtual disk and a replay alike); `None` for a placement hint.
+    pub(crate) fn run(self, io: &SpillIo, pool: &BufferPool, reg: &Registry) -> Option<IoDone> {
+        Some(match self {
+            // An eviction of one object is a batch of one.
+            IoReq::StoreBatch { items } => IoDone::Stored(io.store(pool, items, reg, false)),
+            IoReq::Load { key, oid } => IoDone::Loaded(io.load(pool, key, oid, reg)),
+            IoReq::Probe => {
+                let (report, ok) = io.probe();
+                IoDone::Probed(report, ok)
+            }
+            IoReq::SetRanks(ranks) => {
+                io.lock().set_key_ranks(&ranks);
+                return None;
+            }
+        })
+    }
+}
+
 /// A spill-executor completion: its outcome, the report still to be
 /// folded into the node's counters and audit stream.
 pub(crate) enum IoDone {
@@ -125,19 +147,28 @@ pub(crate) enum Due {
     Timer(NodeId, u64),
 }
 
+/// A gateway's answer to "which fabric frame is next".
+pub(crate) enum Recv {
+    Frame(ActiveMessage),
+    Empty,
+    /// Replay only: a frame its sender has not sent yet. The turn stops at
+    /// this read, and the next one resumes there.
+    Later,
+}
+
 /// A worker's one input gateway: everything whose answer depends on time.
 pub(crate) trait Gateway {
     /// Now, on this gateway's clock.
     fn now(&self) -> Duration;
     /// Which fabric frame is next: a non-blocking poll, or (`idle`) the
     /// idle wait.
-    fn fabric(&mut self, idle: bool) -> Option<ActiveMessage>;
+    fn fabric(&mut self, idle: bool) -> Recv;
     /// Put one frame on the fabric.
     fn send(&mut self, dest: NodeId, tag: u32, payload: Vec<u8>);
     /// Which I/O completion is next: a non-blocking poll, or (`blocking`,
     /// the post-termination drain) a wait for one. A blocking poll answers
     /// `None` only in virtual time, where the completion has not arrived
-    /// yet; a live one waits for it.
+    /// yet, or in a replay that left its log; a live one waits for it.
     fn io(&mut self, blocking: bool) -> Option<IoDone>;
     /// Hand one request to the node's spill executor.
     fn submit(&mut self, req: IoReq);
@@ -155,7 +186,11 @@ pub(crate) trait Gateway {
     fn sent(&mut self, _dest: NodeId, _seq: u64, _bytes: usize) {}
     /// The compute time to book for a stretch of work measured at `wall`
     /// that processed `bytes` bytes, with its child-task batches `tasks`.
-    fn charge(&mut self, wall: Duration, bytes: usize, tasks: &[ParallelReport]) -> Duration;
+    /// On the wall clock, `wall` itself: child tasks ran on the node's
+    /// real pool.
+    fn charge(&mut self, wall: Duration, _bytes: usize, _tasks: &[ParallelReport]) -> Duration {
+        wall
+    }
     /// The worker stopped (`crashed`: it was killed): fold the gateway's
     /// counters into `stats` and hand back what it recorded.
     fn finish(&mut self, stats: &mut NodeStats, crashed: bool) -> Vec<Decision>;
@@ -318,7 +353,7 @@ pub(crate) struct Worker<G> {
     /// (see [`Worker::carry_out`], [`Worker::on_net`], [`Worker::on_io`]).
     pub(crate) core: NodeCore,
     /// Everything time answers (see [`Gateway`]).
-    gate: G,
+    pub(crate) gate: G,
     ready: VecDeque<ObjectId>,
     outstanding_io: usize,
     backend: Box<dyn TaskBackend>,
@@ -327,6 +362,8 @@ pub(crate) struct Worker<G> {
     done: bool,
     /// The last turn ended idle: the next one begins with the idle wait.
     waiting: bool,
+    /// The last turn stopped in the drain at [`Recv::Later`]: resume there.
+    draining: bool,
     /// Reliable-delivery layer; `Some` only under a net-fault plan.
     net: Option<NetLayer>,
     /// Crashed by the plan's `kill_node`: silent until the exit broadcast.
@@ -387,6 +424,7 @@ impl<G: Gateway> Worker<G> {
             safra: Safra::new(),
             done: false,
             waiting: false,
+            draining: false,
             net: cfg.net_fault.map(|plan| NetLayer::new(plan, node)),
             dead: false,
             probe_inflight: false,
@@ -1098,7 +1136,8 @@ impl<G: Gateway> Worker<G> {
     /// One turn of the control loop; false once the worker has stopped.
     /// A live gateway blocks inside the idle wait and the final I/O
     /// drain; a virtual one answers at once, and the virtual engine calls the
-    /// next turn when [`Worker::next_turn`] says.
+    /// next turn when [`Worker::next_turn`] says; a replayed one ends the
+    /// turn at a frame not sent yet.
     pub(crate) fn turn(&mut self) -> bool {
         if self.done {
             // Drain outstanding I/O: every store has landed (or failed
@@ -1125,7 +1164,7 @@ impl<G: Gateway> Worker<G> {
             while self.gate.io(false).is_some() {
                 self.outstanding_io -= 1;
             }
-            while let Some(am) = self.gate.fabric(true) {
+            while let Recv::Frame(am) = self.gate.fabric(true) {
                 if am.handler == AM_EXIT {
                     self.done = true;
                     break;
@@ -1141,27 +1180,37 @@ impl<G: Gateway> Worker<G> {
             let am = self.gate.fabric(true);
             self.core.stats.idle += self.gate.now().saturating_sub(t_idle);
             match am {
-                Some(am) => {
+                Recv::Frame(am) => {
                     self.empty_polls = 0;
                     self.on_fabric(am);
                 }
-                None => {
+                Recv::Empty => {
                     self.core.stats.idle_ticks += 1;
                     self.empty_polls += 1;
+                }
+                Recv::Later => {
+                    self.waiting = true;
+                    return true;
                 }
             }
         }
         // 0. A transition since the last turn broke a per-node invariant
         //    (debug builds): bring the run down with it.
-        if let Some(v) = self.core.violation.take() {
-            self.fail(MrtsError::Invariant(v));
+        if !std::mem::take(&mut self.draining) {
+            if let Some(v) = self.core.violation.take() {
+                self.fail(MrtsError::Invariant(v));
+            }
         }
         // 1. Drain the fabric.
         while !self.done {
-            let Some(am) = self.gate.fabric(false) else {
-                break;
-            };
-            self.on_fabric(am);
+            match self.gate.fabric(false) {
+                Recv::Frame(am) => self.on_fabric(am),
+                Recv::Empty => break,
+                Recv::Later => {
+                    self.draining = true;
+                    return true;
+                }
+            }
         }
         if self.done {
             return true;

@@ -103,19 +103,13 @@ proptest! {
         }
     }
 
-    /// Cutting a valid encoding at any byte never panics, and the lossy
-    /// decoder salvages only true prefixes of the recorded decisions —
-    /// a replay from a torn log can be short, never wrong.
+    /// A valid encoding cut anywhere short of its end is a typed error —
+    /// never a panic, and never a shorter log.
     #[test]
-    fn truncated_log_salvages_a_prefix(log in arb_log(), cut_frac in 0.0f64..1.0) {
+    fn truncated_log_is_a_typed_error(log in arb_log(), cut_frac in 0.0f64..1.0) {
         let (bytes, _) = log.encode(DEFAULT_LOG_BYTE_CAP);
         let cut = (bytes.len() as f64 * cut_frac) as usize;
-        let (salvaged, err) = DecisionLog::decode_lossy(&bytes[..cut]);
-        prop_assert!(is_prefix_of(&salvaged, &log));
-        if cut == bytes.len() {
-            prop_assert!(err.is_none());
-            prop_assert_eq!(salvaged, log);
-        }
+        prop_assert!(DecisionLog::decode(&bytes[..cut]).is_err());
     }
 
     #[test]
@@ -140,7 +134,6 @@ proptest! {
     #[test]
     fn hostile_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = DecisionLog::decode(&bytes);
-        let _ = DecisionLog::decode_lossy(&bytes);
         let _ = ReplayArtifact::decode(&bytes);
         // The same noise as the canonical stream of an artifact whose
         // header, harness, seed and log are valid: an empty stream

@@ -650,15 +650,11 @@ mod tests {
         let log = rt.take_decision_log().expect("recording was enabled");
         let (mut rt2, _coord) = oupdr_setup::<Threads>(&p, cfg, |_| {});
         rt2.replay_decisions(log);
-        let stats2 = rt2.run();
+        if let Err(e) = rt2.try_run() {
+            panic!("the replay left its log: {e}");
+        }
         let (elements2, _verts2, phase2, digest2) = oupdr_collect(&rt2);
         assert_eq!(phase2, 4);
-        assert_eq!(
-            stats2.total_of(|n| n.replay_divergences),
-            0,
-            "{}",
-            stats2.summary()
-        );
         assert_eq!(elements2, elements);
         assert_eq!(
             digest2, digest,

@@ -6,9 +6,11 @@
 //! id, fault seed, decision log and recorded canonical audit stream)
 //! under `target/replay/` and names the file in its panic message. This
 //! tool rebuilds that schedule, re-executes it under the recorded
-//! decisions and prints the run's error, if it failed again, and the
-//! first-divergence report; it exits non-zero unless the replay is
-//! byte-identical with zero sequencer divergences.
+//! decisions and prints the run's error — the decision where the replay
+//! left its log (node, index, expected and found), or the error the
+//! recorded run failed with again — and then the first-divergence report
+//! of the audit stream; it exits non-zero unless the replay followed its
+//! log to the end and its stream is byte-identical.
 //! Debug builds only: release builds compile the audit stream out.
 
 use std::process::ExitCode;
@@ -41,13 +43,15 @@ fn main() -> ExitCode {
         eprintln!("replay: {path} names unknown harness {:?}", art.harness);
         return ExitCode::FAILURE;
     };
-    if let Some(e) = &live.error {
-        println!("the replayed run failed: {e}");
+    // A recorded failure that comes back is a faithful replay; leaving
+    // the log is not.
+    match &live.error {
+        Some(e) if live.diverged => println!("the replay left its log: {e}"),
+        Some(e) => println!("the replayed run failed: {e}"),
+        None => {}
     }
-    let divergences = live.stats.total_of(|n| n.replay_divergences);
     print!("{report}");
-    println!("sequencer divergences: {divergences}");
-    if report.is_clean() && divergences == 0 {
+    if report.is_clean() && !live.diverged {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -17,7 +17,7 @@ use crate::methods::ooc_pcdm::{opcdm_collect, opcdm_setup};
 use crate::methods::pcdm::PcdmParams;
 use crate::mrts::audit::{EventLog, EventSink, FanOut, RaceDetector};
 use crate::mrts::config::MrtsConfig;
-use crate::mrts::fault::FaultPlan;
+use crate::mrts::fault::{FaultPlan, MrtsError};
 use crate::mrts::netfault::NetFaultPlan;
 use crate::mrts::replay::{
     canonicalize, compare, CanonicalStream, DecisionLog, DivergenceReport, ReplayArtifact,
@@ -129,6 +129,8 @@ pub struct RunOutcome {
     pub stats: RunStats,
     /// The typed error a failed run returned; its mesh counts are zero.
     pub error: Option<String>,
+    /// The error is a replay's divergence from its decision log.
+    pub diverged: bool,
     /// The decision log of a recorded run (empty after a replay: the
     /// sequencer consumes the log).
     pub decisions: DecisionLog,
@@ -181,9 +183,12 @@ fn execute(
             None => rt.record_decisions(),
         }
     });
-    let (stats, error) = match rt.try_run() {
-        Ok(stats) => (stats, None),
-        Err(e) => (RunStats::default(), Some(e.to_string())),
+    let (stats, error, diverged) = match rt.try_run() {
+        Ok(stats) => (stats, None, false),
+        Err(e) => {
+            let diverged = matches!(e, MrtsError::ReplayDiverged { .. });
+            (RunStats::default(), Some(e.to_string()), diverged)
+        }
     };
     let (elements, vertices) = match error {
         None => opcdm_collect(&rt),
@@ -201,6 +206,7 @@ fn execute(
         vertices,
         stats,
         error,
+        diverged,
         decisions,
         recorded: canonicalize(&log.snapshot(), nodes),
     }

@@ -7,15 +7,18 @@
 //! ten seeds with work stealing on, whose steals replay without log
 //! entries, and for a storage-fault schedule, whose faults and retries
 //! replay in program order. A deliberately perturbed stream must be
-//! pinpointed at the exact first-divergence index, and a perturbed decision
-//! log must be caught by the sequencer. A threaded run under replay must
+//! pinpointed at the exact first-divergence index, and a decision log
+//! perturbed against each divergence rule — a mismatching frame, a log
+//! that runs out, answers left unused, an unknown completion, a frame no
+//! node can send — must fail the replay with `MrtsError::ReplayDiverged`
+//! at the exact node and decision. A threaded run under replay must
 //! still produce the mesh the DES engine produces, and a run whose steals
 //! are granted must replay them — logged nowhere — to the same objects.
 //! The virtual-time engine needs no log at all: a chaos-net schedule run
 //! there again gives the same stream, retransmits and all.
 
 use pumg::harness::{self, RunOutcome, CHAOS_NET_THREADED, CHAOS_THREADED, REPLAY_SMOKE};
-use pumg::methods::ooc_pcdm::{opcdm_run, opcdm_run_with};
+use pumg::methods::ooc_pcdm::{opcdm_run, opcdm_run_with, opcdm_setup};
 use pumg::mrts::prelude::*;
 use pumg::mrts::replay::{canonicalize, compare};
 use std::any::Any;
@@ -45,10 +48,41 @@ fn record(seed: u64) -> RunOutcome {
     run
 }
 
-fn replay(seed: u64, decisions: DecisionLog) -> RunOutcome {
-    let run = harness::replay_run(cfg(seed), decisions);
-    assert_eq!(run.error, None, "seed {seed}");
-    run
+/// Replay schedule `seed` under a perturbed log `decisions`: the typed
+/// divergence it must fail with.
+fn diverged(seed: u64, decisions: DecisionLog) -> MrtsError {
+    let cfg = cfg(seed);
+    let spill = cfg.spill_dir.clone();
+    let mut rt = opcdm_setup::<Threads>(&harness::params(NODES), cfg, |rt| {
+        rt.replay_decisions(decisions)
+    });
+    let err = rt.try_run().expect_err("a perturbed log must diverge");
+    drop(rt);
+    if let Some(dir) = spill {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    err
+}
+
+/// The node and index of the first decision `pick` accepts.
+fn first(log: &DecisionLog, pick: impl Fn(&Decision) -> bool) -> (usize, usize) {
+    (log.nodes.iter().enumerate())
+        .find_map(|(node, ds)| ds.iter().position(&pick).map(|i| (node, i)))
+        .expect("the recording holds such a decision")
+}
+
+/// `err` is a replay divergence of `node` at decision `index`, where the
+/// log said `expected`.
+fn assert_diverged(err: MrtsError, node: usize, index: usize, expected: Option<Decision>) {
+    match err {
+        MrtsError::ReplayDiverged {
+            node: n,
+            index: i,
+            expected: e,
+            ..
+        } => assert_eq!((n as usize, i, e), (node, index, expected)),
+        other => panic!("expected a replay divergence, got: {other}"),
+    }
 }
 
 #[test]
@@ -63,12 +97,11 @@ fn ten_chaos_net_seeds_with_stealing_replay_byte_identically() {
         steal_requests += rec.stats.total_of(|n| n.steal_requests as usize);
         let rep = harness::replay_run(config(seed), rec.decisions.clone());
         let report = compare(&rec.recorded, &rep.recorded);
-        let divergences = rep.stats.total_of(|n| n.replay_divergences);
         let failed = rec.error.is_some() || rep.error.is_some();
-        if failed || !report.is_clean() || report.events_compared == 0 || divergences > 0 {
+        if failed || !report.is_clean() || report.events_compared == 0 {
             let path = harness::persist_artifact(REPLAY_SMOKE, seed, &rec);
             panic!(
-                "seed {seed}: run errors {:?} / {:?}, {divergences} sequencer divergences\n\
+                "seed {seed}: run errors {:?} / {:?}\n\
                  {report}re-execute: cargo run -p pumg --bin replay -- {path}",
                 rec.error, rep.error
             );
@@ -89,24 +122,18 @@ fn ten_chaos_net_seeds_with_stealing_replay_byte_identically() {
     let path = harness::persist_artifact(REPLAY_SMOKE, 0, &kept.expect("ten seeds ran"));
     let art = ReplayArtifact::load(path.as_ref()).expect("the saved artifact loads");
     let (report, live) = harness::replay_artifact(&art).expect("known harness");
-    let divergences = live.stats.total_of(|n| n.replay_divergences);
-    assert!(report.is_clean() && divergences == 0, "{path}: {report}");
+    assert_eq!(live.error, None, "{path}");
+    assert!(report.is_clean(), "{path}: {report}");
 }
 
 /// Record schedule `seed` of harness `id`, replay it under its decision
-/// log, and require zero sequencer divergences, a byte-identical audit
+/// log, and require a replay that follows the log, a byte-identical audit
 /// stream and the recorded mesh. Returns the recording.
 fn replays_byte_identically(id: &str, seed: u64) -> RunOutcome {
     let rec = harness::record_run(harness_cfg(id, seed), &[], None);
     assert_eq!(rec.error, None, "{id} seed {seed}");
     let rep = harness::replay_run(harness_cfg(id, seed), rec.decisions.clone());
     assert_eq!(rep.error, None, "{id} seed {seed}");
-    assert_eq!(
-        rep.stats.total_of(|n| n.replay_divergences),
-        0,
-        "sequencer diverged: {}",
-        rep.stats.summary()
-    );
     let report = compare(&rec.recorded, &rep.recorded);
     assert!(report.events_compared > 0, "no events compared — vacuous");
     assert!(
@@ -183,29 +210,62 @@ fn perturbed_stream_reports_the_exact_first_divergence_index() {
     assert!(!d.window.is_empty(), "triage window must be rendered");
 }
 
+/// A frame whose tag is not the logged one: the replay stops at that
+/// read.
 #[test]
 fn perturbed_decision_log_is_caught_by_the_sequencer() {
-    let rec = record(13);
-    let mut bad = rec.decisions.clone();
-    let tag = bad
-        .nodes
-        .iter_mut()
-        .flatten()
-        .find_map(|d| match d {
-            Decision::FabricRecv { tag, .. } => Some(tag),
-            _ => None,
-        })
-        .expect("a chaos-net run records fabric receives");
-    *tag ^= 0x5A5A;
-    let rep = replay(13, bad);
-    let report = compare(&rec.recorded, &rep.recorded);
-    assert!(
-        rep.stats.total_of(|n| n.replay_divergences) > 0 || !report.is_clean(),
-        "a corrupted decision must be detected"
-    );
-    // Divergence is detection, not failure: the replay falls back to
-    // live execution and must still finish the mesh.
-    assert_eq!(rep.mesh(), rec.mesh());
+    let mut log = record(13).decisions;
+    let (node, i) = first(&log, |d| matches!(d, Decision::FabricRecv { .. }));
+    if let Decision::FabricRecv { tag, .. } = &mut log.nodes[node][i] {
+        *tag ^= 0x5A5A;
+    }
+    let expected = Some(log.nodes[node][i]);
+    assert_diverged(diverged(13, log), node, i, expected);
+}
+
+/// A log that runs out while the worker still asks.
+#[test]
+fn a_cut_log_diverges_at_the_cut() {
+    let mut log = record(13).decisions;
+    let cut = log.nodes[1].len() / 2;
+    log.nodes[1].truncate(cut);
+    assert_diverged(diverged(13, log), 1, cut, None);
+}
+
+/// Answers left when a live node stops.
+#[test]
+fn unused_answers_diverge_when_the_node_stops() {
+    let mut log = record(13).decisions;
+    let end = log.nodes[0].len();
+    log.nodes[0].push(Decision::FabricEmpty);
+    assert_diverged(diverged(13, log), 0, end, Some(Decision::FabricEmpty));
+}
+
+/// A completion of a request nobody issued.
+#[test]
+fn an_unknown_completion_diverges() {
+    let mut log = record(13).decisions;
+    let (node, i) = first(&log, |d| matches!(d, Decision::IoDone { .. }));
+    if let Decision::IoDone { oid, .. } = &mut log.nodes[node][i] {
+        *oid ^= 1 << 60;
+    }
+    let expected = Some(log.nodes[node][i]);
+    assert_diverged(diverged(13, log), node, i, expected);
+}
+
+/// A frame on the node's own edge, where none ever travels: no node can
+/// move, and the node that waits for it is named.
+#[test]
+fn a_frame_no_node_sends_stalls_the_replay() {
+    let mut log = record(13).decisions;
+    let i = (log.nodes[1].iter())
+        .position(|d| matches!(d, Decision::FabricRecv { .. }))
+        .expect("node 1 receives frames");
+    if let Decision::FabricRecv { src, .. } = &mut log.nodes[1][i] {
+        *src = 1;
+    }
+    let expected = Some(log.nodes[1][i]);
+    assert_diverged(diverged(13, log), 1, i, expected);
 }
 
 #[test]
@@ -223,7 +283,7 @@ fn threaded_under_replay_matches_des_mesh() {
     let rec = harness::record_run(parity_cfg(), &[], None);
     assert!(rec.stats.total_of(|n| n.decisions_recorded) > 0);
     let rep = harness::replay_run(parity_cfg(), rec.decisions.clone());
-    assert_eq!(rep.stats.total_of(|n| n.replay_divergences), 0);
+    assert_eq!(rep.error, None);
     assert_eq!((des.elements, des.vertices), rec.mesh());
     assert_eq!((des.elements, des.vertices), rep.mesh());
 }
@@ -316,6 +376,7 @@ fn steal_run(replay: Option<DecisionLog>) -> (RunOutcome, BTreeMap<ObjectId, Vec
         Some(d) => rt.replay_decisions(d),
         None => rt.record_decisions(),
     }
+    // A replay that leaves its log fails the run, and `run` panics.
     let stats = rt.run();
     let mut objects = BTreeMap::new();
     rt.for_each_object(|oid, obj| {
@@ -328,6 +389,7 @@ fn steal_run(replay: Option<DecisionLog>) -> (RunOutcome, BTreeMap<ObjectId, Vec
         vertices: 0,
         stats,
         error: None,
+        diverged: false,
         decisions: rt
             .take_decision_log()
             .unwrap_or_else(|| DecisionLog::new(NODES)),
@@ -351,12 +413,6 @@ fn granted_steals_replay_without_log_entries() {
         rec.stats.total_of(|n| n.tasks_stolen as usize)
     );
     let (rep, rep_objects) = steal_run(Some(rec.decisions));
-    assert_eq!(
-        rep.stats.total_of(|n| n.replay_divergences),
-        0,
-        "{}",
-        rep.stats.summary()
-    );
     let report = compare(&rec.recorded, &rep.recorded);
     assert!(report.events_compared > 0 && report.is_clean(), "{report}");
     assert_eq!(rep_objects, rec_objects, "the steals replayed differently");

@@ -158,8 +158,9 @@ pub enum RuntimeEvent {
         new: usize,
     },
     /// A memory-accounting snapshot. `enforced` snapshots follow an
-    /// admission decision (invariant 4); unenforced ones (bootstrap,
-    /// reload completions) are accounting-only.
+    /// admission decision (invariant 4); unenforced ones (reload
+    /// completions, objects a failed store puts back) are
+    /// accounting-only.
     Budget {
         node: NodeId,
         used: usize,

@@ -33,7 +33,7 @@ use crate::codec::{PayloadReader, PayloadWriter, Truncated};
 use crate::fault::MrtsError;
 use crate::ids::{MobilePtr, NodeId, ObjectId};
 use crate::msg::Message;
-use crate::runtime::{home_of, Boot, Engine, Runtime};
+use crate::runtime::{home_of, Engine, Runtime};
 use crate::storage::{SegmentStore, StorageBackend};
 use std::path::Path;
 
@@ -60,21 +60,10 @@ pub struct CheckpointEntry {
 
 const MAGIC: u32 = 0x4d435031; // "MCP1"
 
-/// Key of entry `i` in checkpoint scope `scope`. Scope 0 reproduces the
-/// unscoped layout exactly (entries keyed `0..n`), so scoped readers and
-/// writers interoperate with pre-scope checkpoints.
-fn entry_key(scope: u32, i: usize) -> u64 {
-    ((scope as u64) << 32) | i as u64
-}
-
-/// Manifest key of `scope`: counted down from `u64::MAX`, so scope 0 is
-/// the classic unscoped manifest key. The manifest lives under a key no
-/// entry index can reach — entry keys top out at
-/// `(u32::MAX-1) << 32 | u32::MAX`, strictly below every manifest key —
-/// and it is written (and synced) last, making it the commit record.
-fn manifest_key(scope: u32) -> u64 {
-    u64::MAX - scope as u64
-}
+/// The manifest's key in a segmented checkpoint, which no entry index
+/// reaches (entry `i` is stored under key `i`). It is written (and synced)
+/// last, making it the commit record.
+const MANIFEST_KEY: u64 = u64::MAX;
 
 fn corrupt(msg: impl Into<String>) -> MrtsError {
     MrtsError::CheckpointCorrupt(msg.into())
@@ -160,32 +149,19 @@ impl Checkpoint {
     }
 
     /// Write the checkpoint crash-consistently into `dir` on a
-    /// [`SegmentStore`]: one record per entry (keyed by index), then the
-    /// manifest under `manifest_key(0)`, then `sync`. If the process dies
-    /// mid-write, replay tolerates the torn tail and
+    /// [`SegmentStore`]: one record per entry (entry `i` under key `i`),
+    /// then the manifest under key `u64::MAX`, then `sync`. If the
+    /// process dies mid-write, replay tolerates the torn tail and
     /// [`Checkpoint::read_segmented`] reports the checkpoint as corrupt
     /// (missing manifest) rather than returning partial state.
     pub fn write_segmented(&self, dir: &Path) -> std::io::Result<()> {
         let mut store = SegmentStore::open(dir.to_path_buf(), 1 << 20, 1.0)?;
-        self.write_scoped(&mut store, 0)
-    }
-
-    /// Write this checkpoint into an **open, shared** [`SegmentStore`]
-    /// under checkpoint scope `scope`. Many independent checkpoints (one
-    /// per job — the job service's crash-recovery path) coexist in one
-    /// store: entries of scope `s` are keyed `(s << 32) | index`, the
-    /// scope's manifest at `u64::MAX - s`, written and synced last as
-    /// that scope's commit record. A crash tearing one scope's tail
-    /// leaves every other scope's manifest (and therefore its
-    /// checkpoint) untouched. Scope 0 is exactly the
-    /// [`Checkpoint::write_segmented`] layout.
-    pub fn write_scoped(&self, store: &mut SegmentStore, scope: u32) -> std::io::Result<()> {
         for (i, e) in self.objects.iter().enumerate() {
             let mut w = PayloadWriter::with_capacity(e.packed.len() + 64);
             Self::encode_entry(&mut w, e);
-            store.store(entry_key(scope, i), &w.finish())?;
+            store.store(i as u64, &w.finish())?;
         }
-        store.store(manifest_key(scope), &self.encode_manifest())?;
+        store.store(MANIFEST_KEY, &self.encode_manifest())?;
         store.sync()
     }
 
@@ -195,16 +171,7 @@ impl Checkpoint {
     pub fn read_segmented(dir: &Path) -> Result<Checkpoint, MrtsError> {
         let mut store = SegmentStore::open(dir.to_path_buf(), 1 << 20, 1.0)
             .map_err(|e| corrupt(format!("cannot open checkpoint dir: {e}")))?;
-        Self::read_scoped(&mut store, 0)
-    }
-
-    /// Read the checkpoint of `scope` from a shared store (inverse of
-    /// [`Checkpoint::write_scoped`]). A torn or missing manifest — or a
-    /// missing entry — corrupts only this scope;
-    /// [`MrtsError::CheckpointCorrupt`] is returned and sibling scopes
-    /// remain readable.
-    pub fn read_scoped(store: &mut SegmentStore, scope: u32) -> Result<Checkpoint, MrtsError> {
-        let manifest = store.load(manifest_key(scope)).map_err(|_| {
+        let manifest = store.load(MANIFEST_KEY).map_err(|_| {
             corrupt("manifest missing — checkpoint incomplete (crash before seal?)")
         })?;
         let mut r = PayloadReader::new(&manifest);
@@ -220,7 +187,7 @@ impl Checkpoint {
         let mut objects = Vec::with_capacity(n.min(1 << 20));
         for i in 0..n {
             let bytes = store
-                .load(entry_key(scope, i))
+                .load(i as u64)
                 .map_err(|_| corrupt(format!("entry {i} missing")))?;
             let mut er = PayloadReader::new(&bytes);
             objects.push(
@@ -233,8 +200,9 @@ impl Checkpoint {
     /// Rebuild a runtime's state from this checkpoint. `rt` must be
     /// freshly constructed with the same types and handlers registered; its
     /// configuration may differ (more or fewer nodes, other budgets). The
-    /// virtual-time engine installs the objects at once, the threaded one
-    /// when its next run boots. Each object goes back on its captured node
+    /// objects land on the runtime's cores at once, admitted like
+    /// [`Runtime::create_object`]'s, and their queued messages go out when
+    /// the next run starts. Each object goes back on its captured node
     /// if that exists, else on its home node modulo the cluster size (the
     /// router's cold-directory fallback); an object placed away from its
     /// home is announced to the home's directory, so messages routed there
@@ -253,16 +221,7 @@ impl Checkpoint {
             };
             let obj = (rt.registry.unpack(&e.packed))
                 .expect("checkpoint entries hold pack output of registered types");
-            E::boot(
-                rt,
-                Boot::Create {
-                    node,
-                    id: e.oid,
-                    obj,
-                    priority: e.priority,
-                    locked: e.locked,
-                },
-            );
+            rt.place(node, e.oid, obj, e.priority, e.locked);
             for m in &e.queued {
                 rt.post(MobilePtr::new(e.oid), m.handler, m.payload.clone());
             }
@@ -314,93 +273,5 @@ mod tests {
     fn garbage_rejected() {
         assert!(Checkpoint::decode(&[1, 2, 3]).is_err());
         assert!(Checkpoint::decode(&[0u8; 64]).is_err());
-    }
-
-    fn cp_with(node: NodeId, seq: u64, payload: u8) -> Checkpoint {
-        Checkpoint {
-            objects: vec![CheckpointEntry {
-                node,
-                oid: ObjectId::new(node, seq),
-                priority: 128,
-                locked: false,
-                packed: vec![payload; 256],
-                queued: vec![],
-            }],
-            next_seq: vec![seq + 1; 2],
-        }
-    }
-
-    /// Satellite coverage for the job service's shared-store recovery
-    /// path: two jobs checkpoint through ONE SegmentStore under distinct
-    /// scopes, and a torn tail in one job's manifest must not corrupt
-    /// the other's checkpoint.
-    #[test]
-    fn scoped_checkpoints_share_a_store_and_tear_independently() {
-        let dir = std::env::temp_dir().join(format!("mrts-scoped-cp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let job_a = cp_with(0, 10, 0xAA);
-        let job_b = cp_with(1, 20, 0xBB);
-        {
-            let mut store = SegmentStore::open(dir.clone(), 1 << 20, 1.0).unwrap();
-            job_a.write_scoped(&mut store, 1).unwrap();
-            job_b.write_scoped(&mut store, 2).unwrap();
-        }
-        // Both round-trip from a fresh open of the shared store.
-        {
-            let mut store = SegmentStore::open(dir.clone(), 1 << 20, 1.0).unwrap();
-            assert_eq!(Checkpoint::read_scoped(&mut store, 1).unwrap(), job_a);
-            assert_eq!(Checkpoint::read_scoped(&mut store, 2).unwrap(), job_b);
-        }
-        // Tear job B's tail: its manifest is the last record of the last
-        // sealed segment (written and synced after A's seal).
-        let mut segs: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("seg-"))
-            })
-            .collect();
-        segs.sort();
-        let last = segs.last().expect("sealed segments exist");
-        let len = std::fs::metadata(last).unwrap().len();
-        let data = std::fs::read(last).unwrap();
-        std::fs::write(last, &data[..len as usize - 7]).unwrap();
-        // Job B's checkpoint is now detectably corrupt; job A's survives.
-        let mut store = SegmentStore::open(dir.clone(), 1 << 20, 1.0).unwrap();
-        assert_eq!(
-            Checkpoint::read_scoped(&mut store, 1).unwrap(),
-            job_a,
-            "a torn tail in job B's manifest corrupted job A's checkpoint"
-        );
-        assert!(matches!(
-            Checkpoint::read_scoped(&mut store, 2),
-            Err(MrtsError::CheckpointCorrupt(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Scope 0 is the legacy unscoped layout: a checkpoint written with
-    /// `write_segmented` reads back through the scoped API and vice versa.
-    #[test]
-    fn scope_zero_interoperates_with_unscoped_layout() {
-        let dir = std::env::temp_dir().join(format!("mrts-scope0-cp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cp = cp_with(0, 5, 0x55);
-        cp.write_segmented(&dir).unwrap();
-        let mut store = SegmentStore::open(dir.clone(), 1 << 20, 1.0).unwrap();
-        assert_eq!(Checkpoint::read_scoped(&mut store, 0).unwrap(), cp);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut store = SegmentStore::open(dir.clone(), 1 << 20, 1.0).unwrap();
-            cp.write_scoped(&mut store, 0).unwrap();
-        }
-        assert_eq!(Checkpoint::read_segmented(&dir).unwrap(), cp);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -31,10 +31,8 @@
 //!
 //! One event heap holds every arrival and wake-up; same-time ties break in
 //! creation order, or in a seeded permutation of it
-//! ([`DesRuntime::set_schedule_seed`]). Boot actions land at once, with
-//! admission, and what they leave for the workers goes out when the run
-//! starts. Cores, spill stores and virtual time persist from one run to
-//! the next. The reported quantities (per-PE speed, overheads,
+//! ([`DesRuntime::set_schedule_seed`]). Virtual time persists from one run
+//! to the next, as the runtime's cores and stores do. The reported quantities (per-PE speed, overheads,
 //! comp/comm/disk shares, overlap) have the meaning of the paper's cluster
 //! measurements — the substitution required because this reproduction
 //! runs on a small host (see DESIGN.md).
@@ -43,10 +41,9 @@ use crate::compute::{ParallelReport, SequentialBackend};
 use crate::config::{MrtsConfig, NetModel};
 use crate::fault::MrtsError;
 use crate::ids::NodeId;
-use crate::node::MetaOp;
 use crate::object::Registry;
 use crate::replay::Decision;
-use crate::runtime::{home_of, hooks::Hooks, Boot, Engine, Runtime};
+use crate::runtime::{hooks::Hooks, Engine, Runtime};
 use crate::spill_io::{open_stores, BufferPool, SharedStore};
 use crate::stats::{NodeStats, RunStats};
 use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, Wire, Worker};
@@ -392,43 +389,8 @@ impl Hooks for Des {
         (engine, open_stores(cfg, false))
     }
 
-    /// Boot actions land at once: a creation is admitted — and may evict
-    /// — like a handler's; a post is addressed. What they leave for a
-    /// worker (stores, frames, runnable objects) goes out when the run
-    /// starts.
-    fn boot(rt: &mut DesRuntime, action: Boot) {
-        const T0: Duration = Duration::ZERO;
-        match action {
-            Boot::Create {
-                node,
-                id,
-                obj,
-                priority,
-                locked,
-            } => {
-                let home = home_of(id, rt.cores.len());
-                if home != node as usize {
-                    rt.cores[home].learn_location(id, node);
-                }
-                rt.cores[node as usize].create(id, obj, priority, locked, true, T0);
-            }
-            Boot::Lock(ptr) => {
-                let node = rt.locate(ptr.id);
-                rt.cores[node as usize].on_meta(ptr.id, MetaOp::Lock, T0);
-            }
-            Boot::Post(msg) => {
-                let node = rt.locate(msg.to.id);
-                rt.cores[node as usize].send(msg, T0);
-            }
-        }
-    }
-
     fn run(rt: &mut DesRuntime) -> Result<RunStats, MrtsError> {
         rt.run_virtual()
-    }
-
-    fn quiescent(rt: &DesRuntime) -> bool {
-        (rt.cores.iter()).all(|c| c.out.is_empty() && c.runnable.is_empty() && c.cmds.is_empty())
     }
 }
 
@@ -448,8 +410,7 @@ impl DesRuntime {
 
     /// Step every node's worker in virtual-time order until all have
     /// stopped: after Safra's termination, or once a failing node's exit
-    /// reached everyone. Then the cores (and their spilled objects'
-    /// stores) stay for the result accessors and the next run.
+    /// reached everyone.
     fn run_virtual(&mut self) -> Result<RunStats, MrtsError> {
         let n = self.cfg.nodes;
         let start = self.engine.now;
@@ -468,32 +429,18 @@ impl DesRuntime {
             slot: HashMap::new(),
             dead: vec![false; n],
         }));
-        let cores = std::mem::take(&mut self.cores);
-        let mut workers: Vec<Option<Worker<Sim>>> = (cores.into_iter().enumerate())
-            .map(|(i, core)| {
-                let gate = Sim {
-                    node: i as NodeId,
-                    world: world.clone(),
-                    store: self.stores[i].clone(),
-                    registry: registry.clone(),
-                    pool: BufferPool::new(1),
-                    cfg: self.cfg.clone(),
-                };
-                let backend = Box::new(SequentialBackend);
-                let seq = self.next_seq[i];
-                Some(Worker::new(
-                    &self.cfg,
-                    registry.clone(),
-                    core,
-                    seq,
-                    backend,
-                    gate,
-                ))
-            })
-            .collect();
-        for (i, w) in workers.iter_mut().enumerate() {
-            let w = w.as_mut().expect("not started yet");
-            w.carry_out();
+        let cfg = self.cfg.clone();
+        let sim = |i: usize, store: &SharedStore| Sim {
+            node: i as NodeId,
+            world: world.clone(),
+            store: store.clone(),
+            registry: registry.clone(),
+            pool: BufferPool::new(1),
+            cfg: cfg.clone(),
+        };
+        let workers = self.workers(&registry, |_| Box::new(SequentialBackend), sim);
+        let mut workers: Vec<_> = workers.into_iter().map(Some).collect();
+        for i in 0..n {
             world.borrow_mut().wake_at(i as NodeId, start);
         }
         let mut results = Vec::with_capacity(n);

@@ -17,9 +17,9 @@
 //! no I/O and sends nothing itself. One worker loop (the private `worker`
 //! module: Safra's termination ring, the reliable-delivery layer, work
 //! stealing) drives it under both clocks, through a gateway that answers
-//! every question about time. Bootstrap, result access, checkpoint and
-//! restore are written once, on `Runtime<E>`; the engine `E` only lands
-//! boot actions and runs:
+//! every question about time. Bootstrap, the state kept between runs,
+//! result access, checkpoint and restore are written once, on
+//! `Runtime<E>`; the engine `E` only supplies its stores and runs:
 //!
 //! * [`des::DesRuntime`] (`Runtime<des::Des>`) — deterministic
 //!   **virtual-time** execution: every node's worker really runs, stepped

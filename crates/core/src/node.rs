@@ -23,14 +23,13 @@
 //! ```
 //!
 //! The core performs no I/O, sends nothing and reads no clock. Every
-//! method is a state transition that takes the caller's notion of *now*
-//! (always zero from the worker loop, whose handlers are over by the time
-//! it asks) and appends what it wants done to three buffers, each in the
-//! order it must be performed: disk operations to [`NodeCore::cmds`] as
-//! [`IoCmd`]s, messages to [`NodeCore::out`] as `(destination, NetMsg,
-//! not before)` — a destination equal to this node is a local send the
-//! worker loops back — and objects that just gained runnable work to
-//! [`NodeCore::runnable`]. The one worker loop (`worker.rs`) drives it,
+//! method is a state transition without a time argument (the worker
+//! consults the core between handlers, never during one) that appends
+//! what it wants done to three buffers, each in the order it must be
+//! performed: disk operations to [`NodeCore::cmds`] as [`IoCmd`]s,
+//! messages to [`NodeCore::out`] as `(destination, NetMsg)` — a
+//! destination equal to this node is a local send the worker loops back —
+//! and objects that just gained runnable work to [`NodeCore::runnable`]. The one worker loop (`worker.rs`) drives it,
 //! under either clock: it drains the buffers into the node's
 //! spill executor, the fabric and a ready deque, and feeds completions
 //! and arrivals back through [`NodeCore::complete_load`],
@@ -309,9 +308,6 @@ pub(crate) struct Entry {
     /// The mutation version the on-disk bytes correspond to (`None` until
     /// the first store is issued, and after any store failure).
     stored_version: Option<u64>,
-    /// Time at which this object's previous handler finishes; it cannot
-    /// be evicted before.
-    pub(crate) obj_free_at: Duration,
 }
 
 impl Entry {
@@ -392,10 +388,10 @@ pub(crate) struct NodeCore {
     /// back so its capacity is reused.
     pub(crate) cmds: Vec<IoCmd>,
     /// Messages the driver has yet to send, oldest first, as
-    /// `(destination, message, not before)`. A destination equal to this
+    /// `(destination, message)`. A destination equal to this
     /// node is a local send: the driver feeds it back to
     /// [`NodeCore::on_net`]. Drained like `cmds`.
-    pub(crate) out: Vec<(NodeId, NetMsg, Duration)>,
+    pub(crate) out: Vec<(NodeId, NetMsg)>,
     /// Resident objects that went from "nothing to run" to "has queued
     /// work" since the driver last looked, in that order.
     pub(crate) runnable: Vec<ObjectId>,
@@ -470,8 +466,7 @@ impl NodeCore {
 
     /// Track a new resident object (created, installed by a migration, or
     /// restored from a checkpoint) and account its footprint. Admission
-    /// is the caller's call ([`NodeCore::admit`]): bootstrap paths skip
-    /// it. The object cannot be evicted before `now`. Returns the entry it
+    /// is the caller's call ([`NodeCore::admit`]). Returns the entry it
     /// replaced, if any.
     pub(crate) fn insert_resident(
         &mut self,
@@ -480,7 +475,6 @@ impl NodeCore {
         priority: u8,
         locked: bool,
         version: u64,
-        now: Duration,
     ) -> Option<Entry> {
         let footprint = obj.footprint();
         let tick = self.ooc.tick();
@@ -502,7 +496,6 @@ impl NodeCore {
                 store_inflight: false,
                 version,
                 stored_version: None,
-                obj_free_at: now,
             },
         )
     }
@@ -510,8 +503,9 @@ impl NodeCore {
     /// Emit a memory-accounting snapshot. `enforced` marks snapshots
     /// taken right after an admission decision, where debug builds hold
     /// the books to the budget ([`NodeCore::check_books`]); reload
-    /// completions and bootstrap are accounting-only (the layer
-    /// deliberately overshoots there, see [`NodeCore::admit_for_load`]).
+    /// completions and objects a failed store puts back are
+    /// accounting-only (the layer deliberately overshoots there, see
+    /// [`NodeCore::admit_for_load`]).
     #[allow(unused_variables)]
     pub(crate) fn audit_budget(&mut self, enforced: bool) {
         audit_emit!(
@@ -573,10 +567,10 @@ impl NodeCore {
     /// Make room for `incoming` bytes (hard-threshold admission for
     /// created/installed objects; may displace objects with queued work —
     /// their reload is queued so nothing is lost).
-    pub(crate) fn admit(&mut self, incoming: usize, now: Duration) {
+    pub(crate) fn admit(&mut self, incoming: usize) {
         let need = self.ooc.needed_for_admission(incoming);
         if need > 0 {
-            self.evict_bytes(need, true, None, now);
+            self.evict_bytes(need, true, None);
         }
     }
 
@@ -585,10 +579,10 @@ impl NodeCore {
     /// reload, and two loads displacing each other's queued objects is an
     /// evict/reload livelock. Prefer briefly overshooting the budget
     /// instead.
-    fn admit_for_load(&mut self, incoming: usize, now: Duration) {
+    fn admit_for_load(&mut self, incoming: usize) {
         let need = self.ooc.needed_for_admission(incoming);
         if need > 0 {
-            self.evict_bytes(need, false, None, now);
+            self.evict_bytes(need, false, None);
         }
     }
 
@@ -596,7 +590,7 @@ impl NodeCore {
     /// (meshes refine in place), which no admission path sees. `except`
     /// protects an object whose message queue the driver is draining in
     /// place (evicting it mid-drain would reorder its messages).
-    pub(crate) fn enforce_budget(&mut self, except: Option<ObjectId>, now: Duration) {
+    pub(crate) fn enforce_budget(&mut self, except: Option<ObjectId>) {
         // Degraded: the store is rejecting writes, so evicting would only
         // burn retries; knowingly overshoot until the backend recovers.
         if !self.ooc.enabled() || self.ooc.is_degraded() {
@@ -604,22 +598,22 @@ impl NodeCore {
         }
         let over = self.ooc.used().saturating_sub(self.ooc.budget());
         if over > 0 {
-            self.evict_bytes(over, true, except, now);
+            self.evict_bytes(over, true, except);
         }
     }
 
     /// Soft-threshold advisory swap of idle objects.
-    pub(crate) fn soft_swap(&mut self, now: Duration) {
+    pub(crate) fn soft_swap(&mut self) {
         let excess = self.ooc.soft_excess();
         if excess > 0 {
-            self.evict_bytes(excess, false, None, now);
+            self.evict_bytes(excess, false, None);
         }
     }
 
     /// A probe found the spill store healthy again: leave degraded mode
     /// and shed the footprint overshoot accumulated while evictions were
     /// suspended. No-op if the node was not degraded.
-    pub(crate) fn leave_degraded(&mut self, now: Duration) {
+    pub(crate) fn leave_degraded(&mut self) {
         if self.ooc.exit_degraded() {
             self.stats.degraded_mode_transitions += 1;
             audit_emit!(
@@ -629,8 +623,8 @@ impl NodeCore {
                     on: false
                 }
             );
-            self.enforce_budget(None, now);
-            self.soft_swap(now);
+            self.enforce_budget(None);
+            self.soft_swap();
         }
     }
 
@@ -640,13 +634,7 @@ impl NodeCore {
     /// batched [`IoCmd::Store`]. The eviction is accounted here, when it
     /// is issued; a store that later fails is reversed by
     /// [`NodeCore::store_failed`].
-    fn evict_bytes(
-        &mut self,
-        need: usize,
-        allow_queued: bool,
-        except: Option<ObjectId>,
-        now: Duration,
-    ) {
+    fn evict_bytes(&mut self, need: usize, allow_queued: bool, except: Option<ObjectId>) {
         let locality = self.locality_on;
         if locality {
             self.locality.maybe_rebuild();
@@ -658,7 +646,6 @@ impl NodeCore {
             .filter(|(&oid, e)| {
                 e.is_in_core()
                     && !e.locked
-                    && e.obj_free_at <= now
                     && e.pending_migration.is_none()
                     && (allow_queued || e.queue.is_empty())
                     && Some(oid) != except
@@ -887,15 +874,11 @@ impl NodeCore {
 
     /// Bytes reclaimable by evicting only objects with no pending work —
     /// the only victims a look-ahead load is allowed to displace.
-    fn idle_evictable_bytes(&self, now: Duration) -> usize {
+    fn idle_evictable_bytes(&self) -> usize {
         self.table
             .values()
             .filter(|e| {
-                e.is_in_core()
-                    && !e.locked
-                    && e.obj_free_at <= now
-                    && e.pending_migration.is_none()
-                    && e.queue.is_empty()
+                e.is_in_core() && !e.locked && e.pending_migration.is_none() && e.queue.is_empty()
             })
             .map(|e| e.footprint)
             .sum()
@@ -921,7 +904,7 @@ impl NodeCore {
     /// object window only, and an urgent one (a migration or a lock
     /// waiting on the object) always makes progress. Entries whose reason
     /// to load evaporated are cancelled here.
-    pub(crate) fn pump_loads(&mut self, busy: bool, now: Duration) {
+    pub(crate) fn pump_loads(&mut self, busy: bool) {
         if self.pending_loads.is_empty() {
             return;
         }
@@ -981,8 +964,7 @@ impl NodeCore {
                 }
                 let need = self.ooc.needed_for_admission(footprint);
                 if need > 0 {
-                    let avail =
-                        *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes(now));
+                    let avail = *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes());
                     if need > avail {
                         // Paced: admission would thrash queued objects.
                         if hint_only {
@@ -999,7 +981,7 @@ impl NodeCore {
             }
             self.pending_loads.remove(i);
             self.entry_mut(oid).load_queued = false;
-            self.issue_load(oid, look_ahead && !urgent, now);
+            self.issue_load(oid, look_ahead && !urgent);
             // Issuing may have evicted; recompute pacing headroom lazily.
             idle_evictable = None;
         }
@@ -1007,7 +989,7 @@ impl NodeCore {
 
     /// Begin loading an on-disk object: account it against the window,
     /// admit its (approximate) footprint, append the [`IoCmd::Load`].
-    fn issue_load(&mut self, oid: ObjectId, look_ahead: bool, now: Duration) {
+    fn issue_load(&mut self, oid: ObjectId, look_ahead: bool) {
         let e = self
             .table
             .get_mut(&oid)
@@ -1064,7 +1046,7 @@ impl NodeCore {
                 }
             );
         }
-        self.admit_for_load(footprint, now);
+        self.admit_for_load(footprint);
         self.stats.loads += 1;
         self.stats.bytes_from_disk += packed_len as u64;
         self.cmds.push(IoCmd::Load { key, oid });
@@ -1266,7 +1248,7 @@ impl NodeCore {
         Some((obj, e.footprint, msg))
     }
 
-    /// Put the object back after its handler ran until `free_at`: account
+    /// Put the object back after its handler ran: account
     /// growth or shrinkage, mark it dirty, and learn the locality edges of
     /// its sends. Budget enforcement is a separate step
     /// ([`NodeCore::enforce_budget`], [`NodeCore::soft_swap`]) because the
@@ -1277,7 +1259,6 @@ impl NodeCore {
         obj: Box<dyn MobileObject>,
         old_footprint: usize,
         effects: &[Effect],
-        free_at: Duration,
     ) {
         let new_footprint = obj.footprint();
         let tick = self.ooc.tick();
@@ -1293,7 +1274,6 @@ impl NodeCore {
             "{oid:?} left core while its handler ran"
         );
         e.state = State::InCore(obj);
-        e.obj_free_at = free_at;
         e.meta.touch(tick);
         e.footprint = new_footprint;
         // Dirty tracking: the handler may have mutated the object, so any
@@ -1325,11 +1305,10 @@ impl NodeCore {
 
     // ----- control layer: effects, routing, the directory --------------------
 
-    /// Interpret a handler's effects, in order, at `now` (the moment the
-    /// handler finished): sends go through the one [`NodeCore::send`] rule,
+    /// Interpret a handler's effects, in order: sends go through the one [`NodeCore::send`] rule,
     /// metadata and migration requests are addressed to the object's
     /// owner, creations are admitted and tracked on the spot.
-    pub(crate) fn apply_effects(&mut self, effects: Vec<Effect>, now: Duration) {
+    pub(crate) fn apply_effects(&mut self, effects: Vec<Effect>) {
         for eff in effects {
             match eff {
                 Effect::Send {
@@ -1337,40 +1316,32 @@ impl NodeCore {
                     handler,
                     payload,
                     immediate: _,
-                } => self.send(Message::new(to, handler, payload), now),
-                Effect::Create { id, obj, priority } => {
-                    self.create(id, obj, priority, false, true, now)
-                }
-                Effect::Lock(p) => self.send_to_owner(p.id, MetaOp::Lock.on(p.id), now),
-                Effect::Unlock(p) => self.send_to_owner(p.id, MetaOp::Unlock.on(p.id), now),
+                } => self.send(Message::new(to, handler, payload)),
+                Effect::Create { id, obj, priority } => self.create(id, obj, priority, false),
+                Effect::Lock(p) => self.send_to_owner(p.id, MetaOp::Lock.on(p.id)),
+                Effect::Unlock(p) => self.send_to_owner(p.id, MetaOp::Unlock.on(p.id)),
                 Effect::SetPriority(p, v) => {
-                    self.send_to_owner(p.id, MetaOp::SetPriority(v).on(p.id), now)
+                    self.send_to_owner(p.id, MetaOp::SetPriority(v).on(p.id))
                 }
                 Effect::Migrate(p, dest) => {
-                    self.send_to_owner(p.id, NetMsg::MigrateReq { oid: p.id, dest }, now)
+                    self.send_to_owner(p.id, NetMsg::MigrateReq { oid: p.id, dest })
                 }
             }
         }
     }
 
-    /// Track and announce an object created (or restored) on this node
-    /// at `now`, pinned if `locked`. With `admit`, room is made for it
-    /// first; without (the threaded engine's bootstrap, before its
-    /// workers run), the budget may overshoot.
+    /// Track and announce an object created (or restored) on this node,
+    /// pinned if `locked`, after making room for it.
     pub(crate) fn create(
         &mut self,
         oid: ObjectId,
         obj: Box<dyn MobileObject>,
         priority: u8,
         locked: bool,
-        admit: bool,
-        now: Duration,
     ) {
         let footprint = obj.footprint();
-        if admit {
-            self.admit(footprint, now);
-        }
-        self.insert_resident(oid, obj, priority, locked, 0, now);
+        self.admit(footprint);
+        self.insert_resident(oid, obj, priority, locked, 0);
         if locked {
             audit_emit!(
                 self.audit,
@@ -1388,7 +1359,7 @@ impl NodeCore {
                 footprint
             }
         );
-        self.audit_budget(admit);
+        self.audit_budget(true);
     }
 
     /// Remember that `oid`, which is not here, lives on `node` (a restore
@@ -1432,7 +1403,7 @@ impl NodeCore {
     /// misdirected message, so the sender is the first entry of its
     /// route: the delivery's lazy update teaches the sender where the
     /// object is, and `route.first()` names the true source node.
-    pub(crate) fn send(&mut self, msg: Message, now: Duration) {
+    pub(crate) fn send(&mut self, msg: Message) {
         audit_emit!(
             self.audit,
             RuntimeEvent::Post {
@@ -1441,21 +1412,21 @@ impl NodeCore {
             }
         );
         if self.holds(msg.to.id) {
-            self.out.push((self.node, NetMsg::Msg(msg), now));
+            self.out.push((self.node, NetMsg::Msg(msg)));
         } else {
-            self.forward(msg, now);
+            self.forward(msg);
         }
     }
 
     /// Address control traffic about `oid` to this node if the object is
     /// here (the driver loops it back), else to the next hop.
-    fn send_to_owner(&mut self, oid: ObjectId, msg: NetMsg, now: Duration) {
-        self.out.push((self.next_hop(oid), msg, now));
+    fn send_to_owner(&mut self, oid: ObjectId, msg: NetMsg) {
+        self.out.push((self.next_hop(oid), msg));
     }
 
     /// Pass a message for an object that is not here along the
     /// last-known-location chain, recording this node on its route.
-    fn forward(&mut self, mut msg: Message, now: Duration) {
+    fn forward(&mut self, mut msg: Message) {
         let oid = msg.to.id;
         let next = self.next_hop(oid);
         assert_ne!(
@@ -1472,7 +1443,7 @@ impl NodeCore {
                 to: next
             }
         );
-        self.out.push((next, NetMsg::Msg(msg), now));
+        self.out.push((next, NetMsg::Msg(msg)));
     }
 
     /// One message arrived at this node (off the wire, or looped back by
@@ -1482,14 +1453,9 @@ impl NodeCore {
     /// answer with [`NodeCore::grant_steal`] or [`NodeCore::deny_steal`]
     /// (the pick is [`NodeCore::steal_pick`]).
     #[must_use]
-    pub(crate) fn on_net(
-        &mut self,
-        msg: NetMsg,
-        now: Duration,
-        registry: &Registry,
-    ) -> Option<NodeId> {
+    pub(crate) fn on_net(&mut self, msg: NetMsg, registry: &Registry) -> Option<NodeId> {
         match msg {
-            NetMsg::Msg(m) => self.deliver(m, now),
+            NetMsg::Msg(m) => self.deliver(m),
             NetMsg::DirUpdate { oid, loc } => {
                 self.dir.update(oid, loc);
                 audit_emit!(
@@ -1501,9 +1467,9 @@ impl NodeCore {
                     }
                 );
             }
-            NetMsg::MigrateReq { oid, dest } => self.on_migrate_req(oid, dest, now),
-            NetMsg::Meta { oid, op } => self.on_meta(oid, op, now),
-            NetMsg::Install(install) => self.on_install(install, now, registry),
+            NetMsg::MigrateReq { oid, dest } => self.on_migrate_req(oid, dest),
+            NetMsg::Meta { oid, op } => self.on_meta(oid, op),
+            NetMsg::Install(install) => self.on_install(install, registry),
             NetMsg::StealReq { thief } => {
                 audit_emit!(
                     self.audit,
@@ -1527,15 +1493,15 @@ impl NodeCore {
     /// messages of an out-of-core object wait out of core with it — and
     /// send one lazy directory update to every node the message passed
     /// through; otherwise pass it on.
-    fn deliver(&mut self, msg: Message, now: Duration) {
+    fn deliver(&mut self, msg: Message) {
         let oid = msg.to.id;
         if !self.holds(oid) {
-            return self.forward(msg, now);
+            return self.forward(msg);
         }
         for &hop in &msg.route {
             if hop != self.node {
                 let loc = self.node;
-                self.out.push((hop, NetMsg::DirUpdate { oid, loc }, now));
+                self.out.push((hop, NetMsg::DirUpdate { oid, loc }));
             }
         }
         let e = self.entry_mut(oid);
@@ -1556,12 +1522,12 @@ impl NodeCore {
 
     /// Apply a metadata operation to an object held here; chase the
     /// object if it is not.
-    pub(crate) fn on_meta(&mut self, oid: ObjectId, op: MetaOp, now: Duration) {
+    pub(crate) fn on_meta(&mut self, oid: ObjectId, op: MetaOp) {
         if !self.holds(oid) {
             let next = self.next_hop(oid);
             // Nowhere left to look: the object was destroyed. Drop it.
             if next != self.node {
-                self.out.push((next, op.on(oid), now));
+                self.out.push((next, op.on(oid)));
             }
             return;
         }
@@ -1596,11 +1562,11 @@ impl NodeCore {
 
     // ----- control layer: migration and installation -------------------------
 
-    fn on_migrate_req(&mut self, oid: ObjectId, dest: NodeId, now: Duration) {
+    fn on_migrate_req(&mut self, oid: ObjectId, dest: NodeId) {
         if !self.holds(oid) {
             let next = self.next_hop(oid);
             if next != self.node {
-                self.out.push((next, NetMsg::MigrateReq { oid, dest }, now));
+                self.out.push((next, NetMsg::MigrateReq { oid, dest }));
             }
             return;
         }
@@ -1611,7 +1577,7 @@ impl NodeCore {
             return;
         }
         match self.entry(oid).state {
-            State::InCore(_) => self.do_migrate(oid, dest, now),
+            State::InCore(_) => self.do_migrate(oid, dest),
             // Load it first (urgent: bypasses the prefetch window);
             // `resume` ships it when it is back.
             State::OnDisk => {
@@ -1627,7 +1593,7 @@ impl NodeCore {
     /// Pack and ship a resident object to `dest`, leaving a forwarding
     /// tombstone; its queued messages travel along, and its home node is
     /// told where it went.
-    fn do_migrate(&mut self, oid: ObjectId, dest: NodeId, now: Duration) {
+    fn do_migrate(&mut self, oid: ObjectId, dest: NodeId) {
         let e = self.entry_mut(oid);
         e.pending_migration = None;
         let obj = match std::mem::replace(&mut e.state, State::Moved(dest)) {
@@ -1639,9 +1605,6 @@ impl NodeCore {
         };
         let queue = std::mem::take(&mut e.queue);
         let (priority, locked, footprint, version) = (e.priority, e.locked, e.footprint, e.version);
-        // The object's last handler may still be running in the driver's
-        // clock; it cannot leave before that.
-        let at = now.max(e.obj_free_at);
         let (packed, wall) = timed(|| Registry::pack(obj.as_ref()));
         drop(obj);
         self.codec_work.push((wall, packed.len()));
@@ -1667,7 +1630,7 @@ impl NodeCore {
             packed,
             queue,
         };
-        self.out.push((dest, NetMsg::Install(install), at));
+        self.out.push((dest, NetMsg::Install(install)));
         self.dir.update(oid, dest);
         audit_emit!(
             self.audit,
@@ -1679,8 +1642,7 @@ impl NodeCore {
         );
         let home = self.home_of(oid);
         if home != self.node && home != dest {
-            self.out
-                .push((home, NetMsg::DirUpdate { oid, loc: dest }, at));
+            self.out.push((home, NetMsg::DirUpdate { oid, loc: dest }));
         }
     }
 
@@ -1688,16 +1650,16 @@ impl NodeCore {
     /// store): a migration that was waiting on it wins over queued work —
     /// the queue travels inside the install — otherwise it is runnable
     /// if it has any.
-    pub(crate) fn resume(&mut self, oid: ObjectId, now: Duration) {
+    pub(crate) fn resume(&mut self, oid: ObjectId) {
         let e = self.entry(oid);
         if let Some(dest) = e.pending_migration {
-            self.do_migrate(oid, dest, now);
+            self.do_migrate(oid, dest);
         } else if !e.queue.is_empty() {
             self.runnable.push(oid);
         }
     }
 
-    fn on_install(&mut self, i: Install, now: Duration, registry: &Registry) {
+    fn on_install(&mut self, i: Install, registry: &Registry) {
         // An install that lands while a steal request is out is its
         // answer: count the stolen task.
         if std::mem::take(&mut self.awaiting_steal) {
@@ -1708,10 +1670,10 @@ impl NodeCore {
             obj.expect("install bytes were packed by the sending node from a registered type");
         self.codec_work.push((wall, i.packed.len()));
         let (oid, footprint) = (i.oid, obj.footprint());
-        self.admit(footprint, now);
+        self.admit(footprint);
         // Installing is a mutation; any bytes spilled on the old node are
         // unreachable here.
-        self.insert_resident(oid, obj, i.priority, i.locked, i.version + 1, now);
+        self.insert_resident(oid, obj, i.priority, i.locked, i.version + 1);
         self.dir.update(oid, self.node);
         audit_emit!(
             self.audit,
@@ -1733,7 +1695,7 @@ impl NodeCore {
         self.audit_budget(true);
         // Re-route the messages that travelled with the object, in order.
         for m in i.queue {
-            self.out.push((self.node, NetMsg::Msg(m), now));
+            self.out.push((self.node, NetMsg::Msg(m)));
         }
     }
 
@@ -1742,7 +1704,7 @@ impl NodeCore {
     /// naming the dead peer, then re-route — locally if the object came
     /// back while the send was in flight, else toward wherever the
     /// remaining knowledge points. `false`: it points nowhere new.
-    pub(crate) fn reroute(&mut self, msg: Message, dead: NodeId, now: Duration) -> bool {
+    pub(crate) fn reroute(&mut self, msg: Message, dead: NodeId) -> bool {
         let oid = msg.to.id;
         if self.dir.invalidate(oid) {
             self.stats.hints_invalidated += 1;
@@ -1763,7 +1725,7 @@ impl NodeCore {
         if next == dead || (next == self.node && !self.holds(oid)) {
             return false;
         }
-        self.out.push((next, NetMsg::Msg(msg), now));
+        self.out.push((next, NetMsg::Msg(msg)));
         true
     }
 
@@ -1788,7 +1750,7 @@ impl NodeCore {
     /// Hand `oid` to `thief`: an ordinary migration (load first if
     /// spilled), checked and announced while the object is still held
     /// here, against pre-migration state.
-    pub(crate) fn grant_steal(&mut self, oid: ObjectId, thief: NodeId, now: Duration) {
+    pub(crate) fn grant_steal(&mut self, oid: ObjectId, thief: NodeId) {
         check!(
             self,
             matches!(self.table.get(&oid), Some(e) if !matches!(e.state, State::Moved(_))
@@ -1805,13 +1767,13 @@ impl NodeCore {
                 to: thief
             }
         );
-        self.on_migrate_req(oid, thief, now);
+        self.on_migrate_req(oid, thief);
     }
 
     /// Nothing to hand over: re-arm the thief. Announced here, by the
     /// victim in its own program order, like the grant — every event a
     /// core emits carries its own node.
-    pub(crate) fn deny_steal(&mut self, thief: NodeId, now: Duration) {
+    pub(crate) fn deny_steal(&mut self, thief: NodeId) {
         let victim = self.node;
         audit_emit!(
             self.audit,
@@ -1820,16 +1782,16 @@ impl NodeCore {
                 to: thief
             }
         );
-        self.out.push((thief, NetMsg::StealDeny { victim }, now));
+        self.out.push((thief, NetMsg::StealDeny { victim }));
     }
 
     /// Thief side: ask `victim` for one task. *When* to ask is the
     /// driver's call.
-    pub(crate) fn request_steal(&mut self, victim: NodeId, now: Duration) {
+    pub(crate) fn request_steal(&mut self, victim: NodeId) {
         self.stats.steal_requests += 1;
         self.awaiting_steal = true;
         let thief = self.node;
-        self.out.push((victim, NetMsg::StealReq { thief }, now));
+        self.out.push((victim, NetMsg::StealReq { thief }));
     }
 
     /// Close out the counters a run reports: the peak footprint comes
@@ -1877,8 +1839,6 @@ mod tests {
         }
     }
 
-    const T0: Duration = Duration::ZERO;
-
     fn oid(seq: u64) -> ObjectId {
         ObjectId::new(0, seq)
     }
@@ -1888,7 +1848,7 @@ mod tests {
     }
 
     fn resident(c: &mut NodeCore, seq: u64, footprint: usize) -> ObjectId {
-        c.insert_resident(oid(seq), Box::new(Blob(footprint)), 128, false, 0, T0);
+        c.insert_resident(oid(seq), Box::new(Blob(footprint)), 128, false, 0);
         oid(seq)
     }
 
@@ -1954,7 +1914,7 @@ mod tests {
     fn hinted_load_with_a_queued_message_issues_as_demand_on_an_idle_node() {
         let (mut c, h) = paced_hint();
         post(&mut c, h);
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         assert_eq!(
             loads(&c),
             vec![h],
@@ -1976,7 +1936,7 @@ mod tests {
     #[test]
     fn hint_only_load_that_is_paced_or_shed_is_cancelled_not_parked() {
         let (mut c, h) = paced_hint();
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         assert!(!c.has_pending_loads(), "a parked hint wedges termination");
         assert_eq!(c.stats.prefetch_cancels, 1);
         assert!(c.cmds.is_empty());
@@ -1988,7 +1948,7 @@ mod tests {
         let h = on_disk(&mut c, 1, 600, 100);
         hint(&mut c, h);
         assert!(c.ooc.enter_degraded());
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         assert!(!c.has_pending_loads());
         assert_eq!(c.stats.prefetch_cancels, 1);
         assert!(c.cmds.is_empty());
@@ -2009,26 +1969,26 @@ mod tests {
         // Small images: the object window binds, busy or not.
         for busy in [true, false] {
             let mut c = queue_six(1024);
-            c.pump_loads(busy, T0);
+            c.pump_loads(busy);
             assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS);
-            c.pump_loads(busy, T0);
+            c.pump_loads(busy);
             assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS, "window is full");
         }
         // 1.5 MB images: look-ahead stops at the byte window (3.0 + 1.5 >
         // 4 MB), demand loads fill the object window regardless.
         let mut c = queue_six(3 * mb / 2);
-        c.pump_loads(true, T0);
+        c.pump_loads(true);
         assert_eq!(loads(&c).len(), 2);
         assert!(c.inflight_load_bytes <= PREFETCH_WINDOW_BYTES);
         assert_eq!(c.stats.prefetch_issued, 2);
         let mut c = queue_six(3 * mb / 2);
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS);
         assert_eq!(c.stats.prefetch_issued, 0);
         // A completion frees a slot.
         let first = loads(&c)[0];
         c.complete_load(first, Box::new(Blob(64)), 3 * mb / 2, true);
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         assert_eq!(loads(&c).len(), PREFETCH_WINDOW_OBJECTS + 1);
     }
 
@@ -2043,7 +2003,7 @@ mod tests {
         post(&mut c, a);
         post(&mut c, b);
         // 900 used + 600 incoming: 500 over, but only `idle` may go.
-        c.admit_for_load(600, T0);
+        c.admit_for_load(600);
         assert_eq!(stores(&c), vec![vec![idle]]);
         assert!(c.entry(a).is_in_core() && c.entry(b).is_in_core());
 
@@ -2051,10 +2011,10 @@ mod tests {
         // `b`, and it is excepted.
         let mut c = core(500);
         let (a, b) = (resident(&mut c, 1, 300), resident(&mut c, 2, 300));
-        c.enforce_budget(Some(a), T0);
+        c.enforce_budget(Some(a));
         assert_eq!(stores(&c), vec![vec![b]]);
         assert!(c.entry(a).is_in_core());
-        c.enforce_budget(Some(a), T0);
+        c.enforce_budget(Some(a));
         assert_eq!(stores(&c).len(), 1, "nothing else may be evicted");
         assert!(c.entry(a).is_in_core());
     }
@@ -2067,12 +2027,12 @@ mod tests {
         let clean = on_disk(&mut c, 3, 300, 77);
         post(&mut c, clean);
         c.queue_load(clean);
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         c.complete_load(clean, Box::new(Blob(300)), 77, true);
         c.entry_mut(clean).queue.clear();
         c.cmds.clear();
 
-        c.admit(1000, T0);
+        c.admit(1000);
         assert_eq!(stores(&c).len(), 1, "one batched store");
         let mut batch = stores(&c).remove(0);
         batch.sort();
@@ -2093,7 +2053,7 @@ mod tests {
     fn failed_store_reinstates_marks_dirty_and_enters_degraded_once() {
         let mut c = core(500);
         let (a, b) = (resident(&mut c, 1, 300), resident(&mut c, 2, 300));
-        c.admit(500, T0);
+        c.admit(500);
         let Some(IoCmd::Store(items)) = c.cmds.pop() else {
             panic!("expected one store")
         };
@@ -2113,11 +2073,11 @@ mod tests {
         assert_eq!(c.stats.degraded_entries, 1);
         assert_eq!(c.stats.degraded_mode_transitions, 1);
         // Degraded: admission stops demanding evictions.
-        c.admit(500, T0);
-        c.enforce_budget(None, T0);
+        c.admit(500);
+        c.enforce_budget(None);
         assert!(c.cmds.is_empty());
         // A healthy probe sheds the overshoot again.
-        c.leave_degraded(T0);
+        c.leave_degraded();
         assert_eq!(c.stats.degraded_mode_transitions, 2);
         assert!(!stores(&c).is_empty());
         assert!(c.ooc.used() <= 500);
@@ -2146,7 +2106,7 @@ mod tests {
 
     /// Feed `msg` to the core as if it had just arrived.
     fn arrive(c: &mut NodeCore, msg: NetMsg) -> Option<NodeId> {
-        c.on_net(msg, T0, &blob_registry())
+        c.on_net(msg, &blob_registry())
     }
 
     /// Complete the load of `id` that the core just issued.
@@ -2167,7 +2127,7 @@ mod tests {
         assert_eq!(c.dir.lookup(x), 3);
         c.out.clear();
         arrive(&mut c, NetMsg::Msg(msg_to(x, 0, &[0])));
-        assert_eq!(c.out, vec![(2, NetMsg::Msg(msg_to(x, 0, &[0, 1])), T0)]);
+        assert_eq!(c.out, vec![(2, NetMsg::Msg(msg_to(x, 0, &[0, 1])))]);
         assert_eq!(c.stats.msgs_forwarded, 1);
         assert!(c.runnable.is_empty());
         // With no tombstone the hint decides; with neither, the home.
@@ -2184,7 +2144,7 @@ mod tests {
         // was elsewhere then): no update to self.
         arrive(&mut c, NetMsg::Msg(msg_to(x, 0, &[0, 2, 1])));
         let update = NetMsg::DirUpdate { oid: x, loc: 2 };
-        assert_eq!(c.out, vec![(0, update.clone(), T0), (1, update, T0)]);
+        assert_eq!(c.out, vec![(0, update.clone()), (1, update)]);
         assert_eq!(c.runnable, vec![x]);
         assert_eq!(c.stats.msgs_forwarded, 0);
         // A second message finds queued work: not announced again, and a
@@ -2207,7 +2167,7 @@ mod tests {
         let loading = on_disk(&mut c, 3, 100, 10);
         post(&mut c, loading);
         c.queue_load(loading);
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         c.cmds.clear();
         for id in [in_core, spilled, loading] {
             assert_eq!(
@@ -2233,13 +2193,12 @@ mod tests {
         arrive(&mut c, NetMsg::Msg(msg_to(x, 5, &[])));
         assert!(c.out.is_empty() && c.has_pending_loads());
         // Busy node, full pacing: an urgent load issues anyway, as demand.
-        c.pump_loads(true, T0);
+        c.pump_loads(true);
         assert_eq!(c.stats.prefetch_issued, 0);
         load_back(&mut c, x, 100);
-        c.resume(x, T0);
+        c.resume(x);
         assert!(c.runnable.is_empty(), "the queue must not run here");
-        let [(3, NetMsg::Install(i), _), (0, NetMsg::DirUpdate { loc: 3, .. }, _)] = &c.out[..]
-        else {
+        let [(3, NetMsg::Install(i)), (0, NetMsg::DirUpdate { loc: 3, .. })] = &c.out[..] else {
             panic!("expected the install, then the home's update: {:?}", c.out)
         };
         assert_eq!((i.oid, i.queue.len()), (x, 1));
@@ -2254,9 +2213,9 @@ mod tests {
         // Without a pending migration, the same load makes it runnable.
         let y = on_disk(&mut c, 8, 100, 10);
         arrive(&mut c, NetMsg::Msg(msg_to(y, 0, &[])));
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         load_back(&mut c, y, 100);
-        c.resume(y, T0);
+        c.resume(y);
         assert_eq!(c.runnable, vec![y]);
     }
 
@@ -2273,7 +2232,7 @@ mod tests {
             packed: Registry::pack(&Blob(600)),
             queue: VecDeque::from([msg_to(x, 1, &[0]), msg_to(x, 2, &[])]),
         };
-        c.request_steal(1, T0);
+        c.request_steal(1);
         c.out.clear();
         assert_eq!(arrive(&mut c, NetMsg::Install(install)), None);
         // 600 resident + 600 arriving against 1000: the resident one goes.
@@ -2287,7 +2246,7 @@ mod tests {
         assert_eq!((c.dir.lookup(x), c.next_hop(x)), (2, 2));
         // The carried queue loops back through the driver, in order, with
         // the routes it had.
-        let carried = [msg_to(x, 1, &[0]), msg_to(x, 2, &[])].map(|m| (2, NetMsg::Msg(m), T0));
+        let carried = [msg_to(x, 1, &[0]), msg_to(x, 2, &[])].map(|m| (2, NetMsg::Msg(m)));
         assert_eq!(c.out, carried);
         assert!(c.runnable.is_empty());
         // It answered the steal request that was out.
@@ -2307,8 +2266,8 @@ mod tests {
         c.dir.update(x, 4);
         assert_eq!(c.next_hop(x), 1);
         // Control traffic for it leaves accordingly.
-        c.apply_effects(vec![Effect::Lock(MobilePtr::new(x))], T0);
-        assert_eq!(c.out, vec![(1, MetaOp::Lock.on(x), T0)]);
+        c.apply_effects(vec![Effect::Lock(MobilePtr::new(x))]);
+        assert_eq!(c.out, vec![(1, MetaOp::Lock.on(x))]);
     }
 
     #[test]
@@ -2334,12 +2293,12 @@ mod tests {
         // Spilled ones are never picked, however deep.
         assert_eq!(c.steal_pick(), Some(oid(4)));
         // A grant is an ordinary migration; a denial is one message.
-        c.grant_steal(oid(4), 3, T0);
+        c.grant_steal(oid(4), 3);
         assert!(matches!(c.entry(oid(4)).state, State::Moved(3)));
-        assert!(matches!(&c.out[0], (3, NetMsg::Install(i), _) if i.queue.len() == 2));
+        assert!(matches!(&c.out[0], (3, NetMsg::Install(i)) if i.queue.len() == 2));
         c.out.clear();
-        c.deny_steal(3, T0);
-        assert_eq!(c.out, vec![(3, NetMsg::StealDeny { victim: 0 }, T0)]);
+        c.deny_steal(3);
+        assert_eq!(c.out, vec![(3, NetMsg::StealDeny { victim: 0 })]);
     }
 
     /// A runnable entry can go stale (its object was evicted after it
@@ -2364,7 +2323,7 @@ mod tests {
         let mut c = core(500);
         let x = resident(&mut c, 1, 300);
         post(&mut c, x);
-        c.admit(500, T0);
+        c.admit(500);
         let Some(IoCmd::Store(items)) = c.cmds.pop() else {
             panic!("expected one store")
         };
@@ -2372,7 +2331,7 @@ mod tests {
         for (_, id, obj) in items {
             c.store_failed(id, obj);
         }
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         assert!(!c.has_pending_loads());
         assert!(c.cmds.is_empty(), "a load for an object in core");
         assert!(c.entry(x).is_in_core());
@@ -2387,12 +2346,12 @@ mod tests {
         let x = on_disk(&mut c, 1, 100, 10);
         post(&mut c, x);
         c.queue_load(x);
-        c.pump_loads(false, T0);
+        c.pump_loads(false);
         load_back(&mut c, x, 100);
         assert!(c.entry(x).is_clean(), "reloaded untouched: clean");
         let (obj, footprint, _) = c.begin_handler(x).expect("queued work");
-        c.finish_handler(x, obj, footprint, &[], T0);
-        c.admit(1000, T0);
+        c.finish_handler(x, obj, footprint, &[]);
+        c.admit(1000);
         assert_eq!(stores(&c), vec![vec![x]], "the mutation is written");
         assert_eq!(c.stats.evictions_elided, 0);
     }
@@ -2408,13 +2367,13 @@ mod tests {
         (e.spill_key, e.stored_version) = (Some(1001), Some(e.version));
         assert!(from.entry(x).is_clean(), "elidable on the old node");
         arrive(&mut from, NetMsg::MigrateReq { oid: x, dest: 1 });
-        let (1, NetMsg::Install(install), _) = from.out.remove(0) else {
+        let (1, NetMsg::Install(install)) = from.out.remove(0) else {
             panic!("expected the install first: {:?}", from.out)
         };
         let mut to = core_at(1);
         arrive(&mut to, NetMsg::Install(install));
         assert!(!to.entry(x).is_clean(), "clean on arrival");
-        to.admit(1000, T0);
+        to.admit(1000);
         assert_eq!(stores(&to), vec![vec![x]], "the image is written here");
         assert_eq!(to.stats.evictions_elided, 0);
         assert!(to.violation.is_none(), "{:?}", to.violation);
@@ -2460,7 +2419,7 @@ mod tests {
             post(&mut c, x);
             let (obj, footprint, _) = c.begin_handler(x).expect("queued work");
             c.entry_mut(x).state = State::OnDisk;
-            c.finish_handler(x, obj, footprint, &[], T0);
+            c.finish_handler(x, obj, footprint, &[]);
             assert_broken(&mut c, Invariant::NonResidentDelivery, "finish_handler", x);
         }
 
@@ -2489,7 +2448,7 @@ mod tests {
             let mut c = core(1000);
             let x = resident(&mut c, 1, 100);
             c.entry_mut(x).footprint = 90;
-            c.create(oid(2), Box::new(Blob(10)), 128, false, true, T0);
+            c.create(oid(2), Box::new(Blob(10)), 128, false);
             let v = c.violation.take().expect("books out of balance");
             assert_eq!(v.invariant, Invariant::AccountingImbalance, "{v}");
             assert_eq!(
@@ -2514,7 +2473,7 @@ mod tests {
             let mut c = core(usize::MAX / 4);
             let x = on_disk(&mut c, 1, 100, 10);
             c.inflight_load_objs = PREFETCH_WINDOW_OBJECTS;
-            c.issue_load(x, true, T0);
+            c.issue_load(x, true);
             assert_broken(&mut c, Invariant::PrefetchWindowExceeded, "issue_load", x);
         }
 
@@ -2532,7 +2491,7 @@ mod tests {
             let mut c = core(500);
             let x = resident(&mut c, 1, 300);
             assert!(c.ooc.enter_degraded());
-            c.evict_bytes(100, true, None, T0);
+            c.evict_bytes(100, true, None);
             assert_broken(&mut c, Invariant::DegradedEviction, "evict_bytes", x);
         }
 
@@ -2542,7 +2501,7 @@ mod tests {
             let x = resident(&mut c, 1, 100);
             post(&mut c, x);
             c.entry_mut(x).locked = true;
-            c.grant_steal(x, 1, T0);
+            c.grant_steal(x, 1);
             assert_broken(&mut c, Invariant::IllegalSteal, "grant_steal", x);
         }
     }
@@ -2567,15 +2526,15 @@ mod tests {
             if queued {
                 post(victim, x);
             }
-            thief.request_steal(0, T0);
-            let (to, request, _) = thief.out.remove(0);
+            thief.request_steal(0);
+            let (to, request) = thief.out.remove(0);
             assert_eq!(to, 0);
             let asker = arrive(victim, request).expect("a steal request names its thief");
             match victim.steal_pick() {
-                Some(pick) => victim.grant_steal(pick, asker, T0),
-                None => victim.deny_steal(asker, T0),
+                Some(pick) => victim.grant_steal(pick, asker),
+                None => victim.deny_steal(asker),
             }
-            for (dest, answer, _) in std::mem::take(&mut victim.out) {
+            for (dest, answer) in std::mem::take(&mut victim.out) {
                 if dest == 1 {
                     arrive(thief, answer);
                 }

@@ -5,36 +5,39 @@
 //! quiescence, read the results back, checkpoint and restore. All of that
 //! is written once, here. The engine `E` supplies the clock and nothing
 //! else — [`crate::des::Des`] (virtual time, one host thread) or
-//! [`crate::threaded::Threads`] (wall time, one OS thread per node) —
-//! through a small sealed hook set:
+//! [`crate::threaded::Threads`] (wall time, one OS thread per node): its
+//! spill stores, and how a run steps the workers `Runtime::workers`
+//! builds.
 //!
-//! * **how a boot action lands** (object creation, pin, post): the
-//!   virtual-time engine applies it to its node cores at once, with
-//!   admission; the threaded engine queues it for the next run, whose
-//!   workers apply it before they start, without admission;
-//! * **how it runs**: [`Runtime::try_run`] hands the runtime to the engine;
-//! * **whether it is quiescent**, so [`Runtime::checkpoint`] can refuse a
-//!   capture that would miss pending work.
-//!
-//! Everything else is shared state both engines maintain the same way: one
-//! `NodeCore` per node (after a run, its object table says where every
-//! object is — resident, or the spill key it sits under — with its
-//! priority, pin and queued messages), one spill store per node behind a
-//! lock (so reads take `&self`), and the per-node object-id allocators.
-//! Engine-only extras stay inherent on the concrete aliases
+//! The state around a run is one rule for both clocks. One `NodeCore`
+//! per node and one spill store per node (behind a lock, so reads take
+//! `&self`) live as long as the runtime, with the per-node object-id
+//! allocators. A boot action — [`Runtime::create_object`],
+//! [`Runtime::lock_object`], [`Runtime::post`], a checkpoint restore —
+//! lands on the cores at once: a creation is admitted (and may evict)
+//! like a handler's, a pin or a post goes to the node that holds the
+//! object. What a core buffers for its worker (stores, frames, runnable
+//! objects) is carried out when the next run starts, and a core whose
+//! buffers are empty is quiescent. A run takes the cores and hands them
+//! back, so after it each object table says where every object is —
+//! resident, or the spill key it sits under — with its priority, pin and
+//! queued messages, and the next run continues from there. Engine-only
+//! extras stay inherent on the concrete aliases
 //! ([`crate::des::DesRuntime`], [`crate::threaded::ThreadedRuntime`]).
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry};
+use crate::compute::TaskBackend;
 use crate::config::MrtsConfig;
 use crate::fault::MrtsError;
 use crate::ids::{HandlerId, MobilePtr, NodeId, ObjectId, TypeTag};
 use crate::msg::Message;
-use crate::node::{Entry, NodeCore, State};
+use crate::node::{Entry, MetaOp, NodeCore, State};
 use crate::object::{DecodeFn, HandlerFn, MobileObject, Registry};
 use crate::replay::Decision;
 use crate::spill_io::SharedStore;
 use crate::stats::RunStats;
-use crate::worker::WorkerResult;
+use crate::worker::{Gateway, Worker, WorkerResult};
+use std::sync::Arc;
 
 /// Packed bytes of the spilled object `oid` of `node`, read from its
 /// store (uncharged: result extraction is outside every clock).
@@ -73,35 +76,13 @@ pub(crate) mod hooks {
     /// What an engine supplies to [`Runtime`]. Public in a private
     /// module, so nothing outside the crate can name or implement it.
     pub trait Hooks: Sized {
-        /// The engine's own state, plus the per-node spill stores it
-        /// starts with (it may replace them per run).
+        /// The engine's own state, plus one spill store per node for the
+        /// runtime's lifetime.
         fn new(cfg: &MrtsConfig) -> (Self, Vec<SharedStore>);
-        /// Apply (or queue) one bootstrap action.
-        fn boot(rt: &mut Runtime<Self>, action: Boot);
         /// Run to quiescence.
         fn run(rt: &mut Runtime<Self>) -> Result<RunStats, MrtsError>;
-        /// No work is pending that a checkpoint would miss.
-        fn quiescent(rt: &Runtime<Self>) -> bool;
-    }
-
-    /// A bootstrap action, issued before (or between) runs.
-    pub enum Boot {
-        /// Place object `id` on `node`. When `node` is not the id's home
-        /// (a checkpoint restored it elsewhere), the home core's directory
-        /// learns where it went, so routing from the home finds it.
-        Create {
-            node: NodeId,
-            id: ObjectId,
-            obj: Box<dyn MobileObject>,
-            priority: u8,
-            locked: bool,
-        },
-        Lock(MobilePtr),
-        Post(Message),
     }
 }
-
-pub(crate) use hooks::Boot;
 
 /// An object's home node in a cluster of `nodes`: after a checkpoint
 /// restore onto fewer nodes, homes wrap (see `NodeCore::next_hop`).
@@ -124,7 +105,10 @@ pub struct Runtime<E> {
     /// One spill store per node; spilled results are read from here.
     pub(crate) stores: Vec<SharedStore>,
     #[cfg(any(feature = "audit", debug_assertions))]
-    pub(crate) audit: Option<std::sync::Arc<dyn crate::audit::EventSink>>,
+    pub(crate) audit: Option<Arc<dyn crate::audit::EventSink>>,
+    /// Set only on the wall clock (`ThreadedRuntime::attach_race_detector`).
+    #[cfg(any(feature = "audit", debug_assertions))]
+    pub(crate) race: Option<Arc<crate::audit::RaceDetector>>,
     pub(crate) engine: E,
 }
 
@@ -141,6 +125,8 @@ impl<E: Engine> Runtime<E> {
             stores,
             #[cfg(any(feature = "audit", debug_assertions))]
             audit: None,
+            #[cfg(any(feature = "audit", debug_assertions))]
+            race: None,
             engine,
             cfg,
         }
@@ -159,7 +145,7 @@ impl<E: Engine> Runtime<E> {
     /// builds and under the `audit` feature; release builds without the
     /// feature compile the instrumentation out.
     #[cfg(any(feature = "audit", debug_assertions))]
-    pub fn attach_audit(&mut self, sink: std::sync::Arc<dyn crate::audit::EventSink>) {
+    pub fn attach_audit(&mut self, sink: Arc<dyn crate::audit::EventSink>) {
         for c in &mut self.cores {
             c.audit = Some(sink.clone());
         }
@@ -179,7 +165,9 @@ impl<E: Engine> Runtime<E> {
     // ----- bootstrap ---------------------------------------------------------
 
     /// Create a mobile object on `node` before (or between) runs; its id
-    /// is the next one of `node`'s allocator.
+    /// is the next one of `node`'s allocator. It is admitted like a
+    /// handler's creation: the objects it evicts are stored when the next
+    /// run starts.
     pub fn create_object(
         &mut self,
         node: NodeId,
@@ -189,28 +177,45 @@ impl<E: Engine> Runtime<E> {
         let seq = &mut self.next_seq[node as usize];
         let id = ObjectId::new(node, *seq);
         *seq += 1;
-        E::boot(
-            self,
-            Boot::Create {
-                node,
-                id,
-                obj,
-                priority,
-                locked: false,
-            },
-        );
+        self.place(node, id, obj, priority, false);
         MobilePtr::new(id)
     }
 
-    /// Pin an object in memory before the run.
-    pub fn lock_object(&mut self, ptr: MobilePtr) {
-        E::boot(self, Boot::Lock(ptr));
+    /// Create object `id` on `node`. When `node` is not the id's home (a
+    /// checkpoint restored it elsewhere), the home core's directory learns
+    /// where it went, so routing from the home finds it.
+    pub(crate) fn place(
+        &mut self,
+        node: NodeId,
+        id: ObjectId,
+        obj: Box<dyn MobileObject>,
+        priority: u8,
+        locked: bool,
+    ) {
+        let home = home_of(id, self.cores.len());
+        if home != node as usize {
+            self.cores[home].learn_location(id, node);
+        }
+        self.cores[node as usize].create(id, obj, priority, locked);
     }
 
-    /// Post an initial message (delivered when the run starts, or "now"
-    /// between the runs of a multi-phase virtual-time driver).
+    /// Pin an object in memory, on the node that holds it.
+    pub fn lock_object(&mut self, ptr: MobilePtr) {
+        let node = self.locate(ptr.id);
+        self.cores[node as usize].on_meta(ptr.id, MetaOp::Lock);
+    }
+
+    /// Post a message to an object before (or between) runs; the node that
+    /// holds it delivers it when the next run starts.
     pub fn post(&mut self, to: MobilePtr, handler: HandlerId, payload: Vec<u8>) {
-        E::boot(self, Boot::Post(Message::new(to, handler, payload)));
+        let node = self.locate(to.id);
+        self.cores[node as usize].send(Message::new(to, handler, payload));
+    }
+
+    /// No core has buffered work for a worker: nothing a checkpoint would
+    /// miss is pending.
+    fn quiescent(&self) -> bool {
+        (self.cores.iter()).all(|c| c.out.is_empty() && c.runnable.is_empty() && c.cmds.is_empty())
     }
 
     // ----- running -----------------------------------------------------------
@@ -229,6 +234,42 @@ impl<E: Engine> Runtime<E> {
     /// panicking.
     pub fn try_run(&mut self) -> Result<RunStats, MrtsError> {
         E::run(self)
+    }
+
+    /// The workers of one run, in node order, built alike for every
+    /// gateway: each takes its node's core and id allocator, a compute
+    /// backend from `backend` (the clock's) and the gateway `gate(node,
+    /// store)`, and carries out what its core buffered since the last run
+    /// before the run starts. The race detector, set on the wall clock
+    /// only, watches every worker. [`Runtime::collect`] takes the cores
+    /// back.
+    pub(crate) fn workers<G: Gateway>(
+        &mut self,
+        registry: &Arc<Registry>,
+        backend: impl Fn(&MrtsConfig) -> Box<dyn TaskBackend>,
+        mut gate: impl FnMut(usize, &SharedStore) -> G,
+    ) -> Vec<Worker<G>> {
+        let cores = std::mem::take(&mut self.cores);
+        (cores.into_iter().enumerate())
+            .map(|(i, core)| {
+                let (seq, gate) = (self.next_seq[i], gate(i, &self.stores[i]));
+                #[allow(unused_mut)] // mutated only when auditing is compiled in
+                let mut w = Worker::new(
+                    &self.cfg,
+                    registry.clone(),
+                    core,
+                    seq,
+                    backend(&self.cfg),
+                    gate,
+                );
+                #[cfg(any(feature = "audit", debug_assertions))]
+                {
+                    w.race = self.race.clone();
+                }
+                w.carry_out();
+                w
+            })
+            .collect()
     }
 
     /// Take back what a run's workers hand over, in node order: each
@@ -360,12 +401,12 @@ impl<E: Engine> Runtime<E> {
     /// priority, pin, packed bytes and queued messages, sorted by object
     /// id so two captures of the same state encode identically, plus the
     /// id allocators. A spilled object's bytes are copied from its store,
-    /// not decoded and packed again. Must be called at quiescence (before
-    /// the first run of a virtual-time runtime, or after a run returns);
-    /// panics if a spilled object stays unreadable.
+    /// not decoded and packed again. Must be called at quiescence (after a
+    /// run returns, or before one when no boot action left buffered
+    /// work); panics if a spilled object stays unreadable.
     pub fn checkpoint(&self) -> Checkpoint {
         assert!(
-            E::quiescent(self),
+            self.quiescent(),
             "checkpoint requires quiescence (run() completed)"
         );
         let mut objects = Vec::new();

@@ -559,24 +559,23 @@ impl JobService {
         }
     }
 
+    /// One supervisor step, the same in every mode: dispatch under the
+    /// lock, run a leased phase outside it, commit its result. Returns
+    /// what the dispatch found; a phase that ran counts as `Acted`.
+    fn step(&self) -> Dispatch {
+        let d = dispatch(&mut lock(&self.state));
+        let Dispatch::Run { id, mut job, att } = d else {
+            return d;
+        };
+        let result = job.run_phase(att);
+        commit(&mut lock(&self.state), id, job, result);
+        Dispatch::Acted
+    }
+
     /// Run the supervisor loop on this thread until every job is
     /// terminal. One phase at a time, jobs in id order — deterministic.
     pub fn drain_serial(&self) {
-        loop {
-            let d = {
-                let mut st = lock(&self.state);
-                dispatch(&mut st)
-            };
-            match d {
-                Dispatch::Run { id, mut job, att } => {
-                    let result = job.run_phase(att);
-                    let mut st = lock(&self.state);
-                    commit(&mut st, id, job, result);
-                }
-                Dispatch::Acted | Dispatch::Waiting => {}
-                Dispatch::Drained => break,
-            }
-        }
+        while self.step_serial() {}
     }
 
     /// Run exactly one supervisor step: dispatch once, and if a phase
@@ -584,20 +583,7 @@ impl JobService {
     /// is drained. Harnesses use this to interleave chaos (node kills)
     /// with job progress at deterministic points.
     pub fn step_serial(&self) -> bool {
-        let d = {
-            let mut st = lock(&self.state);
-            dispatch(&mut st)
-        };
-        match d {
-            Dispatch::Run { id, mut job, att } => {
-                let result = job.run_phase(att);
-                let mut st = lock(&self.state);
-                commit(&mut st, id, job, result);
-                true
-            }
-            Dispatch::Acted | Dispatch::Waiting => true,
-            Dispatch::Drained => false,
-        }
+        !matches!(self.step(), Dispatch::Drained)
     }
 
     /// Drain with `workers` OS threads pulling phases concurrently.
@@ -607,19 +593,10 @@ impl JobService {
         std::thread::scope(|scope| {
             for _ in 0..workers.max(1) {
                 scope.spawn(|| loop {
-                    let d = {
-                        let mut st = lock(&self.state);
-                        dispatch(&mut st)
-                    };
-                    match d {
-                        Dispatch::Run { id, mut job, att } => {
-                            let result = job.run_phase(att);
-                            let mut st = lock(&self.state);
-                            commit(&mut st, id, job, result);
-                        }
-                        Dispatch::Acted => {}
+                    match self.step() {
                         Dispatch::Waiting => std::thread::sleep(Duration::from_micros(200)),
                         Dispatch::Drained => break,
+                        _ => {}
                     }
                 });
             }
@@ -1240,15 +1217,7 @@ mod tests {
         // Run a few steps so both jobs hold domains and checkpoints,
         // then kill node 0 (job a's domain: nodes {0,1}).
         for _ in 0..4 {
-            let d = {
-                let mut st = lock(&svc.state);
-                dispatch(&mut st)
-            };
-            if let Dispatch::Run { id, mut job, att } = d {
-                let result = job.run_phase(att);
-                let mut st = lock(&svc.state);
-                commit(&mut st, id, job, result);
-            }
+            svc.step_serial();
         }
         svc.kill_node(0);
         svc.drain_serial();

@@ -15,20 +15,20 @@
 //!   I/O pool's completion channel and `Instant`. Each answer can be
 //!   recorded (`mrts::replay`), so a run's schedule can be re-executed.
 //!   A replay runs none of this clock: the same workers, built by the same
-//!   constructor, are stepped on the calling thread by `mrts::replay`.
+//!   constructor (`Runtime::workers`), are stepped on the calling thread
+//!   by `mrts::replay`.
 //! * **Non-blocking storage ops** — `io_threads` workers run the node's
 //!   spill executor (`spill_io.rs`), so object pack/unpack, retries and
 //!   their backoff sleeps happen off the node's control thread, and an
 //!   eviction round lands as batched appends on the segmented spill log.
 //! * **The race detector** — happens-before stamps on every fabric send
 //!   and receive, and an access check on every touch of an object.
-//! * **The post-run state** — each node's store stays with the
-//!   [`Runtime`] until it is dropped or run again, so the result accessors
-//!   read spilled objects from it and the process's memory follows the
-//!   budget after `run()` as it does inside.
-//! * **Deferred boot** — objects created, pinned or posted to before a
-//!   run are queued and applied by the run's workers before they start,
-//!   without admission (nothing is running yet to evict for).
+//! * **Real spill directories** — with a spill directory configured, each
+//!   node's store is a segment log under `node-<i>`, opened with the
+//!   [`Runtime`] and removed when it is dropped. Between runs the result
+//!   accessors read spilled objects from it, so the process's memory
+//!   follows the budget after `run()` as it does inside, and the next run
+//!   continues from it.
 //!
 //! Statistics are wall-clock: computation is time spent inside handlers
 //! (and packing/unpacking, wherever it runs), disk is the I/O pool's
@@ -40,13 +40,12 @@ use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, Wor
 use crate::config::MrtsConfig;
 use crate::fault::MrtsError;
 use crate::ids::NodeId;
-use crate::node::{MetaOp, NodeCore};
 use crate::object::Registry;
 use crate::replay::{io_decision, Decision, DecisionLog, Replay};
-use crate::runtime::{home_of, hooks::Hooks, Boot, Engine, Runtime};
+use crate::runtime::{hooks::Hooks, Engine, Runtime};
 use crate::spill_io::{open_stores, BufferPool, SharedStore};
 use crate::stats::{NodeStats, RunStats};
-use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, Worker, WorkerResult, POLL_WAIT};
+use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, WorkerResult, POLL_WAIT};
 use armci_sim::{Endpoint, Fabric, NetworkModel};
 use crossbeam_channel as channel;
 use std::sync::Arc;
@@ -173,53 +172,48 @@ fn spawn_io_pool(
     (req_tx, done_rx, handles)
 }
 
+/// A node's computing-layer pool, as configured.
+fn node_pool(cfg: &MrtsConfig) -> Box<dyn TaskBackend> {
+    match cfg.executor {
+        _ if cfg.cores_per_node <= 1 => Box::new(SequentialBackend),
+        ExecutorKind::WorkStealing => Box::new(WorkStealingPool::new(cfg.cores_per_node)),
+        ExecutorKind::Fifo => Box::new(FifoPool::new(cfg.cores_per_node)),
+    }
+}
+
 /// The threaded MRTS runtime: [`Runtime`] on the [`Threads`] engine.
 pub type ThreadedRuntime = Runtime<Threads>;
 
-/// The threaded engine's state between runs: the queued boot actions and
-/// the record/replay and race-detection settings of the next run. See the
-/// module docs.
+/// The threaded engine's state between runs: the wall time run so far and
+/// the record/replay settings of the next run. See the module docs.
 pub struct Threads {
-    /// Boot actions for the next run, applied by its workers before they
-    /// start.
-    boot: Vec<Boot>,
+    /// Wall time of every run so far: a run's total adds to it, the way
+    /// virtual time carries on from one run to the next.
+    elapsed: Duration,
     /// Record every worker's nondeterministic decisions next run.
     record_decisions: bool,
     /// Replay the next run against this recorded decision log.
     replay_log: Option<DecisionLog>,
     /// The decision log captured by the last recorded run.
     captured: Option<DecisionLog>,
-    #[cfg(any(feature = "audit", debug_assertions))]
-    race: Option<Arc<crate::audit::RaceDetector>>,
 }
 
 impl Engine for Threads {}
 
 impl Hooks for Threads {
-    /// No stores until a run opens them (under `spill_dir`, if set).
-    fn new(_cfg: &MrtsConfig) -> (Self, Vec<SharedStore>) {
+    /// The stores live under `spill_dir`, if set, until the runtime drops.
+    fn new(cfg: &MrtsConfig) -> (Self, Vec<SharedStore>) {
         let engine = Threads {
-            boot: Vec::new(),
+            elapsed: Duration::ZERO,
             record_decisions: false,
             replay_log: None,
             captured: None,
-            #[cfg(any(feature = "audit", debug_assertions))]
-            race: None,
         };
-        (engine, Vec::new())
-    }
-
-    /// Boot actions wait for the next run.
-    fn boot(rt: &mut ThreadedRuntime, action: Boot) {
-        rt.engine.boot.push(action);
+        (engine, open_stores(cfg, true))
     }
 
     fn run(rt: &mut ThreadedRuntime) -> Result<RunStats, MrtsError> {
         rt.run_workers()
-    }
-
-    fn quiescent(rt: &ThreadedRuntime) -> bool {
-        rt.engine.boot.is_empty()
     }
 }
 
@@ -229,7 +223,7 @@ impl ThreadedRuntime {
     /// every object access is checked against the last conflicting access.
     #[cfg(any(feature = "audit", debug_assertions))]
     pub fn attach_race_detector(&mut self, det: Arc<crate::audit::RaceDetector>) {
-        self.engine.race = Some(det);
+        self.race = Some(det);
     }
 
     /// Record every nondeterministic decision of the next run: which
@@ -259,25 +253,25 @@ impl ThreadedRuntime {
 
     /// Run to distributed termination, live or (with a log set) as a
     /// replay. The failing node of a failed run broadcasts an exit to every
-    /// peer, so all workers stop. Afterwards each node's core and store
-    /// stay for the result accessors until the next run or drop.
+    /// peer, so all workers stop.
     fn run_workers(&mut self) -> Result<RunStats, MrtsError> {
         let n = self.cfg.nodes;
         let registry = Arc::new(std::mem::take(&mut self.registry));
-        let (results, diverged, total) = match self.engine.replay_log.take() {
+        let (results, diverged, took) = match self.engine.replay_log.take() {
             // A replay log is consumed by the run it drives.
             Some(log) => {
                 let mut replay = Replay::new(log, n, registry.clone());
-                let workers = self.workers(&registry, |i, store| replay.gate(i, store));
+                let workers = self.workers(&registry, node_pool, |i, store| replay.gate(i, store));
                 let t0 = Instant::now();
                 let (results, diverged) = replay.step(workers);
                 (results, diverged, t0.elapsed())
             }
             None => {
-                let (results, total) = self.run_live(&registry);
-                (results, None, total)
+                let (results, took) = self.run_live(&registry);
+                (results, None, took)
             }
         };
+        self.engine.elapsed += took;
         self.registry =
             Arc::try_unwrap(registry).unwrap_or_else(|_| panic!("registry still shared"));
         let mut captured = DecisionLog::new(n);
@@ -290,7 +284,7 @@ impl ThreadedRuntime {
         match diverged.or(fatal) {
             Some(e) => Err(e),
             None => Ok(RunStats {
-                total,
+                total: self.engine.elapsed,
                 nodes: self.cores.iter().map(|c| c.stats.clone()).collect(),
                 // Workers accumulate overlap directly (handler time with
                 // storage ops in flight), so `overlap_pct` reports the
@@ -306,7 +300,7 @@ impl ThreadedRuntime {
         let mut endpoints = Fabric::new(self.cfg.nodes, NetworkModel::instant()).into_iter();
         let (io_threads, record) = (self.cfg.io_threads, self.engine.record_decisions);
         let mut io_handles = Vec::new();
-        let workers = self.workers(registry, |_, store| {
+        let workers = self.workers(registry, node_pool, |_, store| {
             let (io_tx, io_rx, handles) =
                 spawn_io_pool(store.clone(), registry.clone(), io_threads);
             io_handles.extend(handles);
@@ -325,89 +319,12 @@ impl ThreadedRuntime {
         let results = (joins.into_iter())
             .map(|j| j.join().expect("worker panic"))
             .collect();
-        let total = t0.elapsed();
+        let took = t0.elapsed();
         // The I/O pool threads hold registry clones for unpacking; join
         // them before the registry is reclaimed.
         for h in io_handles {
             let _ = h.join();
         }
-        (results, total)
-    }
-
-    /// The run's workers, built alike for a live run and a replay: fresh
-    /// cores over freshly opened stores, each node with its compute
-    /// backend and the gateway `gate(node, store)`, and the queued boot
-    /// actions applied.
-    fn workers<G: Gateway>(
-        &mut self,
-        registry: &Arc<Registry>,
-        mut gate: impl FnMut(usize, &SharedStore) -> G,
-    ) -> Vec<Worker<G>> {
-        let n = self.cfg.nodes;
-        // The result state describes one run. The last run's stores go
-        // (and their spill directories with them) before new ones open
-        // under the same paths.
-        self.cores.clear();
-        self.stores.clear();
-        self.stores = open_stores(&self.cfg, true);
-        let mut workers: Vec<Worker<G>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let backend: Box<dyn TaskBackend> = match self.cfg.executor {
-                _ if self.cfg.cores_per_node <= 1 => Box::new(SequentialBackend),
-                ExecutorKind::WorkStealing => {
-                    Box::new(WorkStealingPool::new(self.cfg.cores_per_node))
-                }
-                ExecutorKind::Fifo => Box::new(FifoPool::new(self.cfg.cores_per_node)),
-            };
-            #[allow(unused_mut)] // mutated only when auditing is compiled in
-            let mut core = NodeCore::new(i as NodeId, &self.cfg);
-            #[cfg(any(feature = "audit", debug_assertions))]
-            {
-                core.audit = self.audit.clone();
-            }
-            let gate = gate(i, &self.stores[i]);
-            let seq = self.next_seq[i];
-            #[allow(unused_mut)] // mutated only when auditing is compiled in
-            let mut w = Worker::new(&self.cfg, registry.clone(), core, seq, backend, gate);
-            #[cfg(any(feature = "audit", debug_assertions))]
-            {
-                w.race = self.engine.race.clone();
-            }
-            workers.push(w);
-        }
-
-        // Apply the boot actions. Homes wrap modulo the node count (a
-        // restore onto fewer nodes; matches `NodeCore::next_hop`).
-        const T0: Duration = Duration::ZERO;
-        for action in self.engine.boot.drain(..) {
-            match action {
-                Boot::Create {
-                    node,
-                    id,
-                    obj,
-                    priority,
-                    locked,
-                } => {
-                    let home = home_of(id, n);
-                    if home != node as usize {
-                        workers[home].core.learn_location(id, node);
-                    }
-                    // Bootstrap creation bypasses admission (threads are
-                    // not running yet), so the budget may overshoot.
-                    let core = &mut workers[node as usize].core;
-                    core.create(id, obj, priority, locked, false, T0);
-                }
-                Boot::Lock(p) => {
-                    let w = &mut workers[home_of(p.id, n)];
-                    w.core.on_meta(p.id, MetaOp::Lock, T0);
-                }
-                Boot::Post(msg) => {
-                    let w = &mut workers[home_of(msg.to.id, n)];
-                    w.core.send(msg, T0);
-                    w.carry_out();
-                }
-            }
-        }
-        workers
+        (results, took)
     }
 }

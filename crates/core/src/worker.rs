@@ -81,11 +81,6 @@ const STEAL_PATIENCE: u32 = 2;
 /// eviction larger than this goes to the executor as several requests.
 const STORE_REQ_SEGMENTS: usize = 4;
 
-/// The worker's *now* for the node core. Handlers have returned by the
-/// time the control loop consults the core, so no object is ever still
-/// busy "until later": every time is zero.
-const NOW: Duration = Duration::ZERO;
-
 /// A request to the node's spill executor.
 pub(crate) enum IoReq {
     /// Pack every object and persist the batch through one
@@ -707,7 +702,7 @@ impl<G: Gateway> Worker<G> {
         let rerouted = match NetMsg::decode(tag, &frame[8..]) {
             // A lazy hint push is an optimization; losing one is safe.
             Ok(NetMsg::DirUpdate { .. }) => return,
-            Ok(NetMsg::Msg(msg)) => self.core.reroute(msg, dest, NOW),
+            Ok(NetMsg::Msg(msg)) => self.core.reroute(msg, dest),
             _ => false,
         };
         if rerouted {
@@ -808,7 +803,7 @@ impl<G: Gateway> Worker<G> {
             _ => None,
         };
         let was_asking = self.core.awaiting_steal;
-        let thief = self.core.on_net(msg, NOW, &self.registry);
+        let thief = self.core.on_net(msg, &self.registry);
         if let Some(oid) = installed {
             self.race_access(oid);
         }
@@ -823,8 +818,8 @@ impl<G: Gateway> Worker<G> {
             // The pick is a total order over the core's state, which the
             // inputs determine, so a replay picks the same object.
             match self.core.steal_pick() {
-                Some(oid) => self.core.grant_steal(oid, thief, NOW),
-                None => self.core.deny_steal(thief, NOW),
+                Some(oid) => self.core.grant_steal(oid, thief),
+                None => self.core.deny_steal(thief),
             }
         }
         self.carry_out();
@@ -848,7 +843,7 @@ impl<G: Gateway> Worker<G> {
         self.ready.extend(self.core.runnable.drain(..));
         if !self.core.out.is_empty() {
             let mut out = std::mem::take(&mut self.core.out);
-            for (dest, msg, _) in out.drain(..) {
+            for (dest, msg) in out.drain(..) {
                 if dest == self.node {
                     self.on_net(msg);
                     continue;
@@ -953,7 +948,7 @@ impl<G: Gateway> Worker<G> {
                     self.race_access(oid);
                 }
                 for (oid, _) in stored.packed {
-                    self.core.resume(oid, NOW);
+                    self.core.resume(oid);
                 }
                 self.carry_out();
             }
@@ -967,7 +962,7 @@ impl<G: Gateway> Worker<G> {
                         let miss = self.ready.is_empty();
                         self.core.complete_load(oid, obj, packed_len, miss);
                         self.race_access(oid);
-                        self.core.resume(oid, NOW);
+                        self.core.resume(oid);
                         self.carry_out();
                     }
                     // Unrecoverable: the object exists nowhere else.
@@ -980,7 +975,7 @@ impl<G: Gateway> Worker<G> {
             IoDone::Probed(_, ok) => {
                 self.probe_inflight = false;
                 if ok {
-                    self.core.leave_degraded(NOW);
+                    self.core.leave_degraded();
                     self.flush_io();
                 }
             }
@@ -1022,17 +1017,16 @@ impl<G: Gateway> Worker<G> {
             self.core.stats.overlapped += dur;
         }
         self.next_obj_seq = next_seq;
-        self.core
-            .finish_handler(oid, obj, old_footprint, &effects, NOW);
+        self.core.finish_handler(oid, obj, old_footprint, &effects);
         if !self.core.entry(oid).queue.is_empty() {
             self.ready.push_back(oid);
         }
-        self.core.apply_effects(effects, NOW);
+        self.core.apply_effects(effects);
         self.carry_out();
         // Hard budget enforcement (handlers grow objects in place), then
         // advisory soft-threshold swapping.
-        self.core.enforce_budget(None, NOW);
-        self.core.soft_swap(NOW);
+        self.core.enforce_budget(None);
+        self.core.soft_swap();
         self.flush_io();
         true
     }
@@ -1062,7 +1056,7 @@ impl<G: Gateway> Worker<G> {
         let Some(victim) = self.victim_cursor.next_victim(self.node, self.n_nodes) else {
             return;
         };
-        self.core.request_steal(victim, NOW);
+        self.core.request_steal(victim);
         self.carry_out();
     }
 
@@ -1152,7 +1146,7 @@ impl<G: Gateway> Worker<G> {
                     continue;
                 }
                 self.on_io(done);
-                self.core.pump_loads(!self.ready.is_empty(), NOW);
+                self.core.pump_loads(!self.ready.is_empty());
                 self.flush_io();
             }
             return false;
@@ -1227,7 +1221,7 @@ impl<G: Gateway> Worker<G> {
         }
         // 4. Issue queued loads under the prefetch window, so the disk
         //    streams while step() executes resident work.
-        self.core.pump_loads(!self.ready.is_empty(), NOW);
+        self.core.pump_loads(!self.ready.is_empty());
         self.flush_io();
         self.maybe_probe();
         // 5. Execute one handler.

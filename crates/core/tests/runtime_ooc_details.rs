@@ -79,11 +79,19 @@ fn h_hops(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
 }
 
 fn rt(cfg: MrtsConfig) -> DesRuntime {
-    let mut rt = DesRuntime::new(cfg);
+    runtime(cfg)
+}
+
+fn runtime<E: Engine>(cfg: MrtsConfig) -> Runtime<E> {
+    let mut rt = Runtime::<E>::new(cfg);
     rt.register_type(TAG, Blob::decode);
     rt.register_handler(H_BUMP, "bump", h_bump);
     rt.register_handler(H_HOPS, "hops", h_hops);
     rt
+}
+
+fn value<E: Engine>(rt: &Runtime<E>, p: MobilePtr) -> u64 {
+    rt.with_object(p, |b| b.as_any().downcast_ref::<Blob>().unwrap().value)
 }
 
 fn bump(v: u64) -> Vec<u8> {
@@ -223,11 +231,13 @@ fn stats_accounting_is_consistent() {
     assert!(sum <= 100.0 + 1e-9, "busy-time identity violated: {sum}");
 }
 
-/// Segment files under `dir` (a node's spill directory).
+/// Segment files under `dir` (a node's spill directory), sorted.
 fn segment_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    std::fs::read_dir(dir)
+    let mut files: Vec<_> = std::fs::read_dir(dir)
         .map(|rd| rd.map(|e| e.unwrap().path()).collect())
-        .unwrap_or_default()
+        .unwrap_or_default();
+    files.sort();
+    files
 }
 
 #[test]
@@ -281,15 +291,138 @@ fn threaded_results_stay_spilled_until_drop_or_rerun() {
     rt.for_each_object(|_, b| seen += b.as_any().downcast_ref::<Blob>().unwrap().value);
     assert_eq!(seen, 36);
 
-    // A second run starts from an empty log and an empty result state.
+    // A second run continues from the first one's results: all eight
+    // survive it, and the spilled ones stay in their segment files.
     rt.run();
-    assert_eq!(rt.num_objects(), 0);
-    assert!(segment_files(&node_dir).is_empty());
-    assert!(node_dir.is_dir(), "the new run's store");
+    assert_eq!(rt.num_objects(), 8);
+    assert_eq!(segment_files(&node_dir), files);
+    let mut seen = 0;
+    rt.for_each_object(|_, b| seen += b.as_any().downcast_ref::<Blob>().unwrap().value);
+    assert_eq!(seen, 36);
     drop(rt);
     assert!(
         !node_dir.exists(),
         "the spill directory goes with the runtime"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+// ----- the state around a run: one rule for both clocks --------------------
+
+/// Creation admits on either clock: past the budget, `create_object`
+/// evicts, so the node holds at most the budget plus one object before the
+/// run, and the run lands the stores it chose.
+fn boot_creation_admits<E: Engine>() {
+    let budget = 40_000;
+    let mut rt = runtime::<E>(MrtsConfig::out_of_core(1, budget));
+    let log = std::sync::Arc::new(mrts::audit::EventLog::new());
+    rt.attach_audit(log.clone());
+    let objs: Vec<MobilePtr> = (0..10)
+        .map(|_| rt.create_object(0, Blob::boxed(10_000), 128))
+        .collect();
+    let one = Blob::boxed(10_000).footprint();
+    let (mut peak, mut evicted) = (0, 0);
+    for ev in log.snapshot() {
+        match ev {
+            mrts::audit::RuntimeEvent::Budget { used, .. } => peak = peak.max(used),
+            mrts::audit::RuntimeEvent::Unload { .. } => evicted += 1,
+            _ => {}
+        }
+    }
+    assert!(peak <= budget + one, "{peak} B held before the run");
+    assert!(evicted >= 5, "only {evicted} evictions at create_object");
+    let stats = rt.run();
+    assert_eq!(stats.total_of(|n| n.stores), evicted);
+    assert_eq!(rt.num_objects(), 10);
+    for &o in &objs {
+        assert_eq!(value(&rt, o), 0, "a boot-evicted object read back");
+    }
+}
+
+#[test]
+fn boot_creation_admits_des() {
+    boot_creation_admits::<Des>();
+}
+
+#[test]
+fn boot_creation_admits_threaded() {
+    boot_creation_admits::<Threads>();
+}
+
+/// A second run continues from the first: a post after a finished run
+/// reaches the first run's objects, resident or spilled, and their values
+/// accumulate across the two runs.
+fn runs_continue_from_each_other<E: Engine>() {
+    let mut rt = runtime::<E>(MrtsConfig::out_of_core(2, 30_000));
+    let objs: Vec<MobilePtr> = (0..8)
+        .map(|i| rt.create_object(i % 2, Blob::boxed(9_000), 128))
+        .collect();
+    for (i, &o) in objs.iter().enumerate() {
+        rt.post(o, H_BUMP, bump(i as u64 + 1));
+    }
+    let first = rt.run();
+    assert!(first.total_of(|n| n.stores) > 0, "{}", first.summary());
+    for (i, &o) in objs.iter().enumerate() {
+        rt.post(o, H_BUMP, bump(100 * (i as u64 + 1)));
+    }
+    let second = rt.run();
+    assert_eq!(second.total_of(|n| n.handlers_run), 16);
+    assert!(second.total >= first.total, "time carries on");
+    assert_eq!(rt.num_objects(), 8);
+    for (i, &o) in objs.iter().enumerate() {
+        assert_eq!(value(&rt, o), 101 * (i as u64 + 1));
+    }
+}
+
+#[test]
+fn runs_continue_from_each_other_des() {
+    runs_continue_from_each_other::<Des>();
+}
+
+#[test]
+fn runs_continue_from_each_other_threaded() {
+    runs_continue_from_each_other::<Threads>();
+}
+
+/// Before the first run, `checkpoint()` refuses exactly when a boot action
+/// left work buffered for a worker: a post, or the stores of an eviction.
+fn checkpoint_before_the_first_run<E: Engine>() {
+    let refuses = |rt: &Runtime<E>| {
+        let capture = std::panic::AssertUnwindSafe(|| rt.checkpoint());
+        std::panic::catch_unwind(capture).is_err()
+    };
+    // Within budget and nothing posted: a capture of the boot state.
+    let mut rt = runtime::<E>(MrtsConfig::out_of_core(1, 40_000));
+    let a = rt.create_object(0, Blob::boxed(10_000), 128);
+    rt.lock_object(a);
+    let cp = rt.checkpoint();
+    assert_eq!(cp.objects.len(), 1);
+    assert!(cp.objects[0].locked);
+    // A post is buffered until the run delivers it.
+    rt.post(a, H_BUMP, bump(1));
+    assert!(refuses(&rt));
+    rt.run();
+    assert_eq!(rt.checkpoint().objects.len(), 1);
+    // Creation past the budget buffers the stores of its evictions.
+    let mut rt = runtime::<E>(MrtsConfig::out_of_core(1, 40_000));
+    for _ in 0..3 {
+        rt.create_object(0, Blob::boxed(10_000), 128);
+    }
+    assert!(!refuses(&rt));
+    for _ in 0..3 {
+        rt.create_object(0, Blob::boxed(10_000), 128);
+    }
+    assert!(refuses(&rt));
+    rt.run();
+    assert_eq!(rt.checkpoint().objects.len(), 6);
+}
+
+#[test]
+fn checkpoint_before_the_first_run_des() {
+    checkpoint_before_the_first_run::<Des>();
+}
+
+#[test]
+fn checkpoint_before_the_first_run_threaded() {
+    checkpoint_before_the_first_run::<Threads>();
 }

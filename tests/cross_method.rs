@@ -9,10 +9,37 @@ use pumg::methods::ooc_pcdm::opcdm_run;
 use pumg::methods::ooc_updr::oupdr_run;
 use pumg::methods::pcdm::{pcdm_incore, PcdmParams};
 use pumg::methods::updr::{updr_incore, UpdrParams};
+use pumg::methods::MethodResult;
 use pumg::mrts::config::MrtsConfig;
 use pumg::mrts::des::Des;
 
 const BIG: u64 = 1 << 34; // "infinite" per-PE memory for baselines
+
+/// Runs of each configuration a time assertion reads. A busy host only
+/// ever adds measured handler time to a clock, so a configuration's
+/// quietest run (the smallest total) is the one closest to the model's own
+/// figure.
+const RUNS: usize = 5;
+
+/// `n` runs of each of `configs`, quietest first per configuration. The
+/// configurations take turns, so a stretch of host load that outlasts all
+/// of one configuration's runs falls on the others too.
+fn quietest_first<C>(
+    n: usize,
+    configs: &[C],
+    run: impl Fn(&C) -> MethodResult,
+) -> Vec<Vec<MethodResult>> {
+    let mut runs: Vec<Vec<MethodResult>> = configs.iter().map(|_| Vec::new()).collect();
+    for _ in 0..n {
+        for (config, runs) in configs.iter().zip(&mut runs) {
+            runs.push(run(config));
+        }
+    }
+    for runs in &mut runs {
+        runs.sort_by_key(|r| r.stats.total);
+    }
+    runs
+}
 
 fn graded(elements: u64) -> Workload {
     let domain = DomainSpec::unit_square();
@@ -67,19 +94,30 @@ fn ports_track_their_baselines_in_core() {
     // virtual-time accounting measures the same real kernels plus runtime
     // machinery, so the counts must match and the time must be close.
     let p = UpdrParams::new(Workload::uniform_square(3000), 2);
-    let base = updr_incore(&p, 4, BIG).unwrap();
-    let port = oupdr_run::<Des>(&p, MrtsConfig::in_core(4));
+    // Without a runtime configuration, the native baseline runs.
+    let runs = quietest_first(
+        RUNS,
+        &[None, Some(MrtsConfig::in_core(4))],
+        |cfg| match cfg {
+            None => updr_incore(&p, 4, BIG).unwrap(),
+            Some(cfg) => oupdr_run::<Des>(&p, cfg.clone()),
+        },
+    );
+    let (bases, ports) = (&runs[0], &runs[1]);
     // Element counts track the baseline tightly but not bit-exactly: the
     // runtime's interface-point exchanges arrive in measured-duration
     // order, and Ruppert refinement is insertion-order sensitive, so a
     // loaded machine can shift a handful of Steiner points.
-    let drift = (port.elements as f64 - base.elements as f64).abs() / base.elements as f64;
-    assert!(
-        drift < 0.02,
-        "port produced {} elements vs baseline {}",
-        port.elements,
-        base.elements
-    );
+    for (base, port) in bases.iter().zip(ports) {
+        let drift = (port.elements as f64 - base.elements as f64).abs() / base.elements as f64;
+        assert!(
+            drift < 0.02,
+            "port produced {} elements vs baseline {}",
+            port.elements,
+            base.elements
+        );
+    }
+    let (base, port) = (&bases[0], &ports[0]);
     // Time ratios are noisy here: the harness runs tests on parallel
     // threads of one core, and both engines charge *measured* durations.
     // The precise overhead claims are made by the single-process report
@@ -140,12 +178,12 @@ fn onupdr_out_of_core_tracks_in_core_counts() {
 fn speed_metric_roughly_flat_across_sizes() {
     // Tables I–III: Speed = S/(T·N) stays roughly constant as the problem
     // grows (the methods scale).
-    let mut speeds = Vec::new();
-    for elements in [2000u64, 4000, 8000] {
-        let p = PcdmParams::new(Workload::uniform_square(elements), 2);
-        let r = opcdm_run::<Des>(&p, MrtsConfig::in_core(4));
-        speeds.push(r.speed());
-    }
+    let sizes = [2000u64, 4000, 8000]
+        .map(|elements| PcdmParams::new(Workload::uniform_square(elements), 2));
+    let runs = quietest_first(RUNS, &sizes, |p| {
+        opcdm_run::<Des>(p, MrtsConfig::in_core(4))
+    });
+    let speeds: Vec<f64> = runs.iter().map(|runs| runs[0].speed()).collect();
     let max = speeds.iter().cloned().fold(0.0f64, f64::max);
     let min = speeds.iter().cloned().fold(f64::INFINITY, f64::min);
     // Loose bound: measured-duration noise under parallel test threads can

@@ -6,10 +6,37 @@ use pumg::methods::ooc_pcdm::opcdm_run;
 use pumg::methods::ooc_updr::oupdr_run;
 use pumg::methods::pcdm::PcdmParams;
 use pumg::methods::updr::UpdrParams;
+use pumg::methods::MethodResult;
 use pumg::mrts::config::MrtsConfig;
 use pumg::mrts::des::Des;
 use pumg::mrts::policy::PolicyKind;
 use pumg::mrts::threaded::Threads;
+
+/// Runs of each configuration a time assertion reads. A busy host only
+/// ever adds measured handler time to a clock, so a configuration's
+/// quietest run (the smallest total) is the one closest to the model's own
+/// figure.
+const RUNS: usize = 5;
+
+/// `n` runs of each of `configs`, quietest first per configuration. The
+/// configurations take turns, so a stretch of host load that outlasts all
+/// of one configuration's runs falls on the others too.
+fn quietest_first<C>(
+    n: usize,
+    configs: &[C],
+    run: impl Fn(&C) -> MethodResult,
+) -> Vec<Vec<MethodResult>> {
+    let mut runs: Vec<Vec<MethodResult>> = configs.iter().map(|_| Vec::new()).collect();
+    for _ in 0..n {
+        for (config, runs) in configs.iter().zip(&mut runs) {
+            runs.push(run(config));
+        }
+    }
+    for runs in &mut runs {
+        runs.sort_by_key(|r| r.stats.total);
+    }
+    runs
+}
 
 #[test]
 fn overlap_emerges_on_large_ooc_runs() {
@@ -23,7 +50,7 @@ fn overlap_emerges_on_large_ooc_runs() {
     let budget = 120_000usize;
     let mut cfg = MrtsConfig::out_of_core(4, budget);
     cfg.compute_scale = 32.0;
-    let r = oupdr_run::<Des>(&p, cfg);
+    let r = &quietest_first(RUNS, &[cfg], |cfg| oupdr_run::<Des>(&p, cfg.clone()))[0][0];
     assert!(r.stats.disk_pct() > 3.0, "{}", r.stats.summary());
     assert!(
         r.stats.overlap_pct() > 0.0,
@@ -164,8 +191,13 @@ fn more_nodes_means_less_virtual_time() {
     // Node-level scaling in the virtual-time model: same OOC workload on
     // more nodes finishes sooner (the sub-linear scaling of the paper).
     let p = PcdmParams::new(Workload::uniform_square(16_000), 4);
-    let t2 = opcdm_run::<Des>(&p, MrtsConfig::in_core(2)).stats.total;
-    let t8 = opcdm_run::<Des>(&p, MrtsConfig::in_core(8)).stats.total;
+    // The 8-node makespan is ~3 ms of handler time, and one preemption adds
+    // a whole scheduler slice (~4 ms) to it: under a busy loop most of its
+    // runs are hit, in bursts, so it takes more than `RUNS` to find a quiet
+    // one.
+    let in_core = |&n: &usize| opcdm_run::<Des>(&p, MrtsConfig::in_core(n));
+    let runs = quietest_first(3 * RUNS, &[2, 8], in_core);
+    let (t2, t8) = (runs[0][0].stats.total, runs[1][0].stats.total);
     assert!(t8 < t2, "8 nodes ({t8:?}) must beat 2 nodes ({t2:?})");
     let speedup = t2.as_secs_f64() / t8.as_secs_f64();
     assert!(

@@ -1,5 +1,5 @@
-//! The virtual clock: every node's worker, stepped on one thread in
-//! virtual-time order.
+//! The virtual clock: every node's worker, stepped in virtual-time order
+//! by one thread, with handlers running on helper threads.
 //!
 //! This engine runs the same worker loop as the live one (`worker.rs`):
 //! handlers run, objects serialize, frames are encoded and decoded, Safra's
@@ -29,15 +29,30 @@
 //!   or reliable-layer timer; one that steals (or has loads queued) also
 //!   wakes every `POLL_WAIT`, so its empty polls count as they do live.
 //!
-//! One event heap holds every arrival and wake-up; same-time ties break in
+//! One event heap holds every arrival and wake-up. Same-time ties break in
 //! creation order, or in a seeded permutation of it
-//! ([`DesRuntime::set_schedule_seed`]). Virtual time persists from one run
-//! to the next, as the runtime's cores and stores do. The reported quantities (per-PE speed, overheads,
+//! ([`DesRuntime::set_schedule_seed`]): an event's key is where it was
+//! created — the pop index of the event being handled and its rank among
+//! that event's pushes — so a push has the same key whenever it physically
+//! happens.
+//!
+//! **Handlers on real cores.** Under `deterministic_compute` without a
+//! net-fault plan a handler's charge is known before it runs, and its
+//! effects reach no other node before its end, `start + charge`. So it
+//! runs on a helper thread while the node's clock and next turn move to
+//! the end; it *lands* (effects carried out under the push context it left
+//! in) just before the first event at or after its end, and other nodes
+//! run meanwhile. The pop order, so every result, is that of running in
+//! place. Net-fault runs run in place: a landing node's sends would move
+//! the frame maps other nodes' loss checks read.
+//!
+//! Virtual time persists from one run to the next, as the runtime's cores
+//! and stores do. The reported quantities (per-PE speed, overheads,
 //! comp/comm/disk shares, overlap) have the meaning of the paper's cluster
 //! measurements — the substitution required because this reproduction
 //! runs on a small host (see DESIGN.md).
 
-use crate::compute::{ParallelReport, SequentialBackend};
+use crate::compute::{ParallelReport, SequentialBackend, TaskBackend};
 use crate::config::{MrtsConfig, NetModel};
 use crate::fault::MrtsError;
 use crate::ids::NodeId;
@@ -46,14 +61,18 @@ use crate::replay::Decision;
 use crate::runtime::{hooks::Hooks, Engine, Runtime};
 use crate::spill_io::{open_stores, BufferPool, SharedStore};
 use crate::stats::{NodeStats, RunStats};
-use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, Wire, Worker};
+use crate::worker::{Due, Gateway, IoDone, IoReq, Job, NetLayer, Ran, Recv, Wire, Worker};
 use armci_sim::ActiveMessage;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+#[cfg(test)]
+mod tests;
 
 /// The virtual-time MRTS runtime: [`Runtime`] on the [`Des`] engine.
 pub type DesRuntime = Runtime<Des>;
@@ -69,16 +88,22 @@ enum Arrival {
     Wake,
 }
 
+/// Where an event was created: the pop index of the event being handled
+/// (0 before the first pop) and its rank among that event's pushes.
+type Origin = (u64, u32);
+
 struct Event {
     at: Duration,
-    seq: u64,
+    /// Same-time tie-break: the seeded permutation of `origin` (0 without
+    /// a seed), then `origin` itself, which no other event shares.
+    key: (u64, Origin),
     node: NodeId,
     what: Arrival,
 }
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+        (self.at, self.key) == (other.at, other.key)
     }
 }
 impl Eq for Event {}
@@ -89,14 +114,17 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        (self.at, self.key).cmp(&(other.at, other.key))
     }
 }
 
 /// The virtual cluster every node's gateway shares.
 struct World {
     events: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
+    /// Events popped so far.
+    pops: u64,
+    /// The origin of the next push.
+    origin: Origin,
     schedule_seed: Option<u64>,
     /// Per node: its worker's clock.
     clock: Vec<Duration>,
@@ -118,24 +146,63 @@ struct World {
     slot: HashMap<Key, Duration>,
     /// Per node: killed by the net-fault plan.
     dead: Vec<bool>,
+    /// Handlers handed off to helper threads, one per node at most: each
+    /// lands before the first event at or after its `end`, and its pushes
+    /// go on from its `origin`.
+    flights: Vec<(Duration, NodeId, Origin)>,
 }
 
 impl World {
+    fn new(n: usize, start: Duration, io_threads: usize, schedule_seed: Option<u64>) -> World {
+        World {
+            events: BinaryHeap::new(),
+            pops: 0,
+            origin: (0, 0),
+            schedule_seed,
+            clock: vec![start; n],
+            wake: vec![None; n],
+            frames: (0..n).map(|_| VecDeque::new()).collect(),
+            done: (0..n).map(|_| VecDeque::new()).collect(),
+            disk_free: vec![vec![start; io_threads]; n],
+            edge: HashMap::new(),
+            on_wire: HashMap::new(),
+            slot: HashMap::new(),
+            dead: vec![false; n],
+            flights: Vec::new(),
+        }
+    }
+
     fn push(&mut self, at: Duration, node: NodeId, what: Arrival) {
-        let raw = self.next_seq;
-        self.next_seq += 1;
-        // The bijection keeps sequence numbers unique, so permuting them
-        // only reshuffles same-timestamp ties, never drops an event.
-        let seq = match self.schedule_seed {
-            Some(s) => crate::audit::mix64(s ^ raw),
-            None => raw,
-        };
+        let origin = self.origin;
+        self.origin.1 += 1;
+        // A bijection of the packed origin: a seed only reshuffles ties,
+        // and the origin breaks the rare collision of the packing.
+        let packed = origin.0 << 32 | u64::from(origin.1);
+        let tie = self
+            .schedule_seed
+            .map_or(0, |s| crate::audit::mix64(s ^ packed));
         self.events.push(Reverse(Event {
             at,
-            seq,
+            key: (tie, origin),
             node,
             what,
         }));
+    }
+
+    /// The next event; what handling it pushes gets a fresh origin.
+    fn pop(&mut self) -> Option<Event> {
+        self.pops += 1;
+        self.origin = (self.pops, 0);
+        self.events.pop().map(|Reverse(ev)| ev)
+    }
+
+    /// The handed-off handler to land before the next event: the earliest
+    /// ending, if it ends at or before that event (or no event is left).
+    fn landing(&mut self) -> Option<(Duration, NodeId, Origin)> {
+        let (k, &(end, ..)) = self.flights.iter().enumerate().min_by_key(|&(_, f)| f)?;
+        let next = self.events.peek().map(|Reverse(ev)| ev.at);
+        next.is_none_or(|at| end <= at)
+            .then(|| self.flights.swap_remove(k))
     }
 
     /// Give `node` a turn at `at` (or when its clock gets there), unless
@@ -182,6 +249,11 @@ struct Sim {
     /// resident set ~8 % for ~12 % more pool hits.)
     pool: BufferPool,
     cfg: MrtsConfig,
+    /// The run's helper threads, when handlers may be handed off.
+    helpers: Option<Arc<Helpers>>,
+    /// The charge of this node's handler in flight, booked on its clock
+    /// when it was handed off.
+    prepaid: Option<Duration>,
 }
 
 impl Sim {
@@ -345,8 +417,30 @@ impl Gateway for Sim {
         }
     }
 
-    /// The handler's cost, added to the node's clock.
+    /// With helpers, the charge is known up front: the clock moves to the
+    /// handler's end now, the node's next turn is reserved there, and the
+    /// handler runs on a helper until it lands (see the module docs).
+    fn execute(&mut self, job: Job, backend: &mut dyn TaskBackend) -> Option<Ran> {
+        let Some(helpers) = &self.helpers else {
+            return Some(job.run(backend));
+        };
+        let cost = self.cost(Duration::ZERO, job.bytes());
+        let (i, mut w) = (self.node as usize, self.world.borrow_mut());
+        w.clock[i] += cost;
+        let (end, origin) = (w.clock[i], w.origin);
+        w.wake[i] = Some(end);
+        w.flights.push((end, self.node, origin));
+        self.prepaid = Some(cost);
+        helpers.submit(self.node, job);
+        None
+    }
+
+    /// The handler's cost, added to the node's clock (at hand-off, for a
+    /// handler that ran on a helper).
     fn charge(&mut self, wall: Duration, bytes: usize, tasks: &[ParallelReport]) -> Duration {
+        if let Some(cost) = self.prepaid.take() {
+            return cost;
+        }
         let cost = if self.cfg.deterministic_compute || tasks.is_empty() {
             self.cost(wall, bytes)
         } else {
@@ -408,96 +502,46 @@ impl DesRuntime {
         self.engine.schedule_seed = seed;
     }
 
-    /// Step every node's worker in virtual-time order until all have
-    /// stopped: after Safra's termination, or once a failing node's exit
-    /// reached everyone.
+    /// Run every node's worker in virtual time (see [`step_all`]), handing
+    /// handlers off to helper threads when their charge is known up front.
     fn run_virtual(&mut self) -> Result<RunStats, MrtsError> {
         let n = self.cfg.nodes;
-        let start = self.engine.now;
         let registry = Arc::new(std::mem::take(&mut self.registry));
-        let world = Rc::new(RefCell::new(World {
-            events: BinaryHeap::new(),
-            next_seq: 0,
-            schedule_seed: self.engine.schedule_seed,
-            clock: vec![start; n],
-            wake: vec![None; n],
-            frames: (0..n).map(|_| VecDeque::new()).collect(),
-            done: (0..n).map(|_| VecDeque::new()).collect(),
-            disk_free: vec![vec![start; self.cfg.io_threads]; n],
-            edge: HashMap::new(),
-            on_wire: HashMap::new(),
-            slot: HashMap::new(),
-            dead: vec![false; n],
-        }));
-        let cfg = self.cfg.clone();
-        let sim = |i: usize, store: &SharedStore| Sim {
-            node: i as NodeId,
-            world: world.clone(),
-            store: store.clone(),
-            registry: registry.clone(),
-            pool: BufferPool::new(1),
-            cfg: cfg.clone(),
-        };
-        let workers = self.workers(&registry, |_| Box::new(SequentialBackend), sim);
-        let mut workers: Vec<_> = workers.into_iter().map(Some).collect();
-        for i in 0..n {
-            world.borrow_mut().wake_at(i as NodeId, start);
-        }
-        let mut results = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let mut running = n;
-        while running > 0 {
-            let ev = world.borrow_mut().events.pop();
-            let Reverse(ev) = ev.unwrap_or_else(|| {
-                panic!("virtual-time run stalled: {running} workers wait on nothing scheduled")
-            });
-            let i = ev.node as usize;
-            let Some(w) = workers[i].as_mut() else {
-                continue; // it stopped; what still arrives is dropped
-            };
-            let turn = {
-                let mut world = world.borrow_mut();
-                match ev.what {
-                    // An arrival wakes its worker (now, or when its clock
-                    // gets there).
-                    Arrival::Frame(am) => {
-                        world.frames[i].push_back(am);
-                        world.wake_at(ev.node, ev.at);
-                        false
-                    }
-                    Arrival::Done(done) => {
-                        world.done[i].push_back(done);
-                        world.wake_at(ev.node, ev.at);
-                        false
-                    }
-                    Arrival::Wake if world.wake[i] == Some(ev.at) => {
-                        world.wake[i] = None;
-                        world.clock[i] = world.clock[i].max(ev.at);
-                        true
-                    }
-                    Arrival::Wake => false, // superseded by a sooner turn
-                }
-            };
-            if !turn {
-                continue;
+        let (start, seed) = (self.engine.now, self.engine.schedule_seed);
+        let world = World::new(n, start, self.cfg.io_threads, seed);
+        let world = Rc::new(RefCell::new(world));
+        let results = std::thread::scope(|s| {
+            let count = helper_count(&self.cfg);
+            let helpers = (count > 0).then(|| Arc::new(Helpers::default()));
+            // Closed on the way out, unwinding too: the scope then joins
+            // helpers that are done instead of waiting for jobs forever.
+            let _close = helpers.clone().map(Close);
+            for t in 0..count {
+                let helpers = helpers.clone().expect("a pool for its helpers");
+                let thread = std::thread::Builder::new().name(format!("mrts-des-{t}"));
+                // The stack the calling thread would have given a handler.
+                let thread = thread.stack_size(8 << 20);
+                (thread.spawn_scoped(s, move || helpers.serve())).expect("spawn a helper thread");
             }
-            if w.turn() {
-                if let Some(at) = w.next_turn() {
-                    world.borrow_mut().wake_at(ev.node, at);
-                }
-            } else {
-                results[i] = workers[i].take().map(Worker::finish);
-                running -= 1;
-            }
-        }
+            let cfg = self.cfg.clone();
+            let sim = |i: usize, store: &SharedStore| Sim {
+                node: i as NodeId,
+                world: world.clone(),
+                store: store.clone(),
+                registry: registry.clone(),
+                pool: BufferPool::new(1),
+                cfg: cfg.clone(),
+                helpers: helpers.clone(),
+                prepaid: None,
+            };
+            let workers = self.workers(&registry, |_| Box::new(SequentialBackend), sim);
+            step_all(&world, workers, helpers.as_deref())
+        });
         let end = world.borrow().end();
         self.engine.now = end;
         self.registry =
             Arc::try_unwrap(registry).unwrap_or_else(|_| panic!("registry still shared"));
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every worker stopped"));
-        if let Some(err) = self.collect(results.collect(), |_, _| {}) {
+        if let Some(err) = self.collect(results, |_, _| {}) {
             return Err(err);
         }
         let nodes = (self.cores.iter())
@@ -516,5 +560,182 @@ impl DesRuntime {
             // busy-time excess, not handler time with I/O in flight.
             measured_overlap: false,
         })
+    }
+}
+
+/// Step every node's worker in virtual-time order until all have stopped:
+/// after Safra's termination, or once a failing node's exit reached
+/// everyone. Before each event, every handed-off handler that ends at or
+/// before it lands.
+fn step_all(
+    world: &RefCell<World>,
+    workers: Vec<Worker<Sim>>,
+    helpers: Option<&Helpers>,
+) -> Vec<crate::worker::WorkerResult> {
+    let n = workers.len();
+    let mut workers: Vec<_> = workers.into_iter().map(Some).collect();
+    // Every node's first turn, at its clock: the run's start.
+    (0..n).for_each(|i| world.borrow_mut().wake_at(i as NodeId, Duration::ZERO));
+    let mut results: Vec<_> = (0..n).map(|_| None).collect();
+    let mut running = n;
+    // (A closure, so that its borrow ends before a landing runs.)
+    let landing = || world.borrow_mut().landing();
+    while running > 0 {
+        while let Some((_, node, origin)) = landing() {
+            let ran = helpers.expect("only helpers take handlers").take(node);
+            let i = node as usize;
+            let mut w = world.borrow_mut();
+            (w.origin, w.wake[i]) = (origin, None);
+            drop(w);
+            let w = workers[i].as_mut().expect("a running worker");
+            w.land(ran);
+            schedule(world, w);
+        }
+        let ev = world.borrow_mut().pop();
+        let ev = ev.unwrap_or_else(|| {
+            panic!("virtual-time run stalled: {running} workers wait on nothing scheduled")
+        });
+        let i = ev.node as usize;
+        let Some(w) = workers[i].as_mut() else {
+            continue; // it stopped; what still arrives is dropped
+        };
+        let turn = {
+            let mut world = world.borrow_mut();
+            match ev.what {
+                // An arrival wakes its worker (now, or when its clock
+                // gets there).
+                Arrival::Frame(am) => {
+                    world.frames[i].push_back(am);
+                    world.wake_at(ev.node, ev.at);
+                    false
+                }
+                Arrival::Done(done) => {
+                    world.done[i].push_back(done);
+                    world.wake_at(ev.node, ev.at);
+                    false
+                }
+                Arrival::Wake if world.wake[i] == Some(ev.at) => {
+                    world.wake[i] = None;
+                    world.clock[i] = world.clock[i].max(ev.at);
+                    true
+                }
+                Arrival::Wake => false, // superseded by a sooner turn
+            }
+        };
+        if !turn {
+            continue;
+        }
+        if !w.turn() {
+            results[i] = workers[i].take().map(Worker::finish);
+            running -= 1;
+        } else if w.gate.prepaid.is_none() {
+            // (A handed-off handler's landing schedules its next turn.)
+            schedule(world, w);
+        }
+    }
+    (results.into_iter())
+        .map(|r| r.expect("every worker stopped"))
+        .collect()
+}
+
+/// Give `w` its next turn when it asks for one.
+fn schedule(world: &RefCell<World>, w: &Worker<Sim>) {
+    if let Some(at) = w.next_turn() {
+        world.borrow_mut().wake_at(w.gate.node, at);
+    }
+}
+
+/// How many helper threads a run gets: one per core beyond the calling
+/// thread's, one per node beyond the first at most, and none unless every
+/// handler's charge is known before it runs.
+fn helper_count(cfg: &MrtsConfig) -> usize {
+    if !cfg.deterministic_compute || cfg.net_fault.is_some() {
+        return 0;
+    }
+    #[cfg(test)]
+    if let Some(n) = tests::HELPERS.with(std::cell::Cell::get) {
+        return n;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    (cores - 1).min(cfg.nodes - 1)
+}
+
+/// The helper threads' queue of handed-off handlers, and what they ran.
+#[derive(Default)]
+struct Helpers {
+    jobs: Mutex<Jobs>,
+    /// A job was queued or ran, or the pool closed.
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<(NodeId, Job)>,
+    /// Finished jobs by node, or the panic one ended in.
+    ran: Vec<(NodeId, std::thread::Result<Ran>)>,
+    closed: bool,
+}
+
+impl Helpers {
+    fn lock(&self) -> MutexGuard<'_, Jobs> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn submit(&self, node: NodeId, job: Job) {
+        self.lock().queue.push_back((node, job));
+        self.cv.notify_all();
+    }
+
+    /// A helper's loop: run queued jobs until the pool closes. A panic is
+    /// kept for the main thread, which resumes it when the job lands.
+    fn serve(&self) {
+        let mut jobs = self.lock();
+        while !jobs.closed {
+            let Some((node, job)) = jobs.queue.pop_front() else {
+                jobs = self.cv.wait(jobs).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(jobs);
+            let ran = catch_unwind(AssertUnwindSafe(|| job.run(&mut SequentialBackend)));
+            jobs = self.lock();
+            jobs.ran.push((node, ran));
+            self.cv.notify_all();
+        }
+    }
+
+    /// `node`'s job, run. The main thread runs it itself if no helper has
+    /// taken it yet, and while a helper runs it, runs other queued jobs.
+    fn take(&self, node: NodeId) -> Ran {
+        let mut jobs = self.lock();
+        loop {
+            if let Some(k) = jobs.ran.iter().position(|&(n, _)| n == node) {
+                let (_, ran) = jobs.ran.swap_remove(k);
+                drop(jobs);
+                return ran.unwrap_or_else(|panic| resume_unwind(panic));
+            }
+            let own = jobs.queue.iter().position(|&(n, _)| n == node);
+            let next = own.or((!jobs.queue.is_empty()).then_some(0));
+            let Some((n, job)) = next.and_then(|k| jobs.queue.remove(k)) else {
+                jobs = self.cv.wait(jobs).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(jobs);
+            let ran = job.run(&mut SequentialBackend);
+            if n == node {
+                return ran;
+            }
+            jobs = self.lock();
+            jobs.ran.push((n, Ok(ran)));
+        }
+    }
+}
+
+/// Closes the helpers' pool when dropped.
+struct Close(Arc<Helpers>);
+
+impl Drop for Close {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.cv.notify_all();
     }
 }

@@ -4,7 +4,7 @@
 //! handlers, create mobile objects, pin them, post messages, run to
 //! quiescence, read the results back, checkpoint and restore. All of that
 //! is written once, here. The engine `E` supplies the clock and nothing
-//! else — [`crate::des::Des`] (virtual time, one host thread) or
+//! else — [`crate::des::Des`] (virtual time, one stepping thread) or
 //! [`crate::threaded::Threads`] (wall time, one OS thread per node): its
 //! spill stores, and how a run steps the workers `Runtime::workers`
 //! builds.

@@ -22,25 +22,30 @@
 //!   work remaining was masked by computation.
 //!
 //! Every input whose answer depends on time — the next fabric frame, the
-//! next I/O completion, the due reliable-layer timers, the clock itself and
-//! what a handler costs — comes through one [`Gateway`]. Three implement
-//! it: the live gateway (`threaded.rs`: an OS thread per worker, an I/O
-//! thread pool, the wall clock, recording), the virtual one (`des.rs`: one
-//! event heap steps every worker on one thread in virtual-time order) and
-//! the replayed one (`replay.rs`: a recorded log answers, one thread steps
-//! every worker). The worker acts on every answer with the same code under
-//! all three.
+//! next I/O completion, the due reliable-layer timers, the clock itself,
+//! what a handler costs and when its effects come back — comes through one
+//! [`Gateway`]. Three implement it: the live gateway (`threaded.rs`: an OS
+//! thread per worker, an I/O thread pool, the wall clock, recording), the
+//! virtual one (`des.rs`: one event heap steps every worker in virtual-time
+//! order, and a handler whose cost is known up front runs on a helper
+//! thread and lands at its virtual end) and the replayed one (`replay.rs`:
+//! a recorded log answers, one thread steps every worker). A handler is
+//! started ([`Job`]) and landed ([`Worker::land`]) in two parts, so its
+//! effects are one more gateway answer ([`Gateway::execute`]); the live and
+//! replayed gateways run it in place. The worker acts on every answer with
+//! the same code under all three.
 
 #[allow(unused_imports)]
 use crate::audit::{audit_emit, RuntimeEvent};
 use crate::compute::{ParallelReport, TaskBackend};
 use crate::config::MrtsConfig;
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Effect};
 use crate::fault::{MrtsError, ENGINE_RETRY};
 use crate::ids::{NodeId, ObjectId};
+use crate::msg::Message;
 use crate::netfault::{NetFaultKind, NetFaultPlan};
 use crate::node::{IoCmd, NetMsg, NodeCore, State};
-use crate::object::{MobileObject, Registry};
+use crate::object::{HandlerFn, MobileObject, Registry};
 use crate::relnet::{ReliableReceiver, ReliableSender, RingStep, Safra, TimerAction};
 use crate::replay::Decision;
 use crate::sched::VictimCursor;
@@ -142,6 +147,51 @@ pub(crate) enum Due {
     Timer(NodeId, u64),
 }
 
+/// A handler taken off its object's queue with all it touches (object,
+/// message, the node's next object id): it runs on any thread
+/// ([`Job::run`]), and what it did lands on its worker ([`Worker::land`]).
+pub(crate) struct Job {
+    node: NodeId,
+    oid: ObjectId,
+    obj: Box<dyn MobileObject>,
+    old_footprint: usize,
+    msg: Message,
+    handler: HandlerFn,
+    next_seq: u64,
+}
+
+/// A job that ran, with what its handler did, not yet applied.
+pub(crate) struct Ran {
+    job: Job,
+    wall: Duration,
+    effects: Vec<Effect>,
+    tasks: Vec<ParallelReport>,
+}
+
+impl Job {
+    /// The payload bytes the handler processes (what a deterministic
+    /// charge is made of).
+    pub(crate) fn bytes(&self) -> usize {
+        self.msg.payload.len()
+    }
+
+    /// Run the handler, its child tasks on `backend`.
+    pub(crate) fn run(mut self, backend: &mut dyn TaskBackend) -> Ran {
+        let src = *self.msg.route.first().unwrap_or(&self.node);
+        let mut ctx = Ctx::new(self.node, self.msg.to, src, &mut self.next_seq, backend);
+        let t0 = Instant::now();
+        (self.handler)(self.obj.as_mut(), &mut ctx, &self.msg.payload);
+        let wall = t0.elapsed();
+        let (effects, tasks) = (ctx.effects, ctx.parallel_reports);
+        Ran {
+            job: self,
+            wall,
+            effects,
+            tasks,
+        }
+    }
+}
+
 /// A gateway's answer to "which fabric frame is next".
 pub(crate) enum Recv {
     Frame(ActiveMessage),
@@ -179,6 +229,12 @@ pub(crate) trait Gateway {
     /// long without its sequence number, whatever the fault plan does to
     /// its transmissions.
     fn sent(&mut self, _dest: NodeId, _seq: u64, _bytes: usize) {}
+    /// Run one handler. By default here and now; `None` means it runs
+    /// elsewhere and the engine lands it later ([`Worker::land`]), before
+    /// anything can observe its effects.
+    fn execute(&mut self, job: Job, backend: &mut dyn TaskBackend) -> Option<Ran> {
+        Some(job.run(backend))
+    }
     /// The compute time to book for a stretch of work measured at `wall`
     /// that processed `bytes` bytes, with its child-task batches `tasks`.
     /// On the wall clock, `wall` itself: child tasks ran on the node's
@@ -984,12 +1040,12 @@ impl<G: Gateway> Worker<G> {
 
     // ----- handler execution -----------------------------------------------------
 
-    /// Execute one queued message of one ready object. Returns false if no
-    /// work was available.
+    /// Start one queued message of one ready object, to land now or (run
+    /// elsewhere by the gateway) later. Returns false if no work was ready.
     fn step(&mut self) -> bool {
         // Entries gone stale since they were queued (evicted, migrated,
         // drained through an earlier entry) are skipped.
-        let (oid, (mut obj, old_footprint, msg)) = loop {
+        let (oid, (obj, old_footprint, msg)) = loop {
             let Some(oid) = self.ready.pop_front() else {
                 return false;
             };
@@ -998,37 +1054,44 @@ impl<G: Gateway> Worker<G> {
             }
         };
         self.race_access(oid);
+        let job = Job {
+            node: self.node,
+            oid,
+            obj,
+            old_footprint,
+            handler: self.registry.handler(msg.handler),
+            msg,
+            next_seq: self.next_obj_seq,
+        };
+        if let Some(ran) = self.gate.execute(job, self.backend.as_mut()) {
+            self.land(ran);
+        }
+        true
+    }
 
-        let handler = self.registry.handler(msg.handler);
-        let src = *msg.route.first().unwrap_or(&self.node);
-        let mut next_seq = self.next_obj_seq;
-        let mut ctx = Ctx::new(self.node, msg.to, src, &mut next_seq, self.backend.as_mut());
-        let t0 = Instant::now();
-        handler(obj.as_mut(), &mut ctx, &msg.payload);
-        let wall = t0.elapsed();
-        let effects = std::mem::take(&mut ctx.effects);
-        let tasks = std::mem::take(&mut ctx.parallel_reports);
-        drop(ctx);
-        let dur = self.gate.charge(wall, msg.payload.len(), &tasks);
+    /// Apply what a handler did: charge it, put its object back, carry out
+    /// its effects, then enforce the budget.
+    pub(crate) fn land(&mut self, ran: Ran) {
+        let dur = self.gate.charge(ran.wall, ran.job.bytes(), &ran.tasks);
         self.core.stats.comp += dur;
         // Handler time with storage ops in flight is I/O–compute overlap
         // (the paper's headline quantity).
         if self.outstanding_io > 0 {
             self.core.stats.overlapped += dur;
         }
-        self.next_obj_seq = next_seq;
-        self.core.finish_handler(oid, obj, old_footprint, &effects);
-        if !self.core.entry(oid).queue.is_empty() {
-            self.ready.push_back(oid);
+        let job = ran.job;
+        self.next_obj_seq = job.next_seq;
+        (self.core).finish_handler(job.oid, job.obj, job.old_footprint, &ran.effects);
+        if !self.core.entry(job.oid).queue.is_empty() {
+            self.ready.push_back(job.oid);
         }
-        self.core.apply_effects(effects);
+        self.core.apply_effects(ran.effects);
         self.carry_out();
         // Hard budget enforcement (handlers grow objects in place), then
         // advisory soft-threshold swapping.
         self.core.enforce_budget(None);
         self.core.soft_swap();
         self.flush_io();
-        true
     }
 
     // ----- work stealing ----------------------------------------------------
@@ -1224,7 +1287,7 @@ impl<G: Gateway> Worker<G> {
         self.core.pump_loads(!self.ready.is_empty());
         self.flush_io();
         self.maybe_probe();
-        // 5. Execute one handler.
+        // 5. Start one handler.
         if self.step() {
             // Local progress re-arms the steal heuristics.
             self.empty_polls = 0;

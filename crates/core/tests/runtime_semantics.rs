@@ -384,10 +384,11 @@ fn des_is_deterministic() {
 /// handler leaves the sum — the batch's serial time — in the cell, while
 /// the engine's charge for the same batch is the run's virtual total. A
 /// loaded machine stretches both alike, so the ratio survives sibling
-/// tests occupying the cores; and a task runs for about a millisecond, so
-/// one descheduling of one task (which list scheduling cannot spread over
-/// the other cores) would have to last a third of the whole 64-task batch
-/// to pull the ratio under 2.
+/// tests occupying the cores; and a task spins for a millisecond of wall
+/// time, whatever the build's optimization level, so one descheduling of
+/// one task (which list scheduling cannot spread over the other cores)
+/// would have to last a third of the whole 64-task batch to pull the
+/// ratio under 2.
 #[test]
 fn des_parallel_tasks_speed_up_with_cores() {
     const TASKS: u64 = 64;
@@ -399,10 +400,10 @@ fn des_parallel_tasks_speed_up_with_cores() {
                 let t: mrts::compute::Task = Box::new(move || {
                     let t0 = std::time::Instant::now();
                     let mut acc = i;
-                    for k in 0..100_000u64 {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+                    while t0.elapsed() < Duration::from_millis(1) {
+                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        std::hint::black_box(acc);
                     }
-                    std::hint::black_box(acc);
                     *serial.lock().unwrap() += t0.elapsed();
                 });
                 t

@@ -17,11 +17,10 @@
 // Runtime code says why a value cannot be absent (`.expect`); tests unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Index of a simulated node.
@@ -45,6 +44,14 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
+    /// A 2000s-era cluster interconnect (in line with SciClone/STEMS).
+    pub fn cluster() -> Self {
+        NetworkModel {
+            latency: Duration::from_micros(50),
+            bandwidth: 100e6,
+        }
+    }
+
     /// Zero latency, infinite bandwidth: messages are visible immediately.
     pub fn instant() -> Self {
         NetworkModel {
@@ -88,13 +95,19 @@ impl Ord for TimedMsg {
 }
 
 // Every lock in this file is a leaf: each hold is one block that takes no
-// other lock and sends nothing.
+// other lock and sends nothing. A poisoned lock still hands out its guard.
 
 #[derive(Default)]
 struct Inbox {
     /// Leaf lock.
     heap: Mutex<BinaryHeap<Reverse<TimedMsg>>>,
     cond: Condvar,
+}
+
+impl Inbox {
+    fn lock(&self) -> MutexGuard<'_, BinaryHeap<Reverse<TimedMsg>>> {
+        self.heap.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 struct Shared {
@@ -136,18 +149,6 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    /// This endpoint's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Number of nodes in the fabric.
-    pub fn num_nodes(&self) -> usize {
-        self.shared.n
-    }
-
-    // ----- active messages ------------------------------------------------
-
     /// One-sided send: the receiver needs no matching receive call; the
     /// message becomes visible after the network model's delay.
     pub fn am_send(&mut self, dest: NodeId, handler: u32, payload: Vec<u8>) {
@@ -155,7 +156,7 @@ impl Endpoint {
         let deliver_at = Instant::now() + self.shared.model.transfer_time(payload.len());
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
         let inbox = &self.shared.inboxes[dest as usize];
-        inbox.heap.lock().push(Reverse(TimedMsg {
+        inbox.lock().push(Reverse(TimedMsg {
             deliver_at,
             seq,
             msg: ActiveMessage {
@@ -170,7 +171,7 @@ impl Endpoint {
     /// Non-blocking receive of the next ripe message.
     pub fn try_recv(&mut self) -> Option<ActiveMessage> {
         let inbox = &self.shared.inboxes[self.node as usize];
-        let mut heap = inbox.heap.lock();
+        let mut heap = inbox.lock();
         if let Some(Reverse(top)) = heap.peek() {
             if top.deliver_at <= Instant::now() {
                 return Some(heap.pop().expect("peek() just returned this entry").0.msg);
@@ -183,36 +184,27 @@ impl Endpoint {
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<ActiveMessage> {
         let deadline = Instant::now() + timeout;
         let inbox = &self.shared.inboxes[self.node as usize];
-        let mut heap = inbox.heap.lock();
+        let mut heap = inbox.lock();
         loop {
             let now = Instant::now();
-            if let Some(Reverse(top)) = heap.peek() {
-                if top.deliver_at <= now {
+            match heap.peek() {
+                Some(Reverse(top)) if top.deliver_at <= now => {
                     return Some(heap.pop().expect("peek() just returned this entry").0.msg);
                 }
+                _ if now >= deadline => return None,
                 // Wait until the head ripens or the deadline passes.
-                let wake = top.deliver_at.min(deadline);
-                if wake <= now {
-                    return None;
+                top => {
+                    let wake = top.map_or(deadline, |Reverse(t)| t.deliver_at.min(deadline));
+                    let waited = inbox.cond.wait_timeout(heap, wake - now);
+                    heap = waited.unwrap_or_else(PoisonError::into_inner).0;
                 }
-                inbox.cond.wait_until(&mut heap, wake);
-            } else {
-                if now >= deadline {
-                    return None;
-                }
-                inbox.cond.wait_until(&mut heap, deadline);
-            }
-            if Instant::now() >= deadline
-                && heap.peek().is_none_or(|Reverse(t)| t.deliver_at > deadline)
-            {
-                return None;
             }
         }
     }
 
     /// Number of queued (possibly not yet ripe) messages.
     pub fn pending(&self) -> usize {
-        self.shared.inboxes[self.node as usize].heap.lock().len()
+        self.shared.inboxes[self.node as usize].lock().len()
     }
 }
 

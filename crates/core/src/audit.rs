@@ -61,6 +61,7 @@
 //! that does not hold the object, …), so the model never desynchronizes.
 
 use crate::ids::{NodeId, ObjectId};
+use crate::lock;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Mutex;
 
@@ -417,10 +418,6 @@ pub struct InvariantChecker {
     /// Forward-streak cap backstopping cycle detection (invariant 5).
     forward_streak_limit: u32,
     state: Mutex<CheckState>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl InvariantChecker {

@@ -7,17 +7,22 @@
 //!
 //! * [`TaskBackend`] — the uniform interface: run a batch of tasks to
 //!   completion, reporting per-task durations;
-//! * [`WorkStealingPool`] — TBB-like: per-worker Chase–Lev deques with
-//!   stealing (via `crossbeam-deque`);
-//! * [`FifoPool`] — GCD-like: a single global FIFO queue;
+//! * `Pool` — a fixed set of named threads on `std::sync` alone, in one
+//!   of two disciplines. *Stealing*: a deque per thread; its owner takes
+//!   its newest task, an idle thread steals a peer's oldest. *Fifo*: one
+//!   global queue. The live engine's I/O pool is a fifo `Pool` too
+//!   (`threaded.rs`);
+//! * [`WorkStealingPool`] — TBB-like, and [`FifoPool`] — GCD-like: the
+//!   backends over a `Pool` of either discipline;
 //! * [`SequentialBackend`] — runs tasks serially while *measuring* them;
 //!   used by the discrete-event (virtual-time) mode, which converts the
 //!   measurements into a parallel makespan via [`ExecutorKind::makespan`].
 
-use crossbeam_channel as channel;
-use crossbeam_deque::{Injector, Stealer, Worker};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use crate::lock;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A child task spawned by a message handler.
@@ -104,210 +109,190 @@ impl TaskBackend for SequentialBackend {
     }
 }
 
-// ----- work-stealing pool (TBB-like) -----------------------------------------
+// ----- the pool ----------------------------------------------------------------
 
-enum PoolMsg {
-    Run(Task, Arc<AtomicUsize>),
-    Shutdown,
+/// A fixed set of named threads over one `Mutex` of queues and a
+/// `Condvar`, in one of two disciplines (see the module docs). Idle
+/// threads block. Dropping the pool closes it: its threads run what is
+/// still queued, then end, and the drop joins them.
+///
+/// A task should not panic: one that does ends its thread. Whoever must
+/// learn of a panic catches it inside the task, as
+/// [`Pool::run_parallel`] does.
+pub(crate) struct Pool {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// TBB-like pool: a global injector feeding per-worker Chase–Lev deques;
-/// idle workers steal from each other.
-pub struct WorkStealingPool {
-    injector: Arc<Injector<PoolMsg>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    n_workers: usize,
+struct Shared {
+    /// A leaf lock: held to queue or take tasks, never while one runs.
+    queues: Mutex<Queues>,
+    /// A task was queued, or the pool closed.
+    cv: Condvar,
 }
+
+struct Queues {
+    /// Stealing: one deque per thread. Fifo: the one global queue.
+    deques: Vec<VecDeque<Task>>,
+    /// The deque the next queued task goes to: round robin.
+    next: usize,
+    closed: bool,
+}
+
+impl Queues {
+    /// Thread `me`'s next task. One deque (fifo, or stealing on one
+    /// thread) is a queue. Of several, the owner takes its newest task,
+    /// and an idle thread steals the oldest of the first peer that has
+    /// one.
+    fn take(&mut self, me: usize) -> Option<Task> {
+        let n = self.deques.len();
+        if n == 1 {
+            return self.deques[0].pop_front();
+        }
+        (self.deques[me].pop_back())
+            .or_else(|| (1..n).find_map(|k| self.deques[(me + k) % n].pop_front()))
+    }
+}
+
+impl Pool {
+    /// TBB-like: `threads` threads named `<name>-<i>`, a deque each.
+    pub(crate) fn stealing(threads: usize, name: &str) -> Pool {
+        Pool::new(threads, threads, name)
+    }
+
+    /// GCD-like: `threads` threads named `<name>-<i>`, one global queue.
+    pub(crate) fn fifo(threads: usize, name: &str) -> Pool {
+        Pool::new(threads, 1, name)
+    }
+
+    fn new(threads: usize, deques: usize, name: &str) -> Pool {
+        assert!(threads > 0);
+        let shared = Arc::new(Shared {
+            queues: Mutex::new(Queues {
+                deques: (0..deques).map(|_| VecDeque::new()).collect(),
+                next: 0,
+                closed: false,
+            }),
+            cv: Condvar::new(),
+        });
+        let threads = (0..threads)
+            .map(|me| {
+                let shared = shared.clone();
+                let thread = std::thread::Builder::new().name(format!("{name}-{me}"));
+                (thread.spawn(move || shared.serve(me))).expect("spawn pool thread")
+            })
+            .collect();
+        Pool { shared, threads }
+    }
+
+    /// Queue one task.
+    pub(crate) fn spawn(&self, task: Task) {
+        let mut queues = lock(&self.shared.queues);
+        let k = queues.next;
+        queues.next = (k + 1) % queues.deques.len();
+        queues.deques[k].push_back(task);
+        drop(queues);
+        self.shared.cv.notify_one();
+    }
+
+    /// Run all tasks to completion; each reports its duration at its own
+    /// index, in whatever order they finish. A task's panic is resumed
+    /// here once the whole batch has finished.
+    pub(crate) fn run_parallel(&self, tasks: Vec<Task>) -> ParallelReport {
+        let start = Instant::now();
+        let n = tasks.len();
+        let (tx, rx) = mpsc::channel();
+        for (i, task) in tasks.into_iter().enumerate() {
+            let tx = tx.clone();
+            self.spawn(Box::new(move || {
+                let t0 = Instant::now();
+                let ran = catch_unwind(AssertUnwindSafe(task)).map(|()| t0.elapsed());
+                tx.send((i, ran)).ok();
+            }));
+        }
+        drop(tx);
+        let (mut durations, mut panic) = (vec![Duration::ZERO; n], None);
+        for (i, ran) in rx {
+            match ran {
+                Ok(d) => durations[i] = d,
+                Err(p) => panic = panic.or(Some(p)),
+            }
+        }
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
+        ParallelReport {
+            durations,
+            wall: start.elapsed(),
+        }
+    }
+}
+
+impl Shared {
+    /// Thread `me`'s loop: run tasks until the pool is closed and empty.
+    fn serve(&self, me: usize) {
+        let mut queues = lock(&self.queues);
+        loop {
+            match queues.take(me) {
+                Some(task) => {
+                    drop(queues);
+                    task();
+                    queues = lock(&self.queues);
+                }
+                None if queues.closed => return,
+                None => queues = self.cv.wait(queues).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        lock(&self.shared.queues).closed = true;
+        self.shared.cv.notify_all();
+        for t in self.threads.drain(..) {
+            t.join().ok();
+        }
+    }
+}
+
+// ----- the two backends ----------------------------------------------------------
+
+/// TBB-like backend: a stealing `Pool`.
+pub struct WorkStealingPool(Pool);
 
 impl WorkStealingPool {
     pub fn new(n_workers: usize) -> Self {
-        assert!(n_workers > 0);
-        let injector: Arc<Injector<PoolMsg>> = Arc::new(Injector::new());
-        let workers: Vec<Worker<PoolMsg>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
-        let stealers: Arc<Vec<Stealer<PoolMsg>>> =
-            Arc::new(workers.iter().map(|w| w.stealer()).collect());
-        let mut handles = Vec::with_capacity(n_workers);
-        for (i, local) in workers.into_iter().enumerate() {
-            let injector = injector.clone();
-            let stealers = stealers.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mrts-ws-{i}"))
-                    .spawn(move || loop {
-                        // Local work, then the injector, then steal.
-                        let job = local.pop().or_else(|| {
-                            std::iter::repeat_with(|| {
-                                injector.steal_batch_and_pop(&local).or_else(|| {
-                                    stealers
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(j, _)| *j != i)
-                                        .map(|(_, s)| s.steal())
-                                        .collect()
-                                })
-                            })
-                            .find(|s| !s.is_retry())
-                            .and_then(|s| s.success())
-                        });
-                        match job {
-                            Some(PoolMsg::Run(task, pending)) => {
-                                task();
-                                pending.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            Some(PoolMsg::Shutdown) => break,
-                            None => std::thread::yield_now(),
-                        }
-                    })
-                    .expect("spawn worker"),
-            );
-        }
-        WorkStealingPool {
-            injector,
-            handles,
-            n_workers,
-        }
-    }
-
-    pub fn workers(&self) -> usize {
-        self.n_workers
+        WorkStealingPool(Pool::stealing(n_workers, "mrts-ws"))
     }
 }
 
 impl TaskBackend for WorkStealingPool {
     fn run_parallel(&mut self, tasks: Vec<Task>) -> ParallelReport {
-        let start = Instant::now();
-        let n = tasks.len();
-        let pending = Arc::new(AtomicUsize::new(n));
-        // Timing is collected via wrapper tasks writing into a shared slot
-        // vector (each task owns its slot: no contention).
-        let slots: Arc<Vec<parking_lot::Mutex<Duration>>> = Arc::new(
-            (0..n)
-                .map(|_| parking_lot::Mutex::new(Duration::ZERO))
-                .collect(),
-        );
-        for (i, task) in tasks.into_iter().enumerate() {
-            let slots = slots.clone();
-            let wrapped: Task = Box::new(move || {
-                let t0 = Instant::now();
-                task();
-                *slots[i].lock() = t0.elapsed();
-            });
-            self.injector.push(PoolMsg::Run(wrapped, pending.clone()));
-        }
-        while pending.load(Ordering::Acquire) > 0 {
-            std::thread::yield_now();
-        }
-        let durations = slots.iter().map(|s| *s.lock()).collect();
-        ParallelReport {
-            durations,
-            wall: start.elapsed(),
-        }
+        self.0.run_parallel(tasks)
     }
 }
 
-impl Drop for WorkStealingPool {
-    fn drop(&mut self) {
-        for _ in 0..self.handles.len() {
-            self.injector.push(PoolMsg::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-// ----- global FIFO pool (GCD-like) -----------------------------------------
-
-/// GCD-like pool: one global FIFO channel that all workers pull from.
-pub struct FifoPool {
-    tx: channel::Sender<PoolMsg>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    n_workers: usize,
-}
+/// GCD-like backend: a fifo `Pool`.
+pub struct FifoPool(Pool);
 
 impl FifoPool {
     pub fn new(n_workers: usize) -> Self {
-        assert!(n_workers > 0);
-        let (tx, rx) = channel::unbounded::<PoolMsg>();
-        let mut handles = Vec::with_capacity(n_workers);
-        for i in 0..n_workers {
-            let rx = rx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mrts-fifo-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            match job {
-                                PoolMsg::Run(task, pending) => {
-                                    task();
-                                    pending.fetch_sub(1, Ordering::AcqRel);
-                                }
-                                PoolMsg::Shutdown => break,
-                            }
-                        }
-                    })
-                    .expect("spawn worker"),
-            );
-        }
-        FifoPool {
-            tx,
-            handles,
-            n_workers,
-        }
-    }
-
-    pub fn workers(&self) -> usize {
-        self.n_workers
+        FifoPool(Pool::fifo(n_workers, "mrts-fifo"))
     }
 }
 
 impl TaskBackend for FifoPool {
     fn run_parallel(&mut self, tasks: Vec<Task>) -> ParallelReport {
-        let start = Instant::now();
-        let n = tasks.len();
-        let pending = Arc::new(AtomicUsize::new(n));
-        let slots: Arc<Vec<parking_lot::Mutex<Duration>>> = Arc::new(
-            (0..n)
-                .map(|_| parking_lot::Mutex::new(Duration::ZERO))
-                .collect(),
-        );
-        for (i, task) in tasks.into_iter().enumerate() {
-            let slots = slots.clone();
-            let wrapped: Task = Box::new(move || {
-                let t0 = Instant::now();
-                task();
-                *slots[i].lock() = t0.elapsed();
-            });
-            self.tx
-                .send(PoolMsg::Run(wrapped, pending.clone()))
-                .expect("pool alive");
-        }
-        while pending.load(Ordering::Acquire) > 0 {
-            std::thread::yield_now();
-        }
-        let durations = slots.iter().map(|s| *s.lock()).collect();
-        ParallelReport {
-            durations,
-            wall: start.elapsed(),
-        }
-    }
-}
-
-impl Drop for FifoPool {
-    fn drop(&mut self) {
-        for _ in 0..self.handles.len() {
-            let _ = self.tx.send(PoolMsg::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.0.run_parallel(tasks)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use crate::within_seconds;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn counting_tasks(n: usize, counter: &Arc<AtomicU64>) -> Vec<Task> {
         (0..n)
@@ -341,7 +326,6 @@ mod tests {
     fn work_stealing_pool_completes_all_tasks() {
         let counter = Arc::new(AtomicU64::new(0));
         let mut pool = WorkStealingPool::new(3);
-        assert_eq!(pool.workers(), 3);
         let rep = pool.run_parallel(counting_tasks(100, &counter));
         assert_eq!(counter.load(Ordering::SeqCst), 100);
         assert_eq!(rep.durations.len(), 100);
@@ -366,6 +350,85 @@ mod tests {
         assert!(rep.durations.is_empty());
         let mut b = SequentialBackend;
         assert!(b.run_parallel(vec![]).durations.is_empty());
+    }
+
+    /// Results arrive out of order; each duration still lands at its
+    /// task's index.
+    #[test]
+    fn run_parallel_reports_each_duration_at_its_index() {
+        for mut pool in [
+            Box::new(WorkStealingPool::new(2)) as Box<dyn TaskBackend>,
+            Box::new(FifoPool::new(2)),
+        ] {
+            let tasks: Vec<Task> = (0..7)
+                .map(|i| {
+                    let ms = if i == 3 { 200 } else { 1 };
+                    Box::new(move || std::thread::sleep(Duration::from_millis(ms))) as Task
+                })
+                .collect();
+            let rep = pool.run_parallel(tasks);
+            assert!(rep.durations[3] >= Duration::from_millis(200), "{rep:?}");
+            for (i, d) in rep.durations.iter().enumerate().filter(|&(i, _)| i != 3) {
+                assert!(*d < Duration::from_millis(150), "task {i} took {d:?}");
+            }
+        }
+    }
+
+    /// A panicking child task fails the batch with its own message, once
+    /// every other task has run, and leaves the pool usable.
+    #[test]
+    fn a_panicking_task_fails_its_batch_and_not_the_pool() {
+        within_seconds(10, || {
+            for mut pool in [
+                Box::new(WorkStealingPool::new(2)) as Box<dyn TaskBackend>,
+                Box::new(FifoPool::new(2)),
+            ] {
+                let counter = Arc::new(AtomicU64::new(0));
+                let mut tasks = counting_tasks(20, &counter);
+                tasks.insert(5, Box::new(|| panic!("child task 5 failed")));
+                let panic = catch_unwind(AssertUnwindSafe(|| pool.run_parallel(tasks)));
+                let panic = panic.expect_err("the batch fails");
+                assert_eq!(panic.downcast_ref(), Some(&"child task 5 failed"));
+                assert_eq!(counter.load(Ordering::SeqCst), 20);
+                pool.run_parallel(counting_tasks(10, &counter));
+                assert_eq!(counter.load(Ordering::SeqCst), 30);
+            }
+        });
+    }
+
+    /// Dropping a pool runs every task still queued before it joins.
+    #[test]
+    fn dropping_a_pool_runs_what_is_queued() {
+        for pool in [Pool::stealing(2, "test-ws"), Pool::fifo(1, "test-fifo")] {
+            let counter = Arc::new(AtomicU64::new(0));
+            for task in counting_tasks(50, &counter) {
+                pool.spawn(task);
+            }
+            drop(pool);
+            assert_eq!(counter.load(Ordering::SeqCst), 50);
+        }
+    }
+
+    /// On two threads, task A waits for task C, and C sits behind A in A's
+    /// thread's deque: only a steal runs C, so without one this hangs.
+    #[test]
+    fn an_idle_thread_steals_a_peers_oldest_task() {
+        within_seconds(10, || {
+            let pool = Pool::stealing(2, "test-steal");
+            let (started_tx, started) = mpsc::channel();
+            let (c_ran_tx, c_ran) = mpsc::channel();
+            let (a_done_tx, a_done) = mpsc::channel();
+            // A goes to thread 0's deque, B to thread 1's, C to thread 0's.
+            pool.spawn(Box::new(move || {
+                started_tx.send(()).unwrap();
+                c_ran.recv().unwrap();
+                a_done_tx.send(()).unwrap();
+            }));
+            started.recv().unwrap();
+            pool.spawn(Box::new(|| {}));
+            pool.spawn(Box::new(move || c_ran_tx.send(()).unwrap()));
+            a_done.recv().unwrap();
+        });
     }
 
     #[test]

@@ -5,40 +5,10 @@ use crate::fault::FaultPlan;
 use crate::netfault::NetFaultPlan;
 use crate::policy::PolicyKind;
 use crate::storage::DiskModel;
-use std::time::Duration;
 
-/// Network model parameters (latency + bandwidth) for inter-node messages.
-#[derive(Clone, Copy, Debug)]
-pub struct NetModel {
-    pub latency: Duration,
-    /// Bytes per second.
-    pub bandwidth: f64,
-}
-
-impl NetModel {
-    /// A 2000s-era cluster interconnect (in line with SciClone/STEMS).
-    pub fn cluster() -> Self {
-        NetModel {
-            latency: Duration::from_micros(50),
-            bandwidth: 100e6,
-        }
-    }
-
-    pub fn instant() -> Self {
-        NetModel {
-            latency: Duration::ZERO,
-            bandwidth: f64::INFINITY,
-        }
-    }
-
-    pub fn transfer_time(&self, bytes: usize) -> Duration {
-        if self.bandwidth.is_finite() && self.bandwidth > 0.0 {
-            self.latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth)
-        } else {
-            self.latency
-        }
-    }
-}
+/// Network model parameters (latency + bandwidth) for inter-node
+/// messages: the fabric's own model.
+pub type NetModel = armci_sim::NetworkModel;
 
 /// Configuration of an MRTS instance.
 #[derive(Clone, Debug)]
@@ -385,15 +355,5 @@ mod tests {
         let bad_kill =
             MrtsConfig::in_core(3).with_net_faults(NetFaultPlan::new(1).with_kill_node(7, 10));
         assert!(bad_kill.validate().is_err());
-    }
-
-    #[test]
-    fn net_model_transfer_time() {
-        let n = NetModel {
-            latency: Duration::from_micros(100),
-            bandwidth: 1e6,
-        };
-        assert!((n.transfer_time(1_000_000).as_secs_f64() - 1.0001).abs() < 1e-9);
-        assert_eq!(NetModel::instant().transfer_time(1 << 20), Duration::ZERO);
     }
 }

@@ -56,6 +56,7 @@ use crate::compute::{ParallelReport, SequentialBackend, TaskBackend};
 use crate::config::{MrtsConfig, NetModel};
 use crate::fault::MrtsError;
 use crate::ids::NodeId;
+use crate::lock;
 use crate::object::Registry;
 use crate::replay::Decision;
 use crate::runtime::{hooks::Hooks, Engine, Runtime};
@@ -68,7 +69,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 #[cfg(test)]
@@ -677,19 +678,15 @@ struct Jobs {
 }
 
 impl Helpers {
-    fn lock(&self) -> MutexGuard<'_, Jobs> {
-        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn submit(&self, node: NodeId, job: Job) {
-        self.lock().queue.push_back((node, job));
+        lock(&self.jobs).queue.push_back((node, job));
         self.cv.notify_all();
     }
 
     /// A helper's loop: run queued jobs until the pool closes. A panic is
     /// kept for the main thread, which resumes it when the job lands.
     fn serve(&self) {
-        let mut jobs = self.lock();
+        let mut jobs = lock(&self.jobs);
         while !jobs.closed {
             let Some((node, job)) = jobs.queue.pop_front() else {
                 jobs = self.cv.wait(jobs).unwrap_or_else(PoisonError::into_inner);
@@ -697,7 +694,7 @@ impl Helpers {
             };
             drop(jobs);
             let ran = catch_unwind(AssertUnwindSafe(|| job.run(&mut SequentialBackend)));
-            jobs = self.lock();
+            jobs = lock(&self.jobs);
             jobs.ran.push((node, ran));
             self.cv.notify_all();
         }
@@ -706,7 +703,7 @@ impl Helpers {
     /// `node`'s job, run. The main thread runs it itself if no helper has
     /// taken it yet, and while a helper runs it, runs other queued jobs.
     fn take(&self, node: NodeId) -> Ran {
-        let mut jobs = self.lock();
+        let mut jobs = lock(&self.jobs);
         loop {
             if let Some(k) = jobs.ran.iter().position(|&(n, _)| n == node) {
                 let (_, ran) = jobs.ran.swap_remove(k);
@@ -724,7 +721,7 @@ impl Helpers {
             if n == node {
                 return ran;
             }
-            jobs = self.lock();
+            jobs = lock(&self.jobs);
             jobs.ran.push((n, Ok(ran)));
         }
     }
@@ -735,7 +732,7 @@ struct Close(Arc<Helpers>);
 
 impl Drop for Close {
     fn drop(&mut self) {
-        self.0.lock().closed = true;
+        lock(&self.0.jobs).closed = true;
         self.0.cv.notify_all();
     }
 }

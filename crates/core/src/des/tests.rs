@@ -7,6 +7,7 @@ use crate::ctx::Ctx;
 use crate::ids::{HandlerId, MobilePtr, ObjectId};
 use crate::object::test_objects::{Counter, COUNTER_TAG};
 use crate::object::MobileObject;
+use crate::within_seconds;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -21,17 +22,6 @@ fn with_helpers<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let out = f();
     HELPERS.with(|h| h.set(None));
     out
-}
-
-/// Run `f` on a thread of its own and wait at most 30 s for it, so a run
-/// that hangs fails its test instead of hanging it.
-fn within_seconds<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || tx.send(catch_unwind(AssertUnwindSafe(f))));
-    match rx.recv_timeout(Duration::from_secs(30)) {
-        Ok(out) => out.unwrap_or_else(|panic| resume_unwind(panic)),
-        Err(_) => panic!("the run hung"),
-    }
 }
 
 fn counter(obj: &mut dyn MobileObject) -> &mut Counter {
@@ -202,7 +192,7 @@ fn fabric_keeps_send_order_and_ties_keep_creation_order() {
 #[test]
 #[should_panic(expected = "handler failed on purpose")]
 fn a_panic_on_a_helper_fails_the_run() {
-    within_seconds(|| {
+    within_seconds(30, || {
         with_helpers(1, || {
             let mut cfg = MrtsConfig::in_core(2);
             cfg.deterministic_compute = true;
@@ -232,7 +222,7 @@ fn h_mark(_: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
 
 #[test]
 fn a_stalled_run_still_reports_after_its_handlers_land() {
-    let panic = within_seconds(|| {
+    let panic = within_seconds(30, || {
         with_helpers(1, || {
             let mut cfg = MrtsConfig::in_core(2);
             cfg.deterministic_compute = true;

@@ -68,6 +68,30 @@ pub mod storage;
 pub mod threaded;
 mod worker;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// `m`'s guard, poisoned or not: a panic under one of the crate's locks
+/// surfaces where it happened, and the next holder carries on.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `f` on a thread of its own and wait at most `secs` for it, so a run
+/// that hangs fails its test instead of hanging it.
+#[cfg(test)]
+pub(crate) fn within_seconds<R: Send + 'static>(
+    secs: u64,
+    f: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(catch_unwind(AssertUnwindSafe(f))));
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(out) => out.unwrap_or_else(|panic| resume_unwind(panic)),
+        Err(_) => panic!("the run hung"),
+    }
+}
+
 /// The commonly used names in one import.
 pub mod prelude {
     pub use crate::audit::{

@@ -66,6 +66,7 @@ use crate::checkpoint::Checkpoint;
 use crate::codec::{PayloadReader, PayloadWriter, Truncated};
 use crate::fault::{MrtsError, RetryPolicy};
 use crate::ids::NodeId;
+use crate::lock;
 use crate::stats::RunStats;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -431,10 +432,6 @@ enum Dispatch {
     Waiting,
     /// Every job is terminal.
     Drained,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The supervisor. See the module docs for the lifecycle; all state

@@ -22,10 +22,11 @@
 use crate::config::MrtsConfig;
 use crate::fault::{is_out_of_space, FaultPlan, FaultReport, FaultyStore, MrtsError, ENGINE_RETRY};
 use crate::ids::{NodeId, ObjectId};
+use crate::lock;
 use crate::object::{MobileObject, Registry};
 use crate::storage::{MemStore, SegmentStore, StorageBackend};
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One node's spill store and its executor, shared by whatever performs
@@ -76,7 +77,7 @@ pub struct SpillIo {
     node: NodeId,
     /// A leaf lock: each hold is one store call and the report drains
     /// after it; no wait happens under it.
-    store: parking_lot::Mutex<Box<dyn StorageBackend>>,
+    store: Mutex<Box<dyn StorageBackend>>,
     /// Waits out a retry backoff or an injected latency.
     wait: fn(Duration),
 }
@@ -154,15 +155,15 @@ impl SpillIo {
     ) -> SharedStore {
         Arc::new(SpillIo {
             node,
-            store: parking_lot::Mutex::new(store),
+            store: Mutex::new(store),
             wait,
         })
     }
 
     /// The store itself, for calls outside the spill policy (placement
     /// hints, inspection).
-    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, Box<dyn StorageBackend>> {
-        self.store.lock()
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Box<dyn StorageBackend>> {
+        lock(&self.store)
     }
 
     /// Run `op` against the store until it succeeds or fails for good,
@@ -179,7 +180,7 @@ impl SpillIo {
         let res = loop {
             let attempt = report.retries + 1;
             let (res, faults, cleaned, (reads, switches)) = {
-                let mut s = self.store.lock();
+                let mut s = self.lock();
                 let res = op(s.as_mut());
                 let faults = s.take_fault_reports();
                 (
@@ -329,14 +330,14 @@ impl SpillIo {
 /// buffers are kept, the rest are dropped.
 pub(crate) struct BufferPool {
     /// Leaf lock: held only to pop or push one buffer.
-    bufs: parking_lot::Mutex<Vec<Vec<u8>>>,
+    bufs: Mutex<Vec<Vec<u8>>>,
     max: usize,
 }
 
 impl BufferPool {
     pub(crate) fn new(max: usize) -> Self {
         BufferPool {
-            bufs: parking_lot::Mutex::new(Vec::new()),
+            bufs: Mutex::new(Vec::new()),
             max,
         }
     }
@@ -344,7 +345,7 @@ impl BufferPool {
     /// A buffer to pack or load into, plus whether it came from the pool
     /// (its capacity is reused — no fresh allocation on the hot path).
     fn get(&self) -> (Vec<u8>, bool) {
-        match self.bufs.lock().pop() {
+        match lock(&self.bufs).pop() {
             Some(b) => (b, true),
             None => (Vec::new(), false),
         }
@@ -354,7 +355,7 @@ impl BufferPool {
     /// packs into, and a load overwrites all but what it has to grow, so
     /// a buffer that keeps its length skips zeroing it again.
     fn put(&self, buf: Vec<u8>) {
-        let mut g = self.bufs.lock();
+        let mut g = lock(&self.bufs);
         if g.len() < self.max {
             g.push(buf);
         }
@@ -414,7 +415,7 @@ mod tests {
                 back.iter().map(|o| value(o.as_ref())).collect::<Vec<_>>(),
                 [0, 1, 2]
             );
-            assert_eq!(pool.bufs.lock().len(), 3, "the batch's buffers are pooled");
+            assert_eq!(lock(&pool.bufs).len(), 3, "the batch's buffers are pooled");
             // The next batch reuses them.
             let io = faulty(FaultPlan::new(1));
             let s = io.store(&pool, batch(3), &reg, keep);

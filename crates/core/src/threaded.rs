@@ -4,9 +4,10 @@
 //! one worker loop (`worker.rs`: its `NodeCore`, Safra's termination ring,
 //! the reliable layer, work stealing) on its own thread, draining active
 //! messages from the in-process [`armci_sim`] fabric and spilling through a
-//! per-node I/O thread pool (a real [`crate::storage::SegmentStore`] when a
-//! spill directory is configured). Handlers may spawn child tasks on the
-//! node's computing-layer pool (work-stealing or FIFO).
+//! per-node I/O pool (a real [`crate::storage::SegmentStore`] when a spill
+//! directory is configured). Handlers may spawn child tasks on the node's
+//! computing-layer pool (work-stealing or FIFO). Both pools are a
+//! `compute::Pool`, and both go with the worker that owns them.
 //!
 //! What is this clock's own is only what the wall clock needs:
 //!
@@ -17,10 +18,12 @@
 //!   A replay runs none of this clock: the same workers, built by the same
 //!   constructor (`Runtime::workers`), are stepped on the calling thread
 //!   by `mrts::replay`.
-//! * **Non-blocking storage ops** — `io_threads` workers run the node's
-//!   spill executor (`spill_io.rs`), so object pack/unpack, retries and
-//!   their backoff sleeps happen off the node's control thread, and an
-//!   eviction round lands as batched appends on the segmented spill log.
+//! * **Non-blocking storage ops** — the `io_threads` threads of a fifo
+//!   pool run the node's spill executor (`spill_io.rs`), so object
+//!   pack/unpack, retries and their backoff sleeps happen off the node's
+//!   control thread, and an eviction round lands as batched appends on the
+//!   segmented spill log. Each job sends its completion, or the panic it
+//!   ended in, over an `mpsc` channel; the worker resumes such a panic.
 //! * **The race detector** — happens-before stamps on every fabric send
 //!   and receive, and an access check on every touch of an object.
 //! * **Real spill directories** — with a spill directory configured, each
@@ -36,7 +39,9 @@
 //! network model per message (the in-process fabric itself is too fast to
 //! measure meaningfully).
 
-use crate::compute::{ExecutorKind, FifoPool, SequentialBackend, TaskBackend, WorkStealingPool};
+use crate::compute::{
+    ExecutorKind, FifoPool, Pool, SequentialBackend, TaskBackend, WorkStealingPool,
+};
 use crate::config::MrtsConfig;
 use crate::fault::MrtsError;
 use crate::ids::NodeId;
@@ -47,21 +52,37 @@ use crate::spill_io::{open_stores, BufferPool, SharedStore};
 use crate::stats::{NodeStats, RunStats};
 use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, WorkerResult, POLL_WAIT};
 use armci_sim::{Endpoint, Fabric, NetworkModel};
-use crossbeam_channel as channel;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// A worker's gateway on the wall clock: the fabric endpoint, the I/O
-/// pool's channels and `Instant`. In record mode it logs every answer it
-/// gives (see `mrts::replay`).
+/// A worker's gateway on the wall clock: the fabric endpoint, the node's
+/// I/O pool with its completion channel, and `Instant`. In record mode it
+/// logs every answer it gives (see `mrts::replay`). The I/O pool is joined
+/// when the gateway drops, with its worker.
 struct Live {
     ep: Endpoint,
-    io_tx: channel::Sender<IoReq>,
-    io_rx: channel::Receiver<IoDone>,
+    /// `io_threads` threads running the node's spill executor.
+    io: Pool,
+    exec: Arc<Exec>,
+    /// Each job's completion, or the panic it ended in.
+    done: mpsc::Receiver<std::thread::Result<IoDone>>,
     /// The gateway's clock starts at the run's start.
     epoch: Instant,
     /// Record mode: the answers so far.
     log: Option<Vec<Decision>>,
+}
+
+/// What every I/O job of a node runs against, and its way back. Pack and
+/// unpack run on the pool **outside** the store lock, so serialization of
+/// one object overlaps the disk op of another and the node's control
+/// thread never blocks on either. Both directions draw their buffer from
+/// one bounded [`BufferPool`].
+struct Exec {
+    store: SharedStore,
+    bufs: BufferPool,
+    registry: Arc<Registry>,
+    done: mpsc::Sender<std::thread::Result<IoDone>>,
 }
 
 impl Live {
@@ -96,22 +117,27 @@ impl Gateway for Live {
         self.ep.am_send(dest, tag, payload);
     }
 
-    /// A blocking read never answers `None`: only a panicking I/O thread
-    /// ends the pool while its worker runs, and what it held will never
-    /// land, so the worker goes down with it.
+    /// A blocking read waits for the next completion: the gateway holds a
+    /// sender, and every job that owes a completion sends one, or its
+    /// panic, which is resumed here, on the worker.
     fn io(&mut self, blocking: bool) -> Option<IoDone> {
-        const GONE: &str = "the node's I/O pool is gone: an I/O thread panicked";
-        let done = match self.io_rx.try_recv() {
-            Err(channel::TryRecvError::Empty) if !blocking => None,
-            Err(channel::TryRecvError::Empty) => Some(self.io_rx.recv().expect(GONE)),
-            got => Some(got.expect(GONE)),
+        let done = match blocking {
+            false => self.done.try_recv().ok(),
+            true => Some(self.done.recv().expect("the gateway holds a sender")),
         };
+        let done = done.map(|ran| ran.unwrap_or_else(|panic| resume_unwind(panic)));
         self.record(done.as_ref().map_or(Decision::IoEmpty, io_decision));
         done
     }
 
     fn submit(&mut self, req: IoReq) {
-        self.io_tx.send(req).expect("I/O pool outlives the worker");
+        let exec = self.exec.clone();
+        self.io.spawn(Box::new(move || {
+            let run = || req.run(&exec.store, &exec.bufs, &exec.registry);
+            if let Some(done) = catch_unwind(AssertUnwindSafe(run)).transpose() {
+                exec.done.send(done).ok();
+            }
+        }));
     }
 
     /// By the wall clock; each logged answer list ends with `PumpEnd`.
@@ -133,43 +159,6 @@ impl Gateway for Live {
         stats.decisions_recorded += log.len();
         log
     }
-}
-
-/// Spawn the node's I/O pool: `n_threads` workers running the node's
-/// spill executor. Pack/unpack run on the pool **outside** the store
-/// lock, so serialization of one object overlaps the disk op of another
-/// and the node's control thread never blocks on either. Both directions
-/// draw their buffer from one bounded [`BufferPool`], which goes with the
-/// pool when the run ends: the pool stops once its worker drops the
-/// request channel.
-fn spawn_io_pool(
-    io: SharedStore,
-    registry: Arc<Registry>,
-    n_threads: usize,
-) -> (
-    channel::Sender<IoReq>,
-    channel::Receiver<IoDone>,
-    Vec<std::thread::JoinHandle<()>>,
-) {
-    let (req_tx, req_rx) = channel::unbounded::<IoReq>();
-    let (done_tx, done_rx) = channel::unbounded::<IoDone>();
-    let pool = Arc::new(BufferPool::new(n_threads * 2 + 2));
-    let handles = (0..n_threads)
-        .map(|t| {
-            let (req_rx, done_tx) = (req_rx.clone(), done_tx.clone());
-            let (io, pool, registry) = (io.clone(), pool.clone(), registry.clone());
-            let serve = move || {
-                while let Ok(req) = req_rx.recv() {
-                    if let Some(done) = req.run(&io, &pool, &registry) {
-                        done_tx.send(done).ok();
-                    }
-                }
-            };
-            let thread = std::thread::Builder::new().name(format!("mrts-io-{t}"));
-            thread.spawn(serve).expect("spawn io thread")
-        })
-        .collect();
-    (req_tx, done_rx, handles)
 }
 
 /// A node's computing-layer pool, as configured.
@@ -295,19 +284,24 @@ impl ThreadedRuntime {
     }
 
     /// One worker per node on its own thread, each with its I/O pool, to
-    /// the end: their hand-backs and the wall time they ran.
+    /// the end: their hand-backs and the wall time they ran. A worker's
+    /// panic is resumed here with its own payload.
     fn run_live(&mut self, registry: &Arc<Registry>) -> (Vec<WorkerResult>, Duration) {
         let mut endpoints = Fabric::new(self.cfg.nodes, NetworkModel::instant()).into_iter();
         let (io_threads, record) = (self.cfg.io_threads, self.engine.record_decisions);
-        let mut io_handles = Vec::new();
         let workers = self.workers(registry, node_pool, |_, store| {
-            let (io_tx, io_rx, handles) =
-                spawn_io_pool(store.clone(), registry.clone(), io_threads);
-            io_handles.extend(handles);
+            let (done_tx, done) = mpsc::channel();
+            let exec = Exec {
+                store: store.clone(),
+                bufs: BufferPool::new(io_threads * 2 + 2),
+                registry: registry.clone(),
+                done: done_tx,
+            };
             Live {
                 ep: endpoints.next().expect("one endpoint per node"),
-                io_tx,
-                io_rx,
+                io: Pool::fifo(io_threads, "mrts-io"),
+                exec: Arc::new(exec),
+                done,
                 epoch: Instant::now(),
                 log: record.then(Vec::new),
             }
@@ -316,15 +310,65 @@ impl ThreadedRuntime {
         let joins: Vec<_> = (workers.into_iter())
             .map(|w| std::thread::spawn(move || w.run()))
             .collect();
+        // Each I/O pool, holding registry clones, is joined by then.
         let results = (joins.into_iter())
-            .map(|j| j.join().expect("worker panic"))
+            .map(|j| j.join().unwrap_or_else(|panic| resume_unwind(panic)))
             .collect();
-        let took = t0.elapsed();
-        // The I/O pool threads hold registry clones for unpacking; join
-        // them before the registry is reclaimed.
-        for h in io_handles {
-            let _ = h.join();
+        (results, t0.elapsed())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::TypeTag;
+    use crate::object::test_objects::{Counter, COUNTER_TAG};
+    use crate::object::MobileObject;
+    use crate::within_seconds;
+    use std::any::Any;
+
+    /// An object whose spill panics.
+    struct Bomb;
+
+    impl MobileObject for Bomb {
+        fn type_tag(&self) -> TypeTag {
+            TypeTag(0xB0)
         }
-        (results, took)
+
+        fn encode(&self, _: &mut Vec<u8>) {
+            panic!("the bomb went off in encode")
+        }
+
+        fn footprint(&self) -> usize {
+            10_000
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A spill job that panics fails the run with its own message, at the
+    /// default two I/O threads: the other thread outlives it.
+    #[test]
+    fn a_panicking_spill_job_fails_the_run_with_its_message() {
+        let panic = within_seconds(10, || {
+            let run = || {
+                let mut rt = ThreadedRuntime::new(MrtsConfig::out_of_core(1, 40_000));
+                rt.register_type(COUNTER_TAG, Counter::decode);
+                // Lowest priority: the first victim.
+                rt.create_object(0, Box::new(Bomb), 0);
+                for i in 0..7 {
+                    rt.create_object(0, Box::new(Counter::new(i, 10_000)), 255);
+                }
+                rt.run();
+            };
+            catch_unwind(run).expect_err("the run fails")
+        });
+        assert_eq!(panic.downcast_ref(), Some(&"the bomb went off in encode"));
     }
 }

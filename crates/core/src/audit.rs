@@ -180,15 +180,6 @@ pub enum RuntimeEvent {
         inflight_bytes: usize,
         window_bytes: usize,
     },
-    /// A demand load on a cluster member triggered look-ahead loads for
-    /// the rest of locality cluster `cluster`; `oid` is one of the
-    /// prefetched companions (each companion gets its own event when its
-    /// load issues, inside the regular `Prefetch` window accounting).
-    ClusterPrefetch {
-        node: NodeId,
-        oid: ObjectId,
-        cluster: u64,
-    },
     /// `node` decided (or was told) the computation terminated.
     Terminate { node: NodeId },
     /// `node` shut down reporting `used` in-core bytes still accounted.
@@ -640,9 +631,9 @@ impl EventSink for InvariantChecker {
                 }
             }
             // Residency, budget, prefetch, steal and degraded-mode events
-            // are one node's business, checked on its core; fault,
-            // network and locality events mark where a layer failed,
-            // recovered or chose. None of them moves the model.
+            // are one node's business, checked on its core; fault and
+            // network events mark where a layer failed or recovered.
+            // None of them moves the model.
             _ => {}
         }
         self.commit(st, found);

@@ -79,13 +79,6 @@ pub struct MrtsConfig {
     /// transmission; the DES models the same faults on its virtual
     /// channels.
     pub net_fault: Option<NetFaultPlan>,
-    /// Locality-aware spill layout (see `mrts::locality`): learn the
-    /// buffer-zone adjacency graph from object-to-object sends, order
-    /// objects along a deterministic BFS curve over it, and use that
-    /// ordering for cluster-biased eviction, cluster prefetch, and
-    /// curve-ordered segment compaction. `false` restores the
-    /// placement-blind behaviour.
-    pub locality: bool,
     /// Cross-node work stealing: an idle node asks a loaded peer for a
     /// ready task (an unpinned object with queued work), which migrates
     /// over the regular install path. Off by default — stealing pays off
@@ -114,7 +107,6 @@ impl Default for MrtsConfig {
             deterministic_compute: false,
             fault: None,
             net_fault: None,
-            locality: true,
             work_stealing: false,
         }
     }
@@ -170,14 +162,6 @@ impl MrtsConfig {
     /// the threaded engine's reliable-delivery layer).
     pub fn with_net_faults(mut self, plan: NetFaultPlan) -> Self {
         self.net_fault = Some(plan);
-        self
-    }
-
-    /// Disable the locality-aware spill layout (adjacency-learned curve
-    /// ordering, cluster eviction, cluster prefetch, curve-ordered
-    /// compaction).
-    pub fn with_no_locality(mut self) -> Self {
-        self.locality = false;
         self
     }
 
@@ -325,15 +309,6 @@ mod tests {
         assert_eq!(c.io_threads, 2);
         let w = MrtsConfig::default().with_io_threads(3);
         assert_eq!(w.io_threads, 3);
-    }
-
-    #[test]
-    fn locality_default_and_escape_hatch() {
-        let c = MrtsConfig::default();
-        assert!(c.locality);
-        let off = MrtsConfig::out_of_core(2, 1 << 16).with_no_locality();
-        off.validate().unwrap();
-        assert!(!off.locality);
     }
 
     #[test]

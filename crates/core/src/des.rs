@@ -378,9 +378,7 @@ impl Gateway for Sim {
 
     /// The request runs now; pack and unpack are charged as compute.
     fn submit(&mut self, req: IoReq) {
-        let Some(mut done) = req.run(&self.store, &self.pool, &self.registry) else {
-            return;
-        };
+        let mut done = req.run(&self.store, &self.pool, &self.registry);
         let (codec, bytes) = match &mut done {
             IoDone::Stored(s) => (&mut s.pack_dur, s.packed.iter().map(|&(_, n)| n).sum()),
             IoDone::Loaded(l) => (&mut l.unpack_dur, l.outcome.as_ref().map_or(0, |o| o.1)),

@@ -318,10 +318,6 @@ impl StorageBackend for FaultyStore {
         std::mem::take(&mut self.reports)
     }
 
-    fn set_key_ranks(&mut self, ranks: &[(u64, u64)]) {
-        self.inner.set_key_ranks(ranks);
-    }
-
     fn take_read_stats(&mut self) -> (u64, u64) {
         self.inner.take_read_stats()
     }

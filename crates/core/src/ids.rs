@@ -1,6 +1,6 @@
 //! Identifiers: object ids, mobile pointers, handler and type tags.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -70,6 +70,9 @@ impl Hasher for ObjectIdHasher {
 
 /// A `HashMap` keyed by [`ObjectId`] under [`ObjectIdHasher`].
 pub(crate) type ObjectMap<V> = HashMap<ObjectId, V, BuildHasherDefault<ObjectIdHasher>>;
+
+/// A `HashSet` of [`ObjectId`]s under [`ObjectIdHasher`].
+pub(crate) type ObjectSet = HashSet<ObjectId, BuildHasherDefault<ObjectIdHasher>>;
 
 /// A location-independent reference to a mobile object.
 ///

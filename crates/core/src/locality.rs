@@ -1,22 +1,27 @@
-//! Locality layer: a deterministic space-filling-curve / BFS-cluster
-//! ordering of mobile objects over the buffer-zone adjacency graph.
+//! A deterministic space-filling-curve / BFS-cluster ordering of mobile
+//! objects over an adjacency graph.
+//!
+//! **Kept only for perfbench's probe.** No runtime path uses this module:
+//! the runtime no longer learns adjacency, evicts or prefetches by
+//! cluster, or relocates spill records in curve order, because a trial
+//! at budgets of 3× to 32× below the in-core peak found no ratio where
+//! the layout paid (EXPERIMENTS.md, "Locality layout"). The `locality.*`
+//! probes of `perfbench/src/probes.rs` still call [`LocalityMap::new`],
+//! [`LocalityMap::note_edge`], [`LocalityMap::rebuild`] and
+//! [`LocalityMap::ordered_len`]; the module goes with the next benchmark
+//! change.
 //!
 //! Motivation (Bender et al., *Optimal Cache-Oblivious Mesh Layouts*,
 //! arXiv:0705.1033): ordering mesh data along a locality-preserving curve
 //! over the adjacency graph makes block transfers near-optimal at every
-//! granularity. Here the "blocks" are SegmentStore segments and the
-//! prefetch window: the engines learn adjacency from observed
-//! object-to-object sends, this module turns the edge set into a total
-//! order (`LocalityKey`) plus fixed-size clusters, and the spill path
-//! uses both so that neighbors land contiguously on disk and are loaded
-//! back together.
+//! granularity, but only when the working set far exceeds fast memory.
+//! The map turns an edge set into a total order (`LocalityKey`) plus
+//! fixed-size clusters.
 //!
 //! Determinism contract: the ordering is a pure function of the
 //! *undirected edge set* (plus the cluster size) — it does not depend on
-//! the order edges were observed in, on hash iteration order, or on which
-//! engine learned them. Both engines therefore converge to the same
-//! ordering for the same mesh, which the cross-engine digest property
-//! test pins.
+//! the order edges were observed in or on hash iteration order
+//! (`ordering_independent_of_edge_insertion_order` pins this).
 
 use crate::ids::{ObjectId, ObjectMap};
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,30 +35,14 @@ pub type LocalityKey = u64;
 /// simply `LocalityKey / cluster_objects`.
 pub type ClusterId = u64;
 
-/// Rank reported for objects that are not on the curve (sorts last).
-pub const UNRANKED: u64 = u64::MAX;
-
-/// Locality cluster size in objects, as both engines build their map:
-/// the curve is cut into clusters of this many consecutive objects;
-/// eviction prefers taking a whole cluster, and a demand load prefetches
-/// from the faulted object's cluster.
-pub const CLUSTER_OBJECTS: usize = 8;
-
-/// How many of the faulted object's cluster mates a demand load
-/// prefetches — the nearest on the curve, not the whole cluster. Under a
-/// tight budget, whole-cluster prefetch loads mates so far ahead of the
-/// access front that they are evicted again before use; curve distance
-/// bounds that waste.
-pub const PREFETCH_MATES: usize = 2;
-
 /// Rebuilds are elided until at least this many new edges accumulate.
 const REBUILD_MIN_NEW_EDGES: usize = 16;
 
 /// Adjacency-learned curve ordering for one node's mobile objects.
 ///
-/// The engines feed `note_edge` from the message path (sender → addressee
-/// is exactly the buffer-zone adjacency for mesh workloads: split points
-/// are forwarded to the neighboring subdomain). Consumers call
+/// A caller feeds `note_edge` with observed adjacency (sender → addressee
+/// is the buffer-zone adjacency for mesh workloads: split points are
+/// forwarded to the neighboring subdomain). Consumers call
 /// [`LocalityMap::maybe_rebuild`] at decision points; the rebuild grows
 /// one cluster at a time from a seed, always absorbing the frontier
 /// vertex with the most neighbors already inside the growing cluster

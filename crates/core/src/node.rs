@@ -2,17 +2,16 @@
 //! control layer.
 //!
 //! [`NodeCore`] owns what a node needs to decide *when* and *what* to
-//! swap — the object table, the budget manager, the locality map, the
-//! queue of pending loads and the prefetch window — and *where* an object
-//! is — the lazily updated directory and the forwarding tombstones in the
-//! table. It implements every step of both pipelines once, for both
-//! engines:
+//! swap — the object table and its index of resident objects, the budget
+//! manager, the queue of pending loads and the prefetch window — and
+//! *where* an object is — the lazily updated directory and the forwarding
+//! tombstones in the table. It implements every step of both pipelines
+//! once, for both engines:
 //!
 //! ```text
 //! admit ─▶ evict ─┬─▶ elide (clean: drop the copy, no I/O)
 //!                 └─▶ spill (dirty: one batched store)
 //! message for an on-disk object ─▶ queue_load ─▶ pump_loads ─▶ issue_load
-//! load completed as a demand miss ─▶ cluster_prefetch ─▶ queue (hinted)
 //!
 //! handler effects ─▶ apply_effects ─▶ send ─┬─▶ held here: loop back
 //!                                           └─▶ forward: join the route, next_hop
@@ -48,8 +47,7 @@ use crate::codec::{PayloadReader, PayloadWriter, Truncated};
 use crate::config::MrtsConfig;
 use crate::ctx::Effect;
 use crate::directory::Directory;
-use crate::ids::{NodeId, ObjectId, ObjectMap};
-use crate::locality::{LocalityMap, CLUSTER_OBJECTS, PREFETCH_MATES, UNRANKED};
+use crate::ids::{NodeId, ObjectId, ObjectMap, ObjectSet};
 use crate::msg::{Message, MsgDecodeError};
 use crate::object::{timed, MobileObject, Registry};
 use crate::ooc::{EvictCandidate, OocManager, PREFETCH_WINDOW_BYTES, PREFETCH_WINDOW_OBJECTS};
@@ -293,11 +291,6 @@ pub(crate) struct Entry {
     pub(crate) pending_migration: Option<NodeId>,
     /// The object sits in `pending_loads` awaiting issue.
     load_queued: bool,
-    /// Queued by cluster prefetch (a demand load faulted on a clustermate)
-    /// rather than by pending work of its own; keeps the entry alive in
-    /// `pending_loads` despite an empty queue, and is counted/cleared when
-    /// the load issues.
-    prefetch_hint: bool,
     /// The object's latest store has been issued and has not landed: a
     /// load for its key must wait (an I/O pool is not FIFO).
     store_inflight: bool,
@@ -334,9 +327,6 @@ pub(crate) enum IoCmd {
     /// Read `key` back and unpack it; answer with
     /// [`NodeCore::complete_load`] or [`NodeCore::load_failed`].
     Load { key: u64, oid: ObjectId },
-    /// Install the locality-curve rank per spill key in the store
-    /// (fire-and-forget; the store's `set_key_ranks`).
-    SetRanks(Vec<(u64, u64)>),
     /// No I/O: the resident copy of a clean object was dropped. Drivers
     /// that track residency outside the table (a run queue, a race
     /// detector) observe it here.
@@ -349,10 +339,12 @@ pub(crate) struct NodeCore {
     pub(crate) node: NodeId,
     /// Nodes in this run: homes and directory hints wrap into it.
     n_nodes: usize,
-    /// `MrtsConfig::locality`: learn adjacency, evict and prefetch by
-    /// cluster, ship curve ranks to the store.
-    locality_on: bool,
     pub(crate) table: ObjectMap<Entry>,
+    /// Every id whose entry is `InCore` or `Executing`, and possibly ids
+    /// that have left core since: they are dropped when an eviction round
+    /// scans the set ([`NodeCore::evict_candidates`]), so a round costs
+    /// what is resident, not what the node has ever held.
+    resident: ObjectSet,
     /// Last known location of objects that are not here, updated lazily
     /// by the deliveries of messages this node sent or forwarded.
     dir: Directory,
@@ -361,21 +353,6 @@ pub(crate) struct NodeCore {
     /// ask again. Set by [`NodeCore::request_steal`].
     pub(crate) awaiting_steal: bool,
     pub(crate) ooc: OocManager,
-    /// Adjacency-learned locality ordering (see `mrts::locality`); fed
-    /// from handler sends, consumed by eviction, cluster prefetch, and
-    /// rank shipping to the spill store. A pure function of the edge set,
-    /// so both engines agree on it.
-    locality: LocalityMap,
-    /// Ordering generation last shipped to the store via
-    /// [`IoCmd::SetRanks`], plus the `next_spill_key` watermark at that
-    /// shipment (spill keys are assigned monotonically, so the watermark
-    /// bounds how many keys are new since).
-    ranks_gen: u64,
-    ranks_keys: usize,
-    /// Curve key of the most recent demand anchor; successive anchors
-    /// estimate which way the access front is moving along the curve, so
-    /// cluster prefetch pulls mates ahead of the front, not behind it.
-    last_anchor_key: u64,
     /// Queued-but-on-disk objects awaiting a load slot, in arrival order.
     pending_loads: VecDeque<ObjectId>,
     /// Loads issued and not yet completed, for the prefetch window.
@@ -412,8 +389,8 @@ impl NodeCore {
         NodeCore {
             node,
             n_nodes: cfg.nodes,
-            locality_on: cfg.locality,
             table: ObjectMap::default(),
+            resident: ObjectSet::default(),
             dir: Directory::new(),
             awaiting_steal: false,
             ooc: OocManager::new(
@@ -422,10 +399,6 @@ impl NodeCore {
                 cfg.soft_threshold_frac,
                 cfg.policy,
             ),
-            locality: LocalityMap::new(CLUSTER_OBJECTS),
-            ranks_gen: 0,
-            ranks_keys: 0,
-            last_anchor_key: 0,
             pending_loads: VecDeque::new(),
             inflight_load_objs: 0,
             inflight_load_bytes: 0,
@@ -479,6 +452,7 @@ impl NodeCore {
         let footprint = obj.footprint();
         let tick = self.ooc.tick();
         self.ooc.note_in(footprint);
+        self.resident.insert(oid);
         self.table.insert(
             oid,
             Entry {
@@ -492,7 +466,6 @@ impl NodeCore {
                 spill_key: None,
                 pending_migration: None,
                 load_queued: false,
-                prefetch_hint: false,
                 store_inflight: false,
                 version,
                 stored_version: None,
@@ -628,6 +601,48 @@ impl NodeCore {
         }
     }
 
+    /// The eviction candidates: every object in core that is not pinned,
+    /// not leaving, not `except` and, unless `allow_queued`, has nothing
+    /// queued. Built from the resident index, whose ids that left core are
+    /// dropped here; the order is the set's, which victim selection's
+    /// total order makes irrelevant.
+    fn evict_candidates(
+        &mut self,
+        allow_queued: bool,
+        except: Option<ObjectId>,
+    ) -> Vec<EvictCandidate> {
+        let table = &self.table;
+        let mut candidates = Vec::new();
+        self.resident.retain(|&oid| {
+            let Some(e) = table.get(&oid) else {
+                return false;
+            };
+            match e.state {
+                State::InCore(_) => {}
+                State::Executing => return true,
+                _ => return false,
+            }
+            if !e.locked
+                && e.pending_migration.is_none()
+                && (allow_queued || e.queue.is_empty())
+                && Some(oid) != except
+            {
+                candidates.push(EvictCandidate {
+                    oid,
+                    footprint: e.footprint,
+                    meta: e.meta,
+                    priority: e.priority,
+                    queued_msgs: e.queue.len(),
+                    clean: e.is_clean(),
+                    cluster: None,
+                    lkey: 0,
+                });
+            }
+            true
+        });
+        candidates
+    }
+
     /// Evict at least `need` bytes: offer every evictable resident object
     /// to the budget manager, elide the clean victims (their on-disk bytes
     /// are current) and take the dirty remainder out of core as one
@@ -635,36 +650,7 @@ impl NodeCore {
     /// is issued; a store that later fails is reversed by
     /// [`NodeCore::store_failed`].
     fn evict_bytes(&mut self, need: usize, allow_queued: bool, except: Option<ObjectId>) {
-        let locality = self.locality_on;
-        if locality {
-            self.locality.maybe_rebuild();
-            self.push_ranks_if_stale();
-        }
-        let mut candidates: Vec<EvictCandidate> = self
-            .table
-            .iter()
-            .filter(|(&oid, e)| {
-                e.is_in_core()
-                    && !e.locked
-                    && e.pending_migration.is_none()
-                    && (allow_queued || e.queue.is_empty())
-                    && Some(oid) != except
-            })
-            .map(|(&oid, e)| EvictCandidate {
-                oid,
-                footprint: e.footprint,
-                meta: e.meta,
-                priority: e.priority,
-                queued_msgs: e.queue.len(),
-                clean: e.is_clean(),
-                cluster: if locality {
-                    self.locality.cluster_of(oid)
-                } else {
-                    None
-                },
-                lkey: self.locality.key_of(oid).unwrap_or(UNRANKED),
-            })
-            .collect();
+        let mut candidates = self.evict_candidates(allow_queued, except);
         let victims = self.ooc.pick_victims(&mut candidates, need);
         let mut dirty = Vec::new();
         for oid in victims {
@@ -791,33 +777,6 @@ impl NodeCore {
         true
     }
 
-    /// Ship the locality-curve ranks of all spilled objects to the store
-    /// when the ordering changed or enough new spill keys appeared since
-    /// the last shipment — a cleaning pass then relocates live records in
-    /// curve order.
-    fn push_ranks_if_stale(&mut self) {
-        let gen = self.locality.generation();
-        if gen == 0 {
-            return;
-        }
-        // O(1) staleness gate before the table scan: `next_spill_key`
-        // only grows, so it bounds how many spill keys can be new since
-        // the last shipment.
-        if gen == self.ranks_gen && (self.next_spill_key as usize) < self.ranks_keys + 32 {
-            return;
-        }
-        let ranks = self.locality.ranks_for(
-            self.table
-                .iter()
-                .filter_map(|(&oid, e)| e.spill_key.map(|k| (oid, k))),
-        );
-        self.ranks_gen = gen;
-        self.ranks_keys = self.next_spill_key as usize;
-        if !ranks.is_empty() {
-            self.cmds.push(IoCmd::SetRanks(ranks));
-        }
-    }
-
     // ----- loads and prefetch -----------------------------------------------
 
     /// Note that `oid` (on disk) has pending work; the load is issued by
@@ -834,49 +793,11 @@ impl NodeCore {
         self.pending_loads.push_back(oid);
     }
 
-    /// Cluster prefetch: a demanded load of `anchor` just completed as a
-    /// miss (the node stalled on it), so enqueue the anchor's nearest
-    /// on-disk clustermates as hinted look-ahead loads — only on the side
-    /// of the curve the demand front is moving toward (mates behind the
-    /// front were just used; prefetching them is guaranteed waste under a
-    /// tight budget). Triggering on demand misses rather than on every
-    /// load keeps the speculation bounded: queue-visible work is already
-    /// covered by the ordinary look-ahead window, and a miss is precisely
-    /// the signal that the front moved somewhere that window could not
-    /// see. The mates flow through [`NodeCore::pump_loads`] window/pacing
-    /// (the hint only keeps them wanted despite their empty queues), so
-    /// the prefetch budget and degraded-mode shedding apply unchanged.
-    fn cluster_prefetch(&mut self, anchor: ObjectId) {
-        if !self.locality_on {
-            return;
-        }
-        self.locality.maybe_rebuild();
-        let Some(key) = self.locality.key_of(anchor) else {
-            return;
-        };
-        let forward = key >= self.last_anchor_key;
-        self.last_anchor_key = key;
-        for oid in self
-            .locality
-            .companions_toward(anchor, PREFETCH_MATES, forward)
-        {
-            let Some(e) = self.table.get_mut(&oid) else {
-                continue;
-            };
-            if e.load_queued || !matches!(e.state, State::OnDisk) {
-                continue;
-            }
-            e.load_queued = true;
-            e.prefetch_hint = true;
-            self.pending_loads.push_back(oid);
-        }
-    }
-
     /// Bytes reclaimable by evicting only objects with no pending work —
     /// the only victims a look-ahead load is allowed to displace.
     fn idle_evictable_bytes(&self) -> usize {
-        self.table
-            .values()
+        (self.resident.iter())
+            .filter_map(|oid| self.table.get(oid))
             .filter(|e| {
                 e.is_in_core() && !e.locked && e.pending_migration.is_none() && e.queue.is_empty()
             })
@@ -884,16 +805,10 @@ impl NodeCore {
             .sum()
     }
 
-    /// Drop the pending load at `idx`: its reason to load evaporated, or
-    /// it is a hint-only entry that cannot issue right now. A cluster
-    /// prefetch that cannot issue is stale by the time conditions change,
-    /// and keeping it queued wedges termination — a node with a non-empty
-    /// load queue never reports idle.
-    fn cancel_hint(&mut self, oid: ObjectId, idx: usize) {
+    /// Drop the pending load at `idx`: its reason to load evaporated.
+    fn cancel_load(&mut self, oid: ObjectId, idx: usize) {
         self.pending_loads.remove(idx);
-        let e = self.entry_mut(oid);
-        e.load_queued = false;
-        e.prefetch_hint = false;
+        self.entry_mut(oid).load_queued = false;
         self.stats.prefetch_cancels += 1;
     }
 
@@ -914,13 +829,11 @@ impl NodeCore {
             let oid = self.pending_loads[i];
             let e = self.entry(oid);
             let urgent = e.pending_migration.is_some() || e.locked;
-            let hinted = e.prefetch_hint;
-            let demanded = !e.queue.is_empty();
-            let wants = matches!(e.state, State::OnDisk) && (urgent || demanded || hinted);
+            let wants = matches!(e.state, State::OnDisk) && (urgent || !e.queue.is_empty());
             let (store_inflight, footprint, packed_len) =
                 (e.store_inflight, e.footprint, e.packed_len);
             if !wants {
-                self.cancel_hint(oid, i);
+                self.cancel_load(oid, i);
                 continue;
             }
             if store_inflight {
@@ -929,28 +842,11 @@ impl NodeCore {
                 i += 1;
                 continue;
             }
-            // A hinted (cluster-prefetched) load is look-ahead by nature:
-            // while nothing queued demands it, it must respect the window,
-            // the pacing, and degraded-mode shedding even when the node
-            // happens to be idle. Once a message has queued up behind it,
-            // it is a demand load like any other: on an idle node nothing
-            // will ever free the headroom pacing waits for, and a parked
-            // entry keeps the node from ever reporting idle.
-            let look_ahead = busy || (hinted && !demanded);
-            // A hint with nothing queued behind it is pure opportunism: if
-            // it cannot issue under the current gates it must be dropped,
-            // not parked — nothing else will ever change an idle node's
-            // pacing headroom, and termination detection refuses to call
-            // a node idle while its load queue is non-empty.
-            let hint_only = hinted && !urgent && !demanded;
-            if look_ahead && !urgent {
+            let look_ahead = busy && !urgent;
+            if look_ahead {
                 if self.ooc.is_degraded() {
                     // Disk pressure: shed prefetch entirely; only demand
                     // and urgent loads keep flowing.
-                    if hint_only {
-                        self.cancel_hint(oid, i);
-                        continue;
-                    }
                     i += 1;
                     continue;
                 }
@@ -967,10 +863,6 @@ impl NodeCore {
                     let avail = *idle_evictable.get_or_insert_with(|| self.idle_evictable_bytes());
                     if need > avail {
                         // Paced: admission would thrash queued objects.
-                        if hint_only {
-                            self.cancel_hint(oid, i);
-                            continue;
-                        }
                         i += 1;
                         continue;
                     }
@@ -981,7 +873,7 @@ impl NodeCore {
             }
             self.pending_loads.remove(i);
             self.entry_mut(oid).load_queued = false;
-            self.issue_load(oid, look_ahead && !urgent);
+            self.issue_load(oid, look_ahead);
             // Issuing may have evicted; recompute pacing headroom lazily.
             idle_evictable = None;
         }
@@ -1002,22 +894,10 @@ impl NodeCore {
             "{oid:?} is not on disk"
         );
         e.state = State::Loading;
-        let hinted = std::mem::replace(&mut e.prefetch_hint, false);
         let key = e.spill_key.expect("on-disk object has a spill key");
         let (footprint, packed_len) = (e.footprint, e.packed_len);
         self.inflight_load_objs += 1;
         self.inflight_load_bytes += packed_len;
-        if hinted {
-            self.stats.cluster_prefetches += 1;
-            audit_emit!(
-                self.audit,
-                RuntimeEvent::ClusterPrefetch {
-                    node: self.node,
-                    oid,
-                    cluster: self.locality.cluster_of(oid).unwrap_or(0),
-                }
-            );
-        }
         if look_ahead {
             // The window `pump_loads` keeps: at most the object cap in
             // flight, and the byte cap unless this is the only load.
@@ -1074,6 +954,7 @@ impl NodeCore {
         let footprint = obj.footprint();
         let tick = self.ooc.tick();
         self.ooc.note_in(footprint);
+        self.resident.insert(oid);
         let e = self
             .table
             .get_mut(&oid)
@@ -1086,10 +967,9 @@ impl NodeCore {
             "{oid:?} was not loading"
         );
         // Read-amplification accounting: the load was *demanded* if the
-        // object has actual work waiting (queued messages, a pending
-        // migration, or a lock); a cluster-prefetched load that nothing
-        // asked for yet counts only in `bytes_from_disk`, making waste
-        // visible.
+        // object still has work waiting (queued messages, a pending
+        // migration, or a lock); a load that nothing asks for any more
+        // counts only in `bytes_from_disk`, making waste visible.
         let demanded = !e.queue.is_empty() || e.pending_migration.is_some() || e.locked;
         if demanded {
             self.stats.bytes_demanded += packed_len as u64;
@@ -1108,13 +988,6 @@ impl NodeCore {
             }
         );
         self.audit_budget(false);
-        // A demanded load that stalled the node is the access front
-        // arriving somewhere look-ahead did not predict — pull the
-        // anchor's cluster mates behind it before the front stalls on
-        // them too.
-        if miss && demanded {
-            self.cluster_prefetch(oid);
-        }
     }
 
     /// A load was abandoned after exhausting its retries. Unrecoverable
@@ -1135,7 +1008,6 @@ impl NodeCore {
         s.faults_injected += r.faults.len();
         s.io_retries += r.retries as usize;
         s.io_gave_up += usize::from(r.gave_up);
-        s.compaction_reorders += r.reorders;
         s.segment_reads += r.seg_reads;
         s.segment_switches += r.seg_switches;
         s.buffer_pool_hits += r.pool_hits;
@@ -1182,6 +1054,7 @@ impl NodeCore {
         let footprint = obj.footprint();
         let tick = self.ooc.tick();
         self.ooc.note_in(footprint);
+        self.resident.insert(oid);
         let e = self
             .table
             .get_mut(&oid)
@@ -1249,8 +1122,8 @@ impl NodeCore {
     }
 
     /// Put the object back after its handler ran: account
-    /// growth or shrinkage, mark it dirty, and learn the locality edges of
-    /// its sends. Budget enforcement is a separate step
+    /// growth or shrinkage and mark it dirty. Budget enforcement is a
+    /// separate step
     /// ([`NodeCore::enforce_budget`], [`NodeCore::soft_swap`]) because the
     /// driver applies the handler's effects in between.
     pub(crate) fn finish_handler(
@@ -1258,7 +1131,6 @@ impl NodeCore {
         oid: ObjectId,
         obj: Box<dyn MobileObject>,
         old_footprint: usize,
-        effects: &[Effect],
     ) {
         let new_footprint = obj.footprint();
         let tick = self.ooc.tick();
@@ -1290,16 +1162,6 @@ impl NodeCore {
                     new: new_footprint
                 }
             );
-        }
-        // Locality learning: an object-to-object send is exactly the
-        // buffer-zone adjacency (subdomains talk to their mesh neighbors),
-        // so each send contributes an edge to the curve ordering.
-        if self.locality_on {
-            for eff in effects {
-                if let Effect::Send { to, .. } = eff {
-                    self.locality.note_edge(oid, to.id);
-                }
-            }
         }
     }
 
@@ -1796,16 +1658,11 @@ impl NodeCore {
 
     /// Close out the counters a run reports: the peak footprint comes
     /// from the budget manager's own high-water mark (the single source
-    /// of truth for in-core accounting), and the curve digest is a pure
-    /// function of the learned edge set — both engines must agree on it
-    /// for the same application.
+    /// of truth for in-core accounting).
     pub(crate) fn seal_stats(&mut self) {
         #[cfg(debug_assertions)]
         self.check_books("seal_stats", false);
         self.stats.peak_mem = self.ooc.peak_used;
-        if self.locality_on {
-            self.stats.locality_digest = self.locality.digest();
-        }
     }
 }
 
@@ -1870,14 +1727,6 @@ mod tests {
             .push_back(Message::new(MobilePtr::new(id), HandlerId(1), Vec::new()));
     }
 
-    /// What cluster prefetch does to a mate: queue it with a hint.
-    fn hint(c: &mut NodeCore, id: ObjectId) {
-        let e = c.entry_mut(id);
-        e.load_queued = true;
-        e.prefetch_hint = true;
-        c.pending_loads.push_back(id);
-    }
-
     fn loads(c: &NodeCore) -> Vec<ObjectId> {
         c.cmds
             .iter()
@@ -1896,62 +1745,6 @@ mod tests {
                 _ => None,
             })
             .collect()
-    }
-
-    /// A node whose only resident object has queued work (so nothing is
-    /// idle-evictable and every look-ahead load is paced) plus one hinted
-    /// on-disk object that does not fit beside it.
-    fn paced_hint() -> (NodeCore, ObjectId) {
-        let mut c = core(1000);
-        let r = resident(&mut c, 1, 600);
-        post(&mut c, r);
-        let h = on_disk(&mut c, 2, 600, 100);
-        hint(&mut c, h);
-        (c, h)
-    }
-
-    #[test]
-    fn hinted_load_with_a_queued_message_issues_as_demand_on_an_idle_node() {
-        let (mut c, h) = paced_hint();
-        post(&mut c, h);
-        c.pump_loads(false);
-        assert_eq!(
-            loads(&c),
-            vec![h],
-            "a demanded load must not wait on pacing"
-        );
-        assert!(!c.has_pending_loads());
-        assert_eq!(c.stats.prefetch_issued, 0, "classified as demand");
-        assert_eq!(c.stats.cluster_prefetches, 1, "still counted as a hint hit");
-        assert_eq!(c.stats.prefetch_cancels, 0);
-        // Load admission never displaces the queued resident object: the
-        // budget is overshot instead.
-        assert!(stores(&c).is_empty());
-        assert!(c.entry(oid(1)).is_in_core());
-    }
-
-    /// The PR 15 termination wedge: a hint-only entry that cannot issue
-    /// must leave the queue, or the node never reports idle. Fails under
-    /// `look_ahead = busy || hinted` with park-instead-of-cancel.
-    #[test]
-    fn hint_only_load_that_is_paced_or_shed_is_cancelled_not_parked() {
-        let (mut c, h) = paced_hint();
-        c.pump_loads(false);
-        assert!(!c.has_pending_loads(), "a parked hint wedges termination");
-        assert_eq!(c.stats.prefetch_cancels, 1);
-        assert!(c.cmds.is_empty());
-        assert!(matches!(c.entry(h).state, State::OnDisk));
-        assert!(!c.entry(h).load_queued && !c.entry(h).prefetch_hint);
-
-        // Same under disk pressure, with room to spare.
-        let mut c = core(10_000);
-        let h = on_disk(&mut c, 1, 600, 100);
-        hint(&mut c, h);
-        assert!(c.ooc.enter_degraded());
-        c.pump_loads(false);
-        assert!(!c.has_pending_loads());
-        assert_eq!(c.stats.prefetch_cancels, 1);
-        assert!(c.cmds.is_empty());
     }
 
     #[test]
@@ -2350,7 +2143,7 @@ mod tests {
         load_back(&mut c, x, 100);
         assert!(c.entry(x).is_clean(), "reloaded untouched: clean");
         let (obj, footprint, _) = c.begin_handler(x).expect("queued work");
-        c.finish_handler(x, obj, footprint, &[]);
+        c.finish_handler(x, obj, footprint);
         c.admit(1000);
         assert_eq!(stores(&c), vec![vec![x]], "the mutation is written");
         assert_eq!(c.stats.evictions_elided, 0);
@@ -2377,6 +2170,93 @@ mod tests {
         assert_eq!(stores(&to), vec![vec![x]], "the image is written here");
         assert_eq!(to.stats.evictions_elided, 0);
         assert!(to.violation.is_none(), "{:?}", to.violation);
+    }
+
+    /// The eviction candidates taken from the resident index are those of
+    /// a full-table scan after every transition in or out of core: create,
+    /// handle, evict, load, elide, a failed store, migrate and install.
+    #[test]
+    fn resident_index_yields_the_candidates_of_a_full_table_scan() {
+        fn agree(c: &mut NodeCore, step: &str) {
+            for allow_queued in [false, true] {
+                for except in [None, Some(oid(2))] {
+                    let mut want: Vec<_> = (c.table.iter())
+                        .filter(|(&id, e)| {
+                            e.is_in_core()
+                                && !e.locked
+                                && e.pending_migration.is_none()
+                                && (allow_queued || e.queue.is_empty())
+                                && Some(id) != except
+                        })
+                        .map(|(&id, e)| (id, e.footprint, e.queue.len(), e.is_clean()))
+                        .collect();
+                    let mut got: Vec<_> = (c.evict_candidates(allow_queued, except).iter())
+                        .map(|k| (k.oid, k.footprint, k.queued_msgs, k.clean))
+                        .collect();
+                    want.sort_unstable();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "after {step}, {allow_queued} {except:?}");
+                }
+            }
+        }
+        let mut c = NodeCore::new(0, &MrtsConfig::out_of_core(4, 10_000));
+        let [a, b, d] = [1, 2, 3].map(|seq| {
+            c.create(oid(seq), Box::new(Blob(200)), 128, seq == 3);
+            oid(seq)
+        });
+        post(&mut c, b);
+        agree(&mut c, "create");
+        let (obj, footprint, _) = c.begin_handler(b).expect("b has a message");
+        agree(&mut c, "begin_handler");
+        c.finish_handler(b, obj, footprint);
+        agree(&mut c, "finish_handler");
+
+        // The least recently used idle object goes out as a store.
+        c.evict_bytes(1, false, None);
+        assert_eq!(stores(&c), vec![vec![a]]);
+        c.cmds.clear();
+        agree(&mut c, "evict");
+        c.store_landed(a, 50);
+        post(&mut c, a);
+        c.queue_load(a);
+        c.pump_loads(false);
+        agree(&mut c, "issue_load");
+        load_back(&mut c, a, 200);
+        agree(&mut c, "complete_load");
+
+        // Untouched since its load, `a` is clean: it is elided.
+        c.entry_mut(a).queue.clear();
+        c.evict_bytes(1, false, Some(b));
+        assert!(matches!(c.cmds[..], [IoCmd::Elided(id)] if id == a));
+        c.cmds.clear();
+        agree(&mut c, "elide");
+
+        c.evict_bytes(1, false, None);
+        let Some(IoCmd::Store(items)) = c.cmds.pop() else {
+            panic!("expected b's store")
+        };
+        agree(&mut c, "evict");
+        for (_, id, obj) in items {
+            c.store_failed(id, obj);
+        }
+        agree(&mut c, "store_failed");
+        c.leave_degraded();
+
+        arrive(&mut c, NetMsg::MigrateReq { oid: b, dest: 1 });
+        agree(&mut c, "migrate");
+        let x = ObjectId::new(2, 9);
+        let install = Install {
+            oid: x,
+            priority: 128,
+            locked: false,
+            version: 0,
+            packed: Registry::pack(&Blob(100)),
+            queue: VecDeque::new(),
+        };
+        arrive(&mut c, NetMsg::Install(install));
+        arrive(&mut c, MetaOp::Unlock.on(d));
+        agree(&mut c, "install and unlock");
+        assert!(c.violation.is_none(), "{:?}", c.violation);
     }
 
     /// Each per-node invariant check, tripped by corrupting one field or
@@ -2419,7 +2299,7 @@ mod tests {
             post(&mut c, x);
             let (obj, footprint, _) = c.begin_handler(x).expect("queued work");
             c.entry_mut(x).state = State::OnDisk;
-            c.finish_handler(x, obj, footprint, &[]);
+            c.finish_handler(x, obj, footprint);
             assert_broken(&mut c, Invariant::NonResidentDelivery, "finish_handler", x);
         }
 
@@ -2588,7 +2468,7 @@ mod tests {
             (3, fault(FaultKind::Latency)),
         ];
         r.retries = 2;
-        (r.reorders, r.seg_reads, r.seg_switches, r.pool_hits) = (1, 3, 1, 2);
+        (r.seg_reads, r.seg_switches, r.pool_hits) = (3, 1, 2);
         c.fold_io(&r);
         let events: Vec<String> = (log.snapshot().iter()).map(|e| format!("{e:?}")).collect();
         assert_eq!(
@@ -2604,7 +2484,7 @@ mod tests {
         let s = &c.stats;
         assert_eq!((s.faults_injected, s.io_retries, s.io_gave_up), (3, 2, 0));
         let (read, switched) = (s.segment_reads, s.segment_switches);
-        assert_eq!((s.compaction_reorders, read, switched), (1, 3, 1));
+        assert_eq!((read, switched), (3, 1));
         assert_eq!(s.buffer_pool_hits, 2);
         r.gave_up = true;
         c.fold_io(&r);

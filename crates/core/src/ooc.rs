@@ -15,7 +15,9 @@
 //!   first.
 //!
 //! The manager is a pure decision component: it does not own the objects;
-//! the engines feed it candidate views and apply its verdicts.
+//! `NodeCore` feeds it candidate views of the objects in core (from its
+//! resident index, in no particular order — the ranking is total) and
+//! applies its verdicts.
 
 use crate::ids::ObjectId;
 use crate::policy::{AccessMeta, PolicyKind};
@@ -44,13 +46,11 @@ pub struct EvictCandidate {
     /// Preferred at equal swap-scheme rank — a clean eviction is nearly
     /// free.
     pub clean: bool,
-    /// Locality cluster of this object (see `mrts::locality`), if the
-    /// locality layer placed it on the curve. When any candidate carries a
-    /// cluster, victim selection pulls idle clustermates along with each
-    /// victim so the cluster spills as one contiguous run.
+    /// Ignored. Kept only because `perfbench/src/probes.rs` sets it in a
+    /// struct literal.
     pub cluster: Option<u64>,
-    /// Position on the locality curve; clustermates are pulled in this
-    /// order so the batched store writes them curve-sequentially.
+    /// Ignored. Kept only because `perfbench/src/probes.rs` sets it in a
+    /// struct literal.
     pub lkey: u64,
 }
 
@@ -211,19 +211,10 @@ impl OocManager {
     ///
     /// Order: objects without queued messages first, then lower priority,
     /// then the swapping scheme's score, with clean objects (valid on-disk
-    /// bytes) preferred at equal score. Returns the chosen object ids (in
-    /// eviction order); may free less than `need` if candidates run out.
-    ///
-    /// When any candidate carries a locality cluster, each victim pulls
-    /// its *idle* clustermates (no queued messages) right after it, in
-    /// curve-key order, so the batched store writes the cluster as one
-    /// contiguous run — the layout cluster prefetch reads back
-    /// sequentially. A pull may only reach mates inside the *horizon*:
-    /// twice as far down the eviction order as the straight policy would
-    /// have gone. It reorders evictions there so mates batch on disk;
-    /// pulling a mate the policy considers hot would evict an object about
-    /// to be touched, trading one contiguous write for an extra load
-    /// (measured: it loses more than the layout wins).
+    /// bytes) preferred at equal score, then the smaller id: a total
+    /// order, so the order of `candidates` never matters. Returns the
+    /// chosen object ids (in eviction order); may free less than `need`
+    /// if candidates run out.
     pub fn pick_victims(&self, candidates: &mut [EvictCandidate], need: usize) -> Vec<ObjectId> {
         if need == 0 || candidates.is_empty() {
             return Vec::new();
@@ -239,12 +230,10 @@ impl OocManager {
                 at,
             })
             .collect();
-        let clustered = candidates.iter().any(|c| c.cluster.is_some());
         // Evictions usually shed a handful of objects out of a large
         // resident set, so a full sort is wasted work: partition the k
         // best victims to the front (O(n) typical), sort only that small
-        // prefix, and double k until the prefix holds the straight walk —
-        // and, with clusters, the whole horizon.
+        // prefix, and double k until the prefix frees `need`.
         let n = order.len();
         let mut k = 8.min(n);
         let walk = loop {
@@ -253,56 +242,12 @@ impl OocManager {
             }
             order[..k].sort_unstable();
             match walk_len(&order[..k], candidates, need) {
-                Some(h) if !clustered || 2 * h <= k => break Some(h),
-                walk if k == n => break walk,
-                _ => k = (k * 2).min(n),
+                Some(h) => break h,
+                None if k == n => break n,
+                None => k = (k * 2).min(n),
             }
         };
-        let order = &order[..k];
-        if !clustered {
-            return order[..walk.unwrap_or(k)].iter().map(|r| r.oid).collect();
-        }
-        let horizon = walk.map_or(k, |h| (2 * h).min(k));
-        // Idle candidates inside the horizon that sit on a cluster, as
-        // (cluster, curve key, oid, position in `order`): sorted, each
-        // cluster's mates are one run in curve-key order.
-        let mut mates: Vec<(u64, u64, ObjectId, usize)> = (order[..horizon].iter().enumerate())
-            .filter_map(|(pos, r)| {
-                let c = &candidates[r.at];
-                let cl = c.cluster.filter(|_| c.queued_msgs == 0)?;
-                Some((cl, c.lkey, c.oid, pos))
-            })
-            .collect();
-        mates.sort_unstable();
-        let mut taken = vec![false; k];
-        let mut out = Vec::new();
-        let mut freed = 0usize;
-        for pos in 0..k {
-            if freed >= need {
-                break;
-            }
-            if taken[pos] {
-                continue;
-            }
-            let run = match candidates[order[pos].at].cluster {
-                Some(cl) => {
-                    let from = &mates[mates.partition_point(|m| m.0 < cl)..];
-                    &from[..from.partition_point(|m| m.0 == cl)]
-                }
-                None => &[][..],
-            };
-            for p in std::iter::once(pos).chain(run.iter().map(|m| m.3)) {
-                if freed >= need {
-                    break;
-                }
-                if !taken[p] {
-                    taken[p] = true;
-                    out.push(order[p].oid);
-                    freed += candidates[order[p].at].footprint;
-                }
-            }
-        }
-        out
+        order[..walk].iter().map(|r| r.oid).collect()
     }
 }
 
@@ -354,9 +299,8 @@ mod tests {
 
     /// Reference victim selection: the full-sort implementation that
     /// `pick_victims` replaced — the comparator re-scores both sides of
-    /// every comparison, the unclustered walk takes a prefix of the fully
-    /// sorted order, the clustered walk pulls mates through a per-cluster
-    /// index. `pick_victims` must choose exactly what this chooses.
+    /// every comparison, and the walk takes a prefix of the fully sorted
+    /// order. `pick_victims` must choose exactly what this chooses.
     fn full_sort_pick(
         m: &OocManager,
         candidates: &mut [EvictCandidate],
@@ -379,56 +323,15 @@ mod tests {
                 .then_with(|| a.oid.cmp(&b.oid))
         };
         candidates.sort_unstable_by(cmp);
-        let mut horizon = 0usize;
         let mut freed = 0usize;
-        for c in candidates.iter() {
-            if freed >= need {
-                break;
-            }
-            freed += c.footprint;
-            horizon += 1;
-        }
-        if candidates.iter().all(|c| c.cluster.is_none()) {
-            return candidates[..horizon].iter().map(|c| c.oid).collect();
-        }
-        let horizon = (horizon * 2).min(candidates.len());
-        let mut by_cluster: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, c) in candidates.iter().enumerate().take(horizon) {
-            if let Some(cl) = c.cluster {
-                by_cluster.entry(cl).or_default().push(i);
-            }
-        }
-        let mut taken = vec![false; candidates.len()];
-        let mut out = Vec::new();
-        let mut freed = 0usize;
-        for i in 0..candidates.len() {
-            if freed >= need {
-                break;
-            }
-            if taken[i] {
-                continue;
-            }
-            taken[i] = true;
-            out.push(candidates[i].oid);
-            freed += candidates[i].footprint;
-            let Some(mates) = candidates[i].cluster.and_then(|cl| by_cluster.get(&cl)) else {
-                continue;
-            };
-            let mut mates: Vec<usize> = (mates.iter().copied())
-                .filter(|&j| !taken[j] && candidates[j].queued_msgs == 0)
-                .collect();
-            mates.sort_unstable_by_key(|&j| (candidates[j].lkey, candidates[j].oid));
-            for j in mates {
-                if freed >= need {
-                    break;
-                }
-                taken[j] = true;
-                out.push(candidates[j].oid);
-                freed += candidates[j].footprint;
-            }
-        }
-        out
+        (candidates.iter())
+            .take_while(|c| {
+                let more = freed < need;
+                freed += c.footprint;
+                more
+            })
+            .map(|c| c.oid)
+            .collect()
     }
 
     /// One generated candidate: (footprint, last access, access count,
@@ -437,7 +340,7 @@ mod tests {
 
     fn raw_candidate() -> impl Strategy<Value = RawCandidate> {
         (
-            // Small ranges make ties in priority, score and curve key common.
+            // Small ranges make ties in priority and score common.
             (
                 1usize..600,
                 0u64..12,
@@ -455,8 +358,9 @@ mod tests {
 
         /// Rank-once partial selection chooses exactly the victims, in
         /// exactly the order, of the full-sort reference: every swapping
-        /// scheme, ties everywhere, clusters present and absent, `need`
-        /// from zero to past everything the candidates hold.
+        /// scheme, ties everywhere, `need` from zero to past everything
+        /// the candidates hold. Cluster and curve-key fields are set at
+        /// random and must not matter.
         #[test]
         fn pick_victims_matches_full_sort_reference(
             raw in prop::collection::vec(raw_candidate(), 0..80),
@@ -475,7 +379,7 @@ mod tests {
                     c.oid = ObjectId::new((i % 3) as u16, c.oid.seq());
                     c.meta.birth = last.saturating_sub(count);
                     c.clean = clean;
-                    // Cluster 0 stands for "not on the curve".
+                    // Cluster 0 stands for none.
                     c.cluster = (clusters && cl > 0).then_some(cl);
                     c.lkey = lkey;
                     c
@@ -693,70 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn cluster_victims_pull_idle_clustermates() {
-        let mut m = OocManager::new(1000, 2.0, 0.5, PolicyKind::Lru);
-        for _ in 0..100 {
-            m.tick();
-        }
-        // Base eviction order by age: 1 (oldest), then 4, then 2, 3.
-        // 1's clustermates 2 and 3 (cluster 7) must be pulled right after
-        // it — in curve-key order 3 (lkey 5) before 2 (lkey 6) — jumping
-        // ahead of the otherwise-better victim 4.
-        let with = |seq: u64, last: u64, cl: Option<u64>, lk: u64| {
-            let mut c = cand(seq, 100, last, 5, 128, 0);
-            c.cluster = cl;
-            c.lkey = lk;
-            c
-        };
-        let mut cands = vec![
-            with(1, 10, Some(7), 4),
-            with(2, 80, Some(7), 6),
-            with(3, 70, Some(7), 5),
-            with(4, 20, Some(9), 1),
-        ];
-        let victims = m.pick_victims(&mut cands, 300);
-        assert_eq!(
-            victims,
-            vec![
-                ObjectId::new(0, 1),
-                ObjectId::new(0, 3),
-                ObjectId::new(0, 2)
-            ]
-        );
-    }
-
-    #[test]
-    fn cluster_pull_skips_busy_clustermates() {
-        let mut m = OocManager::new(1000, 2.0, 0.5, PolicyKind::Lru);
-        for _ in 0..100 {
-            m.tick();
-        }
-        // Clustermate 2 has queued messages: the pull must skip it and
-        // fall through to the next victim in normal order.
-        let mut cands = vec![
-            {
-                let mut c = cand(1, 100, 10, 5, 128, 0);
-                c.cluster = Some(3);
-                c.lkey = 0;
-                c
-            },
-            {
-                let mut c = cand(2, 100, 80, 5, 128, 2);
-                c.cluster = Some(3);
-                c.lkey = 1;
-                c
-            },
-            cand(4, 100, 20, 5, 128, 0),
-        ];
-        let victims = m.pick_victims(&mut cands, 200);
-        assert_eq!(victims, vec![ObjectId::new(0, 1), ObjectId::new(0, 4)]);
-    }
-
-    #[test]
     fn clusterless_candidates_use_partial_selection_path() {
-        // No candidate carries a cluster: selection must behave exactly
-        // like the pre-locality path (pick_victims_partial_selection_
-        // matches_full_sort pins the deeper property; this pins the gate).
+        // The oldest idle candidate goes first
+        // (pick_victims_partial_selection_matches_full_sort pins the
+        // deeper property).
         let mut m = OocManager::new(1000, 2.0, 0.5, PolicyKind::Lru);
         for _ in 0..100 {
             m.tick();

@@ -475,7 +475,6 @@ pub fn event_node(ev: &RuntimeEvent) -> NodeId {
         | Resize { node, .. }
         | Budget { node, .. }
         | Prefetch { node, .. }
-        | ClusterPrefetch { node, .. }
         | Terminate { node }
         | Shutdown { node, .. }
         | Fault { node, .. }
@@ -1014,7 +1013,7 @@ impl Gateway for Replayed {
     /// The request runs now: its completion is there when the log names it.
     fn submit(&mut self, req: IoReq) {
         self.done
-            .extend(req.run(&self.store, &self.pool, &self.registry));
+            .push_back(req.run(&self.store, &self.pool, &self.registry));
     }
 
     fn due(&mut self, net: &NetLayer) -> Vec<Due> {

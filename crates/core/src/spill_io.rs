@@ -100,8 +100,6 @@ pub(crate) struct IoReport {
     pub waited: Duration,
     /// Wall-clock time of the attempts, waits included.
     pub io_dur: Duration,
-    /// Cleaning passes that rewrote live records in curve order.
-    pub reorders: usize,
     /// The store's sequential-read tracker: loads served and segment
     /// switches ([`StorageBackend::take_read_stats`]).
     pub seg_reads: usize,
@@ -119,7 +117,6 @@ impl IoReport {
             gave_up: false,
             waited: Duration::ZERO,
             io_dur: Duration::ZERO,
-            reorders: 0,
             seg_reads: 0,
             seg_switches: 0,
             pool_hits: 0,
@@ -179,22 +176,18 @@ impl SpillIo {
         let t0 = Instant::now();
         let res = loop {
             let attempt = report.retries + 1;
-            let (res, faults, cleaned, (reads, switches)) = {
+            let (res, faults, (reads, switches)) = {
                 let mut s = self.lock();
                 let res = op(s.as_mut());
                 let faults = s.take_fault_reports();
-                (
-                    res,
-                    faults,
-                    s.take_compaction_reports(),
-                    s.take_read_stats(),
-                )
+                // Nothing reads a pass's report; draining keeps them bounded.
+                s.take_compaction_reports();
+                (res, faults, s.take_read_stats())
             };
             let mut pause: Duration = faults.iter().map(|f| f.delay).sum();
             report
                 .faults
                 .extend(faults.into_iter().map(|f| (attempt, f)));
-            report.reorders += cleaned.iter().filter(|c| c.curve_ordered > 0).count();
             report.seg_reads += reads as usize;
             report.seg_switches += switches as usize;
             let retry = res

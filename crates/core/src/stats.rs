@@ -96,8 +96,8 @@ pub struct NodeStats {
     pub hints_invalidated: usize,
     /// Positive acknowledgements sent for received data messages.
     pub acks_sent: usize,
-    /// Cluster-prefetch loads issued: look-ahead loads enqueued because a
-    /// demand load faulted on another member of the same locality cluster.
+    /// Always zero: cluster prefetch left the runtime with the locality
+    /// layout. Kept only because `perfbench/src/counters.rs` reads it.
     pub cluster_prefetches: usize,
     /// Packed bytes of loads that completed with work actually waiting for
     /// the object (queued messages, a pending migration, or a lock) — the
@@ -107,16 +107,12 @@ pub struct NodeStats {
     /// backend only).
     pub segment_reads: usize,
     /// Loads that switched segments relative to this node's previous load;
-    /// a sequential (curve-ordered) layout keeps this low relative to
-    /// `segment_reads`.
+    /// a sequential layout keeps this low relative to `segment_reads`.
     pub segment_switches: usize,
-    /// Spill-log cleaning passes that relocated ranked live records in
-    /// locality-curve order.
+    /// Always zero: a cleaning pass relocates in key order since the
+    /// locality layout left the runtime. Kept only because
+    /// `perfbench/src/counters.rs` reads it.
     pub compaction_reorders: usize,
-    /// FNV-1a digest of this node's final locality ordering (0 when the
-    /// locality layer is off or learned no adjacency). Equal digests mean
-    /// equal orderings — the cross-engine determinism property pins this.
-    pub locality_digest: u64,
     /// Nondeterministic decisions logged by this node in record mode
     /// (fabric receive order, I/O completion order, reliable-layer
     /// timer firings). Zero outside record mode. See `mrts::replay`.
@@ -740,15 +736,13 @@ mod tests {
     }
 
     /// Every integer field of `NodeStats` is a counter `counter_groups`
-    /// reports, so one added later cannot be forgotten. The locality
-    /// digest is an identity, not a count.
+    /// reports, so one added later cannot be forgotten.
     #[test]
     fn counter_groups_name_every_integer_field() {
         let debug = format!("{:?}", NodeStats::default());
         let mut fields: Vec<&str> = integer_fields(&debug)
             .into_iter()
             .map(|(name, _)| name)
-            .filter(|&name| name != "locality_digest")
             .collect();
         let mut named: Vec<&str> = (empty_stats(1).counter_groups().iter())
             .flat_map(|g| g.counters.iter().map(|&(name, _)| name))

@@ -18,6 +18,9 @@
 //! [`StorageBackend::load_into`] reads into the caller's buffer; the
 //! threaded I/O pool passes recycled ones, so a load maps no fresh
 //! allocation either.
+//!
+//! Records land in append order, and a cleaning pass relocates the live
+//! records it must move in key order.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fs;
@@ -27,9 +30,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Report of one spill-log cleaning pass — including one that only
-/// retired dead segments — drained by the engine through
-/// [`StorageBackend::take_compaction_reports`] so the audit layer can
-/// check that no live object was lost.
+/// retired dead segments. The spill executor drains them through
+/// [`StorageBackend::take_compaction_reports`] after every attempt, so
+/// they stay bounded; the store's tests read them.
 #[derive(Clone, Copy, Debug)]
 pub struct CompactionReport {
     pub live_objects_before: usize,
@@ -38,11 +41,9 @@ pub struct CompactionReport {
     pub live_bytes_after: u64,
     /// Dead bytes (records, headers, tombstones) reclaimed from the log.
     pub reclaimed_bytes: u64,
-    /// Live records the pass relocated in locality-curve order (records
-    /// whose key had a rank installed via
-    /// [`StorageBackend::set_key_ranks`]); 0 when the pass moved nothing
-    /// or no moved key was ranked.
-    pub curve_ordered: usize,
+    /// Live records the pass relocated to the head of the log, in key
+    /// order; 0 when every victim segment died whole.
+    pub relocated: usize,
 }
 
 /// Where serialized mobile objects go when they are unloaded.
@@ -91,11 +92,6 @@ pub trait StorageBackend: Send {
     fn take_fault_reports(&mut self) -> Vec<crate::fault::FaultReport> {
         Vec::new()
     }
-    /// Install the locality-curve rank per key: a cleaning pass relocates
-    /// live records in ascending rank so curve neighbors land contiguously.
-    /// Replaces any earlier ranks. Default: ignored (backends that never
-    /// move records have no use for placement hints).
-    fn set_key_ranks(&mut self, _ranks: &[(u64, u64)]) {}
     /// Drain the `(loads, segment_switches)` counters of the sequential-
     /// read tracker (log-structured stores only): how many `load` calls
     /// were served since the last call, and how many of them had to leave
@@ -357,10 +353,6 @@ pub struct SegmentStore {
     garbage_frac: f64,
     cleanup_on_drop: bool,
     reports: Vec<CompactionReport>,
-    /// Locality-curve rank per key (see [`StorageBackend::set_key_ranks`]);
-    /// a cleaning pass moves live records in ascending rank. Unranked keys
-    /// sort last, in key order.
-    ranks: HashMap<u64, u64>,
     /// Sequential-read tracker: loads served / segment switches since the
     /// last [`StorageBackend::take_read_stats`], and the segment the last
     /// load read from.
@@ -404,7 +396,6 @@ impl SegmentStore {
             garbage_frac: garbage_frac.clamp(f64::MIN_POSITIVE, 1.0),
             cleanup_on_drop: false,
             reports: Vec::new(),
-            ranks: HashMap::new(),
             reads: 0,
             read_switches: 0,
             last_read_seg: None,
@@ -771,9 +762,8 @@ impl SegmentStore {
                     .filter(|(_, loc)| victims.contains(&loc.seg))
                     .map(|(key, _)| *key),
             );
-            movers.sort_unstable_by_key(|k| (self.ranks.get(k).copied().unwrap_or(u64::MAX), *k));
+            movers.sort_unstable();
         }
-        let curve_ordered = movers.iter().filter(|k| self.ranks.contains_key(k)).count();
         let mut buf = Vec::new();
         for &key in &movers {
             let loc = self.index[&key];
@@ -834,7 +824,7 @@ impl SegmentStore {
             live_bytes_before: live_before,
             live_bytes_after: self.bytes_stored(),
             reclaimed_bytes: garbage_before - self.garbage_bytes(),
-            curve_ordered,
+            relocated: movers.len(),
         });
         Ok(())
     }
@@ -926,10 +916,6 @@ impl StorageBackend for SegmentStore {
 
     fn take_compaction_reports(&mut self) -> Vec<CompactionReport> {
         std::mem::take(&mut self.reports)
-    }
-
-    fn set_key_ranks(&mut self, ranks: &[(u64, u64)]) {
-        self.ranks = ranks.iter().copied().collect();
     }
 
     fn take_read_stats(&mut self) -> (u64, u64) {
@@ -1242,7 +1228,6 @@ mod tests {
         // Rewriting objects in the order they were written kills whole
         // segments: the pass has nothing to move.
         let mut s = SegmentStore::new_temp("dead", 4 * (64 + REC_HDR), 0.5).unwrap();
-        s.set_key_ranks(&(0..16u64).map(|k| (k, k)).collect::<Vec<_>>());
         for round in 0..6u64 {
             for key in 0..16u64 {
                 s.store(key, &[(round * 16 + key) as u8; 64]).unwrap();
@@ -1251,7 +1236,7 @@ mod tests {
         let reports = s.take_compaction_reports();
         assert!(!reports.is_empty());
         for r in &reports {
-            assert_eq!(r.curve_ordered, 0, "no record was relocated");
+            assert_eq!(r.relocated, 0, "no record was relocated");
             assert!(r.reclaimed_bytes > 0);
             assert_eq!(r.live_bytes_after, 16 * 64);
         }
@@ -1261,16 +1246,11 @@ mod tests {
     }
 
     #[test]
-    fn segmentstore_pass_relocates_in_rank_order() {
-        // Segments hold four 64-byte records; 16 keys fill four of them.
-        // Ranks put evens before odds; key 3 has none and sorts last.
-        let mut s = SegmentStore::new_temp("rank", 4 * (64 + REC_HDR), 0.3).unwrap();
-        let ranks: Vec<(u64, u64)> = (0..16u64)
-            .filter(|&k| k != 3)
-            .map(|k| (k, (k % 2) * 100 + k))
-            .collect();
-        s.set_key_ranks(&ranks);
-        for key in 0..16u64 {
+    fn segmentstore_pass_relocates_in_key_order() {
+        // Segments hold four 64-byte records; 16 keys fill four of them,
+        // written in descending key order so append order is not key order.
+        let mut s = SegmentStore::new_temp("order", 4 * (64 + REC_HDR), 0.3).unwrap();
+        for key in (0..16u64).rev() {
             s.store(key, &[key as u8; 64]).unwrap();
         }
         // Kill the first half of each old segment. No segment dies whole,
@@ -1278,25 +1258,23 @@ mod tests {
         // the 30 % trigger: the pass must move records. Emptiest first, it
         // takes the three half-dead segments (garbage falls to 1 of 17,
         // under half the trigger) and leaves the fourth alone.
-        for key in [0u64, 1, 4, 5, 8, 9, 12] {
+        let overwritten = [15u64, 14, 11, 10, 7, 6, 3];
+        for key in overwritten {
             assert!(s.take_compaction_reports().is_empty());
             s.store(key, &[(16 + key) as u8; 64]).unwrap();
         }
         let reports = s.take_compaction_reports();
         assert_eq!(reports.len(), 1, "exactly one pass");
-        assert_eq!(
-            reports[0].curve_ordered, 5,
-            "the ranked ones among the six relocated records"
-        );
+        assert_eq!(reports[0].relocated, 6, "the live half of three segments");
         assert_eq!(reports[0].reclaimed_bytes, 6 * (64 + REC_HDR) as u64);
-        let relocated = [2u64, 3, 6, 7, 10, 11];
+        let relocated = [13u64, 12, 9, 8, 5, 4];
         let order: Vec<u64> = live_log_order(&s)
             .into_iter()
             .filter(|key| relocated.contains(key))
             .collect();
-        assert_eq!(order, [2, 6, 10, 7, 11, 3], "(rank, key) order at the head");
+        assert_eq!(order, [4, 5, 8, 9, 12, 13], "key order at the head");
         for key in 0..16u64 {
-            let fill = if [0, 1, 4, 5, 8, 9, 12].contains(&key) {
+            let fill = if overwritten.contains(&key) {
                 16 + key
             } else {
                 key

@@ -134,9 +134,7 @@ impl Gateway for Live {
         let exec = self.exec.clone();
         self.io.spawn(Box::new(move || {
             let run = || req.run(&exec.store, &exec.bufs, &exec.registry);
-            if let Some(done) = catch_unwind(AssertUnwindSafe(run)).transpose() {
-                exec.done.send(done).ok();
-            }
+            exec.done.send(catch_unwind(AssertUnwindSafe(run))).ok();
         }));
     }
 
@@ -321,7 +319,7 @@ impl ThreadedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::TypeTag;
+    use crate::ids::{HandlerId, TypeTag};
     use crate::object::test_objects::{Counter, COUNTER_TAG};
     use crate::object::MobileObject;
     use crate::within_seconds;
@@ -370,5 +368,31 @@ mod tests {
             catch_unwind(run).expect_err("the run fails")
         });
         assert_eq!(panic.downcast_ref(), Some(&"the bomb went off in encode"));
+    }
+
+    fn h_panic(_: &mut dyn MobileObject, _: &mut crate::ctx::Ctx, _: &[u8]) {
+        panic!("the handler on node 1 went off")
+    }
+
+    /// A handler that panics on a node other than 0 fails the run with its
+    /// own message: the unwinding worker tells node 0 to exit, so the join
+    /// in node order does not wait on node 0 forever.
+    #[test]
+    fn a_panicking_handler_on_node_1_fails_the_run_with_its_message() {
+        let panic = within_seconds(10, || {
+            let run = || {
+                let mut rt = ThreadedRuntime::new(MrtsConfig::in_core(2));
+                rt.register_type(COUNTER_TAG, Counter::decode);
+                rt.register_handler(HandlerId(1), "panic", h_panic);
+                let ptr = rt.create_object(1, Box::new(Counter::new(0, 100)), 128);
+                rt.post(ptr, HandlerId(1), Vec::new());
+                rt.run();
+            };
+            catch_unwind(run).expect_err("the run fails")
+        });
+        assert_eq!(
+            panic.downcast_ref(),
+            Some(&"the handler on node 1 went off")
+        );
     }
 }

@@ -53,6 +53,7 @@ use crate::spill_io::{BufferPool, IoReport, Loaded, SpillIo, Stored};
 use crate::stats::NodeStats;
 use armci_sim::ActiveMessage;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,19 +100,15 @@ pub(crate) enum IoReq {
         key: u64,
         oid: ObjectId,
     },
-    /// Install the locality-curve rank per spill key in the store (see
-    /// [`crate::storage::StorageBackend::set_key_ranks`]). Fire-and-forget:
-    /// no [`IoDone`], so it never counts against `outstanding_io`.
-    SetRanks(Vec<(u64, u64)>),
     /// Health check of the spill store (degraded-mode recovery).
     Probe,
 }
 
 impl IoReq {
     /// Run the request on the node's spill executor `io` (for the I/O pool,
-    /// the virtual disk and a replay alike); `None` for a placement hint.
-    pub(crate) fn run(self, io: &SpillIo, pool: &BufferPool, reg: &Registry) -> Option<IoDone> {
-        Some(match self {
+    /// the virtual disk and a replay alike).
+    pub(crate) fn run(self, io: &SpillIo, pool: &BufferPool, reg: &Registry) -> IoDone {
+        match self {
             // An eviction of one object is a batch of one.
             IoReq::StoreBatch { items } => IoDone::Stored(io.store(pool, items, reg, false)),
             IoReq::Load { key, oid } => IoDone::Loaded(io.load(pool, key, oid, reg)),
@@ -119,11 +116,7 @@ impl IoReq {
                 let (report, ok) = io.probe();
                 IoDone::Probed(report, ok)
             }
-            IoReq::SetRanks(ranks) => {
-                io.lock().set_key_ranks(&ranks);
-                return None;
-            }
-        })
+        }
     }
 }
 
@@ -399,7 +392,7 @@ pub(crate) struct Worker<G> {
     cfg: MrtsConfig,
     registry: Arc<Registry>,
     /// The node's out-of-core and control layers: object table, budget,
-    /// locality, load queue and prefetch window, directory, routing,
+    /// load queue and prefetch window, directory, routing,
     /// migration, node statistics and the audit sink. This worker drives it
     /// (see [`Worker::carry_out`], [`Worker::on_net`], [`Worker::on_io`]).
     pub(crate) core: NodeCore,
@@ -954,7 +947,6 @@ impl<G: Gateway> Worker<G> {
                     self.submit(IoReq::StoreBatch { items: batch });
                 }
                 IoCmd::Load { key, oid } => self.submit(IoReq::Load { key, oid }),
-                IoCmd::SetRanks(ranks) => self.gate.submit(IoReq::SetRanks(ranks)),
             }
         }
         self.core.cmds = cmds;
@@ -1081,7 +1073,7 @@ impl<G: Gateway> Worker<G> {
         }
         let job = ran.job;
         self.next_obj_seq = job.next_seq;
-        (self.core).finish_handler(job.oid, job.obj, job.old_footprint, &ran.effects);
+        (self.core).finish_handler(job.oid, job.obj, job.old_footprint);
         if !self.core.entry(job.oid).queue.is_empty() {
             self.ready.push_back(job.oid);
         }
@@ -1184,9 +1176,16 @@ impl<G: Gateway> Worker<G> {
 
     // ----- the loop -----------------------------------------------------------------
 
-    /// Run to the end on a gateway that blocks (live).
+    /// Run to the end on a gateway that blocks (live). A worker that
+    /// unwinds first tells every peer to exit, so no peer waits on it
+    /// forever; its panic then goes on to whoever joins it.
     pub(crate) fn run(mut self) -> WorkerResult {
-        while self.turn() {}
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| while self.turn() {})) {
+            for n in (0..self.n_nodes as NodeId).filter(|&n| n != self.node) {
+                self.gate.send(n, AM_EXIT, Vec::new());
+            }
+            resume_unwind(panic);
+        }
         self.finish()
     }
 

@@ -73,7 +73,6 @@ fn relocating_pass_holds_one_record() {
     const KEYS: u64 = 64;
     // Four records to a segment, each staged (below half a segment).
     let mut s = SegmentStore::new_temp("bounded", 1 << 20, 0.3).unwrap();
-    s.set_key_ranks(&(0..KEYS).map(|k| (k, k)).collect::<Vec<_>>());
     let payload = vec![0x6bu8; RECORD];
     for key in 0..KEYS {
         s.store(key, &payload).unwrap();
@@ -85,7 +84,7 @@ fn relocating_pass_holds_one_record() {
     for key in (0..KEYS).step_by(2) {
         let growth = peak_growth(|| s.store(key, &payload).unwrap());
         if let Some(report) = s.take_compaction_reports().first() {
-            moved = report.curve_ordered;
+            moved = report.relocated;
             assert!(
                 growth < 3 * RECORD,
                 "a pass that moved {moved} records of {RECORD} bytes grew the heap by {growth}"

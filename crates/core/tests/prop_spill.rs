@@ -10,7 +10,7 @@
 //! node, to the node the object is already on, and pinned in the same
 //! handler — / grow / lock / unlock / set-priority over 1–3 nodes and 4–24
 //! objects, budgets from "everything fits" down to about two objects,
-//! locality and work stealing on and off) runs through the virtual-time engine, the threaded engine and an
+//! work stealing on and off) runs through the virtual-time engine, the threaded engine and an
 //! unlimited-budget reference, and all three must end with every object
 //! byte-identical, both audit streams clean, inside a wall-clock bound.
 
@@ -107,9 +107,8 @@ fn h_mig(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     ctx.migrate(me, dest);
 }
 
-/// Add `v`, then pass the message on to the next object of the walk.
-/// Walks are the send-adjacency the locality map builds its clusters
-/// from (see [`Plan::walk_stops`]).
+/// Add `v`, then pass the message on to the next object of the walk
+/// (see [`Plan::walk_stops`]).
 fn h_walk(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     let mut r = PayloadReader::new(payload);
     let v = r.u64().unwrap();
@@ -171,16 +170,14 @@ struct Plan {
     prios: Vec<(usize, u8)>,
     /// Per-node budget in initial-object footprints.
     budget_objs: usize,
-    locality: bool,
     work_stealing: bool,
 }
 
 impl Plan {
     /// The objects a walk visits, in order: from `first` in strides of
     /// `nodes` — objects are dealt round-robin, so a walk stays on one
-    /// home node and teaches *that* node's locality map a chain of
-    /// neighbours — repeated `rounds` times, so later rounds fault on
-    /// objects whose clustermates are already known.
+    /// home node — repeated `rounds` times, so later rounds fault on
+    /// objects the walk already evicted.
     fn walk_stops(&self, first: usize, more: usize, rounds: usize) -> Vec<usize> {
         let chain: Vec<usize> = (first..self.objects)
             .step_by(self.nodes)
@@ -200,7 +197,6 @@ impl Plan {
             None => MrtsConfig::in_core(self.nodes),
         };
         cfg.deterministic_compute = true;
-        cfg.locality = self.locality;
         cfg.work_stealing = self.work_stealing;
         cfg
     }
@@ -223,12 +219,12 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
             Just(objects),
             Just(pad),
             2..objects + 8,
-            (any::<bool>(), any::<bool>()),
+            any::<bool>(),
         );
         let migs = (migs, self_migs, pinned_migs);
         (shape, (adds, fwds, migs), (walks, grows, pins, prios)).prop_map(
             |(shape, (adds, fwds, migs), (walks, grows, pins, prios))| {
-                let (nodes, objects, pad, budget_objs, (locality, work_stealing)) = shape;
+                let (nodes, objects, pad, budget_objs, work_stealing) = shape;
                 let (migs, self_migs, pinned_migs) = migs;
                 Plan {
                     nodes,
@@ -244,7 +240,6 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
                     pins,
                     prios,
                     budget_objs,
-                    locality,
                     work_stealing,
                 }
             },
@@ -535,7 +530,6 @@ fn thrash_elides_and_reconstitutes_exactly() {
             adds: (0..96).map(|i| (i % 8, 1 + i as u64)).collect(),
             fwds: (0..16).map(|i| (i % 8, (i + 3) % 8, 5, 5)).collect(),
             budget_objs: 2,
-            locality: true,
             ..Plan::default()
         };
         let mut cfg = MrtsConfig::out_of_core(plan.nodes, plan.budget());

@@ -113,12 +113,14 @@ pub fn point_batch_bytes(n: usize) -> usize {
 /// FNV-1a over a byte slice: the digest primitive for mesh byte-identity
 /// checks across scheduling modes and engines.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_iter(bytes.iter().copied())
+}
+
+/// [`fnv1a`] over bytes as they are produced, with no buffer to hold them.
+pub fn fnv1a_iter(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    (bytes.into_iter()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 // ----- workload / geometry codecs ---------------------------------------------

@@ -13,7 +13,7 @@
 //! mesh is byte-identical across schedules and engines.
 
 use crate::common::{
-    decode_point_batch, encode_point_batch, fnv1a, get_bbox, get_workload, put_bbox,
+    decode_point_batch, encode_point_batch, fnv1a, fnv1a_iter, get_bbox, get_workload, put_bbox,
     put_point_batch, put_workload, MethodResult,
 };
 use crate::domain::Workload;
@@ -435,28 +435,20 @@ fn block_digest_part(obj: &dyn MobileObject) -> Option<(u32, u64)> {
     let b = obj.as_any().downcast_ref::<BlockObj>()?;
     let mut records: Vec<[u64; 6]> = Vec::new();
     if let Some(m) = b.mesh.as_ref() {
+        records.reserve_exact(m.num_tris());
         for t in m.tri_ids() {
-            let mut pts: Vec<(u64, u64)> = m
-                .tri(t)
-                .v
-                .iter()
-                .map(|&v| {
-                    let p = m.point(v);
-                    (p.x.to_bits(), p.y.to_bits())
-                })
-                .collect();
+            let mut pts = m.tri(t).v.map(|v| {
+                let p = m.point(v);
+                (p.x.to_bits(), p.y.to_bits())
+            });
             pts.sort_unstable();
-            records.push([pts[0].0, pts[0].1, pts[1].0, pts[1].1, pts[2].0, pts[2].1]);
+            let [(x0, y0), (x1, y1), (x2, y2)] = pts;
+            records.push([x0, y0, x1, y1, x2, y2]);
         }
     }
     records.sort_unstable();
-    let mut bytes = Vec::with_capacity(records.len() * 48);
-    for r in &records {
-        for w in r {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-    Some((b.idx, fnv1a(&bytes)))
+    let bytes = records.iter().flatten().flat_map(|w| w.to_le_bytes());
+    Some((b.idx, fnv1a_iter(bytes)))
 }
 
 /// Build a runtime with OUPDR registered, `hook` applied (before any

@@ -10,8 +10,8 @@
 //! * `Pool` — a fixed set of named threads on `std::sync` alone, in one
 //!   of two disciplines. *Stealing*: a deque per thread; its owner takes
 //!   its newest task, an idle thread steals a peer's oldest. *Fifo*: one
-//!   global queue. The live engine's I/O pool is a fifo `Pool` too
-//!   (`threaded.rs`);
+//!   global queue. The runtime's one pool: both backends below, the live
+//!   I/O pool (`threaded.rs`) and the virtual clock's helpers (`des.rs`);
 //! * [`WorkStealingPool`] — TBB-like, and [`FifoPool`] — GCD-like: the
 //!   backends over a `Pool` of either discipline;
 //! * [`SequentialBackend`] — runs tasks serially while *measuring* them;
@@ -117,8 +117,7 @@ impl TaskBackend for SequentialBackend {
 /// still queued, then end, and the drop joins them.
 ///
 /// A task should not panic: one that does ends its thread. Whoever must
-/// learn of a panic catches it inside the task, as
-/// [`Pool::run_parallel`] does.
+/// learn of a panic queues the task with [`Pool::submit`].
 pub(crate) struct Pool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -157,15 +156,16 @@ impl Queues {
 impl Pool {
     /// TBB-like: `threads` threads named `<name>-<i>`, a deque each.
     pub(crate) fn stealing(threads: usize, name: &str) -> Pool {
-        Pool::new(threads, threads, name)
+        Pool::new(threads, threads, name, None)
     }
 
-    /// GCD-like: `threads` threads named `<name>-<i>`, one global queue.
-    pub(crate) fn fifo(threads: usize, name: &str) -> Pool {
-        Pool::new(threads, 1, name)
+    /// GCD-like: `threads` threads named `<name>-<i>`, one global queue,
+    /// and a `stack` of that many bytes each if given.
+    pub(crate) fn fifo(threads: usize, name: &str, stack: Option<usize>) -> Pool {
+        Pool::new(threads, 1, name, stack)
     }
 
-    fn new(threads: usize, deques: usize, name: &str) -> Pool {
+    fn new(threads: usize, deques: usize, name: &str, stack: Option<usize>) -> Pool {
         assert!(threads > 0);
         let shared = Arc::new(Shared {
             queues: Mutex::new(Queues {
@@ -178,7 +178,10 @@ impl Pool {
         let threads = (0..threads)
             .map(|me| {
                 let shared = shared.clone();
-                let thread = std::thread::Builder::new().name(format!("{name}-{me}"));
+                let mut thread = std::thread::Builder::new().name(format!("{name}-{me}"));
+                if let Some(bytes) = stack {
+                    thread = thread.stack_size(bytes);
+                }
                 (thread.spawn(move || shared.serve(me))).expect("spawn pool thread")
             })
             .collect();
@@ -195,6 +198,23 @@ impl Pool {
         self.shared.cv.notify_one();
     }
 
+    /// Queue `run`; what it returns, or the panic it ended in, goes to `done`.
+    pub(crate) fn submit<R: Send + 'static>(
+        &self,
+        run: impl FnOnce() -> R + Send + 'static,
+        done: mpsc::Sender<std::thread::Result<R>>,
+    ) {
+        self.spawn(Box::new(move || {
+            done.send(catch_unwind(AssertUnwindSafe(run))).ok();
+        }));
+    }
+
+    /// Run thread 0's next task on the caller, which helps while it waits; false if none.
+    pub(crate) fn run_queued(&self) -> bool {
+        let task = lock(&self.shared.queues).take(0);
+        task.map(|task| task()).is_some()
+    }
+
     /// Run all tasks to completion; each reports its duration at its own
     /// index, in whatever order they finish. A task's panic is resumed
     /// here once the whole batch has finished.
@@ -203,18 +223,18 @@ impl Pool {
         let n = tasks.len();
         let (tx, rx) = mpsc::channel();
         for (i, task) in tasks.into_iter().enumerate() {
-            let tx = tx.clone();
-            self.spawn(Box::new(move || {
+            let timed = move || {
                 let t0 = Instant::now();
-                let ran = catch_unwind(AssertUnwindSafe(task)).map(|()| t0.elapsed());
-                tx.send((i, ran)).ok();
-            }));
+                task();
+                (i, t0.elapsed())
+            };
+            self.submit(timed, tx.clone());
         }
         drop(tx);
         let (mut durations, mut panic) = (vec![Duration::ZERO; n], None);
-        for (i, ran) in rx {
+        for ran in rx {
             match ran {
-                Ok(d) => durations[i] = d,
+                Ok((i, d)) => durations[i] = d,
                 Err(p) => panic = panic.or(Some(p)),
             }
         }
@@ -278,7 +298,7 @@ pub struct FifoPool(Pool);
 
 impl FifoPool {
     pub fn new(n_workers: usize) -> Self {
-        FifoPool(Pool::fifo(n_workers, "mrts-fifo"))
+        FifoPool(Pool::fifo(n_workers, "mrts-fifo", None))
     }
 }
 
@@ -399,7 +419,10 @@ mod tests {
     /// Dropping a pool runs every task still queued before it joins.
     #[test]
     fn dropping_a_pool_runs_what_is_queued() {
-        for pool in [Pool::stealing(2, "test-ws"), Pool::fifo(1, "test-fifo")] {
+        for pool in [
+            Pool::stealing(2, "test-ws"),
+            Pool::fifo(1, "test-fifo", None),
+        ] {
             let counter = Arc::new(AtomicU64::new(0));
             for task in counting_tasks(50, &counter) {
                 pool.spawn(task);
@@ -428,6 +451,29 @@ mod tests {
             pool.spawn(Box::new(|| {}));
             pool.spawn(Box::new(move || c_ran_tx.send(()).unwrap()));
             a_done.recv().unwrap();
+        });
+    }
+
+    /// With the pool's one thread blocked, a caller that waits runs the
+    /// queued task itself; on an empty queue it has nothing to run.
+    #[test]
+    fn run_queued_runs_a_task_on_the_caller() {
+        within_seconds(10, || {
+            let pool = Pool::fifo(1, "test-caller", None);
+            let (started_tx, started) = mpsc::channel();
+            let (release_tx, release) = mpsc::channel::<()>();
+            pool.spawn(Box::new(move || {
+                started_tx.send(()).unwrap();
+                release.recv().unwrap();
+            }));
+            started.recv().unwrap();
+            let (ran_tx, ran) = mpsc::channel();
+            pool.submit(|| std::thread::current().id(), ran_tx);
+            assert!(pool.run_queued(), "the second task was queued");
+            let on = ran.try_recv().expect("it ran").expect("without a panic");
+            assert_eq!(on, std::thread::current().id(), "on the caller");
+            assert!(!pool.run_queued(), "nothing is left to run");
+            release_tx.send(()).unwrap();
         });
     }
 

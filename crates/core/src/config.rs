@@ -187,11 +187,16 @@ impl MrtsConfig {
         if !(0.0..=1.0).contains(&self.soft_threshold_frac) {
             return Err("soft_threshold_frac must be in [0, 1]".into());
         }
-        if self.hard_threshold_mult < 0.0 {
-            return Err("hard_threshold_mult must be >= 0".into());
+        // (NaN is not finite.)
+        if !self.hard_threshold_mult.is_finite() || self.hard_threshold_mult < 0.0 {
+            return Err("hard_threshold_mult must be finite and >= 0".into());
         }
-        if self.compute_scale <= 0.0 {
-            return Err("compute_scale must be > 0".into());
+        if !self.compute_scale.is_finite() || self.compute_scale <= 0.0 {
+            return Err("compute_scale must be finite and > 0".into());
+        }
+        // An infinite bandwidth is an instant disk.
+        if self.disk.bandwidth.is_nan() || self.disk.bandwidth <= 0.0 {
+            return Err("disk.bandwidth must be > 0".into());
         }
         if self.io_threads == 0 {
             return Err("io_threads must be > 0".into());
@@ -283,12 +288,29 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(MrtsConfig {
-            compute_scale: 0.0,
-            ..Default::default()
+        for scale in [0.0, f64::NAN, f64::INFINITY] {
+            let c = MrtsConfig {
+                compute_scale: scale,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "compute_scale {scale}");
         }
-        .validate()
-        .is_err());
+        for mult in [-1.0, f64::NAN, f64::INFINITY] {
+            let c = MrtsConfig {
+                hard_threshold_mult: mult,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "hard_threshold_mult {mult}");
+        }
+        for bandwidth in [0.0, -1.0, f64::NAN] {
+            let mut c = MrtsConfig::default();
+            c.disk.bandwidth = bandwidth;
+            assert!(c.validate().is_err(), "disk.bandwidth {bandwidth}");
+        }
+        let mut instant_disk = MrtsConfig::default();
+        instant_disk.disk.bandwidth = f64::INFINITY;
+        instant_disk.validate().expect("an instant disk is legal");
+        assert_eq!(instant_disk.disk.op_time(1 << 20), instant_disk.disk.seek);
         assert!(MrtsConfig {
             io_threads: 0,
             ..Default::default()

@@ -44,7 +44,10 @@
 //! in) just before the first event at or after its end, and other nodes
 //! run meanwhile. The pop order, so every result, is that of running in
 //! place. Net-fault runs run in place: a landing node's sends would move
-//! the frame maps other nodes' loss checks read.
+//! the frame maps other nodes' loss checks read. The helpers are a fifo
+//! `compute::Pool`, the pool type of the live engine and the computing
+//! layer; while a landing waits for its handler, the stepping thread runs
+//! queued handlers itself.
 //!
 //! Virtual time persists from one run to the next, as the runtime's cores
 //! and stores do. The reported quantities (per-PE speed, overheads,
@@ -52,11 +55,10 @@
 //! measurements — the substitution required because this reproduction
 //! runs on a small host (see DESIGN.md).
 
-use crate::compute::{ParallelReport, SequentialBackend, TaskBackend};
+use crate::compute::{ParallelReport, Pool, SequentialBackend, TaskBackend};
 use crate::config::{MrtsConfig, NetModel};
 use crate::fault::MrtsError;
 use crate::ids::NodeId;
-use crate::lock;
 use crate::object::Registry;
 use crate::replay::Decision;
 use crate::runtime::{hooks::Hooks, Engine, Runtime};
@@ -67,9 +69,11 @@ use armci_sim::ActiveMessage;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
+#[cfg(test)]
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 #[cfg(test)]
@@ -80,6 +84,9 @@ pub type DesRuntime = Runtime<Des>;
 
 /// A reliable frame: `(src, dest, seq)`.
 type Key = (NodeId, NodeId, u64);
+
+/// A handed-off handler that ran, or the panic it ended in.
+type Landed = std::thread::Result<Ran>;
 
 /// What reaches a node at an event.
 enum Arrival {
@@ -251,7 +258,9 @@ struct Sim {
     pool: BufferPool,
     cfg: MrtsConfig,
     /// The run's helper threads, when handlers may be handed off.
-    helpers: Option<Arc<Helpers>>,
+    helpers: Option<Rc<Pool>>,
+    /// Where this node's handed-off handler sends what it ran.
+    ran: (mpsc::Sender<Landed>, mpsc::Receiver<Landed>),
     /// The charge of this node's handler in flight, booked on its clock
     /// when it was handed off.
     prepaid: Option<Duration>,
@@ -284,6 +293,22 @@ impl Sim {
         } else {
             wall.mul_f64(self.cfg.compute_scale)
         }
+    }
+
+    /// This node's handed-off handler, run. Until it is, the stepping
+    /// thread runs queued handlers itself; a helper's panic is resumed.
+    fn landed(&self) -> Ran {
+        let helpers = self.helpers.as_ref().expect("only helpers take handlers");
+        let ran = loop {
+            if let Ok(ran) = self.ran.1.try_recv() {
+                break ran;
+            }
+            // Nothing is queued, so a helper runs it.
+            if !helpers.run_queued() {
+                break self.ran.1.recv().expect("the gateway holds a sender");
+            }
+        };
+        ran.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
     /// Put an operation over `bytes` on the earliest-free disk channel
@@ -430,7 +455,7 @@ impl Gateway for Sim {
         w.wake[i] = Some(end);
         w.flights.push((end, self.node, origin));
         self.prepaid = Some(cost);
-        helpers.submit(self.node, job);
+        helpers.submit(move || job.run(&mut SequentialBackend), self.ran.0.clone());
         None
     }
 
@@ -509,33 +534,25 @@ impl DesRuntime {
         let (start, seed) = (self.engine.now, self.engine.schedule_seed);
         let world = World::new(n, start, self.cfg.io_threads, seed);
         let world = Rc::new(RefCell::new(world));
-        let results = std::thread::scope(|s| {
-            let count = helper_count(&self.cfg);
-            let helpers = (count > 0).then(|| Arc::new(Helpers::default()));
-            // Closed on the way out, unwinding too: the scope then joins
-            // helpers that are done instead of waiting for jobs forever.
-            let _close = helpers.clone().map(Close);
-            for t in 0..count {
-                let helpers = helpers.clone().expect("a pool for its helpers");
-                let thread = std::thread::Builder::new().name(format!("mrts-des-{t}"));
-                // The stack the calling thread would have given a handler.
-                let thread = thread.stack_size(8 << 20);
-                (thread.spawn_scoped(s, move || helpers.serve())).expect("spawn a helper thread");
-            }
-            let cfg = self.cfg.clone();
-            let sim = |i: usize, store: &SharedStore| Sim {
-                node: i as NodeId,
-                world: world.clone(),
-                store: store.clone(),
-                registry: registry.clone(),
-                pool: BufferPool::new(1),
-                cfg: cfg.clone(),
-                helpers: helpers.clone(),
-                prepaid: None,
-            };
-            let workers = self.workers(&registry, |_| Box::new(SequentialBackend), sim);
-            step_all(&world, workers, helpers.as_deref())
-        });
+        // 8 MiB stacks, a main thread's: what a handler run in place gets.
+        // The last owner's drop, unwinding too, runs what is queued and
+        // ends every helper.
+        let count = helper_count(&self.cfg);
+        let helpers = (count > 0).then(|| Rc::new(Pool::fifo(count, "mrts-des", Some(8 << 20))));
+        let cfg = self.cfg.clone();
+        let sim = |i: usize, store: &SharedStore| Sim {
+            node: i as NodeId,
+            world: world.clone(),
+            store: store.clone(),
+            registry: registry.clone(),
+            pool: BufferPool::new(1),
+            cfg: cfg.clone(),
+            helpers: helpers.clone(),
+            ran: mpsc::channel(),
+            prepaid: None,
+        };
+        let workers = self.workers(&registry, |_| Box::new(SequentialBackend), sim);
+        let results = step_all(&world, workers);
         let end = world.borrow().end();
         self.engine.now = end;
         self.registry =
@@ -566,11 +583,7 @@ impl DesRuntime {
 /// after Safra's termination, or once a failing node's exit reached
 /// everyone. Before each event, every handed-off handler that ends at or
 /// before it lands.
-fn step_all(
-    world: &RefCell<World>,
-    workers: Vec<Worker<Sim>>,
-    helpers: Option<&Helpers>,
-) -> Vec<crate::worker::WorkerResult> {
+fn step_all(world: &RefCell<World>, workers: Vec<Worker<Sim>>) -> Vec<crate::worker::WorkerResult> {
     let n = workers.len();
     let mut workers: Vec<_> = workers.into_iter().map(Some).collect();
     // Every node's first turn, at its clock: the run's start.
@@ -581,12 +594,12 @@ fn step_all(
     let landing = || world.borrow_mut().landing();
     while running > 0 {
         while let Some((_, node, origin)) = landing() {
-            let ran = helpers.expect("only helpers take handlers").take(node);
             let i = node as usize;
             let mut w = world.borrow_mut();
             (w.origin, w.wake[i]) = (origin, None);
             drop(w);
             let w = workers[i].as_mut().expect("a running worker");
+            let ran = w.gate.landed();
             w.land(ran);
             schedule(world, w);
         }
@@ -657,80 +670,4 @@ fn helper_count(cfg: &MrtsConfig) -> usize {
     }
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     (cores - 1).min(cfg.nodes - 1)
-}
-
-/// The helper threads' queue of handed-off handlers, and what they ran.
-#[derive(Default)]
-struct Helpers {
-    jobs: Mutex<Jobs>,
-    /// A job was queued or ran, or the pool closed.
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct Jobs {
-    queue: VecDeque<(NodeId, Job)>,
-    /// Finished jobs by node, or the panic one ended in.
-    ran: Vec<(NodeId, std::thread::Result<Ran>)>,
-    closed: bool,
-}
-
-impl Helpers {
-    fn submit(&self, node: NodeId, job: Job) {
-        lock(&self.jobs).queue.push_back((node, job));
-        self.cv.notify_all();
-    }
-
-    /// A helper's loop: run queued jobs until the pool closes. A panic is
-    /// kept for the main thread, which resumes it when the job lands.
-    fn serve(&self) {
-        let mut jobs = lock(&self.jobs);
-        while !jobs.closed {
-            let Some((node, job)) = jobs.queue.pop_front() else {
-                jobs = self.cv.wait(jobs).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            };
-            drop(jobs);
-            let ran = catch_unwind(AssertUnwindSafe(|| job.run(&mut SequentialBackend)));
-            jobs = lock(&self.jobs);
-            jobs.ran.push((node, ran));
-            self.cv.notify_all();
-        }
-    }
-
-    /// `node`'s job, run. The main thread runs it itself if no helper has
-    /// taken it yet, and while a helper runs it, runs other queued jobs.
-    fn take(&self, node: NodeId) -> Ran {
-        let mut jobs = lock(&self.jobs);
-        loop {
-            if let Some(k) = jobs.ran.iter().position(|&(n, _)| n == node) {
-                let (_, ran) = jobs.ran.swap_remove(k);
-                drop(jobs);
-                return ran.unwrap_or_else(|panic| resume_unwind(panic));
-            }
-            let own = jobs.queue.iter().position(|&(n, _)| n == node);
-            let next = own.or((!jobs.queue.is_empty()).then_some(0));
-            let Some((n, job)) = next.and_then(|k| jobs.queue.remove(k)) else {
-                jobs = self.cv.wait(jobs).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            };
-            drop(jobs);
-            let ran = job.run(&mut SequentialBackend);
-            if n == node {
-                return ran;
-            }
-            jobs = lock(&self.jobs);
-            jobs.ran.push((n, Ok(ran)));
-        }
-    }
-}
-
-/// Closes the helpers' pool when dropped.
-struct Close(Arc<Helpers>);
-
-impl Drop for Close {
-    fn drop(&mut self) {
-        lock(&self.0.jobs).closed = true;
-        self.0.cv.notify_all();
-    }
 }

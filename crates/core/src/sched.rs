@@ -13,9 +13,10 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`RegionDag`] — the full DAG with per-node commit state; used by
-//!   centralized drivers (and by the property tests that pin down
-//!   acyclicity and coverage).
+//! * [`RegionDag`] — the full DAG with per-node commit state: the rule
+//!   every block's [`PhaseGate`] applies locally, whole. Its property
+//!   tests pin down acyclicity, coverage and dependency order; no method
+//!   drives a run through it.
 //! * [`PhaseGate`] — one block's distributed view of the same rule: count
 //!   commit notifications from the in-neighborhood and open the gate when
 //!   all have arrived. The out-of-core methods embed one per block object
@@ -23,8 +24,6 @@
 //! * [`ConflictSet`] — busy-tracking for methods whose readiness rule is
 //!   spatial exclusion rather than phase order (NUPDR's leaf/buffer
 //!   locking): a region may run only while its entire footprint is free.
-
-use std::collections::VecDeque;
 
 /// Normalize an adjacency list: drop self-edges and duplicates, sort each
 /// neighborhood, and mirror every edge so the relation is symmetric
@@ -102,39 +101,11 @@ impl RegionDag {
         phase * self.blocks() + block
     }
 
-    /// The dependencies of `(block, phase)`: every `(a, phase - 1)` with
-    /// `a ∈ N(block) ∪ {block}`; empty for phase 0.
-    pub fn deps(&self, block: usize, phase: usize) -> Vec<(usize, usize)> {
-        if phase == 0 {
-            return Vec::new();
-        }
-        let mut d: Vec<(usize, usize)> = self.neighbors[block]
-            .iter()
-            .map(|&a| (a, phase - 1))
-            .collect();
-        d.push((block, phase - 1));
-        d.sort_unstable();
-        d
-    }
-
-    /// In-degree (including the block's own prior phase) of `(block, phase)`.
-    pub fn in_degree(&self, block: usize, phase: usize) -> usize {
-        if phase == 0 {
-            0
-        } else {
-            self.neighbors[block].len() + 1
-        }
-    }
-
     /// A node is ready when every dependency has committed and it has not
     /// itself committed yet.
     pub fn is_ready(&self, block: usize, phase: usize) -> bool {
         let i = self.idx(block, phase);
         !self.committed[i] && self.waiting[i] == 0
-    }
-
-    pub fn is_committed(&self, block: usize, phase: usize) -> bool {
-        self.committed[self.idx(block, phase)]
     }
 
     /// The currently ready frontier, in `(phase, block)` order.
@@ -183,27 +154,6 @@ impl RegionDag {
     /// Every `(block, phase)` node has committed.
     pub fn is_complete(&self) -> bool {
         self.committed_count == self.node_count()
-    }
-
-    /// Drive the DAG to completion from its roots, committing ready nodes
-    /// in deterministic order, and return the topological order produced.
-    /// Succeeding proves the DAG is acyclic *and* covers every
-    /// `(block, phase)` pair — the schedulability property the property
-    /// tests pin down.
-    pub fn topo_drain(mut self) -> Option<Vec<(usize, usize)>> {
-        let mut frontier: VecDeque<(usize, usize)> = self.ready().into();
-        let mut order = Vec::with_capacity(self.node_count());
-        while let Some((b, p)) = frontier.pop_front() {
-            order.push((b, p));
-            for n in self.commit(b, p) {
-                frontier.push_back(n);
-            }
-        }
-        if order.len() == self.node_count() {
-            Some(order)
-        } else {
-            None
-        }
     }
 }
 
@@ -314,10 +264,6 @@ impl ConflictSet {
         &self.busy
     }
 
-    pub fn is_busy(&self, region: usize) -> bool {
-        self.busy[region]
-    }
-
     /// `region` plus every region in `footprint` is currently free.
     pub fn can_run(&self, region: usize, footprint: &[usize]) -> bool {
         !self.busy[region] && footprint.iter().all(|&f| !self.busy[f])
@@ -386,6 +332,23 @@ mod tests {
         (0..n).map(|b| vec![(b + 1) % n, (b + n - 1) % n]).collect()
     }
 
+    /// Commit the ready frontier, round after round, until nothing is
+    /// ready: the commit order, and whether every node committed. A
+    /// commit out of dependency order panics in `commit`.
+    fn drain(mut dag: RegionDag) -> (Vec<(usize, usize)>, bool) {
+        let mut order = Vec::new();
+        loop {
+            let ready = dag.ready();
+            if ready.is_empty() {
+                return (order, dag.is_complete());
+            }
+            for (b, p) in ready {
+                dag.commit(b, p);
+                order.push((b, p));
+            }
+        }
+    }
+
     #[test]
     fn phase_zero_roots_are_ready() {
         let dag = RegionDag::new(&ring(4), 3);
@@ -429,10 +392,15 @@ mod tests {
 
     #[test]
     fn deps_are_neighborhood_of_prior_phase() {
-        let dag = RegionDag::new(&ring(5), 3);
-        assert!(dag.deps(2, 0).is_empty());
-        assert_eq!(dag.deps(2, 1), vec![(1, 0), (2, 0), (3, 0)]);
-        assert_eq!(dag.in_degree(2, 2), 3);
+        let mut dag = RegionDag::new(&ring(5), 3);
+        assert!(dag.is_ready(2, 0));
+        // (2, 1) waits on blocks 1, 2 and 3 of phase 0, and no other.
+        for b in [0, 4, 1, 2] {
+            assert!(dag.commit(b, 0).iter().all(|&n| n != (2, 1)));
+        }
+        assert!(!dag.is_ready(2, 1));
+        assert!(dag.commit(3, 0).contains(&(2, 1)));
+        assert!(dag.is_ready(2, 1));
     }
 
     #[test]
@@ -486,9 +454,9 @@ mod tests {
     }
 
     proptest! {
-        /// The DAG is acyclic and covers every (block, phase) pair: a
-        /// greedy topological drain schedules *all* blocks × phases
-        /// nodes, whatever the adjacency.
+        /// The DAG is acyclic and covers every (block, phase) pair:
+        /// committing what is ready, round after round, schedules *all*
+        /// blocks × phases nodes, whatever the adjacency.
         #[test]
         fn dag_is_acyclic_and_covers_every_pair(
             adj in prop::collection::vec(prop::collection::vec(0usize..12, 0..6), 1..12),
@@ -496,7 +464,8 @@ mod tests {
         ) {
             let dag = RegionDag::new(&adj, phases);
             let blocks = dag.blocks();
-            let order = dag.topo_drain().expect("layered DAG always drains");
+            let (order, complete) = drain(dag);
+            prop_assert!(complete, "a layered DAG always drains");
             prop_assert_eq!(order.len(), blocks * phases);
             let mut seen = std::collections::HashSet::new();
             for &(b, p) in &order {
@@ -513,19 +482,15 @@ mod tests {
             adj in prop::collection::vec(prop::collection::vec(0usize..8, 0..4), 1..8),
             phases in 1usize..4,
         ) {
-            let dag = RegionDag::new(&adj, phases);
-            let deps: Vec<Vec<(usize, usize)>> = (0..phases)
-                .flat_map(|p| (0..dag.blocks()).map(move |b| (b, p)))
-                .map(|(b, p)| dag.deps(b, p))
-                .collect();
-            let blocks = dag.blocks();
-            let order = dag.topo_drain().expect("layered DAG always drains");
+            // (b, p) depends on (a, p - 1) for every a in N(b) ∪ {b}.
+            let neighbors = normalize_adjacency(&adj);
+            let (order, complete) = drain(RegionDag::new(&adj, phases));
+            prop_assert!(complete, "a layered DAG always drains");
             let pos: std::collections::HashMap<(usize, usize), usize> =
                 order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-            for (i, ds) in deps.iter().enumerate() {
-                let node = (i % blocks, i / blocks);
-                for d in ds {
-                    prop_assert!(pos[d] < pos[&node]);
+            for &(b, p) in order.iter().filter(|&&(_, p)| p > 0) {
+                for a in neighbors[b].iter().copied().chain([b]) {
+                    prop_assert!(pos[&(a, p - 1)] < pos[&(b, p)]);
                 }
             }
         }

@@ -267,8 +267,9 @@ impl RunStats {
 
     /// Read amplification: bytes loaded from disk ÷ bytes demanded
     /// (packed bytes of loads that had work waiting at completion).
-    /// 1.0 means every byte read was demanded; cluster prefetch trades a
-    /// little amplification for sequential segment access. 0.0 when the
+    /// 1.0 means every byte read was demanded. A load is queued only by
+    /// work of its own (a queued message, a migration or a lock), so more
+    /// counts loads whose work was gone when they completed. 0.0 when the
     /// run demanded nothing.
     pub fn read_amplification(&self) -> f64 {
         let demanded = self.bytes_demanded();
@@ -285,9 +286,9 @@ impl RunStats {
     }
 
     /// Loads served per segment visit: `segment_reads` over segment
-    /// switches. Sequential curve-ordered layouts drive this up; a
-    /// placement-blind layout pays a switch on almost every load,
-    /// pinning it near 1.0.
+    /// switches. No layout steers it: records sit where eviction batches
+    /// and cleaning passes wrote them and loads follow demand, so it
+    /// rises above 1.0 only as far as demand follows write order.
     pub fn loads_per_segment(&self) -> f64 {
         let reads = self.total_of(|n| n.segment_reads);
         let switches = self.total_of(|n| n.segment_switches);

@@ -52,7 +52,7 @@ use crate::spill_io::{open_stores, BufferPool, SharedStore};
 use crate::stats::{NodeStats, RunStats};
 use crate::worker::{Due, Gateway, IoDone, IoReq, NetLayer, Recv, WorkerResult, POLL_WAIT};
 use armci_sim::{Endpoint, Fabric, NetworkModel};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -132,10 +132,8 @@ impl Gateway for Live {
 
     fn submit(&mut self, req: IoReq) {
         let exec = self.exec.clone();
-        self.io.spawn(Box::new(move || {
-            let run = || req.run(&exec.store, &exec.bufs, &exec.registry);
-            exec.done.send(catch_unwind(AssertUnwindSafe(run))).ok();
-        }));
+        let run = move || req.run(&exec.store, &exec.bufs, &exec.registry);
+        self.io.submit(run, self.exec.done.clone());
     }
 
     /// By the wall clock; each logged answer list ends with `PumpEnd`.
@@ -297,7 +295,7 @@ impl ThreadedRuntime {
             };
             Live {
                 ep: endpoints.next().expect("one endpoint per node"),
-                io: Pool::fifo(io_threads, "mrts-io"),
+                io: Pool::fifo(io_threads, "mrts-io", None),
                 exec: Arc::new(exec),
                 done,
                 epoch: Instant::now(),
@@ -324,6 +322,7 @@ mod tests {
     use crate::object::MobileObject;
     use crate::within_seconds;
     use std::any::Any;
+    use std::panic::catch_unwind;
 
     /// An object whose spill panics.
     struct Bomb;

@@ -78,12 +78,6 @@ impl ExecutorKind {
         }
         load.into_iter().max().unwrap_or(Duration::ZERO)
     }
-
-    /// Virtual serial time (1 core) of the batch.
-    pub fn serial_time(&self, durations: &[Duration]) -> Duration {
-        let ovh = self.per_task_overhead();
-        durations.iter().map(|&d| d + ovh).sum()
-    }
 }
 
 // ----- sequential (measuring) backend -------------------------------------
@@ -481,7 +475,7 @@ mod tests {
     fn makespan_models_parallelism() {
         let d = vec![Duration::from_millis(10); 8];
         let ws = ExecutorKind::WorkStealing;
-        let serial = ws.serial_time(&d);
+        let serial: Duration = d.iter().map(|&t| t + ws.per_task_overhead()).sum();
         let quad = ws.makespan(&d, 4);
         assert!(
             quad < serial / 3,

@@ -10,6 +10,15 @@ use crate::storage::DiskModel;
 /// messages: the fabric's own model.
 pub type NetModel = armci_sim::NetworkModel;
 
+/// The largest legal [`MrtsConfig::compute_scale`]: a handler would have
+/// to run ~585 years before its scaled charge overflows a `Duration`.
+const MAX_COMPUTE_SCALE: f64 = 1e9;
+
+/// The slowest legal [`MrtsConfig::disk`] bandwidth in bytes/second: at
+/// this rate a record of `isize::MAX` bytes, the largest a `Vec` holds,
+/// still takes less than `Duration::MAX`.
+const MIN_DISK_BANDWIDTH: f64 = 1.0;
+
 /// Configuration of an MRTS instance.
 #[derive(Clone, Debug)]
 pub struct MrtsConfig {
@@ -32,11 +41,12 @@ pub struct MrtsConfig {
     /// Computing-layer backend (TBB-like work stealing vs GCD-like FIFO).
     pub executor: ExecutorKind,
     /// Virtual-time scale applied to measured handler durations (DES mode).
-    /// 1.0 charges measured wall time as-is.
+    /// 1.0 charges measured wall time as-is; at most 1e9.
     pub compute_scale: f64,
     /// Network model.
     pub net: NetModel,
-    /// Disk model (DES mode charging).
+    /// Disk model (DES mode charging); its bandwidth is at least 1 B/s
+    /// (infinite: an instant disk).
     pub disk: DiskModel,
     /// Spill directory for the threaded mode's segment log (`SegmentStore`:
     /// small writes coalesce into segment-sized batches, large ones get a
@@ -171,11 +181,6 @@ impl MrtsConfig {
         self
     }
 
-    /// Is the out-of-core layer active?
-    pub fn ooc_enabled(&self) -> bool {
-        self.mem_budget != usize::MAX
-    }
-
     /// Sanity-check the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
@@ -191,12 +196,19 @@ impl MrtsConfig {
         if !self.hard_threshold_mult.is_finite() || self.hard_threshold_mult < 0.0 {
             return Err("hard_threshold_mult must be finite and >= 0".into());
         }
-        if !self.compute_scale.is_finite() || self.compute_scale <= 0.0 {
-            return Err("compute_scale must be finite and > 0".into());
+        let scale = self.compute_scale;
+        if scale.is_nan() || scale <= 0.0 || scale > MAX_COMPUTE_SCALE {
+            return Err(format!(
+                "compute_scale must be in (0, {MAX_COMPUTE_SCALE:e}]: a larger one \
+                 overflows a Duration when it scales a measured charge"
+            ));
         }
         // An infinite bandwidth is an instant disk.
-        if self.disk.bandwidth.is_nan() || self.disk.bandwidth <= 0.0 {
-            return Err("disk.bandwidth must be > 0".into());
+        if self.disk.bandwidth.is_nan() || self.disk.bandwidth < MIN_DISK_BANDWIDTH {
+            return Err(format!(
+                "disk.bandwidth must be >= {MIN_DISK_BANDWIDTH} B/s: a slower disk's \
+                 time to write the largest record overflows a Duration"
+            ));
         }
         if self.io_threads == 0 {
             return Err("io_threads must be > 0".into());
@@ -243,12 +255,13 @@ impl MrtsConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn defaults_are_valid() {
         let c = MrtsConfig::default();
         c.validate().unwrap();
-        assert!(!c.ooc_enabled());
+        assert_eq!(c.mem_budget, usize::MAX);
         assert_eq!(c.hard_threshold_mult, 2.0);
         assert_eq!(c.soft_threshold_frac, 0.5);
         assert_eq!(c.policy, PolicyKind::Lru);
@@ -261,7 +274,6 @@ mod tests {
             .with_executor(ExecutorKind::Fifo)
             .with_cores(4);
         c.validate().unwrap();
-        assert!(c.ooc_enabled());
         assert_eq!(c.nodes, 8);
         assert_eq!(c.mem_budget, 1 << 20);
         assert_eq!(c.cores_per_node, 4);
@@ -288,13 +300,23 @@ mod tests {
         }
         .validate()
         .is_err());
-        for scale in [0.0, f64::NAN, f64::INFINITY] {
+        for scale in [0.0, f64::NAN, f64::INFINITY, 1e300] {
             let c = MrtsConfig {
                 compute_scale: scale,
                 ..Default::default()
             };
-            assert!(c.validate().is_err(), "compute_scale {scale}");
+            let err = c.validate().expect_err("an unchargeable compute_scale");
+            assert!(
+                err.contains("compute_scale") && err.contains("1e9"),
+                "{err}"
+            );
         }
+        MrtsConfig {
+            compute_scale: MAX_COMPUTE_SCALE,
+            ..Default::default()
+        }
+        .validate()
+        .expect("the largest legal compute_scale");
         for mult in [-1.0, f64::NAN, f64::INFINITY] {
             let c = MrtsConfig {
                 hard_threshold_mult: mult,
@@ -302,11 +324,19 @@ mod tests {
             };
             assert!(c.validate().is_err(), "hard_threshold_mult {mult}");
         }
-        for bandwidth in [0.0, -1.0, f64::NAN] {
+        for bandwidth in [0.0, -1.0, f64::NAN, 1e-300, 0.5] {
             let mut c = MrtsConfig::default();
             c.disk.bandwidth = bandwidth;
-            assert!(c.validate().is_err(), "disk.bandwidth {bandwidth}");
+            let err = c.validate().expect_err("an unchargeable disk.bandwidth");
+            assert!(
+                err.contains("disk.bandwidth") && err.contains(">= 1"),
+                "{err}"
+            );
         }
+        let mut slowest = MrtsConfig::default();
+        slowest.disk.bandwidth = MIN_DISK_BANDWIDTH;
+        slowest.validate().expect("the slowest legal disk");
+        assert!(slowest.disk.op_time(isize::MAX as usize) < Duration::MAX);
         let mut instant_disk = MrtsConfig::default();
         instant_disk.disk.bandwidth = f64::INFINITY;
         instant_disk.validate().expect("an instant disk is legal");

@@ -14,14 +14,12 @@ use crate::object::MobileObject;
 
 /// A runtime mutation requested by a handler.
 pub enum Effect {
-    /// Post a message. `immediate` marks the paper's "call the handler
-    /// directly when the object is local and in-core" optimization: the
-    /// engine delivers it with zero routing cost when possible.
+    /// Post a message. A local send is queued like any other and runs in
+    /// a later turn of the target's node: there is no direct call.
     Send {
         to: MobilePtr,
         handler: HandlerId,
         payload: Vec<u8>,
-        immediate: bool,
     },
     /// Create a new mobile object on this node.
     Create {
@@ -46,13 +44,7 @@ impl std::fmt::Debug for Effect {
                 to,
                 handler,
                 payload,
-                immediate,
-            } => write!(
-                f,
-                "Send({to:?}, {handler:?}, {}B{})",
-                payload.len(),
-                if *immediate { ", immediate" } else { "" }
-            ),
+            } => write!(f, "Send({to:?}, {handler:?}, {}B)", payload.len()),
             Effect::Create { id, priority, .. } => write!(f, "Create({id:?}, prio={priority})"),
             Effect::Lock(p) => write!(f, "Lock({p:?})"),
             Effect::Unlock(p) => write!(f, "Unlock({p:?})"),
@@ -114,19 +106,6 @@ impl<'a> Ctx<'a> {
             to,
             handler,
             payload,
-            immediate: false,
-        });
-    }
-
-    /// Post a message with the "direct call when in-core" optimization: if
-    /// the target is local and in-core the engine bypasses routing and
-    /// queueing cost.
-    pub fn send_immediate(&mut self, to: MobilePtr, handler: HandlerId, payload: Vec<u8>) {
-        self.effects.push(Effect::Send {
-            to,
-            handler,
-            payload,
-            immediate: true,
         });
     }
 
@@ -217,24 +196,18 @@ mod tests {
         ctx.lock(p);
         ctx.set_priority(p, 200);
         ctx.unlock(p);
-        ctx.send_immediate(p, HandlerId(2), vec![]);
         let kinds: Vec<&str> = ctx
             .effects
             .iter()
             .map(|e| match e {
-                Effect::Send {
-                    immediate: false, ..
-                } => "send",
-                Effect::Send {
-                    immediate: true, ..
-                } => "send!",
+                Effect::Send { .. } => "send",
                 Effect::Lock(_) => "lock",
                 Effect::Unlock(_) => "unlock",
                 Effect::SetPriority(..) => "prio",
                 _ => "?",
             })
             .collect();
-        assert_eq!(kinds, vec!["send", "lock", "prio", "unlock", "send!"]);
+        assert_eq!(kinds, vec!["send", "lock", "prio", "unlock"]);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Directory {
         }
     }
 
-    /// Forget an object entirely (it was destroyed).
-    pub fn forget(&mut self, oid: ObjectId) {
-        self.hints.remove(&oid);
-    }
-
     /// Drop the hint for `oid` because delivery to the hinted location
     /// kept failing: subsequent [`Directory::lookup`]s fall back to the
     /// object's home node, breaking any forwarding livelock on a dead
@@ -56,16 +51,6 @@ impl Directory {
             self.hints_invalidated += 1;
         }
         had
-    }
-
-    /// Drop every hint pointing at `node` (it is unreachable or dead).
-    /// Returns how many hints were invalidated.
-    pub fn invalidate_node(&mut self, node: NodeId) -> usize {
-        let before = self.hints.len();
-        self.hints.retain(|_, &mut loc| loc != node);
-        let dropped = before - self.hints.len();
-        self.hints_invalidated += dropped;
-        dropped
     }
 
     /// Number of non-default hints held.
@@ -104,15 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_clears_hint() {
-        let mut d = Directory::new();
-        let oid = ObjectId::new(1, 1);
-        d.update(oid, 3);
-        d.forget(oid);
-        assert_eq!(d.lookup(oid), 1);
-    }
-
-    #[test]
     fn invalidate_falls_back_to_home_and_counts() {
         let mut d = Directory::new();
         let oid = ObjectId::new(1, 9);
@@ -123,21 +99,5 @@ mod tests {
         // Invalidating a hint that is not held is a no-op.
         assert!(!d.invalidate(oid));
         assert_eq!(d.hints_invalidated, 1);
-    }
-
-    #[test]
-    fn invalidate_node_drops_every_hint_at_that_node() {
-        let mut d = Directory::new();
-        let a = ObjectId::new(0, 1);
-        let b = ObjectId::new(0, 2);
-        let c = ObjectId::new(0, 3);
-        d.update(a, 3);
-        d.update(b, 3);
-        d.update(c, 2);
-        assert_eq!(d.invalidate_node(3), 2);
-        assert_eq!(d.lookup(a), 0);
-        assert_eq!(d.lookup(b), 0);
-        assert_eq!(d.lookup(c), 2, "hints at live nodes survive");
-        assert_eq!(d.hints_invalidated, 2);
     }
 }

@@ -626,7 +626,7 @@ mod tests {
     fn per_key_restriction_spares_other_keys() {
         let mut s = faulty(FaultPlan::new(11).with_eio(1000).for_key(42));
         s.store(1, b"fine").unwrap();
-        assert!(s.store(42, b"doomed").is_err());
+        assert!(s.store(42, b"faulted").is_err());
         assert_eq!(s.load(1).unwrap(), b"fine");
     }
 

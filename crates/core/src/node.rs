@@ -1177,7 +1177,6 @@ impl NodeCore {
                     to,
                     handler,
                     payload,
-                    immediate: _,
                 } => self.send(Message::new(to, handler, payload)),
                 Effect::Create { id, obj, priority } => self.create(id, obj, priority, false),
                 Effect::Lock(p) => self.send_to_owner(p.id, MetaOp::Lock.on(p.id)),

@@ -37,40 +37,41 @@
 //! phases remain; the quiescent state is captured on the PR-3 checkpoint
 //! path) or [`JobProgress::Finished`]. Failures are typed:
 //!
-//! * [`JobFailure::Runtime`] (a [`MrtsError`]) → bounded
-//!   retry-with-backoff under the job's [`RetryPolicy`], up to
-//!   `max_attempts`;
-//! * [`JobFailure::Invariant`] → immediate quarantine (no retry — the
+//! * [`JobFailure::Runtime`] (a [`MrtsError`]) → bounded retry, up to
+//!   `max_attempts`: attempt `a` fails into [`JobState::Backoff`] and
+//!   waits out `1 + a` supervisor steps before attempt `a + 1` runs;
+//! * [`JobFailure::Invariant`] → quarantine at once (no retry — the
 //!   run is wrong, not unlucky);
 //! * attempts exhausted or deadline exceeded → quarantine.
 //!
 //! A quarantined job persists a [`QuarantineArtifact`] under
 //! `target/replay/`, is **never resubmitted**, and never blocks the
-//! queue. A node kill ([`JobService::kill_node`]) dooms only the jobs
-//! whose domain contains that node: at the next phase boundary their
-//! in-flight attempt is discarded, [`ServiceEvent::JobRecovered`] fires,
-//! and the job is re-granted a fresh domain on the survivors, restarting
-//! from its last checkpoint. Jobs elsewhere in the pool never notice.
+//! queue. A node kill ([`JobService::kill_node`]) comes between steps,
+//! when no phase is running, and recovers at once only the jobs whose
+//! domain contains that node: their attempt is discarded,
+//! [`ServiceEvent::JobRecovered`] fires, and the job waits for a fresh
+//! domain on the survivors, restarting from its last checkpoint. Jobs
+//! elsewhere in the pool never notice.
 //!
-//! ## Execution modes
+//! ## Execution
 //!
-//! [`JobService::drain_serial`] runs the supervisor loop on the calling
-//! thread, one phase at a time, round-robin across jobs — fully
-//! deterministic (the sustained-chaos sweep relies on this to prove
-//! byte-identical meshes). [`JobService::run_until_drained`] runs the
-//! same loop from N OS worker threads for throughput benches; all
-//! transitions commit under one lock, so the state machine is identical.
+//! The service is a state machine its caller steps on one thread:
+//! [`JobService::step`] runs one supervisor step (at most one phase, jobs
+//! served round-robin) and [`JobService::drain`] steps until every job is
+//! terminal. Nothing moves between steps, so a run is deterministic by
+//! construction (the sustained-chaos sweep relies on this to prove
+//! byte-identical meshes), and a harness interleaves chaos (node kills)
+//! with job progress at exact points.
 
 use crate::audit::{ServiceEvent, ServiceEventSink};
 use crate::checkpoint::Checkpoint;
 use crate::codec::{PayloadReader, PayloadWriter, Truncated};
-use crate::fault::{MrtsError, RetryPolicy};
+use crate::fault::MrtsError;
 use crate::ids::NodeId;
-use crate::lock;
 use crate::stats::RunStats;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Service-wide job identifier (1-based, in submission order).
@@ -87,8 +88,6 @@ pub struct ServiceConfig {
     /// Maximum jobs waiting in `Queued` before submissions bounce with
     /// [`AdmissionError::QueueFull`].
     pub max_queue: usize,
-    /// Backoff between retry attempts of a failed job.
-    pub retry: RetryPolicy,
     /// Attempt budget for jobs whose [`JobSpec::max_attempts`] is 0.
     pub default_max_attempts: u32,
     /// Shed new submissions while the service is in degraded mode.
@@ -106,7 +105,6 @@ impl Default for ServiceConfig {
             pool_nodes: 16,
             node_budget: 1 << 20,
             max_queue: 64,
-            retry: RetryPolicy::default(),
             default_max_attempts: 3,
             shed_when_degraded: true,
             degraded_exit_probes: 2,
@@ -189,7 +187,7 @@ pub struct JobOutcome {
 /// Why a phase failed.
 #[derive(Debug)]
 pub enum JobFailure {
-    /// A typed runtime failure — retryable under the backoff policy.
+    /// A typed runtime failure — retried after a backoff.
     Runtime(MrtsError),
     /// An audit invariant tripped inside the job — never retried; the
     /// job is quarantined at once.
@@ -207,7 +205,7 @@ impl std::fmt::Display for JobFailure {
 
 /// A unit of supervised work. Implementations run a full MRTS workload
 /// phase per call (see `pumg-methods`' mesh job for the canonical one).
-pub trait Job: Send {
+pub trait Job {
     fn run_phase(&mut self, att: JobAttempt) -> Result<JobProgress, JobFailure>;
 }
 
@@ -241,7 +239,7 @@ pub enum JobState {
     Queued,
     /// Domain granted; phases executing.
     Running { attempt: u32 },
-    /// A retryable failure; waiting out the backoff.
+    /// A retryable failure; waiting until supervisor step `until_step`.
     Backoff { attempt: u32, until_step: u64 },
     /// Domain lost to a node kill; waiting for a re-grant on survivors.
     Recovering { attempt: u32 },
@@ -382,115 +380,94 @@ struct JobRecord {
     phase: u32,
     domain: Vec<NodeId>,
     checkpoint: Option<Checkpoint>,
-    /// Set when a node in the domain died mid-attempt: the in-flight
-    /// result is invalid and must be discarded in favor of recovery.
-    doomed: Option<NodeId>,
     /// Cumulative virtual time across committed phases (deadline ledger).
     virtual_spent: Duration,
-    /// Cumulative backoff delay charged by the retry policy.
-    backoff_total: Duration,
     /// Engine stats of every committed phase, in commit order (failed
-    /// attempts carry no stats and discarded doomed results are not
-    /// committed). Lets callers total counters across a multi-phase job
-    /// — a single phase's [`RunStats`] only covers that phase.
+    /// attempts carry no stats). Lets callers total counters across a
+    /// multi-phase job — a single phase's [`RunStats`] only covers that
+    /// phase.
     phase_stats: Vec<RunStats>,
     outcome: Option<JobOutcome>,
     failure: Option<String>,
-    /// None while leased to a worker or after a terminal transition.
+    /// None after a terminal transition.
     job: Option<Box<dyn Job>>,
 }
 
-struct ServiceState {
+enum Dispatch {
+    /// Run this phase of job `id`, then commit its result.
+    Run { id: JobId, att: JobAttempt },
+    /// A transition was made inline, or a backoff is being waited out;
+    /// step again.
+    Acted,
+    /// Every job is terminal.
+    Drained,
+}
+
+/// The supervisor. See the module docs for the lifecycle and for how a
+/// caller steps it.
+pub struct JobService {
     cfg: ServiceConfig,
     records: BTreeMap<JobId, JobRecord>,
     next_id: JobId,
     free: BTreeSet<NodeId>,
     dead: BTreeSet<NodeId>,
-    /// Virtual supervisor step counter: advanced on every dispatch,
-    /// backoffs expire against it (deterministic in serial mode).
+    /// Supervisor step counter: advanced on every dispatch; backoffs
+    /// expire against it.
     steps: u64,
     /// Round-robin cursor: the id served last; the next dispatch scan
     /// starts just past it, so one long job cannot starve the others.
     cursor: JobId,
-    /// Phases currently leased to workers.
-    leased: usize,
     stats: ServiceStats,
     health: ServiceHealth,
     sinks: Vec<Arc<dyn ServiceEventSink>>,
-}
-
-enum Dispatch {
-    /// A phase to run outside the lock.
-    Run {
-        id: JobId,
-        job: Box<dyn Job>,
-        att: JobAttempt,
-    },
-    /// An inline transition was performed; call again.
-    Acted,
-    /// Nothing actionable now, but backoffs or leases are pending.
-    Waiting,
-    /// Every job is terminal.
-    Drained,
-}
-
-/// The supervisor. See the module docs for the lifecycle; all state
-/// transitions commit under one internal lock, so the serial and
-/// multi-worker drains run the identical state machine.
-pub struct JobService {
-    state: Mutex<ServiceState>,
 }
 
 impl JobService {
     pub fn new(cfg: ServiceConfig) -> Self {
         let free: BTreeSet<NodeId> = (0..cfg.pool_nodes as NodeId).collect();
         JobService {
-            state: Mutex::new(ServiceState {
-                cfg,
-                records: BTreeMap::new(),
-                next_id: 1,
-                free,
-                dead: BTreeSet::new(),
-                steps: 0,
-                cursor: 0,
-                leased: 0,
-                stats: ServiceStats::default(),
-                health: ServiceHealth::Normal,
-                sinks: Vec::new(),
-            }),
+            cfg,
+            records: BTreeMap::new(),
+            next_id: 1,
+            free,
+            dead: BTreeSet::new(),
+            steps: 0,
+            cursor: 0,
+            stats: ServiceStats::default(),
+            health: ServiceHealth::Normal,
+            sinks: Vec::new(),
         }
     }
 
     /// Attach a service-event sink (e.g. the
     /// [`crate::audit::InvariantChecker`], which enforces fault-domain
     /// disjointness online). Attach before submitting.
-    pub fn attach_service_audit(&self, sink: Arc<dyn ServiceEventSink>) {
-        lock(&self.state).sinks.push(sink);
+    pub fn attach_service_audit(&mut self, sink: Arc<dyn ServiceEventSink>) {
+        self.sinks.push(sink);
     }
 
     /// Submit a job. Admission control applies immediately: the result
     /// says whether the job entered the queue. Rejected submissions
     /// still get a (terminal) record, so `job_state` explains them.
-    pub fn submit(&self, spec: JobSpec, job: Box<dyn Job>) -> Result<JobId, AdmissionError> {
-        let mut st = lock(&self.state);
-        let id = st.next_id;
-        st.next_id += 1;
+    pub fn submit(&mut self, spec: JobSpec, job: Box<dyn Job>) -> Result<JobId, AdmissionError> {
+        let id = self.next_id;
+        self.next_id += 1;
 
-        let verdict = admission_verdict(&st, &spec);
+        let verdict = self.admission_verdict(&spec);
         let state = match &verdict {
             Ok(()) => JobState::Queued,
             Err(_) => JobState::Rejected,
         };
         match &verdict {
-            Ok(()) => st.stats.jobs_admitted += 1,
+            Ok(()) => self.stats.jobs_admitted += 1,
             Err(e) => {
-                st.stats.jobs_rejected += 1;
+                self.stats.jobs_rejected += 1;
                 if *e == AdmissionError::Shedding {
-                    st.stats.shed_events += 1;
+                    self.stats.shed_events += 1;
                 }
             }
         }
-        st.records.insert(
+        self.records.insert(
             id,
             JobRecord {
                 spec,
@@ -499,147 +476,96 @@ impl JobService {
                 phase: 0,
                 domain: Vec::new(),
                 checkpoint: None,
-                doomed: None,
                 virtual_spent: Duration::ZERO,
-                backoff_total: Duration::ZERO,
                 phase_stats: Vec::new(),
                 outcome: None,
                 failure: verdict.as_ref().err().map(|e| e.to_string()),
                 job: Some(job),
             },
         );
-        let depth = queued_depth(&st) as u64;
-        st.stats.queue_depth_peak = st.stats.queue_depth_peak.max(depth);
+        let depth = self.queued_depth() as u64;
+        self.stats.queue_depth_peak = self.stats.queue_depth_peak.max(depth);
         verdict.map(|()| id)
     }
 
-    /// Kill a pool node. Queued jobs are untouched; active jobs whose
-    /// domain contains the node are doomed — their in-flight attempt is
-    /// discarded at its phase boundary and the job recovers from its
-    /// last checkpoint onto surviving nodes. Jobs whose domain avoids
-    /// the node never notice (the fault-domain guarantee).
-    pub fn kill_node(&self, node: NodeId) {
-        let mut st = lock(&self.state);
-        st.dead.insert(node);
-        st.free.remove(&node);
-        let ids: Vec<JobId> = st.records.keys().copied().collect();
-        for id in ids {
-            let (state, in_domain, leased) = {
-                let rec = st.records.get(&id).expect("iterating ids just collected");
-                (
-                    rec.state.clone(),
-                    rec.domain.contains(&node),
-                    rec.job.is_none(),
-                )
-            };
-            if state.is_terminal() || !in_domain {
-                continue;
-            }
-            match state {
-                // A worker holds the phase right now: mark doomed; its
-                // commit performs the recovery at the phase boundary.
-                JobState::Running { .. } if leased => {
-                    st.records.get_mut(&id).expect("record exists").doomed = Some(node);
-                }
-                // Parked between phases or waiting out a backoff: the
-                // domain is lost right now.
+    /// Kill a pool node. Queued jobs are untouched; every job whose
+    /// domain contains the node loses that domain now (no phase runs
+    /// between steps): its attempt is discarded and it recovers from its
+    /// last checkpoint onto surviving nodes. Jobs whose domain avoids the
+    /// node never notice (the fault-domain guarantee).
+    pub fn kill_node(&mut self, node: NodeId) {
+        self.dead.insert(node);
+        self.free.remove(&node);
+        let homed: Vec<(JobId, u32)> = (self.records.iter())
+            .filter(|(_, rec)| rec.domain.contains(&node))
+            .filter_map(|(&id, rec)| match rec.state {
                 JobState::Running { attempt } | JobState::Backoff { attempt, .. } => {
-                    recover_inline(&mut st, id, attempt, node);
+                    Some((id, attempt))
                 }
                 // No domain held in the remaining states.
                 JobState::Queued
                 | JobState::Recovering { .. }
                 | JobState::Completed
                 | JobState::Quarantined
-                | JobState::Rejected => {}
-            }
+                | JobState::Rejected => None,
+            })
+            .collect();
+        for (id, attempt) in homed {
+            self.recover(id, attempt, node);
         }
     }
 
-    /// One supervisor step, the same in every mode: dispatch under the
-    /// lock, run a leased phase outside it, commit its result. Returns
-    /// what the dispatch found; a phase that ran counts as `Acted`.
-    fn step(&self) -> Dispatch {
-        let d = dispatch(&mut lock(&self.state));
-        let Dispatch::Run { id, mut job, att } = d else {
-            return d;
-        };
-        let result = job.run_phase(att);
-        commit(&mut lock(&self.state), id, job, result);
-        Dispatch::Acted
-    }
-
-    /// Run the supervisor loop on this thread until every job is
-    /// terminal. One phase at a time, jobs in id order — deterministic.
-    pub fn drain_serial(&self) {
-        while self.step_serial() {}
-    }
-
-    /// Run exactly one supervisor step: dispatch once, and if a phase
-    /// was leased, run and commit it. Returns `false` once the service
-    /// is drained. Harnesses use this to interleave chaos (node kills)
-    /// with job progress at deterministic points.
-    pub fn step_serial(&self) -> bool {
-        !matches!(self.step(), Dispatch::Drained)
-    }
-
-    /// Drain with `workers` OS threads pulling phases concurrently.
-    /// Transitions still commit under the service lock; only
-    /// [`Job::run_phase`] runs outside it.
-    pub fn run_until_drained(&self, workers: usize) {
-        std::thread::scope(|scope| {
-            for _ in 0..workers.max(1) {
-                scope.spawn(|| loop {
-                    match self.step() {
-                        Dispatch::Waiting => std::thread::sleep(Duration::from_micros(200)),
-                        Dispatch::Drained => break,
-                        _ => {}
-                    }
-                });
+    /// Run one supervisor step: dispatch once, and if that picked a
+    /// phase, run and commit it. Returns `false` once the service is
+    /// drained.
+    pub fn step(&mut self) -> bool {
+        match self.dispatch() {
+            Dispatch::Run { id, att } => {
+                let rec = self.records.get_mut(&id).expect("dispatched job exists");
+                let job = rec.job.as_mut().expect("an active job holds its Job");
+                let result = job.run_phase(att);
+                self.commit(id, result);
+                true
             }
-        });
+            Dispatch::Acted => true,
+            Dispatch::Drained => false,
+        }
+    }
+
+    /// Step until every job is terminal. One phase at a time, jobs
+    /// round-robin — deterministic.
+    pub fn drain(&mut self) {
+        while self.step() {}
     }
 
     pub fn stats(&self) -> ServiceStats {
-        lock(&self.state).stats.clone()
+        self.stats.clone()
     }
 
     pub fn is_degraded(&self) -> bool {
-        lock(&self.state).health != ServiceHealth::Normal
+        self.health != ServiceHealth::Normal
     }
 
     pub fn job_state(&self, id: JobId) -> Option<JobState> {
-        lock(&self.state).records.get(&id).map(|r| r.state.clone())
+        self.records.get(&id).map(|r| r.state.clone())
     }
 
     pub fn outcome(&self, id: JobId) -> Option<JobOutcome> {
-        lock(&self.state)
-            .records
-            .get(&id)
-            .and_then(|r| r.outcome.clone())
+        self.records.get(&id).and_then(|r| r.outcome.clone())
     }
 
     /// The recorded failure string of a rejected/quarantined/retried job.
     pub fn failure(&self, id: JobId) -> Option<String> {
-        lock(&self.state)
-            .records
-            .get(&id)
-            .and_then(|r| r.failure.clone())
-    }
-
-    /// Cumulative backoff the retry policy charged this job.
-    pub fn backoff_total(&self, id: JobId) -> Option<Duration> {
-        lock(&self.state).records.get(&id).map(|r| r.backoff_total)
+        self.records.get(&id).and_then(|r| r.failure.clone())
     }
 
     /// Engine stats of every phase the job committed, in commit order.
     /// A phase's [`RunStats`] covers only that phase; total a counter
     /// across the whole job by summing over this history. Failed
-    /// attempts and doomed (node-killed) results commit nothing, so
-    /// recovered jobs may re-list a phase's successor run only.
+    /// attempts commit nothing, and a recovered job re-runs from its
+    /// last committed phase.
     pub fn job_phase_stats(&self, id: JobId) -> Vec<RunStats> {
-        lock(&self.state)
-            .records
+        self.records
             .get(&id)
             .map(|r| r.phase_stats.clone())
             .unwrap_or_default()
@@ -647,107 +573,303 @@ impl JobService {
 
     /// Snapshot `(id, name, state, attempts, phases_committed)` rows.
     pub fn jobs(&self) -> Vec<(JobId, String, JobState, u32, u32)> {
-        lock(&self.state)
-            .records
+        self.records
             .iter()
             .map(|(&id, r)| (id, r.spec.name.clone(), r.state.clone(), r.attempt, r.phase))
             .collect()
     }
-}
 
-fn admission_verdict(st: &ServiceState, spec: &JobSpec) -> Result<(), AdmissionError> {
-    if spec.nodes == 0 || spec.mem_budget == 0 {
-        return Err(AdmissionError::Infeasible(
-            "a job needs at least one node and a non-zero budget".into(),
-        ));
+    fn admission_verdict(&self, spec: &JobSpec) -> Result<(), AdmissionError> {
+        if spec.nodes == 0 || spec.mem_budget == 0 {
+            return Err(AdmissionError::Infeasible(
+                "a job needs at least one node and a non-zero budget".into(),
+            ));
+        }
+        if spec.nodes > self.cfg.pool_nodes {
+            return Err(AdmissionError::Infeasible(format!(
+                "domain of {} nodes exceeds the {}-node pool",
+                spec.nodes, self.cfg.pool_nodes
+            )));
+        }
+        if spec.mem_budget > spec.nodes * self.cfg.node_budget {
+            return Err(AdmissionError::Infeasible(format!(
+                "budget {} B exceeds {} B grantable on {} nodes",
+                spec.mem_budget,
+                spec.nodes * self.cfg.node_budget,
+                spec.nodes
+            )));
+        }
+        // Shed only while an admitted job is still active: only a
+        // completion leaves degraded mode, so shedding with nothing in
+        // flight would shed forever.
+        let active = self.records.values().any(|r| !r.state.is_terminal());
+        if self.cfg.shed_when_degraded && self.health != ServiceHealth::Normal && active {
+            return Err(AdmissionError::Shedding);
+        }
+        if self.queued_depth() >= self.cfg.max_queue {
+            return Err(AdmissionError::QueueFull);
+        }
+        Ok(())
     }
-    if spec.nodes > st.cfg.pool_nodes {
-        return Err(AdmissionError::Infeasible(format!(
-            "domain of {} nodes exceeds the {}-node pool",
-            spec.nodes, st.cfg.pool_nodes
-        )));
-    }
-    if spec.mem_budget > spec.nodes * st.cfg.node_budget {
-        return Err(AdmissionError::Infeasible(format!(
-            "budget {} B exceeds {} B grantable on {} nodes",
-            spec.mem_budget,
-            spec.nodes * st.cfg.node_budget,
-            spec.nodes
-        )));
-    }
-    if st.cfg.shed_when_degraded && st.health != ServiceHealth::Normal {
-        return Err(AdmissionError::Shedding);
-    }
-    if queued_depth(st) >= st.cfg.max_queue {
-        return Err(AdmissionError::QueueFull);
-    }
-    Ok(())
-}
 
-fn queued_depth(st: &ServiceState) -> usize {
-    st.records
-        .values()
-        .filter(|r| r.state == JobState::Queued)
-        .count()
-}
-
-fn emit(st: &ServiceState, ev: ServiceEvent) {
-    for s in &st.sinks {
-        s.record_service(&ev);
+    fn queued_depth(&self) -> usize {
+        self.records
+            .values()
+            .filter(|r| r.state == JobState::Queued)
+            .count()
     }
-}
 
-/// Release a domain back to the pool (dead nodes stay out).
-fn release_domain(st: &mut ServiceState, id: JobId) {
-    let rec = st.records.get_mut(&id).expect("record exists");
-    let domain = std::mem::take(&mut rec.domain);
-    for n in domain {
-        if !st.dead.contains(&n) {
-            st.free.insert(n);
+    fn emit(&self, ev: ServiceEvent) {
+        for s in &self.sinks {
+            s.record_service(&ev);
         }
     }
-}
 
-/// The doomed-domain transition: discard the attempt, free survivors,
-/// emit `JobRecovered`, park the job for a re-grant.
-fn recover_inline(st: &mut ServiceState, id: JobId, attempt: u32, from: NodeId) {
-    release_domain(st, id);
-    let rec = st.records.get_mut(&id).expect("record exists");
-    rec.doomed = None;
-    rec.state = JobState::Recovering { attempt };
-    st.stats.jobs_recovered += 1;
-    emit(st, ServiceEvent::JobRecovered { job: id, from });
-}
-
-fn quarantine(st: &mut ServiceState, id: JobId, reason: String) {
-    release_domain(st, id);
-    let rec = st.records.get_mut(&id).expect("record exists");
-    rec.state = JobState::Quarantined;
-    rec.failure = Some(reason.clone());
-    rec.job = None;
-    let artifact = QuarantineArtifact {
-        job: id,
-        name: rec.spec.name.clone(),
-        attempts: rec.attempt,
-        phase: rec.phase,
-        reason,
-        nodes: rec.spec.nodes,
-        mem_budget: rec.spec.mem_budget,
-        deadline_ns: rec.spec.deadline.map_or(0, |d| d.as_nanos() as u64),
-    };
-    let attempts = rec.attempt;
-    let name = sanitize(&rec.spec.name);
-    let dir = st.cfg.replay_dir.clone();
-    // Artifact persistence is best-effort: a full disk must not take the
-    // supervisor down with the job.
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(
-            dir.join(format!("job-{id:04}-{name}.mjob")),
-            artifact.encode(),
-        );
+    /// Release a domain back to the pool (dead nodes stay out).
+    fn release_domain(&mut self, id: JobId) {
+        let rec = self.records.get_mut(&id).expect("record exists");
+        for n in std::mem::take(&mut rec.domain) {
+            if !self.dead.contains(&n) {
+                self.free.insert(n);
+            }
+        }
     }
-    st.stats.jobs_quarantined += 1;
-    emit(st, ServiceEvent::JobQuarantined { job: id, attempts });
+
+    /// The lost-domain transition: discard the attempt, free survivors,
+    /// emit `JobRecovered`, park the job for a re-grant.
+    fn recover(&mut self, id: JobId, attempt: u32, from: NodeId) {
+        self.release_domain(id);
+        let rec = self.records.get_mut(&id).expect("record exists");
+        rec.state = JobState::Recovering { attempt };
+        self.stats.jobs_recovered += 1;
+        self.emit(ServiceEvent::JobRecovered { job: id, from });
+    }
+
+    fn quarantine(&mut self, id: JobId, reason: String) {
+        self.release_domain(id);
+        let rec = self.records.get_mut(&id).expect("record exists");
+        rec.state = JobState::Quarantined;
+        rec.failure = Some(reason.clone());
+        rec.job = None;
+        let artifact = QuarantineArtifact {
+            job: id,
+            name: rec.spec.name.clone(),
+            attempts: rec.attempt,
+            phase: rec.phase,
+            reason,
+            nodes: rec.spec.nodes,
+            mem_budget: rec.spec.mem_budget,
+            deadline_ns: rec.spec.deadline.map_or(0, |d| d.as_nanos() as u64),
+        };
+        let attempts = rec.attempt;
+        let name = sanitize(&rec.spec.name);
+        let dir = &self.cfg.replay_dir;
+        // Artifact persistence is best-effort: a full disk must not take the
+        // supervisor down with the job.
+        if std::fs::create_dir_all(dir).is_ok() {
+            let _ = std::fs::write(
+                dir.join(format!("job-{id:04}-{name}.mjob")),
+                artifact.encode(),
+            );
+        }
+        self.stats.jobs_quarantined += 1;
+        self.emit(ServiceEvent::JobQuarantined { job: id, attempts });
+    }
+
+    /// Grant the lowest free nodes to `id` if its width fits; emits
+    /// `JobAdmitted`. Returns false when not enough nodes are free now.
+    fn try_grant(&mut self, id: JobId) -> bool {
+        let rec = self.records.get_mut(&id).expect("record exists");
+        let (width, budget) = (rec.spec.nodes, rec.spec.mem_budget);
+        if self.free.len() < width {
+            return false;
+        }
+        let domain: Vec<NodeId> = self.free.iter().take(width).copied().collect();
+        for n in &domain {
+            self.free.remove(n);
+        }
+        rec.domain = domain.clone();
+        rec.attempt += 1;
+        rec.state = JobState::Running {
+            attempt: rec.attempt,
+        };
+        self.emit(ServiceEvent::JobAdmitted {
+            job: id,
+            nodes: domain,
+            budget,
+        });
+        true
+    }
+
+    /// Serve job `id` next: the attempt that runs its current phase.
+    fn serve(&mut self, id: JobId) -> Dispatch {
+        self.cursor = id;
+        let rec = &self.records[&id];
+        let att = JobAttempt {
+            job: id,
+            attempt: rec.attempt,
+            phase: rec.phase,
+            domain: rec.domain.clone(),
+            mem_budget: rec.spec.mem_budget,
+            checkpoint: rec.checkpoint.clone(),
+        };
+        Dispatch::Run { id, att }
+    }
+
+    /// One supervisor step: scan jobs round-robin, perform the first
+    /// available transition.
+    fn dispatch(&mut self) -> Dispatch {
+        self.steps += 1;
+        // Round-robin: start just past the last-served id, wrapping.
+        let mut ids: Vec<JobId> = self.records.keys().copied().collect();
+        let split = ids.partition_point(|&id| id <= self.cursor);
+        ids.rotate_left(split);
+        let alive = self.cfg.pool_nodes - self.dead.len();
+        let mut pending = false;
+        for id in ids {
+            let rec = &self.records[&id];
+            let width = rec.spec.nodes;
+            match rec.state {
+                JobState::Queued | JobState::Recovering { .. } => {
+                    if width > alive {
+                        // The pool shrank below this job's declared width: it
+                        // can never be granted again. Quarantining keeps it
+                        // from blocking the queue forever.
+                        self.cursor = id;
+                        self.quarantine(
+                            id,
+                            format!(
+                                "domain of {width} nodes no longer satisfiable ({alive} alive)"
+                            ),
+                        );
+                        return Dispatch::Acted;
+                    }
+                    if self.try_grant(id) {
+                        return self.serve(id);
+                    }
+                    pending = true; // waiting on running jobs to free nodes
+                }
+                // The next phase of a running job.
+                JobState::Running { .. } => return self.serve(id),
+                JobState::Backoff {
+                    attempt,
+                    until_step,
+                } => {
+                    if self.steps < until_step {
+                        pending = true;
+                        continue;
+                    }
+                    let next = attempt + 1;
+                    let rec = self.records.get_mut(&id).expect("record exists");
+                    rec.attempt = next;
+                    rec.state = JobState::Running { attempt: next };
+                    self.emit(ServiceEvent::JobRetry {
+                        job: id,
+                        attempt: next,
+                    });
+                    return self.serve(id);
+                }
+                JobState::Completed | JobState::Quarantined | JobState::Rejected => {}
+            }
+        }
+        if pending {
+            Dispatch::Acted
+        } else {
+            Dispatch::Drained
+        }
+    }
+
+    /// Fold one completed attempt's engine stats into the service health
+    /// state machine (degraded entry on engine disk pressure, probe-driven
+    /// exit on consecutive fault-free completions).
+    fn update_health(&mut self, stats: &RunStats) {
+        let ran_degraded = stats.total_of(|n| n.degraded_entries) > 0;
+        match self.health {
+            ServiceHealth::Normal if ran_degraded => {
+                self.health = ServiceHealth::Degraded {
+                    healthy_completions: 0,
+                };
+                self.stats.degraded_mode_transitions += 1;
+            }
+            ServiceHealth::Normal => {}
+            ServiceHealth::Degraded { .. } if ran_degraded => {
+                self.health = ServiceHealth::Degraded {
+                    healthy_completions: 0,
+                };
+            }
+            ServiceHealth::Degraded {
+                healthy_completions,
+            } => {
+                let done = healthy_completions + 1;
+                if done >= self.cfg.degraded_exit_probes {
+                    self.health = ServiceHealth::Normal;
+                    self.stats.degraded_mode_transitions += 1;
+                } else {
+                    self.health = ServiceHealth::Degraded {
+                        healthy_completions: done,
+                    };
+                }
+            }
+        }
+    }
+
+    /// Commit the result of the phase that job `id` just ran.
+    fn commit(&mut self, id: JobId, result: Result<JobProgress, JobFailure>) {
+        let rec = self.records.get_mut(&id).expect("committing a served job");
+        let attempt = rec.attempt;
+        match result {
+            Ok(JobProgress::Checkpointed { checkpoint, stats }) => {
+                rec.checkpoint = Some(checkpoint);
+                rec.phase += 1;
+                rec.virtual_spent += stats.total;
+                rec.phase_stats.push(stats);
+                let spent = rec.virtual_spent;
+                if let Some(deadline) = rec.spec.deadline {
+                    if spent > deadline {
+                        self.quarantine(id, format!("deadline exceeded: {spent:?} > {deadline:?}"));
+                    }
+                }
+                // else: stays Running; a later dispatch runs the next phase.
+            }
+            Ok(JobProgress::Finished(out)) => {
+                rec.virtual_spent += out.stats.total;
+                rec.phase_stats.push(out.stats.clone());
+                let spent = rec.virtual_spent;
+                if let Some(deadline) = rec.spec.deadline.filter(|&d| spent > d) {
+                    self.quarantine(id, format!("deadline exceeded: {spent:?} > {deadline:?}"));
+                    return;
+                }
+                rec.state = JobState::Completed;
+                rec.outcome = Some(out.clone());
+                rec.job = None;
+                self.release_domain(id);
+                self.stats.jobs_completed += 1;
+                self.emit(ServiceEvent::JobCompleted { job: id });
+                self.update_health(&out.stats);
+            }
+            Err(JobFailure::Invariant(why)) => {
+                self.quarantine(id, format!("invariant violated: {why}"));
+            }
+            Err(JobFailure::Runtime(e)) => {
+                rec.failure = Some(e.to_string());
+                let maxa = if rec.spec.max_attempts == 0 {
+                    self.cfg.default_max_attempts
+                } else {
+                    rec.spec.max_attempts
+                };
+                if attempt >= maxa {
+                    self.quarantine(id, format!("failed {attempt} attempts, last: {e}"));
+                    return;
+                }
+                // Wait out `1 + attempt` supervisor steps.
+                rec.state = JobState::Backoff {
+                    attempt,
+                    until_step: self.steps + 1 + attempt as u64,
+                };
+                self.stats.jobs_retried += 1;
+            }
+        }
+    }
 }
 
 fn sanitize(name: &str) -> String {
@@ -760,255 +882,6 @@ fn sanitize(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Grant the lowest free nodes to `id` if its width fits; emits
-/// `JobAdmitted`. Returns false when not enough nodes are free now.
-fn try_grant(st: &mut ServiceState, id: JobId) -> bool {
-    let (width, budget) = {
-        let rec = st.records.get(&id).expect("record exists");
-        (rec.spec.nodes, rec.spec.mem_budget)
-    };
-    if st.free.len() < width {
-        return false;
-    }
-    let domain: Vec<NodeId> = st.free.iter().take(width).copied().collect();
-    for n in &domain {
-        st.free.remove(n);
-    }
-    let rec = st.records.get_mut(&id).expect("record exists");
-    rec.domain = domain.clone();
-    rec.attempt += 1;
-    let attempt = rec.attempt;
-    rec.state = JobState::Running { attempt };
-    emit(
-        st,
-        ServiceEvent::JobAdmitted {
-            job: id,
-            nodes: domain,
-            budget,
-        },
-    );
-    true
-}
-
-fn lease(st: &mut ServiceState, id: JobId) -> Dispatch {
-    let rec = st.records.get_mut(&id).expect("record exists");
-    let job = rec.job.take().expect("leasing a parked job");
-    let att = JobAttempt {
-        job: id,
-        attempt: rec.attempt,
-        phase: rec.phase,
-        domain: rec.domain.clone(),
-        mem_budget: rec.spec.mem_budget,
-        checkpoint: rec.checkpoint.clone(),
-    };
-    st.leased += 1;
-    Dispatch::Run { id, job, att }
-}
-
-/// One supervisor step: scan jobs in id order, perform the first
-/// available transition. Called with the lock held.
-fn dispatch(st: &mut ServiceState) -> Dispatch {
-    st.steps += 1;
-    // Round-robin: start just past the last-served id, wrapping.
-    let mut ids: Vec<JobId> = st.records.keys().copied().collect();
-    let split = ids.partition_point(|&id| id <= st.cursor);
-    ids.rotate_left(split);
-    let alive = st.cfg.pool_nodes - st.dead.len();
-    let mut pending = st.leased > 0;
-    for id in ids {
-        let (state, width, parked, doomed) = {
-            let rec = st.records.get(&id).expect("iterating ids just collected");
-            (
-                rec.state.clone(),
-                rec.spec.nodes,
-                rec.job.is_some(),
-                rec.doomed,
-            )
-        };
-        match state {
-            JobState::Queued | JobState::Recovering { .. } => {
-                if width > alive {
-                    // The pool shrank below this job's declared width: it
-                    // can never be granted again. Quarantining keeps it
-                    // from blocking the queue forever.
-                    st.cursor = id;
-                    quarantine(
-                        st,
-                        id,
-                        format!("domain of {width} nodes no longer satisfiable ({alive} alive)"),
-                    );
-                    return Dispatch::Acted;
-                }
-                if try_grant(st, id) {
-                    st.cursor = id;
-                    return lease(st, id);
-                }
-                pending = true; // waiting on running jobs to free nodes
-            }
-            JobState::Running { attempt } => {
-                if !parked {
-                    continue; // leased to a worker right now
-                }
-                if let Some(from) = doomed {
-                    st.cursor = id;
-                    recover_inline(st, id, attempt, from);
-                    return Dispatch::Acted;
-                }
-                st.cursor = id;
-                return lease(st, id); // next phase of a parked running job
-            }
-            JobState::Backoff {
-                attempt,
-                until_step,
-            } => {
-                if st.steps < until_step {
-                    pending = true;
-                    continue;
-                }
-                let next = attempt + 1;
-                let rec = st.records.get_mut(&id).expect("record exists");
-                rec.attempt = next;
-                rec.state = JobState::Running { attempt: next };
-                emit(
-                    st,
-                    ServiceEvent::JobRetry {
-                        job: id,
-                        attempt: next,
-                    },
-                );
-                st.cursor = id;
-                return lease(st, id);
-            }
-            JobState::Completed | JobState::Quarantined | JobState::Rejected => {}
-        }
-    }
-    if pending {
-        Dispatch::Waiting
-    } else {
-        Dispatch::Drained
-    }
-}
-
-/// Fold one completed attempt's engine stats into the service health
-/// state machine (degraded entry on engine disk pressure, probe-driven
-/// exit on consecutive fault-free completions).
-fn update_health(st: &mut ServiceState, stats: &RunStats) {
-    let ran_degraded = stats.total_of(|n| n.degraded_entries) > 0;
-    match st.health {
-        ServiceHealth::Normal if ran_degraded => {
-            st.health = ServiceHealth::Degraded {
-                healthy_completions: 0,
-            };
-            st.stats.degraded_mode_transitions += 1;
-        }
-        ServiceHealth::Normal => {}
-        ServiceHealth::Degraded { .. } if ran_degraded => {
-            st.health = ServiceHealth::Degraded {
-                healthy_completions: 0,
-            };
-        }
-        ServiceHealth::Degraded {
-            healthy_completions,
-        } => {
-            let done = healthy_completions + 1;
-            if done >= st.cfg.degraded_exit_probes {
-                st.health = ServiceHealth::Normal;
-                st.stats.degraded_mode_transitions += 1;
-            } else {
-                st.health = ServiceHealth::Degraded {
-                    healthy_completions: done,
-                };
-            }
-        }
-    }
-}
-
-/// Commit a phase result. Called with the lock held; `job` is returned
-/// to the record (unless the transition is terminal).
-fn commit(
-    st: &mut ServiceState,
-    id: JobId,
-    job: Box<dyn Job>,
-    result: Result<JobProgress, JobFailure>,
-) {
-    st.leased -= 1;
-    let rec = st.records.get_mut(&id).expect("committing a leased job");
-    rec.job = Some(job);
-    let attempt = rec.attempt;
-
-    // A node kill during the phase invalidates whatever the phase
-    // produced — even a success — because state on the dead node is gone.
-    if let Some(from) = rec.doomed {
-        recover_inline(st, id, attempt, from);
-        return;
-    }
-
-    match result {
-        Ok(JobProgress::Checkpointed { checkpoint, stats }) => {
-            rec.checkpoint = Some(checkpoint);
-            rec.phase += 1;
-            rec.virtual_spent += stats.total;
-            rec.phase_stats.push(stats);
-            let spent = rec.virtual_spent;
-            if let Some(deadline) = rec.spec.deadline {
-                if spent > deadline {
-                    quarantine(
-                        st,
-                        id,
-                        format!("deadline exceeded: {spent:?} > {deadline:?}"),
-                    );
-                }
-            }
-            // else: stays Running; the next dispatch leases the next phase.
-        }
-        Ok(JobProgress::Finished(out)) => {
-            rec.virtual_spent += out.stats.total;
-            rec.phase_stats.push(out.stats.clone());
-            let spent = rec.virtual_spent;
-            if rec.spec.deadline.is_some_and(|d| spent > d) {
-                let deadline = rec.spec.deadline.expect("checked is_some");
-                quarantine(
-                    st,
-                    id,
-                    format!("deadline exceeded: {spent:?} > {deadline:?}"),
-                );
-                return;
-            }
-            rec.state = JobState::Completed;
-            rec.outcome = Some(out.clone());
-            rec.job = None;
-            release_domain(st, id);
-            st.stats.jobs_completed += 1;
-            emit(st, ServiceEvent::JobCompleted { job: id });
-            update_health(st, &out.stats);
-        }
-        Err(JobFailure::Invariant(why)) => {
-            quarantine(st, id, format!("invariant violated: {why}"));
-        }
-        Err(JobFailure::Runtime(e)) => {
-            rec.failure = Some(e.to_string());
-            let maxa = if rec.spec.max_attempts == 0 {
-                st.cfg.default_max_attempts
-            } else {
-                rec.spec.max_attempts
-            };
-            if attempt >= maxa {
-                quarantine(st, id, format!("failed {attempt} attempts, last: {e}"));
-                return;
-            }
-            rec.backoff_total += st.cfg.retry.delay(attempt, id);
-            // Virtual backoff: expire against the supervisor step
-            // counter, deterministic in serial mode and fair in
-            // multi-worker mode (each dispatch advances it).
-            rec.state = JobState::Backoff {
-                attempt,
-                until_step: st.steps + 1 + attempt as u64,
-            };
-            st.stats.jobs_retried += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1089,7 +962,7 @@ mod tests {
 
     #[test]
     fn jobs_complete_and_stats_add_up() {
-        let svc = JobService::new(cfg(4));
+        let mut svc = JobService::new(cfg(4));
         let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
         svc.attach_service_audit(checker.clone());
         let a = svc
@@ -1098,7 +971,7 @@ mod tests {
         let b = svc
             .submit(JobSpec::new("b", 2, 1 << 20), StubJob::ok(1, 22))
             .expect("admitted");
-        svc.drain_serial();
+        svc.drain();
         assert_eq!(svc.job_state(a), Some(JobState::Completed));
         assert_eq!(svc.job_state(b), Some(JobState::Completed));
         assert_eq!(svc.outcome(a).expect("outcome").digest, 11);
@@ -1114,7 +987,7 @@ mod tests {
     fn admission_rejects_infeasible_and_full_queue() {
         let mut c = cfg(4);
         c.max_queue = 1;
-        let svc = JobService::new(c);
+        let mut svc = JobService::new(c);
         // Wider than the pool: never grantable.
         let err = svc
             .submit(JobSpec::new("wide", 8, 1), StubJob::ok(1, 0))
@@ -1138,24 +1011,45 @@ mod tests {
 
     #[test]
     fn flaky_job_retries_then_completes() {
-        let svc = JobService::new(cfg(2));
+        let mut svc = JobService::new(cfg(2));
         let log = Arc::new(ServiceLog::new());
         svc.attach_service_audit(log.clone());
         let id = svc
             .submit(JobSpec::new("flaky", 1, 1 << 20), StubJob::flaky(2, 2))
             .expect("admitted");
-        svc.drain_serial();
+        // Attempt `a` fails in some step; `JobRetry` for attempt `a + 1`
+        // comes exactly `1 + a` steps later, the steps between spent in
+        // `Backoff`.
+        let retries = |log: &ServiceLog| {
+            (log.snapshot().iter())
+                .filter(|e| matches!(e, ServiceEvent::JobRetry { .. }))
+                .count()
+        };
+        let (mut step, mut failed, mut retried) = (0u64, Vec::new(), Vec::new());
+        while svc.step() {
+            step += 1;
+            if let Some(JobState::Backoff { attempt, .. }) = svc.job_state(id) {
+                if failed.last().map(|&(a, _)| a) != Some(attempt) {
+                    failed.push((attempt, step));
+                }
+            }
+            if retries(&log) > retried.len() {
+                retried.push(step);
+            }
+        }
+        let waits: Vec<(u32, u64)> = (failed.iter().zip(&retried))
+            .map(|(&(attempt, at), &retry)| (attempt, retry - at))
+            .collect();
+        assert_eq!(
+            waits,
+            [(1, 2), (2, 3)],
+            "(attempt, steps from failure to retry)"
+        );
         assert_eq!(svc.job_state(id), Some(JobState::Completed));
         let s = svc.stats();
         assert_eq!(s.jobs_retried, 2);
         assert_eq!(s.jobs_completed, 1);
-        assert!(svc.backoff_total(id).expect("record") > Duration::ZERO);
-        let retries = log
-            .snapshot()
-            .iter()
-            .filter(|e| matches!(e, ServiceEvent::JobRetry { .. }))
-            .count();
-        assert_eq!(retries, 2);
+        assert_eq!(retries(&log), 2);
     }
 
     #[test]
@@ -1163,7 +1057,7 @@ mod tests {
         let c = cfg(2);
         let dir = c.replay_dir.clone();
         let _ = std::fs::remove_dir_all(&dir);
-        let svc = JobService::new(c);
+        let mut svc = JobService::new(c);
         let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
         svc.attach_service_audit(checker.clone());
         let id = svc
@@ -1172,7 +1066,7 @@ mod tests {
         let ok = svc
             .submit(JobSpec::new("innocent", 1, 1 << 20), StubJob::ok(1, 5))
             .expect("admitted");
-        svc.drain_serial();
+        svc.drain();
         // The poison job was quarantined and never blocked its neighbor.
         assert_eq!(svc.job_state(id), Some(JobState::Quarantined));
         assert_eq!(svc.job_state(ok), Some(JobState::Completed));
@@ -1188,18 +1082,18 @@ mod tests {
 
     #[test]
     fn deadline_exceeded_quarantines() {
-        let svc = JobService::new(cfg(2));
+        let mut svc = JobService::new(cfg(2));
         let mut spec = JobSpec::new("slow", 1, 1 << 20);
         spec.deadline = Some(Duration::from_millis(15)); // 2 phases × 10ms > 15ms
         let id = svc.submit(spec, StubJob::ok(3, 0)).expect("admitted");
-        svc.drain_serial();
+        svc.drain();
         assert_eq!(svc.job_state(id), Some(JobState::Quarantined));
         assert!(svc.failure(id).expect("failure").contains("deadline"));
     }
 
     #[test]
     fn node_kill_recovers_only_jobs_homed_there() {
-        let svc = JobService::new(cfg(4));
+        let mut svc = JobService::new(cfg(4));
         let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
         let log = Arc::new(ServiceLog::new());
         svc.attach_service_audit(checker.clone());
@@ -1214,10 +1108,10 @@ mod tests {
         // Run a few steps so both jobs hold domains and checkpoints,
         // then kill node 0 (job a's domain: nodes {0,1}).
         for _ in 0..4 {
-            svc.step_serial();
+            svc.step();
         }
         svc.kill_node(0);
-        svc.drain_serial();
+        svc.drain();
         // Both jobs still complete: a recovered onto survivors, b never
         // noticed (fault-domain isolation).
         assert_eq!(svc.job_state(a), Some(JobState::Completed));
@@ -1237,49 +1131,77 @@ mod tests {
         checker.assert_clean();
     }
 
+    /// A finished phase that entered engine degraded mode.
+    struct DegradedJob;
+
+    impl Job for DegradedJob {
+        fn run_phase(&mut self, att: JobAttempt) -> Result<JobProgress, JobFailure> {
+            let mut stats = crate::stats::empty_stats(att.domain.len());
+            stats.nodes[0].degraded_entries = 1;
+            Ok(JobProgress::Finished(JobOutcome {
+                digest: 0,
+                elements: 0,
+                stats,
+            }))
+        }
+    }
+
     #[test]
     fn degraded_completions_shed_load_then_recover() {
         let mut c = cfg(2);
         c.degraded_exit_probes = 2;
-        let svc = JobService::new(c);
-
-        struct DegradedJob;
-        impl Job for DegradedJob {
-            fn run_phase(&mut self, att: JobAttempt) -> Result<JobProgress, JobFailure> {
-                let mut stats = crate::stats::empty_stats(att.domain.len());
-                stats.nodes[0].degraded_entries = 1;
-                Ok(JobProgress::Finished(JobOutcome {
-                    digest: 0,
-                    elements: 0,
-                    stats,
-                }))
-            }
-        }
+        let mut svc = JobService::new(c);
 
         svc.submit(JobSpec::new("pressure", 1, 1 << 20), Box::new(DegradedJob))
             .expect("admitted");
-        svc.drain_serial();
-        assert!(svc.is_degraded(), "degraded completion trips service state");
+        svc.submit(JobSpec::new("busy", 1, 1 << 20), StubJob::ok(3, 0))
+            .expect("admitted");
+        while !svc.is_degraded() {
+            assert!(svc.step(), "drained before the degraded completion");
+        }
+        // "busy" is still active: the degraded service sheds.
         let err = svc
             .submit(JobSpec::new("shed-me", 1, 1 << 20), StubJob::ok(1, 0))
             .expect_err("degraded service sheds");
         assert_eq!(err, AdmissionError::Shedding);
         assert_eq!(svc.stats().shed_events, 1);
 
-        // Two fault-free completions probe the service back to normal.
-        let mut st = lock(&svc.state);
-        st.cfg.shed_when_degraded = false;
-        drop(st);
-        for i in 0..2 {
+        // Two fault-free completions ("busy", then a probe admitted once
+        // nothing is active) probe the service back to normal.
+        svc.drain();
+        assert!(svc.is_degraded(), "one healthy completion of two");
+        svc.submit(JobSpec::new("probe", 1, 1 << 20), StubJob::ok(1, 0))
+            .expect("admitted with nothing active");
+        svc.drain();
+        assert!(!svc.is_degraded(), "exit probes completed");
+        assert_eq!(svc.stats().degraded_mode_transitions, 2);
+        assert_eq!(svc.stats().shed_events, 1);
+    }
+
+    /// Only a completion leaves degraded mode, so a degraded service with
+    /// no active job admits the next submission instead of shedding it
+    /// forever.
+    #[test]
+    fn degraded_service_with_nothing_active_admits_probes() {
+        let mut c = cfg(2);
+        c.degraded_exit_probes = 3;
+        let mut svc = JobService::new(c);
+        svc.submit(JobSpec::new("pressure", 1, 1 << 20), Box::new(DegradedJob))
+            .expect("admitted");
+        svc.drain();
+        assert!(svc.is_degraded());
+        for i in 0..3 {
+            assert!(svc.is_degraded(), "left degraded mode after {i} probes");
             svc.submit(
                 JobSpec::new(format!("probe-{i}"), 1, 1 << 20),
                 StubJob::ok(1, 0),
             )
-            .expect("admitted with shedding off");
+            .expect("a degraded service with nothing active admits");
+            svc.drain();
         }
-        svc.drain_serial();
         assert!(!svc.is_degraded(), "exit probes completed");
-        assert_eq!(svc.stats().degraded_mode_transitions, 2);
+        let s = svc.stats();
+        assert_eq!((s.shed_events, s.degraded_mode_transitions), (0, 2));
     }
 
     #[test]
@@ -1287,23 +1209,10 @@ mod tests {
         let mut c = cfg(2);
         c.degraded_exit_probes = 3;
         c.shed_when_degraded = false;
-        let svc = JobService::new(c);
-
-        struct DegradedJob;
-        impl Job for DegradedJob {
-            fn run_phase(&mut self, att: JobAttempt) -> Result<JobProgress, JobFailure> {
-                let mut stats = crate::stats::empty_stats(att.domain.len());
-                stats.nodes[0].degraded_entries = 1;
-                Ok(JobProgress::Finished(JobOutcome {
-                    digest: 0,
-                    elements: 0,
-                    stats,
-                }))
-            }
-        }
+        let mut svc = JobService::new(c);
 
         let mut probes = 0;
-        let mut probe = |svc: &JobService, n: usize| {
+        let mut probe = |svc: &mut JobService, n: usize| {
             for _ in 0..n {
                 probes += 1;
                 svc.submit(
@@ -1312,17 +1221,17 @@ mod tests {
                 )
                 .expect("admitted");
             }
-            svc.drain_serial();
+            svc.drain();
         };
 
         svc.submit(JobSpec::new("pressure", 1, 1 << 20), Box::new(DegradedJob))
             .expect("admitted");
-        svc.drain_serial();
+        svc.drain();
         assert!(svc.is_degraded());
         assert_eq!(svc.stats().degraded_mode_transitions, 1);
 
         // One short of the exit threshold must not exit (off-by-one guard).
-        probe(&svc, 2);
+        probe(&mut svc, 2);
         assert!(svc.is_degraded(), "exited one probe early");
         assert_eq!(svc.stats().degraded_mode_transitions, 1);
 
@@ -1330,44 +1239,21 @@ mod tests {
         // counting as a fresh entry transition...
         svc.submit(JobSpec::new("relapse", 1, 1 << 20), Box::new(DegradedJob))
             .expect("admitted");
-        svc.drain_serial();
+        svc.drain();
         assert!(svc.is_degraded());
         assert_eq!(svc.stats().degraded_mode_transitions, 1);
 
         // ...so two more healthy completions still don't exit...
-        probe(&svc, 2);
+        probe(&mut svc, 2);
         assert!(
             svc.is_degraded(),
             "relapse failed to reset the probe streak"
         );
 
         // ...and the third does. Exactly one entry + one exit end-to-end.
-        probe(&svc, 1);
+        probe(&mut svc, 1);
         assert!(!svc.is_degraded());
         assert_eq!(svc.stats().degraded_mode_transitions, 2);
-    }
-
-    #[test]
-    fn threaded_drain_matches_serial_outcomes() {
-        let svc = JobService::new(cfg(8));
-        let checker = Arc::new(InvariantChecker::new(FailMode::Collect));
-        svc.attach_service_audit(checker.clone());
-        let ids: Vec<JobId> = (0..6)
-            .map(|i| {
-                svc.submit(
-                    JobSpec::new(format!("j{i}"), 2, 1 << 20),
-                    StubJob::ok(2, 100 + i),
-                )
-                .expect("admitted")
-            })
-            .collect();
-        svc.run_until_drained(3);
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(svc.job_state(*id), Some(JobState::Completed));
-            assert_eq!(svc.outcome(*id).expect("outcome").digest, 100 + i as u64);
-        }
-        assert_eq!(svc.stats().jobs_completed, 6);
-        checker.assert_clean();
     }
 
     #[test]
@@ -1404,7 +1290,7 @@ mod tests {
     fn every_job_state_is_reached() {
         let c = cfg(4);
         let dir = c.replay_dir.clone();
-        let svc = JobService::new(c);
+        let mut svc = JobService::new(c);
         let mut seen = [false; 7];
         let mut observe = |svc: &JobService| {
             for (_, _, state, _, _) in svc.jobs() {
@@ -1428,11 +1314,11 @@ mod tests {
             .expect_err("infeasible");
         observe(&svc);
         let mut kill_pending = true;
-        while svc.step_serial() {
+        while svc.step() {
             observe(&svc);
             // Parked between its first and second phase: its domain dies.
             if kill_pending && svc.job_phase_stats(killed).len() == 1 {
-                let node = lock(&svc.state).records[&killed].domain[0];
+                let node = svc.records[&killed].domain[0];
                 svc.kill_node(node);
                 kill_pending = false;
                 observe(&svc);

@@ -211,19 +211,17 @@ impl SpillIo {
 
     /// Pack `items` into pooled buffers and land them through one
     /// [`StorageBackend::store_batch`] call — a single coalesced append on
-    /// the segment log. An object is dropped once packed, unless `keep`:
-    /// then a rejected batch hands back the very objects it was given
-    /// rather than ones rebuilt from their packed bytes.
+    /// the segment log. An object is dropped once packed; a rejected batch
+    /// hands back objects rebuilt from their packed bytes.
     pub(crate) fn store(
         &self,
         pool: &BufferPool,
         items: Vec<(u64, ObjectId, Box<dyn MobileObject>)>,
         registry: &Registry,
-        keep: bool,
     ) -> Stored {
         let t0 = Instant::now();
         let mut report = IoReport::new(items[0].1);
-        let (mut hits, mut kept) = (0, Vec::new());
+        let mut hits = 0;
         let mut packed = Vec::with_capacity(items.len());
         let mut bufs = Vec::with_capacity(items.len());
         for (key, oid, obj) in items {
@@ -232,27 +230,22 @@ impl SpillIo {
             Registry::pack_into(obj.as_ref(), &mut buf);
             packed.push((oid, buf.len()));
             bufs.push((key, buf));
-            if keep {
-                kept.push(obj);
-            }
         }
         let pack_dur = t0.elapsed();
         let batch: Vec<(u64, &[u8])> = bufs.iter().map(|(k, b)| (*k, b.as_slice())).collect();
         let landed = (self.attempt(&mut report, bufs[0].0, |s| s.store_batch(&batch))).is_ok();
         report.gave_up = !landed;
-        let rejected = match (landed, keep) {
-            (true, _) => {
-                report.pool_hits = hits;
-                None
-            }
-            (false, true) => Some(kept),
-            (false, false) => Some(
+        let rejected = if landed {
+            report.pool_hits = hits;
+            None
+        } else {
+            Some(
                 (bufs.iter())
                     .map(|(_, b)| {
                         (registry.unpack(b)).expect("store holds pack output of registered types")
                     })
                     .collect(),
-            ),
+            )
         };
         for (_, buf) in bufs {
             pool.put(buf);
@@ -390,30 +383,28 @@ mod tests {
     }
 
     /// A batch rejected with `ENOSPC` is not retried, gives every object
-    /// back (rebuilt, or the very ones given) and every pack buffer back
-    /// to the pool.
+    /// back (rebuilt from its packed bytes) and every pack buffer back to
+    /// the pool.
     #[test]
     fn a_rejected_batch_returns_its_objects_and_its_buffers() {
         let reg = registry();
-        for keep in [false, true] {
-            let io = faulty(FaultPlan::new(1).with_enospc_window(0, 100));
-            let pool = BufferPool::new(8);
-            let s = io.store(&pool, batch(3), &reg, keep);
-            assert!(s.report.gave_up && s.report.retries == 0, "{:?}", s.report);
-            assert_eq!(s.report.faults.len(), 1);
-            assert_eq!(s.report.faults[0].1.kind, FaultKind::Enospc);
-            assert_eq!(s.report.pool_hits, 0, "no hit counts for a rejected batch");
-            let back = s.rejected.expect("rejected");
-            assert_eq!(
-                back.iter().map(|o| value(o.as_ref())).collect::<Vec<_>>(),
-                [0, 1, 2]
-            );
-            assert_eq!(lock(&pool.bufs).len(), 3, "the batch's buffers are pooled");
-            // The next batch reuses them.
-            let io = faulty(FaultPlan::new(1));
-            let s = io.store(&pool, batch(3), &reg, keep);
-            assert!(s.rejected.is_none() && s.report.pool_hits == 3);
-        }
+        let io = faulty(FaultPlan::new(1).with_enospc_window(0, 100));
+        let pool = BufferPool::new(8);
+        let s = io.store(&pool, batch(3), &reg);
+        assert!(s.report.gave_up && s.report.retries == 0, "{:?}", s.report);
+        assert_eq!(s.report.faults.len(), 1);
+        assert_eq!(s.report.faults[0].1.kind, FaultKind::Enospc);
+        assert_eq!(s.report.pool_hits, 0, "no hit counts for a rejected batch");
+        let back = s.rejected.expect("rejected");
+        assert_eq!(
+            back.iter().map(|o| value(o.as_ref())).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert_eq!(lock(&pool.bufs).len(), 3, "the batch's buffers are pooled");
+        // The next batch reuses them.
+        let io = faulty(FaultPlan::new(1));
+        let s = io.store(&pool, batch(3), &reg);
+        assert!(s.rejected.is_none() && s.report.pool_hits == 3);
     }
 
     /// Transient faults are retried with backoff; each attempt's faults
@@ -429,7 +420,7 @@ mod tests {
         let (mut retried, mut delayed) = (0, Duration::ZERO);
         for i in 0..40u64 {
             let obj: Box<dyn MobileObject> = Box::new(Counter::new(i, 10));
-            let s = io.store(&pool, vec![(i, ObjectId::new(0, i), obj)], &reg, false);
+            let s = io.store(&pool, vec![(i, ObjectId::new(0, i), obj)], &reg);
             let r = &s.report;
             assert_eq!(r.gave_up, s.rejected.is_some());
             assert!(!r.gave_up || r.retries + 1 == ENGINE_RETRY.max_attempts);

@@ -110,7 +110,7 @@ impl IoReq {
     pub(crate) fn run(self, io: &SpillIo, pool: &BufferPool, reg: &Registry) -> IoDone {
         match self {
             // An eviction of one object is a batch of one.
-            IoReq::StoreBatch { items } => IoDone::Stored(io.store(pool, items, reg, false)),
+            IoReq::StoreBatch { items } => IoDone::Stored(io.store(pool, items, reg)),
             IoReq::Load { key, oid } => IoDone::Loaded(io.load(pool, key, oid, reg)),
             IoReq::Probe => {
                 let (report, ok) = io.probe();

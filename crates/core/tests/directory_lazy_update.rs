@@ -32,17 +32,19 @@ fn update_pointing_at_home_keeps_hints_empty() {
     assert_eq!(d.lookup(oid), 3);
 }
 
+/// The directory forgets a hint only by invalidating it (delivery to the
+/// hinted node kept failing); a lookup then goes to the home node.
 #[test]
 fn lookup_after_forget_falls_back_to_home() {
     let mut d = Directory::new();
     let oid = ObjectId::new(2, 41);
     d.update(oid, 6);
     assert_eq!(d.lookup(oid), 6);
-    d.forget(oid);
+    assert!(d.invalidate(oid));
     assert!(d.is_empty());
     assert_eq!(d.lookup(oid), 2);
     // Forgetting an object that was never hinted is a no-op.
-    d.forget(ObjectId::new(0, 0));
+    assert!(!d.invalidate(ObjectId::new(0, 0)));
     assert!(d.is_empty());
 }
 
@@ -301,35 +303,29 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// One directory mutation, as seen during concurrent object movement:
-/// lazy updates racing with destruction (`Forget`) and failure-driven
-/// self-healing (`Invalidate` / `InvalidateNode`).
+/// lazy updates racing with failure-driven self-healing (`Invalidate`).
 #[derive(Clone, Debug)]
 enum Op {
     Update(usize, NodeId),
-    Forget(usize),
     Invalidate(usize),
-    InvalidateNode(NodeId),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    // Weighted by selector range: half the ops are lazy updates, the rest
-    // split between destruction and the two self-healing paths.
+    // Weighted by selector range: half the ops are lazy updates.
     (0u8..8, 0usize..8, 0usize..6).prop_map(|(sel, i, n)| match sel {
         0..=3 => Op::Update(i, n as NodeId),
-        4 => Op::Forget(i),
-        5 | 6 => Op::Invalidate(i),
-        _ => Op::InvalidateNode(n as NodeId),
+        _ => Op::Invalidate(i),
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random interleavings of updates, forgets and invalidations over a
-    /// small object pool: `lookup` always agrees with a reference model —
-    /// in particular it never returns a forgotten or invalidated hint,
-    /// falling back to `oid.home()` — and the self-healing counters track
-    /// exactly the hints that were actually dropped.
+    /// Random interleavings of updates and invalidations over a small
+    /// object pool: `lookup` always agrees with a reference model — in
+    /// particular it never returns an invalidated hint, falling back to
+    /// `oid.home()` — and the self-healing counter tracks exactly the
+    /// hints that were actually dropped.
     #[test]
     fn hints_match_reference_model(ops in prop::collection::vec(arb_op(), 0..64)) {
         let oids: Vec<ObjectId> =
@@ -349,21 +345,10 @@ proptest! {
                         model.insert(oids[i], n);
                     }
                 }
-                Op::Forget(i) => {
-                    d.forget(oids[i]);
-                    model.remove(&oids[i]);
-                }
                 Op::Invalidate(i) => {
                     let had = model.remove(&oids[i]).is_some();
                     prop_assert_eq!(d.invalidate(oids[i]), had);
                     invalidated += had as usize;
-                }
-                Op::InvalidateNode(n) => {
-                    let before = model.len();
-                    model.retain(|_, &mut loc| loc != n);
-                    let dropped = before - model.len();
-                    prop_assert_eq!(d.invalidate_node(n), dropped);
-                    invalidated += dropped;
                 }
             }
             for &oid in &oids {

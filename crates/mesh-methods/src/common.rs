@@ -4,6 +4,7 @@
 use mrts::codec::{PayloadReader, PayloadWriter, Truncated};
 use mrts::config::NetModel;
 use mrts::stats::{NodeStats, RunStats};
+use pumg_delaunay::TriMesh;
 use pumg_geometry::Point2;
 use std::time::{Duration, Instant};
 
@@ -121,6 +122,37 @@ pub fn fnv1a_iter(bytes: impl IntoIterator<Item = u8>) -> u64 {
     (bytes.into_iter()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
     })
+}
+
+/// Canonical digest of one mesh part: every triangle as its three vertex
+/// coordinates, sorted within the triangle and across triangles, hashed
+/// with [`fnv1a_iter`]. Hashing the canonical form (rather than
+/// `TriMesh::encode` bytes) makes the digest independent of arena
+/// numbering — a part spilled and reloaded mid-run rebuilds its arena in
+/// wire order, which permutes encode bytes without changing the mesh.
+pub fn mesh_digest(m: &TriMesh) -> u64 {
+    let mut records: Vec<[u64; 6]> = Vec::with_capacity(m.num_tris());
+    for t in m.tri_ids() {
+        let mut pts = m.tri_points(t).map(|p| (p.x.to_bits(), p.y.to_bits()));
+        pts.sort_unstable();
+        let [(x0, y0), (x1, y1), (x2, y2)] = pts;
+        records.push([x0, y0, x1, y1, x2, y2]);
+    }
+    records.sort_unstable();
+    fnv1a_iter(records.iter().flatten().flat_map(|w| w.to_le_bytes()))
+}
+
+/// Order-independent digest of a partitioned mesh: the parts'
+/// [`mesh_digest`]s folded in index order. Equal digests mean
+/// geometrically equal meshes regardless of which schedule, engine, fault
+/// plan or fault domain produced them.
+pub fn fold_digests(parts: &mut [(u32, u64)]) -> u64 {
+    parts.sort_unstable_by_key(|&(idx, _)| idx);
+    let mut acc = 0xcbf2_9ce4_8422_2325u64;
+    for &(idx, d) in parts.iter() {
+        acc = fnv1a(&idx.to_le_bytes()) ^ acc.rotate_left(13) ^ d;
+    }
+    acc
 }
 
 // ----- workload / geometry codecs ---------------------------------------------

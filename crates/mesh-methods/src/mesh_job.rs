@@ -18,7 +18,7 @@
 //! plan, which is what makes the service sweep's byte-identity check
 //! (`chaos digest == fault-free digest`) meaningful.
 
-use crate::common::fnv1a;
+use crate::common::{fold_digests, mesh_digest};
 use crate::ooc_pcdm::{create_subdomains, register, subdomain_ptrs, SubObj, H_REFINE};
 use crate::pcdm::PcdmParams;
 use mrts::audit::{FailMode, InvariantChecker};
@@ -26,61 +26,21 @@ use mrts::config::MrtsConfig;
 use mrts::des::DesRuntime;
 use mrts::fault::{FaultPlan, MrtsError};
 use mrts::netfault::NetFaultPlan;
-use mrts::object::MobileObject;
 use mrts::runtime::{Engine, Runtime};
 use mrts::service::{Job, JobAttempt, JobFailure, JobOutcome, JobProgress};
 use std::sync::Arc;
 
-/// Canonical per-subdomain digest: every triangle as its three vertex
-/// coordinates, sorted within the triangle and across triangles, hashed
-/// with FNV-1a. Hashing the canonical form (not `TriMesh::encode` bytes)
-/// makes the digest independent of arena numbering — a subdomain spilled
-/// and reloaded mid-run rebuilds its arena in wire order, which permutes
-/// encode bytes without changing the mesh.
-pub fn sub_digest_part(obj: &dyn MobileObject) -> Option<(u32, u64)> {
-    let so = obj.as_any().downcast_ref::<SubObj>()?;
-    let m = &so.sd.mesh;
-    let mut records: Vec<[u64; 6]> = Vec::new();
-    for t in m.tri_ids() {
-        let mut pts: Vec<(u64, u64)> = m
-            .tri(t)
-            .v
-            .iter()
-            .map(|&v| {
-                let p = m.point(v);
-                (p.x.to_bits(), p.y.to_bits())
-            })
-            .collect();
-        pts.sort_unstable();
-        records.push([pts[0].0, pts[0].1, pts[1].0, pts[1].1, pts[2].0, pts[2].1]);
-    }
-    records.sort_unstable();
-    let mut bytes = Vec::with_capacity(records.len() * 48);
-    for r in &records {
-        for w in r {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-    Some((so.sd.idx as u32, fnv1a(&bytes)))
-}
-
 /// Order-independent digest of the final meshes across all subdomains:
-/// FNV-1a over each subdomain's canonical form, folded in index order.
-/// Equal digests mean geometrically equal meshes regardless of which
-/// schedule, fault plan, or fault domain produced them.
+/// each subdomain's [`mesh_digest`], folded in index order by
+/// [`fold_digests`].
 pub fn opcdm_digest<E: Engine>(rt: &Runtime<E>) -> u64 {
     let mut parts: Vec<(u32, u64)> = Vec::new();
     rt.for_each_object(|_, obj| {
-        if let Some(p) = sub_digest_part(obj) {
-            parts.push(p);
+        if let Some(so) = obj.as_any().downcast_ref::<SubObj>() {
+            parts.push((so.sd.idx as u32, mesh_digest(&so.sd.mesh)));
         }
     });
-    parts.sort_unstable_by_key(|&(idx, _)| idx);
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for &(idx, d) in parts.iter() {
-        acc = fnv1a(&idx.to_le_bytes()) ^ acc.rotate_left(13) ^ d;
-    }
-    acc
+    fold_digests(&mut parts)
 }
 
 /// An OPCDM meshing run packaged as a supervised, checkpointed,
@@ -242,17 +202,17 @@ mod tests {
         JobSpec::new("mesh", nodes, nodes * 600_000)
     }
 
-    fn drain_one(svc: &JobService, j: MeshJob, s: JobSpec) -> mrts::service::JobId {
+    fn drain_one(svc: &mut JobService, j: MeshJob, s: JobSpec) -> mrts::service::JobId {
         let id = svc.submit(s, Box::new(j)).expect("admitted");
-        svc.drain_serial();
+        svc.drain();
         id
     }
 
     #[test]
     fn phased_run_is_deterministic_and_complete() {
-        let svc = JobService::new(ServiceConfig::default());
-        let a = drain_one(&svc, job(2000, 2, 3), spec(2));
-        let b = drain_one(&svc, job(2000, 2, 3), spec(2));
+        let mut svc = JobService::new(ServiceConfig::default());
+        let a = drain_one(&mut svc, job(2000, 2, 3), spec(2));
+        let b = drain_one(&mut svc, job(2000, 2, 3), spec(2));
         let oa = svc.outcome(a).expect("job a finished");
         let ob = svc.outcome(b).expect("job b finished");
         assert!(oa.elements > 100, "mesh got refined: {}", oa.elements);
@@ -265,9 +225,9 @@ mod tests {
         // The digest is a function of the job shape (params, phases,
         // width) — two different widths are allowed to differ, the same
         // width must not.
-        let svc = JobService::new(ServiceConfig::default());
-        let a = drain_one(&svc, job(1500, 2, 2), spec(2));
-        let b = drain_one(&svc, job(1500, 2, 2), spec(2));
+        let mut svc = JobService::new(ServiceConfig::default());
+        let a = drain_one(&mut svc, job(1500, 2, 2), spec(2));
+        let b = drain_one(&mut svc, job(1500, 2, 2), spec(2));
         assert_eq!(
             svc.outcome(a).unwrap().digest,
             svc.outcome(b).unwrap().digest
@@ -276,10 +236,10 @@ mod tests {
 
     #[test]
     fn storage_chaos_reproduces_fault_free_bytes() {
-        let svc = JobService::new(ServiceConfig::default());
-        let clean = drain_one(&svc, job(1800, 2, 2), spec(2));
+        let mut svc = JobService::new(ServiceConfig::default());
+        let clean = drain_one(&mut svc, job(1800, 2, 2), spec(2));
         let chaotic = drain_one(
-            &svc,
+            &mut svc,
             job(1800, 2, 2).with_fault(
                 FaultPlan::for_job(0xC0FFEE, 7)
                     .with_eio(60)
@@ -303,8 +263,8 @@ mod tests {
             ..ServiceConfig::default()
         };
         let replay_dir = cfg.replay_dir.clone();
-        let svc = JobService::new(cfg);
-        let id = drain_one(&svc, job(1200, 2, 2).poisoned(), spec(2));
+        let mut svc = JobService::new(cfg);
+        let id = drain_one(&mut svc, job(1200, 2, 2).poisoned(), spec(2));
         assert_eq!(svc.job_state(id), Some(JobState::Quarantined));
         let _ = std::fs::remove_dir_all(&replay_dir);
     }
@@ -313,17 +273,17 @@ mod tests {
     fn persistent_runtime_failure_retries_into_quarantine() {
         let replay_dir =
             std::env::temp_dir().join(format!("mrts-meshjob-retry-{}", std::process::id()));
-        let svc = JobService::new(ServiceConfig {
+        let mut svc = JobService::new(ServiceConfig {
             replay_dir: replay_dir.clone(),
             ..ServiceConfig::default()
         });
-        let id = drain_one(&svc, job(1200, 2, 2).failing_attempts(99), spec(2));
+        let id = drain_one(&mut svc, job(1200, 2, 2).failing_attempts(99), spec(2));
         assert_eq!(svc.job_state(id), Some(JobState::Quarantined));
         assert_eq!(svc.stats().jobs_quarantined, 1);
         assert!(svc.stats().jobs_retried >= 2, "retried before quarantine");
         let flaky = svc.submit(spec(2), Box::new(job(1200, 2, 2).failing_attempts(1)));
         let flaky = flaky.expect("admitted");
-        svc.drain_serial();
+        svc.drain();
         assert_eq!(svc.job_state(flaky), Some(JobState::Completed));
         let _ = std::fs::remove_dir_all(&replay_dir);
     }
@@ -331,14 +291,14 @@ mod tests {
     #[test]
     fn recovery_onto_different_survivors_reproduces_bytes() {
         // Reference: undisturbed two-node job.
-        let svc = JobService::new(ServiceConfig::default());
-        let reference = drain_one(&svc, job(1600, 2, 3), spec(2));
+        let mut svc = JobService::new(ServiceConfig::default());
+        let reference = drain_one(&mut svc, job(1600, 2, 3), spec(2));
         let want = svc.outcome(reference).expect("reference finished").digest;
 
         // Victim: same job homed on nodes {0,1} of a 4-node pool; node 0
         // is killed after phase 0 commits, so the retry regrants onto
         // surviving nodes — a different fault domain of the same width.
-        let svc2 = JobService::new(ServiceConfig {
+        let mut svc2 = JobService::new(ServiceConfig {
             pool_nodes: 4,
             ..ServiceConfig::default()
         });
@@ -346,9 +306,9 @@ mod tests {
             .submit(spec(2), Box::new(job(1600, 2, 3)))
             .expect("admitted");
         // One dispatch+commit step: phase 0 runs and checkpoints.
-        svc2.step_serial();
+        svc2.step();
         svc2.kill_node(0);
-        svc2.drain_serial();
+        svc2.drain();
         let got = svc2.outcome(victim).expect("victim finished");
         assert_eq!(got.digest, want, "recovery must reproduce the same mesh");
         assert_eq!(svc2.stats().jobs_recovered, 1);

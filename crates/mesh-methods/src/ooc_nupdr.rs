@@ -14,9 +14,12 @@
 //!   counter reaches zero the leaf refines (the `refine` step is invoked
 //!   directly instead of via a message — another paper optimization).
 //!
-//! Togglable optimizations from the paper ([`OnupdrOpts`]): direct handler
-//! calls for in-core objects, locking buffer leaves during collection,
-//! and priority hints for dispatched leaves.
+//! Togglable optimizations from the paper ([`OnupdrOpts`]): locking buffer
+//! leaves during collection, and priority hints for dispatched leaves.
+//! The paper's third, direct handler calls for in-core objects, is not
+//! reproduced: MRTS applies a handler's effects after it returns, so a
+//! send to a local object is queued and run by a later turn, like any
+//! other.
 
 use crate::common::{
     decode_point_batch, encode_point_batch, get_bbox, get_workload, put_bbox, put_point_batch,
@@ -48,8 +51,6 @@ pub const H_L_ADDPTS: HandlerId = HandlerId(0x214);
 /// The paper's ONUPDR optimizations, togglable for ablation.
 #[derive(Clone, Copy, Debug)]
 pub struct OnupdrOpts {
-    /// Deliver local in-core messages by direct handler invocation.
-    pub direct_calls: bool,
     /// Lock buffer leaves in memory while their contribution is pending.
     pub lock_buffers: bool,
     /// Raise the swapping priority of dispatched leaves and their buffers.
@@ -67,7 +68,6 @@ pub struct OnupdrOpts {
 impl Default for OnupdrOpts {
     fn default() -> Self {
         OnupdrOpts {
-            direct_calls: true,
             lock_buffers: true,
             priorities: true,
             max_active: 0,
@@ -80,7 +80,6 @@ impl OnupdrOpts {
     /// All paper optimizations off (the "unoptimized" ablation arm).
     pub fn unoptimized() -> Self {
         OnupdrOpts {
-            direct_calls: false,
             lock_buffers: false,
             priorities: false,
             max_active: 0,
@@ -89,8 +88,7 @@ impl OnupdrOpts {
     }
 
     fn encode(&self, w: &mut PayloadWriter) {
-        w.u8(self.direct_calls as u8)
-            .u8(self.lock_buffers as u8)
+        w.u8(self.lock_buffers as u8)
             .u8(self.priorities as u8)
             .u32(self.max_active)
             .u8(self.intra_tasks);
@@ -98,7 +96,6 @@ impl OnupdrOpts {
 
     fn decode(r: &mut PayloadReader) -> Result<Self, Truncated> {
         Ok(OnupdrOpts {
-            direct_calls: r.u8()? != 0,
             lock_buffers: r.u8()? != 0,
             priorities: r.u8()? != 0,
             max_active: r.u32()?,
@@ -469,16 +466,12 @@ fn h_l_construct(obj: &mut dyn MobileObject, ctx: &mut Ctx, _payload: &[u8]) {
     w.ptr(me);
     let req = w.finish();
     let bufs = l.buffer_ptrs.clone();
-    let (lock, direct) = (l.opts.lock_buffers, l.opts.direct_calls);
+    let lock = l.opts.lock_buffers;
     for b in bufs {
         if lock {
             ctx.lock(b);
         }
-        if direct {
-            ctx.send_immediate(b, H_L_CONTRIBUTE, req.clone());
-        } else {
-            ctx.send(b, H_L_CONTRIBUTE, req.clone());
-        }
+        ctx.send(b, H_L_CONTRIBUTE, req.clone());
     }
 }
 
@@ -487,12 +480,7 @@ fn h_l_contribute(obj: &mut dyn MobileObject, ctx: &mut Ctx, payload: &[u8]) {
     let mut r = PayloadReader::new(payload);
     let target = r.ptr().expect("contribute payload holds the target ptr");
     let l = leaf_mut(obj);
-    let batch = encode_point_batch(&l.points);
-    if l.opts.direct_calls {
-        ctx.send_immediate(target, H_L_ADDPTS, batch);
-    } else {
-        ctx.send(target, H_L_ADDPTS, batch);
-    }
+    ctx.send(target, H_L_ADDPTS, encode_point_batch(&l.points));
 }
 
 /// `add to buffer`: a buffer portion arrived; refine when complete.

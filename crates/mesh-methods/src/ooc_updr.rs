@@ -13,8 +13,8 @@
 //! mesh is byte-identical across schedules and engines.
 
 use crate::common::{
-    decode_point_batch, encode_point_batch, fnv1a, fnv1a_iter, get_bbox, get_workload, put_bbox,
-    put_point_batch, put_workload, MethodResult,
+    decode_point_batch, encode_point_batch, fnv1a, fold_digests, get_bbox, get_workload,
+    mesh_digest, put_bbox, put_point_batch, put_workload, MethodResult,
 };
 use crate::domain::Workload;
 use crate::updr::{
@@ -412,43 +412,12 @@ fn make_coord(lay: &Layout) -> CoordObj {
     }
 }
 
-/// Order-independent digest of the final meshes, for mesh-identity checks
-/// across schedules and engines: FNV-1a over each block's canonical
-/// form (see [`block_digest_part`]), folded in block order.
-fn fold_digest(parts: &mut [(u32, u64)]) -> u64 {
-    parts.sort_unstable_by_key(|&(idx, _)| idx);
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for &(idx, d) in parts.iter() {
-        acc = fnv1a(&idx.to_le_bytes()) ^ acc.rotate_left(13) ^ d;
-    }
-    acc
-}
-
-/// Canonical per-block digest: every triangle as its three vertex
-/// coordinates, sorted within the triangle and across triangles. Hashing
-/// the canonical form (rather than `TriMesh::encode` bytes) makes the
-/// digest independent of arena numbering — a block spilled and reloaded
-/// mid-run rebuilds its arena in wire order, which permutes encode bytes
-/// without changing the mesh. Equal digests mean geometrically equal
-/// meshes regardless of which schedule (or engine) produced them.
+/// A block's `(idx, digest)` part of the mesh digest (see
+/// [`mesh_digest`]); a block with no mesh hashes as an empty one.
 fn block_digest_part(obj: &dyn MobileObject) -> Option<(u32, u64)> {
     let b = obj.as_any().downcast_ref::<BlockObj>()?;
-    let mut records: Vec<[u64; 6]> = Vec::new();
-    if let Some(m) = b.mesh.as_ref() {
-        records.reserve_exact(m.num_tris());
-        for t in m.tri_ids() {
-            let mut pts = m.tri(t).v.map(|v| {
-                let p = m.point(v);
-                (p.x.to_bits(), p.y.to_bits())
-            });
-            pts.sort_unstable();
-            let [(x0, y0), (x1, y1), (x2, y2)] = pts;
-            records.push([x0, y0, x1, y1, x2, y2]);
-        }
-    }
-    records.sort_unstable();
-    let bytes = records.iter().flatten().flat_map(|w| w.to_le_bytes());
-    Some((b.idx, fnv1a_iter(bytes)))
+    let digest = b.mesh.as_ref().map_or_else(|| fnv1a(&[]), mesh_digest);
+    Some((b.idx, digest))
 }
 
 /// Build a runtime with OUPDR registered, `hook` applied (before any
@@ -494,7 +463,7 @@ pub fn oupdr_collect<E: Engine>(rt: &Runtime<E>) -> (u64, u64, u8, u64) {
             parts.push(p);
         }
     });
-    (elements, vertices, phase, fold_digest(&mut parts))
+    (elements, vertices, phase, fold_digests(&mut parts))
 }
 
 /// Run OUPDR on engine `E` (see [`oupdr_setup`] for `hook`); returns the

@@ -70,10 +70,10 @@ fn service(replay_dir: Option<std::path::PathBuf>) -> JobService {
 }
 
 /// Fault-free `(digest, elements)` per shape, and the single-phase job's
-/// element count, from a clean service drained by a multi-worker pool.
+/// element count, from a clean service drained on this thread.
 /// Any quarantine, retry or violation here fails the test.
 fn fault_free_references() -> (Vec<(u64, u64)>, u64) {
-    let svc = service(None);
+    let mut svc = service(None);
     let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
     svc.attach_service_audit(chk.clone());
     let ids: Vec<u64> = (0..SHAPES.len())
@@ -85,7 +85,7 @@ fn fault_free_references() -> (Vec<(u64, u64)>, u64) {
     let one_phase = svc
         .submit(spec("ref-1p"), Box::new(single_phase_job()))
         .expect("reference job admitted");
-    svc.run_until_drained(4);
+    svc.drain();
     let st = svc.stats();
     assert_eq!(
         st.jobs_completed,
@@ -118,7 +118,7 @@ fn chaos_fleet_reproduces_fault_free_meshes() {
     let _ = std::fs::remove_dir_all(&replay_dir);
     let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
     let slog = Arc::new(ServiceLog::new());
-    let svc = service(Some(replay_dir.clone()));
+    let mut svc = service(Some(replay_dir.clone()));
     svc.attach_service_audit(chk.clone());
     svc.attach_service_audit(slog.clone());
 
@@ -174,12 +174,12 @@ fn chaos_fleet_reproduces_fault_free_meshes() {
         "a domain wider than the pool was admitted"
     );
 
-    // Serial drive: a deterministic interleaving of job phases with the
+    // Stepped drive: a deterministic interleaving of job phases with the
     // chaos script (node kill at a fixed step, shed probe at the first
     // degraded observation).
     let mut steps = 0u64;
     let mut shed = None;
-    while svc.step_serial() {
+    while svc.step() {
         steps += 1;
         if steps == KILL_STEP {
             svc.kill_node(0);

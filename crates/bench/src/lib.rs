@@ -2,9 +2,13 @@
 //!
 //! Every experiment of the evaluation section (Figures 1, 5–10; Tables
 //! I–VII) plus the design-choice ablations has a runner here returning a
-//! printable [`Table`]; the `src/bin/*` binaries print them
-//! (`cargo run --release -p pumg-bench --bin fig5`), and the Criterion
-//! benches in `benches/` time trimmed versions of the same code paths.
+//! printable [`Table`], named in [`EXPERIMENTS`]. The `report` binary
+//! prints the ones named on its command line, or all of them:
+//!
+//! ```sh
+//! cargo run --release -p pumg-bench --bin report -- fig5 table4
+//! PUMG_SCALE=1.0 cargo run --release -p pumg-bench --bin report > report.md
+//! ```
 //!
 //! Problem sizes are scaled down from the paper's multi-hundred-million
 //! element meshes to laptop scale, with per-node memory budgets scaled
@@ -80,6 +84,48 @@ impl Scale {
     pub fn sz(&self, base: u64) -> u64 {
         ((base as f64 * self.0) as u64).max(500)
     }
+}
+
+/// One experiment's runner.
+pub type Experiment = fn(Scale) -> Table;
+
+/// Every experiment by name, in report order.
+pub const EXPERIMENTS: [(&str, Experiment); 17] = [
+    ("fig1", fig1),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("table7", table7),
+    ("ablation_swap", ablation_swap),
+    ("ablation_thresholds", ablation_thresholds),
+    ("ablation_onupdr", ablation_onupdr),
+];
+
+/// The experiments `names` selects, in the order named; every experiment
+/// when `names` is empty. An unknown name is an error that lists the
+/// known ones.
+pub fn select(names: &[String]) -> Result<Vec<(&'static str, Experiment)>, String> {
+    if names.is_empty() {
+        return Ok(EXPERIMENTS.to_vec());
+    }
+    names
+        .iter()
+        .map(|name| {
+            (EXPERIMENTS.iter().find(|(known, _)| known == name).copied()).ok_or_else(|| {
+                let known: Vec<&str> = EXPERIMENTS.iter().map(|&(k, _)| k).collect();
+                format!("unknown experiment {name:?}; known: {}", known.join(", "))
+            })
+        })
+        .collect()
 }
 
 /// A printable result table.
@@ -778,4 +824,55 @@ pub fn ablation_onupdr(scale: Scale) -> Table {
         ]);
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_name_table_holds_every_runner_once() {
+        let runners: [Experiment; 17] = [
+            fig1,
+            fig5,
+            fig6,
+            fig7,
+            fig8,
+            fig9,
+            fig10,
+            table1,
+            table2,
+            table3,
+            table4,
+            table5,
+            table6,
+            table7,
+            ablation_swap,
+            ablation_thresholds,
+            ablation_onupdr,
+        ];
+        let table: Vec<usize> = EXPERIMENTS.iter().map(|&(_, f)| f as usize).collect();
+        for f in runners {
+            let held = table.iter().filter(|&&g| g == f as usize).count();
+            assert_eq!(held, 1, "a runner is named {held} times");
+        }
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "a name is used twice");
+    }
+
+    #[test]
+    fn select_keeps_the_named_order_and_rejects_unknown_names() {
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let picked = select(&names(&["table4", "fig5"])).expect("known names");
+        let picked: Vec<&str> = picked.iter().map(|&(name, _)| name).collect();
+        assert_eq!(picked, ["table4", "fig5"]);
+        assert_eq!(select(&[]).expect("all").len(), EXPERIMENTS.len());
+        let err = select(&names(&["fig5", "fig2"])).expect_err("fig2 is unknown");
+        assert!(
+            err.contains("\"fig2\"") && err.contains("ablation_onupdr"),
+            "{err}"
+        );
+    }
 }

@@ -51,10 +51,7 @@
 //! 6. **termination only at quiescence** — at `Terminate` no posted
 //!    message is undelivered and no migration is in flight;
 //! 12. **handlers execute exactly once per post** — a duplicate that
-//!     escaped receiver-side dedup drives the outstanding count negative;
-//! 14. **jobs never interfere** — on the separate [`ServiceEvent`] stream,
-//!     concurrently active jobs hold disjoint node domains, and a
-//!     quarantined job is never readmitted.
+//!     escaped receiver-side dedup drives the outstanding count negative.
 //!
 //! Here [`Invariant::EventOrder`] flags stream-impossible sequences
 //! (installing a migration that never departed, departing from a node
@@ -62,7 +59,7 @@
 
 use crate::ids::{NodeId, ObjectId};
 use crate::lock;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 /// SplitMix64 finalizer: a cheap bijection on `u64`. Used by the DES
@@ -334,10 +331,6 @@ pub enum Invariant {
     /// A steal grant handed over an object that was pinned, absent, or
     /// already leaving the granting node.
     IllegalSteal,
-    /// Two concurrently active jobs were granted overlapping node
-    /// domains, or a quarantined job was resubmitted — either breaks the
-    /// job service's fault-domain isolation guarantee.
-    CrossJobInterference,
     /// A protocol-impossible transition for the state it applies to
     /// (catch-all that keeps each model honest).
     EventOrder,
@@ -376,13 +369,6 @@ struct CheckState {
     /// Consecutive forwards per object since it last made progress
     /// (delivery or install); a runaway streak means a routing livelock.
     forward_streak: HashMap<ObjectId, u32>,
-    /// Active job → granted node domain (service-level stream). Domains
-    /// of concurrently active jobs must be disjoint (invariant 14).
-    job_domains: HashMap<u64, Vec<NodeId>>,
-    /// Jobs the service has quarantined — they may never be readmitted.
-    job_quarantined: HashSet<u64>,
-    /// Jobs that already completed — their ids may not be reused.
-    job_completed: HashSet<u64>,
     violations: Vec<Violation>,
     events: u64,
 }
@@ -641,168 +627,6 @@ impl EventSink for InvariantChecker {
 }
 
 // ---------------------------------------------------------------------------
-// Job-service event stream
-// ---------------------------------------------------------------------------
-
-/// One job-lifecycle transition, as emitted by [`crate::service::JobService`].
-///
-/// Service events are a **separate stream** from [`RuntimeEvent`]: runtime
-/// events are per-node (every variant carries its node — the canonical
-/// replay stream depends on that), while job events are service-scoped and
-/// span many nodes. Keeping them apart means the replay encoding and the
-/// per-run checker state are untouched by service concerns.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServiceEvent {
-    /// A job passed admission control and was granted a node domain and a
-    /// memory budget.
-    JobAdmitted {
-        job: u64,
-        nodes: Vec<NodeId>,
-        budget: usize,
-    },
-    /// A failed attempt is being retried (attempt numbers start at 1; the
-    /// retry announces the attempt about to run).
-    JobRetry { job: u64, attempt: u32 },
-    /// The job exhausted its attempts (or tripped an invariant) and was
-    /// quarantined; it may never be resubmitted.
-    JobQuarantined { job: u64, attempts: u32 },
-    /// The job's node domain lost node `from`; its domain is released and
-    /// the job will be re-granted onto survivors (a fresh `JobAdmitted`).
-    JobRecovered { job: u64, from: NodeId },
-    /// The job finished and released its domain.
-    JobCompleted { job: u64 },
-}
-
-/// Observer of the service event stream (the job-service analogue of
-/// [`EventSink`]).
-pub trait ServiceEventSink: Send + Sync {
-    fn record_service(&self, ev: &ServiceEvent);
-}
-
-/// A sink that keeps every service event, in arrival order.
-#[derive(Default)]
-pub struct ServiceLog {
-    events: Mutex<Vec<ServiceEvent>>,
-}
-
-impl ServiceLog {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn snapshot(&self) -> Vec<ServiceEvent> {
-        lock(&self.events).clone()
-    }
-}
-
-impl ServiceEventSink for ServiceLog {
-    fn record_service(&self, ev: &ServiceEvent) {
-        lock(&self.events).push(ev.clone());
-    }
-}
-
-impl ServiceEventSink for InvariantChecker {
-    /// Invariant 14: **jobs never interfere** — the node domains of
-    /// concurrently active jobs are pairwise disjoint, and a quarantined
-    /// job is never readmitted. Lifecycle-impossible transitions (retry of
-    /// an inactive job, double completion, id reuse) fall under
-    /// [`Invariant::EventOrder`], as in the per-run stream.
-    fn record_service(&self, ev: &ServiceEvent) {
-        use Invariant::{CrossJobInterference, EventOrder};
-        let mut guard = lock(&self.state);
-        let st = &mut *guard;
-        st.events += 1;
-        let mut found = Vec::new();
-        let mut flag = |invariant: Invariant, detail: String| found.push((invariant, detail));
-        match ev {
-            ServiceEvent::JobAdmitted { job, nodes, budget } => {
-                if st.job_quarantined.contains(job) {
-                    flag(
-                        CrossJobInterference,
-                        format!("quarantined job {job} was readmitted"),
-                    );
-                }
-                if st.job_completed.contains(job) {
-                    flag(
-                        EventOrder,
-                        format!("completed job {job} was readmitted (job ids are unique)"),
-                    );
-                }
-                if st.job_domains.contains_key(job) {
-                    flag(
-                        EventOrder,
-                        format!("job {job} admitted while already active"),
-                    );
-                }
-                if *budget == 0 {
-                    flag(
-                        EventOrder,
-                        format!("job {job} admitted with a zero memory budget"),
-                    );
-                }
-                for (other, domain) in &st.job_domains {
-                    if *other == *job {
-                        continue;
-                    }
-                    let overlap: Vec<NodeId> = nodes
-                        .iter()
-                        .copied()
-                        .filter(|n| domain.contains(n))
-                        .collect();
-                    if !overlap.is_empty() {
-                        flag(
-                            CrossJobInterference,
-                            format!(
-                                "job {job} granted nodes {overlap:?} already owned by \
-                                 active job {other}"
-                            ),
-                        );
-                    }
-                }
-                st.job_domains.insert(*job, nodes.clone());
-            }
-            ServiceEvent::JobRetry { job, attempt } => {
-                if !st.job_domains.contains_key(job) {
-                    flag(
-                        EventOrder,
-                        format!("job {job} retried (attempt {attempt}) while not active"),
-                    );
-                }
-            }
-            ServiceEvent::JobQuarantined { job, attempts } => {
-                // Quarantine is legal straight from the queue (a domain
-                // that became unsatisfiable) — no active-domain check.
-                if st.job_completed.contains(job) {
-                    flag(
-                        EventOrder,
-                        format!("completed job {job} quarantined (after {attempts} attempts)"),
-                    );
-                }
-                if !st.job_quarantined.insert(*job) {
-                    flag(EventOrder, format!("job {job} quarantined twice"));
-                }
-                st.job_domains.remove(job);
-            }
-            ServiceEvent::JobRecovered { job, from } => match st.job_domains.remove(job) {
-                Some(domain) if domain.contains(from) => {}
-                Some(domain) => flag(
-                    EventOrder,
-                    format!("job {job} recovered from node {from} outside its domain {domain:?}"),
-                ),
-                None => flag(EventOrder, format!("job {job} recovered while not active")),
-            },
-            ServiceEvent::JobCompleted { job } => {
-                if st.job_domains.remove(job).is_none() {
-                    flag(EventOrder, format!("job {job} completed while not active"));
-                }
-                st.job_completed.insert(*job);
-            }
-        }
-        self.commit(st, found);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Happens-before race detection
 // ---------------------------------------------------------------------------
 
@@ -988,6 +812,7 @@ pub(crate) use audit_emit;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn oid(seq: u64) -> ObjectId {
         ObjectId::new(0, seq)

@@ -74,9 +74,10 @@ pub struct MrtsConfig {
     /// the event schedule — and, under memory pressure, eviction choices
     /// and message interleavings — depend on real machine timing. With
     /// this flag the schedule is a pure function of `(config, inputs)`:
-    /// required for byte-identity checks across runs and machines (the
-    /// job service's chaos sweep), wrong for performance regeneration
-    /// (the paper's tables need measured compute).
+    /// required for byte-identity checks across runs and machines
+    /// (`tests/chaos.rs`'s fault-free-schedule sweep, where storage and
+    /// fabric faults must cost no virtual time), wrong for performance
+    /// regeneration (the paper's tables need measured compute).
     pub deterministic_compute: bool,
     /// Deterministic storage fault schedule; `None` runs fault-free. When
     /// set, every node's spill store is wrapped in a

@@ -110,14 +110,6 @@ impl FaultPlan {
         }
     }
 
-    /// A quiet plan whose seed is scoped to `job`: jobs sharing one base
-    /// chaos `seed` draw from independent fault streams, so one job's
-    /// retries never perturb another job's fault schedule. This is the
-    /// per-job fault-domain contract of [`crate::service::JobService`].
-    pub fn for_job(seed: u64, job: u64) -> Self {
-        FaultPlan::new(mix64(seed ^ job.wrapping_mul(0xA24B_AED4_963E_E407)))
-    }
-
     /// Transient `EIO` on both stores and loads at `permille`.
     pub fn with_eio(mut self, permille: u16) -> Self {
         self.store_eio_permille = permille;

@@ -61,7 +61,6 @@ pub mod relnet;
 pub mod replay;
 pub mod runtime;
 pub mod sched;
-pub mod service;
 mod spill_io;
 pub mod stats;
 pub mod storage;
@@ -96,7 +95,6 @@ pub(crate) fn within_seconds<R: Send + 'static>(
 pub mod prelude {
     pub use crate::audit::{
         EventLog, EventSink, FailMode, FanOut, InvariantChecker, RaceDetector, RuntimeEvent,
-        ServiceEvent, ServiceEventSink, ServiceLog,
     };
     pub use crate::codec::{PayloadReader, PayloadWriter};
     pub use crate::compute::ExecutorKind;
@@ -111,10 +109,6 @@ pub mod prelude {
     pub use crate::replay::{Decision, DecisionLog, DivergenceReport, ReplayArtifact};
     pub use crate::runtime::{Engine, Runtime};
     pub use crate::sched::{ConflictSet, PhaseGate, RegionDag};
-    pub use crate::service::{
-        AdmissionError, Job, JobAttempt, JobFailure, JobId, JobOutcome, JobProgress, JobService,
-        JobSpec, JobState, QuarantineArtifact, ServiceConfig, ServiceStats,
-    };
     pub use crate::stats::RunStats;
     pub use crate::storage::DiskModel;
     pub use crate::threaded::{ThreadedRuntime, Threads};

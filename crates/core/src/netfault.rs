@@ -119,14 +119,6 @@ impl NetFaultPlan {
         }
     }
 
-    /// A quiet plan whose seed is scoped to `job`: jobs sharing one base
-    /// chaos `seed` draw from independent network-fault streams, keeping
-    /// the job service's fault domains independent (a retry in one job
-    /// never shifts another job's drop/dup/delay schedule).
-    pub fn for_job(seed: u64, job: u64) -> Self {
-        NetFaultPlan::new(mix64(seed ^ job.wrapping_mul(0x9E6C_63D0_876A_3F6B)))
-    }
-
     pub fn with_drops(mut self, permille: u16) -> Self {
         self.drop_permille = permille;
         self

@@ -313,9 +313,8 @@ impl RunStats {
 
     /// Every counter this run tracks, flattened to `(field name, total
     /// over nodes)` pairs and grouped by subsystem. This is the single
-    /// source [`RunStats::summary`] and the job service's per-job/service
-    /// scopes render from, so the scopes cannot drift: a counter added
-    /// here appears everywhere at once.
+    /// source [`RunStats::summary`] renders from, so a counter added here
+    /// is reported at once.
     pub fn counter_groups(&self) -> Vec<CounterGroup> {
         let t = |f: fn(&NodeStats) -> usize| self.total_of(f) as u64;
         vec![
@@ -459,9 +458,7 @@ impl RunStats {
 }
 
 /// One subsystem's counters as `(NodeStats field name, total)` pairs —
-/// the per-scope unit of [`RunStats::counter_groups`]. Per-job stats and
-/// whole-service aggregates render through the same groups, so a scope
-/// can never report a counter set that drifted from the canonical one.
+/// the unit of [`RunStats::counter_groups`].
 #[derive(Clone, Debug)]
 pub struct CounterGroup {
     /// Subsystem label (`"core"`, `"fault"`, `"net"`, ...).
@@ -708,10 +705,8 @@ mod tests {
         assert_eq!(s.bytes_demanded(), 0);
     }
 
-    /// The no-drift guard for satellite scopes: every counter named in
-    /// `counter_groups` must appear (with its group active) in the
-    /// one-line summary — per-job and service-level reports render
-    /// through the same groups, so this pins all of them.
+    /// The no-drift guard: every counter named in `counter_groups` must
+    /// appear (with its group active) in the one-line summary.
     #[test]
     fn summary_renders_every_counter() {
         let mut s = stats_with(100, &[(50, 10, 20)]);

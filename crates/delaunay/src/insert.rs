@@ -520,18 +520,6 @@ impl TriMesh {
         // Edges opposite p in the new triangles:
         (EdgeRef { t, e: 0 }, EdgeRef { t: n, e: 0 })
     }
-
-    /// Insert `p` but only look for it starting at `start` (used by callers
-    /// that maintain their own locality hints).
-    pub fn insert_point_from(
-        &mut self,
-        p: pumg_geometry::Point2,
-        start: TId,
-        flags: VFlags,
-    ) -> InsertOutcome {
-        let loc = self.locate_from(p, start, WalkMode::Free);
-        self.insert_at_location(p, loc, flags)
-    }
 }
 
 /// Record line `c` among at most two (a NaN slot is free); false if it

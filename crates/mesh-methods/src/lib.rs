@@ -29,7 +29,6 @@
 
 pub mod common;
 pub mod domain;
-pub mod mesh_job;
 pub mod nupdr;
 pub mod ooc_nupdr;
 pub mod ooc_pcdm;

@@ -9,8 +9,8 @@
 //! fully unstructured communication.
 
 use crate::common::{
-    decode_point_batch, encode_point_batch, get_bbox, get_workload, put_bbox, put_workload,
-    MethodResult,
+    decode_point_batch, encode_point_batch, fold_digests, get_bbox, get_workload, mesh_digest,
+    put_bbox, put_workload, MethodResult,
 };
 use crate::domain::Workload;
 use crate::pcdm::{build_subdomains, PcdmParams, Subdomain, SIDES};
@@ -151,7 +151,7 @@ pub fn register<E: Engine>(rt: &mut Runtime<E>) {
 
 /// The pointers of `n` subdomains over `nodes` nodes: subdomain `i` is
 /// the `(i / nodes)`-th object created on node `i % nodes`.
-pub fn subdomain_ptrs(n: usize, nodes: usize) -> Vec<MobilePtr> {
+fn subdomain_ptrs(n: usize, nodes: usize) -> Vec<MobilePtr> {
     let ptr = |i: usize| MobilePtr::new(ObjectId::new((i % nodes) as NodeId, (i / nodes) as u64));
     (0..n).map(ptr).collect()
 }
@@ -220,6 +220,19 @@ pub fn opcdm_collect<E: Engine>(rt: &Runtime<E>) -> (u64, u64) {
             .count() as u64;
     });
     (elements, vertices)
+}
+
+/// Order-independent digest of the final meshes across all subdomains:
+/// each subdomain's [`mesh_digest`], folded in index order by
+/// [`fold_digests`].
+pub fn opcdm_digest<E: Engine>(rt: &Runtime<E>) -> u64 {
+    let mut parts: Vec<(u32, u64)> = Vec::new();
+    rt.for_each_object(|_, obj| {
+        if let Some(so) = obj.as_any().downcast_ref::<SubObj>() {
+            parts.push((so.sd.idx as u32, mesh_digest(&so.sd.mesh)));
+        }
+    });
+    fold_digests(&mut parts)
 }
 
 /// Run OPCDM on engine `E` (see [`opcdm_setup`] for `hook`).

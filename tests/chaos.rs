@@ -7,6 +7,8 @@
 //! * no audit invariant is ever violated and no threaded run races,
 //! * the final mesh is the one the fault-free run produces (faults cost
 //!   time, never correctness), and handlers run exactly once,
+//! * under `deterministic_compute` faults cost no virtual time either: a
+//!   chaos run keeps the mesh and the makespan of its zero-rate twin,
 //! * a full disk degrades the run instead of killing it, and the run
 //!   recovers when space returns,
 //! * an unreadable spilled object surfaces as a typed error, not a panic,
@@ -20,8 +22,10 @@
 
 use pumg::harness::{self, BUDGET, CHAOS_NET_THREADED, CHAOS_THREADED, DUP_STORM};
 use pumg::methods::domain::Workload;
-use pumg::methods::mesh_job::opcdm_digest;
-use pumg::methods::ooc_pcdm::{opcdm_run, opcdm_run_with, opcdm_setup, register, SubObj, H_REFINE};
+use pumg::methods::ooc_pcdm::{
+    create_subdomains, opcdm_collect, opcdm_digest, opcdm_run, opcdm_run_with, opcdm_setup,
+    register, SubObj, H_REFINE,
+};
 use pumg::methods::pcdm::PcdmParams;
 use pumg::methods::MethodResult;
 use pumg::mrts::audit::{
@@ -649,6 +653,96 @@ fn threaded_net_chaos_schedules_at_16_nodes() {
     let want = reference::<Threads>(16);
     threaded_net_chaos(16, 0..2, want);
     duplicate_storm(16, want);
+}
+
+// ---------------------------------------------------------------------------
+// Fault recovery is free in virtual time. Under `deterministic_compute` a
+// storage retry costs one disk op, and a lost frame is resent at once into
+// the arrival slot its fault-free delivery reserved (`Gateway::sent`). So
+// a chaos run keeps the schedule of a twin that runs the same plans at
+// zero rates: the same mesh, byte for byte, at the same virtual makespan.
+// ---------------------------------------------------------------------------
+
+/// The 2-node harness workload on the virtual clock under
+/// `deterministic_compute`, with the invariant checker attached: the mesh
+/// digest, the element count and the run's stats. Refinement starts on
+/// node 0's subdomains only, so node 1 idles until their splits arrive
+/// and a frame that lands late moves the schedule. (Seeded everywhere,
+/// both nodes stay busy and absorb a late frame.)
+fn deterministic_run(
+    fault: FaultPlan,
+    net: Option<NetFaultPlan>,
+    what: &str,
+) -> (u64, u64, RunStats) {
+    let mut cfg = MrtsConfig::out_of_core(2, BUDGET).with_faults(fault);
+    cfg.net_fault = net;
+    cfg.deterministic_compute = true;
+    let chk = Arc::new(InvariantChecker::new(FailMode::Collect));
+    let mut rt = DesRuntime::new(cfg);
+    register(&mut rt);
+    rt.attach_audit(chk.clone());
+    for p in create_subdomains(&mut rt, &harness::params(2)) {
+        if p.id.home() == 0 {
+            rt.post(p, H_REFINE, Vec::new());
+        }
+    }
+    let stats = rt
+        .try_run()
+        .unwrap_or_else(|e| panic!("{what}: run failed: {e}"));
+    assert!(
+        chk.violations().is_empty(),
+        "{what} violated invariants: {:?}",
+        chk.violations()
+    );
+    (opcdm_digest(&rt), opcdm_collect(&rt).0, stats)
+}
+
+#[test]
+fn deterministic_fault_recovery_costs_no_virtual_time() {
+    // Zero-rate twins: the faulty store, and with it the reliable layer,
+    // with nothing injected.
+    let storage_twin = deterministic_run(FaultPlan::new(0), None, "storage twin");
+    let fabric_twin =
+        deterministic_run(FaultPlan::new(0), Some(NetFaultPlan::new(0)), "fabric twin");
+    let (mut faults, mut dropped, mut dups) = (0usize, 0usize, 0usize);
+    for seed in 0..128u64 {
+        let storage = FaultPlan::new(0x5E21_11CE ^ seed)
+            .with_eio(60)
+            .with_torn_writes(40);
+        // Odd seeds add fabric faults.
+        let fabric = (seed % 2 == 1).then(|| {
+            NetFaultPlan::new(0x5E21_11CE ^ seed)
+                .with_drops(150)
+                .with_dups(100)
+                .with_reorder(60)
+        });
+        let twin = match fabric {
+            Some(_) => &fabric_twin,
+            None => &storage_twin,
+        };
+        let what = format!("deterministic chaos seed {seed}");
+        let (digest, elements, stats) = deterministic_run(storage, fabric, &what);
+        assert_eq!(
+            stats.total_of(|n| n.io_gave_up),
+            0,
+            "{what}: a transient schedule must never exhaust retries"
+        );
+        assert_eq!(
+            (digest, elements),
+            (twin.0, twin.1),
+            "{what}: faults changed the mesh"
+        );
+        assert_eq!(
+            stats.total, twin.2.total,
+            "{what}: fault recovery cost virtual time"
+        );
+        faults += stats.total_of(|n| n.faults_injected);
+        dropped += stats.total_of(|n| n.messages_dropped);
+        dups += stats.total_of(|n| n.dup_suppressed);
+    }
+    assert!(faults > 0, "no storage fault injected — vacuous");
+    assert!(dropped > 0, "no frame dropped — vacuous");
+    assert!(dups > 0, "no duplicate suppressed — vacuous");
 }
 
 // ---------------------------------------------------------------------------
